@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import struct
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -197,16 +198,107 @@ def _pair_feasible(b: CiftBounds, da: float, dx: float,
     return True
 
 
+def _dx_floor(b: CiftBounds, da: float) -> float:
+    """Upper bound of 2K(rho + L3 da + L4 da^2), the least admissible delta_x."""
+    K2 = Interval(2.0) * Interval(b.K)
+    v = (K2 * Interval(b.rho) + K2 * Interval(b.L3) * Interval(da)
+         + K2 * Interval(b.L4) * Interval(da) * Interval(da))
+    return v.hi
+
+
+def _dx_ceiling(b: CiftBounds, da: float, dir_norm: float,
+                coupled_cap: float) -> float:
+    """Lower bound of the largest admissible delta_x at delta_alpha = da."""
+    cap = b.ell_x
+    if b.L1 > 0.0:
+        num = Interval(1.0) - Interval(2.0) * Interval(b.K) * Interval(b.L2) * Interval(da)
+        if num.lo <= 0.0:
+            return 0.0
+        cap = min(cap, (num / (Interval(2.0) * Interval(b.K) * Interval(b.L1))).lo)
+    if math.isfinite(coupled_cap):
+        cap = min(cap, (Interval(coupled_cap) - Interval(dir_norm) * Interval(da)).lo)
+    return cap
+
+
+def _alpha_feasible(b: CiftBounds, da: float, dir_norm: float,
+                    coupled_cap: float, search_cap: float) -> bool:
+    """Rigorous: some delta_x completes delta_alpha = da to a feasible pair,
+    and dir_norm*da stays within `search_cap`.  Monotone in da: the floor
+    rises with it and every ceiling falls."""
+    if math.isfinite(search_cap) and dir_norm * da > search_cap:
+        return False
+    fl = _dx_floor(b, da)
+    return (fl <= _dx_ceiling(b, da, dir_norm, coupled_cap)
+            and _pair_feasible(b, da, max(fl, 1e-300), dir_norm, coupled_cap))
+
+
+def _smallest_root(a: float, b: float, c: float) -> float:
+    """Smallest nonnegative root of a*x^2 + b*x + c (a, b >= 0, c <= 0),
+    in float; inf when the left side never reaches zero."""
+    if c >= 0.0:
+        return 0.0
+    den = b + math.sqrt(b * b - 4.0 * a * c)
+    return -2.0 * c / den if den > 0.0 else math.inf
+
+
+def _float_index(x: float) -> int:
+    """Position of a float in the ordered list of floats (exact for x >= 0;
+    negative floats map below 0)."""
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _float_at(n: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", n))[0]
+
+
+# The rigorous check rounds outward, so the largest feasible float lies a
+# few ulps below the float root (2 to 8 on the paper's branch, mostly 4).
+_ROUNDING_ULPS = 4
+_WALK_STEPS = 8
+
+
+def _largest_feasible(feasible, guess: float, top: float) -> float | None:
+    """Largest float in [0, top] accepted by `feasible`, a predicate that
+    is monotone (true up to some float, false above it); None if it fails
+    at 0.
+
+    Walks one ulp at a time from just below `guess`, then bisects the
+    float positions if the walk has not met the answer: at most
+    _WALK_STEPS + 64 probes, and two or three when `guess` is close.
+    """
+    lo, hi = -1, _float_index(top) + 1       # positions <= lo pass, >= hi fail
+    n = min(max(_float_index(guess) - _ROUNDING_ULPS, 0), hi - 1)
+    for _ in range(_WALK_STEPS):
+        if hi - lo <= 1:
+            break
+        if feasible(_float_at(n)):
+            lo, n = n, n + 1
+        else:
+            hi, n = n, n - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if feasible(_float_at(mid)):
+            lo = mid
+        else:
+            hi = mid
+    return _float_at(lo) if lo >= 0 else None
+
+
 def solve_deltas(b: CiftBounds, dir_norm: float = 0.0,
                  coupled_cap: float = math.inf,
                  du_reserve: float = 0.1) -> DeltaPair:
-    """Feasible (delta_alpha, delta_x): delta_alpha is maximized, then
-    delta_x is pushed to its largest admissible value (best uniqueness).
+    """Feasible (delta_alpha, delta_x): delta_alpha is the largest float
+    in [0, ell_alpha] that satisfies the inequalities, then delta_x is
+    pushed to its largest admissible value (best uniqueness).
 
     `dir_norm`/`coupled_cap` impose the continuation coupling
     dir_norm*delta_alpha + delta_x <= coupled_cap when given; a
     `du_reserve` fraction of that budget is withheld from delta_alpha so
     the uniqueness tube never degenerates (linking needs room in it).
+
+    Every constraint on delta_alpha is a quadratic whose left side grows
+    with delta_alpha, so feasibility is monotone: the float roots give a
+    starting point and the rigorous check walks it to the exact answer.
     """
     gate = Interval(4.0) * Interval(b.K) * Interval(b.K) * Interval(b.rho) * Interval(b.L1)
     if not gate.hi < 1.0:
@@ -216,46 +308,23 @@ def solve_deltas(b: CiftBounds, dir_norm: float = 0.0,
         raise ValidationFailed(f"2 K rho = {dmin} >= ell_x = {b.ell_x}")
     search_cap = coupled_cap * (1.0 - du_reserve)
 
-    def dx_floor(da: float) -> float:
-        K2 = Interval(2.0) * Interval(b.K)
-        v = (K2 * Interval(b.rho) + K2 * Interval(b.L3) * Interval(da)
-             + K2 * Interval(b.L4) * Interval(da) * Interval(da))
-        return v.hi
-
-    def dx_ceiling(da: float) -> float:
-        cap = b.ell_x
-        if b.L1 > 0.0:
-            num = Interval(1.0) - Interval(2.0) * Interval(b.K) * Interval(b.L2) * Interval(da)
-            if num.lo <= 0.0:
-                return 0.0
-            cap = min(cap, (num / (Interval(2.0) * Interval(b.K) * Interval(b.L1))).lo)
-        if math.isfinite(coupled_cap):
-            cap = min(cap, (Interval(coupled_cap) - Interval(dir_norm) * Interval(da)).lo)
-        return cap
-
     def feasible(da: float) -> bool:
-        if math.isfinite(search_cap) and dir_norm * da > search_cap:
-            return False
-        fl = dx_floor(da)
-        return fl <= dx_ceiling(da) and _pair_feasible(b, da, max(fl, 1e-300), dir_norm, coupled_cap)
+        return _alpha_feasible(b, da, dir_norm, coupled_cap, search_cap)
 
-    if b.ell_alpha == 0.0 or not feasible(0.0):
-        if not feasible(0.0):
-            raise ValidationFailed("delta inequalities infeasible even at delta_alpha = 0")
-        da = 0.0
-    else:
-        lo, hi = 0.0, b.ell_alpha
-        if feasible(hi):
-            da = hi
-        else:
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if feasible(mid):
-                    lo = mid
-                else:
-                    hi = mid
-            da = lo
-    dx = dx_ceiling(da)
+    # float roots of floor(da) = each ceiling, floor = a*da^2 + bl*da + c0
+    K2 = 2.0 * b.K
+    a, bl, c0 = K2 * b.L4, K2 * b.L3, K2 * b.rho
+    s = K2 * b.L1                    # 2K(L1 floor + L2 da) <= 1
+    guess = min(_smallest_root(a, bl, c0 - b.ell_x),
+                _smallest_root(s * a, s * bl + K2 * b.L2, s * c0 - 1.0))
+    if math.isfinite(coupled_cap):
+        guess = min(guess, _smallest_root(a, bl + dir_norm, c0 - coupled_cap))
+    if math.isfinite(search_cap) and dir_norm > 0.0:
+        guess = min(guess, search_cap / dir_norm)
+    da = _largest_feasible(feasible, guess, b.ell_alpha)
+    if da is None:
+        raise ValidationFailed("delta inequalities infeasible even at delta_alpha = 0")
+    dx = _dx_ceiling(b, da, dir_norm, coupled_cap)
     for _ in range(64):
         if _pair_feasible(b, da, dx, dir_norm, coupled_cap):
             break

@@ -356,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("branch", help="validated pseudo-arclength continuation")
     p.add_argument("--from-R", dest="from_R", type=float, default=300.0)
     p.add_argument("--to-R", dest="to_R", type=float, default=72.0)
-    p.add_argument("--max-steps", dest="max_steps", type=int, default=5000)
+    p.add_argument("--max-steps", dest="max_steps", type=int,
+                   default=cont.ContinuationConfig.max_steps)
     p.add_argument("--alpha-frac", dest="alpha_frac", type=float, default=0.8)
     p.add_argument("--precondition", choices=["auto", "off"], default="auto")
     p.set_defaults(fn=cmd_branch)

@@ -163,10 +163,10 @@ class ExtendedSystem:
         J[1:, 1:] = self.sys.jac_u(t, u)
         return J
 
-    def jac_iv_at_origin(self) -> IMatrix:
-        """Interval enclosure of D_{(sigma,x)} G(0, (0,0)) -- the (P2) matrix."""
+    def jac_iv_at_origin(self, Ju: IMatrix, Jt: IVector) -> IMatrix:
+        """Interval enclosure of D_{(sigma,x)} G(0, (0,0)) -- the (P2) matrix --
+        from enclosures (Ju, Jt) of (D_u F, D_t F) at (t0, u0)."""
         d = self.sys.d
-        Ju, Jt = self.sys.jacs_iv(Interval.point(self.t0), IVector.point(self.u0))
         lo = np.empty((d + 1, d + 1))
         hi = np.empty((d + 1, d + 1))
         lo[0, 0] = hi[0, 0] = self.mu
@@ -290,7 +290,7 @@ def validate_segment(system: CoralBranchSystem, t0: float, u0: np.ndarray,
     Ju, Jt = system.jacs_iv(t_iv, u_iv)
     xi = norm_inf(Jt.scale(mu) + Ju.matvec(IVector.point(v))).hi
 
-    extJ = ext.jac_iv_at_origin()
+    extJ = ext.jac_iv_at_origin(Ju, Jt)
     try:
         B = np.linalg.inv(ext.jac(0.0, np.zeros(system.d + 1)))
     except np.linalg.LinAlgError as exc:
@@ -364,7 +364,7 @@ def classify_stability(coral: CoralMap, lam: float, x: np.ndarray) -> str:
 class ContinuationConfig:
     from_R: float = 300.0
     to_R: float = 72.0
-    max_steps: int = 5000
+    max_steps: int = 8000
     alpha_frac: float = 0.8
     d_u0: float = 1e-4
     d_lambda0: float = 1e-4

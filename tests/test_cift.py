@@ -192,6 +192,16 @@ def test_solve_deltas_coupled_cap():
     assert pair.delta_alpha >= 0.4e-3
 
 
+def test_solve_deltas_coupled_cap_binds_without_reserve():
+    # floor 2e-6 against delta_alpha + delta_x <= 1e-3: delta_alpha stops
+    # just short of 1e-3 - 2e-6, the whole budget minus the floor
+    b = CiftBounds(rho=1e-6, K=1.0, L1=1.0, ell_x=1.0, ell_alpha=1.0)
+    pair = solve_deltas(b, dir_norm=1.0, coupled_cap=1e-3, du_reserve=0.0)
+    assert pair.delta_alpha + pair.delta_x <= 1e-3
+    assert 1e-3 - 2e-6 - 1e-15 <= pair.delta_alpha <= 1e-3 - 2e-6
+    assert pair.delta_x >= pair.delta_min
+
+
 def test_solve_deltas_shrinks_with_larger_rho():
     small = solve_deltas(CiftBounds(rho=1e-12, K=1.0, L1=1e3, ell_x=1e-3))
     large = solve_deltas(CiftBounds(rho=1e-8, K=1.0, L1=1e3, ell_x=1e-3))
@@ -253,21 +263,55 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 
-@given(st.floats(1e-16, 1e-8), st.floats(1.0, 50.0), st.floats(1e-2, 1e7),
+def _bisect_delta_alpha(feasible, ell_alpha):
+    """The 80-step bisection solve_deltas used before its closed-form
+    start; returns (delta_alpha, whether it ended on adjacent floats)."""
+    lo, hi = 0.0, ell_alpha
+    if feasible(hi):
+        return hi, True
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, math.nextafter(lo, math.inf) == hi
+
+
+@given(st.floats(1e-16, 1e-8), st.floats(1.0, 50.0),
+       st.one_of(st.just(0.0), st.floats(1e-2, 1e7)),
        st.floats(0.0, 1e3), st.floats(0.0, 1e2), st.floats(0.0, 1e3),
-       st.floats(1e-8, 1e-2), st.floats(0.0, 1e-2))
-@settings(max_examples=200, deadline=None)
+       st.floats(1e-8, 1e-2), st.floats(0.0, 1e-2),
+       st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+       st.one_of(st.just(math.inf), st.floats(1e-8, 1e-1)),
+       st.one_of(st.just(0.1), st.floats(0.0, 0.5)))
+@settings(max_examples=300, deadline=None)
 def test_solve_deltas_output_always_rigorously_feasible(
-        rho, K, L1, L2, L3, L4, ell_x, ell_alpha):
-    from certibif.cift import _pair_feasible
+        rho, K, L1, L2, L3, L4, ell_x, ell_alpha, dir_norm, coupled_cap,
+        du_reserve):
+    from certibif.cift import _alpha_feasible, _pair_feasible
     b = CiftBounds(rho=rho, K=K, L1=L1, L2=L2, L3=L3, L4=L4,
                    ell_x=ell_x, ell_alpha=ell_alpha)
+    search_cap = coupled_cap * (1.0 - du_reserve)
+    feasible = lambda da: _alpha_feasible(b, da, dir_norm, coupled_cap, search_cap)
     try:
-        pair = solve_deltas(b)
-    except ValidationFailed:
+        pair = solve_deltas(b, dir_norm=dir_norm, coupled_cap=coupled_cap,
+                            du_reserve=du_reserve)
+    except ValidationFailed as exc:
+        if "delta_alpha = 0" in str(exc):
+            assert not feasible(0.0)
         return
-    assert _pair_feasible(b, pair.delta_alpha, pair.delta_x, 0.0, float("inf"))
+    assert _pair_feasible(b, pair.delta_alpha, pair.delta_x, dir_norm, coupled_cap)
     assert pair.delta_min <= pair.delta_x
+
+    # delta_alpha is the largest float that passes the rigorous check
+    da = pair.delta_alpha
+    assert feasible(da)
+    assert da == ell_alpha or not feasible(math.nextafter(da, math.inf))
+    ref, converged = _bisect_delta_alpha(feasible, ell_alpha)
+    assert da >= ref
+    if converged:
+        assert da == ref
 
 
 class ScalarCubic:
