@@ -159,7 +159,10 @@ def phi(y, params: CoralParams):
 
 def phi_derivs(y, params: CoralParams, order: int = 3):
     """phi and its first `order` derivatives (quotient-rule recursion on
-    N = phi * D, which stays tight in interval arithmetic)."""
+    N = phi * D, which stays tight in interval arithmetic).
+
+    Powers of alpha and beta are applied one factor at a time in the type
+    of y, so no float-rounded constant enters an interval enclosure."""
     c1, c2, al, be = params.c1, params.c2, params.alpha, params.beta
     N = c1 * _sexp(-al * y)
     E = c2 * _sexp(-be * y)
@@ -170,12 +173,12 @@ def phi_derivs(y, params: CoralParams, order: int = 3):
         Dp = 2.0 * y - be * E
         out.append((Np - out[0] * Dp) / D)
     if order >= 2:
-        Npp = (al * al) * N
-        Dpp = 2.0 + (be * be) * E
+        Npp = al * (al * N)
+        Dpp = 2.0 + be * (be * E)
         out.append((Npp - 2.0 * out[1] * Dp - out[0] * Dpp) / D)
     if order >= 3:
-        Nppp = -(al ** 3) * N
-        Dppp = -(be ** 3) * E
+        Nppp = -(al * (al * (al * N)))
+        Dppp = -(be * (be * (be * E)))
         out.append((Nppp - 3.0 * out[2] * Dp - 3.0 * out[1] * Dpp - out[0] * Dppp) / D)
     return tuple(out)
 

@@ -91,6 +91,23 @@ def test_phi_derivs_match_finite_differences(coral):
         assert d3 != 0.0
 
 
+@pytest.mark.parametrize("lo,hi", [(0.0, 300.0), (853.0, 2689.0),
+                                   (1200.0, 1800.0), (2000.0, 6000.0),
+                                   (1500.0, 1500.0)])
+def test_phi_derivs_interval_contains_multiprecision(coral, lo, hi):
+    # 60-digit derivatives of phi at float points of the box, orders 0..3
+    p = coral.params
+    encs = phi_derivs(Interval(lo, hi), p, order=3)
+    with mp.workdps(60):
+        c1, c2 = mp.mpf(p.c1), mp.mpf(p.c2)
+        al, be = mp.mpf(p.alpha), mp.mpf(p.beta)
+        f = lambda y: c1 * mp.exp(-al * y) / (y * y + c2 * mp.exp(-be * y))
+        for y in np.linspace(lo, hi, 9):
+            for n, enc in enumerate(encs):
+                exact = mp.diff(f, mp.mpf(float(y)), n)
+                assert mp.mpf(enc.lo) <= exact <= mp.mpf(enc.hi), (y, n)
+
+
 def test_phi_prime_at_zero_closed_form(coral):
     p = coral.params
     _, d1 = phi_derivs(0.0, p, order=1)
