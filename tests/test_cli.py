@@ -118,7 +118,6 @@ def test_branch_max_steps_default_is_the_config_default():
     from certibif.continuation import ContinuationConfig
     args = build_parser().parse_args(["branch"])
     assert args.max_steps == ContinuationConfig().max_steps
-    assert args.max_steps >= 5755       # the paper's 300 -> 72 branch fits
 
 
 def test_config_file_flows_through(tmp_path, capsys, coral):
