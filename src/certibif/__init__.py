@@ -2,18 +2,19 @@
 arithmetic, a constructive implicit function theorem, certified
 pseudo-arclength continuation, and bifurcation certificates."""
 
-from .interval import IMatrix, Interval, IVector, norm_inf, product_norm
+from .interval import IMatrix, Interval, IVector, norm_inf
 from .model import (CoralMap, CoralParams, DerivedCoefficients,
-                    FixedPointReduction, ScaledCoralMap, derive_float,
-                    derive_generic, derive_interval, lambda_to_R, phi,
-                    phi_derivs, polyp_density, R_to_lambda)
+                    FixedPointReduction, derive_float, derive_generic,
+                    derive_interval, lambda_to_R, phi, phi_derivs,
+                    polyp_density, R_to_lambda)
 from .cift import (Certificate, CiftBounds, DeltaPair, inverse_bound,
                    lipschitz_L1, residual_bound, solve_deltas, validate_zero)
 from .continuation import (BranchBox, BranchResult, ContinuationConfig,
                            CoralBranchSystem, ExtendedSystem,
-                           SegmentHypotheses, check_link, classify_stability,
-                           continue_branch, derive_extended_constants,
-                           newton_correct, tangent_estimate, validate_segment)
+                           SegmentHypotheses, branch_start, check_link,
+                           classify_stability, continue_branch,
+                           derive_extended_constants, newton_correct,
+                           tangent_estimate, validate_segment)
 from .bifurcation import (BifCertificate, NsPoint, NsSystem, SnPoint, SnSystem,
                           TranscriticalResult, certify_ns, certify_sn,
                           find_ns_anchor, find_sn_anchor, transcritical_analysis,

@@ -21,7 +21,7 @@ from . import cift
 from .errors import (CertificationFailed, ConditionInconclusive, DomainError,
                      NotInvertibleEvidence, SpectrumInconclusive)
 from .interval import (IMatrix, Interval, IVector, float_matmat, float_matvec,
-                       matmat_float, norm_inf, up_mul, up_sum, _dn2, _up2)
+                       matmat_float, norm_inf, up_dot, up_mul, up_sum, _dn2, _up2)
 from .model import CoralMap, FixedPointReduction, phi_derivs, polyp_density
 
 
@@ -69,10 +69,6 @@ class CI:
 
     def abs_lo(self) -> float:
         return (self.re.sqr() + self.im.sqr()).sqrt().lo
-
-    @staticmethod
-    def from_complex(z: complex) -> "CI":
-        return CI(Interval(z.real), Interval(z.imag))
 
 
 def _cdot(coefs: list[Interval], vec: list[CI]) -> CI:
@@ -162,16 +158,7 @@ class NsSystem:
         return np.concatenate([x, [lam], w, u, [a], [b]])
 
     def value(self, z: np.ndarray) -> np.ndarray:
-        x, lam, w, u, a, b = self.split(np.asarray(z, dtype=float))
-        J = self.coral.jac_x(lam, x)
-        return np.concatenate([
-            self.coral.step(lam, x) - x,
-            J @ w - a * w + b * u,
-            J @ u - b * w - a * u,
-            [a * a + b * b - 1.0],
-            [w @ w - 1.0],
-            [u @ u - 1.0],
-        ])
+        return np.array(self.value_scalars(np.asarray(z, dtype=float), self.coral.cf))
 
     def value_scalars(self, z: list, coeffs) -> list:
         """Generic-scalar evaluation (drives interval and mpmath paths)."""
@@ -245,10 +232,7 @@ class NsSystem:
         a, b = zs[3 * d + 1], zs[3 * d + 2]
         ci = self.coral.ci
         _, g1, phis, bx = self.coral.row1_gradient(x, ci)
-        ph2 = phi_derivs(polyp_density(x, ci), self.coral.params, order=2)[2]
-        # g2[j][k] = d2 g / dx_j dx_k
-        g2 = [[phis[1] * (ci.q[j] * ci.b[k] + ci.q[k] * ci.b[j]) + ph2 * bx * ci.q[j] * ci.q[k]
-               for k in range(d)] for j in range(d)]
+        g2 = self.coral.row1_second(x, ci)       # g2[j][k] = d2 g / dx_j dx_k
         S = self.coral.params.S
         J = IMatrix(np.zeros((self.dim, self.dim)), np.zeros((self.dim, self.dim)))
 
@@ -317,7 +301,7 @@ class NsSystem:
         # eigen rows, first components
         for row0, vmag, svec in ((d, wmag, sw), (2 * d, umag, su)):
             T[row0, sx, sx] = up_mul(rb.lam_mag, rb.g3_contracted(vmag))
-            tv = up_mul(up_dotvec(rb.g2, vmag), 1.0)
+            tv = up_mul(up_dot(vmag, rb.g2), 1.0)
             T[row0, sl, sx] = tv
             T[row0, sx, sl] = tv
             T[row0, svec, sx] = lg2          # d2/dw_j dx_k = lam*g2[j,k]
@@ -339,12 +323,6 @@ class NsSystem:
         return T
 
 
-def up_dotvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Upper bound of M^T v for nonnegative inputs (sum_j M[j,k] v[j])."""
-    n = M.shape[0]
-    return (v @ M) * (1.0 + 4.0 * (n + 1) * 2.0 ** -52)
-
-
 class SnSystem:
     """H_sn(x, v, lambda) = 0: fixed point with unit-norm kernel vector of
     D_xf - I; dimension 2d + 1."""
@@ -364,13 +342,7 @@ class SnSystem:
         return np.concatenate([x, v, [lam]])
 
     def value(self, z: np.ndarray) -> np.ndarray:
-        x, v, lam = self.split(np.asarray(z, dtype=float))
-        J = self.coral.jac_x(lam, x)
-        return np.concatenate([
-            self.coral.step(lam, x) - x,
-            J @ v - v,
-            [v @ v - 1.0],
-        ])
+        return np.array(self.value_scalars(np.asarray(z, dtype=float), self.coral.cf))
 
     def value_scalars(self, z: list, coeffs) -> list:
         d = self.d
@@ -414,9 +386,7 @@ class SnSystem:
         x, v, lam = zs[:d], zs[d:2 * d], zs[2 * d]
         ci = self.coral.ci
         _, g1, phis, bx = self.coral.row1_gradient(x, ci)
-        ph2 = phi_derivs(polyp_density(x, ci), self.coral.params, order=2)[2]
-        g2 = [[phis[1] * (ci.q[j] * ci.b[k] + ci.q[k] * ci.b[j]) + ph2 * bx * ci.q[j] * ci.q[k]
-               for k in range(d)] for j in range(d)]
+        g2 = self.coral.row1_second(x, ci)
         S = self.coral.params.S
         J = IMatrix(np.zeros((self.dim, self.dim)), np.zeros((self.dim, self.dim)))
         one = Interval(1.0)
@@ -457,7 +427,7 @@ class SnSystem:
         T[0, sl, sx] = rb.g1
         T[0, sx, sl] = rb.g1
         T[d, sx, sx] = up_mul(rb.lam_mag, rb.g3_contracted(vmag))
-        tv = up_mul(up_dotvec(rb.g2, vmag), 1.0)
+        tv = up_mul(up_dot(vmag, rb.g2), 1.0)
         T[d, sl, sx] = tv
         T[d, sx, sl] = tv
         T[d, sv, sx] = lg2

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -54,19 +53,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
                               else str(v) for v in row) + "\n")
 
 
-def _round_to_one_digit(v: float) -> float:
-    e = np.floor(np.log10(abs(v)))
-    return float(np.round(v / 10.0 ** e) * 10.0 ** e)
-
-
-def _branch_start(coral: CoralMap, R: float) -> np.ndarray:
-    red = FixedPointReduction(coral)
-    roots = [r for r in red.solve(R / coral.cf.ba) if r > 0]
-    if not roots:
-        raise ValidationFailed(f"no nontrivial fixed point at R = {R}")
-    return red.full_point(max(roots))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -83,7 +69,8 @@ def cmd_simulate(args) -> int:
     if args.x0.startswith("density:"):
         x0 = dynamics.density_matched_state(coral, float(args.x0.split(":", 1)[1]))
     elif args.x0 == "fixed":
-        x0 = _branch_start(coral, lam * coral.cf.ba)
+        system, t0, u0 = cont.branch_start(coral, lam * coral.cf.ba, precondition=False)
+        x0 = system.to_raw(t0, u0)[1]
     elif args.x0 == "random":
         rng = np.random.default_rng(args.seed)
         x0 = rng.uniform(0.0, 1.0, coral.d) * dynamics.density_matched_state(coral, 1500.0)
@@ -165,13 +152,8 @@ def cmd_branch(args) -> int:
     params = _load_params(args)
     coral = CoralMap(params)
     out = _outdir(args)
-    x0 = _branch_start(coral, args.from_R)
-    if args.precondition == "off":
-        system = cont.CoralBranchSystem(coral)
-    else:
-        scales = np.array([_round_to_one_digit(v) for v in x0])
-        system = cont.CoralBranchSystem(coral, scales=scales, rscale=100.0)
-    t0, u0 = system.from_raw_R(args.from_R, x0)
+    system, t0, u0 = cont.branch_start(coral, args.from_R,
+                                       precondition=args.precondition == "auto")
     cfg = cont.ContinuationConfig(from_R=args.from_R, to_R=args.to_R,
                                   max_steps=args.max_steps,
                                   alpha_frac=args.alpha_frac)
@@ -273,47 +255,29 @@ def cmd_transcritical(args) -> int:
     return 0 if not res.nd1.contains_zero() and not res.nd2.contains_zero() else 1
 
 
-def _rotation_worker(params_cfg: str | None, R: float, iterates: int, skip: int,
-                     factor: float, center: tuple[float, float], bins: int):
-    params = CoralParams.from_config(params_cfg) if params_cfg else CoralParams()
-    coral = CoralMap(params)
-    y = dynamics.density_matched_state(coral, 1500.0)
-    orb = dynamics.iterate(coral, R / coral.cf.ba, factor * y, n=iterates, skip=skip)
-    r = dynamics.rotation_number(orb, center=center)
-    prof = dynamics.angle_profile(orb, center=center, bins=bins)
-    return R, r, prof
-
-
 def cmd_rotation(args) -> int:
-    params = _load_params(args)
+    coral = CoralMap(_load_params(args))
     out = _outdir(args)
     lo, hi, n = args.R_range.split(":")
     Rs = np.linspace(float(lo), float(hi), int(n))
     center = tuple(float(v) for v in args.center.split(","))
-    workers = int(os.environ.get("CERTIBIF_THREADS", "1"))
-    jobs = [(getattr(args, "config", None), float(R), args.iterates, args.skip,
-             args.x0_factor, center, args.bins) for R in Rs]
-    results = []
-    if workers > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_rotation_worker_star, jobs))
-    else:
-        results = [_rotation_worker(*j) for j in jobs]
-    rot_rows = [[R, r.rho, r.convergence_gap, r.iterates_used] for R, r, _ in results]
+    y = dynamics.density_matched_state(coral, 1500.0)
+    # one batched recurrence for the whole sweep, keeping the (x1, x2)
+    # projection that the rotation numbers use
+    orb = dynamics.iterate(coral, Rs / coral.cf.ba, args.x0_factor * y,
+                           n=args.iterates, skip=args.skip, keep=2)
+    rot_rows, prof_rows = [], []
+    for j, R in enumerate(Rs):
+        xy = orb.points[:, j]
+        r = dynamics.rotation_number(xy, center=center)
+        prof = dynamics.angle_profile(xy, center=center, bins=args.bins)
+        rot_rows.append([R, r.rho, r.convergence_gap, r.iterates_used])
+        prof_rows.extend([R, c, m] for c, m in zip(prof.bin_centers, prof.mean_increment))
     _write_csv(out / "rotation.csv", ["R", "rho", "convergence_gap", "iterates"], rot_rows)
-    prof_rows = []
-    for R, _, prof in results:
-        for c, m in zip(prof.bin_centers, prof.mean_increment):
-            prof_rows.append([R, c, m])
     _write_csv(out / "angle_profile.csv", ["R", "angle", "mean_increment"], prof_rows)
     print(f"wrote {out/'rotation.csv'} and {out/'angle_profile.csv'} "
-          f"({len(results)} parameter values)")
+          f"({len(Rs)} parameter values)")
     return 0
-
-
-def _rotation_worker_star(job):
-    return _rotation_worker(*job)
 
 
 def cmd_farey(args) -> int:

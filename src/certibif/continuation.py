@@ -24,7 +24,7 @@ from . import cift
 from .errors import (CorrectorFailed, NotInvertibleEvidence, TangentUndefined,
                      ValidationFailed)
 from .interval import (IMatrix, Interval, IVector, norm_inf, up_mul, up_sum)
-from .model import CoralMap
+from .model import CoralMap, FixedPointReduction
 
 
 class CoralBranchSystem:
@@ -126,6 +126,29 @@ class CoralBranchSystem:
         M2 = float(up_sum(tg))
         M3 = float(up_mul(float(d), float(np.max(tg))))
         return M1, M2, M3, 0.0
+
+
+def branch_start(coral: CoralMap, R: float, precondition: bool = True
+                 ) -> tuple[CoralBranchSystem, float, np.ndarray]:
+    """The branch system and its start (t0, u0) at the largest nontrivial
+    fixed point for R; raises ValidationFailed when there is none.
+
+    Preconditioning scales each state component by its start value rounded
+    to one significant digit and R by 100; otherwise the system is raw.
+    """
+    red = FixedPointReduction(coral)
+    roots = [r for r in red.solve(R / coral.cf.ba) if r > 0]
+    if not roots:
+        raise ValidationFailed(f"no nontrivial fixed point at R = {R}")
+    x0 = red.full_point(max(roots))
+    if precondition:
+        e = np.floor(np.log10(np.abs(x0)))
+        scales = np.round(x0 / 10.0 ** e) * 10.0 ** e
+        system = CoralBranchSystem(coral, scales=scales, rscale=100.0)
+    else:
+        system = CoralBranchSystem(coral)
+    t0, u0 = system.from_raw_R(R, x0)
+    return system, t0, u0
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +451,7 @@ def continue_branch(system: CoralBranchSystem, t0: float, u0: np.ndarray,
         if pending_corr is not None:
             linked = check_link(res.boxes[-1], pending_alpha, pending_corr,
                                 box.delta_min, slack=pending_slack)
-            box = _replace_box(box, linked_to_previous=linked)
+            box = replace(box, linked_to_previous=linked)
             if not linked:
                 res.stop_reason = "link-failed"
                 res.boxes.append(box)
@@ -437,7 +460,7 @@ def continue_branch(system: CoralBranchSystem, t0: float, u0: np.ndarray,
         coral = getattr(system, "coral", None)
         if coral is not None:
             lam, x = system.to_raw(t, u)
-            box = _replace_box(box, stability=classify_stability(coral, lam, x))
+            box = replace(box, stability=classify_stability(coral, lam, x))
 
         # detect fold passage via the parameter component of the tangent
         if k > 0 and res.boxes and np.sign(mu) != np.sign(res.boxes[-1].mu) and mu != 0.0:
@@ -458,7 +481,7 @@ def continue_branch(system: CoralBranchSystem, t0: float, u0: np.ndarray,
             res.stop_reason = f"corrector-failed: {exc}"
             return res
         corr_norm = max(abs(sigma), float(np.max(np.abs(x_corr))))
-        box = _replace_box(box, alpha_step=alpha_k, corr_norm=corr_norm)
+        box = replace(box, alpha_step=alpha_k, corr_norm=corr_norm)
         res.boxes.append(box)
 
         pending_alpha, pending_corr = alpha_k, (sigma, x_corr)
@@ -476,7 +499,3 @@ def continue_branch(system: CoralBranchSystem, t0: float, u0: np.ndarray,
 
     res.stop_reason = "max-steps"
     return res
-
-
-def _replace_box(box: BranchBox, **kw) -> BranchBox:
-    return replace(box, **kw)

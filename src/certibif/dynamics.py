@@ -17,10 +17,11 @@ from .model import CoralMap, phi
 
 @dataclass(frozen=True)
 class OrbitSample:
-    """Post-transient iterates of the coral map."""
+    """Post-transient iterates of the coral map: `points` is (n, k) for one
+    orbit and (n, m, k) for a batch of m orbits, k the stored components."""
 
-    points: np.ndarray          # (n, d)
-    lam: float
+    points: np.ndarray
+    lam: float | np.ndarray
     transient_skipped: int
 
 
@@ -51,31 +52,49 @@ def density_matched_state(coral: CoralMap, P: float) -> np.ndarray:
     return c * coral.cf.a
 
 
-def iterate(coral: CoralMap, lam: float, x0: np.ndarray, n: int,
-            skip: int = 0) -> OrbitSample:
-    """Iterates skip+1 .. skip+n of the map from x0."""
+def iterate(coral: CoralMap, lam, x0: np.ndarray, n: int, skip: int = 0,
+            keep: int | None = None) -> OrbitSample:
+    """Iterates skip+1 .. skip+n of the map from x0.
+
+    A batch of m orbits advances as one numpy recurrence: `lam` may be an
+    (m,) array and `x0` an (m, d) array, and a scalar `lam` or a (d,) `x0`
+    is shared by the batch.  Only the first `keep` state components
+    (default: all) are stored.  Raises OrbitDiverged, naming the iterate,
+    as soon as any orbit leaves the finite floats.
+    """
     if n < 0 or skip < 0:
         raise ValueError("n and skip must be nonnegative")
     d = coral.d
-    q = coral.cf.q
-    b = coral.cf.b
-    S = np.array(coral.params.S, dtype=float)
+    k = d if keep is None else keep
+    lam_a = np.asarray(lam, dtype=float)
+    x0_a = np.asarray(x0, dtype=float)
+    batched = lam_a.ndim > 0 or x0_a.ndim > 1
+    m = np.broadcast_shapes(lam_a.shape, x0_a.shape[:-1], (1,))[0]
+    lam_v = np.broadcast_to(lam_a, (m,))
+    # the state is kept as (d, m) so that rows are contiguous in the shift
+    qb = np.stack([coral.cf.q, coral.cf.b])           # P and b.x in one product
+    S = np.array(coral.params.S, dtype=float)[:, None]
     params = coral.params
-    x = np.asarray(x0, dtype=float).copy()
-    out = np.empty((n, d))
+    x = np.empty((d, m))
+    x[:] = np.broadcast_to(x0_a, (m, d)).T
+    xn = np.empty((d, m))
+    out = np.empty((n, k, m))
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(skip + n):
-            P = float(q @ x)
-            first = lam * phi(P, params) * float(b @ x)
-            if not math.isfinite(first):
+            Pb = qb.dot(x)
+            first = lam_v * phi(Pb[0], params) * Pb[1]
+            if not math.isfinite(first.sum()):
                 raise OrbitDiverged(f"non-finite state at iterate {i + 1}")
-            xn = np.empty(d)
             xn[0] = first
-            xn[1:] = S * x[:-1]
-            x = xn
+            np.multiply(x[:-1], S, out=xn[1:])
+            x, xn = xn, x
             if i >= skip:
-                out[i - skip] = x
-    return OrbitSample(points=out, lam=lam, transient_skipped=skip)
+                out[i - skip] = x[:k]
+    if batched:
+        return OrbitSample(points=out.transpose(0, 2, 1), lam=lam_v.copy(),
+                           transient_skipped=skip)
+    return OrbitSample(points=out.reshape(n, k), lam=float(lam_a),
+                       transient_skipped=skip)
 
 
 def polyp_density_series(coral: CoralMap, orbit: OrbitSample) -> np.ndarray:
@@ -91,20 +110,29 @@ def _bump_weights(m: int) -> np.ndarray:
     # standard smooth bump of the weighted-Birkhoff literature; it vanishes
     # to all orders at the ends, giving super-polynomial convergence on
     # quasiperiodic orbits
-    s = np.arange(1, m + 1) / (m + 1)
-    return np.exp(-1.0 / (s * (1.0 - s)))
+    s = np.arange(1.0, m + 1)
+    s /= m + 1
+    w = 1.0 - s
+    w *= s
+    np.divide(-1.0, w, out=w)
+    return np.exp(w, out=w)
 
 
 def _angle_increments(xy: np.ndarray, center: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    # in place where possible: a rotation sweep holds all its orbits while
+    # this runs, so each temporary orbit-length array adds to its peak memory
     dx = xy[:, 0] - center[0]
     dy = xy[:, 1] - center[1]
-    r2 = dx * dx + dy * dy
-    if np.any(r2 < 1e-18):
-        raise RotationUndefined("orbit hits the projection center")
     theta = np.arctan2(dy, dx)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    if np.any(dx < 1e-18):
+        raise RotationUndefined("orbit hits the projection center")
+    del dx, dy
     inc = np.diff(theta)
-    inc = np.where(inc <= -math.pi, inc + 2.0 * math.pi, inc)
-    inc = np.where(inc > math.pi, inc - 2.0 * math.pi, inc)
+    inc[inc <= -math.pi] += 2.0 * math.pi
+    inc[inc > math.pi] -= 2.0 * math.pi
     return theta, inc
 
 
@@ -124,7 +152,7 @@ def rotation_number(orbit: OrbitSample | np.ndarray,
     """
     pts = orbit.points if isinstance(orbit, OrbitSample) else np.asarray(orbit)
     xy = pts[:, list(coords)] if pts.ndim == 2 and pts.shape[1] > 2 else pts
-    _, inc = _angle_increments(xy, center)
+    inc = _angle_increments(xy, center)[1]
     total = float(np.sum(np.abs(inc)))
     backward = float(np.sum(np.abs(inc[inc * np.sign(inc.sum()) < 0.0])))
     if total == 0.0 or backward > 0.02 * total:
@@ -147,8 +175,11 @@ def angle_profile(orbit: OrbitSample | np.ndarray,
     pts = orbit.points if isinstance(orbit, OrbitSample) else np.asarray(orbit)
     xy = pts[:, list(coords)] if pts.ndim == 2 and pts.shape[1] > 2 else pts
     theta, inc = _angle_increments(xy, center)
-    ang = (theta[:-1] / (2.0 * math.pi)) % 1.0
-    idx = np.minimum((ang * bins).astype(int), bins - 1)
+    theta /= 2.0 * math.pi
+    theta %= 1.0
+    theta *= bins
+    idx = theta[:-1].astype(int)
+    np.minimum(idx, bins - 1, out=idx)
     sums = np.bincount(idx, weights=inc, minlength=bins)
     counts = np.bincount(idx, minlength=bins)
     mean = np.full(bins, np.nan)

@@ -26,6 +26,7 @@ from .errors import DomainError
 
 _INF = math.inf
 _EPS = 2.0 ** -52
+_TINY = 2.0 ** -1074         # smallest subnormal: bounds the underflow error
 
 
 def _dn(x: float) -> float:
@@ -249,10 +250,6 @@ class Interval:
         return Interval(_dn(self.lo - rad), _up(self.hi + rad))
 
 
-def imax(a: Interval, b: Interval) -> Interval:
-    return Interval(max(a.lo, b.lo), max(a.hi, b.hi))
-
-
 # ---------------------------------------------------------------------------
 # numpy-backed interval vectors and matrices
 # ---------------------------------------------------------------------------
@@ -421,23 +418,6 @@ class IMatrix:
             acc_hi = _aup(acc_hi + phi_)
         return IVector(acc_lo, acc_hi)
 
-    def matmat(self, other: "IMatrix") -> "IMatrix":
-        n, m = self.shape
-        m2, r = other.shape
-        if m != m2:
-            raise DomainError("shape mismatch in matmat")
-        acc_lo = np.zeros((n, r))
-        acc_hi = np.zeros((n, r))
-        for k in range(m):
-            plo, phi_ = _mul_bounds(
-                self.lo[:, k : k + 1], self.hi[:, k : k + 1],
-                other.lo[k : k + 1, :], other.hi[k : k + 1, :],
-            )
-            acc_lo = _adn(acc_lo + plo)
-            acc_hi = _aup(acc_hi + phi_)
-        return IMatrix(acc_lo, acc_hi)
-
-
 def _mul_bounds(alo, ahi, blo, bhi):
     """Endpoint bounds of the elementwise interval product (broadcasting)."""
     with np.errstate(invalid="ignore"):
@@ -521,17 +501,16 @@ def norm_inf(x: "IVector | IMatrix") -> Interval:
     raise TypeError(f"norm_inf undefined for {type(x)!r}")
 
 
-def product_norm(alpha: Interval, v: IVector) -> Interval:
-    """Norm on parameter x state pairs: max(|alpha|, |v|_inf)."""
-    return imax(alpha.abs(), norm_inf(v))
-
-
 # ---------------------------------------------------------------------------
 # directed float helpers for nonnegative bound arithmetic
 #
 # These operate on plain float arrays that are already rigorous upper
 # bounds of nonnegative quantities; results are inflated to cover the
 # accumulated round-to-nearest error, which keeps hot paths vectorized.
+# A product that underflows loses up to half a subnormal ulp that no
+# relative factor restores, so product bounds add one _TINY per product
+# of nonzero factors; sums landing in the subnormal range are exact and
+# need no such term.
 # ---------------------------------------------------------------------------
 
 
@@ -555,14 +534,13 @@ def up_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Upper bound of A @ B for nonnegative arrays (contraction on the
     last axis of A and first of B)."""
     n = A.shape[-1]
-    return np.tensordot(A, B, axes=([A.ndim - 1], [0])) * (1.0 + 4.0 * (n + 1) * _EPS)
+    # a zero row of A or zero column of B gives exact zeros: no underflow term
+    live = np.multiply.outer(A.max(axis=-1) > 0.0, B.max(axis=0) > 0.0)
+    return (np.tensordot(A, B, axes=([A.ndim - 1], [0])) * (1.0 + 4.0 * (n + 1) * _EPS)
+            + n * _TINY * live)
 
 
 def up_mul(a, b):
     """Upper bound of the product of nonnegative floats/arrays."""
-    return np.multiply(a, b) * (1.0 + 4.0 * _EPS)
+    return np.multiply(a, b) * (1.0 + 4.0 * _EPS) + _TINY * np.logical_and(a, b)
 
-
-def up_div(a: float, b: float) -> float:
-    """Upper bound of a/b for a >= 0, b > 0 (b is a lower bound)."""
-    return _up(a / b)

@@ -141,6 +141,8 @@ def derive_interval(params: CoralParams) -> DerivedCoefficients:
 def _sexp(y):
     if isinstance(y, Interval):
         return y.exp()
+    if isinstance(y, np.ndarray):
+        return np.exp(y)          # overflow gives inf, as for floats
     if isinstance(y, (float, int, np.floating)):
         try:
             return math.exp(y)
@@ -273,12 +275,6 @@ class CoralMap:
         first = lam * phi(P, self.params) * bx
         return [first] + [self.params.S[k] * x[k] for k in range(self.d - 1)]
 
-    def step_iv(self, lam: Interval, x: IVector) -> IVector:
-        return IVector.from_scalars(self.step_scalars(lam, x.to_scalars(), self.ci))
-
-    def map_F_iv(self, lam: Interval, x: IVector) -> IVector:
-        return self.step_iv(lam, x) - x
-
     def row1_gradient(self, x: Sequence, coeffs: DerivedCoefficients,
                       order: int = 1):
         """g = phi(P) (b.x) and its x-derivative data, where f_1 = lambda*g.
@@ -301,13 +297,6 @@ class CoralMap:
         for k in range(self.d - 1):
             J.set_entry(k + 1, k, Interval.point(self.params.S[k]))
         return J
-
-    def jac_lam_iv(self, lam: Interval, x: IVector) -> IVector:
-        g, _, _, _ = self.row1_gradient(x.to_scalars(), self.ci, order=1)
-        lo = np.zeros(self.d)
-        hi = np.zeros(self.d)
-        lo[0], hi[0] = g.lo, g.hi
-        return IVector(lo, hi)
 
     def row1_second(self, x: Sequence, coeffs: DerivedCoefficients) -> list[list]:
         """d2 g / dx_j dx_k as scalars (g is the nonlinear part of f_1)."""
@@ -427,44 +416,3 @@ def lambda_to_R(lam: float, coeffs: DerivedCoefficients) -> float:
 
 def R_to_lambda(R: float, coeffs: DerivedCoefficients) -> float:
     return R / coeffs.ba
-
-
-# ---------------------------------------------------------------------------
-# preconditioning (variable/parameter rescaling)
-# ---------------------------------------------------------------------------
-
-
-class ScaledCoralMap:
-    """The rescaled map f~_k(t, u) = f_k(rscale*t / (b.a), s (.) u) / s_k.
-
-    With the basic reproduction number R = rscale * t this is the
-    coordinate change used to keep all components and the parameter at
-    comparable magnitudes; fixed points correspond bijectively.
-    """
-
-    def __init__(self, coral: CoralMap, scales: np.ndarray | None = None,
-                 rscale: float = 100.0):
-        self.coral = coral
-        s = np.ones(coral.d) if scales is None else np.asarray(scales, dtype=float)
-        if s.shape != (coral.d,) or np.any(s <= 0.0):
-            raise DomainError("scale constants must be positive, one per age class")
-        self.scales = s
-        self.rscale = float(rscale)
-
-    def lam_of_t(self, t: float) -> float:
-        return self.rscale * t / self.coral.cf.ba
-
-    def lam_of_t_iv(self, t: Interval) -> Interval:
-        return (self.rscale * t) / self.coral.ci.ba
-
-    def R_of_t(self, t: float) -> float:
-        return self.rscale * t
-
-    def step(self, t: float, u: np.ndarray) -> np.ndarray:
-        return self.coral.step(self.lam_of_t(t), self.scales * u) / self.scales
-
-    def to_raw(self, t: float, u: np.ndarray) -> tuple[float, np.ndarray]:
-        return self.lam_of_t(t), self.scales * u
-
-    def from_raw(self, lam: float, x: np.ndarray) -> tuple[float, np.ndarray]:
-        return self.coral.cf.ba * lam / self.rscale, np.asarray(x, dtype=float) / self.scales

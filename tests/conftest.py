@@ -1,10 +1,9 @@
-import numpy as np
 import pytest
 
 from certibif.bifurcation import certify_ns, certify_sn
-from certibif.continuation import (ContinuationConfig, CoralBranchSystem,
+from certibif.continuation import (ContinuationConfig, branch_start,
                                    continue_branch)
-from certibif.model import CoralMap, FixedPointReduction
+from certibif.model import CoralMap
 
 
 @pytest.fixture(scope="session")
@@ -22,30 +21,16 @@ def ns_cert(coral):
     return certify_ns(coral)
 
 
-def round_to_one_digit(v: float) -> float:
-    e = np.floor(np.log10(abs(v)))
-    return float(np.round(v / 10.0 ** e) * 10.0 ** e)
-
-
-def branch_start_state(coral: CoralMap, R: float) -> np.ndarray:
-    red = FixedPointReduction(coral)
-    return red.full_point(max(red.solve(R / coral.cf.ba)))
-
-
 @pytest.fixture(scope="session")
 def preconditioned_system(coral):
-    x0 = branch_start_state(coral, 300.0)
-    scales = np.array([round_to_one_digit(v) for v in x0])
-    return CoralBranchSystem(coral, scales=scales, rscale=100.0)
+    return branch_start(coral, 300.0)[0]
 
 
 @pytest.fixture(scope="session")
-def branch_result(coral, preconditioned_system):
+def branch_result(coral):
     """The full validated branch from R = 300 through the fold; shared by
     the continuation tests and the acceptance suite (about a minute)."""
-    system = preconditioned_system
-    x0 = branch_start_state(coral, 300.0)
-    t0, u0 = system.from_raw_R(300.0, x0)
+    system, t0, u0 = branch_start(coral, 300.0)
     cfg = ContinuationConfig(from_R=300.0, to_R=72.0, max_steps=8000)
     return continue_branch(system, t0, u0, cfg)
 
@@ -54,9 +39,7 @@ def branch_result(coral, preconditioned_system):
 def raw_branch_result(coral):
     """Twenty steps of the unscaled system for the preconditioning payoff
     comparison."""
-    system = CoralBranchSystem(coral)
-    x0 = branch_start_state(coral, 300.0)
-    t0, u0 = system.from_raw_R(300.0, x0)
+    system, t0, u0 = branch_start(coral, 300.0, precondition=False)
     cfg = ContinuationConfig(from_R=300.0, to_R=72.0, max_steps=20,
                              corrector_tol=1e-12)
     return continue_branch(system, t0, u0, cfg)

@@ -93,14 +93,19 @@ def test_diagram_branch_structure(tmp_path, capsys):
 
 
 def test_rotation_csv(tmp_path, capsys):
-    rc = main(["--out", str(tmp_path), "rotation", "--R-range", "160:160:1",
-               "--iterates", "20000", "--skip", "5000"])
+    rc = main(["--out", str(tmp_path), "rotation", "--R-range", "160:200:3",
+               "--iterates", "20000", "--skip", "5000", "--bins", "16"])
     assert rc == 0
     lines = (tmp_path / "rotation.csv").read_text().splitlines()
     assert lines[0] == "R,rho,convergence_gap,iterates"
-    R, rho, gap, _ = lines[1].split(",")
-    assert 0.1 < float(rho) < 0.15
-    assert (tmp_path / "angle_profile.csv").exists()
+    rows = [ln.split(",") for ln in lines[1:]]
+    assert [float(r[0]) for r in rows] == [160.0, 180.0, 200.0]
+    rhos = [float(r[1]) for r in rows]
+    assert all(0.1 < rho < 0.15 for rho in rhos)
+    assert rhos[0] > rhos[1] > rhos[2]       # rho falls with R on this range
+    assert all(float(r[3]) == 20000 for r in rows)
+    prof = (tmp_path / "angle_profile.csv").read_text().splitlines()
+    assert len(prof) == 1 + 3 * 16
 
 
 def test_branch_cli_short_run(tmp_path, capsys):
@@ -164,3 +169,11 @@ def test_simulate_x0_from_csv_and_fixed(tmp_path, coral):
     last = [float(v) for v in lines[-1].split(",")]
     # starting on the fixed point: the trajectory stays there
     assert abs(first[-1] - last[-1]) <= 1e-6 * abs(first[-1])
+
+
+def test_simulate_fixed_x0_without_nontrivial_fixed_point_fails(tmp_path, capsys):
+    # below the saddle-node (R ~ 12.28) only the trivial fixed point exists
+    rc = main(["--out", str(tmp_path), "simulate", "--R", "5",
+               "--x0", "fixed", "--years", "5"])
+    assert rc == 1
+    assert "no nontrivial fixed point" in capsys.readouterr().err

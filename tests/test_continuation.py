@@ -6,11 +6,12 @@ import pytest
 from certibif.cift import CiftBounds
 from certibif.continuation import (BranchBox, ContinuationConfig,
                                    CoralBranchSystem, ExtendedSystem,
-                                   SegmentHypotheses, check_link,
-                                   classify_stability, continue_branch,
+                                   SegmentHypotheses, branch_start,
+                                   check_link, classify_stability,
+                                   continue_branch,
                                    derive_extended_constants, newton_correct,
                                    tangent_estimate, validate_segment)
-from certibif.errors import CorrectorFailed, TangentUndefined
+from certibif.errors import CorrectorFailed, TangentUndefined, ValidationFailed
 from certibif.interval import Interval, IVector, norm_inf
 from certibif.model import FixedPointReduction
 
@@ -212,14 +213,29 @@ def test_check_link_norm_margin():
 # ---------------------------------------------------------------------------
 
 
-def test_validate_segment_coral(preconditioned_system, coral):
-    red = FixedPointReduction(coral)
-    x0 = red.full_point(max(red.solve(300.0 / coral.cf.ba)))
-    t0, u0 = preconditioned_system.from_raw_R(300.0, x0)
-    mu, v = tangent_estimate(preconditioned_system, t0, u0)
+def test_branch_start(coral):
+    system, t0, u0 = branch_start(coral, 300.0)
+    assert system.R_of_t(t0) == 300.0 and system.rscale == 100.0
+    lam, x0 = system.to_raw(t0, u0)
+    assert np.max(np.abs(system.F(t0, u0))) <= 1e-10
+    # one significant digit of the start point per state component
+    e = np.floor(np.log10(x0))
+    assert np.all(np.abs(system.s - x0) <= 0.5 * 10.0 ** e)
+    assert np.all(system.s / 10.0 ** e == np.round(system.s / 10.0 ** e))
+    raw, t_raw, u_raw = branch_start(coral, 300.0, precondition=False)
+    assert np.all(raw.s == 1.0) and t_raw == 300.0
+    assert np.allclose(u_raw, x0, rtol=1e-15, atol=0.0)
+    # below the saddle-node only the trivial fixed point exists
+    with pytest.raises(ValidationFailed, match="no nontrivial fixed point"):
+        branch_start(coral, 5.0)
+
+
+def test_validate_segment_coral(coral):
+    system, t0, u0 = branch_start(coral, 300.0)
+    mu, v = tangent_estimate(system, t0, u0)
     if mu > 0:
         mu, v = -mu, -v
-    box = validate_segment(preconditioned_system, t0, u0, mu, v, 1e-4, 1e-4)
+    box = validate_segment(system, t0, u0, mu, v, 1e-4, 1e-4)
     assert box.delta_alpha > 0 and box.delta_u > 0
     assert box.delta_min <= 1e-12
     assert box.delta_min < box.delta_u

@@ -33,6 +33,33 @@ def test_iterate_counts_and_skip(coral):
     assert np.allclose(orb.points[0], direct.points[10])
 
 
+def test_iterate_batch_matches_map_steps(coral):
+    # reference: the float map applied one orbit and one step at a time
+    y = density_matched_state(coral, 1500.0)
+    lams = np.array([1.0, 5.5, 6.25])
+    x0 = np.stack([y, 1.5 * y, 0.7 * y])
+    orb = iterate(coral, lams, x0, n=300, skip=20, keep=2)
+    assert orb.points.shape == (300, 3, 2)
+    assert orb.transient_skipped == 20
+    for j in range(3):
+        x = x0[j]
+        ref = []
+        for _ in range(320):
+            x = coral.step(lams[j], x)
+            ref.append(x[:2])
+        assert np.allclose(orb.points[:, j], ref[20:], rtol=1e-12, atol=0.0)
+
+
+def test_batched_rotation_numbers_match_single_orbits(coral):
+    y = density_matched_state(coral, 1500.0)
+    lams = np.array([160.0, 180.0, 200.0]) / coral.cf.ba
+    batch = iterate(coral, lams, 1.5 * y, n=20_000, skip=2_000, keep=2)
+    for j, lam in enumerate(lams):
+        alone = iterate(coral, float(lam), 1.5 * y, n=20_000, skip=2_000)
+        assert abs(rotation_number(batch.points[:, j]).rho
+                   - rotation_number(alone).rho) <= 1e-12
+
+
 def test_orbit_decays_at_low_R(coral):
     lam = 0.3      # R = 8.744
     y = density_matched_state(coral, 1500.0)
@@ -48,8 +75,13 @@ def test_orbit_components_stay_nonnegative(coral):
 
 def test_orbit_diverges_detected(coral):
     bad = np.full(13, 1e308)   # dot products overflow, state goes non-finite
-    with pytest.raises(OrbitDiverged):
+    with pytest.raises(OrbitDiverged) as alone:
         iterate(coral, 1.0, bad, n=50, skip=0)
+    # one diverging orbit fails its batch, naming the same iterate
+    y = density_matched_state(coral, 1500.0)
+    with pytest.raises(OrbitDiverged) as batch:
+        iterate(coral, 1.0, np.stack([y, bad, y]), n=50, skip=0)
+    assert str(batch.value) == str(alone.value)
 
 
 def test_density_matched_state(coral):

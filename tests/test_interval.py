@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from certibif.errors import DomainError
 from certibif.interval import (IMatrix, Interval, IVector, float_matmat,
-                               float_matvec, norm_inf, product_norm, up_dot,
-                               up_sum)
+                               float_matvec, matmat_float, norm_inf, up_dot,
+                               up_mul, up_sum)
 
 ULP = 2.0 ** -52
 
@@ -101,12 +101,6 @@ def test_norm_inf_symmetric_interval():
     assert n.hi >= 1.0 and n.lo <= 1.0
 
 
-def test_product_norm_examples():
-    assert product_norm(Interval(0.5), IVector.point([1.0, -2.0])).hi == 2.0
-    assert product_norm(Interval(3.0), IVector.point([0.0, 0.0])).hi == 3.0
-    assert product_norm(Interval(0.0), IVector.point([0.0])).hi == 0.0
-
-
 def test_overflow_saturation_mul():
     big = Interval(0.0, 1.7e308)
     r = big * Interval(0.0, 1e10)
@@ -191,14 +185,14 @@ def test_matmat_contains_float_product():
     rng = np.random.default_rng(8)
     A = rng.normal(size=(6, 6))
     B = rng.normal(size=(6, 6))
-    C = IMatrix.point(A).matmat(IMatrix.point(B))
     exact = A @ B
-    assert np.all(C.lo <= exact + 1e-12) and np.all(C.hi >= exact - 1e-12)
-    # rigorous containment of the exact real product via Fractions on a few entries
-    for i in (0, 3):
-        for j in (1, 5):
-            s = sum(Fraction(A[i, k]) * Fraction(B[k, j]) for k in range(6))
-            assert Fraction(C.lo[i, j]) <= s <= Fraction(C.hi[i, j])
+    for C in (float_matmat(A, IMatrix.point(B)), matmat_float(IMatrix.point(A), B)):
+        assert np.all(C.lo <= exact + 1e-12) and np.all(C.hi >= exact - 1e-12)
+        # rigorous containment of the exact real product via Fractions on a few entries
+        for i in (0, 3):
+            for j in (1, 5):
+                s = sum(Fraction(A[i, k]) * Fraction(B[k, j]) for k in range(6))
+                assert Fraction(C.lo[i, j]) <= s <= Fraction(C.hi[i, j])
 
 
 def test_float_matvec_and_matmat_contain_exact():
@@ -225,6 +219,21 @@ def test_up_helpers_dominate():
     i, j = 7, 2
     exact = sum(Fraction(M[i, k]) * Fraction(T[k, j]) for k in range(30))
     assert Fraction(got[i, j]) >= exact
+
+
+def test_up_helpers_dominate_under_underflow():
+    # positive products that round to zero must still get a positive bound
+    for a, b in ((5e-324, 0.4), (1e-200, 1e-200), (3e-310, 0.7)):
+        assert Fraction(float(up_mul(a, b))) >= Fraction(a) * Fraction(b) > 0
+    M = np.full((2, 3), 1e-170)
+    T = np.full((3, 2), 1e-160)
+    exact = 3 * Fraction(1e-170) * Fraction(1e-160)
+    assert all(Fraction(float(g)) >= exact for g in up_dot(M, T).ravel())
+    # the vector-matrix contraction of the Hessian bounds (sum_j v_j G_jk)
+    v = np.array([1e-200, 2e-200])
+    G = np.full((2, 3), 1e-150)
+    exact = (Fraction(1e-200) + Fraction(2e-200)) * Fraction(1e-150)
+    assert all(Fraction(float(g)) >= exact for g in up_dot(v, G))
 
 
 def test_scale_and_widened():

@@ -4,11 +4,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from certibif.errors import DomainError
+from certibif.continuation import CoralBranchSystem
+from certibif.errors import ValidationFailed
 from certibif.interval import Interval, IVector
 from certibif.model import (CoralParams, FixedPointReduction,
-                            R_to_lambda, ScaledCoralMap, derive_generic,
-                            lambda_to_R, phi, phi_derivs)
+                            R_to_lambda, derive_generic, lambda_to_R, phi,
+                            phi_derivs)
 
 from helpers import mp_coeffs
 
@@ -281,7 +282,7 @@ def test_interval_step_contains_float_samples(coral):
     lam0, x0 = 2.0, 700.0 * coral.cf.a
     lam_iv = Interval.around(lam0, 1e-8)
     box = IVector.around(x0, 1e-6)
-    enc = coral.step_iv(lam_iv, box)
+    enc = IVector.from_scalars(coral.step_scalars(lam_iv, box.to_scalars(), coral.ci))
     for _ in range(25):
         lam = lam0 + rng.uniform(-1e-8, 1e-8)
         x = x0 + rng.uniform(-1e-6, 1e-6, 13)
@@ -317,10 +318,13 @@ def test_interval_coefficients_enclose_mp(coral):
 
 
 def test_scaled_map_identity_scaling(coral):
-    sm = ScaledCoralMap(coral, scales=np.ones(13), rscale=1.0)
+    system = CoralBranchSystem(coral)      # unit scales, t = R
     x = 600.0 * coral.cf.a
-    t = 2.0 * coral.cf.ba     # R for lambda = 2
-    assert np.allclose(sm.step(t, x), coral.step(2.0, x), rtol=1e-12)
+    R = 2.0 * coral.cf.ba                  # R for lambda = 2
+    assert system.R_of_t(R) == R
+    lam, xr = system.to_raw(R, x)
+    assert math.isclose(lam, 2.0, rel_tol=1e-15) and np.array_equal(xr, x)
+    assert np.allclose(system.F(R, x) + x, coral.step(2.0, x), rtol=1e-12)
 
 
 def test_scaled_map_conjugacy(coral):
@@ -328,14 +332,19 @@ def test_scaled_map_conjugacy(coral):
     x1 = max(red.solve(2.0))
     x = red.full_point(x1)
     scales = np.maximum(np.abs(x), 1e-3)
-    sm = ScaledCoralMap(coral, scales=scales, rscale=100.0)
-    t, u = sm.from_raw(2.0, x)
-    assert np.max(np.abs(sm.step(t, u) - u)) <= 1e-10
+    system = CoralBranchSystem(coral, scales=scales, rscale=100.0)
+    R = 2.0 * coral.cf.ba
+    t, u = system.from_raw_R(R, x)
+    assert math.isclose(system.R_of_t(t), R, rel_tol=1e-15)
+    lam, xr = system.to_raw(t, u)
+    assert math.isclose(lam, 2.0, rel_tol=1e-14)
+    assert np.allclose(xr, x, rtol=1e-15, atol=0.0)
+    assert np.max(np.abs(system.F(t, u))) <= 1e-10
 
 
 def test_scaled_map_rejects_bad_scales(coral):
-    with pytest.raises(DomainError):
-        ScaledCoralMap(coral, scales=np.zeros(13))
+    with pytest.raises(ValidationFailed):
+        CoralBranchSystem(coral, scales=np.zeros(13))
 
 
 def test_derive_generic_interval_contains_float(coral):
