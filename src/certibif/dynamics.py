@@ -106,39 +106,35 @@ def polyp_density_series(coral: CoralMap, orbit: OrbitSample) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _bump_weights(m: int) -> np.ndarray:
-    # standard smooth bump of the weighted-Birkhoff literature; it vanishes
-    # to all orders at the ends, giving super-polynomial convergence on
-    # quasiperiodic orbits
-    s = np.arange(1.0, m + 1)
-    s /= m + 1
-    w = 1.0 - s
-    w *= s
-    np.divide(-1.0, w, out=w)
-    return np.exp(w, out=w)
+_BLOCK = 8192        # orbit points per analysis block
 
 
-def _angle_increments(xy: np.ndarray, center: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    # in place where possible: a rotation sweep holds all its orbits while
-    # this runs, so each temporary orbit-length array adds to its peak memory
-    dx = xy[:, 0] - center[0]
-    dy = xy[:, 1] - center[1]
-    theta = np.arctan2(dy, dx)
-    dx *= dx
-    dy *= dy
-    dx += dy
-    if np.any(dx < 1e-18):
-        raise RotationUndefined("orbit hits the projection center")
-    del dx, dy
-    inc = np.diff(theta)
-    inc[inc <= -math.pi] += 2.0 * math.pi
-    inc[inc > math.pi] -= 2.0 * math.pi
-    return theta, inc
+def _bump_weights(i: np.ndarray, m: int) -> np.ndarray:
+    # standard smooth bump of the weighted-Birkhoff literature at positions
+    # i of 1..m; it vanishes to all orders at the ends, giving
+    # super-polynomial convergence on quasiperiodic orbits
+    s = i / (m + 1)
+    return np.exp(-1.0 / (s * (1.0 - s)))
 
 
-def _weighted_rho(inc: np.ndarray) -> float:
-    w = _bump_weights(len(inc))
-    return float((w @ inc) / (2.0 * math.pi * w.sum()))
+def _angle_blocks(xy: np.ndarray, center: tuple[float, float]):
+    """(start, theta, inc) block by block: the angle of each point about
+    `center` and its increment to the next point, wrapped to (-pi, pi].
+
+    Blocks keep the analysis memory independent of the orbit length; a
+    rotation sweep holds all its orbits while they are analysed.
+    """
+    for start in range(0, len(xy) - 1, _BLOCK):
+        blk = xy[start:start + _BLOCK + 1]
+        dx = blk[:, 0] - center[0]
+        dy = blk[:, 1] - center[1]
+        if np.any(dx * dx + dy * dy < 1e-18):
+            raise RotationUndefined("orbit hits the projection center")
+        theta = np.arctan2(dy, dx)
+        inc = np.diff(theta)
+        inc = np.where(inc <= -math.pi, inc + 2.0 * math.pi, inc)
+        inc = np.where(inc > math.pi, inc - 2.0 * math.pi, inc)
+        yield start, theta[:-1], inc
 
 
 def rotation_number(orbit: OrbitSample | np.ndarray,
@@ -152,19 +148,31 @@ def rotation_number(orbit: OrbitSample | np.ndarray,
     """
     pts = orbit.points if isinstance(orbit, OrbitSample) else np.asarray(orbit)
     xy = pts[:, list(coords)] if pts.ndim == 2 and pts.shape[1] > 2 else pts
-    inc = _angle_increments(xy, center)[1]
-    total = float(np.sum(np.abs(inc)))
-    backward = float(np.sum(np.abs(inc[inc * np.sign(inc.sum()) < 0.0])))
+    m = len(xy) - 1
+    m8 = int(0.8 * m)
+    net = pos = neg = 0.0
+    # weighted increment sums and weight sums over all m and the first m8
+    wsum = np.zeros(4)
+    for start, _, inc in _angle_blocks(xy, center):
+        net += inc.sum()
+        pos += inc[inc > 0.0].sum()
+        neg -= inc[inc < 0.0].sum()
+        i = np.arange(start + 1.0, start + 1.0 + len(inc))
+        w = _bump_weights(i, m)
+        k = max(0, min(len(inc), m8 - start))
+        w8 = _bump_weights(i[:k], m8)
+        wsum += (w @ inc, w.sum(), w8 @ inc[:k], w8.sum())
+    total = pos + neg
+    backward = neg if net > 0.0 else pos if net < 0.0 else 0.0
     if total == 0.0 or backward > 0.02 * total:
         raise RotationUndefined(
             f"angle increments change sign persistently ({backward/max(total,1e-300):.1%})")
-    rho_full = _weighted_rho(inc) % 1.0
-    m8 = int(0.8 * len(inc))
-    rho_08 = _weighted_rho(inc[:m8]) % 1.0
+    rho_full = wsum[0] / (2.0 * math.pi * wsum[1]) % 1.0
+    rho_08 = wsum[2] / (2.0 * math.pi * wsum[3]) % 1.0
     gap = abs(rho_full - rho_08)
     gap = min(gap, 1.0 - gap)
-    return RotationResult(rho=rho_full, center=tuple(center),
-                          iterates_used=len(xy), convergence_gap=gap)
+    return RotationResult(rho=float(rho_full), center=tuple(center),
+                          iterates_used=len(xy), convergence_gap=float(gap))
 
 
 def angle_profile(orbit: OrbitSample | np.ndarray,
@@ -174,14 +182,13 @@ def angle_profile(orbit: OrbitSample | np.ndarray,
     """Mean angle advance per iterate, binned by the (rescaled) angle."""
     pts = orbit.points if isinstance(orbit, OrbitSample) else np.asarray(orbit)
     xy = pts[:, list(coords)] if pts.ndim == 2 and pts.shape[1] > 2 else pts
-    theta, inc = _angle_increments(xy, center)
-    theta /= 2.0 * math.pi
-    theta %= 1.0
-    theta *= bins
-    idx = theta[:-1].astype(int)
-    np.minimum(idx, bins - 1, out=idx)
-    sums = np.bincount(idx, weights=inc, minlength=bins)
-    counts = np.bincount(idx, minlength=bins)
+    sums = np.zeros(bins)
+    counts = np.zeros(bins, dtype=int)
+    for _, theta, inc in _angle_blocks(xy, center):
+        ang = (theta / (2.0 * math.pi)) % 1.0
+        idx = np.minimum((ang * bins).astype(int), bins - 1)
+        sums += np.bincount(idx, weights=inc, minlength=bins)
+        counts += np.bincount(idx, minlength=bins)
     mean = np.full(bins, np.nan)
     nz = counts > 0
     mean[nz] = sums[nz] / counts[nz] / (2.0 * math.pi)
