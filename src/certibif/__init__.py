@@ -10,11 +10,11 @@ from .model import (CoralMap, CoralParams, DerivedCoefficients,
 from .cift import (Certificate, CiftBounds, DeltaPair, inverse_bound,
                    lipschitz_L1, residual_bound, solve_deltas, validate_zero)
 from .continuation import (BranchBox, BranchResult, ContinuationConfig,
-                           CoralBranchSystem, ExtendedSystem,
+                           CoralBranchSystem, ExtendedSystem, SegmentAnchor,
                            SegmentHypotheses, branch_start, check_link,
                            classify_stability, continue_branch,
                            derive_extended_constants, newton_correct,
-                           tangent_estimate, validate_segment)
+                           segment_anchor, tangent_estimate, validate_segment)
 from .bifurcation import (BifCertificate, NsPoint, NsSystem, SnPoint, SnSystem,
                           TranscriticalResult, certify_ns, certify_sn,
                           find_ns_anchor, find_sn_anchor, transcritical_analysis,

@@ -174,6 +174,8 @@ def cmd_branch(args) -> int:
             "delta_min": repr(b.delta_min),
             "K": repr(b.hyp.K),
             "rho": repr(b.hyp.rho),
+            "L1": repr(b.bounds.L1),
+            "halvings": b.halvings,
             "linked": b.linked_to_previous,
         } for b in res.boxes],
     }

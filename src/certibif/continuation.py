@@ -38,8 +38,8 @@ class CoralBranchSystem:
         self.coral = coral
         self.d = coral.d
         s = np.ones(self.d) if scales is None else np.asarray(scales, dtype=float)
-        if np.any(s <= 0.0):
-            raise ValidationFailed("scale constants must be positive")
+        if not np.all(np.isfinite(s) & (s > 0.0)):
+            raise ValidationFailed("scale constants must be positive and finite")
         self.s = s
         self.rscale = float(rscale)
         self._s_iv = [Interval.point(float(v)) for v in s]
@@ -110,22 +110,26 @@ class CoralBranchSystem:
     def lipschitz_M(self, t0: float, u0: np.ndarray, d_t: float,
                     d_u: float) -> tuple[float, float, float, float]:
         """(M1..M4) for the mean-value bounds of (D_u F, D_t F) over the box
-        |u - u0| <= d_u, |t - t0| <= d_t (blockwise Lipschitz recipe)."""
+        |u - u0| <= d_u, |t - t0| <= d_t (blockwise Lipschitz recipe).
+
+        Row 1 is the only non-constant row of D_u F and the only nonzero
+        entry of D_t F, so each max-norm difference is one row sum:
+        M1 = sum_jk E_jk bounds D_u F in u, M2 = sum_j tg_j bounds it in t,
+        and M3 = M2 since d/du_k of D_t F is d/dt of (D_u F)_1k = tg_k.
+        lambda is affine in t, so M4 = 0."""
         dn = lambda a: np.nextafter(a, -math.inf)
         up = lambda a: np.nextafter(a, math.inf)
         rad = up(self.s * d_u)
         x_box = IVector(dn(dn(self.s * u0) - rad), up(up(self.s * u0) + rad))
         lam_box = self._ct_iv * Interval.around(t0, d_t)
         rb = self.coral.row1_bounds(lam_box, x_box)
-        s, d = self.s, self.d
+        s = self.s
         scl2 = up_mul(np.outer(s, s) / s[0], 1.0)
         E = up_mul(scl2, up_mul(rb.lam_mag, rb.g2))
-        M1 = float(up_mul(float(d), up_sum(E.max(axis=0))))
-        ct_mag = self._ct_iv.mag
-        tg = up_mul(ct_mag, up_mul(s / s[0], rb.g1))
+        M1 = float(up_sum(up_sum(E, axis=1)))
+        tg = up_mul(self._ct_iv.mag, up_mul(s / s[0], rb.g1))
         M2 = float(up_sum(tg))
-        M3 = float(up_mul(float(d), float(np.max(tg))))
-        return M1, M2, M3, 0.0
+        return M1, M2, M2, 0.0
 
 
 def branch_start(coral: CoralMap, R: float, precondition: bool = True
@@ -142,6 +146,10 @@ def branch_start(coral: CoralMap, R: float, precondition: bool = True
         raise ValidationFailed(f"no nontrivial fixed point at R = {R}")
     x0 = red.full_point(max(roots))
     if precondition:
+        zero = [f"x{k + 1}" for k in np.flatnonzero(x0 == 0.0)]
+        if zero:
+            raise ValidationFailed(f"start point at R = {R} has zero components "
+                                   f"{', '.join(zero)}: no scale for them")
         e = np.floor(np.log10(np.abs(x0)))
         scales = np.round(x0 / 10.0 ** e) * 10.0 ** e
         system = CoralBranchSystem(coral, scales=scales, rscale=100.0)
@@ -295,6 +303,7 @@ class BranchBox:
     linked_to_previous: bool = False
     alpha_step: float = 0.0       # alpha used to leave this box
     corr_norm: float = 0.0        # |(sigma*, x*)| of the outgoing corrector
+    halvings: int = 0             # box halvings before this segment validated
     stability: str = ""
 
     @property
@@ -302,11 +311,21 @@ class BranchBox:
         return max(abs(self.mu), float(np.max(np.abs(self.v))))
 
 
-def validate_segment(system: CoralBranchSystem, t0: float, u0: np.ndarray,
-                     mu: float, v: np.ndarray, d_u: float, d_lambda: float,
-                     index: int = 0) -> BranchBox:
-    """Certify one branch segment (Theorem hypotheses (P1)-(P3) plus the
-    delta inequalities); raises ValidationFailed naming the broken part."""
+@dataclass(frozen=True)
+class SegmentAnchor:
+    """The part of a segment's hypotheses that does not depend on the
+    Lipschitz box: (P1) rho, the (P3) drift xi and the (P2) bound K."""
+
+    ext: ExtendedSystem
+    rho: float
+    xi: float
+    K: float
+
+
+def segment_anchor(system: CoralBranchSystem, t0: float, u0: np.ndarray,
+                   mu: float, v: np.ndarray) -> SegmentAnchor:
+    """Anchor stage of a segment, computed once per step; raises
+    ValidationFailed when (P2) fails."""
     ext = ExtendedSystem(system, t0, u0, mu, v)
     t_iv, u_iv = Interval.point(t0), IVector.point(u0)
     rho = norm_inf(system.F_iv(t_iv, u_iv)).hi
@@ -322,20 +341,28 @@ def validate_segment(system: CoralBranchSystem, t0: float, u0: np.ndarray,
         K, _ = cift.inverse_bound(extJ, B)
     except NotInvertibleEvidence as exc:
         raise ValidationFailed(f"(P2) failed: {exc}") from exc
+    return SegmentAnchor(ext=ext, rho=rho, xi=xi, K=K)
 
-    M1, M2, M3, M4 = system.lipschitz_M(t0, u0, d_lambda, d_u)
-    hyp = SegmentHypotheses(rho=rho, xi=xi, K=K, M1=M1, M2=M2, M3=M3, M4=M4,
-                            d_u=d_u, d_lambda=d_lambda)
-    bounds = derive_extended_constants(hyp, mu, v)
-    dir_norm = max(abs(mu), float(np.max(np.abs(v))))
+
+def validate_segment(anchor: SegmentAnchor, d_u: float, d_lambda: float,
+                     index: int = 0) -> BranchBox:
+    """Box stage: certify the anchored segment over the Lipschitz box
+    (d_u, d_lambda) -- (P3) plus the delta inequalities; raises
+    ValidationFailed naming the broken part."""
+    ext = anchor.ext
+    M1, M2, M3, M4 = ext.sys.lipschitz_M(ext.t0, ext.u0, d_lambda, d_u)
+    hyp = SegmentHypotheses(rho=anchor.rho, xi=anchor.xi, K=anchor.K, M1=M1,
+                            M2=M2, M3=M3, M4=M4, d_u=d_u, d_lambda=d_lambda)
+    bounds = derive_extended_constants(hyp, ext.mu, ext.v)
+    dir_norm = max(abs(ext.mu), float(np.max(np.abs(ext.v))))
     pair = cift.solve_deltas(bounds, dir_norm=dir_norm,
                              coupled_cap=min(d_u, d_lambda))
     if pair.delta_alpha <= 0.0:
         raise ValidationFailed("delta_alpha degenerated to zero")
-    return BranchBox(index=index, t=t0, u=np.asarray(u0, float).copy(),
-                     mu=mu, v=np.asarray(v, float).copy(),
-                     delta_alpha=pair.delta_alpha, delta_u=pair.delta_x,
-                     delta_min=pair.delta_min, bounds=bounds, hyp=hyp)
+    return BranchBox(index=index, t=ext.t0, u=ext.u0.copy(), mu=ext.mu,
+                     v=ext.v.copy(), delta_alpha=pair.delta_alpha,
+                     delta_u=pair.delta_x, delta_min=pair.delta_min,
+                     bounds=bounds, hyp=hyp)
 
 
 def check_link(prev: BranchBox, alpha_k: float, correction: tuple[float, np.ndarray],
@@ -436,17 +463,24 @@ def continue_branch(system: CoralBranchSystem, t0: float, u0: np.ndarray,
             mu, v = -mu, -v          # start by decreasing R
         prev_tangent = np.concatenate([[mu], v])
 
-        box = None
+        try:
+            anchor = segment_anchor(system, t, u, mu, v)
+        except ValidationFailed as exc:
+            res.stop_reason = f"degenerate: {exc}"
+            return res
+        halvings = 0
         while True:
             try:
-                box = validate_segment(system, t, u, mu, v, d_u, d_lam, index=k)
+                box = validate_segment(anchor, d_u, d_lam, index=k)
                 break
             except ValidationFailed as exc:
                 d_u *= 0.5
                 d_lam *= 0.5
+                halvings += 1
                 if min(d_u, d_lam) < cfg.box_min:
                     res.stop_reason = f"degenerate: {exc}"
                     return res
+        box = replace(box, halvings=halvings)
 
         if pending_corr is not None:
             linked = check_link(res.boxes[-1], pending_alpha, pending_corr,
@@ -472,9 +506,9 @@ def continue_branch(system: CoralBranchSystem, t0: float, u0: np.ndarray,
             return res
 
         alpha_k = cfg.alpha_frac * box.delta_alpha
-        ext = ExtendedSystem(system, t, u, mu, v)
         try:
-            sigma, x_corr = newton_correct(ext, alpha_k, tol=cfg.corrector_tol,
+            sigma, x_corr = newton_correct(anchor.ext, alpha_k,
+                                           tol=cfg.corrector_tol,
                                            max_iter=cfg.max_newton)
         except CorrectorFailed as exc:
             res.boxes.append(box)

@@ -410,12 +410,12 @@ class IMatrix:
 
     def matvec(self, v: "IVector") -> "IVector":
         n, m = self.shape
+        plo, phi_ = _mul_bounds(self.lo, self.hi, v.lo[None, :], v.hi[None, :])
         acc_lo = np.zeros(n)
         acc_hi = np.zeros(n)
         for k in range(m):
-            plo, phi_ = _mul_bounds(self.lo[:, k], self.hi[:, k], v.lo[k], v.hi[k])
-            acc_lo = _adn(acc_lo + plo)
-            acc_hi = _aup(acc_hi + phi_)
+            acc_lo = _adn(acc_lo + plo[:, k])
+            acc_hi = _aup(acc_hi + phi_[:, k])
         return IVector(acc_lo, acc_hi)
 
 def _mul_bounds(alo, ahi, blo, bhi):

@@ -63,22 +63,28 @@ def mp_system_refine(system, coeffs, z0, dps: int = 60):
     return mp_newton(val, jac, z0, dps=dps)
 
 
-def mp_branch_G(system, coeffs, t0, u0, mu, v):
-    """G(alpha, (sigma, x)) for the scaled branch system, in mpmath."""
+def mp_branch_F(system, coeffs):
+    """F(t, u) of the scaled branch system, in mpmath (lists in and out)."""
     s = [mp.mpf(float(si)) for si in system.s]
     rscale = mp.mpf(system.rscale)
-    mu_m = mp.mpf(float(mu))
-    v_m = [mp.mpf(float(vi)) for vi in v]
-    t0_m = mp.mpf(float(t0))
-    u0_m = [mp.mpf(float(ui)) for ui in u0]
     coral = system.coral
-    d = coral.d
 
     def F(t, u):
         lam = rscale * t / coeffs.ba
         x = [si * ui for si, ui in zip(s, u)]
         f = coral.step_scalars(lam, x, coeffs)
         return [fi / si - ui for fi, si, ui in zip(f, s, u)]
+
+    return F
+
+
+def mp_branch_G(system, coeffs, t0, u0, mu, v):
+    """G(alpha, (sigma, x)) for the scaled branch system, in mpmath."""
+    mu_m = mp.mpf(float(mu))
+    v_m = [mp.mpf(float(vi)) for vi in v]
+    t0_m = mp.mpf(float(t0))
+    u0_m = [mp.mpf(float(ui)) for ui in u0]
+    F = mp_branch_F(system, coeffs)
 
     def G(alpha, z):
         sigma, xs = z[0], list(z[1:])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -130,6 +131,20 @@ def test_config_file_flows_through(tmp_path, capsys, coral):
     cfg.write_text(coral.params.to_config())
     rc = main(["--config", str(cfg), "--out", str(tmp_path), "transcritical"])
     assert rc == 0
+
+
+def test_branch_with_zero_survival_rate_fails_naming_it(tmp_path, capsys, coral):
+    # S[5] = 0 leaves ages 7-13 empty at every fixed point: no scale for them
+    S = list(coral.params.S)
+    S[5] = 0.0
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text(dataclasses.replace(coral.params, S=tuple(S)).to_config())
+    rc = main(["--config", str(cfg), "--out", str(tmp_path), "branch",
+               "--max-steps", "3"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "zero components x7, x8" in err and "x13" in err
+    assert not (tmp_path / "branch_certificates.json").exists()
 
 
 def test_console_entry_point():

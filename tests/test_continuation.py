@@ -10,12 +10,14 @@ from certibif.continuation import (BranchBox, ContinuationConfig,
                                    check_link, classify_stability,
                                    continue_branch,
                                    derive_extended_constants, newton_correct,
-                                   tangent_estimate, validate_segment)
+                                   segment_anchor, tangent_estimate,
+                                   validate_segment)
 from certibif.errors import CorrectorFailed, TangentUndefined, ValidationFailed
 from certibif.interval import Interval, IVector, norm_inf
 from certibif.model import FixedPointReduction
 
-from helpers import mp_coeffs, mp_refine_branch_point
+from helpers import (mp_branch_F, mp_coeffs, mp_fd_jacobian,
+                     mp_refine_branch_point)
 import mpmath as mp
 
 
@@ -235,7 +237,7 @@ def test_validate_segment_coral(coral):
     mu, v = tangent_estimate(system, t0, u0)
     if mu > 0:
         mu, v = -mu, -v
-    box = validate_segment(system, t0, u0, mu, v, 1e-4, 1e-4)
+    box = validate_segment(segment_anchor(system, t0, u0, mu, v), 1e-4, 1e-4)
     assert box.delta_alpha > 0 and box.delta_u > 0
     assert box.delta_min <= 1e-12
     assert box.delta_min < box.delta_u
@@ -289,7 +291,7 @@ def test_branch_sound_enclosure_high_precision(branch_result,
     the certified (sigma, x) tube for random boxes and alphas."""
     rng = np.random.default_rng(5)
     coeffs = mp_coeffs(coral)
-    picks = rng.choice(len(branch_result.boxes) - 1, size=10, replace=False)
+    picks = rng.choice(len(branch_result.boxes) - 1, size=20, replace=False)
     for idx in picks:
         box = branch_result.boxes[int(idx)]
         for alpha in rng.uniform(0.0, box.delta_alpha, size=2):
@@ -298,6 +300,49 @@ def test_branch_sound_enclosure_high_precision(branch_result,
                                            box, float(alpha))
                 corr_norm = max(abs(float(v)) for v in z)
                 assert corr_norm <= box.delta_u
+
+
+def test_lipschitz_M_bounds_jacobian_changes_high_precision(
+        branch_result, preconditioned_system, coral):
+    """Soundness of the mean-value constants: between two points of a box's
+    Lipschitz box, the 50-digit change of D_u F stays within
+    M1 |du| + M2 |dt| and that of D_t F within M3 |du| + M4 |dt| (max
+    norms, the pairing of derive_extended_constants), at boxes on both
+    sides of the fold."""
+    system, boxes = preconditioned_system, branch_result.boxes
+    fold, d = branch_result.fold_index, system.d
+    F = mp_branch_F(system, mp_coeffs(coral))
+    Rs = np.array([system.R_of_t(b.t) for b in boxes])
+    picks = [int(np.argmin(np.abs(Rs[:fold] - R))) for R in (250.0, 100.0, 20.0)]
+    picks += [fold + int(np.argmin(np.abs(Rs[fold:] - R))) for R in (12.5, 30.0, 72.0)]
+    rng = np.random.default_rng(11)
+
+    def jac(t, u):      # d x (d+1): [D_t F | D_u F]
+        z = mp.matrix([mp.mpf(float(c)) for c in (t, *u)])
+        return mp_fd_jacobian(lambda w: mp.matrix(F(w[0], list(w[1:]))), z)
+
+    worst = 0.0         # largest |change of D_u F| / (M1 |du|) over pure-u pairs
+    with mp.workdps(50):
+        for idx in picks:
+            b, h = boxes[idx], boxes[idx].hyp
+            ru, rt = h.d_u * (1.0 - 2.0 ** -20), h.d_lambda * (1.0 - 2.0 ** -20)
+            pairs = [((b.t - rt, b.u), (b.t + rt, b.u))]
+            for w in (np.ones(d), rng.choice([-1.0, 1.0], d)):
+                pairs.append(((b.t, b.u - ru * w), (b.t, b.u + ru * w)))
+                pairs.append(((b.t - rt, b.u + ru * w), (b.t + rt, b.u - ru * w)))
+            for (ta, ua), (tb, ub) in pairs:
+                D = jac(tb, ub) - jac(ta, ua)
+                dt = abs(mp.mpf(tb) - mp.mpf(ta))
+                du = max(abs(mp.mpf(x) - mp.mpf(y)) for x, y in zip(ub, ua))
+                dDu = max(sum(abs(D[i, j]) for j in range(1, d + 1)) for i in range(d))
+                dDt = max(abs(D[i, 0]) for i in range(d))
+                tol = mp.mpf(10) ** -20       # finite-difference noise
+                assert dDu <= h.M1 * du + h.M2 * dt + tol, (idx, Rs[idx])
+                assert dDt <= h.M3 * du + h.M4 * dt + tol, (idx, Rs[idx])
+                if dt == 0:
+                    worst = max(worst, float(dDu / (h.M1 * du)))
+    # the sampled pairs come close to the bound, so the check has teeth
+    assert worst > 0.5
 
 
 def test_branch_conjugacy_to_raw_map(branch_result, preconditioned_system, coral):
@@ -323,7 +368,8 @@ def test_derived_constants_match_direct_cift_on_extended_system(
         x0 = red.full_point(max(roots))
         t0, u0 = preconditioned_system.from_raw_R(R, x0)
         mu, v = tangent_estimate(preconditioned_system, t0, u0)
-        box = validate_segment(preconditioned_system, t0, u0, mu, v, 1e-4, 1e-4)
+        anchor = segment_anchor(preconditioned_system, t0, u0, mu, v)
+        box = validate_segment(anchor, 1e-4, 1e-4)
         da, du = box.delta_alpha, box.delta_u
         # hull of every point reachable within the slanted box
         r_t = da * abs(mu) + du
@@ -377,7 +423,8 @@ def test_validate_segment_exact_linear_zero_set():
     the box constraints (all Lipschitz constants are zero, K is finite)."""
     sys_ = ToyLinearValidated()
     mu, v = tangent_estimate(sys_, 0.3, np.array([0.3]))
-    box = validate_segment(sys_, 0.3, np.array([0.3]), mu, v, 1e-2, 1e-2)
+    anchor = segment_anchor(sys_, 0.3, np.array([0.3]), mu, v)
+    box = validate_segment(anchor, 1e-2, 1e-2)
     assert box.hyp.rho <= 1e-15 and box.hyp.xi <= 1e-12
     assert box.bounds.L1 <= 1e-300 and box.bounds.L4 <= 1e-300
     # delta_alpha * dir_norm + delta_u saturates the coupling cap

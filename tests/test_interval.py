@@ -179,6 +179,13 @@ def test_matvec_contains_float_product():
     xi = IVector.around(x, 1e-12)
     out = Ai.matvec(xi)
     assert out.contains_point(A @ x)
+    # 0 * inf saturates the row it lands in instead of producing NaN
+    Ai.lo[0, 2] = Ai.hi[0, 2] = A[0, 2] = 0.0
+    xi.lo[2], xi.hi[2] = -np.inf, np.inf
+    out = Ai.matvec(xi)
+    assert out.lo[0] == -np.inf and out.hi[0] == np.inf
+    assert not np.isnan(out.lo).any() and not np.isnan(out.hi).any()
+    assert out.contains_point(A @ x)
 
 
 def test_matmat_contains_float_product():

@@ -345,6 +345,11 @@ def test_scaled_map_conjugacy(coral):
 def test_scaled_map_rejects_bad_scales(coral):
     with pytest.raises(ValidationFailed):
         CoralBranchSystem(coral, scales=np.zeros(13))
+    for bad in (math.nan, math.inf, -1.0):
+        scales = np.ones(13)
+        scales[6] = bad
+        with pytest.raises(ValidationFailed, match="positive and finite"):
+            CoralBranchSystem(coral, scales=scales)
 
 
 def test_derive_generic_interval_contains_float(coral):
