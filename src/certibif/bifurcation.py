@@ -20,9 +20,9 @@ import numpy as np
 from . import cift
 from .errors import (CertificationFailed, ConditionInconclusive, DomainError,
                      NotInvertibleEvidence, SpectrumInconclusive)
-from .interval import (IMatrix, Interval, IVector, float_matmat, float_matvec,
-                       matmat_float, norm_inf, up_dot, up_mul, up_sum, _dn2, _up2)
-from .model import CoralMap, FixedPointReduction, phi_derivs, polyp_density
+from .interval import (IMatrix, Interval, IVector, float_matmat, norm_inf, up_dot,
+                       up_mul, up_sum, _dn2, _up2)
+from .model import CoralMap, FixedPointReduction, phi_derivs, row1_d2, row1_d3
 
 
 # ---------------------------------------------------------------------------
@@ -71,13 +71,6 @@ class CI:
         return (self.re.sqr() + self.im.sqr()).sqrt().lo
 
 
-def _cdot(coefs: list[Interval], vec: list[CI]) -> CI:
-    out = CI(Interval(0.0), Interval(0.0))
-    for c, z in zip(coefs, vec):
-        out = out + CI(c * z.re, c * z.im)
-    return out
-
-
 def atan2_enclosure(b: Interval, a: Interval) -> Interval:
     """Enclosure of atan2(b, a) for rectangles in the open upper half
     plane (extremes are attained at corners there)."""
@@ -105,7 +98,7 @@ def verified_solve(A: IMatrix, rhs: IVector, B: np.ndarray | None = None) -> IVe
     rho1 = norm_inf(IMatrix.identity(n) - BA).hi
     if not rho1 < 1.0:
         raise NotInvertibleEvidence(f"|I - BA| bound {rho1} >= 1")
-    Bb = float_matvec(B, rhs)
+    Bb = float_matmat(B, rhs)
     r = ((Interval(rho1) * norm_inf(Bb)) / (Interval(1.0) - Interval(rho1))).hi
     return Bb.widened(r)
 
@@ -130,6 +123,41 @@ def verified_solve_complex(re_m: IMatrix, im_m: IMatrix,
     sol = verified_solve(_realify(re_m, im_m), IVector(rl, rh))
     return [CI(Interval(sol.lo[i], sol.hi[i]), Interval(sol.lo[n + i], sol.hi[n + i]))
             for i in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# interval matrix assembly and row-1 contractions
+# ---------------------------------------------------------------------------
+
+
+def _put(lo: np.ndarray, hi: np.ndarray, index, v) -> None:
+    """Store an Interval, IVector or IMatrix at lo/hi[index]."""
+    lo[index], hi[index] = v.lo, v.hi
+
+
+def _shifted(A: IMatrix, s) -> IMatrix:
+    """A - s I, with the diagonal shifted in scalar interval arithmetic so
+    that entries which stay exact stay points."""
+    lo, hi = A.lo.copy(), A.hi.copy()
+    for i in range(A.shape[0]):
+        _put(lo, hi, (i, i), A.entry(i, i) - s)
+    return IMatrix(lo, hi)
+
+
+def _qb(coeffs, v) -> tuple:
+    """(q.v, b.v) in the scalar type of v's entries (Interval or CI)."""
+    qv, bv = coeffs.q[0] * v[0], coeffs.b[0] * v[0]
+    for qk, bk, vk in zip(coeffs.q[1:], coeffs.b[1:], v[1:]):
+        qv, bv = qv + qk * vk, bv + bk * vk
+    return qv, bv
+
+
+def _d2_row(coral: CoralMap, lam: Interval, phis, bx: Interval, y) -> IVector:
+    """lam * D^2 g[y, e_k] for k = 1..d: row 1 of the x-derivative of
+    D_x f y, in O(d) from q.y and b.y."""
+    qy, by = _qb(coral.ci, y)
+    return IVector.from_scalars(lam * row1_d2(phis, bx, qy, by, qk, bk)
+                                for qk, bk in zip(coral.ci.q, coral.ci.b))
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +218,8 @@ class NsSystem:
         cf = self.coral.cf
         P = float(cf.q @ x)
         bx = float(cf.b @ x)
-        ph, ph1, ph2 = phi_derivs(P, self.coral.params, order=2)
-        g1 = ph1 * cf.q * bx + ph * cf.b
-        g2 = ph2 * bx * np.outer(cf.q, cf.q) \
-            + ph1 * (np.outer(cf.q, cf.b) + np.outer(cf.b, cf.q))
+        phis = phi_derivs(P, self.coral.params, order=2)
+        g1 = phis[1] * cf.q * bx + phis[0] * cf.b
         A = self.coral.jac_x(lam, x)
         J = np.zeros((self.dim, self.dim))
         sx, sl = slice(0, d), d
@@ -202,16 +228,16 @@ class NsSystem:
         r1, r2, r3 = slice(0, d), slice(d, 2 * d), slice(2 * d, 3 * d)
         # rows f(lambda, x) - x
         J[r1, sx] = A - np.eye(d)
-        J[0, sl] = ph * bx
+        J[0, sl] = phis[0] * bx
         # rows D_xf w - a w + b u
-        J[d, sx] = lam * (g2 @ w)
+        J[d, sx] = lam * row1_d2(phis, bx, cf.q @ w, cf.b @ w, cf.q, cf.b)
         J[d, sl] = g1 @ w
         J[r2, sw] = A - a * np.eye(d)
         J[r2, su] = b * np.eye(d)
         J[r2, sa] = -w
         J[r2, sb] = u
         # rows D_xf u - b w - a u
-        J[2 * d, sx] = lam * (g2 @ u)
+        J[2 * d, sx] = lam * row1_d2(phis, bx, cf.q @ u, cf.b @ u, cf.q, cf.b)
         J[2 * d, sl] = g1 @ u
         J[r3, sw] = -b * np.eye(d)
         J[r3, su] = A - a * np.eye(d)
@@ -226,58 +252,39 @@ class NsSystem:
 
     def jac_iv(self, z: IVector) -> IMatrix:
         d = self.d
-        zs = z.to_scalars()
-        x, lam = zs[:d], zs[d]
-        w, u = zs[d + 1:2 * d + 1], zs[2 * d + 1:3 * d + 1]
-        a, b = zs[3 * d + 1], zs[3 * d + 2]
-        ci = self.coral.ci
-        _, g1, phis, bx = self.coral.row1_gradient(x, ci)
-        g2 = self.coral.row1_second(x, ci)       # g2[j][k] = d2 g / dx_j dx_k
-        S = self.coral.params.S
-        J = IMatrix(np.zeros((self.dim, self.dim)), np.zeros((self.dim, self.dim)))
-
-        def aset(i, j, v):
-            J.set_entry(i, j, v)
-
-        one = Interval(1.0)
-        # rows f - x
-        for j in range(d):
-            aset(0, j, lam * g1[j] - (one if j == 0 else 0.0))
-        for i in range(1, d):
-            aset(i, i - 1, Interval(S[i - 1]))
-            aset(i, i, Interval(-1.0))
-        aset(0, d, phis[0] * bx)
-        # eigen rows: (D_xf vec) - a*vec + sgn*b*other  for vec in (w, u)
-        for row0, base, obase, vec, other, sgn in (
-                (d, d + 1, 2 * d + 1, w, u, 1.0),
-                (2 * d, 2 * d + 1, d + 1, u, w, -1.0)):
-            for k in range(d):
-                acc = Interval(0.0)
-                for j in range(d):
-                    acc = acc + g2[j][k] * vec[j]
-                aset(row0, k, lam * acc)
-            acc = Interval(0.0)
-            for j in range(d):
-                acc = acc + g1[j] * vec[j]
-            aset(row0, d, acc)
-            for i in range(d):
-                r = row0 + i
-                if i == 0:
-                    for j in range(d):
-                        aset(r, base + j, lam * g1[j])
-                else:
-                    aset(r, base + i - 1, Interval(S[i - 1]))
-                aset(r, base + i, J.entry(r, base + i) + (-a))
-                aset(r, obase + i, sgn * b)
-                aset(r, 3 * d + 1, -vec[i])
-                aset(r, 3 * d + 2, sgn * other[i])
+        x, lam, w, u, a, b = self.split(z.to_scalars())
+        _, g1, phis, bx = self.coral.row1_gradient(x, self.coral.ci, order=2)
+        A = self.coral.jac_x_iv(lam, IVector(z.lo[:d], z.hi[:d]))
+        lo, hi = np.zeros((self.dim, self.dim)), np.zeros((self.dim, self.dim))
+        sx, sl = slice(0, d), d
+        sw, su = slice(d + 1, 2 * d + 1), slice(2 * d + 1, 3 * d + 1)
+        sa, sb = 3 * d + 1, 3 * d + 2
+        r1, r2, r3 = slice(0, d), slice(d, 2 * d), slice(2 * d, 3 * d)
+        W, U = IVector(z.lo[sw], z.hi[sw]), IVector(z.lo[su], z.hi[su])
+        i = np.arange(d)
+        # rows f(lambda, x) - x
+        _put(lo, hi, (r1, sx), _shifted(A, 1.0))
+        _put(lo, hi, (0, sl), phis[0] * bx)
+        # rows D_xf w - a w + b u
+        _put(lo, hi, (d, sx), _d2_row(self.coral, lam, phis, bx, w))
+        _put(lo, hi, (d, sl), sum((gj * wj for gj, wj in zip(g1, w)), Interval(0.0)))
+        _put(lo, hi, (r2, sw), _shifted(A, a))
+        _put(lo, hi, (d + i, 2 * d + 1 + i), b)
+        _put(lo, hi, (r2, sa), -W)
+        _put(lo, hi, (r2, sb), U)
+        # rows D_xf u - b w - a u
+        _put(lo, hi, (2 * d, sx), _d2_row(self.coral, lam, phis, bx, u))
+        _put(lo, hi, (2 * d, sl), sum((gj * uj for gj, uj in zip(g1, u)), Interval(0.0)))
+        _put(lo, hi, (2 * d + i, d + 1 + i), -b)
+        _put(lo, hi, (r3, su), _shifted(A, a))
+        _put(lo, hi, (r3, sa), -U)
+        _put(lo, hi, (r3, sb), -W)
         # normalization rows
-        aset(3 * d, 3 * d + 1, 2.0 * a)
-        aset(3 * d, 3 * d + 2, 2.0 * b)
-        for j in range(d):
-            aset(3 * d + 1, d + 1 + j, 2.0 * w[j])
-            aset(3 * d + 2, 2 * d + 1 + j, 2.0 * u[j])
-        return J
+        _put(lo, hi, (3 * d, sa), 2.0 * a)
+        _put(lo, hi, (3 * d, sb), 2.0 * b)
+        _put(lo, hi, (3 * d + 1, sw), W.scale(2.0))
+        _put(lo, hi, (3 * d + 2, su), U.scale(2.0))
+        return IMatrix(lo, hi)
 
     def hessian_sup(self, box: IVector) -> np.ndarray:
         d, m = self.d, self.dim
@@ -366,15 +373,13 @@ class SnSystem:
         cf = self.coral.cf
         P = float(cf.q @ x)
         bx = float(cf.b @ x)
-        ph, ph1, ph2 = phi_derivs(P, self.coral.params, order=2)
-        g1 = ph1 * cf.q * bx + ph * cf.b
-        g2 = ph2 * bx * np.outer(cf.q, cf.q) \
-            + ph1 * (np.outer(cf.q, cf.b) + np.outer(cf.b, cf.q))
+        phis = phi_derivs(P, self.coral.params, order=2)
+        g1 = phis[1] * cf.q * bx + phis[0] * cf.b
         A = self.coral.jac_x(lam, x)
         J = np.zeros((self.dim, self.dim))
         J[:d, :d] = A - np.eye(d)
-        J[0, 2 * d] = ph * bx
-        J[d, :d] = lam * (g2 @ v)
+        J[0, 2 * d] = phis[0] * bx
+        J[d, :d] = lam * row1_d2(phis, bx, cf.q @ v, cf.b @ v, cf.q, cf.b)
         J[d:2 * d, d:2 * d] = A - np.eye(d)
         J[d, 2 * d] = g1 @ v
         J[2 * d, d:2 * d] = 2 * v
@@ -382,37 +387,17 @@ class SnSystem:
 
     def jac_iv(self, z: IVector) -> IMatrix:
         d = self.d
-        zs = z.to_scalars()
-        x, v, lam = zs[:d], zs[d:2 * d], zs[2 * d]
-        ci = self.coral.ci
-        _, g1, phis, bx = self.coral.row1_gradient(x, ci)
-        g2 = self.coral.row1_second(x, ci)
-        S = self.coral.params.S
-        J = IMatrix(np.zeros((self.dim, self.dim)), np.zeros((self.dim, self.dim)))
-        one = Interval(1.0)
-        for j in range(d):
-            J.set_entry(0, j, lam * g1[j] - (one if j == 0 else 0.0))
-        for i in range(1, d):
-            J.set_entry(i, i - 1, Interval(S[i - 1]))
-            J.set_entry(i, i, Interval(-1.0))
-        J.set_entry(0, 2 * d, phis[0] * bx)
-        for k in range(d):
-            acc = Interval(0.0)
-            for j in range(d):
-                acc = acc + g2[j][k] * v[j]
-            J.set_entry(d, k, lam * acc)
-        for j in range(d):
-            J.set_entry(d, d + j, lam * g1[j] - (one if j == 0 else 0.0))
-        for i in range(1, d):
-            J.set_entry(d + i, d + i - 1, Interval(S[i - 1]))
-            J.set_entry(d + i, d + i, Interval(-1.0))
-        acc = Interval(0.0)
-        for j in range(d):
-            acc = acc + g1[j] * v[j]
-        J.set_entry(d, 2 * d, acc)
-        for j in range(d):
-            J.set_entry(2 * d, d + j, 2.0 * v[j])
-        return J
+        x, v, lam = self.split(z.to_scalars())
+        _, g1, phis, bx = self.coral.row1_gradient(x, self.coral.ci, order=2)
+        AmI = _shifted(self.coral.jac_x_iv(lam, IVector(z.lo[:d], z.hi[:d])), 1.0)
+        lo, hi = np.zeros((self.dim, self.dim)), np.zeros((self.dim, self.dim))
+        _put(lo, hi, np.s_[:d, :d], AmI)
+        _put(lo, hi, (0, 2 * d), phis[0] * bx)
+        _put(lo, hi, (d, np.s_[:d]), _d2_row(self.coral, lam, phis, bx, v))
+        _put(lo, hi, np.s_[d:2 * d, d:2 * d], AmI)
+        _put(lo, hi, (d, 2 * d), sum((gj * vj for gj, vj in zip(g1, v)), Interval(0.0)))
+        _put(lo, hi, (2 * d, np.s_[d:2 * d]), IVector(z.lo[d:2 * d], z.hi[d:2 * d]).scale(2.0))
+        return IMatrix(lo, hi)
 
     def hessian_sup(self, box: IVector) -> np.ndarray:
         d, m = self.d, self.dim
@@ -624,8 +609,8 @@ def verified_spectrum_inside_disk(A: IMatrix, exclude: int = 2) -> SpectrumResul
     except np.linalg.LinAlgError as exc:
         raise SpectrumInconclusive(f"eigenvector matrix singular: {exc}") from exc
 
-    AVr = matmat_float(A, np.real(V))
-    AVi = matmat_float(A, np.imag(V))
+    AVr = float_matmat(np.real(V).T, A.T).T
+    AVi = float_matmat(np.imag(V).T, A.T).T
     Wr, Wi = np.real(W), np.imag(W)
     Yre = float_matmat(Wr, AVr) - float_matmat(Wi, AVi)
     Yim = float_matmat(Wr, AVi) + float_matmat(Wi, AVr)
@@ -733,19 +718,20 @@ class BifCertificate:
 # ---------------------------------------------------------------------------
 
 
-def _ns_box_pieces(coral: CoralMap, box: IVector):
-    """Shared interval data for the NS conditions over a certified box."""
-    d = coral.d
-    zs = box.to_scalars()
-    x, lam = zs[:d], zs[d]
-    w, u = zs[d + 1:2 * d + 1], zs[2 * d + 1:3 * d + 1]
-    a, b = zs[3 * d + 1], zs[3 * d + 2]
-    x_box = IVector(box.lo[:d], box.hi[:d])
-    A_iv = coral.jac_x_iv(lam, x_box)
-    phis = phi_derivs(polyp_density(x, coral.ci), coral.params, order=3)
-    bx = sum((bk * xk for bk, xk in zip(coral.ci.b, x)), Interval(0.0))
-    q_vec = [CI(ui, -wi) for ui, wi in zip(u, w)]   # A q = e^{+i theta0} q
-    return x, lam, w, u, a, b, A_iv, phis, bx, q_vec
+@dataclass(frozen=True)
+class NsBoxData:
+    """Interval data shared by the NS conditions (c) and (e) over a
+    certified box, built once by ns_box_data."""
+
+    lam: Interval
+    a: Interval
+    b: Interval
+    A: IMatrix           # D_x f over the box
+    g1: list             # dg/dx_j
+    phis: tuple          # phi .. phi''' at P = q.x
+    bx: Interval         # b.x
+    q: list[CI]          # right eigenvector, A q = e^{i theta0} q
+    r: list[CI]          # r = conj(p), normalized so that <p, q> = r^t q = 1
 
 
 def _ns_left_row(coral: CoralMap, A_iv: IMatrix, a: Interval, b: Interval,
@@ -758,84 +744,59 @@ def _ns_left_row(coral: CoralMap, A_iv: IMatrix, a: Interval, b: Interval,
     w0 = box_mid[d + 1:2 * d + 1]
     u0 = box_mid[2 * d + 1:3 * d + 1]
     a0, b0 = box_mid[3 * d + 1], box_mid[3 * d + 2]
-    At = IMatrix(A_iv.lo.T.copy(), A_iv.hi.T.copy())
-    ev, vecs = np.linalg.eig(At.mid)
+    ev, vecs = np.linalg.eig(A_iv.T.mid)
     k = int(np.argmin(np.abs(ev - (a0 + 1j * b0))))
     r0 = vecs[:, k]
     pin = np.conj(r0) / float(np.vdot(r0, r0).real)
     c_col = u0 + 1j * w0
 
     n = d + 1
-    re = IMatrix(np.zeros((n, n)), np.zeros((n, n)))
-    im = IMatrix(np.zeros((n, n)), np.zeros((n, n)))
-    for i in range(d):
-        for j in range(d):
-            e = At.entry(i, j)
-            if i == j:
-                e = e - a
-            re.set_entry(i, j, e)
-        im.set_entry(i, i, -b)
-        re.set_entry(i, d, Interval(float(c_col[i].real)))
-        im.set_entry(i, d, Interval(float(c_col[i].imag)))
-        re.set_entry(d, i, Interval(float(pin[i].real)))
-        im.set_entry(d, i, Interval(float(pin[i].imag)))
+    re_lo, re_hi, im_lo, im_hi = (np.zeros((n, n)) for _ in range(4))
+    _put(re_lo, re_hi, np.s_[:d, :d], _shifted(A_iv.T, a))
+    _put(im_lo, im_hi, (np.arange(d), np.arange(d)), -b)
+    re_lo[:d, d] = re_hi[:d, d] = c_col.real
+    im_lo[:d, d] = im_hi[:d, d] = c_col.imag
+    re_lo[d, :d] = re_hi[d, :d] = pin.real
+    im_lo[d, :d] = im_hi[d, :d] = pin.imag
     rhs = [CI(0.0, 0.0) for _ in range(n)]
     rhs[d] = CI(1.0, 0.0)
-    sol = verified_solve_complex(re, im, rhs)
+    sol = verified_solve_complex(IMatrix(re_lo, re_hi), IMatrix(im_lo, im_hi), rhs)
     return sol[:d]
 
 
-def _normalized_p_row(coral: CoralMap, box: IVector) -> list[CI]:
-    """r = conj(p) with <p, q> = r^t q = 1 over the certified box."""
-    x, lam, w, u, a, b, A_iv, phis, bx, q_vec = _ns_box_pieces(coral, box)
+def ns_box_data(coral: CoralMap, box: IVector, A_iv: IMatrix) -> NsBoxData:
+    """The NS condition data over a certified box, given its D_x f enclosure."""
+    x, lam, w, u, a, b = NsSystem(coral).split(box.to_scalars())
+    _, g1, phis, bx = coral.row1_gradient(x, coral.ci, order=3)
+    q = [CI(ui, -wi) for ui, wi in zip(u, w)]
     r = _ns_left_row(coral, A_iv, a, b, box.mid)
-    z = _cdot([Interval(1.0)] * coral.d, [ri * qi for ri, qi in zip(r, q_vec)])
-    den = z.re.sqr() + z.im.sqr()
-    if den.lo <= 0.0:
+    z = sum((ri * qi for ri, qi in zip(r, q)), CI(0.0))
+    if (z.re.sqr() + z.im.sqr()).lo <= 0.0:
         raise ConditionInconclusive("<p, q> enclosure touches zero")
-    return [ri / z for ri in r]
+    return NsBoxData(lam=lam, a=a, b=b, A=A_iv, g1=g1, phis=phis, bx=bx, q=q,
+                     r=[ri / z for ri in r])
 
 
-def ns_condition_c_pair(coral: CoralMap, box: IVector) -> tuple[Interval, Interval]:
+def ns_condition_c_pair(coral: CoralMap, data: NsBoxData) -> tuple[Interval, Interval]:
     """Transversality values Re(e^{-i theta0} <p, dA/dlambda q>): the total
     branch derivative dA/dlambda = D_{x lambda} f + D_{xx} f [x0'(lambda), .]
     (equal to d|mu|/dlambda along the branch) and, for cross-checking
     against other implementations, the version using only the explicit
     part D_{x lambda} f.  Returns (total, explicit_only)."""
     d = coral.d
-    x, lam, w, u, a, b, A_iv, phis, bx, q_vec = _ns_box_pieces(coral, box)
-    ci = coral.ci
-    _, g1, _, _ = coral.row1_gradient(x, ci)
-    g2 = coral.row1_second(x, ci)
     # x0'(lambda) = -(A - I)^{-1} D_lambda f
-    AmI = A_iv - np.eye(d)
-    dlam_f = IVector.from_scalars([phis[0] * bx if i == 0 else Interval(0.0)
-                                   for i in range(d)])
-    x0p = verified_solve(AmI, dlam_f)
-    x0p_s = [-s for s in x0p.to_scalars()]
-    chain = []
-    for j in range(d):
-        acc = Interval(0.0)
-        for k in range(d):
-            acc = acc + lam * g2[k][j] * x0p_s[k]
-        chain.append(acc)
-    r = _normalized_p_row(coral, box)
-    pref = CI(a, -b) * r[0]
+    dlam_f = IVector(np.zeros(d), np.zeros(d))
+    _put(dlam_f.lo, dlam_f.hi, 0, data.phis[0] * data.bx)
+    x0p = -verified_solve(data.A - np.eye(d), dlam_f)
+    chain = _d2_row(coral, data.lam, data.phis, data.bx, x0p.to_scalars()).to_scalars()
+    pref = CI(data.a, -data.b) * data.r[0]
 
     def contract(row: list[Interval]) -> Interval:
-        s = CI(Interval(0.0), Interval(0.0))
-        for j in range(d):
-            s = s + CI(row[j] * q_vec[j].re, row[j] * q_vec[j].im)
-        return (pref * s).re
+        return (pref * sum((c * qj for c, qj in zip(row, data.q)), CI(0.0))).re
 
-    total = contract([g1[j] + chain[j] for j in range(d)])
-    explicit = contract(list(g1))
+    total = contract([gj + cj for gj, cj in zip(data.g1, chain)])
+    explicit = contract(data.g1)
     return total, explicit
-
-
-def ns_condition_c(coral: CoralMap, box: IVector) -> Interval:
-    """Transversality with the total branch derivative of A(lambda)."""
-    return ns_condition_c_pair(coral, box)[0]
 
 
 def ns_condition_d(coral: CoralMap, box: IVector) -> tuple[Interval, dict[str, bool]]:
@@ -858,62 +819,41 @@ def ns_condition_d(coral: CoralMap, box: IVector) -> tuple[Interval, dict[str, b
     return theta, checks
 
 
-def ns_condition_e(coral: CoralMap, box: IVector) -> Interval:
+def ns_condition_e(coral: CoralMap, data: NsBoxData) -> Interval:
     """Cubic normal-form coefficient (sign decides super/subcritical)."""
     d = coral.d
-    x, lam, w, u, a, b, A_iv, phis, bx, q_vec = _ns_box_pieces(coral, box)
-    ci = coral.ci
+    lam, phis, bx, q = data.lam, data.phis, data.bx, data.q
+    qbar = [z.conj() for z in q]
+    Q, Qbar = _qb(coral.ci, q), _qb(coral.ci, qbar)
 
-    def qdot(y: list[CI]) -> CI:
-        return _cdot([qk for qk in ci.q], y)
+    def B1(y: tuple, z: tuple) -> CI:
+        """Row 1 of B(y, z) from the (q.y, b.y) and (q.z, b.z) pairs."""
+        return lam * row1_d2(phis, bx, *y, *z)
 
-    def bdot(y: list[CI]) -> CI:
-        return _cdot([bk for bk in ci.b], y)
-
-    def B1(y: list[CI], z: list[CI]) -> CI:
-        qy, qz = qdot(y), qdot(z)
-        by, bz = bdot(y), bdot(z)
-        t = (qy * qz) * (phis[2] * bx) + (qy * bz + by * qz) * phis[1]
-        return t * lam
-
-    def C1(y: list[CI], z: list[CI], v: list[CI]) -> CI:
-        qy, qz, qv = qdot(y), qdot(z), qdot(v)
-        by, bz, bv = bdot(y), bdot(z), bdot(v)
-        t = (qy * qz * qv) * (phis[3] * bx) \
-            + (qy * qz * bv + qy * bz * qv + by * qz * qv) * phis[2]
-        return t * lam
-
-    qbar = [z.conj() for z in q_vec]
-    term_c = C1(q_vec, q_vec, qbar)
+    term_c = lam * row1_d3(phis, bx, *Q, *Q, *Qbar)
 
     # (I - A)^{-1} B(q, qbar): real matrix, complex right-hand side
-    ImA = IMatrix.identity(d) - A_iv
-    beta1 = B1(q_vec, qbar)
+    ImA = IMatrix.identity(d) - data.A
+    beta1 = B1(Q, Qbar)
     B_pre = np.linalg.inv(ImA.mid)
     e1 = np.zeros(d)
     e1[0] = 1.0
     z1_re = verified_solve(ImA, IVector.point(e1).scale(beta1.re), B_pre)
     z1_im = verified_solve(ImA, IVector.point(e1).scale(beta1.im), B_pre)
-    z1 = [CI(Interval(z1_re.lo[i], z1_re.hi[i]), Interval(z1_im.lo[i], z1_im.hi[i]))
-          for i in range(d)]
-    term_b2 = B1(q_vec, z1)
+    z1 = [CI(re, im) for re, im in zip(z1_re.to_scalars(), z1_im.to_scalars())]
+    term_b2 = B1(Q, _qb(coral.ci, z1))
 
     # (e^{2 i theta0} I - A)^{-1} B(q, q): genuinely complex solve
-    mu2 = CI(a, b) * CI(a, b)
-    beta2 = B1(q_vec, q_vec)
-    re_m = -A_iv
-    im_m = IMatrix(np.zeros((d, d)), np.zeros((d, d)))
-    for i in range(d):
-        re_m.set_entry(i, i, mu2.re - A_iv.entry(i, i))
-        im_m.set_entry(i, i, mu2.im)
+    mu2 = CI(data.a, data.b) * CI(data.a, data.b)
+    im_lo, im_hi = np.zeros((d, d)), np.zeros((d, d))
+    _put(im_lo, im_hi, (np.arange(d), np.arange(d)), mu2.im)
     rhs = [CI(0.0, 0.0) for _ in range(d)]
-    rhs[0] = beta2
-    z2 = verified_solve_complex(re_m, im_m, rhs)
-    term_b3 = B1(qbar, z2)
+    rhs[0] = B1(Q, Q)
+    z2 = verified_solve_complex(-_shifted(data.A, mu2.re), IMatrix(im_lo, im_hi), rhs)
+    term_b3 = B1(Qbar, _qb(coral.ci, z2))
 
-    r = _normalized_p_row(coral, box)
     total = term_c + CI(2.0 * term_b2.re, 2.0 * term_b2.im) + term_b3
-    val = CI(a, -b) * r[0] * total
+    val = CI(data.a, -data.b) * data.r[0] * total
     return val.re
 
 
@@ -953,9 +893,10 @@ def certify_ns(coral: CoralMap, anchor: np.ndarray | None = None,
             f"separated={spec.outliers_separated}")
 
     try:
-        cond_c, cond_c_explicit = ns_condition_c_pair(coral, box)
+        data = ns_box_data(coral, box, A_iv)
+        cond_c, cond_c_explicit = ns_condition_c_pair(coral, data)
         theta, angle_checks = ns_condition_d(coral, box)
-        cond_e = ns_condition_e(coral, box)
+        cond_e = ns_condition_e(coral, data)
     except (ConditionInconclusive, NotInvertibleEvidence) as exc:
         raise CertificationFailed(f"stage conditions: {exc}") from exc
     if cond_c.contains_zero() or cond_c_explicit.contains_zero():
@@ -1014,56 +955,36 @@ def _sn_left_vector(coral: CoralMap, A_iv: IMatrix, v_mid: np.ndarray) -> IVecto
     p0 = np.real(vecs[:, k])
     pin = p0 / float(p0 @ p0)
     n = d + 1
-    lo = np.zeros((n, n))
-    hi = np.zeros((n, n))
-    M = IMatrix(lo, hi)
-    for i in range(d):
-        for j in range(d):
-            e = A_iv.entry(j, i)          # transpose
-            if i == j:
-                e = e - Interval(1.0)
-            M.set_entry(i, j, e)
-        M.set_entry(i, d, Interval(float(v_mid[i])))
-        M.set_entry(d, i, Interval(float(pin[i])))
+    lo, hi = np.zeros((n, n)), np.zeros((n, n))
+    _put(lo, hi, np.s_[:d, :d], _shifted(A_iv.T, 1.0))
+    lo[:d, d] = hi[:d, d] = v_mid
+    lo[d, :d] = hi[d, :d] = pin
     rhs = np.zeros(n)
     rhs[d] = 1.0
-    sol = verified_solve(M, IVector.point(rhs))
+    sol = verified_solve(IMatrix(lo, hi), IVector.point(rhs))
     return IVector(sol.lo[:d], sol.hi[:d])
 
 
-def sn_conditions(coral: CoralMap, box: IVector) -> tuple[Interval, Interval]:
+def sn_conditions(coral: CoralMap, box: IVector, A_iv: IMatrix) -> tuple[Interval, Interval]:
     """(c) p^t D_lambda f and (d) p^t B(q, q) over the certified box, with
-    q = v and p normalized so that p^t q = 1.
+    q = v and p normalized so that p^t q = 1; A_iv encloses D_x f over it.
 
     The certified kernel vector fixes an arbitrary sign; the returned
     values use the orientation that makes (c) negative (only the product
     (c)*(d) is orientation invariant)."""
     d = coral.d
-    zs = box.to_scalars()
-    x, v, lam = zs[:d], zs[d:2 * d], zs[2 * d]
-    x_box = IVector(box.lo[:d], box.hi[:d])
-    A_iv = coral.jac_x_iv(zs[2 * d], x_box)
-    phis = phi_derivs(polyp_density(x, coral.ci), coral.params, order=2)
-    bx = sum((bk * xk for bk, xk in zip(coral.ci.b, x)), Interval(0.0))
+    x, v, lam = SnSystem(coral).split(box.to_scalars())
+    _, _, phis, bx = coral.row1_gradient(x, coral.ci, order=2)
 
-    p_raw = _sn_left_vector(coral, A_iv, box.mid[d:2 * d])
-    ps = p_raw.to_scalars()
-    z = Interval(0.0)
-    for pi, vi in zip(ps, v):
-        z = z + pi * vi
+    ps = _sn_left_vector(coral, A_iv, box.mid[d:2 * d]).to_scalars()
+    z = sum((pi * vi for pi, vi in zip(ps, v)), Interval(0.0))
     if z.contains_zero():
         raise ConditionInconclusive("p^t q enclosure touches zero")
     ps = [pi / z for pi in ps]
 
     cond_c = ps[0] * (phis[0] * bx)
-
-    qv = Interval(0.0)
-    bv = Interval(0.0)
-    for qk, bk, vk in zip(coral.ci.q, coral.ci.b, v):
-        qv = qv + qk * vk
-        bv = bv + bk * vk
-    B1 = lam * (phis[2] * bx * qv * qv + phis[1] * (qv * bv + bv * qv))
-    cond_d = ps[0] * B1
+    qv, bv = _qb(coral.ci, v)
+    cond_d = ps[0] * (lam * row1_d2(phis, bx, qv, bv, qv, bv))
 
     if cond_c.mid > 0.0:
         cond_c, cond_d = -cond_c, -cond_d
@@ -1099,7 +1020,7 @@ def certify_sn(coral: CoralMap, anchor: np.ndarray | None = None,
             f"separated={spec.outliers_separated}")
 
     try:
-        cond_c, cond_d = sn_conditions(coral, box)
+        cond_c, cond_d = sn_conditions(coral, box, A_iv)
     except (ConditionInconclusive, NotInvertibleEvidence) as exc:
         raise CertificationFailed(f"stage conditions: {exc}") from exc
     if cond_c.contains_zero():

@@ -29,8 +29,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import NotInvertibleEvidence, ValidationFailed
-from .interval import (IMatrix, Interval, IVector, float_matmat, float_matvec,
-                       norm_inf, up_dot, up_mul, up_sum)
+from .interval import (IMatrix, Interval, IVector, float_matmat, norm_inf,
+                       up_dot, up_mul, up_sum)
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ def residual_bound(problem, z0: np.ndarray, precond: np.ndarray | None = None) -
     """Upper bound of |H(z0)|_inf (optionally of |B H(z0)|_inf)."""
     r = problem.value_iv(IVector.point(np.asarray(z0, dtype=float)))
     if precond is not None:
-        r = float_matvec(precond, r)
+        r = float_matmat(precond, r)
     return norm_inf(r).hi
 
 
@@ -360,7 +360,7 @@ def validate_zero(problem, z0: np.ndarray, ell: float = 1e-6,
         if precondition:
             # certify the zero of B*H (identical zero set once B*DH is
             # verified close to I, which also proves B invertible)
-            rho = norm_inf(float_matvec(B, problem.value_iv(z0iv))).hi
+            rho = norm_inf(float_matmat(B, problem.value_iv(z0iv))).hi
             A = float_matmat(B, problem.jac_iv(z0iv))
             K, _ = inverse_bound(A, np.eye(m))
             L1 = lipschitz_from_tensor(T, np.abs(B))

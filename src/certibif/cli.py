@@ -21,7 +21,8 @@ import numpy as np
 
 from . import continuation as cont
 from . import dynamics
-from .bifurcation import certify_ns, certify_sn, transcritical_analysis
+from .bifurcation import (NsSystem, SnSystem, certify_ns, certify_sn,
+                          transcritical_analysis)
 from .errors import CertificationFailed, ValidationFailed
 from .model import CoralMap, CoralParams, FixedPointReduction
 
@@ -190,7 +191,7 @@ def cmd_validate_ns(args) -> int:
     params = _load_params(args)
     coral = CoralMap(params)
     out = _outdir(args)
-    anchor = _load_anchor(args.anchor) if args.anchor else None
+    anchor = _load_anchor(args.anchor, NsSystem(coral)) if args.anchor else None
     try:
         cert = certify_ns(coral, anchor=anchor, ell=args.ell)
     except CertificationFailed as exc:
@@ -214,7 +215,7 @@ def cmd_validate_sn(args) -> int:
     params = _load_params(args)
     coral = CoralMap(params)
     out = _outdir(args)
-    anchor = _load_anchor(args.anchor) if args.anchor else None
+    anchor = _load_anchor(args.anchor, SnSystem(coral)) if args.anchor else None
     try:
         cert = certify_sn(coral, anchor=anchor, ell=args.ell)
     except CertificationFailed as exc:
@@ -233,10 +234,13 @@ def cmd_validate_sn(args) -> int:
     return 0
 
 
-def _load_anchor(path: str) -> np.ndarray:
+def _load_anchor(path: str, system) -> np.ndarray:
     data = json.loads(Path(path).read_text())
     if isinstance(data, dict):
         data = data["anchor"]
+    if len(data) != system.dim:
+        raise ValueError(f"anchor in {path} has {len(data)} entries; the "
+                         f"{system.name} system needs {system.dim}")
     return np.array([float(v) for v in data])
 
 

@@ -93,17 +93,18 @@ class CoralBranchSystem:
         """Interval (D_u F, D_t F) at an interval point."""
         lam, xs = self._lift(t, u)
         g, g1, _, _ = self.coral.row1_gradient(xs, self.coral.ci)
-        d = self.d
-        Ju = IMatrix(np.zeros((d, d)), np.zeros((d, d)))
-        for j, gj in enumerate(g1):
-            Ju.set_entry(0, j, lam * gj * (self._s_iv[j] / self._s_iv[0]))
-        for k in range(d - 1):
-            Ju.set_entry(k + 1, k, Interval.point(self.coral.params.S[k])
-                         * (self._s_iv[k] / self._s_iv[k + 1]))
-        Ju = Ju - np.eye(d)
-        Jt = IMatrix(np.zeros((d, 1)), np.zeros((d, 1)))
-        Jt.set_entry(0, 0, self._ct_iv * g / self._s_iv[0])
-        return Ju, IVector(Jt.lo[:, 0], Jt.hi[:, 0])
+        d, s = self.d, self._s_iv
+        row = IVector.from_scalars(lam * gj * (s[j] / s[0]) for j, gj in enumerate(g1))
+        sub = IVector.from_scalars(Interval.point(self.coral.params.S[k]) * (s[k] / s[k + 1])
+                                   for k in range(d - 1))
+        lo, hi = np.zeros((d, d)), np.zeros((d, d))
+        lo[0], hi[0] = row.lo, row.hi
+        k = np.arange(d - 1)
+        lo[k + 1, k], hi[k + 1, k] = sub.lo, sub.hi
+        jt = self._ct_iv * g / s[0]
+        Jt = IVector(np.zeros(d), np.zeros(d))
+        Jt.lo[0], Jt.hi[0] = jt.lo, jt.hi
+        return IMatrix(lo, hi) - np.eye(d), Jt
 
     # -- Lipschitz data over a box -------------------------------------------
 

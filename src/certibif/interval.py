@@ -378,6 +378,10 @@ class IMatrix:
     def mag(self) -> np.ndarray:
         return np.maximum(np.abs(self.lo), np.abs(self.hi))
 
+    @property
+    def T(self) -> "IMatrix":
+        return IMatrix(self.lo.T, self.hi.T)
+
     def __neg__(self) -> "IMatrix":
         return IMatrix(-self.hi, -self.lo)
 
@@ -397,13 +401,6 @@ class IMatrix:
 
     def __rsub__(self, other: np.ndarray) -> "IMatrix":
         return IMatrix.point(np.asarray(other, dtype=float)) - self
-
-    def set_entry(self, i: int, j: int, v: ScalarLike) -> None:
-        v = Interval._coerce(v)
-        if v is None:
-            raise TypeError("set_entry expects an Interval or a real number")
-        self.lo[i, j] = v.lo
-        self.hi[i, j] = v.hi
 
     def entry(self, i: int, j: int) -> Interval:
         return Interval(float(self.lo[i, j]), float(self.hi[i, j]))
@@ -431,47 +428,27 @@ def _mul_bounds(alo, ahi, blo, bhi):
     return _adn(lo), _aup(hi)
 
 
-def float_matvec(B: np.ndarray, v: IVector) -> IVector:
-    """Rigorous product of a float matrix with an interval vector."""
+def float_matmat(B: np.ndarray, A: "IMatrix | IVector") -> "IMatrix | IVector":
+    """Rigorous product of a float matrix with an interval matrix, or with
+    an interval vector taken as one column.  A @ B for interval A and float
+    B is float_matmat(B.T, A.T).T: the same products, summed in the same
+    order."""
+    vec = isinstance(A, IVector)
+    alo, ahi = (A.lo[:, None], A.hi[:, None]) if vec else (A.lo, A.hi)
     n, m = B.shape
-    acc_lo = np.zeros(n)
-    acc_hi = np.zeros(n)
-    for k in range(m):
-        c1 = B[:, k] * v.lo[k]
-        c2 = B[:, k] * v.hi[k]
-        acc_lo = _adn(acc_lo + _adn(np.minimum(c1, c2)))
-        acc_hi = _aup(acc_hi + _aup(np.maximum(c1, c2)))
-    return IVector(acc_lo, acc_hi)
-
-
-def float_matmat(B: np.ndarray, A: IMatrix) -> IMatrix:
-    """Rigorous product of a float matrix with an interval matrix."""
-    n, m = B.shape
-    m2, r = A.shape
+    m2, r = alo.shape
     if m != m2:
         raise DomainError("shape mismatch")
     acc_lo = np.zeros((n, r))
     acc_hi = np.zeros((n, r))
     for k in range(m):
         col = B[:, k : k + 1]
-        c1 = col * A.lo[k : k + 1, :]
-        c2 = col * A.hi[k : k + 1, :]
+        c1 = col * alo[k : k + 1, :]
+        c2 = col * ahi[k : k + 1, :]
         acc_lo = _adn(acc_lo + _adn(np.minimum(c1, c2)))
         acc_hi = _aup(acc_hi + _aup(np.maximum(c1, c2)))
-    return IMatrix(acc_lo, acc_hi)
-
-
-def matmat_float(A: IMatrix, B: np.ndarray) -> IMatrix:
-    """Rigorous product of an interval matrix with a float matrix."""
-    n, m = A.shape
-    acc_lo = np.zeros((n, B.shape[1]))
-    acc_hi = np.zeros((n, B.shape[1]))
-    for k in range(m):
-        row = B[k : k + 1, :]
-        c1 = A.lo[:, k : k + 1] * row
-        c2 = A.hi[:, k : k + 1] * row
-        acc_lo = _adn(acc_lo + _adn(np.minimum(c1, c2)))
-        acc_hi = _aup(acc_hi + _aup(np.maximum(c1, c2)))
+    if vec:
+        return IVector(acc_lo[:, 0], acc_hi[:, 0])
     return IMatrix(acc_lo, acc_hi)
 
 

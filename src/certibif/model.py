@@ -1,7 +1,7 @@
 """The red-coral population map f(lambda, x) = L(lambda, x) x.
 
 Only the first component (recruitment) is nonlinear; components 2..d are
-the linear survival shифts x_{k+1} <- S_k x_k.  All derivatives up to
+the linear survival shifts x_{k+1} <- S_k x_k.  All derivatives up to
 third order are closed-form, which keeps interval enclosures tight.
 
 The map code is generic over the scalar type: plain floats drive
@@ -185,6 +185,22 @@ def phi_derivs(y, params: CoralParams, order: int = 3):
     return tuple(out)
 
 
+def row1_d2(phis, bx, qy, by, qz, bz):
+    """D^2 g[y, z] for g = phi(P) (b.x), the nonlinear part of f_1 =
+    lambda*g (rows 2..d of the map are linear), from phis = (phi, phi',
+    phi'', ...) at P = q.x and the contractions qy = q.y, by = b.y, ...
+
+    Generic over the scalar type: floats (numpy arrays for qz, bz give a
+    whole row of D^2 g), Interval, CI and mpmath scalars."""
+    return phis[2] * bx * qy * qz + phis[1] * (qy * bz + by * qz)
+
+
+def row1_d3(phis, bx, qy, by, qz, bz, qw, bw):
+    """D^3 g[y, z, w] for g = phi(P) (b.x), as row1_d2 (phis to phi''')."""
+    return (phis[3] * bx * qy * qz * qw
+            + phis[2] * (qy * qz * bw + qy * bz * qw + by * qz * qw))
+
+
 def polyp_density(x, coeffs: DerivedCoefficients):
     """P = (1/Omega) sum_{k>=2} p_k x_k, via the q = dP/dx gradient."""
     total = None
@@ -243,30 +259,6 @@ class CoralMap:
         out[0] = phi(P, self.params) * float(self.cf.b @ x)
         return out
 
-    def bilinear_B(self, lam: float, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Second-derivative form B_i(y, z); rows 2..d vanish."""
-        P = float(self.cf.q @ np.asarray(x, dtype=float))
-        bx = float(self.cf.b @ np.asarray(x, dtype=float))
-        _, ph1, ph2 = phi_derivs(P, self.params, order=2)
-        qy, qz = float(self.cf.q @ y), float(self.cf.q @ z)
-        by, bz = float(self.cf.b @ y), float(self.cf.b @ z)
-        out = np.zeros(self.d)
-        out[0] = lam * (ph2 * bx * qy * qz + ph1 * (qy * bz + by * qz))
-        return out
-
-    def trilinear_C(self, lam: float, x: np.ndarray, y: np.ndarray,
-                    z: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Third-derivative form C_i(y, z, w); rows 2..d vanish."""
-        P = float(self.cf.q @ np.asarray(x, dtype=float))
-        bx = float(self.cf.b @ np.asarray(x, dtype=float))
-        _, _, ph2, ph3 = phi_derivs(P, self.params, order=3)
-        qy, qz, qw = (float(self.cf.q @ v) for v in (y, z, w))
-        by, bz, bw = (float(self.cf.b @ v) for v in (y, z, w))
-        out = np.zeros(self.d)
-        out[0] = lam * (ph3 * bx * qy * qz * qw
-                        + ph2 * (qy * qz * bw + qy * bz * qw + by * qz * qw))
-        return out
-
     # -- generic-scalar paths --------------------------------------------
 
     def step_scalars(self, lam, x: Sequence, coeffs: DerivedCoefficients) -> list:
@@ -291,21 +283,12 @@ class CoralMap:
 
     def jac_x_iv(self, lam: Interval, x: IVector) -> IMatrix:
         _, g1, _, _ = self.row1_gradient(x.to_scalars(), self.ci)
-        J = IMatrix(np.zeros((self.d, self.d)), np.zeros((self.d, self.d)))
-        for j, gj in enumerate(g1):
-            J.set_entry(0, j, lam * gj)
-        for k in range(self.d - 1):
-            J.set_entry(k + 1, k, Interval.point(self.params.S[k]))
-        return J
-
-    def row1_second(self, x: Sequence, coeffs: DerivedCoefficients) -> list[list]:
-        """d2 g / dx_j dx_k as scalars (g is the nonlinear part of f_1)."""
-        P = polyp_density(x, coeffs)
-        phis = phi_derivs(P, self.params, order=2)
-        bx = sum((bk * xk for bk, xk in zip(coeffs.b, x)), 0.0 * P)
-        q, b = coeffs.q, coeffs.b
-        return [[phis[2] * bx * q[j] * q[k] + phis[1] * (q[j] * b[k] + q[k] * b[j])
-                 for k in range(self.d)] for j in range(self.d)]
+        row = IVector.from_scalars(lam * gj for gj in g1)
+        lo, hi = np.zeros((self.d, self.d)), np.zeros((self.d, self.d))
+        lo[0], hi[0] = row.lo, row.hi
+        k = np.arange(self.d - 1)
+        lo[k + 1, k] = hi[k + 1, k] = self._S
+        return IMatrix(lo, hi)
 
     # -- rigorous second/third-order bounds over a box --------------------
 

@@ -2,21 +2,22 @@ import cmath
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from certibif.bifurcation import (CI, BifCertificate, NsSystem, SnSystem,
                                   atan2_enclosure, find_ns_anchor,
-                                  find_sn_anchor, ns_condition_c_pair,
+                                  find_sn_anchor, ns_box_data, ns_condition_c_pair,
                                   ns_condition_d, ns_condition_e,
                                   transcritical_analysis,
                                   trivial_branch_det_formula,
                                   verified_solve, verified_spectrum_inside_disk)
 from certibif.errors import DomainError, SpectrumInconclusive
 from certibif.interval import IMatrix, Interval, IVector
-from certibif.model import FixedPointReduction, phi_derivs
+from certibif.model import FixedPointReduction, phi_derivs, row1_d2
 
-from helpers import mp_coeffs, mp_system_refine
+from helpers import mp_coeffs, mp_fd_jacobian, mp_system_refine
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +116,29 @@ def test_hns_interval_value_contains_float(coral):
     assert enc.contains_point(ns.value(z))
 
 
+def _assert_jac_iv_contains_mp_jacobian(coral, system, z, rad=1e-9, corners=4):
+    """At the centre and at corners of the radius-`rad` box around z, the
+    50-digit finite-difference Jacobian of value_scalars lies inside
+    jac_iv(box) to within 1e-20 * max(1, |J|)."""
+    box = IVector.around(z, rad)
+    Jiv = system.jac_iv(box)
+    rng = np.random.default_rng(system.dim)
+    points = [z, box.lo, box.hi] + [np.where(rng.random(system.dim) < 0.5, box.lo, box.hi)
+                                    for _ in range(corners - 2)]
+    with mp.workdps(50):
+        coeffs = mp_coeffs(coral)
+
+        def val(zz):
+            return mp.matrix(system.value_scalars(list(zz), coeffs))
+
+        for pt in points:
+            J = mp_fd_jacobian(val, mp.matrix([mp.mpf(float(v)) for v in pt]))
+            for i in range(system.dim):
+                for j in range(system.dim):
+                    tol = mp.mpf(1e-20) * max(1, abs(J[i, j]))
+                    assert Jiv.lo[i, j] - tol <= J[i, j] <= Jiv.hi[i, j] + tol, (i, j)
+
+
 def test_hns_jacobian_matches_finite_differences(coral):
     ns = NsSystem(coral)
     z = find_ns_anchor(coral)
@@ -125,8 +149,7 @@ def test_hns_jacobian_matches_finite_differences(coral):
         e = np.zeros(42); e[j] = h
         col = (ns.value(z + e) - ns.value(z - e)) / (2 * h)
         assert np.allclose(J[:, int(j)], col, rtol=1e-6, atol=2e-4)
-    Jiv = ns.jac_iv(IVector.point(z))
-    assert np.all(Jiv.lo <= J + 1e-10) and np.all(Jiv.hi >= J - 1e-10)
+    _assert_jac_iv_contains_mp_jacobian(coral, ns, z)
 
 
 def test_hsn_dimension_and_jacobian(coral):
@@ -141,8 +164,7 @@ def test_hsn_dimension_and_jacobian(coral):
         e = np.zeros(27); e[j] = h
         col = (sn.value(z + e) - sn.value(z - e)) / (2 * h)
         assert np.allclose(J[:, int(j)], col, rtol=1e-6, atol=2e-4)
-    Jiv = sn.jac_iv(IVector.point(z))
-    assert np.all(Jiv.lo <= J + 1e-10) and np.all(Jiv.hi >= J - 1e-10)
+    _assert_jac_iv_contains_mp_jacobian(coral, sn, z)
 
 
 def test_hessian_sup_dominates_finite_differences(coral):
@@ -257,9 +279,14 @@ def ns_float_oracle(coral):
                 theta=math.degrees(cmath.phase(mu)))
 
 
+def _ns_data(coral, box):
+    d = coral.d
+    return ns_box_data(coral, box, coral.jac_x_iv(box[d], IVector(box.lo[:d], box.hi[:d])))
+
+
 def test_ns_condition_c_matches_oracle(coral, ns_cert, ns_float_oracle):
     box = IVector(np.array(ns_cert.enclosure_lo), np.array(ns_cert.enclosure_hi))
-    total, expl = ns_condition_c_pair(coral, box)
+    total, expl = ns_condition_c_pair(coral, _ns_data(coral, box))
     assert ns_float_oracle["c_total"] in total
     assert ns_float_oracle["c_expl"] in expl
     assert total.width <= 1e-4 * abs(ns_float_oracle["c_total"])
@@ -297,7 +324,7 @@ def test_ns_condition_d_excludes_resonances(coral, ns_cert):
 
 def test_ns_condition_e_matches_oracle_and_sign(coral, ns_cert, ns_float_oracle):
     box = IVector(np.array(ns_cert.enclosure_lo), np.array(ns_cert.enclosure_hi))
-    val = ns_condition_e(coral, box)
+    val = ns_condition_e(coral, _ns_data(coral, box))
     assert ns_float_oracle["e"] in val
     assert val.hi < 0.0    # supercritical: stable invariant circles observed
 
@@ -336,8 +363,9 @@ def test_ns_condition_invariance_under_eigvec_phase(coral, ns_cert):
     z2 = z.copy()
     z2[14:27], z2[27:40] = -w0, -u0
     box2 = IVector.around(z2, ns_cert.delta_accuracy)
-    total2, expl2 = ns_condition_c_pair(coral, box2)
-    e2 = ns_condition_e(coral, box2)
+    data2 = _ns_data(coral, box2)
+    total2, expl2 = ns_condition_c_pair(coral, data2)
+    e2 = ns_condition_e(coral, data2)
     c_lo, c_hi = ns_cert.conditions["c_transversality"]
     e_lo, e_hi = ns_cert.conditions["e_normal_form"]
     assert abs(expl2.mid - 0.5 * (c_lo + c_hi)) <= 1e-6
@@ -465,7 +493,9 @@ def test_transcritical_nd2_closed_form(coral):
 def test_bilinear_at_origin_matches_hand_formula(coral):
     p = coral.params
     lam0 = (p.c2 / p.c1) / coral.cf.ba
-    got = coral.bilinear_B(lam0, np.zeros(13), coral.cf.a, coral.cf.a)[0]
+    phis = phi_derivs(0.0, p, order=2)
+    qa, ba = float(coral.cf.q @ coral.cf.a), float(coral.cf.b @ coral.cf.a)
+    got = lam0 * row1_d2(phis, 0.0, qa, ba, qa, ba)
     expect = (2.0 * (p.beta - p.alpha) / p.omega) * coral.cf.sum_pa
     assert math.isclose(got, expect, rel_tol=1e-10)
 

@@ -56,8 +56,8 @@ class AffineMap:
         return self.A.copy()
 
     def value_iv(self, z: IVector) -> IVector:
-        from certibif.interval import float_matvec
-        return float_matvec(self.A, z) - self.b
+        from certibif.interval import float_matmat
+        return float_matmat(self.A, z) - self.b
 
     def jac_iv(self, z: IVector) -> IMatrix:
         return IMatrix.point(self.A)

@@ -72,6 +72,18 @@ def test_validate_ns_with_anchor_file(tmp_path, capsys, ns_cert):
     assert "Neimark-Sacker certified" in out
 
 
+def test_anchor_of_the_wrong_length_is_usage_error(tmp_path, capsys, sn_cert, ns_cert):
+    """Each verb rejects the other's anchor, naming both lengths."""
+    for verb, cert, got, need in (("validate-ns", sn_cert, 27, 42),
+                                  ("validate-sn", ns_cert, 42, 27)):
+        anchor_path = tmp_path / f"{verb}.json"
+        anchor_path.write_text(json.dumps({"anchor": [repr(v) for v in cert.anchor]}))
+        rc = main(["--out", str(tmp_path), verb, "--anchor", str(anchor_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"has {got} entries" in err and f"needs {need}" in err
+
+
 def test_diagram_branch_structure(tmp_path, capsys):
     rc = main(["--out", str(tmp_path), "diagram", "--points", "400"])
     assert rc == 0

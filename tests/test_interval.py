@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from certibif.errors import DomainError
 from certibif.interval import (IMatrix, Interval, IVector, float_matmat,
-                               float_matvec, matmat_float, norm_inf, up_dot,
-                               up_mul, up_sum)
+                               norm_inf, up_dot, up_mul, up_sum)
 
 ULP = 2.0 ** -52
 
@@ -193,7 +192,8 @@ def test_matmat_contains_float_product():
     A = rng.normal(size=(6, 6))
     B = rng.normal(size=(6, 6))
     exact = A @ B
-    for C in (float_matmat(A, IMatrix.point(B)), matmat_float(IMatrix.point(A), B)):
+    # interval times float is the transpose of float times interval
+    for C in (float_matmat(A, IMatrix.point(B)), float_matmat(B.T, IMatrix.point(A).T).T):
         assert np.all(C.lo <= exact + 1e-12) and np.all(C.hi >= exact - 1e-12)
         # rigorous containment of the exact real product via Fractions on a few entries
         for i in (0, 3):
@@ -207,8 +207,12 @@ def test_float_matvec_and_matmat_contain_exact():
     B = rng.normal(size=(5, 5))
     A = rng.normal(size=(5, 5))
     x = rng.normal(size=5)
-    out_v = float_matvec(B, IVector.point(x))
+    out_v = float_matmat(B, IVector.point(x))
     out_m = float_matmat(B, IMatrix.point(A))
+    # a vector is one column
+    col = float_matmat(B, IMatrix.point(x[:, None]))
+    assert isinstance(out_v, IVector)
+    assert np.array_equal(out_v.lo, col.lo[:, 0]) and np.array_equal(out_v.hi, col.hi[:, 0])
     for i in range(5):
         sv = sum(Fraction(B[i, k]) * Fraction(x[k]) for k in range(5))
         assert Fraction(out_v.lo[i]) <= sv <= Fraction(out_v.hi[i])

@@ -9,7 +9,7 @@ from certibif.errors import ValidationFailed
 from certibif.interval import Interval, IVector
 from certibif.model import (CoralParams, FixedPointReduction,
                             R_to_lambda, derive_generic, lambda_to_R, phi,
-                            phi_derivs)
+                            phi_derivs, row1_d2, row1_d3)
 
 from helpers import mp_coeffs
 
@@ -185,17 +185,32 @@ def test_jac_lam_is_first_component_only(coral):
     assert math.isclose(dl[0], coral.step(4.0, x)[0] / 4.0, rel_tol=1e-14)
 
 
+def _row1_data(coral, x, *vecs):
+    """phi to phi''' and b.x at x, then (q.v, b.v) for each v, as floats."""
+    phis = phi_derivs(float(coral.cf.q @ x), coral.params, order=3)
+    out = [phis, float(coral.cf.b @ x)]
+    for v in vecs:
+        out += [float(coral.cf.q @ v), float(coral.cf.b @ v)]
+    return out
+
+
 def test_bilinear_symmetry_and_sparsity(coral):
     rng = np.random.default_rng(3)
     x = 1000.0 * coral.cf.a
     y, z, w = rng.normal(size=(3, 13))
-    By_z = coral.bilinear_B(2.0, x, y, z)
-    assert np.allclose(By_z, coral.bilinear_B(2.0, x, z, y))
-    assert np.all(By_z[1:] == 0.0)
-    C1 = coral.trilinear_C(2.0, x, y, z, w)
-    for perm in ((z, y, w), (w, z, y), (y, w, z)):
-        assert np.allclose(C1, coral.trilinear_C(2.0, x, *perm))
-    assert np.all(C1[1:] == 0.0)
+    phis, bx, qy, by, qz, bz, qw, bw = _row1_data(coral, x, y, z, w)
+    assert math.isclose(row1_d2(phis, bx, qy, by, qz, bz),
+                        row1_d2(phis, bx, qz, bz, qy, by), rel_tol=1e-14)
+    C1 = row1_d3(phis, bx, qy, by, qz, bz, qw, bw)
+    for perm in (((qz, bz), (qy, by), (qw, bw)), ((qw, bw), (qz, bz), (qy, by)),
+                 ((qy, by), (qw, bw), (qz, bz))):
+        assert math.isclose(C1, row1_d3(phis, bx, *perm[0], *perm[1], *perm[2]),
+                            rel_tol=1e-12)
+    # rows 2..d of the map are linear: their second difference is rounding only
+    lam = 2.0
+    dd = (coral.step(lam, x + y + z) - coral.step(lam, x + y)
+          - coral.step(lam, x + z) + coral.step(lam, x))
+    assert np.all(np.abs(dd[1:]) <= 1e-12 * np.max(np.abs(x)))
 
 
 def test_bilinear_matches_finite_differences(coral):
@@ -205,8 +220,12 @@ def test_bilinear_matches_finite_differences(coral):
     h = 1e-3
     fd = (coral.step(lam, x + h * (y + z)) - coral.step(lam, x + h * y)
           - coral.step(lam, x + h * z) + coral.step(lam, x)) / h ** 2
-    got = coral.bilinear_B(lam, x, y, z)
-    assert math.isclose(got[0], fd[0], rel_tol=1e-4)
+    got = lam * row1_d2(*_row1_data(coral, x, y, z))
+    assert math.isclose(got, fd[0], rel_tol=1e-4)
+    # numpy arrays for the last pair give the whole row of D^2 g
+    phis, bx, qy, by = _row1_data(coral, x, y)
+    row = row1_d2(phis, bx, qy, by, coral.cf.q, coral.cf.b)
+    assert math.isclose(row @ z, row1_d2(*_row1_data(coral, x, y, z)), rel_tol=1e-12)
 
 
 def test_trilinear_matches_finite_differences(coral):
@@ -216,7 +235,7 @@ def test_trilinear_matches_finite_differences(coral):
     # third central difference along y
     vals = [coral.step(lam, x + k * h * y)[0] for k in (-2, -1, 0, 1, 2)]
     fd3 = (vals[4] - 2 * vals[3] + 2 * vals[1] - vals[0]) / (2 * h ** 3)
-    got = coral.trilinear_C(lam, x, y, y, y)[0]
+    got = lam * row1_d3(*_row1_data(coral, x, y, y, y))
     assert math.isclose(got, fd3, rel_tol=1e-4)
 
 
