@@ -20,9 +20,10 @@ import numpy as np
 from . import cift
 from .errors import (CertificationFailed, ConditionInconclusive, DomainError,
                      NotInvertibleEvidence, SpectrumInconclusive)
-from .interval import (IMatrix, Interval, IVector, float_matmat, norm_inf, up_dot,
-                       up_mul, up_sum, _dn2, _up2)
-from .model import CoralMap, FixedPointReduction, phi_derivs, row1_d2, row1_d3
+from .interval import (IMatrix, Interval, IVector, dot_seq, float_matmat, norm_inf,
+                       up_dot, up_mul, up_sum, _dn2, _up2)
+from .model import (CoralMap, FixedPointReduction, Row1Jet, phi_derivs, polyp_density,
+                    row1_d2, row1_d3)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +161,21 @@ def _d2_row(coral: CoralMap, lam: Interval, phis, bx: Interval, y) -> IVector:
                                 for qk, bk in zip(coral.ci.q, coral.ci.b))
 
 
+def _row1_jvp(coral: CoralMap, lam, x, coeffs, *vecs) -> list:
+    """lam * Dg(x)[v] for each v: row 1 of D_x f v in the generic scalar
+    type of the residuals (floats, Intervals or mpmath)."""
+    P = polyp_density(x, coeffs)
+    bx = sum((bk * xk for bk, xk in zip(coeffs.b, x)), 0.0 * P)
+    ph, ph1 = phi_derivs(P, coral.params, order=1)
+    g1 = [ph1 * qk * bx + ph * bk for qk, bk in zip(coeffs.q, coeffs.b)]
+    return [sum((gj * vj for gj, vj in zip(g1, v)), 0.0 * lam) * lam for v in vecs]
+
+
+def _g1_dot(jet: Row1Jet, y: IVector) -> Interval:
+    """Dg[y] = sum_j g1_j y_j over the jet's box, summed in j order."""
+    return dot_seq(jet.g1.lo, jet.g1.hi, y.lo, y.hi, start=Interval(0.0))
+
+
 # ---------------------------------------------------------------------------
 # extended systems
 # ---------------------------------------------------------------------------
@@ -196,11 +212,9 @@ class NsSystem:
         a, b = z[3 * d + 1], z[3 * d + 2]
         S = self.coral.params.S
         f = self.coral.step_scalars(lam, x, coeffs)
-        _, g1, _, _ = self.coral.row1_gradient(x, coeffs)
-        jw = [sum((gj * wj for gj, wj in zip(g1, w)), 0.0 * lam) * lam] + \
-             [S[i] * w[i] for i in range(d - 1)]
-        ju = [sum((gj * uj for gj, uj in zip(g1, u)), 0.0 * lam) * lam] + \
-             [S[i] * u[i] for i in range(d - 1)]
+        jw0, ju0 = _row1_jvp(self.coral, lam, x, coeffs, w, u)
+        jw = [jw0] + [S[i] * w[i] for i in range(d - 1)]
+        ju = [ju0] + [S[i] * u[i] for i in range(d - 1)]
         out = [fi - xi for fi, xi in zip(f, x)]
         out += [jwi - a * wi + b * ui for jwi, wi, ui in zip(jw, w, u)]
         out += [jui - b * wi - a * ui for jui, wi, ui in zip(ju, w, u)]
@@ -252,9 +266,10 @@ class NsSystem:
 
     def jac_iv(self, z: IVector) -> IMatrix:
         d = self.d
-        x, lam, w, u, a, b = self.split(z.to_scalars())
-        _, g1, phis, bx = self.coral.row1_gradient(x, self.coral.ci, order=2)
-        A = self.coral.jac_x_iv(lam, IVector(z.lo[:d], z.hi[:d]))
+        _, lam, w, u, a, b = self.split(z.to_scalars())
+        jet = self.coral.row1_jet(IVector(z.lo[:d], z.hi[:d]), order=2)
+        phis, bx = jet.phis, jet.bx
+        A = self.coral.jac_x_iv(lam, jet)
         lo, hi = np.zeros((self.dim, self.dim)), np.zeros((self.dim, self.dim))
         sx, sl = slice(0, d), d
         sw, su = slice(d + 1, 2 * d + 1), slice(2 * d + 1, 3 * d + 1)
@@ -267,14 +282,14 @@ class NsSystem:
         _put(lo, hi, (0, sl), phis[0] * bx)
         # rows D_xf w - a w + b u
         _put(lo, hi, (d, sx), _d2_row(self.coral, lam, phis, bx, w))
-        _put(lo, hi, (d, sl), sum((gj * wj for gj, wj in zip(g1, w)), Interval(0.0)))
+        _put(lo, hi, (d, sl), _g1_dot(jet, W))
         _put(lo, hi, (r2, sw), _shifted(A, a))
         _put(lo, hi, (d + i, 2 * d + 1 + i), b)
         _put(lo, hi, (r2, sa), -W)
         _put(lo, hi, (r2, sb), U)
         # rows D_xf u - b w - a u
         _put(lo, hi, (2 * d, sx), _d2_row(self.coral, lam, phis, bx, u))
-        _put(lo, hi, (2 * d, sl), sum((gj * uj for gj, uj in zip(g1, u)), Interval(0.0)))
+        _put(lo, hi, (2 * d, sl), _g1_dot(jet, U))
         _put(lo, hi, (2 * d + i, d + 1 + i), -b)
         _put(lo, hi, (r3, su), _shifted(A, a))
         _put(lo, hi, (r3, sa), -U)
@@ -356,9 +371,7 @@ class SnSystem:
         x, v, lam = z[:d], z[d:2 * d], z[2 * d]
         S = self.coral.params.S
         f = self.coral.step_scalars(lam, x, coeffs)
-        _, g1, _, _ = self.coral.row1_gradient(x, coeffs)
-        jv = [sum((gj * vj for gj, vj in zip(g1, v)), 0.0 * lam) * lam] + \
-             [S[i] * v[i] for i in range(d - 1)]
+        jv = _row1_jvp(self.coral, lam, x, coeffs, v) + [S[i] * v[i] for i in range(d - 1)]
         out = [fi - xi for fi, xi in zip(f, x)]
         out += [jvi - vi for jvi, vi in zip(jv, v)]
         out.append(sum((vi * vi for vi in v), 0.0 * lam) - 1.0)
@@ -387,16 +400,18 @@ class SnSystem:
 
     def jac_iv(self, z: IVector) -> IMatrix:
         d = self.d
-        x, v, lam = self.split(z.to_scalars())
-        _, g1, phis, bx = self.coral.row1_gradient(x, self.coral.ci, order=2)
-        AmI = _shifted(self.coral.jac_x_iv(lam, IVector(z.lo[:d], z.hi[:d])), 1.0)
+        _, v, lam = self.split(z.to_scalars())
+        jet = self.coral.row1_jet(IVector(z.lo[:d], z.hi[:d]), order=2)
+        phis, bx = jet.phis, jet.bx
+        AmI = _shifted(self.coral.jac_x_iv(lam, jet), 1.0)
         lo, hi = np.zeros((self.dim, self.dim)), np.zeros((self.dim, self.dim))
         _put(lo, hi, np.s_[:d, :d], AmI)
         _put(lo, hi, (0, 2 * d), phis[0] * bx)
         _put(lo, hi, (d, np.s_[:d]), _d2_row(self.coral, lam, phis, bx, v))
         _put(lo, hi, np.s_[d:2 * d, d:2 * d], AmI)
-        _put(lo, hi, (d, 2 * d), sum((gj * vj for gj, vj in zip(g1, v)), Interval(0.0)))
-        _put(lo, hi, (2 * d, np.s_[d:2 * d]), IVector(z.lo[d:2 * d], z.hi[d:2 * d]).scale(2.0))
+        V = IVector(z.lo[d:2 * d], z.hi[d:2 * d])
+        _put(lo, hi, (d, 2 * d), _g1_dot(jet, V))
+        _put(lo, hi, (2 * d, np.s_[d:2 * d]), V.scale(2.0))
         return IMatrix(lo, hi)
 
     def hessian_sup(self, box: IVector) -> np.ndarray:
@@ -766,15 +781,15 @@ def _ns_left_row(coral: CoralMap, A_iv: IMatrix, a: Interval, b: Interval,
 
 def ns_box_data(coral: CoralMap, box: IVector, A_iv: IMatrix) -> NsBoxData:
     """The NS condition data over a certified box, given its D_x f enclosure."""
-    x, lam, w, u, a, b = NsSystem(coral).split(box.to_scalars())
-    _, g1, phis, bx = coral.row1_gradient(x, coral.ci, order=3)
+    _, lam, w, u, a, b = NsSystem(coral).split(box.to_scalars())
+    jet = coral.row1_jet(IVector(box.lo[:coral.d], box.hi[:coral.d]), order=3)
     q = [CI(ui, -wi) for ui, wi in zip(u, w)]
     r = _ns_left_row(coral, A_iv, a, b, box.mid)
     z = sum((ri * qi for ri, qi in zip(r, q)), CI(0.0))
     if (z.re.sqr() + z.im.sqr()).lo <= 0.0:
         raise ConditionInconclusive("<p, q> enclosure touches zero")
-    return NsBoxData(lam=lam, a=a, b=b, A=A_iv, g1=g1, phis=phis, bx=bx, q=q,
-                     r=[ri / z for ri in r])
+    return NsBoxData(lam=lam, a=a, b=b, A=A_iv, g1=jet.g1.to_scalars(),
+                     phis=jet.phis, bx=jet.bx, q=q, r=[ri / z for ri in r])
 
 
 def ns_condition_c_pair(coral: CoralMap, data: NsBoxData) -> tuple[Interval, Interval]:
@@ -882,7 +897,7 @@ def certify_ns(coral: CoralMap, anchor: np.ndarray | None = None,
 
     lam_iv = zs[d]
     x_box = IVector(box.lo[:d], box.hi[:d])
-    A_iv = coral.jac_x_iv(lam_iv, x_box)
+    A_iv = coral.jac_x_iv(lam_iv, coral.row1_jet(x_box))
     try:
         spec = verified_spectrum_inside_disk(A_iv, exclude=2)
     except SpectrumInconclusive as exc:
@@ -973,8 +988,9 @@ def sn_conditions(coral: CoralMap, box: IVector, A_iv: IMatrix) -> tuple[Interva
     values use the orientation that makes (c) negative (only the product
     (c)*(d) is orientation invariant)."""
     d = coral.d
-    x, v, lam = SnSystem(coral).split(box.to_scalars())
-    _, _, phis, bx = coral.row1_gradient(x, coral.ci, order=2)
+    _, v, lam = SnSystem(coral).split(box.to_scalars())
+    jet = coral.row1_jet(IVector(box.lo[:d], box.hi[:d]), order=2)
+    phis, bx = jet.phis, jet.bx
 
     ps = _sn_left_vector(coral, A_iv, box.mid[d:2 * d]).to_scalars()
     z = sum((pi * vi for pi, vi in zip(ps, v)), Interval(0.0))
@@ -1009,7 +1025,7 @@ def certify_sn(coral: CoralMap, anchor: np.ndarray | None = None,
     zs = box.to_scalars()
     lam_iv = zs[2 * d]
     x_box = IVector(box.lo[:d], box.hi[:d])
-    A_iv = coral.jac_x_iv(lam_iv, x_box)
+    A_iv = coral.jac_x_iv(lam_iv, coral.row1_jet(x_box))
     try:
         spec = verified_spectrum_inside_disk(A_iv, exclude=1)
     except SpectrumInconclusive as exc:

@@ -23,7 +23,8 @@ import numpy as np
 from . import cift
 from .errors import (CorrectorFailed, NotInvertibleEvidence, TangentUndefined,
                      ValidationFailed)
-from .interval import (IMatrix, Interval, IVector, norm_inf, up_mul, up_sum)
+from .interval import (IMatrix, Interval, IVector, _adn, _aup, _mul_bounds,
+                       _sum_bounds, norm_inf, up_mul, up_sum)
 from .model import CoralMap, FixedPointReduction
 
 
@@ -43,6 +44,14 @@ class CoralBranchSystem:
         self.s = s
         self.rscale = float(rscale)
         self._s_iv = [Interval.point(float(v)) for v in s]
+        # the constant entries of D_u F: s_j/s_0 scales row 1, and the
+        # subdiagonal is S_k s_k/s_{k+1}
+        r0 = s / s[0]
+        self._ratio0_lo, self._ratio0_hi = _adn(r0), _aup(r0)
+        S = np.array(coral.params.S, dtype=float)
+        r1 = s[:-1] / s[1:]
+        self._sub_lo, self._sub_hi = _mul_bounds(S, S, _adn(r1), _aup(r1))
+        self._S = S
         self._ct_iv = Interval.point(self.rscale) / coral.ci.ba   # dlambda/dt
         self._ct = self.rscale / coral.cf.ba
 
@@ -77,34 +86,28 @@ class CoralBranchSystem:
 
     # -- interval evaluation ------------------------------------------------
 
-    def _lift(self, t: Interval, u: IVector) -> tuple[Interval, list[Interval]]:
+    def eval_iv(self, t: Interval, u: IVector) -> tuple[IVector, IMatrix, IVector]:
+        """Interval (F, D_u F, D_t F) at an interval point or box, from one
+        row-1 jet of x = s (.) u."""
+        d, s0 = self.d, self._s_iv[0]
         lam = self._ct_iv * t
-        xs = [sk * uk for sk, uk in zip(self._s_iv, u.to_scalars())]
-        return lam, xs
-
-    def F_iv(self, t: Interval, u: IVector) -> IVector:
-        lam, xs = self._lift(t, u)
-        fs = self.coral.step_scalars(lam, xs, self.coral.ci)
-        us = u.to_scalars()
-        return IVector.from_scalars([fk / sk - uk for fk, sk, uk
-                                     in zip(fs, self._s_iv, us)])
-
-    def jacs_iv(self, t: Interval, u: IVector) -> tuple[IMatrix, IVector]:
-        """Interval (D_u F, D_t F) at an interval point."""
-        lam, xs = self._lift(t, u)
-        g, g1, _, _ = self.coral.row1_gradient(xs, self.coral.ci)
-        d, s = self.d, self._s_iv
-        row = IVector.from_scalars(lam * gj * (s[j] / s[0]) for j, gj in enumerate(g1))
-        sub = IVector.from_scalars(Interval.point(self.coral.params.S[k]) * (s[k] / s[k + 1])
-                                   for k in range(d - 1))
+        x = IVector(*_mul_bounds(self.s, self.s, u.lo, u.hi))
+        jet = self.coral.row1_jet(x)
+        # F = f(lambda, x) / s - u; rows 2..d of f are S_k x_k
+        flo, fhi = np.empty(d), np.empty(d)
+        f0 = lam * jet.phis[0] * jet.bx
+        flo[0], fhi[0] = f0.lo, f0.hi
+        flo[1:], fhi[1:] = _mul_bounds(self._S, self._S, x.lo[:-1], x.hi[:-1])
+        F = IVector(*_sum_bounds(_adn(flo / self.s), _aup(fhi / self.s), -u.hi, -u.lo))
         lo, hi = np.zeros((d, d)), np.zeros((d, d))
-        lo[0], hi[0] = row.lo, row.hi
+        lo[0], hi[0] = _mul_bounds(*_mul_bounds(lam.lo, lam.hi, jet.g1.lo, jet.g1.hi),
+                                   self._ratio0_lo, self._ratio0_hi)
         k = np.arange(d - 1)
-        lo[k + 1, k], hi[k + 1, k] = sub.lo, sub.hi
-        jt = self._ct_iv * g / s[0]
+        lo[k + 1, k], hi[k + 1, k] = self._sub_lo, self._sub_hi
+        jt = self._ct_iv * jet.g / s0
         Jt = IVector(np.zeros(d), np.zeros(d))
         Jt.lo[0], Jt.hi[0] = jt.lo, jt.hi
-        return IMatrix(lo, hi) - np.eye(d), Jt
+        return F, IMatrix(lo, hi) - np.eye(d), Jt
 
     # -- Lipschitz data over a box -------------------------------------------
 
@@ -329,8 +332,8 @@ def segment_anchor(system: CoralBranchSystem, t0: float, u0: np.ndarray,
     ValidationFailed when (P2) fails."""
     ext = ExtendedSystem(system, t0, u0, mu, v)
     t_iv, u_iv = Interval.point(t0), IVector.point(u0)
-    rho = norm_inf(system.F_iv(t_iv, u_iv)).hi
-    Ju, Jt = system.jacs_iv(t_iv, u_iv)
+    F, Ju, Jt = system.eval_iv(t_iv, u_iv)
+    rho = norm_inf(F).hi
     xi = norm_inf(Jt.scale(mu) + Ju.matvec(IVector.point(v))).hi
 
     extJ = ext.jac_iv_at_origin(Ju, Jt)

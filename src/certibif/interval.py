@@ -428,6 +428,33 @@ def _mul_bounds(alo, ahi, blo, bhi):
     return _adn(lo), _aup(hi)
 
 
+def _sum_bounds(alo, ahi, blo, bhi):
+    """Endpoint bounds of the elementwise interval sum, rounded as
+    `Interval.__add__` rounds (TwoSum: exact sums stay exact)."""
+    with np.errstate(invalid="ignore"):
+        s, t = alo + blo, ahi + bhi
+        bs, bt = s - alo, t - ahi
+        err_lo = (alo - (s - bs)) + (blo - bs)
+        err_hi = (ahi - (t - bt)) + (bhi - bt)
+    # a NaN error (infinite inputs) takes the outward step, as in _sum_dn
+    return np.where(err_lo >= 0.0, s, _adn(s)), np.where(err_hi <= 0.0, t, _aup(t))
+
+
+def dot_seq(alo, ahi, blo, bhi, start: "Interval | None" = None) -> "Interval":
+    """Interval dot product of two endpoint-array vectors: the products
+    as one elementwise call, then summed in index order after `start`
+    (the first product when None), exactly as the scalar loop
+    `start + a[0]*b[0] + a[1]*b[1] + ...` rounds."""
+    plo, phi_ = _mul_bounds(alo, ahi, blo, bhi)
+    if start is None:
+        lo, hi, plo, phi_ = float(plo[0]), float(phi_[0]), plo[1:], phi_[1:]
+    else:
+        lo, hi = start.lo, start.hi
+    for pl, ph in zip(plo.tolist(), phi_.tolist()):
+        lo, hi = _sum_dn(lo, pl), _sum_up(hi, ph)
+    return Interval(lo, hi)
+
+
 def float_matmat(B: np.ndarray, A: "IMatrix | IVector") -> "IMatrix | IVector":
     """Rigorous product of a float matrix with an interval matrix, or with
     an interval vector taken as one column.  A @ B for interval A and float

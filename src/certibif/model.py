@@ -21,7 +21,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .interval import IMatrix, Interval, IVector, up_mul, up_sum
+from .interval import (IMatrix, Interval, IVector, _mul_bounds, _sum_bounds,
+                       dot_seq, up_mul, up_sum)
 
 GROWTH_EXPONENT = 2.324       # age-scaling exponent shared by p_k and b_k
 POLYPS_PER_COLONY_SCALE = 1.239
@@ -223,6 +224,11 @@ class CoralMap:
         self.cf = derive_float(self.params)
         self.ci = derive_interval(self.params)
         self._S = np.array(self.params.S, dtype=float)
+        ends = lambda ivs: (np.array([v.lo for v in ivs]), np.array([v.hi for v in ivs]))
+        self._q_lo, self._q_hi = ends(self.ci.q)
+        self._b_lo, self._b_hi = ends(self.ci.b)
+        self._q_mag = np.maximum(np.abs(self._q_lo), np.abs(self._q_hi))
+        self._b_mag = np.maximum(np.abs(self._b_lo), np.abs(self._b_hi))
 
     @property
     def d(self) -> int:
@@ -267,25 +273,27 @@ class CoralMap:
         first = lam * phi(P, self.params) * bx
         return [first] + [self.params.S[k] * x[k] for k in range(self.d - 1)]
 
-    def row1_gradient(self, x: Sequence, coeffs: DerivedCoefficients,
-                      order: int = 1):
-        """g = phi(P) (b.x) and its x-derivative data, where f_1 = lambda*g.
+    def row1_jet(self, x: IVector, order: int = 1) -> "Row1Jet":
+        """g = phi(P) (b.x) over an interval point or box x, where f_1 =
+        lambda*g, with phi..phi^(order) and the gradient of g.
 
-        Returns (g, g1, phis, bx) with g1 the gradient list; `phis` and the
-        scalar b.x let callers assemble higher tensors structurally.
-        """
-        P = polyp_density(x, coeffs)
-        bx = sum((bk * xk for bk, xk in zip(coeffs.b, x)), 0.0 * P)
+        Elementwise products and sums run on endpoint arrays; q.x and b.x
+        are summed in k order and phi stays a scalar `Interval`, so every
+        endpoint equals the scalar `Interval` evaluation bit for bit."""
+        P = dot_seq(self._q_lo, self._q_hi, x.lo, x.hi)
+        bx = dot_seq(self._b_lo, self._b_hi, x.lo, x.hi, start=0.0 * P)
         phis = phi_derivs(P, self.params, order=max(order, 1))
-        g = phis[0] * bx
-        g1 = [phis[1] * qk * bx + phis[0] * bk for qk, bk in zip(coeffs.q, coeffs.b)]
-        return g, g1, phis, bx
+        # dg/dx_j = phi'(P) q_j (b.x) + phi(P) b_j
+        tlo, thi = _mul_bounds(phis[1].lo, phis[1].hi, self._q_lo, self._q_hi)
+        tlo, thi = _mul_bounds(tlo, thi, bx.lo, bx.hi)
+        plo, phi_ = _mul_bounds(phis[0].lo, phis[0].hi, self._b_lo, self._b_hi)
+        g1 = IVector(*_sum_bounds(tlo, thi, plo, phi_))
+        return Row1Jet(phis=phis, bx=bx, g=phis[0] * bx, g1=g1)
 
-    def jac_x_iv(self, lam: Interval, x: IVector) -> IMatrix:
-        _, g1, _, _ = self.row1_gradient(x.to_scalars(), self.ci)
-        row = IVector.from_scalars(lam * gj for gj in g1)
+    def jac_x_iv(self, lam: Interval, jet: "Row1Jet") -> IMatrix:
+        """D_x f from the row-1 jet of the same x."""
         lo, hi = np.zeros((self.d, self.d)), np.zeros((self.d, self.d))
-        lo[0], hi[0] = row.lo, row.hi
+        lo[0], hi[0] = _mul_bounds(lam.lo, lam.hi, jet.g1.lo, jet.g1.hi)
         k = np.arange(self.d - 1)
         lo[k + 1, k] = hi[k + 1, k] = self._S
         return IMatrix(lo, hi)
@@ -294,18 +302,26 @@ class CoralMap:
 
     def row1_bounds(self, lam: Interval, x_box: IVector) -> "Row1Bounds":
         """Sup-magnitude data for mean-value Lipschitz estimates on a box."""
-        xs = x_box.to_scalars()
-        _, g1, phis, bx = self.row1_gradient(xs, self.ci, order=1)
-        ph2, ph3 = phi_derivs(polyp_density(xs, self.ci), self.params, order=3)[2:]
-        qm = np.array([qk.mag for qk in self.ci.q])
-        bm = np.array([bk.mag for bk in self.ci.b])
-        g1m = np.array([gj.mag for gj in g1])
-        a2 = (ph2 * bx).mag
-        b2 = phis[1].mag
+        jet = self.row1_jet(x_box, order=3)
+        ph1, ph2, ph3 = jet.phis[1:]
+        qm, bm = self._q_mag, self._b_mag
+        a2 = (ph2 * jet.bx).mag
+        b2 = ph1.mag
         g2m = up_mul(a2, np.outer(qm, qm)) + up_mul(b2, np.outer(qm, bm) + np.outer(bm, qm))
         g2m = up_mul(g2m, 1.0)
-        return Row1Bounds(lam_mag=lam.mag, g1=g1m, g2=g2m,
-                          a3=(ph3 * bx).mag, b3=ph2.mag, q=qm, b=bm)
+        return Row1Bounds(lam_mag=lam.mag, g1=jet.g1.mag, g2=g2m,
+                          a3=(ph3 * jet.bx).mag, b3=ph2.mag, q=qm, b=bm)
+
+
+@dataclass(frozen=True)
+class Row1Jet:
+    """g = phi(P) (b.x) and its first derivatives over an interval point
+    or box; phis reach the order the jet was built for."""
+
+    phis: tuple          # phi .. phi^(order) at P = q.x, as Intervals
+    bx: Interval         # b.x
+    g: Interval          # phi(P) (b.x)
+    g1: IVector          # dg/dx_j
 
 
 @dataclass(frozen=True)

@@ -214,7 +214,8 @@ def test_spectrum_coral_ns(coral, ns_cert):
     box = IVector(np.array(ns_cert.enclosure_lo), np.array(ns_cert.enclosure_hi))
     lam_iv = box[13]
     x_box = IVector(box.lo[:13], box.hi[:13])
-    res = verified_spectrum_inside_disk(coral.jac_x_iv(lam_iv, x_box), exclude=2)
+    res = verified_spectrum_inside_disk(coral.jac_x_iv(lam_iv, coral.row1_jet(x_box)),
+                                       exclude=2)
     assert res.count_inside == 11
     assert res.outliers_separated
 
@@ -281,7 +282,8 @@ def ns_float_oracle(coral):
 
 def _ns_data(coral, box):
     d = coral.d
-    return ns_box_data(coral, box, coral.jac_x_iv(box[d], IVector(box.lo[:d], box.hi[:d])))
+    x_box = IVector(box.lo[:d], box.hi[:d])
+    return ns_box_data(coral, box, coral.jac_x_iv(box[d], coral.row1_jet(x_box)))
 
 
 def test_ns_condition_c_matches_oracle(coral, ns_cert, ns_float_oracle):
@@ -563,7 +565,7 @@ def test_sn_left_vector_duality_rigorous(coral, sn_cert):
     box = IVector(np.array(sn_cert.enclosure_lo), np.array(sn_cert.enclosure_hi))
     d = coral.d
     x_box = IVector(box.lo[:d], box.hi[:d])
-    A_iv = coral.jac_x_iv(box[2 * d], x_box)
+    A_iv = coral.jac_x_iv(box[2 * d], coral.row1_jet(x_box))
     p = _sn_left_vector(coral, A_iv, box.mid[d:2 * d])
     AmI_T = IMatrix((A_iv.lo - np.eye(d)).T.copy(), (A_iv.hi - np.eye(d)).T.copy())
     resid = AmI_T.matvec(p)

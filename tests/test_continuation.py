@@ -114,7 +114,7 @@ def test_extended_jacobian_block_structure(preconditioned_system):
     assert np.allclose(J[1:, 0], sys_.jac_t(3.0, np.ones(13)))
     assert np.allclose(J[1:, 1:], sys_.jac_u(3.0, np.ones(13)))
     # interval enclosure contains the float Jacobian
-    Ju, Jt = sys_.jacs_iv(Interval.point(3.0), IVector.point(np.ones(13)))
+    _, Ju, Jt = sys_.eval_iv(Interval.point(3.0), IVector.point(np.ones(13)))
     Jiv = ext.jac_iv_at_origin(Ju, Jt)
     assert np.all(Jiv.lo <= J + 1e-12) and np.all(Jiv.hi >= J - 1e-12)
 
@@ -376,7 +376,7 @@ def test_derived_constants_match_direct_cift_on_extended_system(
         r_u = da * np.abs(v) + du
         t_iv = Interval.around(t0, r_t)
         u_iv = IVector.around(u0, r_u)
-        Ju, Jt = preconditioned_system.jacs_iv(t_iv, u_iv)
+        _, Ju, Jt = preconditioned_system.eval_iv(t_iv, u_iv)
         # (H3) side: two Jacobian values inside the box differ by at most
         # the entrywise enclosure width, which the derived constants bound
         # through L1 |(sigma,x)| + L2 |alpha|
@@ -405,14 +405,12 @@ def test_branch_driver_stops_degenerate_without_start_point(coral):
 class ToyLinearValidated(ToyLinear):
     """ToyLinear with the interval interface, so segments can be certified."""
 
-    def F_iv(self, t, u):
-        return IVector.from_scalars([u[0] - t])
-
-    def jacs_iv(self, t, u):
+    def eval_iv(self, t, u):
         from certibif.interval import IMatrix
+        F = IVector.from_scalars([u[0] - t])
         Ju = IMatrix(np.array([[1.0]]), np.array([[1.0]]))
         Jt = IVector(np.array([-1.0]), np.array([-1.0]))
-        return Ju, Jt
+        return F, Ju, Jt
 
     def lipschitz_M(self, t0, u0, d_t, d_u):
         return 0.0, 0.0, 0.0, 0.0

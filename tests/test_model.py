@@ -310,9 +310,76 @@ def test_interval_step_contains_float_samples(coral):
 
 def test_interval_jacobian_contains_float(coral):
     lam0, x0 = 2.0, 700.0 * coral.cf.a
-    J_iv = coral.jac_x_iv(Interval.point(lam0), IVector.point(x0))
+    J_iv = coral.jac_x_iv(Interval.point(lam0), coral.row1_jet(IVector.point(x0)))
     J = coral.jac_x(lam0, x0)
     assert np.all(J_iv.lo <= J + 1e-12) and np.all(J_iv.hi >= J - 1e-12)
+
+
+def _row1_boxes(coral, rng, count):
+    """Boxes around jittered branch-like states, from points (radius 0)
+    to relative radius 1e-4."""
+    for i in range(count):
+        c = rng.uniform(50.0, 3000.0) * coral.cf.a * rng.uniform(0.8, 1.2, coral.d)
+        rel = 0.0 if i % 4 == 0 else 10.0 ** rng.uniform(-15.0, -4.0)
+        yield c, IVector.around(c, rel * c) if rel else IVector.point(c)
+
+
+def _scalar_row1(coral, x: list):
+    """phi..phi''', b.x, g and dg/dx over a box in scalar Interval
+    arithmetic, in the k order the endpoint-array jet promises."""
+    ci = coral.ci
+    P = ci.q[0] * x[0]
+    for qk, xk in zip(ci.q[1:], x[1:]):
+        P = P + qk * xk
+    bx = 0.0 * P
+    for bk, xk in zip(ci.b, x):
+        bx = bx + bk * xk
+    phis = phi_derivs(P, coral.params, order=3)
+    g1 = [phis[1] * qk * bx + phis[0] * bk for qk, bk in zip(ci.q, ci.b)]
+    return phis, bx, phis[0] * bx, g1
+
+
+def test_row1_jet_equals_scalar_interval_evaluation(coral):
+    bits = lambda iv: (iv.lo, iv.hi)
+    for _, box in _row1_boxes(coral, np.random.default_rng(21), 24):
+        phis, bx, g, g1 = _scalar_row1(coral, box.to_scalars())
+        for order in (1, 2, 3):
+            jet = coral.row1_jet(box, order=order)
+            assert len(jet.phis) == order + 1
+            assert [bits(p) for p in jet.phis] == [bits(p) for p in phis[:order + 1]]
+            assert bits(jet.bx) == bits(bx) and bits(jet.g) == bits(g)
+            assert np.array_equal(jet.g1.lo, [gj.lo for gj in g1])
+            assert np.array_equal(jet.g1.hi, [gj.hi for gj in g1])
+
+
+def test_row1_jet_contains_high_precision_values(coral):
+    """At the corners and interior points of each box, the 50-digit g,
+    dg/dx, b.x and phi..phi^(order) (phi's derivatives by mpmath's
+    numerical differentiation) lie inside the jet's enclosures."""
+    rng = np.random.default_rng(22)
+    inside = lambda lo, hi, v: mp.mpf(float(lo)) <= v <= mp.mpf(float(hi))
+    with mp.workdps(50):
+        c = mp_coeffs(coral)
+        for centre, box in _row1_boxes(coral, rng, 12):
+            corners = [box.lo, box.hi] + [np.where(rng.random(coral.d) < 0.5, box.lo, box.hi)
+                                          for _ in range(2)]
+            interior = [np.clip(centre + (box.hi - box.lo) * rng.uniform(-0.5, 0.5, coral.d),
+                                box.lo, box.hi) for _ in range(2)]
+            for order in (1, 2, 3):
+                jet = coral.row1_jet(box, order=order)
+                for pt in corners + interior:
+                    x = [mp.mpf(float(v)) for v in pt]
+                    P = mp.fsum(qk * xk for qk, xk in zip(c.q, x))
+                    bx = mp.fsum(bk * xk for bk, xk in zip(c.b, x))
+                    ds = [mp.diff(lambda y: phi(y, coral.params), P, n)
+                          for n in range(order + 1)]
+                    for n in range(order + 1):
+                        assert inside(jet.phis[n].lo, jet.phis[n].hi, ds[n]), (order, n)
+                    assert inside(jet.bx.lo, jet.bx.hi, bx)
+                    assert inside(jet.g.lo, jet.g.hi, ds[0] * bx)
+                    for j in range(coral.d):
+                        gj = ds[1] * c.q[j] * bx + ds[0] * c.b[j]
+                        assert inside(jet.g1.lo[j], jet.g1.hi[j], gj), (order, j)
 
 
 def test_mp_coefficients_match_float(coral):
