@@ -23,8 +23,8 @@ import numpy as np
 from . import cift
 from .errors import (CorrectorFailed, NotInvertibleEvidence, TangentUndefined,
                      ValidationFailed)
-from .interval import (IMatrix, Interval, IVector, _adn, _aup, _mul_bounds,
-                       _sum_bounds, norm_inf, up_mul, up_sum)
+from .interval import (_EPS, IMatrix, Interval, IVector, _adn, _aup, _mul_bounds,
+                       _sum_bounds, float_matmat, norm_inf, up_mul, up_sum)
 from .model import CoralMap, FixedPointReduction
 
 
@@ -210,6 +210,14 @@ class ExtendedSystem:
         lo[1:, 1:], hi[1:, 1:] = Ju.lo, Ju.hi
         return IMatrix(lo, hi)
 
+    def drift_iv(self, Ju: IMatrix, Jt: IVector) -> IVector:
+        """Enclosure of D_t F mu + D_u F v, the alpha-derivative of G's F
+        rows, as one product of the row (mu, v) with [D_t F | D_u F]^T."""
+        row = np.concatenate([[self.mu], self.v])[None, :]
+        JT = IMatrix(np.vstack([Jt.lo, Ju.lo.T]), np.vstack([Jt.hi, Ju.hi.T]))
+        out = float_matmat(row, JT)
+        return IVector(out.lo[0], out.hi[0])
+
 
 def tangent_estimate(system: CoralBranchSystem, t0: float, u0: np.ndarray,
                      prev: np.ndarray | None = None,
@@ -334,7 +342,7 @@ def segment_anchor(system: CoralBranchSystem, t0: float, u0: np.ndarray,
     t_iv, u_iv = Interval.point(t0), IVector.point(u0)
     F, Ju, Jt = system.eval_iv(t_iv, u_iv)
     rho = norm_inf(F).hi
-    xi = norm_inf(Jt.scale(mu) + Ju.matvec(IVector.point(v))).hi
+    xi = norm_inf(ext.drift_iv(Ju, Jt)).hi
 
     extJ = ext.jac_iv_at_origin(Ju, Jt)
     try:
@@ -391,15 +399,16 @@ def _anchor_rounding_gap(t_prev: float, u_prev: np.ndarray, alpha_k: float,
                          mu: float, v: np.ndarray, sigma: float,
                          x_corr: np.ndarray, t_next: float,
                          u_next: np.ndarray) -> float:
-    """Upper bound of |float_anchor - (anchor + alpha*dir + corr)|_inf."""
-    a = Interval(alpha_k)
-    dt = Interval(t_prev) + a * Interval(mu) + Interval(sigma) - Interval(t_next)
-    gap = dt.mag
-    for j in range(len(v)):
-        dj = (Interval(float(u_prev[j])) + a * Interval(float(v[j]))
-              + Interval(float(x_corr[j])) - Interval(float(u_next[j])))
-        gap = max(gap, dj.mag)
-    return gap
+    """Upper bound of |float_anchor - (anchor + alpha*dir + corr)|_inf,
+    with t as component 0: ((anchor + alpha*dir) + corr) - float_anchor
+    in interval arithmetic on endpoint arrays."""
+    pt = lambda t, u: np.concatenate([[t], u])
+    prev, d, corr, new = pt(t_prev, u_prev), pt(mu, v), pt(sigma, x_corr), pt(t_next, u_next)
+    lo, hi = _mul_bounds(alpha_k, alpha_k, d, d)
+    lo, hi = _sum_bounds(prev, prev, lo, hi)
+    lo, hi = _sum_bounds(lo, hi, corr, corr)
+    lo, hi = _sum_bounds(lo, hi, -new, -new)
+    return float(np.max(np.maximum(np.abs(lo), np.abs(hi))))
 
 
 def classify_stability(coral: CoralMap, lam: float, x: np.ndarray) -> str:
@@ -510,9 +519,10 @@ def continue_branch(system: CoralBranchSystem, t0: float, u0: np.ndarray,
             return res
 
         alpha_k = cfg.alpha_frac * box.delta_alpha
+        # the residual cannot resolve below a few ulps of the state
+        tol = max(cfg.corrector_tol, 8.0 * _EPS * max(abs(t), float(np.max(np.abs(u)))))
         try:
-            sigma, x_corr = newton_correct(anchor.ext, alpha_k,
-                                           tol=cfg.corrector_tol,
+            sigma, x_corr = newton_correct(anchor.ext, alpha_k, tol=tol,
                                            max_iter=cfg.max_newton)
         except CorrectorFailed as exc:
             res.boxes.append(box)

@@ -6,10 +6,17 @@ machinery (residuals, preconditioned Jacobians, Neumann bounds) stays
 cheap in dimensions up to ~50.
 
 Rounding model: IEEE basic operations (+, -, *, /, sqrt) are correctly
-rounded, so one ``nextafter`` step past the computed endpoint is a rigorous
-outward bound.  Transcendentals (exp, pow) are evaluated at endpoints and
-guarded by two ulps.  No rounding-mode switching is used, so every routine
-here is safe under concurrent execution.
+rounded to nearest, with gradual underflow, so one ``nextafter`` step past
+the computed endpoint is a rigorous outward bound.  Transcendentals (exp,
+pow) are evaluated at endpoints and guarded by two ulps.  No rounding-mode
+switching is used, so every routine here is safe under concurrent
+execution.  Float-times-interval matrix products (`float_matmat`) use the
+midpoint-radius form with an a-priori error bound instead of per-operation
+steps (Rump, "Fast interval matrix multiplication", Numer. Algorithms
+2012): a sum of k products computed in any order, with or without FMA, is
+within gamma_k = k u / (1 - k u) (u = 2^-53) of the exact sum relative to
+the sum of the absolute products, plus half a subnormal ulp per product
+for underflow.
 
 Infinities may appear as endpoints only through overflow; operations then
 saturate (NaN candidates are replaced by the conservative infinite bound).
@@ -17,6 +24,7 @@ saturate (NaN candidates are replaced by the conservative infinite bound).
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, Sequence, Union
 
@@ -265,7 +273,7 @@ class IVector:
         hi = np.asarray(hi, dtype=float)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise DomainError("endpoint shape mismatch")
-        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)) or np.any(lo > hi):
+        if not np.all(lo <= hi):         # also False at NaN endpoints
             raise DomainError("invalid endpoints")
         self.lo = lo
         self.hi = hi
@@ -351,7 +359,7 @@ class IMatrix:
         hi = np.asarray(hi, dtype=float)
         if lo.shape != hi.shape or lo.ndim != 2:
             raise DomainError("endpoint shape mismatch")
-        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)) or np.any(lo > hi):
+        if not np.all(lo <= hi):         # also False at NaN endpoints
             raise DomainError("invalid endpoints")
         self.lo = lo
         self.hi = hi
@@ -405,23 +413,14 @@ class IMatrix:
     def entry(self, i: int, j: int) -> Interval:
         return Interval(float(self.lo[i, j]), float(self.hi[i, j]))
 
-    def matvec(self, v: "IVector") -> "IVector":
-        n, m = self.shape
-        plo, phi_ = _mul_bounds(self.lo, self.hi, v.lo[None, :], v.hi[None, :])
-        acc_lo = np.zeros(n)
-        acc_hi = np.zeros(n)
-        for k in range(m):
-            acc_lo = _adn(acc_lo + plo[:, k])
-            acc_hi = _aup(acc_hi + phi_[:, k])
-        return IVector(acc_lo, acc_hi)
 
 def _mul_bounds(alo, ahi, blo, bhi):
     """Endpoint bounds of the elementwise interval product (broadcasting)."""
     with np.errstate(invalid="ignore"):
-        stack = np.stack(np.broadcast_arrays(alo * blo, alo * bhi, ahi * blo, ahi * bhi))
-    lo = stack.min(axis=0)
-    hi = stack.max(axis=0)
-    bad = np.isnan(lo) | np.isnan(hi)  # 0 * inf overflow pathology: saturate
+        p1, p2, p3, p4 = alo * blo, alo * bhi, ahi * blo, ahi * bhi
+    lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
+    hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
+    bad = np.isnan(lo)  # 0 * inf overflow pathology (NaN propagates): saturate
     if bad.any():
         lo = np.where(bad, -_INF, lo)
         hi = np.where(bad, _INF, hi)
@@ -455,28 +454,53 @@ def dot_seq(alo, ahi, blo, bhi, start: "Interval | None" = None) -> "Interval":
     return Interval(lo, hi)
 
 
+@functools.lru_cache(maxsize=64)
+def _gamma(k: int) -> tuple[float, float]:
+    """Upper bounds of gamma_k = k u / (1 - k u), u = 2^-53, and of
+    1 / (1 - gamma_k)."""
+    ku = Interval(k * 2.0 ** -53)
+    g = (ku / (Interval(1.0) - ku)).hi
+    return g, (Interval(1.0) / (Interval(1.0) - Interval(g))).hi
+
+
 def float_matmat(B: np.ndarray, A: "IMatrix | IVector") -> "IMatrix | IVector":
     """Rigorous product of a float matrix with an interval matrix, or with
     an interval vector taken as one column.  A @ B for interval A and float
-    B is float_matmat(B.T, A.T).T: the same products, summed in the same
-    order."""
+    B is float_matmat(B.T, A.T).T.
+
+    Midpoint-radius form: A lies in m +- r, so B A lies in B m +- |B| r.
+    The centre C = fl(B m) and the radius product fl(|B| R) are single
+    round-to-nearest BLAS products; each sums k products in some order, so
+    its error is at most gamma_k times the absolute sum plus k half-ulps
+    of underflow (times 1 + gamma_k), with or without FMA.  With
+    R >= gamma_k |m| + r the radius up((fl(|B| R) + (k+1) 2^-1074) /
+    (1 - gamma_k)) covers both errors and |B| r.  Entries whose centre
+    overflows or whose radius is infinite or NaN (0 * inf) saturate to
+    [-inf, inf]."""
     vec = isinstance(A, IVector)
     alo, ahi = (A.lo[:, None], A.hi[:, None]) if vec else (A.lo, A.hi)
-    n, m = B.shape
-    m2, r = alo.shape
-    if m != m2:
+    B = np.asarray(B, dtype=float)
+    k = B.shape[1]
+    if k != alo.shape[0]:
         raise DomainError("shape mismatch")
-    acc_lo = np.zeros((n, r))
-    acc_hi = np.zeros((n, r))
-    for k in range(m):
-        col = B[:, k : k + 1]
-        c1 = col * alo[k : k + 1, :]
-        c2 = col * ahi[k : k + 1, :]
-        acc_lo = _adn(acc_lo + _adn(np.minimum(c1, c2)))
-        acc_hi = _aup(acc_hi + _aup(np.maximum(c1, c2)))
+    gamma, inv_1mg = _gamma(k)
+    with np.errstate(invalid="ignore", over="ignore"):
+        m = 0.5 * alo + 0.5 * ahi
+        r = _aup(np.maximum(m - alo, ahi - m))
+        finite = np.isfinite(r)               # False for infinite endpoints
+        m = np.where(finite, m, 0.0)
+        r = np.where(finite, r, _INF)
+        c = B @ m
+        R = _aup(_aup(gamma * np.abs(m)) + r)
+        rad = _aup(_aup(np.abs(B) @ R + (k + 1) * _TINY) * inv_1mg)
+        top = c + rad
+        lo, hi = _adn(c - rad), _aup(top)
+    bad = ~np.isfinite(top)    # an infinite radius saturates anyway
+    if bad.any():
+        lo, hi = np.where(bad, -_INF, lo), np.where(bad, _INF, hi)
     if vec:
-        return IVector(acc_lo[:, 0], acc_hi[:, 0])
-    return IMatrix(acc_lo, acc_hi)
+        return IVector(lo[:, 0], hi[:, 0])
+    return IMatrix(lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -227,8 +227,9 @@ class CoralMap:
         ends = lambda ivs: (np.array([v.lo for v in ivs]), np.array([v.hi for v in ivs]))
         self._q_lo, self._q_hi = ends(self.ci.q)
         self._b_lo, self._b_hi = ends(self.ci.b)
-        self._q_mag = np.maximum(np.abs(self._q_lo), np.abs(self._q_hi))
-        self._b_mag = np.maximum(np.abs(self._b_lo), np.abs(self._b_hi))
+        qm = self._q_mag = np.maximum(np.abs(self._q_lo), np.abs(self._q_hi))
+        bm = self._b_mag = np.maximum(np.abs(self._b_lo), np.abs(self._b_hi))
+        self._qq, self._qb_sym = np.outer(qm, qm), np.outer(qm, bm) + np.outer(bm, qm)
 
     @property
     def d(self) -> int:
@@ -304,13 +305,9 @@ class CoralMap:
         """Sup-magnitude data for mean-value Lipschitz estimates on a box."""
         jet = self.row1_jet(x_box, order=3)
         ph1, ph2, ph3 = jet.phis[1:]
-        qm, bm = self._q_mag, self._b_mag
-        a2 = (ph2 * jet.bx).mag
-        b2 = ph1.mag
-        g2m = up_mul(a2, np.outer(qm, qm)) + up_mul(b2, np.outer(qm, bm) + np.outer(bm, qm))
-        g2m = up_mul(g2m, 1.0)
-        return Row1Bounds(lam_mag=lam.mag, g1=jet.g1.mag, g2=g2m,
-                          a3=(ph3 * jet.bx).mag, b3=ph2.mag, q=qm, b=bm)
+        g2m = up_mul(up_mul((ph2 * jet.bx).mag, self._qq) + up_mul(ph1.mag, self._qb_sym), 1.0)
+        return Row1Bounds(lam_mag=lam.mag, g1=jet.g1.mag, g2=g2m, a3=(ph3 * jet.bx).mag,
+                          b3=ph2.mag, q=self._q_mag, b=self._b_mag)
 
 
 @dataclass(frozen=True)

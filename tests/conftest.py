@@ -40,6 +40,5 @@ def raw_branch_result(coral):
     """Twenty steps of the unscaled system for the preconditioning payoff
     comparison."""
     system, t0, u0 = branch_start(coral, 300.0, precondition=False)
-    cfg = ContinuationConfig(from_R=300.0, to_R=72.0, max_steps=20,
-                             corrector_tol=1e-12)
+    cfg = ContinuationConfig(from_R=300.0, to_R=72.0, max_steps=20)
     return continue_branch(system, t0, u0, cfg)

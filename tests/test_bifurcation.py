@@ -568,7 +568,9 @@ def test_sn_left_vector_duality_rigorous(coral, sn_cert):
     A_iv = coral.jac_x_iv(box[2 * d], coral.row1_jet(x_box))
     p = _sn_left_vector(coral, A_iv, box.mid[d:2 * d])
     AmI_T = IMatrix((A_iv.lo - np.eye(d)).T.copy(), (A_iv.hi - np.eye(d)).T.copy())
-    resid = AmI_T.matvec(p)
+    ps = p.to_scalars()
+    resid = IVector.from_scalars(sum((AmI_T.entry(i, k) * ps[k] for k in range(d)),
+                                     Interval(0.0)) for i in range(d))
     assert np.all(resid.lo <= 1e-7) and np.all(resid.hi >= -1e-7)
     # the pinning row normalizes against the numerical left vector, so
     # p^t v is close to but not exactly one before renormalization

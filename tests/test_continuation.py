@@ -5,6 +5,7 @@ import pytest
 
 from certibif.cift import CiftBounds
 from certibif.continuation import (BranchBox, ContinuationConfig,
+                                   _anchor_rounding_gap,
                                    CoralBranchSystem, ExtendedSystem,
                                    SegmentHypotheses, branch_start,
                                    check_link, classify_stability,
@@ -387,11 +388,49 @@ def test_derived_constants_match_direct_cift_on_extended_system(
         assert width_bound <= 2.0 * formula_h3 + 1e-9
         # (H4) side: D_alpha G = (0, D_t F mu + D_u F v) stays within the
         # affine envelope L3 + L4 * alpha
-        val = norm_inf(Jt.scale(mu) + Ju.matvec(IVector.point(v))).hi
+        val = norm_inf(anchor.ext.drift_iv(Ju, Jt)).hi
         formula_h4 = box.bounds.L3 + box.bounds.L4 * da
         slack = box.bounds.L1 * (du + da) * 2.0   # enclosure-width overhead
         assert val <= 2.0 * formula_h4 + slack
         assert box.bounds.L3 <= val + 1e-12
+
+
+def test_raw_branch_runs_without_a_corrector_override(raw_branch_result):
+    """In raw coordinates the states are of order 1e3, so the corrector
+    tolerance is floored at float resolution there; the default 1e-14
+    serves the preconditioned branch unchanged."""
+    assert raw_branch_result.stop_reason == "max-steps"
+    assert len(raw_branch_result.boxes) == 20 and raw_branch_result.all_linked()
+
+
+def _scalar_rounding_gap(t_prev, u_prev, alpha_k, mu, v, sigma, x_corr, t_next, u_next):
+    """The scalar Interval loop the endpoint-array _anchor_rounding_gap
+    must reproduce."""
+    a = Interval(alpha_k)
+    gap = (Interval(t_prev) + a * Interval(mu) + Interval(sigma) - Interval(t_next)).mag
+    for j in range(len(v)):
+        dj = (Interval(float(u_prev[j])) + a * Interval(float(v[j]))
+              + Interval(float(x_corr[j])) - Interval(float(u_next[j])))
+        gap = max(gap, dj.mag)
+    return gap
+
+
+def test_anchor_rounding_gap_equals_scalar_interval_loop():
+    rng = np.random.default_rng(31)
+    for trial in range(300):
+        scale = 10.0 ** rng.uniform(-3.0, 4.0)
+        t, u = scale * rng.normal(), scale * rng.normal(size=13)
+        mu, v = rng.normal(), rng.normal(size=13)
+        alpha = 10.0 ** rng.uniform(-8.0, -1.0)
+        sigma, x = 1e-12 * rng.normal(), 1e-12 * rng.normal(size=13)
+        if trial % 3 == 0:
+            # small integers: every sum is exact and TwoSum takes no step
+            t, u, mu, v = (np.round(8 * w) for w in (t, u, mu, v))
+            alpha, sigma, x = 0.5, 0.0, np.zeros(13)
+        t_next, u_next = t + alpha * mu + sigma, u + alpha * v + x
+        args = (float(t), u, float(alpha), float(mu), v, float(sigma), x,
+                float(t_next), u_next)
+        assert _anchor_rounding_gap(*args) == _scalar_rounding_gap(*args)
 
 
 def test_branch_driver_stops_degenerate_without_start_point(coral):

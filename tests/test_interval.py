@@ -170,21 +170,81 @@ def test_add_outward_when_inexact():
 # ---------------------------------------------------------------------------
 
 
-def test_matvec_contains_float_product():
-    rng = np.random.default_rng(7)
-    A = rng.normal(size=(8, 8))
-    x = rng.normal(size=8)
-    Ai = IMatrix(A - 1e-12, A + 1e-12)
-    xi = IVector.around(x, 1e-12)
-    out = Ai.matvec(xi)
-    assert out.contains_point(A @ x)
-    # 0 * inf saturates the row it lands in instead of producing NaN
-    Ai.lo[0, 2] = Ai.hi[0, 2] = A[0, 2] = 0.0
-    xi.lo[2], xi.hi[2] = -np.inf, np.inf
-    out = Ai.matvec(xi)
-    assert out.lo[0] == -np.inf and out.hi[0] == np.inf
-    assert not np.isnan(out.lo).any() and not np.isnan(out.hi).any()
-    assert out.contains_point(A @ x)
+def _fixed(x: float) -> int:
+    """x * 2^1074 as an exact integer: every finite double is a multiple
+    of 2^-1074."""
+    num, den = float(x).as_integer_ratio()
+    return num * ((1 << 1074) // den)
+
+
+def _exact_hull_contained(B: np.ndarray, alo: np.ndarray, ahi: np.ndarray,
+                          clo: np.ndarray, chi: np.ndarray) -> bool:
+    """Whether [clo, chi] contains the exact hull of B @ [alo, ahi]
+    (entry (i, j) ranges over sum_k B_ik a_kj for a_kj in [alo, ahi]),
+    in integer arithmetic.  A zero B_ik contributes 0 whatever a_kj is;
+    an infinite endpoint met by a nonzero B_ik makes that bound infinite."""
+    n, k = B.shape
+    fix = lambda M: [[None if math.isinf(x) else _fixed(x) for x in row] for row in M.T]
+    Bf, Alo, Ahi = [[_fixed(b) for b in row] for row in B], fix(alo), fix(ahi)
+    for j in range(alo.shape[1]):
+        for i in range(n):
+            lo = hi = 0
+            lo_inf = hi_inf = False
+            for kk in range(k):
+                b = Bf[i][kk]
+                if b == 0:
+                    continue
+                low, high = (Alo[j][kk], Ahi[j][kk]) if b > 0 else (Ahi[j][kk], Alo[j][kk])
+                if low is None:
+                    lo_inf = True
+                else:
+                    lo += b * low
+                if high is None:
+                    hi_inf = True
+                else:
+                    hi += b * high
+            if clo[i, j] != -np.inf and not (not lo_inf and _fixed(clo[i, j]) << 1074 <= lo):
+                return False
+            if chi[i, j] != np.inf and not (not hi_inf and hi <= _fixed(chi[i, j]) << 1074):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("n", [5, 14, 27, 42])
+def test_float_matmat_contains_exact_hull(n):
+    """The midpoint-radius product encloses the exact product of a float
+    matrix with every matrix (and vector) in an interval enclosure:
+    normal, subnormal-product and wide-range magnitudes, point and wide
+    entries, +-inf endpoints, and 0 * inf without NaN."""
+    rng = np.random.default_rng(n)
+    mag = lambda lo, hi, shape: rng.normal(size=shape) * 10.0 ** rng.uniform(lo, hi, shape)
+    r = 12                       # columns of the interval factor
+    cases = {
+        "normal": (rng.normal(size=(n, n)), mag(-1, 1, (n, r))),
+        # products of order 1e-310..1e-320 land in the subnormal range
+        "subnormal": (mag(-300, -299, (n, n)), mag(-20, -10, (n, r))),
+        "wide-range": (mag(-300, 290, (n, n)), mag(-8, 8, (n, r))),
+    }
+    for name, (B, M) in cases.items():
+        for rel in (0.0, 1e-15, 1e-6):
+            rad = rel * np.abs(M) * rng.uniform(0.0, 1.0, M.shape)
+            A = IMatrix(M - rad, M + rad) if rel else IMatrix.point(M)
+            C = float_matmat(B, A)
+            assert _exact_hull_contained(B, A.lo, A.hi, C.lo, C.hi), (name, rel)
+            v = float_matmat(B, IVector(A.lo[:, 0], A.hi[:, 0]))
+            assert _exact_hull_contained(B, A.lo[:, :1], A.hi[:, :1],
+                                         v.lo[:, None], v.hi[:, None]), (name, rel)
+    # infinite endpoints, some met by exact zeros of B (0 * inf)
+    B, M = rng.normal(size=(n, n)), rng.normal(size=(n, r))
+    lo, hi = M - 1e-9, M + 1e-9
+    lo[1, 0] = -np.inf
+    hi[2, 1] = np.inf
+    lo[3 % n, 2], hi[3 % n, 2] = -np.inf, np.inf
+    B[0, [1, 2, 3 % n]] = 0.0
+    B[n - 1, :] = 0.0
+    C = float_matmat(B, IMatrix(lo, hi))
+    assert not np.isnan(C.lo).any() and not np.isnan(C.hi).any()
+    assert _exact_hull_contained(B, lo, hi, C.lo, C.hi)
 
 
 def test_matmat_contains_float_product():

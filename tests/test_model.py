@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath as mp
@@ -380,6 +381,38 @@ def test_row1_jet_contains_high_precision_values(coral):
                     for j in range(coral.d):
                         gj = ds[1] * c.q[j] * bx + ds[0] * c.b[j]
                         assert inside(jet.g1.lo[j], jet.g1.hi[j], gj), (order, j)
+
+
+def _exact_hull(*factors):
+    """Exact range of a product of intervals (at 60 digits the product
+    of three doubles is exact)."""
+    vals = [mp.fprod(mp.mpf(float(e)) for e in ends)
+            for ends in itertools.product(*((f.lo, f.hi) for f in factors))]
+    return min(vals), max(vals)
+
+
+def test_row1_jet_stages_enclose_the_exact_hull_of_their_inputs(coral):
+    """Each endpoint-array stage of the jet -- b.x, g = phi (b.x) and
+    g1_j = phi' q_j (b.x) + phi b_j -- encloses the exact range of its
+    expression over its interval inputs (the coefficient enclosures, the
+    box and the jet's own phi, phi' and b.x), so no outward step is
+    missing; the real-valued check above cannot see one step under the
+    width that the phi enclosures carry."""
+    ci = coral.ci
+    with mp.workdps(60):
+        for _, box in _row1_boxes(coral, np.random.default_rng(23), 24):
+            jet = coral.row1_jet(box)
+            xs = box.to_scalars()
+            hulls = [_exact_hull(bk, xk) for bk, xk in zip(ci.b, xs)]
+            assert mp.mpf(jet.bx.lo) <= mp.fsum(h[0] for h in hulls)
+            assert mp.fsum(h[1] for h in hulls) <= mp.mpf(jet.bx.hi)
+            lo, hi = _exact_hull(jet.phis[0], jet.bx)
+            assert mp.mpf(jet.g.lo) <= lo and hi <= mp.mpf(jet.g.hi)
+            for j in range(coral.d):
+                t = _exact_hull(jet.phis[1], ci.q[j], jet.bx)
+                u = _exact_hull(jet.phis[0], ci.b[j])
+                assert mp.mpf(float(jet.g1.lo[j])) <= t[0] + u[0], j
+                assert t[1] + u[1] <= mp.mpf(float(jet.g1.hi[j])), j
 
 
 def test_mp_coefficients_match_float(coral):
