@@ -43,7 +43,6 @@ class CoralBranchSystem:
             raise ValidationFailed("scale constants must be positive and finite")
         self.s = s
         self.rscale = float(rscale)
-        self._s_iv = [Interval.point(float(v)) for v in s]
         # the constant entries of D_u F: s_j/s_0 scales row 1, and the
         # subdiagonal is S_k s_k/s_{k+1}
         r0 = s / s[0]
@@ -89,7 +88,7 @@ class CoralBranchSystem:
     def eval_iv(self, t: Interval, u: IVector) -> tuple[IVector, IMatrix, IVector]:
         """Interval (F, D_u F, D_t F) at an interval point or box, from one
         row-1 jet of x = s (.) u."""
-        d, s0 = self.d, self._s_iv[0]
+        d = self.d
         lam = self._ct_iv * t
         x = IVector(*_mul_bounds(self.s, self.s, u.lo, u.hi))
         jet = self.coral.row1_jet(x)
@@ -104,7 +103,7 @@ class CoralBranchSystem:
                                    self._ratio0_lo, self._ratio0_hi)
         k = np.arange(d - 1)
         lo[k + 1, k], hi[k + 1, k] = self._sub_lo, self._sub_hi
-        jt = self._ct_iv * jet.g / s0
+        jt = self._ct_iv * jet.g / Interval.point(float(self.s[0]))
         Jt = IVector(np.zeros(d), np.zeros(d))
         Jt.lo[0], Jt.hi[0] = jt.lo, jt.hi
         return F, IMatrix(lo, hi) - np.eye(d), Jt
