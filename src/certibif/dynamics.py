@@ -61,6 +61,13 @@ def iterate(coral: CoralMap, lam, x0: np.ndarray, n: int, skip: int = 0,
     is shared by the batch.  Only the first `keep` state components
     (default: all) are stored.  Raises OrbitDiverged, naming the iterate,
     as soon as any orbit leaves the finite floats.
+
+    Each numpy round advances two iterates.  Recruitment
+    x_1' = lambda phi(q.x) (b.x) never reads x_1 (q_1 = 0, and b_1 = b_2 = 0
+    since the two youngest classes do not reproduce), and rows 2..d of
+    x(i+1) are the survival shift S (.) x(i)[:-1].  So x(i) alone fixes
+    x_1(i+1) and x_1(i+2): q.x and b.x at iterates i and i+1 come from one
+    (2, d) @ (d, 2m) product and one phi call.
     """
     if n < 0 or skip < 0:
         raise ValueError("n and skip must be nonnegative")
@@ -71,25 +78,40 @@ def iterate(coral: CoralMap, lam, x0: np.ndarray, n: int, skip: int = 0,
     batched = lam_a.ndim > 0 or x0_a.ndim > 1
     m = np.broadcast_shapes(lam_a.shape, x0_a.shape[:-1], (1,))[0]
     lam_v = np.broadcast_to(lam_a, (m,))
-    # the state is kept as (d, m) so that rows are contiguous in the shift
+    lam2 = np.tile(lam_v, 2)
     qb = np.stack([coral.cf.q, coral.cf.b])           # P and b.x in one product
     S = np.array(coral.params.S, dtype=float)[:, None]
     params = coral.params
-    x = np.empty((d, m))
-    x[:] = np.broadcast_to(x0_a, (m, d)).T
-    xn = np.empty((d, m))
-    out = np.empty((n, k, m))
+    # x(i) and x(i+1) side by side as (d, 2, m): rows are contiguous for the
+    # shifts, and the (d, 2m) view is the product's operand.  Slot 0 holds
+    # the even iterates, slot 1 the odd ones.
+    X = np.zeros((d, 2, m))
+    X[:, 0] = np.broadcast_to(x0_a, (m, d)).T
+    both = X.reshape(d, 2 * m)
+    x1_new = X[0, ::-1]                 # (x_1(i+1), x_1(i+2)) in product order
+    shift_in = (X[:-1, 0], X[1:, 1])    # x(i) -> rows 2..d of x(i+1)
+    shift_out = (X[:-1, 1], X[1:, 0])   # x(i+1) -> rows 2..d of x(i+2)
+    pair = X[:k, ::-1].transpose(1, 0, 2)
+    total = skip + n
+    # out[t - skip] is iterate t; rows 0 and n + 1 take the iterate that a
+    # round computes beside the range when skip or skip + n is odd
+    out = np.empty((n + 2, k, m))
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(skip + n):
-            Pb = qb.dot(x)
-            first = lam_v * phi(Pb[0], params) * Pb[1]
+        for i in range(0, total, 2):
+            np.multiply(shift_in[0], S, out=shift_in[1])
+            # the x_1 row of slot 1 is still x_1(i-1), finite and multiplied
+            # by q_1 = b_1 = 0
+            Pb = qb.dot(both)
+            first = lam2 * phi(Pb[0], params) * Pb[1]
             if not math.isfinite(first.sum()):
-                raise OrbitDiverged(f"non-finite state at iterate {i + 1}")
-            xn[0] = first
-            np.multiply(x[:-1], S, out=xn[1:])
-            x, xn = xn, x
-            if i >= skip:
-                out[i - skip] = x[:k]
+                t = i + 1 if not math.isfinite(first[:m].sum()) else i + 2
+                if t <= total:
+                    raise OrbitDiverged(f"non-finite state at iterate {t}")
+            x1_new[...] = first.reshape(2, m)
+            np.multiply(shift_out[0], S, out=shift_out[1])
+            if i + 2 > skip:
+                out[i + 1 - skip:i + 3 - skip] = pair
+    out = out[1:n + 1]
     if batched:
         return OrbitSample(points=out.transpose(0, 2, 1), lam=lam_v.copy(),
                            transient_skipped=skip)

@@ -50,6 +50,36 @@ def test_iterate_batch_matches_map_steps(coral):
         assert np.allclose(orb.points[:, j], ref[20:], rtol=1e-12, atol=0.0)
 
 
+def _step_loop(coral, lam, x, n, skip, keep):
+    """Iterates skip+1 .. skip+n by one coral.step call each."""
+    out = []
+    for t in range(skip + n):
+        x = coral.step(lam, x)
+        if t >= skip:
+            out.append(x[:keep])
+    return np.array(out).reshape(n, keep)
+
+
+@pytest.mark.parametrize("n", [0, 1, 6, 7])
+@pytest.mark.parametrize("skip", [0, 3, 4])
+@pytest.mark.parametrize("keep", [1, 2, 13])
+def test_iterate_pairs_match_per_step_loop(coral, n, skip, keep):
+    # two iterates per round: odd and even n and skip end or start with a
+    # half round
+    y = density_matched_state(coral, 1500.0)
+    lams = np.array([1.0, 5.5, 6.25])
+    x0 = np.stack([y, 1.5 * y, 0.7 * y])
+    alone = iterate(coral, 5.5, 1.5 * y, n=n, skip=skip, keep=keep)
+    assert alone.points.shape == (n, keep)
+    assert np.allclose(alone.points, _step_loop(coral, 5.5, 1.5 * y, n, skip, keep),
+                       rtol=1e-12, atol=0.0)
+    batch = iterate(coral, lams, x0, n=n, skip=skip, keep=keep)
+    assert batch.points.shape == (n, 3, keep)
+    for j in range(3):
+        ref = _step_loop(coral, lams[j], x0[j], n, skip, keep)
+        assert np.allclose(batch.points[:, j], ref, rtol=1e-12, atol=0.0)
+
+
 def test_batched_rotation_numbers_match_single_orbits(coral):
     y = density_matched_state(coral, 1500.0)
     lams = np.array([160.0, 180.0, 200.0]) / coral.cf.ba
@@ -82,6 +112,29 @@ def test_orbit_diverges_detected(coral):
     with pytest.raises(OrbitDiverged) as batch:
         iterate(coral, 1.0, np.stack([y, bad, y]), n=50, skip=0)
     assert str(batch.value) == str(alone.value)
+
+
+def test_orbit_diverges_at_even_iterate_named_once(coral):
+    # x_2 = 1e308 keeps iterate 1 finite; b.x overflows at iterate 2, the
+    # second of the first round
+    y = density_matched_state(coral, 1500.0)
+    bad = y.copy()
+    bad[1] = 1e308
+    x, first_bad = bad, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, 10):
+            x = coral.step(1.0, x)
+            if not np.all(np.isfinite(x)):
+                first_bad = t
+                break
+    assert first_bad == 2
+    with pytest.raises(OrbitDiverged) as alone:
+        iterate(coral, 1.0, bad, n=50, skip=0)
+    with pytest.raises(OrbitDiverged) as batch:
+        iterate(coral, 1.0, np.stack([y, y, bad]), n=50, skip=0)
+    assert str(alone.value) == str(batch.value) == "non-finite state at iterate 2"
+    # iterate 2 lies beyond a one-iterate range, though its round computes it
+    assert np.all(np.isfinite(iterate(coral, 1.0, bad, n=1).points))
 
 
 def test_density_matched_state(coral):

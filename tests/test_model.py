@@ -4,11 +4,13 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certibif.continuation import CoralBranchSystem
 from certibif.errors import ValidationFailed
 from certibif.interval import Interval, IVector
-from certibif.model import (CoralParams, FixedPointReduction,
+from certibif.model import (CoralMap, CoralParams, FixedPointReduction,
                             R_to_lambda, derive_generic, lambda_to_R, phi,
                             phi_derivs, row1_d2, row1_d3)
 
@@ -128,6 +130,31 @@ def test_polyp_density_excludes_recruits(coral):
     assert float(coral.cf.q @ e1) == 0.0
     expect = 1.239 * 2 ** 2.324 / 36.0
     assert math.isclose(float(coral.cf.q @ e2), expect, rel_tol=1e-12)
+
+
+@st.composite
+def _valid_params(draw):
+    d = draw(st.integers(3, 20))
+    unit = st.floats(0.0, 1.0)
+    alpha = draw(st.floats(1e-6, 1e-2))
+    return CoralParams(
+        d=d, S=tuple(draw(st.lists(unit, min_size=d - 1, max_size=d - 1))),
+        F=(0.0, 0.0) + tuple(draw(st.lists(st.floats(0.0, 10.0),
+                                           min_size=d - 2, max_size=d - 2))),
+        c1=draw(st.floats(1.0, 1e7)), c2=draw(st.floats(1.0, 1e9)),
+        alpha=alpha, beta=alpha * draw(st.floats(1.01, 100.0)),
+        omega=draw(st.floats(1.0, 100.0)))
+
+
+@given(_valid_params())
+@settings(max_examples=50, deadline=None)
+def test_recruitment_never_reads_the_two_youngest_classes(params):
+    # q_1 = b_1 = b_2 = 0 exactly in float: dynamics.iterate advances two
+    # iterates per round on this; the interval coefficients enclose 0
+    m = CoralMap(params)
+    assert m.cf.q[0] == 0.0 and m.cf.b[0] == 0.0 and m.cf.b[1] == 0.0
+    for c in (m.ci.q[0], m.ci.b[0], m.ci.b[1]):
+        assert c.lo <= 0.0 <= c.hi
 
 
 def test_step_extinction_fixed(coral):
