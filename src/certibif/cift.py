@@ -176,20 +176,35 @@ def lipschitz_L1(problem, z0: np.ndarray, ell: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _pair_feasible(b: CiftBounds, da: float, dx: float,
+@dataclass(frozen=True)
+class _TwoK:
+    """The enclosures of 2K rho and 2K L1 .. 2K L4, built once per delta
+    solve and shared by every feasibility probe."""
+
+    rho: Interval
+    L1: Interval
+    L2: Interval
+    L3: Interval
+    L4: Interval
+
+    @staticmethod
+    def of(b: CiftBounds) -> "_TwoK":
+        K2 = Interval(2.0) * Interval(b.K)
+        return _TwoK(K2 * Interval(b.rho), K2 * Interval(b.L1),
+                     K2 * Interval(b.L2), K2 * Interval(b.L3), K2 * Interval(b.L4))
+
+
+def _pair_feasible(b: CiftBounds, k: _TwoK, da: float, dx: float,
                    dir_norm: float, coupled_cap: float) -> bool:
     """Rigorous check of the two theorem inequalities plus box constraints."""
     if not (0.0 <= da <= b.ell_alpha or (da == 0.0 and b.ell_alpha == 0.0)):
         return False
     if not 0.0 < dx <= b.ell_x:
         return False
-    K2 = Interval(2.0) * Interval(b.K)
-    lhs_a = K2 * Interval(b.L1) * Interval(dx) + K2 * Interval(b.L2) * Interval(da)
+    lhs_a = k.L1 * Interval(dx) + k.L2 * Interval(da)
     if not lhs_a.hi <= 1.0:
         return False
-    lhs_b = (K2 * Interval(b.rho) + K2 * Interval(b.L3) * Interval(da)
-             + K2 * Interval(b.L4) * Interval(da) * Interval(da))
-    if not lhs_b.hi <= dx:
+    if not _dx_floor(k, da) <= dx:
         return False
     if dir_norm > 0.0 or math.isfinite(coupled_cap):
         lhs_c = Interval(dir_norm) * Interval(da) + Interval(dx)
@@ -198,38 +213,35 @@ def _pair_feasible(b: CiftBounds, da: float, dx: float,
     return True
 
 
-def _dx_floor(b: CiftBounds, da: float) -> float:
+def _dx_floor(k: _TwoK, da: float) -> float:
     """Upper bound of 2K(rho + L3 da + L4 da^2), the least admissible delta_x."""
-    K2 = Interval(2.0) * Interval(b.K)
-    v = (K2 * Interval(b.rho) + K2 * Interval(b.L3) * Interval(da)
-         + K2 * Interval(b.L4) * Interval(da) * Interval(da))
-    return v.hi
+    return (k.rho + k.L3 * Interval(da) + k.L4 * Interval(da) * Interval(da)).hi
 
 
-def _dx_ceiling(b: CiftBounds, da: float, dir_norm: float,
+def _dx_ceiling(b: CiftBounds, k: _TwoK, da: float, dir_norm: float,
                 coupled_cap: float) -> float:
     """Lower bound of the largest admissible delta_x at delta_alpha = da."""
     cap = b.ell_x
     if b.L1 > 0.0:
-        num = Interval(1.0) - Interval(2.0) * Interval(b.K) * Interval(b.L2) * Interval(da)
+        num = Interval(1.0) - k.L2 * Interval(da)
         if num.lo <= 0.0:
             return 0.0
-        cap = min(cap, (num / (Interval(2.0) * Interval(b.K) * Interval(b.L1))).lo)
+        cap = min(cap, (num / k.L1).lo)
     if math.isfinite(coupled_cap):
         cap = min(cap, (Interval(coupled_cap) - Interval(dir_norm) * Interval(da)).lo)
     return cap
 
 
-def _alpha_feasible(b: CiftBounds, da: float, dir_norm: float,
+def _alpha_feasible(b: CiftBounds, k: _TwoK, da: float, dir_norm: float,
                     coupled_cap: float, search_cap: float) -> bool:
     """Rigorous: some delta_x completes delta_alpha = da to a feasible pair,
     and dir_norm*da stays within `search_cap`.  Monotone in da: the floor
     rises with it and every ceiling falls."""
     if math.isfinite(search_cap) and dir_norm * da > search_cap:
         return False
-    fl = _dx_floor(b, da)
-    return (fl <= _dx_ceiling(b, da, dir_norm, coupled_cap)
-            and _pair_feasible(b, da, max(fl, 1e-300), dir_norm, coupled_cap))
+    fl = _dx_floor(k, da)
+    return (fl <= _dx_ceiling(b, k, da, dir_norm, coupled_cap)
+            and _pair_feasible(b, k, da, max(fl, 1e-300), dir_norm, coupled_cap))
 
 
 def _smallest_root(a: float, b: float, c: float) -> float:
@@ -303,13 +315,14 @@ def solve_deltas(b: CiftBounds, dir_norm: float = 0.0,
     gate = Interval(4.0) * Interval(b.K) * Interval(b.K) * Interval(b.rho) * Interval(b.L1)
     if not gate.hi < 1.0:
         raise ValidationFailed(f"4 K^2 rho L1 = {gate.hi} >= 1")
-    dmin = (Interval(2.0) * Interval(b.K) * Interval(b.rho)).hi
+    k = _TwoK.of(b)
+    dmin = k.rho.hi
     if not dmin < b.ell_x:
         raise ValidationFailed(f"2 K rho = {dmin} >= ell_x = {b.ell_x}")
     search_cap = coupled_cap * (1.0 - du_reserve)
 
     def feasible(da: float) -> bool:
-        return _alpha_feasible(b, da, dir_norm, coupled_cap, search_cap)
+        return _alpha_feasible(b, k, da, dir_norm, coupled_cap, search_cap)
 
     # float roots of floor(da) = each ceiling, floor = a*da^2 + bl*da + c0
     K2 = 2.0 * b.K
@@ -324,9 +337,9 @@ def solve_deltas(b: CiftBounds, dir_norm: float = 0.0,
     da = _largest_feasible(feasible, guess, b.ell_alpha)
     if da is None:
         raise ValidationFailed("delta inequalities infeasible even at delta_alpha = 0")
-    dx = _dx_ceiling(b, da, dir_norm, coupled_cap)
+    dx = _dx_ceiling(b, k, da, dir_norm, coupled_cap)
     for _ in range(64):
-        if _pair_feasible(b, da, dx, dir_norm, coupled_cap):
+        if _pair_feasible(b, k, da, dx, dir_norm, coupled_cap):
             break
         dx = math.nextafter(dx * (1.0 - 2.0 ** -50), 0.0)
     else:

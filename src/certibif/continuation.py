@@ -47,6 +47,9 @@ class CoralBranchSystem:
         # subdiagonal is S_k s_k/s_{k+1}
         r0 = s / s[0]
         self._ratio0_lo, self._ratio0_hi = _adn(r0), _aup(r0)
+        # lipschitz_M's scalings of row 1's gradient and Hessian
+        self._ratio0 = r0
+        self._outer0 = up_mul(np.outer(s, s) / s[0], 1.0)
         S = np.array(coral.params.S, dtype=float)
         r1 = s[:-1] / s[1:]
         self._sub_lo, self._sub_hi = _mul_bounds(S, S, _adn(r1), _aup(r1))
@@ -126,11 +129,9 @@ class CoralBranchSystem:
         x_box = IVector(dn(dn(self.s * u0) - rad), up(up(self.s * u0) + rad))
         lam_box = self._ct_iv * Interval.around(t0, d_t)
         rb = self.coral.row1_bounds(lam_box, x_box)
-        s = self.s
-        scl2 = up_mul(np.outer(s, s) / s[0], 1.0)
-        E = up_mul(scl2, up_mul(rb.lam_mag, rb.g2))
+        E = up_mul(self._outer0, up_mul(rb.lam_mag, rb.g2))
         M1 = float(up_sum(up_sum(E, axis=1)))
-        tg = up_mul(self._ct_iv.mag, up_mul(s / s[0], rb.g1))
+        tg = up_mul(self._ct_iv.mag, up_mul(self._ratio0, rb.g1))
         M2 = float(up_sum(tg))
         return M1, M2, M2, 0.0
 

@@ -289,11 +289,12 @@ def _bisect_delta_alpha(feasible, ell_alpha):
 def test_solve_deltas_output_always_rigorously_feasible(
         rho, K, L1, L2, L3, L4, ell_x, ell_alpha, dir_norm, coupled_cap,
         du_reserve):
-    from certibif.cift import _alpha_feasible, _pair_feasible
+    from certibif.cift import _alpha_feasible, _pair_feasible, _TwoK
     b = CiftBounds(rho=rho, K=K, L1=L1, L2=L2, L3=L3, L4=L4,
                    ell_x=ell_x, ell_alpha=ell_alpha)
+    k = _TwoK.of(b)
     search_cap = coupled_cap * (1.0 - du_reserve)
-    feasible = lambda da: _alpha_feasible(b, da, dir_norm, coupled_cap, search_cap)
+    feasible = lambda da: _alpha_feasible(b, k, da, dir_norm, coupled_cap, search_cap)
     try:
         pair = solve_deltas(b, dir_norm=dir_norm, coupled_cap=coupled_cap,
                             du_reserve=du_reserve)
@@ -301,7 +302,7 @@ def test_solve_deltas_output_always_rigorously_feasible(
         if "delta_alpha = 0" in str(exc):
             assert not feasible(0.0)
         return
-    assert _pair_feasible(b, pair.delta_alpha, pair.delta_x, dir_norm, coupled_cap)
+    assert _pair_feasible(b, k, pair.delta_alpha, pair.delta_x, dir_norm, coupled_cap)
     assert pair.delta_min <= pair.delta_x
 
     # delta_alpha is the largest float that passes the rigorous check
