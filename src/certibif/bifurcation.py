@@ -136,15 +136,6 @@ def _put(lo: np.ndarray, hi: np.ndarray, index, v) -> None:
     lo[index], hi[index] = v.lo, v.hi
 
 
-def _shifted(A: IMatrix, s) -> IMatrix:
-    """A - s I, with the diagonal shifted in scalar interval arithmetic so
-    that entries which stay exact stay points."""
-    lo, hi = A.lo.copy(), A.hi.copy()
-    for i in range(A.shape[0]):
-        _put(lo, hi, (i, i), A.entry(i, i) - s)
-    return IMatrix(lo, hi)
-
-
 def _qb(coeffs, v) -> tuple:
     """(q.v, b.v) in the scalar type of v's entries (Interval or CI)."""
     qv, bv = coeffs.q[0] * v[0], coeffs.b[0] * v[0]
@@ -278,12 +269,12 @@ class NsSystem:
         W, U = IVector(z.lo[sw], z.hi[sw]), IVector(z.lo[su], z.hi[su])
         i = np.arange(d)
         # rows f(lambda, x) - x
-        _put(lo, hi, (r1, sx), _shifted(A, 1.0))
+        _put(lo, hi, (r1, sx), A.shifted(1.0))
         _put(lo, hi, (0, sl), phis[0] * bx)
         # rows D_xf w - a w + b u
         _put(lo, hi, (d, sx), _d2_row(self.coral, lam, phis, bx, w))
         _put(lo, hi, (d, sl), _g1_dot(jet, W))
-        _put(lo, hi, (r2, sw), _shifted(A, a))
+        _put(lo, hi, (r2, sw), A.shifted(a))
         _put(lo, hi, (d + i, 2 * d + 1 + i), b)
         _put(lo, hi, (r2, sa), -W)
         _put(lo, hi, (r2, sb), U)
@@ -291,7 +282,7 @@ class NsSystem:
         _put(lo, hi, (2 * d, sx), _d2_row(self.coral, lam, phis, bx, u))
         _put(lo, hi, (2 * d, sl), _g1_dot(jet, U))
         _put(lo, hi, (2 * d + i, d + 1 + i), -b)
-        _put(lo, hi, (r3, su), _shifted(A, a))
+        _put(lo, hi, (r3, su), A.shifted(a))
         _put(lo, hi, (r3, sa), -U)
         _put(lo, hi, (r3, sb), -W)
         # normalization rows
@@ -403,7 +394,7 @@ class SnSystem:
         _, v, lam = self.split(z.to_scalars())
         jet = self.coral.row1_jet(IVector(z.lo[:d], z.hi[:d]), order=2)
         phis, bx = jet.phis, jet.bx
-        AmI = _shifted(self.coral.jac_x_iv(lam, jet), 1.0)
+        AmI = self.coral.jac_x_iv(lam, jet).shifted(1.0)
         lo, hi = np.zeros((self.dim, self.dim)), np.zeros((self.dim, self.dim))
         _put(lo, hi, np.s_[:d, :d], AmI)
         _put(lo, hi, (0, 2 * d), phis[0] * bx)
@@ -767,7 +758,7 @@ def _ns_left_row(coral: CoralMap, A_iv: IMatrix, a: Interval, b: Interval,
 
     n = d + 1
     re_lo, re_hi, im_lo, im_hi = (np.zeros((n, n)) for _ in range(4))
-    _put(re_lo, re_hi, np.s_[:d, :d], _shifted(A_iv.T, a))
+    _put(re_lo, re_hi, np.s_[:d, :d], A_iv.T.shifted(a))
     _put(im_lo, im_hi, (np.arange(d), np.arange(d)), -b)
     re_lo[:d, d] = re_hi[:d, d] = c_col.real
     im_lo[:d, d] = im_hi[:d, d] = c_col.imag
@@ -864,7 +855,7 @@ def ns_condition_e(coral: CoralMap, data: NsBoxData) -> Interval:
     _put(im_lo, im_hi, (np.arange(d), np.arange(d)), mu2.im)
     rhs = [CI(0.0, 0.0) for _ in range(d)]
     rhs[0] = B1(Q, Q)
-    z2 = verified_solve_complex(-_shifted(data.A, mu2.re), IMatrix(im_lo, im_hi), rhs)
+    z2 = verified_solve_complex(-data.A.shifted(mu2.re), IMatrix(im_lo, im_hi), rhs)
     term_b3 = B1(Qbar, _qb(coral.ci, z2))
 
     total = term_c + CI(2.0 * term_b2.re, 2.0 * term_b2.im) + term_b3
@@ -971,7 +962,7 @@ def _sn_left_vector(coral: CoralMap, A_iv: IMatrix, v_mid: np.ndarray) -> IVecto
     pin = p0 / float(p0 @ p0)
     n = d + 1
     lo, hi = np.zeros((n, n)), np.zeros((n, n))
-    _put(lo, hi, np.s_[:d, :d], _shifted(A_iv.T, 1.0))
+    _put(lo, hi, np.s_[:d, :d], A_iv.T.shifted(1.0))
     lo[:d, d] = hi[:d, d] = v_mid
     lo[d, :d] = hi[d, :d] = pin
     rhs = np.zeros(n)

@@ -109,7 +109,7 @@ class CoralBranchSystem:
         jt = self._ct_iv * jet.g / Interval.point(float(self.s[0]))
         Jt = IVector(np.zeros(d), np.zeros(d))
         Jt.lo[0], Jt.hi[0] = jt.lo, jt.hi
-        return F, IMatrix(lo, hi) - np.eye(d), Jt
+        return F, IMatrix(lo, hi).shifted(1.0), Jt
 
     # -- Lipschitz data over a box -------------------------------------------
 

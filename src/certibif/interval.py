@@ -410,6 +410,15 @@ class IMatrix:
     def __rsub__(self, other: np.ndarray) -> "IMatrix":
         return IMatrix.point(np.asarray(other, dtype=float)) - self
 
+    def shifted(self, s: ScalarLike) -> "IMatrix":
+        """self - s I, the diagonal rounded as `Interval.__sub__` rounds, so
+        diagonal entries that stay exact stay points."""
+        s = Interval._coerce(s)
+        lo, hi = self.lo.copy(), self.hi.copy()
+        i = np.arange(self.shape[0])
+        lo[i, i], hi[i, i] = _sum_bounds(lo[i, i], hi[i, i], -s.hi, -s.lo)
+        return IMatrix(lo, hi)
+
     def entry(self, i: int, j: int) -> Interval:
         return Interval(float(self.lo[i, j]), float(self.hi[i, j]))
 
