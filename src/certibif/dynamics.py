@@ -99,8 +99,8 @@ def iterate(coral: CoralMap, lam, x0: np.ndarray, n: int, skip: int = 0,
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, total, 2):
             np.multiply(shift_in[0], S, out=shift_in[1])
-            # the x_1 row of slot 1 is still x_1(i-1), finite and multiplied
-            # by q_1 = b_1 = 0
+            # slot 1's x_1 row still holds x_1(i-1) (0 before the first
+            # round): finite, and it meets q_1 = b_1 = 0 in the product
             Pb = qb.dot(both)
             first = lam2 * phi(Pb[0], params) * Pb[1]
             if not math.isfinite(first.sum()):
