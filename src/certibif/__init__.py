@@ -15,10 +15,9 @@ from .continuation import (BranchBox, BranchResult, ContinuationConfig,
                            classify_stability, continue_branch,
                            derive_extended_constants, newton_correct,
                            segment_anchor, tangent_estimate, validate_segment)
-from .bifurcation import (BifCertificate, NsPoint, NsSystem, SnPoint, SnSystem,
-                          TranscriticalResult, certify_ns, certify_sn,
-                          find_ns_anchor, find_sn_anchor, transcritical_analysis,
-                          verified_spectrum_inside_disk)
+from .bifurcation import (BifCertificate, NsSystem, SnSystem, TranscriticalResult,
+                          certify_ns, certify_sn, find_ns_anchor, find_sn_anchor,
+                          transcritical_analysis, verified_spectrum_inside_disk)
 from .dynamics import (AngleProfile, OrbitSample, RotationResult,
                        angle_profile, density_matched_state,
                        farey_min_denominator, iterate, rotation_number)

@@ -19,11 +19,11 @@ import numpy as np
 
 from . import cift
 from .errors import (CertificationFailed, ConditionInconclusive, DomainError,
-                     NotInvertibleEvidence, SpectrumInconclusive)
+                     NotInvertibleEvidence, SpectrumInconclusive, ValidationFailed)
 from .interval import (IMatrix, Interval, IVector, dot_seq, float_matmat, norm_inf,
                        up_dot, up_mul, up_sum, _dn2, _up2)
-from .model import (CoralMap, FixedPointReduction, Row1Jet, phi_derivs, polyp_density,
-                    row1_d2, row1_d3)
+from .model import (CoralMap, FixedPointReduction, Row1Jet, _bisect, phi_derivs,
+                    polyp_density, row1_d2, row1_d3)
 
 
 # ---------------------------------------------------------------------------
@@ -68,9 +68,6 @@ class CI:
     def abs_hi(self) -> float:
         return (self.re.sqr() + self.im.sqr()).sqrt().hi
 
-    def abs_lo(self) -> float:
-        return (self.re.sqr() + self.im.sqr()).sqrt().lo
-
 
 def atan2_enclosure(b: Interval, a: Interval) -> Interval:
     """Enclosure of atan2(b, a) for rectangles in the open upper half
@@ -94,11 +91,7 @@ def verified_solve(A: IMatrix, rhs: IVector, B: np.ndarray | None = None) -> IVe
     """Enclosure of A^{-1} rhs for every A, rhs in the input enclosures."""
     if B is None:
         B = np.linalg.inv(A.mid)
-    BA = float_matmat(B, A)
-    n = A.shape[0]
-    rho1 = norm_inf(IMatrix.identity(n) - BA).hi
-    if not rho1 < 1.0:
-        raise NotInvertibleEvidence(f"|I - BA| bound {rho1} >= 1")
+    rho1 = cift.neumann_rho(A, B)
     Bb = float_matmat(B, rhs)
     r = ((Interval(rho1) * norm_inf(Bb)) / (Interval(1.0) - Interval(rho1))).hi
     return Bb.widened(r)
@@ -172,35 +165,58 @@ def _g1_dot(jet: Row1Jet, y: IVector) -> Interval:
 # ---------------------------------------------------------------------------
 
 
-class NsSystem:
-    """H_ns(x, lambda, w, u, a, b) = 0 encodes a fixed point carrying a
-    unit-norm complex eigenpair on the unit circle; dimension 3d + 3."""
+class _PointSystem:
+    """Layout and evaluation shared by H_ns and H_sn.  `slots` holds the
+    slice or position of each variable in z: split and join place the
+    variables by it, and the Jacobian and Hessian builders their columns."""
 
-    name = "neimark-sacker"
+    slots: tuple
 
     def __init__(self, coral: CoralMap):
         self.coral = coral
         self.d = coral.d
-        self.dim = 3 * self.d + 3
 
-    # variable slices: x | lambda | w | u | a | b
-    def split(self, z):
-        d = self.d
-        return (z[:d], z[d], z[d + 1:2 * d + 1], z[2 * d + 1:3 * d + 1],
-                z[3 * d + 1], z[3 * d + 2])
+    def split(self, z) -> tuple:
+        """The variables of z (array, scalar list or IVector) in slot order."""
+        return tuple(z[s] for s in self.slots)
 
-    def join(self, x, lam, w, u, a, b) -> np.ndarray:
-        return np.concatenate([x, [lam], w, u, [a], [b]])
+    def join(self, *parts) -> np.ndarray:
+        z = np.empty(self.dim)
+        for s, part in zip(self.slots, parts, strict=True):
+            z[s] = part
+        return z
 
     def value(self, z: np.ndarray) -> np.ndarray:
         return np.array(self.value_scalars(np.asarray(z, dtype=float), self.coral.cf))
 
+    def value_iv(self, z: IVector) -> IVector:
+        return IVector.from_scalars(self.value_scalars(z.to_scalars(), self.coral.ci))
+
+
+class NsSystem(_PointSystem):
+    """H_ns(x, lambda, w, u, a, b) = 0 encodes a fixed point carrying a
+    unit-norm complex eigenpair on the unit circle; dimension 3d + 3."""
+
+    name = "neimark-sacker"
+    kind = "neimark_sacker"
+    on_circle = 2            # eigenvalues of D_x f on the unit circle
+
+    def __init__(self, coral: CoralMap):
+        super().__init__(coral)
+        d = self.d
+        self.dim = 3 * d + 3
+        # x | lambda | w | u | a | b
+        self.slots = (slice(0, d), d, slice(d + 1, 2 * d + 1),
+                      slice(2 * d + 1, 3 * d + 1), 3 * d + 1, 3 * d + 2)
+
+    def x_lam(self, z) -> tuple:
+        x, lam, *_ = self.split(z)
+        return x, lam
+
     def value_scalars(self, z: list, coeffs) -> list:
         """Generic-scalar evaluation (drives interval and mpmath paths)."""
         d = self.d
-        x, lam = z[:d], z[d]
-        w, u = z[d + 1:2 * d + 1], z[2 * d + 1:3 * d + 1]
-        a, b = z[3 * d + 1], z[3 * d + 2]
+        x, lam, w, u, a, b = self.split(z)
         S = self.coral.params.S
         f = self.coral.step_scalars(lam, x, coeffs)
         jw0, ju0 = _row1_jvp(self.coral, lam, x, coeffs, w, u)
@@ -214,9 +230,6 @@ class NsSystem:
         out.append(sum((ui * ui for ui in u), 0.0 * a) - 1.0)
         return out
 
-    def value_iv(self, z: IVector) -> IVector:
-        return IVector.from_scalars(self.value_scalars(z.to_scalars(), self.coral.ci))
-
     def jac(self, z: np.ndarray) -> np.ndarray:
         x, lam, w, u, a, b = self.split(np.asarray(z, dtype=float))
         d = self.d
@@ -227,9 +240,7 @@ class NsSystem:
         g1 = phis[1] * cf.q * bx + phis[0] * cf.b
         A = self.coral.jac_x(lam, x)
         J = np.zeros((self.dim, self.dim))
-        sx, sl = slice(0, d), d
-        sw, su = slice(d + 1, 2 * d + 1), slice(2 * d + 1, 3 * d + 1)
-        sa, sb = 3 * d + 1, 3 * d + 2
+        sx, sl, sw, su, sa, sb = self.slots
         r1, r2, r3 = slice(0, d), slice(d, 2 * d), slice(2 * d, 3 * d)
         # rows f(lambda, x) - x
         J[r1, sx] = A - np.eye(d)
@@ -258,15 +269,13 @@ class NsSystem:
     def jac_iv(self, z: IVector) -> IMatrix:
         d = self.d
         _, lam, w, u, a, b = self.split(z.to_scalars())
-        jet = self.coral.row1_jet(IVector(z.lo[:d], z.hi[:d]), order=2)
+        X, _, W, U, _, _ = self.split(z)
+        jet = self.coral.row1_jet(X, order=2)
         phis, bx = jet.phis, jet.bx
         A = self.coral.jac_x_iv(lam, jet)
         lo, hi = np.zeros((self.dim, self.dim)), np.zeros((self.dim, self.dim))
-        sx, sl = slice(0, d), d
-        sw, su = slice(d + 1, 2 * d + 1), slice(2 * d + 1, 3 * d + 1)
-        sa, sb = 3 * d + 1, 3 * d + 2
+        sx, sl, sw, su, sa, sb = self.slots
         r1, r2, r3 = slice(0, d), slice(d, 2 * d), slice(2 * d, 3 * d)
-        W, U = IVector(z.lo[sw], z.hi[sw]), IVector(z.lo[su], z.hi[su])
         i = np.arange(d)
         # rows f(lambda, x) - x
         _put(lo, hi, (r1, sx), A.shifted(1.0))
@@ -275,13 +284,13 @@ class NsSystem:
         _put(lo, hi, (d, sx), _d2_row(self.coral, lam, phis, bx, w))
         _put(lo, hi, (d, sl), _g1_dot(jet, W))
         _put(lo, hi, (r2, sw), A.shifted(a))
-        _put(lo, hi, (d + i, 2 * d + 1 + i), b)
+        _put(lo, hi, (d + i, su.start + i), b)
         _put(lo, hi, (r2, sa), -W)
         _put(lo, hi, (r2, sb), U)
         # rows D_xf u - b w - a u
         _put(lo, hi, (2 * d, sx), _d2_row(self.coral, lam, phis, bx, u))
         _put(lo, hi, (2 * d, sl), _g1_dot(jet, U))
-        _put(lo, hi, (2 * d + i, d + 1 + i), -b)
+        _put(lo, hi, (2 * d + i, sw.start + i), -b)
         _put(lo, hi, (r3, su), A.shifted(a))
         _put(lo, hi, (r3, sa), -U)
         _put(lo, hi, (r3, sb), -W)
@@ -294,25 +303,17 @@ class NsSystem:
 
     def hessian_sup(self, box: IVector) -> np.ndarray:
         d, m = self.d, self.dim
-        zs = box
-        lam_box = zs[d]
-        x_box = IVector(zs.lo[:d], zs.hi[:d])
-        wmag = np.maximum(np.abs(zs.lo[d + 1:2 * d + 1]), np.abs(zs.hi[d + 1:2 * d + 1]))
-        umag = np.maximum(np.abs(zs.lo[2 * d + 1:3 * d + 1]), np.abs(zs.hi[2 * d + 1:3 * d + 1]))
+        x_box, lam_box, w_box, u_box, _, _ = self.split(box)
         rb = self.coral.row1_bounds(lam_box, x_box)
         T = np.zeros((m, m, m))
-        sx = slice(0, d)
-        sl = d
-        sw = slice(d + 1, 2 * d + 1)
-        su = slice(2 * d + 1, 3 * d + 1)
-        sa, sb = 3 * d + 1, 3 * d + 2
+        sx, sl, sw, su, sa, sb = self.slots
         lg2 = up_mul(rb.lam_mag, rb.g2)
         # row f_1 - x_1
         T[0, sx, sx] = lg2
         T[0, sl, sx] = rb.g1
         T[0, sx, sl] = rb.g1
         # eigen rows, first components
-        for row0, vmag, svec in ((d, wmag, sw), (2 * d, umag, su)):
+        for row0, vmag, svec in ((d, w_box.mag, sw), (2 * d, u_box.mag, su)):
             T[row0, sx, sx] = up_mul(rb.lam_mag, rb.g3_contracted(vmag))
             tv = up_mul(up_dot(vmag, rb.g2), 1.0)
             T[row0, sl, sx] = tv
@@ -322,44 +323,42 @@ class NsSystem:
             T[row0, sl, svec] = rb.g1
             T[row0, svec, sl] = rb.g1
         # bilinear -a*w + b*u rows
-        for c in range(d):
-            T[d + c, sa, d + 1 + c] = T[d + c, d + 1 + c, sa] = 1.0
-            T[d + c, sb, 2 * d + 1 + c] = T[d + c, 2 * d + 1 + c, sb] = 1.0
-            T[2 * d + c, sb, d + 1 + c] = T[2 * d + c, d + 1 + c, sb] = 1.0
-            T[2 * d + c, sa, 2 * d + 1 + c] = T[2 * d + c, 2 * d + 1 + c, sa] = 1.0
+        c = np.arange(d)
+        wc, uc = sw.start + c, su.start + c
+        T[d + c, sa, wc] = T[d + c, wc, sa] = 1.0
+        T[d + c, sb, uc] = T[d + c, uc, sb] = 1.0
+        T[2 * d + c, sb, wc] = T[2 * d + c, wc, sb] = 1.0
+        T[2 * d + c, sa, uc] = T[2 * d + c, uc, sa] = 1.0
         # normalization rows
         T[3 * d, sa, sa] = 2.0
         T[3 * d, sb, sb] = 2.0
-        for j in range(d):
-            T[3 * d + 1, d + 1 + j, d + 1 + j] = 2.0
-            T[3 * d + 2, 2 * d + 1 + j, 2 * d + 1 + j] = 2.0
+        T[3 * d + 1, wc, wc] = 2.0
+        T[3 * d + 2, uc, uc] = 2.0
         return T
 
 
-class SnSystem:
+class SnSystem(_PointSystem):
     """H_sn(x, v, lambda) = 0: fixed point with unit-norm kernel vector of
     D_xf - I; dimension 2d + 1."""
 
     name = "saddle-node"
+    kind = "saddle_node"
+    on_circle = 1            # eigenvalues of D_x f on the unit circle
 
     def __init__(self, coral: CoralMap):
-        self.coral = coral
-        self.d = coral.d
-        self.dim = 2 * self.d + 1
-
-    def split(self, z):
+        super().__init__(coral)
         d = self.d
-        return z[:d], z[d:2 * d], z[2 * d]
+        self.dim = 2 * d + 1
+        # x | v | lambda
+        self.slots = (slice(0, d), slice(d, 2 * d), 2 * d)
 
-    def join(self, x, v, lam) -> np.ndarray:
-        return np.concatenate([x, v, [lam]])
-
-    def value(self, z: np.ndarray) -> np.ndarray:
-        return np.array(self.value_scalars(np.asarray(z, dtype=float), self.coral.cf))
+    def x_lam(self, z) -> tuple:
+        x, _, lam = self.split(z)
+        return x, lam
 
     def value_scalars(self, z: list, coeffs) -> list:
         d = self.d
-        x, v, lam = z[:d], z[d:2 * d], z[2 * d]
+        x, v, lam = self.split(z)
         S = self.coral.params.S
         f = self.coral.step_scalars(lam, x, coeffs)
         jv = _row1_jvp(self.coral, lam, x, coeffs, v) + [S[i] * v[i] for i in range(d - 1)]
@@ -367,9 +366,6 @@ class SnSystem:
         out += [jvi - vi for jvi, vi in zip(jv, v)]
         out.append(sum((vi * vi for vi in v), 0.0 * lam) - 1.0)
         return out
-
-    def value_iv(self, z: IVector) -> IVector:
-        return IVector.from_scalars(self.value_scalars(z.to_scalars(), self.coral.ci))
 
     def jac(self, z: np.ndarray) -> np.ndarray:
         x, v, lam = self.split(np.asarray(z, dtype=float))
@@ -381,38 +377,39 @@ class SnSystem:
         g1 = phis[1] * cf.q * bx + phis[0] * cf.b
         A = self.coral.jac_x(lam, x)
         J = np.zeros((self.dim, self.dim))
-        J[:d, :d] = A - np.eye(d)
-        J[0, 2 * d] = phis[0] * bx
-        J[d, :d] = lam * row1_d2(phis, bx, cf.q @ v, cf.b @ v, cf.q, cf.b)
-        J[d:2 * d, d:2 * d] = A - np.eye(d)
-        J[d, 2 * d] = g1 @ v
-        J[2 * d, d:2 * d] = 2 * v
+        sx, sv, sl = self.slots
+        J[:d, sx] = A - np.eye(d)
+        J[0, sl] = phis[0] * bx
+        J[d, sx] = lam * row1_d2(phis, bx, cf.q @ v, cf.b @ v, cf.q, cf.b)
+        J[d:2 * d, sv] = A - np.eye(d)
+        J[d, sl] = g1 @ v
+        J[2 * d, sv] = 2 * v
         return J
 
     def jac_iv(self, z: IVector) -> IMatrix:
         d = self.d
         _, v, lam = self.split(z.to_scalars())
-        jet = self.coral.row1_jet(IVector(z.lo[:d], z.hi[:d]), order=2)
+        X, V, _ = self.split(z)
+        jet = self.coral.row1_jet(X, order=2)
         phis, bx = jet.phis, jet.bx
         AmI = self.coral.jac_x_iv(lam, jet).shifted(1.0)
         lo, hi = np.zeros((self.dim, self.dim)), np.zeros((self.dim, self.dim))
-        _put(lo, hi, np.s_[:d, :d], AmI)
-        _put(lo, hi, (0, 2 * d), phis[0] * bx)
-        _put(lo, hi, (d, np.s_[:d]), _d2_row(self.coral, lam, phis, bx, v))
-        _put(lo, hi, np.s_[d:2 * d, d:2 * d], AmI)
-        V = IVector(z.lo[d:2 * d], z.hi[d:2 * d])
-        _put(lo, hi, (d, 2 * d), _g1_dot(jet, V))
-        _put(lo, hi, (2 * d, np.s_[d:2 * d]), V.scale(2.0))
+        sx, sv, sl = self.slots
+        _put(lo, hi, (np.s_[:d], sx), AmI)
+        _put(lo, hi, (0, sl), phis[0] * bx)
+        _put(lo, hi, (d, sx), _d2_row(self.coral, lam, phis, bx, v))
+        _put(lo, hi, (np.s_[d:2 * d], sv), AmI)
+        _put(lo, hi, (d, sl), _g1_dot(jet, V))
+        _put(lo, hi, (2 * d, sv), V.scale(2.0))
         return IMatrix(lo, hi)
 
     def hessian_sup(self, box: IVector) -> np.ndarray:
         d, m = self.d, self.dim
-        lam_box = box[2 * d]
-        x_box = IVector(box.lo[:d], box.hi[:d])
-        vmag = np.maximum(np.abs(box.lo[d:2 * d]), np.abs(box.hi[d:2 * d]))
+        x_box, v_box, lam_box = self.split(box)
+        vmag = v_box.mag
         rb = self.coral.row1_bounds(lam_box, x_box)
         T = np.zeros((m, m, m))
-        sx, sv, sl = slice(0, d), slice(d, 2 * d), 2 * d
+        sx, sv, sl = self.slots
         lg2 = up_mul(rb.lam_mag, rb.g2)
         T[0, sx, sx] = lg2
         T[0, sl, sx] = rb.g1
@@ -425,58 +422,9 @@ class SnSystem:
         T[d, sx, sv] = lg2.T
         T[d, sl, sv] = rb.g1
         T[d, sv, sl] = rb.g1
-        for j in range(d):
-            T[2 * d, d + j, d + j] = 2.0
+        vc = sv.start + np.arange(d)
+        T[2 * d, vc, vc] = 2.0
         return T
-
-
-@dataclass(frozen=True)
-class NsPoint:
-    """Neimark-Sacker candidate: fixed point plus a unit eigenpair written
-    in real coordinates, with (a, b) = (cos theta0, sin theta0)."""
-
-    x: np.ndarray
-    lam: float
-    w: np.ndarray
-    u: np.ndarray
-    a: float
-    b: float
-
-    def to_array(self) -> np.ndarray:
-        return np.concatenate([self.x, [self.lam], self.w, self.u,
-                               [self.a], [self.b]])
-
-    @staticmethod
-    def from_array(z: np.ndarray) -> "NsPoint":
-        z = np.asarray(z, dtype=float)
-        d = (len(z) - 3) // 3
-        return NsPoint(x=z[:d].copy(), lam=float(z[d]),
-                       w=z[d + 1:2 * d + 1].copy(), u=z[2 * d + 1:3 * d + 1].copy(),
-                       a=float(z[3 * d + 1]), b=float(z[3 * d + 2]))
-
-    @property
-    def theta0(self) -> float:
-        return math.atan2(self.b, self.a)
-
-
-@dataclass(frozen=True)
-class SnPoint:
-    """Saddle-node candidate: fixed point plus the unit kernel vector of
-    D_x f - I."""
-
-    x: np.ndarray
-    v: np.ndarray
-    lam: float
-
-    def to_array(self) -> np.ndarray:
-        return np.concatenate([self.x, self.v, [self.lam]])
-
-    @staticmethod
-    def from_array(z: np.ndarray) -> "SnPoint":
-        z = np.asarray(z, dtype=float)
-        d = (len(z) - 1) // 2
-        return SnPoint(x=z[:d].copy(), v=z[d:2 * d].copy(), lam=float(z[2 * d]))
-
 
 
 # ---------------------------------------------------------------------------
@@ -510,16 +458,7 @@ def find_sn_anchor(coral: CoralMap) -> np.ndarray:
     lo, hi = 1.0, 5000.0
     if dphi(lo) <= 0 or dphi(hi) >= 0:
         raise CertificationFailed("could not bracket the fold of phi")
-    for _ in range(200):
-        midp = 0.5 * (lo + hi)
-        if midp in (lo, hi):
-            break
-        if dphi(midp) > 0:
-            lo = midp
-        else:
-            hi = midp
-    y_star = 0.5 * (lo + hi)
-    x1 = y_star / red.cP
+    x1 = _bisect(dphi, lo, hi) / red.cP
     lam = red.branch_lambda(x1)
     x = red.full_point(x1)
     A = coral.jac_x(lam, x)
@@ -546,15 +485,7 @@ def find_ns_anchor(coral: CoralMap) -> np.ndarray:
     lo, hi = 800.0, 2600.0
     if h(lo) >= 0 or h(hi) <= 0:
         raise CertificationFailed("could not bracket the stability loss")
-    for _ in range(200):
-        midp = 0.5 * (lo + hi)
-        if midp in (lo, hi):
-            break
-        if h(midp) < 0:
-            lo = midp
-        else:
-            hi = midp
-    x1 = 0.5 * (lo + hi)
+    x1 = _bisect(h, lo, hi)
     lam = red.branch_lambda(x1)
     x = red.full_point(x1)
     A = coral.jac_x(lam, x)
@@ -747,9 +678,7 @@ def _ns_left_row(coral: CoralMap, A_iv: IMatrix, a: Interval, b: Interval,
     d = coral.d
     # N = A^t - (a + i b) I; bordered with c = u0 + i w0 (approximate null
     # vector of N^H) and a pinning row from the numerical left eigenvector.
-    w0 = box_mid[d + 1:2 * d + 1]
-    u0 = box_mid[2 * d + 1:3 * d + 1]
-    a0, b0 = box_mid[3 * d + 1], box_mid[3 * d + 2]
+    _, _, w0, u0, a0, b0 = NsSystem(coral).split(box_mid)
     ev, vecs = np.linalg.eig(A_iv.T.mid)
     k = int(np.argmin(np.abs(ev - (a0 + 1j * b0))))
     r0 = vecs[:, k]
@@ -772,8 +701,9 @@ def _ns_left_row(coral: CoralMap, A_iv: IMatrix, a: Interval, b: Interval,
 
 def ns_box_data(coral: CoralMap, box: IVector, A_iv: IMatrix) -> NsBoxData:
     """The NS condition data over a certified box, given its D_x f enclosure."""
-    _, lam, w, u, a, b = NsSystem(coral).split(box.to_scalars())
-    jet = coral.row1_jet(IVector(box.lo[:coral.d], box.hi[:coral.d]), order=3)
+    ns = NsSystem(coral)
+    _, lam, w, u, a, b = ns.split(box.to_scalars())
+    jet = coral.row1_jet(ns.x_lam(box)[0], order=3)
     q = [CI(ui, -wi) for ui, wi in zip(u, w)]
     r = _ns_left_row(coral, A_iv, a, b, box.mid)
     z = sum((ri * qi for ri, qi in zip(r, q)), CI(0.0))
@@ -810,9 +740,7 @@ def ns_condition_d(coral: CoralMap, box: IVector) -> tuple[Interval, dict[str, b
 
     Returns the enclosure of theta0 in degrees plus per-angle verdicts
     (0 and 180 follow from the verified sign of sin theta0)."""
-    d = coral.d
-    zs = box.to_scalars()
-    a, b = zs[3 * d + 1], zs[3 * d + 2]
+    *_, a, b = NsSystem(coral).split(box)
     if not b.lo > 0.0:
         raise ConditionInconclusive("sin(theta0) enclosure not positive")
     theta = atan2_enclosure(b, a) * _RAD2DEG
@@ -865,85 +793,39 @@ def ns_condition_e(coral: CoralMap, data: NsBoxData) -> Interval:
 
 def certify_ns(coral: CoralMap, anchor: np.ndarray | None = None,
                ell: float = 1e-6) -> BifCertificate:
-    """Full Neimark-Sacker certification: CIFT zero of H_ns, verified
-    spectrum count, and interval conditions (c), (d), (e)."""
+    """Full Neimark-Sacker certification: CIFT zero of H_ns, orientation of
+    (a, b), verified spectrum count, and interval conditions (c), (d), (e)."""
     ns = NsSystem(coral)
-    d = coral.d
-    if anchor is None:
-        anchor = find_ns_anchor(coral)
-    elif isinstance(anchor, NsPoint):
-        anchor = anchor.to_array()
-    try:
-        base = cift.validate_zero(ns, anchor, ell)
-    except Exception as exc:
-        raise CertificationFailed(f"stage cift: {exc}") from exc
-    box = IVector.around(np.asarray(anchor, float), base.delta_accuracy)
-    zs = box.to_scalars()
-    a_iv, b_iv = zs[3 * d + 1], zs[3 * d + 2]
-    if not b_iv.lo > 0.0:
-        raise CertificationFailed("stage orientation: sin(theta0) not verified positive")
-    circ = a_iv.sqr() + b_iv.sqr()
-    if 1.0 not in circ:
-        raise CertificationFailed("stage orientation: a^2 + b^2 enclosure misses 1")
 
-    lam_iv = zs[d]
-    x_box = IVector(box.lo[:d], box.hi[:d])
-    A_iv = coral.jac_x_iv(lam_iv, coral.row1_jet(x_box))
-    try:
-        spec = verified_spectrum_inside_disk(A_iv, exclude=2)
-    except SpectrumInconclusive as exc:
-        raise CertificationFailed(f"stage spectrum: {exc}") from exc
-    if spec.count_inside != d - 2 or not spec.outliers_separated:
-        raise CertificationFailed(
-            f"stage spectrum: {spec.count_inside} eigenvalues inside, "
-            f"separated={spec.outliers_separated}")
+    def orientation(box: IVector) -> None:
+        *_, a_iv, b_iv = ns.split(box)
+        if not b_iv.lo > 0.0:
+            raise CertificationFailed("stage orientation: sin(theta0) not verified positive")
+        if 1.0 not in a_iv.sqr() + b_iv.sqr():
+            raise CertificationFailed("stage orientation: a^2 + b^2 enclosure misses 1")
 
-    try:
+    def conditions(box: IVector, A_iv: IMatrix) -> tuple[dict, dict]:
         data = ns_box_data(coral, box, A_iv)
         cond_c, cond_c_explicit = ns_condition_c_pair(coral, data)
         theta, angle_checks = ns_condition_d(coral, box)
         cond_e = ns_condition_e(coral, data)
-    except (ConditionInconclusive, NotInvertibleEvidence) as exc:
-        raise CertificationFailed(f"stage conditions: {exc}") from exc
-    if cond_c.contains_zero() or cond_c_explicit.contains_zero():
-        raise CertificationFailed(f"stage condition (c): interval {cond_c} "
-                                  f"or {cond_c_explicit} contains 0")
-    if not all(angle_checks.values()):
-        raise CertificationFailed(f"stage condition (d): {angle_checks}")
-    if cond_e.contains_zero():
-        raise CertificationFailed(f"stage condition (e): interval {cond_e} contains 0")
+        if cond_c.contains_zero() or cond_c_explicit.contains_zero():
+            raise CertificationFailed(f"stage condition (c): interval {cond_c} "
+                                      f"or {cond_c_explicit} contains 0")
+        if not all(angle_checks.values()):
+            raise CertificationFailed(f"stage condition (d): {angle_checks}")
+        if cond_e.contains_zero():
+            raise CertificationFailed(f"stage condition (e): interval {cond_e} contains 0")
+        return {
+            "c_transversality_total": (cond_c.lo, cond_c.hi),
+            "c_transversality": (cond_c_explicit.lo, cond_c_explicit.hi),
+            "d_theta0_deg": (theta.lo, theta.hi),
+            "e_normal_form": (cond_e.lo, cond_e.hi),
+        }, {"theta0_deg": theta.mid}
 
-    x0 = np.asarray(anchor[:d], float)
-    lam0 = float(anchor[d])
-    P0 = float(coral.cf.q @ x0)
-    summary = {
-        "R": coral.cf.ba * lam0,
-        "lambda": lam0,
-        "x1": float(x0[0]),
-        "P": P0,
-        "theta0_deg": theta.mid,
-        "rho": base.rho,
-        "K": base.K,
-        "L1": base.L1,
-    }
-    conditions = {
-        "c_transversality_total": (cond_c.lo, cond_c.hi),
-        "c_transversality": (cond_c_explicit.lo, cond_c_explicit.hi),
-        "d_theta0_deg": (theta.lo, theta.hi),
-        "e_normal_form": (cond_e.lo, cond_e.hi),
-    }
-    return BifCertificate(
-        kind="neimark_sacker",
-        anchor=tuple(float(v) for v in anchor),
-        enclosure_lo=tuple(float(v) for v in box.lo),
-        enclosure_hi=tuple(float(v) for v in box.hi),
-        delta_accuracy=base.delta_accuracy,
-        delta_uniqueness=base.delta_uniqueness,
-        conditions=conditions,
-        spectrum_inside=spec.count_inside,
-        summary=summary,
-        base=base,
-    )
+    if anchor is None:
+        anchor = find_ns_anchor(coral)
+    return _certify(ns, anchor, ell, conditions, orientation)
 
 
 # ---------------------------------------------------------------------------
@@ -978,12 +860,12 @@ def sn_conditions(coral: CoralMap, box: IVector, A_iv: IMatrix) -> tuple[Interva
     The certified kernel vector fixes an arbitrary sign; the returned
     values use the orientation that makes (c) negative (only the product
     (c)*(d) is orientation invariant)."""
-    d = coral.d
-    _, v, lam = SnSystem(coral).split(box.to_scalars())
-    jet = coral.row1_jet(IVector(box.lo[:d], box.hi[:d]), order=2)
+    sn = SnSystem(coral)
+    _, v, lam = sn.split(box.to_scalars())
+    jet = coral.row1_jet(sn.x_lam(box)[0], order=2)
     phis, bx = jet.phis, jet.bx
 
-    ps = _sn_left_vector(coral, A_iv, box.mid[d:2 * d]).to_scalars()
+    ps = _sn_left_vector(coral, A_iv, sn.split(box.mid)[1]).to_scalars()
     z = sum((pi * vi for pi, vi in zip(ps, v)), Interval(0.0))
     if z.contains_zero():
         raise ConditionInconclusive("p^t q enclosure touches zero")
@@ -1002,59 +884,80 @@ def certify_sn(coral: CoralMap, anchor: np.ndarray | None = None,
                ell: float = 1e-6) -> BifCertificate:
     """Saddle-node certification: CIFT zero of H_sn, simple-eigenvalue-1
     verification, and interval conditions (c), (d)."""
-    sn = SnSystem(coral)
-    d = coral.d
+
+    def conditions(box: IVector, A_iv: IMatrix) -> tuple[dict, dict]:
+        cond_c, cond_d = sn_conditions(coral, box, A_iv)
+        if cond_c.contains_zero():
+            raise CertificationFailed(f"stage condition (c): interval {cond_c} contains 0")
+        if cond_d.contains_zero():
+            raise CertificationFailed(f"stage condition (d): interval {cond_d} contains 0")
+        return {"c_transversality": (cond_c.lo, cond_c.hi),
+                "d_nondegeneracy": (cond_d.lo, cond_d.hi)}, {}
+
     if anchor is None:
         anchor = find_sn_anchor(coral)
-    elif isinstance(anchor, SnPoint):
-        anchor = anchor.to_array()
+    return _certify(SnSystem(coral), anchor, ell, conditions)
+
+
+def _certify(system: "NsSystem | SnSystem", anchor: np.ndarray, ell: float,
+             conditions, orientation=None) -> BifCertificate:
+    """The stages shared by the SN and NS certifications, in this order:
+
+    1. cift: a CIFT zero of the extended system near `anchor`;
+    2. `orientation(box)`, if given, on the certified box;
+    3. spectrum: all but `system.on_circle` eigenvalues of D_x f over the
+       box lie strictly inside the unit disk, the rest in separated disks;
+    4. `conditions(box, A_iv)`, which checks the point's own conditions
+       and returns them with any extra summary entries.
+
+    A failed stage raises CertificationFailed naming the stage."""
+    coral, d = system.coral, system.d
     try:
-        base = cift.validate_zero(sn, anchor, ell)
-    except Exception as exc:
+        base = cift.validate_zero(system, anchor, ell)
+    except (ValidationFailed, DomainError) as exc:
         raise CertificationFailed(f"stage cift: {exc}") from exc
-    box = IVector.around(np.asarray(anchor, float), base.delta_accuracy)
-    zs = box.to_scalars()
-    lam_iv = zs[2 * d]
-    x_box = IVector(box.lo[:d], box.hi[:d])
+    anchor = np.asarray(anchor, float)
+    box = IVector.around(anchor, base.delta_accuracy)
+    if orientation is not None:
+        orientation(box)
+
+    x_box, lam_iv = system.x_lam(box)
     A_iv = coral.jac_x_iv(lam_iv, coral.row1_jet(x_box))
+    n_circle = system.on_circle
     try:
-        spec = verified_spectrum_inside_disk(A_iv, exclude=1)
+        spec = verified_spectrum_inside_disk(A_iv, exclude=n_circle)
     except SpectrumInconclusive as exc:
         raise CertificationFailed(f"stage spectrum: {exc}") from exc
-    if spec.count_inside != d - 1 or not spec.outliers_separated:
+    if spec.count_inside != d - n_circle or not spec.outliers_separated:
         raise CertificationFailed(
             f"stage spectrum: {spec.count_inside} eigenvalues inside, "
             f"separated={spec.outliers_separated}")
 
     try:
-        cond_c, cond_d = sn_conditions(coral, box, A_iv)
+        conds, extra = conditions(box, A_iv)
     except (ConditionInconclusive, NotInvertibleEvidence) as exc:
         raise CertificationFailed(f"stage conditions: {exc}") from exc
-    if cond_c.contains_zero():
-        raise CertificationFailed(f"stage condition (c): interval {cond_c} contains 0")
-    if cond_d.contains_zero():
-        raise CertificationFailed(f"stage condition (d): interval {cond_d} contains 0")
 
-    x0 = np.asarray(anchor[:d], float)
-    lam0 = float(anchor[2 * d])
+    x0, lam0 = system.x_lam(anchor)
+    lam0 = float(lam0)
     summary = {
         "R": coral.cf.ba * lam0,
         "lambda": lam0,
         "x1": float(x0[0]),
         "P": float(coral.cf.q @ x0),
+        **extra,
         "rho": base.rho,
         "K": base.K,
         "L1": base.L1,
     }
     return BifCertificate(
-        kind="saddle_node",
+        kind=system.kind,
         anchor=tuple(float(v) for v in anchor),
         enclosure_lo=tuple(float(v) for v in box.lo),
         enclosure_hi=tuple(float(v) for v in box.hi),
         delta_accuracy=base.delta_accuracy,
         delta_uniqueness=base.delta_uniqueness,
-        conditions={"c_transversality": (cond_c.lo, cond_c.hi),
-                    "d_nondegeneracy": (cond_d.lo, cond_d.hi)},
+        conditions=conds,
         spectrum_inside=spec.count_inside,
         summary=summary,
         base=base,
@@ -1125,13 +1028,3 @@ def transcritical_analysis(params=None) -> TranscriticalResult:
     resid = float(np.max(np.abs(res @ coral.cf.a)) / np.max(np.abs(coral.cf.a)))
     return TranscriticalResult(R_star=R_star, lambda_star=lam_star, v=v, w=w,
                                nd1=nd1, nd2=nd2, eigvec_residual=resid)
-
-
-def trivial_branch_det_formula(lam: float, coral: CoralMap) -> float:
-    """Closed form of det(D_x f(lambda, 0) - I): the zero sits at
-    lambda* = c2/(c1 (b.a)); the leading factor makes it match the raw
-    determinant, not just its zero set."""
-    p = coral.params
-    scale = p.c1 * coral.cf.ba / p.c2
-    sign = 1.0 if coral.d % 2 == 0 else -1.0
-    return sign * (1.0 - scale * lam)

@@ -133,18 +133,23 @@ def residual_bound(problem, z0: np.ndarray, precond: np.ndarray | None = None) -
     return norm_inf(r).hi
 
 
-def inverse_bound(A: IMatrix, B: np.ndarray) -> tuple[float, float]:
-    """Neumann-series bounds: K >= |A^{-1}| and err >= |B - A^{-1}|.
-
-    Requires |I - B A| <= rho1 < 1, verified in interval arithmetic;
-    otherwise raises NotInvertibleEvidence.
-    """
-    n = A.shape[0]
-    BA = float_matmat(np.asarray(B, dtype=float), A)
-    rho1 = norm_inf(IMatrix.identity(n) - BA).hi
+def neumann_rho(A: IMatrix, B: np.ndarray) -> float:
+    """Upper bound rho1 of |I - B A| for every A in the enclosure, verified
+    < 1 in interval arithmetic (so A and B are invertible); otherwise
+    raises NotInvertibleEvidence."""
+    BA = float_matmat(B, A)
+    rho1 = norm_inf(IMatrix.identity(A.shape[0]) - BA).hi
     if not rho1 < 1.0:
         raise NotInvertibleEvidence(f"|I - BA| bound {rho1} >= 1")
-    rho2 = float(np.max(up_sum(np.abs(np.asarray(B, dtype=float)), axis=1)))
+    return rho1
+
+
+def inverse_bound(A: IMatrix, B: np.ndarray) -> tuple[float, float]:
+    """Neumann-series bounds: K >= |A^{-1}| and err >= |B - A^{-1}|,
+    given |I - B A| <= rho1 < 1 from neumann_rho."""
+    B = np.asarray(B, dtype=float)
+    rho1 = neumann_rho(A, B)
+    rho2 = float(np.max(up_sum(np.abs(B), axis=1)))
     gap = Interval(1.0) - Interval(rho1)
     K = (Interval(rho2) / gap).hi
     err = ((Interval(rho1) * Interval(rho2)) / gap).hi
@@ -165,10 +170,24 @@ def lipschitz_from_tensor(T: np.ndarray, absB: np.ndarray | None = None) -> floa
     return float(np.max(up_mul(float(m), rows)))
 
 
-def lipschitz_L1(problem, z0: np.ndarray, ell: float) -> float:
-    """Lipschitz bound for the raw (unpreconditioned) DH over z0 +- ell."""
+def lipschitz_L1(problem, z0: np.ndarray, ell: float,
+                 absB: np.ndarray | None = None) -> float:
+    """Lipschitz bound for DH (for B DH when |B| is given) over z0 +- ell."""
     box = IVector.around(np.asarray(z0, dtype=float), ell)
-    return lipschitz_from_tensor(problem.hessian_sup(box))
+    return lipschitz_from_tensor(problem.hessian_sup(box), absB)
+
+
+def accuracy_radius(K: float, rho: float, L1: float, ell: float,
+                    ell_name: str = "ell") -> float:
+    """Upper bound of 2 K rho, the accuracy radius, after checking the
+    theorem's gates 4 K^2 rho L1 < 1 and 2 K rho < ell."""
+    gate = Interval(4.0) * Interval(K) * Interval(K) * Interval(rho) * Interval(L1)
+    if not gate.hi < 1.0:
+        raise ValidationFailed(f"4 K^2 rho L1 = {gate.hi} >= 1")
+    d1 = (Interval(2.0) * Interval(K) * Interval(rho)).hi
+    if not d1 < ell:
+        raise ValidationFailed(f"2 K rho = {d1} >= {ell_name} = {ell}")
+    return d1
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +331,8 @@ def solve_deltas(b: CiftBounds, dir_norm: float = 0.0,
     with delta_alpha, so feasibility is monotone: the float roots give a
     starting point and the rigorous check walks it to the exact answer.
     """
-    gate = Interval(4.0) * Interval(b.K) * Interval(b.K) * Interval(b.rho) * Interval(b.L1)
-    if not gate.hi < 1.0:
-        raise ValidationFailed(f"4 K^2 rho L1 = {gate.hi} >= 1")
+    dmin = accuracy_radius(b.K, b.rho, b.L1, b.ell_x, "ell_x")
     k = _TwoK.of(b)
-    dmin = k.rho.hi
-    if not dmin < b.ell_x:
-        raise ValidationFailed(f"2 K rho = {dmin} >= ell_x = {b.ell_x}")
     search_cap = coupled_cap * (1.0 - du_reserve)
 
     def feasible(da: float) -> bool:
@@ -352,45 +366,29 @@ def solve_deltas(b: CiftBounds, dir_norm: float = 0.0,
 # ---------------------------------------------------------------------------
 
 
-def validate_zero(problem, z0: np.ndarray, ell: float = 1e-6,
-                  precondition: bool = True) -> Certificate:
-    """Certify a unique zero of `problem` near the anchor z0.
+def validate_zero(problem, z0: np.ndarray, ell: float = 1e-6) -> Certificate:
+    """Certify a unique zero of `problem` near the anchor z0 (through B*H,
+    as described in the module docstring).
 
     On success: a true zero exists within delta_accuracy = 2*K*rho of z0
     in max norm, and it is the only zero within delta_uniqueness.
     Raises ValidationFailed with the violated hypothesis otherwise.
     """
     z0 = np.asarray(z0, dtype=float)
-    m = problem.dim
     try:
         B = np.linalg.inv(problem.jac(z0))
     except np.linalg.LinAlgError as exc:
         raise ValidationFailed(f"anchor Jacobian not invertible: {exc}") from exc
 
-    z0iv = IVector.point(z0)
-    T = problem.hessian_sup(IVector.around(z0, ell))
+    L1 = lipschitz_L1(problem, z0, ell, np.abs(B))
+    rho = residual_bound(problem, z0, B)
     try:
-        if precondition:
-            # certify the zero of B*H (identical zero set once B*DH is
-            # verified close to I, which also proves B invertible)
-            rho = norm_inf(float_matmat(B, problem.value_iv(z0iv))).hi
-            A = float_matmat(B, problem.jac_iv(z0iv))
-            K, _ = inverse_bound(A, np.eye(m))
-            L1 = lipschitz_from_tensor(T, np.abs(B))
-        else:
-            rho = norm_inf(problem.value_iv(z0iv)).hi
-            K, _ = inverse_bound(problem.jac_iv(z0iv), B)
-            L1 = lipschitz_from_tensor(T)
-            B = np.eye(m)
+        A = float_matmat(B, problem.jac_iv(IVector.point(z0)))
+        K, _ = inverse_bound(A, np.eye(problem.dim))
     except NotInvertibleEvidence as exc:
         raise ValidationFailed(f"(H2) failed: {exc}") from exc
 
-    gate = Interval(4.0) * Interval(K) * Interval(K) * Interval(rho) * Interval(L1)
-    if not gate.hi < 1.0:
-        raise ValidationFailed(f"4 K^2 rho L1 = {gate.hi} >= 1")
-    d1 = (Interval(2.0) * Interval(K) * Interval(rho)).hi
-    if not d1 < ell:
-        raise ValidationFailed(f"2 K rho = {d1} >= ell = {ell}")
+    d1 = accuracy_radius(K, rho, L1, ell)
     if L1 > 0.0:
         d2 = min(ell, (Interval(1.0) / (Interval(2.0) * Interval(K) * Interval(L1))).lo)
     else:

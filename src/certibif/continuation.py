@@ -15,7 +15,6 @@ so that all coordinates have comparable size.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -123,10 +122,8 @@ class CoralBranchSystem:
         M1 = sum_jk E_jk bounds D_u F in u, M2 = sum_j tg_j bounds it in t,
         and M3 = M2 since d/du_k of D_t F is d/dt of (D_u F)_1k = tg_k.
         lambda is affine in t, so M4 = 0."""
-        dn = lambda a: np.nextafter(a, -math.inf)
-        up = lambda a: np.nextafter(a, math.inf)
-        rad = up(self.s * d_u)
-        x_box = IVector(dn(dn(self.s * u0) - rad), up(up(self.s * u0) + rad))
+        rad = _aup(self.s * d_u)
+        x_box = IVector(_adn(_adn(self.s * u0) - rad), _aup(_aup(self.s * u0) + rad))
         lam_box = self._ct_iv * Interval.around(t0, d_t)
         rb = self.coral.row1_bounds(lam_box, x_box)
         E = up_mul(self._outer0, up_mul(rb.lam_mag, rb.g2))

@@ -35,6 +35,8 @@ from .errors import DomainError
 _INF = math.inf
 _EPS = 2.0 ** -52
 _TINY = 2.0 ** -1074         # smallest subnormal: bounds the underflow error
+_MAX = 2.0 ** 1023 * (2.0 - _EPS)    # largest finite float
+_EXP_OVERFLOW = 709.7827128933841    # least float x with exp(x) > _MAX
 
 
 def _dn(x: float) -> float:
@@ -213,12 +215,14 @@ class Interval:
         def dn(x: float) -> float:
             if x == 0.0:
                 return 1.0
+            if x >= _EXP_OVERFLOW:
+                return _MAX
             return max(0.0, _dn2(math.exp(x)))
 
         def up(x: float) -> float:
             if x == 0.0:
                 return 1.0
-            if x > 709.7827128933841:
+            if x >= _EXP_OVERFLOW:
                 return _INF
             return _up2(math.exp(x))
 
@@ -299,7 +303,9 @@ class IVector:
     def __len__(self) -> int:
         return self.lo.shape[0]
 
-    def __getitem__(self, i: int) -> Interval:
+    def __getitem__(self, i: int | slice) -> "Interval | IVector":
+        if isinstance(i, slice):
+            return IVector(self.lo[i], self.hi[i])
         return Interval(float(self.lo[i]), float(self.hi[i]))
 
     def __repr__(self) -> str:
@@ -523,19 +529,16 @@ def norm_inf(x: "IVector | IMatrix") -> Interval:
     The upper endpoint dominates the norm of every point element of the
     enclosure; the lower endpoint is a valid lower bound for it.
     """
+    if not isinstance(x, (IVector, IMatrix)):
+        raise TypeError(f"norm_inf undefined for {type(x)!r}")
+    mags_hi = x.mag
+    mags_lo = np.where((x.lo <= 0.0) & (x.hi >= 0.0), 0.0,
+                       np.minimum(np.abs(x.lo), np.abs(x.hi)))
     if isinstance(x, IVector):
-        mags_hi = x.mag
-        mags_lo = np.where((x.lo <= 0.0) & (x.hi >= 0.0), 0.0,
-                           np.minimum(np.abs(x.lo), np.abs(x.hi)))
         return Interval(float(mags_lo.max()), float(mags_hi.max()))
-    if isinstance(x, IMatrix):
-        mags_hi = x.mag
-        mags_lo = np.where((x.lo <= 0.0) & (x.hi >= 0.0), 0.0,
-                           np.minimum(np.abs(x.lo), np.abs(x.hi)))
-        hi = float(np.max(up_sum(mags_hi, axis=1)))
-        lo = float(np.max(dn_sum(mags_lo, axis=1)))
-        return Interval(min(lo, hi), hi)
-    raise TypeError(f"norm_inf undefined for {type(x)!r}")
+    hi = float(np.max(up_sum(mags_hi, axis=1)))
+    lo = float(np.max(dn_sum(mags_lo, axis=1)))
+    return Interval(min(lo, hi), hi)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from certibif.bifurcation import (CI, BifCertificate, NsSystem, SnSystem,
                                   find_sn_anchor, ns_box_data, ns_condition_c_pair,
                                   ns_condition_d, ns_condition_e,
                                   transcritical_analysis,
-                                  trivial_branch_det_formula,
                                   verified_solve, verified_spectrum_inside_disk)
 from certibif.errors import DomainError, SpectrumInconclusive
 from certibif.interval import IMatrix, Interval, IVector
@@ -42,7 +41,7 @@ def test_ci_arithmetic_contains_complex():
 
 def test_ci_abs_bounds():
     z = CI(Interval(3.0), Interval(4.0))
-    assert z.abs_lo() <= 5.0 <= z.abs_hi()
+    assert (z.re.sqr() + z.im.sqr()).sqrt().lo <= 5.0 <= z.abs_hi()
 
 
 def test_atan2_enclosure_corners():
@@ -503,11 +502,16 @@ def test_bilinear_at_origin_matches_hand_formula(coral):
 
 
 def test_trivial_branch_determinant_closed_form(coral):
+    """det(D_x f(lambda, 0) - I) = (-1)^d (1 - lambda c1 (b.a) / c2): its
+    zero is lambda* = c2 / (c1 (b.a)), and the factor matches the raw
+    determinant, not just its zero set."""
+    p = coral.params
+    scale = p.c1 * coral.cf.ba / p.c2
     rng = np.random.default_rng(7)
     for lam in rng.uniform(0.1, 5.0, size=50):
         A = coral.jac_x(float(lam), np.zeros(13))
         det = float(np.linalg.det(A - np.eye(13)))
-        expect = trivial_branch_det_formula(float(lam), coral)
+        expect = (-1.0) ** coral.d * (1.0 - scale * float(lam))
         assert math.isclose(det, expect, rel_tol=1e-10)
 
 
@@ -534,14 +538,22 @@ def test_eigenvalue_crossing_consistency(coral, branch_result,
     assert any(abs(Rs[i] - sn_R) < 0.05 for i in flips)
 
 
-def test_typed_anchor_roundtrip(coral, sn_cert, ns_cert):
-    from certibif.bifurcation import NsPoint, SnPoint
+def test_split_join_anchor_roundtrip(coral, sn_cert, ns_cert):
+    sn, ns = SnSystem(coral), NsSystem(coral)
     zs = np.array(sn_cert.anchor)
     zn = np.array(ns_cert.anchor)
-    assert np.allclose(SnPoint.from_array(zs).to_array(), zs)
-    pt = NsPoint.from_array(zn)
-    assert np.allclose(pt.to_array(), zn)
-    assert abs(math.degrees(pt.theta0) - 46.85) < 0.01
+    assert np.array_equal(sn.join(*sn.split(zs)), zs)
+    assert np.array_equal(ns.join(*ns.split(zn)), zn)
+    x, v, lam = sn.split(zs)
+    assert (len(x), len(v), lam) == (13, 13, zs[26])
+    x, lam, w, u, a, b = ns.split(zn)
+    assert (len(x), lam, len(w), len(u)) == (13, zn[13], 13, 13)
+    assert abs(math.degrees(math.atan2(b, a)) - 46.85) < 0.01
+    # an interval box splits into the same slots
+    box = IVector(np.array(ns_cert.enclosure_lo), np.array(ns_cert.enclosure_hi))
+    x_box, lam_box, *_, b_box = ns.split(box)
+    assert np.array_equal(x_box.lo, box.lo[:13]) and lam_box.hi == box.hi[13]
+    assert b_box.lo == box.lo[41]
 
 
 def test_certificate_constants_at_table_scale(sn_cert, ns_cert):
@@ -611,3 +623,30 @@ def test_certify_fails_cleanly_on_bad_anchor(coral, sn_cert):
     with pytest.raises(CertificationFailed) as exc:
         certify_sn(coral, anchor=bad)
     assert "stage" in str(exc.value)
+
+
+def test_certify_lets_programming_errors_through(coral, sn_cert, monkeypatch):
+    """Only hypothesis failures become "stage cift"; a bug such as a
+    TypeError inside the CIFT stage propagates unchanged."""
+    from certibif.bifurcation import certify_sn
+
+    def broken(self, box):
+        raise TypeError("broken hessian_sup")
+
+    monkeypatch.setattr(SnSystem, "hessian_sup", broken)
+    with pytest.raises(TypeError, match="broken hessian_sup"):
+        certify_sn(coral, anchor=np.array(sn_cert.anchor))
+
+
+def test_certify_ns_rejects_conjugate_orientation(coral):
+    """(x, lambda, -w, u, a, -b) is a zero of H_ns as well, carrying the
+    conjugate eigenvalue a - ib; certify_ns refuses it at the orientation
+    stage, which runs after the CIFT stage and before the spectrum."""
+    from certibif.bifurcation import certify_ns
+    from certibif.errors import CertificationFailed
+    ns = NsSystem(coral)
+    x, lam, w, u, a, b = ns.split(find_ns_anchor(coral))
+    conj = ns.join(x, lam, -w, u, a, -b)
+    assert np.max(np.abs(ns.value(conj))) <= 1e-12
+    with pytest.raises(CertificationFailed, match="stage orientation"):
+        certify_ns(coral, anchor=conj)

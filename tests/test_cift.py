@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from certibif.cift import (Certificate, CiftBounds, inverse_bound,
-                           lipschitz_from_tensor, lipschitz_L1, residual_bound,
-                           solve_deltas, validate_zero)
+                           lipschitz_from_tensor, lipschitz_L1, preconditioner_hash,
+                           residual_bound, solve_deltas, validate_zero)
 from certibif.errors import NotInvertibleEvidence, ValidationFailed
 from certibif.interval import IMatrix, IVector
 
@@ -226,23 +226,28 @@ def test_validate_double_root_fails():
         validate_zero(p, np.array([0.0]), ell=1e-3)
 
 
-def test_validate_affine_without_preconditioner():
+def test_validate_affine_preconditioned_K_is_one():
+    # B = inv(diag(2, 0.5)) is exact, so B*DH encloses I and K is 1
     m = AffineMap(np.diag([2.0, 0.5]), np.array([2.0, 1.0]))
-    cert = validate_zero(m, np.array([1.0, 2.0]), ell=1.0, precondition=False)
+    cert = validate_zero(m, np.array([1.0, 2.0]), ell=1.0)
     assert cert.rho <= 1e-14 and cert.delta_accuracy <= 1e-13
-    assert 2.0 <= cert.K <= 2.0 + 1e-10   # |A^{-1}|_inf = 2
+    assert 1.0 <= cert.K <= 1.0 + 1e-10
+    assert cert.L1 == 0.0 and cert.delta_uniqueness == 1.0
 
 
 def test_preconditioning_soundness_same_zero():
-    # certificates from preconditioned and raw runs enclose the same zero
+    # the certificate for B*H encloses the zero of H itself, and it
+    # records B = inv(DH(z0)), not the identity
     p = ScalarSquare(2.0)
     z0 = np.array([1.4142136])
-    pre = validate_zero(p, z0, ell=1e-3, precondition=True)
-    raw = validate_zero(p, z0, ell=1e-3, precondition=False)
-    root = math.sqrt(2.0)
-    assert abs(z0[0] - root) <= pre.delta_accuracy
-    assert abs(z0[0] - root) <= raw.delta_accuracy
-    assert pre.preconditioner_sha256 != raw.preconditioner_sha256
+    cert = validate_zero(p, z0, ell=1e-3)
+    assert abs(z0[0] - math.sqrt(2.0)) <= cert.delta_accuracy
+    B = np.linalg.inv(p.jac(z0))
+    assert cert.preconditioner_sha256 == preconditioner_hash(B)
+    assert cert.preconditioner_sha256 != preconditioner_hash(np.eye(1))
+    # rho, K and L1 are the helpers' bounds for B*H
+    assert cert.rho == residual_bound(p, z0, B)
+    assert cert.L1 == lipschitz_L1(p, z0, 1e-3, np.abs(B))
 
 
 def test_certificate_json_roundtrip():

@@ -84,6 +84,16 @@ def test_anchor_of_the_wrong_length_is_usage_error(tmp_path, capsys, sn_cert, ns
         assert f"has {got} entries" in err and f"needs {need}" in err
 
 
+def test_far_anchor_fails_at_the_cift_stage(tmp_path, capsys):
+    """An anchor far outside the model's range (phi's exponentials
+    overflow there) is a certification failure with exit 1, not a crash."""
+    anchor_path = tmp_path / "far.json"
+    anchor_path.write_text(json.dumps([-1e5] * 27))
+    rc = main(["--out", str(tmp_path), "validate-sn", "--anchor", str(anchor_path)])
+    assert rc == 1
+    assert "certification failed: stage cift" in capsys.readouterr().err
+
+
 def test_diagram_branch_structure(tmp_path, capsys):
     rc = main(["--out", str(tmp_path), "diagram", "--points", "400"])
     assert rc == 0

@@ -1,6 +1,8 @@
 import math
+import sys
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +58,20 @@ def test_exp_monotone_guard():
 def test_exp_overflow_saturates():
     r = Interval(0.0, 1e4).exp()
     assert r.hi == math.inf and r.lo >= 0.0
+
+
+def test_exp_overflow_lower_endpoint_is_largest_float():
+    # exp of an argument beyond log(max float) has no finite enclosure
+    # above, and the largest float is a valid lower bound
+    big = 709.7827128933841
+    x = math.nextafter(big, 0.0)
+    with mp.workdps(40):
+        assert mp.exp(mp.mpf(big)) > sys.float_info.max
+        below = Interval(x).exp()
+        assert below.lo <= mp.exp(mp.mpf(x)) <= below.hi < math.inf
+    for iv in (Interval(big), Interval(1e4), Interval(big, 1e300)):
+        r = iv.exp()
+        assert r.lo == sys.float_info.max and r.hi == math.inf
 
 
 def test_pow_contains_high_precision_value():
