@@ -15,7 +15,7 @@ so that all coordinates have comparable size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,7 +51,13 @@ class CoralBranchSystem:
         self._outer0 = up_mul(np.outer(s, s) / s[0], 1.0)
         S = np.array(coral.params.S, dtype=float)
         r1 = s[:-1] / s[1:]
-        self._sub_lo, self._sub_hi = _mul_bounds(S, S, _adn(r1), _aup(r1))
+        # rows 2..d of D_u F - the subdiagonal minus I - once; eval_iv fills
+        # row 1 per call
+        lo, hi = np.zeros((self.d, self.d)), np.zeros((self.d, self.d))
+        k = np.arange(self.d - 1)
+        lo[k + 1, k], hi[k + 1, k] = _mul_bounds(S, S, _adn(r1), _aup(r1))
+        Ju = IMatrix(lo, hi).shifted(1.0)
+        self._Ju_lo, self._Ju_hi = Ju.lo, Ju.hi
         self._S = S
         self._ct_iv = Interval.point(self.rscale) / coral.ci.ba   # dlambda/dt
         self._ct = self.rscale / coral.cf.ba
@@ -76,14 +82,15 @@ class CoralBranchSystem:
         lam, x = self.to_raw(t, u)
         return self.coral.step(lam, x) / self.s - u
 
-    def jac_u(self, t: float, u: np.ndarray) -> np.ndarray:
+    def jacobians(self, t: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """[D_t F | D_u F] at (t, u) as one (d, d + 1) matrix, and the raw
+        D_x f that its D_u F block rescales."""
         lam, x = self.to_raw(t, u)
         J = self.coral.jac_x(lam, x)
-        return J * self.s[None, :] / self.s[:, None] - np.eye(self.d)
-
-    def jac_t(self, t: float, u: np.ndarray) -> np.ndarray:
-        lam, x = self.to_raw(t, u)
-        return self._ct * self.coral.jac_lam(lam, x) / self.s
+        A = np.empty((self.d, self.d + 1))
+        A[:, 0] = self._ct * self.coral.jac_lam(lam, x) / self.s
+        A[:, 1:] = J * self.s[None, :] / self.s[:, None] - np.eye(self.d)
+        return A, J
 
     # -- interval evaluation ------------------------------------------------
 
@@ -100,15 +107,15 @@ class CoralBranchSystem:
         flo[0], fhi[0] = f0.lo, f0.hi
         flo[1:], fhi[1:] = _mul_bounds(self._S, self._S, x.lo[:-1], x.hi[:-1])
         F = IVector(*_sum_bounds(_adn(flo / self.s), _aup(fhi / self.s), -u.hi, -u.lo))
-        lo, hi = np.zeros((d, d)), np.zeros((d, d))
+        lo, hi = self._Ju_lo.copy(), self._Ju_hi.copy()
         lo[0], hi[0] = _mul_bounds(*_mul_bounds(lam.lo, lam.hi, jet.g1.lo, jet.g1.hi),
                                    self._ratio0_lo, self._ratio0_hi)
-        k = np.arange(d - 1)
-        lo[k + 1, k], hi[k + 1, k] = self._sub_lo, self._sub_hi
+        # the diagonal shift of row 1, rounded as IMatrix.shifted rounds
+        lo[0, 0], hi[0, 0] = _sum_bounds(lo[0, 0], hi[0, 0], -1.0, -1.0)
         jt = self._ct_iv * jet.g / Interval.point(float(self.s[0]))
         Jt = IVector(np.zeros(d), np.zeros(d))
         Jt.lo[0], Jt.hi[0] = jt.lo, jt.hi
-        return F, IMatrix(lo, hi).shifted(1.0), Jt
+        return F, IMatrix(lo, hi), Jt
 
     # -- Lipschitz data over a box -------------------------------------------
 
@@ -187,12 +194,14 @@ class ExtendedSystem:
         sigma, x = z[0], z[1:]
         t = self.t0 + alpha * self.mu + sigma
         u = self.u0 + alpha * self.v + x
-        d = self.sys.d
-        J = np.empty((d + 1, d + 1))
+        return self.jac_from(branch_jacobians(self.sys, t, u)[0])
+
+    def jac_from(self, A: np.ndarray) -> np.ndarray:
+        """D_{(sigma,x)} G from [D_t F | D_u F] at the point G is taken at."""
+        J = np.empty((A.shape[0] + 1, A.shape[1]))
         J[0, 0] = self.mu
         J[0, 1:] = self.v
-        J[1:, 0] = self.sys.jac_t(t, u)
-        J[1:, 1:] = self.sys.jac_u(t, u)
+        J[1:] = A
         return J
 
     def jac_iv_at_origin(self, Ju: IMatrix, Jt: IVector) -> IMatrix:
@@ -216,14 +225,26 @@ class ExtendedSystem:
         return IVector(out.lo[0], out.hi[0])
 
 
-def tangent_estimate(system: CoralBranchSystem, t0: float, u0: np.ndarray,
-                     prev: np.ndarray | None = None,
-                     rank_tol: float = 1e-8) -> tuple[float, np.ndarray]:
-    """Unit max-norm null vector of [D_t F | D_u F], oriented to continue
-    the previous direction when one is given."""
+def branch_jacobians(system, t: float, u: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray | None]:
+    """[D_t F | D_u F] at (t, u) as one (d, d + 1) matrix, with the raw
+    D_x f for a `CoralBranchSystem`; a system that only has `jac_t` and
+    `jac_u` gives None in its place."""
+    if isinstance(system, CoralBranchSystem):
+        return system.jacobians(t, u)
     A = np.empty((system.d, system.d + 1))
-    A[:, 0] = system.jac_t(t0, u0)
-    A[:, 1:] = system.jac_u(t0, u0)
+    A[:, 0] = system.jac_t(t, u)
+    A[:, 1:] = system.jac_u(t, u)
+    return A, None
+
+
+def tangent_estimate(system: CoralBranchSystem, t0: float, u0: np.ndarray,
+                     prev: np.ndarray | None = None, rank_tol: float = 1e-8,
+                     jac: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """Unit max-norm null vector of [D_t F | D_u F] at (t0, u0) (`jac`, when
+    the caller has it), oriented to continue the previous direction when
+    one is given."""
+    A = branch_jacobians(system, t0, u0)[0] if jac is None else jac
     _, sv, Vt = np.linalg.svd(A)
     if sv[-1] <= rank_tol * sv[0]:
         # rank < d: the null space is at least two-dimensional
@@ -295,9 +316,10 @@ def derive_extended_constants(h: SegmentHypotheses, mu: float,
                            ell_x=h.d_u, ell_alpha=h.d_lambda)
 
 
-@dataclass(frozen=True)
+@dataclass
 class BranchBox:
-    """One validated slanted box along the branch."""
+    """One validated slanted box along the branch.  `validate_segment`
+    builds it; the driver fills the fields after `hyp` as the step goes."""
 
     index: int
     t: float
@@ -332,10 +354,14 @@ class SegmentAnchor:
 
 
 def segment_anchor(system: CoralBranchSystem, t0: float, u0: np.ndarray,
-                   mu: float, v: np.ndarray) -> SegmentAnchor:
-    """Anchor stage of a segment, computed once per step; raises
+                   mu: float, v: np.ndarray,
+                   jac: np.ndarray | None = None) -> SegmentAnchor:
+    """Anchor stage of a segment, computed once per step; `jac` is
+    [D_t F | D_u F] at (t0, u0) when the caller has it.  Raises
     ValidationFailed when (P2) fails."""
     ext = ExtendedSystem(system, t0, u0, mu, v)
+    if jac is None:
+        jac = branch_jacobians(system, t0, u0)[0]
     t_iv, u_iv = Interval.point(t0), IVector.point(u0)
     F, Ju, Jt = system.eval_iv(t_iv, u_iv)
     rho = norm_inf(F).hi
@@ -343,7 +369,7 @@ def segment_anchor(system: CoralBranchSystem, t0: float, u0: np.ndarray,
 
     extJ = ext.jac_iv_at_origin(Ju, Jt)
     try:
-        B = np.linalg.inv(ext.jac(0.0, np.zeros(system.d + 1)))
+        B = np.linalg.inv(ext.jac_from(jac))
     except np.linalg.LinAlgError as exc:
         raise ValidationFailed(f"(P2): extended Jacobian singular: {exc}") from exc
     try:
@@ -408,9 +434,11 @@ def _anchor_rounding_gap(t_prev: float, u_prev: np.ndarray, alpha_k: float,
     return float(np.max(np.maximum(np.abs(lo), np.abs(hi))))
 
 
-def classify_stability(coral: CoralMap, lam: float, x: np.ndarray) -> str:
-    """Non-rigorous: count Jacobian eigenvalues outside the unit circle."""
-    ev = np.linalg.eigvals(coral.jac_x(lam, x))
+def classify_stability(coral: CoralMap, lam: float, x: np.ndarray,
+                       jac_x: np.ndarray | None = None) -> str:
+    """Non-rigorous: count eigenvalues of D_x f (`jac_x`, when the caller
+    has it) outside the unit circle."""
+    ev = np.linalg.eigvals(coral.jac_x(lam, x) if jac_x is None else jac_x)
     idx = int(np.sum(np.abs(ev) > 1.0))
     return "stable" if idx == 0 else f"unstable({idx})"
 
@@ -463,9 +491,12 @@ def continue_branch(system: CoralBranchSystem, t0: float, u0: np.ndarray,
     pending_slack = 0.0
     fold_seen = False
 
+    coral = getattr(system, "coral", None)
+
     for k in range(cfg.max_steps):
+        A, Jx = branch_jacobians(system, t, u)
         try:
-            mu, v = tangent_estimate(system, t, u, prev=prev_tangent)
+            mu, v = tangent_estimate(system, t, u, prev=prev_tangent, jac=A)
         except TangentUndefined as exc:
             res.stop_reason = f"tangent-undefined: {exc}"
             return res
@@ -474,7 +505,7 @@ def continue_branch(system: CoralBranchSystem, t0: float, u0: np.ndarray,
         prev_tangent = np.concatenate([[mu], v])
 
         try:
-            anchor = segment_anchor(system, t, u, mu, v)
+            anchor = segment_anchor(system, t, u, mu, v, jac=A)
         except ValidationFailed as exc:
             res.stop_reason = f"degenerate: {exc}"
             return res
@@ -490,21 +521,19 @@ def continue_branch(system: CoralBranchSystem, t0: float, u0: np.ndarray,
                 if min(d_u, d_lam) < cfg.box_min:
                     res.stop_reason = f"degenerate: {exc}"
                     return res
-        box = replace(box, halvings=halvings)
+        box.halvings = halvings
 
         if pending_corr is not None:
-            linked = check_link(res.boxes[-1], pending_alpha, pending_corr,
-                                box.delta_min, slack=pending_slack)
-            box = replace(box, linked_to_previous=linked)
-            if not linked:
+            box.linked_to_previous = check_link(res.boxes[-1], pending_alpha, pending_corr,
+                                                box.delta_min, slack=pending_slack)
+            if not box.linked_to_previous:
                 res.stop_reason = "link-failed"
                 res.boxes.append(box)
                 return res
 
-        coral = getattr(system, "coral", None)
         if coral is not None:
             lam, x = system.to_raw(t, u)
-            box = replace(box, stability=classify_stability(coral, lam, x))
+            box.stability = classify_stability(coral, lam, x, jac_x=Jx)
 
         # detect fold passage via the parameter component of the tangent
         if k > 0 and res.boxes and np.sign(mu) != np.sign(res.boxes[-1].mu) and mu != 0.0:
@@ -525,8 +554,8 @@ def continue_branch(system: CoralBranchSystem, t0: float, u0: np.ndarray,
             res.boxes.append(box)
             res.stop_reason = f"corrector-failed: {exc}"
             return res
-        corr_norm = max(abs(sigma), float(np.max(np.abs(x_corr))))
-        box = replace(box, alpha_step=alpha_k, corr_norm=corr_norm)
+        box.alpha_step = alpha_k
+        box.corr_norm = max(abs(sigma), float(np.max(np.abs(x_corr))))
         res.boxes.append(box)
 
         pending_alpha, pending_corr = alpha_k, (sigma, x_corr)

@@ -112,8 +112,10 @@ def test_extended_jacobian_block_structure(preconditioned_system):
     ext = ExtendedSystem(sys_, 3.0, np.ones(13), mu, v)
     J = ext.jac(0.0, np.zeros(14))
     assert J[0, 0] == mu and np.all(J[0, 1:] == v)
-    assert np.allclose(J[1:, 0], sys_.jac_t(3.0, np.ones(13)))
-    assert np.allclose(J[1:, 1:], sys_.jac_u(3.0, np.ones(13)))
+    A, Jx = sys_.jacobians(3.0, np.ones(13))
+    assert np.array_equal(J[1:], A)
+    # the raw D_x f that the D_u F block rescales
+    assert np.array_equal(Jx, sys_.coral.jac_x(*sys_.to_raw(3.0, np.ones(13))))
     # interval enclosure contains the float Jacobian
     _, Ju, Jt = sys_.eval_iv(Interval.point(3.0), IVector.point(np.ones(13)))
     Jiv = ext.jac_iv_at_origin(Ju, Jt)
