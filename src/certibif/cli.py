@@ -153,11 +153,11 @@ def cmd_branch(args) -> int:
     params = _load_params(args)
     coral = CoralMap(params)
     out = _outdir(args)
-    system, t0, u0 = cont.branch_start(coral, args.from_R,
-                                       precondition=args.precondition == "auto")
     cfg = cont.ContinuationConfig(from_R=args.from_R, to_R=args.to_R,
                                   max_steps=args.max_steps,
                                   alpha_frac=args.alpha_frac)
+    system, t0, u0 = cont.branch_start(coral, args.from_R,
+                                       precondition=args.precondition == "auto")
     res = cont.continue_branch(system, t0, u0, cfg)
     emit_branch_csv(out / "branch.csv", system, res)
     emit_bifurcation_diagram(out / "bifurcation_diagram.csv", system, res)
@@ -328,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to-R", dest="to_R", type=float, default=72.0)
     p.add_argument("--max-steps", dest="max_steps", type=int,
                    default=cont.ContinuationConfig.max_steps)
-    p.add_argument("--alpha-frac", dest="alpha_frac", type=float, default=0.8)
+    p.add_argument("--alpha-frac", dest="alpha_frac", type=float,
+                   default=cont.ContinuationConfig.alpha_frac)
     p.add_argument("--precondition", choices=["auto", "off"], default="auto")
     p.set_defaults(fn=cmd_branch)
 

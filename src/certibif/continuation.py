@@ -453,7 +453,10 @@ class ContinuationConfig:
     from_R: float = 300.0
     to_R: float = 72.0
     max_steps: int = 8000
-    alpha_frac: float = 0.8
+    # step to this fraction of each box's certified segment [-da, da]; the
+    # link needs |alpha| + delta_min'/|dir| < da, and delta_min'/|dir| is
+    # below 1e-8 da on the default branch, so 0.99 leaves ample room
+    alpha_frac: float = 0.99
     d_u0: float = 1e-4
     d_lambda0: float = 1e-4
     box_cap: float = 3e-2
@@ -461,6 +464,10 @@ class ContinuationConfig:
     box_growth: float = 2.0
     corrector_tol: float = 1e-14
     max_newton: int = 25
+
+    def __post_init__(self):
+        if not 0.0 < self.alpha_frac < 1.0:
+            raise ValueError(f"alpha_frac must lie in (0, 1), got {self.alpha_frac}")
 
 
 @dataclass

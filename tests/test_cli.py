@@ -148,6 +148,21 @@ def test_branch_max_steps_default_is_the_config_default():
     assert args.max_steps == ContinuationConfig().max_steps
 
 
+def test_branch_alpha_frac_default_is_the_config_default():
+    from certibif.cli import build_parser
+    from certibif.continuation import ContinuationConfig
+    args = build_parser().parse_args(["branch"])
+    assert args.alpha_frac == ContinuationConfig().alpha_frac
+
+
+def test_branch_alpha_frac_outside_unit_interval_is_usage_error(tmp_path, capsys):
+    # at alpha_frac = 1 the link inequality |alpha| + ... < delta_alpha fails
+    rc = main(["--out", str(tmp_path), "branch", "--alpha-frac", "1.0"])
+    assert rc == 2
+    assert "alpha_frac must lie in (0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "branch_certificates.json").exists()
+
+
 def test_config_file_flows_through(tmp_path, capsys, coral):
     cfg = tmp_path / "params.cfg"
     cfg.write_text(coral.params.to_config())

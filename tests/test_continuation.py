@@ -273,6 +273,27 @@ def test_branch_run_links_and_orientation(branch_result):
         assert float(ta @ tb) > 0.0
 
 
+def test_branch_link_headroom(branch_result):
+    """Each step takes alpha_frac of the certified segment.  The link's
+    alpha part, |alpha_k| + delta_min_{k+1}/|dir_k| < delta_alpha_k, keeps
+    1 - alpha_frac of the segment for a term 1e4 times smaller, and its
+    z part uses a tenth of delta_u at most."""
+    boxes = branch_result.boxes
+    frac = ContinuationConfig().alpha_frac
+    assert all(b.alpha_step == frac * b.delta_alpha for b in boxes[:-1])
+    pairs = list(zip(boxes[:-1], boxes[1:]))
+    alpha_part = max(n.delta_min / (b.dir_norm * b.delta_alpha) for b, n in pairs)
+    assert alpha_part <= 1e-6 <= 1e-4 * (1.0 - frac)
+    assert all(b.corr_norm + n.delta_min <= 0.1 * b.delta_u for b, n in pairs)
+
+
+def test_config_rejects_alpha_frac_outside_unit_interval():
+    for frac in (0.0, 1.0, -0.5, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"alpha_frac must lie in \(0, 1\)"):
+            ContinuationConfig(alpha_frac=frac)
+    assert ContinuationConfig(alpha_frac=0.5).alpha_frac == 0.5
+
+
 def test_branch_passes_fold_without_reparametrization(branch_result,
                                                       preconditioned_system):
     Rs = [preconditioned_system.R_of_t(b.t) for b in branch_result.boxes]
