@@ -576,11 +576,22 @@ def up_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     n = A.shape[-1]
     # a zero row of A or zero column of B gives exact zeros: no underflow term
     live = np.multiply.outer(A.max(axis=-1) > 0.0, B.max(axis=0) > 0.0)
-    return (np.tensordot(A, B, axes=([A.ndim - 1], [0])) * (1.0 + 4.0 * (n + 1) * _EPS)
-            + n * _TINY * live)
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = (np.tensordot(A, B, axes=([A.ndim - 1], [0])) * (1.0 + 4.0 * (n + 1) * _EPS)
+               + n * _TINY * live)
+    return _saturate(out)
 
 
 def up_mul(a, b):
     """Upper bound of the product of nonnegative floats/arrays."""
-    return np.multiply(a, b) * (1.0 + 4.0 * _EPS) + _TINY * np.logical_and(a, b)
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = np.multiply(a, b) * (1.0 + 4.0 * _EPS) + _TINY * np.logical_and(a, b)
+    return _saturate(out)
+
+
+def _saturate(bound):
+    """An upper bound with each NaN, which only 0 * inf makes from
+    nonnegative factors, replaced by +inf (an infinite factor bounds
+    nothing)."""
+    return np.where(np.isnan(bound), _INF, bound) if np.isnan(bound.sum()) else bound
 

@@ -94,6 +94,19 @@ def test_far_anchor_fails_at_the_cift_stage(tmp_path, capsys):
     assert "certification failed: stage cift" in capsys.readouterr().err
 
 
+def test_far_anchor_writes_only_the_failure_line(tmp_path):
+    """The infinite enclosures of a far anchor raise no numpy warning on
+    the way to the named failure."""
+    anchor_path = tmp_path / "far.json"
+    anchor_path.write_text(json.dumps([-1e5] * 27))
+    proc = subprocess.run([sys.executable, "-m", "certibif.cli", "--out", str(tmp_path),
+                           "validate-sn", "--anchor", str(anchor_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "certification failed: stage cift: (H2) failed: |I - BA| bound inf >= 1"]
+
+
 def test_diagram_branch_structure(tmp_path, capsys):
     rc = main(["--out", str(tmp_path), "diagram", "--points", "400"])
     assert rc == 0

@@ -323,6 +323,20 @@ def test_up_helpers_dominate_under_underflow():
     assert all(Fraction(float(g)) >= exact for g in up_dot(v, G))
 
 
+def test_up_helpers_saturate_infinite_bounds_silently():
+    """0 * inf, an unbounded factor against an exact zero, bounds nothing:
+    the helpers give +inf without a numpy warning (the suite turns
+    RuntimeWarnings from the package into errors)."""
+    assert up_mul(np.inf, 0.0) == np.inf
+    assert up_mul(0.0, np.inf) == np.inf
+    got = up_mul(np.array([np.inf, 2.0, 0.0]), np.array([0.0, 3.0, 0.0]))
+    assert got[0] == np.inf and 6.0 <= got[1] < np.inf and got[2] == 0.0
+    assert up_mul(1e300, 1e300) == np.inf
+    assert up_dot(np.array([[np.inf]]), np.array([[0.0]]))[0, 0] == np.inf
+    got = up_dot(np.array([[np.inf, 1.0], [1.0, 1.0]]), np.array([[0.0], [2.0]]))
+    assert got[0, 0] == np.inf and 2.0 <= got[1, 0] < np.inf
+
+
 def test_scale_and_widened():
     v = IVector.point([1.0, -1.0]).scale(Interval(2.0, 3.0))
     assert v.contains_point(np.array([2.5, -2.5]))
