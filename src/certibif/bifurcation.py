@@ -200,6 +200,7 @@ class NsSystem(_PointSystem):
     name = "neimark-sacker"
     kind = "neimark_sacker"
     on_circle = 2            # eigenvalues of D_x f on the unit circle
+    jet_order = 3            # the row-1 jet order its conditions read
 
     def __init__(self, coral: CoralMap):
         super().__init__(coral)
@@ -344,6 +345,7 @@ class SnSystem(_PointSystem):
     name = "saddle-node"
     kind = "saddle_node"
     on_circle = 1            # eigenvalues of D_x f on the unit circle
+    jet_order = 2            # the row-1 jet order its conditions read
 
     def __init__(self, coral: CoralMap):
         super().__init__(coral)
@@ -699,11 +701,10 @@ def _ns_left_row(coral: CoralMap, A_iv: IMatrix, a: Interval, b: Interval,
     return sol[:d]
 
 
-def ns_box_data(coral: CoralMap, box: IVector, A_iv: IMatrix) -> NsBoxData:
-    """The NS condition data over a certified box, given its D_x f enclosure."""
-    ns = NsSystem(coral)
-    _, lam, w, u, a, b = ns.split(box.to_scalars())
-    jet = coral.row1_jet(ns.x_lam(box)[0], order=3)
+def ns_box_data(coral: CoralMap, box: IVector, A_iv: IMatrix, jet: Row1Jet) -> NsBoxData:
+    """The NS condition data over a certified box, given the order-3 row-1
+    jet of its x part and the D_x f enclosure built from it."""
+    _, lam, w, u, a, b = NsSystem(coral).split(box.to_scalars())
     q = [CI(ui, -wi) for ui, wi in zip(u, w)]
     r = _ns_left_row(coral, A_iv, a, b, box.mid)
     z = sum((ri * qi for ri, qi in zip(r, q)), CI(0.0))
@@ -804,8 +805,8 @@ def certify_ns(coral: CoralMap, anchor: np.ndarray | None = None,
         if 1.0 not in a_iv.sqr() + b_iv.sqr():
             raise CertificationFailed("stage orientation: a^2 + b^2 enclosure misses 1")
 
-    def conditions(box: IVector, A_iv: IMatrix) -> tuple[dict, dict]:
-        data = ns_box_data(coral, box, A_iv)
+    def conditions(box: IVector, A_iv: IMatrix, jet: Row1Jet) -> tuple[dict, dict]:
+        data = ns_box_data(coral, box, A_iv, jet)
         cond_c, cond_c_explicit = ns_condition_c_pair(coral, data)
         theta, angle_checks = ns_condition_d(coral, box)
         cond_e = ns_condition_e(coral, data)
@@ -853,16 +854,17 @@ def _sn_left_vector(coral: CoralMap, A_iv: IMatrix, v_mid: np.ndarray) -> IVecto
     return IVector(sol.lo[:d], sol.hi[:d])
 
 
-def sn_conditions(coral: CoralMap, box: IVector, A_iv: IMatrix) -> tuple[Interval, Interval]:
+def sn_conditions(coral: CoralMap, box: IVector, A_iv: IMatrix,
+                  jet: Row1Jet) -> tuple[Interval, Interval]:
     """(c) p^t D_lambda f and (d) p^t B(q, q) over the certified box, with
-    q = v and p normalized so that p^t q = 1; A_iv encloses D_x f over it.
+    q = v and p normalized so that p^t q = 1; `jet` is the order-2 row-1
+    jet of the box's x part and A_iv the D_x f enclosure built from it.
 
     The certified kernel vector fixes an arbitrary sign; the returned
     values use the orientation that makes (c) negative (only the product
     (c)*(d) is orientation invariant)."""
     sn = SnSystem(coral)
     _, v, lam = sn.split(box.to_scalars())
-    jet = coral.row1_jet(sn.x_lam(box)[0], order=2)
     phis, bx = jet.phis, jet.bx
 
     ps = _sn_left_vector(coral, A_iv, sn.split(box.mid)[1]).to_scalars()
@@ -885,8 +887,8 @@ def certify_sn(coral: CoralMap, anchor: np.ndarray | None = None,
     """Saddle-node certification: CIFT zero of H_sn, simple-eigenvalue-1
     verification, and interval conditions (c), (d)."""
 
-    def conditions(box: IVector, A_iv: IMatrix) -> tuple[dict, dict]:
-        cond_c, cond_d = sn_conditions(coral, box, A_iv)
+    def conditions(box: IVector, A_iv: IMatrix, jet: Row1Jet) -> tuple[dict, dict]:
+        cond_c, cond_d = sn_conditions(coral, box, A_iv, jet)
         if cond_c.contains_zero():
             raise CertificationFailed(f"stage condition (c): interval {cond_c} contains 0")
         if cond_d.contains_zero():
@@ -907,8 +909,10 @@ def _certify(system: "NsSystem | SnSystem", anchor: np.ndarray, ell: float,
     2. `orientation(box)`, if given, on the certified box;
     3. spectrum: all but `system.on_circle` eigenvalues of D_x f over the
        box lie strictly inside the unit disk, the rest in separated disks;
-    4. `conditions(box, A_iv)`, which checks the point's own conditions
-       and returns them with any extra summary entries.
+    4. `conditions(box, A_iv, jet)`, which checks the point's own
+       conditions and returns them with any extra summary entries; `jet`
+       is the row-1 jet of the box's x part at `system.jet_order`, and
+       A_iv the D_x f enclosure built from it.
 
     A failed stage raises CertificationFailed naming the stage."""
     coral, d = system.coral, system.d
@@ -922,7 +926,8 @@ def _certify(system: "NsSystem | SnSystem", anchor: np.ndarray, ell: float,
         orientation(box)
 
     x_box, lam_iv = system.x_lam(box)
-    A_iv = coral.jac_x_iv(lam_iv, coral.row1_jet(x_box))
+    jet = coral.row1_jet(x_box, order=system.jet_order)
+    A_iv = coral.jac_x_iv(lam_iv, jet)
     n_circle = system.on_circle
     try:
         spec = verified_spectrum_inside_disk(A_iv, exclude=n_circle)
@@ -934,7 +939,7 @@ def _certify(system: "NsSystem | SnSystem", anchor: np.ndarray, ell: float,
             f"separated={spec.outliers_separated}")
 
     try:
-        conds, extra = conditions(box, A_iv)
+        conds, extra = conditions(box, A_iv, jet)
     except (ConditionInconclusive, NotInvertibleEvidence) as exc:
         raise CertificationFailed(f"stage conditions: {exc}") from exc
 

@@ -85,10 +85,7 @@ def test_hns_dimension_and_zero_residual(coral, ns_cert):
 
 def test_hns_rows_are_real_imag_eigen_equation(coral):
     """Rows 2-3 encode D_xf (u + i w) = (a - i b)(u + i w)."""
-    z = find_ns_anchor(coral)
-    x, lam = z[:13], z[13]
-    w, u = z[14:27], z[27:40]
-    a, b = z[40], z[41]
+    x, lam, w, u, a, b = NsSystem(coral).split(find_ns_anchor(coral))
     A = coral.jac_x(lam, x)
     zeta = u + 1j * w
     assert np.max(np.abs(A @ zeta - (a - 1j * b) * zeta)) <= 1e-11
@@ -211,8 +208,7 @@ def test_spectrum_too_many_outliers():
 
 def test_spectrum_coral_ns(coral, ns_cert):
     box = IVector(np.array(ns_cert.enclosure_lo), np.array(ns_cert.enclosure_hi))
-    lam_iv = box[13]
-    x_box = IVector(box.lo[:13], box.hi[:13])
+    x_box, lam_iv = NsSystem(coral).x_lam(box)
     res = verified_spectrum_inside_disk(coral.jac_x_iv(lam_iv, coral.row1_jet(x_box)),
                                        exclude=2)
     assert res.count_inside == 11
@@ -227,9 +223,7 @@ def test_spectrum_coral_ns(coral, ns_cert):
 @pytest.fixture(scope="module")
 def ns_float_oracle(coral):
     z = find_ns_anchor(coral)
-    x0, lam0 = z[:13], z[13]
-    w0, u0 = z[14:27], z[27:40]
-    a0, b0 = z[40], z[41]
+    x0, lam0, w0, u0, a0, b0 = NsSystem(coral).split(z)
     A = coral.jac_x(lam0, x0)
     mu = a0 + 1j * b0
     q = u0 - 1j * w0
@@ -280,9 +274,10 @@ def ns_float_oracle(coral):
 
 
 def _ns_data(coral, box):
-    d = coral.d
-    x_box = IVector(box.lo[:d], box.hi[:d])
-    return ns_box_data(coral, box, coral.jac_x_iv(box[d], coral.row1_jet(x_box)))
+    ns = NsSystem(coral)
+    x_box, lam_iv = ns.x_lam(box)
+    jet = coral.row1_jet(x_box, order=ns.jet_order)
+    return ns_box_data(coral, box, coral.jac_x_iv(lam_iv, jet), jet)
 
 
 def test_ns_condition_c_matches_oracle(coral, ns_cert, ns_float_oracle):
@@ -298,7 +293,8 @@ def test_ns_condition_c_total_equals_branch_eigen_slope(coral, ns_float_oracle):
     branch (independent finite-difference oracle)."""
     red = FixedPointReduction(coral)
     z = ns_float_oracle["z"]
-    lam0, x1_0 = z[13], z[0]
+    x0, lam0 = NsSystem(coral).x_lam(z)
+    x1_0 = x0[0]
 
     def mumod(lam):
         x1 = x1_0
@@ -334,8 +330,7 @@ def test_ns_condition_e_structured_vs_dense(coral, ns_float_oracle):
     """Rows 2..d of B vanish, so the structured evaluation must equal a
     dense tensor contraction."""
     rng = np.random.default_rng(6)
-    z = ns_float_oracle["z"]
-    x0, lam0 = z[:13], z[13]
+    x0, lam0 = NsSystem(coral).x_lam(ns_float_oracle["z"])
     y = rng.normal(size=13) + 1j * rng.normal(size=13)
     w = rng.normal(size=13) + 1j * rng.normal(size=13)
     got = ns_float_oracle["B"](y, w)
@@ -358,11 +353,10 @@ def test_ns_condition_e_structured_vs_dense(coral, ns_float_oracle):
 def test_ns_condition_invariance_under_eigvec_phase(coral, ns_cert):
     """Rescaling q rotates w, u into another H_ns zero; conditions (c)
     and (e) must not change (checked through a second certified box)."""
-    z = np.array(ns_cert.anchor)
-    w0, u0 = z[14:27].copy(), z[27:40].copy()
+    ns = NsSystem(coral)
+    x0, lam0, w0, u0, a0, b0 = ns.split(np.array(ns_cert.anchor))
     # the (w, u) -> (-w, -u) symmetry gives another exact zero
-    z2 = z.copy()
-    z2[14:27], z2[27:40] = -w0, -u0
+    z2 = ns.join(x0, lam0, -w0, -u0, a0, b0)
     box2 = IVector.around(z2, ns_cert.delta_accuracy)
     data2 = _ns_data(coral, box2)
     total2, expl2 = ns_condition_c_pair(coral, data2)
@@ -411,10 +405,8 @@ def test_sn_conditions_product_orientation_invariant(coral, sn_cert):
 def test_sn_left_vector_duality(coral, sn_cert):
     """p^t (A - I) encloses zero componentwise and p^t q = 1."""
     box = IVector(np.array(sn_cert.enclosure_lo), np.array(sn_cert.enclosure_hi))
-    zs = box.to_scalars()
-    x_box = IVector(box.lo[:13], box.hi[:13])
-    A = coral.jac_x(float(box.mid[26]), box.mid[:13])
-    v = box.mid[13:26]
+    x, v, lam = SnSystem(coral).split(box.mid)
+    A = coral.jac_x(float(lam), x)
     ev, vecs = np.linalg.eig(A.T - np.eye(13))
     k = int(np.argmin(np.abs(ev)))
     p0 = np.real(vecs[:, k])
@@ -425,9 +417,8 @@ def test_sn_left_vector_duality(coral, sn_cert):
 
 
 def test_sn_anchor_q_is_multiple_of_v(coral, sn_cert):
-    z = np.array(sn_cert.anchor)
-    v = z[13:26]
-    A = coral.jac_x(z[26], z[:13])
+    x, v, lam = SnSystem(coral).split(np.array(sn_cert.anchor))
+    A = coral.jac_x(lam, x)
     assert np.max(np.abs(A @ v - v)) <= 1e-10
     assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
 
@@ -576,9 +567,10 @@ def test_sn_left_vector_duality_rigorous(coral, sn_cert):
     from certibif.bifurcation import _sn_left_vector
     box = IVector(np.array(sn_cert.enclosure_lo), np.array(sn_cert.enclosure_hi))
     d = coral.d
-    x_box = IVector(box.lo[:d], box.hi[:d])
-    A_iv = coral.jac_x_iv(box[2 * d], coral.row1_jet(x_box))
-    p = _sn_left_vector(coral, A_iv, box.mid[d:2 * d])
+    sn = SnSystem(coral)
+    x_box, v_box, lam_iv = sn.split(box)
+    A_iv = coral.jac_x_iv(lam_iv, coral.row1_jet(x_box))
+    p = _sn_left_vector(coral, A_iv, sn.split(box.mid)[1])
     AmI_T = IMatrix((A_iv.lo - np.eye(d)).T.copy(), (A_iv.hi - np.eye(d)).T.copy())
     ps = p.to_scalars()
     resid = IVector.from_scalars(sum((AmI_T.entry(i, k) * ps[k] for k in range(d)),
@@ -587,8 +579,7 @@ def test_sn_left_vector_duality_rigorous(coral, sn_cert):
     # the pinning row normalizes against the numerical left vector, so
     # p^t v is close to but not exactly one before renormalization
     z = Interval(0.0)
-    for pi, vi in zip(p.to_scalars(),
-                      IVector(box.lo[d:2 * d], box.hi[d:2 * d]).to_scalars()):
+    for pi, vi in zip(p.to_scalars(), v_box.to_scalars()):
         z = z + pi * vi
     assert not z.contains_zero()
 
@@ -618,8 +609,9 @@ def test_certification_follows_perturbed_parameters():
 def test_certify_fails_cleanly_on_bad_anchor(coral, sn_cert):
     from certibif.bifurcation import certify_sn
     from certibif.errors import CertificationFailed
-    bad = np.array(sn_cert.anchor)
-    bad[:13] *= 1.05     # push the fixed point off the zero set
+    sn = SnSystem(coral)
+    x, v, lam = sn.split(np.array(sn_cert.anchor))
+    bad = sn.join(1.05 * x, v, lam)     # push the fixed point off the zero set
     with pytest.raises(CertificationFailed) as exc:
         certify_sn(coral, anchor=bad)
     assert "stage" in str(exc.value)
