@@ -593,5 +593,5 @@ def _saturate(bound):
     """An upper bound with each NaN, which only 0 * inf makes from
     nonnegative factors, replaced by +inf (an infinite factor bounds
     nothing)."""
-    return np.where(np.isnan(bound), _INF, bound) if np.isnan(bound.sum()) else bound
+    return np.where(np.isnan(bound), _INF, bound) if np.isnan(bound).any() else bound
 

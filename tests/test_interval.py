@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -325,16 +326,19 @@ def test_up_helpers_dominate_under_underflow():
 
 def test_up_helpers_saturate_infinite_bounds_silently():
     """0 * inf, an unbounded factor against an exact zero, bounds nothing:
-    the helpers give +inf without a numpy warning (the suite turns
-    RuntimeWarnings from the package into errors)."""
-    assert up_mul(np.inf, 0.0) == np.inf
-    assert up_mul(0.0, np.inf) == np.inf
-    got = up_mul(np.array([np.inf, 2.0, 0.0]), np.array([0.0, 3.0, 0.0]))
-    assert got[0] == np.inf and 6.0 <= got[1] < np.inf and got[2] == 0.0
-    assert up_mul(1e300, 1e300) == np.inf
-    assert up_dot(np.array([[np.inf]]), np.array([[0.0]]))[0, 0] == np.inf
-    got = up_dot(np.array([[np.inf, 1.0], [1.0, 1.0]]), np.array([[0.0], [2.0]]))
-    assert got[0, 0] == np.inf and 2.0 <= got[1, 0] < np.inf
+    the helpers give +inf without a numpy warning, from the package or
+    from numpy's own modules (finite bounds whose sum would overflow)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert up_mul(np.inf, 0.0) == np.inf
+        assert up_mul(0.0, np.inf) == np.inf
+        got = up_mul(np.array([np.inf, 2.0, 0.0]), np.array([0.0, 3.0, 0.0]))
+        assert got[0] == np.inf and 6.0 <= got[1] < np.inf and got[2] == 0.0
+        assert up_mul(1e300, 1e300) == np.inf
+        assert np.all(up_mul(np.array([1e308, 1e308]), 1.0) >= 1e308)
+        assert up_dot(np.array([[np.inf]]), np.array([[0.0]]))[0, 0] == np.inf
+        got = up_dot(np.array([[np.inf, 1.0], [1.0, 1.0]]), np.array([[0.0], [2.0]]))
+        assert got[0, 0] == np.inf and 2.0 <= got[1, 0] < np.inf
 
 
 def test_scale_and_widened():
