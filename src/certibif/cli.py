@@ -101,10 +101,11 @@ def cmd_diagram(args) -> int:
             continue
         lam = R / coral.cf.ba
         x = red.full_point(float(x1))
-        rows.append([R, red.cP * x1, cont.classify_stability(coral, lam, x), "nontrivial"])
+        rows.append([R, red.cP * x1, cont.classify_stability(coral.jac_x(lam, x)),
+                     "nontrivial"])
     for R in np.linspace(max(args.R_min, 1e-3), args.R_max, args.points):
         lam = R / coral.cf.ba
-        rows.append([R, 0.0, cont.classify_stability(coral, lam, np.zeros(coral.d)),
+        rows.append([R, 0.0, cont.classify_stability(coral.jac_x(lam, np.zeros(coral.d))),
                      "trivial"])
     path = out / "diagram.csv"
     _write_csv(path, ["R", "P", "stability", "branch"], rows)
@@ -144,7 +145,7 @@ def emit_bifurcation_diagram(path: Path, system: cont.CoralBranchSystem,
     for R in np.linspace(max(lo - 5.0, 1e-3), hi, trivial_points):
         lam = R / coral.cf.ba
         rows.append([float(R), 0.0,
-                     cont.classify_stability(coral, lam, np.zeros(coral.d)),
+                     cont.classify_stability(coral.jac_x(lam, np.zeros(coral.d))),
                      "", "trivial"])
     _write_csv(path, ["R", "P", "stability", "delta_u", "branch"], rows)
 

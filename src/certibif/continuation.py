@@ -84,7 +84,9 @@ class CoralBranchSystem:
 
     def jacobians(self, t: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """[D_t F | D_u F] at (t, u) as one (d, d + 1) matrix, and the raw
-        D_x f that its D_u F block rescales."""
+        D_x f that its D_u F block rescales.  This is the float Jacobian
+        interface of every branch system; one without a map to label
+        stability by gives None in place of D_x f."""
         lam, x = self.to_raw(t, u)
         J = self.coral.jac_x(lam, x)
         A = np.empty((self.d, self.d + 1))
@@ -194,7 +196,7 @@ class ExtendedSystem:
         sigma, x = z[0], z[1:]
         t = self.t0 + alpha * self.mu + sigma
         u = self.u0 + alpha * self.v + x
-        return self.jac_from(branch_jacobians(self.sys, t, u)[0])
+        return self.jac_from(self.sys.jacobians(t, u)[0])
 
     def jac_from(self, A: np.ndarray) -> np.ndarray:
         """D_{(sigma,x)} G from [D_t F | D_u F] at the point G is taken at."""
@@ -225,27 +227,11 @@ class ExtendedSystem:
         return IVector(out.lo[0], out.hi[0])
 
 
-def branch_jacobians(system, t: float, u: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray | None]:
-    """[D_t F | D_u F] at (t, u) as one (d, d + 1) matrix, with the raw
-    D_x f for a `CoralBranchSystem`; a system that only has `jac_t` and
-    `jac_u` gives None in its place."""
-    if isinstance(system, CoralBranchSystem):
-        return system.jacobians(t, u)
-    A = np.empty((system.d, system.d + 1))
-    A[:, 0] = system.jac_t(t, u)
-    A[:, 1:] = system.jac_u(t, u)
-    return A, None
-
-
-def tangent_estimate(system: CoralBranchSystem, t0: float, u0: np.ndarray,
-                     prev: np.ndarray | None = None, rank_tol: float = 1e-8,
-                     jac: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """Unit max-norm null vector of [D_t F | D_u F] at (t0, u0) (`jac`, when
-    the caller has it), oriented to continue the previous direction when
-    one is given."""
-    A = branch_jacobians(system, t0, u0)[0] if jac is None else jac
-    _, sv, Vt = np.linalg.svd(A)
+def tangent_estimate(jac: np.ndarray, prev: np.ndarray | None = None,
+                     rank_tol: float = 1e-8) -> tuple[float, np.ndarray]:
+    """Unit max-norm null vector of `jac` = [D_t F | D_u F] at the anchor,
+    oriented to continue the previous direction when one is given."""
+    _, sv, Vt = np.linalg.svd(jac)
     if sv[-1] <= rank_tol * sv[0]:
         # rank < d: the null space is at least two-dimensional
         raise TangentUndefined("branch Jacobian rank deficiency exceeds one")
@@ -354,14 +340,10 @@ class SegmentAnchor:
 
 
 def segment_anchor(system: CoralBranchSystem, t0: float, u0: np.ndarray,
-                   mu: float, v: np.ndarray,
-                   jac: np.ndarray | None = None) -> SegmentAnchor:
+                   mu: float, v: np.ndarray, jac: np.ndarray) -> SegmentAnchor:
     """Anchor stage of a segment, computed once per step; `jac` is
-    [D_t F | D_u F] at (t0, u0) when the caller has it.  Raises
-    ValidationFailed when (P2) fails."""
+    [D_t F | D_u F] at (t0, u0).  Raises ValidationFailed when (P2) fails."""
     ext = ExtendedSystem(system, t0, u0, mu, v)
-    if jac is None:
-        jac = branch_jacobians(system, t0, u0)[0]
     t_iv, u_iv = Interval.point(t0), IVector.point(u0)
     F, Ju, Jt = system.eval_iv(t_iv, u_iv)
     rho = norm_inf(F).hi
@@ -434,11 +416,9 @@ def _anchor_rounding_gap(t_prev: float, u_prev: np.ndarray, alpha_k: float,
     return float(np.max(np.maximum(np.abs(lo), np.abs(hi))))
 
 
-def classify_stability(coral: CoralMap, lam: float, x: np.ndarray,
-                       jac_x: np.ndarray | None = None) -> str:
-    """Non-rigorous: count eigenvalues of D_x f (`jac_x`, when the caller
-    has it) outside the unit circle."""
-    ev = np.linalg.eigvals(coral.jac_x(lam, x) if jac_x is None else jac_x)
+def classify_stability(jac_x: np.ndarray) -> str:
+    """Non-rigorous: count eigenvalues of D_x f outside the unit circle."""
+    ev = np.linalg.eigvals(jac_x)
     idx = int(np.sum(np.abs(ev) > 1.0))
     return "stable" if idx == 0 else f"unstable({idx})"
 
@@ -498,12 +478,10 @@ def continue_branch(system: CoralBranchSystem, t0: float, u0: np.ndarray,
     pending_slack = 0.0
     fold_seen = False
 
-    coral = getattr(system, "coral", None)
-
     for k in range(cfg.max_steps):
-        A, Jx = branch_jacobians(system, t, u)
+        A, Jx = system.jacobians(t, u)
         try:
-            mu, v = tangent_estimate(system, t, u, prev=prev_tangent, jac=A)
+            mu, v = tangent_estimate(A, prev=prev_tangent)
         except TangentUndefined as exc:
             res.stop_reason = f"tangent-undefined: {exc}"
             return res
@@ -512,7 +490,7 @@ def continue_branch(system: CoralBranchSystem, t0: float, u0: np.ndarray,
         prev_tangent = np.concatenate([[mu], v])
 
         try:
-            anchor = segment_anchor(system, t, u, mu, v, jac=A)
+            anchor = segment_anchor(system, t, u, mu, v, A)
         except ValidationFailed as exc:
             res.stop_reason = f"degenerate: {exc}"
             return res
@@ -538,9 +516,8 @@ def continue_branch(system: CoralBranchSystem, t0: float, u0: np.ndarray,
                 res.boxes.append(box)
                 return res
 
-        if coral is not None:
-            lam, x = system.to_raw(t, u)
-            box.stability = classify_stability(coral, lam, x, jac_x=Jx)
+        if Jx is not None:
+            box.stability = classify_stability(Jx)
 
         # detect fold passage via the parameter component of the tangent
         if k > 0 and res.boxes and np.sign(mu) != np.sign(res.boxes[-1].mu) and mu != 0.0:

@@ -31,11 +31,8 @@ class ToyLinear:
     def F(self, t, u):
         return np.array([u[0] - t])
 
-    def jac_u(self, t, u):
-        return np.array([[1.0]])
-
-    def jac_t(self, t, u):
-        return np.array([-1.0])
+    def jacobians(self, t, u):
+        return np.array([[-1.0, 1.0]]), None
 
 
 class ToyFold:
@@ -46,27 +43,28 @@ class ToyFold:
     def F(self, t, u):
         return np.array([u[0] ** 2 - t])
 
-    def jac_u(self, t, u):
-        return np.array([[2.0 * u[0]]])
+    def jacobians(self, t, u):
+        return np.array([[-1.0, 2.0 * u[0]]]), None
 
-    def jac_t(self, t, u):
-        return np.array([-1.0])
+
+def _tangent(system, t, u, prev=None):
+    return tangent_estimate(system.jacobians(t, u)[0], prev=prev)
 
 
 def test_tangent_of_linear_map():
-    mu, v = tangent_estimate(ToyLinear(), 0.0, np.zeros(1))
+    mu, v = _tangent(ToyLinear(), 0.0, np.zeros(1))
     assert abs(abs(mu) - abs(v[0])) <= 1e-12          # direction (1, 1)
     assert max(abs(mu), abs(v[0])) == 1.0             # unit max norm
 
 
 def test_tangent_vertical_at_fold():
-    mu, v = tangent_estimate(ToyFold(), 0.0, np.zeros(1))
+    mu, v = _tangent(ToyFold(), 0.0, np.zeros(1))
     assert abs(mu) <= 1e-12 and abs(v[0]) == 1.0
 
 
 def test_tangent_orientation_follows_previous():
     prev = np.array([-1.0, -1.0])
-    mu, v = tangent_estimate(ToyLinear(), 0.0, np.zeros(1), prev=prev)
+    mu, v = _tangent(ToyLinear(), 0.0, np.zeros(1), prev=prev)
     assert mu < 0.0
 
 
@@ -74,14 +72,11 @@ def test_tangent_undefined_on_rank_deficiency():
     class Degenerate:
         d = 2
 
-        def jac_u(self, t, u):
-            return np.zeros((2, 2))
-
-        def jac_t(self, t, u):
-            return np.zeros(2)
+        def jacobians(self, t, u):
+            return np.zeros((2, 3)), None
 
     with pytest.raises(TangentUndefined):
-        tangent_estimate(Degenerate(), 0.0, np.zeros(2))
+        _tangent(Degenerate(), 0.0, np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +136,7 @@ def test_corrector_orthogonality(preconditioned_system, coral):
     red = FixedPointReduction(coral)
     x0 = red.full_point(max(red.solve(3.0)))
     t0, u0 = preconditioned_system.from_raw_R(3.0 * coral.cf.ba, x0)
-    mu, v = tangent_estimate(preconditioned_system, t0, u0)
+    mu, v = _tangent(preconditioned_system, t0, u0)
     ext = ExtendedSystem(preconditioned_system, t0, u0, mu, v)
     sigma, x = newton_correct(ext, 1e-4)
     dirn = max(abs(mu), np.max(np.abs(v)))
@@ -237,10 +232,11 @@ def test_branch_start(coral):
 
 def test_validate_segment_coral(coral):
     system, t0, u0 = branch_start(coral, 300.0)
-    mu, v = tangent_estimate(system, t0, u0)
+    A = system.jacobians(t0, u0)[0]
+    mu, v = tangent_estimate(A)
     if mu > 0:
         mu, v = -mu, -v
-    box = validate_segment(segment_anchor(system, t0, u0, mu, v), 1e-4, 1e-4)
+    box = validate_segment(segment_anchor(system, t0, u0, mu, v, A), 1e-4, 1e-4)
     assert box.delta_alpha > 0 and box.delta_u > 0
     assert box.delta_min <= 1e-12
     assert box.delta_min < box.delta_u
@@ -251,15 +247,15 @@ def test_validate_segment_coral(coral):
 def test_classify_stability_trivial_branch(coral):
     lam_low = 50.0 / coral.cf.ba      # R = 50 < 72.22
     lam_high = 100.0 / coral.cf.ba    # R = 100 > 72.22
-    assert classify_stability(coral, lam_low, np.zeros(13)) == "stable"
-    assert classify_stability(coral, lam_high, np.zeros(13)) == "unstable(1)"
+    assert classify_stability(coral.jac_x(lam_low, np.zeros(13))) == "stable"
+    assert classify_stability(coral.jac_x(lam_high, np.zeros(13))) == "unstable(1)"
 
 
 def test_classify_stability_past_ns(coral):
     red = FixedPointReduction(coral)
     lam = 200.0 / coral.cf.ba
     x = red.full_point(max(red.solve(lam)))
-    assert classify_stability(coral, lam, x).startswith("unstable")
+    assert classify_stability(coral.jac_x(lam, x)).startswith("unstable")
 
 
 def test_branch_run_links_and_orientation(branch_result):
@@ -391,8 +387,9 @@ def test_derived_constants_match_direct_cift_on_extended_system(
         roots = [r for r in red.solve(R / coral.cf.ba) if r > 0]
         x0 = red.full_point(max(roots))
         t0, u0 = preconditioned_system.from_raw_R(R, x0)
-        mu, v = tangent_estimate(preconditioned_system, t0, u0)
-        anchor = segment_anchor(preconditioned_system, t0, u0, mu, v)
+        A = preconditioned_system.jacobians(t0, u0)[0]
+        mu, v = tangent_estimate(A)
+        anchor = segment_anchor(preconditioned_system, t0, u0, mu, v, A)
         box = validate_segment(anchor, 1e-4, 1e-4)
         da, du = box.delta_alpha, box.delta_u
         # hull of every point reachable within the slanted box
@@ -482,8 +479,9 @@ def test_validate_segment_exact_linear_zero_set():
     """On u = t the residual vanishes and the deltas are limited only by
     the box constraints (all Lipschitz constants are zero, K is finite)."""
     sys_ = ToyLinearValidated()
-    mu, v = tangent_estimate(sys_, 0.3, np.array([0.3]))
-    anchor = segment_anchor(sys_, 0.3, np.array([0.3]), mu, v)
+    A = sys_.jacobians(0.3, np.array([0.3]))[0]
+    mu, v = tangent_estimate(A)
+    anchor = segment_anchor(sys_, 0.3, np.array([0.3]), mu, v, A)
     box = validate_segment(anchor, 1e-2, 1e-2)
     assert box.hyp.rho <= 1e-15 and box.hyp.xi <= 1e-12
     assert box.bounds.L1 <= 1e-300 and box.bounds.L4 <= 1e-300
