@@ -9,9 +9,9 @@ from .model import (CoralMap, CoralParams, DerivedCoefficients,
                     polyp_density, R_to_lambda)
 from .cift import (Certificate, CiftBounds, DeltaPair, inverse_bound,
                    lipschitz_L1, residual_bound, solve_deltas, validate_zero)
-from .continuation import (BranchBox, BranchResult, ContinuationConfig,
-                           CoralBranchSystem, ExtendedSystem, SegmentAnchor,
-                           SegmentHypotheses, branch_start, check_link,
+from .continuation import (BranchBox, BranchResult, CoralBranchSystem,
+                           ExtendedSystem, SegmentAnchor, SegmentHypotheses,
+                           branch_start, check_link,
                            classify_stability, continue_branch,
                            derive_extended_constants, newton_correct,
                            segment_anchor, tangent_estimate, validate_segment)

@@ -125,12 +125,10 @@ def preconditioner_hash(B: np.ndarray) -> str:
 # ---------------------------------------------------------------------------
 
 
-def residual_bound(problem, z0: np.ndarray, precond: np.ndarray | None = None) -> float:
-    """Upper bound of |H(z0)|_inf (optionally of |B H(z0)|_inf)."""
+def residual_bound(problem, z0: np.ndarray, B: np.ndarray) -> float:
+    """Upper bound of |B H(z0)|_inf."""
     r = problem.value_iv(IVector.point(np.asarray(z0, dtype=float)))
-    if precond is not None:
-        r = float_matmat(precond, r)
-    return norm_inf(r).hi
+    return norm_inf(float_matmat(B, r)).hi
 
 
 def neumann_rho(A: IMatrix, B: np.ndarray) -> float:
@@ -156,23 +154,21 @@ def inverse_bound(A: IMatrix, B: np.ndarray) -> tuple[float, float]:
     return K, err
 
 
-def lipschitz_from_tensor(T: np.ndarray, absB: np.ndarray | None = None) -> float:
-    """Mean-value Lipschitz constant for DH over a box.
+def lipschitz_from_tensor(T: np.ndarray, absB: np.ndarray) -> float:
+    """Mean-value Lipschitz constant for B DH over a box.
 
     T[i, k, j] bounds sup |d2 H_i / dz_k dz_j|; the result is
-    max_i sum_j (m * max_k T'[i, k, j]) where T' is |B|-contracted when a
-    preconditioner is supplied.
+    max_i sum_j (m * max_k T'[i, k, j]) where T' is T contracted with |B|.
     """
     m = T.shape[0]
-    M = up_dot(absB, T) if absB is not None else T
+    M = up_dot(absB, T)
     inner = M.max(axis=1)             # over k
     rows = up_sum(inner, axis=1)      # over j
     return float(np.max(up_mul(float(m), rows)))
 
 
-def lipschitz_L1(problem, z0: np.ndarray, ell: float,
-                 absB: np.ndarray | None = None) -> float:
-    """Lipschitz bound for DH (for B DH when |B| is given) over z0 +- ell."""
+def lipschitz_L1(problem, z0: np.ndarray, ell: float, absB: np.ndarray) -> float:
+    """Lipschitz bound for B DH over z0 +- ell, given |B|."""
     box = IVector.around(np.asarray(z0, dtype=float), ell)
     return lipschitz_from_tensor(problem.hessian_sup(box), absB)
 
@@ -382,9 +378,13 @@ def validate_zero(problem, z0: np.ndarray, ell: float = 1e-6) -> Certificate:
 
     L1 = lipschitz_L1(problem, z0, ell, np.abs(B))
     rho = residual_bound(problem, z0, B)
+    J = problem.jac_iv(IVector.point(z0))
+    bad = int(np.count_nonzero(~(np.isfinite(J.lo) & np.isfinite(J.hi))))
+    if bad:
+        raise ValidationFailed(f"(H2) failed: anchor Jacobian enclosure has {bad} "
+                               f"non-finite entries")
     try:
-        A = float_matmat(B, problem.jac_iv(IVector.point(z0)))
-        K, _ = inverse_bound(A, np.eye(problem.dim))
+        K, _ = inverse_bound(float_matmat(B, J), np.eye(problem.dim))
     except NotInvertibleEvidence as exc:
         raise ValidationFailed(f"(H2) failed: {exc}") from exc
 

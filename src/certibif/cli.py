@@ -70,8 +70,7 @@ def cmd_simulate(args) -> int:
     if args.x0.startswith("density:"):
         x0 = dynamics.density_matched_state(coral, float(args.x0.split(":", 1)[1]))
     elif args.x0 == "fixed":
-        system, t0, u0 = cont.branch_start(coral, lam * coral.cf.ba, precondition=False)
-        x0 = system.to_raw(t0, u0)[1]
+        x0 = cont.nontrivial_fixed_point(coral, lam * coral.cf.ba)
     elif args.x0 == "random":
         rng = np.random.default_rng(args.seed)
         x0 = rng.uniform(0.0, 1.0, coral.d) * dynamics.density_matched_state(coral, 1500.0)
@@ -126,9 +125,12 @@ def emit_branch_csv(path: Path, system: cont.CoralBranchSystem,
                + ["P", "delta_alpha", "delta_u", "delta_min", "stability"], rows)
 
 
+# R values sampled on the trivial branch P = 0
+_TRIVIAL_POINTS = 400
+
+
 def emit_bifurcation_diagram(path: Path, system: cont.CoralBranchSystem,
-                             result: cont.BranchResult,
-                             trivial_points: int = 400) -> None:
+                             result: cont.BranchResult) -> None:
     """Diagram rows (R, P, stability, delta_u) combining the validated
     nontrivial branch with the analytically known trivial branch P = 0."""
     coral = system.coral
@@ -142,7 +144,7 @@ def emit_bifurcation_diagram(path: Path, system: cont.CoralBranchSystem,
                      "nontrivial"])
     lo = min(Rs) if Rs else 1.0
     hi = max(Rs) if Rs else 300.0
-    for R in np.linspace(max(lo - 5.0, 1e-3), hi, trivial_points):
+    for R in np.linspace(max(lo - 5.0, 1e-3), hi, _TRIVIAL_POINTS):
         lam = R / coral.cf.ba
         rows.append([float(R), 0.0,
                      cont.classify_stability(coral.jac_x(lam, np.zeros(coral.d))),
@@ -154,12 +156,8 @@ def cmd_branch(args) -> int:
     params = _load_params(args)
     coral = CoralMap(params)
     out = _outdir(args)
-    cfg = cont.ContinuationConfig(from_R=args.from_R, to_R=args.to_R,
-                                  max_steps=args.max_steps,
-                                  alpha_frac=args.alpha_frac)
-    system, t0, u0 = cont.branch_start(coral, args.from_R,
-                                       precondition=args.precondition == "auto")
-    res = cont.continue_branch(system, t0, u0, cfg)
+    system, t0, u0 = cont.branch_start(coral, args.from_R)
+    res = cont.continue_branch(system, t0, u0, args.to_R, args.max_steps)
     emit_branch_csv(out / "branch.csv", system, res)
     emit_bifurcation_diagram(out / "bifurcation_diagram.csv", system, res)
     chain = {
@@ -327,11 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("branch", help="validated pseudo-arclength continuation")
     p.add_argument("--from-R", dest="from_R", type=float, default=300.0)
     p.add_argument("--to-R", dest="to_R", type=float, default=72.0)
-    p.add_argument("--max-steps", dest="max_steps", type=int,
-                   default=cont.ContinuationConfig.max_steps)
-    p.add_argument("--alpha-frac", dest="alpha_frac", type=float,
-                   default=cont.ContinuationConfig.alpha_frac)
-    p.add_argument("--precondition", choices=["auto", "off"], default="auto")
+    p.add_argument("--max-steps", dest="max_steps", type=int, default=8000)
     p.set_defaults(fn=cmd_branch)
 
     p = sub.add_parser("validate-ns", help="certify the Neimark-Sacker point")

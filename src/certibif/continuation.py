@@ -142,29 +142,28 @@ class CoralBranchSystem:
         return M1, M2, M2, 0.0
 
 
-def branch_start(coral: CoralMap, R: float, precondition: bool = True
-                 ) -> tuple[CoralBranchSystem, float, np.ndarray]:
-    """The branch system and its start (t0, u0) at the largest nontrivial
-    fixed point for R; raises ValidationFailed when there is none.
-
-    Preconditioning scales each state component by its start value rounded
-    to one significant digit and R by 100; otherwise the system is raw.
-    """
+def nontrivial_fixed_point(coral: CoralMap, R: float) -> np.ndarray:
+    """The largest nontrivial fixed point x of the map at R; raises
+    ValidationFailed when there is none."""
     red = FixedPointReduction(coral)
     roots = [r for r in red.solve(R / coral.cf.ba) if r > 0]
     if not roots:
         raise ValidationFailed(f"no nontrivial fixed point at R = {R}")
-    x0 = red.full_point(max(roots))
-    if precondition:
-        zero = [f"x{k + 1}" for k in np.flatnonzero(x0 == 0.0)]
-        if zero:
-            raise ValidationFailed(f"start point at R = {R} has zero components "
-                                   f"{', '.join(zero)}: no scale for them")
-        e = np.floor(np.log10(np.abs(x0)))
-        scales = np.round(x0 / 10.0 ** e) * 10.0 ** e
-        system = CoralBranchSystem(coral, scales=scales, rscale=100.0)
-    else:
-        system = CoralBranchSystem(coral)
+    return red.full_point(max(roots))
+
+
+def branch_start(coral: CoralMap, R: float) -> tuple[CoralBranchSystem, float, np.ndarray]:
+    """The branch system and its start (t0, u0) at the largest nontrivial
+    fixed point for R.  The system scales each state component by its
+    start value rounded to one significant digit, and R by 100."""
+    x0 = nontrivial_fixed_point(coral, R)
+    zero = [f"x{k + 1}" for k in np.flatnonzero(x0 == 0.0)]
+    if zero:
+        raise ValidationFailed(f"start point at R = {R} has zero components "
+                               f"{', '.join(zero)}: no scale for them")
+    e = np.floor(np.log10(np.abs(x0)))
+    scales = np.round(x0 / 10.0 ** e) * 10.0 ** e
+    system = CoralBranchSystem(coral, scales=scales, rscale=100.0)
     t0, u0 = system.from_raw_R(R, x0)
     return system, t0, u0
 
@@ -227,12 +226,17 @@ class ExtendedSystem:
         return IVector(out.lo[0], out.hi[0])
 
 
-def tangent_estimate(jac: np.ndarray, prev: np.ndarray | None = None,
-                     rank_tol: float = 1e-8) -> tuple[float, np.ndarray]:
+# relative size of the second-smallest singular value below which the
+# branch Jacobian counts as rank deficient by more than one
+_RANK_TOL = 1e-8
+
+
+def tangent_estimate(jac: np.ndarray, prev: np.ndarray | None = None
+                     ) -> tuple[float, np.ndarray]:
     """Unit max-norm null vector of `jac` = [D_t F | D_u F] at the anchor,
     oriented to continue the previous direction when one is given."""
     _, sv, Vt = np.linalg.svd(jac)
-    if sv[-1] <= rank_tol * sv[0]:
+    if sv[-1] <= _RANK_TOL * sv[0]:
         # rank < d: the null space is at least two-dimensional
         raise TangentUndefined("branch Jacobian rank deficiency exceeds one")
     tang = Vt[-1]
@@ -382,6 +386,13 @@ def validate_segment(anchor: SegmentAnchor, d_u: float, d_lambda: float,
                      bounds=bounds, hyp=hyp)
 
 
+# Each step moves this fraction of its box's certified segment
+# [-delta_alpha, delta_alpha].  The link needs |alpha| + delta_min'/|dir|
+# < delta_alpha, and delta_min'/|dir| is below 1e-8 delta_alpha on the
+# default branch, so the 1% left over is ample.
+ALPHA_FRAC = 0.99
+
+
 def check_link(prev: BranchBox, alpha_k: float, correction: tuple[float, np.ndarray],
                next_delta_min: float, slack: float = 0.0) -> bool:
     """Theorem linking inequalities: the (k+1)-st accuracy ball must lie in
@@ -429,28 +440,6 @@ def classify_stability(jac_x: np.ndarray) -> str:
 
 
 @dataclass
-class ContinuationConfig:
-    from_R: float = 300.0
-    to_R: float = 72.0
-    max_steps: int = 8000
-    # step to this fraction of each box's certified segment [-da, da]; the
-    # link needs |alpha| + delta_min'/|dir| < da, and delta_min'/|dir| is
-    # below 1e-8 da on the default branch, so 0.99 leaves ample room
-    alpha_frac: float = 0.99
-    d_u0: float = 1e-4
-    d_lambda0: float = 1e-4
-    box_cap: float = 3e-2
-    box_min: float = 1e-11
-    box_growth: float = 2.0
-    corrector_tol: float = 1e-14
-    max_newton: int = 25
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha_frac < 1.0:
-            raise ValueError(f"alpha_frac must lie in (0, 1), got {self.alpha_frac}")
-
-
-@dataclass
 class BranchResult:
     boxes: list[BranchBox] = field(default_factory=list)
     stop_reason: str = ""
@@ -460,25 +449,35 @@ class BranchResult:
         return all(b.linked_to_previous for b in self.boxes[1:])
 
 
+# The Lipschitz box |u - u0|, |t - t0| <= d starts at _BOX_START, halves
+# when a segment fails to validate (down to _BOX_MIN) and grows by
+# _BOX_GROWTH up to _BOX_CAP when the coupling constraint binds.
+_BOX_START = 1e-4
+_BOX_CAP = 3e-2
+_BOX_MIN = 1e-11
+_BOX_GROWTH = 2.0
+_CORRECTOR_TOL = 1e-14
+_MAX_NEWTON = 25
+
+
 def continue_branch(system: CoralBranchSystem, t0: float, u0: np.ndarray,
-                    config: ContinuationConfig | None = None) -> BranchResult:
+                    to_R: float, max_steps: int) -> BranchResult:
     """Chain linked validated boxes from a validated start point.
 
     Terminates on reaching to_R after the fold, on validation failure
     after the adaptive box has shrunk to its floor, on a linking failure,
-    or on max_steps.
+    or after max_steps boxes.
     """
-    cfg = config or ContinuationConfig()
     res = BranchResult()
     t, u = float(t0), np.asarray(u0, dtype=float).copy()
     prev_tangent: np.ndarray | None = None
-    d_u, d_lam = cfg.d_u0, cfg.d_lambda0
+    d = _BOX_START
     pending_alpha = 0.0
     pending_corr: tuple[float, np.ndarray] | None = None
     pending_slack = 0.0
     fold_seen = False
 
-    for k in range(cfg.max_steps):
+    for k in range(max_steps):
         A, Jx = system.jacobians(t, u)
         try:
             mu, v = tangent_estimate(A, prev=prev_tangent)
@@ -497,13 +496,12 @@ def continue_branch(system: CoralBranchSystem, t0: float, u0: np.ndarray,
         halvings = 0
         while True:
             try:
-                box = validate_segment(anchor, d_u, d_lam, index=k)
+                box = validate_segment(anchor, d, d, index=k)
                 break
             except ValidationFailed as exc:
-                d_u *= 0.5
-                d_lam *= 0.5
+                d *= 0.5
                 halvings += 1
-                if min(d_u, d_lam) < cfg.box_min:
+                if d < _BOX_MIN:
                     res.stop_reason = f"degenerate: {exc}"
                     return res
         box.halvings = halvings
@@ -523,17 +521,17 @@ def continue_branch(system: CoralBranchSystem, t0: float, u0: np.ndarray,
         if k > 0 and res.boxes and np.sign(mu) != np.sign(res.boxes[-1].mu) and mu != 0.0:
             fold_seen = True
             res.fold_index = k
-        if fold_seen and system.R_of_t(t) >= cfg.to_R:
+        if fold_seen and system.R_of_t(t) >= to_R:
             res.boxes.append(box)
             res.stop_reason = "target"
             return res
 
-        alpha_k = cfg.alpha_frac * box.delta_alpha
+        alpha_k = ALPHA_FRAC * box.delta_alpha
         # the residual cannot resolve below a few ulps of the state
-        tol = max(cfg.corrector_tol, 8.0 * _EPS * max(abs(t), float(np.max(np.abs(u)))))
+        tol = max(_CORRECTOR_TOL, 8.0 * _EPS * max(abs(t), float(np.max(np.abs(u)))))
         try:
             sigma, x_corr = newton_correct(anchor.ext, alpha_k, tol=tol,
-                                           max_iter=cfg.max_newton)
+                                           max_iter=_MAX_NEWTON)
         except CorrectorFailed as exc:
             res.boxes.append(box)
             res.stop_reason = f"corrector-failed: {exc}"
@@ -551,9 +549,8 @@ def continue_branch(system: CoralBranchSystem, t0: float, u0: np.ndarray,
 
         # adapt the Lipschitz box: grow when the coupling constraint binds
         used = box.delta_alpha * box.dir_norm + box.delta_u
-        if used >= 0.5 * min(d_u, d_lam):
-            d_u = min(cfg.box_cap, d_u * cfg.box_growth)
-            d_lam = min(cfg.box_cap, d_lam * cfg.box_growth)
+        if used >= 0.5 * d:
+            d = min(_BOX_CAP, d * _BOX_GROWTH)
 
     res.stop_reason = "max-steps"
     return res

@@ -1,8 +1,8 @@
 import pytest
 
 from certibif.bifurcation import certify_ns, certify_sn
-from certibif.continuation import (ContinuationConfig, branch_start,
-                                   continue_branch)
+from certibif.continuation import (CoralBranchSystem, branch_start,
+                                   continue_branch, nontrivial_fixed_point)
 from certibif.model import CoralMap
 
 
@@ -31,14 +31,13 @@ def branch_result(coral):
     """The full validated branch from R = 300 through the fold; shared by
     the continuation tests and the acceptance suite (about a minute)."""
     system, t0, u0 = branch_start(coral, 300.0)
-    cfg = ContinuationConfig(from_R=300.0, to_R=72.0, max_steps=8000)
-    return continue_branch(system, t0, u0, cfg)
+    return continue_branch(system, t0, u0, to_R=72.0, max_steps=8000)
 
 
 @pytest.fixture(scope="session")
 def raw_branch_result(coral):
     """Twenty steps of the unscaled system for the preconditioning payoff
     comparison."""
-    system, t0, u0 = branch_start(coral, 300.0, precondition=False)
-    cfg = ContinuationConfig(from_R=300.0, to_R=72.0, max_steps=20)
-    return continue_branch(system, t0, u0, cfg)
+    system = CoralBranchSystem(coral)
+    t0, u0 = system.from_raw_R(300.0, nontrivial_fixed_point(coral, 300.0))
+    return continue_branch(system, t0, u0, to_R=72.0, max_steps=20)

@@ -73,12 +73,12 @@ class AffineMap:
 
 def test_residual_bound_exact_zero_of_linear_map():
     m = AffineMap(np.eye(3), np.array([1.0, 2.0, 3.0]))
-    assert residual_bound(m, np.array([1.0, 2.0, 3.0])) <= 1e-14
+    assert residual_bound(m, np.array([1.0, 2.0, 3.0]), np.eye(3)) <= 1e-14
 
 
 def test_residual_bound_scalar():
     p = ScalarSquare(2.0)
-    rho = residual_bound(p, np.array([1.41421356]))
+    rho = residual_bound(p, np.array([1.41421356]), np.eye(1))
     assert abs(rho - abs(1.41421356 ** 2 - 2.0)) < 1e-15
 
 
@@ -116,13 +116,13 @@ def test_inverse_bound_detects_singularity():
 
 def test_lipschitz_affine_is_zero():
     m = AffineMap(np.eye(2), np.zeros(2))
-    assert lipschitz_L1(m, np.zeros(2), 0.5) == 0.0
+    assert lipschitz_L1(m, np.zeros(2), 0.5, np.eye(2)) == 0.0
 
 
 def test_lipschitz_scalar_square():
     # H(x) = x^2 on [1 +- 0.1]: sup|H''| = 2, ambient dimension 1
     p = ScalarSquare(0.0)
-    L1 = lipschitz_L1(p, np.array([1.0]), 0.1)
+    L1 = lipschitz_L1(p, np.array([1.0]), 0.1, np.eye(1))
     assert 2.0 <= L1 <= 2.0 * (1 + 1e-10)
 
 
@@ -140,7 +140,7 @@ def test_lipschitz_monotone_in_box_radius(coral):
     from certibif.bifurcation import NsSystem, find_ns_anchor
     ns = NsSystem(coral)
     z0 = find_ns_anchor(coral)
-    vals = [lipschitz_L1(ns, z0, ell) for ell in (1e-8, 1e-6, 1e-3)]
+    vals = [lipschitz_L1(ns, z0, ell, np.eye(ns.dim)) for ell in (1e-8, 1e-6, 1e-3)]
     assert vals[0] <= vals[1] <= vals[2]
 
 
@@ -233,6 +233,21 @@ def test_validate_affine_preconditioned_K_is_one():
     assert cert.rho <= 1e-14 and cert.delta_accuracy <= 1e-13
     assert 1.0 <= cert.K <= 1.0 + 1e-10
     assert cert.L1 == 0.0 and cert.delta_uniqueness == 1.0
+
+
+def test_validate_names_non_finite_anchor_jacobian():
+    # an enclosure with unbounded entries proves nothing, and the failure
+    # says how many there are instead of reporting |I - BA| = inf
+    class Unbounded(AffineMap):
+        def jac_iv(self, z):
+            J = IMatrix.point(self.A)
+            J.lo[0, 1], J.hi[0, :] = -np.inf, np.inf
+            return J
+
+    m = Unbounded(np.eye(3), np.ones(3))
+    with pytest.raises(ValidationFailed, match=r"^\(H2\) failed: anchor Jacobian "
+                                               r"enclosure has 3 non-finite entries$"):
+        validate_zero(m, np.ones(3))
 
 
 def test_preconditioning_soundness_same_zero():

@@ -2,11 +2,12 @@ import dataclasses
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from certibif.bifurcation import BifCertificate
-from certibif.cli import main
+from certibif.cli import build_parser, main
 
 
 def test_transcritical_prints_location(tmp_path, capsys):
@@ -104,7 +105,8 @@ def test_far_anchor_writes_only_the_failure_line(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [
-        "certification failed: stage cift: (H2) failed: |I - BA| bound inf >= 1"]
+        "certification failed: stage cift: (H2) failed: anchor Jacobian "
+        "enclosure has 41 non-finite entries"]
 
 
 def test_diagram_branch_structure(tmp_path, capsys):
@@ -154,26 +156,16 @@ def test_branch_cli_short_run(tmp_path, capsys):
     assert chain["steps"] == 12 and chain["all_linked"]
 
 
-def test_branch_max_steps_default_is_the_config_default():
-    from certibif.cli import build_parser
-    from certibif.continuation import ContinuationConfig
-    args = build_parser().parse_args(["branch"])
-    assert args.max_steps == ContinuationConfig().max_steps
-
-
-def test_branch_alpha_frac_default_is_the_config_default():
-    from certibif.cli import build_parser
-    from certibif.continuation import ContinuationConfig
-    args = build_parser().parse_args(["branch"])
-    assert args.alpha_frac == ContinuationConfig().alpha_frac
-
-
-def test_branch_alpha_frac_outside_unit_interval_is_usage_error(tmp_path, capsys):
-    # at alpha_frac = 1 the link inequality |alpha| + ... < delta_alpha fails
-    rc = main(["--out", str(tmp_path), "branch", "--alpha-frac", "1.0"])
-    assert rc == 2
-    assert "alpha_frac must lie in (0, 1)" in capsys.readouterr().err
-    assert not (tmp_path / "branch_certificates.json").exists()
+def test_readme_commands_parse():
+    """Every `certibif ...` line of README's command-line block parses, so
+    the docs cannot keep a flag the CLI has dropped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [ln.split("#", 1)[0].split() for ln in block.splitlines()
+                if ln.startswith("certibif ")]
+    assert commands
+    for words in commands:
+        build_parser().parse_args(words[1:])
 
 
 def test_config_file_flows_through(tmp_path, capsys, coral):

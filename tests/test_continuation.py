@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from certibif.cift import CiftBounds
-from certibif.continuation import (BranchBox, ContinuationConfig,
+from certibif.continuation import (ALPHA_FRAC, BranchBox,
                                    _anchor_rounding_gap,
                                    CoralBranchSystem, ExtendedSystem,
                                    SegmentHypotheses, branch_start,
                                    check_link, classify_stability,
                                    continue_branch,
                                    derive_extended_constants, newton_correct,
-                                   segment_anchor, tangent_estimate,
-                                   validate_segment)
+                                   nontrivial_fixed_point, segment_anchor,
+                                   tangent_estimate, validate_segment)
 from certibif.errors import CorrectorFailed, TangentUndefined, ValidationFailed
 from certibif.interval import Interval, IVector, norm_inf
 from certibif.model import FixedPointReduction
@@ -222,12 +222,11 @@ def test_branch_start(coral):
     e = np.floor(np.log10(x0))
     assert np.all(np.abs(system.s - x0) <= 0.5 * 10.0 ** e)
     assert np.all(system.s / 10.0 ** e == np.round(system.s / 10.0 ** e))
-    raw, t_raw, u_raw = branch_start(coral, 300.0, precondition=False)
-    assert np.all(raw.s == 1.0) and t_raw == 300.0
-    assert np.allclose(u_raw, x0, rtol=1e-15, atol=0.0)
+    assert np.allclose(nontrivial_fixed_point(coral, 300.0), x0, rtol=1e-15, atol=0.0)
     # below the saddle-node only the trivial fixed point exists
-    with pytest.raises(ValidationFailed, match="no nontrivial fixed point"):
-        branch_start(coral, 5.0)
+    for start in (branch_start, nontrivial_fixed_point):
+        with pytest.raises(ValidationFailed, match="no nontrivial fixed point"):
+            start(coral, 5.0)
 
 
 def test_validate_segment_coral(coral):
@@ -270,24 +269,16 @@ def test_branch_run_links_and_orientation(branch_result):
 
 
 def test_branch_link_headroom(branch_result):
-    """Each step takes alpha_frac of the certified segment.  The link's
+    """Each step takes ALPHA_FRAC of the certified segment.  The link's
     alpha part, |alpha_k| + delta_min_{k+1}/|dir_k| < delta_alpha_k, keeps
-    1 - alpha_frac of the segment for a term 1e4 times smaller, and its
+    1 - ALPHA_FRAC of the segment for a term 1e4 times smaller, and its
     z part uses a tenth of delta_u at most."""
     boxes = branch_result.boxes
-    frac = ContinuationConfig().alpha_frac
-    assert all(b.alpha_step == frac * b.delta_alpha for b in boxes[:-1])
+    assert all(b.alpha_step == ALPHA_FRAC * b.delta_alpha for b in boxes[:-1])
     pairs = list(zip(boxes[:-1], boxes[1:]))
     alpha_part = max(n.delta_min / (b.dir_norm * b.delta_alpha) for b, n in pairs)
-    assert alpha_part <= 1e-6          # 1e4 times below 1 - alpha_frac
+    assert alpha_part <= 1e-6          # 1e4 times below 1 - ALPHA_FRAC
     assert all(b.corr_norm + n.delta_min <= 0.1 * b.delta_u for b, n in pairs)
-
-
-def test_config_rejects_alpha_frac_outside_unit_interval():
-    for frac in (0.0, 1.0, -0.5, 1.5, math.nan):
-        with pytest.raises(ValueError, match=r"alpha_frac must lie in \(0, 1\)"):
-            ContinuationConfig(alpha_frac=frac)
-    assert ContinuationConfig(alpha_frac=0.5).alpha_frac == 0.5
 
 
 def test_branch_passes_fold_without_reparametrization(branch_result,
@@ -456,8 +447,7 @@ def test_anchor_rounding_gap_equals_scalar_interval_loop():
 def test_branch_driver_stops_degenerate_without_start_point(coral):
     # starting far from the branch: the corrector/validation cannot succeed
     system = CoralBranchSystem(coral)
-    cfg = ContinuationConfig(max_steps=5)
-    res = continue_branch(system, 3.0, 1e6 * np.ones(13), cfg)
+    res = continue_branch(system, 3.0, 1e6 * np.ones(13), to_R=72.0, max_steps=5)
     assert res.stop_reason != "target"
 
 
@@ -495,8 +485,7 @@ def test_continue_branch_on_linear_toy():
     sys_ = ToyLinearValidated()
     sys_.rscale = 1.0
     sys_.R_of_t = lambda t: t
-    cfg = ContinuationConfig(max_steps=25, to_R=-1e9, d_u0=1e-2, d_lambda0=1e-2)
-    res = continue_branch(sys_, 0.5, np.array([0.5]), cfg)
+    res = continue_branch(sys_, 0.5, np.array([0.5]), to_R=-1e9, max_steps=25)
     assert res.stop_reason == "max-steps"
     assert len(res.boxes) == 25 and res.all_linked()
     # the chain walks along u = t
