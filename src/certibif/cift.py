@@ -29,8 +29,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import NotInvertibleEvidence, ValidationFailed
-from .interval import (IMatrix, Interval, IVector, float_matmat, norm_inf,
-                       up_dot, up_mul, up_sum)
+from .interval import (IArray, IMatrix, Interval, IVector, float_matmat,
+                       norm_inf, up_dot, up_mul, up_sum)
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,8 @@ class CiftBounds:
     """Rigorous upper bounds for the theorem hypotheses (H1)-(H4).
 
     For parameter-free systems L2 = L3 = L4 = 0.  `ell_x`/`ell_alpha` are
-    the box radii over which the Lipschitz constants were certified.
+    the box radii over which the Lipschitz constants were certified.  The
+    fields may be arrays, one entry per segment of a stack.
     """
 
     rho: float
@@ -52,17 +53,22 @@ class CiftBounds:
 
     def __post_init__(self):
         for name in ("rho", "K", "L1", "L2", "L3", "L4", "ell_x", "ell_alpha"):
-            if getattr(self, name) < 0.0:
+            v = getattr(self, name)
+            if np.any(v < 0.0) if isinstance(v, np.ndarray) else v < 0.0:
                 raise ValueError(f"{name} must be nonnegative")
 
 
 @dataclass(frozen=True)
 class DeltaPair:
-    """A feasible radius pair plus the accuracy radius 2*K*rho."""
+    """A feasible radius pair plus the accuracy radius 2*K*rho, and what
+    set delta_alpha: "planned" for a given value, otherwise the constraint
+    whose float root was smallest ("L1-coupling", "coupled-cap",
+    "search-cap" or "ell-x")."""
 
     delta_alpha: float
     delta_x: float
     delta_min: float
+    bound_by: str = ""
 
 
 @dataclass(frozen=True)
@@ -131,26 +137,36 @@ def residual_bound(problem, z0: np.ndarray, B: np.ndarray) -> float:
     return norm_inf(float_matmat(B, r)).hi
 
 
-def neumann_rho(A: IMatrix, B: np.ndarray) -> float:
+def neumann_rho(A: IMatrix, B: np.ndarray):
     """Upper bound rho1 of |I - B A| for every A in the enclosure, verified
     < 1 in interval arithmetic (so A and B are invertible); otherwise
-    raises NotInvertibleEvidence."""
-    BA = float_matmat(B, A)
-    rho1 = norm_inf(IMatrix.identity(A.shape[0]) - BA).hi
-    if not rho1 < 1.0:
-        raise NotInvertibleEvidence(f"|I - BA| bound {rho1} >= 1")
+    raises NotInvertibleEvidence.  I - BA is the negated TwoSum diagonal
+    shift of BA, so entries whose difference is exact stay exact.  Stacked
+    A and B give one bound per matrix."""
+    rho1 = norm_inf(-float_matmat(B, A).shifted(1.0)).hi
+    bad = np.flatnonzero(~(np.ravel(rho1) < 1.0))
+    if bad.size:
+        i = int(bad[0])
+        stacked = np.ndim(rho1) > 0
+        where = f" (matrix {i} of the stack)" if stacked else ""
+        raise NotInvertibleEvidence(f"|I - BA| bound {np.ravel(rho1)[i]} >= 1{where}",
+                                    index=i if stacked else None)
     return rho1
 
 
-def inverse_bound(A: IMatrix, B: np.ndarray) -> tuple[float, float]:
+def inverse_bound(A: IMatrix, B: np.ndarray):
     """Neumann-series bounds: K >= |A^{-1}| and err >= |B - A^{-1}|,
-    given |I - B A| <= rho1 < 1 from neumann_rho."""
+    given |I - B A| <= rho1 < 1 from neumann_rho (arrays for a stack)."""
     B = np.asarray(B, dtype=float)
     rho1 = neumann_rho(A, B)
-    rho2 = float(np.max(up_sum(np.abs(B), axis=1)))
-    gap = Interval(1.0) - Interval(rho1)
-    K = (Interval(rho2) / gap).hi
-    err = ((Interval(rho1) * Interval(rho2)) / gap).hi
+    rho2 = np.max(up_sum(np.abs(B), axis=-1), axis=-1)
+    if np.ndim(rho1) == 0:
+        rho1, rho2, I = float(rho1), float(rho2), Interval
+    else:
+        I = IArray.point
+    gap = I(1.0) - I(rho1)
+    K = (I(rho2) / gap).hi
+    err = ((I(rho1) * I(rho2)) / gap).hi
     return K, err
 
 
@@ -173,21 +189,31 @@ def lipschitz_L1(problem, z0: np.ndarray, ell: float, absB: np.ndarray) -> float
     return lipschitz_from_tensor(problem.hessian_sup(box), absB)
 
 
+def _accuracy(K, rho, L1):
+    """Upper bounds of 4 K^2 rho L1 and of 2 K rho (arrays for stacks)."""
+    I = IArray.point
+    gate = I(4.0) * I(K) * I(K) * I(rho) * I(L1)
+    return gate.hi, (I(2.0) * I(K) * I(rho)).hi
+
+
 def accuracy_radius(K: float, rho: float, L1: float, ell: float,
                     ell_name: str = "ell") -> float:
     """Upper bound of 2 K rho, the accuracy radius, after checking the
     theorem's gates 4 K^2 rho L1 < 1 and 2 K rho < ell."""
-    gate = Interval(4.0) * Interval(K) * Interval(K) * Interval(rho) * Interval(L1)
-    if not gate.hi < 1.0:
-        raise ValidationFailed(f"4 K^2 rho L1 = {gate.hi} >= 1")
-    d1 = (Interval(2.0) * Interval(K) * Interval(rho)).hi
+    gate, d1 = _accuracy(K, rho, L1)
+    if not gate < 1.0:
+        raise ValidationFailed(f"4 K^2 rho L1 = {float(gate)} >= 1")
     if not d1 < ell:
-        raise ValidationFailed(f"2 K rho = {d1} >= {ell_name} = {ell}")
-    return d1
+        raise ValidationFailed(f"2 K rho = {float(d1)} >= {ell_name} = {ell}")
+    return float(d1)
 
 
 # ---------------------------------------------------------------------------
 # delta inequalities
+#
+# Every helper takes one segment (floats) or a stack (arrays, one entry per
+# segment) through the same IArray arithmetic, so a stacked check equals
+# the checks of its segments one by one bit for bit.
 # ---------------------------------------------------------------------------
 
 
@@ -196,67 +222,70 @@ class _TwoK:
     """The enclosures of 2K rho and 2K L1 .. 2K L4, built once per delta
     solve and shared by every feasibility probe."""
 
-    rho: Interval
-    L1: Interval
-    L2: Interval
-    L3: Interval
-    L4: Interval
+    rho: IArray
+    L1: IArray
+    L2: IArray
+    L3: IArray
+    L4: IArray
 
     @staticmethod
     def of(b: CiftBounds) -> "_TwoK":
-        K2 = Interval(2.0) * Interval(b.K)
-        return _TwoK(K2 * Interval(b.rho), K2 * Interval(b.L1),
-                     K2 * Interval(b.L2), K2 * Interval(b.L3), K2 * Interval(b.L4))
+        I = IArray.point
+        K2 = I(2.0) * I(b.K)
+        return _TwoK(K2 * I(b.rho), K2 * I(b.L1), K2 * I(b.L2), K2 * I(b.L3), K2 * I(b.L4))
 
 
-def _pair_feasible(b: CiftBounds, k: _TwoK, da: float, dx: float,
-                   dir_norm: float, coupled_cap: float) -> bool:
+def _pair_feasible(b: CiftBounds, k: _TwoK, da, dx, dir_norm, coupled_cap):
     """Rigorous check of the two theorem inequalities plus box constraints."""
-    if not (0.0 <= da <= b.ell_alpha or (da == 0.0 and b.ell_alpha == 0.0)):
-        return False
-    if not 0.0 < dx <= b.ell_x:
-        return False
-    lhs_a = k.L1 * Interval(dx) + k.L2 * Interval(da)
-    if not lhs_a.hi <= 1.0:
-        return False
-    if not _dx_floor(k, da) <= dx:
-        return False
-    if dir_norm > 0.0 or math.isfinite(coupled_cap):
-        lhs_c = Interval(dir_norm) * Interval(da) + Interval(dx)
-        if not lhs_c.hi <= coupled_cap:
-            return False
-    return True
+    I = IArray.point
+    ok = (((0.0 <= da) & (da <= b.ell_alpha)) | ((da == 0.0) & (b.ell_alpha == 0.0))) \
+        & (0.0 < dx) & (dx <= b.ell_x)
+    ok = ok & ((k.L1 * I(dx) + k.L2 * I(da)).hi <= 1.0) & (_dx_floor(k, da) <= dx)
+    # with dir_norm = 0 and no cap the coupling holds trivially
+    coupled = (I(dir_norm) * I(da) + I(dx)).hi <= coupled_cap
+    return ok & (coupled | ~((np.asarray(dir_norm) > 0.0) | np.isfinite(coupled_cap)))
 
 
-def _dx_floor(k: _TwoK, da: float) -> float:
+def _dx_floor(k: _TwoK, da):
     """Upper bound of 2K(rho + L3 da + L4 da^2), the least admissible delta_x."""
-    return (k.rho + k.L3 * Interval(da) + k.L4 * Interval(da) * Interval(da)).hi
+    I = IArray.point
+    return (k.rho + k.L3 * I(da) + k.L4 * I(da) * I(da)).hi
 
 
-def _dx_ceiling(b: CiftBounds, k: _TwoK, da: float, dir_norm: float,
-                coupled_cap: float) -> float:
+def _dx_ceiling(b: CiftBounds, k: _TwoK, da, dir_norm, coupled_cap):
     """Lower bound of the largest admissible delta_x at delta_alpha = da."""
-    cap = b.ell_x
-    if b.L1 > 0.0:
-        num = Interval(1.0) - k.L2 * Interval(da)
-        if num.lo <= 0.0:
-            return 0.0
-        cap = min(cap, (num / k.L1).lo)
-    if math.isfinite(coupled_cap):
-        cap = min(cap, (Interval(coupled_cap) - Interval(dir_norm) * Interval(da)).lo)
-    return cap
+    I = IArray.point
+    num = I(1.0) - k.L2 * I(da)
+    with_l1 = np.asarray(b.L1) > 0.0
+    cap = np.minimum(b.ell_x, np.where(with_l1, (num / k.L1).lo, math.inf))
+    cap = np.minimum(cap, (I(coupled_cap) - I(dir_norm) * I(da)).lo)
+    return np.where(with_l1 & (num.lo <= 0.0), 0.0, cap)
 
 
-def _alpha_feasible(b: CiftBounds, k: _TwoK, da: float, dir_norm: float,
-                    coupled_cap: float, search_cap: float) -> bool:
+def _alpha_feasible(b: CiftBounds, k: _TwoK, da, dir_norm, coupled_cap, search_cap):
     """Rigorous: some delta_x completes delta_alpha = da to a feasible pair,
     and dir_norm*da stays within `search_cap`.  Monotone in da: the floor
     rises with it and every ceiling falls."""
-    if math.isfinite(search_cap) and dir_norm * da > search_cap:
-        return False
     fl = _dx_floor(k, da)
-    return (fl <= _dx_ceiling(b, k, da, dir_norm, coupled_cap)
-            and _pair_feasible(b, k, da, max(fl, 1e-300), dir_norm, coupled_cap))
+    return (~(np.isfinite(search_cap) & (np.multiply(dir_norm, da) > search_cap))
+            & (fl <= _dx_ceiling(b, k, da, dir_norm, coupled_cap))
+            & _pair_feasible(b, k, da, np.maximum(fl, 1e-300), dir_norm, coupled_cap))
+
+
+def _largest_dx(b: CiftBounds, k: _TwoK, da, dir_norm, coupled_cap):
+    """The largest delta_x the pair check certifies at a feasible da, and
+    where it certifies one.  The ceiling and the pair check round
+    2K(L1 dx + L2 da) <= 1 apart, so the ceiling may fail by an ulp: step
+    back, but never below the floor, which _alpha_feasible certified."""
+    fl = np.maximum(_dx_floor(k, da), 1e-300)
+    dx = _dx_ceiling(b, k, da, dir_norm, coupled_cap)
+    for _ in range(64):
+        ok = _pair_feasible(b, k, da, dx, dir_norm, coupled_cap)
+        todo = ~ok & (dx > fl)
+        if not np.any(todo):
+            return dx, ok
+        dx = np.where(todo, np.maximum(np.nextafter(dx * (1.0 - 2.0 ** -50), 0.0), fl), dx)
+    return dx, _pair_feasible(b, k, da, dx, dir_norm, coupled_cap)
 
 
 def _smallest_root(a: float, b: float, c: float) -> float:
@@ -311,6 +340,25 @@ def _largest_feasible(feasible, guess: float, top: float) -> float | None:
     return _float_at(lo) if lo >= 0 else None
 
 
+def delta_alpha_root(b: CiftBounds, dir_norm: float = 0.0,
+                     coupled_cap: float = math.inf,
+                     du_reserve: float = 0.1) -> tuple[float, str]:
+    """Float estimate of the largest feasible delta_alpha for `solve_deltas`
+    with the same arguments, and the constraint that sets it: the smallest
+    float root of floor(da) = each ceiling, floor = a*da^2 + bl*da + c0."""
+    K2 = 2.0 * b.K
+    a, bl, c0 = K2 * b.L4, K2 * b.L3, K2 * b.rho
+    s = K2 * b.L1                    # 2K(L1 floor + L2 da) <= 1
+    roots = {"ell-x": _smallest_root(a, bl, c0 - b.ell_x),
+             "L1-coupling": _smallest_root(s * a, s * bl + K2 * b.L2, s * c0 - 1.0)}
+    if math.isfinite(coupled_cap):
+        roots["coupled-cap"] = _smallest_root(a, bl + dir_norm, c0 - coupled_cap)
+        if dir_norm > 0.0:
+            roots["search-cap"] = coupled_cap * (1.0 - du_reserve) / dir_norm
+    name = min(roots, key=roots.get)
+    return roots[name], name
+
+
 def solve_deltas(b: CiftBounds, dir_norm: float = 0.0,
                  coupled_cap: float = math.inf,
                  du_reserve: float = 0.1) -> DeltaPair:
@@ -332,29 +380,34 @@ def solve_deltas(b: CiftBounds, dir_norm: float = 0.0,
     search_cap = coupled_cap * (1.0 - du_reserve)
 
     def feasible(da: float) -> bool:
-        return _alpha_feasible(b, k, da, dir_norm, coupled_cap, search_cap)
+        return bool(_alpha_feasible(b, k, da, dir_norm, coupled_cap, search_cap))
 
-    # float roots of floor(da) = each ceiling, floor = a*da^2 + bl*da + c0
-    K2 = 2.0 * b.K
-    a, bl, c0 = K2 * b.L4, K2 * b.L3, K2 * b.rho
-    s = K2 * b.L1                    # 2K(L1 floor + L2 da) <= 1
-    guess = min(_smallest_root(a, bl, c0 - b.ell_x),
-                _smallest_root(s * a, s * bl + K2 * b.L2, s * c0 - 1.0))
-    if math.isfinite(coupled_cap):
-        guess = min(guess, _smallest_root(a, bl + dir_norm, c0 - coupled_cap))
-    if math.isfinite(search_cap) and dir_norm > 0.0:
-        guess = min(guess, search_cap / dir_norm)
+    guess, bound_by = delta_alpha_root(b, dir_norm, coupled_cap, du_reserve)
     da = _largest_feasible(feasible, guess, b.ell_alpha)
     if da is None:
         raise ValidationFailed("delta inequalities infeasible even at delta_alpha = 0")
-    dx = _dx_ceiling(b, k, da, dir_norm, coupled_cap)
-    for _ in range(64):
-        if _pair_feasible(b, k, da, dx, dir_norm, coupled_cap):
-            break
-        dx = math.nextafter(dx * (1.0 - 2.0 ** -50), 0.0)
-    else:
+    dx, ok = _largest_dx(b, k, da, dir_norm, coupled_cap)
+    if not ok:
         raise ValidationFailed("could not certify a feasible (delta_alpha, delta_x) pair")
-    return DeltaPair(delta_alpha=da, delta_x=dx, delta_min=dmin)
+    return DeltaPair(delta_alpha=da, delta_x=float(dx), delta_min=dmin, bound_by=bound_by)
+
+
+def check_deltas(b: CiftBounds, dir_norm, coupled_cap, delta_alpha,
+                 du_reserve: float = 0.1) -> tuple[np.ndarray, DeltaPair]:
+    """The stacked twin of `solve_deltas` at given delta_alpha values: b
+    holds one entry per segment, and the result says which segments pass
+    the accuracy gates and the delta inequalities at their delta_alpha,
+    with the largest certified delta_x and the accuracy radius of each.
+    Feasibility is monotone in delta_alpha, so any value below the
+    largest feasible one passes."""
+    gate, dmin = _accuracy(b.K, b.rho, b.L1)
+    k = _TwoK.of(b)
+    da = np.asarray(delta_alpha, dtype=float)
+    ok = (gate < 1.0) & (dmin < b.ell_x) & (da > 0.0) & _alpha_feasible(
+        b, k, da, dir_norm, coupled_cap, np.multiply(coupled_cap, 1.0 - du_reserve))
+    dx, pair_ok = _largest_dx(b, k, da, dir_norm, coupled_cap)
+    return ok & pair_ok, DeltaPair(delta_alpha=da, delta_x=dx, delta_min=dmin,
+                                   bound_by="planned")
 
 
 # ---------------------------------------------------------------------------

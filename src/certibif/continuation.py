@@ -11,20 +11,31 @@ and consecutive boxes are linked by checking that the next accuracy ball
 sits inside the previous uniqueness region.  The driver works on a
 rescaled copy of the coral map (parameter t = R / rscale, state u = x / s)
 so that all coordinates have comparable size.
+
+The driver plans in float and certifies in stacks.  A float planner walks
+a chunk of steps ahead: tangent, the float inverse B of the extended
+Jacobian, float estimates of K and of the Lipschitz data over the box, the
+delta_alpha they predict, and the Newton corrector.  The validator runs
+every interval stage once on the stacked anchors of the chunk and
+certifies each box at exactly its planned delta_alpha.  The longest prefix
+that validates and links is kept.  The first box that fails is certified
+by the delta_alpha search of `cift.solve_deltas` (halving its Lipschitz box
+when even that fails), and planning resumes after it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import cift
 from .errors import (CorrectorFailed, NotInvertibleEvidence, TangentUndefined,
                      ValidationFailed)
-from .interval import (_EPS, IMatrix, Interval, IVector, _adn, _aup, _mul_bounds,
-                       _sum_bounds, float_matmat, norm_inf, up_mul, up_sum)
-from .model import CoralMap, FixedPointReduction
+from .interval import (_EPS, FloatHull, IArray, IMatrix, Interval, IVector,
+                       _adn, _aup, _mul_bounds, _sum_bounds, float_matmat,
+                       norm_inf, up_mul, up_sum)
+from .model import CoralMap, FixedPointReduction, phi_derivs
 
 
 class CoralBranchSystem:
@@ -48,7 +59,7 @@ class CoralBranchSystem:
         self._ratio0_lo, self._ratio0_hi = _adn(r0), _aup(r0)
         # lipschitz_M's scalings of row 1's gradient and Hessian
         self._ratio0 = r0
-        self._outer0 = up_mul(np.outer(s, s) / s[0], 1.0)
+        self._Sqq, self._Sqb = coral.hessian_weights(up_mul(np.outer(s, s) / s[0], 1.0))
         S = np.array(coral.params.S, dtype=float)
         r1 = s[:-1] / s[1:]
         # rows 2..d of D_u F - the subdiagonal minus I - once; eval_iv fills
@@ -94,52 +105,78 @@ class CoralBranchSystem:
         A[:, 1:] = J * self.s[None, :] / self.s[:, None] - np.eye(self.d)
         return A, J
 
+    def lipschitz_estimate(self, t0: float, u0: np.ndarray,
+                           d: float) -> tuple[float, float, float, float]:
+        """Float estimate of `lipschitz_M` for one box: its formulas in
+        `FloatHull` arithmetic, which follows the certified constants to
+        rounding error at a fraction of the cost (the planner's input)."""
+        cf = self.coral.cf
+        x0, rx = self.s * u0, self.s * d
+        P0, rP = float(cf.q @ x0), float(cf.q @ rx)
+        b0, rb = float(cf.b @ x0), float(cf.b @ rx)
+        bx = FloatHull(b0 - rb, b0 + rb)
+        ph0, ph1, ph2 = phi_derivs(FloatHull(P0 - rP, P0 + rP), self.coral.params, order=2)
+        ct = abs(self._ct)
+        M1 = ct * (abs(t0) + d) * ((ph2 * bx).mag * self._Sqq + ph1.mag * self._Sqb)
+        c = ph1 * bx
+        g1 = np.maximum(np.abs(c.lo * cf.q + ph0.lo * cf.b), np.abs(c.hi * cf.q + ph0.hi * cf.b))
+        M2 = ct * float(self._ratio0 @ g1)
+        return M1, M2, M2, 0.0
+
     # -- interval evaluation ------------------------------------------------
 
-    def eval_iv(self, t: Interval, u: IVector) -> tuple[IVector, IMatrix, IVector]:
-        """Interval (F, D_u F, D_t F) at an interval point or box, from one
-        row-1 jet of x = s (.) u."""
+    def eval_iv(self, t, u: IVector) -> tuple[IVector, IMatrix, IVector]:
+        """Interval (F, D_u F, D_t F) at interval points or boxes, from one
+        row-1 jet of x = s (.) u: t an `Interval` with u of shape (d,), or
+        t an `IArray` of shape (n,) with u of shape (n, d) for a stack."""
         d = self.d
+        lead = u.lo.shape[:-1]
+        col = lambda a: np.asarray(a)[..., None]
         lam = self._ct_iv * t
         x = IVector(*_mul_bounds(self.s, self.s, u.lo, u.hi))
         jet = self.coral.row1_jet(x)
         # F = f(lambda, x) / s - u; rows 2..d of f are S_k x_k
-        flo, fhi = np.empty(d), np.empty(d)
+        flo, fhi = np.empty(lead + (d,)), np.empty(lead + (d,))
         f0 = lam * jet.phis[0] * jet.bx
-        flo[0], fhi[0] = f0.lo, f0.hi
-        flo[1:], fhi[1:] = _mul_bounds(self._S, self._S, x.lo[:-1], x.hi[:-1])
+        flo[..., 0], fhi[..., 0] = f0.lo, f0.hi
+        flo[..., 1:], fhi[..., 1:] = _mul_bounds(self._S, self._S, x.lo[..., :-1],
+                                                 x.hi[..., :-1])
         F = IVector(*_sum_bounds(_adn(flo / self.s), _aup(fhi / self.s), -u.hi, -u.lo))
-        lo, hi = self._Ju_lo.copy(), self._Ju_hi.copy()
-        lo[0], hi[0] = _mul_bounds(*_mul_bounds(lam.lo, lam.hi, jet.g1.lo, jet.g1.hi),
-                                   self._ratio0_lo, self._ratio0_hi)
+        lo = np.broadcast_to(self._Ju_lo, lead + (d, d)).copy()
+        hi = np.broadcast_to(self._Ju_hi, lead + (d, d)).copy()
+        lo[..., 0, :], hi[..., 0, :] = _mul_bounds(
+            *_mul_bounds(col(lam.lo), col(lam.hi), jet.g1.lo, jet.g1.hi),
+            self._ratio0_lo, self._ratio0_hi)
         # the diagonal shift of row 1, rounded as IMatrix.shifted rounds
-        lo[0, 0], hi[0, 0] = _sum_bounds(lo[0, 0], hi[0, 0], -1.0, -1.0)
+        lo[..., 0, 0], hi[..., 0, 0] = _sum_bounds(lo[..., 0, 0], hi[..., 0, 0], -1.0, -1.0)
         jt = self._ct_iv * jet.g / Interval.point(float(self.s[0]))
-        Jt = IVector(np.zeros(d), np.zeros(d))
-        Jt.lo[0], Jt.hi[0] = jt.lo, jt.hi
+        Jt = IVector(np.zeros(lead + (d,)), np.zeros(lead + (d,)))
+        Jt.lo[..., 0], Jt.hi[..., 0] = jt.lo, jt.hi
         return F, IMatrix(lo, hi), Jt
 
     # -- Lipschitz data over a box -------------------------------------------
 
-    def lipschitz_M(self, t0: float, u0: np.ndarray, d_t: float,
-                    d_u: float) -> tuple[float, float, float, float]:
-        """(M1..M4) for the mean-value bounds of (D_u F, D_t F) over the box
-        |u - u0| <= d_u, |t - t0| <= d_t (blockwise Lipschitz recipe).
+    def lipschitz_M(self, t0, u0, d) -> tuple:
+        """(M1..M4) for the mean-value bounds of (D_u F, D_t F) over the
+        boxes |u - u0_i| <= d_i, |t - t0_i| <= d_i, one entry per stacked
+        box (blockwise Lipschitz recipe).
 
         Row 1 is the only non-constant row of D_u F and the only nonzero
-        entry of D_t F, so each max-norm difference is one row sum:
-        M1 = sum_jk E_jk bounds D_u F in u, M2 = sum_j tg_j bounds it in t,
-        and M3 = M2 since d/du_k of D_t F is d/dt of (D_u F)_1k = tg_k.
-        lambda is affine in t, so M4 = 0."""
-        rad = _aup(self.s * d_u)
+        entry of D_t F, so each max-norm difference is one row sum: M1 =
+        |lambda| sum_jk (s_j s_k / s_0) |d2g/dx_j dx_k| bounds D_u F in u, in
+        the closed form of `CoralMap.hessian_weights`; M2 = sum_j tg_j
+        bounds it in t, and M3 = M2 since d/du_k of D_t F is d/dt of
+        (D_u F)_1k = tg_k.  lambda is affine in t, so M4 = 0."""
+        t0, u0, d = (np.asarray(a, dtype=float) for a in (t0, u0, d))
+        rad = _aup(self.s * d[..., None])
         x_box = IVector(_adn(_adn(self.s * u0) - rad), _aup(_aup(self.s * u0) + rad))
-        lam_box = self._ct_iv * Interval.around(t0, d_t)
-        rb = self.coral.row1_bounds(lam_box, x_box)
-        E = up_mul(self._outer0, up_mul(rb.lam_mag, rb.g2))
-        M1 = float(up_sum(up_sum(E, axis=1)))
-        tg = up_mul(self._ct_iv.mag, up_mul(self._ratio0, rb.g1))
-        M2 = float(up_sum(tg))
-        return M1, M2, M2, 0.0
+        lam_mag = (self._ct_iv * IArray.around(t0, d)).mag
+        jet = self.coral.row1_jet(x_box, order=2)
+        g2 = up_mul(up_mul((jet.phis[2] * jet.bx).mag, self._Sqq)
+                    + up_mul(jet.phis[1].mag, self._Sqb), 1.0)
+        M1 = up_mul(lam_mag, g2)
+        M2 = up_sum(up_mul(self._ct_iv.mag, up_mul(self._ratio0, jet.g1.mag)), axis=-1)
+        return M1, M2, M2, np.zeros_like(M1)
 
 
 def nontrivial_fixed_point(coral: CoralMap, R: float) -> np.ndarray:
@@ -174,14 +211,16 @@ def branch_start(coral: CoralMap, R: float) -> tuple[CoralBranchSystem, float, n
 
 
 class ExtendedSystem:
-    """G(alpha, (sigma, x)) for one anchor/direction pair."""
+    """G(alpha, (sigma, x)) for one anchor/direction pair.  The interval
+    stages also take a stack: t0, mu of shape (n,) and u0, v of shape
+    (n, d) with the matching stacked enclosures; the float methods take
+    one anchor."""
 
-    def __init__(self, system: CoralBranchSystem, t0: float, u0: np.ndarray,
-                 mu: float, v: np.ndarray):
+    def __init__(self, system: CoralBranchSystem, t0, u0: np.ndarray, mu, v: np.ndarray):
         self.sys = system
-        self.t0 = float(t0)
+        self.t0 = np.asarray(t0, dtype=float) if np.ndim(t0) else float(t0)
         self.u0 = np.asarray(u0, dtype=float)
-        self.mu = float(mu)
+        self.mu = np.asarray(mu, dtype=float) if np.ndim(mu) else float(mu)
         self.v = np.asarray(v, dtype=float)
 
     def value(self, alpha: float, z: np.ndarray) -> np.ndarray:
@@ -209,21 +248,23 @@ class ExtendedSystem:
         """Interval enclosure of D_{(sigma,x)} G(0, (0,0)) -- the (P2) matrix --
         from enclosures (Ju, Jt) of (D_u F, D_t F) at (t0, u0)."""
         d = self.sys.d
-        lo = np.empty((d + 1, d + 1))
-        hi = np.empty((d + 1, d + 1))
-        lo[0, 0] = hi[0, 0] = self.mu
-        lo[0, 1:] = hi[0, 1:] = self.v
-        lo[1:, 0], hi[1:, 0] = Jt.lo, Jt.hi
-        lo[1:, 1:], hi[1:, 1:] = Ju.lo, Ju.hi
+        lead = self.v.shape[:-1]
+        lo = np.empty(lead + (d + 1, d + 1))
+        hi = np.empty(lead + (d + 1, d + 1))
+        lo[..., 0, 0] = hi[..., 0, 0] = self.mu
+        lo[..., 0, 1:] = hi[..., 0, 1:] = self.v
+        lo[..., 1:, 0], hi[..., 1:, 0] = Jt.lo, Jt.hi
+        lo[..., 1:, 1:], hi[..., 1:, 1:] = Ju.lo, Ju.hi
         return IMatrix(lo, hi)
 
     def drift_iv(self, Ju: IMatrix, Jt: IVector) -> IVector:
         """Enclosure of D_t F mu + D_u F v, the alpha-derivative of G's F
         rows, as one product of the row (mu, v) with [D_t F | D_u F]^T."""
-        row = np.concatenate([[self.mu], self.v])[None, :]
-        JT = IMatrix(np.vstack([Jt.lo, Ju.lo.T]), np.vstack([Jt.hi, Ju.hi.T]))
+        row = np.concatenate([np.asarray(self.mu)[..., None], self.v], axis=-1)[..., None, :]
+        JT = IMatrix(np.concatenate([Jt.lo[..., None, :], np.swapaxes(Ju.lo, -1, -2)], axis=-2),
+                     np.concatenate([Jt.hi[..., None, :], np.swapaxes(Ju.hi, -1, -2)], axis=-2))
         out = float_matmat(row, JT)
-        return IVector(out.lo[0], out.hi[0])
+        return IVector(out.lo[..., 0, :], out.hi[..., 0, :])
 
 
 # relative size of the second-smallest singular value below which the
@@ -267,13 +308,14 @@ def newton_correct(ext: ExtendedSystem, alpha: float, tol: float = 1e-13,
 
 
 # ---------------------------------------------------------------------------
-# hypotheses and segment validation
+# hypotheses and segment validation (stacked: one entry per segment)
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class SegmentHypotheses:
-    """(P1)-(P3) data for one anchor/direction pair."""
+    """(P1)-(P3) data for one anchor/direction pair, or arrays of them for
+    a stack of segments."""
 
     rho: float
     xi: float
@@ -286,24 +328,29 @@ class SegmentHypotheses:
     d_lambda: float
 
 
-def derive_extended_constants(h: SegmentHypotheses, mu: float,
-                              v: np.ndarray) -> cift.CiftBounds:
-    """Lipschitz constants of the extended system from the (P3) data.
+def derive_extended_constants(h: SegmentHypotheses, mu, v: np.ndarray) -> cift.CiftBounds:
+    """Lipschitz constants of the extended system from the (P3) data, for
+    one segment or a stack (then the bounds hold arrays).
 
     With the product norm max(|sigma|, |x|), the derivative difference is
     bounded by (M1+M3)|x| + (M2+M4)|sigma| <= L1 max(|sigma|, |x|) with
     L1 = M1+M2+M3+M4 (sharp when |sigma| = |x|; the smaller constant
     max(M1+M3, M2+M4) would only be valid for the sum norm).
     """
-    vn = float(np.max(np.abs(v)))
-    am = abs(mu)
-    I = Interval
-    L1 = ((I(h.M1) + I(h.M3)) + (I(h.M2) + I(h.M4))).hi
-    L2 = ((I(h.M1) + I(h.M3)) * I(vn) + (I(h.M2) + I(h.M4)) * I(am)).hi
-    L4 = ((I(h.M1) * I(vn) + I(h.M2) * I(am)) * I(vn)
-          + (I(h.M3) * I(vn) + I(h.M4) * I(am)) * I(am)).hi
+    I = IArray.point
+    vn, am = I(np.max(np.abs(v), axis=-1)), I(np.abs(mu))
+    M1, M2, M3, M4 = I(h.M1), I(h.M2), I(h.M3), I(h.M4)
+    L1 = ((M1 + M3) + (M2 + M4)).hi
+    L2 = ((M1 + M3) * vn + (M2 + M4) * am).hi
+    L4 = ((M1 * vn + M2 * am) * vn + (M3 * vn + M4 * am) * am).hi
     return cift.CiftBounds(rho=h.rho, K=h.K, L1=L1, L2=L2, L3=h.xi, L4=L4,
                            ell_x=h.d_u, ell_alpha=h.d_lambda)
+
+
+def _rows(obj, n: int) -> list:
+    """The n per-segment instances of a dataclass whose fields are arrays."""
+    cols = [np.broadcast_to(getattr(obj, f.name), (n,)).tolist() for f in fields(obj)]
+    return [type(obj)(*vals) for vals in zip(*cols)]
 
 
 @dataclass
@@ -321,6 +368,7 @@ class BranchBox:
     delta_min: float
     bounds: cift.CiftBounds
     hyp: SegmentHypotheses
+    bound_by: str = ""            # "planned", or the constraint solve_deltas hit
     linked_to_previous: bool = False
     alpha_step: float = 0.0       # alpha used to leave this box
     corr_norm: float = 0.0        # |(sigma*, x*)| of the outgoing corrector
@@ -334,56 +382,77 @@ class BranchBox:
 
 @dataclass(frozen=True)
 class SegmentAnchor:
-    """The part of a segment's hypotheses that does not depend on the
-    Lipschitz box: (P1) rho, the (P3) drift xi and the (P2) bound K."""
+    """The part of the hypotheses of a stack of segments that does not
+    depend on the Lipschitz box: (P1) rho, the (P3) drift xi and the (P2)
+    bound K, one entry per segment."""
 
     ext: ExtendedSystem
-    rho: float
-    xi: float
-    K: float
+    rho: np.ndarray
+    xi: np.ndarray
+    K: np.ndarray
+
+    def take(self, i: int) -> "SegmentAnchor":
+        """Segment i as a stack of one."""
+        e, sl = self.ext, slice(i, i + 1)
+        return SegmentAnchor(ExtendedSystem(e.sys, e.t0[sl], e.u0[sl], e.mu[sl], e.v[sl]),
+                             self.rho[sl], self.xi[sl], self.K[sl])
 
 
-def segment_anchor(system: CoralBranchSystem, t0: float, u0: np.ndarray,
-                   mu: float, v: np.ndarray, jac: np.ndarray) -> SegmentAnchor:
-    """Anchor stage of a segment, computed once per step; `jac` is
-    [D_t F | D_u F] at (t0, u0).  Raises ValidationFailed when (P2) fails."""
+def segment_anchor(system: CoralBranchSystem, t0: np.ndarray, u0: np.ndarray,
+                   mu: np.ndarray, v: np.ndarray, B: np.ndarray) -> SegmentAnchor:
+    """Anchor stage of a stack of segments: t0, mu of shape (n,), u0, v of
+    shape (n, d), and B the float inverses of their extended Jacobians.
+    Raises NotInvertibleEvidence, whose `index` names the first failing
+    segment, when (P2) fails."""
     ext = ExtendedSystem(system, t0, u0, mu, v)
-    t_iv, u_iv = Interval.point(t0), IVector.point(u0)
-    F, Ju, Jt = system.eval_iv(t_iv, u_iv)
+    F, Ju, Jt = system.eval_iv(IArray.point(ext.t0), IVector.point(ext.u0))
     rho = norm_inf(F).hi
     xi = norm_inf(ext.drift_iv(Ju, Jt)).hi
-
-    extJ = ext.jac_iv_at_origin(Ju, Jt)
     try:
-        B = np.linalg.inv(ext.jac_from(jac))
-    except np.linalg.LinAlgError as exc:
-        raise ValidationFailed(f"(P2): extended Jacobian singular: {exc}") from exc
-    try:
-        K, _ = cift.inverse_bound(extJ, B)
+        K, _ = cift.inverse_bound(ext.jac_iv_at_origin(Ju, Jt), B)
     except NotInvertibleEvidence as exc:
-        raise ValidationFailed(f"(P2) failed: {exc}") from exc
+        raise NotInvertibleEvidence(f"(P2) failed: {exc}", index=exc.index) from exc
     return SegmentAnchor(ext=ext, rho=rho, xi=xi, K=K)
 
 
-def validate_segment(anchor: SegmentAnchor, d_u: float, d_lambda: float,
-                     index: int = 0) -> BranchBox:
-    """Box stage: certify the anchored segment over the Lipschitz box
-    (d_u, d_lambda) -- (P3) plus the delta inequalities; raises
-    ValidationFailed naming the broken part."""
+def validate_segment(anchor: SegmentAnchor, d, delta_alpha=None,
+                     index: int = 0) -> list:
+    """Box stage of a stack of anchored segments: certify segment i over
+    its Lipschitz box d_i -- (P3) plus the delta inequalities -- at its
+    planned delta_alpha_i (one stacked check), or at the largest feasible
+    delta_alpha (`cift.solve_deltas`, segment by segment) when
+    `delta_alpha` is None.  One entry per segment: its BranchBox (index
+    `index` + i), or the ValidationFailed that names the broken part."""
     ext = anchor.ext
-    M1, M2, M3, M4 = ext.sys.lipschitz_M(ext.t0, ext.u0, d_lambda, d_u)
-    hyp = SegmentHypotheses(rho=anchor.rho, xi=anchor.xi, K=anchor.K, M1=M1,
-                            M2=M2, M3=M3, M4=M4, d_u=d_u, d_lambda=d_lambda)
+    d = np.asarray(d, dtype=float)
+    n = d.shape[0]
+    M1, M2, M3, M4 = ext.sys.lipschitz_M(ext.t0, ext.u0, d)
+    hyp = SegmentHypotheses(rho=anchor.rho, xi=anchor.xi, K=anchor.K, M1=M1, M2=M2,
+                            M3=M3, M4=M4, d_u=d, d_lambda=d)
     bounds = derive_extended_constants(hyp, ext.mu, ext.v)
-    dir_norm = max(abs(ext.mu), float(np.max(np.abs(ext.v))))
-    pair = cift.solve_deltas(bounds, dir_norm=dir_norm,
-                             coupled_cap=min(d_u, d_lambda))
-    if pair.delta_alpha <= 0.0:
-        raise ValidationFailed("delta_alpha degenerated to zero")
-    return BranchBox(index=index, t=ext.t0, u=ext.u0.copy(), mu=ext.mu,
-                     v=ext.v.copy(), delta_alpha=pair.delta_alpha,
-                     delta_u=pair.delta_x, delta_min=pair.delta_min,
-                     bounds=bounds, hyp=hyp)
+    dir_norm = np.maximum(np.abs(ext.mu), np.max(np.abs(ext.v), axis=-1))
+    hyps, bnds = _rows(hyp, n), _rows(bounds, n)
+    if delta_alpha is not None:
+        ok, pairs = cift.check_deltas(bounds, dir_norm, d, delta_alpha)
+        pairs = [p if good else ValidationFailed(
+                     f"delta inequalities infeasible at the planned delta_alpha = {p.delta_alpha!r}")
+                 for p, good in zip(_rows(pairs, n), ok.tolist())]
+    else:
+        pairs = []
+        for h, b, dn in zip(hyps, bnds, dir_norm.tolist()):
+            try:
+                pairs.append(cift.solve_deltas(b, dir_norm=dn, coupled_cap=h.d_u))
+            except ValidationFailed as exc:
+                pairs.append(exc)
+    out = []
+    for i, (h, b, pair) in enumerate(zip(hyps, bnds, pairs)):
+        if not isinstance(pair, ValidationFailed) and pair.delta_alpha <= 0.0:
+            pair = ValidationFailed("delta_alpha degenerated to zero")
+        out.append(pair if isinstance(pair, ValidationFailed) else BranchBox(
+            index=index + i, t=float(ext.t0[i]), u=ext.u0[i].copy(), mu=float(ext.mu[i]),
+            v=ext.v[i].copy(), delta_alpha=pair.delta_alpha, delta_u=pair.delta_x,
+            delta_min=pair.delta_min, bounds=b, hyp=h, bound_by=pair.bound_by))
+    return out
 
 
 # Each step moves this fraction of its box's certified segment
@@ -393,49 +462,53 @@ def validate_segment(anchor: SegmentAnchor, d_u: float, d_lambda: float,
 ALPHA_FRAC = 0.99
 
 
-def check_link(prev: BranchBox, alpha_k: float, correction: tuple[float, np.ndarray],
-               next_delta_min: float, slack: float = 0.0) -> bool:
-    """Theorem linking inequalities: the (k+1)-st accuracy ball must lie in
-    the k-th uniqueness region at the alpha where the corrector ran.
+def check_link(prev: list[BranchBox], alpha, corr_norm, next_delta_min,
+               slack=0.0) -> np.ndarray:
+    """Theorem linking inequalities for a stack of links: the accuracy
+    ball of box k+1 must lie in the uniqueness region of box prev[k] at
+    the alpha where the corrector ran, whose correction had max norm
+    corr_norm[k].  One bool per link.
 
     `slack` absorbs the rounding gap between the stored floating-point
     anchor and the exact decomposition anchor + alpha*dir + correction.
     """
-    sigma, x = correction
-    corr_norm = max(abs(sigma), float(np.max(np.abs(x))))
-    lhs1 = (Interval(abs(alpha_k))
-            + Interval(next_delta_min) / Interval(prev.dir_norm)).hi
-    if not lhs1 < prev.delta_alpha:
-        return False
-    lhs2 = (Interval(corr_norm) + Interval(slack) + Interval(next_delta_min)).hi
-    return lhs2 < prev.delta_u
+    I = IArray.point
+    da = np.array([b.delta_alpha for b in prev])
+    du = np.array([b.delta_u for b in prev])
+    dn = np.array([b.dir_norm for b in prev])
+    dmin = I(next_delta_min)
+    lhs1 = (I(np.abs(alpha)) + dmin / I(dn)).hi
+    lhs2 = (I(corr_norm) + I(slack) + dmin).hi
+    return (lhs1 < da) & (lhs2 < du)
 
 
-def _anchor_rounding_gap(t_prev: float, u_prev: np.ndarray, alpha_k: float,
-                         mu: float, v: np.ndarray, sigma: float,
-                         x_corr: np.ndarray, t_next: float,
-                         u_next: np.ndarray) -> float:
+def _anchor_rounding_gap(t_prev, u_prev, alpha_k, mu, v, sigma, x_corr,
+                         t_next, u_next):
     """Upper bound of |float_anchor - (anchor + alpha*dir + corr)|_inf,
     with t as component 0: ((anchor + alpha*dir) + corr) - float_anchor
-    in interval arithmetic on endpoint arrays."""
-    pt = lambda t, u: np.concatenate([[t], u])
+    in interval arithmetic on endpoint arrays; stacked inputs give one
+    bound per step."""
+    pt = lambda t, u: np.concatenate([np.asarray(t, dtype=float)[..., None], u], axis=-1)
     prev, d, corr, new = pt(t_prev, u_prev), pt(mu, v), pt(sigma, x_corr), pt(t_next, u_next)
-    lo, hi = _mul_bounds(alpha_k, alpha_k, d, d)
+    a = np.asarray(alpha_k, dtype=float)[..., None]
+    lo, hi = _mul_bounds(a, a, d, d)
     lo, hi = _sum_bounds(prev, prev, lo, hi)
     lo, hi = _sum_bounds(lo, hi, corr, corr)
     lo, hi = _sum_bounds(lo, hi, -new, -new)
-    return float(np.max(np.maximum(np.abs(lo), np.abs(hi))))
+    return np.max(np.maximum(np.abs(lo), np.abs(hi)), axis=-1)
 
 
-def classify_stability(jac_x: np.ndarray) -> str:
-    """Non-rigorous: count eigenvalues of D_x f outside the unit circle."""
+def classify_stability(jac_x: np.ndarray):
+    """Non-rigorous: count eigenvalues of D_x f outside the unit circle.
+    A stack of matrices gives the list of their labels."""
     ev = np.linalg.eigvals(jac_x)
-    idx = int(np.sum(np.abs(ev) > 1.0))
-    return "stable" if idx == 0 else f"unstable({idx})"
+    idx = np.sum(np.abs(ev) > 1.0, axis=-1)
+    label = lambda i: "stable" if i == 0 else f"unstable({i})"
+    return label(int(idx)) if np.ndim(idx) == 0 else [label(i) for i in idx.tolist()]
 
 
 # ---------------------------------------------------------------------------
-# whole-branch driver
+# whole-branch driver: float planner, stacked validator
 # ---------------------------------------------------------------------------
 
 
@@ -444,20 +517,269 @@ class BranchResult:
     boxes: list[BranchBox] = field(default_factory=list)
     stop_reason: str = ""
     fold_index: int | None = None
+    replans: int = 0              # boxes whose planned delta_alpha failed
+    boxes_discarded: int = 0      # planned boxes dropped after those
 
     def all_linked(self) -> bool:
         return all(b.linked_to_previous for b in self.boxes[1:])
 
 
-# The Lipschitz box |u - u0|, |t - t0| <= d starts at _BOX_START, halves
-# when a segment fails to validate (down to _BOX_MIN) and grows by
-# _BOX_GROWTH up to _BOX_CAP when the coupling constraint binds.
+# The Lipschitz box |u - u0|, |t - t0| <= d starts at _BOX_START.  The
+# planner moves it by factors of 2 within [_BOX_MIN, _BOX_CAP] to the
+# candidate with the longest predicted step, and a box that fails to
+# validate even at its largest feasible delta_alpha halves it.
 _BOX_START = 1e-4
 _BOX_CAP = 3e-2
 _BOX_MIN = 1e-11
-_BOX_GROWTH = 2.0
 _CORRECTOR_TOL = 1e-14
 _MAX_NEWTON = 25
+# A planned delta_alpha sits this fraction below the float root of the
+# predicted constants; the prediction follows the certified constants to
+# about 1e-11 relative, so a planned box fails only when the prediction
+# breaks down, and the step gives up 1e-8 of its length.
+_PLAN_MARGIN = 1e-8
+# Chunk sizes of the validator: it starts at _CHUNK_MIN planned steps,
+# doubles after each chunk that validates whole, and starts over after a
+# replan.
+_CHUNK_MIN = 8
+_CHUNK_MAX = 64
+
+
+@dataclass
+class _Step:
+    """One planned box: its float anchor data and the step that leaves it."""
+
+    index: int
+    ext: ExtendedSystem           # anchor (t0, u0) and tangent (mu, v)
+    B: np.ndarray                 # float inverse of the extended Jacobian
+    Jx: np.ndarray | None         # raw D_x f, for the stability label
+    d: float                      # Lipschitz box
+    delta_alpha: float            # planned; certified as it is
+    fold_index: int | None        # last fold seen up to this box
+    prev: "_Step | None"          # the box this one was stepped to from
+    alpha: float = 0.0            # the step that leaves the box
+    corr: tuple[float, np.ndarray] | None = None
+    stop: str = ""                # stop reason after this box
+
+    @property
+    def tangent(self) -> np.ndarray:
+        return np.concatenate([[self.ext.mu], self.ext.v])
+
+    def leave(self, alpha: float) -> bool:
+        """Run the corrector for the step alpha out of this box; False, with
+        the stop reason set, when it fails."""
+        e = self.ext
+        # the residual cannot resolve below a few ulps of the state
+        tol = max(_CORRECTOR_TOL, 8.0 * _EPS * max(abs(e.t0), float(np.max(np.abs(e.u0)))))
+        try:
+            self.corr = newton_correct(e, alpha, tol=tol, max_iter=_MAX_NEWTON)
+        except CorrectorFailed as exc:
+            self.stop = f"corrector-failed: {exc}"
+            return False
+        self.alpha = alpha
+        return True
+
+    def next_anchor(self) -> tuple[float, np.ndarray]:
+        sigma, x = self.corr
+        e = self.ext
+        return e.t0 + self.alpha * e.mu + sigma, e.u0 + self.alpha * e.v + x
+
+
+def _predict_alpha(system, t: float, u: np.ndarray, mu: float, v: np.ndarray,
+                   K: float, rho: float, xi: float, d: float) -> tuple[float, str]:
+    """The planned delta_alpha for the Lipschitz box d: the float root
+    `cift.solve_deltas` starts from, fed with float estimates."""
+    M1, M2, M3, M4 = system.lipschitz_estimate(t, u, d)
+    vn, am = float(np.max(np.abs(v))), abs(mu)
+    L1 = M1 + M2 + M3 + M4
+    L2 = (M1 + M3) * vn + (M2 + M4) * am
+    L4 = (M1 * vn + M2 * am) * vn + (M3 * vn + M4 * am) * am
+    b = cift.CiftBounds(rho=rho, K=K, L1=L1, L2=L2, L3=xi, L4=L4, ell_x=d, ell_alpha=d)
+    root, bound_by = cift.delta_alpha_root(b, max(am, vn), coupled_cap=d)
+    return root * (1.0 - _PLAN_MARGIN), bound_by
+
+
+def _plan_box(system, t: float, u: np.ndarray, mu: float, v: np.ndarray,
+              A: np.ndarray, B: np.ndarray, d: float) -> tuple[float, float]:
+    """(d, delta_alpha): the Lipschitz box with the longest predicted step
+    among d 2^k, and its planned delta_alpha.  The climb starts at the
+    previous box and moves up while a box cap bounds the step (a larger
+    box relaxes the caps) or down while the L1 coupling does (a smaller
+    box lowers the Lipschitz data), as long as the step grows.
+
+    The estimates stay above what the validator certifies by more than
+    its rounding: K from the row sums of |B| (the Neumann factor 1/(1 -
+    rho1) is 1 + O(1e-12)), rho and xi from the float residual and drift
+    plus generous multiples of their rounding."""
+    K = float(np.max(np.sum(np.abs(B), axis=1)))
+    rho = float(np.max(np.abs(system.F(t, u)))) + 64.0 * _EPS * max(float(np.max(np.abs(u))), 1.0)
+    tang = np.concatenate([[mu], v])
+    xi = float(np.max(np.abs(A @ tang) + 32.0 * (len(tang) + 1) * _EPS * (np.abs(A) @ np.abs(tang))))
+    da, bound_by = _predict_alpha(system, t, u, mu, v, K, rho, xi, d)
+    factor = 2.0 if bound_by in ("search-cap", "coupled-cap") else 0.5
+    while bound_by != "ell-x" and _BOX_MIN <= factor * d <= _BOX_CAP:
+        da2, bound2 = _predict_alpha(system, t, u, mu, v, K, rho, xi, factor * d)
+        if not da2 > da:
+            break
+        d, da, bound_by = factor * d, da2, bound2
+    return d, da
+
+
+@dataclass
+class _Cursor:
+    """Where planning resumes: the next anchor, the box it was stepped to
+    from, and the driver state carried along."""
+
+    t: float
+    u: np.ndarray
+    prev: _Step | None
+    d: float
+    index: int
+    fold_index: int | None
+
+
+def _plan(system, cur: _Cursor, n: int, to_R: float) -> tuple[list[_Step], str]:
+    """Plan up to n boxes from `cur` in float.  Returns the steps and the
+    stop reason that ends the branch right after them ("" for none); a
+    step that ends the branch itself carries its reason in `stop`."""
+    steps: list[_Step] = []
+    t, u, prev, d, fold_index = cur.t, cur.u, cur.prev, cur.d, cur.fold_index
+    for k in range(cur.index, cur.index + n):
+        A, Jx = system.jacobians(t, u)
+        try:
+            mu, v = tangent_estimate(A, prev=None if prev is None else prev.tangent)
+        except TangentUndefined as exc:
+            return steps, f"tangent-undefined: {exc}"
+        if prev is None and mu > 0.0:
+            mu, v = -mu, -v          # start by decreasing R
+        # a fold shows as a sign change of the parameter component
+        if prev is not None and np.sign(mu) != np.sign(prev.ext.mu) and mu != 0.0:
+            fold_index = k
+        ext = ExtendedSystem(system, t, u, mu, v)
+        try:
+            B = np.linalg.inv(ext.jac_from(A))
+        except np.linalg.LinAlgError as exc:
+            return steps, f"degenerate: (P2): extended Jacobian singular: {exc}"
+        d, da = _plan_box(system, t, u, mu, v, A, B, d)
+        step = _Step(index=k, ext=ext, B=B, Jx=Jx, d=d, delta_alpha=da,
+                     fold_index=fold_index, prev=prev)
+        steps.append(step)
+        if fold_index is not None and system.R_of_t(t) >= to_R:
+            step.stop = "target"
+            break
+        if not step.leave(ALPHA_FRAC * da):
+            break
+        prev = step
+        t, u = step.next_anchor()
+    return steps, ""
+
+
+def _anchors(system, steps: list[_Step]) -> SegmentAnchor:
+    return segment_anchor(system, np.array([s.ext.t0 for s in steps]),
+                          np.stack([s.ext.u0 for s in steps]),
+                          np.array([s.ext.mu for s in steps]),
+                          np.stack([s.ext.v for s in steps]),
+                          np.stack([s.B for s in steps]))
+
+
+def _corr_norm(step: _Step) -> float:
+    sigma, x = step.corr
+    return max(abs(sigma), float(np.max(np.abs(x))))
+
+
+def _links(system, res: BranchResult, boxes: list[BranchBox],
+           steps: list[_Step]) -> np.ndarray:
+    """check_link for each of `boxes` (with its step) reached by a step
+    from the box before it; True where there is nothing to link."""
+    ok = np.ones(len(boxes), dtype=bool)
+    j = [i for i, s in enumerate(steps) if s.prev is not None]
+    if not j:
+        return ok
+    prev_box = lambda i: boxes[i - 1] if i > 0 else res.boxes[-1]
+    ps = [steps[i].prev for i in j]
+    nx = [steps[i].ext for i in j]
+    gap = _anchor_rounding_gap(
+        np.array([p.ext.t0 for p in ps]), np.stack([p.ext.u0 for p in ps]),
+        np.array([p.alpha for p in ps]), np.array([p.ext.mu for p in ps]),
+        np.stack([p.ext.v for p in ps]), np.array([p.corr[0] for p in ps]),
+        np.stack([p.corr[1] for p in ps]), np.array([e.t0 for e in nx]),
+        np.stack([e.u0 for e in nx]))
+    ok[j] = check_link([prev_box(i) for i in j], [p.alpha for p in ps],
+                       [_corr_norm(p) for p in ps], [boxes[i].delta_min for i in j], gap)
+    return ok
+
+
+def _replan(anchor: SegmentAnchor, step: _Step) -> BranchBox | ValidationFailed:
+    """Certify a box whose planned delta_alpha failed at the largest
+    feasible delta_alpha, halving its Lipschitz box until it validates."""
+    d, halvings = step.d, 0
+    while True:
+        box = validate_segment(anchor, [d], index=step.index)[0]
+        if isinstance(box, BranchBox):
+            box.halvings = halvings
+            step.d = d
+            return box
+        d *= 0.5
+        halvings += 1
+        if d < _BOX_MIN:
+            return box
+
+
+def _certify(system, steps: list[_Step], res: BranchResult) -> _Cursor | None:
+    """Validate planned steps as one stack and append the boxes that
+    validate and link to `res`.  Returns the cursor to plan on from, or
+    None when the branch ended (`res.stop_reason` says why)."""
+    end = ""
+    try:
+        anchor = _anchors(system, steps)
+    except NotInvertibleEvidence as exc:
+        end = f"degenerate: {exc}"
+        steps = steps[:exc.index or 0]
+        if not steps:
+            res.stop_reason = end
+            return None
+        anchor = _anchors(system, steps)
+    boxes = validate_segment(anchor, [s.d for s in steps],
+                             [s.delta_alpha for s in steps], index=steps[0].index)
+    bad = next((i for i, b in enumerate(boxes) if not isinstance(b, BranchBox)), None)
+    if bad is not None:
+        res.replans += 1
+        res.boxes_discarded += len(steps) - bad - 1
+        step, box = steps[bad], _replan(anchor.take(bad), steps[bad])
+        if isinstance(box, BranchBox):
+            boxes[bad], steps = box, steps[:bad + 1]
+            # the step out of the box is replanned from its new delta_alpha
+            end, step.alpha, step.corr = "", 0.0, None
+            if step.stop != "target":
+                step.stop = ""
+                step.leave(ALPHA_FRAC * box.delta_alpha)
+        else:
+            end, steps = f"degenerate: {box}", steps[:bad]
+        boxes = boxes[:len(steps)]
+    links = _links(system, res, boxes, steps)
+    labels = (None if not steps or steps[0].Jx is None
+              else classify_stability(np.stack([s.Jx for s in steps])))
+    for i, (box, step) in enumerate(zip(boxes, steps)):
+        box.linked_to_previous = step.prev is not None and bool(links[i])
+        res.boxes.append(box)
+        if step.prev is not None and not links[i]:
+            res.stop_reason = "link-failed"
+            return None
+        if labels is not None:
+            box.stability = labels[i]
+        res.fold_index = step.fold_index
+        if step.corr is not None:
+            box.alpha_step, box.corr_norm = step.alpha, _corr_norm(step)
+        if step.stop:
+            res.stop_reason = step.stop
+            return None
+    if end:
+        res.stop_reason = end
+        return None
+    last = steps[-1]
+    t, u = last.next_anchor()
+    return _Cursor(t=t, u=u, prev=last, d=last.d, index=last.index + 1,
+                   fold_index=last.fold_index)
 
 
 def continue_branch(system: CoralBranchSystem, t0: float, u0: np.ndarray,
@@ -469,88 +791,22 @@ def continue_branch(system: CoralBranchSystem, t0: float, u0: np.ndarray,
     or after max_steps boxes.
     """
     res = BranchResult()
-    t, u = float(t0), np.asarray(u0, dtype=float).copy()
-    prev_tangent: np.ndarray | None = None
-    d = _BOX_START
-    pending_alpha = 0.0
-    pending_corr: tuple[float, np.ndarray] | None = None
-    pending_slack = 0.0
-    fold_seen = False
-
-    for k in range(max_steps):
-        A, Jx = system.jacobians(t, u)
-        try:
-            mu, v = tangent_estimate(A, prev=prev_tangent)
-        except TangentUndefined as exc:
-            res.stop_reason = f"tangent-undefined: {exc}"
-            return res
-        if prev_tangent is None and mu > 0.0:
-            mu, v = -mu, -v          # start by decreasing R
-        prev_tangent = np.concatenate([[mu], v])
-
-        try:
-            anchor = segment_anchor(system, t, u, mu, v, A)
-        except ValidationFailed as exc:
-            res.stop_reason = f"degenerate: {exc}"
-            return res
-        halvings = 0
-        while True:
-            try:
-                box = validate_segment(anchor, d, d, index=k)
-                break
-            except ValidationFailed as exc:
-                d *= 0.5
-                halvings += 1
-                if d < _BOX_MIN:
-                    res.stop_reason = f"degenerate: {exc}"
-                    return res
-        box.halvings = halvings
-
-        if pending_corr is not None:
-            box.linked_to_previous = check_link(res.boxes[-1], pending_alpha, pending_corr,
-                                                box.delta_min, slack=pending_slack)
-            if not box.linked_to_previous:
-                res.stop_reason = "link-failed"
-                res.boxes.append(box)
+    cur = _Cursor(t=float(t0), u=np.asarray(u0, dtype=float).copy(), prev=None,
+                  d=_BOX_START, index=0, fold_index=None)
+    chunk = _CHUNK_MIN
+    while len(res.boxes) < max_steps:
+        steps, stop = _plan(system, cur, min(chunk, max_steps - len(res.boxes)), to_R)
+        replans = res.replans
+        if steps:
+            cur = _certify(system, steps, res)
+            if cur is None:
                 return res
-
-        if Jx is not None:
-            box.stability = classify_stability(Jx)
-
-        # detect fold passage via the parameter component of the tangent
-        if k > 0 and res.boxes and np.sign(mu) != np.sign(res.boxes[-1].mu) and mu != 0.0:
-            fold_seen = True
-            res.fold_index = k
-        if fold_seen and system.R_of_t(t) >= to_R:
-            res.boxes.append(box)
-            res.stop_reason = "target"
+        if res.replans > replans:
+            chunk = _CHUNK_MIN        # the planner's stop lay after a discarded box
+        elif stop:
+            res.stop_reason = stop
             return res
-
-        alpha_k = ALPHA_FRAC * box.delta_alpha
-        # the residual cannot resolve below a few ulps of the state
-        tol = max(_CORRECTOR_TOL, 8.0 * _EPS * max(abs(t), float(np.max(np.abs(u)))))
-        try:
-            sigma, x_corr = newton_correct(anchor.ext, alpha_k, tol=tol,
-                                           max_iter=_MAX_NEWTON)
-        except CorrectorFailed as exc:
-            res.boxes.append(box)
-            res.stop_reason = f"corrector-failed: {exc}"
-            return res
-        box.alpha_step = alpha_k
-        box.corr_norm = max(abs(sigma), float(np.max(np.abs(x_corr))))
-        res.boxes.append(box)
-
-        pending_alpha, pending_corr = alpha_k, (sigma, x_corr)
-        t_next = t + alpha_k * mu + sigma
-        u_next = u + alpha_k * v + x_corr
-        pending_slack = _anchor_rounding_gap(t, u, alpha_k, mu, v, sigma,
-                                             x_corr, t_next, u_next)
-        t, u = t_next, u_next
-
-        # adapt the Lipschitz box: grow when the coupling constraint binds
-        used = box.delta_alpha * box.dir_norm + box.delta_u
-        if used >= 0.5 * d:
-            d = min(_BOX_CAP, d * _BOX_GROWTH)
-
+        else:
+            chunk = min(2 * chunk, _CHUNK_MAX)
     res.stop_reason = "max-steps"
     return res

@@ -13,7 +13,12 @@ class ValidationFailed(Exception):
 
 class NotInvertibleEvidence(ValidationFailed):
     """The Neumann-series inverse bound failed (``|I - BA| >= 1``); the
-    matrix may still be invertible, but no certificate can be produced."""
+    matrix may still be invertible, but no certificate can be produced.
+    For a stack of matrices, `index` is the first one that failed."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class CertificationFailed(Exception):

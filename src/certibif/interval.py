@@ -83,6 +83,24 @@ def _sum_up(a: float, b: float) -> float:
     return math.nextafter(s, _INF)
 
 
+def _exp_dn(x: float) -> float:
+    """Lower bound of exp(x): libm's exp guarded by two ulps."""
+    if x == 0.0:
+        return 1.0
+    if x >= _EXP_OVERFLOW:
+        return _MAX
+    return max(0.0, _dn2(math.exp(x)))
+
+
+def _exp_up(x: float) -> float:
+    """Upper bound of exp(x): libm's exp guarded by two ulps."""
+    if x == 0.0:
+        return 1.0
+    if x >= _EXP_OVERFLOW:
+        return _INF
+    return _up2(math.exp(x))
+
+
 ScalarLike = Union["Interval", float, int]
 
 
@@ -212,21 +230,7 @@ class Interval:
     # -- elementary functions -------------------------------------------
 
     def exp(self) -> "Interval":
-        def dn(x: float) -> float:
-            if x == 0.0:
-                return 1.0
-            if x >= _EXP_OVERFLOW:
-                return _MAX
-            return max(0.0, _dn2(math.exp(x)))
-
-        def up(x: float) -> float:
-            if x == 0.0:
-                return 1.0
-            if x >= _EXP_OVERFLOW:
-                return _INF
-            return _up2(math.exp(x))
-
-        return Interval(dn(self.lo), up(self.hi))
+        return Interval(_exp_dn(self.lo), _exp_up(self.hi))
 
     def sqrt(self) -> "Interval":
         if self.lo < 0.0:
@@ -268,14 +272,15 @@ class Interval:
 
 
 class IVector:
-    """Vector of intervals as a pair of endpoint arrays."""
+    """Vector of intervals as a pair of endpoint arrays; leading axes, if
+    any, stack independent vectors (the last axis is the vector)."""
 
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: np.ndarray, hi: np.ndarray):
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
-        if lo.shape != hi.shape or lo.ndim != 1:
+        if lo.shape != hi.shape or lo.ndim < 1:
             raise DomainError("endpoint shape mismatch")
         if not np.all(lo <= hi):         # also False at NaN endpoints
             raise DomainError("invalid endpoints")
@@ -356,14 +361,15 @@ class IVector:
 
 
 class IMatrix:
-    """Matrix of intervals as a pair of endpoint arrays."""
+    """Matrix of intervals as a pair of endpoint arrays; leading axes, if
+    any, stack independent matrices (the last two axes are the matrix)."""
 
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: np.ndarray, hi: np.ndarray):
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
-        if lo.shape != hi.shape or lo.ndim != 2:
+        if lo.shape != hi.shape or lo.ndim < 2:
             raise DomainError("endpoint shape mismatch")
         if not np.all(lo <= hi):         # also False at NaN endpoints
             raise DomainError("invalid endpoints")
@@ -381,7 +387,7 @@ class IMatrix:
         return IMatrix(e.copy(), e.copy())
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.lo.shape
 
     @property
@@ -394,7 +400,7 @@ class IMatrix:
 
     @property
     def T(self) -> "IMatrix":
-        return IMatrix(self.lo.T, self.hi.T)
+        return IMatrix(np.swapaxes(self.lo, -1, -2), np.swapaxes(self.hi, -1, -2))
 
     def __neg__(self) -> "IMatrix":
         return IMatrix(-self.hi, -self.lo)
@@ -421,8 +427,8 @@ class IMatrix:
         diagonal entries that stay exact stay points."""
         s = Interval._coerce(s)
         lo, hi = self.lo.copy(), self.hi.copy()
-        i = np.arange(self.shape[0])
-        lo[i, i], hi[i, i] = _sum_bounds(lo[i, i], hi[i, i], -s.hi, -s.lo)
+        i = np.arange(self.shape[-1])
+        lo[..., i, i], hi[..., i, i] = _sum_bounds(lo[..., i, i], hi[..., i, i], -s.hi, -s.lo)
         return IMatrix(lo, hi)
 
     def entry(self, i: int, j: int) -> Interval:
@@ -454,12 +460,36 @@ def _sum_bounds(alo, ahi, blo, bhi):
     return np.where(err_lo >= 0.0, s, _adn(s)), np.where(err_hi <= 0.0, t, _aup(t))
 
 
-def dot_seq(alo, ahi, blo, bhi, start: "Interval | None" = None) -> "Interval":
-    """Interval dot product of two endpoint-array vectors: the products
-    as one elementwise call, then summed in index order after `start`
-    (the first product when None), exactly as the scalar loop
-    `start + a[0]*b[0] + a[1]*b[1] + ...` rounds."""
+def _div_bounds(alo, ahi, blo, bhi):
+    """Endpoint bounds of the elementwise interval quotient (broadcasting),
+    rounded as `Interval.__truediv__` rounds; a divisor containing 0 gives
+    [-inf, inf] where `Interval` raises."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        p1, p2, p3, p4 = alo / blo, alo / bhi, ahi / blo, ahi / bhi
+    lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
+    hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
+    bad = (blo <= 0.0) & (bhi >= 0.0)
+    if np.any(bad):
+        lo, hi = np.where(bad, -_INF, lo), np.where(bad, _INF, hi)
+    return _adn(lo), _aup(hi)
+
+
+def dot_seq(alo, ahi, blo, bhi, start=None):
+    """Interval dot product over the last axis of two endpoint arrays: the
+    products as one elementwise call, then summed in index order after
+    `start` (the first product when None), exactly as the scalar loop
+    `start + a[0]*b[0] + a[1]*b[1] + ...` rounds.  One pair of vectors
+    gives an `Interval`; stacked vectors give an `IArray` of their dot
+    products, summed column by column in the same order."""
     plo, phi_ = _mul_bounds(alo, ahi, blo, bhi)
+    if plo.ndim > 1:
+        if start is None:
+            lo, hi, first = plo[..., 0], phi_[..., 0], 1
+        else:
+            lo, hi, first = start.lo, start.hi, 0
+        for j in range(first, plo.shape[-1]):
+            lo, hi = _sum_bounds(lo, hi, plo[..., j], phi_[..., j])
+        return IArray(lo, hi)
     if start is None:
         lo, hi, plo, phi_ = float(plo[0]), float(phi_[0]), plo[1:], phi_[1:]
     else:
@@ -467,6 +497,84 @@ def dot_seq(alo, ahi, blo, bhi, start: "Interval | None" = None) -> "Interval":
     for pl, ph in zip(plo.tolist(), phi_.tolist()):
         lo, hi = _sum_dn(lo, pl), _sum_up(hi, ph)
     return Interval(lo, hi)
+
+
+class IArray:
+    """An array of independent intervals: entry i of every result equals
+    the scalar `Interval` operation on entry i bit for bit (TwoSum sums,
+    outward-stepped products and quotients, libm exp per endpoint with the
+    two-ulp guard).  It is the scalar type of stacked evaluations, so one
+    generic formula serves a single point (`Interval`) and a stack.
+    Endpoints are not validated; NaN candidates saturate to [-inf, inf]."""
+
+    __slots__ = ("lo", "hi")
+    __array_ufunc__ = None       # numpy scalars defer to the reflected operators
+
+    def __init__(self, lo, hi):
+        self.lo = np.asarray(lo, dtype=float)
+        self.hi = np.asarray(hi, dtype=float)
+
+    @staticmethod
+    def point(x) -> "IArray":
+        x = np.asarray(x, dtype=float)
+        return IArray(x, x)
+
+    @staticmethod
+    def around(x, rad) -> "IArray":
+        x = np.asarray(x, dtype=float)
+        return IArray(_adn(x - rad), _aup(x + rad))
+
+    @staticmethod
+    def _ends(x):
+        if isinstance(x, (IArray, Interval)):
+            return x.lo, x.hi
+        return x, x
+
+    @property
+    def mag(self) -> np.ndarray:
+        return np.maximum(np.abs(self.lo), np.abs(self.hi))
+
+    def __getitem__(self, i) -> "IArray":
+        return IArray(self.lo[i], self.hi[i])
+
+    def __repr__(self) -> str:
+        return f"IArray(lo={self.lo!r}, hi={self.hi!r})"
+
+    def __neg__(self) -> "IArray":
+        return IArray(-self.hi, -self.lo)
+
+    def __add__(self, other) -> "IArray":
+        blo, bhi = self._ends(other)
+        return IArray(*_sum_bounds(self.lo, self.hi, blo, bhi))
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "IArray":
+        blo, bhi = self._ends(other)
+        return IArray(*_sum_bounds(self.lo, self.hi, np.negative(bhi), np.negative(blo)))
+
+    def __rsub__(self, other) -> "IArray":
+        alo, ahi = self._ends(other)
+        return IArray(*_sum_bounds(alo, ahi, -self.hi, -self.lo))
+
+    def __mul__(self, other) -> "IArray":
+        blo, bhi = self._ends(other)
+        return IArray(*_mul_bounds(self.lo, self.hi, blo, bhi))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "IArray":
+        blo, bhi = self._ends(other)
+        return IArray(*_div_bounds(self.lo, self.hi, blo, bhi))
+
+    def __rtruediv__(self, other) -> "IArray":
+        alo, ahi = self._ends(other)
+        return IArray(*_div_bounds(alo, ahi, self.lo, self.hi))
+
+    def exp(self) -> "IArray":
+        lo = np.array([_exp_dn(x) for x in self.lo.ravel().tolist()]).reshape(self.lo.shape)
+        hi = np.array([_exp_up(x) for x in self.hi.ravel().tolist()]).reshape(self.hi.shape)
+        return IArray(lo, hi)
 
 
 @functools.lru_cache(maxsize=64)
@@ -491,12 +599,13 @@ def float_matmat(B: np.ndarray, A: "IMatrix | IVector") -> "IMatrix | IVector":
     R >= gamma_k |m| + r the radius up((fl(|B| R) + (k+1) 2^-1074) /
     (1 - gamma_k)) covers both errors and |B| r.  Entries whose centre
     overflows or whose radius is infinite or NaN (0 * inf) saturate to
-    [-inf, inf]."""
+    [-inf, inf].  Leading axes of B and A stack independent products (one
+    batched BLAS call); the bound holds for each slice."""
     vec = isinstance(A, IVector)
-    alo, ahi = (A.lo[:, None], A.hi[:, None]) if vec else (A.lo, A.hi)
+    alo, ahi = (A.lo[..., None], A.hi[..., None]) if vec else (A.lo, A.hi)
     B = np.asarray(B, dtype=float)
-    k = B.shape[1]
-    if k != alo.shape[0]:
+    k = B.shape[-1]
+    if k != alo.shape[-2]:
         raise DomainError("shape mismatch")
     gamma, inv_1mg = _gamma(k)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -514,8 +623,60 @@ def float_matmat(B: np.ndarray, A: "IMatrix | IVector") -> "IMatrix | IVector":
     if bad.any():
         lo, hi = np.where(bad, -_INF, lo), np.where(bad, _INF, hi)
     if vec:
-        return IVector(lo[:, 0], hi[:, 0])
+        return IVector(lo[..., 0], hi[..., 0])
     return IMatrix(lo, hi)
+
+
+class FloatHull:
+    """Interval hull evaluated in plain round-to-nearest float arithmetic:
+    NOT rigorous.  It tracks the `Interval` evaluation of the same formula
+    to rounding error at a fraction of its cost, for float estimates of
+    what a rigorous stage will certify (the branch planner)."""
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: float, hi: float):
+        self.lo = lo
+        self.hi = hi
+
+    @property
+    def mag(self) -> float:
+        return max(abs(self.lo), abs(self.hi))
+
+    def __neg__(self) -> "FloatHull":
+        return FloatHull(-self.hi, -self.lo)
+
+    def __add__(self, o) -> "FloatHull":
+        if isinstance(o, FloatHull):
+            return FloatHull(self.lo + o.lo, self.hi + o.hi)
+        return FloatHull(self.lo + o, self.hi + o)
+
+    __radd__ = __add__
+
+    def __sub__(self, o) -> "FloatHull":
+        if isinstance(o, FloatHull):
+            return FloatHull(self.lo - o.hi, self.hi - o.lo)
+        return FloatHull(self.lo - o, self.hi - o)
+
+    def __rsub__(self, o) -> "FloatHull":
+        return FloatHull(o - self.hi, o - self.lo)
+
+    def __mul__(self, o) -> "FloatHull":
+        if isinstance(o, FloatHull):
+            c = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
+            return FloatHull(min(c), max(c))
+        a, b = self.lo * o, self.hi * o
+        return FloatHull(a, b) if a <= b else FloatHull(b, a)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o: "FloatHull") -> "FloatHull":
+        c = (self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi)
+        return FloatHull(min(c), max(c))
+
+    def exp(self) -> "FloatHull":
+        e = lambda x: math.exp(x) if x < _EXP_OVERFLOW else _INF
+        return FloatHull(e(self.lo), e(self.hi))
 
 
 # ---------------------------------------------------------------------------
@@ -523,11 +684,12 @@ def float_matmat(B: np.ndarray, A: "IMatrix | IVector") -> "IMatrix | IVector":
 # ---------------------------------------------------------------------------
 
 
-def norm_inf(x: "IVector | IMatrix") -> Interval:
+def norm_inf(x: "IVector | IMatrix") -> "Interval | IArray":
     """Max norm for vectors, induced max-row-sum norm for matrices.
 
     The upper endpoint dominates the norm of every point element of the
-    enclosure; the lower endpoint is a valid lower bound for it.
+    enclosure; the lower endpoint is a valid lower bound for it.  A stack
+    of vectors or matrices gives the `IArray` of their norms.
     """
     if not isinstance(x, (IVector, IMatrix)):
         raise TypeError(f"norm_inf undefined for {type(x)!r}")
@@ -535,10 +697,15 @@ def norm_inf(x: "IVector | IMatrix") -> Interval:
     mags_lo = np.where((x.lo <= 0.0) & (x.hi >= 0.0), 0.0,
                        np.minimum(np.abs(x.lo), np.abs(x.hi)))
     if isinstance(x, IVector):
-        return Interval(float(mags_lo.max()), float(mags_hi.max()))
-    hi = float(np.max(up_sum(mags_hi, axis=1)))
-    lo = float(np.max(dn_sum(mags_lo, axis=1)))
-    return Interval(min(lo, hi), hi)
+        lo, hi = mags_lo.max(axis=-1), mags_hi.max(axis=-1)
+        stacked = x.lo.ndim > 1
+    else:
+        hi = np.max(up_sum(mags_hi, axis=-1), axis=-1)
+        lo = np.minimum(np.max(dn_sum(mags_lo, axis=-1), axis=-1), hi)
+        stacked = x.lo.ndim > 2
+    if stacked:
+        return IArray(lo, hi)
+    return Interval(float(lo), float(hi))
 
 
 # ---------------------------------------------------------------------------

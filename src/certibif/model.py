@@ -21,8 +21,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .interval import (IMatrix, Interval, IVector, _mul_bounds, _sum_bounds,
-                       dot_seq, up_mul, up_sum)
+from .interval import (FloatHull, IArray, IMatrix, Interval, IVector,
+                       _mul_bounds, _sum_bounds, dot_seq, up_mul, up_sum)
 
 GROWTH_EXPONENT = 2.324       # age-scaling exponent shared by p_k and b_k
 POLYPS_PER_COLONY_SCALE = 1.239
@@ -140,8 +140,6 @@ def derive_interval(params: CoralParams) -> DerivedCoefficients:
 
 
 def _sexp(y):
-    if isinstance(y, Interval):
-        return y.exp()
     if isinstance(y, np.ndarray):
         return np.exp(y)          # overflow gives inf, as for floats
     if isinstance(y, (float, int, np.floating)):
@@ -149,6 +147,8 @@ def _sexp(y):
             return math.exp(y)
         except OverflowError:
             return math.inf
+    if isinstance(y, (Interval, IArray, FloatHull)):
+        return y.exp()
     import mpmath
     return mpmath.exp(y)
 
@@ -279,15 +279,17 @@ class CoralMap:
         lambda*g, with phi..phi^(order) and the gradient of g.
 
         Elementwise products and sums run on endpoint arrays; q.x and b.x
-        are summed in k order and phi stays a scalar `Interval`, so every
-        endpoint equals the scalar `Interval` evaluation bit for bit."""
+        are summed in k order and phi is evaluated in `Interval` (one x) or
+        `IArray` (stacked x, one jet per row), so every endpoint equals the
+        scalar `Interval` evaluation bit for bit."""
         P = dot_seq(self._q_lo, self._q_hi, x.lo, x.hi)
         bx = dot_seq(self._b_lo, self._b_hi, x.lo, x.hi, start=0.0 * P)
         phis = phi_derivs(P, self.params, order=max(order, 1))
-        # dg/dx_j = phi'(P) q_j (b.x) + phi(P) b_j
-        tlo, thi = _mul_bounds(phis[1].lo, phis[1].hi, self._q_lo, self._q_hi)
-        tlo, thi = _mul_bounds(tlo, thi, bx.lo, bx.hi)
-        plo, phi_ = _mul_bounds(phis[0].lo, phis[0].hi, self._b_lo, self._b_hi)
+        # dg/dx_j = phi'(P) q_j (b.x) + phi(P) b_j, one row per stacked x
+        col = lambda a: np.asarray(a)[..., None]
+        tlo, thi = _mul_bounds(col(phis[1].lo), col(phis[1].hi), self._q_lo, self._q_hi)
+        tlo, thi = _mul_bounds(tlo, thi, col(bx.lo), col(bx.hi))
+        plo, phi_ = _mul_bounds(col(phis[0].lo), col(phis[0].hi), self._b_lo, self._b_hi)
         g1 = IVector(*_sum_bounds(tlo, thi, plo, phi_))
         return Row1Jet(phis=phis, bx=bx, g=phis[0] * bx, g1=g1)
 
@@ -300,6 +302,13 @@ class CoralMap:
         return IMatrix(lo, hi)
 
     # -- rigorous second/third-order bounds over a box --------------------
+
+    def hessian_weights(self, w: np.ndarray) -> tuple[float, float]:
+        """Upper bounds (S_qq, S_qb) of sum_jk w_jk q_j q_k and sum_jk w_jk
+        (q_j b_k + b_j q_k) for nonnegative weights w, so that over any box
+        sum_jk w_jk |d2g/dx_j dx_k| <= |phi'' (b.x)| S_qq + |phi'| S_qb."""
+        return (float(up_sum(up_mul(w, self._qq))),
+                float(up_sum(up_mul(w, self._qb_sym))))
 
     def row1_bounds(self, lam: Interval, x_box: IVector) -> "Row1Bounds":
         """Sup-magnitude data for mean-value Lipschitz estimates on a box."""
@@ -315,8 +324,8 @@ class Row1Jet:
     """g = phi(P) (b.x) and its first derivatives over an interval point
     or box; phis reach the order the jet was built for."""
 
-    phis: tuple          # phi .. phi^(order) at P = q.x, as Intervals
-    bx: Interval         # b.x
+    phis: tuple          # phi .. phi^(order) at P = q.x (Interval or IArray)
+    bx: Interval         # b.x (IArray for stacked x)
     g: Interval          # phi(P) (b.x)
     g1: IVector          # dg/dx_j
 

@@ -14,7 +14,7 @@ from certibif.continuation import (ALPHA_FRAC, BranchBox,
                                    nontrivial_fixed_point, segment_anchor,
                                    tangent_estimate, validate_segment)
 from certibif.errors import CorrectorFailed, TangentUndefined, ValidationFailed
-from certibif.interval import Interval, IVector, norm_inf
+from certibif.interval import IArray, IMatrix, Interval, IVector, norm_inf
 from certibif.model import FixedPointReduction
 
 from helpers import (mp_branch_F, mp_coeffs, mp_fd_jacobian,
@@ -194,18 +194,22 @@ def _box(**kw):
     return BranchBox(**base)
 
 
+# check_link takes a stack of links: previous boxes, alphas, corrector
+# norms |(sigma, x)| and next accuracy radii; these are stacks of one
+
+
 def test_check_link_accepts_comfortable_margins():
-    assert check_link(_box(), 1e-4, (1e-7, np.array([1e-7])), 0.0)
+    assert check_link([_box()], [1e-4], [1e-7], [0.0])[0]
 
 
 def test_check_link_strict_at_alpha_boundary():
     b = _box()
-    assert not check_link(b, b.delta_alpha, (0.0, np.array([0.0])), 0.0)
+    assert not check_link([b], [b.delta_alpha], [0.0], [0.0])[0]
 
 
 def test_check_link_norm_margin():
     b = _box()
-    assert not check_link(b, 1e-4, (9.99e-6, np.array([0.0])), 1e-7)
+    assert not check_link([b], [1e-4], [9.99e-6], [1e-7])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +233,19 @@ def test_branch_start(coral):
             start(coral, 5.0)
 
 
+def _anchor(system, t0, u0, mu, v, A):
+    """segment_anchor for a stack of one segment, with B = inv(DG(0))."""
+    B = np.linalg.inv(ExtendedSystem(system, t0, u0, mu, v).jac_from(A))
+    return segment_anchor(system, np.array([t0]), u0[None], np.array([mu]), v[None], B[None])
+
+
 def test_validate_segment_coral(coral):
     system, t0, u0 = branch_start(coral, 300.0)
     A = system.jacobians(t0, u0)[0]
     mu, v = tangent_estimate(A)
     if mu > 0:
         mu, v = -mu, -v
-    box = validate_segment(segment_anchor(system, t0, u0, mu, v, A), 1e-4, 1e-4)
+    box = validate_segment(_anchor(system, t0, u0, mu, v, A), [1e-4])[0]
     assert box.delta_alpha > 0 and box.delta_u > 0
     assert box.delta_min <= 1e-12
     assert box.delta_min < box.delta_u
@@ -380,8 +390,8 @@ def test_derived_constants_match_direct_cift_on_extended_system(
         t0, u0 = preconditioned_system.from_raw_R(R, x0)
         A = preconditioned_system.jacobians(t0, u0)[0]
         mu, v = tangent_estimate(A)
-        anchor = segment_anchor(preconditioned_system, t0, u0, mu, v, A)
-        box = validate_segment(anchor, 1e-4, 1e-4)
+        anchor = _anchor(preconditioned_system, t0, u0, mu, v, A)
+        box = validate_segment(anchor, [1e-4])[0]
         da, du = box.delta_alpha, box.delta_u
         # hull of every point reachable within the slanted box
         r_t = da * abs(mu) + du
@@ -399,7 +409,7 @@ def test_derived_constants_match_direct_cift_on_extended_system(
         assert width_bound <= 2.0 * formula_h3 + 1e-9
         # (H4) side: D_alpha G = (0, D_t F mu + D_u F v) stays within the
         # affine envelope L3 + L4 * alpha
-        val = norm_inf(anchor.ext.drift_iv(Ju, Jt)).hi
+        val = norm_inf(anchor.take(0).ext.drift_iv(Ju, Jt)).hi[0]
         formula_h4 = box.bounds.L3 + box.bounds.L4 * da
         slack = box.bounds.L1 * (du + da) * 2.0   # enclosure-width overhead
         assert val <= 2.0 * formula_h4 + slack
@@ -452,16 +462,21 @@ def test_branch_driver_stops_degenerate_without_start_point(coral):
 
 
 class ToyLinearValidated(ToyLinear):
-    """ToyLinear with the interval interface, so segments can be certified."""
+    """ToyLinear with the stacked interval interface, so segments can be
+    certified: t is an IArray of shape (n,) and u an IVector of (n, 1)."""
 
     def eval_iv(self, t, u):
-        from certibif.interval import IMatrix
-        F = IVector.from_scalars([u[0] - t])
-        Ju = IMatrix(np.array([[1.0]]), np.array([[1.0]]))
-        Jt = IVector(np.array([-1.0]), np.array([-1.0]))
+        r = IArray(u.lo[:, 0], u.hi[:, 0]) - t
+        F = IVector(r.lo[:, None], r.hi[:, None])
+        n = u.lo.shape[0]
+        Ju = IMatrix(np.ones((n, 1, 1)), np.ones((n, 1, 1)))
+        Jt = IVector(-np.ones((n, 1)), -np.ones((n, 1)))
         return F, Ju, Jt
 
-    def lipschitz_M(self, t0, u0, d_t, d_u):
+    def lipschitz_M(self, t0, u0, d):
+        return (np.zeros(len(d)),) * 4
+
+    def lipschitz_estimate(self, t0, u0, d):
         return 0.0, 0.0, 0.0, 0.0
 
 
@@ -471,8 +486,8 @@ def test_validate_segment_exact_linear_zero_set():
     sys_ = ToyLinearValidated()
     A = sys_.jacobians(0.3, np.array([0.3]))[0]
     mu, v = tangent_estimate(A)
-    anchor = segment_anchor(sys_, 0.3, np.array([0.3]), mu, v, A)
-    box = validate_segment(anchor, 1e-2, 1e-2)
+    anchor = _anchor(sys_, 0.3, np.array([0.3]), mu, v, A)
+    box = validate_segment(anchor, [1e-2])[0]
     assert box.hyp.rho <= 1e-15 and box.hyp.xi <= 1e-12
     assert box.bounds.L1 <= 1e-300 and box.bounds.L4 <= 1e-300
     # delta_alpha * dir_norm + delta_u saturates the coupling cap
