@@ -156,6 +156,13 @@ def cmd_branch(args) -> int:
     params = _load_params(args)
     coral = CoralMap(params)
     out = _outdir(args)
+    R_star = transcritical_analysis(coral).R_star
+    if not args.to_R < R_star.lo:
+        # K grows without bound as the branch nears x = 0 at R*
+        print(f"--to-R {args.to_R!r} is not below the transcritical point R* = c2/c1 "
+              f"in [{R_star.lo!r}, {R_star.hi!r}], where the branch meets the "
+              f"trivial branch x = 0: no linked chain reaches it", file=sys.stderr)
+        return 1
     system, t0, u0 = cont.branch_start(coral, args.from_R)
     res = cont.continue_branch(system, t0, u0, args.to_R, args.max_steps)
     emit_branch_csv(out / "branch.csv", system, res)
@@ -166,20 +173,32 @@ def cmd_branch(args) -> int:
         "all_linked": res.all_linked(),
         "fold_index": res.fold_index,
         "delta_min_max": repr(max((b.delta_min for b in res.boxes), default=0.0)),
+        "replans": res.replans,
+        "boxes_discarded": res.boxes_discarded,
         "boxes": [{
             "index": b.index,
             "R": repr(system.R_of_t(b.t)),
             "delta_alpha": repr(b.delta_alpha),
             "delta_u": repr(b.delta_u),
             "delta_min": repr(b.delta_min),
+            "bound_by": b.bound_by,
+            "d": repr(b.hyp.d_u),
             "K": repr(b.hyp.K),
             "rho": repr(b.hyp.rho),
+            "xi": repr(b.hyp.xi),
+            "M1": repr(b.hyp.M1),
+            "M2": repr(b.hyp.M2),
+            "M3": repr(b.hyp.M3),
+            "M4": repr(b.hyp.M4),
             "L1": repr(b.bounds.L1),
+            "L2": repr(b.bounds.L2),
+            "L4": repr(b.bounds.L4),
             "halvings": b.halvings,
             "linked": b.linked_to_previous,
         } for b in res.boxes],
     }
-    (out / "branch_certificates.json").write_text(json.dumps(chain, indent=1))
+    # compact: the per-box trace costs less to emit than the indentation did
+    (out / "branch_certificates.json").write_text(json.dumps(chain))
     print(f"{len(res.boxes)} validated boxes, stop: {res.stop_reason}, "
           f"linked: {res.all_linked()}")
     ok = res.stop_reason in ("target", "max-steps") or res.stop_reason.startswith("degenerate")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import mpmath as mp
 import numpy as np
 
-from certibif.model import CoralMap, derive_generic
+from certibif.model import CoralMap, derive_generic, phi_derivs
 
 
 def mp_coeffs(coral: CoralMap):
@@ -110,3 +110,18 @@ def mp_refine_branch_point(system, coeffs, box, alpha, dps: int = 50):
     z0 = np.zeros(system.d + 1)
     with mp.workdps(dps):
         return mp_newton(val, jac, z0, dps=dps)
+
+
+def scalar_row1(coral, x: list):
+    """phi..phi''', b.x, g and dg/dx over a box in scalar Interval
+    arithmetic, in the k order the endpoint-array jet promises."""
+    ci = coral.ci
+    P = ci.q[0] * x[0]
+    for qk, xk in zip(ci.q[1:], x[1:]):
+        P = P + qk * xk
+    bx = 0.0 * P
+    for bk, xk in zip(ci.b, x):
+        bx = bx + bk * xk
+    phis = phi_derivs(P, coral.params, order=3)
+    g1 = [phis[1] * qk * bx + phis[0] * bk for qk, bk in zip(ci.q, ci.b)]
+    return phis, bx, phis[0] * bx, g1

@@ -384,3 +384,22 @@ def test_sn_certificate_200_digit_refinement(coral, sn_cert):
                                  dps=200)
     err = max(abs(float(z_ref[i]) - sn_cert.anchor[i]) for i in range(sn.dim))
     assert err <= sn_cert.delta_accuracy
+
+
+def test_solve_deltas_steps_dx_back_no_further_than_the_floor():
+    """A box of the seed-0 branch where the L1 coupling binds: the dx
+    ceiling sits an ulp above the floor and fails the pair check, which
+    rounds 2K(L1 dx + L2 da) <= 1 apart from it.  The step back stops at
+    the floor, which the delta_alpha search has already certified, instead
+    of stepping past it and giving up."""
+    from certibif.cift import _TwoK, _dx_ceiling, _dx_floor, _pair_feasible
+    b = CiftBounds(rho=5.995204332975845e-15, K=6.739970907978892,
+                   L1=58.32574483346063, L2=34.601015575504604,
+                   L3=4.0291271289160886e-14, L4=20.355909077067825,
+                   ell_x=0.0256, ell_alpha=0.0256)
+    pair = solve_deltas(b, dir_norm=1.0, coupled_cap=0.0256)
+    k = _TwoK.of(b)
+    da = pair.delta_alpha
+    assert not _pair_feasible(b, k, da, _dx_ceiling(b, k, da, 1.0, 0.0256), 1.0, 0.0256)
+    assert _pair_feasible(b, k, da, pair.delta_x, 1.0, 0.0256)
+    assert pair.delta_x == _dx_floor(k, da) and pair.bound_by == "L1-coupling"

@@ -175,6 +175,29 @@ def test_config_file_flows_through(tmp_path, capsys, coral):
     assert rc == 0
 
 
+def test_branch_refuses_a_target_past_the_transcritical_point(tmp_path, capsys):
+    # the branch meets x = 0 at R* = c2/c1 = 72.22..., so R = 73 is never reached
+    rc = main(["--out", str(tmp_path), "branch", "--to-R", "73"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "R* = c2/c1" in err and "72.2222222222222" in err
+    assert not (tmp_path / "branch_certificates.json").exists()
+
+
+def test_branch_chain_traces_each_box(tmp_path):
+    rc = main(["--out", str(tmp_path), "branch", "--max-steps", "12"])
+    assert rc == 0
+    chain = json.loads((tmp_path / "branch_certificates.json").read_text())
+    assert chain["replans"] >= 0 and chain["boxes_discarded"] >= 0
+    for box in chain["boxes"]:
+        assert box["bound_by"] in ("planned", "L1-coupling", "coupled-cap",
+                                   "search-cap", "ell-x")
+        vals = {k: float(box[k]) for k in ("d", "M1", "M2", "M3", "M4", "xi", "L2", "L4")}
+        assert all(v >= 0.0 for v in vals.values())
+        # the trace determines the certified constants (M4 = 0 on this map)
+        assert float(box["L1"]) >= vals["M1"] + vals["M2"] + vals["M3"]
+
+
 def test_branch_with_zero_survival_rate_fails_naming_it(tmp_path, capsys, coral):
     # S[5] = 0 leaves ages 7-13 empty at every fixed point: no scale for them
     S = list(coral.params.S)

@@ -18,7 +18,7 @@ from certibif.interval import IArray, IMatrix, Interval, IVector, norm_inf
 from certibif.model import FixedPointReduction
 
 from helpers import (mp_branch_F, mp_coeffs, mp_fd_jacobian,
-                     mp_refine_branch_point)
+                     mp_refine_branch_point, scalar_row1)
 import mpmath as mp
 
 
@@ -506,3 +506,147 @@ def test_continue_branch_on_linear_toy():
     # the chain walks along u = t
     for b in res.boxes:
         assert abs(b.u[0] - b.t) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the stacked validator: every stage of a stack equals its n = 1 calls
+# ---------------------------------------------------------------------------
+
+
+def _recorded(branch_result, system, n=64):
+    """n boxes spread over the seed-0 branch, as the stacked anchor data
+    the validator takes (B = inv(DG(0)) per box)."""
+    boxes = branch_result.boxes[::len(branch_result.boxes) // n][:n]
+    B = np.stack([np.linalg.inv(ExtendedSystem(system, b.t, b.u, b.mu, b.v)
+                                .jac_from(system.jacobians(b.t, b.u)[0])) for b in boxes])
+    return (boxes, np.array([b.t for b in boxes]), np.stack([b.u for b in boxes]),
+            np.array([b.mu for b in boxes]), np.stack([b.v for b in boxes]), B)
+
+
+def _same(x, y):
+    return np.array_equal(x.lo, y.lo) and np.array_equal(x.hi, y.hi)
+
+
+def test_stacked_stages_equal_their_single_segment_calls(branch_result,
+                                                         preconditioned_system):
+    system = preconditioned_system
+    boxes, t, u, mu, v, B = _recorded(branch_result, system)
+    d = np.array([b.hyp.d_u for b in boxes])
+    da = np.array([b.delta_alpha for b in boxes])
+    anchor = segment_anchor(system, t, u, mu, v, B)
+    F, Ju, Jt = system.eval_iv(IArray.point(t), IVector.point(u))
+    drift, extJ = anchor.ext.drift_iv(Ju, Jt), anchor.ext.jac_iv_at_origin(Ju, Jt)
+    M = system.lipschitz_M(t, u, d)
+    stacked = validate_segment(anchor, d, da)
+    for i, box in enumerate(boxes):
+        one = slice(i, i + 1)
+        a1 = segment_anchor(system, t[one], u[one], mu[one], v[one], B[one])
+        F1, Ju1, Jt1 = system.eval_iv(IArray.point(t[one]), IVector.point(u[one]))
+        pairs = [(F, F1), (Ju, Ju1), (Jt, Jt1), (drift, a1.ext.drift_iv(Ju1, Jt1)),
+                 (extJ, a1.ext.jac_iv_at_origin(Ju1, Jt1))]
+        assert all(_same(type(s)(s.lo[i], s.hi[i]), type(s)(s1.lo[0], s1.hi[0]))
+                   for s, s1 in pairs)
+        # an unstacked point is the same evaluation again
+        assert all(_same(type(s)(s.lo[i], s.hi[i]), s0) for s, s0 in zip(
+            (F, Ju, Jt), system.eval_iv(Interval.point(t[i]), IVector.point(u[i]))))
+        assert (anchor.rho[i], anchor.xi[i], anchor.K[i]) == (a1.rho[0], a1.xi[0], a1.K[0])
+        assert [m[i] for m in M] == [m[0] for m in system.lipschitz_M(t[one], u[one], d[one])]
+        b1 = validate_segment(a1, d[one], da[one])[0]
+        assert (stacked[i].bounds, stacked[i].hyp) == (b1.bounds, b1.hyp)
+        assert (stacked[i].delta_u, stacked[i].delta_min) == (b1.delta_u, b1.delta_min)
+        # the chain's own box was certified by the same stack
+        assert (box.bounds, box.delta_u, box.delta_min) == (b1.bounds, b1.delta_u,
+                                                            b1.delta_min)
+
+
+def test_stacked_row1_jet_equals_scalar_interval(branch_result, preconditioned_system,
+                                                coral):
+    """The order-2 jet over the Lipschitz boxes of the recorded boxes, as
+    lipschitz_M builds it, row by row against scalar Interval."""
+    system = preconditioned_system
+    boxes, t, u, *_ = _recorded(branch_result, system)
+    rad = system.s * np.array([b.hyp.d_u for b in boxes])[:, None]
+    x_box = IVector.around(system.s * u, rad)
+    jet = coral.row1_jet(x_box, order=2)
+    for i in range(len(boxes)):
+        phis, bx, g, g1 = scalar_row1(coral, IVector(x_box.lo[i], x_box.hi[i]).to_scalars())
+        assert all((p.lo[i], p.hi[i]) == (q.lo, q.hi) for p, q in zip(jet.phis, phis))
+        assert (bx.lo, bx.hi, g.lo, g.hi) == (jet.bx.lo[i], jet.bx.hi[i],
+                                              jet.g.lo[i], jet.g.hi[i])
+        assert np.array_equal(jet.g1.lo[i], [gj.lo for gj in g1])
+        assert np.array_equal(jet.g1.hi[i], [gj.hi for gj in g1])
+
+
+def _scalar_extended_constants(h, mu, v):
+    """derive_extended_constants for one segment in scalar Interval."""
+    I = Interval
+    vn, am = float(np.max(np.abs(v))), abs(mu)
+    L1 = ((I(h.M1) + I(h.M3)) + (I(h.M2) + I(h.M4))).hi
+    L2 = ((I(h.M1) + I(h.M3)) * I(vn) + (I(h.M2) + I(h.M4)) * I(am)).hi
+    L4 = ((I(h.M1) * I(vn) + I(h.M2) * I(am)) * I(vn)
+          + (I(h.M3) * I(vn) + I(h.M4) * I(am)) * I(am)).hi
+    return L1, L2, L4
+
+
+def test_extended_constants_equal_scalar_interval(branch_result):
+    for b in branch_result.boxes:
+        assert (b.bounds.L1, b.bounds.L2, b.bounds.L4) == \
+            _scalar_extended_constants(b.hyp, b.mu, b.v)
+
+
+def test_stacked_links_and_rounding_gaps(branch_result, preconditioned_system):
+    """The recorded steps replayed: the corrector reproduces each next
+    anchor, the stacked rounding gaps equal the scalar Interval loop, and
+    the stacked link check equals its n = 1 calls."""
+    system = preconditioned_system
+    boxes = branch_result.boxes
+    picks = list(range(0, len(boxes) - 1, (len(boxes) - 1) // 64))[:64]
+    steps = []
+    for k in picks:
+        b, n = boxes[k], boxes[k + 1]
+        sigma, x = newton_correct(ExtendedSystem(system, b.t, b.u, b.mu, b.v), b.alpha_step,
+                                  tol=max(1e-14, 8 * 2.0 ** -52 * max(abs(b.t), np.max(np.abs(b.u)))))
+        assert (n.t, list(n.u)) == (b.t + b.alpha_step * b.mu + sigma,
+                                    list(b.u + b.alpha_step * b.v + x))
+        steps.append((b.t, b.u, b.alpha_step, b.mu, b.v, sigma, x, n.t, n.u))
+    cols = [np.array(c) for c in zip(*steps)]
+    gap = _anchor_rounding_gap(*cols)
+    assert list(gap) == [_scalar_rounding_gap(*s) for s in steps]
+    prev = [boxes[k] for k in picks]
+    corr = [max(abs(s[5]), float(np.max(np.abs(s[6])))) for s in steps]
+    dmin = [boxes[k + 1].delta_min for k in picks]
+    links = check_link(prev, cols[2], corr, dmin, gap)
+    assert links.all()
+    assert list(links) == [check_link([p], [s[2]], [c], [m], [g])[0]
+                           for p, s, c, m, g in zip(prev, steps, corr, dmin, gap)]
+
+
+def test_stacked_stability_labels_equal_per_matrix_labels(branch_result,
+                                                          preconditioned_system, coral):
+    system = preconditioned_system
+    Jx = np.stack([coral.jac_x(*system.to_raw(b.t, b.u)) for b in branch_result.boxes])
+    labels = classify_stability(Jx)
+    assert labels == [classify_stability(J) for J in Jx]
+    assert labels == [b.stability for b in branch_result.boxes]
+
+
+def test_forced_misprediction_replans_and_still_links(coral, monkeypatch):
+    """Planned steps 40% longer than predicted at every 97th box: each one
+    fails the stacked check, is certified by the delta_alpha search, and
+    the chain after it is replanned and still links to the target."""
+    from certibif import continuation as cont
+    predict = cont._predict_alpha
+    calls = iter(range(10 ** 9))
+
+    def overshoot(*args):
+        da, bound_by = predict(*args)
+        return (1.4 * da if next(calls) % 97 == 5 else da), bound_by
+
+    monkeypatch.setattr(cont, "_predict_alpha", overshoot)
+    system, t0, u0 = branch_start(coral, 300.0)
+    res = continue_branch(system, t0, u0, to_R=72.0, max_steps=8000)
+    assert res.stop_reason == "target" and res.all_linked()
+    assert res.replans >= 10 and res.boxes_discarded > 0
+    replanned = [b for b in res.boxes if b.bound_by != "planned"]
+    assert len(replanned) == res.replans
+    assert all(b.alpha_step == ALPHA_FRAC * b.delta_alpha for b in res.boxes[:-1])

@@ -14,7 +14,7 @@ from certibif.model import (CoralMap, CoralParams, FixedPointReduction,
                             R_to_lambda, derive_generic, lambda_to_R, phi,
                             phi_derivs, row1_d2, row1_d3)
 
-from helpers import mp_coeffs
+from helpers import mp_coeffs, scalar_row1
 
 
 def test_params_table_defaults(coral):
@@ -352,25 +352,10 @@ def _row1_boxes(coral, rng, count):
         yield c, IVector.around(c, rel * c) if rel else IVector.point(c)
 
 
-def _scalar_row1(coral, x: list):
-    """phi..phi''', b.x, g and dg/dx over a box in scalar Interval
-    arithmetic, in the k order the endpoint-array jet promises."""
-    ci = coral.ci
-    P = ci.q[0] * x[0]
-    for qk, xk in zip(ci.q[1:], x[1:]):
-        P = P + qk * xk
-    bx = 0.0 * P
-    for bk, xk in zip(ci.b, x):
-        bx = bx + bk * xk
-    phis = phi_derivs(P, coral.params, order=3)
-    g1 = [phis[1] * qk * bx + phis[0] * bk for qk, bk in zip(ci.q, ci.b)]
-    return phis, bx, phis[0] * bx, g1
-
-
 def test_row1_jet_equals_scalar_interval_evaluation(coral):
     bits = lambda iv: (iv.lo, iv.hi)
     for _, box in _row1_boxes(coral, np.random.default_rng(21), 24):
-        phis, bx, g, g1 = _scalar_row1(coral, box.to_scalars())
+        phis, bx, g, g1 = scalar_row1(coral, box.to_scalars())
         for order in (1, 2, 3):
             jet = coral.row1_jet(box, order=order)
             assert len(jet.phis) == order + 1
