@@ -625,26 +625,18 @@ def _plan_box(system, t: float, u: np.ndarray, mu: float, v: np.ndarray,
     return d, da
 
 
-@dataclass
-class _Cursor:
-    """Where planning resumes: the next anchor, the box it was stepped to
-    from, and the driver state carried along."""
-
-    t: float
-    u: np.ndarray
-    prev: _Step | None
-    d: float
-    index: int
-    fold_index: int | None
-
-
-def _plan(system, cur: _Cursor, n: int, to_R: float) -> tuple[list[_Step], str]:
-    """Plan up to n boxes from `cur` in float.  Returns the steps and the
-    stop reason that ends the branch right after them ("" for none); a
-    step that ends the branch itself carries its reason in `stop`."""
+def _plan(system, prev: _Step | None, t: float, u: np.ndarray, n: int,
+          to_R: float) -> tuple[list[_Step], str]:
+    """Plan up to n boxes in float from the anchor (t, u), which the step
+    out of `prev` reached (None at the start of the branch).  Returns the
+    steps and the stop reason that ends the branch right after them (""
+    for none); a step that ends the branch itself carries its reason in
+    `stop`."""
     steps: list[_Step] = []
-    t, u, prev, d, fold_index = cur.t, cur.u, cur.prev, cur.d, cur.fold_index
-    for k in range(cur.index, cur.index + n):
+    d = _BOX_START if prev is None else prev.d
+    fold_index = None if prev is None else prev.fold_index
+    first = 0 if prev is None else prev.index + 1
+    for k in range(first, first + n):
         A, Jx = system.jacobians(t, u)
         try:
             mu, v = tangent_estimate(A, prev=None if prev is None else prev.tangent)
@@ -725,10 +717,11 @@ def _replan(anchor: SegmentAnchor, step: _Step) -> BranchBox | ValidationFailed:
             return box
 
 
-def _certify(system, steps: list[_Step], res: BranchResult) -> _Cursor | None:
+def _certify(system, steps: list[_Step], res: BranchResult) -> _Step | None:
     """Validate planned steps as one stack and append the boxes that
-    validate and link to `res`.  Returns the cursor to plan on from, or
-    None when the branch ended (`res.stop_reason` says why)."""
+    validate and link to `res`.  Returns the last step, whose step out the
+    planner continues from, or None when the branch ended
+    (`res.stop_reason` says why)."""
     end = ""
     try:
         anchor = _anchors(system, steps)
@@ -777,9 +770,8 @@ def _certify(system, steps: list[_Step], res: BranchResult) -> _Cursor | None:
         res.stop_reason = end
         return None
     last = steps[-1]
-    t, u = last.next_anchor()
-    return _Cursor(t=t, u=u, prev=last, d=last.d, index=last.index + 1,
-                   fold_index=last.fold_index)
+    last.prev = None             # the steps before it are done with
+    return last
 
 
 def continue_branch(system: CoralBranchSystem, t0: float, u0: np.ndarray,
@@ -791,16 +783,16 @@ def continue_branch(system: CoralBranchSystem, t0: float, u0: np.ndarray,
     or after max_steps boxes.
     """
     res = BranchResult()
-    cur = _Cursor(t=float(t0), u=np.asarray(u0, dtype=float).copy(), prev=None,
-                  d=_BOX_START, index=0, fold_index=None)
+    prev, t, u = None, float(t0), np.asarray(u0, dtype=float).copy()
     chunk = _CHUNK_MIN
     while len(res.boxes) < max_steps:
-        steps, stop = _plan(system, cur, min(chunk, max_steps - len(res.boxes)), to_R)
+        steps, stop = _plan(system, prev, t, u, min(chunk, max_steps - len(res.boxes)), to_R)
         replans = res.replans
         if steps:
-            cur = _certify(system, steps, res)
-            if cur is None:
+            prev = _certify(system, steps, res)
+            if prev is None:
                 return res
+            t, u = prev.next_anchor()
         if res.replans > replans:
             chunk = _CHUNK_MIN        # the planner's stop lay after a discarded box
         elif stop:
