@@ -534,9 +534,6 @@ class IArray:
     def mag(self) -> np.ndarray:
         return np.maximum(np.abs(self.lo), np.abs(self.hi))
 
-    def __getitem__(self, i) -> "IArray":
-        return IArray(self.lo[i], self.hi[i])
-
     def __repr__(self) -> str:
         return f"IArray(lo={self.lo!r}, hi={self.hi!r})"
 
@@ -553,10 +550,6 @@ class IArray:
         blo, bhi = self._ends(other)
         return IArray(*_sum_bounds(self.lo, self.hi, np.negative(bhi), np.negative(blo)))
 
-    def __rsub__(self, other) -> "IArray":
-        alo, ahi = self._ends(other)
-        return IArray(*_sum_bounds(alo, ahi, -self.hi, -self.lo))
-
     def __mul__(self, other) -> "IArray":
         blo, bhi = self._ends(other)
         return IArray(*_mul_bounds(self.lo, self.hi, blo, bhi))
@@ -566,10 +559,6 @@ class IArray:
     def __truediv__(self, other) -> "IArray":
         blo, bhi = self._ends(other)
         return IArray(*_div_bounds(self.lo, self.hi, blo, bhi))
-
-    def __rtruediv__(self, other) -> "IArray":
-        alo, ahi = self._ends(other)
-        return IArray(*_div_bounds(alo, ahi, self.lo, self.hi))
 
     def exp(self) -> "IArray":
         lo = np.array([_exp_dn(x) for x in self.lo.ravel().tolist()]).reshape(self.lo.shape)
@@ -657,9 +646,6 @@ class FloatHull:
         if isinstance(o, FloatHull):
             return FloatHull(self.lo - o.hi, self.hi - o.lo)
         return FloatHull(self.lo - o, self.hi - o)
-
-    def __rsub__(self, o) -> "FloatHull":
-        return FloatHull(o - self.hi, o - self.lo)
 
     def __mul__(self, o) -> "FloatHull":
         if isinstance(o, FloatHull):
