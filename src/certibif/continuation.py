@@ -534,9 +534,10 @@ _BOX_MIN = 1e-11
 _CORRECTOR_TOL = 1e-14
 _MAX_NEWTON = 25
 # A planned delta_alpha sits this fraction below the float root of the
-# predicted constants; the prediction follows the certified constants to
-# about 1e-11 relative, so a planned box fails only when the prediction
-# breaks down, and the step gives up 1e-8 of its length.
+# predicted constants.  On the seed-0 branch the certified M1, M2 exceed
+# their estimates by at most 8e-14 relative and K by 1.2e-11, so a planned
+# box fails only where the prediction breaks down; the step gives up 1e-8
+# of its length for that.
 _PLAN_MARGIN = 1e-8
 # Chunk sizes of the validator: it starts at _CHUNK_MIN planned steps,
 # doubles after each chunk that validates whole, and starts over after a

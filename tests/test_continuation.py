@@ -409,7 +409,7 @@ def test_derived_constants_match_direct_cift_on_extended_system(
         assert width_bound <= 2.0 * formula_h3 + 1e-9
         # (H4) side: D_alpha G = (0, D_t F mu + D_u F v) stays within the
         # affine envelope L3 + L4 * alpha
-        val = norm_inf(anchor.take(0).ext.drift_iv(Ju, Jt)).hi[0]
+        val = norm_inf(anchor.ext.drift_iv(Ju, Jt)).hi[0]
         formula_h4 = box.bounds.L3 + box.bounds.L4 * da
         slack = box.bounds.L1 * (du + da) * 2.0   # enclosure-width overhead
         assert val <= 2.0 * formula_h4 + slack
