@@ -340,17 +340,19 @@ def _largest_feasible(feasible, guess: float, top: float) -> float | None:
     return _float_at(lo) if lo >= 0 else None
 
 
-def delta_alpha_root(b: CiftBounds, dir_norm: float = 0.0,
-                     coupled_cap: float = math.inf,
+def delta_alpha_root(K: float, rho: float, L1: float, L2: float, L3: float, L4: float,
+                     ell_x: float, dir_norm: float = 0.0, coupled_cap: float = math.inf,
                      du_reserve: float = 0.1) -> tuple[float, str]:
     """Float estimate of the largest feasible delta_alpha for `solve_deltas`
-    with the same arguments, and the constraint that sets it: the smallest
-    float root of floor(da) = each ceiling, floor = a*da^2 + bl*da + c0."""
-    K2 = 2.0 * b.K
-    a, bl, c0 = K2 * b.L4, K2 * b.L3, K2 * b.rho
-    s = K2 * b.L1                    # 2K(L1 floor + L2 da) <= 1
-    roots = {"ell-x": _smallest_root(a, bl, c0 - b.ell_x),
-             "L1-coupling": _smallest_root(s * a, s * bl + K2 * b.L2, s * c0 - 1.0)}
+    on bounds with these fields and the same arguments, and the constraint
+    that sets it: the smallest float root of floor(da) = each ceiling,
+    floor = a*da^2 + bl*da + c0.  Plain floats in, so the planner probes
+    boxes without building `CiftBounds`."""
+    K2 = 2.0 * K
+    a, bl, c0 = K2 * L4, K2 * L3, K2 * rho
+    s = K2 * L1                      # 2K(L1 floor + L2 da) <= 1
+    roots = {"ell-x": _smallest_root(a, bl, c0 - ell_x),
+             "L1-coupling": _smallest_root(s * a, s * bl + K2 * L2, s * c0 - 1.0)}
     if math.isfinite(coupled_cap):
         roots["coupled-cap"] = _smallest_root(a, bl + dir_norm, c0 - coupled_cap)
         if dir_norm > 0.0:
@@ -382,7 +384,8 @@ def solve_deltas(b: CiftBounds, dir_norm: float = 0.0,
     def feasible(da: float) -> bool:
         return bool(_alpha_feasible(b, k, da, dir_norm, coupled_cap, search_cap))
 
-    guess, bound_by = delta_alpha_root(b, dir_norm, coupled_cap, du_reserve)
+    guess, bound_by = delta_alpha_root(b.K, b.rho, b.L1, b.L2, b.L3, b.L4, b.ell_x,
+                                       dir_norm, coupled_cap, du_reserve)
     da = _largest_feasible(feasible, guess, b.ell_alpha)
     if da is None:
         raise ValidationFailed("delta inequalities infeasible even at delta_alpha = 0")

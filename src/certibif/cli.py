@@ -115,14 +115,16 @@ def cmd_diagram(args) -> int:
 def emit_branch_csv(path: Path, system: cont.CoralBranchSystem,
                     result: cont.BranchResult) -> None:
     coral = system.coral
-    rows = []
-    for b in result.boxes:
-        lam, x = system.to_raw(b.t, b.u)
-        P = float(coral.cf.q @ x)
-        rows.append([system.R_of_t(b.t), lam] + list(x)
-                    + [P, b.delta_alpha, b.delta_u, b.delta_min, b.stability])
+
+    def rows():
+        for b in result.boxes:
+            lam, x = system.to_raw(b.t, b.u)
+            yield ([system.R_of_t(b.t), lam] + list(x)
+                   + [float(coral.cf.q @ x), b.delta_alpha, b.delta_u, b.delta_min,
+                      b.stability])
+
     _write_csv(path, ["R", "lambda"] + [f"x{k+1}" for k in range(coral.d)]
-               + ["P", "delta_alpha", "delta_u", "delta_min", "stability"], rows)
+               + ["P", "delta_alpha", "delta_u", "delta_min", "stability"], rows())
 
 
 # R values sampled on the trivial branch P = 0
@@ -134,22 +136,64 @@ def emit_bifurcation_diagram(path: Path, system: cont.CoralBranchSystem,
     """Diagram rows (R, P, stability, delta_u) combining the validated
     nontrivial branch with the analytically known trivial branch P = 0."""
     coral = system.coral
-    rows = []
-    Rs = []
-    for b in result.boxes:
-        lam, x = system.to_raw(b.t, b.u)
-        R = system.R_of_t(b.t)
-        Rs.append(R)
-        rows.append([R, float(coral.cf.q @ x), b.stability, b.delta_u,
-                     "nontrivial"])
+    Rs = [system.R_of_t(b.t) for b in result.boxes]
     lo = min(Rs) if Rs else 1.0
     hi = max(Rs) if Rs else 300.0
-    for R in np.linspace(max(lo - 5.0, 1e-3), hi, _TRIVIAL_POINTS):
-        lam = R / coral.cf.ba
-        rows.append([float(R), 0.0,
-                     cont.classify_stability(coral.jac_x(lam, np.zeros(coral.d))),
-                     "", "trivial"])
-    _write_csv(path, ["R", "P", "stability", "delta_u", "branch"], rows)
+
+    def rows():
+        for R, b in zip(Rs, result.boxes):
+            yield [R, float(coral.cf.q @ system.to_raw(b.t, b.u)[1]), b.stability,
+                   b.delta_u, "nontrivial"]
+        for R in np.linspace(max(lo - 5.0, 1e-3), hi, _TRIVIAL_POINTS):
+            lam = R / coral.cf.ba
+            yield [float(R), 0.0,
+                   cont.classify_stability(coral.jac_x(lam, np.zeros(coral.d))),
+                   "", "trivial"]
+
+    _write_csv(path, ["R", "P", "stability", "delta_u", "branch"], rows())
+
+
+def emit_certificate_chain(path: Path, system: cont.CoralBranchSystem,
+                 res: cont.BranchResult) -> None:
+    """The certificate chain as compact JSON, written box by box: the
+    header of `json.dumps` on the whole chain, then each box record as it
+    is formatted, so no record list or whole-file string is held."""
+    head = json.dumps({
+        "stop_reason": res.stop_reason,
+        "steps": len(res.boxes),
+        "all_linked": res.all_linked(),
+        "fold_index": res.fold_index,
+        "delta_min_max": repr(max((b.delta_min for b in res.boxes), default=0.0)),
+        "replans": res.replans,
+        "boxes_discarded": res.boxes_discarded,
+    })
+    with path.open("w") as fh:
+        fh.write(head[:-1] + ', "boxes": [')
+        for i, b in enumerate(res.boxes):
+            if i:
+                fh.write(", ")
+            fh.write(json.dumps({
+                "index": b.index,
+                "R": repr(system.R_of_t(b.t)),
+                "delta_alpha": repr(b.delta_alpha),
+                "delta_u": repr(b.delta_u),
+                "delta_min": repr(b.delta_min),
+                "bound_by": b.bound_by,
+                "d": repr(b.hyp.d_u),
+                "K": repr(b.hyp.K),
+                "rho": repr(b.hyp.rho),
+                "xi": repr(b.hyp.xi),
+                "M1": repr(b.hyp.M1),
+                "M2": repr(b.hyp.M2),
+                "M3": repr(b.hyp.M3),
+                "M4": repr(b.hyp.M4),
+                "L1": repr(b.bounds.L1),
+                "L2": repr(b.bounds.L2),
+                "L4": repr(b.bounds.L4),
+                "halvings": b.halvings,
+                "linked": b.linked_to_previous,
+            }))
+        fh.write("]}")
 
 
 def cmd_branch(args) -> int:
@@ -167,38 +211,7 @@ def cmd_branch(args) -> int:
     res = cont.continue_branch(system, t0, u0, args.to_R, args.max_steps)
     emit_branch_csv(out / "branch.csv", system, res)
     emit_bifurcation_diagram(out / "bifurcation_diagram.csv", system, res)
-    chain = {
-        "stop_reason": res.stop_reason,
-        "steps": len(res.boxes),
-        "all_linked": res.all_linked(),
-        "fold_index": res.fold_index,
-        "delta_min_max": repr(max((b.delta_min for b in res.boxes), default=0.0)),
-        "replans": res.replans,
-        "boxes_discarded": res.boxes_discarded,
-        "boxes": [{
-            "index": b.index,
-            "R": repr(system.R_of_t(b.t)),
-            "delta_alpha": repr(b.delta_alpha),
-            "delta_u": repr(b.delta_u),
-            "delta_min": repr(b.delta_min),
-            "bound_by": b.bound_by,
-            "d": repr(b.hyp.d_u),
-            "K": repr(b.hyp.K),
-            "rho": repr(b.hyp.rho),
-            "xi": repr(b.hyp.xi),
-            "M1": repr(b.hyp.M1),
-            "M2": repr(b.hyp.M2),
-            "M3": repr(b.hyp.M3),
-            "M4": repr(b.hyp.M4),
-            "L1": repr(b.bounds.L1),
-            "L2": repr(b.bounds.L2),
-            "L4": repr(b.bounds.L4),
-            "halvings": b.halvings,
-            "linked": b.linked_to_previous,
-        } for b in res.boxes],
-    }
-    # compact: the per-box trace costs less to emit than the indentation did
-    (out / "branch_certificates.json").write_text(json.dumps(chain))
+    emit_certificate_chain(out / "branch_certificates.json", system, res)
     print(f"{len(res.boxes)} validated boxes, stop: {res.stop_reason}, "
           f"linked: {res.all_linked()}")
     ok = res.stop_reason in ("target", "max-steps") or res.stop_reason.startswith("degenerate")

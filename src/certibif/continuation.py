@@ -15,12 +15,13 @@ so that all coordinates have comparable size.
 The driver plans in float and certifies in stacks.  A float planner walks
 a chunk of steps ahead: tangent, the float inverse B of the extended
 Jacobian, float estimates of K and of the Lipschitz data over the box, the
-delta_alpha they predict, and the Newton corrector.  The validator runs
-every interval stage once on the stacked anchors of the chunk and
-certifies each box at exactly its planned delta_alpha.  The longest prefix
-that validates and links is kept.  The first box that fails is certified
-by the delta_alpha search of `cift.solve_deltas` (halving its Lipschitz box
-when even that fails), and planning resumes after it.
+delta_alpha they predict, and the chord corrector, whose last evaluation
+is the next anchor's, so the planner evaluates each float point once.  The
+validator runs every interval stage once on the stacked anchors of the
+chunk and certifies each box at exactly its planned delta_alpha.  The
+longest prefix that validates and links is kept.  The first box that fails
+is certified by the delta_alpha search of `cift.solve_deltas` (halving its
+Lipschitz box when even that fails), and planning resumes after it.
 """
 
 from __future__ import annotations
@@ -62,10 +63,16 @@ class CoralBranchSystem:
         self._Sqq, self._Sqb = coral.hessian_weights(up_mul(np.outer(s, s) / s[0], 1.0))
         S = np.array(coral.params.S, dtype=float)
         r1 = s[:-1] / s[1:]
+        k = np.arange(self.d - 1)
+        # the constant rows of D_x f (the subdiagonal S) and of [D_t F | D_u F]
+        # (that subdiagonal rescaled, minus I); evaluate fills row 1
+        self._Jx = np.zeros((self.d, self.d))
+        self._Jx[k + 1, k] = S
+        self._A = np.zeros((self.d, self.d + 1))
+        self._A[:, 1:] = self._Jx * s[None, :] / s[:, None] - np.eye(self.d)
         # rows 2..d of D_u F - the subdiagonal minus I - once; eval_iv fills
         # row 1 per call
         lo, hi = np.zeros((self.d, self.d)), np.zeros((self.d, self.d))
-        k = np.arange(self.d - 1)
         lo[k + 1, k], hi[k + 1, k] = _mul_bounds(S, S, _adn(r1), _aup(r1))
         Ju = IMatrix(lo, hi).shifted(1.0)
         self._Ju_lo, self._Ju_hi = Ju.lo, Ju.hi
@@ -89,39 +96,52 @@ class CoralBranchSystem:
 
     # -- float evaluation --------------------------------------------------
 
-    def F(self, t: float, u: np.ndarray) -> np.ndarray:
-        lam, x = self.to_raw(t, u)
-        return self.coral.step(lam, x) / self.s - u
+    def evaluate(self, t: float, u: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """F, [D_t F | D_u F] as one (d, d + 1) matrix, and the raw D_x f
+        that its D_u F block rescales, at (t, u), from one q.x, one b.x and
+        one `phi_derivs`.  This is the float interface of every branch
+        system; one without a map to label stability by gives None in
+        place of D_x f.  Each entry equals the `CoralMap.step`, `jac_x`
+        and `jac_lam` evaluation it composes, bit for bit."""
+        cf, s = self.coral.cf, self.s
+        lam, x = self._ct * t, s * u
+        P, bx = float(cf.q @ x), float(cf.b @ x)
+        ph, ph1 = phi_derivs(P, self.coral.params, order=1)
+        f = np.empty(self.d)
+        f[0] = lam * ph * bx
+        f[1:] = self._S * x[:-1]
+        Jx = self._Jx.copy()
+        Jx[0] = lam * (ph1 * cf.q * bx + ph * cf.b)
+        A = self._A.copy()
+        A[0, 0] = self._ct * (ph * bx) / s[0]
+        A[0, 1:] = Jx[0] * s / s[0]
+        A[0, 1] -= 1.0
+        return f / s - u, A, Jx
 
-    def jacobians(self, t: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """[D_t F | D_u F] at (t, u) as one (d, d + 1) matrix, and the raw
-        D_x f that its D_u F block rescales.  This is the float Jacobian
-        interface of every branch system; one without a map to label
-        stability by gives None in place of D_x f."""
-        lam, x = self.to_raw(t, u)
-        J = self.coral.jac_x(lam, x)
-        A = np.empty((self.d, self.d + 1))
-        A[:, 0] = self._ct * self.coral.jac_lam(lam, x) / self.s
-        A[:, 1:] = J * self.s[None, :] / self.s[:, None] - np.eye(self.d)
-        return A, J
+    def lipschitz_estimator(self, t0: float, u0: np.ndarray):
+        """Float estimate of `lipschitz_M` over the box of radius d around
+        (t0, u0), as a function of d: its formulas in `FloatHull`
+        arithmetic, which follows the certified constants to rounding
+        error at a fraction of the cost (the planner's input).  q.x0 and
+        b.x0 are taken once for all the boxes the planner probes."""
+        cf, params, ct = self.coral.cf, self.coral.params, abs(self._ct)
+        x0 = self.s * u0
+        P0, b0 = float(cf.q @ x0), float(cf.b @ x0)
 
-    def lipschitz_estimate(self, t0: float, u0: np.ndarray,
-                           d: float) -> tuple[float, float, float, float]:
-        """Float estimate of `lipschitz_M` for one box: its formulas in
-        `FloatHull` arithmetic, which follows the certified constants to
-        rounding error at a fraction of the cost (the planner's input)."""
-        cf = self.coral.cf
-        x0, rx = self.s * u0, self.s * d
-        P0, rP = float(cf.q @ x0), float(cf.q @ rx)
-        b0, rb = float(cf.b @ x0), float(cf.b @ rx)
-        bx = FloatHull(b0 - rb, b0 + rb)
-        ph0, ph1, ph2 = phi_derivs(FloatHull(P0 - rP, P0 + rP), self.coral.params, order=2)
-        ct = abs(self._ct)
-        M1 = ct * (abs(t0) + d) * ((ph2 * bx).mag * self._Sqq + ph1.mag * self._Sqb)
-        c = ph1 * bx
-        g1 = np.maximum(np.abs(c.lo * cf.q + ph0.lo * cf.b), np.abs(c.hi * cf.q + ph0.hi * cf.b))
-        M2 = ct * float(self._ratio0 @ g1)
-        return M1, M2, M2, 0.0
+        def estimate(d: float) -> tuple[float, float, float, float]:
+            rx = self.s * d
+            rP, rb = float(cf.q @ rx), float(cf.b @ rx)
+            bx = FloatHull(b0 - rb, b0 + rb)
+            ph0, ph1, ph2 = phi_derivs(FloatHull(P0 - rP, P0 + rP), params, order=2)
+            M1 = ct * (abs(t0) + d) * ((ph2 * bx).mag * self._Sqq + ph1.mag * self._Sqb)
+            c = ph1 * bx
+            g1 = np.maximum(np.abs(c.lo * cf.q + ph0.lo * cf.b),
+                            np.abs(c.hi * cf.q + ph0.hi * cf.b))
+            M2 = ct * float(self._ratio0 @ g1)
+            return M1, M2, M2, 0.0
+
+        return estimate
 
     # -- interval evaluation ------------------------------------------------
 
@@ -223,18 +243,19 @@ class ExtendedSystem:
         self.mu = np.asarray(mu, dtype=float) if np.ndim(mu) else float(mu)
         self.v = np.asarray(v, dtype=float)
 
-    def value(self, alpha: float, z: np.ndarray) -> np.ndarray:
-        sigma, x = z[0], z[1:]
-        first = self.mu * sigma + self.v @ x
-        rest = self.sys.F(self.t0 + alpha * self.mu + sigma,
-                          self.u0 + alpha * self.v + x)
-        return np.concatenate([[first], rest])
+    def point(self, alpha: float, sigma: float, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """(t, u) = anchor + alpha * direction + (sigma, x)."""
+        return self.t0 + alpha * self.mu + sigma, self.u0 + alpha * self.v + x
 
-    def jac(self, alpha: float, z: np.ndarray) -> np.ndarray:
+    def value(self, alpha: float, z: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """G(alpha, z), and the branch system's evaluation (F, [D_t F |
+        D_u F], D_x f) at the point it is taken at."""
         sigma, x = z[0], z[1:]
-        t = self.t0 + alpha * self.mu + sigma
-        u = self.u0 + alpha * self.v + x
-        return self.jac_from(self.sys.jacobians(t, u)[0])
+        ev = self.sys.evaluate(*self.point(alpha, sigma, x))
+        G = np.empty(len(z))
+        G[0] = self.mu * sigma + self.v @ x
+        G[1:] = ev[0]
+        return G, ev
 
     def jac_from(self, A: np.ndarray) -> np.ndarray:
         """D_{(sigma,x)} G from [D_t F | D_u F] at the point G is taken at."""
@@ -274,37 +295,58 @@ _RANK_TOL = 1e-8
 
 def tangent_estimate(jac: np.ndarray, prev: np.ndarray | None = None
                      ) -> tuple[float, np.ndarray]:
-    """Unit max-norm null vector of `jac` = [D_t F | D_u F] at the anchor,
-    oriented to continue the previous direction when one is given."""
-    _, sv, Vt = np.linalg.svd(jac)
-    if sv[-1] <= _RANK_TOL * sv[0]:
-        # rank < d: the null space is at least two-dimensional
-        raise TangentUndefined("branch Jacobian rank deficiency exceeds one")
-    tang = Vt[-1]
+    """Unit max-norm null vector of `jac` = [D_t F | D_u F] at the anchor.
+
+    Given the previous direction, it solves the bordered system [prev;
+    jac] tau = e_0, whose solution continues prev (prev . tau = 1).  At the
+    start, with no direction to border by, it is the last right singular
+    vector."""
+    if prev is None:
+        _, sv, Vt = np.linalg.svd(jac)
+        if sv[-1] <= _RANK_TOL * sv[0]:
+            # rank < d: the null space is at least two-dimensional
+            raise TangentUndefined("branch Jacobian rank deficiency exceeds one")
+        tang = Vt[-1]
+    else:
+        border = np.empty((len(prev), len(prev)))
+        border[0], border[1:] = prev, jac
+        rhs = np.zeros(len(prev))
+        rhs[0] = 1.0
+        try:
+            tang = np.linalg.solve(border, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise TangentUndefined(f"bordered tangent system singular: {exc}") from exc
+        if not np.all(np.isfinite(tang)):
+            raise TangentUndefined("bordered tangent system singular: non-finite solution")
     tang = tang / np.max(np.abs(tang))
-    if prev is not None and float(prev @ tang) < 0.0:
-        tang = -tang
     return float(tang[0]), tang[1:].copy()
 
 
 def newton_correct(ext: ExtendedSystem, alpha: float, tol: float = 1e-13,
-                   max_iter: int = 25) -> tuple[float, np.ndarray]:
-    """Approximate zero of G(alpha, .) orthogonal to the predictor."""
+                   max_iter: int = 25) -> tuple[float, np.ndarray, tuple]:
+    """Approximate zero (sigma, x) of G(alpha, .) orthogonal to the
+    predictor, and the branch system's evaluation (F, [D_t F | D_u F],
+    D_x f) at the point it reaches.
+
+    Chord steps z <- z - B_alpha G(alpha, z): the extended Jacobian is
+    evaluated and inverted once, at the predictor (alpha, 0), so each
+    iteration costs one evaluation of the system."""
     z = np.zeros(ext.sys.d + 1)
-    for _ in range(max_iter):
-        r = ext.value(alpha, z)
-        if np.max(np.abs(r)) <= tol:
-            return float(z[0]), z[1:].copy()
-        try:
-            step = np.linalg.solve(ext.jac(alpha, z), -r)
-        except np.linalg.LinAlgError as exc:
-            raise CorrectorFailed(f"singular corrector Jacobian: {exc}") from exc
-        z = z + step
-    r = ext.value(alpha, z)
-    if np.max(np.abs(r)) <= tol:
-        return float(z[0]), z[1:].copy()
+    B = None
+    for it in range(max_iter + 1):
+        G, ev = ext.value(alpha, z)
+        if np.max(np.abs(G)) <= tol:
+            return float(z[0]), z[1:].copy(), ev
+        if it == max_iter:
+            break
+        if B is None:
+            try:
+                B = np.linalg.inv(ext.jac_from(ev[1]))
+            except np.linalg.LinAlgError as exc:
+                raise CorrectorFailed(f"singular corrector Jacobian: {exc}") from exc
+        z = z - B @ G
     raise CorrectorFailed(f"no convergence in {max_iter} iterations "
-                          f"(residual {np.max(np.abs(r)):.3e})")
+                          f"(residual {np.max(np.abs(G)):.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +602,7 @@ class _Step:
     prev: "_Step | None"          # the box this one was stepped to from
     alpha: float = 0.0            # the step that leaves the box
     corr: tuple[float, np.ndarray] | None = None
+    reached: tuple | None = None  # the system's evaluation at the next anchor
     stop: str = ""                # stop reason after this box
 
     @property
@@ -573,34 +616,32 @@ class _Step:
         # the residual cannot resolve below a few ulps of the state
         tol = max(_CORRECTOR_TOL, 8.0 * _EPS * max(abs(e.t0), float(np.max(np.abs(e.u0)))))
         try:
-            self.corr = newton_correct(e, alpha, tol=tol, max_iter=_MAX_NEWTON)
+            sigma, x, self.reached = newton_correct(e, alpha, tol=tol, max_iter=_MAX_NEWTON)
         except CorrectorFailed as exc:
             self.stop = f"corrector-failed: {exc}"
             return False
-        self.alpha = alpha
+        self.alpha, self.corr = alpha, (sigma, x)
         return True
 
     def next_anchor(self) -> tuple[float, np.ndarray]:
-        sigma, x = self.corr
-        e = self.ext
-        return e.t0 + self.alpha * e.mu + sigma, e.u0 + self.alpha * e.v + x
+        return self.ext.point(self.alpha, *self.corr)
 
 
-def _predict_alpha(system, t: float, u: np.ndarray, mu: float, v: np.ndarray,
-                   K: float, rho: float, xi: float, d: float) -> tuple[float, str]:
+def _predict_alpha(estimate, vn: float, am: float, K: float, rho: float, xi: float,
+                   d: float) -> tuple[float, str]:
     """The planned delta_alpha for the Lipschitz box d: the float root
-    `cift.solve_deltas` starts from, fed with float estimates."""
-    M1, M2, M3, M4 = system.lipschitz_estimate(t, u, d)
-    vn, am = float(np.max(np.abs(v))), abs(mu)
+    `cift.solve_deltas` starts from, fed with float estimates (`estimate`
+    from `lipschitz_estimator`, vn = |v|, am = |mu|)."""
+    M1, M2, M3, M4 = estimate(d)
     L1 = M1 + M2 + M3 + M4
     L2 = (M1 + M3) * vn + (M2 + M4) * am
     L4 = (M1 * vn + M2 * am) * vn + (M3 * vn + M4 * am) * am
-    b = cift.CiftBounds(rho=rho, K=K, L1=L1, L2=L2, L3=xi, L4=L4, ell_x=d, ell_alpha=d)
-    root, bound_by = cift.delta_alpha_root(b, max(am, vn), coupled_cap=d)
+    root, bound_by = cift.delta_alpha_root(K, rho, L1, L2, xi, L4, d, max(am, vn),
+                                           coupled_cap=d)
     return root * (1.0 - _PLAN_MARGIN), bound_by
 
 
-def _plan_box(system, t: float, u: np.ndarray, mu: float, v: np.ndarray,
+def _plan_box(system, t: float, u: np.ndarray, mu: float, v: np.ndarray, F: np.ndarray,
               A: np.ndarray, B: np.ndarray, d: float) -> tuple[float, float]:
     """(d, delta_alpha): the Lipschitz box with the longest predicted step
     among d 2^k, and its planned delta_alpha.  The climb starts at the
@@ -613,32 +654,37 @@ def _plan_box(system, t: float, u: np.ndarray, mu: float, v: np.ndarray,
     rho1) is 1 + O(1e-12)), rho and xi from the float residual and drift
     plus generous multiples of their rounding."""
     K = float(np.max(np.sum(np.abs(B), axis=1)))
-    rho = float(np.max(np.abs(system.F(t, u)))) + 64.0 * _EPS * max(float(np.max(np.abs(u))), 1.0)
+    rho = float(np.max(np.abs(F))) + 64.0 * _EPS * max(float(np.max(np.abs(u))), 1.0)
     tang = np.concatenate([[mu], v])
     xi = float(np.max(np.abs(A @ tang) + 32.0 * (len(tang) + 1) * _EPS * (np.abs(A) @ np.abs(tang))))
-    da, bound_by = _predict_alpha(system, t, u, mu, v, K, rho, xi, d)
+    args = (system.lipschitz_estimator(t, u), float(np.max(np.abs(v))), abs(mu), K, rho, xi)
+    da, bound_by = _predict_alpha(*args, d)
     factor = 2.0 if bound_by in ("search-cap", "coupled-cap") else 0.5
     while bound_by != "ell-x" and _BOX_MIN <= factor * d <= _BOX_CAP:
-        da2, bound2 = _predict_alpha(system, t, u, mu, v, K, rho, xi, factor * d)
+        da2, bound2 = _predict_alpha(*args, factor * d)
         if not da2 > da:
             break
         d, da, bound_by = factor * d, da2, bound2
     return d, da
 
 
-def _plan(system, prev: _Step | None, t: float, u: np.ndarray, n: int,
+def _plan(system, prev: _Step | None, start: tuple[float, np.ndarray], n: int,
           to_R: float) -> tuple[list[_Step], str]:
-    """Plan up to n boxes in float from the anchor (t, u), which the step
-    out of `prev` reached (None at the start of the branch).  Returns the
+    """Plan up to n boxes in float from the anchor that the step out of
+    `prev` reached, or from `start` = (t0, u0) when `prev` is None.  Each
+    anchor reuses the evaluation its corrector ended with.  Returns the
     steps and the stop reason that ends the branch right after them (""
     for none); a step that ends the branch itself carries its reason in
     `stop`."""
     steps: list[_Step] = []
-    d = _BOX_START if prev is None else prev.d
-    fold_index = None if prev is None else prev.fold_index
-    first = 0 if prev is None else prev.index + 1
+    if prev is None:
+        (t, u), ev = start, system.evaluate(*start)
+        d, fold_index, first = _BOX_START, None, 0
+    else:
+        (t, u), ev = prev.next_anchor(), prev.reached
+        d, fold_index, first = prev.d, prev.fold_index, prev.index + 1
     for k in range(first, first + n):
-        A, Jx = system.jacobians(t, u)
+        F, A, Jx = ev
         try:
             mu, v = tangent_estimate(A, prev=None if prev is None else prev.tangent)
         except TangentUndefined as exc:
@@ -653,7 +699,7 @@ def _plan(system, prev: _Step | None, t: float, u: np.ndarray, n: int,
             B = np.linalg.inv(ext.jac_from(A))
         except np.linalg.LinAlgError as exc:
             return steps, f"degenerate: (P2): extended Jacobian singular: {exc}"
-        d, da = _plan_box(system, t, u, mu, v, A, B, d)
+        d, da = _plan_box(system, t, u, mu, v, F, A, B, d)
         step = _Step(index=k, ext=ext, B=B, Jx=Jx, d=d, delta_alpha=da,
                      fold_index=fold_index, prev=prev)
         steps.append(step)
@@ -664,6 +710,7 @@ def _plan(system, prev: _Step | None, t: float, u: np.ndarray, n: int,
             break
         prev = step
         t, u = step.next_anchor()
+        ev = step.reached
     return steps, ""
 
 
@@ -784,16 +831,15 @@ def continue_branch(system: CoralBranchSystem, t0: float, u0: np.ndarray,
     or after max_steps boxes.
     """
     res = BranchResult()
-    prev, t, u = None, float(t0), np.asarray(u0, dtype=float).copy()
+    prev, start = None, (float(t0), np.asarray(u0, dtype=float).copy())
     chunk = _CHUNK_MIN
     while len(res.boxes) < max_steps:
-        steps, stop = _plan(system, prev, t, u, min(chunk, max_steps - len(res.boxes)), to_R)
+        steps, stop = _plan(system, prev, start, min(chunk, max_steps - len(res.boxes)), to_R)
         replans = res.replans
         if steps:
             prev = _certify(system, steps, res)
             if prev is None:
                 return res
-            t, u = prev.next_anchor()
         if res.replans > replans:
             chunk = _CHUNK_MIN        # the planner's stop lay after a discarded box
         elif stop:

@@ -28,11 +28,8 @@ class ToyLinear:
     d = 1
     rscale = 1.0
 
-    def F(self, t, u):
-        return np.array([u[0] - t])
-
-    def jacobians(self, t, u):
-        return np.array([[-1.0, 1.0]]), None
+    def evaluate(self, t, u):
+        return np.array([u[0] - t]), np.array([[-1.0, 1.0]]), None
 
 
 class ToyFold:
@@ -40,15 +37,12 @@ class ToyFold:
 
     d = 1
 
-    def F(self, t, u):
-        return np.array([u[0] ** 2 - t])
-
-    def jacobians(self, t, u):
-        return np.array([[-1.0, 2.0 * u[0]]]), None
+    def evaluate(self, t, u):
+        return np.array([u[0] ** 2 - t]), np.array([[-1.0, 2.0 * u[0]]]), None
 
 
 def _tangent(system, t, u, prev=None):
-    return tangent_estimate(system.jacobians(t, u)[0], prev=prev)
+    return tangent_estimate(system.evaluate(t, u)[1], prev=prev)
 
 
 def test_tangent_of_linear_map():
@@ -72,8 +66,8 @@ def test_tangent_undefined_on_rank_deficiency():
     class Degenerate:
         d = 2
 
-        def jacobians(self, t, u):
-            return np.zeros((2, 3)), None
+        def evaluate(self, t, u):
+            return np.zeros(2), np.zeros((2, 3)), None
 
     with pytest.raises(TangentUndefined):
         _tangent(Degenerate(), 0.0, np.zeros(2))
@@ -88,9 +82,9 @@ def test_extended_G_at_origin_is_residual(preconditioned_system):
     sys_ = preconditioned_system
     t0, u0 = 3.0, np.ones(13)
     ext = ExtendedSystem(sys_, t0, u0, -1.0, np.zeros(13))
-    G0 = ext.value(0.0, np.zeros(14))
+    G0, _ = ext.value(0.0, np.zeros(14))
     assert G0[0] == 0.0
-    assert np.allclose(G0[1:], sys_.F(t0, u0))
+    assert np.allclose(G0[1:], sys_.evaluate(t0, u0)[0])
 
 
 def test_extended_G_first_row_is_orthogonality(preconditioned_system):
@@ -98,16 +92,16 @@ def test_extended_G_first_row_is_orthogonality(preconditioned_system):
     mu, v = -0.7, rng.normal(size=13)
     ext = ExtendedSystem(preconditioned_system, 3.0, np.ones(13), mu, v)
     z = rng.normal(size=14)
-    assert math.isclose(ext.value(0.0, z)[0], mu * z[0] + v @ z[1:], rel_tol=1e-12)
+    assert math.isclose(ext.value(0.0, z)[0][0], mu * z[0] + v @ z[1:], rel_tol=1e-12)
 
 
 def test_extended_jacobian_block_structure(preconditioned_system):
     sys_ = preconditioned_system
     mu, v = -0.5, np.full(13, 0.1)
     ext = ExtendedSystem(sys_, 3.0, np.ones(13), mu, v)
-    J = ext.jac(0.0, np.zeros(14))
+    J = ext.jac_from(ext.value(0.0, np.zeros(14))[1][1])
     assert J[0, 0] == mu and np.all(J[0, 1:] == v)
-    A, Jx = sys_.jacobians(3.0, np.ones(13))
+    _, A, Jx = sys_.evaluate(3.0, np.ones(13))
     assert np.array_equal(J[1:], A)
     # the raw D_x f that the D_u F block rescales
     assert np.array_equal(Jx, sys_.coral.jac_x(*sys_.to_raw(3.0, np.ones(13))))
@@ -120,14 +114,14 @@ def test_extended_jacobian_block_structure(preconditioned_system):
 def test_corrector_stays_at_exact_zero():
     sys_ = ToyLinear()
     ext = ExtendedSystem(sys_, 1.0, np.array([1.0]), 1.0, np.array([1.0]))
-    sigma, x = newton_correct(ext, 0.0)
+    sigma, x, _ = newton_correct(ext, 0.0)
     assert abs(sigma) <= 1e-14 and abs(x[0]) <= 1e-14
 
 
 def test_corrector_linear_single_step():
     sys_ = ToyLinear()
     ext = ExtendedSystem(sys_, 0.0, np.array([0.5]), 1.0, np.array([0.0]))
-    sigma, x = newton_correct(ext, 0.0, max_iter=2)
+    sigma, x, _ = newton_correct(ext, 0.0, max_iter=2)
     t, u = 0.0 + sigma, 0.5 + x[0]
     assert abs(u - t) <= 1e-14
 
@@ -138,7 +132,7 @@ def test_corrector_orthogonality(preconditioned_system, coral):
     t0, u0 = preconditioned_system.from_raw_R(3.0 * coral.cf.ba, x0)
     mu, v = _tangent(preconditioned_system, t0, u0)
     ext = ExtendedSystem(preconditioned_system, t0, u0, mu, v)
-    sigma, x = newton_correct(ext, 1e-4)
+    sigma, x, _ = newton_correct(ext, 1e-4)
     dirn = max(abs(mu), np.max(np.abs(v)))
     corr = max(abs(sigma), np.max(np.abs(x)))
     assert abs(mu * sigma + v @ x) <= 1e-12 * dirn * corr + 1e-300
@@ -221,7 +215,7 @@ def test_branch_start(coral):
     system, t0, u0 = branch_start(coral, 300.0)
     assert system.R_of_t(t0) == 300.0 and system.rscale == 100.0
     lam, x0 = system.to_raw(t0, u0)
-    assert np.max(np.abs(system.F(t0, u0))) <= 1e-10
+    assert np.max(np.abs(system.evaluate(t0, u0)[0])) <= 1e-10
     # one significant digit of the start point per state component
     e = np.floor(np.log10(x0))
     assert np.all(np.abs(system.s - x0) <= 0.5 * 10.0 ** e)
@@ -241,7 +235,7 @@ def _anchor(system, t0, u0, mu, v, A):
 
 def test_validate_segment_coral(coral):
     system, t0, u0 = branch_start(coral, 300.0)
-    A = system.jacobians(t0, u0)[0]
+    A = system.evaluate(t0, u0)[1]
     mu, v = tangent_estimate(A)
     if mu > 0:
         mu, v = -mu, -v
@@ -388,7 +382,7 @@ def test_derived_constants_match_direct_cift_on_extended_system(
         roots = [r for r in red.solve(R / coral.cf.ba) if r > 0]
         x0 = red.full_point(max(roots))
         t0, u0 = preconditioned_system.from_raw_R(R, x0)
-        A = preconditioned_system.jacobians(t0, u0)[0]
+        A = preconditioned_system.evaluate(t0, u0)[1]
         mu, v = tangent_estimate(A)
         anchor = _anchor(preconditioned_system, t0, u0, mu, v, A)
         box = validate_segment(anchor, [1e-4])[0]
@@ -476,15 +470,15 @@ class ToyLinearValidated(ToyLinear):
     def lipschitz_M(self, t0, u0, d):
         return (np.zeros(len(d)),) * 4
 
-    def lipschitz_estimate(self, t0, u0, d):
-        return 0.0, 0.0, 0.0, 0.0
+    def lipschitz_estimator(self, t0, u0):
+        return lambda d: (0.0, 0.0, 0.0, 0.0)
 
 
 def test_validate_segment_exact_linear_zero_set():
     """On u = t the residual vanishes and the deltas are limited only by
     the box constraints (all Lipschitz constants are zero, K is finite)."""
     sys_ = ToyLinearValidated()
-    A = sys_.jacobians(0.3, np.array([0.3]))[0]
+    A = sys_.evaluate(0.3, np.array([0.3]))[1]
     mu, v = tangent_estimate(A)
     anchor = _anchor(sys_, 0.3, np.array([0.3]), mu, v, A)
     box = validate_segment(anchor, [1e-2])[0]
@@ -518,7 +512,7 @@ def _recorded(branch_result, system, n=64):
     the validator takes (B = inv(DG(0)) per box)."""
     boxes = branch_result.boxes[::len(branch_result.boxes) // n][:n]
     B = np.stack([np.linalg.inv(ExtendedSystem(system, b.t, b.u, b.mu, b.v)
-                                .jac_from(system.jacobians(b.t, b.u)[0])) for b in boxes])
+                                .jac_from(system.evaluate(b.t, b.u)[1])) for b in boxes])
     return (boxes, np.array([b.t for b in boxes]), np.stack([b.u for b in boxes]),
             np.array([b.mu for b in boxes]), np.stack([b.v for b in boxes]), B)
 
@@ -604,8 +598,9 @@ def test_stacked_links_and_rounding_gaps(branch_result, preconditioned_system):
     steps = []
     for k in picks:
         b, n = boxes[k], boxes[k + 1]
-        sigma, x = newton_correct(ExtendedSystem(system, b.t, b.u, b.mu, b.v), b.alpha_step,
-                                  tol=max(1e-14, 8 * 2.0 ** -52 * max(abs(b.t), np.max(np.abs(b.u)))))
+        sigma, x, _ = newton_correct(
+            ExtendedSystem(system, b.t, b.u, b.mu, b.v), b.alpha_step,
+            tol=max(1e-14, 8 * 2.0 ** -52 * max(abs(b.t), np.max(np.abs(b.u)))))
         assert (n.t, list(n.u)) == (b.t + b.alpha_step * b.mu + sigma,
                                     list(b.u + b.alpha_step * b.v + x))
         steps.append((b.t, b.u, b.alpha_step, b.mu, b.v, sigma, x, n.t, n.u))
@@ -650,3 +645,77 @@ def test_forced_misprediction_replans_and_still_links(coral, monkeypatch):
     replanned = [b for b in res.boxes if b.bound_by != "planned"]
     assert len(replanned) == res.replans
     assert all(b.alpha_step == ALPHA_FRAC * b.delta_alpha for b in res.boxes[:-1])
+
+
+# ---------------------------------------------------------------------------
+# the float planner: one evaluation per point
+# ---------------------------------------------------------------------------
+
+
+def test_evaluate_equals_map_compositions(branch_result, preconditioned_system, coral):
+    """On 64 recorded anchors the fused evaluation equals, bit for bit, F
+    = f/s - u from `CoralMap.step` and [D_t F | D_u F] from `jac_lam` and
+    `jac_x`, rescaled, with the raw D_x f."""
+    system = preconditioned_system
+    boxes, t, u, *_ = _recorded(branch_result, system)
+    ct, s = system.lam_of_t(1.0), system.s
+    for ti, ui in zip(t.tolist(), u):
+        lam, x = system.to_raw(ti, ui)
+        J = coral.jac_x(lam, x)
+        A = np.empty((system.d, system.d + 1))
+        A[:, 0] = ct * coral.jac_lam(lam, x) / s
+        A[:, 1:] = J * s[None, :] / s[:, None] - np.eye(system.d)
+        F, A1, Jx = system.evaluate(ti, ui)
+        assert np.array_equal(F, coral.step(lam, x) / s - ui)
+        assert np.array_equal(A1, A) and np.array_equal(Jx, J)
+
+
+def test_bordered_tangent_matches_svd_tangent(branch_result, preconditioned_system):
+    """After the first box the tangent solves [prev; A] tau = e_0; on 64
+    recorded anchors it equals the SVD null vector, oriented along the
+    previous tangent, to 1e-12 in max norm."""
+    system, boxes = preconditioned_system, branch_result.boxes
+    tau = lambda mu_v: np.concatenate([[mu_v[0]], mu_v[1]])
+    for k in range(1, len(boxes), len(boxes) // 64)[:64]:
+        b, prev = boxes[k], boxes[k - 1]
+        tprev = tau((prev.mu, prev.v))
+        A = system.evaluate(b.t, b.u)[1]
+        tb, ts = tau(tangent_estimate(A, tprev)), tau(tangent_estimate(A))
+        if float(tprev @ ts) < 0.0:
+            ts = -ts
+        assert float(tprev @ tb) > 0.0
+        assert np.max(np.abs(tb - ts)) <= 1e-12, k
+
+
+def test_bordered_tangent_singular_border():
+    # prev orthogonal to the null vector (1, 1) of ToyLinear: [prev; A] is singular
+    A = ToyLinear().evaluate(0.0, np.zeros(1))[1]
+    with pytest.raises(TangentUndefined):
+        tangent_estimate(A, prev=np.array([1.0, -1.0]))
+
+
+def test_planner_evaluates_each_point_once(coral, monkeypatch):
+    """200 seed-0 boxes: the system is evaluated once at the start, once
+    at each predictor and once per chord iteration, and nowhere else: the
+    corrector's last evaluation is the next anchor's."""
+    from certibif import continuation as cont
+    counts = {"evaluate": 0, "value": 0, "correct": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(CoralBranchSystem, "evaluate",
+                        counted("evaluate", CoralBranchSystem.evaluate))
+    monkeypatch.setattr(ExtendedSystem, "value", counted("value", ExtendedSystem.value))
+    monkeypatch.setattr(cont, "newton_correct", counted("correct", cont.newton_correct))
+    system, t0, u0 = branch_start(coral, 300.0)
+    res = continue_branch(system, t0, u0, to_R=72.0, max_steps=200)
+    boxes = len(res.boxes)
+    assert res.stop_reason == "max-steps" and boxes == 200 and res.all_linked()
+    assert counts["correct"] == boxes             # one corrector per box, at its predictor
+    iterations = counts["value"] - counts["correct"]
+    assert boxes <= iterations <= 2 * boxes
+    assert counts["evaluate"] == boxes + iterations + 1

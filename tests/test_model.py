@@ -455,7 +455,7 @@ def test_scaled_map_identity_scaling(coral):
     assert system.R_of_t(R) == R
     lam, xr = system.to_raw(R, x)
     assert math.isclose(lam, 2.0, rel_tol=1e-15) and np.array_equal(xr, x)
-    assert np.allclose(system.F(R, x) + x, coral.step(2.0, x), rtol=1e-12)
+    assert np.allclose(system.evaluate(R, x)[0] + x, coral.step(2.0, x), rtol=1e-12)
 
 
 def test_scaled_map_conjugacy(coral):
@@ -470,7 +470,7 @@ def test_scaled_map_conjugacy(coral):
     lam, xr = system.to_raw(t, u)
     assert math.isclose(lam, 2.0, rel_tol=1e-14)
     assert np.allclose(xr, x, rtol=1e-15, atol=0.0)
-    assert np.max(np.abs(system.F(t, u))) <= 1e-10
+    assert np.max(np.abs(system.evaluate(t, u)[0])) <= 1e-10
 
 
 def test_scaled_map_rejects_bad_scales(coral):
