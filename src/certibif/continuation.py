@@ -102,8 +102,9 @@ class CoralBranchSystem:
         that its D_u F block rescales, at (t, u), from one q.x, one b.x and
         one `phi_derivs`.  This is the float interface of every branch
         system; one without a map to label stability by gives None in
-        place of D_x f.  Each entry equals the `CoralMap.step`, `jac_x`
-        and `jac_lam` evaluation it composes, bit for bit."""
+        place of D_x f.  Each entry equals, bit for bit, the composition of
+        the one-state map, its lambda derivative and `CoralMap.jac_x`
+        (the tests keep the first two as reference functions)."""
         cf, s = self.coral.cf, self.s
         lam, x = self._ct * t, s * u
         P, bx = float(cf.q @ x), float(cf.b @ x)

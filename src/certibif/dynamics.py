@@ -18,7 +18,8 @@ from .model import CoralMap, phi
 @dataclass(frozen=True)
 class OrbitSample:
     """Post-transient iterates of the coral map: `points` is (n, k) for one
-    orbit and (n, m, k) for a batch of m orbits, k the stored components."""
+    orbit and (n, m, k) for a batch of m orbits, k the stored components.
+    `points` is a view into the buffer that also held the x_1 history."""
 
     points: np.ndarray
     lam: float | np.ndarray
@@ -52,6 +53,9 @@ def density_matched_state(coral: CoralMap, P: float) -> np.ndarray:
     return c * coral.cf.a
 
 
+_HISTORY_BLOCK = 32   # a transient runs in blocks of at least this many d rows
+
+
 def iterate(coral: CoralMap, lam, x0: np.ndarray, n: int, skip: int = 0,
             keep: int | None = None) -> OrbitSample:
     """Iterates skip+1 .. skip+n of the map from x0.
@@ -59,15 +63,24 @@ def iterate(coral: CoralMap, lam, x0: np.ndarray, n: int, skip: int = 0,
     A batch of m orbits advances as one numpy recurrence: `lam` may be an
     (m,) array and `x0` an (m, d) array, and a scalar `lam` or a (d,) `x0`
     is shared by the batch.  Only the first `keep` state components
-    (default: all) are stored.  Raises OrbitDiverged, naming the iterate,
-    as soon as any orbit leaves the finite floats.
+    (default: all) are stored.  Raises OrbitDiverged naming the first
+    iterate <= skip + n at which any orbit leaves the finite floats.
 
-    Each numpy round advances two iterates.  Recruitment
-    x_1' = lambda phi(q.x) (b.x) never reads x_1 (q_1 = 0, and b_1 = b_2 = 0
-    since the two youngest classes do not reproduce), and rows 2..d of
-    x(i+1) are the survival shift S (.) x(i)[:-1].  So x(i) alone fixes
-    x_1(i+1) and x_1(i+2): q.x and b.x at iterates i and i+1 come from one
-    (2, d) @ (d, 2m) product and one phi call.
+    The map runs in renewal form, on the history of x_1 alone.  Past the
+    first d - 1 iterates, x_j(t) = a_j x_1(t - j + 1) with a the survival
+    profile, so q.x and b.x are weighted sums of the last d recruitments.
+    Recruitment reads neither x_1 nor x_2 (q_1 = b_1 = b_2 = 0), so one
+    (4, d) @ (d, m) product of reversed q*a and b*a weights with the last d
+    rows of history gives q.x and b.x at iterates t and t+1, and one phi
+    call gives x_1(t+1) and x_1(t+2).  Components 2..d of x0 enter q.x and
+    b.x as an initial term over the first d - 1 iterates, computed by
+    chained survival shifts of x0 (never by dividing by a, which may hold
+    zeros).  Components 2..keep are filled after the loop by the chained
+    shifts x_{j+1}(t) = S_j x_j(t-1) over the whole range.
+
+    The history lives in the first plane of the output buffer.  A
+    transient longer than the buffer runs in blocks, each carrying its
+    last d + 1 rows to the front; finiteness is checked once per block.
     """
     if n < 0 or skip < 0:
         raise ValueError("n and skip must be nonnegative")
@@ -78,44 +91,70 @@ def iterate(coral: CoralMap, lam, x0: np.ndarray, n: int, skip: int = 0,
     batched = lam_a.ndim > 0 or x0_a.ndim > 1
     m = np.broadcast_shapes(lam_a.shape, x0_a.shape[:-1], (1,))[0]
     lam_v = np.broadcast_to(lam_a, (m,))
-    lam2 = np.tile(lam_v, 2)
-    qb = np.stack([coral.cf.q, coral.cf.b])           # P and b.x in one product
-    S = np.array(coral.params.S, dtype=float)[:, None]
-    params = coral.params
-    # x(i) and x(i+1) side by side as (d, 2, m): rows are contiguous for the
-    # shifts, and the (d, 2m) view is the product's operand.  Slot 0 holds
-    # the even iterates, slot 1 the odd ones.
-    X = np.zeros((d, 2, m))
-    X[:, 0] = np.broadcast_to(x0_a, (m, d)).T
-    both = X.reshape(d, 2 * m)
-    x1_new = X[0, ::-1]                 # (x_1(i+1), x_1(i+2)) in product order
-    shift_in = (X[:-1, 0], X[1:, 1])    # x(i) -> rows 2..d of x(i+1)
-    shift_out = (X[:-1, 1], X[1:, 0])   # x(i+1) -> rows 2..d of x(i+2)
-    pair = X[:k, ::-1].transpose(1, 0, 2)
+    X0 = np.broadcast_to(x0_a, (m, d)).T
+    cf, params = coral.cf, coral.params
+    S = np.array(params.S, dtype=float)
+    # weights of history rows t-d+1 .. t: rows 0, 1 give q.x at t, t+1 and
+    # rows 2, 3 give b.x; x_1(t+1) would meet q_1 a_1 = b_1 a_1 = 0
+    qa, ba = cf.q * cf.a, cf.b * cf.a
+    W = np.zeros((4, d))
+    W[0], W[1, 1:], W[2], W[3, 1:] = qa[::-1], qa[:0:-1], ba[::-1], ba[:0:-1]
     total = skip + n
-    # out[t - skip] is iterate t; rows 0 and n + 1 take the iterate that a
-    # round computes beside the range when skip or skip + n is odd
-    out = np.empty((n + 2, k, m))
+    last = total + total % 2        # a round from odd total - 1 also makes total + 1
+    final = skip - skip % 2         # the last block starts at or just before skip
+    rows = max(n, _HISTORY_BLOCK * d) + d + 3
+    lam2 = np.tile(lam_v, (2, 1))   # same shape as phi's output: no broadcast per round
+    Pb = np.empty((4, m))
+    P, bx = Pb[:2], Pb[2:]
+    buf = np.empty((k, rows, m))
+    H = buf[0]                      # H[r] is x_1(base + r)
+    base, t = -d, 0                 # x_1 is known up to time t
+    H[:d] = 0.0                     # no recruits before time 0 ...
+    H[d] = X0[0]
+    # ... but x0's older classes: init[i] is what they add to the product of
+    # the round from t = 2i (q.x, b.x at t and t + 1); by t = d - 1 they
+    # have all aged out
+    init = np.zeros((d // 2, 4, m))
+    qb = np.stack([cf.q, cf.b])
+    y = X0.copy()
+    y[0] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(0, total, 2):
-            np.multiply(shift_in[0], S, out=shift_in[1])
-            # slot 1's x_1 row still holds x_1(i-1) (0 before the first
-            # round): finite, and it meets q_1 = b_1 = 0 in the product
-            Pb = qb.dot(both)
-            first = lam2 * phi(Pb[0], params) * Pb[1]
-            if not math.isfinite(first.sum()):
-                t = i + 1 if not math.isfinite(first[:m].sum()) else i + 2
-                if t <= total:
-                    raise OrbitDiverged(f"non-finite state at iterate {t}")
-            x1_new[...] = first.reshape(2, m)
-            np.multiply(shift_out[0], S, out=shift_out[1])
-            if i + 2 > skip:
-                out[i + 1 - skip:i + 3 - skip] = pair
-    out = out[1:n + 1]
+        for s in range(d - 1):
+            init[s // 2, [s % 2, 2 + s % 2]] = qb @ y
+            y[1:] = S[:, None] * y[:-1]
+        while True:
+            r_init = 2 * len(init) - base
+            done = last - base < rows
+            # a block that cannot reach `last` stops at the latest even
+            # time it holds, and never past `final`
+            stop = total if done else min(final, base + rows - 1 - (base + rows - 1) % 2)
+            for r in range(t - base, stop - base, 2):
+                W.dot(H[r - d + 1:r + 1], out=Pb)
+                if r < r_init:
+                    Pb += init[(r + base) // 2]
+                np.multiply(lam2 * phi(P, params), bx, out=H[r + 1:r + 3])
+            block = H[t + 1 - base:stop + 1 - base]
+            if not math.isfinite(block.sum()):   # a finite sum may overflow too
+                ok = np.isfinite(block).all(axis=1)
+                if not ok.all():
+                    raise OrbitDiverged(f"non-finite state at iterate {t + 1 + ok.argmin()}")
+            if done:
+                break
+            H[:d + 1] = H[stop - d - base:stop + 1 - base]
+            base, t = stop - d, stop
+        z = -base                   # row of time 0, if the block holds it
+        if z >= 0:
+            buf[1:, z] = X0[1:k]
+        o = skip + 1 - base         # row of iterate skip + 1
+        # class j + 1 is class j one row earlier, times S_j, from time 1 on
+        for j in range(1, k):
+            lo = max(j, z + 1)
+            np.multiply(S[j - 1], buf[j - 1, lo - 1:o + n - 1], out=buf[j, lo:o + n])
+    pts = buf[:, o:o + n]
     if batched:
-        return OrbitSample(points=out.transpose(0, 2, 1), lam=lam_v.copy(),
+        return OrbitSample(points=pts.transpose(1, 2, 0), lam=lam_v.copy(),
                            transient_skipped=skip)
-    return OrbitSample(points=out.reshape(n, k), lam=float(lam_a),
+    return OrbitSample(points=pts[:, :, 0].T, lam=float(lam_a),
                        transient_skipped=skip)
 
 

@@ -237,18 +237,6 @@ class CoralMap:
 
     # -- float paths ----------------------------------------------------
 
-    def step(self, lam: float, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        P = float(self.cf.q @ x)
-        bx = float(self.cf.b @ x)
-        out = np.empty(self.d)
-        out[0] = lam * phi(P, self.params) * bx
-        out[1:] = self._S * x[:-1]
-        return out
-
-    def map_F(self, lam: float, x: np.ndarray) -> np.ndarray:
-        return self.step(lam, x) - np.asarray(x, dtype=float)
-
     def jac_x(self, lam: float, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         P = float(self.cf.q @ x)
@@ -258,13 +246,6 @@ class CoralMap:
         J[0, :] = lam * (ph1 * self.cf.q * bx + ph * self.cf.b)
         J[np.arange(1, self.d), np.arange(self.d - 1)] = self._S
         return J
-
-    def jac_lam(self, lam: float, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        P = float(self.cf.q @ x)
-        out = np.zeros(self.d)
-        out[0] = phi(P, self.params) * float(self.cf.b @ x)
-        return out
 
     # -- generic-scalar paths --------------------------------------------
 

@@ -1,7 +1,8 @@
-"""High-precision (mpmath) twins of the map evaluations, used as
-independent oracles for the soundness checks: a certificate claims a true
-zero within delta_accuracy of the anchor, and a 50+ digit Newton
-refinement must land inside that ball.
+"""Reference evaluations for the tests: the float map one state at a time
+(step, map_F, jac_lam), and high-precision (mpmath) twins of the map
+evaluations, used as independent oracles for the soundness checks: a
+certificate claims a true zero within delta_accuracy of the anchor, and a
+50+ digit Newton refinement must land inside that ball.
 """
 
 from __future__ import annotations
@@ -9,7 +10,32 @@ from __future__ import annotations
 import mpmath as mp
 import numpy as np
 
-from certibif.model import CoralMap, derive_generic, phi_derivs
+from certibif.model import CoralMap, derive_generic, phi, phi_derivs
+
+
+def step(coral: CoralMap, lam: float, x: np.ndarray) -> np.ndarray:
+    """f(lambda, x) for one float state, one component at a time."""
+    x = np.asarray(x, dtype=float)
+    P = float(coral.cf.q @ x)
+    bx = float(coral.cf.b @ x)
+    out = np.empty(coral.d)
+    out[0] = lam * phi(P, coral.params) * bx
+    out[1:] = np.array(coral.params.S, dtype=float) * x[:-1]
+    return out
+
+
+def map_F(coral: CoralMap, lam: float, x: np.ndarray) -> np.ndarray:
+    """F = f(lambda, x) - x."""
+    return step(coral, lam, x) - np.asarray(x, dtype=float)
+
+
+def jac_lam(coral: CoralMap, lam: float, x: np.ndarray) -> np.ndarray:
+    """D_lambda f: only recruitment depends on lambda."""
+    x = np.asarray(x, dtype=float)
+    P = float(coral.cf.q @ x)
+    out = np.zeros(coral.d)
+    out[0] = phi(P, coral.params) * float(coral.cf.b @ x)
+    return out
 
 
 def mp_coeffs(coral: CoralMap):

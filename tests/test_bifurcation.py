@@ -16,7 +16,7 @@ from certibif.errors import DomainError, SpectrumInconclusive
 from certibif.interval import IMatrix, Interval, IVector
 from certibif.model import FixedPointReduction, phi_derivs, row1_d2
 
-from helpers import mp_coeffs, mp_fd_jacobian, mp_system_refine
+from helpers import mp_coeffs, mp_fd_jacobian, mp_system_refine, step
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +341,10 @@ def test_ns_condition_e_structured_vs_dense(coral, ns_float_oracle):
         for j in range(13):
             ei = np.zeros(13); ei[i] = h
             ej = np.zeros(13); ej[j] = h
-            H[i, j] = (coral.step(lam0, x0 + ei + ej)[0]
-                       - coral.step(lam0, x0 + ei - ej)[0]
-                       - coral.step(lam0, x0 - ei + ej)[0]
-                       + coral.step(lam0, x0 - ei - ej)[0]) / (4 * h * h)
+            H[i, j] = (step(coral, lam0, x0 + ei + ej)[0]
+                       - step(coral, lam0, x0 + ei - ej)[0]
+                       - step(coral, lam0, x0 - ei + ej)[0]
+                       + step(coral, lam0, x0 - ei - ej)[0]) / (4 * h * h)
     dense = y @ H @ w
     assert abs(got[0] - dense) <= 1e-4 * max(1.0, abs(dense))
     assert np.all(got[1:] == 0.0)

@@ -17,8 +17,8 @@ from certibif.errors import CorrectorFailed, TangentUndefined, ValidationFailed
 from certibif.interval import IArray, IMatrix, Interval, IVector, norm_inf
 from certibif.model import FixedPointReduction
 
-from helpers import (mp_branch_F, mp_coeffs, mp_fd_jacobian,
-                     mp_refine_branch_point, scalar_row1)
+from helpers import (jac_lam, map_F, mp_branch_F, mp_coeffs, mp_fd_jacobian,
+                     mp_refine_branch_point, scalar_row1, step)
 import mpmath as mp
 
 
@@ -365,7 +365,7 @@ def test_branch_conjugacy_to_raw_map(branch_result, preconditioned_system, coral
     unscaled image of the certified accuracy."""
     for box in branch_result.boxes[:: max(1, len(branch_result.boxes) // 7)]:
         lam, x = preconditioned_system.to_raw(box.t, box.u)
-        raw_resid = float(np.max(np.abs(coral.map_F(lam, x))))
+        raw_resid = float(np.max(np.abs(map_F(coral, lam, x))))
         # accuracy delta_min in scaled coordinates; unscale componentwise
         bound = box.delta_min * float(np.max(preconditioned_system.s))
         # residual ~ |DF| * distance; |DF| is O(10) here, keep a margin of 100
@@ -654,8 +654,8 @@ def test_forced_misprediction_replans_and_still_links(coral, monkeypatch):
 
 def test_evaluate_equals_map_compositions(branch_result, preconditioned_system, coral):
     """On 64 recorded anchors the fused evaluation equals, bit for bit, F
-    = f/s - u from `CoralMap.step` and [D_t F | D_u F] from `jac_lam` and
-    `jac_x`, rescaled, with the raw D_x f."""
+    = f/s - u from the reference `step` and [D_t F | D_u F] from the
+    reference `jac_lam` and `CoralMap.jac_x`, rescaled, with the raw D_x f."""
     system = preconditioned_system
     boxes, t, u, *_ = _recorded(branch_result, system)
     ct, s = system.lam_of_t(1.0), system.s
@@ -663,10 +663,10 @@ def test_evaluate_equals_map_compositions(branch_result, preconditioned_system, 
         lam, x = system.to_raw(ti, ui)
         J = coral.jac_x(lam, x)
         A = np.empty((system.d, system.d + 1))
-        A[:, 0] = ct * coral.jac_lam(lam, x) / s
+        A[:, 0] = ct * jac_lam(coral, lam, x) / s
         A[:, 1:] = J * s[None, :] / s[:, None] - np.eye(system.d)
         F, A1, Jx = system.evaluate(ti, ui)
-        assert np.array_equal(F, coral.step(lam, x) / s - ui)
+        assert np.array_equal(F, step(coral, lam, x) / s - ui)
         assert np.array_equal(A1, A) and np.array_equal(Jx, J)
 
 

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certibif.dynamics import (angle_profile, density_matched_state,
-                               farey_min_denominator, iterate,
-                               polyp_density_series, rotation_number)
+from certibif.dynamics import (_HISTORY_BLOCK, angle_profile,
+                               density_matched_state, farey_min_denominator,
+                               iterate, polyp_density_series, rotation_number)
 from certibif.errors import OrbitDiverged, RotationUndefined
+from certibif.model import CoralMap, CoralParams
+from helpers import step
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -45,16 +47,16 @@ def test_iterate_batch_matches_map_steps(coral):
         x = x0[j]
         ref = []
         for _ in range(320):
-            x = coral.step(lams[j], x)
+            x = step(coral, lams[j], x)
             ref.append(x[:2])
         assert np.allclose(orb.points[:, j], ref[20:], rtol=1e-12, atol=0.0)
 
 
 def _step_loop(coral, lam, x, n, skip, keep):
-    """Iterates skip+1 .. skip+n by one coral.step call each."""
+    """Iterates skip+1 .. skip+n by one reference `step` call each."""
     out = []
     for t in range(skip + n):
-        x = coral.step(lam, x)
+        x = step(coral, lam, x)
         if t >= skip:
             out.append(x[:keep])
     return np.array(out).reshape(n, keep)
@@ -78,6 +80,100 @@ def test_iterate_pairs_match_per_step_loop(coral, n, skip, keep):
     for j in range(3):
         ref = _step_loop(coral, lams[j], x0[j], n, skip, keep)
         assert np.allclose(batch.points[:, j], ref, rtol=1e-12, atol=0.0)
+
+
+def _off_profile(coral, seed):
+    """Three states whose age classes are scaled independently, so their
+    older classes are not a multiple of the survival profile."""
+    y = density_matched_state(coral, 1500.0)
+    return np.random.default_rng(seed).uniform(0.2, 2.0, (3, coral.d)) * y
+
+
+@pytest.mark.parametrize("n", [1, 12, 13, 14, 27])
+@pytest.mark.parametrize("skip", [0, 1, 11, 12, 13, 26])
+def test_iterate_off_profile_matches_per_step_loop(coral, n, skip):
+    # components 2..d of x0 reach q.x and b.x for the first d - 1 iterates
+    # only; n and skip range across d = 13 on both sides
+    lams = np.array([1.0, 5.5, 6.25])
+    x0 = _off_profile(coral, n * 100 + skip)
+    for keep in (1, 2, 13):
+        alone = iterate(coral, lams[1], x0[1], n=n, skip=skip, keep=keep)
+        assert alone.points.shape == (n, keep)
+        assert np.allclose(alone.points, _step_loop(coral, lams[1], x0[1], n, skip, keep),
+                           rtol=1e-12, atol=0.0)
+        batch = iterate(coral, lams, x0, n=n, skip=skip, keep=keep)
+        assert batch.points.shape == (n, 3, keep)
+        for j in range(3):
+            ref = _step_loop(coral, lams[j], x0[j], n, skip, keep)
+            assert np.allclose(batch.points[:, j], ref, rtol=1e-12, atol=0.0)
+
+
+def test_iterate_with_a_zero_survival_rate(coral):
+    # a = 0 from age 6 on: the profile is never divided by
+    S = list(coral.params.S)
+    S[4] = 0.0
+    dead = CoralMap(CoralParams(S=tuple(S)))
+    lams = np.array([1.0, 5.5, 6.25]) * coral.cf.ba / dead.cf.ba
+    x0 = _off_profile(dead, 7)
+    for n, skip in ((20, 0), (5, 9), (40, 30)):
+        orb = iterate(dead, lams, x0, n=n, skip=skip)
+        assert np.all(np.isfinite(orb.points))
+        for j in range(3):
+            ref = _step_loop(dead, lams[j], x0[j], n, skip, 13)
+            assert np.allclose(orb.points[:, j], ref, rtol=1e-12, atol=0.0)
+    assert np.all(orb.points[:, :, 5:] == 0.0)
+
+
+def test_orbit_diverges_deep_in_the_transient():
+    # phi stays near 1 while q.x is far below 1e150, and only age 3
+    # reproduces, with a fertility so large that b.x overflows while q.x is
+    # still about 1e106: x_1 doubles every three years until it does
+    coral = CoralMap(CoralParams(d=3, S=(0.9, 0.8), F=(0.0, 0.0, 1e200),
+                                 c1=1e300, c2=1e300, alpha=1e-300, beta=2e-300))
+    lam = 2.0 / (coral.cf.b[2] * 0.9 * 0.8)
+    x, first_bad = np.ones(3), None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, 5000):
+            x = step(coral, lam, x)
+            if not np.all(np.isfinite(x)):
+                first_bad = t
+                break
+    # past the first blocks of history that a one-point run keeps
+    assert first_bad is not None and first_bad > 4 * _HISTORY_BLOCK * coral.d
+    expect = f"non-finite state at iterate {first_bad}"
+    with pytest.raises(OrbitDiverged, match=expect):
+        iterate(coral, lam, np.ones(3), n=1, skip=3000)
+    with pytest.raises(OrbitDiverged, match=expect):
+        iterate(coral, np.array([0.5 * lam, lam, 0.5 * lam]), np.ones(3), n=1, skip=3000)
+    with pytest.raises(OrbitDiverged, match=expect):
+        iterate(coral, lam, np.ones(3), n=4000)
+    # the iterate before it is still finite
+    assert np.all(np.isfinite(iterate(coral, lam, np.ones(3), n=1, skip=first_bad - 2).points))
+
+
+def test_huge_finite_orbit_is_not_diverged():
+    # x_1 = 1e306 is a fixed point (omega = 1e300 keeps P near 1.7e7, and
+    # phi = 1/(P^2 + 1)): the history's sum overflows, its entries do not
+    coral = CoralMap(CoralParams(d=3, S=(0.9, 0.8), F=(0.0, 0.0, 1.0), c1=1.0, c2=1.0,
+                                 alpha=1e-300, beta=2e-300, omega=1e300))
+    x0 = 1e306 * coral.cf.a
+    P = float(coral.cf.q @ x0)
+    lam = (P * P + 1.0) / float(coral.cf.b @ coral.cf.a)
+    orb = iterate(coral, lam, x0, n=2000)
+    assert np.all(np.isfinite(orb.points))
+    assert np.allclose(orb.points, x0, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("skip", [2999, 3000])
+def test_long_skip_returns_the_last_point_of_the_long_run(coral, skip):
+    # a transient many history blocks long, carried block to block
+    y = density_matched_state(coral, 1500.0)
+    lams = np.array([1.0, 5.5])
+    for keep in (2, 13):
+        short = iterate(coral, lams, 1.5 * y, n=1, skip=skip, keep=keep)
+        long = iterate(coral, lams, 1.5 * y, n=skip + 1, keep=keep)
+        assert short.transient_skipped == skip
+        assert np.allclose(short.points[0], long.points[-1], rtol=1e-12, atol=0.0)
 
 
 def test_batched_rotation_numbers_match_single_orbits(coral):
@@ -123,7 +219,7 @@ def test_orbit_diverges_at_even_iterate_named_once(coral):
     x, first_bad = bad, None
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, 10):
-            x = coral.step(1.0, x)
+            x = step(coral, 1.0, x)
             if not np.all(np.isfinite(x)):
                 first_bad = t
                 break

@@ -14,7 +14,7 @@ from certibif.model import (CoralMap, CoralParams, FixedPointReduction,
                             R_to_lambda, derive_generic, lambda_to_R, phi,
                             phi_derivs, row1_d2, row1_d3)
 
-from helpers import mp_coeffs, scalar_row1
+from helpers import jac_lam, map_F, mp_coeffs, scalar_row1, step
 
 
 def test_params_table_defaults(coral):
@@ -159,15 +159,15 @@ def test_recruitment_never_reads_the_two_youngest_classes(params):
 
 def test_step_extinction_fixed(coral):
     for lam in (0.3, 1.0, 5.5):
-        assert np.all(coral.step(lam, np.zeros(13)) == 0.0)
+        assert np.all(step(coral, lam, np.zeros(13)) == 0.0)
 
 
 def test_step_survival_rows_linear(coral):
     e1 = np.zeros(13); e1[0] = 1.0
-    out = coral.step(2.7, e1)
+    out = step(coral, 2.7, e1)
     assert out[1] == 0.89                       # Table value S_1
     x = np.arange(1.0, 14.0)
-    assert np.allclose(coral.step(9.9, x)[1:], coral.step(0.1, x)[1:])
+    assert np.allclose(step(coral, 9.9, x)[1:], step(coral, 0.1, x)[1:])
 
 
 def test_validated_ns_point_is_nearly_fixed(coral):
@@ -181,13 +181,13 @@ def test_validated_ns_point_is_nearly_fixed(coral):
         dr = (red.residual(lam, x1 + h) - red.residual(lam, x1 - h)) / (2 * h)
         x1 -= r / dr
     x = red.full_point(x1)
-    assert np.max(np.abs(coral.step(lam, x) - x)) <= 1e-6
+    assert np.max(np.abs(step(coral, lam, x) - x)) <= 1e-6
 
 
 def test_map_F_examples(coral):
-    assert np.all(coral.map_F(1.7, np.zeros(13)) == 0.0)
+    assert np.all(map_F(coral, 1.7, np.zeros(13)) == 0.0)
     x = np.arange(1.0, 14.0)
-    assert np.allclose(coral.map_F(2.0, x), coral.step(2.0, x) - x)
+    assert np.allclose(map_F(coral, 2.0, x), step(coral, 2.0, x) - x)
 
 
 def test_jacobian_at_origin_row(coral):
@@ -202,15 +202,15 @@ def test_jacobian_matches_finite_differences(coral):
     h = 1e-5
     for j in range(13):
         e = np.zeros(13); e[j] = h
-        col = (coral.step(lam, x + e) - coral.step(lam, x - e)) / (2 * h)
+        col = (step(coral, lam, x + e) - step(coral, lam, x - e)) / (2 * h)
         assert np.allclose(J[:, j], col, rtol=1e-6, atol=1e-10)
 
 
 def test_jac_lam_is_first_component_only(coral):
     x = 50.0 * coral.cf.a
-    dl = coral.jac_lam(4.0, x)
+    dl = jac_lam(coral, 4.0, x)
     assert np.all(dl[1:] == 0.0)
-    assert math.isclose(dl[0], coral.step(4.0, x)[0] / 4.0, rel_tol=1e-14)
+    assert math.isclose(dl[0], step(coral, 4.0, x)[0] / 4.0, rel_tol=1e-14)
 
 
 def _row1_data(coral, x, *vecs):
@@ -236,8 +236,8 @@ def test_bilinear_symmetry_and_sparsity(coral):
                             rel_tol=1e-12)
     # rows 2..d of the map are linear: their second difference is rounding only
     lam = 2.0
-    dd = (coral.step(lam, x + y + z) - coral.step(lam, x + y)
-          - coral.step(lam, x + z) + coral.step(lam, x))
+    dd = (step(coral, lam, x + y + z) - step(coral, lam, x + y)
+          - step(coral, lam, x + z) + step(coral, lam, x))
     assert np.all(np.abs(dd[1:]) <= 1e-12 * np.max(np.abs(x)))
 
 
@@ -246,8 +246,8 @@ def test_bilinear_matches_finite_differences(coral):
     lam, x = 1.3, 900.0 * coral.cf.a
     y, z = rng.normal(size=(2, 13))
     h = 1e-3
-    fd = (coral.step(lam, x + h * (y + z)) - coral.step(lam, x + h * y)
-          - coral.step(lam, x + h * z) + coral.step(lam, x)) / h ** 2
+    fd = (step(coral, lam, x + h * (y + z)) - step(coral, lam, x + h * y)
+          - step(coral, lam, x + h * z) + step(coral, lam, x)) / h ** 2
     got = lam * row1_d2(*_row1_data(coral, x, y, z))
     assert math.isclose(got, fd[0], rel_tol=1e-4)
     # numpy arrays for the last pair give the whole row of D^2 g
@@ -261,7 +261,7 @@ def test_trilinear_matches_finite_differences(coral):
     y = coral.cf.a
     h = 1.0
     # third central difference along y
-    vals = [coral.step(lam, x + k * h * y)[0] for k in (-2, -1, 0, 1, 2)]
+    vals = [step(coral, lam, x + k * h * y)[0] for k in (-2, -1, 0, 1, 2)]
     fd3 = (vals[4] - 2 * vals[3] + 2 * vals[1] - vals[0]) / (2 * h ** 3)
     got = lam * row1_d3(*_row1_data(coral, x, y, y, y))
     assert math.isclose(got, fd3, rel_tol=1e-4)
@@ -290,7 +290,7 @@ def test_reconstructed_point_residual(coral):
     for lam in (1.0, 3.0, 5.5):
         for x1 in (r for r in red.solve(lam) if r > 0):
             x = red.full_point(x1)
-            assert np.max(np.abs(coral.map_F(lam, x))) <= 1e-9 * max(1.0, x1)
+            assert np.max(np.abs(map_F(coral, lam, x))) <= 1e-9 * max(1.0, x1)
 
 
 def test_full_newton_lands_on_reduced_branch(coral):
@@ -301,13 +301,13 @@ def test_full_newton_lands_on_reduced_branch(coral):
     for _ in range(5):
         x = rng.uniform(0.5, 2.0, 13) * 800.0 * coral.cf.a
         for _ in range(80):
-            F = coral.map_F(lam, x)
+            F = map_F(coral, lam, x)
             J = coral.jac_x(lam, x) - np.eye(13)
             try:
                 x = x - np.linalg.solve(J, F)
             except np.linalg.LinAlgError:
                 break
-        if np.max(np.abs(coral.map_F(lam, x))) < 1e-9:
+        if np.max(np.abs(map_F(coral, lam, x))) < 1e-9:
             assert np.max(np.abs(x - x[0] * coral.cf.a)) <= 1e-7 * max(1.0, abs(x[0]))
 
 
@@ -333,7 +333,7 @@ def test_interval_step_contains_float_samples(coral):
     for _ in range(25):
         lam = lam0 + rng.uniform(-1e-8, 1e-8)
         x = x0 + rng.uniform(-1e-6, 1e-6, 13)
-        assert enc.contains_point(coral.step(lam, x))
+        assert enc.contains_point(step(coral, lam, x))
 
 
 def test_interval_jacobian_contains_float(coral):
@@ -455,7 +455,7 @@ def test_scaled_map_identity_scaling(coral):
     assert system.R_of_t(R) == R
     lam, xr = system.to_raw(R, x)
     assert math.isclose(lam, 2.0, rel_tol=1e-15) and np.array_equal(xr, x)
-    assert np.allclose(system.evaluate(R, x)[0] + x, coral.step(2.0, x), rtol=1e-12)
+    assert np.allclose(system.evaluate(R, x)[0] + x, step(coral, 2.0, x), rtol=1e-12)
 
 
 def test_scaled_map_conjugacy(coral):
