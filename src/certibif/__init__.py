@@ -20,6 +20,7 @@ from .bifurcation import (BifCertificate, NsSystem, SnSystem, TranscriticalResul
                           transcritical_analysis, verified_spectrum_inside_disk)
 from .dynamics import (AngleProfile, OrbitSample, RotationResult,
                        angle_profile, density_matched_state,
-                       farey_min_denominator, iterate, rotation_number)
+                       farey_min_denominator, iterate, rotation_and_profile,
+                       rotation_number)
 
 __version__ = "0.1.0"

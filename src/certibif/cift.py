@@ -159,7 +159,7 @@ def inverse_bound(A: IMatrix, B: np.ndarray):
     given |I - B A| <= rho1 < 1 from neumann_rho (arrays for a stack)."""
     B = np.asarray(B, dtype=float)
     rho1 = neumann_rho(A, B)
-    rho2 = np.max(up_sum(np.abs(B), axis=-1), axis=-1)
+    rho2 = up_sum(np.abs(B), axis=-1).max(axis=-1)
     if np.ndim(rho1) == 0:
         rho1, rho2, I = float(rho1), float(rho2), Interval
     else:
@@ -340,6 +340,13 @@ def _largest_feasible(feasible, guess: float, top: float) -> float | None:
     return _float_at(lo) if lo >= 0 else None
 
 
+def search_cap_root(coupled_cap: float, dir_norm: float, du_reserve: float = 0.1) -> float:
+    """The float root of dir_norm*da = coupled_cap*(1 - du_reserve), and
+    so an upper bound of every root `delta_alpha_root` returns with these
+    arguments (inf when dir_norm = 0, where there is no such root)."""
+    return coupled_cap * (1.0 - du_reserve) / dir_norm if dir_norm > 0.0 else math.inf
+
+
 def delta_alpha_root(K: float, rho: float, L1: float, L2: float, L3: float, L4: float,
                      ell_x: float, dir_norm: float = 0.0, coupled_cap: float = math.inf,
                      du_reserve: float = 0.1) -> tuple[float, str]:
@@ -356,7 +363,7 @@ def delta_alpha_root(K: float, rho: float, L1: float, L2: float, L3: float, L4: 
     if math.isfinite(coupled_cap):
         roots["coupled-cap"] = _smallest_root(a, bl + dir_norm, c0 - coupled_cap)
         if dir_norm > 0.0:
-            roots["search-cap"] = coupled_cap * (1.0 - du_reserve) / dir_norm
+            roots["search-cap"] = search_cap_root(coupled_cap, dir_norm, du_reserve)
     name = min(roots, key=roots.get)
     return roots[name], name
 

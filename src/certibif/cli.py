@@ -13,8 +13,10 @@ Exit codes: 0 success, 1 validation/certification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,12 +48,15 @@ def _outdir(args) -> Path:
     return out
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_lines(path: Path, header: list[str], lines) -> None:
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) if isinstance(v, (int, float, np.floating))
-                              else str(v) for v in row) + "\n")
+        fh.writelines(line + "\n" for line in lines)
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    _write_lines(path, header, (",".join(repr(float(v)) if isinstance(v, (int, float, np.floating))
+                                         else str(v) for v in row) for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -112,19 +117,34 @@ def cmd_diagram(args) -> int:
     return 0
 
 
+@dataclass
+class BranchPoints:
+    """R, lambda, the raw state x and P = q.x of every box, taken once for
+    both CSV emitters; P is one dot product per box, so it rounds as q.x
+    of that one state does."""
+
+    R: list[float]
+    lam: list[float]
+    x: np.ndarray
+    P: list[float]
+
+    @staticmethod
+    def of(system: cont.CoralBranchSystem, result: cont.BranchResult) -> "BranchPoints":
+        t = np.array([b.t for b in result.boxes])
+        X = system.s * np.array([b.u for b in result.boxes]).reshape(len(t), system.d)
+        q = system.coral.cf.q
+        return BranchPoints(system.R_of_t(t).tolist(), system.lam_of_t(t).tolist(), X,
+                            [float(q @ x) for x in X])
+
+
 def emit_branch_csv(path: Path, system: cont.CoralBranchSystem,
-                    result: cont.BranchResult) -> None:
-    coral = system.coral
-
-    def rows():
-        for b in result.boxes:
-            lam, x = system.to_raw(b.t, b.u)
-            yield ([system.R_of_t(b.t), lam] + list(x)
-                   + [float(coral.cf.q @ x), b.delta_alpha, b.delta_u, b.delta_min,
-                      b.stability])
-
-    _write_csv(path, ["R", "lambda"] + [f"x{k+1}" for k in range(coral.d)]
-               + ["P", "delta_alpha", "delta_u", "delta_min", "stability"], rows())
+                    result: cont.BranchResult, pts: BranchPoints) -> None:
+    lines = (",".join(map(repr, [R, lam, *x.tolist(), P, b.delta_alpha, b.delta_u,
+                                 b.delta_min]))
+             + "," + b.stability
+             for b, R, lam, x, P in zip(result.boxes, pts.R, pts.lam, pts.x, pts.P))
+    _write_lines(path, ["R", "lambda"] + [f"x{k+1}" for k in range(system.d)]
+                 + ["P", "delta_alpha", "delta_u", "delta_min", "stability"], lines)
 
 
 # R values sampled on the trivial branch P = 0
@@ -132,25 +152,22 @@ _TRIVIAL_POINTS = 400
 
 
 def emit_bifurcation_diagram(path: Path, system: cont.CoralBranchSystem,
-                             result: cont.BranchResult) -> None:
+                             result: cont.BranchResult, pts: BranchPoints) -> None:
     """Diagram rows (R, P, stability, delta_u) combining the validated
-    nontrivial branch with the analytically known trivial branch P = 0."""
+    nontrivial branch with the analytically known trivial branch P = 0,
+    whose stability labels come from one stacked eigenvalue call."""
     coral = system.coral
-    Rs = [system.R_of_t(b.t) for b in result.boxes]
-    lo = min(Rs) if Rs else 1.0
-    hi = max(Rs) if Rs else 300.0
-
-    def rows():
-        for R, b in zip(Rs, result.boxes):
-            yield [R, float(coral.cf.q @ system.to_raw(b.t, b.u)[1]), b.stability,
-                   b.delta_u, "nontrivial"]
-        for R in np.linspace(max(lo - 5.0, 1e-3), hi, _TRIVIAL_POINTS):
-            lam = R / coral.cf.ba
-            yield [float(R), 0.0,
-                   cont.classify_stability(coral.jac_x(lam, np.zeros(coral.d))),
-                   "", "trivial"]
-
-    _write_csv(path, ["R", "P", "stability", "delta_u", "branch"], rows())
+    lo = min(pts.R) if pts.R else 1.0
+    hi = max(pts.R) if pts.R else 300.0
+    Rs = np.linspace(max(lo - 5.0, 1e-3), hi, _TRIVIAL_POINTS)
+    zero = np.zeros(coral.d)
+    labels = cont.classify_stability(np.stack([coral.jac_x(lam, zero)
+                                               for lam in Rs / coral.cf.ba]))
+    lines = itertools.chain(
+        (f"{R!r},{P!r},{b.stability},{b.delta_u!r},nontrivial"
+         for b, R, P in zip(result.boxes, pts.R, pts.P)),
+        (f"{R!r},0.0,{label},,trivial" for R, label in zip(Rs.tolist(), labels)))
+    _write_lines(path, ["R", "P", "stability", "delta_u", "branch"], lines)
 
 
 def emit_certificate_chain(path: Path, system: cont.CoralBranchSystem,
@@ -209,8 +226,9 @@ def cmd_branch(args) -> int:
         return 1
     system, t0, u0 = cont.branch_start(coral, args.from_R)
     res = cont.continue_branch(system, t0, u0, args.to_R, args.max_steps)
-    emit_branch_csv(out / "branch.csv", system, res)
-    emit_bifurcation_diagram(out / "bifurcation_diagram.csv", system, res)
+    pts = BranchPoints.of(system, res)
+    emit_branch_csv(out / "branch.csv", system, res, pts)
+    emit_bifurcation_diagram(out / "bifurcation_diagram.csv", system, res, pts)
     emit_certificate_chain(out / "branch_certificates.json", system, res)
     print(f"{len(res.boxes)} validated boxes, stop: {res.stop_reason}, "
           f"linked: {res.all_linked()}")
@@ -306,8 +324,7 @@ def cmd_rotation(args) -> int:
     rot_rows, prof_rows = [], []
     for j, R in enumerate(Rs):
         xy = orb.points[:, j]
-        r = dynamics.rotation_number(xy, center=center)
-        prof = dynamics.angle_profile(xy, center=center, bins=args.bins)
+        r, prof = dynamics.rotation_and_profile(xy, center=center, bins=args.bins)
         rot_rows.append([R, r.rho, r.convergence_gap, r.iterates_used])
         prof_rows.extend([R, c, m] for c, m in zip(prof.bin_centers, prof.mean_increment))
     _write_csv(out / "rotation.csv", ["R", "rho", "convergence_gap", "iterates"], rot_rows)

@@ -317,9 +317,9 @@ def tangent_estimate(jac: np.ndarray, prev: np.ndarray | None = None
             tang = np.linalg.solve(border, rhs)
         except np.linalg.LinAlgError as exc:
             raise TangentUndefined(f"bordered tangent system singular: {exc}") from exc
-        if not np.all(np.isfinite(tang)):
+        if not np.isfinite(tang).all():
             raise TangentUndefined("bordered tangent system singular: non-finite solution")
-    tang = tang / np.max(np.abs(tang))
+    tang = tang / np.abs(tang).max()
     return float(tang[0]), tang[1:].copy()
 
 
@@ -336,7 +336,7 @@ def newton_correct(ext: ExtendedSystem, alpha: float, tol: float = 1e-13,
     B = None
     for it in range(max_iter + 1):
         G, ev = ext.value(alpha, z)
-        if np.max(np.abs(G)) <= tol:
+        if np.abs(G).max() <= tol:
             return float(z[0]), z[1:].copy(), ev
         if it == max_iter:
             break
@@ -347,7 +347,7 @@ def newton_correct(ext: ExtendedSystem, alpha: float, tol: float = 1e-13,
                 raise CorrectorFailed(f"singular corrector Jacobian: {exc}") from exc
         z = z - B @ G
     raise CorrectorFailed(f"no convergence in {max_iter} iterations "
-                          f"(residual {np.max(np.abs(G)):.3e})")
+                          f"(residual {np.abs(G).max():.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +381,7 @@ def derive_extended_constants(h: SegmentHypotheses, mu, v: np.ndarray) -> cift.C
     max(M1+M3, M2+M4) would only be valid for the sum norm).
     """
     I = IArray.point
-    vn, am = I(np.max(np.abs(v), axis=-1)), I(np.abs(mu))
+    vn, am = I(np.abs(v).max(axis=-1)), I(np.abs(mu))
     M1, M2, M3, M4 = I(h.M1), I(h.M2), I(h.M3), I(h.M4)
     L1 = ((M1 + M3) + (M2 + M4)).hi
     L2 = ((M1 + M3) * vn + (M2 + M4) * am).hi
@@ -420,7 +420,7 @@ class BranchBox:
 
     @property
     def dir_norm(self) -> float:
-        return max(abs(self.mu), float(np.max(np.abs(self.v))))
+        return max(abs(self.mu), float(np.abs(self.v).max()))
 
 
 @dataclass(frozen=True)
@@ -473,7 +473,7 @@ def validate_segment(anchor: SegmentAnchor, d, delta_alpha=None,
     hyp = SegmentHypotheses(rho=anchor.rho, xi=anchor.xi, K=anchor.K, M1=M1, M2=M2,
                             M3=M3, M4=M4, d_u=d, d_lambda=d)
     bounds = derive_extended_constants(hyp, ext.mu, ext.v)
-    dir_norm = np.maximum(np.abs(ext.mu), np.max(np.abs(ext.v), axis=-1))
+    dir_norm = np.maximum(np.abs(ext.mu), np.abs(ext.v).max(axis=-1))
     hyps, bnds = _rows(hyp, n), _rows(bounds, n)
     if delta_alpha is not None:
         ok, pairs = cift.check_deltas(bounds, dir_norm, d, delta_alpha)
@@ -538,14 +538,14 @@ def _anchor_rounding_gap(t_prev, u_prev, alpha_k, mu, v, sigma, x_corr,
     lo, hi = _sum_bounds(prev, prev, lo, hi)
     lo, hi = _sum_bounds(lo, hi, corr, corr)
     lo, hi = _sum_bounds(lo, hi, -new, -new)
-    return np.max(np.maximum(np.abs(lo), np.abs(hi)), axis=-1)
+    return np.maximum(np.abs(lo), np.abs(hi)).max(axis=-1)
 
 
 def classify_stability(jac_x: np.ndarray):
     """Non-rigorous: count eigenvalues of D_x f outside the unit circle.
     A stack of matrices gives the list of their labels."""
     ev = np.linalg.eigvals(jac_x)
-    idx = np.sum(np.abs(ev) > 1.0, axis=-1)
+    idx = (np.abs(ev) > 1.0).sum(axis=-1)
     label = lambda i: "stable" if i == 0 else f"unstable({i})"
     return label(int(idx)) if np.ndim(idx) == 0 else [label(i) for i in idx.tolist()]
 
@@ -615,7 +615,7 @@ class _Step:
         the stop reason set, when it fails."""
         e = self.ext
         # the residual cannot resolve below a few ulps of the state
-        tol = max(_CORRECTOR_TOL, 8.0 * _EPS * max(abs(e.t0), float(np.max(np.abs(e.u0)))))
+        tol = max(_CORRECTOR_TOL, 8.0 * _EPS * max(abs(e.t0), float(np.abs(e.u0).max())))
         try:
             sigma, x, self.reached = newton_correct(e, alpha, tol=tol, max_iter=_MAX_NEWTON)
         except CorrectorFailed as exc:
@@ -639,7 +639,12 @@ def _predict_alpha(estimate, vn: float, am: float, K: float, rho: float, xi: flo
     L4 = (M1 * vn + M2 * am) * vn + (M3 * vn + M4 * am) * am
     root, bound_by = cift.delta_alpha_root(K, rho, L1, L2, xi, L4, d, max(am, vn),
                                            coupled_cap=d)
-    return root * (1.0 - _PLAN_MARGIN), bound_by
+    return _planned(root), bound_by
+
+
+def _planned(root: float) -> float:
+    """The planned delta_alpha for a float root: _PLAN_MARGIN below it."""
+    return root * (1.0 - _PLAN_MARGIN)
 
 
 def _plan_box(system, t: float, u: np.ndarray, mu: float, v: np.ndarray, F: np.ndarray,
@@ -648,20 +653,27 @@ def _plan_box(system, t: float, u: np.ndarray, mu: float, v: np.ndarray, F: np.n
     among d 2^k, and its planned delta_alpha.  The climb starts at the
     previous box and moves up while a box cap bounds the step (a larger
     box relaxes the caps) or down while the L1 coupling does (a smaller
-    box lowers the Lipschitz data), as long as the step grows.
+    box lowers the Lipschitz data), as long as the step grows.  Every
+    root is at most the search-cap root, and rounding is monotone, so a
+    box whose planned search-cap root does not exceed the current step
+    cannot win: the climb stops there without evaluating it.
 
     The estimates stay above what the validator certifies by more than
     its rounding: K from the row sums of |B| (the Neumann factor 1/(1 -
     rho1) is 1 + O(1e-12)), rho and xi from the float residual and drift
     plus generous multiples of their rounding."""
-    K = float(np.max(np.sum(np.abs(B), axis=1)))
-    rho = float(np.max(np.abs(F))) + 64.0 * _EPS * max(float(np.max(np.abs(u))), 1.0)
+    K = float(np.abs(B).sum(axis=1).max())
+    rho = float(np.abs(F).max()) + 64.0 * _EPS * max(float(np.abs(u).max()), 1.0)
     tang = np.concatenate([[mu], v])
-    xi = float(np.max(np.abs(A @ tang) + 32.0 * (len(tang) + 1) * _EPS * (np.abs(A) @ np.abs(tang))))
-    args = (system.lipschitz_estimator(t, u), float(np.max(np.abs(v))), abs(mu), K, rho, xi)
+    xi = float((np.abs(A @ tang) + 32.0 * (len(tang) + 1) * _EPS * (np.abs(A) @ np.abs(tang))).max())
+    vn = float(np.abs(v).max())
+    args = (system.lipschitz_estimator(t, u), vn, abs(mu), K, rho, xi)
+    dir_norm = max(abs(mu), vn)
     da, bound_by = _predict_alpha(*args, d)
     factor = 2.0 if bound_by in ("search-cap", "coupled-cap") else 0.5
     while bound_by != "ell-x" and _BOX_MIN <= factor * d <= _BOX_CAP:
+        if not _planned(cift.search_cap_root(factor * d, dir_norm)) > da:
+            break
         da2, bound2 = _predict_alpha(*args, factor * d)
         if not da2 > da:
             break
@@ -725,7 +737,7 @@ def _anchors(system, steps: list[_Step]) -> SegmentAnchor:
 
 def _corr_norm(step: _Step) -> float:
     sigma, x = step.corr
-    return max(abs(sigma), float(np.max(np.abs(x))))
+    return max(abs(sigma), float(np.abs(x).max()))
 
 
 def _links(system, res: BranchResult, boxes: list[BranchBox],

@@ -198,6 +198,86 @@ def _angle_blocks(xy: np.ndarray, center: tuple[float, float]):
         yield start, theta[:-1], inc
 
 
+def _projection(orbit: OrbitSample | np.ndarray, coords: tuple[int, int]) -> np.ndarray:
+    pts = orbit.points if isinstance(orbit, OrbitSample) else np.asarray(orbit)
+    return pts[:, list(coords)] if pts.ndim == 2 and pts.shape[1] > 2 else pts
+
+
+class _RotationSums:
+    """Weighted increment sums and weight sums over all m increments and
+    over the first 0.8 m, plus the net, forward and backward advance."""
+
+    def __init__(self, m: int):
+        self.m, self.m8 = m, int(0.8 * m)
+        self.net = self.pos = self.neg = 0.0
+        self.wsum = np.zeros(4)
+
+    def add(self, start: int, theta: np.ndarray, inc: np.ndarray) -> None:
+        self.net += inc.sum()
+        self.pos += inc[inc > 0.0].sum()
+        self.neg -= inc[inc < 0.0].sum()
+        i = np.arange(start + 1.0, start + 1.0 + len(inc))
+        w = _bump_weights(i, self.m)
+        k = max(0, min(len(inc), self.m8 - start))
+        w8 = _bump_weights(i[:k], self.m8)
+        self.wsum += (w @ inc, w.sum(), w8 @ inc[:k], w8.sum())
+
+    def result(self, center: tuple[float, float], iterates_used: int) -> RotationResult:
+        net, pos, neg, wsum = self.net, self.pos, self.neg, self.wsum
+        total = pos + neg
+        backward = neg if net > 0.0 else pos if net < 0.0 else 0.0
+        if total == 0.0 or backward > 0.02 * total:
+            raise RotationUndefined(
+                f"angle increments change sign persistently ({backward/max(total,1e-300):.1%})")
+        rho_full = wsum[0] / (2.0 * math.pi * wsum[1]) % 1.0
+        rho_08 = wsum[2] / (2.0 * math.pi * wsum[3]) % 1.0
+        gap = abs(rho_full - rho_08)
+        gap = min(gap, 1.0 - gap)
+        return RotationResult(rho=float(rho_full), center=tuple(center),
+                              iterates_used=iterates_used, convergence_gap=float(gap))
+
+
+class _ProfileSums:
+    """Angle increments summed and counted per bin of the rescaled angle."""
+
+    def __init__(self, bins: int):
+        self.bins = bins
+        self.sums = np.zeros(bins)
+        self.counts = np.zeros(bins, dtype=int)
+
+    def add(self, start: int, theta: np.ndarray, inc: np.ndarray) -> None:
+        ang = (theta / (2.0 * math.pi)) % 1.0
+        idx = np.minimum((ang * self.bins).astype(int), self.bins - 1)
+        self.sums += np.bincount(idx, weights=inc, minlength=self.bins)
+        self.counts += np.bincount(idx, minlength=self.bins)
+
+    def result(self) -> AngleProfile:
+        bins, sums, counts = self.bins, self.sums, self.counts
+        mean = np.full(bins, np.nan)
+        nz = counts > 0
+        mean[nz] = sums[nz] / counts[nz] / (2.0 * math.pi)
+        empty = tuple(int(i) for i in np.nonzero(~nz)[0])
+        if empty:
+            filled = np.nonzero(nz)[0]
+            for i in empty:
+                # circular nearest-neighbor interpolation
+                dist = np.minimum((filled - i) % bins, (i - filled) % bins)
+                order = np.argsort(dist)[:2]
+                mean[i] = float(np.mean(mean[filled[order]]))
+        centers = (np.arange(bins) + 0.5) / bins
+        return AngleProfile(bin_centers=centers, mean_increment=mean,
+                            minimum_angle=float(centers[int(np.nanargmin(mean))]),
+                            empty_bins=empty)
+
+
+def _feed(xy: np.ndarray, center: tuple[float, float], *sums) -> None:
+    """One pass over the angle blocks of xy, each block added to every
+    accumulator and then dropped."""
+    for block in _angle_blocks(xy, center):
+        for acc in sums:
+            acc.add(*block)
+
+
 def rotation_number(orbit: OrbitSample | np.ndarray,
                     center: tuple[float, float] = (2500.0, 2500.0),
                     coords: tuple[int, int] = (0, 1)) -> RotationResult:
@@ -207,33 +287,10 @@ def rotation_number(orbit: OrbitSample | np.ndarray,
     The orbit must wind consistently about the center; persistent
     sign changes of the angle increment raise RotationUndefined.
     """
-    pts = orbit.points if isinstance(orbit, OrbitSample) else np.asarray(orbit)
-    xy = pts[:, list(coords)] if pts.ndim == 2 and pts.shape[1] > 2 else pts
-    m = len(xy) - 1
-    m8 = int(0.8 * m)
-    net = pos = neg = 0.0
-    # weighted increment sums and weight sums over all m and the first m8
-    wsum = np.zeros(4)
-    for start, _, inc in _angle_blocks(xy, center):
-        net += inc.sum()
-        pos += inc[inc > 0.0].sum()
-        neg -= inc[inc < 0.0].sum()
-        i = np.arange(start + 1.0, start + 1.0 + len(inc))
-        w = _bump_weights(i, m)
-        k = max(0, min(len(inc), m8 - start))
-        w8 = _bump_weights(i[:k], m8)
-        wsum += (w @ inc, w.sum(), w8 @ inc[:k], w8.sum())
-    total = pos + neg
-    backward = neg if net > 0.0 else pos if net < 0.0 else 0.0
-    if total == 0.0 or backward > 0.02 * total:
-        raise RotationUndefined(
-            f"angle increments change sign persistently ({backward/max(total,1e-300):.1%})")
-    rho_full = wsum[0] / (2.0 * math.pi * wsum[1]) % 1.0
-    rho_08 = wsum[2] / (2.0 * math.pi * wsum[3]) % 1.0
-    gap = abs(rho_full - rho_08)
-    gap = min(gap, 1.0 - gap)
-    return RotationResult(rho=float(rho_full), center=tuple(center),
-                          iterates_used=len(xy), convergence_gap=float(gap))
+    xy = _projection(orbit, coords)
+    rot = _RotationSums(len(xy) - 1)
+    _feed(xy, center, rot)
+    return rot.result(center, len(xy))
 
 
 def angle_profile(orbit: OrbitSample | np.ndarray,
@@ -241,30 +298,21 @@ def angle_profile(orbit: OrbitSample | np.ndarray,
                   bins: int = 64,
                   coords: tuple[int, int] = (0, 1)) -> AngleProfile:
     """Mean angle advance per iterate, binned by the (rescaled) angle."""
-    pts = orbit.points if isinstance(orbit, OrbitSample) else np.asarray(orbit)
-    xy = pts[:, list(coords)] if pts.ndim == 2 and pts.shape[1] > 2 else pts
-    sums = np.zeros(bins)
-    counts = np.zeros(bins, dtype=int)
-    for _, theta, inc in _angle_blocks(xy, center):
-        ang = (theta / (2.0 * math.pi)) % 1.0
-        idx = np.minimum((ang * bins).astype(int), bins - 1)
-        sums += np.bincount(idx, weights=inc, minlength=bins)
-        counts += np.bincount(idx, minlength=bins)
-    mean = np.full(bins, np.nan)
-    nz = counts > 0
-    mean[nz] = sums[nz] / counts[nz] / (2.0 * math.pi)
-    empty = tuple(int(i) for i in np.nonzero(~nz)[0])
-    if empty:
-        filled = np.nonzero(nz)[0]
-        for i in empty:
-            # circular nearest-neighbor interpolation
-            dist = np.minimum((filled - i) % bins, (i - filled) % bins)
-            order = np.argsort(dist)[:2]
-            mean[i] = float(np.mean(mean[filled[order]]))
-    centers = (np.arange(bins) + 0.5) / bins
-    return AngleProfile(bin_centers=centers, mean_increment=mean,
-                        minimum_angle=float(centers[int(np.nanargmin(mean))]),
-                        empty_bins=empty)
+    prof = _ProfileSums(bins)
+    _feed(_projection(orbit, coords), center, prof)
+    return prof.result()
+
+
+def rotation_and_profile(orbit: OrbitSample | np.ndarray,
+                         center: tuple[float, float] = (2500.0, 2500.0),
+                         bins: int = 64, coords: tuple[int, int] = (0, 1)
+                         ) -> tuple[RotationResult, AngleProfile]:
+    """`rotation_number` and `angle_profile` of one orbit from a single
+    pass over its angles: the same results, with half the arctan2 work."""
+    xy = _projection(orbit, coords)
+    rot, prof = _RotationSums(len(xy) - 1), _ProfileSums(bins)
+    _feed(xy, center, rot, prof)
+    return rot.result(center, len(xy)), prof.result()
 
 
 # ---------------------------------------------------------------------------

@@ -282,7 +282,7 @@ class IVector:
         hi = np.asarray(hi, dtype=float)
         if lo.shape != hi.shape or lo.ndim < 1:
             raise DomainError("endpoint shape mismatch")
-        if not np.all(lo <= hi):         # also False at NaN endpoints
+        if not (lo <= hi).all():         # also False at NaN endpoints
             raise DomainError("invalid endpoints")
         self.lo = lo
         self.hi = hi
@@ -371,7 +371,7 @@ class IMatrix:
         hi = np.asarray(hi, dtype=float)
         if lo.shape != hi.shape or lo.ndim < 2:
             raise DomainError("endpoint shape mismatch")
-        if not np.all(lo <= hi):         # also False at NaN endpoints
+        if not (lo <= hi).all():         # also False at NaN endpoints
             raise DomainError("invalid endpoints")
         self.lo = lo
         self.hi = hi
@@ -599,12 +599,16 @@ def float_matmat(B: np.ndarray, A: "IMatrix | IVector") -> "IMatrix | IVector":
     gamma, inv_1mg = _gamma(k)
     with np.errstate(invalid="ignore", over="ignore"):
         m = 0.5 * alo + 0.5 * ahi
-        r = _aup(np.maximum(m - alo, ahi - m))
+        r = np.maximum(m - alo, ahi - m)
         finite = np.isfinite(r)               # False for infinite endpoints
         m = np.where(finite, m, 0.0)
-        r = np.where(finite, r, _INF)
+        # fl(a - b) = 0 only for a = b (gradual underflow): a zero
+        # difference is a point entry, which needs no radius
+        r = np.where(finite, np.where(r > 0.0, _aup(r), 0.0), _INF)
         c = B @ m
-        R = _aup(_aup(gamma * np.abs(m)) + r)
+        # R >= gamma |m| + r holds with R = 0 at exact zeros, where a
+        # subnormal R would slow the product |B| R down
+        R = np.where((m == 0.0) & (r == 0.0), 0.0, _aup(_aup(gamma * np.abs(m)) + r))
         rad = _aup(_aup(np.abs(B) @ R + (k + 1) * _TINY) * inv_1mg)
         top = c + rad
         lo, hi = _adn(c - rad), _aup(top)
@@ -686,8 +690,8 @@ def norm_inf(x: "IVector | IMatrix") -> "Interval | IArray":
         lo, hi = mags_lo.max(axis=-1), mags_hi.max(axis=-1)
         stacked = x.lo.ndim > 1
     else:
-        hi = np.max(up_sum(mags_hi, axis=-1), axis=-1)
-        lo = np.minimum(np.max(dn_sum(mags_lo, axis=-1), axis=-1), hi)
+        hi = up_sum(mags_hi, axis=-1).max(axis=-1)
+        lo = np.minimum(dn_sum(mags_lo, axis=-1).max(axis=-1), hi)
         stacked = x.lo.ndim > 2
     if stacked:
         return IArray(lo, hi)

@@ -6,8 +6,13 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
+import helpers
+from certibif import continuation as cont
 from certibif.bifurcation import BifCertificate
-from certibif.cli import build_parser, main
+from certibif.cli import (BranchPoints, build_parser, emit_bifurcation_diagram,
+                          emit_branch_csv, main)
 
 
 def test_transcritical_prints_location(tmp_path, capsys):
@@ -257,3 +262,33 @@ def test_simulate_fixed_x0_without_nontrivial_fixed_point_fails(tmp_path, capsys
                "--x0", "fixed", "--years", "5"])
     assert rc == 1
     assert "no nontrivial fixed point" in capsys.readouterr().err
+
+
+def test_branch_emitters_write_the_reference_bytes(tmp_path, coral, branch_result,
+                                                   preconditioned_system, raw_branch_result):
+    """The one-pass emitters write the bytes of the box-by-box reference
+    emitters, on the seed-0 branch and on the twenty raw-system boxes."""
+    runs = [(preconditioned_system, branch_result),
+            (cont.CoralBranchSystem(coral), raw_branch_result)]
+    for k, (system, res) in enumerate(runs):
+        pts = BranchPoints.of(system, res)
+        for name, emit, reference in (
+                ("branch.csv", emit_branch_csv, helpers.emit_branch_csv),
+                ("bifurcation_diagram.csv", emit_bifurcation_diagram,
+                 helpers.emit_bifurcation_diagram)):
+            emit(tmp_path / f"{k}-{name}", system, res, pts)
+            reference(tmp_path / f"{k}-reference-{name}", system, res)
+            assert ((tmp_path / f"{k}-{name}").read_bytes()
+                    == (tmp_path / f"{k}-reference-{name}").read_bytes()), (k, name)
+
+
+def test_stacked_trivial_labels_equal_single_calls(coral, branch_result,
+                                                   preconditioned_system):
+    """The diagram's 400 trivial-branch labels from one stacked eigenvalue
+    call equal the labels of one call per matrix, on both sides of R*."""
+    Rs = [preconditioned_system.R_of_t(b.t) for b in branch_result.boxes]
+    lams = np.linspace(min(Rs) - 5.0, max(Rs), 400) / coral.cf.ba
+    Js = np.stack([coral.jac_x(lam, np.zeros(coral.d)) for lam in lams])
+    labels = cont.classify_stability(Js)
+    assert labels == [cont.classify_stability(J) for J in Js]
+    assert {"stable", "unstable(1)"} <= set(labels)

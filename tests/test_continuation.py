@@ -18,7 +18,7 @@ from certibif.interval import IArray, IMatrix, Interval, IVector, norm_inf
 from certibif.model import FixedPointReduction
 
 from helpers import (jac_lam, map_F, mp_branch_F, mp_coeffs, mp_fd_jacobian,
-                     mp_refine_branch_point, scalar_row1, step)
+                     mp_refine_branch_point, plan_box_unpruned, scalar_row1, step)
 import mpmath as mp
 
 
@@ -719,3 +719,35 @@ def test_planner_evaluates_each_point_once(coral, monkeypatch):
     iterations = counts["value"] - counts["correct"]
     assert boxes <= iterations <= 2 * boxes
     assert counts["evaluate"] == boxes + iterations + 1
+
+
+def test_planner_skips_only_probes_that_cannot_win(coral, monkeypatch):
+    """At every planner step of the seed-0 branch the climb returns the
+    (d, delta_alpha) of the climb that predicts every neighbour, bit for
+    bit, and skips at least half of that climb's neighbour probes."""
+    from certibif import continuation as cont
+    probes = {"pruned": 0, "full": 0}
+    which = ["pruned"]
+    predict, plan_box = cont._predict_alpha, cont._plan_box
+    plans = []
+
+    def counted(*args):
+        probes[which[0]] += 1
+        return predict(*args)
+
+    def compared(*args):
+        which[0] = "pruned"
+        got = plan_box(*args)
+        which[0] = "full"
+        want = plan_box_unpruned(*args)
+        plans.append([x.hex() for x in got] == [x.hex() for x in want])
+        return got
+
+    monkeypatch.setattr(cont, "_predict_alpha", counted)
+    monkeypatch.setattr(cont, "_plan_box", compared)
+    system, t0, u0 = branch_start(coral, 300.0)
+    res = continue_branch(system, t0, u0, to_R=72.0, max_steps=8000)
+    assert res.stop_reason == "target" and len(plans) >= len(res.boxes)
+    assert all(plans)
+    neighbours = probes["full"] - len(plans)        # one first probe per step
+    assert probes["full"] - probes["pruned"] >= 0.5 * neighbours > 0

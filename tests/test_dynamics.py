@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certibif.dynamics import (_HISTORY_BLOCK, angle_profile,
+from certibif.dynamics import (_BLOCK, _HISTORY_BLOCK, angle_profile,
                                density_matched_state, farey_min_denominator,
-                               iterate, polyp_density_series, rotation_number)
+                               iterate, polyp_density_series, rotation_and_profile,
+                               rotation_number)
 from certibif.errors import OrbitDiverged, RotationUndefined
 from certibif.model import CoralMap, CoralParams
 from helpers import step
@@ -332,6 +333,26 @@ def test_angle_profile_empty_bins_interpolated():
     prof = angle_profile(pts, center=(0.0, 0.0), bins=16)
     assert prof.empty_bins
     assert not np.any(np.isnan(prof.mean_increment))
+
+
+@pytest.mark.parametrize("points", [40, 3 * _BLOCK + 17])
+def test_one_angle_pass_equals_the_two_analyses(coral, points):
+    """rotation_and_profile gives, bit for bit, what rotation_number and
+    angle_profile give on their own: on a coral orbit of several angle
+    blocks, and on a short, nearly period-2 orbit that leaves bins empty."""
+    if points > _BLOCK:
+        y = density_matched_state(coral, 1500.0)
+        xy = iterate(coral, 5.5, 1.5 * y, n=points, skip=2_000, keep=2).points
+        center = (2500.0, 2500.0)
+    else:
+        xy, center = _rigid_rotation(0.5 - 1e-3, points), (0.0, 0.0)
+    rot, prof = rotation_and_profile(xy, center=center, bins=16)
+    assert bool(prof.empty_bins) == (points < _BLOCK)
+    assert rot == rotation_number(xy, center=center)
+    alone = angle_profile(xy, center=center, bins=16)
+    assert (prof.minimum_angle, prof.empty_bins) == (alone.minimum_angle, alone.empty_bins)
+    assert np.array_equal(prof.bin_centers, alone.bin_centers)
+    assert np.array_equal(prof.mean_increment, alone.mean_increment)
 
 
 # ---------------------------------------------------------------------------

@@ -232,7 +232,8 @@ def test_float_matmat_contains_exact_hull(n):
     """The midpoint-radius product encloses the exact product of a float
     matrix with every matrix (and vector) in an interval enclosure:
     normal, subnormal-product and wide-range magnitudes, point and wide
-    entries, +-inf endpoints, and 0 * inf without NaN."""
+    entries, +-inf endpoints, 0 * inf without NaN, and the sparse pattern
+    of the branch's (P2) matrix with entries one ulp wide."""
     rng = np.random.default_rng(n)
     mag = lambda lo, hi, shape: rng.normal(size=shape) * 10.0 ** rng.uniform(lo, hi, shape)
     r = 12                       # columns of the interval factor
@@ -261,6 +262,26 @@ def test_float_matmat_contains_exact_hull(n):
     B[n - 1, :] = 0.0
     C = float_matmat(B, IMatrix(lo, hi))
     assert not np.isnan(C.lo).any() and not np.isnan(C.hi).any()
+    assert _exact_hull_contained(B, lo, hi, C.lo, C.hi)
+    # the (P2) matrix's pattern: rows 0 and 1, the subdiagonal and the
+    # diagonal, mostly exact zeros, with entries one ulp wide.  Columns 2
+    # and 3 hold one entry each, [-2^-1074, 0] and [0, 2^-1074], whose
+    # midpoints round to 0: times a large B each is wider than every other
+    # radius term of its column, so the product loses it unless that
+    # entry keeps its radius.
+    M = np.zeros((n, n))
+    i = np.arange(1, n)
+    M[0, ::3], M[1, 1::2] = rng.normal(size=len(M[0, ::3])), rng.normal(size=len(M[1, 1::2]))
+    M[i, i - 1], M[i, i] = rng.normal(size=n - 1), -1.0
+    lo, hi = M.copy(), M.copy()
+    wide = rng.uniform(size=M.shape) < 0.3
+    hi[wide] = np.nextafter(M[wide], np.inf)
+    for j, ends in ((2, (-2.0 ** -1074, 0.0)), (3, (0.0, 2.0 ** -1074))):
+        lo[:, j] = hi[:, j] = 0.0
+        lo[j + 1, j], hi[j + 1, j] = ends
+    B = rng.normal(size=(n, n)) * 1e12
+    C = float_matmat(B, IMatrix(lo, hi))
+    assert np.mean(lo == hi) > 0.5 and np.count_nonzero(lo == 0.0) > n * n / 2
     assert _exact_hull_contained(B, lo, hi, C.lo, C.hi)
 
 
