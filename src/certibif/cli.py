@@ -97,20 +97,18 @@ def cmd_diagram(args) -> int:
     coral = CoralMap(params)
     out = _outdir(args)
     red = FixedPointReduction(coral)
-    rows = []
-    x1_hi = args.P_max / red.cP
-    for x1 in np.linspace(x1_hi, 1e-6, args.points):
-        R = red.branch_R(float(x1))
-        if R > args.R_max:
-            continue
-        lam = R / coral.cf.ba
-        x = red.full_point(float(x1))
-        rows.append([R, red.cP * x1, cont.classify_stability(coral.jac_x(lam, x)),
-                     "nontrivial"])
-    for R in np.linspace(max(args.R_min, 1e-3), args.R_max, args.points):
-        lam = R / coral.cf.ba
-        rows.append([R, 0.0, cont.classify_stability(coral.jac_x(lam, np.zeros(coral.d))),
-                     "trivial"])
+    points = [(red.branch_R(float(x1)), x1)
+              for x1 in np.linspace(args.P_max / red.cP, 1e-6, args.points)]
+    points = [(R, x1) for R, x1 in points if not R > args.R_max]
+    Rs = np.linspace(max(args.R_min, 1e-3), args.R_max, args.points)
+    zero = np.zeros(coral.d)
+    # one stacked call labels each branch
+    labels = lambda Js: cont.classify_stability(np.stack(Js)) if Js else []
+    nontrivial = labels([coral.jac_x(R / coral.cf.ba, red.full_point(float(x1)))
+                         for R, x1 in points])
+    trivial = labels([coral.jac_x(R / coral.cf.ba, zero) for R in Rs])
+    rows = ([[R, red.cP * x1, label, "nontrivial"] for (R, x1), label in zip(points, nontrivial)]
+            + [[R, 0.0, label, "trivial"] for R, label in zip(Rs, trivial)])
     path = out / "diagram.csv"
     _write_csv(path, ["R", "P", "stability", "branch"], rows)
     print(f"wrote {path} ({len(rows)} points)")
@@ -170,6 +168,14 @@ def emit_bifurcation_diagram(path: Path, system: cont.CoralBranchSystem,
     _write_lines(path, ["R", "P", "stability", "delta_u", "branch"], lines)
 
 
+# one box record of the chain, as `json.dumps` writes it: the floats are
+# repr strings, which need no escaping, and bound_by is dumped on its own
+_CHAIN_RECORD = ('{"index": %d, "R": "%r", "delta_alpha": "%r", "delta_u": "%r", '
+                 '"delta_min": "%r", "bound_by": %s, "d": "%r", "K": "%r", "rho": "%r", '
+                 '"xi": "%r", "M1": "%r", "M2": "%r", "M3": "%r", "M4": "%r", "L1": "%r", '
+                 '"L2": "%r", "L4": "%r", "halvings": %d, "linked": %s}')
+
+
 def emit_certificate_chain(path: Path, system: cont.CoralBranchSystem,
                  res: cont.BranchResult) -> None:
     """The certificate chain as compact JSON, written box by box: the
@@ -189,27 +195,12 @@ def emit_certificate_chain(path: Path, system: cont.CoralBranchSystem,
         for i, b in enumerate(res.boxes):
             if i:
                 fh.write(", ")
-            fh.write(json.dumps({
-                "index": b.index,
-                "R": repr(system.R_of_t(b.t)),
-                "delta_alpha": repr(b.delta_alpha),
-                "delta_u": repr(b.delta_u),
-                "delta_min": repr(b.delta_min),
-                "bound_by": b.bound_by,
-                "d": repr(b.hyp.d_u),
-                "K": repr(b.hyp.K),
-                "rho": repr(b.hyp.rho),
-                "xi": repr(b.hyp.xi),
-                "M1": repr(b.hyp.M1),
-                "M2": repr(b.hyp.M2),
-                "M3": repr(b.hyp.M3),
-                "M4": repr(b.hyp.M4),
-                "L1": repr(b.bounds.L1),
-                "L2": repr(b.bounds.L2),
-                "L4": repr(b.bounds.L4),
-                "halvings": b.halvings,
-                "linked": b.linked_to_previous,
-            }))
+            h = b.hyp
+            fh.write(_CHAIN_RECORD % (
+                b.index, system.R_of_t(b.t), b.delta_alpha, b.delta_u, b.delta_min,
+                json.dumps(b.bound_by), h.d_u, h.K, h.rho, h.xi, h.M1, h.M2, h.M3, h.M4,
+                b.bounds.L1, b.bounds.L2, b.bounds.L4, b.halvings,
+                "true" if b.linked_to_previous else "false"))
         fh.write("]}")
 
 

@@ -541,13 +541,65 @@ def _anchor_rounding_gap(t_prev, u_prev, alpha_k, mu, v, sigma, x_corr,
     return np.maximum(np.abs(lo), np.abs(hi)).max(axis=-1)
 
 
+# |gamma| at or below this, on coefficients scaled to max |a| = 1, leaves a
+# Schur-Cohn count to LAPACK: a root lies on or near the unit circle
+_SCHUR_COHN_TOL = 1e-9
+
+
+def _leslie_outside_counts(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For a stack (n, d, d) of Leslie matrices (a dense first row, the
+    subdiagonal, zeros elsewhere): the number of roots outside the unit
+    circle of det(zI - J) = z^d - sum_j J[0,j] (J[1,0]...J[j,j-1]) z^(d-1-j),
+    counted by the Schur-Cohn recursion, and the mask of rows whose count
+    is ambiguous (a root near the circle, a degenerate step, a non-finite
+    entry or a matrix that is not Leslie).
+
+    The recursion takes p of formal degree k (coefficients a_0..a_k,
+    ascending) to T p with c_i = a_0 a_i - a_k a_(k-i), i < k, and gamma =
+    c_0; the roots m inside the disk obey m(p) = m(Tp) for gamma > 0 and
+    m(p) = k - m(Tp) for gamma < 0 (Jury, Theory and Application of the
+    z-Transform Method, 1964)."""
+    n, d = J.shape[0], J.shape[-1]
+    off = np.ones((d, d), dtype=bool)
+    off[0] = False
+    off[np.arange(1, d), np.arange(d - 1)] = False
+    gamma = np.empty((n, d))
+    # a zero or non-finite row gives gamma = 0 or NaN, which marks it ambiguous
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        sub = np.ones((n, d))
+        np.cumprod(J[:, np.arange(1, d), np.arange(d - 1)], axis=1, out=sub[:, 1:])
+        a = np.empty((n, d + 1))
+        a[:, :d] = -(J[:, 0] * sub)[:, ::-1]
+        a[:, d] = 1.0
+        for k in range(d, 0, -1):
+            a /= np.abs(a).max(axis=1, keepdims=True)
+            a = a[:, :1] * a[:, :k] - a[:, k:k + 1] * a[:, k:0:-1]
+            gamma[:, k - 1] = a[:, 0]
+    ambiguous = (J[:, off] != 0.0).any(axis=1) | ~(np.abs(gamma) > _SCHUR_COHN_TOL).all(axis=1)
+    # inside_k = s_k inside_(k-1) + k [gamma_k < 0] with s_k = sign(gamma_k)
+    # and inside_0 = 0: sum the terms k [gamma_k < 0] s_(k+1)...s_d
+    negative = gamma < 0.0
+    signs = np.where(negative, -1, 1)
+    later = np.ones((n, d), dtype=np.int64)
+    np.cumprod(signs[:, :0:-1], axis=1, out=later[:, -2::-1])
+    inside = (negative * np.arange(1, d + 1) * later).sum(axis=1)
+    return d - inside, ambiguous
+
+
 def classify_stability(jac_x: np.ndarray):
     """Non-rigorous: count eigenvalues of D_x f outside the unit circle.
-    A stack of matrices gives the list of their labels."""
-    ev = np.linalg.eigvals(jac_x)
-    idx = (np.abs(ev) > 1.0).sum(axis=-1)
+    A stack of matrices gives the list of their labels.
+
+    D_x f is a Leslie matrix, so the count comes from the Schur-Cohn
+    recursion on its characteristic polynomial; rows whose count is
+    ambiguous take `np.linalg.eigvals`, whose count it equals elsewhere."""
+    J = np.asarray(jac_x, dtype=float)
+    Js = J.reshape(-1, *J.shape[-2:])
+    idx, ambiguous = _leslie_outside_counts(Js)
+    if ambiguous.any():
+        idx[ambiguous] = (np.abs(np.linalg.eigvals(Js[ambiguous])) > 1.0).sum(axis=-1)
     label = lambda i: "stable" if i == 0 else f"unstable({i})"
-    return label(int(idx)) if np.ndim(idx) == 0 else [label(i) for i in idx.tolist()]
+    return label(int(idx[0])) if J.ndim == 2 else [label(i) for i in idx.tolist()]
 
 
 # ---------------------------------------------------------------------------

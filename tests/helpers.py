@@ -3,13 +3,14 @@
 evaluations, used as independent oracles for the soundness checks: a
 certificate claims a true zero within delta_accuracy of the anchor, and a
 50+ digit Newton refinement must land inside that ball.  Also the plain
-forms of two optimised stages, which must give the same results: the
-planner's box climb that predicts every neighbour it reaches, and the
-branch CSV emitters that format box by box.
+forms of optimised stages, which must give the same results: the planner's
+box climb that predicts every neighbour it reaches, the stability labels
+from LAPACK eigenvalues, and the branch emitters that format box by box.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import mpmath as mp
@@ -181,6 +182,15 @@ def plan_box_unpruned(system, t: float, u: np.ndarray, mu: float, v: np.ndarray,
     return d, da
 
 
+def eigvals_labels(jac_x: np.ndarray):
+    """`continuation.classify_stability` by LAPACK: count the eigenvalues
+    of each D_x f outside the unit circle."""
+    ev = np.linalg.eigvals(jac_x)
+    idx = (np.abs(ev) > 1.0).sum(axis=-1)
+    label = lambda i: "stable" if i == 0 else f"unstable({i})"
+    return label(int(idx)) if np.ndim(idx) == 0 else [label(i) for i in idx.tolist()]
+
+
 def emit_branch_csv(path: Path, system, result) -> None:
     """branch.csv written box by box."""
     coral = system.coral
@@ -197,8 +207,8 @@ def emit_branch_csv(path: Path, system, result) -> None:
 
 
 def emit_bifurcation_diagram(path: Path, system, result, trivial_points: int = 400) -> None:
-    """bifurcation_diagram.csv written box by box, with one eigenvalue
-    call per point of the trivial branch."""
+    """bifurcation_diagram.csv written box by box, with one LAPACK
+    eigenvalue call per point of the trivial branch."""
     coral = system.coral
     Rs = [system.R_of_t(b.t) for b in result.boxes]
     lo = min(Rs) if Rs else 1.0
@@ -211,7 +221,47 @@ def emit_bifurcation_diagram(path: Path, system, result, trivial_points: int = 4
         for R in np.linspace(max(lo - 5.0, 1e-3), hi, trivial_points):
             lam = R / coral.cf.ba
             yield [float(R), 0.0,
-                   cont.classify_stability(coral.jac_x(lam, np.zeros(coral.d))),
+                   eigvals_labels(coral.jac_x(lam, np.zeros(coral.d))),
                    "", "trivial"]
 
     _write_csv(path, ["R", "P", "stability", "delta_u", "branch"], rows())
+
+
+def emit_certificate_chain(path: Path, system, res) -> None:
+    """branch_certificates.json with one `json.dumps` per box record."""
+    head = json.dumps({
+        "stop_reason": res.stop_reason,
+        "steps": len(res.boxes),
+        "all_linked": res.all_linked(),
+        "fold_index": res.fold_index,
+        "delta_min_max": repr(max((b.delta_min for b in res.boxes), default=0.0)),
+        "replans": res.replans,
+        "boxes_discarded": res.boxes_discarded,
+    })
+    with path.open("w") as fh:
+        fh.write(head[:-1] + ', "boxes": [')
+        for i, b in enumerate(res.boxes):
+            if i:
+                fh.write(", ")
+            fh.write(json.dumps({
+                "index": b.index,
+                "R": repr(system.R_of_t(b.t)),
+                "delta_alpha": repr(b.delta_alpha),
+                "delta_u": repr(b.delta_u),
+                "delta_min": repr(b.delta_min),
+                "bound_by": b.bound_by,
+                "d": repr(b.hyp.d_u),
+                "K": repr(b.hyp.K),
+                "rho": repr(b.hyp.rho),
+                "xi": repr(b.hyp.xi),
+                "M1": repr(b.hyp.M1),
+                "M2": repr(b.hyp.M2),
+                "M3": repr(b.hyp.M3),
+                "M4": repr(b.hyp.M4),
+                "L1": repr(b.bounds.L1),
+                "L2": repr(b.bounds.L2),
+                "L4": repr(b.bounds.L4),
+                "halvings": b.halvings,
+                "linked": b.linked_to_previous,
+            }))
+        fh.write("]}")

@@ -12,7 +12,7 @@ import helpers
 from certibif import continuation as cont
 from certibif.bifurcation import BifCertificate
 from certibif.cli import (BranchPoints, build_parser, emit_bifurcation_diagram,
-                          emit_branch_csv, main)
+                          emit_branch_csv, emit_certificate_chain, main)
 
 
 def test_transcritical_prints_location(tmp_path, capsys):
@@ -267,7 +267,8 @@ def test_simulate_fixed_x0_without_nontrivial_fixed_point_fails(tmp_path, capsys
 def test_branch_emitters_write_the_reference_bytes(tmp_path, coral, branch_result,
                                                    preconditioned_system, raw_branch_result):
     """The one-pass emitters write the bytes of the box-by-box reference
-    emitters, on the seed-0 branch and on the twenty raw-system boxes."""
+    emitters, on the seed-0 branch and on the twenty raw-system boxes; the
+    chain's one format string writes the bytes of one `json.dumps` per box."""
     runs = [(preconditioned_system, branch_result),
             (cont.CoralBranchSystem(coral), raw_branch_result)]
     for k, (system, res) in enumerate(runs):
@@ -275,7 +276,10 @@ def test_branch_emitters_write_the_reference_bytes(tmp_path, coral, branch_resul
         for name, emit, reference in (
                 ("branch.csv", emit_branch_csv, helpers.emit_branch_csv),
                 ("bifurcation_diagram.csv", emit_bifurcation_diagram,
-                 helpers.emit_bifurcation_diagram)):
+                 helpers.emit_bifurcation_diagram),
+                ("branch_certificates.json",
+                 lambda path, system, res, _: emit_certificate_chain(path, system, res),
+                 helpers.emit_certificate_chain)):
             emit(tmp_path / f"{k}-{name}", system, res, pts)
             reference(tmp_path / f"{k}-reference-{name}", system, res)
             assert ((tmp_path / f"{k}-{name}").read_bytes()

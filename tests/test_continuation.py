@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from certibif.bifurcation import NsSystem, SnSystem, transcritical_analysis
 from certibif.cift import CiftBounds
 from certibif.continuation import (ALPHA_FRAC, BranchBox,
-                                   _anchor_rounding_gap,
+                                   _anchor_rounding_gap, _leslie_outside_counts,
                                    CoralBranchSystem, ExtendedSystem,
                                    SegmentHypotheses, branch_start,
                                    check_link, classify_stability,
@@ -17,7 +18,7 @@ from certibif.errors import CorrectorFailed, TangentUndefined, ValidationFailed
 from certibif.interval import IArray, IMatrix, Interval, IVector, norm_inf
 from certibif.model import FixedPointReduction
 
-from helpers import (jac_lam, map_F, mp_branch_F, mp_coeffs, mp_fd_jacobian,
+from helpers import (eigvals_labels, jac_lam, map_F, mp_branch_F, mp_coeffs, mp_fd_jacobian,
                      mp_refine_branch_point, plan_box_unpruned, scalar_row1, step)
 import mpmath as mp
 
@@ -259,6 +260,57 @@ def test_classify_stability_past_ns(coral):
     lam = 200.0 / coral.cf.ba
     x = red.full_point(max(red.solve(lam)))
     assert classify_stability(coral.jac_x(lam, x)).startswith("unstable")
+
+
+def test_schur_cohn_labels_equal_lapack_labels(coral, branch_result, preconditioned_system,
+                                               raw_branch_result):
+    """The Schur-Cohn counts give LAPACK's labels, with no row left to the
+    eigenvalue fallback, on the seed-0 branch, the twenty raw-system boxes,
+    400 trivial points on each side of R* and a nontrivial diagram sample."""
+    raw = CoralBranchSystem(coral)
+    R_star = transcritical_analysis(coral).R_star
+    red = FixedPointReduction(coral)
+    zero = np.zeros(coral.d)
+    stacks = {
+        "branch": [coral.jac_x(*preconditioned_system.to_raw(b.t, b.u))
+                   for b in branch_result.boxes],
+        "raw branch": [coral.jac_x(*raw.to_raw(b.t, b.u)) for b in raw_branch_result.boxes],
+        "trivial below R*": [coral.jac_x(R / coral.cf.ba, zero)
+                             for R in np.linspace(1e-3, R_star.lo, 400, endpoint=False)],
+        "trivial above R*": [coral.jac_x(R / coral.cf.ba, zero)
+                             for R in np.linspace(R_star.hi, 300.0, 401)[1:]],
+        "nontrivial": [coral.jac_x(red.branch_lambda(x1), red.full_point(x1))
+                       for x1 in np.linspace(3500.0 / red.cP, 1e-6, 400).tolist()],
+    }
+    seen = set()
+    for name, Js in stacks.items():
+        Js = np.stack(Js)
+        assert not _leslie_outside_counts(Js)[1].any(), name
+        labels = classify_stability(Js)
+        assert labels == eigvals_labels(Js), name
+        seen.update(labels)
+    assert {"stable", "unstable(1)", "unstable(2)"} <= seen
+
+
+def test_labels_at_the_certified_anchors_take_the_lapack_fallback(coral, sn_cert, ns_cert):
+    """At the SN and NS anchors an eigenvalue lies within rounding of the
+    unit circle: the Schur-Cohn count is ambiguous there, and the label is
+    LAPACK's, alone and in a stack."""
+    for system, cert in ((SnSystem(coral), sn_cert), (NsSystem(coral), ns_cert)):
+        x, lam = system.x_lam(np.array(cert.anchor))
+        J = coral.jac_x(lam, x)
+        assert np.min(np.abs(np.abs(np.linalg.eigvals(J)) - 1.0)) < 1e-12
+        assert _leslie_outside_counts(J[None])[1].tolist() == [True]
+        assert classify_stability(J) == eigvals_labels(J)
+        Js = np.stack([coral.jac_x(lam, np.zeros(coral.d)), J])
+        assert _leslie_outside_counts(Js)[1].tolist() == [False, True]
+        assert classify_stability(Js) == eigvals_labels(Js)
+
+
+def test_labels_of_matrices_that_are_not_leslie_come_from_lapack():
+    Js = np.random.default_rng(0).normal(size=(20, 13, 13))
+    assert _leslie_outside_counts(Js)[1].all()
+    assert classify_stability(Js) == eigvals_labels(Js)
 
 
 def test_branch_run_links_and_orientation(branch_result):
