@@ -2,7 +2,7 @@
 arithmetic, a constructive implicit function theorem, certified
 pseudo-arclength continuation, and bifurcation certificates."""
 
-from .interval import IMatrix, Interval, IVector, norm_inf
+from .interval import IArray, Interval, norm_inf
 from .model import (CoralMap, CoralParams, DerivedCoefficients,
                     FixedPointReduction, derive_float, derive_generic,
                     derive_interval, lambda_to_R, phi, phi_derivs,

@@ -20,8 +20,8 @@ import numpy as np
 from . import cift
 from .errors import (CertificationFailed, ConditionInconclusive, DomainError,
                      NotInvertibleEvidence, SpectrumInconclusive, ValidationFailed)
-from .interval import (IMatrix, Interval, IVector, dot_seq, float_matmat, norm_inf,
-                       up_dot, up_mul, up_sum, _dn2, _up2)
+from .interval import (IArray, Interval, dot_seq, float_matmat, norm_inf, up_dot, up_mul,
+                       up_sum, _dn2, _up2)
 from .model import (CoralMap, FixedPointReduction, Row1Jet, _bisect, phi_derivs,
                     polyp_density, row1_d2, row1_d3)
 
@@ -87,7 +87,7 @@ _RAD2DEG = Interval(180.0) / _PI_IV
 # ---------------------------------------------------------------------------
 
 
-def verified_solve(A: IMatrix, rhs: IVector, B: np.ndarray | None = None) -> IVector:
+def verified_solve(A: IArray, rhs: IArray, B: np.ndarray | None = None) -> IArray:
     """Enclosure of A^{-1} rhs for every A, rhs in the input enclosures."""
     if B is None:
         B = np.linalg.inv(A.mid)
@@ -97,7 +97,7 @@ def verified_solve(A: IMatrix, rhs: IVector, B: np.ndarray | None = None) -> IVe
     return Bb.widened(r)
 
 
-def _realify(re_m: IMatrix, im_m: IMatrix) -> IMatrix:
+def _realify(re_m: IArray, im_m: IArray) -> IArray:
     n = re_m.shape[0]
     lo = np.empty((2 * n, 2 * n))
     hi = np.empty((2 * n, 2 * n))
@@ -105,18 +105,17 @@ def _realify(re_m: IMatrix, im_m: IMatrix) -> IMatrix:
     lo[n:, n:], hi[n:, n:] = re_m.lo, re_m.hi
     lo[:n, n:], hi[:n, n:] = -im_m.hi, -im_m.lo
     lo[n:, :n], hi[n:, :n] = im_m.lo, im_m.hi
-    return IMatrix(lo, hi)
+    return IArray(lo, hi)
 
 
-def verified_solve_complex(re_m: IMatrix, im_m: IMatrix,
+def verified_solve_complex(re_m: IArray, im_m: IArray,
                            rhs: list[CI]) -> list[CI]:
     """Enclosure of M^{-1} rhs for complex interval M via realification."""
     n = re_m.shape[0]
     rl = np.array([z.re.lo for z in rhs] + [z.im.lo for z in rhs])
     rh = np.array([z.re.hi for z in rhs] + [z.im.hi for z in rhs])
-    sol = verified_solve(_realify(re_m, im_m), IVector(rl, rh))
-    return [CI(Interval(sol.lo[i], sol.hi[i]), Interval(sol.lo[n + i], sol.hi[n + i]))
-            for i in range(n)]
+    sol = verified_solve(_realify(re_m, im_m), IArray(rl, rh))
+    return [CI(sol[i], sol[n + i]) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +124,7 @@ def verified_solve_complex(re_m: IMatrix, im_m: IMatrix,
 
 
 def _put(lo: np.ndarray, hi: np.ndarray, index, v) -> None:
-    """Store an Interval, IVector or IMatrix at lo/hi[index]."""
+    """Store an Interval or IArray at lo/hi[index]."""
     lo[index], hi[index] = v.lo, v.hi
 
 
@@ -137,12 +136,12 @@ def _qb(coeffs, v) -> tuple:
     return qv, bv
 
 
-def _d2_row(coral: CoralMap, lam: Interval, phis, bx: Interval, y) -> IVector:
+def _d2_row(coral: CoralMap, lam: Interval, phis, bx: Interval, y) -> IArray:
     """lam * D^2 g[y, e_k] for k = 1..d: row 1 of the x-derivative of
     D_x f y, in O(d) from q.y and b.y."""
     qy, by = _qb(coral.ci, y)
-    return IVector.from_scalars(lam * row1_d2(phis, bx, qy, by, qk, bk)
-                                for qk, bk in zip(coral.ci.q, coral.ci.b))
+    return IArray.from_scalars(lam * row1_d2(phis, bx, qy, by, qk, bk)
+                               for qk, bk in zip(coral.ci.q, coral.ci.b))
 
 
 def _row1_jvp(coral: CoralMap, lam, x, coeffs, *vecs) -> list:
@@ -155,7 +154,7 @@ def _row1_jvp(coral: CoralMap, lam, x, coeffs, *vecs) -> list:
     return [sum((gj * vj for gj, vj in zip(g1, v)), 0.0 * lam) * lam for v in vecs]
 
 
-def _g1_dot(jet: Row1Jet, y: IVector) -> Interval:
+def _g1_dot(jet: Row1Jet, y: IArray) -> Interval:
     """Dg[y] = sum_j g1_j y_j over the jet's box, summed in j order."""
     return dot_seq(jet.g1.lo, jet.g1.hi, y.lo, y.hi, start=Interval(0.0))
 
@@ -177,7 +176,7 @@ class _PointSystem:
         self.d = coral.d
 
     def split(self, z) -> tuple:
-        """The variables of z (array, scalar list or IVector) in slot order."""
+        """The variables of z (array, scalar list or IArray) in slot order."""
         return tuple(z[s] for s in self.slots)
 
     def join(self, *parts) -> np.ndarray:
@@ -189,8 +188,8 @@ class _PointSystem:
     def value(self, z: np.ndarray) -> np.ndarray:
         return np.array(self.value_scalars(np.asarray(z, dtype=float), self.coral.cf))
 
-    def value_iv(self, z: IVector) -> IVector:
-        return IVector.from_scalars(self.value_scalars(z.to_scalars(), self.coral.ci))
+    def value_iv(self, z: IArray) -> IArray:
+        return IArray.from_scalars(self.value_scalars(z.to_scalars(), self.coral.ci))
 
 
 class NsSystem(_PointSystem):
@@ -267,7 +266,7 @@ class NsSystem(_PointSystem):
         J[3 * d + 2, su] = 2 * u
         return J
 
-    def jac_iv(self, z: IVector) -> IMatrix:
+    def jac_iv(self, z: IArray) -> IArray:
         d = self.d
         _, lam, w, u, a, b = self.split(z.to_scalars())
         X, _, W, U, _, _ = self.split(z)
@@ -298,11 +297,11 @@ class NsSystem(_PointSystem):
         # normalization rows
         _put(lo, hi, (3 * d, sa), 2.0 * a)
         _put(lo, hi, (3 * d, sb), 2.0 * b)
-        _put(lo, hi, (3 * d + 1, sw), W.scale(2.0))
-        _put(lo, hi, (3 * d + 2, su), U.scale(2.0))
-        return IMatrix(lo, hi)
+        _put(lo, hi, (3 * d + 1, sw), W * 2.0)
+        _put(lo, hi, (3 * d + 2, su), U * 2.0)
+        return IArray(lo, hi)
 
-    def hessian_sup(self, box: IVector) -> np.ndarray:
+    def hessian_sup(self, box: IArray) -> np.ndarray:
         d, m = self.d, self.dim
         x_box, lam_box, w_box, u_box, _, _ = self.split(box)
         rb = self.coral.row1_bounds(lam_box, x_box)
@@ -388,7 +387,7 @@ class SnSystem(_PointSystem):
         J[2 * d, sv] = 2 * v
         return J
 
-    def jac_iv(self, z: IVector) -> IMatrix:
+    def jac_iv(self, z: IArray) -> IArray:
         d = self.d
         _, v, lam = self.split(z.to_scalars())
         X, V, _ = self.split(z)
@@ -402,10 +401,10 @@ class SnSystem(_PointSystem):
         _put(lo, hi, (d, sx), _d2_row(self.coral, lam, phis, bx, v))
         _put(lo, hi, (np.s_[d:2 * d], sv), AmI)
         _put(lo, hi, (d, sl), _g1_dot(jet, V))
-        _put(lo, hi, (2 * d, sv), V.scale(2.0))
-        return IMatrix(lo, hi)
+        _put(lo, hi, (2 * d, sv), V * 2.0)
+        return IArray(lo, hi)
 
-    def hessian_sup(self, box: IVector) -> np.ndarray:
+    def hessian_sup(self, box: IArray) -> np.ndarray:
         d, m = self.d, self.dim
         x_box, v_box, lam_box = self.split(box)
         vmag = v_box.mag
@@ -532,7 +531,7 @@ class SpectrumResult:
     outliers_separated: bool
 
 
-def verified_spectrum_inside_disk(A: IMatrix, exclude: int = 2) -> SpectrumResult:
+def verified_spectrum_inside_disk(A: IArray, exclude: int = 2) -> SpectrumResult:
     """Count eigenvalues rigorously strictly inside the unit disk.
 
     Conjugates the enclosure by the numerical eigenvector matrix, bounds
@@ -554,11 +553,11 @@ def verified_spectrum_inside_disk(A: IMatrix, exclude: int = 2) -> SpectrumResul
     Yre = float_matmat(Wr, AVr) - float_matmat(Wi, AVi)
     Yim = float_matmat(Wr, AVi) + float_matmat(Wi, AVr)
     # Z = W V computed rigorously from the float factors
-    Vr_iv, Vi_iv = IMatrix.point(np.real(V)), IMatrix.point(np.imag(V))
+    Vr_iv, Vi_iv = IArray.point(np.real(V)), IArray.point(np.imag(V))
     Zre = float_matmat(Wr, Vr_iv) - float_matmat(Wi, Vi_iv)
     Zim = float_matmat(Wr, Vi_iv) + float_matmat(Wi, Vr_iv)
-    Nre = IMatrix.identity(n) - Zre
-    Nim = IMatrix(np.zeros((n, n)), np.zeros((n, n))) - Zim
+    Nre = -Zre.shifted(1.0)           # I - Z
+    Nim = -Zim
     # |N| and |Y| in the complex row-sum norm, via |z| <= |re| + |im|
     nmag = Nre.mag + Nim.mag
     ymag = Yre.mag + Yim.mag
@@ -573,7 +572,7 @@ def verified_spectrum_inside_disk(A: IMatrix, exclude: int = 2) -> SpectrumResul
     for i in range(n):
         offdiag = float(up_sum(np.delete(ymag[i], i)))
         rad = (Interval(offdiag) + Interval(corr)).hi
-        c = CI(Yre.entry(i, i), Yim.entry(i, i))
+        c = CI(Yre[i, i], Yim[i, i])
         centers.append(complex(c.re.mid, c.im.mid))
         radii.append(rad)
         if (Interval(c.abs_hi()) + Interval(rad)).hi < 1.0:
@@ -586,8 +585,8 @@ def verified_spectrum_inside_disk(A: IMatrix, exclude: int = 2) -> SpectrumResul
 
     def disjoint(i: int, j: int) -> bool:
         # the true Gershgorin disks are contained in disk(Y_ii, radii[i])
-        dre = Yre.entry(i, i) - Yre.entry(j, j)
-        dim_ = Yim.entry(i, i) - Yim.entry(j, j)
+        dre = Yre[i, i] - Yre[j, j]
+        dim_ = Yim[i, i] - Yim[j, j]
         dist_lo = (dre.sqr() + dim_.sqr()).sqrt().lo
         return dist_lo > (Interval(radii[i]) + Interval(radii[j])).hi
 
@@ -665,7 +664,7 @@ class NsBoxData:
     lam: Interval
     a: Interval
     b: Interval
-    A: IMatrix           # D_x f over the box
+    A: IArray            # D_x f over the box
     g1: list             # dg/dx_j
     phis: tuple          # phi .. phi''' at P = q.x
     bx: Interval         # b.x
@@ -673,7 +672,7 @@ class NsBoxData:
     r: list[CI]          # r = conj(p), normalized so that <p, q> = r^t q = 1
 
 
-def _ns_left_row(coral: CoralMap, A_iv: IMatrix, a: Interval, b: Interval,
+def _ns_left_row(coral: CoralMap, A_iv: IArray, a: Interval, b: Interval,
                  box_mid: np.ndarray) -> list[CI]:
     """Enclosure of r = conj(p): the row vector with r^t A = e^{i theta0} r^t,
     normalized by a numerical pinning row (renormalized by callers)."""
@@ -697,11 +696,11 @@ def _ns_left_row(coral: CoralMap, A_iv: IMatrix, a: Interval, b: Interval,
     im_lo[d, :d] = im_hi[d, :d] = pin.imag
     rhs = [CI(0.0, 0.0) for _ in range(n)]
     rhs[d] = CI(1.0, 0.0)
-    sol = verified_solve_complex(IMatrix(re_lo, re_hi), IMatrix(im_lo, im_hi), rhs)
+    sol = verified_solve_complex(IArray(re_lo, re_hi), IArray(im_lo, im_hi), rhs)
     return sol[:d]
 
 
-def ns_box_data(coral: CoralMap, box: IVector, A_iv: IMatrix, jet: Row1Jet) -> NsBoxData:
+def ns_box_data(coral: CoralMap, box: IArray, A_iv: IArray, jet: Row1Jet) -> NsBoxData:
     """The NS condition data over a certified box, given the order-3 row-1
     jet of its x part and the D_x f enclosure built from it."""
     _, lam, w, u, a, b = NsSystem(coral).split(box.to_scalars())
@@ -722,9 +721,9 @@ def ns_condition_c_pair(coral: CoralMap, data: NsBoxData) -> tuple[Interval, Int
     part D_{x lambda} f.  Returns (total, explicit_only)."""
     d = coral.d
     # x0'(lambda) = -(A - I)^{-1} D_lambda f
-    dlam_f = IVector(np.zeros(d), np.zeros(d))
-    _put(dlam_f.lo, dlam_f.hi, 0, data.phis[0] * data.bx)
-    x0p = -verified_solve(data.A - np.eye(d), dlam_f)
+    lo, hi = np.zeros(d), np.zeros(d)
+    _put(lo, hi, 0, data.phis[0] * data.bx)
+    x0p = -verified_solve(data.A.shifted(1.0), IArray(lo, hi))
     chain = _d2_row(coral, data.lam, data.phis, data.bx, x0p.to_scalars()).to_scalars()
     pref = CI(data.a, -data.b) * data.r[0]
 
@@ -736,7 +735,7 @@ def ns_condition_c_pair(coral: CoralMap, data: NsBoxData) -> tuple[Interval, Int
     return total, explicit
 
 
-def ns_condition_d(coral: CoralMap, box: IVector) -> tuple[Interval, dict[str, bool]]:
+def ns_condition_d(coral: CoralMap, box: IArray) -> tuple[Interval, dict[str, bool]]:
     """Resonance exclusion: theta0 avoids the k-th roots of unity, k <= 4.
 
     Returns the enclosure of theta0 in degrees plus per-angle verdicts
@@ -768,13 +767,13 @@ def ns_condition_e(coral: CoralMap, data: NsBoxData) -> Interval:
     term_c = lam * row1_d3(phis, bx, *Q, *Q, *Qbar)
 
     # (I - A)^{-1} B(q, qbar): real matrix, complex right-hand side
-    ImA = IMatrix.identity(d) - data.A
+    ImA = -data.A.shifted(1.0)
     beta1 = B1(Q, Qbar)
     B_pre = np.linalg.inv(ImA.mid)
     e1 = np.zeros(d)
     e1[0] = 1.0
-    z1_re = verified_solve(ImA, IVector.point(e1).scale(beta1.re), B_pre)
-    z1_im = verified_solve(ImA, IVector.point(e1).scale(beta1.im), B_pre)
+    z1_re = verified_solve(ImA, IArray.point(e1) * beta1.re, B_pre)
+    z1_im = verified_solve(ImA, IArray.point(e1) * beta1.im, B_pre)
     z1 = [CI(re, im) for re, im in zip(z1_re.to_scalars(), z1_im.to_scalars())]
     term_b2 = B1(Q, _qb(coral.ci, z1))
 
@@ -784,7 +783,7 @@ def ns_condition_e(coral: CoralMap, data: NsBoxData) -> Interval:
     _put(im_lo, im_hi, (np.arange(d), np.arange(d)), mu2.im)
     rhs = [CI(0.0, 0.0) for _ in range(d)]
     rhs[0] = B1(Q, Q)
-    z2 = verified_solve_complex(-data.A.shifted(mu2.re), IMatrix(im_lo, im_hi), rhs)
+    z2 = verified_solve_complex(-data.A.shifted(mu2.re), IArray(im_lo, im_hi), rhs)
     term_b3 = B1(Qbar, _qb(coral.ci, z2))
 
     total = term_c + CI(2.0 * term_b2.re, 2.0 * term_b2.im) + term_b3
@@ -798,14 +797,14 @@ def certify_ns(coral: CoralMap, anchor: np.ndarray | None = None,
     (a, b), verified spectrum count, and interval conditions (c), (d), (e)."""
     ns = NsSystem(coral)
 
-    def orientation(box: IVector) -> None:
+    def orientation(box: IArray) -> None:
         *_, a_iv, b_iv = ns.split(box)
         if not b_iv.lo > 0.0:
             raise CertificationFailed("stage orientation: sin(theta0) not verified positive")
         if 1.0 not in a_iv.sqr() + b_iv.sqr():
             raise CertificationFailed("stage orientation: a^2 + b^2 enclosure misses 1")
 
-    def conditions(box: IVector, A_iv: IMatrix, jet: Row1Jet) -> tuple[dict, dict]:
+    def conditions(box: IArray, A_iv: IArray, jet: Row1Jet) -> tuple[dict, dict]:
         data = ns_box_data(coral, box, A_iv, jet)
         cond_c, cond_c_explicit = ns_condition_c_pair(coral, data)
         theta, angle_checks = ns_condition_d(coral, box)
@@ -834,7 +833,7 @@ def certify_ns(coral: CoralMap, anchor: np.ndarray | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _sn_left_vector(coral: CoralMap, A_iv: IMatrix, v_mid: np.ndarray) -> IVector:
+def _sn_left_vector(coral: CoralMap, A_iv: IArray, v_mid: np.ndarray) -> IArray:
     """Enclosure of the left kernel vector p of (A - I), pinned by a
     numerical normalization row (callers renormalize to p^t q = 1)."""
     d = coral.d
@@ -850,11 +849,10 @@ def _sn_left_vector(coral: CoralMap, A_iv: IMatrix, v_mid: np.ndarray) -> IVecto
     lo[d, :d] = hi[d, :d] = pin
     rhs = np.zeros(n)
     rhs[d] = 1.0
-    sol = verified_solve(IMatrix(lo, hi), IVector.point(rhs))
-    return IVector(sol.lo[:d], sol.hi[:d])
+    return verified_solve(IArray(lo, hi), IArray.point(rhs))[:d]
 
 
-def sn_conditions(coral: CoralMap, box: IVector, A_iv: IMatrix,
+def sn_conditions(coral: CoralMap, box: IArray, A_iv: IArray,
                   jet: Row1Jet) -> tuple[Interval, Interval]:
     """(c) p^t D_lambda f and (d) p^t B(q, q) over the certified box, with
     q = v and p normalized so that p^t q = 1; `jet` is the order-2 row-1
@@ -887,7 +885,7 @@ def certify_sn(coral: CoralMap, anchor: np.ndarray | None = None,
     """Saddle-node certification: CIFT zero of H_sn, simple-eigenvalue-1
     verification, and interval conditions (c), (d)."""
 
-    def conditions(box: IVector, A_iv: IMatrix, jet: Row1Jet) -> tuple[dict, dict]:
+    def conditions(box: IArray, A_iv: IArray, jet: Row1Jet) -> tuple[dict, dict]:
         cond_c, cond_d = sn_conditions(coral, box, A_iv, jet)
         if cond_c.contains_zero():
             raise CertificationFailed(f"stage condition (c): interval {cond_c} contains 0")
@@ -921,7 +919,7 @@ def _certify(system: "NsSystem | SnSystem", anchor: np.ndarray, ell: float,
     except (ValidationFailed, DomainError) as exc:
         raise CertificationFailed(f"stage cift: {exc}") from exc
     anchor = np.asarray(anchor, float)
-    box = IVector.around(anchor, base.delta_accuracy)
+    box = IArray.around(anchor, base.delta_accuracy)
     if orientation is not None:
         orientation(box)
 

@@ -6,8 +6,8 @@ A *zero problem* is any object with
     dim            -- ambient dimension m
     value(z)       -- float residual, shape (m,)
     jac(z)         -- float Jacobian, shape (m, m)
-    value_iv(ziv)  -- interval residual (IVector in/out)
-    jac_iv(ziv)    -- interval Jacobian (IMatrix)
+    value_iv(ziv)  -- interval residual (1-D IArray in and out)
+    jac_iv(ziv)    -- interval Jacobian (2-D IArray)
     hessian_sup(box) -- array T of shape (m, m, m) with
                         T[i, k, j] >= sup_box |d2 H_i / dz_k dz_j|
     name           -- short identifier for certificates
@@ -29,8 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import NotInvertibleEvidence, ValidationFailed
-from .interval import (IArray, IMatrix, Interval, IVector, float_matmat,
-                       norm_inf, up_dot, up_mul, up_sum)
+from .interval import IArray, Interval, float_matmat, norm_inf, up_dot, up_mul, up_sum
 
 
 @dataclass(frozen=True)
@@ -133,17 +132,18 @@ def preconditioner_hash(B: np.ndarray) -> str:
 
 def residual_bound(problem, z0: np.ndarray, B: np.ndarray) -> float:
     """Upper bound of |B H(z0)|_inf."""
-    r = problem.value_iv(IVector.point(np.asarray(z0, dtype=float)))
+    r = problem.value_iv(IArray.point(np.asarray(z0, dtype=float)))
     return norm_inf(float_matmat(B, r)).hi
 
 
-def neumann_rho(A: IMatrix, B: np.ndarray):
+def neumann_rho(A: IArray, B: np.ndarray):
     """Upper bound rho1 of |I - B A| for every A in the enclosure, verified
     < 1 in interval arithmetic (so A and B are invertible); otherwise
-    raises NotInvertibleEvidence.  I - BA is the negated TwoSum diagonal
-    shift of BA, so entries whose difference is exact stay exact.  Stacked
-    A and B give one bound per matrix."""
-    rho1 = norm_inf(-float_matmat(B, A).shifted(1.0)).hi
+    raises NotInvertibleEvidence.  The bound is the largest row sum of
+    |BA - I|, whose diagonal shift rounds as TwoSum does, so entries whose
+    difference is exact stay exact.  Stacked A and B give one bound per
+    matrix."""
+    rho1 = up_sum(float_matmat(B, A).shifted(1.0).mag, axis=-1).max(axis=-1)
     bad = np.flatnonzero(~(np.ravel(rho1) < 1.0))
     if bad.size:
         i = int(bad[0])
@@ -154,7 +154,7 @@ def neumann_rho(A: IMatrix, B: np.ndarray):
     return rho1
 
 
-def inverse_bound(A: IMatrix, B: np.ndarray):
+def inverse_bound(A: IArray, B: np.ndarray):
     """Neumann-series bounds: K >= |A^{-1}| and err >= |B - A^{-1}|,
     given |I - B A| <= rho1 < 1 from neumann_rho (arrays for a stack)."""
     B = np.asarray(B, dtype=float)
@@ -185,7 +185,7 @@ def lipschitz_from_tensor(T: np.ndarray, absB: np.ndarray) -> float:
 
 def lipschitz_L1(problem, z0: np.ndarray, ell: float, absB: np.ndarray) -> float:
     """Lipschitz bound for B DH over z0 +- ell, given |B|."""
-    box = IVector.around(np.asarray(z0, dtype=float), ell)
+    box = IArray.around(np.asarray(z0, dtype=float), ell)
     return lipschitz_from_tensor(problem.hessian_sup(box), absB)
 
 
@@ -441,7 +441,7 @@ def validate_zero(problem, z0: np.ndarray, ell: float = 1e-6) -> Certificate:
 
     L1 = lipschitz_L1(problem, z0, ell, np.abs(B))
     rho = residual_bound(problem, z0, B)
-    J = problem.jac_iv(IVector.point(z0))
+    J = problem.jac_iv(IArray.point(z0))
     bad = int(np.count_nonzero(~(np.isfinite(J.lo) & np.isfinite(J.hi))))
     if bad:
         raise ValidationFailed(f"(H2) failed: anchor Jacobian enclosure has {bad} "

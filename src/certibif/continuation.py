@@ -33,8 +33,7 @@ import numpy as np
 from . import cift
 from .errors import (CorrectorFailed, NotInvertibleEvidence, TangentUndefined,
                      ValidationFailed)
-from .interval import (_EPS, FloatHull, IArray, IMatrix, Interval, IVector,
-                       _adn, _aup, _mul_bounds, _sum_bounds, float_matmat,
+from .interval import (_EPS, FloatHull, IArray, Interval, _adn, _aup, float_matmat,
                        norm_inf, up_mul, up_sum)
 from .model import CoralMap, FixedPointReduction, phi_derivs
 
@@ -57,7 +56,7 @@ class CoralBranchSystem:
         # the constant entries of D_u F: s_j/s_0 scales row 1, and the
         # subdiagonal is S_k s_k/s_{k+1}
         r0 = s / s[0]
-        self._ratio0_lo, self._ratio0_hi = _adn(r0), _aup(r0)
+        self._ratio0_iv = IArray(_adn(r0), _aup(r0))
         # lipschitz_M's scalings of row 1's gradient and Hessian
         self._ratio0 = r0
         self._Sqq, self._Sqb = coral.hessian_weights(up_mul(np.outer(s, s) / s[0], 1.0))
@@ -70,12 +69,11 @@ class CoralBranchSystem:
         self._Jx[k + 1, k] = S
         self._A = np.zeros((self.d, self.d + 1))
         self._A[:, 1:] = self._Jx * s[None, :] / s[:, None] - np.eye(self.d)
-        # rows 2..d of D_u F - the subdiagonal minus I - once; eval_iv fills
-        # row 1 per call
-        lo, hi = np.zeros((self.d, self.d)), np.zeros((self.d, self.d))
-        lo[k + 1, k], hi[k + 1, k] = _mul_bounds(S, S, _adn(r1), _aup(r1))
-        Ju = IMatrix(lo, hi).shifted(1.0)
-        self._Ju_lo, self._Ju_hi = Ju.lo, Ju.hi
+        # the constant subdiagonal of D_u F, S_k s_k/s_{k+1}, once; eval_iv
+        # fills row 1 and subtracts I per call
+        sub = IArray(_adn(r1), _aup(r1)) * S
+        self._Ju_lo, self._Ju_hi = np.zeros((self.d, self.d)), np.zeros((self.d, self.d))
+        self._Ju_lo[k + 1, k], self._Ju_hi[k + 1, k] = sub.lo, sub.hi
         self._S = S
         self._ct_iv = Interval.point(self.rscale) / coral.ci.ba   # dlambda/dt
         self._ct = self.rscale / coral.cf.ba
@@ -146,34 +144,30 @@ class CoralBranchSystem:
 
     # -- interval evaluation ------------------------------------------------
 
-    def eval_iv(self, t, u: IVector) -> tuple[IVector, IMatrix, IVector]:
+    def eval_iv(self, t, u: IArray) -> tuple[IArray, IArray, IArray]:
         """Interval (F, D_u F, D_t F) at interval points or boxes, from one
         row-1 jet of x = s (.) u: t an `Interval` with u of shape (d,), or
         t an `IArray` of shape (n,) with u of shape (n, d) for a stack."""
         d = self.d
         lead = u.lo.shape[:-1]
-        col = lambda a: np.asarray(a)[..., None]
         lam = self._ct_iv * t
-        x = IVector(*_mul_bounds(self.s, self.s, u.lo, u.hi))
+        x = u * self.s
         jet = self.coral.row1_jet(x)
         # F = f(lambda, x) / s - u; rows 2..d of f are S_k x_k
         flo, fhi = np.empty(lead + (d,)), np.empty(lead + (d,))
-        f0 = lam * jet.phis[0] * jet.bx
+        f0, f_rest = lam * jet.phis[0] * jet.bx, x[..., :-1] * self._S
         flo[..., 0], fhi[..., 0] = f0.lo, f0.hi
-        flo[..., 1:], fhi[..., 1:] = _mul_bounds(self._S, self._S, x.lo[..., :-1],
-                                                 x.hi[..., :-1])
-        F = IVector(*_sum_bounds(_adn(flo / self.s), _aup(fhi / self.s), -u.hi, -u.lo))
+        flo[..., 1:], fhi[..., 1:] = f_rest.lo, f_rest.hi
+        F = IArray(flo, fhi) / self.s - u
+        # D_u F = (row 1 of D_x f scaled by s_j / s_0, the constant subdiagonal) - I
+        row0 = jet.g1 * (lam[..., None] if isinstance(lam, IArray) else lam) * self._ratio0_iv
         lo = np.broadcast_to(self._Ju_lo, lead + (d, d)).copy()
         hi = np.broadcast_to(self._Ju_hi, lead + (d, d)).copy()
-        lo[..., 0, :], hi[..., 0, :] = _mul_bounds(
-            *_mul_bounds(col(lam.lo), col(lam.hi), jet.g1.lo, jet.g1.hi),
-            self._ratio0_lo, self._ratio0_hi)
-        # the diagonal shift of row 1, rounded as IMatrix.shifted rounds
-        lo[..., 0, 0], hi[..., 0, 0] = _sum_bounds(lo[..., 0, 0], hi[..., 0, 0], -1.0, -1.0)
+        lo[..., 0, :], hi[..., 0, :] = row0.lo, row0.hi
         jt = self._ct_iv * jet.g / Interval.point(float(self.s[0]))
-        Jt = IVector(np.zeros(lead + (d,)), np.zeros(lead + (d,)))
-        Jt.lo[..., 0], Jt.hi[..., 0] = jt.lo, jt.hi
-        return F, IMatrix(lo, hi), Jt
+        Jt_lo, Jt_hi = np.zeros(lead + (d,)), np.zeros(lead + (d,))
+        Jt_lo[..., 0], Jt_hi[..., 0] = jt.lo, jt.hi
+        return F, IArray(lo, hi).shifted(1.0), IArray(Jt_lo, Jt_hi)
 
     # -- Lipschitz data over a box -------------------------------------------
 
@@ -190,7 +184,7 @@ class CoralBranchSystem:
         (D_u F)_1k = tg_k.  lambda is affine in t, so M4 = 0."""
         t0, u0, d = (np.asarray(a, dtype=float) for a in (t0, u0, d))
         rad = _aup(self.s * d[..., None])
-        x_box = IVector(_adn(_adn(self.s * u0) - rad), _aup(_aup(self.s * u0) + rad))
+        x_box = IArray(_adn(_adn(self.s * u0) - rad), _aup(_aup(self.s * u0) + rad))
         lam_mag = (self._ct_iv * IArray.around(t0, d)).mag
         jet = self.coral.row1_jet(x_box, order=2)
         g2 = up_mul(up_mul((jet.phis[2] * jet.bx).mag, self._Sqq)
@@ -266,7 +260,7 @@ class ExtendedSystem:
         J[1:] = A
         return J
 
-    def jac_iv_at_origin(self, Ju: IMatrix, Jt: IVector) -> IMatrix:
+    def jac_iv_at_origin(self, Ju: IArray, Jt: IArray) -> IArray:
         """Interval enclosure of D_{(sigma,x)} G(0, (0,0)) -- the (P2) matrix --
         from enclosures (Ju, Jt) of (D_u F, D_t F) at (t0, u0)."""
         d = self.sys.d
@@ -277,16 +271,15 @@ class ExtendedSystem:
         lo[..., 0, 1:] = hi[..., 0, 1:] = self.v
         lo[..., 1:, 0], hi[..., 1:, 0] = Jt.lo, Jt.hi
         lo[..., 1:, 1:], hi[..., 1:, 1:] = Ju.lo, Ju.hi
-        return IMatrix(lo, hi)
+        return IArray(lo, hi)
 
-    def drift_iv(self, Ju: IMatrix, Jt: IVector) -> IVector:
+    def drift_iv(self, Ju: IArray, Jt: IArray) -> IArray:
         """Enclosure of D_t F mu + D_u F v, the alpha-derivative of G's F
         rows, as one product of the row (mu, v) with [D_t F | D_u F]^T."""
         row = np.concatenate([np.asarray(self.mu)[..., None], self.v], axis=-1)[..., None, :]
-        JT = IMatrix(np.concatenate([Jt.lo[..., None, :], np.swapaxes(Ju.lo, -1, -2)], axis=-2),
-                     np.concatenate([Jt.hi[..., None, :], np.swapaxes(Ju.hi, -1, -2)], axis=-2))
-        out = float_matmat(row, JT)
-        return IVector(out.lo[..., 0, :], out.hi[..., 0, :])
+        JT = IArray(np.concatenate([Jt.lo[..., None, :], np.swapaxes(Ju.lo, -1, -2)], axis=-2),
+                    np.concatenate([Jt.hi[..., None, :], np.swapaxes(Ju.hi, -1, -2)], axis=-2))
+        return float_matmat(row, JT)[..., 0, :]
 
 
 # relative size of the second-smallest singular value below which the
@@ -448,7 +441,7 @@ def segment_anchor(system: CoralBranchSystem, t0: np.ndarray, u0: np.ndarray,
     Raises NotInvertibleEvidence, whose `index` names the first failing
     segment, when (P2) fails."""
     ext = ExtendedSystem(system, t0, u0, mu, v)
-    F, Ju, Jt = system.eval_iv(IArray.point(ext.t0), IVector.point(ext.u0))
+    F, Ju, Jt = system.eval_iv(IArray.point(ext.t0), IArray.point(ext.u0))
     rho = norm_inf(F).hi
     xi = norm_inf(ext.drift_iv(Ju, Jt)).hi
     try:
@@ -529,16 +522,12 @@ def _anchor_rounding_gap(t_prev, u_prev, alpha_k, mu, v, sigma, x_corr,
                          t_next, u_next):
     """Upper bound of |float_anchor - (anchor + alpha*dir + corr)|_inf,
     with t as component 0: ((anchor + alpha*dir) + corr) - float_anchor
-    in interval arithmetic on endpoint arrays; stacked inputs give one
-    bound per step."""
+    in `IArray` arithmetic; stacked inputs give one bound per step."""
     pt = lambda t, u: np.concatenate([np.asarray(t, dtype=float)[..., None], u], axis=-1)
     prev, d, corr, new = pt(t_prev, u_prev), pt(mu, v), pt(sigma, x_corr), pt(t_next, u_next)
     a = np.asarray(alpha_k, dtype=float)[..., None]
-    lo, hi = _mul_bounds(a, a, d, d)
-    lo, hi = _sum_bounds(prev, prev, lo, hi)
-    lo, hi = _sum_bounds(lo, hi, corr, corr)
-    lo, hi = _sum_bounds(lo, hi, -new, -new)
-    return np.maximum(np.abs(lo), np.abs(hi)).max(axis=-1)
+    I = IArray.point
+    return (I(prev) + I(d) * a + I(corr) - I(new)).mag.max(axis=-1)
 
 
 # |gamma| at or below this, on coefficients scaled to max |a| = 1, leaves a

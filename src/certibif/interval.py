@@ -1,9 +1,11 @@
-"""Outward-rounded interval arithmetic on scalars, vectors and matrices.
+"""Outward-rounded interval arithmetic on scalars and arrays.
 
-Scalars are inf-sup pairs of floats.  Vectors and matrices are backed by
-numpy endpoint arrays so that the linear algebra used by the validation
-machinery (residuals, preconditioned Jacobians, Neumann bounds) stays
-cheap in dimensions up to ~50.
+`Interval` is an inf-sup pair of floats.  `IArray` is one array type for
+vectors, matrices and stacks of either: a pair of numpy endpoint arrays
+whose shape says which, rounded entry by entry as `Interval` rounds, so
+that the linear algebra used by the validation machinery (residuals,
+preconditioned Jacobians, Neumann bounds) stays cheap in dimensions up to
+~50.  `FloatHull` is a non-rigorous float scalar for estimates.
 
 Rounding model: IEEE basic operations (+, -, *, /, sqrt) are correctly
 rounded to nearest, with gradual underflow, so one ``nextafter`` step past
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -256,183 +258,13 @@ class Interval:
         m = self.mig
         return Interval(max(0.0, _dn(m * m)), _up(self.mag * self.mag))
 
-    def abs(self) -> "Interval":
-        return Interval(self.mig, self.mag)
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
     def widened(self, rad: float) -> "Interval":
         return Interval(_dn(self.lo - rad), _up(self.hi + rad))
 
 
 # ---------------------------------------------------------------------------
-# numpy-backed interval vectors and matrices
+# numpy-backed interval arrays
 # ---------------------------------------------------------------------------
-
-
-class IVector:
-    """Vector of intervals as a pair of endpoint arrays; leading axes, if
-    any, stack independent vectors (the last axis is the vector)."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: np.ndarray, hi: np.ndarray):
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        if lo.shape != hi.shape or lo.ndim < 1:
-            raise DomainError("endpoint shape mismatch")
-        if not (lo <= hi).all():         # also False at NaN endpoints
-            raise DomainError("invalid endpoints")
-        self.lo = lo
-        self.hi = hi
-
-    @staticmethod
-    def point(x: Sequence[float] | np.ndarray) -> "IVector":
-        x = np.asarray(x, dtype=float)
-        return IVector(x.copy(), x.copy())
-
-    @staticmethod
-    def around(x: np.ndarray, rad: float | np.ndarray) -> "IVector":
-        x = np.asarray(x, dtype=float)
-        return IVector(_adn(x - rad), _aup(x + rad))
-
-    @staticmethod
-    def from_scalars(vals: Iterable[Interval]) -> "IVector":
-        vals = list(vals)
-        return IVector(np.array([v.lo for v in vals]), np.array([v.hi for v in vals]))
-
-    def to_scalars(self) -> list[Interval]:
-        return [Interval(float(l), float(h)) for l, h in zip(self.lo, self.hi)]
-
-    def __len__(self) -> int:
-        return self.lo.shape[0]
-
-    def __getitem__(self, i: int | slice) -> "Interval | IVector":
-        if isinstance(i, slice):
-            return IVector(self.lo[i], self.hi[i])
-        return Interval(float(self.lo[i]), float(self.hi[i]))
-
-    def __repr__(self) -> str:
-        return f"IVector(lo={self.lo!r}, hi={self.hi!r})"
-
-    @property
-    def mid(self) -> np.ndarray:
-        return 0.5 * (self.lo + self.hi)
-
-    @property
-    def mag(self) -> np.ndarray:
-        """Componentwise upper bound of |x| (exact)."""
-        return np.maximum(np.abs(self.lo), np.abs(self.hi))
-
-    def __neg__(self) -> "IVector":
-        return IVector(-self.hi, -self.lo)
-
-    def __add__(self, other: "IVector | np.ndarray") -> "IVector":
-        if isinstance(other, IVector):
-            return IVector(_adn(self.lo + other.lo), _aup(self.hi + other.hi))
-        o = np.asarray(other, dtype=float)
-        return IVector(_adn(self.lo + o), _aup(self.hi + o))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "IVector | np.ndarray") -> "IVector":
-        if isinstance(other, IVector):
-            return IVector(_adn(self.lo - other.hi), _aup(self.hi - other.lo))
-        o = np.asarray(other, dtype=float)
-        return IVector(_adn(self.lo - o), _aup(self.hi - o))
-
-    def __rsub__(self, other: np.ndarray) -> "IVector":
-        return IVector.point(np.asarray(other, dtype=float)) - self
-
-    def scale(self, c: ScalarLike) -> "IVector":
-        c = Interval._coerce(c)
-        if c is None:
-            raise TypeError("scale expects an Interval or a real number")
-        lo, hi = _mul_bounds(self.lo, self.hi, c.lo, c.hi)
-        return IVector(lo, hi)
-
-    def contains_point(self, x: np.ndarray) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(self.lo <= x) and np.all(x <= self.hi))
-
-    def widened(self, rad: float | np.ndarray) -> "IVector":
-        return IVector(_adn(self.lo - rad), _aup(self.hi + rad))
-
-
-class IMatrix:
-    """Matrix of intervals as a pair of endpoint arrays; leading axes, if
-    any, stack independent matrices (the last two axes are the matrix)."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: np.ndarray, hi: np.ndarray):
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        if lo.shape != hi.shape or lo.ndim < 2:
-            raise DomainError("endpoint shape mismatch")
-        if not (lo <= hi).all():         # also False at NaN endpoints
-            raise DomainError("invalid endpoints")
-        self.lo = lo
-        self.hi = hi
-
-    @staticmethod
-    def point(m: np.ndarray) -> "IMatrix":
-        m = np.asarray(m, dtype=float)
-        return IMatrix(m.copy(), m.copy())
-
-    @staticmethod
-    def identity(n: int) -> "IMatrix":
-        e = np.eye(n)
-        return IMatrix(e.copy(), e.copy())
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.lo.shape
-
-    @property
-    def mid(self) -> np.ndarray:
-        return 0.5 * (self.lo + self.hi)
-
-    @property
-    def mag(self) -> np.ndarray:
-        return np.maximum(np.abs(self.lo), np.abs(self.hi))
-
-    @property
-    def T(self) -> "IMatrix":
-        return IMatrix(np.swapaxes(self.lo, -1, -2), np.swapaxes(self.hi, -1, -2))
-
-    def __neg__(self) -> "IMatrix":
-        return IMatrix(-self.hi, -self.lo)
-
-    def __add__(self, other: "IMatrix | np.ndarray") -> "IMatrix":
-        if isinstance(other, IMatrix):
-            return IMatrix(_adn(self.lo + other.lo), _aup(self.hi + other.hi))
-        o = np.asarray(other, dtype=float)
-        return IMatrix(_adn(self.lo + o), _aup(self.hi + o))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "IMatrix | np.ndarray") -> "IMatrix":
-        if isinstance(other, IMatrix):
-            return IMatrix(_adn(self.lo - other.hi), _aup(self.hi - other.lo))
-        o = np.asarray(other, dtype=float)
-        return IMatrix(_adn(self.lo - o), _aup(self.hi - o))
-
-    def __rsub__(self, other: np.ndarray) -> "IMatrix":
-        return IMatrix.point(np.asarray(other, dtype=float)) - self
-
-    def shifted(self, s: ScalarLike) -> "IMatrix":
-        """self - s I, the diagonal rounded as `Interval.__sub__` rounds, so
-        diagonal entries that stay exact stay points."""
-        s = Interval._coerce(s)
-        lo, hi = self.lo.copy(), self.hi.copy()
-        i = np.arange(self.shape[-1])
-        lo[..., i, i], hi[..., i, i] = _sum_bounds(lo[..., i, i], hi[..., i, i], -s.hi, -s.lo)
-        return IMatrix(lo, hi)
-
-    def entry(self, i: int, j: int) -> Interval:
-        return Interval(float(self.lo[i, j]), float(self.hi[i, j]))
 
 
 def _mul_bounds(alo, ahi, blo, bhi):
@@ -489,7 +321,7 @@ def dot_seq(alo, ahi, blo, bhi, start=None):
             lo, hi, first = start.lo, start.hi, 0
         for j in range(first, plo.shape[-1]):
             lo, hi = _sum_bounds(lo, hi, plo[..., j], phi_[..., j])
-        return IArray(lo, hi)
+        return IArray._of(lo, hi)
     if start is None:
         lo, hi, plo, phi_ = float(plo[0]), float(phi_[0]), plo[1:], phi_[1:]
     else:
@@ -500,22 +332,42 @@ def dot_seq(alo, ahi, blo, bhi, start=None):
 
 
 class IArray:
-    """An array of independent intervals: entry i of every result equals
-    the scalar `Interval` operation on entry i bit for bit (TwoSum sums,
-    outward-stepped products and quotients, libm exp per endpoint with the
-    two-ulp guard).  It is the scalar type of stacked evaluations, so one
+    """An array of intervals as a pair of endpoint arrays; the shape
+    carries the meaning.  The last axis is a vector, the last two a matrix,
+    and leading axes stack independent vectors or matrices.  Entry i of
+    every elementwise result equals the scalar `Interval` operation on
+    entry i bit for bit (TwoSum sums, outward-stepped products and
+    quotients, libm exp per endpoint with the two-ulp guard), so one
     generic formula serves a single point (`Interval`) and a stack.
-    Endpoints are not validated; NaN candidates saturate to [-inf, inf]."""
+    The constructor rejects NaN and inverted endpoints; results of the
+    arithmetic are valid by construction and skip that check.  NaN
+    candidates saturate to [-inf, inf]."""
 
     __slots__ = ("lo", "hi")
-    __array_ufunc__ = None       # numpy scalars defer to the reflected operators
+    __array_ufunc__ = None       # numpy operands defer to the reflected operators
 
     def __init__(self, lo, hi):
-        self.lo = np.asarray(lo, dtype=float)
-        self.hi = np.asarray(hi, dtype=float)
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        if lo.shape != hi.shape:
+            raise DomainError("endpoint shape mismatch")
+        if not (lo <= hi).all():         # also False at NaN endpoints
+            raise DomainError("invalid endpoints")
+        self.lo = lo
+        self.hi = hi
+
+    @staticmethod
+    def _of(lo, hi) -> "IArray":
+        """The IArray of endpoints that are valid by construction."""
+        x = object.__new__(IArray)
+        x.lo = np.asarray(lo, dtype=float)
+        x.hi = np.asarray(hi, dtype=float)
+        return x
 
     @staticmethod
     def point(x) -> "IArray":
+        """x as a point array; lo and hi are one array, so copy it before
+        writing endpoints in place."""
         x = np.asarray(x, dtype=float)
         return IArray(x, x)
 
@@ -525,45 +377,87 @@ class IArray:
         return IArray(_adn(x - rad), _aup(x + rad))
 
     @staticmethod
+    def from_scalars(vals: Iterable[Interval]) -> "IArray":
+        vals = list(vals)
+        return IArray._of([v.lo for v in vals], [v.hi for v in vals])
+
+    def to_scalars(self) -> list[Interval]:
+        return [Interval(l, h) for l, h in zip(self.lo.tolist(), self.hi.tolist())]
+
+    @staticmethod
     def _ends(x):
         if isinstance(x, (IArray, Interval)):
             return x.lo, x.hi
         return x, x
 
-    @property
-    def mag(self) -> np.ndarray:
-        return np.maximum(np.abs(self.lo), np.abs(self.hi))
+    def __getitem__(self, idx) -> "Interval | IArray":
+        """numpy indexing; a single entry is an `Interval`."""
+        lo, hi = self.lo[idx], self.hi[idx]
+        if np.ndim(lo) == 0:
+            return Interval(lo, hi)
+        return IArray._of(lo, hi)
 
     def __repr__(self) -> str:
         return f"IArray(lo={self.lo!r}, hi={self.hi!r})"
 
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.lo.shape
+
+    @property
+    def mid(self) -> np.ndarray:
+        return 0.5 * (self.lo + self.hi)
+
+    @property
+    def mag(self) -> np.ndarray:
+        """Entrywise upper bound of |x| (exact)."""
+        return np.maximum(np.abs(self.lo), np.abs(self.hi))
+
+    @property
+    def T(self) -> "IArray":
+        """The last two axes swapped."""
+        return IArray._of(np.swapaxes(self.lo, -1, -2), np.swapaxes(self.hi, -1, -2))
+
     def __neg__(self) -> "IArray":
-        return IArray(-self.hi, -self.lo)
+        return IArray._of(-self.hi, -self.lo)
 
     def __add__(self, other) -> "IArray":
         blo, bhi = self._ends(other)
-        return IArray(*_sum_bounds(self.lo, self.hi, blo, bhi))
+        return IArray._of(*_sum_bounds(self.lo, self.hi, blo, bhi))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "IArray":
         blo, bhi = self._ends(other)
-        return IArray(*_sum_bounds(self.lo, self.hi, np.negative(bhi), np.negative(blo)))
+        return IArray._of(*_sum_bounds(self.lo, self.hi, np.negative(bhi), np.negative(blo)))
 
     def __mul__(self, other) -> "IArray":
         blo, bhi = self._ends(other)
-        return IArray(*_mul_bounds(self.lo, self.hi, blo, bhi))
+        return IArray._of(*_mul_bounds(self.lo, self.hi, blo, bhi))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "IArray":
         blo, bhi = self._ends(other)
-        return IArray(*_div_bounds(self.lo, self.hi, blo, bhi))
+        return IArray._of(*_div_bounds(self.lo, self.hi, blo, bhi))
 
     def exp(self) -> "IArray":
         lo = np.array([_exp_dn(x) for x in self.lo.ravel().tolist()]).reshape(self.lo.shape)
         hi = np.array([_exp_up(x) for x in self.hi.ravel().tolist()]).reshape(self.hi.shape)
-        return IArray(lo, hi)
+        return IArray._of(lo, hi)
+
+    def shifted(self, s: ScalarLike) -> "IArray":
+        """self - s I on the last two axes, the diagonal rounded as
+        `Interval.__sub__` rounds, so diagonal entries that stay exact stay
+        points."""
+        slo, shi = self._ends(s)
+        lo, hi = self.lo.copy(), self.hi.copy()
+        i = np.arange(self.shape[-1])
+        lo[..., i, i], hi[..., i, i] = _sum_bounds(lo[..., i, i], hi[..., i, i], -shi, -slo)
+        return IArray._of(lo, hi)
+
+    def widened(self, rad) -> "IArray":
+        return IArray(_adn(self.lo - rad), _aup(self.hi + rad))
 
 
 @functools.lru_cache(maxsize=64)
@@ -575,10 +469,11 @@ def _gamma(k: int) -> tuple[float, float]:
     return g, (Interval(1.0) / (Interval(1.0) - Interval(g))).hi
 
 
-def float_matmat(B: np.ndarray, A: "IMatrix | IVector") -> "IMatrix | IVector":
-    """Rigorous product of a float matrix with an interval matrix, or with
-    an interval vector taken as one column.  A @ B for interval A and float
-    B is float_matmat(B.T, A.T).T.
+def float_matmat(B: np.ndarray, A: IArray) -> IArray:
+    """Rigorous product of a float matrix with the interval matrix in A's
+    last two axes; a 1-D A is one column and gives a 1-D result, as in
+    `np.matmul`.  A @ B for interval A and float B is
+    float_matmat(B.T, A.T).T.
 
     Midpoint-radius form: A lies in m +- r, so B A lies in B m +- |B| r.
     The centre C = fl(B m) and the radius product fl(|B| R) are single
@@ -590,8 +485,8 @@ def float_matmat(B: np.ndarray, A: "IMatrix | IVector") -> "IMatrix | IVector":
     overflows or whose radius is infinite or NaN (0 * inf) saturate to
     [-inf, inf].  Leading axes of B and A stack independent products (one
     batched BLAS call); the bound holds for each slice."""
-    vec = isinstance(A, IVector)
-    alo, ahi = (A.lo[..., None], A.hi[..., None]) if vec else (A.lo, A.hi)
+    vec = A.lo.ndim == 1
+    alo, ahi = (A.lo[:, None], A.hi[:, None]) if vec else (A.lo, A.hi)
     B = np.asarray(B, dtype=float)
     k = B.shape[-1]
     if k != alo.shape[-2]:
@@ -616,8 +511,8 @@ def float_matmat(B: np.ndarray, A: "IMatrix | IVector") -> "IMatrix | IVector":
     if bad.any():
         lo, hi = np.where(bad, -_INF, lo), np.where(bad, _INF, hi)
     if vec:
-        return IVector(lo[..., 0], hi[..., 0])
-    return IMatrix(lo, hi)
+        return IArray._of(lo[:, 0], hi[:, 0])
+    return IArray._of(lo, hi)
 
 
 class FloatHull:
@@ -674,27 +569,15 @@ class FloatHull:
 # ---------------------------------------------------------------------------
 
 
-def norm_inf(x: "IVector | IMatrix") -> "Interval | IArray":
-    """Max norm for vectors, induced max-row-sum norm for matrices.
-
-    The upper endpoint dominates the norm of every point element of the
-    enclosure; the lower endpoint is a valid lower bound for it.  A stack
-    of vectors or matrices gives the `IArray` of their norms.
-    """
-    if not isinstance(x, (IVector, IMatrix)):
-        raise TypeError(f"norm_inf undefined for {type(x)!r}")
-    mags_hi = x.mag
-    mags_lo = np.where((x.lo <= 0.0) & (x.hi >= 0.0), 0.0,
-                       np.minimum(np.abs(x.lo), np.abs(x.hi)))
-    if isinstance(x, IVector):
-        lo, hi = mags_lo.max(axis=-1), mags_hi.max(axis=-1)
-        stacked = x.lo.ndim > 1
-    else:
-        hi = up_sum(mags_hi, axis=-1).max(axis=-1)
-        lo = np.minimum(dn_sum(mags_lo, axis=-1).max(axis=-1), hi)
-        stacked = x.lo.ndim > 2
-    if stacked:
-        return IArray(lo, hi)
+def norm_inf(x: IArray) -> "Interval | IArray":
+    """Max norm over the last axis: an `Interval` for one vector, the
+    `IArray` of the norms for a stack.  The upper endpoint dominates the
+    norm of every point of the enclosure; the lower is a lower bound."""
+    lo = np.where((x.lo <= 0.0) & (x.hi >= 0.0), 0.0,
+                  np.minimum(np.abs(x.lo), np.abs(x.hi))).max(axis=-1)
+    hi = x.mag.max(axis=-1)
+    if x.lo.ndim > 1:
+        return IArray._of(lo, hi)
     return Interval(float(lo), float(hi))
 
 
@@ -717,14 +600,6 @@ def up_sum(arr: np.ndarray, axis=None) -> np.ndarray | float:
     n = arr.size if axis is None else arr.shape[axis]
     s = arr.sum(axis=axis)
     return s * (1.0 + 2.0 * (n + 1) * _EPS)
-
-
-def dn_sum(arr: np.ndarray, axis=None) -> np.ndarray | float:
-    """Lower bound of the exact sum of nonnegative entries."""
-    arr = np.asarray(arr, dtype=float)
-    n = arr.size if axis is None else arr.shape[axis]
-    s = arr.sum(axis=axis)
-    return s * (1.0 - 2.0 * (n + 1) * _EPS)
 
 
 def up_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:

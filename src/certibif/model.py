@@ -21,8 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .interval import (FloatHull, IArray, IMatrix, Interval, IVector,
-                       _mul_bounds, _sum_bounds, dot_seq, up_mul, up_sum)
+from .interval import FloatHull, IArray, Interval, dot_seq, up_mul, up_sum
 
 GROWTH_EXPONENT = 2.324       # age-scaling exponent shared by p_k and b_k
 POLYPS_PER_COLONY_SCALE = 1.239
@@ -224,11 +223,8 @@ class CoralMap:
         self.cf = derive_float(self.params)
         self.ci = derive_interval(self.params)
         self._S = np.array(self.params.S, dtype=float)
-        ends = lambda ivs: (np.array([v.lo for v in ivs]), np.array([v.hi for v in ivs]))
-        self._q_lo, self._q_hi = ends(self.ci.q)
-        self._b_lo, self._b_hi = ends(self.ci.b)
-        qm = self._q_mag = np.maximum(np.abs(self._q_lo), np.abs(self._q_hi))
-        bm = self._b_mag = np.maximum(np.abs(self._b_lo), np.abs(self._b_hi))
+        self._q, self._b = IArray.from_scalars(self.ci.q), IArray.from_scalars(self.ci.b)
+        qm, bm = self._q.mag, self._b.mag
         self._qq, self._qb_sym = np.outer(qm, qm), np.outer(qm, bm) + np.outer(bm, qm)
 
     @property
@@ -255,32 +251,30 @@ class CoralMap:
         first = lam * phi(P, self.params) * bx
         return [first] + [self.params.S[k] * x[k] for k in range(self.d - 1)]
 
-    def row1_jet(self, x: IVector, order: int = 1) -> "Row1Jet":
+    def row1_jet(self, x: IArray, order: int = 1) -> "Row1Jet":
         """g = phi(P) (b.x) over an interval point or box x, where f_1 =
         lambda*g, with phi..phi^(order) and the gradient of g.
 
-        Elementwise products and sums run on endpoint arrays; q.x and b.x
-        are summed in k order and phi is evaluated in `Interval` (one x) or
+        Elementwise products and sums run in `IArray`; q.x and b.x are
+        summed in k order and phi is evaluated in `Interval` (one x) or
         `IArray` (stacked x, one jet per row), so every endpoint equals the
         scalar `Interval` evaluation bit for bit."""
-        P = dot_seq(self._q_lo, self._q_hi, x.lo, x.hi)
-        bx = dot_seq(self._b_lo, self._b_hi, x.lo, x.hi, start=0.0 * P)
+        P = dot_seq(self._q.lo, self._q.hi, x.lo, x.hi)
+        bx = dot_seq(self._b.lo, self._b.hi, x.lo, x.hi, start=0.0 * P)
         phis = phi_derivs(P, self.params, order=max(order, 1))
         # dg/dx_j = phi'(P) q_j (b.x) + phi(P) b_j, one row per stacked x
-        col = lambda a: np.asarray(a)[..., None]
-        tlo, thi = _mul_bounds(col(phis[1].lo), col(phis[1].hi), self._q_lo, self._q_hi)
-        tlo, thi = _mul_bounds(tlo, thi, col(bx.lo), col(bx.hi))
-        plo, phi_ = _mul_bounds(col(phis[0].lo), col(phis[0].hi), self._b_lo, self._b_hi)
-        g1 = IVector(*_sum_bounds(tlo, thi, plo, phi_))
+        col = lambda v: v[..., None] if isinstance(v, IArray) else v
+        g1 = self._q * col(phis[1]) * col(bx) + self._b * col(phis[0])
         return Row1Jet(phis=phis, bx=bx, g=phis[0] * bx, g1=g1)
 
-    def jac_x_iv(self, lam: Interval, jet: "Row1Jet") -> IMatrix:
+    def jac_x_iv(self, lam: Interval, jet: "Row1Jet") -> IArray:
         """D_x f from the row-1 jet of the same x."""
         lo, hi = np.zeros((self.d, self.d)), np.zeros((self.d, self.d))
-        lo[0], hi[0] = _mul_bounds(lam.lo, lam.hi, jet.g1.lo, jet.g1.hi)
+        row = jet.g1 * lam
+        lo[0], hi[0] = row.lo, row.hi
         k = np.arange(self.d - 1)
         lo[k + 1, k] = hi[k + 1, k] = self._S
-        return IMatrix(lo, hi)
+        return IArray(lo, hi)
 
     # -- rigorous second/third-order bounds over a box --------------------
 
@@ -291,13 +285,13 @@ class CoralMap:
         return (float(up_sum(up_mul(w, self._qq))),
                 float(up_sum(up_mul(w, self._qb_sym))))
 
-    def row1_bounds(self, lam: Interval, x_box: IVector) -> "Row1Bounds":
+    def row1_bounds(self, lam: Interval, x_box: IArray) -> "Row1Bounds":
         """Sup-magnitude data for mean-value Lipschitz estimates on a box."""
         jet = self.row1_jet(x_box, order=3)
         ph1, ph2, ph3 = jet.phis[1:]
         g2m = up_mul(up_mul((ph2 * jet.bx).mag, self._qq) + up_mul(ph1.mag, self._qb_sym), 1.0)
         return Row1Bounds(lam_mag=lam.mag, g1=jet.g1.mag, g2=g2m, a3=(ph3 * jet.bx).mag,
-                          b3=ph2.mag, q=self._q_mag, b=self._b_mag)
+                          b3=ph2.mag, q=self._q.mag, b=self._b.mag)
 
 
 @dataclass(frozen=True)
@@ -308,7 +302,7 @@ class Row1Jet:
     phis: tuple          # phi .. phi^(order) at P = q.x (Interval or IArray)
     bx: Interval         # b.x (IArray for stacked x)
     g: Interval          # phi(P) (b.x)
-    g1: IVector          # dg/dx_j
+    g1: IArray           # dg/dx_j
 
 
 @dataclass(frozen=True)

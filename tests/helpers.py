@@ -22,6 +22,13 @@ from certibif.interval import _EPS
 from certibif.model import CoralMap, derive_generic, phi, phi_derivs
 
 
+def contains(iv, x) -> bool:
+    """Every entry of the float array x lies in the same entry of the
+    interval array iv."""
+    x = np.asarray(x, dtype=float)
+    return bool(np.all(iv.lo <= x) and np.all(x <= iv.hi))
+
+
 def step(coral: CoralMap, lam: float, x: np.ndarray) -> np.ndarray:
     """f(lambda, x) for one float state, one component at a time."""
     x = np.asarray(x, dtype=float)

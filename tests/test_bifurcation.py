@@ -13,10 +13,10 @@ from certibif.bifurcation import (CI, BifCertificate, NsSystem, SnSystem,
                                   transcritical_analysis,
                                   verified_solve, verified_spectrum_inside_disk)
 from certibif.errors import DomainError, SpectrumInconclusive
-from certibif.interval import IMatrix, Interval, IVector
+from certibif.interval import IArray, Interval
 from certibif.model import FixedPointReduction, phi_derivs, row1_d2
 
-from helpers import mp_coeffs, mp_fd_jacobian, mp_system_refine, step
+from helpers import contains, mp_coeffs, mp_fd_jacobian, mp_system_refine, step
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +67,8 @@ def test_verified_solve_encloses_solution():
     rng = np.random.default_rng(2)
     A = rng.normal(size=(8, 8)) + 8 * np.eye(8)
     b = rng.normal(size=8)
-    sol = verified_solve(IMatrix.point(A), IVector.point(b))
-    assert sol.contains_point(np.linalg.solve(A, b))
+    sol = verified_solve(IArray.point(A), IArray.point(b))
+    assert contains(sol, np.linalg.solve(A, b))
 
 
 # ---------------------------------------------------------------------------
@@ -108,15 +108,15 @@ def test_hns_value_on_synthetic_eigen_data():
 def test_hns_interval_value_contains_float(coral):
     ns = NsSystem(coral)
     z = find_ns_anchor(coral)
-    enc = ns.value_iv(IVector.around(z, 1e-9))
-    assert enc.contains_point(ns.value(z))
+    enc = ns.value_iv(IArray.around(z, 1e-9))
+    assert contains(enc, ns.value(z))
 
 
 def _assert_jac_iv_contains_mp_jacobian(coral, system, z, rad=1e-9, corners=4):
     """At the centre and at corners of the radius-`rad` box around z, the
     50-digit finite-difference Jacobian of value_scalars lies inside
     jac_iv(box) to within 1e-20 * max(1, |J|)."""
-    box = IVector.around(z, rad)
+    box = IArray.around(z, rad)
     Jiv = system.jac_iv(box)
     rng = np.random.default_rng(system.dim)
     points = [z, box.lo, box.hi] + [np.where(rng.random(system.dim) < 0.5, box.lo, box.hi)
@@ -167,7 +167,7 @@ def test_hessian_sup_dominates_finite_differences(coral):
     """T[i,k,j] must dominate |d2 H_i / dz_k dz_j| sampled at the anchor."""
     ns = NsSystem(coral)
     z = find_ns_anchor(coral)
-    T = ns.hessian_sup(IVector.around(z, 1e-6))
+    T = ns.hessian_sup(IArray.around(z, 1e-6))
     rng = np.random.default_rng(5)
     for _ in range(12):
         k, j = rng.integers(0, 42, size=2)
@@ -186,14 +186,14 @@ def test_hessian_sup_dominates_finite_differences(coral):
 
 
 def test_spectrum_diagonal_inside():
-    A = IMatrix.point(np.diag([0.5, 0.9]))
+    A = IArray.point(np.diag([0.5, 0.9]))
     res = verified_spectrum_inside_disk(A, exclude=0)
     assert res.count_inside == 2
 
 
 def test_spectrum_rotation_on_circle():
     th = math.radians(46.85)
-    A = IMatrix.point(np.array([[math.cos(th), -math.sin(th)],
+    A = IArray.point(np.array([[math.cos(th), -math.sin(th)],
                                 [math.sin(th), math.cos(th)]]))
     res = verified_spectrum_inside_disk(A, exclude=2)
     assert res.count_inside == 0
@@ -201,13 +201,13 @@ def test_spectrum_rotation_on_circle():
 
 
 def test_spectrum_too_many_outliers():
-    A = IMatrix.point(np.diag([1.5, 2.5, 0.1]))
+    A = IArray.point(np.diag([1.5, 2.5, 0.1]))
     with pytest.raises(SpectrumInconclusive):
         verified_spectrum_inside_disk(A, exclude=1)
 
 
 def test_spectrum_coral_ns(coral, ns_cert):
-    box = IVector(np.array(ns_cert.enclosure_lo), np.array(ns_cert.enclosure_hi))
+    box = IArray(np.array(ns_cert.enclosure_lo), np.array(ns_cert.enclosure_hi))
     x_box, lam_iv = NsSystem(coral).x_lam(box)
     res = verified_spectrum_inside_disk(coral.jac_x_iv(lam_iv, coral.row1_jet(x_box)),
                                        exclude=2)
@@ -281,7 +281,7 @@ def _ns_data(coral, box):
 
 
 def test_ns_condition_c_matches_oracle(coral, ns_cert, ns_float_oracle):
-    box = IVector(np.array(ns_cert.enclosure_lo), np.array(ns_cert.enclosure_hi))
+    box = IArray(np.array(ns_cert.enclosure_lo), np.array(ns_cert.enclosure_hi))
     total, expl = ns_condition_c_pair(coral, _ns_data(coral, box))
     assert ns_float_oracle["c_total"] in total
     assert ns_float_oracle["c_expl"] in expl
@@ -312,7 +312,7 @@ def test_ns_condition_c_total_equals_branch_eigen_slope(coral, ns_float_oracle):
 
 
 def test_ns_condition_d_excludes_resonances(coral, ns_cert):
-    box = IVector(np.array(ns_cert.enclosure_lo), np.array(ns_cert.enclosure_hi))
+    box = IArray(np.array(ns_cert.enclosure_lo), np.array(ns_cert.enclosure_hi))
     theta, checks = ns_condition_d(coral, box)
     assert all(checks.values())
     assert abs(theta.mid - 46.85) < 0.01
@@ -320,7 +320,7 @@ def test_ns_condition_d_excludes_resonances(coral, ns_cert):
 
 
 def test_ns_condition_e_matches_oracle_and_sign(coral, ns_cert, ns_float_oracle):
-    box = IVector(np.array(ns_cert.enclosure_lo), np.array(ns_cert.enclosure_hi))
+    box = IArray(np.array(ns_cert.enclosure_lo), np.array(ns_cert.enclosure_hi))
     val = ns_condition_e(coral, _ns_data(coral, box))
     assert ns_float_oracle["e"] in val
     assert val.hi < 0.0    # supercritical: stable invariant circles observed
@@ -357,7 +357,7 @@ def test_ns_condition_invariance_under_eigvec_phase(coral, ns_cert):
     x0, lam0, w0, u0, a0, b0 = ns.split(np.array(ns_cert.anchor))
     # the (w, u) -> (-w, -u) symmetry gives another exact zero
     z2 = ns.join(x0, lam0, -w0, -u0, a0, b0)
-    box2 = IVector.around(z2, ns_cert.delta_accuracy)
+    box2 = IArray.around(z2, ns_cert.delta_accuracy)
     data2 = _ns_data(coral, box2)
     total2, expl2 = ns_condition_c_pair(coral, data2)
     e2 = ns_condition_e(coral, data2)
@@ -404,7 +404,7 @@ def test_sn_conditions_product_orientation_invariant(coral, sn_cert):
 
 def test_sn_left_vector_duality(coral, sn_cert):
     """p^t (A - I) encloses zero componentwise and p^t q = 1."""
-    box = IVector(np.array(sn_cert.enclosure_lo), np.array(sn_cert.enclosure_hi))
+    box = IArray(np.array(sn_cert.enclosure_lo), np.array(sn_cert.enclosure_hi))
     x, v, lam = SnSystem(coral).split(box.mid)
     A = coral.jac_x(float(lam), x)
     ev, vecs = np.linalg.eig(A.T - np.eye(13))
@@ -545,7 +545,7 @@ def test_split_join_anchor_roundtrip(coral, sn_cert, ns_cert):
     assert (len(x), lam, len(w), len(u)) == (13, zn[13], 13, 13)
     assert abs(math.degrees(math.atan2(b, a)) - 46.85) < 0.01
     # an interval box splits into the same slots
-    box = IVector(np.array(ns_cert.enclosure_lo), np.array(ns_cert.enclosure_hi))
+    box = IArray(np.array(ns_cert.enclosure_lo), np.array(ns_cert.enclosure_hi))
     x_box, lam_box, *_, b_box = ns.split(box)
     assert np.array_equal(x_box.lo, box.lo[:13]) and lam_box.hi == box.hi[13]
     assert b_box.lo == box.lo[41]
@@ -569,15 +569,15 @@ def test_sn_left_vector_duality_rigorous(coral, sn_cert):
     """The certified left-eigenvector enclosure satisfies p^t (A - I) ~ 0
     and p^t v = 1 in interval arithmetic."""
     from certibif.bifurcation import _sn_left_vector
-    box = IVector(np.array(sn_cert.enclosure_lo), np.array(sn_cert.enclosure_hi))
+    box = IArray(np.array(sn_cert.enclosure_lo), np.array(sn_cert.enclosure_hi))
     d = coral.d
     sn = SnSystem(coral)
     x_box, v_box, lam_iv = sn.split(box)
     A_iv = coral.jac_x_iv(lam_iv, coral.row1_jet(x_box))
     p = _sn_left_vector(coral, A_iv, sn.split(box.mid)[1])
-    AmI_T = IMatrix((A_iv.lo - np.eye(d)).T.copy(), (A_iv.hi - np.eye(d)).T.copy())
+    AmI_T = IArray((A_iv.lo - np.eye(d)).T.copy(), (A_iv.hi - np.eye(d)).T.copy())
     ps = p.to_scalars()
-    resid = IVector.from_scalars(sum((AmI_T.entry(i, k) * ps[k] for k in range(d)),
+    resid = IArray.from_scalars(sum((AmI_T[i, k] * ps[k] for k in range(d)),
                                      Interval(0.0)) for i in range(d))
     assert np.all(resid.lo <= 1e-7) and np.all(resid.hi >= -1e-7)
     # the pinning row normalizes against the numerical left vector, so

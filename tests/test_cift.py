@@ -8,7 +8,7 @@ from certibif.cift import (Certificate, CiftBounds, inverse_bound,
                            lipschitz_from_tensor, lipschitz_L1, preconditioner_hash,
                            residual_bound, solve_deltas, validate_zero)
 from certibif.errors import NotInvertibleEvidence, ValidationFailed
-from certibif.interval import IMatrix, IVector
+from certibif.interval import IArray
 
 
 class ScalarSquare:
@@ -26,16 +26,16 @@ class ScalarSquare:
     def jac(self, z):
         return np.array([[2.0 * z[0]]])
 
-    def value_iv(self, z: IVector) -> IVector:
+    def value_iv(self, z: IArray) -> IArray:
         x = z[0]
-        return IVector.from_scalars([x * x - self.c])
+        return IArray.from_scalars([x * x - self.c])
 
-    def jac_iv(self, z: IVector) -> IMatrix:
+    def jac_iv(self, z: IArray) -> IArray:
         x = z[0]
         two_x = 2.0 * x
-        return IMatrix(np.array([[two_x.lo]]), np.array([[two_x.hi]]))
+        return IArray(np.array([[two_x.lo]]), np.array([[two_x.hi]]))
 
-    def hessian_sup(self, box: IVector) -> np.ndarray:
+    def hessian_sup(self, box: IArray) -> np.ndarray:
         return np.full((1, 1, 1), 2.0)
 
 
@@ -55,12 +55,12 @@ class AffineMap:
     def jac(self, z):
         return self.A.copy()
 
-    def value_iv(self, z: IVector) -> IVector:
+    def value_iv(self, z: IArray) -> IArray:
         from certibif.interval import float_matmat
         return float_matmat(self.A, z) - self.b
 
-    def jac_iv(self, z: IVector) -> IMatrix:
-        return IMatrix.point(self.A)
+    def jac_iv(self, z: IArray) -> IArray:
+        return IArray.point(self.A)
 
     def hessian_sup(self, box):
         return np.zeros((self.dim,) * 3)
@@ -83,12 +83,12 @@ def test_residual_bound_scalar():
 
 
 def test_inverse_bound_identity():
-    K, err = inverse_bound(IMatrix.identity(4), np.eye(4))
+    K, err = inverse_bound(IArray.point(np.eye(4)), np.eye(4))
     assert 1.0 <= K <= 1.0 + 1e-12 and err <= 1e-12
 
 
 def test_inverse_bound_diagonal():
-    A = IMatrix.point(np.diag([2.0, 4.0]))
+    A = IArray.point(np.diag([2.0, 4.0]))
     K, err = inverse_bound(A, np.diag([0.5, 0.25]))
     assert abs(K - 0.5) <= 1e-12 and err <= 1e-12
 
@@ -97,14 +97,14 @@ def test_inverse_bound_random_within_five_percent():
     rng = np.random.default_rng(1)
     A = rng.normal(size=(42, 42)) + 42 * np.eye(42)   # well conditioned
     B = np.linalg.inv(A)
-    K, err = inverse_bound(IMatrix.point(A), B)
+    K, err = inverse_bound(IArray.point(A), B)
     true_norm = np.linalg.norm(np.linalg.inv(A), np.inf)
     assert true_norm <= K <= 1.05 * true_norm
     assert err <= 1e-10
 
 
 def test_inverse_bound_detects_singularity():
-    A = IMatrix.point(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    A = IArray.point(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(NotInvertibleEvidence):
         inverse_bound(A, np.eye(2))
 
@@ -240,7 +240,7 @@ def test_validate_names_non_finite_anchor_jacobian():
     # says how many there are instead of reporting |I - BA| = inf
     class Unbounded(AffineMap):
         def jac_iv(self, z):
-            J = IMatrix.point(self.A)
+            J = IArray(self.A.copy(), self.A.copy())
             J.lo[0, 1], J.hi[0, :] = -np.inf, np.inf
             return J
 
@@ -351,12 +351,12 @@ class ScalarCubic:
 
     def value_iv(self, z):
         x = z[0]
-        return IVector.from_scalars([((x - 6.0) * x + 11.0) * x - 6.0])
+        return IArray.from_scalars([((x - 6.0) * x + 11.0) * x - 6.0])
 
     def jac_iv(self, z):
         x = z[0]
         e = (3.0 * x - 12.0) * x + 11.0
-        return IMatrix(np.array([[e.lo]]), np.array([[e.hi]]))
+        return IArray(np.array([[e.lo]]), np.array([[e.hi]]))
 
     def hessian_sup(self, box):
         # |H''(x)| = |6x - 12| <= 6 * max(|lo - 2|, |hi - 2|)

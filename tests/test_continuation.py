@@ -15,7 +15,7 @@ from certibif.continuation import (ALPHA_FRAC, BranchBox,
                                    nontrivial_fixed_point, segment_anchor,
                                    tangent_estimate, validate_segment)
 from certibif.errors import CorrectorFailed, TangentUndefined, ValidationFailed
-from certibif.interval import IArray, IMatrix, Interval, IVector, norm_inf
+from certibif.interval import IArray, Interval, norm_inf
 from certibif.model import FixedPointReduction
 
 from helpers import (eigvals_labels, jac_lam, map_F, mp_branch_F, mp_coeffs, mp_fd_jacobian,
@@ -107,7 +107,7 @@ def test_extended_jacobian_block_structure(preconditioned_system):
     # the raw D_x f that the D_u F block rescales
     assert np.array_equal(Jx, sys_.coral.jac_x(*sys_.to_raw(3.0, np.ones(13))))
     # interval enclosure contains the float Jacobian
-    _, Ju, Jt = sys_.eval_iv(Interval.point(3.0), IVector.point(np.ones(13)))
+    _, Ju, Jt = sys_.eval_iv(Interval.point(3.0), IArray.point(np.ones(13)))
     Jiv = ext.jac_iv_at_origin(Ju, Jt)
     assert np.all(Jiv.lo <= J + 1e-12) and np.all(Jiv.hi >= J - 1e-12)
 
@@ -443,7 +443,7 @@ def test_derived_constants_match_direct_cift_on_extended_system(
         r_t = da * abs(mu) + du
         r_u = da * np.abs(v) + du
         t_iv = Interval.around(t0, r_t)
-        u_iv = IVector.around(u0, r_u)
+        u_iv = IArray.around(u0, r_u)
         _, Ju, Jt = preconditioned_system.eval_iv(t_iv, u_iv)
         # (H3) side: two Jacobian values inside the box differ by at most
         # the entrywise enclosure width, which the derived constants bound
@@ -509,14 +509,14 @@ def test_branch_driver_stops_degenerate_without_start_point(coral):
 
 class ToyLinearValidated(ToyLinear):
     """ToyLinear with the stacked interval interface, so segments can be
-    certified: t is an IArray of shape (n,) and u an IVector of (n, 1)."""
+    certified: t is an IArray of shape (n,) and u one of (n, 1)."""
 
     def eval_iv(self, t, u):
         r = IArray(u.lo[:, 0], u.hi[:, 0]) - t
-        F = IVector(r.lo[:, None], r.hi[:, None])
+        F = IArray(r.lo[:, None], r.hi[:, None])
         n = u.lo.shape[0]
-        Ju = IMatrix(np.ones((n, 1, 1)), np.ones((n, 1, 1)))
-        Jt = IVector(-np.ones((n, 1)), -np.ones((n, 1)))
+        Ju = IArray(np.ones((n, 1, 1)), np.ones((n, 1, 1)))
+        Jt = IArray(-np.ones((n, 1)), -np.ones((n, 1)))
         return F, Ju, Jt
 
     def lipschitz_M(self, t0, u0, d):
@@ -580,21 +580,21 @@ def test_stacked_stages_equal_their_single_segment_calls(branch_result,
     d = np.array([b.hyp.d_u for b in boxes])
     da = np.array([b.delta_alpha for b in boxes])
     anchor = segment_anchor(system, t, u, mu, v, B)
-    F, Ju, Jt = system.eval_iv(IArray.point(t), IVector.point(u))
+    F, Ju, Jt = system.eval_iv(IArray.point(t), IArray.point(u))
     drift, extJ = anchor.ext.drift_iv(Ju, Jt), anchor.ext.jac_iv_at_origin(Ju, Jt)
     M = system.lipschitz_M(t, u, d)
     stacked = validate_segment(anchor, d, da)
     for i, box in enumerate(boxes):
         one = slice(i, i + 1)
         a1 = segment_anchor(system, t[one], u[one], mu[one], v[one], B[one])
-        F1, Ju1, Jt1 = system.eval_iv(IArray.point(t[one]), IVector.point(u[one]))
+        F1, Ju1, Jt1 = system.eval_iv(IArray.point(t[one]), IArray.point(u[one]))
         pairs = [(F, F1), (Ju, Ju1), (Jt, Jt1), (drift, a1.ext.drift_iv(Ju1, Jt1)),
                  (extJ, a1.ext.jac_iv_at_origin(Ju1, Jt1))]
         assert all(_same(type(s)(s.lo[i], s.hi[i]), type(s)(s1.lo[0], s1.hi[0]))
                    for s, s1 in pairs)
         # an unstacked point is the same evaluation again
         assert all(_same(type(s)(s.lo[i], s.hi[i]), s0) for s, s0 in zip(
-            (F, Ju, Jt), system.eval_iv(Interval.point(t[i]), IVector.point(u[i]))))
+            (F, Ju, Jt), system.eval_iv(Interval.point(t[i]), IArray.point(u[i]))))
         assert (anchor.rho[i], anchor.xi[i], anchor.K[i]) == (a1.rho[0], a1.xi[0], a1.K[0])
         assert [m[i] for m in M] == [m[0] for m in system.lipschitz_M(t[one], u[one], d[one])]
         b1 = validate_segment(a1, d[one], da[one])[0]
@@ -612,10 +612,10 @@ def test_stacked_row1_jet_equals_scalar_interval(branch_result, preconditioned_s
     system = preconditioned_system
     boxes, t, u, *_ = _recorded(branch_result, system)
     rad = system.s * np.array([b.hyp.d_u for b in boxes])[:, None]
-    x_box = IVector.around(system.s * u, rad)
+    x_box = IArray.around(system.s * u, rad)
     jet = coral.row1_jet(x_box, order=2)
     for i in range(len(boxes)):
-        phis, bx, g, g1 = scalar_row1(coral, IVector(x_box.lo[i], x_box.hi[i]).to_scalars())
+        phis, bx, g, g1 = scalar_row1(coral, IArray(x_box.lo[i], x_box.hi[i]).to_scalars())
         assert all((p.lo[i], p.hi[i]) == (q.lo, q.hi) for p, q in zip(jet.phis, phis))
         assert (bx.lo, bx.hi, g.lo, g.hi) == (jet.bx.lo[i], jet.bx.hi[i],
                                               jet.g.lo[i], jet.g.hi[i])

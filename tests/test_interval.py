@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certibif.errors import DomainError
-from certibif.interval import (IMatrix, Interval, IVector, float_matmat,
-                               norm_inf, up_dot, up_mul, up_sum)
+from certibif.cift import neumann_rho
+from certibif.interval import IArray, Interval, float_matmat, norm_inf, up_dot, up_mul, up_sum
+
+from helpers import contains
 
 ULP = 2.0 ** -52
 
@@ -100,19 +102,20 @@ def test_sqrt_and_sqr():
 
 
 def test_norm_inf_vector_point():
-    v = IVector.point([1.0, -2.0])
+    v = IArray.point([1.0, -2.0])
     n = norm_inf(v)
     assert n.lo == 2.0 == n.hi
 
 
-def test_norm_inf_matrix_rowsum():
-    m = IMatrix.point(np.ones((2, 2)))
-    n = norm_inf(m)
-    assert n.lo <= 2.0 <= n.hi and n.hi <= 2.0 * (1 + 1e-14)
+def test_neumann_rho_rowsum():
+    # I - BA is the all-ones matrix times 0.25: row sum 0.5
+    A = IArray.point(np.eye(2) - 0.25 * np.ones((2, 2)))
+    rho = neumann_rho(A, np.eye(2))
+    assert 0.5 <= rho <= 0.5 * (1 + 1e-14)
 
 
 def test_norm_inf_symmetric_interval():
-    v = IVector(np.array([-1.0]), np.array([1.0]))
+    v = IArray(np.array([-1.0]), np.array([1.0]))
     n = norm_inf(v)
     assert n.hi >= 1.0 and n.lo <= 1.0
 
@@ -183,6 +186,83 @@ def test_add_outward_when_inexact():
 
 
 # ---------------------------------------------------------------------------
+# interval arrays against the scalar type
+# ---------------------------------------------------------------------------
+
+_SHAPES = [(), (4,), (3, 3), (2, 3, 3)]   # a scalar, a vector, a matrix, a stack
+
+
+def _bits(iv) -> tuple[str, str]:
+    return float(iv.lo).hex(), float(iv.hi).hex()
+
+
+def _assert_entrywise(got: IArray, shape, expect) -> None:
+    """got has `shape`, and entry idx of got equals expect(idx) bit for bit."""
+    assert got.shape == shape
+    for idx in np.ndindex(*shape):
+        assert (got.lo[idx].hex(), got.hi[idx].hex()) == _bits(expect(idx)), idx
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_iarray_equals_scalar_interval_entrywise(data):
+    shape = data.draw(st.sampled_from(_SHAPES[1:]))
+    exact = data.draw(st.booleans())
+    if exact:    # multiples of 1/8 below 2^18: every sum is a float, so stays a point
+        elem = st.integers(-2 ** 20, 2 ** 20).map(lambda k: k / 8.0)
+        width = st.just(0.0)
+    else:
+        elem, width = finite, st.floats(0, 10)
+    n = math.prod(shape)
+
+    def draw_array() -> IArray:
+        lo = np.array(data.draw(st.lists(elem, min_size=n, max_size=n))).reshape(shape)
+        w = np.array(data.draw(st.lists(width, min_size=n, max_size=n))).reshape(shape)
+        return IArray(lo, lo + w)
+
+    a, b, s = draw_array(), draw_array(), data.draw(elem)
+    ia = lambda idx: Interval(a.lo[idx], a.hi[idx])
+    ib = lambda idx: Interval(b.lo[idx], b.hi[idx])
+    _assert_entrywise(a + b, shape, lambda i: ia(i) + ib(i))
+    _assert_entrywise(a - b, shape, lambda i: ia(i) - ib(i))
+    _assert_entrywise(a * b, shape, lambda i: ia(i) * ib(i))
+    _assert_entrywise(-a, shape, lambda i: -ia(i))
+    _assert_entrywise(a + s, shape, lambda i: ia(i) + s)
+    _assert_entrywise(a * ib((0,) * len(shape)), shape, lambda i: ia(i) * ib((0,) * len(shape)))
+    # a divisor containing 0 gives [-inf, inf] where Interval raises
+    _assert_entrywise(a / b, shape, lambda i: Interval(-math.inf, math.inf)
+                      if ib(i).contains_zero() else ia(i) / ib(i))
+    if exact:
+        assert np.array_equal((a + b).lo, (a + b).hi)
+        assert np.array_equal((a - b).lo, (a - b).hi)
+    # indexing: a full index gives the Interval, a partial one an IArray
+    for idx in np.ndindex(*shape):
+        assert isinstance(a[idx], Interval) and _bits(a[idx]) == _bits(ia(idx))
+    assert isinstance(a[0], IArray) if len(shape) > 1 else isinstance(a[0], Interval)
+    if len(shape) > 1:
+        flip = lambda i: i[:-2] + (i[-1], i[-2])
+        _assert_entrywise(a.T, shape, lambda i: ia(flip(i)))
+        _assert_entrywise(a.shifted(s), shape,
+                          lambda i: ia(i) - s if i[-1] == i[-2] else ia(i))
+        _assert_entrywise(a.shifted(ib((0,) * len(shape))), shape,
+                          lambda i: ia(i) - ib((0,) * len(shape)) if i[-1] == i[-2] else ia(i))
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_iarray_rejects_nan_and_inverted_endpoints(shape):
+    lo, hi = np.zeros(shape), np.ones(shape)
+    IArray(lo, hi)
+    first = (0,) * len(shape)
+    for bad_lo, bad_hi in ((math.nan, 1.0), (0.0, math.nan), (2.0, 1.0)):
+        blo, bhi = lo.copy(), hi.copy()
+        blo[first], bhi[first] = bad_lo, bad_hi
+        with pytest.raises(DomainError):
+            IArray(blo, bhi)
+    with pytest.raises(DomainError):
+        IArray.point(np.full(shape, math.nan))
+
+
+# ---------------------------------------------------------------------------
 # vector / matrix kernels
 # ---------------------------------------------------------------------------
 
@@ -246,10 +326,10 @@ def test_float_matmat_contains_exact_hull(n):
     for name, (B, M) in cases.items():
         for rel in (0.0, 1e-15, 1e-6):
             rad = rel * np.abs(M) * rng.uniform(0.0, 1.0, M.shape)
-            A = IMatrix(M - rad, M + rad) if rel else IMatrix.point(M)
+            A = IArray(M - rad, M + rad) if rel else IArray.point(M)
             C = float_matmat(B, A)
             assert _exact_hull_contained(B, A.lo, A.hi, C.lo, C.hi), (name, rel)
-            v = float_matmat(B, IVector(A.lo[:, 0], A.hi[:, 0]))
+            v = float_matmat(B, IArray(A.lo[:, 0], A.hi[:, 0]))
             assert _exact_hull_contained(B, A.lo[:, :1], A.hi[:, :1],
                                          v.lo[:, None], v.hi[:, None]), (name, rel)
     # infinite endpoints, some met by exact zeros of B (0 * inf)
@@ -260,7 +340,7 @@ def test_float_matmat_contains_exact_hull(n):
     lo[3 % n, 2], hi[3 % n, 2] = -np.inf, np.inf
     B[0, [1, 2, 3 % n]] = 0.0
     B[n - 1, :] = 0.0
-    C = float_matmat(B, IMatrix(lo, hi))
+    C = float_matmat(B, IArray(lo, hi))
     assert not np.isnan(C.lo).any() and not np.isnan(C.hi).any()
     assert _exact_hull_contained(B, lo, hi, C.lo, C.hi)
     # the (P2) matrix's pattern: rows 0 and 1, the subdiagonal and the
@@ -280,7 +360,7 @@ def test_float_matmat_contains_exact_hull(n):
         lo[:, j] = hi[:, j] = 0.0
         lo[j + 1, j], hi[j + 1, j] = ends
     B = rng.normal(size=(n, n)) * 1e12
-    C = float_matmat(B, IMatrix(lo, hi))
+    C = float_matmat(B, IArray(lo, hi))
     assert np.mean(lo == hi) > 0.5 and np.count_nonzero(lo == 0.0) > n * n / 2
     assert _exact_hull_contained(B, lo, hi, C.lo, C.hi)
 
@@ -291,7 +371,7 @@ def test_matmat_contains_float_product():
     B = rng.normal(size=(6, 6))
     exact = A @ B
     # interval times float is the transpose of float times interval
-    for C in (float_matmat(A, IMatrix.point(B)), float_matmat(B.T, IMatrix.point(A).T).T):
+    for C in (float_matmat(A, IArray.point(B)), float_matmat(B.T, IArray.point(A).T).T):
         assert np.all(C.lo <= exact + 1e-12) and np.all(C.hi >= exact - 1e-12)
         # rigorous containment of the exact real product via Fractions on a few entries
         for i in (0, 3):
@@ -305,11 +385,11 @@ def test_float_matvec_and_matmat_contain_exact():
     B = rng.normal(size=(5, 5))
     A = rng.normal(size=(5, 5))
     x = rng.normal(size=5)
-    out_v = float_matmat(B, IVector.point(x))
-    out_m = float_matmat(B, IMatrix.point(A))
+    out_v = float_matmat(B, IArray.point(x))
+    out_m = float_matmat(B, IArray.point(A))
     # a vector is one column
-    col = float_matmat(B, IMatrix.point(x[:, None]))
-    assert isinstance(out_v, IVector)
+    col = float_matmat(B, IArray.point(x[:, None]))
+    assert isinstance(out_v, IArray) and out_v.shape == (5,)
     assert np.array_equal(out_v.lo, col.lo[:, 0]) and np.array_equal(out_v.hi, col.hi[:, 0])
     for i in range(5):
         sv = sum(Fraction(B[i, k]) * Fraction(x[k]) for k in range(5))
@@ -363,9 +443,9 @@ def test_up_helpers_saturate_infinite_bounds_silently():
 
 
 def test_scale_and_widened():
-    v = IVector.point([1.0, -1.0]).scale(Interval(2.0, 3.0))
-    assert v.contains_point(np.array([2.5, -2.5]))
-    w = IVector.point([0.0]).widened(0.5)
+    v = IArray.point([1.0, -1.0]) * Interval(2.0, 3.0)
+    assert contains(v, np.array([2.5, -2.5]))
+    w = IArray.point([0.0]).widened(0.5)
     assert w.lo[0] <= -0.5 and w.hi[0] >= 0.5
 
 

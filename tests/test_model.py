@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from certibif.continuation import CoralBranchSystem
 from certibif.errors import ValidationFailed
-from certibif.interval import Interval, IVector
+from certibif.interval import IArray, Interval
 from certibif.model import (CoralMap, CoralParams, FixedPointReduction,
                             R_to_lambda, derive_generic, lambda_to_R, phi,
                             phi_derivs, row1_d2, row1_d3)
 
-from helpers import jac_lam, map_F, mp_coeffs, scalar_row1, step
+from helpers import contains, jac_lam, map_F, mp_coeffs, scalar_row1, step
 
 
 def test_params_table_defaults(coral):
@@ -328,17 +328,17 @@ def test_interval_step_contains_float_samples(coral):
     rng = np.random.default_rng(12)
     lam0, x0 = 2.0, 700.0 * coral.cf.a
     lam_iv = Interval.around(lam0, 1e-8)
-    box = IVector.around(x0, 1e-6)
-    enc = IVector.from_scalars(coral.step_scalars(lam_iv, box.to_scalars(), coral.ci))
+    box = IArray.around(x0, 1e-6)
+    enc = IArray.from_scalars(coral.step_scalars(lam_iv, box.to_scalars(), coral.ci))
     for _ in range(25):
         lam = lam0 + rng.uniform(-1e-8, 1e-8)
         x = x0 + rng.uniform(-1e-6, 1e-6, 13)
-        assert enc.contains_point(step(coral, lam, x))
+        assert contains(enc, step(coral, lam, x))
 
 
 def test_interval_jacobian_contains_float(coral):
     lam0, x0 = 2.0, 700.0 * coral.cf.a
-    J_iv = coral.jac_x_iv(Interval.point(lam0), coral.row1_jet(IVector.point(x0)))
+    J_iv = coral.jac_x_iv(Interval.point(lam0), coral.row1_jet(IArray.point(x0)))
     J = coral.jac_x(lam0, x0)
     assert np.all(J_iv.lo <= J + 1e-12) and np.all(J_iv.hi >= J - 1e-12)
 
@@ -349,7 +349,7 @@ def _row1_boxes(coral, rng, count):
     for i in range(count):
         c = rng.uniform(50.0, 3000.0) * coral.cf.a * rng.uniform(0.8, 1.2, coral.d)
         rel = 0.0 if i % 4 == 0 else 10.0 ** rng.uniform(-15.0, -4.0)
-        yield c, IVector.around(c, rel * c) if rel else IVector.point(c)
+        yield c, IArray.around(c, rel * c) if rel else IArray.point(c)
 
 
 def test_row1_jet_equals_scalar_interval_evaluation(coral):
