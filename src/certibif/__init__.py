@@ -8,7 +8,7 @@ from .model import (CoralMap, CoralParams, DerivedCoefficients,
                     derive_interval, lambda_to_R, phi, phi_derivs,
                     polyp_density, R_to_lambda)
 from .cift import (Certificate, CiftBounds, DeltaPair, inverse_bound,
-                   lipschitz_L1, residual_bound, solve_deltas, validate_zero)
+                   lipschitz_L1, residual_bound, validate_zero)
 from .continuation import (BranchBox, BranchResult, CoralBranchSystem,
                            ExtendedSystem, SegmentAnchor, SegmentHypotheses,
                            branch_start, check_link,

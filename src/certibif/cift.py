@@ -1,5 +1,5 @@
 """Constructive implicit function theorem: hypothesis verification,
-delta-inequality solving, and accuracy/uniqueness certificates.
+delta-inequality checks, and accuracy/uniqueness certificates.
 
 A *zero problem* is any object with
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import struct
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -59,15 +58,12 @@ class CiftBounds:
 
 @dataclass(frozen=True)
 class DeltaPair:
-    """A feasible radius pair plus the accuracy radius 2*K*rho, and what
-    set delta_alpha: "planned" for a given value, otherwise the constraint
-    whose float root was smallest ("L1-coupling", "coupled-cap",
-    "search-cap" or "ell-x")."""
+    """A feasible radius pair plus the accuracy radius 2*K*rho (arrays
+    for a stack)."""
 
     delta_alpha: float
     delta_x: float
     delta_min: float
-    bound_by: str = ""
 
 
 @dataclass(frozen=True)
@@ -196,18 +192,6 @@ def _accuracy(K, rho, L1):
     return gate.hi, (I(2.0) * I(K) * I(rho)).hi
 
 
-def accuracy_radius(K: float, rho: float, L1: float, ell: float,
-                    ell_name: str = "ell") -> float:
-    """Upper bound of 2 K rho, the accuracy radius, after checking the
-    theorem's gates 4 K^2 rho L1 < 1 and 2 K rho < ell."""
-    gate, d1 = _accuracy(K, rho, L1)
-    if not gate < 1.0:
-        raise ValidationFailed(f"4 K^2 rho L1 = {float(gate)} >= 1")
-    if not d1 < ell:
-        raise ValidationFailed(f"2 K rho = {float(d1)} >= {ell_name} = {ell}")
-    return float(d1)
-
-
 # ---------------------------------------------------------------------------
 # delta inequalities
 #
@@ -216,76 +200,76 @@ def accuracy_radius(K: float, rho: float, L1: float, ell: float,
 # the checks of its segments one by one bit for bit.
 # ---------------------------------------------------------------------------
 
+# The fraction of the coupling budget dir_norm*delta_alpha + delta_x <=
+# coupled_cap withheld from delta_alpha, so that the uniqueness tube never
+# degenerates (linking needs room in it).
+_DU_RESERVE = 0.1
+
 
 @dataclass(frozen=True)
-class _TwoK:
-    """The enclosures of 2K rho and 2K L1 .. 2K L4, built once per delta
-    solve and shared by every feasibility probe."""
+class _Probe:
+    """Bounds b at delta_alpha values da under the coupling dir_norm*da +
+    dx <= cap, with the enclosures of 2K L1 and of the da terms built once
+    and shared by the floor, the ceiling and every pair check."""
 
-    rho: IArray
-    L1: IArray
-    L2: IArray
-    L3: IArray
-    L4: IArray
+    b: CiftBounds
+    da: np.ndarray
+    dir_norm: np.ndarray
+    cap: np.ndarray
+    L1: IArray              # 2K L1
+    L2da: IArray            # 2K L2 da
+    drift: IArray           # dir_norm da
+    floor: np.ndarray       # upper bound of 2K(rho + L3 da + L4 da^2), the least delta_x
 
     @staticmethod
-    def of(b: CiftBounds) -> "_TwoK":
+    def of(b: CiftBounds, da, dir_norm, cap) -> "_Probe":
         I = IArray.point
-        K2 = I(2.0) * I(b.K)
-        return _TwoK(K2 * I(b.rho), K2 * I(b.L1), K2 * I(b.L2), K2 * I(b.L3), K2 * I(b.L4))
+        K2, a = I(2.0) * I(b.K), I(da)
+        floor = (K2 * I(b.rho) + K2 * I(b.L3) * a + K2 * I(b.L4) * a * a).hi
+        return _Probe(b, da, dir_norm, cap, K2 * I(b.L1), K2 * I(b.L2) * a,
+                      I(dir_norm) * a, floor)
 
 
-def _pair_feasible(b: CiftBounds, k: _TwoK, da, dx, dir_norm, coupled_cap):
+def _pair_feasible(p: _Probe, dx):
     """Rigorous check of the two theorem inequalities plus box constraints."""
+    dx_iv = IArray.point(dx)
+    return ((0.0 < p.da) & (p.da <= p.b.ell_alpha) & (0.0 < dx) & (dx <= p.b.ell_x)
+            & ((p.L1 * dx_iv + p.L2da).hi <= 1.0) & (p.floor <= dx)
+            & ((p.drift + dx_iv).hi <= p.cap))
+
+
+def _dx_ceiling(p: _Probe):
+    """Lower bound of the largest admissible delta_x at the probe's delta_alpha."""
     I = IArray.point
-    ok = (((0.0 <= da) & (da <= b.ell_alpha)) | ((da == 0.0) & (b.ell_alpha == 0.0))) \
-        & (0.0 < dx) & (dx <= b.ell_x)
-    ok = ok & ((k.L1 * I(dx) + k.L2 * I(da)).hi <= 1.0) & (_dx_floor(k, da) <= dx)
-    # with dir_norm = 0 and no cap the coupling holds trivially
-    coupled = (I(dir_norm) * I(da) + I(dx)).hi <= coupled_cap
-    return ok & (coupled | ~((np.asarray(dir_norm) > 0.0) | np.isfinite(coupled_cap)))
-
-
-def _dx_floor(k: _TwoK, da):
-    """Upper bound of 2K(rho + L3 da + L4 da^2), the least admissible delta_x."""
-    I = IArray.point
-    return (k.rho + k.L3 * I(da) + k.L4 * I(da) * I(da)).hi
-
-
-def _dx_ceiling(b: CiftBounds, k: _TwoK, da, dir_norm, coupled_cap):
-    """Lower bound of the largest admissible delta_x at delta_alpha = da."""
-    I = IArray.point
-    num = I(1.0) - k.L2 * I(da)
-    with_l1 = np.asarray(b.L1) > 0.0
-    cap = np.minimum(b.ell_x, np.where(with_l1, (num / k.L1).lo, math.inf))
-    cap = np.minimum(cap, (I(coupled_cap) - I(dir_norm) * I(da)).lo)
+    num = I(1.0) - p.L2da
+    with_l1 = np.asarray(p.b.L1) > 0.0
+    cap = np.minimum(p.b.ell_x, np.where(with_l1, (num / p.L1).lo, math.inf))
+    cap = np.minimum(cap, (I(p.cap) - p.drift).lo)
     return np.where(with_l1 & (num.lo <= 0.0), 0.0, cap)
 
 
-def _alpha_feasible(b: CiftBounds, k: _TwoK, da, dir_norm, coupled_cap, search_cap):
-    """Rigorous: some delta_x completes delta_alpha = da to a feasible pair,
-    and dir_norm*da stays within `search_cap`.  Monotone in da: the floor
-    rises with it and every ceiling falls."""
-    fl = _dx_floor(k, da)
-    return (~(np.isfinite(search_cap) & (np.multiply(dir_norm, da) > search_cap))
-            & (fl <= _dx_ceiling(b, k, da, dir_norm, coupled_cap))
-            & _pair_feasible(b, k, da, np.maximum(fl, 1e-300), dir_norm, coupled_cap))
+def _alpha_feasible(p: _Probe):
+    """Rigorous: some delta_x completes the probe's delta_alpha to a
+    feasible pair, and dir_norm*da stays within the cap less its reserve.
+    Monotone in da: the floor rises with it and every ceiling falls."""
+    return ((np.multiply(p.dir_norm, p.da) <= np.multiply(p.cap, 1.0 - _DU_RESERVE))
+            & (p.floor <= _dx_ceiling(p)) & _pair_feasible(p, np.maximum(p.floor, 1e-300)))
 
 
-def _largest_dx(b: CiftBounds, k: _TwoK, da, dir_norm, coupled_cap):
+def _largest_dx(p: _Probe):
     """The largest delta_x the pair check certifies at a feasible da, and
     where it certifies one.  The ceiling and the pair check round
     2K(L1 dx + L2 da) <= 1 apart, so the ceiling may fail by an ulp: step
     back, but never below the floor, which _alpha_feasible certified."""
-    fl = np.maximum(_dx_floor(k, da), 1e-300)
-    dx = _dx_ceiling(b, k, da, dir_norm, coupled_cap)
+    fl = np.maximum(p.floor, 1e-300)
+    dx = _dx_ceiling(p)
     for _ in range(64):
-        ok = _pair_feasible(b, k, da, dx, dir_norm, coupled_cap)
+        ok = _pair_feasible(p, dx)
         todo = ~ok & (dx > fl)
         if not np.any(todo):
             return dx, ok
         dx = np.where(todo, np.maximum(np.nextafter(dx * (1.0 - 2.0 ** -50), 0.0), fl), dx)
-    return dx, _pair_feasible(b, k, da, dx, dir_norm, coupled_cap)
+    return dx, _pair_feasible(p, dx)
 
 
 def _smallest_root(a: float, b: float, c: float) -> float:
@@ -297,127 +281,49 @@ def _smallest_root(a: float, b: float, c: float) -> float:
     return -2.0 * c / den if den > 0.0 else math.inf
 
 
-def _float_index(x: float) -> int:
-    """Position of a float in the ordered list of floats (exact for x >= 0;
-    negative floats map below 0)."""
-    return struct.unpack("<q", struct.pack("<d", x))[0]
-
-
-def _float_at(n: int) -> float:
-    return struct.unpack("<d", struct.pack("<q", n))[0]
-
-
-# The rigorous check rounds outward, so the largest feasible float lies a
-# few ulps below the float root (2 to 8 on the paper's branch, mostly 4).
-_ROUNDING_ULPS = 4
-_WALK_STEPS = 8
-
-
-def _largest_feasible(feasible, guess: float, top: float) -> float | None:
-    """Largest float in [0, top] accepted by `feasible`, a predicate that
-    is monotone (true up to some float, false above it); None if it fails
-    at 0.
-
-    Walks one ulp at a time from just below `guess`, then bisects the
-    float positions if the walk has not met the answer: at most
-    _WALK_STEPS + 64 probes, and two or three when `guess` is close.
-    """
-    lo, hi = -1, _float_index(top) + 1       # positions <= lo pass, >= hi fail
-    n = min(max(_float_index(guess) - _ROUNDING_ULPS, 0), hi - 1)
-    for _ in range(_WALK_STEPS):
-        if hi - lo <= 1:
-            break
-        if feasible(_float_at(n)):
-            lo, n = n, n + 1
-        else:
-            hi, n = n, n - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if feasible(_float_at(mid)):
-            lo = mid
-        else:
-            hi = mid
-    return _float_at(lo) if lo >= 0 else None
-
-
-def search_cap_root(coupled_cap: float, dir_norm: float, du_reserve: float = 0.1) -> float:
-    """The float root of dir_norm*da = coupled_cap*(1 - du_reserve), and
-    so an upper bound of every root `delta_alpha_root` returns with these
-    arguments (inf when dir_norm = 0, where there is no such root)."""
-    return coupled_cap * (1.0 - du_reserve) / dir_norm if dir_norm > 0.0 else math.inf
+def search_cap_root(coupled_cap: float, dir_norm: float) -> float:
+    """The float root of dir_norm*da = coupled_cap*(1 - _DU_RESERVE)
+    (dir_norm > 0), and so an upper bound of every root
+    `delta_alpha_root` returns with these arguments."""
+    return coupled_cap * (1.0 - _DU_RESERVE) / dir_norm
 
 
 def delta_alpha_root(K: float, rho: float, L1: float, L2: float, L3: float, L4: float,
-                     ell_x: float, dir_norm: float = 0.0, coupled_cap: float = math.inf,
-                     du_reserve: float = 0.1) -> tuple[float, str]:
-    """Float estimate of the largest feasible delta_alpha for `solve_deltas`
-    on bounds with these fields and the same arguments, and the constraint
-    that sets it: the smallest float root of floor(da) = each ceiling,
-    floor = a*da^2 + bl*da + c0.  Plain floats in, so the planner probes
-    boxes without building `CiftBounds`."""
+                     ell_x: float, dir_norm: float, coupled_cap: float) -> tuple[float, str]:
+    """Float estimate of the largest delta_alpha that `check_deltas`
+    accepts on bounds with these fields and the same coupling, ell_alpha
+    aside, and the constraint that sets it: the smallest float root of
+    floor(da) = each ceiling, floor = a*da^2 + bl*da + c0.  Plain floats
+    in, so the planner probes boxes without building `CiftBounds`."""
     K2 = 2.0 * K
     a, bl, c0 = K2 * L4, K2 * L3, K2 * rho
     s = K2 * L1                      # 2K(L1 floor + L2 da) <= 1
     roots = {"ell-x": _smallest_root(a, bl, c0 - ell_x),
-             "L1-coupling": _smallest_root(s * a, s * bl + K2 * L2, s * c0 - 1.0)}
-    if math.isfinite(coupled_cap):
-        roots["coupled-cap"] = _smallest_root(a, bl + dir_norm, c0 - coupled_cap)
-        if dir_norm > 0.0:
-            roots["search-cap"] = search_cap_root(coupled_cap, dir_norm, du_reserve)
+             "L1-coupling": _smallest_root(s * a, s * bl + K2 * L2, s * c0 - 1.0),
+             "coupled-cap": _smallest_root(a, bl + dir_norm, c0 - coupled_cap),
+             "search-cap": search_cap_root(coupled_cap, dir_norm)}
     name = min(roots, key=roots.get)
     return roots[name], name
 
 
-def solve_deltas(b: CiftBounds, dir_norm: float = 0.0,
-                 coupled_cap: float = math.inf,
-                 du_reserve: float = 0.1) -> DeltaPair:
-    """Feasible (delta_alpha, delta_x): delta_alpha is the largest float
-    in [0, ell_alpha] that satisfies the inequalities, then delta_x is
-    pushed to its largest admissible value (best uniqueness).
-
-    `dir_norm`/`coupled_cap` impose the continuation coupling
-    dir_norm*delta_alpha + delta_x <= coupled_cap when given; a
-    `du_reserve` fraction of that budget is withheld from delta_alpha so
-    the uniqueness tube never degenerates (linking needs room in it).
-
-    Every constraint on delta_alpha is a quadratic whose left side grows
-    with delta_alpha, so feasibility is monotone: the float roots give a
-    starting point and the rigorous check walks it to the exact answer.
-    """
-    dmin = accuracy_radius(b.K, b.rho, b.L1, b.ell_x, "ell_x")
-    k = _TwoK.of(b)
-    search_cap = coupled_cap * (1.0 - du_reserve)
-
-    def feasible(da: float) -> bool:
-        return bool(_alpha_feasible(b, k, da, dir_norm, coupled_cap, search_cap))
-
-    guess, bound_by = delta_alpha_root(b.K, b.rho, b.L1, b.L2, b.L3, b.L4, b.ell_x,
-                                       dir_norm, coupled_cap, du_reserve)
-    da = _largest_feasible(feasible, guess, b.ell_alpha)
-    if da is None:
-        raise ValidationFailed("delta inequalities infeasible even at delta_alpha = 0")
-    dx, ok = _largest_dx(b, k, da, dir_norm, coupled_cap)
-    if not ok:
-        raise ValidationFailed("could not certify a feasible (delta_alpha, delta_x) pair")
-    return DeltaPair(delta_alpha=da, delta_x=float(dx), delta_min=dmin, bound_by=bound_by)
-
-
-def check_deltas(b: CiftBounds, dir_norm, coupled_cap, delta_alpha,
-                 du_reserve: float = 0.1) -> tuple[np.ndarray, DeltaPair]:
-    """The stacked twin of `solve_deltas` at given delta_alpha values: b
+def check_deltas(b: CiftBounds, dir_norm, coupled_cap,
+                 delta_alpha) -> tuple[np.ndarray, DeltaPair]:
+    """The delta_alpha check of the theorem for a stack of segments: b
     holds one entry per segment, and the result says which segments pass
-    the accuracy gates and the delta inequalities at their delta_alpha,
+    the accuracy gates and the delta inequalities at their delta_alpha > 0,
     with the largest certified delta_x and the accuracy radius of each.
-    Feasibility is monotone in delta_alpha, so any value below the
-    largest feasible one passes."""
+
+    dir_norm*delta_alpha + delta_x <= coupled_cap couples the radii, and a
+    _DU_RESERVE fraction of that budget is withheld from delta_alpha.
+    Every constraint on delta_alpha is a quadratic whose left side grows
+    with it, so feasibility is monotone: a value a margin below the float
+    root of `delta_alpha_root` (and below ell_alpha) passes unless the
+    root misjudges the rounding of the rigorous check."""
     gate, dmin = _accuracy(b.K, b.rho, b.L1)
-    k = _TwoK.of(b)
-    da = np.asarray(delta_alpha, dtype=float)
-    ok = (gate < 1.0) & (dmin < b.ell_x) & (da > 0.0) & _alpha_feasible(
-        b, k, da, dir_norm, coupled_cap, np.multiply(coupled_cap, 1.0 - du_reserve))
-    dx, pair_ok = _largest_dx(b, k, da, dir_norm, coupled_cap)
-    return ok & pair_ok, DeltaPair(delta_alpha=da, delta_x=dx, delta_min=dmin,
-                                   bound_by="planned")
+    p = _Probe.of(b, np.asarray(delta_alpha, dtype=float), dir_norm, coupled_cap)
+    ok = (gate < 1.0) & (dmin < b.ell_x) & _alpha_feasible(p)
+    dx, pair_ok = _largest_dx(p)
+    return ok & pair_ok, DeltaPair(delta_alpha=p.da, delta_x=dx, delta_min=dmin)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +357,11 @@ def validate_zero(problem, z0: np.ndarray, ell: float = 1e-6) -> Certificate:
     except NotInvertibleEvidence as exc:
         raise ValidationFailed(f"(H2) failed: {exc}") from exc
 
-    d1 = accuracy_radius(K, rho, L1, ell)
+    gate, d1 = _accuracy(K, rho, L1)
+    if not gate < 1.0:
+        raise ValidationFailed(f"4 K^2 rho L1 = {float(gate)} >= 1")
+    if not d1 < ell:
+        raise ValidationFailed(f"2 K rho = {float(d1)} >= ell = {ell}")
     if L1 > 0.0:
         d2 = min(ell, (Interval(1.0) / (Interval(2.0) * Interval(K) * Interval(L1))).lo)
     else:
@@ -463,7 +373,7 @@ def validate_zero(problem, z0: np.ndarray, ell: float = 1e-6) -> Certificate:
         rho=rho,
         K=K,
         L1=L1,
-        delta_accuracy=d1,
+        delta_accuracy=float(d1),
         delta_uniqueness=d2,
         preconditioner_sha256=preconditioner_hash(B),
     )

@@ -275,13 +275,18 @@ def cmd_validate_sn(args) -> int:
 
 
 def _load_anchor(path: str, system) -> np.ndarray:
-    data = json.loads(Path(path).read_text())
-    if isinstance(data, dict):
-        data = data["anchor"]
-    if len(data) != system.dim:
-        raise ValueError(f"anchor in {path} has {len(data)} entries; the "
+    try:
+        data = json.loads(Path(path).read_text())
+        if isinstance(data, dict):
+            data = data.get("anchor")
+        anchor = np.array([float(v) for v in data])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"anchor file {path} holds neither a list of numbers nor an "
+                         f"object with one under \"anchor\" ({exc})") from exc
+    if len(anchor) != system.dim:
+        raise ValueError(f"anchor in {path} has {len(anchor)} entries; the "
                          f"{system.name} system needs {system.dim}")
-    return np.array([float(v) for v in data])
+    return anchor
 
 
 def cmd_transcritical(args) -> int:

@@ -20,8 +20,9 @@ is the next anchor's, so the planner evaluates each float point once.  The
 validator runs every interval stage once on the stacked anchors of the
 chunk and certifies each box at exactly its planned delta_alpha.  The
 longest prefix that validates and links is kept.  The first box that fails
-is certified by the delta_alpha search of `cift.solve_deltas` (halving its
-Lipschitz box when even that fails), and planning resumes after it.
+is replanned: its delta_alpha is planned again from its certified constants
+and checked the same way (its Lipschitz box halving when even that fails),
+and planning resumes after it.
 """
 
 from __future__ import annotations
@@ -404,7 +405,7 @@ class BranchBox:
     delta_min: float
     bounds: cift.CiftBounds
     hyp: SegmentHypotheses
-    bound_by: str = ""            # "planned", or the constraint solve_deltas hit
+    bound_by: str = ""            # "planned", or the constraint that set a replan
     linked_to_previous: bool = False
     alpha_step: float = 0.0       # alpha used to leave this box
     corr_norm: float = 0.0        # |(sigma*, x*)| of the outgoing corrector
@@ -454,11 +455,13 @@ def segment_anchor(system: CoralBranchSystem, t0: np.ndarray, u0: np.ndarray,
 def validate_segment(anchor: SegmentAnchor, d, delta_alpha=None,
                      index: int = 0) -> list:
     """Box stage of a stack of anchored segments: certify segment i over
-    its Lipschitz box d_i -- (P3) plus the delta inequalities -- at its
-    planned delta_alpha_i (one stacked check), or at the largest feasible
-    delta_alpha (`cift.solve_deltas`, segment by segment) when
-    `delta_alpha` is None.  One entry per segment: its BranchBox (index
-    `index` + i), or the ValidationFailed that names the broken part."""
+    its Lipschitz box d_i -- (P3) plus the delta inequalities -- in one
+    stacked `cift.check_deltas` at its planned delta_alpha_i.  When
+    `delta_alpha` is None, each segment's delta_alpha is planned from its
+    certified constants as the planner plans it from estimates, and the
+    box records the constraint whose root set it.  One entry per segment:
+    its BranchBox (index `index` + i), or the ValidationFailed that names
+    the broken part."""
     ext = anchor.ext
     d = np.asarray(d, dtype=float)
     n = d.shape[0]
@@ -468,26 +471,24 @@ def validate_segment(anchor: SegmentAnchor, d, delta_alpha=None,
     bounds = derive_extended_constants(hyp, ext.mu, ext.v)
     dir_norm = np.maximum(np.abs(ext.mu), np.abs(ext.v).max(axis=-1))
     hyps, bnds = _rows(hyp, n), _rows(bounds, n)
-    if delta_alpha is not None:
-        ok, pairs = cift.check_deltas(bounds, dir_norm, d, delta_alpha)
-        pairs = [p if good else ValidationFailed(
-                     f"delta inequalities infeasible at the planned delta_alpha = {p.delta_alpha!r}")
-                 for p, good in zip(_rows(pairs, n), ok.tolist())]
+    if delta_alpha is None:
+        roots = [cift.delta_alpha_root(b.K, b.rho, b.L1, b.L2, b.L3, b.L4, b.ell_x, dn,
+                                       coupled_cap=b.ell_x)
+                 for b, dn in zip(bnds, dir_norm.tolist())]
+        # the roots ignore ell_alpha, which the check does not
+        delta_alpha = [_planned(min(root, b.ell_alpha)) for (root, _), b in zip(roots, bnds)]
+        bound_by = [name for _, name in roots]
     else:
-        pairs = []
-        for h, b, dn in zip(hyps, bnds, dir_norm.tolist()):
-            try:
-                pairs.append(cift.solve_deltas(b, dir_norm=dn, coupled_cap=h.d_u))
-            except ValidationFailed as exc:
-                pairs.append(exc)
+        bound_by = ["planned"] * n
+    ok, pairs = cift.check_deltas(bounds, dir_norm, d, delta_alpha)
     out = []
-    for i, (h, b, pair) in enumerate(zip(hyps, bnds, pairs)):
-        if not isinstance(pair, ValidationFailed) and pair.delta_alpha <= 0.0:
-            pair = ValidationFailed("delta_alpha degenerated to zero")
-        out.append(pair if isinstance(pair, ValidationFailed) else BranchBox(
+    for i, (h, b, p, good) in enumerate(zip(hyps, bnds, _rows(pairs, n), ok.tolist())):
+        out.append(BranchBox(
             index=index + i, t=float(ext.t0[i]), u=ext.u0[i].copy(), mu=float(ext.mu[i]),
-            v=ext.v[i].copy(), delta_alpha=pair.delta_alpha, delta_u=pair.delta_x,
-            delta_min=pair.delta_min, bounds=b, hyp=h, bound_by=pair.bound_by))
+            v=ext.v[i].copy(), delta_alpha=p.delta_alpha, delta_u=p.delta_x,
+            delta_min=p.delta_min, bounds=b, hyp=h, bound_by=bound_by[i]) if good
+            else ValidationFailed(
+                f"delta inequalities infeasible at the planned delta_alpha = {p.delta_alpha!r}"))
     return out
 
 
@@ -611,7 +612,8 @@ class BranchResult:
 # The Lipschitz box |u - u0|, |t - t0| <= d starts at _BOX_START.  The
 # planner moves it by factors of 2 within [_BOX_MIN, _BOX_CAP] to the
 # candidate with the longest predicted step, and a box that fails to
-# validate even at its largest feasible delta_alpha halves it.
+# validate even at the delta_alpha planned from its certified constants
+# halves it.
 _BOX_START = 1e-4
 _BOX_CAP = 3e-2
 _BOX_MIN = 1e-11
@@ -671,9 +673,9 @@ class _Step:
 
 def _predict_alpha(estimate, vn: float, am: float, K: float, rho: float, xi: float,
                    d: float) -> tuple[float, str]:
-    """The planned delta_alpha for the Lipschitz box d: the float root
-    `cift.solve_deltas` starts from, fed with float estimates (`estimate`
-    from `lipschitz_estimator`, vn = |v|, am = |mu|)."""
+    """The planned delta_alpha for the Lipschitz box d, and its
+    constraint: the float root of `cift.delta_alpha_root` fed with float
+    estimates (`estimate` from `lipschitz_estimator`, vn = |v|, am = |mu|)."""
     M1, M2, M3, M4 = estimate(d)
     L1 = M1 + M2 + M3 + M4
     L2 = (M1 + M3) * vn + (M2 + M4) * am
@@ -804,8 +806,9 @@ def _links(system, res: BranchResult, boxes: list[BranchBox],
 
 
 def _replan(anchor: SegmentAnchor, step: _Step) -> BranchBox | ValidationFailed:
-    """Certify a box whose planned delta_alpha failed at the largest
-    feasible delta_alpha, halving its Lipschitz box until it validates."""
+    """Certify a box whose planned delta_alpha failed at the delta_alpha
+    planned from its certified constants, halving its Lipschitz box until
+    it validates."""
     d, halvings = step.d, 0
     while True:
         box = validate_segment(anchor, [d], index=step.index)[0]

@@ -50,10 +50,13 @@ class CoralParams:
             raise ValueError("S must have d-1 entries and F must have d")
         if any(not 0.0 <= s <= 1.0 for s in self.S):
             raise ValueError("survival rates must lie in [0, 1]")
+        if any(not 0.0 <= f < math.inf for f in self.F):
+            raise ValueError("fertility rates F must be nonnegative and finite")
         if self.F[0] != 0.0 or self.F[1] != 0.0:
             raise ValueError("colonies younger than two years do not reproduce")
-        if min(self.c1, self.c2, self.alpha, self.beta, self.omega) <= 0.0:
-            raise ValueError("phi constants and omega must be positive")
+        for key in ("c1", "c2", "alpha", "beta", "omega"):
+            if not 0.0 < getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be positive and finite")
         if self.beta <= self.alpha:
             raise ValueError("beta must exceed alpha")
 

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from certibif.cift import (Certificate, CiftBounds, inverse_bound,
-                           lipschitz_from_tensor, lipschitz_L1, preconditioner_hash,
-                           residual_bound, solve_deltas, validate_zero)
+from certibif.cift import (Certificate, CiftBounds, check_deltas, delta_alpha_root,
+                           inverse_bound, lipschitz_from_tensor, lipschitz_L1,
+                           preconditioner_hash, residual_bound, validate_zero)
+from certibif.continuation import _planned
 from certibif.errors import NotInvertibleEvidence, ValidationFailed
 from certibif.interval import IArray
 
@@ -149,34 +150,53 @@ def test_lipschitz_monotone_in_box_radius(coral):
 # ---------------------------------------------------------------------------
 
 
-def test_solve_deltas_parameter_free_reduction():
-    b = CiftBounds(rho=1e-12, K=1.0, L1=1e6, ell_x=1e-6)
-    pair = solve_deltas(b)
-    assert pair.delta_alpha == 0.0
-    assert abs(pair.delta_min - 2e-12) <= 1e-25
-    expect = min(1e-6, 1.0 / (2.0 * 1e6))
-    assert abs(pair.delta_x - expect) <= 1e-12 * expect
+def _check_at_root(b, dir_norm, cap):
+    """check_deltas at the delta_alpha a replan plans from certified
+    bounds: the float root clamped to ell_alpha, less the plan margin.
+    Returns (accepted, pair, the constraint that set the root)."""
+    root, name = delta_alpha_root(b.K, b.rho, b.L1, b.L2, b.L3, b.L4, b.ell_x,
+                                  dir_norm, cap)
+    ok, pair = check_deltas(b, dir_norm, cap, _planned(min(root, b.ell_alpha)))
+    return bool(ok), pair, name
+
+
+def _bisect_delta_alpha(b, dir_norm, cap):
+    """Reference: the largest delta_alpha in [0, ell_alpha] that
+    _alpha_feasible accepts, found by 80 bisection steps on the whole stack
+    at once; 0 where no positive value passes."""
+    from certibif.cift import _alpha_feasible, _Probe
+    feasible = lambda da: _alpha_feasible(_Probe.of(b, da, dir_norm, cap))
+    top = np.asarray(b.ell_alpha, dtype=float)
+    lo, hi = np.zeros_like(top), top
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        ok = feasible(mid)
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    return np.where(feasible(top), top, lo)
 
 
 def test_solve_deltas_saddle_node_table_values():
-    # fold-certificate scale: K = 1, rho = 1.653e-12, L1 = 1.245e6
-    b = CiftBounds(rho=1.653e-12, K=1.0, L1=1.245e6, ell_x=1e-6)
-    pair = solve_deltas(b)
+    # fold-certificate scale: K = 1, rho = 1.653e-12, L1 = 1.245e6, and no
+    # parameter terms, so delta_x reaches 1/(2 K L1) at any small delta_alpha
+    b = CiftBounds(rho=1.653e-12, K=1.0, L1=1.245e6, ell_x=1e-6, ell_alpha=1e-12)
+    ok, pair, _ = _check_at_root(b, 1.0, 1e-6)
+    assert ok
     assert abs(pair.delta_min - 3.306e-12) <= 1e-15
     assert abs(pair.delta_x - 4.0160642570281125e-07) <= 1e-12
 
 
 def test_solve_deltas_infeasible_gate():
-    b = CiftBounds(rho=1.0, K=1.0, L1=1.0, ell_x=1.0)
-    with pytest.raises(ValidationFailed):
-        solve_deltas(b)     # 4 K^2 rho L1 = 4 >= 1
+    b = CiftBounds(rho=1.0, K=1.0, L1=1.0, ell_x=1.0, ell_alpha=1.0)
+    for da in (1e-12, 1e-6, 1e-3):
+        ok, _ = check_deltas(b, 1.0, 1.0, da)     # 4 K^2 rho L1 = 4 >= 1
+        assert not ok
 
 
 def test_solve_deltas_with_parameter_terms():
     b = CiftBounds(rho=1e-10, K=2.0, L1=10.0, L2=5.0, L3=1e-8, L4=3.0,
                    ell_x=1e-2, ell_alpha=1e-2)
-    pair = solve_deltas(b)
-    assert pair.delta_alpha > 0.0
+    ok, pair, _ = _check_at_root(b, 1.0, 1e-2)
+    assert ok and pair.delta_alpha > 0.0
     # rigorous feasibility of the returned pair
     K2 = 2 * b.K
     assert K2 * b.L1 * pair.delta_x + K2 * b.L2 * pair.delta_alpha <= 1.0 + 1e-12
@@ -187,25 +207,75 @@ def test_solve_deltas_with_parameter_terms():
 def test_solve_deltas_coupled_cap():
     b = CiftBounds(rho=1e-12, K=1.0, L1=1.0, L2=0.0, L3=0.0, L4=0.0,
                    ell_x=1.0, ell_alpha=1.0)
-    pair = solve_deltas(b, dir_norm=1.0, coupled_cap=1e-3)
+    ok, pair, name = _check_at_root(b, 1.0, 1e-3)
+    assert ok and name == "search-cap"
     assert pair.delta_alpha + pair.delta_x <= 1e-3 * (1 + 1e-12)
     assert pair.delta_alpha >= 0.4e-3
 
 
-def test_solve_deltas_coupled_cap_binds_without_reserve():
-    # floor 2e-6 against delta_alpha + delta_x <= 1e-3: delta_alpha stops
-    # just short of 1e-3 - 2e-6, the whole budget minus the floor
-    b = CiftBounds(rho=1e-6, K=1.0, L1=1.0, ell_x=1.0, ell_alpha=1.0)
-    pair = solve_deltas(b, dir_norm=1.0, coupled_cap=1e-3, du_reserve=0.0)
-    assert pair.delta_alpha + pair.delta_x <= 1e-3
-    assert 1e-3 - 2e-6 - 1e-15 <= pair.delta_alpha <= 1e-3 - 2e-6
-    assert pair.delta_x >= pair.delta_min
-
-
 def test_solve_deltas_shrinks_with_larger_rho():
-    small = solve_deltas(CiftBounds(rho=1e-12, K=1.0, L1=1e3, ell_x=1e-3))
-    large = solve_deltas(CiftBounds(rho=1e-8, K=1.0, L1=1e3, ell_x=1e-3))
-    assert small.delta_min < large.delta_min
+    small = _check_at_root(CiftBounds(rho=1e-12, K=1.0, L1=1e3, ell_x=1e-3,
+                                      ell_alpha=1e-3), 1.0, 1e-3)
+    large = _check_at_root(CiftBounds(rho=1e-8, K=1.0, L1=1e3, ell_x=1e-3,
+                                      ell_alpha=1e-3), 1.0, 1e-3)
+    assert small[0] and large[0]
+    assert small[1].delta_min < large[1].delta_min
+
+
+def test_solve_deltas_steps_dx_back_no_further_than_the_floor():
+    """A box of the seed-0 branch where the L1 coupling binds: at the
+    largest feasible delta_alpha the dx ceiling sits an ulp above the floor
+    and fails the pair check, which rounds 2K(L1 dx + L2 da) <= 1 apart from
+    it.  The step back stops at the floor, which the alpha check has
+    already certified, instead of stepping past it and giving up."""
+    from certibif.cift import _dx_ceiling, _pair_feasible, _Probe
+    b = CiftBounds(rho=5.995204332975845e-15, K=6.739970907978892,
+                   L1=58.32574483346063, L2=34.601015575504604,
+                   L3=4.0291271289160886e-14, L4=20.355909077067825,
+                   ell_x=0.0256, ell_alpha=0.0256)
+    da = float(_bisect_delta_alpha(b, 1.0, 0.0256))
+    ok, pair = check_deltas(b, 1.0, 0.0256, da)
+    p = _Probe.of(b, da, 1.0, 0.0256)
+    assert ok and pair.delta_alpha == da
+    assert not _pair_feasible(p, _dx_ceiling(p))
+    assert _pair_feasible(p, pair.delta_x)
+    assert pair.delta_x == p.floor
+    assert delta_alpha_root(b.K, b.rho, b.L1, b.L2, b.L3, b.L4, b.ell_x,
+                            1.0, 0.0256)[1] == "L1-coupling"
+
+
+def _log_uniform(rng, lo, hi, n):
+    return np.exp(rng.uniform(np.log(lo), np.log(hi), n))
+
+
+def test_check_deltas_at_the_planned_root_accepts_exactly_the_feasible_bounds():
+    """On 4,000 random bounds (L1 = 0 among them; the radii, the cap and
+    dir_norm drawn independently), the stacked check at the root-planned
+    delta_alpha accepts exactly the bounds for which the reference
+    bisection finds a feasible delta_alpha > 0, gives a pair that passes
+    the rigorous pair check, and loses at most 2e-8 of the reference."""
+    from certibif.cift import _pair_feasible, _Probe
+    rng = np.random.default_rng(17)
+    n = 4000
+    with_l1 = rng.random(n) < 0.9
+    b = CiftBounds(rho=_log_uniform(rng, 1e-16, 1e-8, n), K=rng.uniform(1.0, 50.0, n),
+                   L1=np.where(with_l1, _log_uniform(rng, 1e-2, 1e7, n), 0.0),
+                   L2=_log_uniform(rng, 1e-6, 1e3, n), L3=_log_uniform(rng, 1e-16, 1e2, n),
+                   L4=_log_uniform(rng, 1e-6, 1e3, n), ell_x=_log_uniform(rng, 1e-8, 1e-2, n),
+                   ell_alpha=_log_uniform(rng, 1e-10, 1e-2, n))
+    dir_norm = rng.uniform(0.01, 10.0, n)
+    cap = _log_uniform(rng, 1e-8, 1e-1, n)
+    roots = [delta_alpha_root(*args)[0] for args in zip(
+        b.K.tolist(), b.rho.tolist(), b.L1.tolist(), b.L2.tolist(), b.L3.tolist(),
+        b.L4.tolist(), b.ell_x.tolist(), dir_norm.tolist(), cap.tolist())]
+    da = np.array([_planned(min(r, e)) for r, e in zip(roots, b.ell_alpha.tolist())])
+    ok, pair = check_deltas(b, dir_norm, cap, da)
+    ref = _bisect_delta_alpha(b, dir_norm, cap)
+    assert 0 < ok.sum() < n and (ok & ~with_l1).any()
+    np.testing.assert_array_equal(ok, ref > 0.0)
+    assert _pair_feasible(_Probe.of(b, da, dir_norm, cap), pair.delta_x)[ok].all()
+    assert (pair.delta_min <= pair.delta_x)[ok].all()
+    assert (da >= (1.0 - 2e-8) * ref)[ok].all()
 
 
 # ---------------------------------------------------------------------------
@@ -279,62 +349,6 @@ def test_bounds_reject_negative():
         CiftBounds(rho=-1.0, K=1.0, L1=0.0)
 
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-
-def _bisect_delta_alpha(feasible, ell_alpha):
-    """The 80-step bisection solve_deltas used before its closed-form
-    start; returns (delta_alpha, whether it ended on adjacent floats)."""
-    lo, hi = 0.0, ell_alpha
-    if feasible(hi):
-        return hi, True
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, math.nextafter(lo, math.inf) == hi
-
-
-@given(st.floats(1e-16, 1e-8), st.floats(1.0, 50.0),
-       st.one_of(st.just(0.0), st.floats(1e-2, 1e7)),
-       st.floats(0.0, 1e3), st.floats(0.0, 1e2), st.floats(0.0, 1e3),
-       st.floats(1e-8, 1e-2), st.floats(0.0, 1e-2),
-       st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
-       st.one_of(st.just(math.inf), st.floats(1e-8, 1e-1)),
-       st.one_of(st.just(0.1), st.floats(0.0, 0.5)))
-@settings(max_examples=300, deadline=None)
-def test_solve_deltas_output_always_rigorously_feasible(
-        rho, K, L1, L2, L3, L4, ell_x, ell_alpha, dir_norm, coupled_cap,
-        du_reserve):
-    from certibif.cift import _alpha_feasible, _pair_feasible, _TwoK
-    b = CiftBounds(rho=rho, K=K, L1=L1, L2=L2, L3=L3, L4=L4,
-                   ell_x=ell_x, ell_alpha=ell_alpha)
-    k = _TwoK.of(b)
-    search_cap = coupled_cap * (1.0 - du_reserve)
-    feasible = lambda da: _alpha_feasible(b, k, da, dir_norm, coupled_cap, search_cap)
-    try:
-        pair = solve_deltas(b, dir_norm=dir_norm, coupled_cap=coupled_cap,
-                            du_reserve=du_reserve)
-    except ValidationFailed as exc:
-        if "delta_alpha = 0" in str(exc):
-            assert not feasible(0.0)
-        return
-    assert _pair_feasible(b, k, pair.delta_alpha, pair.delta_x, dir_norm, coupled_cap)
-    assert pair.delta_min <= pair.delta_x
-
-    # delta_alpha is the largest float that passes the rigorous check
-    da = pair.delta_alpha
-    assert feasible(da)
-    assert da == ell_alpha or not feasible(math.nextafter(da, math.inf))
-    ref, converged = _bisect_delta_alpha(feasible, ell_alpha)
-    assert da >= ref
-    if converged:
-        assert da == ref
-
-
 class ScalarCubic:
     """H(x) = (x - 1)(x - 2)(x - 3): three known roots a unit apart."""
 
@@ -384,22 +398,3 @@ def test_sn_certificate_200_digit_refinement(coral, sn_cert):
                                  dps=200)
     err = max(abs(float(z_ref[i]) - sn_cert.anchor[i]) for i in range(sn.dim))
     assert err <= sn_cert.delta_accuracy
-
-
-def test_solve_deltas_steps_dx_back_no_further_than_the_floor():
-    """A box of the seed-0 branch where the L1 coupling binds: the dx
-    ceiling sits an ulp above the floor and fails the pair check, which
-    rounds 2K(L1 dx + L2 da) <= 1 apart from it.  The step back stops at
-    the floor, which the delta_alpha search has already certified, instead
-    of stepping past it and giving up."""
-    from certibif.cift import _TwoK, _dx_ceiling, _dx_floor, _pair_feasible
-    b = CiftBounds(rho=5.995204332975845e-15, K=6.739970907978892,
-                   L1=58.32574483346063, L2=34.601015575504604,
-                   L3=4.0291271289160886e-14, L4=20.355909077067825,
-                   ell_x=0.0256, ell_alpha=0.0256)
-    pair = solve_deltas(b, dir_norm=1.0, coupled_cap=0.0256)
-    k = _TwoK.of(b)
-    da = pair.delta_alpha
-    assert not _pair_feasible(b, k, da, _dx_ceiling(b, k, da, 1.0, 0.0256), 1.0, 0.0256)
-    assert _pair_feasible(b, k, da, pair.delta_x, 1.0, 0.0256)
-    assert pair.delta_x == _dx_floor(k, da) and pair.bound_by == "L1-coupling"

@@ -90,6 +90,38 @@ def test_anchor_of_the_wrong_length_is_usage_error(tmp_path, capsys, sn_cert, ns
         assert f"has {got} entries" in err and f"needs {need}" in err
 
 
+@pytest.mark.parametrize("content", ['{"x": 1}', "5", '{"anchor": [1, null]}', "[1, 2"])
+def test_malformed_anchor_file_is_usage_error(tmp_path, capsys, content):
+    """An anchor file that holds neither a list of numbers nor an object
+    with one under "anchor", or no JSON at all, exits 2 with a message
+    naming the file."""
+    anchor_path = tmp_path / "anchor.json"
+    anchor_path.write_text(content)
+    rc = main(["--out", str(tmp_path), "validate-sn", "--anchor", str(anchor_path)])
+    assert rc == 2
+    assert f"error: anchor file {anchor_path} holds neither" in capsys.readouterr().err
+
+
+_F = ", ".join(["0", "0", "0.36", "0.64", "0.82", "0.97", "0.98", "0.99"] + ["1"] * 5)
+
+
+@pytest.mark.parametrize("line, field", [
+    ("c1 = inf", "c1"), ("c2 = -inf", "c2"), ("omega = nan", "omega"),
+    ("F = " + _F.replace("0.36", "nan"), "F"), ("F = " + _F.replace("0.36", "inf"), "F"),
+    ("F = " + _F.replace("0.36", "-0.36"), "F"),
+], ids=["c1-inf", "c2-minus-inf", "omega-nan", "F-nan", "F-inf", "F-negative"])
+def test_non_finite_constants_are_usage_errors(tmp_path, capsys, line, field):
+    """A config constant that is not finite (or a negative F entry) exits
+    2 with a message naming the field, before any computation."""
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text(line + "\n")
+    rc = main(["--config", str(cfg), "--out", str(tmp_path), "transcritical"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f" {field} " in err
+    assert not (tmp_path / "transcritical.json").exists()
+
+
 def test_far_anchor_fails_at_the_cift_stage(tmp_path, capsys):
     """An anchor far outside the model's range (phi's exponentials
     overflow there) is a certification failure with exit 1, not a crash."""
