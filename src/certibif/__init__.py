@@ -7,7 +7,7 @@ from .model import (CoralMap, CoralParams, DerivedCoefficients,
                     FixedPointReduction, derive_float, derive_generic,
                     derive_interval, lambda_to_R, phi, phi_derivs,
                     polyp_density, R_to_lambda)
-from .cift import (Certificate, CiftBounds, DeltaPair, inverse_bound,
+from .cift import (Certificate, CiftBounds, DeltaPair, certificate_json, inverse_bound,
                    lipschitz_L1, residual_bound, validate_zero)
 from .continuation import (BranchBox, BranchResult, CoralBranchSystem,
                            ExtendedSystem, SegmentAnchor, SegmentHypotheses,

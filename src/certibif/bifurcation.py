@@ -11,9 +11,8 @@ branch has closed forms, which are still evaluated as intervals.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -167,9 +166,22 @@ def _g1_dot(jet: Row1Jet, y: IArray) -> Interval:
 class _PointSystem:
     """Layout and evaluation shared by H_ns and H_sn.  `slots` holds the
     slice or position of each variable in z: split and join place the
-    variables by it, and the Jacobian and Hessian builders their columns."""
+    variables by it, and the Jacobian and Hessian builders their columns.
+
+    Both systems share their first rows: rows 0..d-1 are the fixed-point
+    rows f - x, and each eigenvector part y (the slots in `_eig`, in that
+    order) owns the next d rows.  Their x and lambda columns are those of
+    D_x f y and their y columns are D_x f - cI, c = `_shift(parts)` (None
+    for c = 1: the block of the fixed-point rows, built once).  The
+    subclass finishes the eigen rows with its own terms (`_rows` in the
+    residual, where it also subtracts c y so that each row keeps its
+    evaluation order; `_own_jac`, `_own_jac_iv` and `_own_hessian` in the
+    derivatives) and appends its normalization rows."""
 
     slots: tuple
+    _x: int                  # slot of x
+    _lam: int                # slot of lambda
+    _eig: tuple              # slots of the eigenvector parts
 
     def __init__(self, coral: CoralMap):
         self.coral = coral
@@ -185,21 +197,99 @@ class _PointSystem:
             z[s] = part
         return z
 
+    def x_lam(self, z) -> tuple:
+        return z[self.slots[self._x]], z[self.slots[self._lam]]
+
     def value(self, z: np.ndarray) -> np.ndarray:
         return np.array(self.value_scalars(np.asarray(z, dtype=float), self.coral.cf))
 
     def value_iv(self, z: IArray) -> IArray:
         return IArray.from_scalars(self.value_scalars(z.to_scalars(), self.coral.ci))
 
+    def value_scalars(self, z: list, coeffs) -> list:
+        """Generic-scalar evaluation (drives interval and mpmath paths):
+        f - x, then the subclass's rows from D_x f y for each eigenvector y."""
+        parts = self.split(z)
+        x, lam = parts[self._x], parts[self._lam]
+        S = self.coral.params.S
+        f = self.coral.step_scalars(lam, x, coeffs)
+        ys = [parts[k] for k in self._eig]
+        jys = [[j0] + [S[i] * y[i] for i in range(self.d - 1)]
+               for j0, y in zip(_row1_jvp(self.coral, lam, x, coeffs, *ys), ys)]
+        return [fi - xi for fi, xi in zip(f, x)] + self._rows(parts, *jys)
+
+    def jac(self, z: np.ndarray) -> np.ndarray:
+        parts = self.split(np.asarray(z, dtype=float))
+        x, lam = parts[self._x], parts[self._lam]
+        d, cf = self.d, self.coral.cf
+        bx = float(cf.b @ x)
+        phis = phi_derivs(float(cf.q @ x), self.coral.params, order=2)
+        g1 = phis[1] * cf.q * bx + phis[0] * cf.b
+        A = self.coral.jac_x(lam, x)
+        c = self._shift(parts)
+        AmI = A - np.eye(d)
+        AmC = AmI if c is None else A - c * np.eye(d)
+        J = np.zeros((self.dim, self.dim))
+        sx, sl = self.slots[self._x], self.slots[self._lam]
+        J[:d, sx] = AmI
+        J[0, sl] = phis[0] * bx
+        for i, k in enumerate(self._eig, 1):
+            y = parts[k]
+            J[i * d, sx] = lam * row1_d2(phis, bx, cf.q @ y, cf.b @ y, cf.q, cf.b)
+            J[i * d, sl] = g1 @ y
+            J[i * d:(i + 1) * d, self.slots[k]] = AmC
+        self._own_jac(J, parts)
+        return J
+
+    def jac_iv(self, z: IArray) -> IArray:
+        parts, Z = self.split(z.to_scalars()), self.split(z)
+        d, lam = self.d, parts[self._lam]
+        jet = self.coral.row1_jet(Z[self._x], order=2)
+        phis, bx = jet.phis, jet.bx
+        A = self.coral.jac_x_iv(lam, jet)
+        c = self._shift(parts)
+        AmI = A.shifted(1.0)
+        AmC = AmI if c is None else A.shifted(c)
+        lo, hi = np.zeros((self.dim, self.dim)), np.zeros((self.dim, self.dim))
+        sx, sl = self.slots[self._x], self.slots[self._lam]
+        _put(lo, hi, (np.s_[:d], sx), AmI)
+        _put(lo, hi, (0, sl), phis[0] * bx)
+        for i, k in enumerate(self._eig, 1):
+            _put(lo, hi, (i * d, sx), _d2_row(self.coral, lam, phis, bx, parts[k]))
+            _put(lo, hi, (i * d, sl), _g1_dot(jet, Z[k]))
+            _put(lo, hi, (np.s_[i * d:(i + 1) * d], self.slots[k]), AmC)
+        self._own_jac_iv(lo, hi, parts, Z)
+        return IArray(lo, hi)
+
+    def hessian_sup(self, box: IArray) -> np.ndarray:
+        parts, m = self.split(box), self.dim
+        rb = self.coral.row1_bounds(parts[self._lam], parts[self._x])
+        T = np.zeros((m, m, m))
+        sx, sl = self.slots[self._x], self.slots[self._lam]
+        lg2 = up_mul(rb.lam_mag, rb.g2)
+        T[0, sx, sx] = lg2
+        T[0, sl, sx] = T[0, sx, sl] = rb.g1
+        for i, k in enumerate(self._eig, 1):
+            r, sy, ymag = i * self.d, self.slots[k], parts[k].mag
+            T[r, sx, sx] = up_mul(rb.lam_mag, rb.g3_contracted(ymag))
+            T[r, sl, sx] = T[r, sx, sl] = up_mul(up_dot(ymag, rb.g2), 1.0)
+            T[r, sy, sx] = lg2          # d2/dy_j dx_k = lam*g2[j,k]
+            T[r, sx, sy] = lg2.T
+            T[r, sl, sy] = T[r, sy, sl] = rb.g1
+        self._own_hessian(T)
+        return T
+
 
 class NsSystem(_PointSystem):
     """H_ns(x, lambda, w, u, a, b) = 0 encodes a fixed point carrying a
-    unit-norm complex eigenpair on the unit circle; dimension 3d + 3."""
+    unit-norm complex eigenpair on the unit circle; dimension 3d + 3.
+    Its eigen rows are D_x f w - a w + b u and D_x f u - b w - a u."""
 
     name = "neimark-sacker"
     kind = "neimark_sacker"
     on_circle = 2            # eigenvalues of D_x f on the unit circle
     jet_order = 3            # the row-1 jet order its conditions read
+    _x, _lam, _eig = 0, 1, (2, 3)
 
     def __init__(self, coral: CoralMap):
         super().__init__(coral)
@@ -209,122 +299,57 @@ class NsSystem(_PointSystem):
         self.slots = (slice(0, d), d, slice(d + 1, 2 * d + 1),
                       slice(2 * d + 1, 3 * d + 1), 3 * d + 1, 3 * d + 2)
 
-    def x_lam(self, z) -> tuple:
-        x, lam, *_ = self.split(z)
-        return x, lam
+    def _shift(self, parts):
+        return parts[4]          # a
 
-    def value_scalars(self, z: list, coeffs) -> list:
-        """Generic-scalar evaluation (drives interval and mpmath paths)."""
-        d = self.d
-        x, lam, w, u, a, b = self.split(z)
-        S = self.coral.params.S
-        f = self.coral.step_scalars(lam, x, coeffs)
-        jw0, ju0 = _row1_jvp(self.coral, lam, x, coeffs, w, u)
-        jw = [jw0] + [S[i] * w[i] for i in range(d - 1)]
-        ju = [ju0] + [S[i] * u[i] for i in range(d - 1)]
-        out = [fi - xi for fi, xi in zip(f, x)]
-        out += [jwi - a * wi + b * ui for jwi, wi, ui in zip(jw, w, u)]
+    def _rows(self, parts, jw: list, ju: list) -> list:
+        *_, w, u, a, b = parts
+        out = [jwi - a * wi + b * ui for jwi, wi, ui in zip(jw, w, u)]
         out += [jui - b * wi - a * ui for jui, wi, ui in zip(ju, w, u)]
         out.append(a * a + b * b - 1.0)
         out.append(sum((wi * wi for wi in w), 0.0 * a) - 1.0)
         out.append(sum((ui * ui for ui in u), 0.0 * a) - 1.0)
         return out
 
-    def jac(self, z: np.ndarray) -> np.ndarray:
-        x, lam, w, u, a, b = self.split(np.asarray(z, dtype=float))
+    def _own_jac(self, J: np.ndarray, parts) -> None:
         d = self.d
-        cf = self.coral.cf
-        P = float(cf.q @ x)
-        bx = float(cf.b @ x)
-        phis = phi_derivs(P, self.coral.params, order=2)
-        g1 = phis[1] * cf.q * bx + phis[0] * cf.b
-        A = self.coral.jac_x(lam, x)
-        J = np.zeros((self.dim, self.dim))
-        sx, sl, sw, su, sa, sb = self.slots
-        r1, r2, r3 = slice(0, d), slice(d, 2 * d), slice(2 * d, 3 * d)
-        # rows f(lambda, x) - x
-        J[r1, sx] = A - np.eye(d)
-        J[0, sl] = phis[0] * bx
-        # rows D_xf w - a w + b u
-        J[d, sx] = lam * row1_d2(phis, bx, cf.q @ w, cf.b @ w, cf.q, cf.b)
-        J[d, sl] = g1 @ w
-        J[r2, sw] = A - a * np.eye(d)
+        *_, w, u, a, b = parts
+        _, _, sw, su, sa, sb = self.slots
+        r2, r3 = slice(d, 2 * d), slice(2 * d, 3 * d)
         J[r2, su] = b * np.eye(d)
         J[r2, sa] = -w
         J[r2, sb] = u
-        # rows D_xf u - b w - a u
-        J[2 * d, sx] = lam * row1_d2(phis, bx, cf.q @ u, cf.b @ u, cf.q, cf.b)
-        J[2 * d, sl] = g1 @ u
         J[r3, sw] = -b * np.eye(d)
-        J[r3, su] = A - a * np.eye(d)
         J[r3, sa] = -u
         J[r3, sb] = -w
-        # normalization rows
         J[3 * d, sa] = 2 * a
         J[3 * d, sb] = 2 * b
         J[3 * d + 1, sw] = 2 * w
         J[3 * d + 2, su] = 2 * u
-        return J
 
-    def jac_iv(self, z: IArray) -> IArray:
+    def _own_jac_iv(self, lo: np.ndarray, hi: np.ndarray, parts, Z) -> None:
         d = self.d
-        _, lam, w, u, a, b = self.split(z.to_scalars())
-        X, _, W, U, _, _ = self.split(z)
-        jet = self.coral.row1_jet(X, order=2)
-        phis, bx = jet.phis, jet.bx
-        A = self.coral.jac_x_iv(lam, jet)
-        lo, hi = np.zeros((self.dim, self.dim)), np.zeros((self.dim, self.dim))
-        sx, sl, sw, su, sa, sb = self.slots
-        r1, r2, r3 = slice(0, d), slice(d, 2 * d), slice(2 * d, 3 * d)
-        i = np.arange(d)
-        # rows f(lambda, x) - x
-        _put(lo, hi, (r1, sx), A.shifted(1.0))
-        _put(lo, hi, (0, sl), phis[0] * bx)
-        # rows D_xf w - a w + b u
-        _put(lo, hi, (d, sx), _d2_row(self.coral, lam, phis, bx, w))
-        _put(lo, hi, (d, sl), _g1_dot(jet, W))
-        _put(lo, hi, (r2, sw), A.shifted(a))
+        *_, a, b = parts
+        _, _, W, U, _, _ = Z
+        _, _, sw, su, sa, sb = self.slots
+        r2, r3, i = slice(d, 2 * d), slice(2 * d, 3 * d), np.arange(d)
         _put(lo, hi, (d + i, su.start + i), b)
         _put(lo, hi, (r2, sa), -W)
         _put(lo, hi, (r2, sb), U)
-        # rows D_xf u - b w - a u
-        _put(lo, hi, (2 * d, sx), _d2_row(self.coral, lam, phis, bx, u))
-        _put(lo, hi, (2 * d, sl), _g1_dot(jet, U))
         _put(lo, hi, (2 * d + i, sw.start + i), -b)
-        _put(lo, hi, (r3, su), A.shifted(a))
         _put(lo, hi, (r3, sa), -U)
         _put(lo, hi, (r3, sb), -W)
-        # normalization rows
         _put(lo, hi, (3 * d, sa), 2.0 * a)
         _put(lo, hi, (3 * d, sb), 2.0 * b)
         _put(lo, hi, (3 * d + 1, sw), W * 2.0)
         _put(lo, hi, (3 * d + 2, su), U * 2.0)
-        return IArray(lo, hi)
 
-    def hessian_sup(self, box: IArray) -> np.ndarray:
-        d, m = self.d, self.dim
-        x_box, lam_box, w_box, u_box, _, _ = self.split(box)
-        rb = self.coral.row1_bounds(lam_box, x_box)
-        T = np.zeros((m, m, m))
-        sx, sl, sw, su, sa, sb = self.slots
-        lg2 = up_mul(rb.lam_mag, rb.g2)
-        # row f_1 - x_1
-        T[0, sx, sx] = lg2
-        T[0, sl, sx] = rb.g1
-        T[0, sx, sl] = rb.g1
-        # eigen rows, first components
-        for row0, vmag, svec in ((d, w_box.mag, sw), (2 * d, u_box.mag, su)):
-            T[row0, sx, sx] = up_mul(rb.lam_mag, rb.g3_contracted(vmag))
-            tv = up_mul(up_dot(vmag, rb.g2), 1.0)
-            T[row0, sl, sx] = tv
-            T[row0, sx, sl] = tv
-            T[row0, svec, sx] = lg2          # d2/dw_j dx_k = lam*g2[j,k]
-            T[row0, sx, svec] = lg2.T
-            T[row0, sl, svec] = rb.g1
-            T[row0, svec, sl] = rb.g1
-        # bilinear -a*w + b*u rows
+    def _own_hessian(self, T: np.ndarray) -> None:
+        d = self.d
+        _, _, sw, su, sa, sb = self.slots
         c = np.arange(d)
         wc, uc = sw.start + c, su.start + c
+        # bilinear -a*w + b*u and -b*w - a*u terms
         T[d + c, sa, wc] = T[d + c, wc, sa] = 1.0
         T[d + c, sb, uc] = T[d + c, uc, sb] = 1.0
         T[2 * d + c, sb, wc] = T[2 * d + c, wc, sb] = 1.0
@@ -334,7 +359,6 @@ class NsSystem(_PointSystem):
         T[3 * d, sb, sb] = 2.0
         T[3 * d + 1, wc, wc] = 2.0
         T[3 * d + 2, uc, uc] = 2.0
-        return T
 
 
 class SnSystem(_PointSystem):
@@ -345,6 +369,7 @@ class SnSystem(_PointSystem):
     kind = "saddle_node"
     on_circle = 1            # eigenvalues of D_x f on the unit circle
     jet_order = 2            # the row-1 jet order its conditions read
+    _x, _lam, _eig = 0, 2, (1,)
 
     def __init__(self, coral: CoralMap):
         super().__init__(coral)
@@ -353,79 +378,24 @@ class SnSystem(_PointSystem):
         # x | v | lambda
         self.slots = (slice(0, d), slice(d, 2 * d), 2 * d)
 
-    def x_lam(self, z) -> tuple:
-        x, _, lam = self.split(z)
-        return x, lam
+    def _shift(self, parts) -> None:
+        return None              # D_x f - I, as in the fixed-point rows
 
-    def value_scalars(self, z: list, coeffs) -> list:
-        d = self.d
-        x, v, lam = self.split(z)
-        S = self.coral.params.S
-        f = self.coral.step_scalars(lam, x, coeffs)
-        jv = _row1_jvp(self.coral, lam, x, coeffs, v) + [S[i] * v[i] for i in range(d - 1)]
-        out = [fi - xi for fi, xi in zip(f, x)]
-        out += [jvi - vi for jvi, vi in zip(jv, v)]
+    def _rows(self, parts, jv: list) -> list:
+        _, v, lam = parts
+        out = [jvi - vi for jvi, vi in zip(jv, v)]
         out.append(sum((vi * vi for vi in v), 0.0 * lam) - 1.0)
         return out
 
-    def jac(self, z: np.ndarray) -> np.ndarray:
-        x, v, lam = self.split(np.asarray(z, dtype=float))
-        d = self.d
-        cf = self.coral.cf
-        P = float(cf.q @ x)
-        bx = float(cf.b @ x)
-        phis = phi_derivs(P, self.coral.params, order=2)
-        g1 = phis[1] * cf.q * bx + phis[0] * cf.b
-        A = self.coral.jac_x(lam, x)
-        J = np.zeros((self.dim, self.dim))
-        sx, sv, sl = self.slots
-        J[:d, sx] = A - np.eye(d)
-        J[0, sl] = phis[0] * bx
-        J[d, sx] = lam * row1_d2(phis, bx, cf.q @ v, cf.b @ v, cf.q, cf.b)
-        J[d:2 * d, sv] = A - np.eye(d)
-        J[d, sl] = g1 @ v
-        J[2 * d, sv] = 2 * v
-        return J
+    def _own_jac(self, J: np.ndarray, parts) -> None:
+        J[2 * self.d, self.slots[1]] = 2 * parts[1]
 
-    def jac_iv(self, z: IArray) -> IArray:
-        d = self.d
-        _, v, lam = self.split(z.to_scalars())
-        X, V, _ = self.split(z)
-        jet = self.coral.row1_jet(X, order=2)
-        phis, bx = jet.phis, jet.bx
-        AmI = self.coral.jac_x_iv(lam, jet).shifted(1.0)
-        lo, hi = np.zeros((self.dim, self.dim)), np.zeros((self.dim, self.dim))
-        sx, sv, sl = self.slots
-        _put(lo, hi, (np.s_[:d], sx), AmI)
-        _put(lo, hi, (0, sl), phis[0] * bx)
-        _put(lo, hi, (d, sx), _d2_row(self.coral, lam, phis, bx, v))
-        _put(lo, hi, (np.s_[d:2 * d], sv), AmI)
-        _put(lo, hi, (d, sl), _g1_dot(jet, V))
-        _put(lo, hi, (2 * d, sv), V * 2.0)
-        return IArray(lo, hi)
+    def _own_jac_iv(self, lo: np.ndarray, hi: np.ndarray, parts, Z) -> None:
+        _put(lo, hi, (2 * self.d, self.slots[1]), Z[1] * 2.0)
 
-    def hessian_sup(self, box: IArray) -> np.ndarray:
-        d, m = self.d, self.dim
-        x_box, v_box, lam_box = self.split(box)
-        vmag = v_box.mag
-        rb = self.coral.row1_bounds(lam_box, x_box)
-        T = np.zeros((m, m, m))
-        sx, sv, sl = self.slots
-        lg2 = up_mul(rb.lam_mag, rb.g2)
-        T[0, sx, sx] = lg2
-        T[0, sl, sx] = rb.g1
-        T[0, sx, sl] = rb.g1
-        T[d, sx, sx] = up_mul(rb.lam_mag, rb.g3_contracted(vmag))
-        tv = up_mul(up_dot(vmag, rb.g2), 1.0)
-        T[d, sl, sx] = tv
-        T[d, sx, sl] = tv
-        T[d, sv, sx] = lg2
-        T[d, sx, sv] = lg2.T
-        T[d, sl, sv] = rb.g1
-        T[d, sv, sl] = rb.g1
-        vc = sv.start + np.arange(d)
-        T[2 * d, vc, vc] = 2.0
-        return T
+    def _own_hessian(self, T: np.ndarray) -> None:
+        vc = self.slots[1].start + np.arange(self.d)
+        T[2 * self.d, vc, vc] = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -616,21 +586,6 @@ class BifCertificate:
     summary: dict[str, float]
     base: cift.Certificate
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "anchor": [repr(v) for v in self.anchor],
-            "enclosure_lo": [repr(v) for v in self.enclosure_lo],
-            "enclosure_hi": [repr(v) for v in self.enclosure_hi],
-            "delta_accuracy": repr(self.delta_accuracy),
-            "delta_uniqueness": repr(self.delta_uniqueness),
-            "conditions": {k: [repr(lo), repr(hi)]
-                           for k, (lo, hi) in self.conditions.items()},
-            "spectrum_inside": self.spectrum_inside,
-            "summary": {k: repr(v) for k, v in self.summary.items()},
-            "base": self.base.to_json_dict(),
-        }
-
     @staticmethod
     def from_json_dict(d: dict) -> "BifCertificate":
         return BifCertificate(
@@ -646,9 +601,6 @@ class BifCertificate:
             summary={k: float(v) for k, v in d["summary"].items()},
             base=cift.Certificate.from_json_dict(d["base"]),
         )
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -983,21 +935,7 @@ class TranscriticalResult:
     nd1: Interval                 # w^t D_{x lambda} f v
     nd2: Interval                 # w^t D_{xx} f [v, v]
     eigvec_residual: float        # |(D_x f(lambda*, 0) - I) a|_inf / |a|_inf
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "transcritical",
-            "R_star": [repr(self.R_star.lo), repr(self.R_star.hi)],
-            "lambda_star": [repr(self.lambda_star.lo), repr(self.lambda_star.hi)],
-            "v": [repr(x) for x in self.v],
-            "w": [repr(x) for x in self.w],
-            "nd1": [repr(self.nd1.lo), repr(self.nd1.hi)],
-            "nd2": [repr(self.nd2.lo), repr(self.nd2.hi)],
-            "eigvec_residual": repr(self.eigvec_residual),
-        }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+    kind: str = field(default="transcritical", init=False)
 
 
 def transcritical_analysis(params=None) -> TranscriticalResult:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -88,14 +88,6 @@ class Certificate:
     L3: float = 0.0
     L4: float = 0.0
 
-    def to_json_dict(self) -> dict:
-        d = asdict(self)
-        d["anchor"] = [repr(v) for v in self.anchor]
-        for key in ("ell", "rho", "K", "L1", "L2", "L3", "L4",
-                    "delta_accuracy", "delta_uniqueness"):
-            d[key] = repr(d[key])
-        return d
-
     @staticmethod
     def from_json_dict(d: dict) -> "Certificate":
         return Certificate(
@@ -113,8 +105,25 @@ class Certificate:
             preconditioner_sha256=d["preconditioner_sha256"],
         )
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+
+def certificate_json(cert) -> str:
+    """The JSON text of a certificate dataclass, keys sorted: each float
+    (numpy floats too) as its repr string, each Interval as [lo, hi], and
+    nested certificates as objects."""
+    def plain(v):
+        if isinstance(v, (float, np.floating)):
+            return repr(float(v))
+        if isinstance(v, Interval):
+            return [repr(v.lo), repr(v.hi)]
+        if is_dataclass(v):
+            v = {f.name: getattr(v, f.name) for f in fields(v)}
+        if isinstance(v, dict):
+            return {k: plain(x) for k, x in v.items()}
+        if isinstance(v, (tuple, list, np.ndarray)):
+            return [plain(x) for x in v]
+        return v
+
+    return json.dumps(plain(cert), indent=2, sort_keys=True)
 
 
 def preconditioner_hash(B: np.ndarray) -> str:
@@ -190,6 +199,19 @@ def _accuracy(K, rho, L1):
     I = IArray.point
     gate = I(4.0) * I(K) * I(K) * I(rho) * I(L1)
     return gate.hi, (I(2.0) * I(K) * I(rho)).hi
+
+
+def accuracy_gates(K: float, rho: float, L1: float, ell: float,
+                   ell_name: str = "ell") -> tuple[float, str | None]:
+    """The accuracy radius 2 K rho and, when (K, rho, L1) fail an accuracy
+    gate over a box of radius ell, that gate's inequality as a message
+    (None when both 4 K^2 rho L1 < 1 and 2 K rho < ell hold)."""
+    gate, dmin = _accuracy(K, rho, L1)
+    if not gate < 1.0:
+        return float(dmin), f"4 K^2 rho L1 = {float(gate)} >= 1"
+    if not dmin < ell:
+        return float(dmin), f"2 K rho = {float(dmin)} >= {ell_name} = {ell}"
+    return float(dmin), None
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +379,9 @@ def validate_zero(problem, z0: np.ndarray, ell: float = 1e-6) -> Certificate:
     except NotInvertibleEvidence as exc:
         raise ValidationFailed(f"(H2) failed: {exc}") from exc
 
-    gate, d1 = _accuracy(K, rho, L1)
-    if not gate < 1.0:
-        raise ValidationFailed(f"4 K^2 rho L1 = {float(gate)} >= 1")
-    if not d1 < ell:
-        raise ValidationFailed(f"2 K rho = {float(d1)} >= ell = {ell}")
+    d1, refusal = accuracy_gates(K, rho, L1, ell)
+    if refusal:
+        raise ValidationFailed(refusal)
     if L1 > 0.0:
         d2 = min(ell, (Interval(1.0) / (Interval(2.0) * Interval(K) * Interval(L1))).lo)
     else:
@@ -373,7 +393,7 @@ def validate_zero(problem, z0: np.ndarray, ell: float = 1e-6) -> Certificate:
         rho=rho,
         K=K,
         L1=L1,
-        delta_accuracy=float(d1),
+        delta_accuracy=d1,
         delta_uniqueness=d2,
         preconditioner_sha256=preconditioner_hash(B),
     )

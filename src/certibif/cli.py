@@ -25,6 +25,7 @@ from . import continuation as cont
 from . import dynamics
 from .bifurcation import (NsSystem, SnSystem, certify_ns, certify_sn,
                           transcritical_analysis)
+from .cift import certificate_json
 from .errors import CertificationFailed, ValidationFailed
 from .model import CoralMap, CoralParams, FixedPointReduction
 
@@ -227,51 +228,40 @@ def cmd_branch(args) -> int:
     return 0 if (res.boxes and ok) else 1
 
 
-def cmd_validate_ns(args) -> int:
-    params = _load_params(args)
-    coral = CoralMap(params)
+def _validate(args, system, certify, stem: str, title: str) -> int:
+    """The body of validate-sn and validate-ns: certify the point of
+    `system`'s class, write `<stem>_certificate.json` and summarize it."""
+    coral = system.coral
     out = _outdir(args)
-    anchor = _load_anchor(args.anchor, NsSystem(coral)) if args.anchor else None
+    anchor = _load_anchor(args.anchor, system) if args.anchor else None
     try:
-        cert = certify_ns(coral, anchor=anchor, ell=args.ell)
+        cert = certify(coral, anchor=anchor, ell=args.ell)
     except CertificationFailed as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return 1
-    path = out / "ns_certificate.json"
-    path.write_text(cert.dumps())
+    path = out / f"{stem}_certificate.json"
+    path.write_text(certificate_json(cert))
     s = cert.summary
-    print(f"Neimark-Sacker certified: R = {s['R']:.6g}, lambda = {s['lambda']:.6g}, "
+    print(f"{title} certified: R = {s['R']:.6g}, lambda = {s['lambda']:.6g}, "
           f"x1 = {s['x1']:.6g}, P = {s['P']:.6g}")
+    spectrum = (f", eigenvalues inside disk: {cert.spectrum_inside}"
+                if isinstance(system, NsSystem) else "")
     print(f"  delta_accuracy = {cert.delta_accuracy:.4g}, "
-          f"delta_uniqueness = {cert.delta_uniqueness:.4g}, "
-          f"eigenvalues inside disk: {cert.spectrum_inside}")
+          f"delta_uniqueness = {cert.delta_uniqueness:.4g}{spectrum}")
     for name, (lo, hi) in cert.conditions.items():
         print(f"  {name}: [{lo:.6g}, {hi:.6g}]")
     print(f"wrote {path}")
     return 0
+
+
+def cmd_validate_ns(args) -> int:
+    return _validate(args, NsSystem(CoralMap(_load_params(args))), certify_ns, "ns",
+                     "Neimark-Sacker")
 
 
 def cmd_validate_sn(args) -> int:
-    params = _load_params(args)
-    coral = CoralMap(params)
-    out = _outdir(args)
-    anchor = _load_anchor(args.anchor, SnSystem(coral)) if args.anchor else None
-    try:
-        cert = certify_sn(coral, anchor=anchor, ell=args.ell)
-    except CertificationFailed as exc:
-        print(f"certification failed: {exc}", file=sys.stderr)
-        return 1
-    path = out / "sn_certificate.json"
-    path.write_text(cert.dumps())
-    s = cert.summary
-    print(f"saddle-node certified: R = {s['R']:.6g}, lambda = {s['lambda']:.6g}, "
-          f"x1 = {s['x1']:.6g}, P = {s['P']:.6g}")
-    print(f"  delta_accuracy = {cert.delta_accuracy:.4g}, "
-          f"delta_uniqueness = {cert.delta_uniqueness:.4g}")
-    for name, (lo, hi) in cert.conditions.items():
-        print(f"  {name}: [{lo:.6g}, {hi:.6g}]")
-    print(f"wrote {path}")
-    return 0
+    return _validate(args, SnSystem(CoralMap(_load_params(args))), certify_sn, "sn",
+                     "saddle-node")
 
 
 def _load_anchor(path: str, system) -> np.ndarray:
@@ -294,7 +284,7 @@ def cmd_transcritical(args) -> int:
     out = _outdir(args)
     res = transcritical_analysis(params)
     path = out / "transcritical.json"
-    path.write_text(res.dumps())
+    path.write_text(certificate_json(res))
     print(f"transcritical point: R* in [{res.R_star.lo!r}, {res.R_star.hi!r}]")
     print(f"  lambda* in [{res.lambda_star.lo!r}, {res.lambda_star.hi!r}]")
     print(f"  nd1 in [{res.nd1.lo:.6g}, {res.nd1.hi:.6g}] (excludes 0: "

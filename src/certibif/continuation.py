@@ -488,7 +488,9 @@ def validate_segment(anchor: SegmentAnchor, d, delta_alpha=None,
             v=ext.v[i].copy(), delta_alpha=p.delta_alpha, delta_u=p.delta_x,
             delta_min=p.delta_min, bounds=b, hyp=h, bound_by=bound_by[i]) if good
             else ValidationFailed(
-                f"delta inequalities infeasible at the planned delta_alpha = {p.delta_alpha!r}"))
+                cift.accuracy_gates(b.K, b.rho, b.L1, b.ell_x, "ell_x")[1]
+                or f"delta inequalities infeasible at the planned delta_alpha = "
+                   f"{p.delta_alpha!r}"))
     return out
 
 

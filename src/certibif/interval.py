@@ -268,8 +268,9 @@ class Interval:
 
 
 def _mul_bounds(alo, ahi, blo, bhi):
-    """Endpoint bounds of the elementwise interval product (broadcasting)."""
-    with np.errstate(invalid="ignore"):
+    """Endpoint bounds of the elementwise interval product (broadcasting);
+    an overflowing product saturates, as in `Interval.__mul__`."""
+    with np.errstate(invalid="ignore", over="ignore"):
         p1, p2, p3, p4 = alo * blo, alo * bhi, ahi * blo, ahi * bhi
     lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
     hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
@@ -282,8 +283,9 @@ def _mul_bounds(alo, ahi, blo, bhi):
 
 def _sum_bounds(alo, ahi, blo, bhi):
     """Endpoint bounds of the elementwise interval sum, rounded as
-    `Interval.__add__` rounds (TwoSum: exact sums stay exact)."""
-    with np.errstate(invalid="ignore"):
+    `Interval.__add__` rounds (TwoSum: exact sums stay exact); an
+    overflowing sum saturates as it does there."""
+    with np.errstate(invalid="ignore", over="ignore"):
         s, t = alo + blo, ahi + bhi
         bs, bt = s - alo, t - ahi
         err_lo = (alo - (s - bs)) + (blo - bs)

@@ -12,6 +12,7 @@ from certibif.bifurcation import (CI, BifCertificate, NsSystem, SnSystem,
                                   ns_condition_d, ns_condition_e,
                                   transcritical_analysis,
                                   verified_solve, verified_spectrum_inside_disk)
+from certibif.cift import certificate_json
 from certibif.errors import DomainError, SpectrumInconclusive
 from certibif.interval import IArray, Interval
 from certibif.model import FixedPointReduction, phi_derivs, row1_d2
@@ -163,20 +164,24 @@ def test_hsn_dimension_and_jacobian(coral):
     _assert_jac_iv_contains_mp_jacobian(coral, sn, z)
 
 
-def test_hessian_sup_dominates_finite_differences(coral):
+@pytest.mark.parametrize("system_cls, find_anchor", [(NsSystem, find_ns_anchor),
+                                                     (SnSystem, find_sn_anchor)],
+                         ids=["NsSystem", "SnSystem"])
+def test_hessian_sup_dominates_finite_differences(coral, system_cls, find_anchor):
     """T[i,k,j] must dominate |d2 H_i / dz_k dz_j| sampled at the anchor."""
-    ns = NsSystem(coral)
-    z = find_ns_anchor(coral)
-    T = ns.hessian_sup(IArray.around(z, 1e-6))
+    system = system_cls(coral)
+    z = find_anchor(coral)
+    m = system.dim
+    T = system.hessian_sup(IArray.around(z, 1e-6))
     rng = np.random.default_rng(5)
     for _ in range(12):
-        k, j = rng.integers(0, 42, size=2)
+        k, j = rng.integers(0, m, size=2)
         hk = 1e-5 * max(1.0, abs(z[k]))
         hj = 1e-5 * max(1.0, abs(z[j]))
-        ek = np.zeros(42); ek[k] = hk
-        ej = np.zeros(42); ej[j] = hj
-        d2 = (ns.value(z + ek + ej) - ns.value(z + ek - ej)
-              - ns.value(z - ek + ej) + ns.value(z - ek - ej)) / (4 * hk * hj)
+        ek = np.zeros(m); ek[k] = hk
+        ej = np.zeros(m); ej[j] = hj
+        d2 = (system.value(z + ek + ej) - system.value(z + ek - ej)
+              - system.value(z - ek + ej) + system.value(z - ek - ej)) / (4 * hk * hj)
         assert np.all(np.abs(d2) <= T[:, int(k), int(j)] + 1e-4)
 
 
@@ -434,10 +439,10 @@ def test_certificates_refine_to_true_zero(coral, ns_cert, sn_cert):
 
 
 def test_bif_certificate_json_roundtrip(sn_cert):
-    blob = sn_cert.dumps()
+    blob = certificate_json(sn_cert)
     again = BifCertificate.from_json_dict(json.loads(blob))
     assert again == sn_cert
-    assert json.loads(again.dumps()) == json.loads(blob)
+    assert certificate_json(again) == blob
 
 
 # ---------------------------------------------------------------------------

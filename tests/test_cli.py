@@ -11,6 +11,7 @@ import numpy as np
 import helpers
 from certibif import continuation as cont
 from certibif.bifurcation import BifCertificate
+from certibif.cift import certificate_json
 from certibif.cli import (BranchPoints, build_parser, emit_bifurcation_diagram,
                           emit_branch_csv, emit_certificate_chain, main)
 
@@ -65,8 +66,36 @@ def test_validate_sn_json_roundtrip(tmp_path, capsys):
     assert rc == 0
     blob = (tmp_path / "sn_certificate.json").read_text()
     cert = BifCertificate.from_json_dict(json.loads(blob))
-    assert json.loads(cert.dumps()) == json.loads(blob)
+    assert certificate_json(cert) == blob
     assert cert.delta_accuracy <= 1e-10
+
+
+def test_certificate_numbers_are_decimal_strings(tmp_path):
+    """Every number string that validate-sn, validate-ns and transcritical
+    write parses with float(); only the names and the hash are text."""
+    text_keys = {"kind", "system", "preconditioner_sha256"}
+
+    def strings(node, key=None):
+        if isinstance(node, dict):
+            for k, v in node.items():
+                yield from strings(v, k)
+        elif isinstance(node, list):
+            for v in node:
+                yield from strings(v, key)
+        elif isinstance(node, str) and key not in text_keys:
+            yield key, node
+
+    for verb, name in (("validate-sn", "sn_certificate.json"),
+                       ("validate-ns", "ns_certificate.json"),
+                       ("transcritical", "transcritical.json")):
+        assert main(["--out", str(tmp_path), verb]) == 0
+        found = list(strings(json.loads((tmp_path / name).read_text())))
+        assert found
+        for key, text in found:
+            try:
+                float(text)
+            except ValueError:
+                pytest.fail(f"{name}: {key} = {text!r} is not a decimal string")
 
 
 def test_validate_ns_with_anchor_file(tmp_path, capsys, ns_cert):

@@ -248,6 +248,24 @@ def test_validate_segment_coral(coral):
     assert box.delta_alpha * box.dir_norm + box.delta_u <= 1e-4 * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("d, refusal", [
+    (1e-13, "2 K rho = 1.9671942296805512e-13 >= ell_x = 1e-13"),
+    (30.0, "4 K^2 rho L1 = inf >= 1"),
+], ids=["ell_x", "L1"])
+def test_validate_segment_names_the_refusing_gate(coral, d, refusal):
+    """A segment that fails an accuracy gate is refused by that gate's
+    inequality, as validate_zero names it, not by the planned
+    delta_alpha; the L1 gate overflows to inf without a warning."""
+    system, t0, u0 = branch_start(coral, 300.0)
+    A = system.evaluate(t0, u0)[1]
+    mu, v = tangent_estimate(A)
+    if mu > 0:
+        mu, v = -mu, -v
+    (got,) = validate_segment(_anchor(system, t0, u0, mu, v, A), [d])
+    assert isinstance(got, ValidationFailed)
+    assert str(got) == refusal
+
+
 def test_classify_stability_trivial_branch(coral):
     lam_low = 50.0 / coral.cf.ba      # R = 50 < 72.22
     lam_high = 100.0 / coral.cf.ba    # R = 100 > 72.22

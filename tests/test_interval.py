@@ -442,6 +442,27 @@ def test_up_helpers_saturate_infinite_bounds_silently():
         assert got[0, 0] == np.inf and 2.0 <= got[1, 0] < np.inf
 
 
+def test_iarray_overflow_saturates_as_interval_silently():
+    """Sums, differences and products that overflow saturate entry by
+    entry exactly as the scalar Interval operations do, with no numpy
+    overflow warning."""
+    a = IArray(np.array([1.5e308, -1.5e308, 1e200, 1.7e308]),
+               np.array([1.5e308, 1.6e308, 1e200, 1.7e308]))
+    b = IArray(np.array([1.5e308, 1.5e308, -1e200, 0.0]),
+               np.array([1.6e308, 1.5e308, 1e200, 1e10]))
+    ia = lambda i: Interval(a.lo[i], a.hi[i])
+    ib = lambda i: Interval(b.lo[i], b.hi[i])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = {"+": a + b, "-": a - b, "*": a * b}
+        want = {"+": lambda i: ia(i) + ib(i), "-": lambda i: ia(i) - ib(i),
+                "*": lambda i: ia(i) * ib(i)}
+        for op, g in got.items():
+            _assert_entrywise(g, (4,), want[op])
+        s = IArray.point([1.5e308]) + IArray.point([1.5e308])
+    assert (s.lo[0], s.hi[0]) == (sys.float_info.max, math.inf)
+
+
 def test_scale_and_widened():
     v = IArray.point([1.0, -1.0]) * Interval(2.0, 3.0)
     assert contains(v, np.array([2.5, -2.5]))
