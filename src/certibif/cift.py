@@ -194,11 +194,11 @@ def lipschitz_L1(problem, z0: np.ndarray, ell: float, absB: np.ndarray) -> float
     return lipschitz_from_tensor(problem.hessian_sup(box), absB)
 
 
-def _accuracy(K, rho, L1):
-    """Upper bounds of 4 K^2 rho L1 and of 2 K rho (arrays for stacks)."""
-    I = IArray.point
-    gate = I(4.0) * I(K) * I(K) * I(rho) * I(L1)
-    return gate.hi, (I(2.0) * I(K) * I(rho)).hi
+def _accuracy(K: IArray, rho: IArray, L1: IArray) -> tuple[IArray, IArray, IArray]:
+    """Enclosures of 4 K^2 rho L1, of 2K and of the accuracy radius 2K rho,
+    from point enclosures of K, rho and L1 (arrays for stacks)."""
+    K2 = IArray.point(2.0) * K
+    return IArray.point(4.0) * K * K * rho * L1, K2, K2 * rho
 
 
 def accuracy_gates(K: float, rho: float, L1: float, ell: float,
@@ -206,7 +206,9 @@ def accuracy_gates(K: float, rho: float, L1: float, ell: float,
     """The accuracy radius 2 K rho and, when (K, rho, L1) fail an accuracy
     gate over a box of radius ell, that gate's inequality as a message
     (None when both 4 K^2 rho L1 < 1 and 2 K rho < ell hold)."""
-    gate, dmin = _accuracy(K, rho, L1)
+    I = IArray.point
+    gate, _, dmin = _accuracy(I(K), I(rho), I(L1))
+    gate, dmin = gate.hi, dmin.hi
     if not gate < 1.0:
         return float(dmin), f"4 K^2 rho L1 = {float(gate)} >= 1"
     if not dmin < ell:
@@ -232,7 +234,8 @@ _DU_RESERVE = 0.1
 class _Probe:
     """Bounds b at delta_alpha values da under the coupling dir_norm*da +
     dx <= cap, with the enclosures of 2K L1 and of the da terms built once
-    and shared by the floor, the ceiling and every pair check."""
+    and shared by the accuracy gates, the floor, the ceiling and every
+    pair check."""
 
     b: CiftBounds
     da: np.ndarray
@@ -242,14 +245,17 @@ class _Probe:
     L2da: IArray            # 2K L2 da
     drift: IArray           # dir_norm da
     floor: np.ndarray       # upper bound of 2K(rho + L3 da + L4 da^2), the least delta_x
+    gate: np.ndarray        # upper bound of 4 K^2 rho L1
+    delta_min: np.ndarray   # upper bound of 2K rho, the accuracy radius
 
     @staticmethod
     def of(b: CiftBounds, da, dir_norm, cap) -> "_Probe":
         I = IArray.point
-        K2, a = I(2.0) * I(b.K), I(da)
-        floor = (K2 * I(b.rho) + K2 * I(b.L3) * a + K2 * I(b.L4) * a * a).hi
-        return _Probe(b, da, dir_norm, cap, K2 * I(b.L1), K2 * I(b.L2) * a,
-                      I(dir_norm) * a, floor)
+        L1, a = I(b.L1), I(da)
+        gate, K2, K2rho = _accuracy(I(b.K), I(b.rho), L1)
+        floor = (K2rho + K2 * I(b.L3) * a + K2 * I(b.L4) * a * a).hi
+        return _Probe(b, da, dir_norm, cap, K2 * L1, K2 * I(b.L2) * a,
+                      I(dir_norm) * a, floor, gate.hi, K2rho.hi)
 
 
 def _pair_feasible(p: _Probe, dx):
@@ -270,21 +276,24 @@ def _dx_ceiling(p: _Probe):
     return np.where(with_l1 & (num.lo <= 0.0), 0.0, cap)
 
 
-def _alpha_feasible(p: _Probe):
+def _alpha_feasible(p: _Probe, ceiling=None):
     """Rigorous: some delta_x completes the probe's delta_alpha to a
     feasible pair, and dir_norm*da stays within the cap less its reserve.
-    Monotone in da: the floor rises with it and every ceiling falls."""
+    Monotone in da: the floor rises with it and every ceiling falls.
+    `ceiling` is _dx_ceiling(p) when the caller has it."""
+    ceiling = _dx_ceiling(p) if ceiling is None else ceiling
     return ((np.multiply(p.dir_norm, p.da) <= np.multiply(p.cap, 1.0 - _DU_RESERVE))
-            & (p.floor <= _dx_ceiling(p)) & _pair_feasible(p, np.maximum(p.floor, 1e-300)))
+            & (p.floor <= ceiling) & _pair_feasible(p, np.maximum(p.floor, 1e-300)))
 
 
-def _largest_dx(p: _Probe):
+def _largest_dx(p: _Probe, ceiling):
     """The largest delta_x the pair check certifies at a feasible da, and
-    where it certifies one.  The ceiling and the pair check round
-    2K(L1 dx + L2 da) <= 1 apart, so the ceiling may fail by an ulp: step
-    back, but never below the floor, which _alpha_feasible certified."""
+    where it certifies one, from the ceiling _dx_ceiling(p).  The ceiling
+    and the pair check round 2K(L1 dx + L2 da) <= 1 apart, so the ceiling
+    may fail by an ulp: step back, but never below the floor, which
+    _alpha_feasible certified."""
     fl = np.maximum(p.floor, 1e-300)
-    dx = _dx_ceiling(p)
+    dx = ceiling
     for _ in range(64):
         ok = _pair_feasible(p, dx)
         todo = ~ok & (dx > fl)
@@ -294,38 +303,36 @@ def _largest_dx(p: _Probe):
     return dx, _pair_feasible(p, dx)
 
 
-def _smallest_root(a: float, b: float, c: float) -> float:
+def _smallest_root(a, b, c):
     """Smallest nonnegative root of a*x^2 + b*x + c (a, b >= 0, c <= 0),
-    in float; inf when the left side never reaches zero."""
-    if c >= 0.0:
-        return 0.0
-    den = b + math.sqrt(b * b - 4.0 * a * c)
-    return -2.0 * c / den if den > 0.0 else math.inf
+    in float, entrywise; inf where the left side never reaches zero."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        den = b + np.sqrt(b * b - 4.0 * a * c)
+        root = np.where(den > 0.0, -2.0 * c / den, math.inf)
+    return np.where(c >= 0.0, 0.0, root)
 
 
-def search_cap_root(coupled_cap: float, dir_norm: float) -> float:
-    """The float root of dir_norm*da = coupled_cap*(1 - _DU_RESERVE)
-    (dir_norm > 0), and so an upper bound of every root
-    `delta_alpha_root` returns with these arguments."""
-    return coupled_cap * (1.0 - _DU_RESERVE) / dir_norm
+_ROOT_NAMES = np.array(["ell-x", "L1-coupling", "coupled-cap", "search-cap"])
 
 
-def delta_alpha_root(K: float, rho: float, L1: float, L2: float, L3: float, L4: float,
-                     ell_x: float, dir_norm: float, coupled_cap: float) -> tuple[float, str]:
+def delta_alpha_root(K, rho, L1, L2, L3, L4, ell_x, dir_norm, coupled_cap):
     """Float estimate of the largest delta_alpha that `check_deltas`
     accepts on bounds with these fields and the same coupling, ell_alpha
     aside, and the constraint that sets it: the smallest float root of
-    floor(da) = each ceiling, floor = a*da^2 + bl*da + c0.  Plain floats
-    in, so the planner probes boxes without building `CiftBounds`."""
-    K2 = 2.0 * K
-    a, bl, c0 = K2 * L4, K2 * L3, K2 * rho
-    s = K2 * L1                      # 2K(L1 floor + L2 da) <= 1
-    roots = {"ell-x": _smallest_root(a, bl, c0 - ell_x),
-             "L1-coupling": _smallest_root(s * a, s * bl + K2 * L2, s * c0 - 1.0),
-             "coupled-cap": _smallest_root(a, bl + dir_norm, c0 - coupled_cap),
-             "search-cap": search_cap_root(coupled_cap, dir_norm)}
-    name = min(roots, key=roots.get)
-    return roots[name], name
+    floor(da) = each ceiling, floor = a*da^2 + bl*da + c0, the first
+    constraint of `_ROOT_NAMES` on a tie.  Floats give a float and a name;
+    arrays, one entry per segment, give arrays."""
+    K2 = 2.0 * np.asarray(K, dtype=float)
+    a, bl, c0, s = K2 * L4, K2 * L3, K2 * rho, K2 * L1    # s: 2K(L1 floor + L2 da) <= 1
+    # the search cap dir_norm*da = coupled_cap*(1 - _DU_RESERVE) bounds every root
+    roots = np.stack(np.broadcast_arrays(
+        _smallest_root(a, bl, c0 - ell_x),
+        _smallest_root(s * a, s * bl + K2 * L2, s * c0 - 1.0),
+        _smallest_root(a, bl + dir_norm, c0 - coupled_cap),
+        coupled_cap * (1.0 - _DU_RESERVE) / np.asarray(dir_norm, dtype=float)))
+    k = roots.argmin(axis=0)
+    root = np.take_along_axis(roots, k[None], axis=0)[0]
+    return (float(root), str(_ROOT_NAMES[k])) if root.ndim == 0 else (root, _ROOT_NAMES[k])
 
 
 def check_deltas(b: CiftBounds, dir_norm, coupled_cap,
@@ -341,11 +348,11 @@ def check_deltas(b: CiftBounds, dir_norm, coupled_cap,
     with it, so feasibility is monotone: a value a margin below the float
     root of `delta_alpha_root` (and below ell_alpha) passes unless the
     root misjudges the rounding of the rigorous check."""
-    gate, dmin = _accuracy(b.K, b.rho, b.L1)
     p = _Probe.of(b, np.asarray(delta_alpha, dtype=float), dir_norm, coupled_cap)
-    ok = (gate < 1.0) & (dmin < b.ell_x) & _alpha_feasible(p)
-    dx, pair_ok = _largest_dx(p)
-    return ok & pair_ok, DeltaPair(delta_alpha=p.da, delta_x=dx, delta_min=dmin)
+    ceiling = _dx_ceiling(p)
+    ok = (p.gate < 1.0) & (p.delta_min < b.ell_x) & _alpha_feasible(p, ceiling)
+    dx, pair_ok = _largest_dx(p, ceiling)
+    return ok & pair_ok, DeltaPair(delta_alpha=p.da, delta_x=dx, delta_min=p.delta_min)
 
 
 # ---------------------------------------------------------------------------

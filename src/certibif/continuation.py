@@ -12,17 +12,14 @@ sits inside the previous uniqueness region.  The driver works on a
 rescaled copy of the coral map (parameter t = R / rscale, state u = x / s)
 so that all coordinates have comparable size.
 
-The driver plans in float and certifies in stacks.  A float planner walks
-a chunk of steps ahead: tangent, the float inverse B of the extended
-Jacobian, float estimates of K and of the Lipschitz data over the box, the
-delta_alpha they predict, and the chord corrector, whose last evaluation
-is the next anchor's, so the planner evaluates each float point once.  The
-validator runs every interval stage once on the stacked anchors of the
-chunk and certifies each box at exactly its planned delta_alpha.  The
-longest prefix that validates and links is kept.  The first box that fails
-is replanned: its delta_alpha is planned again from its certified constants
-and checked the same way (its Lipschitz box halving when even that fails),
-and planning resumes after it.
+The driver places a wave of float anchors along the last certified box's
+tangent at a fixed spacing, corrects them in one stacked chord solve
+(whose last evaluation gives each anchor's tangent, float inverse B and
+stability matrix) and certifies the wave as one stack, each box at the
+delta_alpha of its certified constants.  The step out of a box is the
+projection of the next anchor on its tangent; the first one longer than
+ALPHA_FRAC delta_alpha, or that fails to link, cuts the wave and is taken
+again serially, and the next wave starts where it lands.
 """
 
 from __future__ import annotations
@@ -34,8 +31,8 @@ import numpy as np
 from . import cift
 from .errors import (CorrectorFailed, NotInvertibleEvidence, TangentUndefined,
                      ValidationFailed)
-from .interval import (_EPS, FloatHull, IArray, Interval, _adn, _aup, float_matmat,
-                       norm_inf, up_mul, up_sum)
+from .interval import (_EPS, IArray, Interval, _adn, _aup, float_matmat, norm_inf, up_mul,
+                       up_sum)
 from .model import CoralMap, FixedPointReduction, phi_derivs
 
 
@@ -95,53 +92,36 @@ class CoralBranchSystem:
 
     # -- float evaluation --------------------------------------------------
 
-    def evaluate(self, t: float, u: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def evaluate(self, t, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """F, [D_t F | D_u F] as one (d, d + 1) matrix, and the raw D_x f
         that its D_u F block rescales, at (t, u), from one q.x, one b.x and
-        one `phi_derivs`.  This is the float interface of every branch
-        system; one without a map to label stability by gives None in
-        place of D_x f.  Each entry equals, bit for bit, the composition of
-        the one-state map, its lambda derivative and `CoralMap.jac_x`
-        (the tests keep the first two as reference functions)."""
-        cf, s = self.coral.cf, self.s
-        lam, x = self._ct * t, s * u
-        P, bx = float(cf.q @ x), float(cf.b @ x)
+        one `phi_derivs`; t (n,) and u (n, d) give a stack of independent
+        rows.  This is the float interface of every branch system (one
+        without a map gives None for D_x f).  A one-point call equals, bit
+        for bit, the one-state map, its lambda derivative and
+        `CoralMap.jac_x` (kept by the tests as references); a stacked row
+        sums q.x and b.x in another order and takes np.exp, a few ulps off."""
+        cf, s, d = self.coral.cf, self.s, self.d
+        lam, x = self._ct * np.asarray(t, dtype=float), s * u
+        lead = lam.shape
+        if lead:
+            # row sums, not a matrix product, so that a row does not
+            # depend on the rows stacked with it
+            P, bx = (x * cf.q).sum(axis=-1), (x * cf.b).sum(axis=-1)
+        else:
+            P, bx = float(cf.q @ x), float(cf.b @ x)
         ph, ph1 = phi_derivs(P, self.coral.params, order=1)
-        f = np.empty(self.d)
-        f[0] = lam * ph * bx
-        f[1:] = self._S * x[:-1]
-        Jx = self._Jx.copy()
-        Jx[0] = lam * (ph1 * cf.q * bx + ph * cf.b)
-        A = self._A.copy()
-        A[0, 0] = self._ct * (ph * bx) / s[0]
-        A[0, 1:] = Jx[0] * s / s[0]
-        A[0, 1] -= 1.0
+        col = lambda a: np.asarray(a)[..., None]
+        f = np.empty(lead + (d,))
+        f[..., 0] = lam * ph * bx
+        f[..., 1:] = self._S * x[..., :-1]
+        Jx = _tiled(self._Jx, lead)
+        Jx[..., 0, :] = col(lam) * (col(ph1) * cf.q * col(bx) + col(ph) * cf.b)
+        A = _tiled(self._A, lead)
+        A[..., 0, 0] = self._ct * (ph * bx) / s[0]
+        A[..., 0, 1:] = Jx[..., 0, :] * s / s[0]
+        A[..., 0, 1] -= 1.0
         return f / s - u, A, Jx
-
-    def lipschitz_estimator(self, t0: float, u0: np.ndarray):
-        """Float estimate of `lipschitz_M` over the box of radius d around
-        (t0, u0), as a function of d: its formulas in `FloatHull`
-        arithmetic, which follows the certified constants to rounding
-        error at a fraction of the cost (the planner's input).  q.x0 and
-        b.x0 are taken once for all the boxes the planner probes."""
-        cf, params, ct = self.coral.cf, self.coral.params, abs(self._ct)
-        x0 = self.s * u0
-        P0, b0 = float(cf.q @ x0), float(cf.b @ x0)
-
-        def estimate(d: float) -> tuple[float, float, float, float]:
-            rx = self.s * d
-            rP, rb = float(cf.q @ rx), float(cf.b @ rx)
-            bx = FloatHull(b0 - rb, b0 + rb)
-            ph0, ph1, ph2 = phi_derivs(FloatHull(P0 - rP, P0 + rP), params, order=2)
-            M1 = ct * (abs(t0) + d) * ((ph2 * bx).mag * self._Sqq + ph1.mag * self._Sqb)
-            c = ph1 * bx
-            g1 = np.maximum(np.abs(c.lo * cf.q + ph0.lo * cf.b),
-                            np.abs(c.hi * cf.q + ph0.hi * cf.b))
-            M2 = ct * float(self._ratio0 @ g1)
-            return M1, M2, M2, 0.0
-
-        return estimate
 
     # -- interval evaluation ------------------------------------------------
 
@@ -162,8 +142,7 @@ class CoralBranchSystem:
         F = IArray(flo, fhi) / self.s - u
         # D_u F = (row 1 of D_x f scaled by s_j / s_0, the constant subdiagonal) - I
         row0 = jet.g1 * (lam[..., None] if isinstance(lam, IArray) else lam) * self._ratio0_iv
-        lo = np.broadcast_to(self._Ju_lo, lead + (d, d)).copy()
-        hi = np.broadcast_to(self._Ju_hi, lead + (d, d)).copy()
+        lo, hi = _tiled(self._Ju_lo, lead), _tiled(self._Ju_hi, lead)
         lo[..., 0, :], hi[..., 0, :] = row0.lo, row0.hi
         jt = self._ct_iv * jet.g / Interval.point(float(self.s[0]))
         Jt_lo, Jt_hi = np.zeros(lead + (d,)), np.zeros(lead + (d,))
@@ -193,6 +172,13 @@ class CoralBranchSystem:
         M1 = up_mul(lam_mag, g2)
         M2 = up_sum(up_mul(self._ct_iv.mag, up_mul(self._ratio0, jet.g1.mag)), axis=-1)
         return M1, M2, M2, np.zeros_like(M1)
+
+
+def _tiled(a: np.ndarray, lead: tuple) -> np.ndarray:
+    """A new array of shape lead + a.shape holding a copy of a per entry."""
+    out = np.empty(lead + a.shape)
+    out[...] = a
+    return out
 
 
 def nontrivial_fixed_point(coral: CoralMap, R: float) -> np.ndarray:
@@ -239,26 +225,31 @@ class ExtendedSystem:
         self.mu = np.asarray(mu, dtype=float) if np.ndim(mu) else float(mu)
         self.v = np.asarray(v, dtype=float)
 
-    def point(self, alpha: float, sigma: float, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """(t, u) = anchor + alpha * direction + (sigma, x)."""
-        return self.t0 + alpha * self.mu + sigma, self.u0 + alpha * self.v + x
+    def point(self, alpha, sigma, x: np.ndarray) -> tuple:
+        """(t, u) = anchor + alpha * direction + (sigma, x); an (m,) alpha
+        with (m,) sigma and (m, d) x gives m points along the one anchor's
+        direction."""
+        a = np.asarray(alpha)
+        return self.t0 + alpha * self.mu + sigma, self.u0 + a[..., None] * self.v + x
 
-    def value(self, alpha: float, z: np.ndarray) -> tuple[np.ndarray, tuple]:
+    def value(self, alpha, z: np.ndarray) -> tuple[np.ndarray, tuple]:
         """G(alpha, z), and the branch system's evaluation (F, [D_t F |
-        D_u F], D_x f) at the point it is taken at."""
-        sigma, x = z[0], z[1:]
+        D_u F], D_x f) at the point it is taken at; stacked alphas take
+        one z row each."""
+        sigma, x = z[..., 0], z[..., 1:]
         ev = self.sys.evaluate(*self.point(alpha, sigma, x))
-        G = np.empty(len(z))
-        G[0] = self.mu * sigma + self.v @ x
-        G[1:] = ev[0]
+        G = np.empty(z.shape)
+        G[..., 0] = self.mu * sigma + x @ self.v
+        G[..., 1:] = ev[0]
         return G, ev
 
     def jac_from(self, A: np.ndarray) -> np.ndarray:
-        """D_{(sigma,x)} G from [D_t F | D_u F] at the point G is taken at."""
-        J = np.empty((A.shape[0] + 1, A.shape[1]))
-        J[0, 0] = self.mu
-        J[0, 1:] = self.v
-        J[1:] = A
+        """D_{(sigma,x)} G from [D_t F | D_u F] at the point G is taken at
+        (a stack of them gives a stack)."""
+        J = np.empty(A.shape[:-2] + (A.shape[-2] + 1, A.shape[-1]))
+        J[..., 0, 0] = self.mu
+        J[..., 0, 1:] = self.v
+        J[..., 1:, :] = A
         return J
 
     def jac_iv_at_origin(self, Ju: IArray, Jt: IArray) -> IArray:
@@ -288,14 +279,14 @@ class ExtendedSystem:
 _RANK_TOL = 1e-8
 
 
-def tangent_estimate(jac: np.ndarray, prev: np.ndarray | None = None
-                     ) -> tuple[float, np.ndarray]:
-    """Unit max-norm null vector of `jac` = [D_t F | D_u F] at the anchor.
+def tangent_estimate(jac: np.ndarray, prev: np.ndarray | None = None) -> tuple:
+    """Unit max-norm null vector (mu, v) of `jac` = [D_t F | D_u F] at the
+    anchor; a stack of Jacobians gives arrays, one row each.
 
     Given the previous direction, it solves the bordered system [prev;
     jac] tau = e_0, whose solution continues prev (prev . tau = 1).  At the
     start, with no direction to border by, it is the last right singular
-    vector."""
+    vector of one Jacobian."""
     if prev is None:
         _, sv, Vt = np.linalg.svd(jac)
         if sv[-1] <= _RANK_TOL * sv[0]:
@@ -303,9 +294,10 @@ def tangent_estimate(jac: np.ndarray, prev: np.ndarray | None = None
             raise TangentUndefined("branch Jacobian rank deficiency exceeds one")
         tang = Vt[-1]
     else:
-        border = np.empty((len(prev), len(prev)))
-        border[0], border[1:] = prev, jac
-        rhs = np.zeros(len(prev))
+        n = len(prev)
+        border = np.empty(jac.shape[:-2] + (n, n))
+        border[..., 0, :], border[..., 1:, :] = prev, jac
+        rhs = np.zeros(n)
         rhs[0] = 1.0
         try:
             tang = np.linalg.solve(border, rhs)
@@ -313,25 +305,35 @@ def tangent_estimate(jac: np.ndarray, prev: np.ndarray | None = None
             raise TangentUndefined(f"bordered tangent system singular: {exc}") from exc
         if not np.isfinite(tang).all():
             raise TangentUndefined("bordered tangent system singular: non-finite solution")
-    tang = tang / np.abs(tang).max()
-    return float(tang[0]), tang[1:].copy()
+    tang = tang / np.abs(tang).max(axis=-1, keepdims=True)
+    if tang.ndim == 1:
+        return float(tang[0]), tang[1:].copy()
+    return tang[:, 0].copy(), tang[:, 1:].copy()
 
 
-def newton_correct(ext: ExtendedSystem, alpha: float, tol: float = 1e-13,
-                   max_iter: int = 25) -> tuple[float, np.ndarray, tuple]:
+def newton_correct(ext: ExtendedSystem, alpha, tol: float = 1e-13,
+                   max_iter: int = 25) -> tuple:
     """Approximate zero (sigma, x) of G(alpha, .) orthogonal to the
     predictor, and the branch system's evaluation (F, [D_t F | D_u F],
-    D_x f) at the point it reaches.
+    D_x f) at the point it reaches.  An (m,) array of alphas corrects m
+    predictors along the anchor's direction at once (arrays out, one row
+    each); the stack takes one chord step more once every row meets `tol`,
+    since its slowest row stops just below it and the residual sets each
+    anchor's accuracy radius.
 
     Chord steps z <- z - B_alpha G(alpha, z): the extended Jacobian is
     evaluated and inverted once, at the predictor (alpha, 0), so each
     iteration costs one evaluation of the system."""
-    z = np.zeros(ext.sys.d + 1)
-    B = None
+    z = np.zeros(np.shape(alpha) + (ext.sys.d + 1,))
+    B, extra = None, z.ndim > 1
     for it in range(max_iter + 1):
         G, ev = ext.value(alpha, z)
         if np.abs(G).max() <= tol:
-            return float(z[0]), z[1:].copy(), ev
+            if z.ndim == 1:
+                return float(z[0]), z[1:].copy(), ev
+            if not extra:
+                return z[:, 0].copy(), z[:, 1:].copy(), ev
+            extra = False
         if it == max_iter:
             break
         if B is None:
@@ -339,7 +341,7 @@ def newton_correct(ext: ExtendedSystem, alpha: float, tol: float = 1e-13,
                 B = np.linalg.inv(ext.jac_from(ev[1]))
             except np.linalg.LinAlgError as exc:
                 raise CorrectorFailed(f"singular corrector Jacobian: {exc}") from exc
-        z = z - B @ G
+        z = z - (B @ G if z.ndim == 1 else (B @ G[..., None])[..., 0])
     raise CorrectorFailed(f"no convergence in {max_iter} iterations "
                           f"(residual {np.abs(G).max():.3e})")
 
@@ -377,8 +379,9 @@ def derive_extended_constants(h: SegmentHypotheses, mu, v: np.ndarray) -> cift.C
     I = IArray.point
     vn, am = I(np.abs(v).max(axis=-1)), I(np.abs(mu))
     M1, M2, M3, M4 = I(h.M1), I(h.M2), I(h.M3), I(h.M4)
-    L1 = ((M1 + M3) + (M2 + M4)).hi
-    L2 = ((M1 + M3) * vn + (M2 + M4) * am).hi
+    M13, M24 = M1 + M3, M2 + M4
+    L1 = (M13 + M24).hi
+    L2 = (M13 * vn + M24 * am).hi
     L4 = ((M1 * vn + M2 * am) * vn + (M3 * vn + M4 * am) * am).hi
     return cift.CiftBounds(rho=h.rho, K=h.K, L1=L1, L2=L2, L3=h.xi, L4=L4,
                            ell_x=h.d_u, ell_alpha=h.d_lambda)
@@ -386,7 +389,8 @@ def derive_extended_constants(h: SegmentHypotheses, mu, v: np.ndarray) -> cift.C
 
 def _rows(obj, n: int) -> list:
     """The n per-segment instances of a dataclass whose fields are arrays."""
-    cols = [np.broadcast_to(getattr(obj, f.name), (n,)).tolist() for f in fields(obj)]
+    cols = [np.broadcast_to(v, (n,)).tolist() if np.ndim(v) == 0 else v.tolist()
+            for v in (getattr(obj, f.name) for f in fields(obj))]
     return [type(obj)(*vals) for vals in zip(*cols)]
 
 
@@ -405,7 +409,7 @@ class BranchBox:
     delta_min: float
     bounds: cift.CiftBounds
     hyp: SegmentHypotheses
-    bound_by: str = ""            # "planned", or the constraint that set a replan
+    bound_by: str = ""            # the constraint whose root set delta_alpha
     linked_to_previous: bool = False
     alpha_step: float = 0.0       # alpha used to leave this box
     corr_norm: float = 0.0        # |(sigma*, x*)| of the outgoing corrector
@@ -415,6 +419,10 @@ class BranchBox:
     @property
     def dir_norm(self) -> float:
         return max(abs(self.mu), float(np.abs(self.v).max()))
+
+    def extended(self, system: CoralBranchSystem) -> ExtendedSystem:
+        """The extended system of the box's anchor and direction."""
+        return ExtendedSystem(system, self.t, self.u, self.mu, self.v)
 
 
 @dataclass(frozen=True)
@@ -452,41 +460,48 @@ def segment_anchor(system: CoralBranchSystem, t0: np.ndarray, u0: np.ndarray,
     return SegmentAnchor(ext=ext, rho=rho, xi=xi, K=K)
 
 
-def validate_segment(anchor: SegmentAnchor, d, delta_alpha=None,
-                     index: int = 0) -> list:
-    """Box stage of a stack of anchored segments: certify segment i over
-    its Lipschitz box d_i -- (P3) plus the delta inequalities -- in one
-    stacked `cift.check_deltas` at its planned delta_alpha_i.  When
-    `delta_alpha` is None, each segment's delta_alpha is planned from its
-    certified constants as the planner plans it from estimates, and the
-    box records the constraint whose root set it.  One entry per segment:
-    its BranchBox (index `index` + i), or the ValidationFailed that names
-    the broken part."""
+def _take(obj, idx):
+    """The dataclass of arrays `obj` at the entries idx of each field."""
+    return type(obj)(*(np.asarray(getattr(obj, f.name))[idx] for f in fields(obj)))
+
+
+def validate_segment(anchor: SegmentAnchor, d, index: int = 0) -> list:
+    """Box stage of a stack of anchored segments: certify segment i --
+    (P3) plus the delta inequalities -- in one stacked `cift.check_deltas`
+    at the delta_alpha planned from its certified constants (the float
+    root of `cift.delta_alpha_root`, capped at the box's alpha radius,
+    _PLAN_MARGIN below); `bound_by` records the constraint whose root set
+    it.  d gives each segment its Lipschitz box, or a row of candidate
+    boxes (rungs) all bounded by one stacked `lipschitz_M`, of which the
+    segment takes the one with the largest delta_alpha.  One entry per
+    segment: its BranchBox (index `index` + i), or the ValidationFailed
+    that names the broken part."""
     ext = anchor.ext
     d = np.asarray(d, dtype=float)
     n = d.shape[0]
-    M1, M2, M3, M4 = ext.sys.lipschitz_M(ext.t0, ext.u0, d)
-    hyp = SegmentHypotheses(rho=anchor.rho, xi=anchor.xi, K=anchor.K, M1=M1, M2=M2,
-                            M3=M3, M4=M4, d_u=d, d_lambda=d)
-    bounds = derive_extended_constants(hyp, ext.mu, ext.v)
+    r = d.size // n
+    seg = np.repeat(np.arange(n), r)     # the segment of each rung
+    d = d.ravel()
+    M1, M2, M3, M4 = ext.sys.lipschitz_M(ext.t0[seg], ext.u0[seg], d)
+    hyp = SegmentHypotheses(rho=anchor.rho[seg], xi=anchor.xi[seg], K=anchor.K[seg],
+                            M1=M1, M2=M2, M3=M3, M4=M4, d_u=d, d_lambda=d)
+    b = derive_extended_constants(hyp, ext.mu[seg], ext.v[seg])
     dir_norm = np.maximum(np.abs(ext.mu), np.abs(ext.v).max(axis=-1))
-    hyps, bnds = _rows(hyp, n), _rows(bounds, n)
-    if delta_alpha is None:
-        roots = [cift.delta_alpha_root(b.K, b.rho, b.L1, b.L2, b.L3, b.L4, b.ell_x, dn,
-                                       coupled_cap=b.ell_x)
-                 for b, dn in zip(bnds, dir_norm.tolist())]
-        # the roots ignore ell_alpha, which the check does not
-        delta_alpha = [_planned(min(root, b.ell_alpha)) for (root, _), b in zip(roots, bnds)]
-        bound_by = [name for _, name in roots]
-    else:
-        bound_by = ["planned"] * n
-    ok, pairs = cift.check_deltas(bounds, dir_norm, d, delta_alpha)
+    root, names = cift.delta_alpha_root(b.K, b.rho, b.L1, b.L2, b.L3, b.L4, b.ell_x,
+                                        dir_norm[seg], coupled_cap=b.ell_x)
+    # the roots ignore ell_alpha, which the check does not
+    planned = _planned(np.minimum(root, b.ell_alpha))
+    pick = np.arange(n) * r + planned.reshape(n, r).argmax(axis=1)
+    hyp, bounds = _take(hyp, pick), _take(b, pick)
+    ok, pairs = cift.check_deltas(bounds, dir_norm, hyp.d_u, planned[pick])
     out = []
-    for i, (h, b, p, good) in enumerate(zip(hyps, bnds, _rows(pairs, n), ok.tolist())):
+    for i, (h, b, p, name, good) in enumerate(zip(_rows(hyp, n), _rows(bounds, n),
+                                                  _rows(pairs, n), names[pick].tolist(),
+                                                  ok.tolist())):
         out.append(BranchBox(
             index=index + i, t=float(ext.t0[i]), u=ext.u0[i].copy(), mu=float(ext.mu[i]),
             v=ext.v[i].copy(), delta_alpha=p.delta_alpha, delta_u=p.delta_x,
-            delta_min=p.delta_min, bounds=b, hyp=h, bound_by=bound_by[i]) if good
+            delta_min=p.delta_min, bounds=b, hyp=h, bound_by=name) if good
             else ValidationFailed(
                 cift.accuracy_gates(b.K, b.rho, b.L1, b.ell_x, "ell_x")[1]
                 or f"delta inequalities infeasible at the planned delta_alpha = "
@@ -494,30 +509,43 @@ def validate_segment(anchor: SegmentAnchor, d, delta_alpha=None,
     return out
 
 
-# Each step moves this fraction of its box's certified segment
-# [-delta_alpha, delta_alpha].  The link needs |alpha| + delta_min'/|dir|
-# < delta_alpha, and delta_min'/|dir| is below 1e-8 delta_alpha on the
-# default branch, so the 1% left over is ample.
+# Each step moves at most this fraction of its box's certified segment
+# [-delta_alpha, delta_alpha].  The link needs |alpha| + |D| < delta_alpha
+# (see check_link), and |D| is below 1e-8 delta_alpha on the default
+# branch, so the 1% left over is ample.
 ALPHA_FRAC = 0.99
 
 
 def check_link(prev: list[BranchBox], alpha, corr_norm, next_delta_min,
-               slack=0.0) -> np.ndarray:
+               slack=0.0, residual=0.0) -> np.ndarray:
     """Theorem linking inequalities for a stack of links: the accuracy
-    ball of box k+1 must lie in the uniqueness region of box prev[k] at
-    the alpha where the corrector ran, whose correction had max norm
-    corr_norm[k].  One bool per link.
+    ball of box k+1 must lie in the uniqueness tube of box prev[k].  One
+    bool per link.
 
-    `slack` absorbs the rounding gap between the stored floating-point
-    anchor and the exact decomposition anchor + alpha*dir + correction.
-    """
+    The step out of box k's float anchor a along its direction dir = (mu,
+    v) was alpha[k], and the next float anchor is, exactly, a + alpha dir +
+    c + g: c the correction, with max norm corr_norm[k] and |<dir, c>| at
+    most residual[k] (the first row of G it leaves), and g the rounding
+    gap of the stored anchor, |g| <= slack[k].
+
+    Lemma.  A point a + alpha dir + c + g + e of the next accuracy ball,
+    |e| <= delta_min', is a + (alpha + D) dir + w with D = <dir, c + g + e>
+    / <dir, dir> and w = c + g + e - D dir, so <dir, w> = 0: w is a zero of
+    box k's G(alpha + D, .), whose zeros lie on that hyperplane (G's first
+    row).  |D| <= (residual + |dir|_1 (slack + delta_min')) / |dir|_2^2 and
+    |w| <= corr_norm + slack + delta_min' + |D| |dir|_inf, so |alpha| + |D|
+    < delta_alpha and that bound on |w| < delta_u make it the CIFT's unique
+    zero on box k's tube.  Every term rounds up (|dir|_2^2 down)."""
     I = IArray.point
     da = np.array([b.delta_alpha for b in prev])
     du = np.array([b.delta_u for b in prev])
-    dn = np.array([b.dir_norm for b in prev])
-    dmin = I(next_delta_min)
-    lhs1 = (I(np.abs(alpha)) + dmin / I(dn)).hi
-    lhs2 = (I(corr_norm) + I(slack) + dmin).hi
+    tau = np.concatenate([np.array([[b.mu] for b in prev]), [b.v for b in prev]], axis=1)
+    norm1 = up_sum(np.abs(tau), axis=-1)
+    norm2sq = float_matmat(tau[:, None, :], I(tau[:, :, None])).lo[:, 0, 0]
+    e = I(slack) + I(next_delta_min)
+    D = (I(residual) + I(norm1) * e) / I(norm2sq)
+    lhs1 = (I(np.abs(alpha)) + D).hi
+    lhs2 = (I(corr_norm) + e + D * I(np.abs(tau).max(axis=-1))).hi
     return (lhs1 < da) & (lhs2 < du)
 
 
@@ -604,307 +632,281 @@ class BranchResult:
     boxes: list[BranchBox] = field(default_factory=list)
     stop_reason: str = ""
     fold_index: int | None = None
-    replans: int = 0              # boxes whose planned delta_alpha failed
-    boxes_discarded: int = 0      # planned boxes dropped after those
+    replans: int = 0              # waves cut at a step, which was then taken serially
+    boxes_discarded: int = 0      # certified anchors dropped after those cuts
 
     def all_linked(self) -> bool:
         return all(b.linked_to_previous for b in self.boxes[1:])
 
 
-# The Lipschitz box |u - u0|, |t - t0| <= d starts at _BOX_START.  The
-# planner moves it by factors of 2 within [_BOX_MIN, _BOX_CAP] to the
-# candidate with the longest predicted step, and a box that fails to
-# validate even at the delta_alpha planned from its certified constants
-# halves it.
+# The Lipschitz box |u - u0|, |t - t0| <= d lies on the ladder _BOX_START
+# 2^k within [_BOX_MIN, _BOX_CAP].  The start box takes the best box of the
+# whole ladder, each later box the best of the rungs {d/2, d, 2d} around
+# the last accepted box's d, and a box that fails to validate even so
+# halves its smallest rung.
 _BOX_START = 1e-4
 _BOX_CAP = 3e-2
 _BOX_MIN = 1e-11
+_LADDER = _BOX_START * 2.0 ** np.arange(
+    np.ceil(np.log2(_BOX_MIN / _BOX_START)), np.floor(np.log2(_BOX_CAP / _BOX_START)) + 1)
 _CORRECTOR_TOL = 1e-14
 _MAX_NEWTON = 25
 # A planned delta_alpha sits this fraction below the float root of the
-# predicted constants.  On the seed-0 branch the certified M1, M2 exceed
-# their estimates by at most 8e-14 relative and K by 1.2e-11, so a planned
-# box fails only where the prediction breaks down; the step gives up 1e-8
-# of its length for that.
+# certified constants, so that the check, which rounds them apart from the
+# root, accepts it; the step gives up 1e-8 of its length for that.
 _PLAN_MARGIN = 1e-8
-# Chunk sizes of the validator: it starts at _CHUNK_MIN planned steps,
-# doubles after each chunk that validates whole, and starts over after a
-# replan.
+# Wave lengths: a wave places _CHUNK_MIN anchors and doubles after each
+# wave accepted whole, up to _CHUNK_MAX; after a cut it places as many as
+# the cut wave accepted, at least _CHUNK_MIN.
 _CHUNK_MIN = 8
 _CHUNK_MAX = 64
+# A wave's anchors are spaced by this fraction of ALPHA_FRAC times the last
+# certified delta_alpha.  Consecutive delta_alpha differ by less than 2.4%
+# on the default branch, so most steps stay below ALPHA_FRAC of their box.
+_WAVE_SPACING = 0.9
+# Accepted boxes get their stability labels in stacks of this many.
+_LABEL_STACK = 512
 
 
-@dataclass
-class _Step:
-    """One planned box: its float anchor data and the step that leaves it."""
-
-    index: int
-    ext: ExtendedSystem           # anchor (t0, u0) and tangent (mu, v)
-    B: np.ndarray                 # float inverse of the extended Jacobian
-    Jx: np.ndarray | None         # raw D_x f, for the stability label
-    d: float                      # Lipschitz box
-    delta_alpha: float            # planned; certified as it is
-    fold_index: int | None        # last fold seen up to this box
-    prev: "_Step | None"          # the box this one was stepped to from
-    alpha: float = 0.0            # the step that leaves the box
-    corr: tuple[float, np.ndarray] | None = None
-    reached: tuple | None = None  # the system's evaluation at the next anchor
-    stop: str = ""                # stop reason after this box
-
-    @property
-    def tangent(self) -> np.ndarray:
-        return np.concatenate([[self.ext.mu], self.ext.v])
-
-    def leave(self, alpha: float) -> bool:
-        """Run the corrector for the step alpha out of this box; False, with
-        the stop reason set, when it fails."""
-        e = self.ext
-        # the residual cannot resolve below a few ulps of the state
-        tol = max(_CORRECTOR_TOL, 8.0 * _EPS * max(abs(e.t0), float(np.abs(e.u0).max())))
-        try:
-            sigma, x, self.reached = newton_correct(e, alpha, tol=tol, max_iter=_MAX_NEWTON)
-        except CorrectorFailed as exc:
-            self.stop = f"corrector-failed: {exc}"
-            return False
-        self.alpha, self.corr = alpha, (sigma, x)
-        return True
-
-    def next_anchor(self) -> tuple[float, np.ndarray]:
-        return self.ext.point(self.alpha, *self.corr)
-
-
-def _predict_alpha(estimate, vn: float, am: float, K: float, rho: float, xi: float,
-                   d: float) -> tuple[float, str]:
-    """The planned delta_alpha for the Lipschitz box d, and its
-    constraint: the float root of `cift.delta_alpha_root` fed with float
-    estimates (`estimate` from `lipschitz_estimator`, vn = |v|, am = |mu|)."""
-    M1, M2, M3, M4 = estimate(d)
-    L1 = M1 + M2 + M3 + M4
-    L2 = (M1 + M3) * vn + (M2 + M4) * am
-    L4 = (M1 * vn + M2 * am) * vn + (M3 * vn + M4 * am) * am
-    root, bound_by = cift.delta_alpha_root(K, rho, L1, L2, xi, L4, d, max(am, vn),
-                                           coupled_cap=d)
-    return _planned(root), bound_by
-
-
-def _planned(root: float) -> float:
+def _planned(root):
     """The planned delta_alpha for a float root: _PLAN_MARGIN below it."""
     return root * (1.0 - _PLAN_MARGIN)
 
 
-def _plan_box(system, t: float, u: np.ndarray, mu: float, v: np.ndarray, F: np.ndarray,
-              A: np.ndarray, B: np.ndarray, d: float) -> tuple[float, float]:
-    """(d, delta_alpha): the Lipschitz box with the longest predicted step
-    among d 2^k, and its planned delta_alpha.  The climb starts at the
-    previous box and moves up while a box cap bounds the step (a larger
-    box relaxes the caps) or down while the L1 coupling does (a smaller
-    box lowers the Lipschitz data), as long as the step grows.  Every
-    root is at most the search-cap root, and rounding is monotone, so a
-    box whose planned search-cap root does not exceed the current step
-    cannot win: the climb stops there without evaluating it.
+@dataclass
+class _Wave:
+    """Float anchors certified as one stack: points and tangents in `ext`,
+    B, D_x f and the last fold seen up to each.  `serial` is the step
+    (alpha, sigma, x) by which the corrector reached anchor 0 from the last
+    certified box; other steps in are projections on the tangent before."""
 
-    The estimates stay above what the validator certifies by more than
-    its rounding: K from the row sums of |B| (the Neumann factor 1/(1 -
-    rho1) is 1 + O(1e-12)), rho and xi from the float residual and drift
-    plus generous multiples of their rounding."""
-    K = float(np.abs(B).sum(axis=1).max())
-    rho = float(np.abs(F).max()) + 64.0 * _EPS * max(float(np.abs(u).max()), 1.0)
-    tang = np.concatenate([[mu], v])
-    xi = float((np.abs(A @ tang) + 32.0 * (len(tang) + 1) * _EPS * (np.abs(A) @ np.abs(tang))).max())
-    vn = float(np.abs(v).max())
-    args = (system.lipschitz_estimator(t, u), vn, abs(mu), K, rho, xi)
-    dir_norm = max(abs(mu), vn)
-    da, bound_by = _predict_alpha(*args, d)
-    factor = 2.0 if bound_by in ("search-cap", "coupled-cap") else 0.5
-    while bound_by != "ell-x" and _BOX_MIN <= factor * d <= _BOX_CAP:
-        if not _planned(cift.search_cap_root(factor * d, dir_norm)) > da:
-            break
-        da2, bound2 = _predict_alpha(*args, factor * d)
-        if not da2 > da:
-            break
-        d, da, bound_by = factor * d, da2, bound2
-    return d, da
+    first: int                    # index of anchor 0 along the branch
+    ext: ExtendedSystem
+    B: np.ndarray
+    Jx: np.ndarray | None
+    folds: list
+    serial: tuple | None = None
+
+    def __len__(self) -> int:
+        return len(self.folds)
+
+    def take(self, n: int) -> "_Wave":
+        e = self.ext
+        return _Wave(self.first, ExtendedSystem(e.sys, e.t0[:n], e.u0[:n], e.mu[:n], e.v[:n]),
+                     self.B[:n], None if self.Jx is None else self.Jx[:n], self.folds[:n],
+                     self.serial)
+
+    def then(self, other: "_Wave") -> "_Wave":
+        """This wave followed by `other`."""
+        cat = np.concatenate
+        a, b = self.ext, other.ext
+        return _Wave(self.first, ExtendedSystem(a.sys, cat([a.t0, b.t0]), cat([a.u0, b.u0]),
+                                                cat([a.mu, b.mu]), cat([a.v, b.v])),
+                     cat([self.B, other.B]), None if self.Jx is None else cat([self.Jx, other.Jx]),
+                     self.folds + other.folds, self.serial)
 
 
-def _plan(system, prev: _Step | None, start: tuple[float, np.ndarray], n: int,
-          to_R: float) -> tuple[list[_Step], str]:
-    """Plan up to n boxes in float from the anchor that the step out of
-    `prev` reached, or from `start` = (t0, u0) when `prev` is None.  Each
-    anchor reuses the evaluation its corrector ended with.  Returns the
-    steps and the stop reason that ends the branch right after them (""
-    for none); a step that ends the branch itself carries its reason in
-    `stop`."""
-    steps: list[_Step] = []
+def _tangent(e: ExtendedSystem) -> np.ndarray:
+    """(mu, v) of the row or rows of e as one vector each."""
+    return np.concatenate([np.asarray(e.mu)[..., None], e.v], axis=-1)
+
+
+def _one(ev: tuple) -> tuple:
+    """A one-point evaluation as a stack of one."""
+    return tuple(None if a is None else a[None] for a in ev)
+
+
+def _wave(system, first: int, t: np.ndarray, u: np.ndarray, ev: tuple,
+          prev: np.ndarray | None, fold_index: int | None, serial=None) -> _Wave:
+    """The wave of anchors (t (n,), u (n, d)) at which the system's
+    evaluation is ev: tangents bordered by the tangent `prev` of the anchor
+    before them (None at the start: one anchor, its SVD tangent oriented to
+    decreasing R), their B, and the fold indices after `fold_index`.
+    Raises TangentUndefined, or LinAlgError for a singular B."""
+    A, Jx = ev[1], ev[2]
     if prev is None:
-        (t, u), ev = start, system.evaluate(*start)
-        d, fold_index, first = _BOX_START, None, 0
-    else:
-        (t, u), ev = prev.next_anchor(), prev.reached
-        d, fold_index, first = prev.d, prev.fold_index, prev.index + 1
-    for k in range(first, first + n):
-        F, A, Jx = ev
-        try:
-            mu, v = tangent_estimate(A, prev=None if prev is None else prev.tangent)
-        except TangentUndefined as exc:
-            return steps, f"tangent-undefined: {exc}"
-        if prev is None and mu > 0.0:
+        mu, v = tangent_estimate(A[0])
+        if mu > 0.0:
             mu, v = -mu, -v          # start by decreasing R
-        # a fold shows as a sign change of the parameter component
-        if prev is not None and np.sign(mu) != np.sign(prev.ext.mu) and mu != 0.0:
-            fold_index = k
-        ext = ExtendedSystem(system, t, u, mu, v)
-        try:
-            B = np.linalg.inv(ext.jac_from(A))
-        except np.linalg.LinAlgError as exc:
-            return steps, f"degenerate: (P2): extended Jacobian singular: {exc}"
-        d, da = _plan_box(system, t, u, mu, v, F, A, B, d)
-        step = _Step(index=k, ext=ext, B=B, Jx=Jx, d=d, delta_alpha=da,
-                     fold_index=fold_index, prev=prev)
-        steps.append(step)
-        if fold_index is not None and system.R_of_t(t) >= to_R:
-            step.stop = "target"
-            break
-        if not step.leave(ALPHA_FRAC * da):
-            break
-        prev = step
-        t, u = step.next_anchor()
-        ev = step.reached
-    return steps, ""
+        mu, v = np.array([mu]), v[None]
+    else:
+        mu, v = tangent_estimate(A, prev)
+    ext = ExtendedSystem(system, t, u, mu, v)
+    B = np.linalg.inv(ext.jac_from(A))
+    # a fold shows as a sign change of the parameter component
+    sign = np.sign(np.concatenate([[np.nan if prev is None else prev[0]], mu]))
+    flip = np.flatnonzero((sign[1:] != sign[:-1]) & (mu != 0.0) & ~np.isnan(sign[:-1]))
+    folds = [fold_index] * len(mu)
+    for k in flip.tolist():
+        folds[k:] = [first + k] * (len(mu) - k)
+    return _Wave(first, ext, B, Jx, folds, serial)
 
 
-def _anchors(system, steps: list[_Step]) -> SegmentAnchor:
-    return segment_anchor(system, np.array([s.ext.t0 for s in steps]),
-                          np.stack([s.ext.u0 for s in steps]),
-                          np.array([s.ext.mu for s in steps]),
-                          np.stack([s.ext.v for s in steps]),
-                          np.stack([s.B for s in steps]))
+def _correct(system, base: ExtendedSystem, alpha, first: int, fold_index: int | None) -> _Wave:
+    """The anchors the corrector reaches from the one anchor of `base`,
+    with tangent tau: an (m,) alpha places m anchors from the predictors
+    base + alpha_j tau by one stacked chord solve, each on its hyperplane
+    tau.(z - base) = alpha_j |tau|^2; a float alpha is a serial step, which
+    the wave records.  Raises CorrectorFailed, TangentUndefined or
+    LinAlgError."""
+    # the residual cannot resolve below a few ulps of the state
+    tol = max(_CORRECTOR_TOL, 8.0 * _EPS * max(abs(base.t0), float(np.abs(base.u0).max())))
+    sigma, x, ev = newton_correct(base, alpha, tol=tol, max_iter=_MAX_NEWTON)
+    t, u = base.point(alpha, sigma, x)
+    if np.ndim(alpha):
+        return _wave(system, first, t, u, ev, _tangent(base), fold_index)
+    return _wave(system, first, np.array([t]), u[None], _one(ev), _tangent(base), fold_index,
+                 serial=(alpha, sigma, x))
 
 
-def _corr_norm(step: _Step) -> float:
-    sigma, x = step.corr
-    return max(abs(sigma), float(np.abs(x).max()))
+# the errors of placing anchors, and the stop reason each gives
+_PLACE_ERRORS = {CorrectorFailed: "corrector-failed", TangentUndefined: "tangent-undefined",
+                 np.linalg.LinAlgError: "degenerate: (P2): extended Jacobian singular"}
 
 
-def _links(system, res: BranchResult, boxes: list[BranchBox],
-           steps: list[_Step]) -> np.ndarray:
-    """check_link for each of `boxes` (with its step) reached by a step
-    from the box before it; True where there is nothing to link."""
-    ok = np.ones(len(boxes), dtype=bool)
-    j = [i for i, s in enumerate(steps) if s.prev is not None]
-    if not j:
-        return ok
-    prev_box = lambda i: boxes[i - 1] if i > 0 else res.boxes[-1]
-    ps = [steps[i].prev for i in j]
-    nx = [steps[i].ext for i in j]
-    gap = _anchor_rounding_gap(
-        np.array([p.ext.t0 for p in ps]), np.stack([p.ext.u0 for p in ps]),
-        np.array([p.alpha for p in ps]), np.array([p.ext.mu for p in ps]),
-        np.stack([p.ext.v for p in ps]), np.array([p.corr[0] for p in ps]),
-        np.stack([p.corr[1] for p in ps]), np.array([e.t0 for e in nx]),
-        np.stack([e.u0 for e in nx]))
-    ok[j] = check_link([prev_box(i) for i in j], [p.alpha for p in ps],
-                       [_corr_norm(p) for p in ps], [boxes[i].delta_min for i in j], gap)
-    return ok
+def _links(tip: BranchBox, wave: _Wave, boxes: list[BranchBox]) -> tuple:
+    """(alpha, corr_norm, links) of the step into each of `boxes` (a prefix
+    of the wave's) from the box before: the serial step, or else the float
+    projection of z_next - z_prev on tau_prev, the remainder correcting it."""
+    n, e = len(boxes), wave.ext
+    t0 = np.concatenate([[tip.t], e.t0[:n - 1]])
+    u0 = np.concatenate([tip.u[None], e.u0[:n - 1]])
+    tau = np.concatenate([[np.concatenate([[tip.mu], tip.v])], _tangent(e)[:n - 1]])
+    dz = np.concatenate([(e.t0[:n] - t0)[:, None], e.u0[:n] - u0], axis=1)
+    alpha = (tau * dz).sum(axis=1) / (tau * tau).sum(axis=1)
+    corr = dz - alpha[:, None] * tau
+    if wave.serial is not None:
+        alpha[0], corr[0, 0], corr[0, 1:] = wave.serial
+    gap = _anchor_rounding_gap(t0, u0, alpha, tau[:, 0], tau[:, 1:], corr[:, 0], corr[:, 1:],
+                               e.t0[:n], e.u0[:n])
+    residual = float_matmat(tau[:, None, :], IArray.point(corr[:, :, None])).mag[:, 0, 0]
+    corr_norm = np.abs(corr).max(axis=1)
+    return alpha, corr_norm, check_link([tip] + boxes[:-1], alpha, corr_norm,
+                                        [b.delta_min for b in boxes], gap, residual)
 
 
-def _replan(anchor: SegmentAnchor, step: _Step) -> BranchBox | ValidationFailed:
-    """Certify a box whose planned delta_alpha failed at the delta_alpha
-    planned from its certified constants, halving its Lipschitz box until
-    it validates."""
-    d, halvings = step.d, 0
-    while True:
-        box = validate_segment(anchor, [d], index=step.index)[0]
-        if isinstance(box, BranchBox):
-            box.halvings = halvings
-            step.d = d
-            return box
-        d *= 0.5
-        halvings += 1
-        if d < _BOX_MIN:
-            return box
-
-
-def _certify(system, steps: list[_Step], res: BranchResult) -> _Step | None:
-    """Validate planned steps as one stack and append the boxes that
-    validate and link to `res`.  Returns the last step, whose step out the
-    planner continues from, or None when the branch ended
-    (`res.stop_reason` says why)."""
-    end = ""
+def _validate(system, wave: _Wave, rungs: np.ndarray) -> tuple[list, str]:
+    """The boxes of the longest prefix of the wave that validates, each over
+    the best of the Lipschitz boxes `rungs` (halving the smallest where all
+    fail), and the stop reason that ends the branch after them, or ""."""
+    e = wave.ext
     try:
-        anchor = _anchors(system, steps)
+        anchor = segment_anchor(system, e.t0, e.u0, e.mu, e.v, wave.B)
     except NotInvertibleEvidence as exc:
-        end = f"degenerate: {exc}"
-        steps = steps[:exc.index or 0]
-        if not steps:
-            res.stop_reason = end
-            return None
-        anchor = _anchors(system, steps)
-    boxes = validate_segment(anchor, [s.d for s in steps],
-                             [s.delta_alpha for s in steps], index=steps[0].index)
-    bad = next((i for i, b in enumerate(boxes) if not isinstance(b, BranchBox)), None)
-    if bad is not None:
-        res.replans += 1
-        res.boxes_discarded += len(steps) - bad - 1
-        step, box = steps[bad], _replan(anchor.take(bad), steps[bad])
-        if isinstance(box, BranchBox):
-            boxes[bad], steps = box, steps[:bad + 1]
-            # the step out of the box is replanned from its new delta_alpha
-            end, step.alpha, step.corr = "", 0.0, None
-            if step.stop != "target":
-                step.stop = ""
-                step.leave(ALPHA_FRAC * box.delta_alpha)
-        else:
-            end, steps = f"degenerate: {box}", steps[:bad]
-        boxes = boxes[:len(steps)]
-    links = _links(system, res, boxes, steps)
-    labels = (None if not steps or steps[0].Jx is None
-              else classify_stability(np.stack([s.Jx for s in steps])))
-    for i, (box, step) in enumerate(zip(boxes, steps)):
-        box.linked_to_previous = step.prev is not None and bool(links[i])
-        res.boxes.append(box)
-        if step.prev is not None and not links[i]:
-            res.stop_reason = "link-failed"
-            return None
-        if labels is not None:
-            box.stability = labels[i]
-        res.fold_index = step.fold_index
-        if step.corr is not None:
-            box.alpha_step, box.corr_norm = step.alpha, _corr_norm(step)
-        if step.stop:
-            res.stop_reason = step.stop
-            return None
-    if end:
-        res.stop_reason = end
-        return None
-    last = steps[-1]
-    last.prev = None             # the steps before it are done with
-    return last
+        boxes, end = _validate(system, wave.take(exc.index), rungs) if exc.index else ([], "")
+        return boxes, end or f"degenerate: {exc}"
+    boxes = validate_segment(anchor, np.broadcast_to(rungs, (len(wave), len(rungs))),
+                             index=wave.first)
+    for i, box in enumerate(boxes):
+        h, halvings = rungs[0], 0
+        while isinstance(box, ValidationFailed) and h >= 2.0 * _BOX_MIN:
+            h, halvings = 0.5 * h, halvings + 1
+            box = validate_segment(anchor.take(i), [h], index=wave.first + i)[0]
+        if isinstance(box, ValidationFailed):
+            return boxes[:i], f"degenerate: {box}"
+        box.halvings, boxes[i] = halvings, box
+    return boxes, ""
 
 
 def continue_branch(system: CoralBranchSystem, t0: float, u0: np.ndarray,
                     to_R: float, max_steps: int) -> BranchResult:
-    """Chain linked validated boxes from a validated start point.
-
-    Terminates on reaching to_R after the fold, on validation failure
-    after the adaptive box has shrunk to its floor, on a linking failure,
-    or after max_steps boxes.
-    """
-    res = BranchResult()
-    prev, start = None, (float(t0), np.asarray(u0, dtype=float).copy())
-    chunk = _CHUNK_MIN
-    while len(res.boxes) < max_steps:
-        steps, stop = _plan(system, prev, start, min(chunk, max_steps - len(res.boxes)), to_R)
-        replans = res.replans
-        if steps:
-            prev = _certify(system, steps, res)
-            if prev is None:
+    """Chain linked validated boxes from a validated start point, in waves
+    placed after the last certified box (the tip); a cut wave's step is
+    taken again serially at ALPHA_FRAC delta_alpha, and the next wave
+    starts where it lands.  Terminates on reaching to_R after the fold, on
+    validation failure after the adaptive box has shrunk to its floor, on
+    a linking failure, or after max_steps boxes."""
+    res, unlabelled = BranchResult(), []      # accepted boxes with their D_x f
+    t0, u0 = float(t0), np.asarray(u0, dtype=float).copy()
+    tip, m, cut = None, _CHUNK_MIN, 0
+    try:
+        while len(res.boxes) < max_steps:
+            head = None
+            if cut is not None:
+                # the start, or where a cut wave's step lands serially, comes first
+                try:
+                    head = (_correct(system, tip.extended(system), ALPHA_FRAC * tip.delta_alpha,
+                                     tip.index + 1, res.fold_index) if tip else
+                            _wave(system, 0, np.array([t0]), u0[None],
+                                  _one(system.evaluate(t0, u0)), None, None))
+                except tuple(_PLACE_ERRORS) as exc:
+                    res.stop_reason = f"{_PLACE_ERRORS[type(exc)]}: {exc}"
+                    return res
+            wave, room = head, max_steps - len(res.boxes) - (head is not None)
+            if tip is not None and room > 0:
+                e = head.ext if head else None
+                base = ExtendedSystem(system, e.t0[0], e.u0[0], e.mu[0], e.v[0]) if e else \
+                    tip.extended(system)
+                h = _WAVE_SPACING * ALPHA_FRAC * tip.delta_alpha
+                try:
+                    placed = _correct(system, base, h * np.arange(1, min(m, room) + 1),
+                                      tip.index + 1 + (head is not None),
+                                      head.folds[0] if head else res.fold_index)
+                    wave = head.then(placed) if head else placed
+                except tuple(_PLACE_ERRORS):
+                    m = _CHUNK_MIN
+            cut = _accept(system, wave, tip, to_R, res, unlabelled) if wave else 0
+            if res.stop_reason:
                 return res
-        if res.replans > replans:
-            chunk = _CHUNK_MIN        # the planner's stop lay after a discarded box
-        elif stop:
-            res.stop_reason = stop
-            return res
-        else:
-            chunk = min(2 * chunk, _CHUNK_MAX)
-    res.stop_reason = "max-steps"
-    return res
+            tip = res.boxes[-1]
+            if len(unlabelled) >= _LABEL_STACK:
+                _label(unlabelled)
+            if cut is None:
+                m = min(2 * m, _CHUNK_MAX)
+            else:
+                res.replans += 1
+                res.boxes_discarded += len(wave or ()) - cut
+                m = max(cut, _CHUNK_MIN)
+        res.stop_reason = "max-steps"
+        return res
+    finally:
+        _label(unlabelled)
+
+
+def _label(unlabelled: list) -> None:
+    """Give each (box, D_x f) pair its stability label, all in one stacked
+    call, and empty the list."""
+    if unlabelled:
+        labels = classify_stability(np.stack([J for _, J in unlabelled]))
+        for (box, _), label in zip(unlabelled, labels):
+            box.stability = label
+        unlabelled.clear()
+
+
+def _accept(system, wave: _Wave, tip: BranchBox | None, to_R: float, res: BranchResult,
+            unlabelled: list) -> int | None:
+    """Certify a wave placed after `tip` and append to `res` the boxes that
+    validate, step and link, and to `unlabelled` each with its D_x f; set
+    `res.stop_reason` when the branch ends with them.  Returns the index
+    of the anchor at which the wave was cut, or None."""
+    # the branch ends at the first anchor past the fold at or above to_R
+    R = system.R_of_t(wave.ext.t0)
+    target = next((k for k in range(len(wave))
+                   if wave.folds[k] is not None and R[k] >= to_R), None)
+    if target is not None:
+        wave = wave.take(target + 1)
+    rungs = (_LADDER if tip is None
+             else np.clip(tip.hyp.d_u * np.array([0.5, 1.0, 2.0]), _BOX_MIN, _BOX_CAP))
+    boxes, end = _validate(system, wave, rungs)
+    if tip is not None and boxes:
+        alpha, corr_norm, ok = _links(tip, wave, boxes)
+    for k, box in enumerate(boxes):
+        if tip is not None:
+            serial = k == 0 and wave.serial is not None
+            if not ok[k] or not (serial or 0.0 < alpha[k] <= ALPHA_FRAC * tip.delta_alpha):
+                if not serial:
+                    return k
+                res.boxes.append(box)
+                res.stop_reason = "link-failed"
+                return None
+            tip.alpha_step, tip.corr_norm = float(alpha[k]), float(corr_norm[k])
+            box.linked_to_previous = True
+        if wave.Jx is not None:
+            unlabelled.append((box, wave.Jx[k]))
+        res.boxes.append(box)
+        res.fold_index = wave.folds[k]
+        tip = box
+        if k == target:
+            res.stop_reason = "target"
+    res.stop_reason = res.stop_reason or end
+    return None

@@ -5,7 +5,7 @@ vectors, matrices and stacks of either: a pair of numpy endpoint arrays
 whose shape says which, rounded entry by entry as `Interval` rounds, so
 that the linear algebra used by the validation machinery (residuals,
 preconditioned Jacobians, Neumann bounds) stays cheap in dimensions up to
-~50.  `FloatHull` is a non-rigorous float scalar for estimates.
+~50.
 
 Rounding model: IEEE basic operations (+, -, *, /, sqrt) are correctly
 rounded to nearest, with gradual underflow, so one ``nextafter`` step past
@@ -39,6 +39,7 @@ _EPS = 2.0 ** -52
 _TINY = 2.0 ** -1074         # smallest subnormal: bounds the underflow error
 _MAX = 2.0 ** 1023 * (2.0 - _EPS)    # largest finite float
 _EXP_OVERFLOW = 709.7827128933841    # least float x with exp(x) > _MAX
+_EXP_FINITE = math.nextafter(_EXP_OVERFLOW, 0.0)
 
 
 def _dn(x: float) -> float:
@@ -57,11 +58,28 @@ def _up2(x: float) -> float:
     return math.nextafter(math.nextafter(x, _INF), _INF)
 
 
+# From this many entries on, a finite array is stepped by integer
+# arithmetic on its bit patterns: the same bits as np.nextafter, which
+# steps entry by entry, at a fraction of its cost.
+_BIT_STEP_MIN = 1024
+
+
+def _bit_step_up(x: np.ndarray) -> np.ndarray:
+    """np.nextafter(x, inf) of a finite float array: the bit pattern one
+    up where x >= 0 (-0.0 counting as +0.0), one down where x < 0."""
+    i = (x + 0.0).view(np.int64)
+    return (i + ((i >> 63) | 1)).view(np.float64)
+
+
 def _adn(x: np.ndarray) -> np.ndarray:
+    if isinstance(x, np.ndarray) and x.size >= _BIT_STEP_MIN and np.isfinite(x).all():
+        return -_bit_step_up(-x)
     return np.nextafter(x, -_INF)
 
 
 def _aup(x: np.ndarray) -> np.ndarray:
+    if isinstance(x, np.ndarray) and x.size >= _BIT_STEP_MIN and np.isfinite(x).all():
+        return _bit_step_up(x)
     return np.nextafter(x, _INF)
 
 
@@ -271,9 +289,13 @@ def _mul_bounds(alo, ahi, blo, bhi):
     """Endpoint bounds of the elementwise interval product (broadcasting);
     an overflowing product saturates, as in `Interval.__mul__`."""
     with np.errstate(invalid="ignore", over="ignore"):
-        p1, p2, p3, p4 = alo * blo, alo * bhi, ahi * blo, ahi * bhi
-    lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
-    hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
+        if blo is bhi:           # a point factor: two candidates, as four would give
+            p1, p3 = alo * blo, ahi * blo
+            lo, hi = np.minimum(p1, p3), np.maximum(p1, p3)
+        else:
+            p1, p2, p3, p4 = alo * blo, alo * bhi, ahi * blo, ahi * bhi
+            lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
+            hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
     bad = np.isnan(lo)  # 0 * inf overflow pathology (NaN propagates): saturate
     if bad.any():
         lo = np.where(bad, -_INF, lo)
@@ -317,13 +339,24 @@ def dot_seq(alo, ahi, blo, bhi, start=None):
     products, summed column by column in the same order."""
     plo, phi_ = _mul_bounds(alo, ahi, blo, bhi)
     if plo.ndim > 1:
+        # both endpoints as one array, the upper ones negated: rounding
+        # -a + -b down is rounding a + b up, negated, so one TwoSum per
+        # column serves both as _sum_bounds rounds them
+        p = np.stack([plo, -phi_])
         if start is None:
-            lo, hi, first = plo[..., 0], phi_[..., 0], 1
+            acc, first = p[..., 0], 1
         else:
-            lo, hi, first = start.lo, start.hi, 0
-        for j in range(first, plo.shape[-1]):
-            lo, hi = _sum_bounds(lo, hi, plo[..., j], phi_[..., j])
-        return IArray._of(lo, hi)
+            acc = np.stack(np.broadcast_arrays(start.lo, -start.hi, plo[..., 0])[:2])
+            first = 0
+        with np.errstate(invalid="ignore", over="ignore"):
+            for j in range(first, p.shape[-1]):
+                b = p[..., j]
+                s = acc + b
+                bs = s - acc
+                err = (acc - (s - bs)) + (b - bs)
+                acc = np.where(err >= 0.0, s, _adn(s))
+        # 0.0 - x keeps a zero upper endpoint +0.0, as x + (-x) rounds it
+        return IArray._of(acc[0], 0.0 - acc[1])
     if start is None:
         lo, hi, plo, phi_ = float(plo[0]), float(phi_[0]), plo[1:], phi_[1:]
     else:
@@ -444,9 +477,15 @@ class IArray:
         return IArray._of(*_div_bounds(self.lo, self.hi, blo, bhi))
 
     def exp(self) -> "IArray":
-        lo = np.array([_exp_dn(x) for x in self.lo.ravel().tolist()]).reshape(self.lo.shape)
-        hi = np.array([_exp_up(x) for x in self.hi.ravel().tolist()]).reshape(self.hi.shape)
-        return IArray._of(lo, hi)
+        """libm's exp of each endpoint with the two-ulp guard of
+        `_exp_dn`/`_exp_up`, the guard applied to the whole array."""
+        x = np.stack([self.lo, self.hi])
+        # math.exp overflows from _EXP_OVERFLOW on, where the guard saturates
+        e = np.array([math.exp(v) for v in np.minimum(x, _EXP_FINITE).ravel().tolist()])
+        elo, ehi = e.reshape(x.shape)
+        lo = np.where(x[0] >= _EXP_OVERFLOW, _MAX, np.maximum(0.0, _adn(_adn(elo))))
+        hi = np.where(x[1] >= _EXP_OVERFLOW, _INF, _aup(_aup(ehi)))
+        return IArray._of(np.where(x[0] == 0.0, 1.0, lo), np.where(x[1] == 0.0, 1.0, hi))
 
     def shifted(self, s: ScalarLike) -> "IArray":
         """self - s I on the last two axes, the diagonal rounded as
@@ -515,55 +554,6 @@ def float_matmat(B: np.ndarray, A: IArray) -> IArray:
     if vec:
         return IArray._of(lo[:, 0], hi[:, 0])
     return IArray._of(lo, hi)
-
-
-class FloatHull:
-    """Interval hull evaluated in plain round-to-nearest float arithmetic:
-    NOT rigorous.  It tracks the `Interval` evaluation of the same formula
-    to rounding error at a fraction of its cost, for float estimates of
-    what a rigorous stage will certify (the branch planner)."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: float, hi: float):
-        self.lo = lo
-        self.hi = hi
-
-    @property
-    def mag(self) -> float:
-        return max(abs(self.lo), abs(self.hi))
-
-    def __neg__(self) -> "FloatHull":
-        return FloatHull(-self.hi, -self.lo)
-
-    def __add__(self, o) -> "FloatHull":
-        if isinstance(o, FloatHull):
-            return FloatHull(self.lo + o.lo, self.hi + o.hi)
-        return FloatHull(self.lo + o, self.hi + o)
-
-    __radd__ = __add__
-
-    def __sub__(self, o) -> "FloatHull":
-        if isinstance(o, FloatHull):
-            return FloatHull(self.lo - o.hi, self.hi - o.lo)
-        return FloatHull(self.lo - o, self.hi - o)
-
-    def __mul__(self, o) -> "FloatHull":
-        if isinstance(o, FloatHull):
-            c = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
-            return FloatHull(min(c), max(c))
-        a, b = self.lo * o, self.hi * o
-        return FloatHull(a, b) if a <= b else FloatHull(b, a)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o: "FloatHull") -> "FloatHull":
-        c = (self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi)
-        return FloatHull(min(c), max(c))
-
-    def exp(self) -> "FloatHull":
-        e = lambda x: math.exp(x) if x < _EXP_OVERFLOW else _INF
-        return FloatHull(e(self.lo), e(self.hi))
 
 
 # ---------------------------------------------------------------------------

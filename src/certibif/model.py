@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .interval import FloatHull, IArray, Interval, dot_seq, up_mul, up_sum
+from .interval import IArray, Interval, dot_seq, up_mul, up_sum
 
 GROWTH_EXPONENT = 2.324       # age-scaling exponent shared by p_k and b_k
 POLYPS_PER_COLONY_SCALE = 1.239
@@ -149,7 +149,7 @@ def _sexp(y):
             return math.exp(y)
         except OverflowError:
             return math.inf
-    if isinstance(y, (Interval, IArray, FloatHull)):
+    if isinstance(y, (Interval, IArray)):
         return y.exp()
     import mpmath
     return mpmath.exp(y)

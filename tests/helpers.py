@@ -3,9 +3,9 @@
 evaluations, used as independent oracles for the soundness checks: a
 certificate claims a true zero within delta_accuracy of the anchor, and a
 50+ digit Newton refinement must land inside that ball.  Also the plain
-forms of optimised stages, which must give the same results: the planner's
-box climb that predicts every neighbour it reaches, the stability labels
-from LAPACK eigenvalues, and the branch emitters that format box by box.
+forms of optimised stages, which must give the same results: the stability
+labels from LAPACK eigenvalues, and the branch emitters that format box by
+box.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 
-from certibif import continuation as cont
 from certibif.cli import _write_csv
-from certibif.interval import _EPS
 from certibif.model import CoralMap, derive_generic, phi, phi_derivs
 
 
@@ -167,26 +165,6 @@ def scalar_row1(coral, x: list):
     phis = phi_derivs(P, coral.params, order=3)
     g1 = [phis[1] * qk * bx + phis[0] * bk for qk, bk in zip(ci.q, ci.b)]
     return phis, bx, phis[0] * bx, g1
-
-
-def plan_box_unpruned(system, t: float, u: np.ndarray, mu: float, v: np.ndarray,
-                      F: np.ndarray, A: np.ndarray, B: np.ndarray,
-                      d: float) -> tuple[float, float]:
-    """`continuation._plan_box` with a climb that predicts every
-    neighbouring box it reaches (through the module's `_predict_alpha`)."""
-    K = float(np.max(np.sum(np.abs(B), axis=1)))
-    rho = float(np.max(np.abs(F))) + 64.0 * _EPS * max(float(np.max(np.abs(u))), 1.0)
-    tang = np.concatenate([[mu], v])
-    xi = float(np.max(np.abs(A @ tang) + 32.0 * (len(tang) + 1) * _EPS * (np.abs(A) @ np.abs(tang))))
-    args = (system.lipschitz_estimator(t, u), float(np.max(np.abs(v))), abs(mu), K, rho, xi)
-    da, bound_by = cont._predict_alpha(*args, d)
-    factor = 2.0 if bound_by in ("search-cap", "coupled-cap") else 0.5
-    while bound_by != "ell-x" and cont._BOX_MIN <= factor * d <= cont._BOX_CAP:
-        da2, bound2 = cont._predict_alpha(*args, factor * d)
-        if not da2 > da:
-            break
-        d, da, bound_by = factor * d, da2, bound2
-    return d, da
 
 
 def eigvals_labels(jac_x: np.ndarray):

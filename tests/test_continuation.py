@@ -19,18 +19,21 @@ from certibif.interval import IArray, Interval, norm_inf
 from certibif.model import FixedPointReduction
 
 from helpers import (eigvals_labels, jac_lam, map_F, mp_branch_F, mp_coeffs, mp_fd_jacobian,
-                     mp_refine_branch_point, plan_box_unpruned, scalar_row1, step)
+                     mp_refine_branch_point, scalar_row1, step)
 import mpmath as mp
 
 
 class ToyLinear:
-    """F(t, u) = u - t (scalar state): exact linear zero set u = t."""
+    """F(t, u) = u - t (scalar state): exact linear zero set u = t.  Like
+    every branch system, it evaluates one point or a stack of them."""
 
     d = 1
     rscale = 1.0
 
     def evaluate(self, t, u):
-        return np.array([u[0] - t]), np.array([[-1.0, 1.0]]), None
+        t = np.asarray(t, dtype=float)
+        A = np.broadcast_to(np.array([[-1.0, 1.0]]), t.shape + (1, 2)).copy()
+        return u[..., :1] - t[..., None], A, None
 
 
 class ToyFold:
@@ -39,7 +42,9 @@ class ToyFold:
     d = 1
 
     def evaluate(self, t, u):
-        return np.array([u[0] ** 2 - t]), np.array([[-1.0, 2.0 * u[0]]]), None
+        t = np.asarray(t, dtype=float)
+        A = np.stack([-np.ones_like(u[..., 0]), 2.0 * u[..., 0]], axis=-1)[..., None, :]
+        return u[..., :1] ** 2 - t[..., None], A, None
 
 
 def _tangent(system, t, u, prev=None):
@@ -207,6 +212,28 @@ def test_check_link_norm_margin():
     assert not check_link([b], [1e-4], [9.99e-6], [1e-7])[0]
 
 
+def test_check_link_bounds_the_projection_of_the_next_ball():
+    """A point a + alpha dir + e of the next accuracy ball (|e| <= delta_min')
+    lies at alpha + <dir, e>/<dir, dir> along the box's direction, up to
+    |dir|_1/|dir|_2^2 delta_min' = 2.37 delta_min' past alpha for dir = (1,
+    0.211, ..., 0.211).  An exact point of the ball that leaves the box's
+    segment is refused, though |alpha| + delta_min'/|dir|_inf < delta_alpha
+    holds."""
+    from fractions import Fraction
+    v = np.full(13, 0.211)
+    b = _box(mu=1.0, v=v, delta_alpha=1e-3, delta_u=1e-5)
+    dmin = 1e-6
+    alpha = b.delta_alpha - 2.0 * dmin
+    assert alpha + dmin / b.dir_norm < b.delta_alpha
+    direction = [Fraction(1.0)] + [Fraction(float(c)) for c in v]
+    e = [Fraction(dmin)] * 14                       # a corner of the ball
+    shift = sum(c * ec for c, ec in zip(direction, e)) / sum(c * c for c in direction)
+    assert Fraction(alpha) + shift > Fraction(b.delta_alpha)
+    assert not check_link([b], [alpha], [0.0], [dmin])[0]
+    # a ball a tenth as large stays on the segment and links
+    assert check_link([b], [alpha], [0.0], [0.1 * dmin])[0]
+
+
 # ---------------------------------------------------------------------------
 # segment validation and the driver (coral)
 # ---------------------------------------------------------------------------
@@ -343,12 +370,12 @@ def test_branch_run_links_and_orientation(branch_result):
 
 
 def test_branch_link_headroom(branch_result):
-    """Each step takes ALPHA_FRAC of the certified segment.  The link's
-    alpha part, |alpha_k| + delta_min_{k+1}/|dir_k| < delta_alpha_k, keeps
-    1 - ALPHA_FRAC of the segment for a term 1e4 times smaller, and its
-    z part uses a tenth of delta_u at most."""
+    """Each step takes at most ALPHA_FRAC of the certified segment.  The
+    link's alpha part, |alpha_k| + delta_min_{k+1}/|dir_k| < delta_alpha_k,
+    keeps 1 - ALPHA_FRAC of the segment for a term 1e4 times smaller, and
+    its z part uses a tenth of delta_u at most."""
     boxes = branch_result.boxes
-    assert all(b.alpha_step == ALPHA_FRAC * b.delta_alpha for b in boxes[:-1])
+    assert all(b.alpha_step <= ALPHA_FRAC * b.delta_alpha for b in boxes[:-1])
     pairs = list(zip(boxes[:-1], boxes[1:]))
     alpha_part = max(n.delta_min / (b.dir_norm * b.delta_alpha) for b, n in pairs)
     assert alpha_part <= 1e-6          # 1e4 times below 1 - ALPHA_FRAC
@@ -540,9 +567,6 @@ class ToyLinearValidated(ToyLinear):
     def lipschitz_M(self, t0, u0, d):
         return (np.zeros(len(d)),) * 4
 
-    def lipschitz_estimator(self, t0, u0):
-        return lambda d: (0.0, 0.0, 0.0, 0.0)
-
 
 def test_validate_segment_exact_linear_zero_set():
     """On u = t the residual vanishes and the deltas are limited only by
@@ -579,12 +603,21 @@ def test_continue_branch_on_linear_toy():
 
 def _recorded(branch_result, system, n=64):
     """n boxes spread over the seed-0 branch, as the stacked anchor data
-    the validator takes (B = inv(DG(0)) per box)."""
-    boxes = branch_result.boxes[::len(branch_result.boxes) // n][:n]
-    B = np.stack([np.linalg.inv(ExtendedSystem(system, b.t, b.u, b.mu, b.v)
-                                .jac_from(system.evaluate(b.t, b.u)[1])) for b in boxes])
-    return (boxes, np.array([b.t for b in boxes]), np.stack([b.u for b in boxes]),
-            np.array([b.mu for b in boxes]), np.stack([b.v for b in boxes]), B)
+    the validator took: B = inv(DG(0)) per box from the evaluation the
+    driver had there, a row of a stacked call where a wave placed the
+    anchor, a one-point call at the start and where a serial step reached
+    it (the box before stepped exactly ALPHA_FRAC delta_alpha)."""
+    chain = branch_result.boxes
+    picks = list(range(0, len(chain), len(chain) // n))[:n]
+    boxes = [chain[k] for k in picks]
+    t, u = np.array([b.t for b in boxes]), np.stack([b.u for b in boxes])
+    mu, v = np.array([b.mu for b in boxes]), np.stack([b.v for b in boxes])
+    A = system.evaluate(t, u)[1]
+    for j, k in enumerate(picks):
+        if k == 0 or chain[k - 1].alpha_step == ALPHA_FRAC * chain[k - 1].delta_alpha:
+            A[j] = system.evaluate(chain[k].t, chain[k].u)[1]
+    B = np.linalg.inv(ExtendedSystem(system, t, u, mu, v).jac_from(A))
+    return boxes, t, u, mu, v, B
 
 
 def _same(x, y):
@@ -596,12 +629,11 @@ def test_stacked_stages_equal_their_single_segment_calls(branch_result,
     system = preconditioned_system
     boxes, t, u, mu, v, B = _recorded(branch_result, system)
     d = np.array([b.hyp.d_u for b in boxes])
-    da = np.array([b.delta_alpha for b in boxes])
     anchor = segment_anchor(system, t, u, mu, v, B)
     F, Ju, Jt = system.eval_iv(IArray.point(t), IArray.point(u))
     drift, extJ = anchor.ext.drift_iv(Ju, Jt), anchor.ext.jac_iv_at_origin(Ju, Jt)
     M = system.lipschitz_M(t, u, d)
-    stacked = validate_segment(anchor, d, da)
+    stacked = validate_segment(anchor, d)
     for i, box in enumerate(boxes):
         one = slice(i, i + 1)
         a1 = segment_anchor(system, t[one], u[one], mu[one], v[one], B[one])
@@ -615,12 +647,12 @@ def test_stacked_stages_equal_their_single_segment_calls(branch_result,
             (F, Ju, Jt), system.eval_iv(Interval.point(t[i]), IArray.point(u[i]))))
         assert (anchor.rho[i], anchor.xi[i], anchor.K[i]) == (a1.rho[0], a1.xi[0], a1.K[0])
         assert [m[i] for m in M] == [m[0] for m in system.lipschitz_M(t[one], u[one], d[one])]
-        b1 = validate_segment(a1, d[one], da[one])[0]
+        b1 = validate_segment(a1, d[one])[0]
         assert (stacked[i].bounds, stacked[i].hyp) == (b1.bounds, b1.hyp)
-        assert (stacked[i].delta_u, stacked[i].delta_min) == (b1.delta_u, b1.delta_min)
+        pair = lambda b: (b.delta_alpha, b.delta_u, b.delta_min, b.bound_by)
+        assert pair(stacked[i]) == pair(b1)
         # the chain's own box was certified by the same stack
-        assert (box.bounds, box.delta_u, box.delta_min) == (b1.bounds, b1.delta_u,
-                                                            b1.delta_min)
+        assert (box.bounds, pair(box)) == (b1.bounds, pair(b1))
 
 
 def test_stacked_row1_jet_equals_scalar_interval(branch_result, preconditioned_system,
@@ -658,32 +690,72 @@ def test_extended_constants_equal_scalar_interval(branch_result):
             _scalar_extended_constants(b.hyp, b.mu, b.v)
 
 
-def test_stacked_links_and_rounding_gaps(branch_result, preconditioned_system):
-    """The recorded steps replayed: the corrector reproduces each next
-    anchor, the stacked rounding gaps equal the scalar Interval loop, and
-    the stacked link check equals its n = 1 calls."""
-    system = preconditioned_system
-    boxes = branch_result.boxes
-    picks = list(range(0, len(boxes) - 1, (len(boxes) - 1) // 64))[:64]
-    steps = []
-    for k in picks:
-        b, n = boxes[k], boxes[k + 1]
-        sigma, x, _ = newton_correct(
-            ExtendedSystem(system, b.t, b.u, b.mu, b.v), b.alpha_step,
-            tol=max(1e-14, 8 * 2.0 ** -52 * max(abs(b.t), np.max(np.abs(b.u)))))
-        assert (n.t, list(n.u)) == (b.t + b.alpha_step * b.mu + sigma,
-                                    list(b.u + b.alpha_step * b.v + x))
-        steps.append((b.t, b.u, b.alpha_step, b.mu, b.v, sigma, x, n.t, n.u))
+def _replayed_run(coral, monkeypatch, max_steps):
+    """A seed-0 run of max_steps boxes, and every corrector call it made:
+    (anchor t0, u0, direction mu, v, alpha, keywords, sigma, x)."""
+    from certibif import continuation as cont
+    calls = []
+    correct = cont.newton_correct
+
+    def recorded(ext, alpha, **kw):
+        out = correct(ext, alpha, **kw)
+        calls.append((ext.t0, ext.u0.copy(), ext.mu, ext.v.copy(), alpha, kw) + out[:2])
+        return out
+
+    monkeypatch.setattr(cont, "newton_correct", recorded)
+    system, t0, u0 = branch_start(coral, 300.0)
+    res = continue_branch(system, t0, u0, to_R=72.0, max_steps=max_steps)
+    monkeypatch.undo()
+    return system, res, calls
+
+
+def test_stacked_links_and_rounding_gaps(coral, monkeypatch):
+    """400 seed-0 boxes replayed.  Each corrector call (a wave's stacked
+    chord solve, or a cut step taken serially) returns the same bits again,
+    and every box after the start sits, bit for bit, at a point one of them
+    reached.  The step out of each box is the float projection of the next
+    anchor on its tangent, or the serial step at ALPHA_FRAC delta_alpha;
+    the stacked rounding gaps of those steps equal the scalar Interval
+    loop, and the stacked link check equals its n = 1 calls."""
+    system, res, calls = _replayed_run(coral, monkeypatch, 400)
+    boxes = res.boxes
+    assert len(boxes) == 400 and res.all_linked()
+    reached, serial = set(), {}
+    for t0, u0, mu, v, alpha, kw, sigma, x in calls:
+        ext = ExtendedSystem(system, t0, u0, mu, v)
+        sigma2, x2, _ = newton_correct(ext, alpha, **kw)
+        assert np.array_equal(sigma2, sigma) and np.array_equal(x2, x)
+        t, u = ext.point(alpha, sigma, x)
+        for ti, ui in zip(np.atleast_1d(t).tolist(), np.atleast_2d(u)):
+            reached.add((ti, ui.tobytes()))
+        if np.ndim(alpha) == 0:
+            serial[(float(t), u.tobytes())] = (alpha, sigma, x)
+    assert all((b.t, b.u.tobytes()) in reached for b in boxes[1:])
+    assert 0 < len(serial) == res.replans
+    prev, nxt = boxes[:-1], boxes[1:]
+    tau = np.array([np.concatenate([[b.mu], b.v]) for b in prev])
+    dz = np.array([np.concatenate([[n.t - b.t], n.u - b.u]) for b, n in zip(prev, nxt)])
+    alpha = (tau * dz).sum(axis=1) / (tau * tau).sum(axis=1)
+    corr = dz - alpha[:, None] * tau
+    for k, n in enumerate(nxt):
+        step = serial.get((n.t, n.u.tobytes()))
+        if step is not None:
+            assert step[0] == ALPHA_FRAC * prev[k].delta_alpha
+            alpha[k], corr[k, 0], corr[k, 1:] = step
+    assert list(alpha) == [b.alpha_step for b in prev]
+    picks = list(range(0, len(prev), len(prev) // 64))[:64]
+    steps = [(prev[k].t, prev[k].u, alpha[k], prev[k].mu, prev[k].v, corr[k, 0], corr[k, 1:],
+              nxt[k].t, nxt[k].u) for k in picks]
     cols = [np.array(c) for c in zip(*steps)]
     gap = _anchor_rounding_gap(*cols)
-    assert list(gap) == [_scalar_rounding_gap(*s) for s in steps]
-    prev = [boxes[k] for k in picks]
-    corr = [max(abs(s[5]), float(np.max(np.abs(s[6])))) for s in steps]
-    dmin = [boxes[k + 1].delta_min for k in picks]
-    links = check_link(prev, cols[2], corr, dmin, gap)
+    assert list(gap) == [_scalar_rounding_gap(*st) for st in steps]
+    pb = [prev[k] for k in picks]
+    cn = [float(np.abs(corr[k]).max()) for k in picks]
+    dmin = [nxt[k].delta_min for k in picks]
+    links = check_link(pb, cols[2], cn, dmin, gap)
     assert links.all()
-    assert list(links) == [check_link([p], [s[2]], [c], [m], [g])[0]
-                           for p, s, c, m, g in zip(prev, steps, corr, dmin, gap)]
+    assert list(links) == [check_link([p], [a], [c], [m], [g])[0]
+                           for p, a, c, m, g in zip(pb, cols[2], cn, dmin, gap)]
 
 
 def test_stacked_stability_labels_equal_per_matrix_labels(branch_result,
@@ -696,25 +768,32 @@ def test_stacked_stability_labels_equal_per_matrix_labels(branch_result,
 
 
 def test_forced_misprediction_replans_and_still_links(coral, monkeypatch):
-    """Planned steps 40% longer than predicted at every 97th box: each one
-    fails the stacked check, is certified by the delta_alpha search, and
-    the chain after it is replanned and still links to the target."""
+    """Every fifth wave's anchors past its middle are placed 50% further
+    out, so the step into the first of them overshoots ALPHA_FRAC of its
+    box: the wave is cut there, the step is taken serially at ALPHA_FRAC
+    delta_alpha, and the branch still links to the target.  `replans`
+    counts the cuts: one serial step each."""
     from certibif import continuation as cont
-    predict = cont._predict_alpha
-    calls = iter(range(10 ** 9))
+    correct = cont.newton_correct
+    waves = iter(range(10 ** 9))
 
-    def overshoot(*args):
-        da, bound_by = predict(*args)
-        return (1.4 * da if next(calls) % 97 == 5 else da), bound_by
+    def overshoot(ext, alpha, **kw):
+        if not (np.ndim(alpha) and len(alpha) >= 4 and next(waves) % 5 == 2):
+            return correct(ext, alpha, **kw)
+        far = alpha.copy()
+        far[len(alpha) // 2:] *= 1.5
+        sigma, x, ev = correct(ext, far, **kw)
+        # the same points, as corrections at the alphas the driver placed
+        return sigma + (far - alpha) * ext.mu, x + (far - alpha)[:, None] * ext.v, ev
 
-    monkeypatch.setattr(cont, "_predict_alpha", overshoot)
+    monkeypatch.setattr(cont, "newton_correct", overshoot)
     system, t0, u0 = branch_start(coral, 300.0)
     res = continue_branch(system, t0, u0, to_R=72.0, max_steps=8000)
     assert res.stop_reason == "target" and res.all_linked()
     assert res.replans >= 10 and res.boxes_discarded > 0
-    replanned = [b for b in res.boxes if b.bound_by != "planned"]
-    assert len(replanned) == res.replans
-    assert all(b.alpha_step == ALPHA_FRAC * b.delta_alpha for b in res.boxes[:-1])
+    serial = [b for b in res.boxes[:-1] if b.alpha_step == ALPHA_FRAC * b.delta_alpha]
+    assert len(serial) == res.replans
+    assert all(b.alpha_step <= ALPHA_FRAC * b.delta_alpha for b in res.boxes[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -765,59 +844,56 @@ def test_bordered_tangent_singular_border():
 
 
 def test_planner_evaluates_each_point_once(coral, monkeypatch):
-    """200 seed-0 boxes: the system is evaluated once at the start, once
-    at each predictor and once per chord iteration, and nowhere else: the
-    corrector's last evaluation is the next anchor's."""
+    """200 seed-0 boxes: the system is evaluated once at the start and
+    otherwise only by the corrector, each chord iteration of a wave taking
+    its m rows as one stacked call; the corrector's last evaluation is the
+    anchors' own (tangent, B and stability label), and a wave of up to 64
+    anchors converges within 11 chord steps."""
     from certibif import continuation as cont
-    counts = {"evaluate": 0, "value": 0, "correct": 0}
+    rows = {"evaluate": 0}
+    calls = []
+    evaluate, value, correct = (CoralBranchSystem.evaluate, ExtendedSystem.value,
+                                cont.newton_correct)
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counted_evaluate(self, t, u):
+        rows["evaluate"] += int(np.size(t))
+        return evaluate(self, t, u)
 
-    monkeypatch.setattr(CoralBranchSystem, "evaluate",
-                        counted("evaluate", CoralBranchSystem.evaluate))
-    monkeypatch.setattr(ExtendedSystem, "value", counted("value", ExtendedSystem.value))
-    monkeypatch.setattr(cont, "newton_correct", counted("correct", cont.newton_correct))
+    def counted_value(self, alpha, z):
+        calls[-1][1].append(int(np.size(alpha)))
+        return value(self, alpha, z)
+
+    def counted_correct(ext, alpha, **kw):
+        calls.append((int(np.size(alpha)), []))
+        return correct(ext, alpha, **kw)
+
+    monkeypatch.setattr(CoralBranchSystem, "evaluate", counted_evaluate)
+    monkeypatch.setattr(ExtendedSystem, "value", counted_value)
+    monkeypatch.setattr(cont, "newton_correct", counted_correct)
     system, t0, u0 = branch_start(coral, 300.0)
     res = continue_branch(system, t0, u0, to_R=72.0, max_steps=200)
-    boxes = len(res.boxes)
-    assert res.stop_reason == "max-steps" and boxes == 200 and res.all_linked()
-    assert counts["correct"] == boxes             # one corrector per box, at its predictor
-    iterations = counts["value"] - counts["correct"]
-    assert boxes <= iterations <= 2 * boxes
-    assert counts["evaluate"] == boxes + iterations + 1
+    assert res.stop_reason == "max-steps" and len(res.boxes) == 200 and res.all_linked()
+    assert any(m > 1 for m, _ in calls)
+    assert all(set(iters) == {m} and 2 <= len(iters) <= 12 for m, iters in calls)
+    assert rows["evaluate"] == 1 + sum(m * len(iters) for m, iters in calls)
 
 
-def test_planner_skips_only_probes_that_cannot_win(coral, monkeypatch):
-    """At every planner step of the seed-0 branch the climb returns the
-    (d, delta_alpha) of the climb that predicts every neighbour, bit for
-    bit, and skips at least half of that climb's neighbour probes."""
-    from certibif import continuation as cont
-    probes = {"pruned": 0, "full": 0}
-    which = ["pruned"]
-    predict, plan_box = cont._predict_alpha, cont._plan_box
-    plans = []
-
-    def counted(*args):
-        probes[which[0]] += 1
-        return predict(*args)
-
-    def compared(*args):
-        which[0] = "pruned"
-        got = plan_box(*args)
-        which[0] = "full"
-        want = plan_box_unpruned(*args)
-        plans.append([x.hex() for x in got] == [x.hex() for x in want])
-        return got
-
-    monkeypatch.setattr(cont, "_predict_alpha", counted)
-    monkeypatch.setattr(cont, "_plan_box", compared)
-    system, t0, u0 = branch_start(coral, 300.0)
-    res = continue_branch(system, t0, u0, to_R=72.0, max_steps=8000)
-    assert res.stop_reason == "target" and len(plans) >= len(res.boxes)
-    assert all(plans)
-    neighbours = probes["full"] - len(plans)        # one first probe per step
-    assert probes["full"] - probes["pruned"] >= 0.5 * neighbours > 0
+def test_stacked_evaluate_rows_match_one_point_calls(branch_result, preconditioned_system):
+    """On 64 recorded anchors, each row of one stacked evaluation matches
+    the one-point evaluation: F and [D_t F | D_u F] to a few ulps (only
+    the summation order of q.x and b.x and np.exp against math.exp
+    differ), and D_x f to the same stability label.  A row does not
+    depend on the rows stacked with it."""
+    system = preconditioned_system
+    boxes, t, u, *_ = _recorded(branch_result, system)
+    stacked = system.evaluate(t, u)
+    ulps = lambda diff, scale: float(np.max(np.abs(diff) / scale)) / 2.0 ** -52
+    labels = []
+    for i, (ti, ui) in enumerate(zip(t.tolist(), u)):
+        F, A, Jx = system.evaluate(ti, ui)
+        assert ulps(stacked[0][i] - F, np.maximum(np.abs(F + ui), 1.0)) <= 8   # F = f/s - u
+        assert ulps(stacked[1][i] - A, np.maximum(np.abs(A), 1.0)) <= 8
+        labels.append(classify_stability(Jx))
+    assert classify_stability(stacked[2]) == labels
+    some = system.evaluate(t[5:12], u[5:12])
+    assert all(np.array_equal(a, b[5:12]) for a, b in zip(some, stacked))

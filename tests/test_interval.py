@@ -228,6 +228,8 @@ def test_iarray_equals_scalar_interval_entrywise(data):
     _assert_entrywise(a * b, shape, lambda i: ia(i) * ib(i))
     _assert_entrywise(-a, shape, lambda i: -ia(i))
     _assert_entrywise(a + s, shape, lambda i: ia(i) + s)
+    _assert_entrywise(a * s, shape, lambda i: ia(i) * s)
+    _assert_entrywise(a.exp(), shape, lambda i: ia(i).exp())
     _assert_entrywise(a * ib((0,) * len(shape)), shape, lambda i: ia(i) * ib((0,) * len(shape)))
     # a divisor containing 0 gives [-inf, inf] where Interval raises
     _assert_entrywise(a / b, shape, lambda i: Interval(-math.inf, math.inf)
@@ -246,6 +248,23 @@ def test_iarray_equals_scalar_interval_entrywise(data):
                           lambda i: ia(i) - s if i[-1] == i[-2] else ia(i))
         _assert_entrywise(a.shifted(ib((0,) * len(shape))), shape,
                           lambda i: ia(i) - ib((0,) * len(shape)) if i[-1] == i[-2] else ia(i))
+
+
+def test_outward_steps_of_large_arrays_equal_nextafter():
+    """From _BIT_STEP_MIN entries on, one outward step is taken on the bit
+    patterns; it gives np.nextafter's bits, signed zeros, subnormals and
+    the step from the largest float to inf included, and arrays with an
+    infinite entry keep np.nextafter."""
+    from certibif.interval import _BIT_STEP_MIN, _adn, _aup
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=3 * _BIT_STEP_MIN) * 10.0 ** rng.uniform(-320, 308, 3 * _BIT_STEP_MIN)
+    x[:8] = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, sys.float_info.max,
+             -sys.float_info.max, 1.0]
+    with np.errstate(over="ignore"):
+        for arr in (x, x.reshape(3, -1, 4), np.append(x, [math.inf, -math.inf])):
+            for step, to in ((_aup, math.inf), (_adn, -math.inf)):
+                got, want = step(arr), np.nextafter(arr, to)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("shape", _SHAPES)
