@@ -331,10 +331,10 @@ def newton_correct(ext: ExtendedSystem, alpha, tol: float = 1e-13,
         if np.abs(G).max() <= tol:
             if z.ndim == 1:
                 return float(z[0]), z[1:].copy(), ev
-            if not extra:
+            if not extra or it == max_iter:
                 return z[:, 0].copy(), z[:, 1:].copy(), ev
             extra = False
-        if it == max_iter:
+        elif it == max_iter:
             break
         if B is None:
             try:
@@ -623,7 +623,7 @@ def classify_stability(jac_x: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# whole-branch driver: float planner, stacked validator
+# whole-branch driver: waves of float anchors, certified as stacks
 # ---------------------------------------------------------------------------
 
 
