@@ -661,9 +661,10 @@ _PLAN_MARGIN = 1e-8
 _CHUNK_MIN = 8
 _CHUNK_MAX = 64
 # A wave's anchors are spaced by this fraction of ALPHA_FRAC times the last
-# certified delta_alpha.  Consecutive delta_alpha differ by less than 2.4%
-# on the default branch, so most steps stay below ALPHA_FRAC of their box.
-_WAVE_SPACING = 0.9
+# certified delta_alpha.  A validator call costs mostly per wave, and a
+# wider spacing is cut sooner where delta_alpha falls: on the default
+# branch 0.95 takes 140 waves and 1,787 boxes, 0.88 60 waves and 1,872.
+_WAVE_SPACING = 0.88
 # Accepted boxes get their stability labels in stacks of this many.
 _LABEL_STACK = 512
 
@@ -711,18 +712,15 @@ def _tangent(e: ExtendedSystem) -> np.ndarray:
     return np.concatenate([np.asarray(e.mu)[..., None], e.v], axis=-1)
 
 
-def _one(ev: tuple) -> tuple:
-    """A one-point evaluation as a stack of one."""
-    return tuple(None if a is None else a[None] for a in ev)
-
-
 def _wave(system, first: int, t: np.ndarray, u: np.ndarray, ev: tuple,
           prev: np.ndarray | None, fold_index: int | None, serial=None) -> _Wave:
-    """The wave of anchors (t (n,), u (n, d)) at which the system's
-    evaluation is ev: tangents bordered by the tangent `prev` of the anchor
-    before them (None at the start: one anchor, its SVD tangent oriented to
-    decreasing R), their B, and the fold indices after `fold_index`.
-    Raises TangentUndefined, or LinAlgError for a singular B."""
+    """The wave of anchors (t (n,), u (n, d), or one point) at which the
+    system's evaluation is ev: tangents bordered by the tangent `prev` of
+    the anchor before them (None at the start: one anchor, its SVD tangent
+    oriented to decreasing R), their B, and the fold indices after
+    `fold_index`.  Raises TangentUndefined, or LinAlgError for a singular B."""
+    if np.ndim(t) == 0:
+        t, u, ev = np.array([t]), u[None], tuple(None if a is None else a[None] for a in ev)
     A, Jx = ev[1], ev[2]
     if prev is None:
         mu, v = tangent_estimate(A[0])
@@ -753,10 +751,8 @@ def _correct(system, base: ExtendedSystem, alpha, first: int, fold_index: int | 
     tol = max(_CORRECTOR_TOL, 8.0 * _EPS * max(abs(base.t0), float(np.abs(base.u0).max())))
     sigma, x, ev = newton_correct(base, alpha, tol=tol, max_iter=_MAX_NEWTON)
     t, u = base.point(alpha, sigma, x)
-    if np.ndim(alpha):
-        return _wave(system, first, t, u, ev, _tangent(base), fold_index)
-    return _wave(system, first, np.array([t]), u[None], _one(ev), _tangent(base), fold_index,
-                 serial=(alpha, sigma, x))
+    return _wave(system, first, t, u, ev, _tangent(base), fold_index,
+                 serial=None if np.ndim(alpha) else (alpha, sigma, x))
 
 
 # the errors of placing anchors, and the stop reason each gives
@@ -827,16 +823,15 @@ def continue_branch(system: CoralBranchSystem, t0: float, u0: np.ndarray,
                 try:
                     head = (_correct(system, tip.extended(system), ALPHA_FRAC * tip.delta_alpha,
                                      tip.index + 1, res.fold_index) if tip else
-                            _wave(system, 0, np.array([t0]), u0[None],
-                                  _one(system.evaluate(t0, u0)), None, None))
+                            _wave(system, 0, t0, u0, system.evaluate(t0, u0), None, None))
                 except tuple(_PLACE_ERRORS) as exc:
                     res.stop_reason = f"{_PLACE_ERRORS[type(exc)]}: {exc}"
                     return res
             wave, room = head, max_steps - len(res.boxes) - (head is not None)
             if tip is not None and room > 0:
                 e = head.ext if head else None
-                base = ExtendedSystem(system, e.t0[0], e.u0[0], e.mu[0], e.v[0]) if e else \
-                    tip.extended(system)
+                base = (ExtendedSystem(system, e.t0[0], e.u0[0], e.mu[0], e.v[0]) if e
+                        else tip.extended(system))
                 h = _WAVE_SPACING * ALPHA_FRAC * tip.delta_alpha
                 try:
                     placed = _correct(system, base, h * np.arange(1, min(m, room) + 1),
