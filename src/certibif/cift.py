@@ -312,7 +312,7 @@ def _smallest_root(a, b, c):
     return np.where(c >= 0.0, 0.0, root)
 
 
-_ROOT_NAMES = np.array(["ell-x", "L1-coupling", "coupled-cap", "search-cap"])
+_ROOT_NAMES = np.array(["ell-x", "L1-coupling", "coupled-cap", "search-cap"], dtype=object)
 
 
 def delta_alpha_root(K, rho, L1, L2, L3, L4, ell_x, dir_norm, coupled_cap):

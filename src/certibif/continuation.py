@@ -412,7 +412,7 @@ class BranchBox:
     bound_by: str = ""            # the constraint whose root set delta_alpha
     linked_to_previous: bool = False
     alpha_step: float = 0.0       # alpha used to leave this box
-    corr_norm: float = 0.0        # |(sigma*, x*)| of the outgoing corrector
+    corr_norm: float = 0.0        # |(sigma, x)|, the correction of that step
     halvings: int = 0             # box halvings before this segment validated
     stability: str = ""
 
@@ -666,7 +666,7 @@ _CHUNK_MAX = 64
 # branch 0.95 takes 140 waves and 1,787 boxes, 0.88 60 waves and 1,872.
 _WAVE_SPACING = 0.88
 # Accepted boxes get their stability labels in stacks of this many.
-_LABEL_STACK = 512
+_LABEL_STACK = 128
 
 
 def _planned(root):
