@@ -888,13 +888,13 @@ def _accept(system, wave: _Wave, tip: BranchBox | None, to_R: float, res: Branch
     for k, box in enumerate(boxes):
         if tip is not None:
             serial = k == 0 and wave.serial is not None
-            if not ok[k] or not (serial or 0.0 < alpha[k] <= ALPHA_FRAC * tip.delta_alpha):
-                if not serial:
-                    return k
+            if not serial and not (ok[k] and 0.0 < alpha[k] <= ALPHA_FRAC * tip.delta_alpha):
+                return k
+            tip.alpha_step, tip.corr_norm = float(alpha[k]), float(corr_norm[k])
+            if not ok[k]:
                 res.boxes.append(box)
                 res.stop_reason = "link-failed"
                 return None
-            tip.alpha_step, tip.corr_norm = float(alpha[k]), float(corr_norm[k])
             box.linked_to_previous = True
         if wave.Jx is not None:
             unlabelled.append((box, wave.Jx[k]))
