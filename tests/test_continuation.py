@@ -796,6 +796,45 @@ def test_forced_misprediction_replans_and_still_links(coral, monkeypatch):
     assert all(b.alpha_step <= ALPHA_FRAC * b.delta_alpha for b in res.boxes[:-1])
 
 
+def test_unplaced_wave_is_cut_at_its_first_step(coral, monkeypatch):
+    """A wave whose stacked corrector fails is cut at its first step: the
+    step out of the last certified box is taken serially, and the branch
+    goes on linked."""
+    from certibif import continuation as cont
+    correct = cont.newton_correct
+    waves = iter(range(10 ** 9))
+
+    def failing(ext, alpha, **kw):
+        if np.ndim(alpha) and next(waves) % 3 == 1:
+            raise CorrectorFailed("no convergence (forced)")
+        return correct(ext, alpha, **kw)
+
+    monkeypatch.setattr(cont, "newton_correct", failing)
+    system, t0, u0 = branch_start(coral, 300.0)
+    res = continue_branch(system, t0, u0, to_R=72.0, max_steps=300)
+    assert res.stop_reason == "max-steps" and len(res.boxes) == 300 and res.all_linked()
+    serial = [b for b in res.boxes[:-1] if b.alpha_step == ALPHA_FRAC * b.delta_alpha]
+    assert res.replans >= 3 and len(serial) == res.replans
+
+
+def test_serial_step_that_fails_to_link_ends_the_branch(coral, monkeypatch):
+    """Once links fail, the wave is cut at its first step and the serial
+    step is checked once more; when that link fails too the branch stops
+    with `link-failed`, the unlinked box last and the serial step recorded
+    on the box before it."""
+    from certibif import continuation as cont
+    link = cont.check_link
+    calls = iter(range(10 ** 9))
+    monkeypatch.setattr(cont, "check_link", lambda *a: link(*a) & (next(calls) < 3))
+    system, t0, u0 = branch_start(coral, 300.0)
+    res = continue_branch(system, t0, u0, to_R=72.0, max_steps=8000)
+    assert res.stop_reason == "link-failed" and res.replans == 1
+    *linked, before, last = res.boxes
+    assert all(b.linked_to_previous for b in linked[1:] + [before])
+    assert not last.linked_to_previous
+    assert before.alpha_step == ALPHA_FRAC * before.delta_alpha
+
+
 # ---------------------------------------------------------------------------
 # the float planner: one evaluation per point
 # ---------------------------------------------------------------------------
