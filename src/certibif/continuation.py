@@ -12,7 +12,7 @@ sits inside the previous uniqueness region.  The driver works on a
 rescaled copy of the coral map (parameter t = R / rscale, state u = x / s)
 so that all coordinates have comparable size.
 
-The driver places a wave of float anchors along the last certified box's
+`continue_branch` places a wave of float anchors along the last certified box's
 tangent at a fixed spacing, corrects them in one stacked chord solve
 (whose last evaluation gives each anchor's tangent, float inverse B and
 stability matrix) and certifies the wave as one stack, each box at the
@@ -623,7 +623,7 @@ def classify_stability(jac_x: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# whole-branch driver: waves of float anchors, certified as stacks
+# whole-branch continuation: waves of float anchors, certified as stacks
 # ---------------------------------------------------------------------------
 
 

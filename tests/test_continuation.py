@@ -603,10 +603,11 @@ def test_continue_branch_on_linear_toy():
 
 def _recorded(branch_result, system, n=64):
     """n boxes spread over the seed-0 branch, as the stacked anchor data
-    the validator took: B = inv(DG(0)) per box from the evaluation the
-    driver had there, a row of a stacked call where a wave placed the
-    anchor, a one-point call at the start and where a serial step reached
-    it (the box before stepped exactly ALPHA_FRAC delta_alpha)."""
+    the validator took: B = inv(DG(0)) per box from the evaluation
+    `continue_branch` had there, a row of a stacked call where a wave
+    placed the anchor, a one-point call at the start and where a serial
+    step reached it (the box before stepped exactly ALPHA_FRAC
+    delta_alpha)."""
     chain = branch_result.boxes
     picks = list(range(0, len(chain), len(chain) // n))[:n]
     boxes = [chain[k] for k in picks]
@@ -783,7 +784,7 @@ def test_forced_misprediction_replans_and_still_links(coral, monkeypatch):
         far = alpha.copy()
         far[len(alpha) // 2:] *= 1.5
         sigma, x, ev = correct(ext, far, **kw)
-        # the same points, as corrections at the alphas the driver placed
+        # the same points, as corrections at the alphas continue_branch placed
         return sigma + (far - alpha) * ext.mu, x + (far - alpha)[:, None] * ext.v, ev
 
     monkeypatch.setattr(cont, "newton_correct", overshoot)
