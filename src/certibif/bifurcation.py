@@ -491,13 +491,11 @@ def find_ns_anchor(coral: CoralMap) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Gershgorin disks of the similarity-conjugated Jacobian enclosure."""
+    """The Gershgorin disks of the similarity-conjugated Jacobian enclosure:
+    how many lie strictly inside the unit disk, and whether the rest are
+    separated from every other disk."""
 
     count_inside: int
-    inside: tuple[int, ...]
-    outliers: tuple[int, ...]
-    centers: tuple[complex, ...]
-    radii: tuple[float, ...]
     outliers_separated: bool
 
 
@@ -538,14 +536,12 @@ def verified_spectrum_inside_disk(A: IArray, exclude: int = 2) -> SpectrumResult
     corr = ((Interval(y_norm) * Interval(n_norm))
             / (Interval(1.0) - Interval(n_norm))).hi
 
-    centers, radii, inside = [], [], []
+    radii, inside = [], []
     for i in range(n):
         offdiag = float(up_sum(np.delete(ymag[i], i)))
         rad = (Interval(offdiag) + Interval(corr)).hi
-        c = CI(Yre[i, i], Yim[i, i])
-        centers.append(complex(c.re.mid, c.im.mid))
         radii.append(rad)
-        if (Interval(c.abs_hi()) + Interval(rad)).hi < 1.0:
+        if (Interval(CI(Yre[i, i], Yim[i, i]).abs_hi()) + Interval(rad)).hi < 1.0:
             inside.append(i)
     outliers = tuple(i for i in range(n) if i not in inside)
     if len(outliers) > exclude:
@@ -561,9 +557,7 @@ def verified_spectrum_inside_disk(A: IArray, exclude: int = 2) -> SpectrumResult
         return dist_lo > (Interval(radii[i]) + Interval(radii[j])).hi
 
     separated = all(disjoint(i, j) for i in outliers for j in range(n) if j != i)
-    return SpectrumResult(count_inside=len(inside), inside=tuple(inside),
-                          outliers=outliers, centers=tuple(centers),
-                          radii=tuple(radii), outliers_separated=separated)
+    return SpectrumResult(count_inside=len(inside), outliers_separated=separated)
 
 
 # ---------------------------------------------------------------------------
@@ -585,22 +579,6 @@ class BifCertificate:
     spectrum_inside: int
     summary: dict[str, float]
     base: cift.Certificate
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "BifCertificate":
-        return BifCertificate(
-            kind=d["kind"],
-            anchor=tuple(float(v) for v in d["anchor"]),
-            enclosure_lo=tuple(float(v) for v in d["enclosure_lo"]),
-            enclosure_hi=tuple(float(v) for v in d["enclosure_hi"]),
-            delta_accuracy=float(d["delta_accuracy"]),
-            delta_uniqueness=float(d["delta_uniqueness"]),
-            conditions={k: (float(v[0]), float(v[1]))
-                        for k, v in d["conditions"].items()},
-            spectrum_inside=int(d["spectrum_inside"]),
-            summary={k: float(v) for k, v in d["summary"].items()},
-            base=cift.Certificate.from_json_dict(d["base"]),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -930,8 +908,8 @@ class TranscriticalResult:
 
     R_star: Interval
     lambda_star: Interval
-    v: np.ndarray                 # right eigenvector = survival products a
-    w: np.ndarray                 # left eigenvector (backward recursion)
+    v: tuple[Interval, ...]       # right eigenvector = survival products a
+    w: tuple[Interval, ...]       # left eigenvector (backward recursion)
     nd1: Interval                 # w^t D_{x lambda} f v
     nd2: Interval                 # w^t D_{xx} f [v, v]
     eigvec_residual: float        # |(D_x f(lambda*, 0) - I) a|_inf / |a|_inf
@@ -956,8 +934,6 @@ def transcritical_analysis(params=None) -> TranscriticalResult:
     for k in range(d - 2, 0, -1):
         w_iv[k] = ci.b[k] + Interval(p.S[k]) * w_iv[k + 1]
     w_iv[0] = ci.ba
-    w = np.array([wi.mid for wi in w_iv])
-    v = np.array(coral.cf.a, dtype=float)
 
     c_ratio = Interval(p.c1) / Interval(p.c2)
     nd1 = w_iv[0] * c_ratio * ci.ba
@@ -967,5 +943,5 @@ def transcritical_analysis(params=None) -> TranscriticalResult:
     lam0 = float(p.c2 / p.c1 / coral.cf.ba)
     res = coral.jac_x(lam0, np.zeros(d)) - np.eye(d)
     resid = float(np.max(np.abs(res @ coral.cf.a)) / np.max(np.abs(coral.cf.a)))
-    return TranscriticalResult(R_star=R_star, lambda_star=lam_star, v=v, w=w,
-                               nd1=nd1, nd2=nd2, eigvec_residual=resid)
+    return TranscriticalResult(R_star=R_star, lambda_star=lam_star, v=tuple(ci.a),
+                               w=tuple(w_iv), nd1=nd1, nd2=nd2, eigvec_residual=resid)

@@ -88,23 +88,6 @@ class Certificate:
     L3: float = 0.0
     L4: float = 0.0
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "Certificate":
-        return Certificate(
-            system=d["system"],
-            anchor=tuple(float(v) for v in d["anchor"]),
-            ell=float(d["ell"]),
-            rho=float(d["rho"]),
-            K=float(d["K"]),
-            L1=float(d["L1"]),
-            L2=float(d.get("L2", 0.0)),
-            L3=float(d.get("L3", 0.0)),
-            L4=float(d.get("L4", 0.0)),
-            delta_accuracy=float(d["delta_accuracy"]),
-            delta_uniqueness=float(d["delta_uniqueness"]),
-            preconditioner_sha256=d["preconditioner_sha256"],
-        )
-
 
 def certificate_json(cert) -> str:
     """The JSON text of a certificate dataclass, keys sorted: each float

@@ -26,7 +26,7 @@ from . import dynamics
 from .bifurcation import (NsSystem, SnSystem, certify_ns, certify_sn,
                           transcritical_analysis)
 from .cift import certificate_json
-from .errors import CertificationFailed, ValidationFailed
+from .errors import CertificationFailed, OrbitDiverged, RotationUndefined, ValidationFailed
 from .model import CoralMap, CoralParams, FixedPointReduction
 
 
@@ -82,7 +82,8 @@ def cmd_simulate(args) -> int:
         x0 = rng.uniform(0.0, 1.0, coral.d) * dynamics.density_matched_state(coral, 1500.0)
     else:
         x0 = np.loadtxt(args.x0, delimiter=",")
-    x0 = args.x0_scale * x0
+    with np.errstate(over="ignore"):      # iterate reports a non-finite state
+        x0 = args.x0_scale * x0
     orb = dynamics.iterate(coral, lam, x0, n=args.years, skip=args.skip)
     P = dynamics.polyp_density_series(coral, orb)
     path = out / "simulate.csv"
@@ -299,18 +300,23 @@ def cmd_transcritical(args) -> int:
 def cmd_rotation(args) -> int:
     coral = CoralMap(_load_params(args))
     out = _outdir(args)
-    lo, hi, n = args.R_range.split(":")
-    Rs = np.linspace(float(lo), float(hi), int(n))
-    center = tuple(float(v) for v in args.center.split(","))
+    Rs = args.R_range
     y = dynamics.density_matched_state(coral, 1500.0)
     # one batched recurrence for the whole sweep, keeping the (x1, x2)
     # projection that the rotation numbers use
-    orb = dynamics.iterate(coral, Rs / coral.cf.ba, args.x0_factor * y,
-                           n=args.iterates, skip=args.skip, keep=2)
+    try:
+        with np.errstate(over="ignore"):  # iterate reports a non-finite state
+            orb = dynamics.iterate(coral, Rs / coral.cf.ba, args.x0_factor * y,
+                                   n=args.iterates, skip=args.skip, keep=2)
+    except OrbitDiverged as exc:
+        raise OrbitDiverged(f"at R = {float(Rs[exc.orbit])!r}: {exc}") from exc
     rot_rows, prof_rows = [], []
     for j, R in enumerate(Rs):
         xy = orb.points[:, j]
-        r, prof = dynamics.rotation_and_profile(xy, center=center, bins=args.bins)
+        try:
+            r, prof = dynamics.rotation_and_profile(xy, center=args.center, bins=args.bins)
+        except RotationUndefined as exc:
+            raise RotationUndefined(f"at R = {float(R)!r}: {exc}") from exc
         rot_rows.append([R, r.rho, r.convergence_gap, r.iterates_used])
         prof_rows.extend([R, c, m] for c, m in zip(prof.bin_centers, prof.mean_increment))
     _write_csv(out / "rotation.csv", ["R", "rho", "convergence_gap", "iterates"], rot_rows)
@@ -326,7 +332,26 @@ def cmd_farey(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
+# option types: a bad value is a usage error that names its option
+
+
+def _R_grid(text: str) -> np.ndarray:
+    """lo:hi:count as the grid of count >= 1 values from lo to hi."""
+    lo, hi, n = text.split(":")
+    return np.linspace(float(lo), float(hi), _count(n))
+
+
+def _center(text: str) -> tuple[float, float]:
+    x, y = map(float, text.split(","))
+    if not np.isfinite([x, y]).all():
+        raise argparse.ArgumentTypeError(f"need two finite numbers x,y, got {text!r}")
+    return x, y
+
+
+def _count(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"need a count of at least 1, got {text}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,13 +402,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_transcritical)
 
     p = sub.add_parser("rotation", help="weighted-Birkhoff rotation numbers")
-    p.add_argument("--R-range", dest="R_range", default="160:200:10",
+    p.add_argument("--R-range", dest="R_range", type=_R_grid, default="160:200:10",
                    help="lo:hi:count")
-    p.add_argument("--center", default="2500,2500")
+    p.add_argument("--center", type=_center, default="2500,2500")
     p.add_argument("--iterates", type=int, default=100_000)
     p.add_argument("--skip", type=int, default=10_000)
     p.add_argument("--x0-factor", dest="x0_factor", type=float, default=1.5)
-    p.add_argument("--bins", type=int, default=64)
+    p.add_argument("--bins", type=_count, default=64)
     p.set_defaults(fn=cmd_rotation)
 
     p = sub.add_parser("farey", help="smallest denominator in [lo, hi]")
@@ -401,6 +426,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     except (ValidationFailed, CertificationFailed) as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
+        return 1
+    except (OrbitDiverged, RotationUndefined) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -84,9 +84,6 @@ class CoralBranchSystem:
     def R_of_t(self, t: float) -> float:
         return self.rscale * t
 
-    def to_raw(self, t: float, u: np.ndarray) -> tuple[float, np.ndarray]:
-        return self.lam_of_t(t), self.s * u
-
     def from_raw_R(self, R: float, x: np.ndarray) -> tuple[float, np.ndarray]:
         return R / self.rscale, np.asarray(x, dtype=float) / self.s
 
@@ -415,10 +412,6 @@ class BranchBox:
     corr_norm: float = 0.0        # |(sigma, x)|, the correction of that step
     halvings: int = 0             # box halvings before this segment validated
     stability: str = ""
-
-    @property
-    def dir_norm(self) -> float:
-        return max(abs(self.mu), float(np.abs(self.v).max()))
 
     def extended(self, system: CoralBranchSystem) -> ExtendedSystem:
         """The extended system of the box's anchor and direction."""

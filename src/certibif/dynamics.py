@@ -22,14 +22,12 @@ class OrbitSample:
     `points` is a view into the buffer that also held the x_1 history."""
 
     points: np.ndarray
-    lam: float | np.ndarray
     transient_skipped: int
 
 
 @dataclass(frozen=True)
 class RotationResult:
     rho: float                  # rotation number, rescaled to (0, 1)
-    center: tuple[float, float]
     iterates_used: int
     convergence_gap: float      # |rho_N - rho_{0.8N}|
 
@@ -64,7 +62,7 @@ def iterate(coral: CoralMap, lam, x0: np.ndarray, n: int, skip: int = 0,
     (m,) array and `x0` an (m, d) array, and a scalar `lam` or a (d,) `x0`
     is shared by the batch.  Only the first `keep` state components
     (default: all) are stored.  Raises OrbitDiverged naming the first
-    iterate <= skip + n at which any orbit leaves the finite floats.
+    iterate <= skip + n at which any orbit (its `orbit`) leaves the finite floats.
 
     The map runs in renewal form, on the history of x_1 alone.  Past the
     first d - 1 iterates, x_j(t) = a_j x_1(t - j + 1) with a the survival
@@ -135,9 +133,10 @@ def iterate(coral: CoralMap, lam, x0: np.ndarray, n: int, skip: int = 0,
                 np.multiply(lam2 * phi(P, params), bx, out=H[r + 1:r + 3])
             block = H[t + 1 - base:stop + 1 - base]
             if not math.isfinite(block.sum()):   # a finite sum may overflow too
-                ok = np.isfinite(block).all(axis=1)
-                if not ok.all():
-                    raise OrbitDiverged(f"non-finite state at iterate {t + 1 + ok.argmin()}")
+                bad = ~np.isfinite(block)
+                if bad.any():
+                    i, j = divmod(int(bad.argmax()), m)
+                    raise OrbitDiverged(f"non-finite state at iterate {t + 1 + i}", orbit=j)
             if done:
                 break
             H[:d + 1] = H[stop - d - base:stop + 1 - base]
@@ -152,10 +151,8 @@ def iterate(coral: CoralMap, lam, x0: np.ndarray, n: int, skip: int = 0,
             np.multiply(S[j - 1], buf[j - 1, lo - 1:o + n - 1], out=buf[j, lo:o + n])
     pts = buf[:, o:o + n]
     if batched:
-        return OrbitSample(points=pts.transpose(1, 2, 0), lam=lam_v.copy(),
-                           transient_skipped=skip)
-    return OrbitSample(points=pts[:, :, 0].T, lam=float(lam_a),
-                       transient_skipped=skip)
+        return OrbitSample(points=pts.transpose(1, 2, 0), transient_skipped=skip)
+    return OrbitSample(points=pts[:, :, 0].T, transient_skipped=skip)
 
 
 def polyp_density_series(coral: CoralMap, orbit: OrbitSample) -> np.ndarray:
@@ -222,19 +219,21 @@ class _RotationSums:
         w8 = _bump_weights(i[:k], self.m8)
         self.wsum += (w @ inc, w.sum(), w8 @ inc[:k], w8.sum())
 
-    def result(self, center: tuple[float, float], iterates_used: int) -> RotationResult:
+    def result(self, iterates_used: int) -> RotationResult:
         net, pos, neg, wsum = self.net, self.pos, self.neg, self.wsum
         total = pos + neg
         backward = neg if net > 0.0 else pos if net < 0.0 else 0.0
-        if total == 0.0 or backward > 0.02 * total:
+        if total == 0.0:
+            raise RotationUndefined("the orbit does not wind about the center (no angle advance)")
+        if backward > 0.02 * total:
             raise RotationUndefined(
-                f"angle increments change sign persistently ({backward/max(total,1e-300):.1%})")
+                f"angle increments change sign persistently ({backward / total:.1%})")
         rho_full = wsum[0] / (2.0 * math.pi * wsum[1]) % 1.0
         rho_08 = wsum[2] / (2.0 * math.pi * wsum[3]) % 1.0
         gap = abs(rho_full - rho_08)
         gap = min(gap, 1.0 - gap)
-        return RotationResult(rho=float(rho_full), center=tuple(center),
-                              iterates_used=iterates_used, convergence_gap=float(gap))
+        return RotationResult(rho=float(rho_full), iterates_used=iterates_used,
+                              convergence_gap=float(gap))
 
 
 class _ProfileSums:
@@ -290,7 +289,7 @@ def rotation_number(orbit: OrbitSample | np.ndarray,
     xy = _projection(orbit, coords)
     rot = _RotationSums(len(xy) - 1)
     _feed(xy, center, rot)
-    return rot.result(center, len(xy))
+    return rot.result(len(xy))
 
 
 def angle_profile(orbit: OrbitSample | np.ndarray,
@@ -312,7 +311,7 @@ def rotation_and_profile(orbit: OrbitSample | np.ndarray,
     xy = _projection(orbit, coords)
     rot, prof = _RotationSums(len(xy) - 1), _ProfileSums(bins)
     _feed(xy, center, rot, prof)
-    return rot.result(center, len(xy)), prof.result()
+    return rot.result(len(xy)), prof.result()
 
 
 # ---------------------------------------------------------------------------

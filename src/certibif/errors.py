@@ -42,7 +42,11 @@ class CorrectorFailed(Exception):
 
 
 class OrbitDiverged(Exception):
-    """Orbit iteration produced non-finite values."""
+    """Orbit iteration produced non-finite values, first in batch orbit `orbit`."""
+
+    def __init__(self, message: str, orbit: int = 0):
+        super().__init__(message)
+        self.orbit = orbit
 
 
 class RotationUndefined(Exception):

@@ -146,10 +146,6 @@ class Interval:
     def point(x: float) -> "Interval":
         return Interval(x, x)
 
-    @staticmethod
-    def around(x: float, rad: float) -> "Interval":
-        return Interval(_dn(x - rad), _up(x + rad))
-
     # -- basic queries -------------------------------------------------
 
     def __repr__(self) -> str:
@@ -158,19 +154,12 @@ class Interval:
     def __contains__(self, x: float) -> bool:
         return self.lo <= x <= self.hi
 
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def contains_zero(self) -> bool:
         return self.lo <= 0.0 <= self.hi
 
     @property
     def mid(self) -> float:
         return 0.5 * (self.lo + self.hi)
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
 
     @property
     def mag(self) -> float:
@@ -275,9 +264,6 @@ class Interval:
     def sqr(self) -> "Interval":
         m = self.mig
         return Interval(max(0.0, _dn(m * m)), _up(self.mag * self.mag))
-
-    def widened(self, rad: float) -> "Interval":
-        return Interval(_dn(self.lo - rad), _up(self.hi + rad))
 
 
 # ---------------------------------------------------------------------------

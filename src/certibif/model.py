@@ -332,7 +332,7 @@ class Row1Bounds:
 
 
 # ---------------------------------------------------------------------------
-# fixed-point reduction and parameter conversion
+# fixed-point reduction
 # ---------------------------------------------------------------------------
 
 
@@ -342,9 +342,6 @@ class FixedPointReduction:
     def __init__(self, coral: CoralMap):
         self.coral = coral
         self.cP = coral.cf.sum_pa / coral.params.omega   # P = cP * x1 on the branch
-
-    def residual(self, lam: float, x1: float) -> float:
-        return x1 - lam * self.coral.cf.ba * x1 * phi(self.cP * x1, self.coral.params)
 
     def branch_lambda(self, x1: float) -> float:
         """lambda for which x1 is a nontrivial fixed-point first component."""
@@ -391,11 +388,3 @@ def _bisect(h, lo: float, hi: float, iters: int = 200) -> float:
         else:
             lo, flo = mid, fm
     return 0.5 * (lo + hi)
-
-
-def lambda_to_R(lam: float, coeffs: DerivedCoefficients) -> float:
-    return coeffs.ba * lam
-
-
-def R_to_lambda(R: float, coeffs: DerivedCoefficients) -> float:
-    return R / coeffs.ba

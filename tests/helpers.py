@@ -11,12 +11,14 @@ box.
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 
 from certibif.cli import _write_csv
+from certibif.interval import Interval
 from certibif.model import CoralMap, derive_generic, phi, phi_derivs
 
 
@@ -25,6 +27,35 @@ def contains(iv, x) -> bool:
     interval array iv."""
     x = np.asarray(x, dtype=float)
     return bool(np.all(iv.lo <= x) and np.all(x <= iv.hi))
+
+
+def assert_json_lossless(cert, blob: str) -> None:
+    """The JSON text `blob` of the certificate dataclass `cert` loses
+    nothing: every float field, nested ones too, equals float() of its
+    string, every Interval field's [lo, hi] strings parse back to its
+    endpoints, and the text is the canonical dump of its own parse."""
+    def check(value, node):
+        if isinstance(value, Interval):
+            assert [float(s) for s in node] == [value.lo, value.hi]
+        elif isinstance(value, (float, np.floating)):
+            assert isinstance(node, str) and float(node) == value
+        elif is_dataclass(value):
+            for f in fields(value):
+                check(getattr(value, f.name), node[f.name])
+        elif isinstance(value, dict):
+            assert sorted(node) == sorted(value)
+            for k, v in value.items():
+                check(v, node[k])
+        elif isinstance(value, (tuple, list, np.ndarray)):
+            assert len(node) == len(value)
+            for v, n in zip(value, node):
+                check(v, n)
+        else:
+            assert node == value
+
+    tree = json.loads(blob)
+    check(cert, tree)
+    assert json.dumps(tree, indent=2, sort_keys=True) == blob
 
 
 def step(coral: CoralMap, lam: float, x: np.ndarray) -> np.ndarray:
@@ -182,7 +213,7 @@ def emit_branch_csv(path: Path, system, result) -> None:
 
     def rows():
         for b in result.boxes:
-            lam, x = system.to_raw(b.t, b.u)
+            lam, x = system.lam_of_t(b.t), system.s * b.u
             yield ([system.R_of_t(b.t), lam] + list(x)
                    + [float(coral.cf.q @ x), b.delta_alpha, b.delta_u, b.delta_min,
                       b.stability])
@@ -201,7 +232,7 @@ def emit_bifurcation_diagram(path: Path, system, result, trivial_points: int = 4
 
     def rows():
         for R, b in zip(Rs, result.boxes):
-            yield [R, float(coral.cf.q @ system.to_raw(b.t, b.u)[1]), b.stability,
+            yield [R, float(coral.cf.q @ (system.s * b.u)), b.stability,
                    b.delta_u, "nontrivial"]
         for R in np.linspace(max(lo - 5.0, 1e-3), hi, trivial_points):
             lam = R / coral.cf.ba

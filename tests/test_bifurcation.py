@@ -1,12 +1,11 @@
 import cmath
-import json
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from certibif.bifurcation import (CI, BifCertificate, NsSystem, SnSystem,
+from certibif.bifurcation import (CI, NsSystem, SnSystem,
                                   atan2_enclosure, find_ns_anchor,
                                   find_sn_anchor, ns_box_data, ns_condition_c_pair,
                                   ns_condition_d, ns_condition_e,
@@ -17,7 +16,8 @@ from certibif.errors import DomainError, SpectrumInconclusive
 from certibif.interval import IArray, Interval
 from certibif.model import FixedPointReduction, phi_derivs, row1_d2
 
-from helpers import contains, mp_coeffs, mp_fd_jacobian, mp_system_refine, step
+from helpers import (assert_json_lossless, contains, mp_coeffs, mp_fd_jacobian,
+                     mp_system_refine, step)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +290,7 @@ def test_ns_condition_c_matches_oracle(coral, ns_cert, ns_float_oracle):
     total, expl = ns_condition_c_pair(coral, _ns_data(coral, box))
     assert ns_float_oracle["c_total"] in total
     assert ns_float_oracle["c_expl"] in expl
-    assert total.width <= 1e-4 * abs(ns_float_oracle["c_total"])
+    assert (total.hi - total.lo) <= 1e-4 * abs(ns_float_oracle["c_total"])
 
 
 def test_ns_condition_c_total_equals_branch_eigen_slope(coral, ns_float_oracle):
@@ -321,7 +321,7 @@ def test_ns_condition_d_excludes_resonances(coral, ns_cert):
     theta, checks = ns_condition_d(coral, box)
     assert all(checks.values())
     assert abs(theta.mid - 46.85) < 0.01
-    assert theta.width < 1e-6
+    assert (theta.hi - theta.lo) < 1e-6
 
 
 def test_ns_condition_e_matches_oracle_and_sign(coral, ns_cert, ns_float_oracle):
@@ -438,11 +438,9 @@ def test_certificates_refine_to_true_zero(coral, ns_cert, sn_cert):
         assert err <= cert.delta_accuracy
 
 
-def test_bif_certificate_json_roundtrip(sn_cert):
-    blob = certificate_json(sn_cert)
-    again = BifCertificate.from_json_dict(json.loads(blob))
-    assert again == sn_cert
-    assert certificate_json(again) == blob
+def test_bif_certificate_json_roundtrip(coral, sn_cert, ns_cert):
+    for cert in (sn_cert, ns_cert, transcritical_analysis(coral.params)):
+        assert_json_lossless(cert, certificate_json(cert))
 
 
 # ---------------------------------------------------------------------------
@@ -455,22 +453,38 @@ def test_transcritical_location(coral):
     res = transcritical_analysis(coral.params)
     # true R* = c2/c1 = 650/9 exactly (the constants are exact floats)
     assert Fraction(res.R_star.lo) <= Fraction(650, 9) <= Fraction(res.R_star.hi)
-    assert res.R_star.width <= 1e-10
+    assert (res.R_star.hi - res.R_star.lo) <= 1e-10
     lam_expect = (1.3e7 / 1.8e5) / coral.cf.ba
     assert abs(res.lambda_star.mid - lam_expect) <= 1e-12
 
 
 def test_transcritical_eigenvectors(coral):
     res = transcritical_analysis(coral.params)
-    assert np.allclose(res.v, coral.cf.a)
+    v, w = (np.array([iv.mid for iv in e]) for e in (res.v, res.w))
+    assert np.allclose(v, coral.cf.a)
     assert res.eigvec_residual <= 1e-10
     # left eigenvector kills (A - I) too
     lam0 = res.lambda_star.mid
     A = coral.jac_x(lam0, np.zeros(13))
-    assert np.max(np.abs(res.w @ (A - np.eye(13)))) <= 1e-10 * np.max(res.w)
+    assert np.max(np.abs(w @ (A - np.eye(13)))) <= 1e-10 * np.max(w)
     # recursion w_d = b_d, w_k = b_k + S_k w_{k+1}
-    assert math.isclose(res.w[-1], coral.cf.b[-1], rel_tol=1e-14)
-    assert math.isclose(res.w[0], coral.cf.ba, rel_tol=1e-14)
+    assert math.isclose(w[-1], coral.cf.b[-1], rel_tol=1e-14)
+    assert math.isclose(w[0], coral.cf.ba, rel_tol=1e-14)
+
+
+def test_transcritical_eigenvectors_enclose_high_precision(coral):
+    """v and w enclose their 50-digit values: v = a, and the backward
+    recursion w_d = b_d, w_k = b_k + S_k w_{k+1}, w_1 = b.a."""
+    res = transcritical_analysis(coral.params)
+    with mp.workdps(50):
+        c = mp_coeffs(coral)
+        w = [None] * 13
+        w[12] = c.b[12]
+        for k in range(11, 0, -1):
+            w[k] = c.b[k] + mp.mpf(coral.params.S[k]) * w[k + 1]
+        w[0] = c.ba
+        for iv, ref in zip(res.v + res.w, c.a + w):
+            assert mp.mpf(iv.lo) <= ref <= mp.mpf(iv.hi)
 
 
 def test_transcritical_nondegeneracy_signs(coral):
@@ -520,7 +534,7 @@ def test_eigenvalue_crossing_consistency(coral, branch_result,
     Rs = np.array([preconditioned_system.R_of_t(b.t) for b in boxes])
     rad = []
     for b in boxes:
-        lam, x = preconditioned_system.to_raw(b.t, b.u)
+        lam, x = preconditioned_system.lam_of_t(b.t), preconditioned_system.s * b.u
         ev = np.linalg.eigvals(coral.jac_x(lam, x))
         rad.append(max(abs(e) for e in ev))
     rad = np.array(rad)

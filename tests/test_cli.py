@@ -10,7 +10,6 @@ import numpy as np
 
 import helpers
 from certibif import continuation as cont
-from certibif.bifurcation import BifCertificate
 from certibif.cift import certificate_json
 from certibif.cli import (BranchPoints, build_parser, emit_bifurcation_diagram,
                           emit_branch_csv, emit_certificate_chain, main)
@@ -61,13 +60,13 @@ def test_simulate_random_x0_seeded(tmp_path):
     assert (a / "simulate.csv").read_bytes() == (b / "simulate.csv").read_bytes()
 
 
-def test_validate_sn_json_roundtrip(tmp_path, capsys):
+def test_validate_sn_json_roundtrip(tmp_path, capsys, sn_cert):
     rc = main(["--out", str(tmp_path), "validate-sn"])
     assert rc == 0
     blob = (tmp_path / "sn_certificate.json").read_text()
-    cert = BifCertificate.from_json_dict(json.loads(blob))
-    assert certificate_json(cert) == blob
-    assert cert.delta_accuracy <= 1e-10
+    assert certificate_json(sn_cert) == blob
+    helpers.assert_json_lossless(sn_cert, blob)
+    assert sn_cert.delta_accuracy <= 1e-10
 
 
 def test_certificate_numbers_are_decimal_strings(tmp_path):
@@ -210,6 +209,38 @@ def test_rotation_csv(tmp_path, capsys):
     assert all(float(r[3]) == 20000 for r in rows)
     prof = (tmp_path / "angle_profile.csv").read_text().splitlines()
     assert len(prof) == 1 + 3 * 16
+
+
+def test_simulate_divergence_is_a_one_line_error(tmp_path, capsys):
+    rc = main(["--out", str(tmp_path), "simulate", "--R", "100", "--x0-scale", "1e308",
+               "--years", "5"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: non-finite state at iterate 1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--R-range", "20:30:2"], "error: at R = 20.0: angle increments change sign persistently"),
+    (["--R-range", "160:200:3", "--x0-factor", "1e308"],
+     "error: at R = 160.0: non-finite state at iterate 1"),
+], ids=["rotation-undefined", "orbit-diverged"])
+def test_rotation_failure_names_R(tmp_path, capsys, argv, message):
+    rc = main(["--out", str(tmp_path), "rotation", *argv, "--iterates", "2000",
+               "--skip", "100"])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(message)
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--center", "2500"), ("--center", "1,2,3"), ("--center", "2500,inf"),
+    ("--bins", "0"), ("--R-range", "160:200:0"),
+])
+def test_rotation_bad_option_is_usage_error(tmp_path, capsys, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path), "rotation", option, value])
+    assert exc.value.code == 2
+    assert f"argument {option}: " in capsys.readouterr().err
+    assert not (tmp_path / "rotation.csv").exists()
 
 
 def test_branch_cli_short_run(tmp_path, capsys):

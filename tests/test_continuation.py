@@ -110,7 +110,7 @@ def test_extended_jacobian_block_structure(preconditioned_system):
     _, A, Jx = sys_.evaluate(3.0, np.ones(13))
     assert np.array_equal(J[1:], A)
     # the raw D_x f that the D_u F block rescales
-    assert np.array_equal(Jx, sys_.coral.jac_x(*sys_.to_raw(3.0, np.ones(13))))
+    assert np.array_equal(Jx, sys_.coral.jac_x(sys_.lam_of_t(3.0), sys_.s * np.ones(13)))
     # interval enclosure contains the float Jacobian
     _, Ju, Jt = sys_.eval_iv(Interval.point(3.0), IArray.point(np.ones(13)))
     Jiv = ext.jac_iv_at_origin(Ju, Jt)
@@ -185,6 +185,11 @@ def test_derived_constants_L3_is_xi():
     assert b.L3 == 0.125
 
 
+def _dir_norm(b) -> float:
+    """The max norm of a box's direction (mu, v)."""
+    return max(abs(b.mu), float(np.abs(b.v).max()))
+
+
 def _box(**kw):
     base = dict(index=0, t=0.0, u=np.zeros(1), mu=1.0, v=np.zeros(1),
                 delta_alpha=1e-3, delta_u=1e-5, delta_min=1e-12,
@@ -224,7 +229,7 @@ def test_check_link_bounds_the_projection_of_the_next_ball():
     b = _box(mu=1.0, v=v, delta_alpha=1e-3, delta_u=1e-5)
     dmin = 1e-6
     alpha = b.delta_alpha - 2.0 * dmin
-    assert alpha + dmin / b.dir_norm < b.delta_alpha
+    assert alpha + dmin / _dir_norm(b) < b.delta_alpha
     direction = [Fraction(1.0)] + [Fraction(float(c)) for c in v]
     e = [Fraction(dmin)] * 14                       # a corner of the ball
     shift = sum(c * ec for c, ec in zip(direction, e)) / sum(c * c for c in direction)
@@ -242,7 +247,7 @@ def test_check_link_bounds_the_projection_of_the_next_ball():
 def test_branch_start(coral):
     system, t0, u0 = branch_start(coral, 300.0)
     assert system.R_of_t(t0) == 300.0 and system.rscale == 100.0
-    lam, x0 = system.to_raw(t0, u0)
+    lam, x0 = system.lam_of_t(t0), system.s * u0
     assert np.max(np.abs(system.evaluate(t0, u0)[0])) <= 1e-10
     # one significant digit of the start point per state component
     e = np.floor(np.log10(x0))
@@ -272,7 +277,7 @@ def test_validate_segment_coral(coral):
     assert box.delta_min <= 1e-12
     assert box.delta_min < box.delta_u
     # coupled box constraint holds rigorously
-    assert box.delta_alpha * box.dir_norm + box.delta_u <= 1e-4 * (1 + 1e-12)
+    assert box.delta_alpha * _dir_norm(box) + box.delta_u <= 1e-4 * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("d, refusal", [
@@ -317,9 +322,11 @@ def test_schur_cohn_labels_equal_lapack_labels(coral, branch_result, preconditio
     red = FixedPointReduction(coral)
     zero = np.zeros(coral.d)
     stacks = {
-        "branch": [coral.jac_x(*preconditioned_system.to_raw(b.t, b.u))
+        "branch": [coral.jac_x(preconditioned_system.lam_of_t(b.t),
+                               preconditioned_system.s * b.u)
                    for b in branch_result.boxes],
-        "raw branch": [coral.jac_x(*raw.to_raw(b.t, b.u)) for b in raw_branch_result.boxes],
+        "raw branch": [coral.jac_x(raw.lam_of_t(b.t), raw.s * b.u)
+                       for b in raw_branch_result.boxes],
         "trivial below R*": [coral.jac_x(R / coral.cf.ba, zero)
                              for R in np.linspace(1e-3, R_star.lo, 400, endpoint=False)],
         "trivial above R*": [coral.jac_x(R / coral.cf.ba, zero)
@@ -377,7 +384,7 @@ def test_branch_link_headroom(branch_result):
     boxes = branch_result.boxes
     assert all(b.alpha_step <= ALPHA_FRAC * b.delta_alpha for b in boxes[:-1])
     pairs = list(zip(boxes[:-1], boxes[1:]))
-    alpha_part = max(n.delta_min / (b.dir_norm * b.delta_alpha) for b, n in pairs)
+    alpha_part = max(n.delta_min / (_dir_norm(b) * b.delta_alpha) for b, n in pairs)
     assert alpha_part <= 1e-6          # 1e4 times below 1 - ALPHA_FRAC
     assert all(b.corr_norm + n.delta_min <= 0.1 * b.delta_u for b, n in pairs)
 
@@ -461,7 +468,7 @@ def test_branch_conjugacy_to_raw_map(branch_result, preconditioned_system, coral
     """Unscaling a certified box anchor gives a raw-map residual below the
     unscaled image of the certified accuracy."""
     for box in branch_result.boxes[:: max(1, len(branch_result.boxes) // 7)]:
-        lam, x = preconditioned_system.to_raw(box.t, box.u)
+        lam, x = preconditioned_system.lam_of_t(box.t), preconditioned_system.s * box.u
         raw_resid = float(np.max(np.abs(map_F(coral, lam, x))))
         # accuracy delta_min in scaled coordinates; unscale componentwise
         bound = box.delta_min * float(np.max(preconditioned_system.s))
@@ -487,7 +494,7 @@ def test_derived_constants_match_direct_cift_on_extended_system(
         # hull of every point reachable within the slanted box
         r_t = da * abs(mu) + du
         r_u = da * np.abs(v) + du
-        t_iv = Interval.around(t0, r_t)
+        t_iv = IArray.around([t0], r_t)[0]
         u_iv = IArray.around(u0, r_u)
         _, Ju, Jt = preconditioned_system.eval_iv(t_iv, u_iv)
         # (H3) side: two Jacobian values inside the box differ by at most
@@ -579,7 +586,7 @@ def test_validate_segment_exact_linear_zero_set():
     assert box.hyp.rho <= 1e-15 and box.hyp.xi <= 1e-12
     assert box.bounds.L1 <= 1e-300 and box.bounds.L4 <= 1e-300
     # delta_alpha * dir_norm + delta_u saturates the coupling cap
-    used = box.delta_alpha * box.dir_norm + box.delta_u
+    used = box.delta_alpha * _dir_norm(box) + box.delta_u
     assert used >= 0.99e-2
     assert box.delta_min <= 1e-14
 
@@ -762,7 +769,7 @@ def test_stacked_links_and_rounding_gaps(coral, monkeypatch):
 def test_stacked_stability_labels_equal_per_matrix_labels(branch_result,
                                                           preconditioned_system, coral):
     system = preconditioned_system
-    Jx = np.stack([coral.jac_x(*system.to_raw(b.t, b.u)) for b in branch_result.boxes])
+    Jx = np.stack([coral.jac_x(system.lam_of_t(b.t), system.s * b.u) for b in branch_result.boxes])
     labels = classify_stability(Jx)
     assert labels == [classify_stability(J) for J in Jx]
     assert labels == [b.stability for b in branch_result.boxes]
@@ -849,7 +856,7 @@ def test_evaluate_equals_map_compositions(branch_result, preconditioned_system, 
     boxes, t, u, *_ = _recorded(branch_result, system)
     ct, s = system.lam_of_t(1.0), system.s
     for ti, ui in zip(t.tolist(), u):
-        lam, x = system.to_raw(ti, ui)
+        lam, x = system.lam_of_t(ti), system.s * ui
         J = coral.jac_x(lam, x)
         A = np.empty((system.d, system.d + 1))
         A[:, 0] = ct * jac_lam(coral, lam, x) / s

@@ -209,6 +209,7 @@ def test_orbit_diverges_detected(coral):
     with pytest.raises(OrbitDiverged) as batch:
         iterate(coral, 1.0, np.stack([y, bad, y]), n=50, skip=0)
     assert str(batch.value) == str(alone.value)
+    assert (alone.value.orbit, batch.value.orbit) == (0, 1)
 
 
 def test_orbit_diverges_at_even_iterate_named_once(coral):
@@ -230,6 +231,7 @@ def test_orbit_diverges_at_even_iterate_named_once(coral):
     with pytest.raises(OrbitDiverged) as batch:
         iterate(coral, 1.0, np.stack([y, y, bad]), n=50, skip=0)
     assert str(alone.value) == str(batch.value) == "non-finite state at iterate 2"
+    assert batch.value.orbit == 2
     # iterate 2 lies beyond a one-iterate range, though its round computes it
     assert np.all(np.isfinite(iterate(coral, 1.0, bad, n=1).points))
 
@@ -284,10 +286,22 @@ def test_rotation_center_hit_raises():
         rotation_number(pts, center=(0.0, 0.0))
 
 
+def test_rotation_without_angle_advance_does_not_wind():
+    pts = np.tile([2.0, 1.0], (100, 1))      # a fixed point beside the center
+    with pytest.raises(RotationUndefined, match="^the orbit does not wind about the center"):
+        rotation_number(pts, center=(0.0, 0.0))
+
+
 def test_rotation_nonmonotone_raises():
     th = np.cumsum(np.where(np.arange(600) % 2 == 0, 0.4, -0.4))
     pts = np.stack([np.cos(th), np.sin(th)], axis=1)
     with pytest.raises(RotationUndefined):
+        rotation_number(pts, center=(0.0, 0.0))
+
+
+def test_rotation_without_angle_advance_does_not_wind():
+    pts = np.tile([2.0, 1.0], (100, 1))      # a fixed point beside the center
+    with pytest.raises(RotationUndefined, match="^the orbit does not wind about the center"):
         rotation_number(pts, center=(0.0, 0.0))
 
 

@@ -11,8 +11,7 @@ from certibif.continuation import CoralBranchSystem
 from certibif.errors import ValidationFailed
 from certibif.interval import IArray, Interval
 from certibif.model import (CoralMap, CoralParams, FixedPointReduction,
-                            R_to_lambda, derive_generic, lambda_to_R, phi,
-                            phi_derivs, row1_d2, row1_d3)
+                            derive_generic, phi, phi_derivs, row1_d2, row1_d3)
 
 from helpers import contains, jac_lam, map_F, mp_coeffs, scalar_row1, step
 
@@ -173,12 +172,14 @@ def test_step_survival_rows_linear(coral):
 def test_validated_ns_point_is_nearly_fixed(coral):
     red = FixedPointReduction(coral)
     x1 = 1794.0
-    # refine the first component with the reduced equation, then plug back
+    # refine the first component with the reduced equation
+    # x1 = lambda (b.a) x1 phi(cP x1), then plug back
     lam = red.branch_lambda(x1)
+    residual = lambda x1: x1 - lam * coral.cf.ba * x1 * phi(red.cP * x1, coral.params)
     for _ in range(60):
         h = 1e-6
-        r = red.residual(lam, x1)
-        dr = (red.residual(lam, x1 + h) - red.residual(lam, x1 - h)) / (2 * h)
+        r = residual(x1)
+        dr = (residual(x1 + h) - residual(x1 - h)) / (2 * h)
         x1 -= r / dr
     x = red.full_point(x1)
     assert np.max(np.abs(step(coral, lam, x) - x)) <= 1e-6
@@ -275,7 +276,6 @@ def test_trilinear_matches_finite_differences(coral):
 def test_reduction_zero_always_root(coral):
     red = FixedPointReduction(coral)
     for lam in (0.2, 1.0, 4.0):
-        assert red.residual(lam, 0.0) == 0.0
         assert 0.0 in red.solve(lam)
 
 
@@ -312,10 +312,11 @@ def test_full_newton_lands_on_reduced_branch(coral):
 
 
 def test_lambda_R_conversion(coral):
-    assert abs(lambda_to_R(1.0, coral.cf) - 29.15) < 0.15
-    assert abs(lambda_to_R(0.3, coral.cf) - 8.744) < 0.05
+    # R = lambda (b.a), and the unscaled branch system's t is R
+    assert abs(1.0 * coral.cf.ba - 29.15) < 0.15
+    assert abs(0.3 * coral.cf.ba - 8.744) < 0.05
     x = 1.2345
-    assert math.isclose(R_to_lambda(lambda_to_R(x, coral.cf), coral.cf), x,
+    assert math.isclose(CoralBranchSystem(coral).lam_of_t(x * coral.cf.ba), x,
                         rel_tol=4 * 2.0 ** -52)
 
 
@@ -327,7 +328,7 @@ def test_lambda_R_conversion(coral):
 def test_interval_step_contains_float_samples(coral):
     rng = np.random.default_rng(12)
     lam0, x0 = 2.0, 700.0 * coral.cf.a
-    lam_iv = Interval.around(lam0, 1e-8)
+    lam_iv = IArray.around([lam0], 1e-8)[0]
     box = IArray.around(x0, 1e-6)
     enc = IArray.from_scalars(coral.step_scalars(lam_iv, box.to_scalars(), coral.ci))
     for _ in range(25):
@@ -453,7 +454,7 @@ def test_scaled_map_identity_scaling(coral):
     x = 600.0 * coral.cf.a
     R = 2.0 * coral.cf.ba                  # R for lambda = 2
     assert system.R_of_t(R) == R
-    lam, xr = system.to_raw(R, x)
+    lam, xr = system.lam_of_t(R), system.s * x
     assert math.isclose(lam, 2.0, rel_tol=1e-15) and np.array_equal(xr, x)
     assert np.allclose(system.evaluate(R, x)[0] + x, step(coral, 2.0, x), rtol=1e-12)
 
@@ -467,7 +468,7 @@ def test_scaled_map_conjugacy(coral):
     R = 2.0 * coral.cf.ba
     t, u = system.from_raw_R(R, x)
     assert math.isclose(system.R_of_t(t), R, rel_tol=1e-15)
-    lam, xr = system.to_raw(t, u)
+    lam, xr = system.lam_of_t(t), system.s * u
     assert math.isclose(lam, 2.0, rel_tol=1e-14)
     assert np.allclose(xr, x, rtol=1e-15, atol=0.0)
     assert np.max(np.abs(system.evaluate(t, u)[0])) <= 1e-10
