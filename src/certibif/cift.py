@@ -102,7 +102,7 @@ def certificate_json(cert) -> str:
             v = {f.name: getattr(v, f.name) for f in fields(v)}
         if isinstance(v, dict):
             return {k: plain(x) for k, x in v.items()}
-        if isinstance(v, (tuple, list, np.ndarray)):
+        if isinstance(v, (tuple, list)):
             return [plain(x) for x in v]
         return v
 
