@@ -916,12 +916,10 @@ class TranscriticalResult:
     kind: str = field(default="transcritical", init=False)
 
 
-def transcritical_analysis(params=None) -> TranscriticalResult:
+def transcritical_analysis(coral: CoralMap) -> TranscriticalResult:
     """Closed-form transcritical point on the extinction branch:
     R* = c2/c1, lambda* = R*/(b.a), with both nondegeneracy values as
     intervals that must exclude zero."""
-    coral = CoralMap(params) if params is None or not isinstance(params, CoralMap) \
-        else params
     p = coral.params
     ci = coral.ci
     d = coral.d

@@ -281,9 +281,9 @@ def _load_anchor(path: str, system) -> np.ndarray:
 
 
 def cmd_transcritical(args) -> int:
-    params = _load_params(args)
+    coral = CoralMap(_load_params(args))
     out = _outdir(args)
-    res = transcritical_analysis(params)
+    res = transcritical_analysis(coral)
     path = out / "transcritical.json"
     path.write_text(certificate_json(res))
     print(f"transcritical point: R* in [{res.R_star.lo!r}, {res.R_star.hi!r}]")
@@ -348,10 +348,16 @@ def _center(text: str) -> tuple[float, float]:
     return x, y
 
 
-def _count(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"need a count of at least 1, got {text}")
+def _count(text: str, least: int = 1) -> int:
+    if int(text) < least:
+        raise argparse.ArgumentTypeError(f"need a count of at least {least}, got {text}")
     return int(text)
+
+
+def _iterates(text: str) -> int:
+    """At least 3 points, so that rho_N and rho_(0.8 N) each rest on an
+    angle increment."""
+    return _count(text, least=3)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--R-range", dest="R_range", type=_R_grid, default="160:200:10",
                    help="lo:hi:count")
     p.add_argument("--center", type=_center, default="2500,2500")
-    p.add_argument("--iterates", type=int, default=100_000)
+    p.add_argument("--iterates", type=_iterates, default=100_000)
     p.add_argument("--skip", type=int, default=10_000)
     p.add_argument("--x0-factor", dest="x0_factor", type=float, default=1.5)
     p.add_argument("--bins", type=_count, default=64)

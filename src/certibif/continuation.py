@@ -12,14 +12,15 @@ sits inside the previous uniqueness region.  The driver works on a
 rescaled copy of the coral map (parameter t = R / rscale, state u = x / s)
 so that all coordinates have comparable size.
 
-`continue_branch` places a wave of float anchors along the last certified box's
-tangent at a fixed spacing, corrects them in one stacked chord solve
-(whose last evaluation gives each anchor's tangent, float inverse B and
-stability matrix) and certifies the wave as one stack, each box at the
-delta_alpha of its certified constants.  The step out of a box is the
-projection of the next anchor on its tangent; the first one longer than
-ALPHA_FRAC delta_alpha, or that fails to link, cuts the wave and is taken
-again serially, and the next wave starts where it lands.
+`continue_branch` places every box by a wave: float anchors along the tip's
+tangent (the tip is the last certified box) at the spacing _WAVE_SPACING
+ALPHA_FRAC delta_alpha, corrected in one stacked chord solve (whose last
+evaluation gives each anchor's tangent, float inverse B and stability
+matrix) and certified as one stack, each box at the delta_alpha of its
+certified constants.  The step out of a box is the projection of the next
+anchor on its tangent; the first one longer than ALPHA_FRAC delta_alpha,
+or that fails to link, cuts the wave, and the next wave starts from the
+last box kept.  A cut at the wave's first anchor ends the branch.
 """
 
 from __future__ import annotations
@@ -312,7 +313,7 @@ def newton_correct(ext: ExtendedSystem, alpha, tol: float = 1e-13,
                    max_iter: int = 25) -> tuple:
     """Approximate zero (sigma, x) of G(alpha, .) orthogonal to the
     predictor, and the branch system's evaluation (F, [D_t F | D_u F],
-    D_x f) at the point it reaches.  An (m,) array of alphas corrects m
+    D_x f) at the point it reaches.  The (m,) array of alphas corrects m
     predictors along the anchor's direction at once (arrays out, one row
     each); the stack takes one chord step more once every row meets `tol`,
     since its slowest row stops just below it and the residual sets each
@@ -321,13 +322,11 @@ def newton_correct(ext: ExtendedSystem, alpha, tol: float = 1e-13,
     Chord steps z <- z - B_alpha G(alpha, z): the extended Jacobian is
     evaluated and inverted once, at the predictor (alpha, 0), so each
     iteration costs one evaluation of the system."""
-    z = np.zeros(np.shape(alpha) + (ext.sys.d + 1,))
-    B, extra = None, z.ndim > 1
+    z = np.zeros((len(alpha), ext.sys.d + 1))
+    B, extra = None, True
     for it in range(max_iter + 1):
         G, ev = ext.value(alpha, z)
         if np.abs(G).max() <= tol:
-            if z.ndim == 1:
-                return float(z[0]), z[1:].copy(), ev
             if not extra or it == max_iter:
                 return z[:, 0].copy(), z[:, 1:].copy(), ev
             extra = False
@@ -338,7 +337,7 @@ def newton_correct(ext: ExtendedSystem, alpha, tol: float = 1e-13,
                 B = np.linalg.inv(ext.jac_from(ev[1]))
             except np.linalg.LinAlgError as exc:
                 raise CorrectorFailed(f"singular corrector Jacobian: {exc}") from exc
-        z = z - (B @ G if z.ndim == 1 else (B @ G[..., None])[..., 0])
+        z = z - (B @ G[..., None])[..., 0]
     raise CorrectorFailed(f"no convergence in {max_iter} iterations "
                           f"(residual {np.abs(G).max():.3e})")
 
@@ -412,10 +411,6 @@ class BranchBox:
     corr_norm: float = 0.0        # |(sigma, x)|, the correction of that step
     halvings: int = 0             # box halvings before this segment validated
     stability: str = ""
-
-    def extended(self, system: CoralBranchSystem) -> ExtendedSystem:
-        """The extended system of the box's anchor and direction."""
-        return ExtendedSystem(system, self.t, self.u, self.mu, self.v)
 
 
 @dataclass(frozen=True)
@@ -625,7 +620,7 @@ class BranchResult:
     boxes: list[BranchBox] = field(default_factory=list)
     stop_reason: str = ""
     fold_index: int | None = None
-    replans: int = 0              # waves cut at a step, which was then taken serially
+    replans: int = 0              # waves cut at a step, or that could not be placed
     boxes_discarded: int = 0      # certified anchors dropped after those cuts
 
     def all_linked(self) -> bool:
@@ -650,13 +645,14 @@ _MAX_NEWTON = 25
 _PLAN_MARGIN = 1e-8
 # Wave lengths: a wave places _CHUNK_MIN anchors and doubles after each
 # wave accepted whole, up to _CHUNK_MAX; after a cut it places as many as
-# the cut wave accepted, at least _CHUNK_MIN.
+# the cut wave accepted, at least _CHUNK_MIN, and after a wave that could
+# not be placed, one.
 _CHUNK_MIN = 8
 _CHUNK_MAX = 64
 # A wave's anchors are spaced by this fraction of ALPHA_FRAC times the last
 # certified delta_alpha.  A validator call costs mostly per wave, and a
 # wider spacing is cut sooner where delta_alpha falls: on the default
-# branch 0.95 takes 140 waves and 1,787 boxes, 0.88 60 waves and 1,872.
+# branch 0.95 takes 128 waves and 1,788 boxes, 0.88 60 waves and 1,877.
 _WAVE_SPACING = 0.88
 # Accepted boxes get their stability labels in stacks of this many.
 _LABEL_STACK = 128
@@ -670,16 +666,13 @@ def _planned(root):
 @dataclass
 class _Wave:
     """Float anchors certified as one stack: points and tangents in `ext`,
-    B, D_x f and the last fold seen up to each.  `serial` is the step
-    (alpha, sigma, x) by which the corrector reached anchor 0 from the last
-    certified box; other steps in are projections on the tangent before."""
+    B, D_x f and the last fold seen up to each."""
 
     first: int                    # index of anchor 0 along the branch
     ext: ExtendedSystem
     B: np.ndarray
     Jx: np.ndarray | None
     folds: list
-    serial: tuple | None = None
 
     def __len__(self) -> int:
         return len(self.folds)
@@ -687,17 +680,7 @@ class _Wave:
     def take(self, n: int) -> "_Wave":
         e = self.ext
         return _Wave(self.first, ExtendedSystem(e.sys, e.t0[:n], e.u0[:n], e.mu[:n], e.v[:n]),
-                     self.B[:n], None if self.Jx is None else self.Jx[:n], self.folds[:n],
-                     self.serial)
-
-    def then(self, other: "_Wave") -> "_Wave":
-        """This wave followed by `other`."""
-        cat = np.concatenate
-        a, b = self.ext, other.ext
-        return _Wave(self.first, ExtendedSystem(a.sys, cat([a.t0, b.t0]), cat([a.u0, b.u0]),
-                                                cat([a.mu, b.mu]), cat([a.v, b.v])),
-                     cat([self.B, other.B]), None if self.Jx is None else cat([self.Jx, other.Jx]),
-                     self.folds + other.folds, self.serial)
+                     self.B[:n], None if self.Jx is None else self.Jx[:n], self.folds[:n])
 
 
 def _tangent(e: ExtendedSystem) -> np.ndarray:
@@ -706,7 +689,7 @@ def _tangent(e: ExtendedSystem) -> np.ndarray:
 
 
 def _wave(system, first: int, t: np.ndarray, u: np.ndarray, ev: tuple,
-          prev: np.ndarray | None, fold_index: int | None, serial=None) -> _Wave:
+          prev: np.ndarray | None, fold_index: int | None) -> _Wave:
     """The wave of anchors (t (n,), u (n, d), or one point) at which the
     system's evaluation is ev: tangents bordered by the tangent `prev` of
     the anchor before them (None at the start: one anchor, its SVD tangent
@@ -730,22 +713,22 @@ def _wave(system, first: int, t: np.ndarray, u: np.ndarray, ev: tuple,
     folds = [fold_index] * len(mu)
     for k in flip.tolist():
         folds[k:] = [first + k] * (len(mu) - k)
-    return _Wave(first, ext, B, Jx, folds, serial)
+    return _Wave(first, ext, B, Jx, folds)
 
 
-def _correct(system, base: ExtendedSystem, alpha, first: int, fold_index: int | None) -> _Wave:
-    """The anchors the corrector reaches from the one anchor of `base`,
-    with tangent tau: an (m,) alpha places m anchors from the predictors
-    base + alpha_j tau by one stacked chord solve, each on its hyperplane
-    tau.(z - base) = alpha_j |tau|^2; a float alpha is a serial step, which
-    the wave records.  Raises CorrectorFailed, TangentUndefined or
-    LinAlgError."""
+def _place(system, tip: BranchBox, n: int, fold_index: int | None) -> _Wave:
+    """The wave of n anchors after the tip, with tangent tau: one stacked
+    chord solve corrects the predictors tip + j h tau, j = 1..n, each on
+    its hyperplane tau.(z - tip) = j h |tau|^2, where h is _WAVE_SPACING
+    ALPHA_FRAC times the tip's delta_alpha.  Raises CorrectorFailed,
+    TangentUndefined or LinAlgError."""
+    base = ExtendedSystem(system, tip.t, tip.u, tip.mu, tip.v)
+    alpha = _WAVE_SPACING * ALPHA_FRAC * tip.delta_alpha * np.arange(1, n + 1)
     # the residual cannot resolve below a few ulps of the state
-    tol = max(_CORRECTOR_TOL, 8.0 * _EPS * max(abs(base.t0), float(np.abs(base.u0).max())))
+    tol = max(_CORRECTOR_TOL, 8.0 * _EPS * max(abs(tip.t), float(np.abs(tip.u).max())))
     sigma, x, ev = newton_correct(base, alpha, tol=tol, max_iter=_MAX_NEWTON)
     t, u = base.point(alpha, sigma, x)
-    return _wave(system, first, t, u, ev, _tangent(base), fold_index,
-                 serial=None if np.ndim(alpha) else (alpha, sigma, x))
+    return _wave(system, tip.index + 1, t, u, ev, _tangent(base), fold_index)
 
 
 # the errors of placing anchors, and the stop reason each gives
@@ -755,8 +738,8 @@ _PLACE_ERRORS = {CorrectorFailed: "corrector-failed", TangentUndefined: "tangent
 
 def _links(tip: BranchBox, wave: _Wave, boxes: list[BranchBox]) -> tuple:
     """(alpha, corr_norm, links) of the step into each of `boxes` (a prefix
-    of the wave's) from the box before: the serial step, or else the float
-    projection of z_next - z_prev on tau_prev, the remainder correcting it."""
+    of the wave's) from the box before: the float projection of z_next -
+    z_prev on tau_prev, the remainder correcting it."""
     n, e = len(boxes), wave.ext
     t0 = np.concatenate([[tip.t], e.t0[:n - 1]])
     u0 = np.concatenate([tip.u[None], e.u0[:n - 1]])
@@ -764,8 +747,6 @@ def _links(tip: BranchBox, wave: _Wave, boxes: list[BranchBox]) -> tuple:
     dz = np.concatenate([(e.t0[:n] - t0)[:, None], e.u0[:n] - u0], axis=1)
     alpha = (tau * dz).sum(axis=1) / (tau * tau).sum(axis=1)
     corr = dz - alpha[:, None] * tau
-    if wave.serial is not None:
-        alpha[0], corr[0, 0], corr[0, 1:] = wave.serial
     gap = _anchor_rounding_gap(t0, u0, alpha, tau[:, 0], tau[:, 1:], corr[:, 0], corr[:, 1:],
                                e.t0[:n], e.u0[:n])
     residual = float_matmat(tau[:, None, :], IArray.point(corr[:, :, None])).mag[:, 0, 0]
@@ -800,40 +781,29 @@ def _validate(system, wave: _Wave, rungs: np.ndarray) -> tuple[list, str]:
 def continue_branch(system: CoralBranchSystem, t0: float, u0: np.ndarray,
                     to_R: float, max_steps: int) -> BranchResult:
     """Chain linked validated boxes from a validated start point, in waves
-    placed after the last certified box (the tip); a cut wave's step is
-    taken again serially at ALPHA_FRAC delta_alpha, and the next wave
-    starts where it lands.  Terminates on reaching to_R after the fold, on
-    validation failure after the adaptive box has shrunk to its floor, on
-    a linking failure, or after max_steps boxes."""
+    placed after the last certified box (the tip).  A wave cut at anchor k
+    >= 1 keeps the boxes before it, and the next wave starts from the new
+    tip; a wave that cannot be placed is tried again with one anchor.
+    Terminates on reaching to_R after the fold, on validation failure after
+    the adaptive box has shrunk to its floor, on a link that fails at a
+    wave's first anchor, on a one-anchor wave that cannot be placed, or
+    after max_steps boxes."""
     res, unlabelled = BranchResult(), []      # accepted boxes with their D_x f
     t0, u0 = float(t0), np.asarray(u0, dtype=float).copy()
-    tip, m, cut = None, _CHUNK_MIN, 0
+    tip, m = None, _CHUNK_MIN
     try:
         while len(res.boxes) < max_steps:
-            head = None
-            if cut is not None:
-                # the start, or where a cut wave's step lands serially, comes first
-                try:
-                    head = (_correct(system, tip.extended(system), ALPHA_FRAC * tip.delta_alpha,
-                                     tip.index + 1, res.fold_index) if tip else
-                            _wave(system, 0, t0, u0, system.evaluate(t0, u0), None, None))
-                except tuple(_PLACE_ERRORS) as exc:
+            n = min(m, max_steps - len(res.boxes))
+            try:
+                wave = (_wave(system, 0, t0, u0, system.evaluate(t0, u0), None, None)
+                        if tip is None else _place(system, tip, n, res.fold_index))
+            except tuple(_PLACE_ERRORS) as exc:
+                if tip is None or n == 1:
                     res.stop_reason = f"{_PLACE_ERRORS[type(exc)]}: {exc}"
                     return res
-            wave, room = head, max_steps - len(res.boxes) - (head is not None)
-            if tip is not None and room > 0:
-                e = head.ext if head else None
-                base = (ExtendedSystem(system, e.t0[0], e.u0[0], e.mu[0], e.v[0]) if e
-                        else tip.extended(system))
-                h = _WAVE_SPACING * ALPHA_FRAC * tip.delta_alpha
-                try:
-                    placed = _correct(system, base, h * np.arange(1, min(m, room) + 1),
-                                      tip.index + 1 + (head is not None),
-                                      head.folds[0] if head else res.fold_index)
-                    wave = head.then(placed) if head else placed
-                except tuple(_PLACE_ERRORS):
-                    m = _CHUNK_MIN
-            cut = _accept(system, wave, tip, to_R, res, unlabelled) if wave else 0
+                res.replans, m = res.replans + 1, 1
+                continue
+            cut = _accept(system, wave, tip, to_R, res, unlabelled)
             if res.stop_reason:
                 return res
             tip = res.boxes[-1]
@@ -843,7 +813,7 @@ def continue_branch(system: CoralBranchSystem, t0: float, u0: np.ndarray,
                 m = min(2 * m, _CHUNK_MAX)
             else:
                 res.replans += 1
-                res.boxes_discarded += len(wave or ()) - cut
+                res.boxes_discarded += len(wave) - cut
                 m = max(cut, _CHUNK_MIN)
         res.stop_reason = "max-steps"
         return res
@@ -880,11 +850,12 @@ def _accept(system, wave: _Wave, tip: BranchBox | None, to_R: float, res: Branch
         alpha, corr_norm, ok = _links(tip, wave, boxes)
     for k, box in enumerate(boxes):
         if tip is not None:
-            serial = k == 0 and wave.serial is not None
-            if not serial and not (ok[k] and 0.0 < alpha[k] <= ALPHA_FRAC * tip.delta_alpha):
+            step_ok = ok[k] and 0.0 < alpha[k] <= ALPHA_FRAC * tip.delta_alpha
+            if not step_ok and k:
                 return k
             tip.alpha_step, tip.corr_norm = float(alpha[k]), float(corr_norm[k])
-            if not ok[k]:
+            if not step_ok:
+                # a retry would place the same anchor again
                 res.boxes.append(box)
                 res.stop_reason = "link-failed"
                 return None

@@ -361,14 +361,12 @@ class FixedPointReduction:
         h = lambda x1: 1.0 - lam * self.coral.cf.ba * phi(self.cP * x1, self.coral.params)
         roots = [0.0]
         xs = np.linspace(0.0, x1_max, grid + 1)
-        vals = [h(float(x)) for x in xs]
-        for i in range(grid):
+        vals = h(xs)
+        # a grid point where h is zero, or a sign change to bisect, in grid order
+        zero = (vals[:-1] == 0.0) & (xs[:-1] > 0.0)
+        for i in np.flatnonzero(zero | (vals[:-1] * vals[1:] < 0.0)).tolist():
             lo, hi = float(xs[i]), float(xs[i + 1])
-            flo, fhi = vals[i], vals[i + 1]
-            if flo == 0.0 and lo > 0.0:
-                roots.append(lo)
-            if flo * fhi < 0.0:
-                roots.append(_bisect(h, lo, hi))
+            roots.append(lo if zero[i] else _bisect(h, lo, hi))
         if vals[-1] == 0.0:
             roots.append(float(xs[-1]))
         return roots

@@ -40,7 +40,7 @@ def criterion(number, name, limit_seconds):
 
 @criterion(1, "transcritical point", 1.0)
 def test_c1_transcritical(coral):
-    res = transcritical_analysis(coral.params)
+    res = transcritical_analysis(coral)
     assert Fraction(res.R_star.lo) <= Fraction(650, 9) <= Fraction(res.R_star.hi)
     assert abs(res.R_star.mid - 72.2222222222222) < 1e-9
     lam_expect = res.R_star.mid / coral.cf.ba

@@ -439,7 +439,7 @@ def test_certificates_refine_to_true_zero(coral, ns_cert, sn_cert):
 
 
 def test_bif_certificate_json_roundtrip(coral, sn_cert, ns_cert):
-    for cert in (sn_cert, ns_cert, transcritical_analysis(coral.params)):
+    for cert in (sn_cert, ns_cert, transcritical_analysis(coral)):
         assert_json_lossless(cert, certificate_json(cert))
 
 
@@ -450,7 +450,7 @@ def test_bif_certificate_json_roundtrip(coral, sn_cert, ns_cert):
 
 def test_transcritical_location(coral):
     from fractions import Fraction
-    res = transcritical_analysis(coral.params)
+    res = transcritical_analysis(coral)
     # true R* = c2/c1 = 650/9 exactly (the constants are exact floats)
     assert Fraction(res.R_star.lo) <= Fraction(650, 9) <= Fraction(res.R_star.hi)
     assert (res.R_star.hi - res.R_star.lo) <= 1e-10
@@ -459,7 +459,7 @@ def test_transcritical_location(coral):
 
 
 def test_transcritical_eigenvectors(coral):
-    res = transcritical_analysis(coral.params)
+    res = transcritical_analysis(coral)
     v, w = (np.array([iv.mid for iv in e]) for e in (res.v, res.w))
     assert np.allclose(v, coral.cf.a)
     assert res.eigvec_residual <= 1e-10
@@ -475,7 +475,7 @@ def test_transcritical_eigenvectors(coral):
 def test_transcritical_eigenvectors_enclose_high_precision(coral):
     """v and w enclose their 50-digit values: v = a, and the backward
     recursion w_d = b_d, w_k = b_k + S_k w_{k+1}, w_1 = b.a."""
-    res = transcritical_analysis(coral.params)
+    res = transcritical_analysis(coral)
     with mp.workdps(50):
         c = mp_coeffs(coral)
         w = [None] * 13
@@ -488,7 +488,7 @@ def test_transcritical_eigenvectors_enclose_high_precision(coral):
 
 
 def test_transcritical_nondegeneracy_signs(coral):
-    res = transcritical_analysis(coral.params)
+    res = transcritical_analysis(coral)
     assert not res.nd1.contains_zero() and res.nd1.lo > 0.0
     assert not res.nd2.contains_zero() and res.nd2.lo > 0.0
     # nd2 sign = sign(beta - alpha) > 0
@@ -496,7 +496,7 @@ def test_transcritical_nondegeneracy_signs(coral):
 
 def test_transcritical_nd2_closed_form(coral):
     p = coral.params
-    res = transcritical_analysis(p)
+    res = transcritical_analysis(coral)
     expect = coral.cf.ba * (2.0 * (p.beta - p.alpha) / p.omega) * coral.cf.sum_pa
     assert math.isclose(res.nd2.mid, expect, rel_tol=1e-12)
 
@@ -624,7 +624,7 @@ def test_certification_follows_perturbed_parameters():
     assert abs(cert.summary["lambda"] - 0.42125) > 0.005
     assert abs(cert.summary["x1"] - 569.46) > 1.0
     assert cert.delta_accuracy <= 1e-9
-    res = transcritical_analysis(pert)
+    res = transcritical_analysis(coral_p)
     assert abs(res.R_star.mid - 72.2222222222222) < 1e-9   # c2/c1 unchanged
     assert res.lambda_star.mid > 2.4778                    # smaller b.a
 

@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -234,6 +236,7 @@ def test_rotation_failure_names_R(tmp_path, capsys, argv, message):
 @pytest.mark.parametrize("option, value", [
     ("--center", "2500"), ("--center", "1,2,3"), ("--center", "2500,inf"),
     ("--bins", "0"), ("--R-range", "160:200:0"),
+    ("--iterates", "0"), ("--iterates", "1"), ("--iterates", "2"),
 ])
 def test_rotation_bad_option_is_usage_error(tmp_path, capsys, option, value):
     with pytest.raises(SystemExit) as exc:
@@ -241,6 +244,16 @@ def test_rotation_bad_option_is_usage_error(tmp_path, capsys, option, value):
     assert exc.value.code == 2
     assert f"argument {option}: " in capsys.readouterr().err
     assert not (tmp_path / "rotation.csv").exists()
+
+
+def test_rotation_three_iterates_is_the_least_count(tmp_path):
+    """Three points give rho_N and rho_(0.8 N) one angle increment each,
+    so the convergence gap is a number."""
+    assert main(["--out", str(tmp_path), "rotation", "--R-range", "160:160:1",
+                 "--iterates", "3"]) == 0
+    with (tmp_path / "rotation.csv").open() as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["iterates"] == "3.0" and math.isfinite(float(row["convergence_gap"]))
 
 
 def test_branch_cli_short_run(tmp_path, capsys):

@@ -120,15 +120,15 @@ def test_extended_jacobian_block_structure(preconditioned_system):
 def test_corrector_stays_at_exact_zero():
     sys_ = ToyLinear()
     ext = ExtendedSystem(sys_, 1.0, np.array([1.0]), 1.0, np.array([1.0]))
-    sigma, x, _ = newton_correct(ext, 0.0)
-    assert abs(sigma) <= 1e-14 and abs(x[0]) <= 1e-14
+    sigma, x, _ = newton_correct(ext, np.zeros(1))
+    assert abs(sigma[0]) <= 1e-14 and abs(x[0, 0]) <= 1e-14
 
 
 def test_corrector_linear_single_step():
     sys_ = ToyLinear()
     ext = ExtendedSystem(sys_, 0.0, np.array([0.5]), 1.0, np.array([0.0]))
-    sigma, x, _ = newton_correct(ext, 0.0, max_iter=2)
-    t, u = 0.0 + sigma, 0.5 + x[0]
+    sigma, x, _ = newton_correct(ext, np.zeros(1), max_iter=2)
+    t, u = 0.0 + sigma[0], 0.5 + x[0, 0]
     assert abs(u - t) <= 1e-14
 
 
@@ -138,7 +138,8 @@ def test_corrector_orthogonality(preconditioned_system, coral):
     t0, u0 = preconditioned_system.from_raw_R(3.0 * coral.cf.ba, x0)
     mu, v = _tangent(preconditioned_system, t0, u0)
     ext = ExtendedSystem(preconditioned_system, t0, u0, mu, v)
-    sigma, x, _ = newton_correct(ext, 1e-4)
+    sigma, x, _ = newton_correct(ext, np.array([1e-4]))
+    sigma, x = sigma[0], x[0]
     dirn = max(abs(mu), np.max(np.abs(v)))
     corr = max(abs(sigma), np.max(np.abs(x)))
     assert abs(mu * sigma + v @ x) <= 1e-12 * dirn * corr + 1e-300
@@ -149,7 +150,7 @@ def test_corrector_failure_reported():
     # orthogonality pins sigma = 0, so the corrector chases u^2 + 1 = 0
     ext = ExtendedSystem(sys_, -1.0, np.array([0.5]), 1.0, np.array([0.0]))
     with pytest.raises(CorrectorFailed):
-        newton_correct(ext, 0.0, max_iter=6)
+        newton_correct(ext, np.zeros(1), max_iter=6)
 
 
 # ---------------------------------------------------------------------------
@@ -611,19 +612,15 @@ def test_continue_branch_on_linear_toy():
 def _recorded(branch_result, system, n=64):
     """n boxes spread over the seed-0 branch, as the stacked anchor data
     the validator took: B = inv(DG(0)) per box from the evaluation
-    `continue_branch` had there, a row of a stacked call where a wave
-    placed the anchor, a one-point call at the start and where a serial
-    step reached it (the box before stepped exactly ALPHA_FRAC
-    delta_alpha)."""
+    `continue_branch` had there: a one-point call at the start, and a row
+    of a stacked call where a wave placed the anchor."""
     chain = branch_result.boxes
     picks = list(range(0, len(chain), len(chain) // n))[:n]
     boxes = [chain[k] for k in picks]
     t, u = np.array([b.t for b in boxes]), np.stack([b.u for b in boxes])
     mu, v = np.array([b.mu for b in boxes]), np.stack([b.v for b in boxes])
     A = system.evaluate(t, u)[1]
-    for j, k in enumerate(picks):
-        if k == 0 or chain[k - 1].alpha_step == ALPHA_FRAC * chain[k - 1].delta_alpha:
-            A[j] = system.evaluate(chain[k].t, chain[k].u)[1]
+    A[0] = system.evaluate(chain[0].t, chain[0].u)[1]
     B = np.linalg.inv(ExtendedSystem(system, t, u, mu, v).jac_from(A))
     return boxes, t, u, mu, v, B
 
@@ -698,12 +695,12 @@ def test_extended_constants_equal_scalar_interval(branch_result):
             _scalar_extended_constants(b.hyp, b.mu, b.v)
 
 
-def _replayed_run(coral, monkeypatch, max_steps):
-    """A seed-0 run of max_steps boxes, and every corrector call it made:
-    (anchor t0, u0, direction mu, v, alpha, keywords, sigma, x)."""
+def _replayed_run(coral, monkeypatch, max_steps, correct=newton_correct):
+    """A seed-0 run of max_steps boxes with `correct` as its corrector, and
+    every corrector call it made: (anchor t0, u0, direction mu, v, alpha,
+    keywords, sigma, x)."""
     from certibif import continuation as cont
     calls = []
-    correct = cont.newton_correct
 
     def recorded(ext, alpha, **kw):
         out = correct(ext, alpha, **kw)
@@ -717,39 +714,49 @@ def _replayed_run(coral, monkeypatch, max_steps):
     return system, res, calls
 
 
+def _wave_starts(res, calls) -> list:
+    """(index of the box it was placed from, anchors placed) per recorded
+    wave."""
+    at = {(b.t, b.u.tobytes()): b.index for b in res.boxes}
+    return [(at[(t0, u0.tobytes())], len(alpha)) for t0, u0, _, _, alpha, *_ in calls]
+
+
+def _cuts(starts) -> int:
+    """The waves of `_wave_starts` after which the next one did not start
+    from the last anchor placed."""
+    return sum(k2 != k + n for (k, n), (k2, _) in zip(starts, starts[1:]))
+
+
 def test_stacked_links_and_rounding_gaps(coral, monkeypatch):
-    """400 seed-0 boxes replayed.  Each corrector call (a wave's stacked
-    chord solve, or a cut step taken serially) returns the same bits again,
-    and every box after the start sits, bit for bit, at a point one of them
+    """400 seed-0 boxes replayed.  Each wave is placed from the last
+    accepted box at alpha_j = j h, h = _WAVE_SPACING ALPHA_FRAC delta_alpha
+    of that box; its stacked chord solve returns the same bits again, and
+    every box after the start sits, bit for bit, at a point one of them
     reached.  The step out of each box is the float projection of the next
-    anchor on its tangent, or the serial step at ALPHA_FRAC delta_alpha;
-    the stacked rounding gaps of those steps equal the scalar Interval
-    loop, and the stacked link check equals its n = 1 calls."""
+    anchor on its tangent; the stacked rounding gaps of those steps equal
+    the scalar Interval loop, and the stacked link check equals its n = 1
+    calls."""
+    from certibif import continuation as cont
     system, res, calls = _replayed_run(coral, monkeypatch, 400)
     boxes = res.boxes
-    assert len(boxes) == 400 and res.all_linked()
-    reached, serial = set(), {}
-    for t0, u0, mu, v, alpha, kw, sigma, x in calls:
+    assert len(boxes) == 400 and res.all_linked() and res.replans > 0
+    starts = _wave_starts(res, calls)
+    assert starts[0][0] == 0 and _cuts(starts) == res.replans
+    reached = set()
+    for (k, n), (t0, u0, mu, v, alpha, kw, sigma, x) in zip(starts, calls):
+        h = cont._WAVE_SPACING * ALPHA_FRAC * boxes[k].delta_alpha
+        assert np.array_equal(alpha, h * np.arange(1, n + 1))
         ext = ExtendedSystem(system, t0, u0, mu, v)
         sigma2, x2, _ = newton_correct(ext, alpha, **kw)
         assert np.array_equal(sigma2, sigma) and np.array_equal(x2, x)
         t, u = ext.point(alpha, sigma, x)
-        for ti, ui in zip(np.atleast_1d(t).tolist(), np.atleast_2d(u)):
-            reached.add((ti, ui.tobytes()))
-        if np.ndim(alpha) == 0:
-            serial[(float(t), u.tobytes())] = (alpha, sigma, x)
+        reached.update(zip(t.tolist(), (ui.tobytes() for ui in u)))
     assert all((b.t, b.u.tobytes()) in reached for b in boxes[1:])
-    assert 0 < len(serial) == res.replans
     prev, nxt = boxes[:-1], boxes[1:]
     tau = np.array([np.concatenate([[b.mu], b.v]) for b in prev])
     dz = np.array([np.concatenate([[n.t - b.t], n.u - b.u]) for b, n in zip(prev, nxt)])
     alpha = (tau * dz).sum(axis=1) / (tau * tau).sum(axis=1)
     corr = dz - alpha[:, None] * tau
-    for k, n in enumerate(nxt):
-        step = serial.get((n.t, n.u.tobytes()))
-        if step is not None:
-            assert step[0] == ALPHA_FRAC * prev[k].delta_alpha
-            alpha[k], corr[k, 0], corr[k, 1:] = step
     assert list(alpha) == [b.alpha_step for b in prev]
     picks = list(range(0, len(prev), len(prev) // 64))[:64]
     steps = [(prev[k].t, prev[k].u, alpha[k], prev[k].mu, prev[k].v, corr[k, 0], corr[k, 1:],
@@ -778,69 +785,91 @@ def test_stacked_stability_labels_equal_per_matrix_labels(branch_result,
 def test_forced_misprediction_replans_and_still_links(coral, monkeypatch):
     """Every fifth wave's anchors past its middle are placed 50% further
     out, so the step into the first of them overshoots ALPHA_FRAC of its
-    box: the wave is cut there, the step is taken serially at ALPHA_FRAC
-    delta_alpha, and the branch still links to the target.  `replans`
-    counts the cuts: one serial step each."""
-    from certibif import continuation as cont
-    correct = cont.newton_correct
+    box: the wave is cut there, the next wave is placed from the last box
+    kept, and the branch still links to the target.  `replans` counts the
+    cuts."""
     waves = iter(range(10 ** 9))
 
     def overshoot(ext, alpha, **kw):
-        if not (np.ndim(alpha) and len(alpha) >= 4 and next(waves) % 5 == 2):
-            return correct(ext, alpha, **kw)
+        if not (len(alpha) >= 4 and next(waves) % 5 == 2):
+            return newton_correct(ext, alpha, **kw)
         far = alpha.copy()
         far[len(alpha) // 2:] *= 1.5
-        sigma, x, ev = correct(ext, far, **kw)
+        sigma, x, ev = newton_correct(ext, far, **kw)
         # the same points, as corrections at the alphas continue_branch placed
         return sigma + (far - alpha) * ext.mu, x + (far - alpha)[:, None] * ext.v, ev
 
-    monkeypatch.setattr(cont, "newton_correct", overshoot)
-    system, t0, u0 = branch_start(coral, 300.0)
-    res = continue_branch(system, t0, u0, to_R=72.0, max_steps=8000)
+    _, res, calls = _replayed_run(coral, monkeypatch, 8000, correct=overshoot)
     assert res.stop_reason == "target" and res.all_linked()
     assert res.replans >= 10 and res.boxes_discarded > 0
-    serial = [b for b in res.boxes[:-1] if b.alpha_step == ALPHA_FRAC * b.delta_alpha]
-    assert len(serial) == res.replans
+    starts = _wave_starts(res, calls)
+    # each wave starts from a box that the wave before it appended
+    assert all(k < k2 <= k + n for (k, n), (k2, _) in zip(starts, starts[1:]))
+    assert _cuts(starts) == res.replans
     assert all(b.alpha_step <= ALPHA_FRAC * b.delta_alpha for b in res.boxes[:-1])
 
 
 def test_unplaced_wave_is_cut_at_its_first_step(coral, monkeypatch):
-    """A wave whose stacked corrector fails is cut at its first step: the
-    step out of the last certified box is taken serially, and the branch
-    goes on linked."""
-    from certibif import continuation as cont
-    correct = cont.newton_correct
+    """A wave whose stacked corrector fails is placed again from the same
+    box with one anchor, counted as a replan, and the branch goes on
+    linked."""
     waves = iter(range(10 ** 9))
+    events = []
 
     def failing(ext, alpha, **kw):
-        if np.ndim(alpha) and next(waves) % 3 == 1:
+        fail = len(alpha) > 1 and next(waves) % 3 == 1
+        events.append((fail, ext.t0, len(alpha)))
+        if fail:
             raise CorrectorFailed("no convergence (forced)")
-        return correct(ext, alpha, **kw)
+        return newton_correct(ext, alpha, **kw)
+
+    _, res, calls = _replayed_run(coral, monkeypatch, 300, correct=failing)
+    assert res.stop_reason == "max-steps" and len(res.boxes) == 300 and res.all_linked()
+    failed = [i for i, (fail, *_) in enumerate(events) if fail]
+    assert len(failed) >= 3
+    assert all(events[i + 1] == (False, events[i][1], 1) for i in failed)
+    assert res.replans == len(failed) + _cuts(_wave_starts(res, calls))
+
+
+def test_wave_unplaced_twice_ends_the_branch(coral, monkeypatch):
+    """When the one-anchor wave cannot be placed either, the branch stops
+    with the corrector's failure after the boxes it has."""
+    from certibif import continuation as cont
+    calls = iter(range(10 ** 9))
+
+    def failing(ext, alpha, **kw):
+        if next(calls) >= 2:
+            raise CorrectorFailed("no convergence (forced)")
+        return newton_correct(ext, alpha, **kw)
 
     monkeypatch.setattr(cont, "newton_correct", failing)
     system, t0, u0 = branch_start(coral, 300.0)
-    res = continue_branch(system, t0, u0, to_R=72.0, max_steps=300)
-    assert res.stop_reason == "max-steps" and len(res.boxes) == 300 and res.all_linked()
-    serial = [b for b in res.boxes[:-1] if b.alpha_step == ALPHA_FRAC * b.delta_alpha]
-    assert res.replans >= 3 and len(serial) == res.replans
+    res = continue_branch(system, t0, u0, to_R=72.0, max_steps=8000)
+    assert res.stop_reason == "corrector-failed: no convergence (forced)"
+    assert next(calls) == 4 and res.replans >= 1 and res.all_linked()
 
 
-def test_serial_step_that_fails_to_link_ends_the_branch(coral, monkeypatch):
-    """Once links fail, the wave is cut at its first step and the serial
-    step is checked once more; when that link fails too the branch stops
-    with `link-failed`, the unlinked box last and the serial step recorded
-    on the box before it."""
+def test_link_failing_at_a_wave_first_anchor_ends_the_branch(coral, monkeypatch):
+    """Links into box 150 and later fail.  The wave holding box 150 is cut
+    there; the next wave, placed from box 149, fails to link at its first
+    anchor, which a retry would place again, so the branch stops with
+    `link-failed` and that box, unlinked, last."""
     from certibif import continuation as cont
-    link = cont.check_link
-    calls = iter(range(10 ** 9))
-    monkeypatch.setattr(cont, "check_link", lambda *a: link(*a) & (next(calls) < 3))
+    link, calls = cont.check_link, []
+
+    def failing(prev, *a):
+        calls.append(len(prev))
+        assert len(calls) <= 20, "the branch keeps placing the box that fails to link"
+        return link(prev, *a) & (np.array([b.index for b in prev]) < 149)
+
+    monkeypatch.setattr(cont, "check_link", failing)
     system, t0, u0 = branch_start(coral, 300.0)
     res = continue_branch(system, t0, u0, to_R=72.0, max_steps=8000)
-    assert res.stop_reason == "link-failed" and res.replans == 1
+    assert res.stop_reason == "link-failed" and len(res.boxes) == 151
     *linked, before, last = res.boxes
     assert all(b.linked_to_previous for b in linked[1:] + [before])
-    assert not last.linked_to_previous
-    assert before.alpha_step == ALPHA_FRAC * before.delta_alpha
+    assert not last.linked_to_previous and last.index == 150
+    assert 0.0 < before.alpha_step <= ALPHA_FRAC * before.delta_alpha
 
 
 # ---------------------------------------------------------------------------

@@ -279,6 +279,24 @@ def test_reduction_zero_always_root(coral):
         assert 0.0 in red.solve(lam)
 
 
+def test_reduction_roots_equal_scalar_grid_loop(coral):
+    """The grid's one array call of phi brackets the same roots as the
+    scalar loop over the grid (math.exp, not np.exp), bit for bit."""
+    from certibif.model import _bisect
+    red = FixedPointReduction(coral)
+    for lam in (0.2, 0.42, 1.0, 3.0, 300.0 / coral.cf.ba, 10.0):
+        h = lambda x1: 1.0 - lam * coral.cf.ba * phi(red.cP * x1, coral.params)
+        xs = np.linspace(0.0, 1e5, 10_001).tolist()
+        vals = [h(x) for x in xs]
+        roots = [0.0]
+        for lo, hi, flo, fhi in zip(xs, xs[1:], vals, vals[1:]):
+            if flo == 0.0 and lo > 0.0:
+                roots.append(lo)
+            if flo * fhi < 0.0:
+                roots.append(_bisect(h, lo, hi))
+        assert red.solve(lam) == roots + ([xs[-1]] if vals[-1] == 0.0 else [])
+
+
 def test_two_positive_roots_at_lambda_one(coral):
     red = FixedPointReduction(coral)
     pos = [r for r in red.solve(1.0) if r > 0]
