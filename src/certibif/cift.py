@@ -144,14 +144,12 @@ def neumann_rho(A: IArray, B: np.ndarray):
 
 def inverse_bound(A: IArray, B: np.ndarray):
     """Neumann-series bounds: K >= |A^{-1}| and err >= |B - A^{-1}|,
-    given |I - B A| <= rho1 < 1 from neumann_rho (arrays for a stack)."""
+    given |I - B A| <= rho1 < 1 from neumann_rho, as arrays with one entry
+    per matrix of the stack (0-d for a single matrix)."""
     B = np.asarray(B, dtype=float)
     rho1 = neumann_rho(A, B)
     rho2 = up_sum(np.abs(B), axis=-1).max(axis=-1)
-    if np.ndim(rho1) == 0:
-        rho1, rho2, I = float(rho1), float(rho2), Interval
-    else:
-        I = IArray.point
+    I = IArray.point
     gap = I(1.0) - I(rho1)
     K = (I(rho2) / gap).hi
     err = ((I(rho1) * I(rho2)) / gap).hi
@@ -303,19 +301,19 @@ def delta_alpha_root(K, rho, L1, L2, L3, L4, ell_x, dir_norm, coupled_cap):
     accepts on bounds with these fields and the same coupling, ell_alpha
     aside, and the constraint that sets it: the smallest float root of
     floor(da) = each ceiling, floor = a*da^2 + bl*da + c0, the first
-    constraint of `_ROOT_NAMES` on a tie.  Floats give a float and a name;
-    arrays, one entry per segment, give arrays."""
-    K2 = 2.0 * np.asarray(K, dtype=float)
+    constraint of `_ROOT_NAMES` on a tie: arrays of roots and of names,
+    one entry per segment."""
+    K2 = 2.0 * K
     a, bl, c0, s = K2 * L4, K2 * L3, K2 * rho, K2 * L1    # s: 2K(L1 floor + L2 da) <= 1
     # the search cap dir_norm*da = coupled_cap*(1 - _DU_RESERVE) bounds every root
     roots = np.stack(np.broadcast_arrays(
         _smallest_root(a, bl, c0 - ell_x),
         _smallest_root(s * a, s * bl + K2 * L2, s * c0 - 1.0),
         _smallest_root(a, bl + dir_norm, c0 - coupled_cap),
-        coupled_cap * (1.0 - _DU_RESERVE) / np.asarray(dir_norm, dtype=float)))
+        coupled_cap * (1.0 - _DU_RESERVE) / dir_norm))
     k = roots.argmin(axis=0)
     root = np.take_along_axis(roots, k[None], axis=0)[0]
-    return (float(root), str(_ROOT_NAMES[k])) if root.ndim == 0 else (root, _ROOT_NAMES[k])
+    return root, _ROOT_NAMES[k]
 
 
 def check_deltas(b: CiftBounds, dir_norm, coupled_cap,
@@ -365,7 +363,7 @@ def validate_zero(problem, z0: np.ndarray, ell: float = 1e-6) -> Certificate:
         raise ValidationFailed(f"(H2) failed: anchor Jacobian enclosure has {bad} "
                                f"non-finite entries")
     try:
-        K, _ = inverse_bound(float_matmat(B, J), np.eye(problem.dim))
+        K = float(inverse_bound(float_matmat(B, J), np.eye(problem.dim))[0])
     except NotInvertibleEvidence as exc:
         raise ValidationFailed(f"(H2) failed: {exc}") from exc
 

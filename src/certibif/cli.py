@@ -197,11 +197,11 @@ def emit_certificate_chain(path: Path, system: cont.CoralBranchSystem,
         for i, b in enumerate(res.boxes):
             if i:
                 fh.write(", ")
-            h = b.hyp
+            c = b.bounds
             fh.write(_CHAIN_RECORD % (
                 b.index, system.R_of_t(b.t), b.delta_alpha, b.delta_u, b.delta_min,
-                json.dumps(b.bound_by), h.d_u, h.K, h.rho, h.xi, h.M1, h.M2, h.M3, h.M4,
-                b.bounds.L1, b.bounds.L2, b.bounds.L4, b.halvings,
+                json.dumps(b.bound_by), c.ell_x, c.K, c.rho, c.L3, *b.M, c.L1, c.L2, c.L4,
+                b.halvings,
                 "true" if b.linked_to_previous else "false"))
         fh.write("]}")
 
@@ -274,6 +274,10 @@ def _load_anchor(path: str, system) -> np.ndarray:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"anchor file {path} holds neither a list of numbers nor an "
                          f"object with one under \"anchor\" ({exc})") from exc
+    bad = np.flatnonzero(~np.isfinite(anchor))
+    if bad.size:
+        raise ValueError(f"anchor in {path}: entry {int(bad[0])} is "
+                         f"{float(anchor[bad[0]])!r}, not a finite number")
     if len(anchor) != system.dim:
         raise ValueError(f"anchor in {path} has {len(anchor)} entries; the "
                          f"{system.name} system needs {system.dim}")
@@ -354,6 +358,18 @@ def _count(text: str, least: int = 1) -> int:
     return int(text)
 
 
+def _length(text: str) -> int:
+    """A count that may be 0."""
+    return _count(text, least=0)
+
+
+def _radius(text: str) -> float:
+    r = float(text)
+    if not (np.isfinite(r) and r > 0.0):
+        raise argparse.ArgumentTypeError(f"need a positive finite number, got {text}")
+    return r
+
+
 def _iterates(text: str) -> int:
     """At least 3 points, so that rho_N and rho_(0.8 N) each rest on an
     angle increment."""
@@ -377,31 +393,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", default="density:1500",
                    help="density:<P> | fixed | random | CSV file")
     p.add_argument("--x0-scale", type=float, default=1.0)
-    p.add_argument("--years", type=int, default=100)
-    p.add_argument("--skip", type=int, default=0)
+    p.add_argument("--years", type=_length, default=100)
+    p.add_argument("--skip", type=_length, default=0)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("diagram", help="non-rigorous bifurcation diagram CSV")
     p.add_argument("--R-min", dest="R_min", type=float, default=5.0)
     p.add_argument("--R-max", dest="R_max", type=float, default=300.0)
     p.add_argument("--P-max", dest="P_max", type=float, default=3500.0)
-    p.add_argument("--points", type=int, default=800)
+    p.add_argument("--points", type=_length, default=800)
     p.set_defaults(fn=cmd_diagram)
 
     p = sub.add_parser("branch", help="validated pseudo-arclength continuation")
     p.add_argument("--from-R", dest="from_R", type=float, default=300.0)
     p.add_argument("--to-R", dest="to_R", type=float, default=72.0)
-    p.add_argument("--max-steps", dest="max_steps", type=int, default=8000)
+    p.add_argument("--max-steps", dest="max_steps", type=_count, default=8000)
     p.set_defaults(fn=cmd_branch)
 
     p = sub.add_parser("validate-ns", help="certify the Neimark-Sacker point")
     p.add_argument("--anchor", help="JSON file with a 42-dim anchor")
-    p.add_argument("--ell", type=float, default=1e-6)
+    p.add_argument("--ell", type=_radius, default=1e-6)
     p.set_defaults(fn=cmd_validate_ns)
 
     p = sub.add_parser("validate-sn", help="certify the saddle-node point")
     p.add_argument("--anchor", help="JSON file with a 27-dim anchor")
-    p.add_argument("--ell", type=float, default=1e-6)
+    p.add_argument("--ell", type=_radius, default=1e-6)
     p.set_defaults(fn=cmd_validate_sn)
 
     p = sub.add_parser("transcritical", help="closed-form extinction-branch point")
@@ -412,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lo:hi:count")
     p.add_argument("--center", type=_center, default="2500,2500")
     p.add_argument("--iterates", type=_iterates, default=100_000)
-    p.add_argument("--skip", type=int, default=10_000)
+    p.add_argument("--skip", type=_length, default=10_000)
     p.add_argument("--x0-factor", dest="x0_factor", type=float, default=1.5)
     p.add_argument("--bins", type=_count, default=64)
     p.set_defaults(fn=cmd_rotation)

@@ -92,29 +92,24 @@ class CoralBranchSystem:
 
     def evaluate(self, t, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """F, [D_t F | D_u F] as one (d, d + 1) matrix, and the raw D_x f
-        that its D_u F block rescales, at (t, u), from one q.x, one b.x and
-        one `phi_derivs`; t (n,) and u (n, d) give a stack of independent
-        rows.  This is the float interface of every branch system (one
-        without a map gives None for D_x f).  A one-point call equals, bit
-        for bit, the one-state map, its lambda derivative and
-        `CoralMap.jac_x` (kept by the tests as references); a stacked row
-        sums q.x and b.x in another order and takes np.exp, a few ulps off."""
+        that its D_u F block rescales, at a stack of independent points t
+        (n,), u (n, d), from one q.x, one b.x and one `phi_derivs` per row.
+        This is the float interface of every branch system (one without a
+        map gives None for D_x f).  q.x and b.x are row sums, not a matrix
+        product, so that a row does not depend on the rows stacked with it;
+        a row is a few ulps off the one-state map, its lambda derivative and
+        `CoralMap.jac_x`."""
         cf, s, d = self.coral.cf, self.s, self.d
         lam, x = self._ct * np.asarray(t, dtype=float), s * u
         lead = lam.shape
-        if lead:
-            # row sums, not a matrix product, so that a row does not
-            # depend on the rows stacked with it
-            P, bx = (x * cf.q).sum(axis=-1), (x * cf.b).sum(axis=-1)
-        else:
-            P, bx = float(cf.q @ x), float(cf.b @ x)
+        P, bx = (x * cf.q).sum(axis=-1), (x * cf.b).sum(axis=-1)
         ph, ph1 = phi_derivs(P, self.coral.params, order=1)
-        col = lambda a: np.asarray(a)[..., None]
         f = np.empty(lead + (d,))
         f[..., 0] = lam * ph * bx
         f[..., 1:] = self._S * x[..., :-1]
         Jx = _tiled(self._Jx, lead)
-        Jx[..., 0, :] = col(lam) * (col(ph1) * cf.q * col(bx) + col(ph) * cf.b)
+        Jx[..., 0, :] = lam[..., None] * (ph1[..., None] * cf.q * bx[..., None]
+                                          + ph[..., None] * cf.b)
         A = _tiled(self._A, lead)
         A[..., 0, 0] = self._ct * (ph * bx) / s[0]
         A[..., 0, 1:] = Jx[..., 0, :] * s / s[0]
@@ -124,9 +119,9 @@ class CoralBranchSystem:
     # -- interval evaluation ------------------------------------------------
 
     def eval_iv(self, t, u: IArray) -> tuple[IArray, IArray, IArray]:
-        """Interval (F, D_u F, D_t F) at interval points or boxes, from one
-        row-1 jet of x = s (.) u: t an `Interval` with u of shape (d,), or
-        t an `IArray` of shape (n,) with u of shape (n, d) for a stack."""
+        """Interval (F, D_u F, D_t F) at a stack of interval points or
+        boxes, t an `IArray` of shape (n,) and u one of shape (n, d), from
+        one row-1 jet of x = s (.) u."""
         d = self.d
         lead = u.lo.shape[:-1]
         lam = self._ct_iv * t
@@ -139,7 +134,7 @@ class CoralBranchSystem:
         flo[..., 1:], fhi[..., 1:] = f_rest.lo, f_rest.hi
         F = IArray(flo, fhi) / self.s - u
         # D_u F = (row 1 of D_x f scaled by s_j / s_0, the constant subdiagonal) - I
-        row0 = jet.g1 * (lam[..., None] if isinstance(lam, IArray) else lam) * self._ratio0_iv
+        row0 = jet.g1 * lam[..., None] * self._ratio0_iv
         lo, hi = _tiled(self._Ju_lo, lead), _tiled(self._Ju_hi, lead)
         lo[..., 0, :], hi[..., 0, :] = row0.lo, row0.hi
         jt = self._ct_iv * jet.g / Interval.point(float(self.s[0]))
@@ -211,17 +206,15 @@ def branch_start(coral: CoralMap, R: float) -> tuple[CoralBranchSystem, float, n
 
 
 class ExtendedSystem:
-    """G(alpha, (sigma, x)) for one anchor/direction pair.  The interval
-    stages also take a stack: t0, mu of shape (n,) and u0, v of shape
-    (n, d) with the matching stacked enclosures; the float methods take
-    one anchor."""
+    """G(alpha, (sigma, x)) for a stack of anchor/direction pairs: t0, mu
+    of shape (n,) and u0, v of shape (n, d), with the matching stacked
+    enclosures.  The float methods also take one anchor (t0, mu 0-d, u0,
+    v of shape (d,)) with a stack of alphas along its direction."""
 
     def __init__(self, system: CoralBranchSystem, t0, u0: np.ndarray, mu, v: np.ndarray):
         self.sys = system
-        self.t0 = np.asarray(t0, dtype=float) if np.ndim(t0) else float(t0)
-        self.u0 = np.asarray(u0, dtype=float)
-        self.mu = np.asarray(mu, dtype=float) if np.ndim(mu) else float(mu)
-        self.v = np.asarray(v, dtype=float)
+        self.t0, self.u0 = np.asarray(t0, dtype=float), np.asarray(u0, dtype=float)
+        self.mu, self.v = np.asarray(mu, dtype=float), np.asarray(v, dtype=float)
 
     def point(self, alpha, sigma, x: np.ndarray) -> tuple:
         """(t, u) = anchor + alpha * direction + (sigma, x); an (m,) alpha
@@ -266,7 +259,7 @@ class ExtendedSystem:
     def drift_iv(self, Ju: IArray, Jt: IArray) -> IArray:
         """Enclosure of D_t F mu + D_u F v, the alpha-derivative of G's F
         rows, as one product of the row (mu, v) with [D_t F | D_u F]^T."""
-        row = np.concatenate([np.asarray(self.mu)[..., None], self.v], axis=-1)[..., None, :]
+        row = np.concatenate([self.mu[..., None], self.v], axis=-1)[..., None, :]
         JT = IArray(np.concatenate([Jt.lo[..., None, :], np.swapaxes(Ju.lo, -1, -2)], axis=-2),
                     np.concatenate([Jt.hi[..., None, :], np.swapaxes(Ju.hi, -1, -2)], axis=-2))
         return float_matmat(row, JT)[..., 0, :]
@@ -278,19 +271,19 @@ _RANK_TOL = 1e-8
 
 
 def tangent_estimate(jac: np.ndarray, prev: np.ndarray | None = None) -> tuple:
-    """Unit max-norm null vector (mu, v) of `jac` = [D_t F | D_u F] at the
-    anchor; a stack of Jacobians gives arrays, one row each.
+    """Unit max-norm null vectors (mu (n,), v (n, d)) of a stack `jac` (n,
+    d, d + 1) of [D_t F | D_u F] at the anchors.
 
-    Given the previous direction, it solves the bordered system [prev;
-    jac] tau = e_0, whose solution continues prev (prev . tau = 1).  At the
+    Given the previous direction, it solves the bordered systems [prev;
+    jac] tau = e_0, whose solutions continue prev (prev . tau = 1).  At the
     start, with no direction to border by, it is the last right singular
-    vector of one Jacobian."""
+    vector of each Jacobian."""
     if prev is None:
         _, sv, Vt = np.linalg.svd(jac)
-        if sv[-1] <= _RANK_TOL * sv[0]:
+        if (sv[..., -1] <= _RANK_TOL * sv[..., 0]).any():
             # rank < d: the null space is at least two-dimensional
             raise TangentUndefined("branch Jacobian rank deficiency exceeds one")
-        tang = Vt[-1]
+        tang = Vt[..., -1, :]
     else:
         n = len(prev)
         border = np.empty(jac.shape[:-2] + (n, n))
@@ -304,8 +297,6 @@ def tangent_estimate(jac: np.ndarray, prev: np.ndarray | None = None) -> tuple:
         if not np.isfinite(tang).all():
             raise TangentUndefined("bordered tangent system singular: non-finite solution")
     tang = tang / np.abs(tang).max(axis=-1, keepdims=True)
-    if tang.ndim == 1:
-        return float(tang[0]), tang[1:].copy()
     return tang[:, 0].copy(), tang[:, 1:].copy()
 
 
@@ -347,25 +338,10 @@ def newton_correct(ext: ExtendedSystem, alpha, tol: float = 1e-13,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SegmentHypotheses:
-    """(P1)-(P3) data for one anchor/direction pair, or arrays of them for
-    a stack of segments."""
-
-    rho: float
-    xi: float
-    K: float
-    M1: float
-    M2: float
-    M3: float
-    M4: float
-    d_u: float
-    d_lambda: float
-
-
-def derive_extended_constants(h: SegmentHypotheses, mu, v: np.ndarray) -> cift.CiftBounds:
-    """Lipschitz constants of the extended system from the (P3) data, for
-    one segment or a stack (then the bounds hold arrays).
+def derive_extended_constants(rho, xi, K, M: tuple, d, mu, v: np.ndarray) -> cift.CiftBounds:
+    """The CIFT bounds of the extended system over the Lipschitz box of
+    radius d, from the (P1)-(P3) data rho, xi, K and M = (M1..M4) of
+    `lipschitz_M`, one entry per segment of a stack in each array.
 
     With the product norm max(|sigma|, |x|), the derivative difference is
     bounded by (M1+M3)|x| + (M2+M4)|sigma| <= L1 max(|sigma|, |x|) with
@@ -374,26 +350,27 @@ def derive_extended_constants(h: SegmentHypotheses, mu, v: np.ndarray) -> cift.C
     """
     I = IArray.point
     vn, am = I(np.abs(v).max(axis=-1)), I(np.abs(mu))
-    M1, M2, M3, M4 = I(h.M1), I(h.M2), I(h.M3), I(h.M4)
+    M1, M2, M3, M4 = (I(m) for m in M)
     M13, M24 = M1 + M3, M2 + M4
     L1 = (M13 + M24).hi
     L2 = (M13 * vn + M24 * am).hi
     L4 = ((M1 * vn + M2 * am) * vn + (M3 * vn + M4 * am) * am).hi
-    return cift.CiftBounds(rho=h.rho, K=h.K, L1=L1, L2=L2, L3=h.xi, L4=L4,
-                           ell_x=h.d_u, ell_alpha=h.d_lambda)
+    return cift.CiftBounds(rho=rho, K=K, L1=L1, L2=L2, L3=xi, L4=L4, ell_x=d, ell_alpha=d)
 
 
-def _rows(obj, n: int) -> list:
-    """The n per-segment instances of a dataclass whose fields are arrays."""
-    cols = [np.broadcast_to(v, (n,)).tolist() if np.ndim(v) == 0 else v.tolist()
-            for v in (getattr(obj, f.name) for f in fields(obj))]
-    return [type(obj)(*vals) for vals in zip(*cols)]
+def _rows(obj) -> list:
+    """The per-segment instances of a dataclass whose fields are arrays."""
+    return [type(obj)(*vals) for vals in zip(*(getattr(obj, f.name).tolist()
+                                                for f in fields(obj)))]
 
 
 @dataclass
 class BranchBox:
-    """One validated slanted box along the branch.  `validate_segment`
-    builds it; the driver fills the fields after `hyp` as the step goes."""
+    """One validated slanted box along the branch.  `bounds` holds its
+    (P1)-(P3) data: rho, K, the drift xi as L3 and the Lipschitz box
+    radius d as ell_x = ell_alpha; M is (M1..M4) over that box.
+    `validate_segment` builds it; the driver fills the fields after M as
+    the step goes."""
 
     index: int
     t: float
@@ -404,7 +381,7 @@ class BranchBox:
     delta_u: float
     delta_min: float
     bounds: cift.CiftBounds
-    hyp: SegmentHypotheses
+    M: tuple
     bound_by: str = ""            # the constraint whose root set delta_alpha
     linked_to_previous: bool = False
     alpha_step: float = 0.0       # alpha used to leave this box
@@ -450,7 +427,7 @@ def segment_anchor(system: CoralBranchSystem, t0: np.ndarray, u0: np.ndarray,
 
 def _take(obj, idx):
     """The dataclass of arrays `obj` at the entries idx of each field."""
-    return type(obj)(*(np.asarray(getattr(obj, f.name))[idx] for f in fields(obj)))
+    return type(obj)(*(getattr(obj, f.name)[idx] for f in fields(obj)))
 
 
 def validate_segment(anchor: SegmentAnchor, d, index: int = 0) -> list:
@@ -470,26 +447,25 @@ def validate_segment(anchor: SegmentAnchor, d, index: int = 0) -> list:
     r = d.size // n
     seg = np.repeat(np.arange(n), r)     # the segment of each rung
     d = d.ravel()
-    M1, M2, M3, M4 = ext.sys.lipschitz_M(ext.t0[seg], ext.u0[seg], d)
-    hyp = SegmentHypotheses(rho=anchor.rho[seg], xi=anchor.xi[seg], K=anchor.K[seg],
-                            M1=M1, M2=M2, M3=M3, M4=M4, d_u=d, d_lambda=d)
-    b = derive_extended_constants(hyp, ext.mu[seg], ext.v[seg])
+    M = ext.sys.lipschitz_M(ext.t0[seg], ext.u0[seg], d)
+    b = derive_extended_constants(anchor.rho[seg], anchor.xi[seg], anchor.K[seg], M, d,
+                                  ext.mu[seg], ext.v[seg])
     dir_norm = np.maximum(np.abs(ext.mu), np.abs(ext.v).max(axis=-1))
     root, names = cift.delta_alpha_root(b.K, b.rho, b.L1, b.L2, b.L3, b.L4, b.ell_x,
                                         dir_norm[seg], coupled_cap=b.ell_x)
     # the roots ignore ell_alpha, which the check does not
     planned = _planned(np.minimum(root, b.ell_alpha))
     pick = np.arange(n) * r + planned.reshape(n, r).argmax(axis=1)
-    hyp, bounds = _take(hyp, pick), _take(b, pick)
-    ok, pairs = cift.check_deltas(bounds, dir_norm, hyp.d_u, planned[pick])
+    bounds = _take(b, pick)
+    ok, pairs = cift.check_deltas(bounds, dir_norm, bounds.ell_x, planned[pick])
+    Ms = zip(*(m[pick].tolist() for m in M))
     out = []
-    for i, (h, b, p, name, good) in enumerate(zip(_rows(hyp, n), _rows(bounds, n),
-                                                  _rows(pairs, n), names[pick].tolist(),
-                                                  ok.tolist())):
+    for i, (b, Mi, p, name, good) in enumerate(zip(_rows(bounds), Ms, _rows(pairs),
+                                                   names[pick].tolist(), ok.tolist())):
         out.append(BranchBox(
             index=index + i, t=float(ext.t0[i]), u=ext.u0[i].copy(), mu=float(ext.mu[i]),
             v=ext.v[i].copy(), delta_alpha=p.delta_alpha, delta_u=p.delta_x,
-            delta_min=p.delta_min, bounds=b, hyp=h, bound_by=name) if good
+            delta_min=p.delta_min, bounds=b, M=Mi, bound_by=name) if good
             else ValidationFailed(
                 cift.accuracy_gates(b.K, b.rho, b.L1, b.ell_x, "ell_x")[1]
                 or f"delta inequalities infeasible at the planned delta_alpha = "
@@ -594,20 +570,18 @@ def _leslie_outside_counts(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d - inside, ambiguous
 
 
-def classify_stability(jac_x: np.ndarray):
-    """Non-rigorous: count eigenvalues of D_x f outside the unit circle.
-    A stack of matrices gives the list of their labels.
+def classify_stability(jac_x: np.ndarray) -> list[str]:
+    """Non-rigorous: count eigenvalues of D_x f outside the unit circle,
+    for a stack (n, d, d) of matrices: the list of their n labels.
 
     D_x f is a Leslie matrix, so the count comes from the Schur-Cohn
     recursion on its characteristic polynomial; rows whose count is
     ambiguous take `np.linalg.eigvals`, whose count it equals elsewhere."""
     J = np.asarray(jac_x, dtype=float)
-    Js = J.reshape(-1, *J.shape[-2:])
-    idx, ambiguous = _leslie_outside_counts(Js)
+    idx, ambiguous = _leslie_outside_counts(J)
     if ambiguous.any():
-        idx[ambiguous] = (np.abs(np.linalg.eigvals(Js[ambiguous])) > 1.0).sum(axis=-1)
-    label = lambda i: "stable" if i == 0 else f"unstable({i})"
-    return label(int(idx[0])) if J.ndim == 2 else [label(i) for i in idx.tolist()]
+        idx[ambiguous] = (np.abs(np.linalg.eigvals(J[ambiguous])) > 1.0).sum(axis=-1)
+    return ["stable" if i == 0 else f"unstable({i})" for i in idx.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -685,26 +659,20 @@ class _Wave:
 
 def _tangent(e: ExtendedSystem) -> np.ndarray:
     """(mu, v) of the row or rows of e as one vector each."""
-    return np.concatenate([np.asarray(e.mu)[..., None], e.v], axis=-1)
+    return np.concatenate([e.mu[..., None], e.v], axis=-1)
 
 
 def _wave(system, first: int, t: np.ndarray, u: np.ndarray, ev: tuple,
           prev: np.ndarray | None, fold_index: int | None) -> _Wave:
-    """The wave of anchors (t (n,), u (n, d), or one point) at which the
-    system's evaluation is ev: tangents bordered by the tangent `prev` of
-    the anchor before them (None at the start: one anchor, its SVD tangent
-    oriented to decreasing R), their B, and the fold indices after
-    `fold_index`.  Raises TangentUndefined, or LinAlgError for a singular B."""
-    if np.ndim(t) == 0:
-        t, u, ev = np.array([t]), u[None], tuple(None if a is None else a[None] for a in ev)
+    """The wave of anchors t (n,), u (n, d) at which the system's
+    evaluation is ev: tangents bordered by the tangent `prev` of the anchor
+    before them (None at the start: one anchor, its SVD tangent oriented
+    to decreasing R), their B, and the fold indices after `fold_index`.
+    Raises TangentUndefined, or LinAlgError for a singular B."""
     A, Jx = ev[1], ev[2]
-    if prev is None:
-        mu, v = tangent_estimate(A[0])
-        if mu > 0.0:
-            mu, v = -mu, -v          # start by decreasing R
-        mu, v = np.array([mu]), v[None]
-    else:
-        mu, v = tangent_estimate(A, prev)
+    mu, v = tangent_estimate(A, prev)
+    if prev is None and mu[0] > 0.0:
+        mu, v = -mu, -v              # start by decreasing R
     ext = ExtendedSystem(system, t, u, mu, v)
     B = np.linalg.inv(ext.jac_from(A))
     # a fold shows as a sign change of the parameter component
@@ -789,7 +757,7 @@ def continue_branch(system: CoralBranchSystem, t0: float, u0: np.ndarray,
     wave's first anchor, on a one-anchor wave that cannot be placed, or
     after max_steps boxes."""
     res, unlabelled = BranchResult(), []      # accepted boxes with their D_x f
-    t0, u0 = float(t0), np.asarray(u0, dtype=float).copy()
+    t0, u0 = np.array([t0], dtype=float), np.array([u0], dtype=float)
     tip, m = None, _CHUNK_MIN
     try:
         while len(res.boxes) < max_steps:
@@ -844,7 +812,7 @@ def _accept(system, wave: _Wave, tip: BranchBox | None, to_R: float, res: Branch
     if target is not None:
         wave = wave.take(target + 1)
     rungs = (_LADDER if tip is None
-             else np.clip(tip.hyp.d_u * np.array([0.5, 1.0, 2.0]), _BOX_MIN, _BOX_CAP))
+             else np.clip(tip.bounds.ell_x * np.array([0.5, 1.0, 2.0]), _BOX_MIN, _BOX_CAP))
     boxes, end = _validate(system, wave, rungs)
     if tip is not None and boxes:
         alpha, corr_norm, ok = _links(tip, wave, boxes)

@@ -266,14 +266,14 @@ def emit_certificate_chain(path: Path, system, res) -> None:
                 "delta_u": repr(b.delta_u),
                 "delta_min": repr(b.delta_min),
                 "bound_by": b.bound_by,
-                "d": repr(b.hyp.d_u),
-                "K": repr(b.hyp.K),
-                "rho": repr(b.hyp.rho),
-                "xi": repr(b.hyp.xi),
-                "M1": repr(b.hyp.M1),
-                "M2": repr(b.hyp.M2),
-                "M3": repr(b.hyp.M3),
-                "M4": repr(b.hyp.M4),
+                "d": repr(b.bounds.ell_x),
+                "K": repr(b.bounds.K),
+                "rho": repr(b.bounds.rho),
+                "xi": repr(b.bounds.L3),
+                "M1": repr(b.M[0]),
+                "M2": repr(b.M[1]),
+                "M3": repr(b.M[2]),
+                "M4": repr(b.M[3]),
                 "L1": repr(b.bounds.L1),
                 "L2": repr(b.bounds.L2),
                 "L4": repr(b.bounds.L4),

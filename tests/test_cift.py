@@ -267,10 +267,8 @@ def test_check_deltas_at_the_planned_root_accepts_exactly_the_feasible_bounds():
                    ell_alpha=_log_uniform(rng, 1e-10, 1e-2, n))
     dir_norm = rng.uniform(0.01, 10.0, n)
     cap = _log_uniform(rng, 1e-8, 1e-1, n)
-    roots = [delta_alpha_root(*args)[0] for args in zip(
-        b.K.tolist(), b.rho.tolist(), b.L1.tolist(), b.L2.tolist(), b.L3.tolist(),
-        b.L4.tolist(), b.ell_x.tolist(), dir_norm.tolist(), cap.tolist())]
-    da = np.array([_planned(min(r, e)) for r, e in zip(roots, b.ell_alpha.tolist())])
+    root, _ = delta_alpha_root(b.K, b.rho, b.L1, b.L2, b.L3, b.L4, b.ell_x, dir_norm, cap)
+    da = _planned(np.minimum(root, b.ell_alpha))
     ok, pair = check_deltas(b, dir_norm, cap, da)
     ref = _bisect_delta_alpha(b, dir_norm, cap)
     assert 0 < ok.sum() < n and (ok & ~with_l1).any()

@@ -132,6 +132,53 @@ def test_malformed_anchor_file_is_usage_error(tmp_path, capsys, content):
     assert f"error: anchor file {anchor_path} holds neither" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry, text", [(2, "nan"), (0, "inf"), (26, "-inf")])
+def test_non_finite_anchor_entry_is_usage_error(tmp_path, capsys, entry, text):
+    """An anchor entry that is not finite (NaN, or a number that overflows
+    to inf) exits 2 with a message naming the file and the entry."""
+    values = ["1.0"] * 27
+    values[entry] = {"nan": "NaN", "inf": "1e400", "-inf": "-1e400"}[text]
+    anchor_path = tmp_path / "anchor.json"
+    anchor_path.write_text("[" + ", ".join(values) + "]")
+    rc = main(["--out", str(tmp_path), "validate-sn", "--anchor", str(anchor_path)])
+    assert rc == 2
+    assert (f"error: anchor in {anchor_path}: entry {entry} is {text}, not a finite number"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "sn_certificate.json").exists()
+
+
+@pytest.mark.parametrize("argv, output", [
+    (["validate-sn", "--ell", "-1"], "sn_certificate.json"),
+    (["validate-sn", "--ell", "nan"], "sn_certificate.json"),
+    (["validate-sn", "--ell", "0"], "sn_certificate.json"),
+    (["validate-ns", "--ell", "inf"], "ns_certificate.json"),
+    (["branch", "--max-steps", "0"], "branch.csv"),
+    (["branch", "--max-steps", "-3"], "branch.csv"),
+    (["simulate", "--R", "160", "--years", "-1"], "simulate.csv"),
+    (["simulate", "--R", "160", "--skip", "-1"], "simulate.csv"),
+    (["diagram", "--points", "-1"], "diagram.csv"),
+], ids=["ell-negative", "ell-nan", "ell-zero", "ell-inf", "max-steps-zero",
+        "max-steps-negative", "years-negative", "skip-negative", "points-negative"])
+def test_bad_count_or_radius_is_usage_error(tmp_path, capsys, argv, output):
+    """--ell must be a positive finite number, --max-steps at least 1 and
+    --years, --skip and --points at least 0: otherwise argparse exits 2
+    naming the option, and nothing is written."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path)] + argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}: " in capsys.readouterr().err
+    assert not (tmp_path / output).exists()
+
+
+def test_zero_counts_write_header_only_outputs(tmp_path):
+    """0 years and 0 diagram points are valid counts: the CSV holds only
+    its header."""
+    assert main(["--out", str(tmp_path), "simulate", "--R", "160", "--years", "0"]) == 0
+    assert main(["--out", str(tmp_path), "diagram", "--points", "0"]) == 0
+    for name in ("simulate.csv", "diagram.csv"):
+        assert len((tmp_path / name).read_text().splitlines()) == 1
+
+
 _F = ", ".join(["0", "0", "0.36", "0.64", "0.82", "0.97", "0.98", "0.99"] + ["1"] * 5)
 
 
@@ -236,7 +283,7 @@ def test_rotation_failure_names_R(tmp_path, capsys, argv, message):
 @pytest.mark.parametrize("option, value", [
     ("--center", "2500"), ("--center", "1,2,3"), ("--center", "2500,inf"),
     ("--bins", "0"), ("--R-range", "160:200:0"),
-    ("--iterates", "0"), ("--iterates", "1"), ("--iterates", "2"),
+    ("--iterates", "0"), ("--iterates", "1"), ("--iterates", "2"), ("--skip", "-1"),
 ])
 def test_rotation_bad_option_is_usage_error(tmp_path, capsys, option, value):
     with pytest.raises(SystemExit) as exc:
@@ -399,5 +446,5 @@ def test_stacked_trivial_labels_equal_single_calls(coral, branch_result,
     lams = np.linspace(min(Rs) - 5.0, max(Rs), 400) / coral.cf.ba
     Js = np.stack([coral.jac_x(lam, np.zeros(coral.d)) for lam in lams])
     labels = cont.classify_stability(Js)
-    assert labels == [cont.classify_stability(J) for J in Js]
+    assert labels == [cont.classify_stability(J[None])[0] for J in Js]
     assert {"stable", "unstable(1)"} <= set(labels)

@@ -6,9 +6,9 @@ import pytest
 from certibif.bifurcation import NsSystem, SnSystem, transcritical_analysis
 from certibif.cift import CiftBounds
 from certibif.continuation import (ALPHA_FRAC, BranchBox,
-                                   _anchor_rounding_gap, _leslie_outside_counts,
+                                   _anchor_rounding_gap, _leslie_outside_counts, _rows,
                                    CoralBranchSystem, ExtendedSystem,
-                                   SegmentHypotheses, branch_start,
+                                   branch_start,
                                    check_link, classify_stability,
                                    continue_branch,
                                    derive_extended_constants, newton_correct,
@@ -25,7 +25,7 @@ import mpmath as mp
 
 class ToyLinear:
     """F(t, u) = u - t (scalar state): exact linear zero set u = t.  Like
-    every branch system, it evaluates one point or a stack of them."""
+    every branch system, it evaluates a stack of points."""
 
     d = 1
     rscale = 1.0
@@ -48,7 +48,9 @@ class ToyFold:
 
 
 def _tangent(system, t, u, prev=None):
-    return tangent_estimate(system.evaluate(t, u)[1], prev=prev)
+    """The tangent (mu, v) at the one point (t, u), as a stack of one."""
+    mu, v = tangent_estimate(system.evaluate(np.array([t]), u[None])[1], prev=prev)
+    return mu[0], v[0]
 
 
 def test_tangent_of_linear_map():
@@ -73,7 +75,7 @@ def test_tangent_undefined_on_rank_deficiency():
         d = 2
 
         def evaluate(self, t, u):
-            return np.zeros(2), np.zeros((2, 3)), None
+            return np.zeros((1, 2)), np.zeros((1, 2, 3)), None
 
     with pytest.raises(TangentUndefined):
         _tangent(Degenerate(), 0.0, np.zeros(2))
@@ -88,9 +90,9 @@ def test_extended_G_at_origin_is_residual(preconditioned_system):
     sys_ = preconditioned_system
     t0, u0 = 3.0, np.ones(13)
     ext = ExtendedSystem(sys_, t0, u0, -1.0, np.zeros(13))
-    G0, _ = ext.value(0.0, np.zeros(14))
+    (G0,), _ = ext.value(np.zeros(1), np.zeros((1, 14)))
     assert G0[0] == 0.0
-    assert np.allclose(G0[1:], sys_.evaluate(t0, u0)[0])
+    assert np.allclose(G0[1:], sys_.evaluate(np.array([t0]), u0[None])[0][0])
 
 
 def test_extended_G_first_row_is_orthogonality(preconditioned_system):
@@ -98,23 +100,8 @@ def test_extended_G_first_row_is_orthogonality(preconditioned_system):
     mu, v = -0.7, rng.normal(size=13)
     ext = ExtendedSystem(preconditioned_system, 3.0, np.ones(13), mu, v)
     z = rng.normal(size=14)
-    assert math.isclose(ext.value(0.0, z)[0][0], mu * z[0] + v @ z[1:], rel_tol=1e-12)
-
-
-def test_extended_jacobian_block_structure(preconditioned_system):
-    sys_ = preconditioned_system
-    mu, v = -0.5, np.full(13, 0.1)
-    ext = ExtendedSystem(sys_, 3.0, np.ones(13), mu, v)
-    J = ext.jac_from(ext.value(0.0, np.zeros(14))[1][1])
-    assert J[0, 0] == mu and np.all(J[0, 1:] == v)
-    _, A, Jx = sys_.evaluate(3.0, np.ones(13))
-    assert np.array_equal(J[1:], A)
-    # the raw D_x f that the D_u F block rescales
-    assert np.array_equal(Jx, sys_.coral.jac_x(sys_.lam_of_t(3.0), sys_.s * np.ones(13)))
-    # interval enclosure contains the float Jacobian
-    _, Ju, Jt = sys_.eval_iv(Interval.point(3.0), IArray.point(np.ones(13)))
-    Jiv = ext.jac_iv_at_origin(Ju, Jt)
-    assert np.all(Jiv.lo <= J + 1e-12) and np.all(Jiv.hi >= J - 1e-12)
+    assert math.isclose(ext.value(np.zeros(1), z[None])[0][0, 0], mu * z[0] + v @ z[1:],
+                        rel_tol=1e-12)
 
 
 def test_corrector_stays_at_exact_zero():
@@ -158,32 +145,30 @@ def test_corrector_failure_reported():
 # ---------------------------------------------------------------------------
 
 
-def _hyp(**kw):
-    base = dict(rho=0.0, xi=0.0, K=1.0, M1=0.0, M2=0.0, M3=0.0, M4=0.0,
-                d_u=1.0, d_lambda=1.0)
-    base.update(kw)
-    return SegmentHypotheses(**base)
+def _constants(mu, v, M=(0.0, 0.0, 0.0, 0.0), xi=0.0):
+    """derive_extended_constants for a stack of one segment with rho = 0
+    and K = 1 over the box of radius 1; the bounds of that segment."""
+    one = lambda x: np.array([x])
+    b = derive_extended_constants(one(0.0), one(xi), one(1.0), tuple(map(one, M)), one(1.0),
+                                  one(mu), v[None])
+    return _rows(b)[0]
 
 
 def test_derived_constants_autonomous_reduction():
-    h = _hyp(M1=2.0)
-    v = np.array([0.25, -0.5])
-    b = derive_extended_constants(h, 0.3, v)
+    b = _constants(0.3, np.array([0.25, -0.5]), M=(2.0, 0.0, 0.0, 0.0))
     assert b.L1 == 2.0
     assert abs(b.L2 - 2.0 * 0.5) <= 1e-15
     assert abs(b.L4 - 2.0 * 0.5 * 0.5) <= 1e-15
 
 
 def test_derived_constants_unit_v_zero_mu():
-    h = _hyp(M1=3.0, M3=4.0)
-    b = derive_extended_constants(h, 0.0, np.array([1.0]))
+    b = _constants(0.0, np.array([1.0]), M=(3.0, 0.0, 4.0, 0.0))
     assert b.L1 == 7.0 and abs(b.L2 - 7.0) <= 1e-14
     assert abs(b.L4 - 3.0) <= 1e-14   # (M1*1 + 0)*1 + (M3*1 + 0)*0
 
 
 def test_derived_constants_L3_is_xi():
-    b = derive_extended_constants(_hyp(xi=0.125), 1.0, np.array([0.0]))
-    assert b.L3 == 0.125
+    assert _constants(1.0, np.array([0.0]), xi=0.125).L3 == 0.125
 
 
 def _dir_norm(b) -> float:
@@ -194,8 +179,7 @@ def _dir_norm(b) -> float:
 def _box(**kw):
     base = dict(index=0, t=0.0, u=np.zeros(1), mu=1.0, v=np.zeros(1),
                 delta_alpha=1e-3, delta_u=1e-5, delta_min=1e-12,
-                bounds=CiftBounds(rho=0.0, K=1.0, L1=1.0, ell_x=1.0),
-                hyp=_hyp())
+                bounds=CiftBounds(rho=0.0, K=1.0, L1=1.0, ell_x=1.0), M=(0.0,) * 4)
     base.update(kw)
     return BranchBox(**base)
 
@@ -249,7 +233,7 @@ def test_branch_start(coral):
     system, t0, u0 = branch_start(coral, 300.0)
     assert system.R_of_t(t0) == 300.0 and system.rscale == 100.0
     lam, x0 = system.lam_of_t(t0), system.s * u0
-    assert np.max(np.abs(system.evaluate(t0, u0)[0])) <= 1e-10
+    assert np.max(np.abs(system.evaluate(np.array([t0]), u0[None])[0])) <= 1e-10
     # one significant digit of the start point per state component
     e = np.floor(np.log10(x0))
     assert np.all(np.abs(system.s - x0) <= 0.5 * 10.0 ** e)
@@ -261,19 +245,22 @@ def test_branch_start(coral):
             start(coral, 5.0)
 
 
-def _anchor(system, t0, u0, mu, v, A):
-    """segment_anchor for a stack of one segment, with B = inv(DG(0))."""
-    B = np.linalg.inv(ExtendedSystem(system, t0, u0, mu, v).jac_from(A))
-    return segment_anchor(system, np.array([t0]), u0[None], np.array([mu]), v[None], B[None])
+def _anchor(system, t0, u0, decreasing=False):
+    """segment_anchor for the stack of one segment at (t0, u0) along its
+    SVD tangent, turned to decreasing t if `decreasing`, with B =
+    inv(DG(0))."""
+    t, u = np.array([t0]), u0[None]
+    A = system.evaluate(t, u)[1]
+    mu, v = tangent_estimate(A)
+    if decreasing and mu[0] > 0:
+        mu, v = -mu, -v
+    B = np.linalg.inv(ExtendedSystem(system, t, u, mu, v).jac_from(A))
+    return segment_anchor(system, t, u, mu, v, B)
 
 
 def test_validate_segment_coral(coral):
     system, t0, u0 = branch_start(coral, 300.0)
-    A = system.evaluate(t0, u0)[1]
-    mu, v = tangent_estimate(A)
-    if mu > 0:
-        mu, v = -mu, -v
-    box = validate_segment(_anchor(system, t0, u0, mu, v, A), [1e-4])[0]
+    box = validate_segment(_anchor(system, t0, u0, decreasing=True), [1e-4])[0]
     assert box.delta_alpha > 0 and box.delta_u > 0
     assert box.delta_min <= 1e-12
     assert box.delta_min < box.delta_u
@@ -282,7 +269,7 @@ def test_validate_segment_coral(coral):
 
 
 @pytest.mark.parametrize("d, refusal", [
-    (1e-13, "2 K rho = 1.9671942296805512e-13 >= ell_x = 1e-13"),
+    (1e-13, "2 K rho = 1.9671942296805507e-13 >= ell_x = 1e-13"),
     (30.0, "4 K^2 rho L1 = inf >= 1"),
 ], ids=["ell_x", "L1"])
 def test_validate_segment_names_the_refusing_gate(coral, d, refusal):
@@ -290,11 +277,7 @@ def test_validate_segment_names_the_refusing_gate(coral, d, refusal):
     inequality, as validate_zero names it, not by the planned
     delta_alpha; the L1 gate overflows to inf without a warning."""
     system, t0, u0 = branch_start(coral, 300.0)
-    A = system.evaluate(t0, u0)[1]
-    mu, v = tangent_estimate(A)
-    if mu > 0:
-        mu, v = -mu, -v
-    (got,) = validate_segment(_anchor(system, t0, u0, mu, v, A), [d])
+    (got,) = validate_segment(_anchor(system, t0, u0, decreasing=True), [d])
     assert isinstance(got, ValidationFailed)
     assert str(got) == refusal
 
@@ -302,15 +285,15 @@ def test_validate_segment_names_the_refusing_gate(coral, d, refusal):
 def test_classify_stability_trivial_branch(coral):
     lam_low = 50.0 / coral.cf.ba      # R = 50 < 72.22
     lam_high = 100.0 / coral.cf.ba    # R = 100 > 72.22
-    assert classify_stability(coral.jac_x(lam_low, np.zeros(13))) == "stable"
-    assert classify_stability(coral.jac_x(lam_high, np.zeros(13))) == "unstable(1)"
+    Js = np.stack([coral.jac_x(lam, np.zeros(13)) for lam in (lam_low, lam_high)])
+    assert classify_stability(Js) == ["stable", "unstable(1)"]
 
 
 def test_classify_stability_past_ns(coral):
     red = FixedPointReduction(coral)
     lam = 200.0 / coral.cf.ba
     x = red.full_point(max(red.solve(lam)))
-    assert classify_stability(coral.jac_x(lam, x)).startswith("unstable")
+    assert classify_stability(coral.jac_x(lam, x)[None])[0].startswith("unstable")
 
 
 def test_schur_cohn_labels_equal_lapack_labels(coral, branch_result, preconditioned_system,
@@ -354,7 +337,7 @@ def test_labels_at_the_certified_anchors_take_the_lapack_fallback(coral, sn_cert
         J = coral.jac_x(lam, x)
         assert np.min(np.abs(np.abs(np.linalg.eigvals(J)) - 1.0)) < 1e-12
         assert _leslie_outside_counts(J[None])[1].tolist() == [True]
-        assert classify_stability(J) == eigvals_labels(J)
+        assert classify_stability(J[None]) == [eigvals_labels(J)]
         Js = np.stack([coral.jac_x(lam, np.zeros(coral.d)), J])
         assert _leslie_outside_counts(Js)[1].tolist() == [False, True]
         assert classify_stability(Js) == eigvals_labels(Js)
@@ -444,8 +427,9 @@ def test_lipschitz_M_bounds_jacobian_changes_high_precision(
     worst = 0.0         # largest |change of D_u F| / (M1 |du|) over pure-u pairs
     with mp.workdps(50):
         for idx in picks:
-            b, h = boxes[idx], boxes[idx].hyp
-            ru, rt = h.d_u * (1.0 - 2.0 ** -20), h.d_lambda * (1.0 - 2.0 ** -20)
+            b = boxes[idx]
+            M1, M2, M3, M4 = b.M
+            ru, rt = b.bounds.ell_x * (1.0 - 2.0 ** -20), b.bounds.ell_alpha * (1.0 - 2.0 ** -20)
             pairs = [((b.t - rt, b.u), (b.t + rt, b.u))]
             for w in (np.ones(d), rng.choice([-1.0, 1.0], d)):
                 pairs.append(((b.t, b.u - ru * w), (b.t, b.u + ru * w)))
@@ -457,10 +441,10 @@ def test_lipschitz_M_bounds_jacobian_changes_high_precision(
                 dDu = max(sum(abs(D[i, j]) for j in range(1, d + 1)) for i in range(d))
                 dDt = max(abs(D[i, 0]) for i in range(d))
                 tol = mp.mpf(10) ** -20       # finite-difference noise
-                assert dDu <= h.M1 * du + h.M2 * dt + tol, (idx, Rs[idx])
-                assert dDt <= h.M3 * du + h.M4 * dt + tol, (idx, Rs[idx])
+                assert dDu <= M1 * du + M2 * dt + tol, (idx, Rs[idx])
+                assert dDt <= M3 * du + M4 * dt + tol, (idx, Rs[idx])
                 if dt == 0:
-                    worst = max(worst, float(dDu / (h.M1 * du)))
+                    worst = max(worst, float(dDu / (M1 * du)))
     # the sampled pairs come close to the bound, so the check has teeth
     assert worst > 0.5
 
@@ -487,21 +471,20 @@ def test_derived_constants_match_direct_cift_on_extended_system(
         roots = [r for r in red.solve(R / coral.cf.ba) if r > 0]
         x0 = red.full_point(max(roots))
         t0, u0 = preconditioned_system.from_raw_R(R, x0)
-        A = preconditioned_system.evaluate(t0, u0)[1]
-        mu, v = tangent_estimate(A)
-        anchor = _anchor(preconditioned_system, t0, u0, mu, v, A)
+        anchor = _anchor(preconditioned_system, t0, u0)
+        mu, v = anchor.ext.mu[0], anchor.ext.v[0]
         box = validate_segment(anchor, [1e-4])[0]
         da, du = box.delta_alpha, box.delta_u
         # hull of every point reachable within the slanted box
         r_t = da * abs(mu) + du
         r_u = da * np.abs(v) + du
-        t_iv = IArray.around([t0], r_t)[0]
-        u_iv = IArray.around(u0, r_u)
+        t_iv = IArray.around([t0], r_t)
+        u_iv = IArray.around(u0[None], r_u)
         _, Ju, Jt = preconditioned_system.eval_iv(t_iv, u_iv)
         # (H3) side: two Jacobian values inside the box differ by at most
         # the entrywise enclosure width, which the derived constants bound
         # through L1 |(sigma,x)| + L2 |alpha|
-        width_bound = float(np.max(np.sum(Ju.hi - Ju.lo, axis=1)
+        width_bound = float(np.max(np.sum(Ju.hi - Ju.lo, axis=-1)
                                    + (Jt.hi - Jt.lo)))
         formula_h3 = 2.0 * (box.bounds.L1 * (du + da * float(np.max(np.abs(v))))
                             + box.bounds.L2 * da)
@@ -580,11 +563,8 @@ def test_validate_segment_exact_linear_zero_set():
     """On u = t the residual vanishes and the deltas are limited only by
     the box constraints (all Lipschitz constants are zero, K is finite)."""
     sys_ = ToyLinearValidated()
-    A = sys_.evaluate(0.3, np.array([0.3]))[1]
-    mu, v = tangent_estimate(A)
-    anchor = _anchor(sys_, 0.3, np.array([0.3]), mu, v, A)
-    box = validate_segment(anchor, [1e-2])[0]
-    assert box.hyp.rho <= 1e-15 and box.hyp.xi <= 1e-12
+    box = validate_segment(_anchor(sys_, 0.3, np.array([0.3])), [1e-2])[0]
+    assert box.bounds.rho <= 1e-15 and box.bounds.L3 <= 1e-12
     assert box.bounds.L1 <= 1e-300 and box.bounds.L4 <= 1e-300
     # delta_alpha * dir_norm + delta_u saturates the coupling cap
     used = box.delta_alpha * _dir_norm(box) + box.delta_u
@@ -612,15 +592,14 @@ def test_continue_branch_on_linear_toy():
 def _recorded(branch_result, system, n=64):
     """n boxes spread over the seed-0 branch, as the stacked anchor data
     the validator took: B = inv(DG(0)) per box from the evaluation
-    `continue_branch` had there: a one-point call at the start, and a row
-    of a stacked call where a wave placed the anchor."""
+    `continue_branch` had there, a row of a stacked call (a row does not
+    depend on the rows stacked with it)."""
     chain = branch_result.boxes
     picks = list(range(0, len(chain), len(chain) // n))[:n]
     boxes = [chain[k] for k in picks]
     t, u = np.array([b.t for b in boxes]), np.stack([b.u for b in boxes])
     mu, v = np.array([b.mu for b in boxes]), np.stack([b.v for b in boxes])
     A = system.evaluate(t, u)[1]
-    A[0] = system.evaluate(chain[0].t, chain[0].u)[1]
     B = np.linalg.inv(ExtendedSystem(system, t, u, mu, v).jac_from(A))
     return boxes, t, u, mu, v, B
 
@@ -633,7 +612,7 @@ def test_stacked_stages_equal_their_single_segment_calls(branch_result,
                                                          preconditioned_system):
     system = preconditioned_system
     boxes, t, u, mu, v, B = _recorded(branch_result, system)
-    d = np.array([b.hyp.d_u for b in boxes])
+    d = np.array([b.bounds.ell_x for b in boxes])
     anchor = segment_anchor(system, t, u, mu, v, B)
     F, Ju, Jt = system.eval_iv(IArray.point(t), IArray.point(u))
     drift, extJ = anchor.ext.drift_iv(Ju, Jt), anchor.ext.jac_iv_at_origin(Ju, Jt)
@@ -647,13 +626,10 @@ def test_stacked_stages_equal_their_single_segment_calls(branch_result,
                  (extJ, a1.ext.jac_iv_at_origin(Ju1, Jt1))]
         assert all(_same(type(s)(s.lo[i], s.hi[i]), type(s)(s1.lo[0], s1.hi[0]))
                    for s, s1 in pairs)
-        # an unstacked point is the same evaluation again
-        assert all(_same(type(s)(s.lo[i], s.hi[i]), s0) for s, s0 in zip(
-            (F, Ju, Jt), system.eval_iv(Interval.point(t[i]), IArray.point(u[i]))))
         assert (anchor.rho[i], anchor.xi[i], anchor.K[i]) == (a1.rho[0], a1.xi[0], a1.K[0])
         assert [m[i] for m in M] == [m[0] for m in system.lipschitz_M(t[one], u[one], d[one])]
         b1 = validate_segment(a1, d[one])[0]
-        assert (stacked[i].bounds, stacked[i].hyp) == (b1.bounds, b1.hyp)
+        assert (stacked[i].bounds, stacked[i].M) == (b1.bounds, b1.M)
         pair = lambda b: (b.delta_alpha, b.delta_u, b.delta_min, b.bound_by)
         assert pair(stacked[i]) == pair(b1)
         # the chain's own box was certified by the same stack
@@ -666,7 +642,7 @@ def test_stacked_row1_jet_equals_scalar_interval(branch_result, preconditioned_s
     lipschitz_M builds it, row by row against scalar Interval."""
     system = preconditioned_system
     boxes, t, u, *_ = _recorded(branch_result, system)
-    rad = system.s * np.array([b.hyp.d_u for b in boxes])[:, None]
+    rad = system.s * np.array([b.bounds.ell_x for b in boxes])[:, None]
     x_box = IArray.around(system.s * u, rad)
     jet = coral.row1_jet(x_box, order=2)
     for i in range(len(boxes)):
@@ -678,21 +654,21 @@ def test_stacked_row1_jet_equals_scalar_interval(branch_result, preconditioned_s
         assert np.array_equal(jet.g1.hi[i], [gj.hi for gj in g1])
 
 
-def _scalar_extended_constants(h, mu, v):
+def _scalar_extended_constants(M, mu, v):
     """derive_extended_constants for one segment in scalar Interval."""
     I = Interval
-    vn, am = float(np.max(np.abs(v))), abs(mu)
-    L1 = ((I(h.M1) + I(h.M3)) + (I(h.M2) + I(h.M4))).hi
-    L2 = ((I(h.M1) + I(h.M3)) * I(vn) + (I(h.M2) + I(h.M4)) * I(am)).hi
-    L4 = ((I(h.M1) * I(vn) + I(h.M2) * I(am)) * I(vn)
-          + (I(h.M3) * I(vn) + I(h.M4) * I(am)) * I(am)).hi
+    M1, M2, M3, M4 = (I(m) for m in M)
+    vn, am = I(float(np.max(np.abs(v)))), I(abs(mu))
+    L1 = ((M1 + M3) + (M2 + M4)).hi
+    L2 = ((M1 + M3) * vn + (M2 + M4) * am).hi
+    L4 = ((M1 * vn + M2 * am) * vn + (M3 * vn + M4 * am) * am).hi
     return L1, L2, L4
 
 
 def test_extended_constants_equal_scalar_interval(branch_result):
     for b in branch_result.boxes:
         assert (b.bounds.L1, b.bounds.L2, b.bounds.L4) == \
-            _scalar_extended_constants(b.hyp, b.mu, b.v)
+            _scalar_extended_constants(b.M, b.mu, b.v)
 
 
 def _replayed_run(coral, monkeypatch, max_steps, correct=newton_correct):
@@ -704,7 +680,8 @@ def _replayed_run(coral, monkeypatch, max_steps, correct=newton_correct):
 
     def recorded(ext, alpha, **kw):
         out = correct(ext, alpha, **kw)
-        calls.append((ext.t0, ext.u0.copy(), ext.mu, ext.v.copy(), alpha, kw) + out[:2])
+        calls.append((float(ext.t0), ext.u0.copy(), float(ext.mu), ext.v.copy(), alpha, kw)
+                     + out[:2])
         return out
 
     monkeypatch.setattr(cont, "newton_correct", recorded)
@@ -778,7 +755,7 @@ def test_stacked_stability_labels_equal_per_matrix_labels(branch_result,
     system = preconditioned_system
     Jx = np.stack([coral.jac_x(system.lam_of_t(b.t), system.s * b.u) for b in branch_result.boxes])
     labels = classify_stability(Jx)
-    assert labels == [classify_stability(J) for J in Jx]
+    assert labels == [classify_stability(J[None])[0] for J in Jx]
     assert labels == [b.stability for b in branch_result.boxes]
 
 
@@ -818,7 +795,7 @@ def test_unplaced_wave_is_cut_at_its_first_step(coral, monkeypatch):
 
     def failing(ext, alpha, **kw):
         fail = len(alpha) > 1 and next(waves) % 3 == 1
-        events.append((fail, ext.t0, len(alpha)))
+        events.append((fail, float(ext.t0), len(alpha)))
         if fail:
             raise CorrectorFailed("no convergence (forced)")
         return newton_correct(ext, alpha, **kw)
@@ -877,34 +854,16 @@ def test_link_failing_at_a_wave_first_anchor_ends_the_branch(coral, monkeypatch)
 # ---------------------------------------------------------------------------
 
 
-def test_evaluate_equals_map_compositions(branch_result, preconditioned_system, coral):
-    """On 64 recorded anchors the fused evaluation equals, bit for bit, F
-    = f/s - u from the reference `step` and [D_t F | D_u F] from the
-    reference `jac_lam` and `CoralMap.jac_x`, rescaled, with the raw D_x f."""
-    system = preconditioned_system
-    boxes, t, u, *_ = _recorded(branch_result, system)
-    ct, s = system.lam_of_t(1.0), system.s
-    for ti, ui in zip(t.tolist(), u):
-        lam, x = system.lam_of_t(ti), system.s * ui
-        J = coral.jac_x(lam, x)
-        A = np.empty((system.d, system.d + 1))
-        A[:, 0] = ct * jac_lam(coral, lam, x) / s
-        A[:, 1:] = J * s[None, :] / s[:, None] - np.eye(system.d)
-        F, A1, Jx = system.evaluate(ti, ui)
-        assert np.array_equal(F, step(coral, lam, x) / s - ui)
-        assert np.array_equal(A1, A) and np.array_equal(Jx, J)
-
-
 def test_bordered_tangent_matches_svd_tangent(branch_result, preconditioned_system):
     """After the first box the tangent solves [prev; A] tau = e_0; on 64
     recorded anchors it equals the SVD null vector, oriented along the
     previous tangent, to 1e-12 in max norm."""
     system, boxes = preconditioned_system, branch_result.boxes
-    tau = lambda mu_v: np.concatenate([[mu_v[0]], mu_v[1]])
+    tau = lambda mu_v: np.concatenate([mu_v[0], mu_v[1][0]])
     for k in range(1, len(boxes), len(boxes) // 64)[:64]:
         b, prev = boxes[k], boxes[k - 1]
-        tprev = tau((prev.mu, prev.v))
-        A = system.evaluate(b.t, b.u)[1]
+        tprev = np.concatenate([[prev.mu], prev.v])
+        A = system.evaluate(np.array([b.t]), b.u[None])[1]
         tb, ts = tau(tangent_estimate(A, tprev)), tau(tangent_estimate(A))
         if float(tprev @ ts) < 0.0:
             ts = -ts
@@ -914,7 +873,7 @@ def test_bordered_tangent_matches_svd_tangent(branch_result, preconditioned_syst
 
 def test_bordered_tangent_singular_border():
     # prev orthogonal to the null vector (1, 1) of ToyLinear: [prev; A] is singular
-    A = ToyLinear().evaluate(0.0, np.zeros(1))[1]
+    A = ToyLinear().evaluate(np.zeros(1), np.zeros((1, 1)))[1]
     with pytest.raises(TangentUndefined):
         tangent_estimate(A, prev=np.array([1.0, -1.0]))
 
@@ -954,22 +913,43 @@ def test_planner_evaluates_each_point_once(coral, monkeypatch):
     assert rows["evaluate"] == 1 + sum(m * len(iters) for m, iters in calls)
 
 
-def test_stacked_evaluate_rows_match_one_point_calls(branch_result, preconditioned_system):
+def test_stacked_evaluate_rows_match_one_point_calls(branch_result, preconditioned_system,
+                                                     coral):
     """On 64 recorded anchors, each row of one stacked evaluation matches
-    the one-point evaluation: F and [D_t F | D_u F] to a few ulps (only
-    the summation order of q.x and b.x and np.exp against math.exp
-    differ), and D_x f to the same stability label.  A row does not
-    depend on the rows stacked with it."""
+    the one-state references to 8 ulps: F = f/s - u from `step`, [D_t F |
+    D_u F] from `jac_lam` and `CoralMap.jac_x`, rescaled, and D_x f from
+    `CoralMap.jac_x` (only the summation order of q.x and b.x and np.exp
+    against math.exp differ).  D_x f is compared in the coordinates u = x/s
+    of the branch system, where it is the similar matrix diag(1/s) D_x f
+    diag(s); in raw coordinates the cancellation in its first row puts the
+    same rounding at up to 10 ulps of the row's largest entry.  A row does
+    not depend on the rows stacked with it: a one-row stack, and any run of
+    rows, give its bits again.  The extended Jacobian borders the stack's
+    [D_t F | D_u F] with (mu, v), inside its interval enclosure."""
     system = preconditioned_system
-    boxes, t, u, *_ = _recorded(branch_result, system)
+    boxes, t, u, mu, v, _ = _recorded(branch_result, system)
     stacked = system.evaluate(t, u)
+    ct, s = system.lam_of_t(1.0), system.s
+    similar = s[None, :] / s[:, None]
     ulps = lambda diff, scale: float(np.max(np.abs(diff) / scale)) / 2.0 ** -52
-    labels = []
     for i, (ti, ui) in enumerate(zip(t.tolist(), u)):
-        F, A, Jx = system.evaluate(ti, ui)
+        lam, x = system.lam_of_t(ti), s * ui
+        Jx = coral.jac_x(lam, x)
+        A = np.empty((system.d, system.d + 1))
+        A[:, 0] = ct * jac_lam(coral, lam, x) / s
+        A[:, 1:] = Jx * similar - np.eye(system.d)
+        F = step(coral, lam, x) / s - ui
         assert ulps(stacked[0][i] - F, np.maximum(np.abs(F + ui), 1.0)) <= 8   # F = f/s - u
         assert ulps(stacked[1][i] - A, np.maximum(np.abs(A), 1.0)) <= 8
-        labels.append(classify_stability(Jx))
-    assert classify_stability(stacked[2]) == labels
+        assert ulps((stacked[2][i] - Jx) * similar, np.maximum(np.abs(Jx * similar), 1.0)) <= 8
+        one = system.evaluate(t[i:i + 1], u[i:i + 1])
+        assert all(np.array_equal(a[0], b[i]) for a, b in zip(one, stacked))
     some = system.evaluate(t[5:12], u[5:12])
     assert all(np.array_equal(a, b[5:12]) for a, b in zip(some, stacked))
+    ext = ExtendedSystem(system, t, u, mu, v)
+    J = ext.jac_from(stacked[1])
+    assert np.array_equal(J[:, 0, 0], mu) and np.array_equal(J[:, 0, 1:], v)
+    assert np.array_equal(J[:, 1:], stacked[1])
+    _, Ju, Jt = system.eval_iv(IArray.point(t), IArray.point(u))
+    Jiv = ext.jac_iv_at_origin(Ju, Jt)
+    assert np.all(Jiv.lo <= J + 1e-12) and np.all(Jiv.hi >= J - 1e-12)
