@@ -913,8 +913,7 @@ def test_planner_evaluates_each_point_once(coral, monkeypatch):
     assert rows["evaluate"] == 1 + sum(m * len(iters) for m, iters in calls)
 
 
-def test_stacked_evaluate_rows_match_one_point_calls(branch_result, preconditioned_system,
-                                                     coral):
+def test_evaluate_equals_map_compositions(branch_result, preconditioned_system, coral):
     """On 64 recorded anchors, each row of one stacked evaluation matches
     the one-state references to 8 ulps: F = f/s - u from `step`, [D_t F |
     D_u F] from `jac_lam` and `CoralMap.jac_x`, rescaled, and D_x f from
@@ -922,12 +921,9 @@ def test_stacked_evaluate_rows_match_one_point_calls(branch_result, precondition
     against math.exp differ).  D_x f is compared in the coordinates u = x/s
     of the branch system, where it is the similar matrix diag(1/s) D_x f
     diag(s); in raw coordinates the cancellation in its first row puts the
-    same rounding at up to 10 ulps of the row's largest entry.  A row does
-    not depend on the rows stacked with it: a one-row stack, and any run of
-    rows, give its bits again.  The extended Jacobian borders the stack's
-    [D_t F | D_u F] with (mu, v), inside its interval enclosure."""
+    same rounding at up to 10 ulps of the row's largest entry."""
     system = preconditioned_system
-    boxes, t, u, mu, v, _ = _recorded(branch_result, system)
+    boxes, t, u, *_ = _recorded(branch_result, system)
     stacked = system.evaluate(t, u)
     ct, s = system.lam_of_t(1.0), system.s
     similar = s[None, :] / s[:, None]
@@ -942,14 +938,31 @@ def test_stacked_evaluate_rows_match_one_point_calls(branch_result, precondition
         assert ulps(stacked[0][i] - F, np.maximum(np.abs(F + ui), 1.0)) <= 8   # F = f/s - u
         assert ulps(stacked[1][i] - A, np.maximum(np.abs(A), 1.0)) <= 8
         assert ulps((stacked[2][i] - Jx) * similar, np.maximum(np.abs(Jx * similar), 1.0)) <= 8
+
+
+def test_stacked_evaluate_rows_match_one_point_calls(branch_result, preconditioned_system):
+    """On 64 recorded anchors a row does not depend on the rows stacked
+    with it: a one-row stack, and any run of rows, give its bits again."""
+    system = preconditioned_system
+    boxes, t, u, *_ = _recorded(branch_result, system)
+    stacked = system.evaluate(t, u)
+    for i in range(len(t)):
         one = system.evaluate(t[i:i + 1], u[i:i + 1])
         assert all(np.array_equal(a[0], b[i]) for a, b in zip(one, stacked))
     some = system.evaluate(t[5:12], u[5:12])
     assert all(np.array_equal(a, b[5:12]) for a, b in zip(some, stacked))
+
+
+def test_extended_jacobian_block_structure(branch_result, preconditioned_system):
+    """On 64 recorded anchors the extended Jacobian borders the stack's
+    [D_t F | D_u F] with (mu, v), inside its interval enclosure."""
+    system = preconditioned_system
+    boxes, t, u, mu, v, _ = _recorded(branch_result, system)
+    A = system.evaluate(t, u)[1]
     ext = ExtendedSystem(system, t, u, mu, v)
-    J = ext.jac_from(stacked[1])
+    J = ext.jac_from(A)
     assert np.array_equal(J[:, 0, 0], mu) and np.array_equal(J[:, 0, 1:], v)
-    assert np.array_equal(J[:, 1:], stacked[1])
+    assert np.array_equal(J[:, 1:], A)
     _, Ju, Jt = system.eval_iv(IArray.point(t), IArray.point(u))
     Jiv = ext.jac_iv_at_origin(Ju, Jt)
     assert np.all(Jiv.lo <= J + 1e-12) and np.all(Jiv.hi >= J - 1e-12)
