@@ -143,17 +143,14 @@ def neumann_rho(A: IArray, B: np.ndarray):
 
 
 def inverse_bound(A: IArray, B: np.ndarray):
-    """Neumann-series bounds: K >= |A^{-1}| and err >= |B - A^{-1}|,
-    given |I - B A| <= rho1 < 1 from neumann_rho, as arrays with one entry
-    per matrix of the stack (0-d for a single matrix)."""
+    """Neumann-series bound K >= |A^{-1}| = |B| / (1 - rho1), given |I - B
+    A| <= rho1 < 1 from neumann_rho, as an array with one entry per matrix
+    of the stack (0-d for a single matrix)."""
     B = np.asarray(B, dtype=float)
     rho1 = neumann_rho(A, B)
     rho2 = up_sum(np.abs(B), axis=-1).max(axis=-1)
     I = IArray.point
-    gap = I(1.0) - I(rho1)
-    K = (I(rho2) / gap).hi
-    err = ((I(rho1) * I(rho2)) / gap).hi
-    return K, err
+    return (I(rho2) / (I(1.0) - I(rho1))).hi
 
 
 def lipschitz_from_tensor(T: np.ndarray, absB: np.ndarray) -> float:
@@ -363,7 +360,7 @@ def validate_zero(problem, z0: np.ndarray, ell: float = 1e-6) -> Certificate:
         raise ValidationFailed(f"(H2) failed: anchor Jacobian enclosure has {bad} "
                                f"non-finite entries")
     try:
-        K = float(inverse_bound(float_matmat(B, J), np.eye(problem.dim))[0])
+        K = float(inverse_bound(float_matmat(B, J), np.eye(problem.dim)))
     except NotInvertibleEvidence as exc:
         raise ValidationFailed(f"(H2) failed: {exc}") from exc
 

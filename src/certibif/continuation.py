@@ -13,8 +13,9 @@ rescaled copy of the coral map (parameter t = R / rscale, state u = x / s)
 so that all coordinates have comparable size.
 
 `continue_branch` places every box by a wave: float anchors along the tip's
-tangent (the tip is the last certified box) at the spacing _WAVE_SPACING
-ALPHA_FRAC delta_alpha, corrected in one stacked chord solve (whose last
+tangent (the tip is the last certified box), the first step _WAVE_SPACING
+ALPHA_FRAC delta_alpha and each later one r times the one before, r the
+trend of delta_alpha, corrected in one stacked chord solve (whose last
 evaluation gives each anchor's tangent, float inverse B and stability
 matrix) and certified as one stack, each box at the delta_alpha of its
 certified constants.  The step out of a box is the projection of the next
@@ -419,7 +420,7 @@ def segment_anchor(system: CoralBranchSystem, t0: np.ndarray, u0: np.ndarray,
     rho = norm_inf(F).hi
     xi = norm_inf(ext.drift_iv(Ju, Jt)).hi
     try:
-        K, _ = cift.inverse_bound(ext.jac_iv_at_origin(Ju, Jt), B)
+        K = cift.inverse_bound(ext.jac_iv_at_origin(Ju, Jt), B)
     except NotInvertibleEvidence as exc:
         raise NotInvertibleEvidence(f"(P2) failed: {exc}", index=exc.index) from exc
     return SegmentAnchor(ext=ext, rho=rho, xi=xi, K=K)
@@ -594,6 +595,7 @@ class BranchResult:
     boxes: list[BranchBox] = field(default_factory=list)
     stop_reason: str = ""
     fold_index: int | None = None
+    waves: int = 0                # waves placed, the start box's included
     replans: int = 0              # waves cut at a step, or that could not be placed
     boxes_discarded: int = 0      # certified anchors dropped after those cuts
 
@@ -623,11 +625,15 @@ _PLAN_MARGIN = 1e-8
 # not be placed, one.
 _CHUNK_MIN = 8
 _CHUNK_MAX = 64
-# A wave's anchors are spaced by this fraction of ALPHA_FRAC times the last
-# certified delta_alpha.  A validator call costs mostly per wave, and a
-# wider spacing is cut sooner where delta_alpha falls: on the default
-# branch 0.95 takes 128 waves and 1,788 boxes, 0.88 60 waves and 1,877.
-_WAVE_SPACING = 0.88
+# A wave's first step is this fraction of ALPHA_FRAC times the tip's
+# delta_alpha, each later one `_trend` times the one before, so a step stays
+# near that fraction of its own box's delta_alpha where delta_alpha falls
+# (1% a box for R > 58).  A validator call costs mostly per wave, and a
+# wider spacing is cut sooner: on the default branch, where all three are
+# tuned, 0.92 takes 38 waves and 1,912 boxes, 0.95 46 waves and 0.97 64.
+_WAVE_SPACING = 0.92
+_TREND_WINDOW = 16
+_TREND_CLIP = (0.9, 1.0)
 # Accepted boxes get their stability labels in stacks of this many.
 _LABEL_STACK = 128
 
@@ -684,14 +690,24 @@ def _wave(system, first: int, t: np.ndarray, u: np.ndarray, ev: tuple,
     return _Wave(first, ext, B, Jx, folds)
 
 
-def _place(system, tip: BranchBox, n: int, fold_index: int | None) -> _Wave:
+def _trend(boxes: list[BranchBox]) -> float:
+    """(da[-1] / da[-1-w])^(1/w) over the boxes' delta_alphas da, w <=
+    _TREND_WINDOW steps back, clipped to _TREND_CLIP; 1 below two boxes."""
+    da = [b.delta_alpha for b in boxes[-_TREND_WINDOW - 1:]]
+    if len(da) < 2:
+        return 1.0
+    return float(np.clip((da[-1] / da[0]) ** (1.0 / (len(da) - 1)), *_TREND_CLIP))
+
+
+def _place(system, tip: BranchBox, n: int, r: float, fold_index: int | None) -> _Wave:
     """The wave of n anchors after the tip, with tangent tau: one stacked
-    chord solve corrects the predictors tip + j h tau, j = 1..n, each on
-    its hyperplane tau.(z - tip) = j h |tau|^2, where h is _WAVE_SPACING
-    ALPHA_FRAC times the tip's delta_alpha.  Raises CorrectorFailed,
-    TangentUndefined or LinAlgError."""
+    chord solve corrects the predictors tip + a_j tau, j = 1..n, each on its
+    hyperplane tau.(z - tip) = a_j |tau|^2, a_j = h (1 + r + ... +
+    r^(j-1)) with h _WAVE_SPACING ALPHA_FRAC times the tip's delta_alpha
+    and r from `_trend`.  Raises CorrectorFailed, TangentUndefined or
+    LinAlgError."""
     base = ExtendedSystem(system, tip.t, tip.u, tip.mu, tip.v)
-    alpha = _WAVE_SPACING * ALPHA_FRAC * tip.delta_alpha * np.arange(1, n + 1)
+    alpha = _WAVE_SPACING * ALPHA_FRAC * tip.delta_alpha * np.cumsum(r ** np.arange(n))
     # the residual cannot resolve below a few ulps of the state
     tol = max(_CORRECTOR_TOL, 8.0 * _EPS * max(abs(tip.t), float(np.abs(tip.u).max())))
     sigma, x, ev = newton_correct(base, alpha, tol=tol, max_iter=_MAX_NEWTON)
@@ -764,13 +780,15 @@ def continue_branch(system: CoralBranchSystem, t0: float, u0: np.ndarray,
             n = min(m, max_steps - len(res.boxes))
             try:
                 wave = (_wave(system, 0, t0, u0, system.evaluate(t0, u0), None, None)
-                        if tip is None else _place(system, tip, n, res.fold_index))
+                        if tip is None else
+                        _place(system, tip, n, _trend(res.boxes), res.fold_index))
             except tuple(_PLACE_ERRORS) as exc:
                 if tip is None or n == 1:
                     res.stop_reason = f"{_PLACE_ERRORS[type(exc)]}: {exc}"
                     return res
                 res.replans, m = res.replans + 1, 1
                 continue
+            res.waves += 1
             cut = _accept(system, wave, tip, to_R, res, unlabelled)
             if res.stop_reason:
                 return res

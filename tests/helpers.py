@@ -251,6 +251,7 @@ def emit_certificate_chain(path: Path, system, res) -> None:
         "all_linked": res.all_linked(),
         "fold_index": res.fold_index,
         "delta_min_max": repr(max((b.delta_min for b in res.boxes), default=0.0)),
+        "waves": res.waves,
         "replans": res.replans,
         "boxes_discarded": res.boxes_discarded,
     })

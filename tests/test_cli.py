@@ -345,7 +345,7 @@ def test_branch_chain_traces_each_box(tmp_path):
     rc = main(["--out", str(tmp_path), "branch", "--max-steps", "12"])
     assert rc == 0
     chain = json.loads((tmp_path / "branch_certificates.json").read_text())
-    assert chain["replans"] >= 0 and chain["boxes_discarded"] >= 0
+    assert chain["waves"] >= 1 and chain["replans"] >= 0 and chain["boxes_discarded"] >= 0
     for box in chain["boxes"]:
         assert box["bound_by"] in ("planned", "L1-coupling", "coupled-cap",
                                    "search-cap", "ell-x")

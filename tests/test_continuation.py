@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from certibif.bifurcation import NsSystem, SnSystem, transcritical_analysis
 from certibif.cift import CiftBounds
 from certibif.continuation import (ALPHA_FRAC, BranchBox,
-                                   _anchor_rounding_gap, _leslie_outside_counts, _rows,
+                                   _anchor_rounding_gap, _leslie_outside_counts, _rows, _trend,
                                    CoralBranchSystem, ExtendedSystem,
                                    branch_start,
                                    check_link, classify_stability,
@@ -705,24 +706,28 @@ def _cuts(starts) -> int:
 
 
 def test_stacked_links_and_rounding_gaps(coral, monkeypatch):
-    """400 seed-0 boxes replayed.  Each wave is placed from the last
-    accepted box at alpha_j = j h, h = _WAVE_SPACING ALPHA_FRAC delta_alpha
-    of that box; its stacked chord solve returns the same bits again, and
-    every box after the start sits, bit for bit, at a point one of them
-    reached.  The step out of each box is the float projection of the next
-    anchor on its tangent; the stacked rounding gaps of those steps equal
-    the scalar Interval loop, and the stacked link check equals its n = 1
-    calls."""
+    """1,000 seed-0 boxes replayed, through the fold and the cuts past it.
+    Each wave is placed from the last accepted box k at alpha_j = h (1 + r
+    + ... + r^(j-1)), h = _WAVE_SPACING ALPHA_FRAC delta_alpha of box k and
+    r the delta_alpha trend of boxes k - _TREND_WINDOW..k; its stacked
+    chord solve returns the same bits again, and every box after the start
+    sits, bit for bit, at a point one of them reached.  The step out of
+    each box is the float projection of the next anchor on its tangent;
+    the stacked rounding gaps of those steps equal the scalar Interval
+    loop, and the stacked link check equals its n = 1 calls."""
     from certibif import continuation as cont
-    system, res, calls = _replayed_run(coral, monkeypatch, 400)
+    system, res, calls = _replayed_run(coral, monkeypatch, 1000)
     boxes = res.boxes
-    assert len(boxes) == 400 and res.all_linked() and res.replans > 0
+    assert len(boxes) == 1000 and res.all_linked() and res.replans > 0
     starts = _wave_starts(res, calls)
     assert starts[0][0] == 0 and _cuts(starts) == res.replans
     reached = set()
     for (k, n), (t0, u0, mu, v, alpha, kw, sigma, x) in zip(starts, calls):
+        da = [b.delta_alpha for b in boxes[max(0, k - cont._TREND_WINDOW):k + 1]]
+        r = min(max((da[-1] / da[0]) ** (1.0 / (len(da) - 1)), cont._TREND_CLIP[0]),
+                cont._TREND_CLIP[1]) if len(da) > 1 else 1.0
         h = cont._WAVE_SPACING * ALPHA_FRAC * boxes[k].delta_alpha
-        assert np.array_equal(alpha, h * np.arange(1, n + 1))
+        assert np.array_equal(alpha, h * np.cumsum(r ** np.arange(n)))
         ext = ExtendedSystem(system, t0, u0, mu, v)
         sigma2, x2, _ = newton_correct(ext, alpha, **kw)
         assert np.array_equal(sigma2, sigma) and np.array_equal(x2, x)
@@ -784,6 +789,33 @@ def test_forced_misprediction_replans_and_still_links(coral, monkeypatch):
     assert all(k < k2 <= k + n for (k, n), (k2, _) in zip(starts, starts[1:]))
     assert _cuts(starts) == res.replans
     assert all(b.alpha_step <= ALPHA_FRAC * b.delta_alpha for b in res.boxes[:-1])
+
+
+@pytest.mark.parametrize("delta_alpha, r", [
+    (1e-3 * 0.97 ** np.arange(40), 0.97),
+    (1e-3 * 0.97 ** np.arange(5), 0.97),
+    (1e-3 * 0.8 ** np.arange(40), 0.9),
+    (1e-3 * 1.05 ** np.arange(40), 1.0),
+    ([1e-3], 1.0),
+    ([], 1.0),
+])
+def test_trend_is_the_clipped_geometric_mean_ratio(delta_alpha, r):
+    boxes = [SimpleNamespace(delta_alpha=float(da)) for da in delta_alpha]
+    assert _trend(boxes) == pytest.approx(r, rel=1e-12, abs=0.0)
+
+
+def test_waves_follow_the_delta_alpha_trend(branch_result):
+    """Every step but the last stays within ALPHA_FRAC of its box, and some
+    wave of the seed-0 run is placed at a trend r < 1: a wave holds at most
+    _CHUNK_MAX anchors, so any _CHUNK_MAX + 1 consecutive boxes before the
+    last hold a box that a wave was placed from."""
+    from certibif import continuation as cont
+    boxes = branch_result.boxes
+    assert all(0.0 < b.alpha_step <= ALPHA_FRAC * b.delta_alpha for b in boxes[:-1])
+    falling = np.array([_trend(boxes[:k + 1]) < 1.0 for k in range(len(boxes) - 1)])
+    run = cont._CHUNK_MAX + 1
+    assert any(falling[k:k + run].all() for k in range(len(falling) - run + 1))
+    assert 0 < branch_result.replans < branch_result.waves < len(boxes)
 
 
 def test_unplaced_wave_is_cut_at_its_first_step(coral, monkeypatch):
