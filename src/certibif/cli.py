@@ -119,30 +119,30 @@ def cmd_diagram(args) -> int:
 
 @dataclass
 class BranchPoints:
-    """R, lambda, the raw state x and P = q.x of every box, taken once for
-    both CSV emitters; P is one dot product per box, so it rounds as q.x
-    of that one state does."""
+    """R, lambda and the raw state x of every box, and the repr strings of
+    its R, P = q.x, delta_alpha, delta_u and delta_min, each formatted once
+    for all three emitters; P is one dot product per box, so it rounds as
+    q.x of that one state does."""
 
     R: list[float]
     lam: list[float]
     x: np.ndarray
-    P: list[float]
+    text: list[tuple[str, str, str, str, str]]
 
     @staticmethod
     def of(system: cont.CoralBranchSystem, result: cont.BranchResult) -> "BranchPoints":
         t = np.array([b.t for b in result.boxes])
         X = system.s * np.array([b.u for b in result.boxes]).reshape(len(t), system.d)
-        q = system.coral.cf.q
-        return BranchPoints(system.R_of_t(t).tolist(), system.lam_of_t(t).tolist(), X,
-                            [float(q @ x) for x in X])
+        q, R = system.coral.cf.q, system.R_of_t(t).tolist()
+        text = [(repr(Rb), repr(float(q @ x)), repr(b.delta_alpha), repr(b.delta_u),
+                 repr(b.delta_min)) for b, Rb, x in zip(result.boxes, R, X)]
+        return BranchPoints(R, system.lam_of_t(t).tolist(), X, text)
 
 
 def emit_branch_csv(path: Path, system: cont.CoralBranchSystem,
                     result: cont.BranchResult, pts: BranchPoints) -> None:
-    lines = (",".join(map(repr, [R, lam, *x.tolist(), P, b.delta_alpha, b.delta_u,
-                                 b.delta_min]))
-             + "," + b.stability
-             for b, R, lam, x, P in zip(result.boxes, pts.R, pts.lam, pts.x, pts.P))
+    lines = (",".join([R, repr(lam), *map(repr, x.tolist()), P, da, du, dmin, b.stability])
+             for b, (R, P, da, du, dmin), lam, x in zip(result.boxes, pts.text, pts.lam, pts.x))
     _write_lines(path, ["R", "lambda"] + [f"x{k+1}" for k in range(system.d)]
                  + ["P", "delta_alpha", "delta_u", "delta_min", "stability"], lines)
 
@@ -164,22 +164,21 @@ def emit_bifurcation_diagram(path: Path, system: cont.CoralBranchSystem,
     labels = cont.classify_stability(np.stack([coral.jac_x(lam, zero)
                                                for lam in Rs / coral.cf.ba]))
     lines = itertools.chain(
-        (f"{R!r},{P!r},{b.stability},{b.delta_u!r},nontrivial"
-         for b, R, P in zip(result.boxes, pts.R, pts.P)),
+        (f"{R},{P},{b.stability},{du},nontrivial"
+         for b, (R, P, _, du, _) in zip(result.boxes, pts.text)),
         (f"{R!r},0.0,{label},,trivial" for R, label in zip(Rs.tolist(), labels)))
     _write_lines(path, ["R", "P", "stability", "delta_u", "branch"], lines)
 
 
 # one box record of the chain, as `json.dumps` writes it: the floats are
 # repr strings, which need no escaping, and bound_by is dumped on its own
-_CHAIN_RECORD = ('{"index": %d, "R": "%r", "delta_alpha": "%r", "delta_u": "%r", '
-                 '"delta_min": "%r", "bound_by": %s, "d": "%r", "K": "%r", "rho": "%r", '
+_CHAIN_RECORD = ('{"index": %d, "R": "%s", "delta_alpha": "%s", "delta_u": "%s", '
+                 '"delta_min": "%s", "bound_by": %s, "d": "%r", "K": "%r", "rho": "%r", '
                  '"xi": "%r", "M1": "%r", "M2": "%r", "M3": "%r", "M4": "%r", "L1": "%r", '
                  '"L2": "%r", "L4": "%r", "halvings": %d, "linked": %s}')
 
 
-def emit_certificate_chain(path: Path, system: cont.CoralBranchSystem,
-                 res: cont.BranchResult) -> None:
+def emit_certificate_chain(path: Path, res: cont.BranchResult, pts: BranchPoints) -> None:
     """The certificate chain as compact JSON, written box by box: the
     header of `json.dumps` on the whole chain, then each box record as it
     is formatted, so no record list or whole-file string is held."""
@@ -195,14 +194,13 @@ def emit_certificate_chain(path: Path, system: cont.CoralBranchSystem,
     })
     with path.open("w") as fh:
         fh.write(head[:-1] + ', "boxes": [')
-        for i, b in enumerate(res.boxes):
+        for i, (b, (R, _, da, du, dmin)) in enumerate(zip(res.boxes, pts.text)):
             if i:
                 fh.write(", ")
             c = b.bounds
             fh.write(_CHAIN_RECORD % (
-                b.index, system.R_of_t(b.t), b.delta_alpha, b.delta_u, b.delta_min,
-                json.dumps(b.bound_by), c.ell_x, c.K, c.rho, c.L3, *b.M, c.L1, c.L2, c.L4,
-                b.halvings,
+                b.index, R, da, du, dmin, json.dumps(b.bound_by), c.ell_x, c.K, c.rho,
+                c.L3, *b.M, c.L1, c.L2, c.L4, b.halvings,
                 "true" if b.linked_to_previous else "false"))
         fh.write("]}")
 
@@ -223,7 +221,7 @@ def cmd_branch(args) -> int:
     pts = BranchPoints.of(system, res)
     emit_branch_csv(out / "branch.csv", system, res, pts)
     emit_bifurcation_diagram(out / "bifurcation_diagram.csv", system, res, pts)
-    emit_certificate_chain(out / "branch_certificates.json", system, res)
+    emit_certificate_chain(out / "branch_certificates.json", res, pts)
     print(f"{len(res.boxes)} validated boxes, stop: {res.stop_reason}, "
           f"linked: {res.all_linked()}")
     ok = res.stop_reason in ("target", "max-steps") or res.stop_reason.startswith("degenerate")

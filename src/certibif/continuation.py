@@ -17,11 +17,14 @@ tangent (the tip is the last certified box), the first step _WAVE_SPACING
 ALPHA_FRAC delta_alpha and each later one r times the one before, r the
 trend of delta_alpha, corrected in one stacked chord solve (whose last
 evaluation gives each anchor's tangent, float inverse B and stability
-matrix) and certified as one stack, each box at the delta_alpha of its
-certified constants.  The step out of a box is the projection of the next
-anchor on its tangent; the first one longer than ALPHA_FRAC delta_alpha,
-or that fails to link, cuts the wave, and the next wave starts from the
-last box kept.  A cut at the wave's first anchor ends the branch.
+matrix) and certified as one stack: one order-2 row-1 jet over the
+anchors and their Lipschitz boxes stacked (`CoralBranchSystem.jet_iv`)
+gives the interval data of the whole wave, and each box takes the
+delta_alpha of its certified constants.  The step out of a box is the
+projection of the next anchor on its tangent; the first one longer than
+ALPHA_FRAC delta_alpha, or that fails to link, cuts the wave, and the
+next wave starts from the last box kept.  A cut at the wave's first
+anchor ends the branch.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ class CoralBranchSystem:
         # subdiagonal is S_k s_k/s_{k+1}
         r0 = s / s[0]
         self._ratio0_iv = IArray(_adn(r0), _aup(r0))
-        # lipschitz_M's scalings of row 1's gradient and Hessian
+        # the M bounds' scalings of row 1's gradient and Hessian
         self._ratio0 = r0
         self._Sqq, self._Sqb = coral.hessian_weights(up_mul(np.outer(s, s) / s[0], 1.0))
         S = np.array(coral.params.S, dtype=float)
@@ -69,7 +72,7 @@ class CoralBranchSystem:
         self._Jx[k + 1, k] = S
         self._A = np.zeros((self.d, self.d + 1))
         self._A[:, 1:] = self._Jx * s[None, :] / s[:, None] - np.eye(self.d)
-        # the constant subdiagonal of D_u F, S_k s_k/s_{k+1}, once; eval_iv
+        # the constant subdiagonal of D_u F, S_k s_k/s_{k+1}, once; jet_iv
         # fills row 1 and subtracts I per call
         sub = IArray(_adn(r1), _aup(r1)) * S
         self._Ju_lo, self._Ju_hi = np.zeros((self.d, self.d)), np.zeros((self.d, self.d))
@@ -119,36 +122,14 @@ class CoralBranchSystem:
 
     # -- interval evaluation ------------------------------------------------
 
-    def eval_iv(self, t, u: IArray) -> tuple[IArray, IArray, IArray]:
+    def jet_iv(self, t, u: IArray, t0, u0, d) -> tuple:
         """Interval (F, D_u F, D_t F) at a stack of interval points or
-        boxes, t an `IArray` of shape (n,) and u one of shape (n, d), from
-        one row-1 jet of x = s (.) u."""
-        d = self.d
-        lead = u.lo.shape[:-1]
-        lam = self._ct_iv * t
-        x = u * self.s
-        jet = self.coral.row1_jet(x)
-        # F = f(lambda, x) / s - u; rows 2..d of f are S_k x_k
-        flo, fhi = np.empty(lead + (d,)), np.empty(lead + (d,))
-        f0, f_rest = lam * jet.phis[0] * jet.bx, x[..., :-1] * self._S
-        flo[..., 0], fhi[..., 0] = f0.lo, f0.hi
-        flo[..., 1:], fhi[..., 1:] = f_rest.lo, f_rest.hi
-        F = IArray(flo, fhi) / self.s - u
-        # D_u F = (row 1 of D_x f scaled by s_j / s_0, the constant subdiagonal) - I
-        row0 = jet.g1 * lam[..., None] * self._ratio0_iv
-        lo, hi = _tiled(self._Ju_lo, lead), _tiled(self._Ju_hi, lead)
-        lo[..., 0, :], hi[..., 0, :] = row0.lo, row0.hi
-        jt = self._ct_iv * jet.g / Interval.point(float(self.s[0]))
-        Jt_lo, Jt_hi = np.zeros(lead + (d,)), np.zeros(lead + (d,))
-        Jt_lo[..., 0], Jt_hi[..., 0] = jt.lo, jt.hi
-        return F, IArray(lo, hi).shifted(1.0), IArray(Jt_lo, Jt_hi)
-
-    # -- Lipschitz data over a box -------------------------------------------
-
-    def lipschitz_M(self, t0, u0, d) -> tuple:
-        """(M1..M4) for the mean-value bounds of (D_u F, D_t F) over the
-        boxes |u - u0_i| <= d_i, |t - t0_i| <= d_i, one entry per stacked
-        box (blockwise Lipschitz recipe).
+        boxes, t an `IArray` of shape (n,) and u one of shape (n, d), and
+        (M1..M4) for the mean-value bounds of (D_u F, D_t F) over the boxes
+        |u - u0_i| <= d_i, |t - t0_i| <= d_i, one entry per stacked box
+        (blockwise Lipschitz recipe), from one order-2 row-1 jet of x = s
+        (.) u and those boxes' x stacked (a jet row does not depend on the
+        rows stacked with it).
 
         Row 1 is the only non-constant row of D_u F and the only nonzero
         entry of D_t F, so each max-norm difference is one row sum: M1 =
@@ -157,15 +138,34 @@ class CoralBranchSystem:
         bounds it in t, and M3 = M2 since d/du_k of D_t F is d/dt of
         (D_u F)_1k = tg_k.  lambda is affine in t, so M4 = 0."""
         t0, u0, d = (np.asarray(a, dtype=float) for a in (t0, u0, d))
+        dim, lead, x = self.d, u.lo.shape[:-1], u * self.s
         rad = _aup(self.s * d[..., None])
-        x_box = IArray(_adn(_adn(self.s * u0) - rad), _aup(_aup(self.s * u0) + rad))
+        jet = self.coral.row1_jet(IArray(
+            np.concatenate([x.lo, _adn(_adn(self.s * u0) - rad)]),
+            np.concatenate([x.hi, _aup(_aup(self.s * u0) + rad)])), order=2)
+        at, over = jet[:len(x.lo)], jet[len(x.lo):]
+        lam = self._ct_iv * t
+        # F = f(lambda, x) / s - u; rows 2..d of f are S_k x_k
+        flo, fhi = np.empty(lead + (dim,)), np.empty(lead + (dim,))
+        f0, f_rest = lam * at.phis[0] * at.bx, x[..., :-1] * self._S
+        flo[..., 0], fhi[..., 0] = f0.lo, f0.hi
+        flo[..., 1:], fhi[..., 1:] = f_rest.lo, f_rest.hi
+        F = IArray(flo, fhi) / self.s - u
+        # D_u F = (row 1 of D_x f scaled by s_j / s_0, the constant subdiagonal) - I
+        row0 = at.g1 * lam[..., None] * self._ratio0_iv
+        lo, hi = _tiled(self._Ju_lo, lead), _tiled(self._Ju_hi, lead)
+        lo[..., 0, :], hi[..., 0, :] = row0.lo, row0.hi
+        jt = self._ct_iv * at.g / Interval.point(float(self.s[0]))
+        Jt_lo, Jt_hi = np.zeros(lead + (dim,)), np.zeros(lead + (dim,))
+        Jt_lo[..., 0], Jt_hi[..., 0] = jt.lo, jt.hi
+        # (M1..M4) over the boxes
         lam_mag = (self._ct_iv * IArray.around(t0, d)).mag
-        jet = self.coral.row1_jet(x_box, order=2)
-        g2 = up_mul(up_mul((jet.phis[2] * jet.bx).mag, self._Sqq)
-                    + up_mul(jet.phis[1].mag, self._Sqb), 1.0)
+        g2 = up_mul(up_mul((over.phis[2] * over.bx).mag, self._Sqq)
+                    + up_mul(over.phis[1].mag, self._Sqb), 1.0)
         M1 = up_mul(lam_mag, g2)
-        M2 = up_sum(up_mul(self._ct_iv.mag, up_mul(self._ratio0, jet.g1.mag)), axis=-1)
-        return M1, M2, M2, np.zeros_like(M1)
+        M2 = up_sum(up_mul(self._ct_iv.mag, up_mul(self._ratio0, over.g1.mag)), axis=-1)
+        return ((F, IArray(lo, hi).shifted(1.0), IArray(Jt_lo, Jt_hi)),
+                (M1, M2, M2, np.zeros_like(M1)))
 
 
 def _tiled(a: np.ndarray, lead: tuple) -> np.ndarray:
@@ -342,7 +342,8 @@ def newton_correct(ext: ExtendedSystem, alpha, tol: float = 1e-13,
 def derive_extended_constants(rho, xi, K, M: tuple, d, mu, v: np.ndarray) -> cift.CiftBounds:
     """The CIFT bounds of the extended system over the Lipschitz box of
     radius d, from the (P1)-(P3) data rho, xi, K and M = (M1..M4) of
-    `lipschitz_M`, one entry per segment of a stack in each array.
+    `CoralBranchSystem.jet_iv`, one entry per segment of a stack in each
+    array.
 
     With the product norm max(|sigma|, |x|), the derivative difference is
     bounded by (M1+M3)|x| + (M2+M4)|sigma| <= L1 max(|sigma|, |x|) with
@@ -393,37 +394,38 @@ class BranchBox:
 
 @dataclass(frozen=True)
 class SegmentAnchor:
-    """The part of the hypotheses of a stack of segments that does not
-    depend on the Lipschitz box: (P1) rho, the (P3) drift xi and the (P2)
-    bound K, one entry per segment."""
+    """The interval data of a stack of segments: (P1) rho, the (P3) drift
+    xi and the (P2) bound K at each anchor, one entry per segment, and
+    (M1..M4) over each of its candidate Lipschitz boxes (rungs) d, of
+    shape (segments, rungs), one entry per rung in that order."""
 
     ext: ExtendedSystem
     rho: np.ndarray
     xi: np.ndarray
     K: np.ndarray
-
-    def take(self, i: int) -> "SegmentAnchor":
-        """Segment i as a stack of one."""
-        e, sl = self.ext, slice(i, i + 1)
-        return SegmentAnchor(ExtendedSystem(e.sys, e.t0[sl], e.u0[sl], e.mu[sl], e.v[sl]),
-                             self.rho[sl], self.xi[sl], self.K[sl])
+    d: np.ndarray
+    M: tuple
 
 
 def segment_anchor(system: CoralBranchSystem, t0: np.ndarray, u0: np.ndarray,
-                   mu: np.ndarray, v: np.ndarray, B: np.ndarray) -> SegmentAnchor:
-    """Anchor stage of a stack of segments: t0, mu of shape (n,), u0, v of
-    shape (n, d), and B the float inverses of their extended Jacobians.
-    Raises NotInvertibleEvidence, whose `index` names the first failing
-    segment, when (P2) fails."""
+                   mu: np.ndarray, v: np.ndarray, B: np.ndarray, d) -> SegmentAnchor:
+    """Interval stage of a stack of segments: t0, mu of shape (n,), u0, v of
+    shape (n, d), B the float inverses of their extended Jacobians, and d
+    each segment's Lipschitz box radius, or a row of them (rungs), all
+    evaluated by one `jet_iv` call.  Raises NotInvertibleEvidence, whose
+    `index` names the first failing segment, when (P2) fails."""
     ext = ExtendedSystem(system, t0, u0, mu, v)
-    F, Ju, Jt = system.eval_iv(IArray.point(ext.t0), IArray.point(ext.u0))
+    d = np.asarray(d, dtype=float).reshape(len(ext.t0), -1)
+    seg = np.repeat(np.arange(d.shape[0]), d.shape[1])     # the segment of each rung
+    (F, Ju, Jt), M = system.jet_iv(IArray.point(ext.t0), IArray.point(ext.u0),
+                                   ext.t0[seg], ext.u0[seg], d.ravel())
     rho = norm_inf(F).hi
     xi = norm_inf(ext.drift_iv(Ju, Jt)).hi
     try:
         K = cift.inverse_bound(ext.jac_iv_at_origin(Ju, Jt), B)
     except NotInvertibleEvidence as exc:
         raise NotInvertibleEvidence(f"(P2) failed: {exc}", index=exc.index) from exc
-    return SegmentAnchor(ext=ext, rho=rho, xi=xi, K=K)
+    return SegmentAnchor(ext=ext, rho=rho, xi=xi, K=K, d=d, M=M)
 
 
 def _take(obj, idx):
@@ -431,24 +433,19 @@ def _take(obj, idx):
     return type(obj)(*(getattr(obj, f.name)[idx] for f in fields(obj)))
 
 
-def validate_segment(anchor: SegmentAnchor, d, index: int = 0) -> list:
+def validate_segment(anchor: SegmentAnchor, index: int = 0) -> list:
     """Box stage of a stack of anchored segments: certify segment i --
     (P3) plus the delta inequalities -- in one stacked `cift.check_deltas`
     at the delta_alpha planned from its certified constants (the float
     root of `cift.delta_alpha_root`, capped at the box's alpha radius,
     _PLAN_MARGIN below); `bound_by` records the constraint whose root set
-    it.  d gives each segment its Lipschitz box, or a row of candidate
-    boxes (rungs) all bounded by one stacked `lipschitz_M`, of which the
-    segment takes the one with the largest delta_alpha.  One entry per
-    segment: its BranchBox (index `index` + i), or the ValidationFailed
-    that names the broken part."""
-    ext = anchor.ext
-    d = np.asarray(d, dtype=float)
-    n = d.shape[0]
-    r = d.size // n
-    seg = np.repeat(np.arange(n), r)     # the segment of each rung
-    d = d.ravel()
-    M = ext.sys.lipschitz_M(ext.t0[seg], ext.u0[seg], d)
+    it.  Of its rungs the segment takes the one with the largest
+    delta_alpha.  One entry per segment: its BranchBox (index `index` +
+    i), or the ValidationFailed that names the broken part."""
+    ext, M = anchor.ext, anchor.M
+    n, r = anchor.d.shape
+    seg = np.repeat(np.arange(n), r)
+    d = anchor.d.ravel()
     b = derive_extended_constants(anchor.rho[seg], anchor.xi[seg], anchor.K[seg], M, d,
                                   ext.mu[seg], ext.v[seg])
     dir_norm = np.maximum(np.abs(ext.mu), np.abs(ext.v).max(axis=-1))
@@ -744,18 +741,20 @@ def _validate(system, wave: _Wave, rungs: np.ndarray) -> tuple[list, str]:
     the best of the Lipschitz boxes `rungs` (halving the smallest where all
     fail), and the stop reason that ends the branch after them, or ""."""
     e = wave.ext
+    anchor = lambda rows, d: segment_anchor(system, e.t0[rows], e.u0[rows], e.mu[rows],
+                                            e.v[rows], wave.B[rows], d)
     try:
-        anchor = segment_anchor(system, e.t0, e.u0, e.mu, e.v, wave.B)
+        whole = anchor(slice(None), np.broadcast_to(rungs, (len(wave), len(rungs))))
     except NotInvertibleEvidence as exc:
         boxes, end = _validate(system, wave.take(exc.index), rungs) if exc.index else ([], "")
         return boxes, end or f"degenerate: {exc}"
-    boxes = validate_segment(anchor, np.broadcast_to(rungs, (len(wave), len(rungs))),
-                             index=wave.first)
+    boxes = validate_segment(whole, index=wave.first)
     for i, box in enumerate(boxes):
         h, halvings = rungs[0], 0
         while isinstance(box, ValidationFailed) and h >= 2.0 * _BOX_MIN:
+            # segment i alone, anchored again over the halved box
             h, halvings = 0.5 * h, halvings + 1
-            box = validate_segment(anchor.take(i), [h], index=wave.first + i)[0]
+            box = validate_segment(anchor(slice(i, i + 1), [h]), index=wave.first + i)[0]
         if isinstance(box, ValidationFailed):
             return boxes[:i], f"degenerate: {box}"
         box.halvings, boxes[i] = halvings, box

@@ -307,6 +307,11 @@ class Row1Jet:
     g: Interval          # phi(P) (b.x)
     g1: IArray           # dg/dx_j
 
+    def __getitem__(self, rows) -> "Row1Jet":
+        """The jet of the stacked x rows `rows` (a slice keeps them stacked)."""
+        return Row1Jet(phis=tuple(p[rows] for p in self.phis), bx=self.bx[rows],
+                       g=self.g[rows], g1=self.g1[rows])
+
 
 @dataclass(frozen=True)
 class Row1Bounds:

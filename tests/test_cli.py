@@ -430,7 +430,7 @@ def test_branch_emitters_write_the_reference_bytes(tmp_path, coral, branch_resul
                 ("bifurcation_diagram.csv", emit_bifurcation_diagram,
                  helpers.emit_bifurcation_diagram),
                 ("branch_certificates.json",
-                 lambda path, system, res, _: emit_certificate_chain(path, system, res),
+                 lambda path, _, res, pts: emit_certificate_chain(path, res, pts),
                  helpers.emit_certificate_chain)):
             emit(tmp_path / f"{k}-{name}", system, res, pts)
             reference(tmp_path / f"{k}-reference-{name}", system, res)

@@ -17,7 +17,7 @@ from certibif.continuation import (ALPHA_FRAC, BranchBox,
                                    tangent_estimate, validate_segment)
 from certibif.errors import CorrectorFailed, TangentUndefined, ValidationFailed
 from certibif.interval import IArray, Interval, norm_inf
-from certibif.model import FixedPointReduction
+from certibif.model import CoralMap, FixedPointReduction
 
 from helpers import (eigvals_labels, jac_lam, map_F, mp_branch_F, mp_coeffs, mp_fd_jacobian,
                      mp_refine_branch_point, scalar_row1, step)
@@ -246,22 +246,28 @@ def test_branch_start(coral):
             start(coral, 5.0)
 
 
-def _anchor(system, t0, u0, decreasing=False):
+def _anchor(system, t0, u0, d, decreasing=False):
     """segment_anchor for the stack of one segment at (t0, u0) along its
     SVD tangent, turned to decreasing t if `decreasing`, with B =
-    inv(DG(0))."""
+    inv(DG(0)) and the Lipschitz box radii (rungs) d."""
     t, u = np.array([t0]), u0[None]
     A = system.evaluate(t, u)[1]
     mu, v = tangent_estimate(A)
     if decreasing and mu[0] > 0:
         mu, v = -mu, -v
     B = np.linalg.inv(ExtendedSystem(system, t, u, mu, v).jac_from(A))
-    return segment_anchor(system, t, u, mu, v, B)
+    return segment_anchor(system, t, u, mu, v, B, d)
+
+
+def _at(system, t: IArray, u: IArray) -> tuple:
+    """`jet_iv`'s (F, D_u F, D_t F) at the stacked points or boxes t, u,
+    with no Lipschitz box."""
+    return system.jet_iv(t, u, np.empty(0), np.empty((0, system.d)), np.empty(0))[0]
 
 
 def test_validate_segment_coral(coral):
     system, t0, u0 = branch_start(coral, 300.0)
-    box = validate_segment(_anchor(system, t0, u0, decreasing=True), [1e-4])[0]
+    box = validate_segment(_anchor(system, t0, u0, [1e-4], decreasing=True))[0]
     assert box.delta_alpha > 0 and box.delta_u > 0
     assert box.delta_min <= 1e-12
     assert box.delta_min < box.delta_u
@@ -278,7 +284,7 @@ def test_validate_segment_names_the_refusing_gate(coral, d, refusal):
     inequality, as validate_zero names it, not by the planned
     delta_alpha; the L1 gate overflows to inf without a warning."""
     system, t0, u0 = branch_start(coral, 300.0)
-    (got,) = validate_segment(_anchor(system, t0, u0, decreasing=True), [d])
+    (got,) = validate_segment(_anchor(system, t0, u0, [d], decreasing=True))
     assert isinstance(got, ValidationFailed)
     assert str(got) == refusal
 
@@ -472,16 +478,16 @@ def test_derived_constants_match_direct_cift_on_extended_system(
         roots = [r for r in red.solve(R / coral.cf.ba) if r > 0]
         x0 = red.full_point(max(roots))
         t0, u0 = preconditioned_system.from_raw_R(R, x0)
-        anchor = _anchor(preconditioned_system, t0, u0)
+        anchor = _anchor(preconditioned_system, t0, u0, [1e-4])
         mu, v = anchor.ext.mu[0], anchor.ext.v[0]
-        box = validate_segment(anchor, [1e-4])[0]
+        box = validate_segment(anchor)[0]
         da, du = box.delta_alpha, box.delta_u
         # hull of every point reachable within the slanted box
         r_t = da * abs(mu) + du
         r_u = da * np.abs(v) + du
         t_iv = IArray.around([t0], r_t)
         u_iv = IArray.around(u0[None], r_u)
-        _, Ju, Jt = preconditioned_system.eval_iv(t_iv, u_iv)
+        _, Ju, Jt = _at(preconditioned_system, t_iv, u_iv)
         # (H3) side: two Jacobian values inside the box differ by at most
         # the entrywise enclosure width, which the derived constants bound
         # through L1 |(sigma,x)| + L2 |alpha|
@@ -548,23 +554,20 @@ class ToyLinearValidated(ToyLinear):
     """ToyLinear with the stacked interval interface, so segments can be
     certified: t is an IArray of shape (n,) and u one of (n, 1)."""
 
-    def eval_iv(self, t, u):
+    def jet_iv(self, t, u, t0, u0, d):
         r = IArray(u.lo[:, 0], u.hi[:, 0]) - t
         F = IArray(r.lo[:, None], r.hi[:, None])
         n = u.lo.shape[0]
         Ju = IArray(np.ones((n, 1, 1)), np.ones((n, 1, 1)))
         Jt = IArray(-np.ones((n, 1)), -np.ones((n, 1)))
-        return F, Ju, Jt
-
-    def lipschitz_M(self, t0, u0, d):
-        return (np.zeros(len(d)),) * 4
+        return (F, Ju, Jt), (np.zeros(len(d)),) * 4
 
 
 def test_validate_segment_exact_linear_zero_set():
     """On u = t the residual vanishes and the deltas are limited only by
     the box constraints (all Lipschitz constants are zero, K is finite)."""
     sys_ = ToyLinearValidated()
-    box = validate_segment(_anchor(sys_, 0.3, np.array([0.3])), [1e-2])[0]
+    box = validate_segment(_anchor(sys_, 0.3, np.array([0.3]), [1e-2]))[0]
     assert box.bounds.rho <= 1e-15 and box.bounds.L3 <= 1e-12
     assert box.bounds.L1 <= 1e-300 and box.bounds.L4 <= 1e-300
     # delta_alpha * dir_norm + delta_u saturates the coupling cap
@@ -611,25 +614,36 @@ def _same(x, y):
 
 def test_stacked_stages_equal_their_single_segment_calls(branch_result,
                                                          preconditioned_system):
+    """On 64 recorded anchors: one `jet_iv` call over the anchor points and
+    three rungs each gives, in each anchor row and each rung row, the bits
+    of that row's one-row call, so point rows and box rows mix in one jet;
+    and every stage of the stacked validator equals its n = 1 calls."""
     system = preconditioned_system
     boxes, t, u, mu, v, B = _recorded(branch_result, system)
     d = np.array([b.bounds.ell_x for b in boxes])
-    anchor = segment_anchor(system, t, u, mu, v, B)
-    F, Ju, Jt = system.eval_iv(IArray.point(t), IArray.point(u))
+    rungs = d[:, None] * np.array([0.5, 1.0, 2.0])
+    seg = np.repeat(np.arange(len(t)), 3)
+    (F, Ju, Jt), M = system.jet_iv(IArray.point(t), IArray.point(u), t[seg], u[seg],
+                                   rungs.ravel())
+    none = slice(0, 0)
+    anchor = segment_anchor(system, t, u, mu, v, B, d)
     drift, extJ = anchor.ext.drift_iv(Ju, Jt), anchor.ext.jac_iv_at_origin(Ju, Jt)
-    M = system.lipschitz_M(t, u, d)
-    stacked = validate_segment(anchor, d)
+    stacked = validate_segment(anchor)
     for i, box in enumerate(boxes):
         one = slice(i, i + 1)
-        a1 = segment_anchor(system, t[one], u[one], mu[one], v[one], B[one])
-        F1, Ju1, Jt1 = system.eval_iv(IArray.point(t[one]), IArray.point(u[one]))
+        F1, Ju1, Jt1 = _at(system, IArray.point(t[one]), IArray.point(u[one]))
+        for k in range(3):
+            _, M1 = system.jet_iv(IArray.point(t[none]), IArray.point(u[none]), t[one],
+                                  u[one], rungs[i, k:k + 1])
+            assert [m[3 * i + k] for m in M] == [m[0] for m in M1]
+        a1 = segment_anchor(system, t[one], u[one], mu[one], v[one], B[one], d[one])
         pairs = [(F, F1), (Ju, Ju1), (Jt, Jt1), (drift, a1.ext.drift_iv(Ju1, Jt1)),
                  (extJ, a1.ext.jac_iv_at_origin(Ju1, Jt1))]
         assert all(_same(type(s)(s.lo[i], s.hi[i]), type(s)(s1.lo[0], s1.hi[0]))
                    for s, s1 in pairs)
         assert (anchor.rho[i], anchor.xi[i], anchor.K[i]) == (a1.rho[0], a1.xi[0], a1.K[0])
-        assert [m[i] for m in M] == [m[0] for m in system.lipschitz_M(t[one], u[one], d[one])]
-        b1 = validate_segment(a1, d[one])[0]
+        assert [m[i] for m in anchor.M] == [m[0] for m in a1.M] == [m[3 * i + 1] for m in M]
+        b1 = validate_segment(a1)[0]
         assert (stacked[i].bounds, stacked[i].M) == (b1.bounds, b1.M)
         pair = lambda b: (b.delta_alpha, b.delta_u, b.delta_min, b.bound_by)
         assert pair(stacked[i]) == pair(b1)
@@ -640,7 +654,7 @@ def test_stacked_stages_equal_their_single_segment_calls(branch_result,
 def test_stacked_row1_jet_equals_scalar_interval(branch_result, preconditioned_system,
                                                 coral):
     """The order-2 jet over the Lipschitz boxes of the recorded boxes, as
-    lipschitz_M builds it, row by row against scalar Interval."""
+    jet_iv builds it, row by row against scalar Interval."""
     system = preconditioned_system
     boxes, t, u, *_ = _recorded(branch_result, system)
     rad = system.s * np.array([b.bounds.ell_x for b in boxes])[:, None]
@@ -945,6 +959,29 @@ def test_planner_evaluates_each_point_once(coral, monkeypatch):
     assert rows["evaluate"] == 1 + sum(m * len(iters) for m, iters in calls)
 
 
+def test_validator_takes_one_row1_jet_per_wave(coral, monkeypatch):
+    """200 seed-0 boxes: each wave's interval stage is one order-2 row-1
+    jet over its anchors and their Lipschitz boxes stacked -- the start
+    anchor with the whole ladder, every later anchor with its three rungs
+    -- and no other jet is built on the branch."""
+    from certibif import continuation as cont
+    jet, rows = CoralMap.row1_jet, []
+
+    def counted(self, x, order=1):
+        rows.append((len(x.lo), order))
+        return jet(self, x, order)
+
+    system, t0, u0 = branch_start(coral, 300.0)
+    monkeypatch.setattr(CoralMap, "row1_jet", counted)
+    res = continue_branch(system, t0, u0, to_R=72.0, max_steps=200)
+    assert res.stop_reason == "max-steps" and len(res.boxes) == 200 and res.all_linked()
+    assert all(b.halvings == 0 for b in res.boxes)
+    assert len(rows) == res.waves > 1
+    assert rows[0] == (1 + len(cont._LADDER), 2)
+    assert all(order == 2 and n % 4 == 0 for n, order in rows[1:])
+    assert sum(n // 4 for n, _ in rows[1:]) == len(res.boxes) - 1 + res.boxes_discarded
+
+
 def test_evaluate_equals_map_compositions(branch_result, preconditioned_system, coral):
     """On 64 recorded anchors, each row of one stacked evaluation matches
     the one-state references to 8 ulps: F = f/s - u from `step`, [D_t F |
@@ -995,6 +1032,6 @@ def test_extended_jacobian_block_structure(branch_result, preconditioned_system)
     J = ext.jac_from(A)
     assert np.array_equal(J[:, 0, 0], mu) and np.array_equal(J[:, 0, 1:], v)
     assert np.array_equal(J[:, 1:], A)
-    _, Ju, Jt = system.eval_iv(IArray.point(t), IArray.point(u))
+    _, Ju, Jt = _at(system, IArray.point(t), IArray.point(u))
     Jiv = ext.jac_iv_at_origin(Ju, Jt)
     assert np.all(Jiv.lo <= J + 1e-12) and np.all(Jiv.hi >= J - 1e-12)
