@@ -17,11 +17,14 @@ tangent (the tip is the last certified box), the first step _WAVE_SPACING
 ALPHA_FRAC delta_alpha and each later one r times the one before, r the
 trend of delta_alpha, corrected in one stacked chord solve (whose last
 evaluation gives each anchor's tangent, float inverse B and stability
-matrix) and certified as one stack: one order-2 row-1 jet over the
-anchors and their Lipschitz boxes stacked (`CoralBranchSystem.jet_iv`)
-gives the interval data of the whole wave, and each box takes the
-delta_alpha of its certified constants.  The step out of a box is the
-projection of the next anchor on its tangent; the first one longer than
+matrix) and certified as one stack by one `validate_segment` call: one
+order-2 row-1 jet over the anchors and their Lipschitz boxes stacked
+(`CoralBranchSystem.jet_iv`) gives the interval data of the whole wave,
+and each box takes the delta_alpha of its certified constants.  Every
+`ExtendedSystem` is such a stack, one anchor per row; a wave's chord
+solve takes the tip once per anchor.  The step out of a box is the
+projection of the next anchor on its tangent, and one `check_link` call
+on the arrays of those steps links the wave; the first step longer than
 ALPHA_FRAC delta_alpha, or that fails to link, cuts the wave, and the
 next wave starts from the last box kept.  A cut at the wave's first
 anchor ends the branch.
@@ -98,11 +101,10 @@ class CoralBranchSystem:
         """F, [D_t F | D_u F] as one (d, d + 1) matrix, and the raw D_x f
         that its D_u F block rescales, at a stack of independent points t
         (n,), u (n, d), from one q.x, one b.x and one `phi_derivs` per row.
-        This is the float interface of every branch system (one without a
-        map gives None for D_x f).  q.x and b.x are row sums, not a matrix
-        product, so that a row does not depend on the rows stacked with it;
-        a row is a few ulps off the one-state map, its lambda derivative and
-        `CoralMap.jac_x`."""
+        This is the float interface of every branch system.  q.x and b.x
+        are row sums, not a matrix product, so that a row does not depend
+        on the rows stacked with it; a row is a few ulps off the one-state
+        map, its lambda derivative and `CoralMap.jac_x`."""
         cf, s, d = self.coral.cf, self.s, self.d
         lam, x = self._ct * np.asarray(t, dtype=float), s * u
         lead = lam.shape
@@ -207,32 +209,32 @@ def branch_start(coral: CoralMap, R: float) -> tuple[CoralBranchSystem, float, n
 
 
 class ExtendedSystem:
-    """G(alpha, (sigma, x)) for a stack of anchor/direction pairs: t0, mu
-    of shape (n,) and u0, v of shape (n, d), with the matching stacked
-    enclosures.  The float methods also take one anchor (t0, mu 0-d, u0,
-    v of shape (d,)) with a stack of alphas along its direction."""
+    """G(alpha, (sigma, x)) for a stack of anchor/direction pairs, one per
+    row: t0, mu of shape (n,) and u0, v of shape (n, d).  Its methods take
+    one alpha (n,) and z (n, d + 1) row, or one enclosure, per anchor, and
+    a row does not depend on the rows stacked with it; `ext[rows]` is the
+    system of those rows."""
 
     def __init__(self, system: CoralBranchSystem, t0, u0: np.ndarray, mu, v: np.ndarray):
         self.sys = system
         self.t0, self.u0 = np.asarray(t0, dtype=float), np.asarray(u0, dtype=float)
         self.mu, self.v = np.asarray(mu, dtype=float), np.asarray(v, dtype=float)
 
-    def point(self, alpha, sigma, x: np.ndarray) -> tuple:
-        """(t, u) = anchor + alpha * direction + (sigma, x); an (m,) alpha
-        with (m,) sigma and (m, d) x gives m points along the one anchor's
-        direction."""
-        a = np.asarray(alpha)
-        return self.t0 + alpha * self.mu + sigma, self.u0 + a[..., None] * self.v + x
+    def __getitem__(self, rows) -> ExtendedSystem:
+        return ExtendedSystem(self.sys, self.t0[rows], self.u0[rows], self.mu[rows], self.v[rows])
 
-    def value(self, alpha, z: np.ndarray) -> tuple[np.ndarray, tuple]:
+    def point(self, alpha: np.ndarray, sigma: np.ndarray, x: np.ndarray) -> tuple:
+        """(t, u) = anchor + alpha * direction + (sigma, x) per row."""
+        return self.t0 + alpha * self.mu + sigma, self.u0 + alpha[:, None] * self.v + x
+
+    def value(self, alpha: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, tuple]:
         """G(alpha, z), and the branch system's evaluation (F, [D_t F |
-        D_u F], D_x f) at the point it is taken at; stacked alphas take
-        one z row each."""
-        sigma, x = z[..., 0], z[..., 1:]
+        D_u F], D_x f) at the points it is taken at."""
+        sigma, x = z[:, 0], z[:, 1:]
         ev = self.sys.evaluate(*self.point(alpha, sigma, x))
         G = np.empty(z.shape)
-        G[..., 0] = self.mu * sigma + x @ self.v
-        G[..., 1:] = ev[0]
+        G[:, 0] = self.mu * sigma + (x * self.v).sum(axis=-1)
+        G[:, 1:] = ev[0]
         return G, ev
 
     def jac_from(self, A: np.ndarray) -> np.ndarray:
@@ -301,15 +303,18 @@ def tangent_estimate(jac: np.ndarray, prev: np.ndarray | None = None) -> tuple:
     return tang[:, 0].copy(), tang[:, 1:].copy()
 
 
-def newton_correct(ext: ExtendedSystem, alpha, tol: float = 1e-13,
-                   max_iter: int = 25) -> tuple:
-    """Approximate zero (sigma, x) of G(alpha, .) orthogonal to the
-    predictor, and the branch system's evaluation (F, [D_t F | D_u F],
-    D_x f) at the point it reaches.  The (m,) array of alphas corrects m
-    predictors along the anchor's direction at once (arrays out, one row
-    each); the stack takes one chord step more once every row meets `tol`,
-    since its slowest row stops just below it and the residual sets each
-    anchor's accuracy radius.
+# chord steps the corrector takes before it gives up
+_MAX_NEWTON = 25
+
+
+def newton_correct(ext: ExtendedSystem, alpha: np.ndarray, tol: float,
+                   max_iter: int = _MAX_NEWTON) -> tuple:
+    """Approximate zeros (sigma, x) of G(alpha, .) orthogonal to the
+    predictors, one row per anchor of `ext`, and the branch system's
+    evaluation (F, [D_t F | D_u F], D_x f) at the points they reach.  The
+    stack takes one chord step more once every row meets `tol`, since its
+    slowest row stops just below it and the residual sets each anchor's
+    accuracy radius.
 
     Chord steps z <- z - B_alpha G(alpha, z): the extended Jacobian is
     evaluated and inverted once, at the predictor (alpha, 0), so each
@@ -392,62 +397,38 @@ class BranchBox:
     stability: str = ""
 
 
-@dataclass(frozen=True)
-class SegmentAnchor:
-    """The interval data of a stack of segments: (P1) rho, the (P3) drift
-    xi and the (P2) bound K at each anchor, one entry per segment, and
-    (M1..M4) over each of its candidate Lipschitz boxes (rungs) d, of
-    shape (segments, rungs), one entry per rung in that order."""
-
-    ext: ExtendedSystem
-    rho: np.ndarray
-    xi: np.ndarray
-    K: np.ndarray
-    d: np.ndarray
-    M: tuple
-
-
-def segment_anchor(system: CoralBranchSystem, t0: np.ndarray, u0: np.ndarray,
-                   mu: np.ndarray, v: np.ndarray, B: np.ndarray, d) -> SegmentAnchor:
-    """Interval stage of a stack of segments: t0, mu of shape (n,), u0, v of
-    shape (n, d), B the float inverses of their extended Jacobians, and d
-    each segment's Lipschitz box radius, or a row of them (rungs), all
-    evaluated by one `jet_iv` call.  Raises NotInvertibleEvidence, whose
-    `index` names the first failing segment, when (P2) fails."""
-    ext = ExtendedSystem(system, t0, u0, mu, v)
-    d = np.asarray(d, dtype=float).reshape(len(ext.t0), -1)
-    seg = np.repeat(np.arange(d.shape[0]), d.shape[1])     # the segment of each rung
-    (F, Ju, Jt), M = system.jet_iv(IArray.point(ext.t0), IArray.point(ext.u0),
-                                   ext.t0[seg], ext.u0[seg], d.ravel())
-    rho = norm_inf(F).hi
-    xi = norm_inf(ext.drift_iv(Ju, Jt)).hi
-    try:
-        K = cift.inverse_bound(ext.jac_iv_at_origin(Ju, Jt), B)
-    except NotInvertibleEvidence as exc:
-        raise NotInvertibleEvidence(f"(P2) failed: {exc}", index=exc.index) from exc
-    return SegmentAnchor(ext=ext, rho=rho, xi=xi, K=K, d=d, M=M)
-
-
 def _take(obj, idx):
     """The dataclass of arrays `obj` at the entries idx of each field."""
     return type(obj)(*(getattr(obj, f.name)[idx] for f in fields(obj)))
 
 
-def validate_segment(anchor: SegmentAnchor, index: int = 0) -> list:
-    """Box stage of a stack of anchored segments: certify segment i --
-    (P3) plus the delta inequalities -- in one stacked `cift.check_deltas`
-    at the delta_alpha planned from its certified constants (the float
-    root of `cift.delta_alpha_root`, capped at the box's alpha radius,
-    _PLAN_MARGIN below); `bound_by` records the constraint whose root set
-    it.  Of its rungs the segment takes the one with the largest
-    delta_alpha.  One entry per segment: its BranchBox (index `index` +
-    i), or the ValidationFailed that names the broken part."""
-    ext, M = anchor.ext, anchor.M
-    n, r = anchor.d.shape
+def validate_segment(ext: ExtendedSystem, B: np.ndarray, d, index: int) -> list:
+    """Certify the stack of segments of `ext`, B the float inverses of
+    their extended Jacobians and d each segment's Lipschitz box radius, or
+    a row of them (rungs).  One `jet_iv` call gives (P1) rho, the (P3)
+    drift xi and the (P2) bound K at each anchor and (M1..M4) over each
+    rung; it raises NotInvertibleEvidence, whose `index` names the first
+    failing segment of the stack, when (P2) fails.  Then segment i --
+    (P3) plus the delta inequalities -- is checked in one stacked
+    `cift.check_deltas` at the delta_alpha planned from its certified
+    constants (the float root of `cift.delta_alpha_root`, capped at the
+    box's alpha radius, _PLAN_MARGIN below); `bound_by` records the
+    constraint whose root set it.  Of its rungs the segment takes the one
+    with the largest delta_alpha.  One entry per segment: its BranchBox
+    (index `index` + i), or the ValidationFailed that names the broken
+    part."""
+    d = np.asarray(d, dtype=float).reshape(len(ext.t0), -1)
+    n, r = d.shape
     seg = np.repeat(np.arange(n), r)
-    d = anchor.d.ravel()
-    b = derive_extended_constants(anchor.rho[seg], anchor.xi[seg], anchor.K[seg], M, d,
-                                  ext.mu[seg], ext.v[seg])
+    d = d.ravel()
+    (F, Ju, Jt), M = ext.sys.jet_iv(IArray.point(ext.t0), IArray.point(ext.u0),
+                                    ext.t0[seg], ext.u0[seg], d)
+    try:
+        K = cift.inverse_bound(ext.jac_iv_at_origin(Ju, Jt), B)
+    except NotInvertibleEvidence as exc:
+        raise NotInvertibleEvidence(f"(P2) failed: {exc}", index=exc.index) from exc
+    rho, xi = norm_inf(F).hi, norm_inf(ext.drift_iv(Ju, Jt)).hi
+    b = derive_extended_constants(rho[seg], xi[seg], K[seg], M, d, ext.mu[seg], ext.v[seg])
     dir_norm = np.maximum(np.abs(ext.mu), np.abs(ext.v).max(axis=-1))
     root, names = cift.delta_alpha_root(b.K, b.rho, b.L1, b.L2, b.L3, b.L4, b.ell_x,
                                         dir_norm[seg], coupled_cap=b.ell_x)
@@ -478,17 +459,18 @@ def validate_segment(anchor: SegmentAnchor, index: int = 0) -> list:
 ALPHA_FRAC = 0.99
 
 
-def check_link(prev: list[BranchBox], alpha, corr_norm, next_delta_min,
-               slack=0.0, residual=0.0) -> np.ndarray:
+def check_link(tau: np.ndarray, delta_alpha, delta_u, alpha, corr_norm, next_delta_min,
+               slack, residual) -> np.ndarray:
     """Theorem linking inequalities for a stack of links: the accuracy
-    ball of box k+1 must lie in the uniqueness tube of box prev[k].  One
-    bool per link.
+    ball of box k+1 must lie in the uniqueness tube of box k, whose
+    direction dir = (mu, v) is tau[k] and whose radii are delta_alpha[k]
+    and delta_u[k].  One bool per link.
 
-    The step out of box k's float anchor a along its direction dir = (mu,
-    v) was alpha[k], and the next float anchor is, exactly, a + alpha dir +
-    c + g: c the correction, with max norm corr_norm[k] and |<dir, c>| at
-    most residual[k] (the first row of G it leaves), and g the rounding
-    gap of the stored anchor, |g| <= slack[k].
+    The step out of box k's float anchor a along dir was alpha[k], and
+    the next float anchor is, exactly, a + alpha dir + c + g: c the
+    correction, with max norm corr_norm[k] and |<dir, c>| at most
+    residual[k] (the first row of G it leaves), and g the rounding gap of
+    the stored anchor, |g| <= slack[k].
 
     Lemma.  A point a + alpha dir + c + g + e of the next accuracy ball,
     |e| <= delta_min', is a + (alpha + D) dir + w with D = <dir, c + g + e>
@@ -499,28 +481,22 @@ def check_link(prev: list[BranchBox], alpha, corr_norm, next_delta_min,
     < delta_alpha and that bound on |w| < delta_u make it the CIFT's unique
     zero on box k's tube.  Every term rounds up (|dir|_2^2 down)."""
     I = IArray.point
-    da = np.array([b.delta_alpha for b in prev])
-    du = np.array([b.delta_u for b in prev])
-    tau = np.concatenate([np.array([[b.mu] for b in prev]), [b.v for b in prev]], axis=1)
     norm1 = up_sum(np.abs(tau), axis=-1)
     norm2sq = float_matmat(tau[:, None, :], I(tau[:, :, None])).lo[:, 0, 0]
     e = I(slack) + I(next_delta_min)
     D = (I(residual) + I(norm1) * e) / I(norm2sq)
     lhs1 = (I(np.abs(alpha)) + D).hi
     lhs2 = (I(corr_norm) + e + D * I(np.abs(tau).max(axis=-1))).hi
-    return (lhs1 < da) & (lhs2 < du)
+    return (lhs1 < delta_alpha) & (lhs2 < delta_u)
 
 
-def _anchor_rounding_gap(t_prev, u_prev, alpha_k, mu, v, sigma, x_corr,
-                         t_next, u_next):
-    """Upper bound of |float_anchor - (anchor + alpha*dir + corr)|_inf,
-    with t as component 0: ((anchor + alpha*dir) + corr) - float_anchor
-    in `IArray` arithmetic; stacked inputs give one bound per step."""
-    pt = lambda t, u: np.concatenate([np.asarray(t, dtype=float)[..., None], u], axis=-1)
-    prev, d, corr, new = pt(t_prev, u_prev), pt(mu, v), pt(sigma, x_corr), pt(t_next, u_next)
-    a = np.asarray(alpha_k, dtype=float)[..., None]
+def _anchor_rounding_gap(prev, alpha, tau, corr, new):
+    """Upper bound of |new - (prev + alpha tau + corr)|_inf for points
+    (t, u) with t as component 0, ((prev + alpha tau) + corr) - new in
+    `IArray` arithmetic; (n, d + 1) points give one bound per step."""
     I = IArray.point
-    return (I(prev) + I(d) * a + I(corr) - I(new)).mag.max(axis=-1)
+    a = np.asarray(alpha, dtype=float)[..., None]
+    return (I(prev) + I(tau) * a + I(corr) - I(new)).mag.max(axis=-1)
 
 
 # |gamma| at or below this, on coefficients scaled to max |a| = 1, leaves a
@@ -611,7 +587,6 @@ _BOX_MIN = 1e-11
 _LADDER = _BOX_START * 2.0 ** np.arange(
     np.ceil(np.log2(_BOX_MIN / _BOX_START)), np.floor(np.log2(_BOX_CAP / _BOX_START)) + 1)
 _CORRECTOR_TOL = 1e-14
-_MAX_NEWTON = 25
 # A planned delta_alpha sits this fraction below the float root of the
 # certified constants, so that the check, which rounds them apart from the
 # root, accepts it; the step gives up 1e-8 of its length for that.
@@ -648,21 +623,14 @@ class _Wave:
     first: int                    # index of anchor 0 along the branch
     ext: ExtendedSystem
     B: np.ndarray
-    Jx: np.ndarray | None
+    Jx: np.ndarray
     folds: list
 
     def __len__(self) -> int:
         return len(self.folds)
 
-    def take(self, n: int) -> "_Wave":
-        e = self.ext
-        return _Wave(self.first, ExtendedSystem(e.sys, e.t0[:n], e.u0[:n], e.mu[:n], e.v[:n]),
-                     self.B[:n], None if self.Jx is None else self.Jx[:n], self.folds[:n])
-
-
-def _tangent(e: ExtendedSystem) -> np.ndarray:
-    """(mu, v) of the row or rows of e as one vector each."""
-    return np.concatenate([e.mu[..., None], e.v], axis=-1)
+    def take(self, n: int) -> _Wave:
+        return _Wave(self.first, self.ext[:n], self.B[:n], self.Jx[:n], self.folds[:n])
 
 
 def _wave(system, first: int, t: np.ndarray, u: np.ndarray, ev: tuple,
@@ -703,13 +671,14 @@ def _place(system, tip: BranchBox, n: int, r: float, fold_index: int | None) -> 
     r^(j-1)) with h _WAVE_SPACING ALPHA_FRAC times the tip's delta_alpha
     and r from `_trend`.  Raises CorrectorFailed, TangentUndefined or
     LinAlgError."""
-    base = ExtendedSystem(system, tip.t, tip.u, tip.mu, tip.v)
+    # the tip once per anchor
+    base = ExtendedSystem(system, [tip.t], [tip.u], [tip.mu], [tip.v])[np.zeros(n, dtype=int)]
     alpha = _WAVE_SPACING * ALPHA_FRAC * tip.delta_alpha * np.cumsum(r ** np.arange(n))
     # the residual cannot resolve below a few ulps of the state
     tol = max(_CORRECTOR_TOL, 8.0 * _EPS * max(abs(tip.t), float(np.abs(tip.u).max())))
-    sigma, x, ev = newton_correct(base, alpha, tol=tol, max_iter=_MAX_NEWTON)
+    sigma, x, ev = newton_correct(base, alpha, tol=tol)
     t, u = base.point(alpha, sigma, x)
-    return _wave(system, tip.index + 1, t, u, ev, _tangent(base), fold_index)
+    return _wave(system, tip.index + 1, t, u, ev, np.append(tip.mu, tip.v), fold_index)
 
 
 # the errors of placing anchors, and the stop reason each gives
@@ -722,39 +691,37 @@ def _links(tip: BranchBox, wave: _Wave, boxes: list[BranchBox]) -> tuple:
     of the wave's) from the box before: the float projection of z_next -
     z_prev on tau_prev, the remainder correcting it."""
     n, e = len(boxes), wave.ext
-    t0 = np.concatenate([[tip.t], e.t0[:n - 1]])
-    u0 = np.concatenate([tip.u[None], e.u0[:n - 1]])
-    tau = np.concatenate([[np.concatenate([[tip.mu], tip.v])], _tangent(e)[:n - 1]])
-    dz = np.concatenate([(e.t0[:n] - t0)[:, None], e.u0[:n] - u0], axis=1)
+    z = np.column_stack([np.append(tip.t, e.t0[:n]), np.concatenate([[tip.u], e.u0[:n]])])
+    tau = np.column_stack([np.append(tip.mu, e.mu[:n - 1]),
+                           np.concatenate([[tip.v], e.v[:n - 1]])])
+    dz = z[1:] - z[:-1]
     alpha = (tau * dz).sum(axis=1) / (tau * tau).sum(axis=1)
     corr = dz - alpha[:, None] * tau
-    gap = _anchor_rounding_gap(t0, u0, alpha, tau[:, 0], tau[:, 1:], corr[:, 0], corr[:, 1:],
-                               e.t0[:n], e.u0[:n])
+    gap = _anchor_rounding_gap(z[:-1], alpha, tau, corr, z[1:])
     residual = float_matmat(tau[:, None, :], IArray.point(corr[:, :, None])).mag[:, 0, 0]
     corr_norm = np.abs(corr).max(axis=1)
-    return alpha, corr_norm, check_link([tip] + boxes[:-1], alpha, corr_norm,
-                                        [b.delta_min for b in boxes], gap, residual)
+    prev = [tip] + boxes[:-1]
+    return alpha, corr_norm, check_link(
+        tau, np.array([b.delta_alpha for b in prev]), np.array([b.delta_u for b in prev]),
+        alpha, corr_norm, np.array([b.delta_min for b in boxes]), gap, residual)
 
 
-def _validate(system, wave: _Wave, rungs: np.ndarray) -> tuple[list, str]:
+def _validate(wave: _Wave, rungs: np.ndarray) -> tuple[list, str]:
     """The boxes of the longest prefix of the wave that validates, each over
     the best of the Lipschitz boxes `rungs` (halving the smallest where all
     fail), and the stop reason that ends the branch after them, or ""."""
-    e = wave.ext
-    anchor = lambda rows, d: segment_anchor(system, e.t0[rows], e.u0[rows], e.mu[rows],
-                                            e.v[rows], wave.B[rows], d)
     try:
-        whole = anchor(slice(None), np.broadcast_to(rungs, (len(wave), len(rungs))))
+        boxes = validate_segment(wave.ext, wave.B, np.broadcast_to(rungs, (len(wave), len(rungs))),
+                                 wave.first)
     except NotInvertibleEvidence as exc:
-        boxes, end = _validate(system, wave.take(exc.index), rungs) if exc.index else ([], "")
+        boxes, end = _validate(wave.take(exc.index), rungs) if exc.index else ([], "")
         return boxes, end or f"degenerate: {exc}"
-    boxes = validate_segment(whole, index=wave.first)
     for i, box in enumerate(boxes):
         h, halvings = rungs[0], 0
         while isinstance(box, ValidationFailed) and h >= 2.0 * _BOX_MIN:
-            # segment i alone, anchored again over the halved box
+            # segment i alone, over the halved box
             h, halvings = 0.5 * h, halvings + 1
-            box = validate_segment(anchor(slice(i, i + 1), [h]), index=wave.first + i)[0]
+            box = validate_segment(wave.ext[i:i + 1], wave.B[i:i + 1], [h], wave.first + i)[0]
         if isinstance(box, ValidationFailed):
             return boxes[:i], f"degenerate: {box}"
         box.halvings, boxes[i] = halvings, box
@@ -830,7 +797,7 @@ def _accept(system, wave: _Wave, tip: BranchBox | None, to_R: float, res: Branch
         wave = wave.take(target + 1)
     rungs = (_LADDER if tip is None
              else np.clip(tip.bounds.ell_x * np.array([0.5, 1.0, 2.0]), _BOX_MIN, _BOX_CAP))
-    boxes, end = _validate(system, wave, rungs)
+    boxes, end = _validate(wave, rungs)
     if tip is not None and boxes:
         alpha, corr_norm, ok = _links(tip, wave, boxes)
     for k, box in enumerate(boxes):
@@ -845,8 +812,7 @@ def _accept(system, wave: _Wave, tip: BranchBox | None, to_R: float, res: Branch
                 res.stop_reason = "link-failed"
                 return None
             box.linked_to_previous = True
-        if wave.Jx is not None:
-            unlabelled.append((box, wave.Jx[k]))
+        unlabelled.append((box, wave.Jx[k]))
         res.boxes.append(box)
         res.fold_index = wave.folds[k]
         tip = box

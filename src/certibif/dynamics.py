@@ -195,11 +195,6 @@ def _angle_blocks(xy: np.ndarray, center: tuple[float, float]):
         yield start, theta[:-1], inc
 
 
-def _projection(orbit: OrbitSample | np.ndarray, coords: tuple[int, int]) -> np.ndarray:
-    pts = orbit.points if isinstance(orbit, OrbitSample) else np.asarray(orbit)
-    return pts[:, list(coords)] if pts.ndim == 2 and pts.shape[1] > 2 else pts
-
-
 class _RotationSums:
     """Weighted increment sums and weight sums over all m increments and
     over the first 0.8 m, plus the net, forward and backward advance."""
@@ -269,48 +264,20 @@ class _ProfileSums:
                             empty_bins=empty)
 
 
-def _feed(xy: np.ndarray, center: tuple[float, float], *sums) -> None:
-    """One pass over the angle blocks of xy, each block added to every
-    accumulator and then dropped."""
-    for block in _angle_blocks(xy, center):
-        for acc in sums:
-            acc.add(*block)
+def rotation_and_profile(xy: np.ndarray, center: tuple[float, float] = (2500.0, 2500.0),
+                         bins: int = 64) -> tuple[RotationResult, AngleProfile]:
+    """The weighted Birkhoff average of the angle advance about `center` of
+    the orbit's (x_1, x_2) projection xy (n, 2), rescaled to (0, 1), and its
+    mean angle advance per iterate binned by the (rescaled) angle, from one
+    pass over its angles.
 
-
-def rotation_number(orbit: OrbitSample | np.ndarray,
-                    center: tuple[float, float] = (2500.0, 2500.0),
-                    coords: tuple[int, int] = (0, 1)) -> RotationResult:
-    """Weighted Birkhoff average of the angle advance about `center` in the
-    (x_1, x_2) projection, rescaled to (0, 1).
-
-    The orbit must wind consistently about the center; persistent
-    sign changes of the angle increment raise RotationUndefined.
+    The orbit must wind consistently about the center; persistent sign
+    changes of the angle increment raise RotationUndefined.
     """
-    xy = _projection(orbit, coords)
-    rot = _RotationSums(len(xy) - 1)
-    _feed(xy, center, rot)
-    return rot.result(len(xy))
-
-
-def angle_profile(orbit: OrbitSample | np.ndarray,
-                  center: tuple[float, float] = (2500.0, 2500.0),
-                  bins: int = 64,
-                  coords: tuple[int, int] = (0, 1)) -> AngleProfile:
-    """Mean angle advance per iterate, binned by the (rescaled) angle."""
-    prof = _ProfileSums(bins)
-    _feed(_projection(orbit, coords), center, prof)
-    return prof.result()
-
-
-def rotation_and_profile(orbit: OrbitSample | np.ndarray,
-                         center: tuple[float, float] = (2500.0, 2500.0),
-                         bins: int = 64, coords: tuple[int, int] = (0, 1)
-                         ) -> tuple[RotationResult, AngleProfile]:
-    """`rotation_number` and `angle_profile` of one orbit from a single
-    pass over its angles: the same results, with half the arctan2 work."""
-    xy = _projection(orbit, coords)
     rot, prof = _RotationSums(len(xy) - 1), _ProfileSums(bins)
-    _feed(xy, center, rot, prof)
+    for block in _angle_blocks(xy, center):
+        rot.add(*block)
+        prof.add(*block)
     return rot.result(len(xy)), prof.result()
 
 

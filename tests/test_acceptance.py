@@ -10,8 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from certibif.dynamics import (angle_profile, density_matched_state,
-                               farey_min_denominator, iterate, rotation_number)
+from certibif.dynamics import (density_matched_state, farey_min_denominator, iterate,
+                               rotation_and_profile)
 from certibif.interval import Interval
 from certibif.model import FixedPointReduction
 from certibif.bifurcation import NsSystem, SnSystem, transcritical_analysis
@@ -172,16 +172,16 @@ def test_c7_rotation_numbers(coral):
     golden = (math.sqrt(5.0) - 1.0) / 2.0
     th = 2.0 * math.pi * golden * np.arange(10_001)
     pts = np.stack([np.cos(th), np.sin(th)], axis=1)
-    res = rotation_number(pts, center=(0.0, 0.0))
+    res, _ = rotation_and_profile(pts, center=(0.0, 0.0))
     assert abs(res.rho - golden) <= 1e-12
 
     y = density_matched_state(coral, 1500.0)
     orb = iterate(coral, 5.5, 1.5 * y, n=50_000, skip=10_000)
-    res = rotation_number(orb)
+    res, _ = rotation_and_profile(orb.points[:, :2])
     assert res.convergence_gap <= 1e-12      # rho(50k) vs rho(40k)
 
     orb = iterate(coral, 6.25, 1.5 * y, n=100_000, skip=10_000)
-    prof = angle_profile(orb, bins=64)
+    _, prof = rotation_and_profile(orb.points[:, :2], bins=64)
     assert abs(prof.minimum_angle - 0.625) <= 0.05
 
 

@@ -13,10 +13,11 @@ from certibif.continuation import (ALPHA_FRAC, BranchBox,
                                    check_link, classify_stability,
                                    continue_branch,
                                    derive_extended_constants, newton_correct,
-                                   nontrivial_fixed_point, segment_anchor,
-                                   tangent_estimate, validate_segment)
-from certibif.errors import CorrectorFailed, TangentUndefined, ValidationFailed
-from certibif.interval import IArray, Interval, norm_inf
+                                   nontrivial_fixed_point, tangent_estimate,
+                                   validate_segment)
+from certibif.errors import (CorrectorFailed, NotInvertibleEvidence, TangentUndefined,
+                             ValidationFailed)
+from certibif.interval import IArray, Interval, float_matmat, norm_inf
 from certibif.model import CoralMap, FixedPointReduction
 
 from helpers import (eigvals_labels, jac_lam, map_F, mp_branch_F, mp_coeffs, mp_fd_jacobian,
@@ -24,9 +25,13 @@ from helpers import (eigvals_labels, jac_lam, map_F, mp_branch_F, mp_coeffs, mp_
 import mpmath as mp
 
 
+# the corrector tolerance of the toy and one-anchor corrector tests
+_TOL = 1e-13
+
+
 class ToyLinear:
     """F(t, u) = u - t (scalar state): exact linear zero set u = t.  Like
-    every branch system, it evaluates a stack of points."""
+    every branch system, it evaluates a stack of points; its D_x f is 0."""
 
     d = 1
     rscale = 1.0
@@ -34,18 +39,18 @@ class ToyLinear:
     def evaluate(self, t, u):
         t = np.asarray(t, dtype=float)
         A = np.broadcast_to(np.array([[-1.0, 1.0]]), t.shape + (1, 2)).copy()
-        return u[..., :1] - t[..., None], A, None
+        return u[..., :1] - t[..., None], A, np.zeros(t.shape + (1, 1))
 
 
 class ToyFold:
-    """F(t, u) = u^2 - t: fold at the origin."""
+    """F(t, u) = u^2 - t: fold at the origin; its D_x f is 0."""
 
     d = 1
 
     def evaluate(self, t, u):
         t = np.asarray(t, dtype=float)
         A = np.stack([-np.ones_like(u[..., 0]), 2.0 * u[..., 0]], axis=-1)[..., None, :]
-        return u[..., :1] ** 2 - t[..., None], A, None
+        return u[..., :1] ** 2 - t[..., None], A, np.zeros(t.shape + (1, 1))
 
 
 def _tangent(system, t, u, prev=None):
@@ -76,7 +81,7 @@ def test_tangent_undefined_on_rank_deficiency():
         d = 2
 
         def evaluate(self, t, u):
-            return np.zeros((1, 2)), np.zeros((1, 2, 3)), None
+            return np.zeros((1, 2)), np.zeros((1, 2, 3)), np.zeros((1, 2, 2))
 
     with pytest.raises(TangentUndefined):
         _tangent(Degenerate(), 0.0, np.zeros(2))
@@ -88,34 +93,36 @@ def test_tangent_undefined_on_rank_deficiency():
 
 
 def test_extended_G_at_origin_is_residual(preconditioned_system):
+    """At alpha = 0, z = 0 each row of G is (0, F at that row's anchor)."""
     sys_ = preconditioned_system
-    t0, u0 = 3.0, np.ones(13)
-    ext = ExtendedSystem(sys_, t0, u0, -1.0, np.zeros(13))
-    (G0,), _ = ext.value(np.zeros(1), np.zeros((1, 14)))
-    assert G0[0] == 0.0
-    assert np.allclose(G0[1:], sys_.evaluate(np.array([t0]), u0[None])[0][0])
+    t0, u0 = np.array([3.0, 2.5, 2.0]), np.ones((3, 13)) * [[1.0], [0.9], [1.1]]
+    ext = ExtendedSystem(sys_, t0, u0, [-1.0, 0.5, 1.0], np.zeros((3, 13)))
+    G, _ = ext.value(np.zeros(3), np.zeros((3, 14)))
+    assert (G[:, 0] == 0.0).all()
+    assert np.allclose(G[:, 1:], sys_.evaluate(t0, u0)[0])
 
 
 def test_extended_G_first_row_is_orthogonality(preconditioned_system):
     rng = np.random.default_rng(0)
-    mu, v = -0.7, rng.normal(size=13)
-    ext = ExtendedSystem(preconditioned_system, 3.0, np.ones(13), mu, v)
-    z = rng.normal(size=14)
-    assert math.isclose(ext.value(np.zeros(1), z[None])[0][0, 0], mu * z[0] + v @ z[1:],
-                        rel_tol=1e-12)
+    mu, v = rng.normal(size=3), rng.normal(size=(3, 13))
+    ext = ExtendedSystem(preconditioned_system, [3.0, 2.9, 2.8], np.ones((3, 13)), mu, v)
+    z = rng.normal(size=(3, 14))
+    G = ext.value(np.zeros(3), z)[0]
+    for i in range(3):
+        assert math.isclose(G[i, 0], mu[i] * z[i, 0] + v[i] @ z[i, 1:], rel_tol=1e-12)
 
 
 def test_corrector_stays_at_exact_zero():
     sys_ = ToyLinear()
-    ext = ExtendedSystem(sys_, 1.0, np.array([1.0]), 1.0, np.array([1.0]))
-    sigma, x, _ = newton_correct(ext, np.zeros(1))
+    ext = ExtendedSystem(sys_, [1.0], [[1.0]], [1.0], [[1.0]])
+    sigma, x, _ = newton_correct(ext, np.zeros(1), tol=_TOL)
     assert abs(sigma[0]) <= 1e-14 and abs(x[0, 0]) <= 1e-14
 
 
 def test_corrector_linear_single_step():
     sys_ = ToyLinear()
-    ext = ExtendedSystem(sys_, 0.0, np.array([0.5]), 1.0, np.array([0.0]))
-    sigma, x, _ = newton_correct(ext, np.zeros(1), max_iter=2)
+    ext = ExtendedSystem(sys_, [0.0], [[0.5]], [1.0], [[0.0]])
+    sigma, x, _ = newton_correct(ext, np.zeros(1), tol=_TOL, max_iter=2)
     t, u = 0.0 + sigma[0], 0.5 + x[0, 0]
     assert abs(u - t) <= 1e-14
 
@@ -125,8 +132,8 @@ def test_corrector_orthogonality(preconditioned_system, coral):
     x0 = red.full_point(max(red.solve(3.0)))
     t0, u0 = preconditioned_system.from_raw_R(3.0 * coral.cf.ba, x0)
     mu, v = _tangent(preconditioned_system, t0, u0)
-    ext = ExtendedSystem(preconditioned_system, t0, u0, mu, v)
-    sigma, x, _ = newton_correct(ext, np.array([1e-4]))
+    ext = ExtendedSystem(preconditioned_system, [t0], [u0], [mu], [v])
+    sigma, x, _ = newton_correct(ext, np.array([1e-4]), tol=_TOL)
     sigma, x = sigma[0], x[0]
     dirn = max(abs(mu), np.max(np.abs(v)))
     corr = max(abs(sigma), np.max(np.abs(x)))
@@ -136,9 +143,9 @@ def test_corrector_orthogonality(preconditioned_system, coral):
 def test_corrector_failure_reported():
     sys_ = ToyFold()
     # orthogonality pins sigma = 0, so the corrector chases u^2 + 1 = 0
-    ext = ExtendedSystem(sys_, -1.0, np.array([0.5]), 1.0, np.array([0.0]))
+    ext = ExtendedSystem(sys_, [-1.0], [[0.5]], [1.0], [[0.0]])
     with pytest.raises(CorrectorFailed):
-        newton_correct(ext, np.zeros(1), max_iter=6)
+        newton_correct(ext, np.zeros(1), tol=_TOL, max_iter=6)
 
 
 # ---------------------------------------------------------------------------
@@ -185,22 +192,24 @@ def _box(**kw):
     return BranchBox(**base)
 
 
-# check_link takes a stack of links: previous boxes, alphas, corrector
-# norms |(sigma, x)| and next accuracy radii; these are stacks of one
+def _link(b, alpha, corr_norm, next_delta_min) -> bool:
+    """check_link for the stack of one link out of box b, with no rounding
+    gap and no residual."""
+    return check_link(np.append(b.mu, b.v)[None], [b.delta_alpha], [b.delta_u], [alpha],
+                      [corr_norm], [next_delta_min], [0.0], [0.0])[0]
 
 
 def test_check_link_accepts_comfortable_margins():
-    assert check_link([_box()], [1e-4], [1e-7], [0.0])[0]
+    assert _link(_box(), 1e-4, 1e-7, 0.0)
 
 
 def test_check_link_strict_at_alpha_boundary():
     b = _box()
-    assert not check_link([b], [b.delta_alpha], [0.0], [0.0])[0]
+    assert not _link(b, b.delta_alpha, 0.0, 0.0)
 
 
 def test_check_link_norm_margin():
-    b = _box()
-    assert not check_link([b], [1e-4], [9.99e-6], [1e-7])[0]
+    assert not _link(_box(), 1e-4, 9.99e-6, 1e-7)
 
 
 def test_check_link_bounds_the_projection_of_the_next_ball():
@@ -220,9 +229,9 @@ def test_check_link_bounds_the_projection_of_the_next_ball():
     e = [Fraction(dmin)] * 14                       # a corner of the ball
     shift = sum(c * ec for c, ec in zip(direction, e)) / sum(c * c for c in direction)
     assert Fraction(alpha) + shift > Fraction(b.delta_alpha)
-    assert not check_link([b], [alpha], [0.0], [dmin])[0]
+    assert not _link(b, alpha, 0.0, dmin)
     # a ball a tenth as large stays on the segment and links
-    assert check_link([b], [alpha], [0.0], [0.1 * dmin])[0]
+    assert _link(b, alpha, 0.0, 0.1 * dmin)
 
 
 # ---------------------------------------------------------------------------
@@ -246,17 +255,16 @@ def test_branch_start(coral):
             start(coral, 5.0)
 
 
-def _anchor(system, t0, u0, d, decreasing=False):
-    """segment_anchor for the stack of one segment at (t0, u0) along its
-    SVD tangent, turned to decreasing t if `decreasing`, with B =
-    inv(DG(0)) and the Lipschitz box radii (rungs) d."""
+def _segment(system, t0, u0, decreasing=False) -> tuple:
+    """(ext, B) of the stack of one segment at (t0, u0) along its SVD
+    tangent, turned to decreasing t if `decreasing`, with B = inv(DG(0))."""
     t, u = np.array([t0]), u0[None]
     A = system.evaluate(t, u)[1]
     mu, v = tangent_estimate(A)
     if decreasing and mu[0] > 0:
         mu, v = -mu, -v
-    B = np.linalg.inv(ExtendedSystem(system, t, u, mu, v).jac_from(A))
-    return segment_anchor(system, t, u, mu, v, B, d)
+    ext = ExtendedSystem(system, t, u, mu, v)
+    return ext, np.linalg.inv(ext.jac_from(A))
 
 
 def _at(system, t: IArray, u: IArray) -> tuple:
@@ -267,7 +275,7 @@ def _at(system, t: IArray, u: IArray) -> tuple:
 
 def test_validate_segment_coral(coral):
     system, t0, u0 = branch_start(coral, 300.0)
-    box = validate_segment(_anchor(system, t0, u0, [1e-4], decreasing=True))[0]
+    box = validate_segment(*_segment(system, t0, u0, decreasing=True), [1e-4], 0)[0]
     assert box.delta_alpha > 0 and box.delta_u > 0
     assert box.delta_min <= 1e-12
     assert box.delta_min < box.delta_u
@@ -284,7 +292,7 @@ def test_validate_segment_names_the_refusing_gate(coral, d, refusal):
     inequality, as validate_zero names it, not by the planned
     delta_alpha; the L1 gate overflows to inf without a warning."""
     system, t0, u0 = branch_start(coral, 300.0)
-    (got,) = validate_segment(_anchor(system, t0, u0, [d], decreasing=True))
+    (got,) = validate_segment(*_segment(system, t0, u0, decreasing=True), [d], 0)
     assert isinstance(got, ValidationFailed)
     assert str(got) == refusal
 
@@ -478,9 +486,9 @@ def test_derived_constants_match_direct_cift_on_extended_system(
         roots = [r for r in red.solve(R / coral.cf.ba) if r > 0]
         x0 = red.full_point(max(roots))
         t0, u0 = preconditioned_system.from_raw_R(R, x0)
-        anchor = _anchor(preconditioned_system, t0, u0, [1e-4])
-        mu, v = anchor.ext.mu[0], anchor.ext.v[0]
-        box = validate_segment(anchor)[0]
+        ext, B = _segment(preconditioned_system, t0, u0)
+        mu, v = ext.mu[0], ext.v[0]
+        box = validate_segment(ext, B, [1e-4], 0)[0]
         da, du = box.delta_alpha, box.delta_u
         # hull of every point reachable within the slanted box
         r_t = da * abs(mu) + du
@@ -498,7 +506,7 @@ def test_derived_constants_match_direct_cift_on_extended_system(
         assert width_bound <= 2.0 * formula_h3 + 1e-9
         # (H4) side: D_alpha G = (0, D_t F mu + D_u F v) stays within the
         # affine envelope L3 + L4 * alpha
-        val = norm_inf(anchor.ext.drift_iv(Ju, Jt)).hi[0]
+        val = norm_inf(ext.drift_iv(Ju, Jt)).hi[0]
         formula_h4 = box.bounds.L3 + box.bounds.L4 * da
         slack = box.bounds.L1 * (du + da) * 2.0   # enclosure-width overhead
         assert val <= 2.0 * formula_h4 + slack
@@ -513,16 +521,12 @@ def test_raw_branch_runs_without_a_corrector_override(raw_branch_result):
     assert len(raw_branch_result.boxes) == 20 and raw_branch_result.all_linked()
 
 
-def _scalar_rounding_gap(t_prev, u_prev, alpha_k, mu, v, sigma, x_corr, t_next, u_next):
+def _scalar_rounding_gap(prev, alpha, tau, corr, new):
     """The scalar Interval loop the endpoint-array _anchor_rounding_gap
     must reproduce."""
-    a = Interval(alpha_k)
-    gap = (Interval(t_prev) + a * Interval(mu) + Interval(sigma) - Interval(t_next)).mag
-    for j in range(len(v)):
-        dj = (Interval(float(u_prev[j])) + a * Interval(float(v[j]))
-              + Interval(float(x_corr[j])) - Interval(float(u_next[j])))
-        gap = max(gap, dj.mag)
-    return gap
+    a = Interval(alpha)
+    return max((Interval(p) + a * Interval(d) + Interval(c) - Interval(w)).mag
+               for p, d, c, w in zip(prev.tolist(), tau.tolist(), corr.tolist(), new.tolist()))
 
 
 def test_anchor_rounding_gap_equals_scalar_interval_loop():
@@ -538,8 +542,8 @@ def test_anchor_rounding_gap_equals_scalar_interval_loop():
             t, u, mu, v = (np.round(8 * w) for w in (t, u, mu, v))
             alpha, sigma, x = 0.5, 0.0, np.zeros(13)
         t_next, u_next = t + alpha * mu + sigma, u + alpha * v + x
-        args = (float(t), u, float(alpha), float(mu), v, float(sigma), x,
-                float(t_next), u_next)
+        args = (np.append(t, u), float(alpha), np.append(mu, v), np.append(sigma, x),
+                np.append(t_next, u_next))
         assert _anchor_rounding_gap(*args) == _scalar_rounding_gap(*args)
 
 
@@ -567,13 +571,28 @@ def test_validate_segment_exact_linear_zero_set():
     """On u = t the residual vanishes and the deltas are limited only by
     the box constraints (all Lipschitz constants are zero, K is finite)."""
     sys_ = ToyLinearValidated()
-    box = validate_segment(_anchor(sys_, 0.3, np.array([0.3]), [1e-2]))[0]
+    box = validate_segment(*_segment(sys_, 0.3, np.array([0.3])), [1e-2], 0)[0]
     assert box.bounds.rho <= 1e-15 and box.bounds.L3 <= 1e-12
     assert box.bounds.L1 <= 1e-300 and box.bounds.L4 <= 1e-300
     # delta_alpha * dir_norm + delta_u saturates the coupling cap
     used = box.delta_alpha * _dir_norm(box) + box.delta_u
     assert used >= 0.99e-2
     assert box.delta_min <= 1e-14
+
+
+def test_validate_segment_names_the_first_segment_that_fails_p2():
+    """A stack whose segment 1 has no usable approximate inverse (B = 0, so
+    |I - B A| = 1) fails (P2) there: the stage raises NotInvertibleEvidence
+    with that segment's index in the stack, where `_validate` cuts the
+    wave, and the segment before it validates alone."""
+    ext, B = _segment(ToyLinearValidated(), 0.3, np.array([0.3]))
+    ext, B = ext[[0, 0, 0]], B[[0, 0, 0]]
+    B[1] = 0.0
+    with pytest.raises(NotInvertibleEvidence, match=r"^\(P2\) failed: ") as exc:
+        validate_segment(ext, B, [1e-2] * 3, 5)
+    assert exc.value.index == 1
+    (box,) = validate_segment(ext[:1], B[:1], [1e-2], 5)
+    assert box.index == 5 and box.delta_alpha > 0.0
 
 
 def test_continue_branch_on_linear_toy():
@@ -626,9 +645,9 @@ def test_stacked_stages_equal_their_single_segment_calls(branch_result,
     (F, Ju, Jt), M = system.jet_iv(IArray.point(t), IArray.point(u), t[seg], u[seg],
                                    rungs.ravel())
     none = slice(0, 0)
-    anchor = segment_anchor(system, t, u, mu, v, B, d)
-    drift, extJ = anchor.ext.drift_iv(Ju, Jt), anchor.ext.jac_iv_at_origin(Ju, Jt)
-    stacked = validate_segment(anchor)
+    ext = ExtendedSystem(system, t, u, mu, v)
+    drift, extJ = ext.drift_iv(Ju, Jt), ext.jac_iv_at_origin(Ju, Jt)
+    stacked = validate_segment(ext, B, d, 0)
     for i, box in enumerate(boxes):
         one = slice(i, i + 1)
         F1, Ju1, Jt1 = _at(system, IArray.point(t[one]), IArray.point(u[one]))
@@ -636,15 +655,15 @@ def test_stacked_stages_equal_their_single_segment_calls(branch_result,
             _, M1 = system.jet_iv(IArray.point(t[none]), IArray.point(u[none]), t[one],
                                   u[one], rungs[i, k:k + 1])
             assert [m[3 * i + k] for m in M] == [m[0] for m in M1]
-        a1 = segment_anchor(system, t[one], u[one], mu[one], v[one], B[one], d[one])
-        pairs = [(F, F1), (Ju, Ju1), (Jt, Jt1), (drift, a1.ext.drift_iv(Ju1, Jt1)),
-                 (extJ, a1.ext.jac_iv_at_origin(Ju1, Jt1))]
+        e1 = ext[one]
+        pairs = [(F, F1), (Ju, Ju1), (Jt, Jt1), (drift, e1.drift_iv(Ju1, Jt1)),
+                 (extJ, e1.jac_iv_at_origin(Ju1, Jt1))]
         assert all(_same(type(s)(s.lo[i], s.hi[i]), type(s)(s1.lo[0], s1.hi[0]))
                    for s, s1 in pairs)
-        assert (anchor.rho[i], anchor.xi[i], anchor.K[i]) == (a1.rho[0], a1.xi[0], a1.K[0])
-        assert [m[i] for m in anchor.M] == [m[0] for m in a1.M] == [m[3 * i + 1] for m in M]
-        b1 = validate_segment(a1)[0]
-        assert (stacked[i].bounds, stacked[i].M) == (b1.bounds, b1.M)
+        b1 = validate_segment(e1, B[one], d[one], i)[0]
+        # rho, K and the drift xi (as L3) are in the bounds; M is the rung's
+        assert (stacked[i].index, stacked[i].bounds, stacked[i].M) == (i, b1.bounds, b1.M)
+        assert list(b1.M) == [m[3 * i + 1] for m in M]
         pair = lambda b: (b.delta_alpha, b.delta_u, b.delta_min, b.bound_by)
         assert pair(stacked[i]) == pair(b1)
         # the chain's own box was certified by the same stack
@@ -689,14 +708,17 @@ def test_extended_constants_equal_scalar_interval(branch_result):
 def _replayed_run(coral, monkeypatch, max_steps, correct=newton_correct):
     """A seed-0 run of max_steps boxes with `correct` as its corrector, and
     every corrector call it made: (anchor t0, u0, direction mu, v, alpha,
-    keywords, sigma, x)."""
+    keywords, sigma, x), the anchor and direction those of the box the
+    wave was placed from, which the call takes once per alpha."""
     from certibif import continuation as cont
     calls = []
 
     def recorded(ext, alpha, **kw):
         out = correct(ext, alpha, **kw)
-        calls.append((float(ext.t0), ext.u0.copy(), float(ext.mu), ext.v.copy(), alpha, kw)
-                     + out[:2])
+        tip = (ext.t0, ext.u0, ext.mu, ext.v)
+        assert all(len(a) == len(alpha) and (a == a[0]).all() for a in tip)
+        calls.append((float(ext.t0[0]), ext.u0[0].copy(), float(ext.mu[0]), ext.v[0].copy(),
+                      alpha, kw) + out[:2])
         return out
 
     monkeypatch.setattr(cont, "newton_correct", recorded)
@@ -742,31 +764,32 @@ def test_stacked_links_and_rounding_gaps(coral, monkeypatch):
                 cont._TREND_CLIP[1]) if len(da) > 1 else 1.0
         h = cont._WAVE_SPACING * ALPHA_FRAC * boxes[k].delta_alpha
         assert np.array_equal(alpha, h * np.cumsum(r ** np.arange(n)))
-        ext = ExtendedSystem(system, t0, u0, mu, v)
+        ext = ExtendedSystem(system, [t0], [u0], [mu], [v])[np.zeros(n, dtype=int)]
         sigma2, x2, _ = newton_correct(ext, alpha, **kw)
         assert np.array_equal(sigma2, sigma) and np.array_equal(x2, x)
         t, u = ext.point(alpha, sigma, x)
         reached.update(zip(t.tolist(), (ui.tobytes() for ui in u)))
     assert all((b.t, b.u.tobytes()) in reached for b in boxes[1:])
+    z = np.array([np.append(b.t, b.u) for b in boxes])
     prev, nxt = boxes[:-1], boxes[1:]
-    tau = np.array([np.concatenate([[b.mu], b.v]) for b in prev])
-    dz = np.array([np.concatenate([[n.t - b.t], n.u - b.u]) for b, n in zip(prev, nxt)])
+    tau = np.array([np.append(b.mu, b.v) for b in prev])
+    dz = z[1:] - z[:-1]
     alpha = (tau * dz).sum(axis=1) / (tau * tau).sum(axis=1)
     corr = dz - alpha[:, None] * tau
     assert list(alpha) == [b.alpha_step for b in prev]
     picks = list(range(0, len(prev), len(prev) // 64))[:64]
-    steps = [(prev[k].t, prev[k].u, alpha[k], prev[k].mu, prev[k].v, corr[k, 0], corr[k, 1:],
-              nxt[k].t, nxt[k].u) for k in picks]
+    steps = [(z[k], alpha[k], tau[k], corr[k], z[k + 1]) for k in picks]
     cols = [np.array(c) for c in zip(*steps)]
     gap = _anchor_rounding_gap(*cols)
     assert list(gap) == [_scalar_rounding_gap(*st) for st in steps]
-    pb = [prev[k] for k in picks]
-    cn = [float(np.abs(corr[k]).max()) for k in picks]
-    dmin = [nxt[k].delta_min for k in picks]
-    links = check_link(pb, cols[2], cn, dmin, gap)
-    assert links.all()
-    assert list(links) == [check_link([p], [a], [c], [m], [g])[0]
-                           for p, a, c, m, g in zip(pb, cols[2], cn, dmin, gap)]
+    _, a, tk, ck, _ = cols
+    residual = float_matmat(tk[:, None, :], IArray.point(ck[:, :, None])).mag[:, 0, 0]
+    links = (tk, np.array([prev[k].delta_alpha for k in picks]),
+             np.array([prev[k].delta_u for k in picks]), a, np.abs(ck).max(axis=1),
+             np.array([nxt[k].delta_min for k in picks]), gap, residual)
+    ok = check_link(*links)
+    assert ok.all()
+    assert list(ok) == [check_link(*(c[k:k + 1] for c in links))[0] for k in range(len(picks))]
 
 
 def test_stacked_stability_labels_equal_per_matrix_labels(branch_result,
@@ -841,7 +864,7 @@ def test_unplaced_wave_is_cut_at_its_first_step(coral, monkeypatch):
 
     def failing(ext, alpha, **kw):
         fail = len(alpha) > 1 and next(waves) % 3 == 1
-        events.append((fail, float(ext.t0), len(alpha)))
+        events.append((fail, float(ext.t0[0]), len(alpha)))
         if fail:
             raise CorrectorFailed("no convergence (forced)")
         return newton_correct(ext, alpha, **kw)
@@ -878,14 +901,15 @@ def test_link_failing_at_a_wave_first_anchor_ends_the_branch(coral, monkeypatch)
     anchor, which a retry would place again, so the branch stops with
     `link-failed` and that box, unlinked, last."""
     from certibif import continuation as cont
-    link, calls = cont.check_link, []
+    links, calls = cont._links, []
 
-    def failing(prev, *a):
-        calls.append(len(prev))
+    def failing(tip, wave, boxes):
+        calls.append(len(boxes))
         assert len(calls) <= 20, "the branch keeps placing the box that fails to link"
-        return link(prev, *a) & (np.array([b.index for b in prev]) < 149)
+        alpha, corr_norm, ok = links(tip, wave, boxes)
+        return alpha, corr_norm, ok & (np.array([b.index for b in boxes]) < 150)
 
-    monkeypatch.setattr(cont, "check_link", failing)
+    monkeypatch.setattr(cont, "_links", failing)
     system, t0, u0 = branch_start(coral, 300.0)
     res = continue_branch(system, t0, u0, to_R=72.0, max_steps=8000)
     assert res.stop_reason == "link-failed" and len(res.boxes) == 151
@@ -1020,6 +1044,29 @@ def test_stacked_evaluate_rows_match_one_point_calls(branch_result, precondition
         assert all(np.array_equal(a[0], b[i]) for a, b in zip(one, stacked))
     some = system.evaluate(t[5:12], u[5:12])
     assert all(np.array_equal(a, b[5:12]) for a, b in zip(some, stacked))
+
+
+def test_stacked_extended_rows_match_one_row_calls(branch_result, preconditioned_system):
+    """On 64 recorded anchors, each row with its own anchor, direction and
+    alpha (the step out of its box), a row of the stacked G and of the
+    stacked corrector does not depend on the rows stacked with it: each row
+    of `value` at a random z, and of a `newton_correct` call that stops
+    every row after the same single chord step (tol = inf), gives the bits
+    of that row's one-row call."""
+    system = preconditioned_system
+    boxes, t, u, mu, v, _ = _recorded(branch_result, system)
+    ext = ExtendedSystem(system, t, u, mu, v)
+    alpha = np.array([b.alpha_step for b in boxes])
+    z = 1e-6 * np.random.default_rng(7).normal(size=(len(t), system.d + 1))
+    stacked = ext.value(alpha, z)
+    corrected = newton_correct(ext, alpha, tol=np.inf)
+    same = lambda a, b, i: all(np.array_equal(x[0], y[i]) for x, y in zip(a, b))
+    for i in range(len(t)):
+        one = slice(i, i + 1)
+        G, ev = ext[one].value(alpha[one], z[one])
+        assert same((G,) + ev, (stacked[0],) + stacked[1], i)
+        sigma, x, ev = newton_correct(ext[one], alpha[one], tol=np.inf)
+        assert same((sigma, x) + ev, corrected[:2] + corrected[2], i)
 
 
 def test_extended_jacobian_block_structure(branch_result, preconditioned_system):

@@ -6,16 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certibif.dynamics import (_BLOCK, _HISTORY_BLOCK, angle_profile,
-                               density_matched_state, farey_min_denominator,
-                               iterate, polyp_density_series, rotation_and_profile,
-                               rotation_number)
+from certibif.dynamics import (_HISTORY_BLOCK, density_matched_state,
+                               farey_min_denominator, iterate, polyp_density_series,
+                               rotation_and_profile)
 from certibif.errors import OrbitDiverged, RotationUndefined
 from certibif.model import CoralMap, CoralParams
 from helpers import step
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 def _rigid_rotation(rho: float, n: int, r: float = 1.0, phase: float = 0.0):
     th = phase + 2.0 * math.pi * rho * np.arange(n)
@@ -183,8 +181,8 @@ def test_batched_rotation_numbers_match_single_orbits(coral):
     batch = iterate(coral, lams, 1.5 * y, n=20_000, skip=2_000, keep=2)
     for j, lam in enumerate(lams):
         alone = iterate(coral, float(lam), 1.5 * y, n=20_000, skip=2_000)
-        assert abs(rotation_number(batch.points[:, j]).rho
-                   - rotation_number(alone).rho) <= 1e-12
+        assert abs(rotation_and_profile(batch.points[:, j])[0].rho
+                   - rotation_and_profile(alone.points[:, :2])[0].rho) <= 1e-12
 
 
 def test_orbit_decays_at_low_R(coral):
@@ -257,7 +255,7 @@ def test_polyp_density_series(coral):
 
 def test_rigid_rotation_recovered_to_1e12():
     pts = _rigid_rotation(GOLDEN, 10_001)
-    res = rotation_number(pts, center=(0.0, 0.0))
+    res, _ = rotation_and_profile(pts, center=(0.0, 0.0))
     assert abs(res.rho - GOLDEN) <= 1e-12
 
 
@@ -268,14 +266,14 @@ def test_weighted_beats_unweighted_average():
     inc = np.diff(th)
     inc = np.where(inc <= -math.pi, inc + 2 * math.pi, inc)
     plain = float(np.mean(inc)) / (2 * math.pi) % 1.0
-    res = rotation_number(pts, center=(0.0, 0.0))
+    res, _ = rotation_and_profile(pts, center=(0.0, 0.0))
     assert abs(plain - GOLDEN) >= 1e3 * abs(res.rho - GOLDEN)
 
 
 def test_rotation_invariance_start_point_and_transient():
-    base = rotation_number(_rigid_rotation(GOLDEN, 30_000), center=(0, 0))
-    shifted = rotation_number(_rigid_rotation(GOLDEN, 30_000, phase=2.2),
-                              center=(0, 0))
+    base, _ = rotation_and_profile(_rigid_rotation(GOLDEN, 30_000), center=(0, 0))
+    shifted, _ = rotation_and_profile(_rigid_rotation(GOLDEN, 30_000, phase=2.2),
+                                      center=(0, 0))
     assert abs(base.rho - shifted.rho) <= 1e-10
 
 
@@ -283,40 +281,40 @@ def test_rotation_center_hit_raises():
     pts = _rigid_rotation(GOLDEN, 100)
     pts[17] = (0.0, 0.0)
     with pytest.raises(RotationUndefined):
-        rotation_number(pts, center=(0.0, 0.0))
+        rotation_and_profile(pts, center=(0.0, 0.0))
 
 
 def test_rotation_without_angle_advance_does_not_wind():
     pts = np.tile([2.0, 1.0], (100, 1))      # a fixed point beside the center
     with pytest.raises(RotationUndefined, match="^the orbit does not wind about the center"):
-        rotation_number(pts, center=(0.0, 0.0))
+        rotation_and_profile(pts, center=(0.0, 0.0))
 
 
 def test_rotation_nonmonotone_raises():
     th = np.cumsum(np.where(np.arange(600) % 2 == 0, 0.4, -0.4))
     pts = np.stack([np.cos(th), np.sin(th)], axis=1)
     with pytest.raises(RotationUndefined):
-        rotation_number(pts, center=(0.0, 0.0))
+        rotation_and_profile(pts, center=(0.0, 0.0))
 
 
 def test_rotation_without_angle_advance_does_not_wind():
     pts = np.tile([2.0, 1.0], (100, 1))      # a fixed point beside the center
     with pytest.raises(RotationUndefined, match="^the orbit does not wind about the center"):
-        rotation_number(pts, center=(0.0, 0.0))
+        rotation_and_profile(pts, center=(0.0, 0.0))
 
 
 def test_coral_rotation_number_and_gap(coral):
     y = density_matched_state(coral, 1500.0)
     orb = iterate(coral, 5.5, 1.5 * y, n=50_000, skip=10_000)
-    res = rotation_number(orb)
+    res, _ = rotation_and_profile(orb.points[:, :2])
     assert 0.12 < res.rho < 0.14
     assert res.convergence_gap <= 1e-12
 
 
 def test_coral_rotation_invariance_on_circle(coral):
     y = density_matched_state(coral, 1500.0)
-    a = rotation_number(iterate(coral, 5.5, 1.5 * y, n=30_000, skip=2_000))
-    b = rotation_number(iterate(coral, 5.5, 1.2 * y, n=30_000, skip=12_000))
+    a, _ = rotation_and_profile(iterate(coral, 5.5, 1.5 * y, n=30_000, skip=2_000).points[:, :2])
+    b, _ = rotation_and_profile(iterate(coral, 5.5, 1.2 * y, n=30_000, skip=12_000).points[:, :2])
     assert abs(a.rho - b.rho) <= 1e-10
 
 
@@ -328,7 +326,7 @@ def test_coral_rotation_invariance_on_circle(coral):
 def test_angle_profile_flat_for_rigid_rotation():
     rho = GOLDEN / 2.0  # irrational and below one half: no wrap, no empty bins
     pts = _rigid_rotation(rho, 20_000)
-    prof = angle_profile(pts, center=(0.0, 0.0), bins=32)
+    _, prof = rotation_and_profile(pts, center=(0.0, 0.0), bins=32)
     assert not prof.empty_bins
     assert np.nanmax(prof.mean_increment) - np.nanmin(prof.mean_increment) <= 1e-12
     assert np.allclose(prof.mean_increment, rho, atol=1e-10)
@@ -337,36 +335,18 @@ def test_angle_profile_flat_for_rigid_rotation():
 def test_angle_profile_minimum_toward_extinction(coral):
     y = density_matched_state(coral, 1500.0)
     orb = iterate(coral, 6.25, 1.5 * y, n=60_000, skip=10_000)
-    prof = angle_profile(orb, bins=64)
+    _, prof = rotation_and_profile(orb.points[:, :2], bins=64)
     assert abs(prof.minimum_angle - 0.625) <= 0.05
     assert np.nanmin(prof.mean_increment) < 0.02   # near-zero advance there
 
 
 def test_angle_profile_empty_bins_interpolated():
-    pts = _rigid_rotation(0.5, 40)   # period-2: only two angles visited
-    prof = angle_profile(pts, center=(0.0, 0.0), bins=16)
+    # nearly period-2: few angles visited (an exact period-2 orbit has no
+    # direction of rotation, which the same pass checks)
+    pts = _rigid_rotation(0.5 - 1e-3, 40)
+    _, prof = rotation_and_profile(pts, center=(0.0, 0.0), bins=16)
     assert prof.empty_bins
     assert not np.any(np.isnan(prof.mean_increment))
-
-
-@pytest.mark.parametrize("points", [40, 3 * _BLOCK + 17])
-def test_one_angle_pass_equals_the_two_analyses(coral, points):
-    """rotation_and_profile gives, bit for bit, what rotation_number and
-    angle_profile give on their own: on a coral orbit of several angle
-    blocks, and on a short, nearly period-2 orbit that leaves bins empty."""
-    if points > _BLOCK:
-        y = density_matched_state(coral, 1500.0)
-        xy = iterate(coral, 5.5, 1.5 * y, n=points, skip=2_000, keep=2).points
-        center = (2500.0, 2500.0)
-    else:
-        xy, center = _rigid_rotation(0.5 - 1e-3, points), (0.0, 0.0)
-    rot, prof = rotation_and_profile(xy, center=center, bins=16)
-    assert bool(prof.empty_bins) == (points < _BLOCK)
-    assert rot == rotation_number(xy, center=center)
-    alone = angle_profile(xy, center=center, bins=16)
-    assert (prof.minimum_angle, prof.empty_bins) == (alone.minimum_angle, alone.empty_bins)
-    assert np.array_equal(prof.bin_centers, alone.bin_centers)
-    assert np.array_equal(prof.mean_increment, alone.mean_increment)
 
 
 # ---------------------------------------------------------------------------
