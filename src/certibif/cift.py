@@ -28,7 +28,8 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from .errors import NotInvertibleEvidence, ValidationFailed
-from .interval import IArray, Interval, float_matmat, norm_inf, up_dot, up_mul, up_sum
+from .interval import (_TINY, IArray, Interval, _aup, _gamma, _sum_bounds, float_matmat,
+                       norm_inf, up_dot, up_mul, up_sum)
 
 
 @dataclass(frozen=True)
@@ -124,14 +125,9 @@ def residual_bound(problem, z0: np.ndarray, B: np.ndarray) -> float:
     return norm_inf(float_matmat(B, r)).hi
 
 
-def neumann_rho(A: IArray, B: np.ndarray):
-    """Upper bound rho1 of |I - B A| for every A in the enclosure, verified
-    < 1 in interval arithmetic (so A and B are invertible); otherwise
-    raises NotInvertibleEvidence.  The bound is the largest row sum of
-    |BA - I|, whose diagonal shift rounds as TwoSum does, so entries whose
-    difference is exact stay exact.  Stacked A and B give one bound per
-    matrix."""
-    rho1 = up_sum(float_matmat(B, A).shifted(1.0).mag, axis=-1).max(axis=-1)
+def _below_one(rho1):
+    """rho1 when every entry is < 1; otherwise raises NotInvertibleEvidence
+    naming the first entry that is not (a NaN is not)."""
     bad = np.flatnonzero(~(np.ravel(rho1) < 1.0))
     if bad.size:
         i = int(bad[0])
@@ -142,15 +138,62 @@ def neumann_rho(A: IArray, B: np.ndarray):
     return rho1
 
 
-def inverse_bound(A: IArray, B: np.ndarray):
-    """Neumann-series bound K >= |A^{-1}| = |B| / (1 - rho1), given |I - B
-    A| <= rho1 < 1 from neumann_rho, as an array with one entry per matrix
-    of the stack (0-d for a single matrix)."""
+def neumann_rho(A: IArray, B: np.ndarray):
+    """Upper bound rho1 of |I - B A| for every A in the enclosure, verified
+    < 1 in interval arithmetic (so A and B are invertible); otherwise
+    raises NotInvertibleEvidence.  The bound is the largest row sum of
+    |BA - I|, whose diagonal shift rounds as TwoSum does, so entries whose
+    difference is exact stay exact.  Stacked A and B give one bound per
+    matrix."""
+    return _below_one(up_sum(float_matmat(B, A).shifted(1.0).mag, axis=-1).max(axis=-1))
+
+
+def neumann_rho_rows(B: np.ndarray, m: np.ndarray, R_rows: np.ndarray):
+    """`neumann_rho` for a stack of enclosures in midpoint-radius form: m
+    (n, k, k) the midpoints and R_rows (n, k) upper bounds of the row sums
+    of a radius R >= gamma_k |m| + r (`interval.mid_rad`), so that a row
+    of A that is the same for every matrix of the stack costs one
+    precomputed number.
+
+    Row-sum error model.  B A lies in c +- (|B| R + underflow) with c =
+    fl(B m), as in `float_matmat`, so a row sum of |I - B A| is at most
+    sum_j |c - I|_ij plus sum_j (|B| R)_ij = (|B| rowsum R)_i.  The second
+    is one product per row, bounded as `float_matmat` bounds an entry:
+    up((fl(|B| R_rows) + k (k + 1) 2^-1074) / (1 - gamma_k)), the k
+    entries' underflow terms (k + 1) 2^-1074 added up.  The first is |c|
+    with the diagonal shifted as TwoSum rounds it, summed by `up_sum`.  A
+    non-finite entry gives an infinite or NaN bound, which fails."""
     B = np.asarray(B, dtype=float)
-    rho1 = neumann_rho(A, B)
+    k = B.shape[-1]
+    inv_1mg = _gamma(k)[1]
+    i = np.arange(k)
+    with np.errstate(invalid="ignore", over="ignore"):
+        c = B @ m
+        E = np.abs(c)
+        d_lo, d_hi = _sum_bounds(c[..., i, i], c[..., i, i], -1.0, -1.0)
+        E[..., i, i] = np.maximum(np.abs(d_lo), np.abs(d_hi))
+        rad = _aup(_aup((np.abs(B) @ R_rows[..., None])[..., 0] + k * (k + 1) * _TINY)
+                   * inv_1mg)
+        rho1 = _aup(up_sum(E, axis=-1) + rad).max(axis=-1)
+    return _below_one(rho1)
+
+
+def neumann_K(rho1, B: np.ndarray):
+    """Neumann-series bound K >= |A^{-1}| = |B| / (1 - rho1), given a
+    verified |I - B A| <= rho1 < 1 from `neumann_rho` or
+    `neumann_rho_rows`, one entry per matrix of the stack (0-d for a single
+    matrix)."""
     rho2 = up_sum(np.abs(B), axis=-1).max(axis=-1)
     I = IArray.point
     return (I(rho2) / (I(1.0) - I(rho1))).hi
+
+
+def inverse_bound(A: IArray, B: np.ndarray):
+    """`neumann_K` of `neumann_rho`: K >= |A^{-1}| for every A in the
+    enclosure, as an array with one entry per matrix of the stack (0-d for
+    a single matrix)."""
+    B = np.asarray(B, dtype=float)
+    return neumann_K(neumann_rho(A, B), B)
 
 
 def lipschitz_from_tensor(T: np.ndarray, absB: np.ndarray) -> float:

@@ -39,8 +39,8 @@ import numpy as np
 from . import cift
 from .errors import (CorrectorFailed, NotInvertibleEvidence, TangentUndefined,
                      ValidationFailed)
-from .interval import (_EPS, IArray, Interval, _adn, _aup, float_matmat, norm_inf, up_mul,
-                       up_sum)
+from .interval import (_EPS, _TINY, IArray, Interval, _adn, _aup, _gamma, float_matmat, mid_rad,
+                       norm_inf, up_mul, up_sum)
 from .model import CoralMap, FixedPointReduction, phi_derivs
 
 
@@ -75,11 +75,13 @@ class CoralBranchSystem:
         self._Jx[k + 1, k] = S
         self._A = np.zeros((self.d, self.d + 1))
         self._A[:, 1:] = self._Jx * s[None, :] / s[:, None] - np.eye(self.d)
-        # the constant subdiagonal of D_u F, S_k s_k/s_{k+1}, once; jet_iv
-        # fills row 1 and subtracts I per call
+        # rows 2..d of [D_t F | D_u F] enclosed: the subdiagonal S_k s_k/s_{k+1}
+        # and -1 on the diagonal
         sub = IArray(_adn(r1), _aup(r1)) * S
-        self._Ju_lo, self._Ju_hi = np.zeros((self.d, self.d)), np.zeros((self.d, self.d))
-        self._Ju_lo[k + 1, k], self._Ju_hi[k + 1, k] = sub.lo, sub.hi
+        lo, hi = np.zeros((self.d - 1, self.d + 1)), np.zeros((self.d - 1, self.d + 1))
+        lo[k, k + 1], hi[k, k + 1] = sub.lo, sub.hi
+        lo[k, k + 2] = hi[k, k + 2] = -1.0
+        self.rows = ConstantRows(self._A[1:], IArray(lo, hi))
         self._S = S
         self._ct_iv = Interval.point(self.rscale) / coral.ci.ba   # dlambda/dt
         self._ct = self.rscale / coral.cf.ba
@@ -125,13 +127,14 @@ class CoralBranchSystem:
     # -- interval evaluation ------------------------------------------------
 
     def jet_iv(self, t, u: IArray, t0, u0, d) -> tuple:
-        """Interval (F, D_u F, D_t F) at a stack of interval points or
-        boxes, t an `IArray` of shape (n,) and u one of shape (n, d), and
-        (M1..M4) for the mean-value bounds of (D_u F, D_t F) over the boxes
-        |u - u0_i| <= d_i, |t - t0_i| <= d_i, one entry per stacked box
-        (blockwise Lipschitz recipe), from one order-2 row-1 jet of x = s
-        (.) u and those boxes' x stacked (a jet row does not depend on the
-        rows stacked with it).
+        """Interval F and row 1 of [D_t F | D_u F], an (n, d + 1) `IArray`,
+        at a stack of interval points or boxes, t an `IArray` of shape (n,)
+        and u one of shape (n, d), and (M1..M4) for the mean-value bounds of
+        (D_u F, D_t F) over the boxes |u - u0_i| <= d_i, |t - t0_i| <= d_i,
+        one entry per stacked box (blockwise Lipschitz recipe), from one
+        order-2 row-1 jet of x = s (.) u and those boxes' x stacked (a jet
+        row does not depend on the rows stacked with it).  The other rows
+        of [D_t F | D_u F] are `rows`.
 
         Row 1 is the only non-constant row of D_u F and the only nonzero
         entry of D_t F, so each max-norm difference is one row sum: M1 =
@@ -153,21 +156,41 @@ class CoralBranchSystem:
         flo[..., 0], fhi[..., 0] = f0.lo, f0.hi
         flo[..., 1:], fhi[..., 1:] = f_rest.lo, f_rest.hi
         F = IArray(flo, fhi) / self.s - u
-        # D_u F = (row 1 of D_x f scaled by s_j / s_0, the constant subdiagonal) - I
-        row0 = at.g1 * lam[..., None] * self._ratio0_iv
-        lo, hi = _tiled(self._Ju_lo, lead), _tiled(self._Ju_hi, lead)
-        lo[..., 0, :], hi[..., 0, :] = row0.lo, row0.hi
+        # row 1: (D_t F_1, row 1 of D_x f scaled by s_j / s_0, minus e_1)
         jt = self._ct_iv * at.g / Interval.point(float(self.s[0]))
-        Jt_lo, Jt_hi = np.zeros(lead + (dim,)), np.zeros(lead + (dim,))
-        Jt_lo[..., 0], Jt_hi[..., 0] = jt.lo, jt.hi
+        ju = at.g1 * lam[..., None] * self._ratio0_iv
+        ju0 = ju[..., 0] - 1.0
+        lo, hi = np.empty(lead + (dim + 1,)), np.empty(lead + (dim + 1,))
+        lo[..., 0], hi[..., 0] = jt.lo, jt.hi
+        lo[..., 1:], hi[..., 1:] = ju.lo, ju.hi
+        lo[..., 1], hi[..., 1] = ju0.lo, ju0.hi
         # (M1..M4) over the boxes
         lam_mag = (self._ct_iv * IArray.around(t0, d)).mag
         g2 = up_mul(up_mul((over.phis[2] * over.bx).mag, self._Sqq)
                     + up_mul(over.phis[1].mag, self._Sqb), 1.0)
         M1 = up_mul(lam_mag, g2)
         M2 = up_sum(up_mul(self._ct_iv.mag, up_mul(self._ratio0, over.g1.mag)), axis=-1)
-        return ((F, IArray(lo, hi).shifted(1.0), IArray(Jt_lo, Jt_hi)),
-                (M1, M2, M2, np.zeros_like(M1)))
+        return (F, IArray(lo, hi)), (M1, M2, M2, np.zeros_like(M1))
+
+
+class ConstantRows:
+    """Rows 2..d of the extended Jacobian DG(0) = [mu v; D_t F | D_u F],
+    which are the same at every anchor of a branch system: its rows of
+    [D_t F | D_u F] below the first (for the coral system [0 | S_k s_k /
+    s_(k+1) subdiagonal - I]).  `float` holds them as `evaluate` gives
+    them; `mid` and `R` split their enclosure `iv` as `interval.mid_rad`
+    does for a product of d + 1 terms, and `R_rows` bounds the row sums of
+    R.  `P_inv` is the float inverse of P' = [e_0; e_1; float], taken once
+    (lower bidiagonal for the coral system)."""
+
+    def __init__(self, rows: np.ndarray, iv: IArray):
+        self.float, self.iv = rows, iv
+        k = rows.shape[-1]
+        self.mid, self.R = mid_rad(iv.lo, iv.hi, _gamma(k)[0])
+        self.R_rows = up_sum(self.R, axis=-1)
+        P = np.eye(k)
+        P[2:] = rows
+        self.P_inv = np.linalg.inv(P)
 
 
 def _tiled(a: np.ndarray, lead: tuple) -> np.ndarray:
@@ -237,35 +260,58 @@ class ExtendedSystem:
         G[:, 1:] = ev[0]
         return G, ev
 
-    def jac_from(self, A: np.ndarray) -> np.ndarray:
-        """D_{(sigma,x)} G from [D_t F | D_u F] at the point G is taken at
-        (a stack of them gives a stack)."""
-        J = np.empty(A.shape[:-2] + (A.shape[-2] + 1, A.shape[-1]))
-        J[..., 0, 0] = self.mu
-        J[..., 0, 1:] = self.v
-        J[..., 1:, :] = A
-        return J
+    def inverse(self, A1: np.ndarray) -> np.ndarray:
+        """Float inverses B of the extended Jacobians DG(0) = [X; rows], X
+        the rows (mu, v) and A1 (n, d + 1), row 1 of [D_t F | D_u F], at
+        each anchor: a rank-2 update of P'^-1 (Hager, "Updating the inverse
+        of a matrix", SIAM Review 1989).  P' = [e_0; e_1; rows] has rows 0
+        and 1 of the identity, and so has P'^-1, so DG(0) P'^-1 is the
+        identity but for its rows 0 and 1, Y = X P'^-1.  Hence B = P'^-1
+        [[C^-1, -C^-1 Y_r]; [0, I]] with the 2x2 capacitance C = Y[:, :2],
+        inverted explicitly, and Y_r = Y[:, 2:].  Raises LinAlgError where C
+        is singular."""
+        Q = self.sys.rows.P_inv
+        Y = np.stack([np.column_stack([self.mu, self.v]), A1], axis=1) @ Q
+        (c00, c01), (c10, c11) = Y[:, 0, :2].T, Y[:, 1, :2].T
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            Cinv = np.stack([np.stack([c11, -c01], axis=-1), np.stack([-c10, c00], axis=-1)],
+                            axis=1) / (c00 * c11 - c01 * c10)[:, None, None]
+        bad = np.flatnonzero(~np.isfinite(Cinv).all(axis=(1, 2)))
+        if bad.size:
+            raise np.linalg.LinAlgError(f"singular capacitance at anchor {bad[0]} of the stack")
+        Z = np.concatenate([Cinv, -(Cinv @ Y[:, :, 2:])], axis=-1)
+        B = Q[:, :2] @ Z
+        B[:, :, 2:] += Q[:, 2:]
+        return B
 
-    def jac_iv_at_origin(self, Ju: IArray, Jt: IArray) -> IArray:
-        """Interval enclosure of D_{(sigma,x)} G(0, (0,0)) -- the (P2) matrix --
-        from enclosures (Ju, Jt) of (D_u F, D_t F) at (t0, u0)."""
-        d = self.sys.d
-        lead = self.v.shape[:-1]
-        lo = np.empty(lead + (d + 1, d + 1))
-        hi = np.empty(lead + (d + 1, d + 1))
-        lo[..., 0, 0] = hi[..., 0, 0] = self.mu
-        lo[..., 0, 1:] = hi[..., 0, 1:] = self.v
-        lo[..., 1:, 0], hi[..., 1:, 0] = Jt.lo, Jt.hi
-        lo[..., 1:, 1:], hi[..., 1:, 1:] = Ju.lo, Ju.hi
-        return IArray(lo, hi)
+    def origin_bounds(self, J1: IArray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (P2) bound K >= |DG(0)^-1| and the (P3) drift xi >= |D_t F mu
+        + D_u F v| at each anchor, from the enclosure J1 (n, d + 1) of row 1
+        of [D_t F | D_u F], the system's constant rows and B; raises
+        NotInvertibleEvidence, whose `index` names the first anchor that
+        fails, when (P2) does.
 
-    def drift_iv(self, Ju: IArray, Jt: IArray) -> IArray:
-        """Enclosure of D_t F mu + D_u F v, the alpha-derivative of G's F
-        rows, as one product of the row (mu, v) with [D_t F | D_u F]^T."""
-        row = np.concatenate([self.mu[..., None], self.v], axis=-1)[..., None, :]
-        JT = IArray(np.concatenate([Jt.lo[..., None, :], np.swapaxes(Ju.lo, -1, -2)], axis=-2),
-                    np.concatenate([Jt.hi[..., None, :], np.swapaxes(Ju.hi, -1, -2)], axis=-2))
-        return float_matmat(row, JT)[..., 0, :]
+        DG(0) lies in m +- r with m the rows (mu, v), mid J1 and `rows.mid`.
+        K is `cift.neumann_K` of `cift.neumann_rho_rows`, whose radius row
+        sums take two rows per anchor and `rows.R_rows`.  xi is the max
+        norm of rows 1.. of DG(0) times (mu, v) in the same form: centre
+        plus up((fl(R |(mu, v)|) + (k + 1) 2^-1074) / (1 - gamma_k)) per
+        row, as `float_matmat` bounds an entry.  (P2) passing proves B
+        invertible, so every R there is finite, and so is xi.  Every
+        product is one per anchor, of that anchor's own matrices, so a row
+        does not depend on the rows stacked with it."""
+        rows, (n, k) = self.sys.rows, J1.lo.shape
+        gamma, inv_1mg = _gamma(k)
+        X = np.column_stack([self.mu, self.v])
+        m01, R01 = mid_rad(np.stack([X, J1.lo], axis=1), np.stack([X, J1.hi], axis=1), gamma)
+        m, R, R_rows = np.empty((n, k, k)), np.empty((n, k - 1, k)), np.empty((n, k))
+        m[:, :2], m[:, 2:] = m01, rows.mid
+        R[:, 0], R[:, 1:] = R01[:, 1], rows.R
+        R_rows[:, :2], R_rows[:, 2:] = up_sum(R01, axis=-1), rows.R_rows
+        K = cift.neumann_K(cift.neumann_rho_rows(B, m, R_rows), B)
+        c, Rw = (m[:, 1:] @ X[..., None])[..., 0], (R @ np.abs(X)[..., None])[..., 0]
+        rad = _aup(_aup(Rw + (k + 1) * _TINY) * inv_1mg)
+        return K, _aup(np.abs(c) + rad).max(axis=-1)
 
 
 # relative size of the second-smallest singular value below which the
@@ -317,8 +363,9 @@ def newton_correct(ext: ExtendedSystem, alpha: np.ndarray, tol: float,
     accuracy radius.
 
     Chord steps z <- z - B_alpha G(alpha, z): the extended Jacobian is
-    evaluated and inverted once, at the predictor (alpha, 0), so each
-    iteration costs one evaluation of the system."""
+    evaluated and inverted (`ExtendedSystem.inverse`) once, at the
+    predictor (alpha, 0), so each iteration costs one evaluation of the
+    system."""
     z = np.zeros((len(alpha), ext.sys.d + 1))
     B, extra = None, True
     for it in range(max_iter + 1):
@@ -331,7 +378,7 @@ def newton_correct(ext: ExtendedSystem, alpha: np.ndarray, tol: float,
             break
         if B is None:
             try:
-                B = np.linalg.inv(ext.jac_from(ev[1]))
+                B = ext.inverse(ev[1][:, 0])
             except np.linalg.LinAlgError as exc:
                 raise CorrectorFailed(f"singular corrector Jacobian: {exc}") from exc
         z = z - (B @ G[..., None])[..., 0]
@@ -405,9 +452,10 @@ def _take(obj, idx):
 def validate_segment(ext: ExtendedSystem, B: np.ndarray, d, index: int) -> list:
     """Certify the stack of segments of `ext`, B the float inverses of
     their extended Jacobians and d each segment's Lipschitz box radius, or
-    a row of them (rungs).  One `jet_iv` call gives (P1) rho, the (P3)
-    drift xi and the (P2) bound K at each anchor and (M1..M4) over each
-    rung; it raises NotInvertibleEvidence, whose `index` names the first
+    a row of them (rungs).  One `jet_iv` call gives (P1) rho and row 1 of
+    DG(0) at each anchor, from which `ExtendedSystem.origin_bounds` takes
+    the (P2) bound K and the (P3) drift xi, and (M1..M4) over each rung;
+    it raises NotInvertibleEvidence, whose `index` names the first
     failing segment of the stack, when (P2) fails.  Then segment i --
     (P3) plus the delta inequalities -- is checked in one stacked
     `cift.check_deltas` at the delta_alpha planned from its certified
@@ -421,13 +469,13 @@ def validate_segment(ext: ExtendedSystem, B: np.ndarray, d, index: int) -> list:
     n, r = d.shape
     seg = np.repeat(np.arange(n), r)
     d = d.ravel()
-    (F, Ju, Jt), M = ext.sys.jet_iv(IArray.point(ext.t0), IArray.point(ext.u0),
-                                    ext.t0[seg], ext.u0[seg], d)
+    (F, J1), M = ext.sys.jet_iv(IArray.point(ext.t0), IArray.point(ext.u0),
+                                ext.t0[seg], ext.u0[seg], d)
     try:
-        K = cift.inverse_bound(ext.jac_iv_at_origin(Ju, Jt), B)
+        K, xi = ext.origin_bounds(J1, B)
     except NotInvertibleEvidence as exc:
         raise NotInvertibleEvidence(f"(P2) failed: {exc}", index=exc.index) from exc
-    rho, xi = norm_inf(F).hi, norm_inf(ext.drift_iv(Ju, Jt)).hi
+    rho = norm_inf(F).hi
     b = derive_extended_constants(rho[seg], xi[seg], K[seg], M, d, ext.mu[seg], ext.v[seg])
     dir_norm = np.maximum(np.abs(ext.mu), np.abs(ext.v).max(axis=-1))
     root, names = cift.delta_alpha_root(b.K, b.rho, b.L1, b.L2, b.L3, b.L4, b.ell_x,
@@ -645,7 +693,7 @@ def _wave(system, first: int, t: np.ndarray, u: np.ndarray, ev: tuple,
     if prev is None and mu[0] > 0.0:
         mu, v = -mu, -v              # start by decreasing R
     ext = ExtendedSystem(system, t, u, mu, v)
-    B = np.linalg.inv(ext.jac_from(A))
+    B = ext.inverse(A[:, 0])
     # a fold shows as a sign change of the parameter component
     sign = np.sign(np.concatenate([[np.nan if prev is None else prev[0]], mu]))
     flip = np.flatnonzero((sign[1:] != sign[:-1]) & (mu != 0.0) & ~np.isnan(sign[:-1]))

@@ -18,7 +18,10 @@ steps (Rump, "Fast interval matrix multiplication", Numer. Algorithms
 2012): a sum of k products computed in any order, with or without FMA, is
 within gamma_k = k u / (1 - k u) (u = 2^-53) of the exact sum relative to
 the sum of the absolute products, plus half a subnormal ulp per product
-for underflow.
+for underflow.  Where only the row sums of |I - B A| are wanted (the
+Neumann bound), the radius enters through them alone: sum_j (|B| R)_ij =
+(|B| rowsum R)_i, one product bounded as one entry is, with the row's
+underflow terms added up (`cift.neumann_rho_rows`).
 
 Infinities may appear as endpoints only through overflow; operations then
 saturate (NaN candidates are replaced by the conservative infinite bound).
@@ -496,6 +499,23 @@ def _gamma(k: int) -> tuple[float, float]:
     return g, (Interval(1.0) / (Interval(1.0) - Interval(g))).hi
 
 
+def mid_rad(lo: np.ndarray, hi: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The split of `float_matmat`: a midpoint m of the endpoints lo, hi
+    and a radius R >= gamma |m| + r, r the radius about m, entrywise.  A
+    point entry (zero difference, which under gradual underflow means
+    lo = hi) has r = 0, and an exact zero has R = 0, where a subnormal R
+    would slow a product with R down.  An entry with an infinite endpoint
+    gets m = 0 and R = inf."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        m = 0.5 * lo + 0.5 * hi
+        r = np.maximum(m - lo, hi - m)
+        finite = np.isfinite(r)               # False for infinite endpoints
+        m = np.where(finite, m, 0.0)
+        r = np.where(finite, np.where(r > 0.0, _aup(r), 0.0), _INF)
+        R = np.where((m == 0.0) & (r == 0.0), 0.0, _aup(_aup(gamma * np.abs(m)) + r))
+    return m, R
+
+
 def float_matmat(B: np.ndarray, A: IArray) -> IArray:
     """Rigorous product of a float matrix with the interval matrix in A's
     last two axes; a 1-D A is one column and gives a 1-D result, as in
@@ -519,18 +539,9 @@ def float_matmat(B: np.ndarray, A: IArray) -> IArray:
     if k != alo.shape[-2]:
         raise DomainError("shape mismatch")
     gamma, inv_1mg = _gamma(k)
+    m, R = mid_rad(alo, ahi, gamma)
     with np.errstate(invalid="ignore", over="ignore"):
-        m = 0.5 * alo + 0.5 * ahi
-        r = np.maximum(m - alo, ahi - m)
-        finite = np.isfinite(r)               # False for infinite endpoints
-        m = np.where(finite, m, 0.0)
-        # fl(a - b) = 0 only for a = b (gradual underflow): a zero
-        # difference is a point entry, which needs no radius
-        r = np.where(finite, np.where(r > 0.0, _aup(r), 0.0), _INF)
         c = B @ m
-        # R >= gamma |m| + r holds with R = 0 at exact zeros, where a
-        # subnormal R would slow the product |B| R down
-        R = np.where((m == 0.0) & (r == 0.0), 0.0, _aup(_aup(gamma * np.abs(m)) + r))
         rad = _aup(_aup(np.abs(B) @ R + (k + 1) * _TINY) * inv_1mg)
         top = c + rad
         lo, hi = _adn(c - rad), _aup(top)

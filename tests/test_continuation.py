@@ -8,7 +8,7 @@ from certibif.bifurcation import NsSystem, SnSystem, transcritical_analysis
 from certibif.cift import CiftBounds
 from certibif.continuation import (ALPHA_FRAC, BranchBox,
                                    _anchor_rounding_gap, _leslie_outside_counts, _rows, _trend,
-                                   CoralBranchSystem, ExtendedSystem,
+                                   ConstantRows, CoralBranchSystem, ExtendedSystem,
                                    branch_start,
                                    check_link, classify_stability,
                                    continue_branch,
@@ -29,12 +29,18 @@ import mpmath as mp
 _TOL = 1e-13
 
 
+# the constant rows of a one-dimensional branch system: none
+_NO_ROWS = ConstantRows(np.zeros((0, 2)), IArray.point(np.zeros((0, 2))))
+
+
 class ToyLinear:
     """F(t, u) = u - t (scalar state): exact linear zero set u = t.  Like
-    every branch system, it evaluates a stack of points; its D_x f is 0."""
+    every branch system, it evaluates a stack of points; its D_x f is 0,
+    and it has d - 1 = 0 constant rows."""
 
     d = 1
     rscale = 1.0
+    rows = _NO_ROWS
 
     def evaluate(self, t, u):
         t = np.asarray(t, dtype=float)
@@ -46,6 +52,7 @@ class ToyFold:
     """F(t, u) = u^2 - t: fold at the origin; its D_x f is 0."""
 
     d = 1
+    rows = _NO_ROWS
 
     def evaluate(self, t, u):
         t = np.asarray(t, dtype=float)
@@ -234,6 +241,51 @@ def test_check_link_bounds_the_projection_of_the_next_ball():
     assert _link(b, alpha, 0.0, 0.1 * dmin)
 
 
+def test_check_link_bounds_the_offset_of_the_next_ball():
+    """A point a + alpha dir + e of the next accuracy ball is a + (alpha +
+    D) dir + w with D = <dir, e>/<dir, dir> and w = e - D dir off box k's
+    direction.  For dir = (1, 0.211, ..., 0.211) and the corner e =
+    delta_min' (1, ..., 1), |w|_inf = 1.37 delta_min'.  A tube of radius
+    1.2 delta_min' does not hold that point, so the link is refused,
+    though |c| + delta_min' < delta_u: only the lemma's D |dir|_inf term
+    keeps the ball out."""
+    from fractions import Fraction
+    v = np.full(13, 0.211)
+    dmin = 1e-6
+    b = _box(mu=1.0, v=v, delta_alpha=1e-3, delta_u=1.2 * dmin)
+    direction = [Fraction(1.0)] + [Fraction(float(c)) for c in v]
+    e = [Fraction(dmin)] * 14                       # a corner of the ball
+    D = sum(c * ec for c, ec in zip(direction, e)) / sum(c * c for c in direction)
+    assert max(abs(ec - D * c) for ec, c in zip(e, direction)) > Fraction(b.delta_u)
+    assert 0.0 + dmin < b.delta_u
+    assert not _link(b, 1e-4, 0.0, dmin)
+
+
+def test_links_count_the_rounding_gap_of_the_stored_anchor():
+    """The next anchor is stored as the float (1000, 1000) + 770.4 (1,
+    0.7).  The float projection alpha of the step on box k's direction
+    leaves a float correction of exactly 0, but the stored anchor lies
+    3.8e-14 off that direction, exactly.  It is a point of its own
+    accuracy ball, so in a tube of radius 1e-14 the link must be refused;
+    only the rounding gap and the residual that `_links` passes to
+    `check_link` refuse it."""
+    from fractions import Fraction
+    from certibif.continuation import _links, _Wave
+    prev, tau = np.array([1000.0, 1000.0]), np.array([1.0, 0.7])
+    nxt = prev + 770.4 * tau
+    tip = _box(t=prev[0], u=prev[1:], mu=tau[0], v=tau[1:], delta_alpha=1e4, delta_u=1e-14)
+    wave = _Wave(1, ExtendedSystem(None, nxt[:1], nxt[None, 1:], tau[:1], tau[None, 1:]),
+                 None, None, [None])
+    alpha, corr_norm, ok = _links(tip, wave, [_box(delta_min=1e-30)])
+    assert corr_norm.tolist() == [0.0]
+    r = [Fraction(z1) - Fraction(z0) - Fraction(alpha[0]) * Fraction(d)
+         for z1, z0, d in zip(nxt.tolist(), prev.tolist(), tau.tolist())]
+    T = [Fraction(d) for d in tau.tolist()]
+    D = sum(d * ri for d, ri in zip(T, r)) / sum(d * d for d in T)
+    assert max(abs(ri - D * d) for ri, d in zip(r, T)) > Fraction(tip.delta_u)
+    assert ok.tolist() == [False]
+
+
 # ---------------------------------------------------------------------------
 # segment validation and the driver (coral)
 # ---------------------------------------------------------------------------
@@ -257,19 +309,20 @@ def test_branch_start(coral):
 
 def _segment(system, t0, u0, decreasing=False) -> tuple:
     """(ext, B) of the stack of one segment at (t0, u0) along its SVD
-    tangent, turned to decreasing t if `decreasing`, with B = inv(DG(0))."""
+    tangent, turned to decreasing t if `decreasing`, with B the
+    validator's own inverse of DG(0)."""
     t, u = np.array([t0]), u0[None]
     A = system.evaluate(t, u)[1]
     mu, v = tangent_estimate(A)
     if decreasing and mu[0] > 0:
         mu, v = -mu, -v
     ext = ExtendedSystem(system, t, u, mu, v)
-    return ext, np.linalg.inv(ext.jac_from(A))
+    return ext, ext.inverse(A[:, 0])
 
 
 def _at(system, t: IArray, u: IArray) -> tuple:
-    """`jet_iv`'s (F, D_u F, D_t F) at the stacked points or boxes t, u,
-    with no Lipschitz box."""
+    """`jet_iv`'s F and row 1 of [D_t F | D_u F] at the stacked points or
+    boxes t, u, with no Lipschitz box."""
     return system.jet_iv(t, u, np.empty(0), np.empty((0, system.d)), np.empty(0))[0]
 
 
@@ -284,7 +337,7 @@ def test_validate_segment_coral(coral):
 
 
 @pytest.mark.parametrize("d, refusal", [
-    (1e-13, "2 K rho = 1.9671942296805507e-13 >= ell_x = 1e-13"),
+    (1e-13, "2 K rho = 1.96719422968055e-13 >= ell_x = 1e-13"),
     (30.0, "4 K^2 rho L1 = inf >= 1"),
 ], ids=["ell_x", "L1"])
 def test_validate_segment_names_the_refusing_gate(coral, d, refusal):
@@ -495,18 +548,19 @@ def test_derived_constants_match_direct_cift_on_extended_system(
         r_u = da * np.abs(v) + du
         t_iv = IArray.around([t0], r_t)
         u_iv = IArray.around(u0[None], r_u)
-        _, Ju, Jt = _at(preconditioned_system, t_iv, u_iv)
+        _, J1 = _at(preconditioned_system, t_iv, u_iv)
         # (H3) side: two Jacobian values inside the box differ by at most
         # the entrywise enclosure width, which the derived constants bound
-        # through L1 |(sigma,x)| + L2 |alpha|
-        width_bound = float(np.max(np.sum(Ju.hi - Ju.lo, axis=-1)
-                                   + (Jt.hi - Jt.lo)))
+        # through L1 |(sigma,x)| + L2 |alpha|; rows 2.. are constant
+        widths = np.concatenate([np.sum(J1.hi - J1.lo, axis=-1),
+                                 np.sum(ext.sys.rows.iv.hi - ext.sys.rows.iv.lo, axis=-1)])
+        width_bound = float(np.max(widths))
         formula_h3 = 2.0 * (box.bounds.L1 * (du + da * float(np.max(np.abs(v))))
                             + box.bounds.L2 * da)
         assert width_bound <= 2.0 * formula_h3 + 1e-9
         # (H4) side: D_alpha G = (0, D_t F mu + D_u F v) stays within the
         # affine envelope L3 + L4 * alpha
-        val = norm_inf(ext.drift_iv(Ju, Jt)).hi[0]
+        val = ext.origin_bounds(J1, B)[1][0]
         formula_h4 = box.bounds.L3 + box.bounds.L4 * da
         slack = box.bounds.L1 * (du + da) * 2.0   # enclosure-width overhead
         assert val <= 2.0 * formula_h4 + slack
@@ -561,10 +615,8 @@ class ToyLinearValidated(ToyLinear):
     def jet_iv(self, t, u, t0, u0, d):
         r = IArray(u.lo[:, 0], u.hi[:, 0]) - t
         F = IArray(r.lo[:, None], r.hi[:, None])
-        n = u.lo.shape[0]
-        Ju = IArray(np.ones((n, 1, 1)), np.ones((n, 1, 1)))
-        Jt = IArray(-np.ones((n, 1)), -np.ones((n, 1)))
-        return (F, Ju, Jt), (np.zeros(len(d)),) * 4
+        J1 = IArray.point(np.tile([-1.0, 1.0], (u.lo.shape[0], 1)))   # (D_t F, D_u F)
+        return (F, J1), (np.zeros(len(d)),) * 4
 
 
 def test_validate_segment_exact_linear_zero_set():
@@ -614,16 +666,16 @@ def test_continue_branch_on_linear_toy():
 
 def _recorded(branch_result, system, n=64):
     """n boxes spread over the seed-0 branch, as the stacked anchor data
-    the validator took: B = inv(DG(0)) per box from the evaluation
-    `continue_branch` had there, a row of a stacked call (a row does not
-    depend on the rows stacked with it)."""
+    the validator took: B, the validator's own inverse of DG(0), per box
+    from the evaluation `continue_branch` had there, a row of a stacked
+    call (a row does not depend on the rows stacked with it)."""
     chain = branch_result.boxes
     picks = list(range(0, len(chain), len(chain) // n))[:n]
     boxes = [chain[k] for k in picks]
     t, u = np.array([b.t for b in boxes]), np.stack([b.u for b in boxes])
     mu, v = np.array([b.mu for b in boxes]), np.stack([b.v for b in boxes])
     A = system.evaluate(t, u)[1]
-    B = np.linalg.inv(ExtendedSystem(system, t, u, mu, v).jac_from(A))
+    B = ExtendedSystem(system, t, u, mu, v).inverse(A[:, 0])
     return boxes, t, u, mu, v, B
 
 
@@ -636,33 +688,36 @@ def test_stacked_stages_equal_their_single_segment_calls(branch_result,
     """On 64 recorded anchors: one `jet_iv` call over the anchor points and
     three rungs each gives, in each anchor row and each rung row, the bits
     of that row's one-row call, so point rows and box rows mix in one jet;
-    and every stage of the stacked validator equals its n = 1 calls."""
+    and every stage of the stacked validator -- B, K and xi among them --
+    equals its n = 1 calls."""
     system = preconditioned_system
     boxes, t, u, mu, v, B = _recorded(branch_result, system)
     d = np.array([b.bounds.ell_x for b in boxes])
     rungs = d[:, None] * np.array([0.5, 1.0, 2.0])
     seg = np.repeat(np.arange(len(t)), 3)
-    (F, Ju, Jt), M = system.jet_iv(IArray.point(t), IArray.point(u), t[seg], u[seg],
-                                   rungs.ravel())
+    (F, J1), M = system.jet_iv(IArray.point(t), IArray.point(u), t[seg], u[seg],
+                               rungs.ravel())
     none = slice(0, 0)
     ext = ExtendedSystem(system, t, u, mu, v)
-    drift, extJ = ext.drift_iv(Ju, Jt), ext.jac_iv_at_origin(Ju, Jt)
+    A1 = system.evaluate(t, u)[1][:, 0]
+    K, xi = ext.origin_bounds(J1, B)
     stacked = validate_segment(ext, B, d, 0)
     for i, box in enumerate(boxes):
         one = slice(i, i + 1)
-        F1, Ju1, Jt1 = _at(system, IArray.point(t[one]), IArray.point(u[one]))
+        F1, J1_1 = _at(system, IArray.point(t[one]), IArray.point(u[one]))
         for k in range(3):
             _, M1 = system.jet_iv(IArray.point(t[none]), IArray.point(u[none]), t[one],
                                   u[one], rungs[i, k:k + 1])
             assert [m[3 * i + k] for m in M] == [m[0] for m in M1]
         e1 = ext[one]
-        pairs = [(F, F1), (Ju, Ju1), (Jt, Jt1), (drift, e1.drift_iv(Ju1, Jt1)),
-                 (extJ, e1.jac_iv_at_origin(Ju1, Jt1))]
-        assert all(_same(type(s)(s.lo[i], s.hi[i]), type(s)(s1.lo[0], s1.hi[0]))
-                   for s, s1 in pairs)
+        assert all(_same(IArray(s.lo[i], s.hi[i]), IArray(s1.lo[0], s1.hi[0]))
+                   for s, s1 in [(F, F1), (J1, J1_1)])
+        assert np.array_equal(e1.inverse(A1[one])[0], B[i])
+        assert [K[i], xi[i]] == [x[0] for x in e1.origin_bounds(J1_1, B[one])]
         b1 = validate_segment(e1, B[one], d[one], i)[0]
         # rho, K and the drift xi (as L3) are in the bounds; M is the rung's
         assert (stacked[i].index, stacked[i].bounds, stacked[i].M) == (i, b1.bounds, b1.M)
+        assert (b1.bounds.K, b1.bounds.L3) == (K[i], xi[i])
         assert list(b1.M) == [m[3 * i + 1] for m in M]
         pair = lambda b: (b.delta_alpha, b.delta_u, b.delta_min, b.bound_by)
         assert pair(stacked[i]) == pair(b1)
@@ -1071,14 +1126,129 @@ def test_stacked_extended_rows_match_one_row_calls(branch_result, preconditioned
 
 def test_extended_jacobian_block_structure(branch_result, preconditioned_system):
     """On 64 recorded anchors the extended Jacobian borders the stack's
-    [D_t F | D_u F] with (mu, v), inside its interval enclosure."""
+    [D_t F | D_u F] with (mu, v): its rows 2.. are the system's constant
+    rows, bit for bit, and lie in their interval block, and row 1 lies in
+    `jet_iv`'s enclosure of it."""
     system = preconditioned_system
     boxes, t, u, mu, v, _ = _recorded(branch_result, system)
     A = system.evaluate(t, u)[1]
+    assert all(np.array_equal(Ai[1:], system.rows.float) for Ai in A)
+    _, J1 = _at(system, IArray.point(t), IArray.point(u))
+    for rows, iv in ((A[:, 0], J1), (system.rows.float, system.rows.iv)):
+        assert np.all(iv.lo <= rows + 1e-12) and np.all(iv.hi >= rows - 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the structured (P2) bound, drift and inverse: rows 0 and 1 per anchor
+# ---------------------------------------------------------------------------
+
+
+def _extended_jacobians(system, mu, v, A1, rows) -> np.ndarray:
+    """The stack of DG(0) = [mu v; A1; rows] for float rows 1 and 2..."""
+    J = np.empty((len(mu), system.d + 1, system.d + 1))
+    J[:, 0, 0], J[:, 0, 1:], J[:, 1], J[:, 2:] = mu, v, A1, rows
+    return J
+
+
+def test_structured_inverse_inverts_and_keeps_rows_independent(branch_result,
+                                                               preconditioned_system):
+    """On 64 recorded anchors the rank-2 update of P'^-1 inverts DG(0) to
+    |B J - I| <= 1e-12, and each row of the stack, and a run of rows, has
+    the bits of its own call: P'^-1 is shared by every row, and its
+    products stay one per anchor."""
+    system = preconditioned_system
+    boxes, t, u, mu, v, B = _recorded(branch_result, system)
+    A1 = system.evaluate(t, u)[1][:, 0]
+    J = _extended_jacobians(system, mu, v, A1, system.rows.float)
+    assert np.abs(B @ J - np.eye(system.d + 1)).sum(axis=-1).max() <= 1e-12
     ext = ExtendedSystem(system, t, u, mu, v)
-    J = ext.jac_from(A)
-    assert np.array_equal(J[:, 0, 0], mu) and np.array_equal(J[:, 0, 1:], v)
-    assert np.array_equal(J[:, 1:], A)
-    _, Ju, Jt = _at(system, IArray.point(t), IArray.point(u))
-    Jiv = ext.jac_iv_at_origin(Ju, Jt)
-    assert np.all(Jiv.lo <= J + 1e-12) and np.all(Jiv.hi >= J - 1e-12)
+    for i in range(len(t)):
+        assert np.array_equal(ext[i:i + 1].inverse(A1[i:i + 1])[0], B[i])
+    assert np.array_equal(ext[5:12].inverse(A1[5:12]), B[5:12])
+
+
+def test_singular_capacitance_raises_linalgerror():
+    """Row 1 parallel to the tangent makes DG(0) and its 2x2 capacitance
+    singular: the inverse raises LinAlgError naming the anchor, and the
+    corrector reports it as a singular Jacobian."""
+    ext = ExtendedSystem(ToyLinear(), [0.0, 0.0], [[0.0], [0.0]], [1.0, -1.0], [[1.0], [1.0]])
+    with pytest.raises(np.linalg.LinAlgError, match="anchor 1 of the stack"):
+        ext.inverse(np.array([[-1.0, 1.0], [-1.0, 1.0]]))
+    with pytest.raises(CorrectorFailed, match="singular corrector Jacobian"):
+        newton_correct(ext[1:], np.zeros(1), tol=_TOL)
+
+
+def test_origin_bounds_high_precision(branch_result, preconditioned_system, coral):
+    """On 16 recorded anchors K bounds |DG(0)^-1|_inf and xi bounds |D_t F
+    mu + D_u F v|_inf, with DG(0) from 60-digit central differences of F
+    and both norms at 50 digits."""
+    system = preconditioned_system
+    boxes, t, u, mu, v, B = _recorded(branch_result, system, n=16)
+    _, J1 = _at(system, IArray.point(t), IArray.point(u))
+    K, xi = ExtendedSystem(system, t, u, mu, v).origin_bounds(J1, B)
+    F = mp_branch_F(system, mp_coeffs(coral))
+    for i in range(len(t)):
+        with mp.workdps(60):
+            z = mp.matrix([mp.mpf(float(c)) for c in (t[i], *u[i])])
+            A = mp_fd_jacobian(lambda w: mp.matrix(F(w[0], list(w[1:]))), z)
+        with mp.workdps(50):
+            tau = [mp.mpf(float(c)) for c in (mu[i], *v[i])]
+            G = mp.matrix([tau] + [[A[r, c] for c in range(system.d + 1)]
+                                   for r in range(system.d)])
+            Ginv = mp.inverse(G)
+            norm = max(mp.fsum(abs(Ginv[r, c]) for c in range(system.d + 1))
+                       for r in range(system.d + 1))
+            drift = max(abs(mp.fsum(A[r, c] * tau[c] for c in range(system.d + 1)))
+                        for r in range(system.d))
+            assert norm <= K[i], (i, K[i], norm)
+            assert drift <= xi[i], (i, xi[i], drift)
+
+
+def test_K_covers_every_vertex_of_a_wide_row_1(branch_result, preconditioned_system):
+    """On 8 recorded anchors whose row 1 is widened to a relative radius of
+    1e-3, K stays above |A^-1|_inf at every vertex of that row (2^14
+    matrices each, the constant rows at their midpoints) by more than the
+    inverses' rounding.  The radius enters K only through its row sums,
+    and without them K would fall below the vertices'."""
+    system = preconditioned_system
+    boxes, t, u, mu, v, B = _recorded(branch_result, system, n=8)
+    _, J1 = _at(system, IArray.point(t), IArray.point(u))
+    wide = J1.widened(1e-3 * J1.mag)
+    K, _ = ExtendedSystem(system, t, u, mu, v).origin_bounds(wide, B)
+    k = system.d + 1
+    signs = (np.arange(2 ** k)[:, None] >> np.arange(k)) & 1
+    for i in range(len(t)):
+        vertices = np.where(signs, wide.hi[i], wide.lo[i])
+        J = _extended_jacobians(system, np.full(len(signs), mu[i]), v[i], vertices,
+                                system.rows.mid)
+        norms = np.abs(np.linalg.inv(J)).sum(axis=-1).max(axis=-1)
+        assert norms.max() * (1.0 + 1e-9) <= K[i], (i, K[i], norms.max())
+        # the vertices spread well beyond the inverse at the centre
+        assert norms.max() >= np.abs(B[i]).sum(axis=-1).max() * (1.0 + 1e-6)
+
+
+# DG(0) = [mu v; a b] of a one-dimensional system, each nearly singular
+# (condition 6e10 to 1e12): the rounding of the centre product fl(B m)
+# alone exceeds what |fl(B m) - I| shows, so K covers |DG(0)^-1| only
+# through the gamma_k |m| part of the radius
+_ROUNDING_BOUND = [
+    (-0.38766256756057715, 0.16737383885057322, 0.767850719943763, -0.33152058881980445),
+    (0.9750027392408078, -0.6715250946952704, 0.3895365126267121, -0.2682900601210045),
+    (-0.7059286839740189, -0.03694693018713191, 0.9924394760114283, 0.05194234611463207),
+    (-0.19284451664090163, 0.3094219764443271, -0.5508058018485849, 0.8837763334671296),
+    (0.3442746785170989, 0.8956915357432274, 0.5695052272639889, 1.4816686891406932),
+]
+
+
+@pytest.mark.parametrize("mu, v, a, b", _ROUNDING_BOUND, ids=range(len(_ROUNDING_BOUND)))
+def test_K_covers_the_rounding_of_the_centre_product(mu, v, a, b):
+    """K bounds the exact |DG(0)^-1|_inf, computed in rationals, on point
+    matrices whose float inverse B leaves BA - I dominated by rounding."""
+    from fractions import Fraction
+    ext = ExtendedSystem(ToyLinear(), [0.0], [[0.0]], [mu], [[v]])
+    J1 = np.array([[a, b]])
+    K, _ = ext.origin_bounds(IArray.point(J1), ext.inverse(J1))
+    m00, m01, m10, m11 = (Fraction(x) for x in (mu, v, a, b))
+    det = m00 * m11 - m01 * m10
+    exact = max(abs(m11) + abs(m01), abs(m10) + abs(m00)) / abs(det)
+    assert Fraction(float(K[0])) >= exact
