@@ -16,8 +16,9 @@ so that all coordinates have comparable size.
 tangent (the tip is the last certified box), the first step _WAVE_SPACING
 ALPHA_FRAC delta_alpha and each later one r times the one before, r the
 trend of delta_alpha, corrected in one stacked chord solve (whose last
-evaluation gives each anchor's tangent, float inverse B and stability
-matrix) and certified as one stack by one `validate_segment` call: one
+evaluation gives each anchor's row 1 of [D_t F | D_u F], which with the
+system's `ConstantRows` gives its tangent, float inverse B and stability
+label) and certified as one stack by one `validate_segment` call: one
 order-2 row-1 jet over the anchors and their Lipschitz boxes stacked
 (`CoralBranchSystem.jet_iv`) gives the interval data of the whole wave,
 and each box takes the delta_alpha of its certified constants.  Every
@@ -69,19 +70,15 @@ class CoralBranchSystem:
         S = np.array(coral.params.S, dtype=float)
         r1 = s[:-1] / s[1:]
         k = np.arange(self.d - 1)
-        # the constant rows of D_x f (the subdiagonal S) and of [D_t F | D_u F]
-        # (that subdiagonal rescaled, minus I); evaluate fills row 1
-        self._Jx = np.zeros((self.d, self.d))
-        self._Jx[k + 1, k] = S
-        self._A = np.zeros((self.d, self.d + 1))
-        self._A[:, 1:] = self._Jx * s[None, :] / s[:, None] - np.eye(self.d)
-        # rows 2..d of [D_t F | D_u F] enclosed: the subdiagonal S_k s_k/s_{k+1}
-        # and -1 on the diagonal
+        # rows 2..d of [D_t F | D_u F]: the subdiagonal S_k s_k/s_{k+1} and -1
+        # on the diagonal, as floats and enclosed
+        rows = np.zeros((self.d - 1, self.d + 1))
+        rows[k, k + 1] = S * s[:-1] / s[1:]
         sub = IArray(_adn(r1), _aup(r1)) * S
         lo, hi = np.zeros((self.d - 1, self.d + 1)), np.zeros((self.d - 1, self.d + 1))
         lo[k, k + 1], hi[k, k + 1] = sub.lo, sub.hi
-        lo[k, k + 2] = hi[k, k + 2] = -1.0
-        self.rows = ConstantRows(self._A[1:], IArray(lo, hi))
+        rows[k, k + 2] = lo[k, k + 2] = hi[k, k + 2] = -1.0
+        self.rows = ConstantRows(rows, IArray(lo, hi))
         self._S = S
         self._ct_iv = Interval.point(self.rscale) / coral.ci.ba   # dlambda/dt
         self._ct = self.rscale / coral.cf.ba
@@ -99,14 +96,14 @@ class CoralBranchSystem:
 
     # -- float evaluation --------------------------------------------------
 
-    def evaluate(self, t, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """F, [D_t F | D_u F] as one (d, d + 1) matrix, and the raw D_x f
-        that its D_u F block rescales, at a stack of independent points t
-        (n,), u (n, d), from one q.x, one b.x and one `phi_derivs` per row.
-        This is the float interface of every branch system.  q.x and b.x
-        are row sums, not a matrix product, so that a row does not depend
-        on the rows stacked with it; a row is a few ulps off the one-state
-        map, its lambda derivative and `CoralMap.jac_x`."""
+    def evaluate(self, t, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """F and A1, row 1 of [D_t F | D_u F] as an (n, d + 1) array, at a
+        stack of independent points t (n,), u (n, d), from one q.x, one b.x
+        and one `phi_derivs` per row; rows 2..d of [D_t F | D_u F] are
+        `rows`.  This is the float interface of every branch system.  q.x
+        and b.x are row sums, not a matrix product, so that a row does not
+        depend on the rows stacked with it; a row is a few ulps off the
+        one-state map, its lambda derivative and row 0 of `CoralMap.jac_x`."""
         cf, s, d = self.coral.cf, self.s, self.d
         lam, x = self._ct * np.asarray(t, dtype=float), s * u
         lead = lam.shape
@@ -115,14 +112,12 @@ class CoralBranchSystem:
         f = np.empty(lead + (d,))
         f[..., 0] = lam * ph * bx
         f[..., 1:] = self._S * x[..., :-1]
-        Jx = _tiled(self._Jx, lead)
-        Jx[..., 0, :] = lam[..., None] * (ph1[..., None] * cf.q * bx[..., None]
-                                          + ph[..., None] * cf.b)
-        A = _tiled(self._A, lead)
-        A[..., 0, 0] = self._ct * (ph * bx) / s[0]
-        A[..., 0, 1:] = Jx[..., 0, :] * s / s[0]
-        A[..., 0, 1] -= 1.0
-        return f / s - u, A, Jx
+        A1 = np.empty(lead + (d + 1,))
+        A1[..., 0] = self._ct * (ph * bx) / s[0]
+        A1[..., 1:] = lam[..., None] * (ph1[..., None] * cf.q * bx[..., None]
+                                        + ph[..., None] * cf.b) * s / s[0]
+        A1[..., 1] -= 1.0
+        return f / s - u, A1
 
     # -- interval evaluation ------------------------------------------------
 
@@ -177,10 +172,10 @@ class ConstantRows:
     """Rows 2..d of the extended Jacobian DG(0) = [mu v; D_t F | D_u F],
     which are the same at every anchor of a branch system: its rows of
     [D_t F | D_u F] below the first (for the coral system [0 | S_k s_k /
-    s_(k+1) subdiagonal - I]).  `float` holds them as `evaluate` gives
-    them; `mid` and `R` split their enclosure `iv` as `interval.mid_rad`
-    does for a product of d + 1 terms, and `R_rows` bounds the row sums of
-    R.  `P_inv` is the float inverse of P' = [e_0; e_1; float], taken once
+    s_(k+1) subdiagonal - I]).  `float` holds them in floats; `mid` and
+    `R` split their enclosure `iv` as `interval.mid_rad` does for a
+    product of d + 1 terms, and `R_rows` bounds the row sums of R.
+    `P_inv` is the float inverse of P' = [e_0; e_1; float], taken once
     (lower bidiagonal for the coral system)."""
 
     def __init__(self, rows: np.ndarray, iv: IArray):
@@ -192,12 +187,29 @@ class ConstantRows:
         P[2:] = rows
         self.P_inv = np.linalg.inv(P)
 
-
-def _tiled(a: np.ndarray, lead: tuple) -> np.ndarray:
-    """A new array of shape lead + a.shape holding a copy of a per entry."""
-    out = np.empty(lead + a.shape)
-    out[...] = a
-    return out
+    def inverse(self, X: np.ndarray, A1: np.ndarray) -> np.ndarray:
+        """Float inverses of the stack of matrices [X; A1; float], X and A1
+        (n, d + 1) their rows 0 and 1: a rank-2 update of P'^-1 (Hager,
+        "Updating the inverse of a matrix", SIAM Review 1989).  P' has rows
+        0 and 1 of the identity, and so has P'^-1, so [X; A1; float] P'^-1
+        is the identity but for its rows 0 and 1, Y = [X; A1] P'^-1.  Hence
+        the inverse is P'^-1 [[C^-1, -C^-1 Y_r]; [0, I]] with the 2x2
+        capacitance C = Y[:, :2], inverted explicitly, and Y_r = Y[:, 2:].
+        Every product is one per row, so a row does not depend on the rows
+        stacked with it.  Raises LinAlgError where C is singular."""
+        Q = self.P_inv
+        Y = np.stack([X, A1], axis=1) @ Q
+        (c00, c01), (c10, c11) = Y[:, 0, :2].T, Y[:, 1, :2].T
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            Cinv = np.stack([np.stack([c11, -c01], axis=-1), np.stack([-c10, c00], axis=-1)],
+                            axis=1) / (c00 * c11 - c01 * c10)[:, None, None]
+        bad = np.flatnonzero(~np.isfinite(Cinv).all(axis=(1, 2)))
+        if bad.size:
+            raise np.linalg.LinAlgError(f"singular capacitance at anchor {bad[0]} of the stack")
+        Z = np.concatenate([Cinv, -(Cinv @ Y[:, :, 2:])], axis=-1)
+        B = Q[:, :2] @ Z
+        B[:, :, 2:] += Q[:, 2:]
+        return B
 
 
 def nontrivial_fixed_point(coral: CoralMap, R: float) -> np.ndarray:
@@ -251,8 +263,8 @@ class ExtendedSystem:
         return self.t0 + alpha * self.mu + sigma, self.u0 + alpha[:, None] * self.v + x
 
     def value(self, alpha: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """G(alpha, z), and the branch system's evaluation (F, [D_t F |
-        D_u F], D_x f) at the points it is taken at."""
+        """G(alpha, z), and the branch system's evaluation (F, A1), A1 row 1
+        of [D_t F | D_u F], at the points it is taken at."""
         sigma, x = z[:, 0], z[:, 1:]
         ev = self.sys.evaluate(*self.point(alpha, sigma, x))
         G = np.empty(z.shape)
@@ -261,28 +273,9 @@ class ExtendedSystem:
         return G, ev
 
     def inverse(self, A1: np.ndarray) -> np.ndarray:
-        """Float inverses B of the extended Jacobians DG(0) = [X; rows], X
-        the rows (mu, v) and A1 (n, d + 1), row 1 of [D_t F | D_u F], at
-        each anchor: a rank-2 update of P'^-1 (Hager, "Updating the inverse
-        of a matrix", SIAM Review 1989).  P' = [e_0; e_1; rows] has rows 0
-        and 1 of the identity, and so has P'^-1, so DG(0) P'^-1 is the
-        identity but for its rows 0 and 1, Y = X P'^-1.  Hence B = P'^-1
-        [[C^-1, -C^-1 Y_r]; [0, I]] with the 2x2 capacitance C = Y[:, :2],
-        inverted explicitly, and Y_r = Y[:, 2:].  Raises LinAlgError where C
-        is singular."""
-        Q = self.sys.rows.P_inv
-        Y = np.stack([np.column_stack([self.mu, self.v]), A1], axis=1) @ Q
-        (c00, c01), (c10, c11) = Y[:, 0, :2].T, Y[:, 1, :2].T
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            Cinv = np.stack([np.stack([c11, -c01], axis=-1), np.stack([-c10, c00], axis=-1)],
-                            axis=1) / (c00 * c11 - c01 * c10)[:, None, None]
-        bad = np.flatnonzero(~np.isfinite(Cinv).all(axis=(1, 2)))
-        if bad.size:
-            raise np.linalg.LinAlgError(f"singular capacitance at anchor {bad[0]} of the stack")
-        Z = np.concatenate([Cinv, -(Cinv @ Y[:, :, 2:])], axis=-1)
-        B = Q[:, :2] @ Z
-        B[:, :, 2:] += Q[:, 2:]
-        return B
+        """`ConstantRows.inverse` of DG(0) = [mu v; A1; rows] at the anchors,
+        A1 (n, d + 1) row 1 of [D_t F | D_u F]: the float inverses B."""
+        return self.sys.rows.inverse(np.column_stack([self.mu, self.v]), A1)
 
     def origin_bounds(self, J1: IArray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The (P2) bound K >= |DG(0)^-1| and the (P3) drift xi >= |D_t F mu
@@ -319,32 +312,29 @@ class ExtendedSystem:
 _RANK_TOL = 1e-8
 
 
-def tangent_estimate(jac: np.ndarray, prev: np.ndarray | None = None) -> tuple:
-    """Unit max-norm null vectors (mu (n,), v (n, d)) of a stack `jac` (n,
-    d, d + 1) of [D_t F | D_u F] at the anchors.
+def tangent_estimate(rows: ConstantRows, A1: np.ndarray, prev: np.ndarray | None = None) -> tuple:
+    """Unit max-norm null vectors (mu (n,), v (n, d)) of the Jacobians [A1;
+    rows] = [D_t F | D_u F] at the anchors, A1 (n, d + 1) their row 1.
 
-    Given the previous direction, it solves the bordered systems [prev;
-    jac] tau = e_0, whose solutions continue prev (prev . tau = 1).  At the
-    start, with no direction to border by, it is the last right singular
-    vector of each Jacobian."""
+    Given the previous direction, it solves the bordered systems [prev; A1;
+    rows] tau = e_0, whose solutions continue prev (prev . tau = 1): tau is
+    column 0 of `rows.inverse`.  At the start, with no direction to border
+    by, it is the last right singular vector of each Jacobian."""
     if prev is None:
-        _, sv, Vt = np.linalg.svd(jac)
+        _, sv, Vt = np.linalg.svd(np.stack([np.vstack([a, rows.float]) for a in A1]))
         if (sv[..., -1] <= _RANK_TOL * sv[..., 0]).any():
             # rank < d: the null space is at least two-dimensional
             raise TangentUndefined("branch Jacobian rank deficiency exceeds one")
         tang = Vt[..., -1, :]
     else:
-        n = len(prev)
-        border = np.empty(jac.shape[:-2] + (n, n))
-        border[..., 0, :], border[..., 1:, :] = prev, jac
-        rhs = np.zeros(n)
-        rhs[0] = 1.0
         try:
-            tang = np.linalg.solve(border, rhs)
+            tang = rows.inverse(np.broadcast_to(prev, A1.shape), A1)[:, :, 0]
         except np.linalg.LinAlgError as exc:
             raise TangentUndefined(f"bordered tangent system singular: {exc}") from exc
-        if not np.isfinite(tang).all():
-            raise TangentUndefined("bordered tangent system singular: non-finite solution")
+        bad = np.flatnonzero(~np.isfinite(tang).all(axis=-1))
+        if bad.size:
+            raise TangentUndefined(f"bordered tangent system singular: non-finite solution "
+                                   f"at anchor {bad[0]} of the stack")
     tang = tang / np.abs(tang).max(axis=-1, keepdims=True)
     return tang[:, 0].copy(), tang[:, 1:].copy()
 
@@ -357,15 +347,15 @@ def newton_correct(ext: ExtendedSystem, alpha: np.ndarray, tol: float,
                    max_iter: int = _MAX_NEWTON) -> tuple:
     """Approximate zeros (sigma, x) of G(alpha, .) orthogonal to the
     predictors, one row per anchor of `ext`, and the branch system's
-    evaluation (F, [D_t F | D_u F], D_x f) at the points they reach.  The
-    stack takes one chord step more once every row meets `tol`, since its
-    slowest row stops just below it and the residual sets each anchor's
-    accuracy radius.
+    evaluation (F, A1) at the points they reach, A1 row 1 of [D_t F |
+    D_u F].  The stack takes one chord step more once every row meets
+    `tol`, since its slowest row stops just below it and the residual sets
+    each anchor's accuracy radius.
 
-    Chord steps z <- z - B_alpha G(alpha, z): the extended Jacobian is
-    evaluated and inverted (`ExtendedSystem.inverse`) once, at the
-    predictor (alpha, 0), so each iteration costs one evaluation of the
-    system."""
+    Chord steps z <- z - B_alpha G(alpha, z): row 1 of the extended
+    Jacobian is evaluated, and the Jacobian inverted
+    (`ExtendedSystem.inverse`), once, at the predictor (alpha, 0), so each
+    iteration costs one evaluation of the system."""
     z = np.zeros((len(alpha), ext.sys.d + 1))
     B, extra = None, True
     for it in range(max_iter + 1):
@@ -378,7 +368,7 @@ def newton_correct(ext: ExtendedSystem, alpha: np.ndarray, tol: float,
             break
         if B is None:
             try:
-                B = ext.inverse(ev[1][:, 0])
+                B = ext.inverse(ev[1])
             except np.linalg.LinAlgError as exc:
                 raise CorrectorFailed(f"singular corrector Jacobian: {exc}") from exc
         z = z - (B @ G[..., None])[..., 0]
@@ -666,41 +656,41 @@ def _planned(root):
 @dataclass
 class _Wave:
     """Float anchors certified as one stack: points and tangents in `ext`,
-    B, D_x f and the last fold seen up to each."""
+    B, A1 (row 1 of [D_t F | D_u F], which with the system's constant rows
+    gives the stability label) and the last fold seen up to each."""
 
     first: int                    # index of anchor 0 along the branch
     ext: ExtendedSystem
     B: np.ndarray
-    Jx: np.ndarray
+    A1: np.ndarray
     folds: list
 
     def __len__(self) -> int:
         return len(self.folds)
 
     def take(self, n: int) -> _Wave:
-        return _Wave(self.first, self.ext[:n], self.B[:n], self.Jx[:n], self.folds[:n])
+        return _Wave(self.first, self.ext[:n], self.B[:n], self.A1[:n], self.folds[:n])
 
 
-def _wave(system, first: int, t: np.ndarray, u: np.ndarray, ev: tuple,
+def _wave(system, first: int, t: np.ndarray, u: np.ndarray, A1: np.ndarray,
           prev: np.ndarray | None, fold_index: int | None) -> _Wave:
-    """The wave of anchors t (n,), u (n, d) at which the system's
-    evaluation is ev: tangents bordered by the tangent `prev` of the anchor
+    """The wave of anchors t (n,), u (n, d) at which row 1 of [D_t F |
+    D_u F] is A1: tangents bordered by the tangent `prev` of the anchor
     before them (None at the start: one anchor, its SVD tangent oriented
     to decreasing R), their B, and the fold indices after `fold_index`.
     Raises TangentUndefined, or LinAlgError for a singular B."""
-    A, Jx = ev[1], ev[2]
-    mu, v = tangent_estimate(A, prev)
+    mu, v = tangent_estimate(system.rows, A1, prev)
     if prev is None and mu[0] > 0.0:
         mu, v = -mu, -v              # start by decreasing R
     ext = ExtendedSystem(system, t, u, mu, v)
-    B = ext.inverse(A[:, 0])
+    B = ext.inverse(A1)
     # a fold shows as a sign change of the parameter component
     sign = np.sign(np.concatenate([[np.nan if prev is None else prev[0]], mu]))
     flip = np.flatnonzero((sign[1:] != sign[:-1]) & (mu != 0.0) & ~np.isnan(sign[:-1]))
     folds = [fold_index] * len(mu)
     for k in flip.tolist():
         folds[k:] = [first + k] * (len(mu) - k)
-    return _Wave(first, ext, B, Jx, folds)
+    return _Wave(first, ext, B, A1, folds)
 
 
 def _trend(boxes: list[BranchBox]) -> float:
@@ -724,9 +714,9 @@ def _place(system, tip: BranchBox, n: int, r: float, fold_index: int | None) -> 
     alpha = _WAVE_SPACING * ALPHA_FRAC * tip.delta_alpha * np.cumsum(r ** np.arange(n))
     # the residual cannot resolve below a few ulps of the state
     tol = max(_CORRECTOR_TOL, 8.0 * _EPS * max(abs(tip.t), float(np.abs(tip.u).max())))
-    sigma, x, ev = newton_correct(base, alpha, tol=tol)
+    sigma, x, (_, A1) = newton_correct(base, alpha, tol=tol)
     t, u = base.point(alpha, sigma, x)
-    return _wave(system, tip.index + 1, t, u, ev, np.append(tip.mu, tip.v), fold_index)
+    return _wave(system, tip.index + 1, t, u, A1, np.append(tip.mu, tip.v), fold_index)
 
 
 # the errors of placing anchors, and the stop reason each gives
@@ -786,14 +776,14 @@ def continue_branch(system: CoralBranchSystem, t0: float, u0: np.ndarray,
     the adaptive box has shrunk to its floor, on a link that fails at a
     wave's first anchor, on a one-anchor wave that cannot be placed, or
     after max_steps boxes."""
-    res, unlabelled = BranchResult(), []      # accepted boxes with their D_x f
+    res, unlabelled = BranchResult(), []      # accepted boxes with their A1
     t0, u0 = np.array([t0], dtype=float), np.array([u0], dtype=float)
     tip, m = None, _CHUNK_MIN
     try:
         while len(res.boxes) < max_steps:
             n = min(m, max_steps - len(res.boxes))
             try:
-                wave = (_wave(system, 0, t0, u0, system.evaluate(t0, u0), None, None)
+                wave = (_wave(system, 0, t0, u0, system.evaluate(t0, u0)[1], None, None)
                         if tip is None else
                         _place(system, tip, n, _trend(res.boxes), res.fold_index))
             except tuple(_PLACE_ERRORS) as exc:
@@ -808,7 +798,7 @@ def continue_branch(system: CoralBranchSystem, t0: float, u0: np.ndarray,
                 return res
             tip = res.boxes[-1]
             if len(unlabelled) >= _LABEL_STACK:
-                _label(unlabelled)
+                _label(system.rows, unlabelled)
             if cut is None:
                 m = min(2 * m, _CHUNK_MAX)
             else:
@@ -818,14 +808,20 @@ def continue_branch(system: CoralBranchSystem, t0: float, u0: np.ndarray,
         res.stop_reason = "max-steps"
         return res
     finally:
-        _label(unlabelled)
+        _label(system.rows, unlabelled)
 
 
-def _label(unlabelled: list) -> None:
-    """Give each (box, D_x f) pair its stability label, all in one stacked
-    call, and empty the list."""
+def _label(rows: ConstantRows, unlabelled: list) -> None:
+    """Give each (box, A1) pair its stability label, all in one stacked
+    call, and empty the list.  The label counts the eigenvalues of D_u f =
+    [A1[1:]; rows.float[:, 1:]] + I, the Jacobian of u -> f(lambda, s (.)
+    u) / s: D_u f = diag(1/s) D_x f diag(s), which has D_x f's eigenvalues
+    and is a Leslie matrix too."""
     if unlabelled:
-        labels = classify_stability(np.stack([J for _, J in unlabelled]))
+        A1 = np.stack([a for _, a in unlabelled])
+        J = np.empty((len(A1),) + (rows.float.shape[0] + 1,) * 2)
+        J[:, 0], J[:, 1:] = A1[:, 1:], rows.float[:, 1:]
+        labels = classify_stability(J + np.eye(J.shape[-1]))
         for (box, _), label in zip(unlabelled, labels):
             box.stability = label
         unlabelled.clear()
@@ -834,7 +830,7 @@ def _label(unlabelled: list) -> None:
 def _accept(system, wave: _Wave, tip: BranchBox | None, to_R: float, res: BranchResult,
             unlabelled: list) -> int | None:
     """Certify a wave placed after `tip` and append to `res` the boxes that
-    validate, step and link, and to `unlabelled` each with its D_x f; set
+    validate, step and link, and to `unlabelled` each with its A1; set
     `res.stop_reason` when the branch ends with them.  Returns the index
     of the anchor at which the wave was cut, or None."""
     # the branch ends at the first anchor past the fold at or above to_R
@@ -860,7 +856,7 @@ def _accept(system, wave: _Wave, tip: BranchBox | None, to_R: float, res: Branch
                 res.stop_reason = "link-failed"
                 return None
             box.linked_to_previous = True
-        unlabelled.append((box, wave.Jx[k]))
+        unlabelled.append((box, wave.A1[k]))
         res.boxes.append(box)
         res.fold_index = wave.folds[k]
         tip = box

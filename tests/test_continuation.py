@@ -35,8 +35,8 @@ _NO_ROWS = ConstantRows(np.zeros((0, 2)), IArray.point(np.zeros((0, 2))))
 
 class ToyLinear:
     """F(t, u) = u - t (scalar state): exact linear zero set u = t.  Like
-    every branch system, it evaluates a stack of points; its D_x f is 0,
-    and it has d - 1 = 0 constant rows."""
+    every branch system, it evaluates a stack of points, to F and row 1 of
+    [D_t F | D_u F], and it has d - 1 = 0 constant rows."""
 
     d = 1
     rscale = 1.0
@@ -44,25 +44,24 @@ class ToyLinear:
 
     def evaluate(self, t, u):
         t = np.asarray(t, dtype=float)
-        A = np.broadcast_to(np.array([[-1.0, 1.0]]), t.shape + (1, 2)).copy()
-        return u[..., :1] - t[..., None], A, np.zeros(t.shape + (1, 1))
+        A1 = np.broadcast_to(np.array([-1.0, 1.0]), t.shape + (2,)).copy()
+        return u[..., :1] - t[..., None], A1
 
 
 class ToyFold:
-    """F(t, u) = u^2 - t: fold at the origin; its D_x f is 0."""
+    """F(t, u) = u^2 - t: fold at the origin."""
 
     d = 1
     rows = _NO_ROWS
 
     def evaluate(self, t, u):
-        t = np.asarray(t, dtype=float)
-        A = np.stack([-np.ones_like(u[..., 0]), 2.0 * u[..., 0]], axis=-1)[..., None, :]
-        return u[..., :1] ** 2 - t[..., None], A, np.zeros(t.shape + (1, 1))
+        A1 = np.stack([-np.ones_like(u[..., 0]), 2.0 * u[..., 0]], axis=-1)
+        return u[..., :1] ** 2 - np.asarray(t, dtype=float)[..., None], A1
 
 
 def _tangent(system, t, u, prev=None):
     """The tangent (mu, v) at the one point (t, u), as a stack of one."""
-    mu, v = tangent_estimate(system.evaluate(np.array([t]), u[None])[1], prev=prev)
+    mu, v = tangent_estimate(system.rows, system.evaluate(np.array([t]), u[None])[1], prev=prev)
     return mu[0], v[0]
 
 
@@ -85,10 +84,13 @@ def test_tangent_orientation_follows_previous():
 
 def test_tangent_undefined_on_rank_deficiency():
     class Degenerate:
+        """Row 1 vanishes and the constant row is (0, 0, -1): rank 1."""
         d = 2
+        row = np.array([[0.0, 0.0, -1.0]])
+        rows = ConstantRows(row, IArray.point(row))
 
         def evaluate(self, t, u):
-            return np.zeros((1, 2)), np.zeros((1, 2, 3)), np.zeros((1, 2, 2))
+            return np.zeros((1, 2)), np.zeros((1, 3))
 
     with pytest.raises(TangentUndefined):
         _tangent(Degenerate(), 0.0, np.zeros(2))
@@ -312,12 +314,12 @@ def _segment(system, t0, u0, decreasing=False) -> tuple:
     tangent, turned to decreasing t if `decreasing`, with B the
     validator's own inverse of DG(0)."""
     t, u = np.array([t0]), u0[None]
-    A = system.evaluate(t, u)[1]
-    mu, v = tangent_estimate(A)
+    A1 = system.evaluate(t, u)[1]
+    mu, v = tangent_estimate(system.rows, A1)
     if decreasing and mu[0] > 0:
         mu, v = -mu, -v
     ext = ExtendedSystem(system, t, u, mu, v)
-    return ext, ext.inverse(A[:, 0])
+    return ext, ext.inverse(A1)
 
 
 def _at(system, t: IArray, u: IArray) -> tuple:
@@ -364,11 +366,24 @@ def test_classify_stability_past_ns(coral):
     assert classify_stability(coral.jac_x(lam, x)[None])[0].startswith("unstable")
 
 
+def _scaled_stacks(system, boxes, monkeypatch) -> np.ndarray:
+    """The stack of D_u f = diag(1/s) D_x f diag(s) that `_label` hands to
+    `classify_stability` for these boxes, from `evaluate`'s row 1 at each."""
+    from certibif import continuation as cont
+    A1 = system.evaluate(np.array([b.t for b in boxes]), np.stack([b.u for b in boxes]))[1]
+    stacks = []
+    with monkeypatch.context() as m:
+        m.setattr(cont, "classify_stability", lambda J: stacks.append(J) or [""] * len(J))
+        cont._label(system.rows, [(SimpleNamespace(), a) for a in A1])
+    return stacks[0]
+
+
 def test_schur_cohn_labels_equal_lapack_labels(coral, branch_result, preconditioned_system,
-                                               raw_branch_result):
+                                               raw_branch_result, monkeypatch):
     """The Schur-Cohn counts give LAPACK's labels, with no row left to the
     eigenvalue fallback, on the seed-0 branch, the twenty raw-system boxes,
-    400 trivial points on each side of R* and a nontrivial diagram sample."""
+    the scaled D_u f stacks that `_label` builds on both, 400 trivial
+    points on each side of R* and a nontrivial diagram sample."""
     raw = CoralBranchSystem(coral)
     R_star = transcritical_analysis(coral).R_star
     red = FixedPointReduction(coral)
@@ -379,6 +394,8 @@ def test_schur_cohn_labels_equal_lapack_labels(coral, branch_result, preconditio
                    for b in branch_result.boxes],
         "raw branch": [coral.jac_x(raw.lam_of_t(b.t), raw.s * b.u)
                        for b in raw_branch_result.boxes],
+        "branch D_u f": _scaled_stacks(preconditioned_system, branch_result.boxes, monkeypatch),
+        "raw branch D_u f": _scaled_stacks(raw, raw_branch_result.boxes, monkeypatch),
         "trivial below R*": [coral.jac_x(R / coral.cf.ba, zero)
                              for R in np.linspace(1e-3, R_star.lo, 400, endpoint=False)],
         "trivial above R*": [coral.jac_x(R / coral.cf.ba, zero)
@@ -674,8 +691,7 @@ def _recorded(branch_result, system, n=64):
     boxes = [chain[k] for k in picks]
     t, u = np.array([b.t for b in boxes]), np.stack([b.u for b in boxes])
     mu, v = np.array([b.mu for b in boxes]), np.stack([b.v for b in boxes])
-    A = system.evaluate(t, u)[1]
-    B = ExtendedSystem(system, t, u, mu, v).inverse(A[:, 0])
+    B = ExtendedSystem(system, t, u, mu, v).inverse(system.evaluate(t, u)[1])
     return boxes, t, u, mu, v, B
 
 
@@ -699,7 +715,7 @@ def test_stacked_stages_equal_their_single_segment_calls(branch_result,
                                rungs.ravel())
     none = slice(0, 0)
     ext = ExtendedSystem(system, t, u, mu, v)
-    A1 = system.evaluate(t, u)[1][:, 0]
+    A1 = system.evaluate(t, u)[1]
     K, xi = ext.origin_bounds(J1, B)
     stacked = validate_segment(ext, B, d, 0)
     for i, box in enumerate(boxes):
@@ -980,16 +996,17 @@ def test_link_failing_at_a_wave_first_anchor_ends_the_branch(coral, monkeypatch)
 
 
 def test_bordered_tangent_matches_svd_tangent(branch_result, preconditioned_system):
-    """After the first box the tangent solves [prev; A] tau = e_0; on 64
-    recorded anchors it equals the SVD null vector, oriented along the
+    """After the first box the tangent solves [prev; A1; rows] tau = e_0; on
+    64 recorded anchors it equals the SVD null vector, oriented along the
     previous tangent, to 1e-12 in max norm."""
     system, boxes = preconditioned_system, branch_result.boxes
     tau = lambda mu_v: np.concatenate([mu_v[0], mu_v[1][0]])
     for k in range(1, len(boxes), len(boxes) // 64)[:64]:
         b, prev = boxes[k], boxes[k - 1]
         tprev = np.concatenate([[prev.mu], prev.v])
-        A = system.evaluate(np.array([b.t]), b.u[None])[1]
-        tb, ts = tau(tangent_estimate(A, tprev)), tau(tangent_estimate(A))
+        A1 = system.evaluate(np.array([b.t]), b.u[None])[1]
+        tb = tau(tangent_estimate(system.rows, A1, tprev))
+        ts = tau(tangent_estimate(system.rows, A1))
         if float(tprev @ ts) < 0.0:
             ts = -ts
         assert float(tprev @ tb) > 0.0
@@ -997,10 +1014,10 @@ def test_bordered_tangent_matches_svd_tangent(branch_result, preconditioned_syst
 
 
 def test_bordered_tangent_singular_border():
-    # prev orthogonal to the null vector (1, 1) of ToyLinear: [prev; A] is singular
-    A = ToyLinear().evaluate(np.zeros(1), np.zeros((1, 1)))[1]
-    with pytest.raises(TangentUndefined):
-        tangent_estimate(A, prev=np.array([1.0, -1.0]))
+    # prev orthogonal to the null vector (1, 1) of ToyLinear: [prev; A1] is singular
+    A1 = ToyLinear().evaluate(np.zeros(1), np.zeros((1, 1)))[1]
+    with pytest.raises(TangentUndefined, match="anchor 0 of the stack"):
+        tangent_estimate(_NO_ROWS, A1, prev=np.array([1.0, -1.0]))
 
 
 def test_planner_evaluates_each_point_once(coral, monkeypatch):
@@ -1063,11 +1080,12 @@ def test_validator_takes_one_row1_jet_per_wave(coral, monkeypatch):
 
 def test_evaluate_equals_map_compositions(branch_result, preconditioned_system, coral):
     """On 64 recorded anchors, each row of one stacked evaluation matches
-    the one-state references to 8 ulps: F = f/s - u from `step`, [D_t F |
-    D_u F] from `jac_lam` and `CoralMap.jac_x`, rescaled, and D_x f from
-    `CoralMap.jac_x` (only the summation order of q.x and b.x and np.exp
-    against math.exp differ).  D_x f is compared in the coordinates u = x/s
-    of the branch system, where it is the similar matrix diag(1/s) D_x f
+    the one-state references to 8 ulps: F = f/s - u from `step`, and row 1
+    of [D_t F | D_u F] from `jac_lam` and row 0 of `CoralMap.jac_x`,
+    rescaled (only the summation order of q.x and b.x and np.exp against
+    math.exp differ); the constant rows below it match the rescaled rows
+    of `CoralMap.jac_x`.  D_x f is compared in the coordinates u = x/s of
+    the branch system, where it is the similar matrix diag(1/s) D_x f
     diag(s); in raw coordinates the cancellation in its first row puts the
     same rounding at up to 10 ulps of the row's largest entry."""
     system = preconditioned_system
@@ -1084,8 +1102,9 @@ def test_evaluate_equals_map_compositions(branch_result, preconditioned_system, 
         A[:, 1:] = Jx * similar - np.eye(system.d)
         F = step(coral, lam, x) / s - ui
         assert ulps(stacked[0][i] - F, np.maximum(np.abs(F + ui), 1.0)) <= 8   # F = f/s - u
-        assert ulps(stacked[1][i] - A, np.maximum(np.abs(A), 1.0)) <= 8
-        assert ulps((stacked[2][i] - Jx) * similar, np.maximum(np.abs(Jx * similar), 1.0)) <= 8
+        assert ulps(stacked[1][i] - A[0], np.maximum(np.abs(A[0]), 1.0)) <= 8
+    # rows 1.. of D_x f, the subdiagonal S, are the same at every anchor
+    assert ulps(system.rows.float - A[1:], np.maximum(np.abs(A[1:]), 1.0)) <= 8
 
 
 def test_stacked_evaluate_rows_match_one_point_calls(branch_result, preconditioned_system):
@@ -1125,16 +1144,15 @@ def test_stacked_extended_rows_match_one_row_calls(branch_result, preconditioned
 
 
 def test_extended_jacobian_block_structure(branch_result, preconditioned_system):
-    """On 64 recorded anchors the extended Jacobian borders the stack's
-    [D_t F | D_u F] with (mu, v): its rows 2.. are the system's constant
-    rows, bit for bit, and lie in their interval block, and row 1 lies in
-    `jet_iv`'s enclosure of it."""
+    """On 64 recorded anchors the extended Jacobian borders [A1; rows] with
+    (mu, v): the float row 1 from `evaluate` lies in `jet_iv`'s enclosure
+    of it, and the system's constant rows lie in their interval block."""
     system = preconditioned_system
     boxes, t, u, mu, v, _ = _recorded(branch_result, system)
-    A = system.evaluate(t, u)[1]
-    assert all(np.array_equal(Ai[1:], system.rows.float) for Ai in A)
+    A1 = system.evaluate(t, u)[1]
+    assert A1.shape == (len(t), system.d + 1)
     _, J1 = _at(system, IArray.point(t), IArray.point(u))
-    for rows, iv in ((A[:, 0], J1), (system.rows.float, system.rows.iv)):
+    for rows, iv in ((A1, J1), (system.rows.float, system.rows.iv)):
         assert np.all(iv.lo <= rows + 1e-12) and np.all(iv.hi >= rows - 1e-12)
 
 
@@ -1155,16 +1173,24 @@ def test_structured_inverse_inverts_and_keeps_rows_independent(branch_result,
     """On 64 recorded anchors the rank-2 update of P'^-1 inverts DG(0) to
     |B J - I| <= 1e-12, and each row of the stack, and a run of rows, has
     the bits of its own call: P'^-1 is shared by every row, and its
-    products stay one per anchor."""
+    products stay one per anchor.  The same holds for the bordered tangent
+    systems [prev; A1; rows], prev the tangent of the box before."""
     system = preconditioned_system
     boxes, t, u, mu, v, B = _recorded(branch_result, system)
-    A1 = system.evaluate(t, u)[1][:, 0]
-    J = _extended_jacobians(system, mu, v, A1, system.rows.float)
-    assert np.abs(B @ J - np.eye(system.d + 1)).sum(axis=-1).max() <= 1e-12
+    A1 = system.evaluate(t, u)[1]
     ext = ExtendedSystem(system, t, u, mu, v)
-    for i in range(len(t)):
-        assert np.array_equal(ext[i:i + 1].inverse(A1[i:i + 1])[0], B[i])
-    assert np.array_equal(ext[5:12].inverse(A1[5:12]), B[5:12])
+    chain = branch_result.boxes
+    before = [chain[max(b.index - 1, 0)] for b in boxes]
+    prev = np.array([np.append(b.mu, b.v) for b in before])
+    Bp = system.rows.inverse(prev, A1)
+    inverses = [(B, np.column_stack([mu, v]), lambda rows: ext[rows].inverse(A1[rows])),
+                (Bp, prev, lambda rows: system.rows.inverse(prev[rows], A1[rows]))]
+    for Bs, X, call in inverses:
+        J = _extended_jacobians(system, X[:, 0], X[:, 1:], A1, system.rows.float)
+        assert np.abs(Bs @ J - np.eye(system.d + 1)).sum(axis=-1).max() <= 1e-12
+        for i in range(len(t)):
+            assert np.array_equal(call(slice(i, i + 1))[0], Bs[i])
+        assert np.array_equal(call(slice(5, 12)), Bs[5:12])
 
 
 def test_singular_capacitance_raises_linalgerror():
