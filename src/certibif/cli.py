@@ -313,13 +313,12 @@ def cmd_rotation(args) -> int:
                                    n=args.iterates, skip=args.skip, keep=2)
     except OrbitDiverged as exc:
         raise OrbitDiverged(f"at R = {float(Rs[exc.orbit])!r}: {exc}") from exc
+    try:
+        pairs = dynamics.rotation_and_profile(orb.points, center=args.center, bins=args.bins)
+    except RotationUndefined as exc:
+        raise RotationUndefined(f"at R = {float(Rs[exc.orbit])!r}: {exc}") from exc
     rot_rows, prof_rows = [], []
-    for j, R in enumerate(Rs):
-        xy = orb.points[:, j]
-        try:
-            r, prof = dynamics.rotation_and_profile(xy, center=args.center, bins=args.bins)
-        except RotationUndefined as exc:
-            raise RotationUndefined(f"at R = {float(R)!r}: {exc}") from exc
+    for R, (r, prof) in zip(Rs, pairs):
         rot_rows.append([R, r.rho, r.convergence_gap, r.iterates_used])
         prof_rows.extend([R, c, m] for c, m in zip(prof.bin_centers, prof.mean_increment))
     _write_csv(out / "rotation.csv", ["R", "rho", "convergence_gap", "iterates"], rot_rows)

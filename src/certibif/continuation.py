@@ -187,7 +187,7 @@ class ConstantRows:
         P[2:] = rows
         self.P_inv = np.linalg.inv(P)
 
-    def inverse(self, X: np.ndarray, A1: np.ndarray) -> np.ndarray:
+    def inverse(self, X: np.ndarray, A1: np.ndarray, first_column: bool = False) -> np.ndarray:
         """Float inverses of the stack of matrices [X; A1; float], X and A1
         (n, d + 1) their rows 0 and 1: a rank-2 update of P'^-1 (Hager,
         "Updating the inverse of a matrix", SIAM Review 1989).  P' has rows
@@ -195,10 +195,12 @@ class ConstantRows:
         is the identity but for its rows 0 and 1, Y = [X; A1] P'^-1.  Hence
         the inverse is P'^-1 [[C^-1, -C^-1 Y_r]; [0, I]] with the 2x2
         capacitance C = Y[:, :2], inverted explicitly, and Y_r = Y[:, 2:].
+        With `first_column`, only column 0 of each inverse, P'^-1[:, :2]
+        C^-1 e_0 (n, d + 1), computed from Y's first two columns alone.
         Every product is one per row, so a row does not depend on the rows
         stacked with it.  Raises LinAlgError where C is singular."""
         Q = self.P_inv
-        Y = np.stack([X, A1], axis=1) @ Q
+        Y = np.stack([X, A1], axis=1) @ (Q[:, :2] if first_column else Q)
         (c00, c01), (c10, c11) = Y[:, 0, :2].T, Y[:, 1, :2].T
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             Cinv = np.stack([np.stack([c11, -c01], axis=-1), np.stack([-c10, c00], axis=-1)],
@@ -206,6 +208,8 @@ class ConstantRows:
         bad = np.flatnonzero(~np.isfinite(Cinv).all(axis=(1, 2)))
         if bad.size:
             raise np.linalg.LinAlgError(f"singular capacitance at anchor {bad[0]} of the stack")
+        if first_column:
+            return (Q[:, :2] @ Cinv[:, :, :1])[:, :, 0]
         Z = np.concatenate([Cinv, -(Cinv @ Y[:, :, 2:])], axis=-1)
         B = Q[:, :2] @ Z
         B[:, :, 2:] += Q[:, 2:]
@@ -318,8 +322,9 @@ def tangent_estimate(rows: ConstantRows, A1: np.ndarray, prev: np.ndarray | None
 
     Given the previous direction, it solves the bordered systems [prev; A1;
     rows] tau = e_0, whose solutions continue prev (prev . tau = 1): tau is
-    column 0 of `rows.inverse`.  At the start, with no direction to border
-    by, it is the last right singular vector of each Jacobian."""
+    column 0 of `rows.inverse`, which forms only that column.  At the
+    start, with no direction to border by, it is the last right singular
+    vector of each Jacobian."""
     if prev is None:
         _, sv, Vt = np.linalg.svd(np.stack([np.vstack([a, rows.float]) for a in A1]))
         if (sv[..., -1] <= _RANK_TOL * sv[..., 0]).any():
@@ -328,7 +333,7 @@ def tangent_estimate(rows: ConstantRows, A1: np.ndarray, prev: np.ndarray | None
         tang = Vt[..., -1, :]
     else:
         try:
-            tang = rows.inverse(np.broadcast_to(prev, A1.shape), A1)[:, :, 0]
+            tang = rows.inverse(np.broadcast_to(prev, A1.shape), A1, first_column=True)
         except np.linalg.LinAlgError as exc:
             raise TangentUndefined(f"bordered tangent system singular: {exc}") from exc
         bad = np.flatnonzero(~np.isfinite(tang).all(axis=-1))

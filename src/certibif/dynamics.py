@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import OrbitDiverged, RotationUndefined
-from .model import CoralMap, phi
+from .model import CoralMap, CoralParams
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,34 @@ def density_matched_state(coral: CoralMap, P: float) -> np.ndarray:
 _HISTORY_BLOCK = 32   # a transient runs in blocks of at least this many d rows
 
 
+def _recruitment(params: CoralParams, lam2: np.ndarray, P: np.ndarray, bx: np.ndarray):
+    """The recruits lam2 * phi(P, params) * bx of P, bx and lam2 (2, m),
+    as a function that writes them into its argument `out` (2, m).
+
+    A float twin of `model.phi`, kept so that an orbit round makes no
+    generic call: it applies phi's operands in phi's order, so its bits
+    are phi's, but both exponentials are one `exp` of a (2, 2, m) buffer
+    and both constant products one multiply.  It reads P and bx when
+    called, so the caller refills them between calls."""
+    neg = np.array([-params.alpha, -params.beta])[:, None, None]
+    c = np.array([params.c1, params.c2])[:, None, None]
+    E = np.empty((2,) + P.shape)
+    E0, E1 = E                      # c1 e^{-alpha P} and c2 e^{-beta P}
+    D = np.empty(P.shape)
+    multiply, exp, add, divide = np.multiply, np.exp, np.add, np.divide
+
+    def recruit(out: np.ndarray) -> None:
+        multiply(neg, P, out=E)
+        exp(E, out=E)
+        multiply(c, E, out=E)
+        multiply(P, P, out=D)
+        add(D, E1, out=D)
+        divide(E0, D, out=D)
+        multiply(lam2, D, out=D)
+        multiply(D, bx, out=out)
+    return recruit
+
+
 def iterate(coral: CoralMap, lam, x0: np.ndarray, n: int, skip: int = 0,
             keep: int | None = None) -> OrbitSample:
     """Iterates skip+1 .. skip+n of the map from x0.
@@ -69,12 +97,14 @@ def iterate(coral: CoralMap, lam, x0: np.ndarray, n: int, skip: int = 0,
     profile, so q.x and b.x are weighted sums of the last d recruitments.
     Recruitment reads neither x_1 nor x_2 (q_1 = b_1 = b_2 = 0), so one
     (4, d) @ (d, m) product of reversed q*a and b*a weights with the last d
-    rows of history gives q.x and b.x at iterates t and t+1, and one phi
-    call gives x_1(t+1) and x_1(t+2).  Components 2..d of x0 enter q.x and
-    b.x as an initial term over the first d - 1 iterates, computed by
-    chained survival shifts of x0 (never by dividing by a, which may hold
-    zeros).  Components 2..keep are filled after the loop by the chained
-    shifts x_{j+1}(t) = S_j x_j(t-1) over the whole range.
+    rows of history gives q.x and b.x at iterates t and t+1, and one fused
+    evaluation of lam * phi(q.x) * b.x (`_recruitment`: eight numpy calls
+    into buffers allocated once, with phi's bits) gives x_1(t+1) and
+    x_1(t+2).  Components 2..d of x0 enter q.x and b.x as an initial term
+    over the first d - 1 iterates, computed by chained survival shifts of
+    x0 (never by dividing by a, which may hold zeros).  Components 2..keep
+    are filled after the loop by the chained shifts x_{j+1}(t) = S_j
+    x_j(t-1) over the whole range.
 
     The history lives in the first plane of the output buffer.  A
     transient longer than the buffer runs in blocks, each carrying its
@@ -103,7 +133,8 @@ def iterate(coral: CoralMap, lam, x0: np.ndarray, n: int, skip: int = 0,
     rows = max(n, _HISTORY_BLOCK * d) + d + 3
     lam2 = np.tile(lam_v, (2, 1))   # same shape as phi's output: no broadcast per round
     Pb = np.empty((4, m))
-    P, bx = Pb[:2], Pb[2:]
+    recruit = _recruitment(params, lam2, Pb[:2], Pb[2:])
+    dot = W.dot
     buf = np.empty((k, rows, m))
     H = buf[0]                      # H[r] is x_1(base + r)
     base, t = -d, 0                 # x_1 is known up to time t
@@ -127,10 +158,10 @@ def iterate(coral: CoralMap, lam, x0: np.ndarray, n: int, skip: int = 0,
             # time it holds, and never past `final`
             stop = total if done else min(final, base + rows - 1 - (base + rows - 1) % 2)
             for r in range(t - base, stop - base, 2):
-                W.dot(H[r - d + 1:r + 1], out=Pb)
+                dot(H[r - d + 1:r + 1], out=Pb)
                 if r < r_init:
                     Pb += init[(r + base) // 2]
-                np.multiply(lam2 * phi(P, params), bx, out=H[r + 1:r + 3])
+                recruit(H[r + 1:r + 3])
             block = H[t + 1 - base:stop + 1 - base]
             if not math.isfinite(block.sum()):   # a finite sum may overflow too
                 bad = ~np.isfinite(block)
@@ -175,54 +206,53 @@ def _bump_weights(i: np.ndarray, m: int) -> np.ndarray:
     return np.exp(-1.0 / (s * (1.0 - s)))
 
 
-def _angle_blocks(xy: np.ndarray, center: tuple[float, float]):
-    """(start, theta, inc) block by block: the angle of each point about
-    `center` and its increment to the next point, wrapped to (-pi, pi].
-
-    Blocks keep the analysis memory independent of the orbit length; a
-    rotation sweep holds all its orbits while they are analysed.
-    """
-    for start in range(0, len(xy) - 1, _BLOCK):
-        blk = xy[start:start + _BLOCK + 1]
-        dx = blk[:, 0] - center[0]
-        dy = blk[:, 1] - center[1]
-        if np.any(dx * dx + dy * dy < 1e-18):
-            raise RotationUndefined("orbit hits the projection center")
-        theta = np.arctan2(dy, dx)
-        inc = np.diff(theta)
-        inc = np.where(inc <= -math.pi, inc + 2.0 * math.pi, inc)
-        inc = np.where(inc > math.pi, inc - 2.0 * math.pi, inc)
-        yield start, theta[:-1], inc
+def _angles(xy: np.ndarray, center: tuple[float, float]):
+    """(theta, inc), the angle of each point of xy but the last about
+    `center` and its increment to the next point, wrapped to (-pi, pi];
+    None if a point hits the center."""
+    dx = xy[:, 0] - center[0]
+    dy = xy[:, 1] - center[1]
+    if np.any(dx * dx + dy * dy < 1e-18):
+        return None
+    theta = np.arctan2(dy, dx)
+    inc = np.diff(theta)
+    inc = np.where(inc <= -math.pi, inc + 2.0 * math.pi, inc)
+    inc = np.where(inc > math.pi, inc - 2.0 * math.pi, inc)
+    return theta[:-1], inc
 
 
 class _RotationSums:
-    """Weighted increment sums and weight sums over all m increments and
-    over the first 0.8 m, plus the net, forward and backward advance."""
+    """Weighted increment sums and weight sums over all increments and
+    over the first 0.8 of them, plus the net, forward and backward
+    advance, of batch orbit `orbit`; `hit` records that it hit the
+    projection center."""
 
-    def __init__(self, m: int):
-        self.m, self.m8 = m, int(0.8 * m)
+    def __init__(self, orbit: int):
+        self.orbit, self.hit = orbit, False
         self.net = self.pos = self.neg = 0.0
         self.wsum = np.zeros(4)
 
-    def add(self, start: int, theta: np.ndarray, inc: np.ndarray) -> None:
+    def add(self, inc: np.ndarray, w: np.ndarray, w8: np.ndarray) -> None:
+        """One block's increments, with the block's bump weights w for all
+        increments and w8 for those among the first 0.8 of them."""
         self.net += inc.sum()
         self.pos += inc[inc > 0.0].sum()
         self.neg -= inc[inc < 0.0].sum()
-        i = np.arange(start + 1.0, start + 1.0 + len(inc))
-        w = _bump_weights(i, self.m)
-        k = max(0, min(len(inc), self.m8 - start))
-        w8 = _bump_weights(i[:k], self.m8)
-        self.wsum += (w @ inc, w.sum(), w8 @ inc[:k], w8.sum())
+        self.wsum += (w @ inc, w.sum(), w8 @ inc[:len(w8)], w8.sum())
 
     def result(self, iterates_used: int) -> RotationResult:
+        if self.hit:
+            raise RotationUndefined("orbit hits the projection center", orbit=self.orbit)
         net, pos, neg, wsum = self.net, self.pos, self.neg, self.wsum
         total = pos + neg
         backward = neg if net > 0.0 else pos if net < 0.0 else 0.0
         if total == 0.0:
-            raise RotationUndefined("the orbit does not wind about the center (no angle advance)")
+            raise RotationUndefined("the orbit does not wind about the center (no angle advance)",
+                                    orbit=self.orbit)
         if backward > 0.02 * total:
             raise RotationUndefined(
-                f"angle increments change sign persistently ({backward / total:.1%})")
+                f"angle increments change sign persistently ({backward / total:.1%})",
+                orbit=self.orbit)
         rho_full = wsum[0] / (2.0 * math.pi * wsum[1]) % 1.0
         rho_08 = wsum[2] / (2.0 * math.pi * wsum[3]) % 1.0
         gap = abs(rho_full - rho_08)
@@ -239,7 +269,7 @@ class _ProfileSums:
         self.sums = np.zeros(bins)
         self.counts = np.zeros(bins, dtype=int)
 
-    def add(self, start: int, theta: np.ndarray, inc: np.ndarray) -> None:
+    def add(self, theta: np.ndarray, inc: np.ndarray) -> None:
         ang = (theta / (2.0 * math.pi)) % 1.0
         idx = np.minimum((ang * self.bins).astype(int), self.bins - 1)
         self.sums += np.bincount(idx, weights=inc, minlength=self.bins)
@@ -265,20 +295,39 @@ class _ProfileSums:
 
 
 def rotation_and_profile(xy: np.ndarray, center: tuple[float, float] = (2500.0, 2500.0),
-                         bins: int = 64) -> tuple[RotationResult, AngleProfile]:
+                         bins: int = 64):
     """The weighted Birkhoff average of the angle advance about `center` of
-    the orbit's (x_1, x_2) projection xy (n, 2), rescaled to (0, 1), and its
-    mean angle advance per iterate binned by the (rescaled) angle, from one
-    pass over its angles.
+    an orbit's (x_1, x_2) projection, rescaled to (0, 1), and its mean
+    angle advance per iterate binned by the (rescaled) angle, from one pass
+    over its angles: a (RotationResult, AngleProfile) pair for one orbit xy
+    (n, 2), and a list of m pairs for m orbits xy (n, m, 2).
 
-    The orbit must wind consistently about the center; persistent sign
-    changes of the angle increment raise RotationUndefined.
+    The angles are taken in blocks of 8,192 points, so the analysis memory
+    does not grow with n.  Blocks are the outer loop and orbits the inner:
+    a block's bump weights depend only on its positions and n, so they are
+    computed once for all orbits, and only one orbit's block arrays are
+    alive at a time.  An orbit must wind consistently about the center;
+    one that hits it or whose angle increments change sign persistently
+    raises RotationUndefined, whose `orbit` is the first such orbit.
     """
-    rot, prof = _RotationSums(len(xy) - 1), _ProfileSums(bins)
-    for block in _angle_blocks(xy, center):
-        rot.add(*block)
-        prof.add(*block)
-    return rot.result(len(xy)), prof.result()
+    orbits = xy[:, None] if xy.ndim == 2 else xy
+    n, m = orbits.shape[:2]
+    incs, incs8 = n - 1, int(0.8 * (n - 1))
+    rots = [_RotationSums(j) for j in range(m)]
+    profs = [_ProfileSums(bins) for _ in range(m)]
+    for start in range(0, incs, _BLOCK):
+        i = np.arange(start + 1.0, start + 1.0 + min(_BLOCK, incs - start))
+        w = _bump_weights(i, incs)
+        w8 = _bump_weights(i[:max(0, min(len(i), incs8 - start))], incs8)
+        for j, (rot, prof) in enumerate(zip(rots, profs)):
+            angles = None if rot.hit else _angles(orbits[start:start + _BLOCK + 1, j], center)
+            if angles is None:
+                rot.hit = True
+                continue
+            rot.add(angles[1], w, w8)
+            prof.add(*angles)
+    pairs = [(rot.result(n), prof.result()) for rot, prof in zip(rots, profs)]
+    return pairs[0] if xy.ndim == 2 else pairs
 
 
 # ---------------------------------------------------------------------------

@@ -50,4 +50,9 @@ class OrbitDiverged(Exception):
 
 
 class RotationUndefined(Exception):
-    """The projected orbit does not wind monotonically about the center."""
+    """The projected orbit does not wind monotonically about the center;
+    for a batch of orbits, `orbit` is the first that does not."""
+
+    def __init__(self, message: str, orbit: int = 0):
+        super().__init__(message)
+        self.orbit = orbit

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import subprocess
@@ -258,6 +259,23 @@ def test_rotation_csv(tmp_path, capsys):
     assert all(float(r[3]) == 20000 for r in rows)
     prof = (tmp_path / "angle_profile.csv").read_text().splitlines()
     assert len(prof) == 1 + 3 * 16
+
+
+@pytest.mark.parametrize("factor, rotation_sha, profile_sha", [
+    (None, "7bce198406f4de9f7428a4a5dcc8fe5e70ff87a51205178b88dd8d8b36badf0d",
+     "e1d9aedbd5d12e07595faffb3555a6e5042f7f40e98099c646a67af75d4f4c8c"),
+    ("1.45", "f64a0621de62982212a771752100f08c9644d81cebf9f6a3b639d0e5ac93050a",
+     "aa6c1572990d3c549e4b7560509933e007ab67137dcfa92b7a8fbb63eb28bf68"),
+], ids=["default-start", "x0-factor-1.45"])
+def test_rotation_outputs_are_byte_stable(tmp_path, factor, rotation_sha, profile_sha):
+    # the iterate tests compare at rtol 1e-12; these hashes catch a last-bit
+    # drift in the orbit or its analysis
+    argv = ["--out", str(tmp_path), "rotation", "--R-range", "160:200:3",
+            "--iterates", "20000", "--skip", "2000"]
+    assert main(argv + (["--x0-factor", factor] if factor else [])) == 0
+    sha = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+           for f in ("rotation.csv", "angle_profile.csv")}
+    assert sha == {"rotation.csv": rotation_sha, "angle_profile.csv": profile_sha}
 
 
 def test_simulate_divergence_is_a_one_line_error(tmp_path, capsys):

@@ -1174,7 +1174,9 @@ def test_structured_inverse_inverts_and_keeps_rows_independent(branch_result,
     |B J - I| <= 1e-12, and each row of the stack, and a run of rows, has
     the bits of its own call: P'^-1 is shared by every row, and its
     products stay one per anchor.  The same holds for the bordered tangent
-    systems [prev; A1; rows], prev the tangent of the box before."""
+    systems [prev; A1; rows], prev the tangent of the box before, whose
+    first column alone, as the tangent takes it, has the bits of the full
+    inverse's."""
     system = preconditioned_system
     boxes, t, u, mu, v, B = _recorded(branch_result, system)
     A1 = system.evaluate(t, u)[1]
@@ -1183,6 +1185,7 @@ def test_structured_inverse_inverts_and_keeps_rows_independent(branch_result,
     before = [chain[max(b.index - 1, 0)] for b in boxes]
     prev = np.array([np.append(b.mu, b.v) for b in before])
     Bp = system.rows.inverse(prev, A1)
+    assert np.array_equal(system.rows.inverse(prev, A1, first_column=True), Bp[:, :, 0])
     inverses = [(B, np.column_stack([mu, v]), lambda rows: ext[rows].inverse(A1[rows])),
                 (Bp, prev, lambda rows: system.rows.inverse(prev[rows], A1[rows]))]
     for Bs, X, call in inverses:

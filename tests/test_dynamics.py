@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certibif.dynamics import (_HISTORY_BLOCK, density_matched_state,
+from certibif.dynamics import (_HISTORY_BLOCK, _recruitment, density_matched_state,
                                farey_min_denominator, iterate, polyp_density_series,
                                rotation_and_profile)
 from certibif.errors import OrbitDiverged, RotationUndefined
-from certibif.model import CoralMap, CoralParams
+from certibif.model import CoralMap, CoralParams, phi
 from helpers import step
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -185,6 +185,49 @@ def test_batched_rotation_numbers_match_single_orbits(coral):
                    - rotation_and_profile(alone.points[:, :2])[0].rho) <= 1e-12
 
 
+@pytest.mark.parametrize("params", [CoralParams(), CoralParams(c2=1.5e7, beta=3.1e-3)],
+                         ids=["default", "perturbed"])
+def test_recruitment_kernel_equals_phi_bit_for_bit(params):
+    # P = 0; exp(-beta P) and then also exp(-alpha P) underflow; subnormal
+    # exp(-alpha P), num and result; and a column with lambda = 0
+    P = np.array([[0.0, 1e3, 2.5e5, 1.45e6, 1.48e6, 3e6, 7.5e3, 1.2e4],
+                  [1e-300, 3.7, 5e5, 1.46e6, 1.6e6, 1e100, 2.5e3, 0.0]])
+    bx = np.array([[1.0, 2e3, 1e4, 3.3, 1e-10, 5e3, 0.0, 4e3],
+                   [7e2, 0.5, 9e3, 1e-5, 2.0, 1e3, 6e3, 1e-300]])
+    lam = np.tile([1.7, 3.2, 0.9, 5.5, 2.0, 8.1, 6.25, 0.0], (2, 1))
+    # and orbit-like values, on which a reordered product drifts a last bit
+    rng = np.random.default_rng(0)
+    P = np.hstack([P, rng.uniform(0.0, 5e3, (2, 200))])
+    bx = np.hstack([bx, rng.uniform(0.0, 1e4, (2, 200))])
+    lam = np.hstack([lam, np.tile(rng.uniform(0.0, 10.0, 200), (2, 1))])
+    want = lam * phi(P, params) * bx
+    assert np.any((want != 0.0) & (np.abs(want) < np.finfo(float).tiny))
+    out = np.empty_like(P)
+    _recruitment(params, lam, P, bx)(out)
+    assert out.tobytes() == want.tobytes()
+
+
+def test_batched_analysis_matches_single_orbits_bit_for_bit(coral):
+    # 20,000 points span three blocks, and the 0.8 cut falls inside the second
+    y = density_matched_state(coral, 1500.0)
+    lams = np.array([160.0, 175.0, 200.0]) / coral.cf.ba
+    xy = iterate(coral, lams, 1.5 * y, n=20_000, skip=2_000, keep=2).points
+    for j, (rot, prof) in enumerate(rotation_and_profile(xy, bins=16)):
+        alone_rot, alone_prof = rotation_and_profile(np.ascontiguousarray(xy[:, j]), bins=16)
+        assert rot == alone_rot
+        assert prof.mean_increment.tobytes() == alone_prof.mean_increment.tobytes()
+
+
+def test_batched_analysis_names_the_first_failing_orbit():
+    # orbit 2 hits the center in the first block, orbit 1 only in the
+    # second, and orbit 0 winds: the error is orbit 1's
+    pts = np.stack([_rigid_rotation(GOLDEN, 10_000)] * 3, axis=1)
+    pts[9_000, 1] = pts[5, 2] = (0.0, 0.0)
+    with pytest.raises(RotationUndefined, match="hits the projection center") as exc:
+        rotation_and_profile(pts, center=(0.0, 0.0))
+    assert exc.value.orbit == 1
+
+
 def test_orbit_decays_at_low_R(coral):
     lam = 0.3      # R = 8.744
     y = density_matched_state(coral, 1500.0)
@@ -261,7 +304,6 @@ def test_rigid_rotation_recovered_to_1e12():
 
 def test_weighted_beats_unweighted_average():
     pts = _rigid_rotation(GOLDEN, 10_001)
-    _, inc = np.arctan2(pts[:, 1], pts[:, 0]), None
     th = np.arctan2(pts[:, 1], pts[:, 0])
     inc = np.diff(th)
     inc = np.where(inc <= -math.pi, inc + 2 * math.pi, inc)
@@ -281,12 +323,6 @@ def test_rotation_center_hit_raises():
     pts = _rigid_rotation(GOLDEN, 100)
     pts[17] = (0.0, 0.0)
     with pytest.raises(RotationUndefined):
-        rotation_and_profile(pts, center=(0.0, 0.0))
-
-
-def test_rotation_without_angle_advance_does_not_wind():
-    pts = np.tile([2.0, 1.0], (100, 1))      # a fixed point beside the center
-    with pytest.raises(RotationUndefined, match="^the orbit does not wind about the center"):
         rotation_and_profile(pts, center=(0.0, 0.0))
 
 
