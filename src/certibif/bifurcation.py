@@ -5,22 +5,27 @@ The NS and SN points are isolated zeros of extended systems (fixed point
 + eigenpair + normalization rows); those zeros are certified with the
 constructive implicit function theorem, after which the transversality
 and nondegeneracy conditions are evaluated in interval arithmetic over
-the certified enclosure.  The transcritical point on the extinction
-branch has closed forms, which are still evaluated as intervals.
+the certified enclosure.  D_x f is a Leslie matrix, so those conditions
+solve no linear system: the left eigenvector is a backward recursion
+(Fisher's reproductive value), and since only row 1 of f is nonlinear,
+every right-hand side is a multiple of e_1, whose resolvent is a forward
+recursion divided by one scalar.  The transcritical point on the
+extinction branch has closed forms, which are still evaluated as
+intervals.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import cift
 from .errors import (CertificationFailed, ConditionInconclusive, DomainError,
-                     NotInvertibleEvidence, SpectrumInconclusive, ValidationFailed)
-from .interval import (IArray, Interval, dot_seq, float_matmat, norm_inf, up_dot, up_mul,
-                       up_sum, _dn2, _up2)
+                     SpectrumInconclusive, ValidationFailed)
+from .interval import IArray, Interval, dot_seq, float_matmat, up_dot, up_mul, up_sum, _dn2, _up2
 from .model import (CoralMap, FixedPointReduction, Row1Jet, _bisect, phi_derivs,
                     polyp_density, row1_d2, row1_d3)
 
@@ -39,9 +44,6 @@ class CI:
         self.re = re if isinstance(re, Interval) else Interval(float(re))
         self.im = im if isinstance(im, Interval) else Interval(float(im))
 
-    def __repr__(self) -> str:
-        return f"CI({self.re!r}, {self.im!r})"
-
     def conj(self) -> "CI":
         return CI(self.re, -self.im)
 
@@ -59,7 +61,9 @@ class CI:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, o: "CI") -> "CI":
+    def __truediv__(self, o: "CI | Interval") -> "CI":
+        if not isinstance(o, CI):
+            return CI(self.re / o, self.im / o)
         den = o.re.sqr() + o.im.sqr()
         num = self * o.conj()
         return CI(num.re / den, num.im / den)
@@ -82,39 +86,56 @@ _RAD2DEG = Interval(180.0) / _PI_IV
 
 
 # ---------------------------------------------------------------------------
-# verified linear solves (Neumann-series enclosures)
+# the Leslie form of D_x f: left eigenvectors and resolvents in closed form
 # ---------------------------------------------------------------------------
+#
+# D_x f is a Leslie matrix A: its first row A1 is the only nonlinear row,
+# and below it stands the subdiagonal of survival rates S.  Both helpers
+# take the scalars of A1 (and mu, z, c) as Interval or CI and the float S;
+# over enclosures of their inputs they enclose what the same recursions
+# give at every point in them.  mu or z None stands for 1, where nothing
+# is divided.
 
 
-def verified_solve(A: IArray, rhs: IArray, B: np.ndarray | None = None) -> IArray:
-    """Enclosure of A^{-1} rhs for every A, rhs in the input enclosures."""
-    if B is None:
-        B = np.linalg.inv(A.mid)
-    rho1 = cift.neumann_rho(A, B)
-    Bb = float_matmat(B, rhs)
-    r = ((Interval(rho1) * norm_inf(Bb)) / (Interval(1.0) - Interval(rho1))).hi
-    return Bb.widened(r)
+def leslie_left(A1: list, S, mu=None) -> list:
+    """The left eigenvector r, r^t A = mu r^t with r_1 = 1, for an
+    eigenvalue mu of A: r_d = A1_d / mu and r_j = (A1_j + S_j r_{j+1}) / mu
+    (Fisher's reproductive value).  The first column of r^t A = mu r^t is
+    the characteristic equation, which holds at an eigenvalue, and r_1 = 0
+    would force r = 0, so the scaling r_1 = 1 loses nothing.  A1 and mu
+    share one scalar type."""
+    r = [A1[-1] if mu is None else A1[-1] / mu]
+    for a, s in zip(A1[-2:0:-1], S[-1:0:-1]):
+        t = a + s * r[0]
+        r.insert(0, t if mu is None else t / mu)
+    return [type(A1[0])(1.0)] + r
 
 
-def _realify(re_m: IArray, im_m: IArray) -> IArray:
-    n = re_m.shape[0]
-    lo = np.empty((2 * n, 2 * n))
-    hi = np.empty((2 * n, 2 * n))
-    lo[:n, :n], hi[:n, :n] = re_m.lo, re_m.hi
-    lo[n:, n:], hi[n:, n:] = re_m.lo, re_m.hi
-    lo[:n, n:], hi[:n, n:] = -im_m.hi, -im_m.lo
-    lo[n:, :n], hi[n:, :n] = im_m.lo, im_m.hi
-    return IArray(lo, hi)
+def leslie_resolvent(A1: list, S, c, z=None) -> list:
+    """y = (zI - A)^{-1} c e_1 = c rho / (z - A1.rho): rows 2..d of
+    (zI - A) y = c e_1 give y = y_1 rho with rho_1 = 1 and rho_k =
+    rho_{k-1} S_{k-1} / z, and row 1 gives y_1.  The denominator vanishes
+    only where z is an eigenvalue of A; an enclosure of it that holds 0
+    raises DomainError."""
+    one = Interval(1.0) if z is None else type(z)(1.0)
+    rho = [one]
+    for s in S:
+        rho.append(rho[-1] * s if z is None else rho[-1] * s / z)
+    den = one if z is None else z
+    for a, p in zip(A1, rho):
+        den = den - p * a
+    y1 = c / den
+    return [y1 * p for p in rho]
 
 
-def verified_solve_complex(re_m: IArray, im_m: IArray,
-                           rhs: list[CI]) -> list[CI]:
-    """Enclosure of M^{-1} rhs for complex interval M via realification."""
-    n = re_m.shape[0]
-    rl = np.array([z.re.lo for z in rhs] + [z.im.lo for z in rhs])
-    rh = np.array([z.re.hi for z in rhs] + [z.im.hi for z in rhs])
-    sol = verified_solve(_realify(re_m, im_m), IArray(rl, rh))
-    return [CI(sol[i], sol[n + i]) for i in range(n)]
+@contextmanager
+def _quantity(name: str):
+    """A divisor enclosure that holds 0 while `name` is computed becomes
+    ConditionInconclusive naming it."""
+    try:
+        yield
+    except DomainError as exc:
+        raise ConditionInconclusive(f"{name}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +615,7 @@ class NsBoxData:
     lam: Interval
     a: Interval
     b: Interval
-    A: IArray            # D_x f over the box
+    A1: list             # row 1 of D_x f over the box
     g1: list             # dg/dx_j
     phis: tuple          # phi .. phi''' at P = q.x
     bx: Interval         # b.x
@@ -602,45 +623,20 @@ class NsBoxData:
     r: list[CI]          # r = conj(p), normalized so that <p, q> = r^t q = 1
 
 
-def _ns_left_row(coral: CoralMap, A_iv: IArray, a: Interval, b: Interval,
-                 box_mid: np.ndarray) -> list[CI]:
-    """Enclosure of r = conj(p): the row vector with r^t A = e^{i theta0} r^t,
-    normalized by a numerical pinning row (renormalized by callers)."""
-    d = coral.d
-    # N = A^t - (a + i b) I; bordered with c = u0 + i w0 (approximate null
-    # vector of N^H) and a pinning row from the numerical left eigenvector.
-    _, _, w0, u0, a0, b0 = NsSystem(coral).split(box_mid)
-    ev, vecs = np.linalg.eig(A_iv.T.mid)
-    k = int(np.argmin(np.abs(ev - (a0 + 1j * b0))))
-    r0 = vecs[:, k]
-    pin = np.conj(r0) / float(np.vdot(r0, r0).real)
-    c_col = u0 + 1j * w0
-
-    n = d + 1
-    re_lo, re_hi, im_lo, im_hi = (np.zeros((n, n)) for _ in range(4))
-    _put(re_lo, re_hi, np.s_[:d, :d], A_iv.T.shifted(a))
-    _put(im_lo, im_hi, (np.arange(d), np.arange(d)), -b)
-    re_lo[:d, d] = re_hi[:d, d] = c_col.real
-    im_lo[:d, d] = im_hi[:d, d] = c_col.imag
-    re_lo[d, :d] = re_hi[d, :d] = pin.real
-    im_lo[d, :d] = im_hi[d, :d] = pin.imag
-    rhs = [CI(0.0, 0.0) for _ in range(n)]
-    rhs[d] = CI(1.0, 0.0)
-    sol = verified_solve_complex(IArray(re_lo, re_hi), IArray(im_lo, im_hi), rhs)
-    return sol[:d]
-
-
 def ns_box_data(coral: CoralMap, box: IArray, A_iv: IArray, jet: Row1Jet) -> NsBoxData:
     """The NS condition data over a certified box, given the order-3 row-1
-    jet of its x part and the D_x f enclosure built from it."""
+    jet of its x part and the D_x f enclosure built from it; r is the left
+    eigenvector of D_x f for e^{i theta0} = a + ib (`leslie_left`)."""
     _, lam, w, u, a, b = NsSystem(coral).split(box.to_scalars())
     q = [CI(ui, -wi) for ui, wi in zip(u, w)]
-    r = _ns_left_row(coral, A_iv, a, b, box.mid)
-    z = sum((ri * qi for ri, qi in zip(r, q)), CI(0.0))
-    if (z.re.sqr() + z.im.sqr()).lo <= 0.0:
-        raise ConditionInconclusive("<p, q> enclosure touches zero")
-    return NsBoxData(lam=lam, a=a, b=b, A=A_iv, g1=jet.g1.to_scalars(),
-                     phis=jet.phis, bx=jet.bx, q=q, r=[ri / z for ri in r])
+    A1 = A_iv[0].to_scalars()
+    with _quantity("r^t A = e^{i theta0} r^t"):
+        r = leslie_left([CI(aj) for aj in A1], coral.params.S, CI(a, b))
+    with _quantity("<p, q>"):
+        z = sum((ri * qi for ri, qi in zip(r, q)), CI(0.0))
+        r = [ri / z for ri in r]
+    return NsBoxData(lam=lam, a=a, b=b, A1=A1, g1=jet.g1.to_scalars(),
+                     phis=jet.phis, bx=jet.bx, q=q, r=r)
 
 
 def ns_condition_c_pair(coral: CoralMap, data: NsBoxData) -> tuple[Interval, Interval]:
@@ -649,12 +645,10 @@ def ns_condition_c_pair(coral: CoralMap, data: NsBoxData) -> tuple[Interval, Int
     (equal to d|mu|/dlambda along the branch) and, for cross-checking
     against other implementations, the version using only the explicit
     part D_{x lambda} f.  Returns (total, explicit_only)."""
-    d = coral.d
-    # x0'(lambda) = -(A - I)^{-1} D_lambda f
-    lo, hi = np.zeros(d), np.zeros(d)
-    _put(lo, hi, 0, data.phis[0] * data.bx)
-    x0p = -verified_solve(data.A.shifted(1.0), IArray(lo, hi))
-    chain = _d2_row(coral, data.lam, data.phis, data.bx, x0p.to_scalars()).to_scalars()
+    # x0'(lambda) = -(A - I)^{-1} D_lambda f = (I - A)^{-1} (phi b.x) e_1
+    with _quantity("x0'(lambda)"):
+        x0p = leslie_resolvent(data.A1, coral.params.S, data.phis[0] * data.bx)
+    chain = _d2_row(coral, data.lam, data.phis, data.bx, x0p).to_scalars()
     pref = CI(data.a, -data.b) * data.r[0]
 
     def contract(row: list[Interval]) -> Interval:
@@ -685,8 +679,7 @@ def ns_condition_d(coral: CoralMap, box: IArray) -> tuple[Interval, dict[str, bo
 
 def ns_condition_e(coral: CoralMap, data: NsBoxData) -> Interval:
     """Cubic normal-form coefficient (sign decides super/subcritical)."""
-    d = coral.d
-    lam, phis, bx, q = data.lam, data.phis, data.bx, data.q
+    lam, phis, bx, q, S = data.lam, data.phis, data.bx, data.q, coral.params.S
     qbar = [z.conj() for z in q]
     Q, Qbar = _qb(coral.ci, q), _qb(coral.ci, qbar)
 
@@ -695,25 +688,12 @@ def ns_condition_e(coral: CoralMap, data: NsBoxData) -> Interval:
         return lam * row1_d2(phis, bx, *y, *z)
 
     term_c = lam * row1_d3(phis, bx, *Q, *Q, *Qbar)
-
-    # (I - A)^{-1} B(q, qbar): real matrix, complex right-hand side
-    ImA = -data.A.shifted(1.0)
-    beta1 = B1(Q, Qbar)
-    B_pre = np.linalg.inv(ImA.mid)
-    e1 = np.zeros(d)
-    e1[0] = 1.0
-    z1_re = verified_solve(ImA, IArray.point(e1) * beta1.re, B_pre)
-    z1_im = verified_solve(ImA, IArray.point(e1) * beta1.im, B_pre)
-    z1 = [CI(re, im) for re, im in zip(z1_re.to_scalars(), z1_im.to_scalars())]
+    with _quantity("(I - A)^{-1} B(q, qbar)"):
+        z1 = leslie_resolvent(data.A1, S, B1(Q, Qbar))
     term_b2 = B1(Q, _qb(coral.ci, z1))
-
-    # (e^{2 i theta0} I - A)^{-1} B(q, q): genuinely complex solve
     mu2 = CI(data.a, data.b) * CI(data.a, data.b)
-    im_lo, im_hi = np.zeros((d, d)), np.zeros((d, d))
-    _put(im_lo, im_hi, (np.arange(d), np.arange(d)), mu2.im)
-    rhs = [CI(0.0, 0.0) for _ in range(d)]
-    rhs[0] = B1(Q, Q)
-    z2 = verified_solve_complex(-data.A.shifted(mu2.re), IArray(im_lo, im_hi), rhs)
+    with _quantity("(e^{2 i theta0} I - A)^{-1} B(q, q)"):
+        z2 = leslie_resolvent(data.A1, S, B1(Q, Q), mu2)
     term_b3 = B1(Qbar, _qb(coral.ci, z2))
 
     total = term_c + CI(2.0 * term_b2.re, 2.0 * term_b2.im) + term_b3
@@ -763,47 +743,27 @@ def certify_ns(coral: CoralMap, anchor: np.ndarray | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _sn_left_vector(coral: CoralMap, A_iv: IArray, v_mid: np.ndarray) -> IArray:
-    """Enclosure of the left kernel vector p of (A - I), pinned by a
-    numerical normalization row (callers renormalize to p^t q = 1)."""
-    d = coral.d
-    N_mid = A_iv.mid.T - np.eye(d)
-    ev, vecs = np.linalg.eig(N_mid)
-    k = int(np.argmin(np.abs(ev)))
-    p0 = np.real(vecs[:, k])
-    pin = p0 / float(p0 @ p0)
-    n = d + 1
-    lo, hi = np.zeros((n, n)), np.zeros((n, n))
-    _put(lo, hi, np.s_[:d, :d], A_iv.T.shifted(1.0))
-    lo[:d, d] = hi[:d, d] = v_mid
-    lo[d, :d] = hi[d, :d] = pin
-    rhs = np.zeros(n)
-    rhs[d] = 1.0
-    return verified_solve(IArray(lo, hi), IArray.point(rhs))[:d]
-
-
 def sn_conditions(coral: CoralMap, box: IArray, A_iv: IArray,
                   jet: Row1Jet) -> tuple[Interval, Interval]:
     """(c) p^t D_lambda f and (d) p^t B(q, q) over the certified box, with
     q = v and p normalized so that p^t q = 1; `jet` is the order-2 row-1
     jet of the box's x part and A_iv the D_x f enclosure built from it.
+    p = r / (r^t q), r the left eigenvector of D_x f for the eigenvalue 1
+    (`leslie_left`); only p_1 = 1 / (r^t q) enters, since rows 2..d of
+    D_lambda f and B vanish.
 
     The certified kernel vector fixes an arbitrary sign; the returned
     values use the orientation that makes (c) negative (only the product
     (c)*(d) is orientation invariant)."""
-    sn = SnSystem(coral)
-    _, v, lam = sn.split(box.to_scalars())
+    _, v, lam = SnSystem(coral).split(box.to_scalars())
     phis, bx = jet.phis, jet.bx
+    r = leslie_left(A_iv[0].to_scalars(), coral.params.S)
+    with _quantity("p^t q"):
+        p1 = Interval(1.0) / sum((ri * vi for ri, vi in zip(r, v)), Interval(0.0))
 
-    ps = _sn_left_vector(coral, A_iv, sn.split(box.mid)[1]).to_scalars()
-    z = sum((pi * vi for pi, vi in zip(ps, v)), Interval(0.0))
-    if z.contains_zero():
-        raise ConditionInconclusive("p^t q enclosure touches zero")
-    ps = [pi / z for pi in ps]
-
-    cond_c = ps[0] * (phis[0] * bx)
+    cond_c = p1 * (phis[0] * bx)
     qv, bv = _qb(coral.ci, v)
-    cond_d = ps[0] * (lam * row1_d2(phis, bx, qv, bv, qv, bv))
+    cond_d = p1 * (lam * row1_d2(phis, bx, qv, bv, qv, bv))
 
     if cond_c.mid > 0.0:
         cond_c, cond_d = -cond_c, -cond_d
@@ -868,7 +828,7 @@ def _certify(system: "NsSystem | SnSystem", anchor: np.ndarray, ell: float,
 
     try:
         conds, extra = conditions(box, A_iv, jet)
-    except (ConditionInconclusive, NotInvertibleEvidence) as exc:
+    except ConditionInconclusive as exc:
         raise CertificationFailed(f"stage conditions: {exc}") from exc
 
     x0, lam0 = system.x_lam(anchor)
@@ -926,12 +886,10 @@ def transcritical_analysis(coral: CoralMap) -> TranscriticalResult:
     R_star = Interval(p.c2) / Interval(p.c1)
     lam_star = R_star / ci.ba
 
-    # left eigenvector: w_d = b_d, w_k = b_k + S_k w_{k+1}, w_1 = b.a
-    w_iv = [Interval(0.0)] * d
-    w_iv[d - 1] = ci.b[d - 1]
-    for k in range(d - 2, 0, -1):
-        w_iv[k] = ci.b[k] + Interval(p.S[k]) * w_iv[k + 1]
-    w_iv[0] = ci.ba
+    # left eigenvector for the eigenvalue 1 of D_x f(lambda*, 0), whose row 1
+    # is b / (b.a): w = (b.a) r is `leslie_left` on b itself, with w_1 = b.a
+    # (w_d = b_d, w_k = b_k + S_k w_{k+1})
+    w_iv = [ci.ba] + leslie_left(ci.b, p.S)[1:]
 
     c_ratio = Interval(p.c1) / Interval(p.c2)
     nd1 = w_iv[0] * c_ratio * ci.ba

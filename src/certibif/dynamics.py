@@ -270,7 +270,8 @@ class _ProfileSums:
         self.counts = np.zeros(bins, dtype=int)
 
     def add(self, theta: np.ndarray, inc: np.ndarray) -> None:
-        ang = (theta / (2.0 * math.pi)) % 1.0
+        ang = theta / (2.0 * math.pi)
+        ang = np.where(ang < 0.0, ang + 1.0, ang)     # `% 1.0`, exactly, on [-1/2, 1/2]
         idx = np.minimum((ang * self.bins).astype(int), self.bins - 1)
         self.sums += np.bincount(idx, weights=inc, minlength=self.bins)
         self.counts += np.bincount(idx, minlength=self.bins)

@@ -203,12 +203,6 @@ class Interval:
             return NotImplemented
         return Interval(_sum_dn(self.lo, -o.hi), _sum_up(self.hi, -o.lo))
 
-    def __rsub__(self, other: ScalarLike) -> "Interval":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other: ScalarLike) -> "Interval":
         o = self._coerce(other)
         if o is None:
@@ -233,12 +227,6 @@ class Interval:
         cands = (self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi)
         return Interval(_dn(min(cands)), _up(max(cands)))
 
-    def __rtruediv__(self, other: ScalarLike) -> "Interval":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
     # -- elementary functions -------------------------------------------
 
     def exp(self) -> "Interval":
@@ -250,19 +238,15 @@ class Interval:
         return Interval(max(0.0, _dn(math.sqrt(self.lo))), _up(math.sqrt(self.hi)))
 
     def pow(self, r: float) -> "Interval":
-        """x**r for real r; requires lo >= 0 unless r is a nonnegative
-        integer (only nonnegative bases occur in the coral coefficients)."""
+        """x**r for real r >= 0; requires lo >= 0 unless r = 0 (only
+        nonnegative bases and exponents occur in the coral coefficients)."""
         if r == 0:
             return Interval(1.0, 1.0)
+        if r < 0:
+            raise DomainError(f"negative exponent {r}")
         if self.lo < 0.0:
             raise DomainError(f"pow of interval with negative part: {self}")
-        if r > 0:
-            lo, hi = self.lo, self.hi
-        else:
-            if self.lo == 0.0:
-                raise DomainError("negative power of interval touching zero")
-            lo, hi = self.hi, self.lo
-        return Interval(max(0.0, _dn2(math.pow(lo, r))), _up2(math.pow(hi, r)))
+        return Interval(max(0.0, _dn2(math.pow(self.lo, r))), _up2(math.pow(self.hi, r)))
 
     def sqr(self) -> "Interval":
         m = self.mig
@@ -397,8 +381,7 @@ class IArray:
 
     @staticmethod
     def around(x, rad) -> "IArray":
-        x = np.asarray(x, dtype=float)
-        return IArray(_adn(x - rad), _aup(x + rad))
+        return IArray.point(x).widened(rad)
 
     @staticmethod
     def from_scalars(vals: Iterable[Interval]) -> "IArray":

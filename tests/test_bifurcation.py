@@ -1,20 +1,23 @@
 import cmath
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from certibif.bifurcation import (CI, NsSystem, SnSystem,
-                                  atan2_enclosure, find_ns_anchor,
-                                  find_sn_anchor, ns_box_data, ns_condition_c_pair,
+from certibif.bifurcation import (CI, NsSystem, SnSystem, _qb,
+                                  atan2_enclosure, certify_ns, certify_sn, find_ns_anchor,
+                                  find_sn_anchor, leslie_left, leslie_resolvent,
+                                  ns_box_data, ns_condition_c_pair,
                                   ns_condition_d, ns_condition_e,
                                   transcritical_analysis,
-                                  verified_solve, verified_spectrum_inside_disk)
+                                  verified_spectrum_inside_disk)
 from certibif.cift import certificate_json
 from certibif.errors import DomainError, SpectrumInconclusive
 from certibif.interval import IArray, Interval
-from certibif.model import FixedPointReduction, phi_derivs, row1_d2
+from certibif.model import (CoralMap, CoralParams, FixedPointReduction, phi_derivs,
+                            row1_d2)
 
 from helpers import (assert_json_lossless, contains, mp_coeffs, mp_fd_jacobian,
                      mp_system_refine, step)
@@ -62,14 +65,6 @@ def test_atan2_enclosure_spanning_vertical():
 def test_atan2_requires_positive_sine():
     with pytest.raises(DomainError):
         atan2_enclosure(Interval(-1.0, 1.0), Interval(1.0))
-
-
-def test_verified_solve_encloses_solution():
-    rng = np.random.default_rng(2)
-    A = rng.normal(size=(8, 8)) + 8 * np.eye(8)
-    b = rng.normal(size=8)
-    sol = verified_solve(IArray.point(A), IArray.point(b))
-    assert contains(sol, np.linalg.solve(A, b))
 
 
 # ---------------------------------------------------------------------------
@@ -584,27 +579,211 @@ def test_certificate_constants_at_table_scale(sn_cert, ns_cert):
     assert 4.097e6 <= ns_cert.summary["L1"] <= 4.097e8   # x10 of 4.097e7
 
 
+def _left_residual(A_iv: IArray, r: list, mu) -> list:
+    """r^t A - mu r^t over the dense enclosure A_iv, column by column, for
+    Interval or CI entries r and eigenvalue mu."""
+    d = A_iv.shape[0]
+    cols = []
+    for j in range(d):
+        col = r[0] * A_iv[0, j]
+        for i in range(1, d):
+            col = col + r[i] * A_iv[i, j]
+        cols.append(col - mu * r[j])
+    return cols
+
+
+def _holds_zero(v) -> bool:
+    return v.re.contains_zero() and v.im.contains_zero() if isinstance(v, CI) else v.contains_zero()
+
+
+def _normalized(r: list, v: list) -> list:
+    """r / (r^t v) for Interval entries."""
+    rv = sum((ri * vi for ri, vi in zip(r, v)), Interval(0.0))
+    assert not rv.contains_zero()
+    return [ri / rv for ri in r]
+
+
 def test_sn_left_vector_duality_rigorous(coral, sn_cert):
-    """The certified left-eigenvector enclosure satisfies p^t (A - I) ~ 0
-    and p^t v = 1 in interval arithmetic."""
-    from certibif.bifurcation import _sn_left_vector
+    """The left eigenvector from the Leslie recursion, normalized to
+    p^t v = 1, satisfies p^t (A - I) = 0 over the certified box: every
+    column's interval residual encloses 0, and p^t v encloses 1."""
     box = IArray(np.array(sn_cert.enclosure_lo), np.array(sn_cert.enclosure_hi))
-    d = coral.d
     sn = SnSystem(coral)
     x_box, v_box, lam_iv = sn.split(box)
     A_iv = coral.jac_x_iv(lam_iv, coral.row1_jet(x_box))
-    p = _sn_left_vector(coral, A_iv, sn.split(box.mid)[1])
-    AmI_T = IArray((A_iv.lo - np.eye(d)).T.copy(), (A_iv.hi - np.eye(d)).T.copy())
-    ps = p.to_scalars()
-    resid = IArray.from_scalars(sum((AmI_T[i, k] * ps[k] for k in range(d)),
-                                     Interval(0.0)) for i in range(d))
-    assert np.all(resid.lo <= 1e-7) and np.all(resid.hi >= -1e-7)
-    # the pinning row normalizes against the numerical left vector, so
-    # p^t v is close to but not exactly one before renormalization
-    z = Interval(0.0)
-    for pi, vi in zip(p.to_scalars(), v_box.to_scalars()):
-        z = z + pi * vi
-    assert not z.contains_zero()
+    p = _normalized(leslie_left(A_iv[0].to_scalars(), coral.params.S), v_box.to_scalars())
+    assert all(_holds_zero(c) for c in _left_residual(A_iv, p, Interval(1.0)))
+    assert 1.0 in sum((pi * vi for pi, vi in zip(p, v_box.to_scalars())), Interval(0.0))
+
+
+# ---------------------------------------------------------------------------
+# the Leslie recursions against 50-digit linear algebra
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def leslie_cases(coral, sn_cert, ns_cert):
+    """name -> (coral, system, certified box, its zero refined to 50
+    digits): the seed-0 SN and NS certificates, and both again at a weaker
+    first-year survival S_1 = 0.80."""
+    S = list(CoralParams().S)
+    S[0] = 0.80
+    pert = CoralMap(CoralParams(S=tuple(S)))
+    certs = {"sn": (coral, sn_cert), "ns": (coral, ns_cert),
+             "sn-perturbed": (pert, certify_sn(pert)),
+             "ns-perturbed": (pert, certify_ns(pert))}
+    cases = {}
+    for name, (c, cert) in certs.items():
+        system = (SnSystem if cert.kind == "saddle_node" else NsSystem)(c)
+        box = IArray(np.array(cert.enclosure_lo), np.array(cert.enclosure_hi))
+        z = mp_system_refine(system, mp_coeffs(c), np.array(cert.anchor), dps=50)
+        cases[name] = (c, system, box, z)
+    return cases
+
+
+def _mp_oracle(coral, system, z) -> dict:
+    """At the 50-digit zero z (under workdps(50)): D_x f as a dense mpmath
+    matrix, its eigenvalue mu on the unit circle, the left eigenvector r
+    (r_1 = 1) from mpmath's eig of A^t, p = r / (r^t q), and for NS the
+    solves x0'(lambda), (I - A)^{-1} B(q, qbar) e_1 and (mu^2 I - A)^{-1}
+    B(q, q) e_1 by LU."""
+    coeffs, d = mp_coeffs(coral), coral.d
+    parts = system.split(list(z))
+    x, lam = parts[system._x], parts[system._lam]
+    P = sum(qk * xk for qk, xk in zip(coeffs.q, x))
+    bx = sum(bk * xk for bk, xk in zip(coeffs.b, x))
+    phis = phi_derivs(P, coral.params, order=2)
+    A = mp.zeros(d, d)
+    for j in range(d):
+        A[0, j] = lam * (phis[1] * coeffs.q[j] * bx + phis[0] * coeffs.b[j])
+    for k in range(d - 1):
+        A[k + 1, k] = mp.mpf(coral.params.S[k])
+    if isinstance(system, SnSystem):
+        mu, q = mp.mpf(1), parts[1]
+    else:
+        *_, w, u, a, b = parts
+        mu, q = mp.mpc(a, b), [ui - 1j * wi for ui, wi in zip(u, w)]
+    E, ER = mp.eig(A.T)
+    k = min(range(d), key=lambda i: abs(E[i] - mu))
+    r = [ER[i, k] / ER[0, k] for i in range(d)]
+    if isinstance(system, SnSystem):        # a real eigenvector, from complex eig
+        assert all(abs(mp.im(ri)) <= mp.mpf(10) ** -40 for ri in r)
+        r = [mp.re(ri) for ri in r]
+    rq = sum(ri * qi for ri, qi in zip(r, q))
+    out = {"r": r, "p": [ri / rq for ri in r]}
+    if isinstance(system, NsSystem):
+        e1 = lambda c: mp.matrix([c] + [0] * (d - 1))
+
+        def B1(y, w):
+            """Row 1 of B(y, w)."""
+            qb = lambda v: [sum(ck * vk for ck, vk in zip(cs, v)) for cs in (coeffs.q, coeffs.b)]
+            return lam * row1_d2(phis, bx, *qb(y), *qb(w))
+
+        qbar = [mp.conj(qi) for qi in q]
+        I = mp.eye(d)
+        out["x0p"] = mp.lu_solve(I - A, e1(phis[0] * bx))
+        out["z1"] = mp.lu_solve(I - A, e1(B1(q, qbar)))
+        out["z2"] = mp.lu_solve(mu * mu * I - A, e1(B1(q, q)))
+    return out
+
+
+def _encloses(iv, v) -> bool:
+    """The Interval or CI iv holds the mpmath number v."""
+    if isinstance(iv, CI):
+        return _encloses(iv.re, mp.re(v)) and _encloses(iv.im, mp.im(v))
+    return mp.mpf(iv.lo) <= v <= mp.mpf(iv.hi)
+
+
+def _box_data(coral, system, box):
+    """The jet, the D_x f enclosure and its row 1 over the box, as the
+    certification builds them."""
+    x_box, lam_iv = system.x_lam(box)
+    jet = coral.row1_jet(x_box, order=system.jet_order)
+    A_iv = coral.jac_x_iv(lam_iv, jet)
+    return jet, A_iv, A_iv[0].to_scalars()
+
+
+_CASES = ("sn", "ns", "sn-perturbed", "ns-perturbed")
+
+
+@pytest.mark.parametrize("name", _CASES)
+def test_leslie_left_eigenvector_holds_50_digit_value(leslie_cases, name):
+    """r (r_1 = 1) and p = r / (r^t q) over the certified box hold the left
+    eigenvector that mpmath's eig gives at the true zero; for SN the
+    recursion runs at mu = 1, for NS at a + ib."""
+    coral, system, box, z = leslie_cases[name]
+    jet, A_iv, A1 = _box_data(coral, system, box)
+    S = coral.params.S
+    if isinstance(system, SnSystem):
+        r = leslie_left(A1, S)
+        p = _normalized(r, system.split(box.to_scalars())[1])
+    else:
+        *_, a, b = system.split(box.to_scalars())
+        r = leslie_left([CI(aj) for aj in A1], S, CI(a, b))
+        p = ns_box_data(coral, box, A_iv, jet).r
+    with mp.workdps(50):
+        oracle = _mp_oracle(coral, system, z)
+        assert all(_encloses(ri, oi) for ri, oi in zip(r, oracle["r"]))
+        assert all(_encloses(pi, oi) for pi, oi in zip(p, oracle["p"]))
+
+
+@pytest.mark.parametrize("name", ("ns", "ns-perturbed"))
+def test_leslie_resolvents_hold_50_digit_values(leslie_cases, name):
+    """x0'(lambda) = (I - A)^{-1} (phi b.x) e_1 and the two solves of
+    condition (e), (I - A)^{-1} B(q, qbar) e_1 and (e^{2 i theta0} I -
+    A)^{-1} B(q, q) e_1, over the certified NS box hold their LU solutions
+    at the true zero."""
+    coral, system, box, z = leslie_cases[name]
+    jet, A_iv, _ = _box_data(coral, system, box)
+    data = ns_box_data(coral, box, A_iv, jet)
+    S, Q, Qbar = coral.params.S, _qb(coral.ci, data.q), _qb(coral.ci, [qi.conj() for qi in data.q])
+    B1 = lambda y, w: data.lam * row1_d2(data.phis, data.bx, *y, *w)
+    mu2 = CI(data.a, data.b) * CI(data.a, data.b)
+    got = {"x0p": leslie_resolvent(data.A1, S, data.phis[0] * data.bx),
+           "z1": leslie_resolvent(data.A1, S, B1(Q, Qbar)),
+           "z2": leslie_resolvent(data.A1, S, B1(Q, Q), mu2)}
+    with mp.workdps(50):
+        oracle = _mp_oracle(coral, system, z)
+        for key, y in got.items():
+            assert all(_encloses(yi, oi) for yi, oi in zip(y, oracle[key])), key
+
+
+@pytest.mark.parametrize("name", _CASES)
+def test_leslie_left_residual_encloses_zero(leslie_cases, name):
+    """Over each certified box, r^t A - mu r^t (r from the recursion, mu =
+    a + ib for NS) and p^t (A - I) (p normalized to p^t v = 1 for SN)
+    enclose 0 in every column of the dense D_x f enclosure."""
+    coral, system, box, _ = leslie_cases[name]
+    _, A_iv, A1 = _box_data(coral, system, box)
+    S = coral.params.S
+    if isinstance(system, SnSystem):
+        r, mu = leslie_left(A1, S), Interval(1.0)
+        p = _normalized(r, system.split(box.to_scalars())[1])
+        assert all(_holds_zero(c) for c in _left_residual(A_iv, p, mu))
+    else:
+        *_, a, b = system.split(box.to_scalars())
+        mu = CI(a, b)
+        r = leslie_left([CI(aj) for aj in A1], S, mu)
+    assert all(_holds_zero(c) for c in _left_residual(A_iv, r, mu))
+
+
+def test_a_divisor_holding_zero_fails_the_conditions_stage_by_name(coral, sn_cert, ns_cert,
+                                                                   monkeypatch):
+    """A divisor enclosure that holds 0 is a ConditionInconclusive naming
+    the quantity (here x0'(lambda), over a row 1 wide enough to hold the
+    eigenvalue 1), and `_certify` reports it as the conditions stage."""
+    from certibif import bifurcation
+    from certibif.errors import CertificationFailed, ConditionInconclusive
+    box = IArray(np.array(ns_cert.enclosure_lo), np.array(ns_cert.enclosure_hi))
+    data = _ns_data(coral, box)
+    wide = replace(data, A1=[Interval(-1e3, 1e3)] + data.A1[1:])
+    with pytest.raises(ConditionInconclusive,
+                       match=r"^x0'\(lambda\): division by interval containing zero"):
+        ns_condition_c_pair(coral, wide)
+    monkeypatch.setattr(bifurcation, "leslie_left",
+                        lambda A1, S, mu=None: [Interval(-1.0, 1.0)] * len(A1))
+    with pytest.raises(CertificationFailed, match=r"^stage conditions: p\^t q: division by"):
+        certify_sn(coral, anchor=np.array(sn_cert.anchor))
 
 
 def test_certification_follows_perturbed_parameters():

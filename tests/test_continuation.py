@@ -6,8 +6,9 @@ import pytest
 
 from certibif.bifurcation import NsSystem, SnSystem, transcritical_analysis
 from certibif.cift import CiftBounds
-from certibif.continuation import (ALPHA_FRAC, BranchBox,
+from certibif.continuation import (ALPHA_FRAC, BranchBox, _Wave,
                                    _anchor_rounding_gap, _leslie_outside_counts, _rows, _trend,
+                                   _validate,
                                    ConstantRows, CoralBranchSystem, ExtendedSystem,
                                    branch_start,
                                    check_link, classify_stability,
@@ -662,6 +663,64 @@ def test_validate_segment_names_the_first_segment_that_fails_p2():
     assert exc.value.index == 1
     (box,) = validate_segment(ext[:1], B[:1], [1e-2], 5)
     assert box.index == 5 and box.delta_alpha > 0.0
+
+
+def _toy_wave(ext, B, first=7) -> _Wave:
+    """The wave of the stacked segments (ext, B), with no fold."""
+    A1 = ext.sys.evaluate(ext.t0, ext.u0)[1]
+    return _Wave(first, ext, B, A1, [None] * len(ext.t0))
+
+
+def test_validate_keeps_the_boxes_before_a_p2_failure():
+    """A wave whose (P2) fails at anchor 2 keeps boxes 0 and 1, certified
+    as a wave of their own, and ends the branch with `degenerate:`."""
+    ext, B = _segment(ToyLinearValidated(), 0.3, np.array([0.3]))
+    ext, B = ext[[0, 0, 0]], B[[0, 0, 0]]
+    B[2] = 0.0
+    boxes, end = _validate(_toy_wave(ext, B), np.array([1e-2]))
+    assert [b.index for b in boxes] == [7, 8]
+    assert all(b.halvings == 0 and b.delta_alpha > 0.0 for b in boxes)
+    assert end.startswith("degenerate: (P2) failed: ")
+
+
+class ToyCubic(ToyLinear):
+    """F(t, u) = u - t + KAPPA u^3 at the anchor (t, u) = (-RHO, 0), so the
+    residual is RHO.  Over the Lipschitz box of radius d the segment's
+    points have |u| <= 2d (|v| <= 1, delta_alpha, delta_u <= d), so
+    |D_uu F| = 6 KAPPA |u| <= 12 KAPPA d = M1 grows with the box, and the
+    gate 4 K^2 rho L1 < 1 (K = 1 here) holds for d < 1 / (48 KAPPA RHO)."""
+
+    KAPPA, RHO = 1e3, 1e-3
+
+    def evaluate(self, t, u):
+        t = np.asarray(t, dtype=float)
+        A1 = np.stack([-np.ones_like(t), 1.0 + 3.0 * self.KAPPA * u[..., 0] ** 2], axis=-1)
+        return u[..., :1] - t[..., None] + self.KAPPA * u[..., :1] ** 3, A1
+
+    def jet_iv(self, t, u, t0, u0, d):
+        x = IArray(u.lo[:, 0], u.hi[:, 0])
+        r = x - t + x * x * x * self.KAPPA
+        du = x * x * (3.0 * self.KAPPA) + 1.0
+        J1 = IArray(np.stack([-np.ones_like(du.lo), du.lo], -1),
+                    np.stack([-np.ones_like(du.hi), du.hi], -1))
+        M1 = 6.0 * self.KAPPA * (np.abs(u0[:, 0]) + 2.0 * d) * (1.0 + 1e-12)
+        zero = np.zeros(len(d))
+        return (IArray(r.lo[:, None], r.hi[:, None]), J1), (M1, zero, zero, zero)
+
+
+def test_validate_halves_a_box_until_it_validates():
+    """A segment that fails at both rungs 0.5 and 1 validates once the
+    radius falls below 1 / (48 KAPPA RHO) = 1/48: after 5 halvings of 0.5,
+    at 1/64, which `halvings` records."""
+    sys_ = ToyCubic()
+    ext, B = _segment(sys_, -sys_.RHO, np.array([0.0]))
+    assert all(isinstance(validate_segment(ext, B, [d], 0)[0], ValidationFailed)
+               for d in (0.5, 1.0))
+    (box,), end = _validate(_toy_wave(ext, B), np.array([0.5, 1.0]))
+    assert end == "" and box.halvings == 5
+    (direct,) = validate_segment(ext, B, [0.5 / 2 ** 5], 7)
+    assert box.bounds.ell_x == 0.5 / 2 ** 5 and box.delta_alpha == direct.delta_alpha
+    assert isinstance(validate_segment(ext, B, [0.5 / 2 ** 4], 7)[0], ValidationFailed)
 
 
 def test_continue_branch_on_linear_toy():

@@ -94,6 +94,11 @@ def test_pow_zero_exponent():
     assert Interval(2.0, 3.0).pow(0).lo == 1.0
 
 
+def test_pow_negative_exponent_raises():
+    with pytest.raises(DomainError):
+        Interval(2.0, 3.0).pow(-1.5)
+
+
 def test_sqrt_and_sqr():
     r = Interval(2.0).sqrt()
     assert r.lo <= math.sqrt(2) <= r.hi
