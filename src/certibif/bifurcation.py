@@ -426,22 +426,57 @@ class SnSystem(_PointSystem):
 
 def _newton_refine(system, z0: np.ndarray, tol: float = 1e-13,
                    max_iter: int = 50) -> np.ndarray:
+    """Newton on `system` from z0, stopped at the first iterate whose
+    residual is at most `tol` or that fails to halve the best residual so
+    far; past that point the steps only move z about the rounding floor of
+    the residual, a few ulps of x.  Returns the best iterate."""
     z = np.asarray(z0, dtype=float).copy()
-    best = z.copy()
-    best_r = math.inf
+    best, best_r = z, math.inf
     for _ in range(max_iter):
         r = system.value(z)
         rn = float(np.max(np.abs(r)))
+        halved = rn <= 0.5 * best_r
         if rn < best_r:
-            best, best_r = z.copy(), rn
-        if rn <= tol:
-            return z
+            best, best_r = z, rn
+        if not halved or rn <= tol:
+            break
         z = z + np.linalg.solve(system.jac(z), -r)
     return best
 
 
+def _illinois(h, lo: float, hi: float, rtol: float) -> float:
+    """A root of h in [lo, hi], where h(lo) < 0 < h(hi), by the Illinois
+    regula falsi (Dowell and Jarratt, BIT 11, 1971): the secant point of
+    the bracket, with the value at an end that is kept twice in a row
+    halved, so that both ends converge.  It returns the last point
+    evaluated once the bracket is narrower than rtol times that point."""
+    flo, fhi = h(lo), h(hi)
+    if not flo < 0.0 < fhi:
+        raise CertificationFailed("could not bracket the stability loss")
+    kept = 0                      # -1: lo kept last time, +1: hi kept
+    for _ in range(100):
+        c = hi - fhi * (hi - lo) / (fhi - flo)
+        fc = h(c)
+        if fc < 0.0:
+            lo, flo = c, fc
+            if kept == 1:
+                fhi *= 0.5
+            kept = 1
+        else:
+            hi, fhi = c, fc
+            if kept == -1:
+                flo *= 0.5
+            kept = -1
+        if fc == 0.0 or hi - lo <= rtol * abs(c):
+            break
+    return c
+
+
 def find_sn_anchor(coral: CoralMap) -> np.ndarray:
-    """Seed for H_sn: the fold of the reduced branch (phi'(P) = 0)."""
+    """Seed for H_sn: the fold of the reduced branch, phi'(P) = 0, bisected
+    to float precision (phi' is a cheap scalar).  There the kernel vector
+    of D_x f - I is the survival profile a (v_1 = 1, v_{k+1} = S_k v_k).
+    Newton on H_sn finishes the seed."""
     red = FixedPointReduction(coral)
 
     def dphi(y: float) -> float:
@@ -451,41 +486,30 @@ def find_sn_anchor(coral: CoralMap) -> np.ndarray:
     if dphi(lo) <= 0 or dphi(hi) >= 0:
         raise CertificationFailed("could not bracket the fold of phi")
     x1 = _bisect(dphi, lo, hi) / red.cP
-    lam = red.branch_lambda(x1)
-    x = red.full_point(x1)
-    A = coral.jac_x(lam, x)
-    ev, vecs = np.linalg.eig(A)
-    k = int(np.argmin(np.abs(ev - 1.0)))
-    v = np.real(vecs[:, k])
-    v = v / np.linalg.norm(v)
-    if v[0] < 0:
-        v = -v
     sn = SnSystem(coral)
-    return _newton_refine(sn, sn.join(x, v, lam))
+    v = coral.cf.a / np.linalg.norm(coral.cf.a)
+    return _newton_refine(sn, sn.join(red.full_point(x1), v, red.branch_lambda(x1)))
 
 
 def find_ns_anchor(coral: CoralMap) -> np.ndarray:
-    """Seed for H_ns: bisect the branch until the spectral radius crosses 1,
-    then normalize the crossing eigenpair so |w| = |u| = 1."""
+    """Seed for H_ns: a regula falsi on the branch's spectral radius to
+    relative width 1e-7, where the crossing eigenvalue mu = a - ib (b > 0)
+    of D_x f, from the last eigvals call, has the eigenvector v_1 = 1,
+    v_{k+1} = S_k v_k / mu (the rho of `leslie_resolvent`); its phase is
+    turned so that |u| = |w| for v = u + iw and both are scaled to 1.
+    Newton on H_ns supplies the last digits."""
     red = FixedPointReduction(coral)
+    last = {}
 
     def h(x1: float) -> float:
-        lam = red.branch_lambda(x1)
-        ev = np.linalg.eigvals(coral.jac_x(lam, red.full_point(x1)))
+        last["ev"] = ev = np.linalg.eigvals(coral.jac_x(red.branch_lambda(x1),
+                                                       red.full_point(x1)))
         return float(np.max(np.abs(ev))) - 1.0
 
-    lo, hi = 800.0, 2600.0
-    if h(lo) >= 0 or h(hi) <= 0:
-        raise CertificationFailed("could not bracket the stability loss")
-    x1 = _bisect(h, lo, hi)
-    lam = red.branch_lambda(x1)
-    x = red.full_point(x1)
-    A = coral.jac_x(lam, x)
-    ev, vecs = np.linalg.eig(A)
-    cand = [i for i in range(len(ev)) if ev[i].imag < -1e-12]
-    k = max(cand, key=lambda i: abs(ev[i]))
-    mu = ev[k]                    # mu = a - i b with b > 0
-    vec = vecs[:, k]
+    x1 = _illinois(h, 800.0, 2600.0, 1e-7)
+    ev = last["ev"][last["ev"].imag < -1e-12]
+    mu = ev[np.argmax(np.abs(ev))]
+    vec = np.cumprod(np.concatenate(([1.0], coral.params.S / mu)))
     u0, w0 = np.real(vec), np.imag(vec)
     # rotate the phase so that |u| = |w|, then scale both to unit norm
     delta = float(u0 @ u0 - w0 @ w0)
@@ -502,7 +526,8 @@ def find_ns_anchor(coral: CoralMap) -> np.ndarray:
     if b0 < 0:
         b0, w1 = -b0, -w1
     ns = NsSystem(coral)
-    return _newton_refine(ns, ns.join(x, lam, w1, u1, a0, b0))
+    return _newton_refine(ns, ns.join(red.full_point(x1), red.branch_lambda(x1),
+                                      w1, u1, a0, b0))
 
 
 # ---------------------------------------------------------------------------

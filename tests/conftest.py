@@ -1,9 +1,12 @@
+import numpy as np
 import pytest
 
-from certibif.bifurcation import certify_ns, certify_sn
+from certibif.bifurcation import NsSystem, SnSystem, certify_ns, certify_sn
 from certibif.continuation import (CoralBranchSystem, branch_start,
                                    continue_branch, nontrivial_fixed_point)
 from certibif.model import CoralMap
+
+from helpers import mp_coeffs, mp_system_refine
 
 
 @pytest.fixture(scope="session")
@@ -19,6 +22,17 @@ def sn_cert(coral):
 @pytest.fixture(scope="session")
 def ns_cert(coral):
     return certify_ns(coral)
+
+
+@pytest.fixture(scope="session")
+def refined_zeros(coral, sn_cert, ns_cert):
+    """"sn"/"ns" -> (certificate, system, zero): the zeros of H_sn and H_ns
+    refined from the seed-0 certificates' anchors by 60-digit Newton
+    (`mp_system_refine`), once for every test that compares with them."""
+    coeffs = mp_coeffs(coral)
+    return {name: (cert, system, mp_system_refine(system, coeffs, np.array(cert.anchor), dps=60))
+            for name, cert, system in (("sn", sn_cert, SnSystem(coral)),
+                                       ("ns", ns_cert, NsSystem(coral)))}
 
 
 @pytest.fixture(scope="session")

@@ -14,9 +14,9 @@ from certibif.dynamics import (density_matched_state, farey_min_denominator, ite
                                rotation_and_profile)
 from certibif.interval import Interval
 from certibif.model import FixedPointReduction
-from certibif.bifurcation import NsSystem, SnSystem, transcritical_analysis
+from certibif.bifurcation import transcritical_analysis
 
-from helpers import mp_coeffs, mp_refine_branch_point, mp_system_refine
+from helpers import mp_coeffs, mp_refine_branch_point
 
 
 def criterion(number, name, limit_seconds):
@@ -208,18 +208,14 @@ def test_c8_farey():
 
 @criterion(9, "soundness suite", 300.0)
 def test_c9_soundness(request, coral):
-    sn_cert = request.getfixturevalue("sn_cert")
-    ns_cert = request.getfixturevalue("ns_cert")
-    coeffs = mp_coeffs(coral)
-    for cert, system in ((sn_cert, SnSystem(coral)), (ns_cert, NsSystem(coral))):
-        z0 = np.array(cert.anchor)
-        z_ref = mp_system_refine(system, coeffs, z0, dps=60)
-        err = max(abs(float(z_ref[i]) - z0[i]) for i in range(system.dim))
+    for cert, system, z_ref in request.getfixturevalue("refined_zeros").values():
+        err = max(abs(float(z_ref[i]) - cert.anchor[i]) for i in range(system.dim))
         assert err <= cert.delta_accuracy
 
     # sampled branch boxes: the alpha = 0 solution of G lies within delta_min
     branch = request.getfixturevalue("branch_result")
     system = request.getfixturevalue("preconditioned_system")
+    coeffs = mp_coeffs(coral)
     rng = np.random.default_rng(99)
     for idx in rng.choice(len(branch.boxes), size=8, replace=False):
         box = branch.boxes[int(idx)]

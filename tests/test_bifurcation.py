@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from certibif import bifurcation
 from certibif.bifurcation import (CI, NsSystem, SnSystem, _qb,
                                   atan2_enclosure, certify_ns, certify_sn, find_ns_anchor,
                                   find_sn_anchor, leslie_left, leslie_resolvent,
@@ -178,6 +179,117 @@ def test_hessian_sup_dominates_finite_differences(coral, system_cls, find_anchor
         d2 = (system.value(z + ek + ej) - system.value(z + ek - ej)
               - system.value(z - ek + ej) + system.value(z - ek - ej)) / (4 * hk * hj)
         assert np.all(np.abs(d2) <= T[:, int(k), int(j)] + 1e-4)
+
+
+# ---------------------------------------------------------------------------
+# numerical anchors
+# ---------------------------------------------------------------------------
+
+# (c2, beta) of the benchmark's certify seeds 2 and 8 (perfbench/workloads.py);
+# on seed 8 the NS Newton refinement once ran into its 50-step cap
+_SEED_PARAMS = {"seed0": None,
+                "seed2": (13011856.89106912, 0.003403045226912003),
+                "seed8": (12992894.352343908, 0.003403143606243673)}
+
+
+def _seed_coral(coral, name):
+    pc = _SEED_PARAMS[name]
+    return coral if pc is None else CoralMap(CoralParams(c2=pc[0], beta=pc[1]))
+
+
+def _seeds(monkeypatch, coral) -> dict:
+    """kind -> the seed that each find_*_anchor hands to its Newton refinement."""
+    seen = {}
+    refine = bifurcation._newton_refine
+
+    def record(system, z0, *args, **kwargs):
+        seen[system.kind] = np.array(z0)
+        return refine(system, z0, *args, **kwargs)
+
+    monkeypatch.setattr(bifurcation, "_newton_refine", record)
+    find_sn_anchor(coral)
+    find_ns_anchor(coral)
+    return seen
+
+
+def _rel_eig_residual(A, v, mu) -> float:
+    return np.linalg.norm(A @ v - mu * v) / (np.linalg.norm(A) * np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("name", _SEED_PARAMS)
+def test_seed_eigenvectors_are_leslie_eigenvectors(coral, name, monkeypatch):
+    """The seeds' eigenvectors come from the recursion v_1 = 1, v_{k+1} =
+    S_k v_k / mu: at the SN seed v is the survival profile and mu = 1; at
+    the NS seed u + iw is v for the crossing eigenvalue mu (Im mu < 0) of
+    D_x f there, and (a, b) is (Re mu, -Im mu) / |mu|.  Both satisfy
+    A v = mu v to 1e-12 relative."""
+    c = _seed_coral(coral, name)
+    seeds = _seeds(monkeypatch, c)
+    x, v, lam = SnSystem(c).split(seeds["saddle_node"])
+    assert np.allclose(v, c.cf.a / np.linalg.norm(c.cf.a), rtol=0, atol=1e-15)
+    assert _rel_eig_residual(c.jac_x(lam, x), v, 1.0) <= 1e-12
+    x, lam, w, u, a, b = NsSystem(c).split(seeds["neimark_sacker"])
+    A = c.jac_x(lam, x)
+    ev = np.linalg.eigvals(A)
+    mu = min(ev[ev.imag < 0], key=lambda e: abs(e / abs(e) - (a - 1j * b)))
+    assert abs(mu / abs(mu) - (a - 1j * b)) <= 1e-15
+    assert _rel_eig_residual(A, u + 1j * w, mu) <= 1e-12
+    assert abs(np.linalg.norm(u) - 1.0) <= 1e-15 and abs(np.linalg.norm(w) - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("name", _SEED_PARAMS)
+@pytest.mark.parametrize("system_cls, find_anchor", [(NsSystem, find_ns_anchor),
+                                                     (SnSystem, find_sn_anchor)],
+                         ids=["NsSystem", "SnSystem"])
+def test_anchor_search_cost_and_residual(coral, name, system_cls, find_anchor, monkeypatch):
+    """A seed costs at most 20 eigvals calls (one per evaluation of the
+    spectral radius; none for SN), no eig call (its eigenvectors are
+    closed-form) and at most 4 Newton steps (jac calls), and the anchor's
+    residual is at most 1e-11."""
+    c = _seed_coral(coral, name)
+    calls = {"eigvals": 0, "eig": 0, "value": 0, "jac": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for key in ("eigvals", "eig"):
+        monkeypatch.setattr(np.linalg, key, counted(key, getattr(np.linalg, key)))
+    for key in ("value", "jac"):
+        monkeypatch.setattr(system_cls, key, counted(key, getattr(system_cls, key)))
+    z = find_anchor(c)
+    assert calls["eigvals"] <= (20 if system_cls is NsSystem else 0) and calls["eig"] == 0
+    assert calls["jac"] <= 4 and calls["value"] <= calls["jac"] + 1
+    monkeypatch.undo()
+    assert np.max(np.abs(system_cls(c).value(z))) <= 1e-11
+
+
+def test_newton_refine_stops_at_the_rounding_floor(coral, ns_cert):
+    """From an anchor already at the rounding floor the refinement stops
+    within two evaluations and returns an iterate no worse than it; from a
+    seed off by 1e-4 (relative, in every entry) it still converges."""
+    ns = NsSystem(coral)
+    z0 = np.array(ns_cert.anchor)
+    evals = []
+
+    class Counted:
+        def value(self, z):
+            evals.append(z)
+            return ns.value(z)
+
+        def jac(self, z):
+            return ns.jac(z)
+
+    res = lambda z: np.max(np.abs(ns.value(z)))
+    z = bifurcation._newton_refine(Counted(), z0)
+    assert len(evals) <= 2 and res(z) <= res(z0)
+    rng = np.random.default_rng(11)
+    off = z0 * (1.0 + 1e-4 * rng.choice([-1.0, 1.0], size=ns.dim))
+    evals.clear()
+    z = bifurcation._newton_refine(Counted(), off)
+    assert res(z) <= 1e-11 and len(evals) <= 10
 
 
 # ---------------------------------------------------------------------------
@@ -423,13 +535,10 @@ def test_sn_anchor_q_is_multiple_of_v(coral, sn_cert):
     assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
 
 
-def test_certificates_refine_to_true_zero(coral, ns_cert, sn_cert):
+def test_certificates_refine_to_true_zero(refined_zeros):
     """Soundness: 60-digit Newton refinement lands inside delta_accuracy."""
-    coeffs = mp_coeffs(coral)
-    for cert, system in ((sn_cert, SnSystem(coral)), (ns_cert, NsSystem(coral))):
-        z0 = np.array(cert.anchor)
-        z_ref = mp_system_refine(system, coeffs, z0, dps=60)
-        err = max(abs(float(z_ref[i]) - z0[i]) for i in range(system.dim))
+    for cert, system, z_ref in refined_zeros.values():
+        err = max(abs(float(z_ref[i]) - cert.anchor[i]) for i in range(system.dim))
         assert err <= cert.delta_accuracy
 
 
@@ -621,23 +730,24 @@ def test_sn_left_vector_duality_rigorous(coral, sn_cert):
 # ---------------------------------------------------------------------------
 
 
+def _box(cert) -> IArray:
+    return IArray(np.array(cert.enclosure_lo), np.array(cert.enclosure_hi))
+
+
 @pytest.fixture(scope="module")
-def leslie_cases(coral, sn_cert, ns_cert):
-    """name -> (coral, system, certified box, its zero refined to 50
-    digits): the seed-0 SN and NS certificates, and both again at a weaker
-    first-year survival S_1 = 0.80."""
+def leslie_cases(coral, refined_zeros):
+    """name -> (coral, system, certified box, its zero refined to 50 or
+    more digits): the seed-0 SN and NS certificates (`refined_zeros`), and
+    both again at a weaker first-year survival S_1 = 0.80."""
     S = list(CoralParams().S)
     S[0] = 0.80
     pert = CoralMap(CoralParams(S=tuple(S)))
-    certs = {"sn": (coral, sn_cert), "ns": (coral, ns_cert),
-             "sn-perturbed": (pert, certify_sn(pert)),
-             "ns-perturbed": (pert, certify_ns(pert))}
-    cases = {}
-    for name, (c, cert) in certs.items():
-        system = (SnSystem if cert.kind == "saddle_node" else NsSystem)(c)
-        box = IArray(np.array(cert.enclosure_lo), np.array(cert.enclosure_hi))
-        z = mp_system_refine(system, mp_coeffs(c), np.array(cert.anchor), dps=50)
-        cases[name] = (c, system, box, z)
+    cases = {name: (coral, system, _box(cert), z)
+             for name, (cert, system, z) in refined_zeros.items()}
+    for name, cert in (("sn-perturbed", certify_sn(pert)), ("ns-perturbed", certify_ns(pert))):
+        system = (SnSystem if cert.kind == "saddle_node" else NsSystem)(pert)
+        z = mp_system_refine(system, mp_coeffs(pert), np.array(cert.anchor), dps=50)
+        cases[name] = (pert, system, _box(cert), z)
     return cases
 
 
@@ -772,7 +882,6 @@ def test_a_divisor_holding_zero_fails_the_conditions_stage_by_name(coral, sn_cer
     """A divisor enclosure that holds 0 is a ConditionInconclusive naming
     the quantity (here x0'(lambda), over a row 1 wide enough to hold the
     eigenvalue 1), and `_certify` reports it as the conditions stage."""
-    from certibif import bifurcation
     from certibif.errors import CertificationFailed, ConditionInconclusive
     box = IArray(np.array(ns_cert.enclosure_lo), np.array(ns_cert.enclosure_hi))
     data = _ns_data(coral, box)
