@@ -3,12 +3,14 @@ bifurcation points of the coral map.
 
 The NS and SN points are isolated zeros of extended systems (fixed point
 + eigenpair + normalization rows); those zeros are certified with the
-constructive implicit function theorem, after which the transversality
-and nondegeneracy conditions are evaluated in interval arithmetic over
-the certified enclosure.  D_x f is a Leslie matrix, so those conditions
-solve no linear system: the left eigenvector is a backward recursion
-(Fisher's reproductive value), and since only row 1 of f is nonlinear,
-every right-hand side is a multiple of e_1, whose resolvent is a forward
+constructive implicit function theorem, after which the spectrum and
+the transversality and nondegeneracy conditions are evaluated in
+interval arithmetic over the certified enclosure.  D_x f is a Leslie
+matrix, so none of them forms a matrix: the spectrum is a Schur-Cohn
+count on its characteristic polynomial with the root on the circle
+divided out, the left eigenvector is a backward recursion (Fisher's
+reproductive value), and since only row 1 of f is nonlinear, every
+right-hand side is a multiple of e_1, whose resolvent is a forward
 recursion divided by one scalar.  The transcritical point on the
 extinction branch has closed forms, which are still evaluated as
 intervals.
@@ -17,6 +19,7 @@ intervals.
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -25,9 +28,9 @@ import numpy as np
 from . import cift
 from .errors import (CertificationFailed, ConditionInconclusive, DomainError,
                      SpectrumInconclusive, ValidationFailed)
-from .interval import IArray, Interval, dot_seq, float_matmat, up_dot, up_mul, up_sum, _dn2, _up2
+from .interval import IArray, Interval, dot_seq, up_dot, up_mul, _dn, _dn2, _up, _up2
 from .model import (CoralMap, FixedPointReduction, Row1Jet, _bisect, phi_derivs,
-                    polyp_density, row1_d2, row1_d3)
+                    polyp_density, row1_d2, row1_d3, schur_cohn_inside)
 
 
 # ---------------------------------------------------------------------------
@@ -67,9 +70,6 @@ class CI:
         den = o.re.sqr() + o.im.sqr()
         num = self * o.conj()
         return CI(num.re / den, num.im / den)
-
-    def abs_hi(self) -> float:
-        return (self.re.sqr() + self.im.sqr()).sqrt().hi
 
 
 def atan2_enclosure(b: Interval, a: Interval) -> Interval:
@@ -308,7 +308,6 @@ class NsSystem(_PointSystem):
 
     name = "neimark-sacker"
     kind = "neimark_sacker"
-    on_circle = 2            # eigenvalues of D_x f on the unit circle
     jet_order = 3            # the row-1 jet order its conditions read
     _x, _lam, _eig = 0, 1, (2, 3)
 
@@ -388,7 +387,6 @@ class SnSystem(_PointSystem):
 
     name = "saddle-node"
     kind = "saddle_node"
-    on_circle = 1            # eigenvalues of D_x f on the unit circle
     jet_order = 2            # the row-1 jet order its conditions read
     _x, _lam, _eig = 0, 2, (1,)
 
@@ -531,79 +529,77 @@ def find_ns_anchor(coral: CoralMap) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# verified spectrum
+# verified spectrum: the deflated Schur-Cohn count
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpectrumResult:
-    """The Gershgorin disks of the similarity-conjugated Jacobian enclosure:
-    how many lie strictly inside the unit disk, and whether the rest are
-    separated from every other disk."""
+def leslie_deflated(A1: list, a: list, shift: Interval | None = None) -> tuple[list, dict]:
+    """det(zI - A) = z^d - sum_j A1_j a_j z^(d-j) for a Leslie matrix A with
+    row 1 A1 and survival products a_j = S_1..S_(j-1) (Intervals), divided
+    by z - 1 for `shift` None, else by z^2 - 2 shift z + 1, by interval
+    synthetic division: the quotient's coefficients, leading one first,
+    and the remainder's by name (r_1 z + r_0)."""
+    c = [Interval(1.0)] + [-(aj * sj) for aj, sj in zip(A1, a)]
+    if shift is None:
+        q = c[:1]
+        for cj in c[1:-1]:
+            q.append(cj + q[-1])
+        return q, {"r_0": c[-1] + q[-1]}
+    two_a = 2.0 * shift
+    q = [c[0], c[1] + two_a * c[0]]
+    for cj in c[2:-2]:
+        q.append(cj + two_a * q[-1] - q[-2])
+    return q, {"r_1": c[-2] + two_a * q[-1] - q[-2], "r_0": c[-1] - q[-1]}
 
-    count_inside: int
-    outliers_separated: bool
+
+def _rescaled(p: list) -> list:
+    """p times the power of two that brings max |p_i| into [1/2, 1), which
+    moves no root and no gamma sign: exact, but for an endpoint at or below
+    2^-1022, where the product may round and so is stepped outward."""
+    s = math.ldexp(1.0, -math.frexp(max(v.mag for v in p))[1])
+    lo, hi = [v.lo * s for v in p], [v.hi * s for v in p]
+    tiny = sys.float_info.min
+    return [Interval(_dn(l) if abs(l) <= tiny else l, _up(h) if abs(h) <= tiny else h)
+            for l, h in zip(lo, hi)]
 
 
-def verified_spectrum_inside_disk(A: IArray, exclude: int = 2) -> SpectrumResult:
-    """Count eigenvalues rigorously strictly inside the unit disk.
+def verified_spectrum_inside_disk(A1: list, a: list, shift: Interval | None = None) -> int:
+    """How many eigenvalues of the Leslie matrices over an enclosure
+    (`leslie_deflated`'s arguments) lie strictly inside the unit disk
+    besides the root on the circle, 1 (`shift` None, SN) or e^{+-i theta0}
+    (`shift` = cos theta0, NS), which must be all d - 1 or d - 2 others: the
+    Schur-Cohn count (`schur_cohn_inside`) of the deflated polynomial.
 
-    Conjugates the enclosure by the numerical eigenvector matrix, bounds
-    the Neumann correction for the inexact inverse, and applies Gershgorin
-    to the result.  At most `exclude` disks may fail the strict test; they
-    must be disjoint from every other disk so that the usual Gershgorin
-    counting argument pins one eigenvalue in each.
-    """
-    n = A.shape[0]
-    ev, V = np.linalg.eig(A.mid)
-    try:
-        W = np.linalg.inv(V)
-    except np.linalg.LinAlgError as exc:
-        raise SpectrumInconclusive(f"eigenvector matrix singular: {exc}") from exc
-
-    AVr = float_matmat(np.real(V).T, A.T).T
-    AVi = float_matmat(np.imag(V).T, A.T).T
-    Wr, Wi = np.real(W), np.imag(W)
-    Yre = float_matmat(Wr, AVr) - float_matmat(Wi, AVi)
-    Yim = float_matmat(Wr, AVi) + float_matmat(Wi, AVr)
-    # Z = W V computed rigorously from the float factors
-    Vr_iv, Vi_iv = IArray.point(np.real(V)), IArray.point(np.imag(V))
-    Zre = float_matmat(Wr, Vr_iv) - float_matmat(Wi, Vi_iv)
-    Zim = float_matmat(Wr, Vi_iv) + float_matmat(Wi, Vr_iv)
-    Nre = -Zre.shifted(1.0)           # I - Z
-    Nim = -Zim
-    # |N| and |Y| in the complex row-sum norm, via |z| <= |re| + |im|
-    nmag = Nre.mag + Nim.mag
-    ymag = Yre.mag + Yim.mag
-    n_norm = float(np.max(up_sum(nmag, axis=1)))
-    if not n_norm < 1.0:
-        raise SpectrumInconclusive(f"similarity too ill-conditioned: |I-WV| >= {n_norm}")
-    y_norm = float(np.max(up_sum(ymag, axis=1)))
-    corr = ((Interval(y_norm) * Interval(n_norm))
-            / (Interval(1.0) - Interval(n_norm))).hi
-
-    radii, inside = [], []
-    for i in range(n):
-        offdiag = float(up_sum(np.delete(ymag[i], i)))
-        rad = (Interval(offdiag) + Interval(corr)).hi
-        radii.append(rad)
-        if (Interval(CI(Yre[i, i], Yim[i, i]).abs_hi()) + Interval(rad)).hi < 1.0:
-            inside.append(i)
-    outliers = tuple(i for i in range(n) if i not in inside)
-    if len(outliers) > exclude:
-        raise SpectrumInconclusive(
-            f"{len(outliers)} disks fail the strict unit-disk test, "
-            f"only {exclude} allowed")
-
-    def disjoint(i: int, j: int) -> bool:
-        # the true Gershgorin disks are contained in disk(Y_ii, radii[i])
-        dre = Yre[i, i] - Yre[j, j]
-        dim_ = Yim[i, i] - Yim[j, j]
-        dist_lo = (dre.sqr() + dim_.sqr()).sqrt().lo
-        return dist_lo > (Interval(radii[i]) + Interval(radii[j])).hi
-
-    separated = all(disjoint(i, j) for i in outliers for j in range(n) if j != i)
-    return SpectrumResult(count_inside=len(inside), outliers_separated=separated)
+    Soundness: at the true zero in the certified box, D_x f lies in the
+    enclosure and has that root exactly, so its polynomial is the divisor
+    times a quotient that the interval division encloses, and leaves the
+    remainder 0, which the remainder enclosures must hold.  Every gamma_k
+    over the enclosed quotients excludes 0, so the true quotient has no
+    root on the circle and shares the count of the whole enclosure.
+    All its roots inside mean that the other eigenvalues are inside and
+    that the root on the circle is simple (for NS, the pair).  Otherwise
+    SpectrumInconclusive names a remainder that excludes 0, a gamma_k that
+    holds 0, or the first gamma_k whose sign is not that of an all-inside
+    quotient of degree m (gamma_m < 0, the others > 0)."""
+    q, rem = leslie_deflated(A1, a, shift)
+    for name, r in rem.items():
+        if not r.contains_zero():
+            raise SpectrumInconclusive(f"remainder {name} = {r} of the deflation excludes 0")
+    m = len(q) - 1
+    p = q[::-1]                  # ascending: p_0 + p_1 z + ... + p_m z^m
+    negative = np.zeros(m, dtype=bool)
+    for k in range(m, 0, -1):
+        p = _rescaled(p)
+        p = [p[0] * p[i] - p[k] * p[k - i] for i in range(k)]
+        if p[0].contains_zero():
+            raise SpectrumInconclusive(f"gamma_{k} = {p[0]} holds 0")
+        negative[k - 1] = p[0].hi < 0.0
+    inside = int(schur_cohn_inside(negative))
+    if inside != m:
+        k = max(k for k in range(1, m + 1) if negative[k - 1] != (k == m))
+        raise SpectrumInconclusive(f"{inside} of the {m} roots of the quotient inside the "
+                                   f"unit disk: gamma_{k} {'<' if negative[k - 1] else '>'} 0")
+    return inside
 
 
 # ---------------------------------------------------------------------------
@@ -648,13 +644,12 @@ class NsBoxData:
     r: list[CI]          # r = conj(p), normalized so that <p, q> = r^t q = 1
 
 
-def ns_box_data(coral: CoralMap, box: IArray, A_iv: IArray, jet: Row1Jet) -> NsBoxData:
+def ns_box_data(coral: CoralMap, box: IArray, A1: list, jet: Row1Jet) -> NsBoxData:
     """The NS condition data over a certified box, given the order-3 row-1
-    jet of its x part and the D_x f enclosure built from it; r is the left
+    jet of its x part and row 1 of D_x f built from it; r is the left
     eigenvector of D_x f for e^{i theta0} = a + ib (`leslie_left`)."""
     _, lam, w, u, a, b = NsSystem(coral).split(box.to_scalars())
     q = [CI(ui, -wi) for ui, wi in zip(u, w)]
-    A1 = A_iv[0].to_scalars()
     with _quantity("r^t A = e^{i theta0} r^t"):
         r = leslie_left([CI(aj) for aj in A1], coral.params.S, CI(a, b))
     with _quantity("<p, q>"):
@@ -739,8 +734,8 @@ def certify_ns(coral: CoralMap, anchor: np.ndarray | None = None,
         if 1.0 not in a_iv.sqr() + b_iv.sqr():
             raise CertificationFailed("stage orientation: a^2 + b^2 enclosure misses 1")
 
-    def conditions(box: IArray, A_iv: IArray, jet: Row1Jet) -> tuple[dict, dict]:
-        data = ns_box_data(coral, box, A_iv, jet)
+    def conditions(box: IArray, A1: list, jet: Row1Jet) -> tuple[dict, dict]:
+        data = ns_box_data(coral, box, A1, jet)
         cond_c, cond_c_explicit = ns_condition_c_pair(coral, data)
         theta, angle_checks = ns_condition_d(coral, box)
         cond_e = ns_condition_e(coral, data)
@@ -768,11 +763,11 @@ def certify_ns(coral: CoralMap, anchor: np.ndarray | None = None,
 # ---------------------------------------------------------------------------
 
 
-def sn_conditions(coral: CoralMap, box: IArray, A_iv: IArray,
+def sn_conditions(coral: CoralMap, box: IArray, A1: list,
                   jet: Row1Jet) -> tuple[Interval, Interval]:
     """(c) p^t D_lambda f and (d) p^t B(q, q) over the certified box, with
     q = v and p normalized so that p^t q = 1; `jet` is the order-2 row-1
-    jet of the box's x part and A_iv the D_x f enclosure built from it.
+    jet of the box's x part and A1 row 1 of D_x f built from it.
     p = r / (r^t q), r the left eigenvector of D_x f for the eigenvalue 1
     (`leslie_left`); only p_1 = 1 / (r^t q) enters, since rows 2..d of
     D_lambda f and B vanish.
@@ -782,7 +777,7 @@ def sn_conditions(coral: CoralMap, box: IArray, A_iv: IArray,
     (c)*(d) is orientation invariant)."""
     _, v, lam = SnSystem(coral).split(box.to_scalars())
     phis, bx = jet.phis, jet.bx
-    r = leslie_left(A_iv[0].to_scalars(), coral.params.S)
+    r = leslie_left(A1, coral.params.S)
     with _quantity("p^t q"):
         p1 = Interval(1.0) / sum((ri * vi for ri, vi in zip(r, v)), Interval(0.0))
 
@@ -800,8 +795,8 @@ def certify_sn(coral: CoralMap, anchor: np.ndarray | None = None,
     """Saddle-node certification: CIFT zero of H_sn, simple-eigenvalue-1
     verification, and interval conditions (c), (d)."""
 
-    def conditions(box: IArray, A_iv: IArray, jet: Row1Jet) -> tuple[dict, dict]:
-        cond_c, cond_d = sn_conditions(coral, box, A_iv, jet)
+    def conditions(box: IArray, A1: list, jet: Row1Jet) -> tuple[dict, dict]:
+        cond_c, cond_d = sn_conditions(coral, box, A1, jet)
         if cond_c.contains_zero():
             raise CertificationFailed(f"stage condition (c): interval {cond_c} contains 0")
         if cond_d.contains_zero():
@@ -820,15 +815,18 @@ def _certify(system: "NsSystem | SnSystem", anchor: np.ndarray, ell: float,
 
     1. cift: a CIFT zero of the extended system near `anchor`;
     2. `orientation(box)`, if given, on the certified box;
-    3. spectrum: all but `system.on_circle` eigenvalues of D_x f over the
-       box lie strictly inside the unit disk, the rest in separated disks;
-    4. `conditions(box, A_iv, jet)`, which checks the point's own
+    3. spectrum: the root of D_x f on the circle over the box, 1 or e^{+-i
+       theta0} (`system._shift`), is simple and the others lie strictly
+       inside the unit disk, by the Schur-Cohn count of the characteristic
+       polynomial with that root divided out (`verified_spectrum_inside_disk`);
+    4. `conditions(box, A1, jet)`, which checks the point's own
        conditions and returns them with any extra summary entries; `jet`
        is the row-1 jet of the box's x part at `system.jet_order`, and
-       A_iv the D_x f enclosure built from it.
+       A1 row 1 of D_x f built from it (the rows below are the survival
+       subdiagonal), as a list of Intervals.
 
     A failed stage raises CertificationFailed naming the stage."""
-    coral, d = system.coral, system.d
+    coral = system.coral
     try:
         base = cift.validate_zero(system, anchor, ell)
     except (ValidationFailed, DomainError) as exc:
@@ -840,19 +838,15 @@ def _certify(system: "NsSystem | SnSystem", anchor: np.ndarray, ell: float,
 
     x_box, lam_iv = system.x_lam(box)
     jet = coral.row1_jet(x_box, order=system.jet_order)
-    A_iv = coral.jac_x_iv(lam_iv, jet)
-    n_circle = system.on_circle
+    A1 = (jet.g1 * lam_iv).to_scalars()
     try:
-        spec = verified_spectrum_inside_disk(A_iv, exclude=n_circle)
+        inside = verified_spectrum_inside_disk(A1, coral.ci.a,
+                                               system._shift(system.split(box)))
     except SpectrumInconclusive as exc:
         raise CertificationFailed(f"stage spectrum: {exc}") from exc
-    if spec.count_inside != d - n_circle or not spec.outliers_separated:
-        raise CertificationFailed(
-            f"stage spectrum: {spec.count_inside} eigenvalues inside, "
-            f"separated={spec.outliers_separated}")
 
     try:
-        conds, extra = conditions(box, A_iv, jet)
+        conds, extra = conditions(box, A1, jet)
     except ConditionInconclusive as exc:
         raise CertificationFailed(f"stage conditions: {exc}") from exc
 
@@ -876,7 +870,7 @@ def _certify(system: "NsSystem | SnSystem", anchor: np.ndarray, ell: float,
         delta_accuracy=base.delta_accuracy,
         delta_uniqueness=base.delta_uniqueness,
         conditions=conds,
-        spectrum_inside=spec.count_inside,
+        spectrum_inside=inside,
         summary=summary,
         base=base,
     )

@@ -42,7 +42,7 @@ from .errors import (CorrectorFailed, NotInvertibleEvidence, TangentUndefined,
                      ValidationFailed)
 from .interval import (_EPS, _TINY, IArray, Interval, _adn, _aup, _gamma, float_matmat, mid_rad,
                        norm_inf, up_mul, up_sum)
-from .model import CoralMap, FixedPointReduction, phi_derivs
+from .model import CoralMap, FixedPointReduction, phi_derivs, schur_cohn_inside
 
 
 class CoralBranchSystem:
@@ -556,10 +556,8 @@ def _leslie_outside_counts(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     entry or a matrix that is not Leslie).
 
     The recursion takes p of formal degree k (coefficients a_0..a_k,
-    ascending) to T p with c_i = a_0 a_i - a_k a_(k-i), i < k, and gamma =
-    c_0; the roots m inside the disk obey m(p) = m(Tp) for gamma > 0 and
-    m(p) = k - m(Tp) for gamma < 0 (Jury, Theory and Application of the
-    z-Transform Method, 1964)."""
+    ascending) to T p with c_i = a_0 a_i - a_k a_(k-i), i < k, and gamma_k
+    = c_0; `schur_cohn_inside` turns the signs into the count."""
     n, d = J.shape[0], J.shape[-1]
     off = np.ones((d, d), dtype=bool)
     off[0] = False
@@ -577,14 +575,7 @@ def _leslie_outside_counts(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             a = a[:, :1] * a[:, :k] - a[:, k:k + 1] * a[:, k:0:-1]
             gamma[:, k - 1] = a[:, 0]
     ambiguous = (J[:, off] != 0.0).any(axis=1) | ~(np.abs(gamma) > _SCHUR_COHN_TOL).all(axis=1)
-    # inside_k = s_k inside_(k-1) + k [gamma_k < 0] with s_k = sign(gamma_k)
-    # and inside_0 = 0: sum the terms k [gamma_k < 0] s_(k+1)...s_d
-    negative = gamma < 0.0
-    signs = np.where(negative, -1, 1)
-    later = np.ones((n, d), dtype=np.int64)
-    np.cumprod(signs[:, :0:-1], axis=1, out=later[:, -2::-1])
-    inside = (negative * np.arange(1, d + 1) * later).sum(axis=1)
-    return d - inside, ambiguous
+    return d - schur_cohn_inside(gamma < 0.0), ambiguous
 
 
 def classify_stability(jac_x: np.ndarray) -> list[str]:

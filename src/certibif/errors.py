@@ -30,7 +30,8 @@ class ConditionInconclusive(CertificationFailed):
 
 
 class SpectrumInconclusive(CertificationFailed):
-    """Eigenvalue enclosures were too wide to count spectrum locations."""
+    """The deflated Schur-Cohn count could not show the other eigenvalues of
+    D_x f inside the unit disk; the message names the remainder or gamma_k."""
 
 
 class TangentUndefined(Exception):

@@ -377,6 +377,20 @@ class FixedPointReduction:
         return roots
 
 
+def schur_cohn_inside(negative: np.ndarray) -> np.ndarray:
+    """The number of roots inside the unit disk of a polynomial of degree
+    n from the signs of its Schur-Cohn steps gamma_n..gamma_1, none 0 (Jury,
+    Theory and Application of the z-Transform Method, 1964):
+    `negative[..., k - 1]` says gamma_k < 0; leading axes stack polynomials.
+    inside_k = inside_(k-1) for gamma_k > 0 and k - inside_(k-1) for
+    gamma_k < 0 (inside_0 = 0), so inside_n sums k [gamma_k < 0] s_(k+1)..s_n
+    over k, s_j = sign(gamma_j)."""
+    n = negative.shape[-1]
+    later = np.ones(negative.shape, dtype=np.int64)
+    np.cumprod(np.where(negative[..., :0:-1], -1, 1), axis=-1, out=later[..., -2::-1])
+    return (negative * np.arange(1, n + 1) * later).sum(axis=-1)
+
+
 def _bisect(h, lo: float, hi: float, iters: int = 200) -> float:
     flo = h(lo)
     for _ in range(iters):

@@ -84,9 +84,13 @@ def jac_lam(coral: CoralMap, lam: float, x: np.ndarray) -> np.ndarray:
 
 
 def mp_coeffs(coral: CoralMap):
-    return derive_generic(coral.params,
-                          lift=lambda x: mp.mpf(x),
-                          pow_=lambda k, r: mp.power(mp.mpf(k), mp.mpf(r)))
+    """The derived coefficients in mpmath, to 60 digits whatever the
+    caller's precision, so that a zero refined with them at 50 or 60 digits
+    is a zero of the model to those digits."""
+    with mp.workdps(60):
+        return derive_generic(coral.params,
+                              lift=lambda x: mp.mpf(x),
+                              pow_=lambda k, r: mp.power(mp.mpf(k), mp.mpf(r)))
 
 
 def mp_newton(value_fn, jac_fn, z0, steps: int = 30, dps: int = 60):

@@ -1,6 +1,8 @@
 import cmath
 import math
+import re
 from dataclasses import replace
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -9,7 +11,8 @@ import pytest
 from certibif import bifurcation
 from certibif.bifurcation import (CI, NsSystem, SnSystem, _qb,
                                   atan2_enclosure, certify_ns, certify_sn, find_ns_anchor,
-                                  find_sn_anchor, leslie_left, leslie_resolvent,
+                                  find_sn_anchor, leslie_deflated, leslie_left,
+                                  leslie_resolvent,
                                   ns_box_data, ns_condition_c_pair,
                                   ns_condition_d, ns_condition_e,
                                   transcritical_analysis,
@@ -45,8 +48,15 @@ def test_ci_arithmetic_contains_complex():
 
 
 def test_ci_abs_bounds():
+    """For z = 3 + 4i: |z|^2 = z conj(z) holds 25 with imaginary part 0, its
+    square root holds |z| = 5, and z / z (whose denominator is |z|^2)
+    holds 1."""
     z = CI(Interval(3.0), Interval(4.0))
-    assert (z.re.sqr() + z.im.sqr()).sqrt().lo <= 5.0 <= z.abs_hi()
+    zz = z * z.conj()
+    assert 25.0 in zz.re and zz.im.contains_zero()
+    assert 5.0 in zz.re.sqrt()
+    one = z / z
+    assert 1.0 in one.re and one.im.contains_zero()
 
 
 def test_atan2_enclosure_corners():
@@ -297,34 +307,165 @@ def test_newton_refine_stops_at_the_rounding_floor(coral, ns_cert):
 # ---------------------------------------------------------------------------
 
 
+def _leslie_from_factors(*factors) -> tuple[list, list]:
+    """Row 1 and survival products a_j = 2^-(j-1) (point Intervals) of the
+    Leslie matrix whose characteristic polynomial is the product of the
+    monic factors (descending dyadic coefficients), built exactly in
+    Fractions: A1_j = -c_j / a_j."""
+    c = [Fraction(1)]
+    for f in factors:
+        f = [Fraction(x) for x in f]
+        c = [sum(c[i] * f[j - i] for i in range(len(c)) if 0 <= j - i < len(f))
+             for j in range(len(c) + len(f) - 1)]
+    a = [Fraction(1, 2 ** j) for j in range(len(c) - 1)]
+    return ([Interval(float(-cj / aj)) for cj, aj in zip(c[1:], a)],
+            [Interval(float(aj)) for aj in a])
+
+
+def _widened(A1: list, rad: float) -> list:
+    return [Interval(v.lo - rad, v.hi + rad) for v in A1]
+
+
 def test_spectrum_diagonal_inside():
-    A = IArray.point(np.diag([0.5, 0.9]))
-    res = verified_spectrum_inside_disk(A, exclude=0)
-    assert res.count_inside == 2
+    """The Leslie matrix with the simple root 1 and the others 1/2, -1/4
+    and 1/8: all three inside, on the point matrix and on an enclosure
+    around it."""
+    A1, a = _leslie_from_factors((1, -1), (1, -0.5), (1, 0.25), (1, -0.125))
+    assert verified_spectrum_inside_disk(A1, a) == 3
+    assert verified_spectrum_inside_disk(_widened(A1, 1e-12), a) == 3
 
 
 def test_spectrum_rotation_on_circle():
-    th = math.radians(46.85)
-    A = IArray.point(np.array([[math.cos(th), -math.sin(th)],
-                                [math.sin(th), math.cos(th)]]))
-    res = verified_spectrum_inside_disk(A, exclude=2)
-    assert res.count_inside == 0
-    assert res.outliers_separated
+    """The pair e^{+-i pi/3} (z^2 - z + 1, cos theta0 = 1/2) deflated, with
+    1/2 and -1/4 inside; deflating at a cos theta0 that is not the pair's
+    leaves a remainder that excludes 0."""
+    A1, a = _leslie_from_factors((1, -1, 1), (1, -0.5), (1, 0.25))
+    assert verified_spectrum_inside_disk(A1, a, Interval(0.5)) == 2
+    assert verified_spectrum_inside_disk(_widened(A1, 1e-12), a, Interval(0.5 - 1e-12, 0.5)) == 2
+    with pytest.raises(SpectrumInconclusive, match=r"^remainder r_1 = .* excludes 0$"):
+        verified_spectrum_inside_disk(A1, a, Interval(0.25))
+    with pytest.raises(SpectrumInconclusive, match=r"^remainder r_0 = .* excludes 0$"):
+        verified_spectrum_inside_disk(A1, a)
 
 
 def test_spectrum_too_many_outliers():
-    A = IArray.point(np.diag([1.5, 2.5, 0.1]))
-    with pytest.raises(SpectrumInconclusive):
-        verified_spectrum_inside_disk(A, exclude=1)
+    """A root outside the disk besides 1 (here 3) fails the count and names
+    the gamma whose sign differs from an all-inside quotient's; a double
+    root 1 leaves it on the circle, where a gamma holds 0."""
+    A1, a = _leslie_from_factors((1, -1), (1, -3), (1, 0.5))
+    with pytest.raises(SpectrumInconclusive,
+                       match=r"^1 of the 2 roots of the quotient inside the unit disk: "
+                             r"gamma_2 > 0$"):
+        verified_spectrum_inside_disk(A1, a)
+    A1, a = _leslie_from_factors((1, -1), (1, -1), (1, 0.5))
+    with pytest.raises(SpectrumInconclusive, match=r"^gamma_1 = .* holds 0$"):
+        verified_spectrum_inside_disk(A1, a)
+
+
+def _spectrum_args(coral, system, box) -> tuple:
+    """Row 1 of D_x f over the box, the survival products and the shift,
+    as `_certify` passes them."""
+    x_box, lam_iv = system.x_lam(box)
+    A1 = (coral.row1_jet(x_box, order=system.jet_order).g1 * lam_iv).to_scalars()
+    return A1, coral.ci.a, system._shift(system.split(box))
 
 
 def test_spectrum_coral_ns(coral, ns_cert):
-    box = IArray(np.array(ns_cert.enclosure_lo), np.array(ns_cert.enclosure_hi))
-    x_box, lam_iv = NsSystem(coral).x_lam(box)
-    res = verified_spectrum_inside_disk(coral.jac_x_iv(lam_iv, coral.row1_jet(x_box)),
-                                       exclude=2)
-    assert res.count_inside == 11
-    assert res.outliers_separated
+    assert verified_spectrum_inside_disk(*_spectrum_args(coral, NsSystem(coral), _box(ns_cert))) == 11
+
+
+def test_spectrum_coral_sn(coral, sn_cert):
+    assert verified_spectrum_inside_disk(*_spectrum_args(coral, SnSystem(coral), _box(sn_cert))) == 12
+
+
+@pytest.mark.parametrize("name", ("sn", "ns"))
+def test_spectrum_stage_fails_on_a_quotient_with_a_root_outside(coral, sn_cert, ns_cert,
+                                                                 name, monkeypatch):
+    """Row 1 of the certified box shifted by t z^(m-1) times the divisor,
+    in characteristic-polynomial terms, keeps the root on the circle (the
+    remainders still hold 0) but takes t from the quotient's z^(m-1)
+    coefficient, which for t = 2 moves a pair of roots out of the disk
+    (numpy.roots on the midpoints): the spectrum stage fails with the
+    count and names a gamma."""
+    from certibif.errors import CertificationFailed
+    system, cert = (SnSystem(coral), sn_cert) if name == "sn" else (NsSystem(coral), ns_cert)
+    A1, a, shift = _spectrum_args(coral, system, _box(cert))
+    divisor = [Interval(1.0), Interval(-1.0)] if shift is None else \
+        [Interval(1.0), -2.0 * shift, Interval(1.0)]
+
+    def shifted(A1):
+        return [v + 2.0 * dj / aj for v, dj, aj in zip(A1, divisor, a)] + A1[len(divisor):]
+
+    q, rem = leslie_deflated(shifted(A1), a, shift)
+    assert all(r.contains_zero() for r in rem.values())
+    m, outside = len(q) - 1, int((np.abs(np.roots([v.mid for v in q])) > 1.0).sum())
+    assert outside == 2
+    message = (rf"{m - outside} of the {m} roots of the quotient inside the unit disk: "
+               rf"gamma_\d+ [<>] 0$")
+    with pytest.raises(SpectrumInconclusive, match="^" + message):
+        verified_spectrum_inside_disk(shifted(A1), a, shift)
+    stage = bifurcation.verified_spectrum_inside_disk
+    monkeypatch.setattr(bifurcation, "verified_spectrum_inside_disk",
+                        lambda A1, a, shift: stage(shifted(A1), a, shift))
+    certify = certify_sn if name == "sn" else certify_ns
+    with pytest.raises(CertificationFailed, match="^stage spectrum: " + message):
+        certify(coral, anchor=np.array(cert.anchor))
+
+
+def _random_real_polynomials(rng, count: int):
+    """`count` monic real polynomials of degree 1..12 from random roots
+    (real, or conjugate pairs) of modulus up to 1 or, as often, up to 2.5,
+    kept when no root that numpy.roots finds lies within 0.05 of the unit
+    circle: each as (descending coefficients, number of roots numpy.roots
+    puts outside the disk)."""
+    out = []
+    while len(out) < count:
+        n = int(rng.integers(1, 13))
+        pairs = int(rng.integers(0, n // 2 + 1))
+        mods = rng.uniform(0.0, rng.choice([1.0, 2.5]), n - pairs)
+        roots = list(mods[:pairs] * np.exp(1j * rng.uniform(0.0, np.pi, pairs)))
+        roots += [np.conj(r) for r in roots]
+        roots += list(mods[pairs:] * rng.choice([-1.0, 1.0], n - 2 * pairs))
+        c = np.real(np.poly(roots))
+        found = np.abs(np.roots(c))
+        if np.min(np.abs(found - 1.0)) > 0.05:
+            out.append((c, int((found > 1.0).sum())))
+    return out
+
+
+def test_schur_cohn_count_matches_numpy_roots():
+    """On 1,000 seeded random real polynomials q of degree <= 12 with no
+    root within 0.05 of the circle, the float recursion of the branch
+    labels (on the Leslie matrix with unit survival rates) counts the
+    roots outside as numpy.roots does.  The interval kernel, on (z - 1) q
+    in point intervals, certifies every q with all roots inside; for every
+    other q it fails, with numpy.roots' count wherever its gammas are
+    decided, which is at least 95% of them (a Schur-Cohn step can cancel
+    to within its enclosure's width when the roots straddle the circle)."""
+    from certibif.continuation import _leslie_outside_counts
+    polys = _random_real_polynomials(np.random.default_rng(20261020), 1000)
+    counted = stable = 0
+    for c, outside in polys:
+        n = len(c) - 1
+        J = np.zeros((1, n, n))
+        J[0, 0] = -c[1:]
+        J[0, np.arange(1, n), np.arange(n - 1)] = 1.0
+        counts, ambiguous = _leslie_outside_counts(J)
+        assert not ambiguous[0] and counts[0] == outside, (c, outside)
+        q = [Interval(float(v)) for v in c]
+        times_z_minus_1 = [q[0]] + [qj - qi for qj, qi in zip(q[1:], q)] + [-q[-1]]
+        A1, a = [-v for v in times_z_minus_1[1:]], [Interval(1.0)] * (n + 1)
+        if outside == 0:
+            assert verified_spectrum_inside_disk(A1, a) == n, c
+            stable += 1
+            continue
+        with pytest.raises(SpectrumInconclusive) as exc:
+            verified_spectrum_inside_disk(A1, a)
+        found = re.match(rf"^(\d+) of the {n} roots", str(exc.value))
+        if found:
+            assert int(found.group(1)) == n - outside, (c, outside)
+            counted += 1
+    assert stable >= 300 and counted >= 0.95 * (len(polys) - stable), (stable, counted)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +530,7 @@ def _ns_data(coral, box):
     ns = NsSystem(coral)
     x_box, lam_iv = ns.x_lam(box)
     jet = coral.row1_jet(x_box, order=ns.jet_order)
-    return ns_box_data(coral, box, coral.jac_x_iv(lam_iv, jet), jet)
+    return ns_box_data(coral, box, (jet.g1 * lam_iv).to_scalars(), jet)
 
 
 def test_ns_condition_c_matches_oracle(coral, ns_cert, ns_float_oracle):
@@ -830,7 +971,7 @@ def test_leslie_left_eigenvector_holds_50_digit_value(leslie_cases, name):
     else:
         *_, a, b = system.split(box.to_scalars())
         r = leslie_left([CI(aj) for aj in A1], S, CI(a, b))
-        p = ns_box_data(coral, box, A_iv, jet).r
+        p = ns_box_data(coral, box, A1, jet).r
     with mp.workdps(50):
         oracle = _mp_oracle(coral, system, z)
         assert all(_encloses(ri, oi) for ri, oi in zip(r, oracle["r"]))
@@ -844,8 +985,8 @@ def test_leslie_resolvents_hold_50_digit_values(leslie_cases, name):
     A)^{-1} B(q, q) e_1, over the certified NS box hold their LU solutions
     at the true zero."""
     coral, system, box, z = leslie_cases[name]
-    jet, A_iv, _ = _box_data(coral, system, box)
-    data = ns_box_data(coral, box, A_iv, jet)
+    jet, _, A1 = _box_data(coral, system, box)
+    data = ns_box_data(coral, box, A1, jet)
     S, Q, Qbar = coral.params.S, _qb(coral.ci, data.q), _qb(coral.ci, [qi.conj() for qi in data.q])
     B1 = lambda y, w: data.lam * row1_d2(data.phis, data.bx, *y, *w)
     mu2 = CI(data.a, data.b) * CI(data.a, data.b)
@@ -875,6 +1016,45 @@ def test_leslie_left_residual_encloses_zero(leslie_cases, name):
         mu = CI(a, b)
         r = leslie_left([CI(aj) for aj in A1], S, mu)
     assert all(_holds_zero(c) for c in _left_residual(A_iv, r, mu))
+
+
+def _mp_deflated(coral, system, z) -> tuple[list, list]:
+    """At the 50-digit zero z (under workdps(50)): det(zI - D_x f) divided
+    by z - 1 (SN) or z^2 - 2a z + 1 (NS) by long division in mpmath, as
+    (quotient, leading coefficient first; remainder r_1, r_0 or r_0)."""
+    coeffs = mp_coeffs(coral)
+    parts = system.split(list(z))
+    x, lam = parts[system._x], parts[system._lam]
+    P = sum(qk * xk for qk, xk in zip(coeffs.q, x))
+    bx = sum(bk * xk for bk, xk in zip(coeffs.b, x))
+    ph, ph1 = phi_derivs(P, coral.params, order=1)
+    A1 = [lam * (ph1 * qj * bx + ph * bj) for qj, bj in zip(coeffs.q, coeffs.b)]
+    r = [mp.mpf(1)] + [-(Aj * aj) for Aj, aj in zip(A1, coeffs.a)]
+    divisor = [1, -1] if isinstance(system, SnSystem) else [1, -2 * parts[4], 1]
+    quotient = []
+    for i in range(len(r) - len(divisor) + 1):
+        quotient.append(r[i])
+        for j in range(1, len(divisor)):
+            r[i + j] -= r[i] * divisor[j]
+    return quotient, r[len(quotient):]
+
+
+@pytest.mark.parametrize("name", _CASES)
+def test_deflated_polynomial_holds_50_digit_quotient(leslie_cases, name):
+    """Over each certified box, the interval quotient and remainders of the
+    deflated characteristic polynomial hold those of the 50-digit zero's
+    D_x f (whose remainder is 0 to about 50 digits), and the spectrum
+    stage counts every quotient root inside."""
+    coral, system, box, z = leslie_cases[name]
+    A1, a, shift = _spectrum_args(coral, system, box)
+    q, rem = leslie_deflated(A1, a, shift)
+    with mp.workdps(50):
+        q_mp, rem_mp = _mp_deflated(coral, system, z)
+        assert len(q) == len(q_mp) and list(rem) == ["r_1", "r_0"][-len(rem_mp):]
+        assert all(_encloses(qi, oi) for qi, oi in zip(q, q_mp))
+        assert all(_encloses(ri, oi) for ri, oi in zip(rem.values(), rem_mp))
+        assert max(abs(oi) for oi in rem_mp) < mp.mpf(10) ** -40
+    assert verified_spectrum_inside_disk(A1, a, shift) == len(q) - 1
 
 
 def test_a_divisor_holding_zero_fails_the_conditions_stage_by_name(coral, sn_cert, ns_cert,
