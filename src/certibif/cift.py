@@ -8,14 +8,17 @@ A *zero problem* is any object with
     jac(z)         -- float Jacobian, shape (m, m)
     value_iv(ziv)  -- interval residual (1-D IArray in and out)
     jac_iv(ziv)    -- interval Jacobian (2-D IArray)
-    hessian_sup(box) -- array T of shape (m, m, m) with
-                        T[i, k, j] >= sup_box |d2 H_i / dz_k dz_j|
+    hessian_sup(box) -- nonnegative float array T of shape (m, m, m), +inf
+                        allowed, T[i, k, j] >= sup_box |d2 H_i / dz_k dz_j|
     name           -- short identifier for certificates
 
 Hypotheses are verified for the left-preconditioned map B*H where B is the
-floating-point inverse of the Jacobian at the anchor; the Neumann-series
-inverse bound then gives K close to 1 and simultaneously proves that B is
-invertible, so B*H and H have identical zero sets.
+floating-point inverse of the Jacobian at the anchor.  (H2): a bound rho1
+of |I - B J| over an enclosure J of DH(z0), verified < 1, proves B
+invertible, so B*H and H have identical zero sets, and K = 1 / (1 - rho1)
+>= |(B DH(z0))^{-1}|, close to 1.  (H3): by the mean value theorem,
+|B (DH(z) - DH(z'))| <= L1 |z - z'| in max norm over the box, with L1 =
+max_i sum_j m max_k (|B| T)[i, k, j] (`lipschitz_from_tensor` bounds it).
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from .errors import NotInvertibleEvidence, ValidationFailed
-from .interval import (_TINY, IArray, Interval, _aup, _gamma, _sum_bounds, float_matmat,
-                       norm_inf, up_dot, up_mul, up_sum)
+from .interval import (_EPS, _TINY, IArray, Interval, _aup, _gamma, _sum_bounds,
+                       float_matmat, norm_inf, up_mul, up_sum)
 
 
 @dataclass(frozen=True)
@@ -188,25 +191,22 @@ def neumann_K(rho1, B: np.ndarray):
     return (I(rho2) / (I(1.0) - I(rho1))).hi
 
 
-def inverse_bound(A: IArray, B: np.ndarray):
-    """`neumann_K` of `neumann_rho`: K >= |A^{-1}| for every A in the
-    enclosure, as an array with one entry per matrix of the stack (0-d for
-    a single matrix)."""
-    B = np.asarray(B, dtype=float)
-    return neumann_K(neumann_rho(A, B), B)
-
-
 def lipschitz_from_tensor(T: np.ndarray, absB: np.ndarray) -> float:
-    """Mean-value Lipschitz constant for B DH over a box.
+    """Mean-value Lipschitz constant max_i sum_j m max_k (|B| T)[i, k, j]
+    of B DH, T[l, k, j] >= sup |d2 H_l / dz_k dz_j| over the box.
 
-    T[i, k, j] bounds sup |d2 H_i / dz_k dz_j|; the result is
-    max_i sum_j (m * max_k T'[i, k, j]) where T' is T contracted with |B|.
-    """
+    Bit for bit the bound `up_dot(absB, T).max(axis=1)` with the max over
+    k taken before the rounding factor and underflow term: rounding is
+    monotone; a zero column (k, j) of T gives an exact 0, which the term
+    m 2^-1074 of any live k exceeds, so (i, j) is live when row i of |B|
+    and any column (k, j) are; a NaN (0 * inf) reaches `up_mul`, which
+    saturates it to +inf."""
     m = T.shape[0]
-    M = up_dot(absB, T)
-    inner = M.max(axis=1)             # over k
-    rows = up_sum(inner, axis=1)      # over j
-    return float(np.max(up_mul(float(m), rows)))
+    live = np.multiply.outer(absB.max(axis=-1) > 0.0, T.max(axis=(0, 1)) > 0.0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        inner = np.tensordot(absB, T, axes=(1, 0)).max(axis=1)
+        inner = inner * (1.0 + 4.0 * (m + 1) * _EPS) + m * _TINY * live
+        return float(np.max(up_mul(float(m), up_sum(inner, axis=1))))
 
 
 def lipschitz_L1(problem, z0: np.ndarray, ell: float, absB: np.ndarray) -> float:
@@ -215,11 +215,12 @@ def lipschitz_L1(problem, z0: np.ndarray, ell: float, absB: np.ndarray) -> float
     return lipschitz_from_tensor(problem.hessian_sup(box), absB)
 
 
-def _accuracy(K: IArray, rho: IArray, L1: IArray) -> tuple[IArray, IArray, IArray]:
+def _accuracy(K, rho, L1):
     """Enclosures of 4 K^2 rho L1, of 2K and of the accuracy radius 2K rho,
-    from point enclosures of K, rho and L1 (arrays for stacks)."""
-    K2 = IArray.point(2.0) * K
-    return IArray.point(4.0) * K * K * rho * L1, K2, K2 * rho
+    from point enclosures of K, rho and L1: `Interval`s, or `IArray`s for
+    stacks, which round the same bit for bit."""
+    K2 = 2.0 * K
+    return 4.0 * K * K * rho * L1, K2, K2 * rho
 
 
 def accuracy_gates(K: float, rho: float, L1: float, ell: float,
@@ -227,8 +228,7 @@ def accuracy_gates(K: float, rho: float, L1: float, ell: float,
     """The accuracy radius 2 K rho and, when (K, rho, L1) fail an accuracy
     gate over a box of radius ell, that gate's inequality as a message
     (None when both 4 K^2 rho L1 < 1 and 2 K rho < ell hold)."""
-    I = IArray.point
-    gate, _, dmin = _accuracy(I(K), I(rho), I(L1))
+    gate, _, dmin = _accuracy(Interval(K), Interval(rho), Interval(L1))
     gate, dmin = gate.hi, dmin.hi
     if not gate < 1.0:
         return float(dmin), f"4 K^2 rho L1 = {float(gate)} >= 1"
@@ -403,7 +403,7 @@ def validate_zero(problem, z0: np.ndarray, ell: float = 1e-6) -> Certificate:
         raise ValidationFailed(f"(H2) failed: anchor Jacobian enclosure has {bad} "
                                f"non-finite entries")
     try:
-        K = float(inverse_bound(float_matmat(B, J), np.eye(problem.dim)))
+        K = float(neumann_K(neumann_rho(J, B), np.eye(problem.dim)))
     except NotInvertibleEvidence as exc:
         raise ValidationFailed(f"(H2) failed: {exc}") from exc
 

@@ -18,7 +18,7 @@ import mpmath as mp
 import numpy as np
 
 from certibif.cli import _write_csv
-from certibif.interval import Interval
+from certibif.interval import Interval, up_dot, up_mul, up_sum
 from certibif.model import CoralMap, derive_generic, phi, phi_derivs
 
 
@@ -209,6 +209,14 @@ def eigvals_labels(jac_x: np.ndarray):
     idx = (np.abs(ev) > 1.0).sum(axis=-1)
     label = lambda i: "stable" if i == 0 else f"unstable({i})"
     return label(int(idx)) if np.ndim(idx) == 0 else [label(i) for i in idx.tolist()]
+
+
+def lipschitz_reference(T: np.ndarray, absB: np.ndarray) -> float:
+    """`cift.lipschitz_from_tensor` with the whole (m, m, m) product bounded
+    entry by entry (`up_dot`) before the max over k, the sum over j and the
+    factor m."""
+    inner = up_dot(absB, T).max(axis=1)
+    return float(np.max(up_mul(float(T.shape[0]), up_sum(inner, axis=1))))
 
 
 def emit_branch_csv(path: Path, system, result) -> None:

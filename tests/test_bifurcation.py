@@ -23,8 +23,8 @@ from certibif.interval import IArray, Interval
 from certibif.model import (CoralMap, CoralParams, FixedPointReduction, phi_derivs,
                             row1_d2)
 
-from helpers import (assert_json_lossless, contains, mp_coeffs, mp_fd_jacobian,
-                     mp_system_refine, step)
+from helpers import (assert_json_lossless, contains, lipschitz_reference, mp_coeffs,
+                     mp_fd_jacobian, mp_system_refine, step)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +189,61 @@ def test_hessian_sup_dominates_finite_differences(coral, system_cls, find_anchor
         d2 = (system.value(z + ek + ej) - system.value(z + ek - ej)
               - system.value(z - ek + ej) + system.value(z - ek - ej)) / (4 * hk * hj)
         assert np.all(np.abs(d2) <= T[:, int(k), int(j)] + 1e-4)
+
+
+def _seed0_system(coral, kind, sn_cert, ns_cert):
+    """The seed-0 system of `kind`, its certificate and the certificate's
+    preconditioner B = inv(jac(anchor))."""
+    system, cert = (SnSystem(coral), sn_cert) if kind == "sn" else (NsSystem(coral), ns_cert)
+    return system, cert, np.linalg.inv(system.jac(np.array(cert.anchor)))
+
+
+@pytest.mark.parametrize("kind", ["sn", "ns"])
+def test_lipschitz_from_tensor_equals_the_entrywise_bound_at_the_certificates(
+        coral, sn_cert, ns_cert, kind):
+    """At the seed-0 anchors, L1 from hessian_sup over z0 +- 1e-6 and |B|
+    equals the bound taken entry by entry over the whole (m, m, m) product
+    before the max over k, bit for bit, and is the certificate's L1."""
+    from certibif.cift import lipschitz_from_tensor
+    system, cert, B = _seed0_system(coral, kind, sn_cert, ns_cert)
+    T = system.hessian_sup(IArray.around(np.array(cert.anchor), 1e-6))
+    ref = lipschitz_reference(T, np.abs(B))
+    L1 = lipschitz_from_tensor(T, np.abs(B))
+    assert np.float64(L1).view(np.int64) == np.float64(ref).view(np.int64)
+    assert L1 == cert.base.L1
+
+
+@pytest.mark.parametrize("kind", ["sn", "ns"])
+def test_L1_bounds_preconditioned_jacobian_changes_high_precision(
+        coral, sn_cert, ns_cert, kind):
+    """Soundness of (H3): between points z, z' of the certificate's box z0
+    +- ell, the 50-digit change of B DH in max norm stays within L1 |z -
+    z'|, DH the finite-difference Jacobian of value_scalars.  The sampled
+    pairs come within a factor m of L1, so an L1 without its factor m
+    fails."""
+    system, cert, B = _seed0_system(coral, kind, sn_cert, ns_cert)
+    z0, m, L1 = np.array(cert.anchor), system.dim, cert.base.L1
+    r = cert.base.ell * (1.0 - 2.0 ** -20)
+    rng = np.random.default_rng(20)
+    pairs = [(z0 - r * w, z0 + r * w)
+             for w in (np.ones(m), rng.choice([-1.0, 1.0], m), rng.choice([-1.0, 1.0], m))]
+    pairs.append((z0, z0 + r * rng.uniform(-1.0, 1.0, m)))
+    worst = 0.0
+    with mp.workdps(50):
+        coeffs = mp_coeffs(coral)
+        Bm = mp.matrix(B.tolist())
+
+        def jac(z):
+            return mp_fd_jacobian(lambda w: mp.matrix(system.value_scalars(list(w), coeffs)),
+                                  mp.matrix([mp.mpf(float(v)) for v in z]))
+
+        for za, zb in pairs:
+            D = Bm * (jac(zb) - jac(za))
+            dz = max(abs(mp.mpf(float(x)) - mp.mpf(float(y))) for x, y in zip(zb, za))
+            change = max(sum(abs(D[i, j]) for j in range(m)) for i in range(m))
+            assert change <= L1 * dz + mp.mpf(10) ** -20
+            worst = max(worst, float(change / (L1 * dz)))
+    assert worst > 1.0 / m
 
 
 # ---------------------------------------------------------------------------

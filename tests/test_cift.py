@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from certibif.cift import (CiftBounds, certificate_json, check_deltas,
-                           delta_alpha_root, inverse_bound, lipschitz_from_tensor,
-                           lipschitz_L1, preconditioner_hash, residual_bound,
+from certibif.cift import (CiftBounds, accuracy_gates, certificate_json, check_deltas,
+                           delta_alpha_root, lipschitz_from_tensor, lipschitz_L1,
+                           neumann_K, neumann_rho, preconditioner_hash, residual_bound,
                            validate_zero)
 from certibif.continuation import _planned
 from certibif.errors import NotInvertibleEvidence, ValidationFailed
-from certibif.interval import IArray
+from certibif.interval import IArray, Interval, float_matmat, up_sum
 
-from helpers import assert_json_lossless
+from helpers import assert_json_lossless, lipschitz_reference
 
 
 class ScalarSquare:
@@ -85,14 +85,19 @@ def test_residual_bound_scalar():
     assert abs(rho - abs(1.41421356 ** 2 - 2.0)) < 1e-15
 
 
+def _inverse_bound(A, B):
+    """K >= |A^{-1}| for every A in the enclosure, from a preconditioner B."""
+    return neumann_K(neumann_rho(A, B), B)
+
+
 def test_inverse_bound_identity():
-    K = inverse_bound(IArray.point(np.eye(4)), np.eye(4))
+    K = _inverse_bound(IArray.point(np.eye(4)), np.eye(4))
     assert 1.0 <= K <= 1.0 + 1e-12
 
 
 def test_inverse_bound_diagonal():
     A = IArray.point(np.diag([2.0, 4.0]))
-    K = inverse_bound(A, np.diag([0.5, 0.25]))
+    K = _inverse_bound(A, np.diag([0.5, 0.25]))
     assert abs(K - 0.5) <= 1e-12
 
 
@@ -100,7 +105,7 @@ def test_inverse_bound_random_within_five_percent():
     rng = np.random.default_rng(1)
     A = rng.normal(size=(42, 42)) + 42 * np.eye(42)   # well conditioned
     B = np.linalg.inv(A)
-    K = inverse_bound(IArray.point(A), B)
+    K = _inverse_bound(IArray.point(A), B)
     true_norm = np.linalg.norm(np.linalg.inv(A), np.inf)
     assert true_norm <= K <= 1.05 * true_norm
 
@@ -108,7 +113,7 @@ def test_inverse_bound_random_within_five_percent():
 def test_inverse_bound_detects_singularity():
     A = IArray.point(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(NotInvertibleEvidence):
-        inverse_bound(A, np.eye(2))
+        _inverse_bound(A, np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +141,42 @@ def test_lipschitz_tensor_preconditioned_contraction():
     L1 = lipschitz_from_tensor(T, absB)
     # row 0: m * max_k sum_j .5*T0 = 2*2 ; row 1: 2 * (4 + 6) = 20
     assert 20.0 <= L1 <= 20.0 * (1 + 1e-12)
+
+
+def _bits(x):
+    return np.float64(x).view(np.int64)
+
+
+def _magnitudes(rng, shape, regime):
+    """Nonnegative entries of one scale regime, with exact zeros among them."""
+    if regime == "normal":
+        x = 10.0 ** rng.uniform(-3.0, 3.0, shape)
+    elif regime == "subnormal":          # products underflow to 0 or subnormals
+        x = rng.uniform(0.0, 1.0, shape) * 2.0 ** rng.choice([-1074, -1060, -540, -530], shape)
+    elif regime == "overflow":           # products and factors overflow
+        x = 10.0 ** rng.uniform(150.0, 308.0, shape)
+    else:                                # a few infinities among normal entries
+        x = np.where(rng.random(shape) < 0.05, np.inf, 10.0 ** rng.uniform(-3.0, 3.0, shape))
+    return np.where(rng.random(shape) < 0.3, 0.0, x)
+
+
+def test_lipschitz_from_tensor_equals_the_entrywise_bound():
+    """On 2,400 random (T, |B|) with m <= 8 -- exact zeros, zero rows of |B|
+    and zero (k, j) columns of T, subnormal, near-overflow and infinite
+    entries -- the bound equals the reference bit for bit.  The rounding
+    factor and the underflow term on the live (i, j) are each needed for
+    that, and a NaN from 0 * inf ends as +inf in both."""
+    rng = np.random.default_rng(32)
+    regimes = ("normal", "subnormal", "overflow", "inf")
+    for case in range(2400):
+        m = int(rng.integers(1, 9))
+        absB = _magnitudes(rng, (m, m), regimes[int(rng.integers(4))])
+        T = _magnitudes(rng, (m, m, m), regimes[int(rng.integers(4))])
+        absB[rng.random(m) < 0.2] = 0.0
+        T[:, rng.random((m, m)) < 0.3] = 0.0
+        with np.errstate(over="ignore"):      # row sums of near-overflow entries
+            got, ref = lipschitz_from_tensor(T, absB), lipschitz_reference(T, absB)
+        assert _bits(got) == _bits(ref), (case, got, ref)
 
 
 def test_lipschitz_monotone_in_box_radius(coral):
@@ -302,6 +343,47 @@ def test_validate_affine_preconditioned_K_is_one():
     assert cert.rho <= 1e-14 and cert.delta_accuracy <= 1e-13
     assert 1.0 <= cert.K <= 1.0 + 1e-10
     assert cert.L1 == 0.0 and cert.delta_uniqueness == 1.0
+
+
+def test_validate_K_is_the_neumann_bound_of_BJ_itself():
+    """K bounds |(B J)^{-1}| from rho1 >= |I - B J| alone: 1 / (1 - rho1)
+    rounded up (with the row sum of |I| bounded as `up_sum` bounds it), and
+    here below K from B J preconditioned a second time by I."""
+    from fractions import Fraction
+    A = np.array([[3.0, 1.0, 0.2], [1.0, 4.0, 1.0], [0.1, 1.0, 5.0]])
+    m = AffineMap(A, A @ np.array([1.0, 2.0, 3.0]))
+    z0 = np.array([1.0, 2.0, 3.0])
+    cert = validate_zero(m, z0, ell=1e-3)
+    B, J, I = np.linalg.inv(A), IArray.point(A), np.eye(3)
+    rho1 = float(neumann_rho(J, B))
+    assert rho1 > 0.0
+    assert cert.K == (Interval(up_sum(I[0])) / (Interval(1.0) - Interval(rho1))).hi
+    assert 1 / (1 - Fraction(rho1)) <= Fraction(cert.K) <= (1 + Fraction(2) ** -46) / (1 - Fraction(rho1))
+    assert cert.K < float(_inverse_bound(float_matmat(B, J), I))
+
+
+def test_accuracy_gates_equal_the_stacked_probe():
+    """accuracy_gates on scalar Intervals gives the stacked probe's accuracy
+    radius bit for bit, and refuses exactly where the probe's gates fail."""
+    from certibif.cift import _Probe
+    rng = np.random.default_rng(5)
+    n = 500
+    b = CiftBounds(rho=_log_uniform(rng, 1e-16, 1e-2, n), K=rng.uniform(1.0, 50.0, n),
+                   L1=_log_uniform(rng, 1e-2, 1e9, n), ell_x=1e-6, ell_alpha=1e-6)
+    ell = _log_uniform(rng, 1e-12, 1e-4, n)
+    p = _Probe.of(b, np.full(n, 1e-9), 1.0, 1.0)
+    fails = 0
+    for i in range(n):
+        d, refusal = accuracy_gates(b.K[i], b.rho[i], b.L1[i], float(ell[i]))
+        assert _bits(d) == _bits(p.delta_min[i])
+        if not p.gate[i] < 1.0:
+            assert refusal == f"4 K^2 rho L1 = {float(p.gate[i])} >= 1"
+        elif not p.delta_min[i] < ell[i]:
+            assert refusal == f"2 K rho = {float(p.delta_min[i])} >= ell = {float(ell[i])}"
+        else:
+            assert refusal is None
+        fails += refusal is not None
+    assert 0 < fails < n
 
 
 def test_validate_names_non_finite_anchor_jacobian():
