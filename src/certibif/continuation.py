@@ -40,8 +40,8 @@ import numpy as np
 from . import cift
 from .errors import (CorrectorFailed, NotInvertibleEvidence, TangentUndefined,
                      ValidationFailed)
-from .interval import (_EPS, _TINY, IArray, Interval, _adn, _aup, _gamma, float_matmat, mid_rad,
-                       norm_inf, up_mul, up_sum)
+from .interval import (_EPS, _TINY, IArray, Interval, MidRad, _adn, _aup, _gamma, float_matmat,
+                       mid_rad, norm_inf, up_mul, up_sum)
 from .model import CoralMap, FixedPointReduction, phi_derivs, schur_cohn_inside
 
 
@@ -63,7 +63,7 @@ class CoralBranchSystem:
         # the constant entries of D_u F: s_j/s_0 scales row 1, and the
         # subdiagonal is S_k s_k/s_{k+1}
         r0 = s / s[0]
-        self._ratio0_iv = IArray(_adn(r0), _aup(r0))
+        self._ratio0_mr = MidRad.of(IArray(_adn(r0), _aup(r0)))
         # the M bounds' scalings of row 1's gradient and Hessian
         self._ratio0 = r0
         self._Sqq, self._Sqb = coral.hessian_weights(up_mul(np.outer(s, s) / s[0], 1.0))
@@ -81,6 +81,7 @@ class CoralBranchSystem:
         self.rows = ConstantRows(rows, IArray(lo, hi))
         self._S = S
         self._ct_iv = Interval.point(self.rscale) / coral.ci.ba   # dlambda/dt
+        self._ct_mr = MidRad.of(self._ct_iv)
         self._ct = self.rscale / coral.cf.ba
 
     # -- coordinate helpers ----------------------------------------------
@@ -138,34 +139,30 @@ class CoralBranchSystem:
         bounds it in t, and M3 = M2 since d/du_k of D_t F is d/dt of
         (D_u F)_1k = tg_k.  lambda is affine in t, so M4 = 0."""
         t0, u0, d = (np.asarray(a, dtype=float) for a in (t0, u0, d))
-        dim, lead, x = self.d, u.lo.shape[:-1], u * self.s
+        n, x = len(u.lo), u * self.s
         rad = _aup(self.s * d[..., None])
         jet = self.coral.row1_jet(IArray(
             np.concatenate([x.lo, _adn(_adn(self.s * u0) - rad)]),
             np.concatenate([x.hi, _aup(_aup(self.s * u0) + rad)])), order=2)
-        at, over = jet[:len(x.lo)], jet[len(x.lo):]
-        lam = self._ct_iv * t
+        at, over = jet[:n], jet[n:]
+        # the jet is a `MidRad` stack: endpoints are formed for F, J1 and the M terms
+        cat = lambda *parts: MidRad(np.concatenate([p.m for p in parts], axis=-1),
+                                    np.concatenate([p.r for p in parts], axis=-1))
+        lam = MidRad.of(t) * self._ct_mr
         # F = f(lambda, x) / s - u; rows 2..d of f are S_k x_k
-        flo, fhi = np.empty(lead + (dim,)), np.empty(lead + (dim,))
-        f0, f_rest = lam * at.phis[0] * at.bx, x[..., :-1] * self._S
-        flo[..., 0], fhi[..., 0] = f0.lo, f0.hi
-        flo[..., 1:], fhi[..., 1:] = f_rest.lo, f_rest.hi
-        F = IArray(flo, fhi) / self.s - u
+        f0, f_rest = lam * at.phis[0] * at.bx, MidRad.of(x)[..., :-1] * self._S
+        F = (cat(f0[..., None], f_rest) / self.s - MidRad.of(u)).to_iarray()
         # row 1: (D_t F_1, row 1 of D_x f scaled by s_j / s_0, minus e_1)
-        jt = self._ct_iv * at.g / Interval.point(float(self.s[0]))
-        ju = at.g1 * lam[..., None] * self._ratio0_iv
-        ju0 = ju[..., 0] - 1.0
-        lo, hi = np.empty(lead + (dim + 1,)), np.empty(lead + (dim + 1,))
-        lo[..., 0], hi[..., 0] = jt.lo, jt.hi
-        lo[..., 1:], hi[..., 1:] = ju.lo, ju.hi
-        lo[..., 1], hi[..., 1] = ju0.lo, ju0.hi
+        jt = self._ct_mr * at.g / float(self.s[0])
+        ju = at.g1 * lam[..., None] * self._ratio0_mr
+        J1 = cat(jt[..., None], ju[..., :1] - 1.0, ju[..., 1:]).to_iarray()
         # (M1..M4) over the boxes
-        lam_mag = (self._ct_iv * IArray.around(t0, d)).mag
+        lam_mag = (self._ct_mr * MidRad(t0, d)).mag
         g2 = up_mul(up_mul((over.phis[2] * over.bx).mag, self._Sqq)
                     + up_mul(over.phis[1].mag, self._Sqb), 1.0)
         M1 = up_mul(lam_mag, g2)
         M2 = up_sum(up_mul(self._ct_iv.mag, up_mul(self._ratio0, over.g1.mag)), axis=-1)
-        return (F, IArray(lo, hi)), (M1, M2, M2, np.zeros_like(M1))
+        return (F, J1), (M1, M2, M2, np.zeros_like(M1))
 
 
 class ConstantRows:

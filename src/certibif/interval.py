@@ -5,7 +5,8 @@ vectors, matrices and stacks of either: a pair of numpy endpoint arrays
 whose shape says which, rounded entry by entry as `Interval` rounds, so
 that the linear algebra used by the validation machinery (residuals,
 preconditioned Jacobians, Neumann bounds) stays cheap in dimensions up to
-~50.
+~50.  `MidRad` is a stack in midpoint-radius form, for whole formulas run
+on many rows at once (the branch's row-1 jet).
 
 Rounding model: IEEE basic operations (+, -, *, /, sqrt) are correctly
 rounded to nearest, with gradual underflow, so one ``nextafter`` step past
@@ -22,6 +23,17 @@ for underflow.  Where only the row sums of |I - B A| are wanted (the
 Neumann bound), the radius enters through them alone: sum_j (|B| R)_ij =
 (|B| rowsum R)_i, one product bounded as one entry is, with the row's
 underflow terms added up (`cift.neumann_rho_rows`).
+
+`MidRad` takes the same model operation by operation (Rump, "Fast and
+parallel interval arithmetic", BIT 39, 1999): the midpoint is rounded to
+nearest, and the radius adds to the exact operation's radius one a-priori
+bound of the midpoint's error, u |m~| for + and - and u |m~| + 2^-1075
+for * and /.  A radius is itself evaluated to nearest from nonnegative
+terms and inflated by (1 + 4(k + 2) u) for its k roundings, plus one
+underflow term `_MU` (`_rad`).  A sum over a row (`MidRad.dot`) bounds
+its midpoint's error by gamma_n times the sum of the absolute products;
+exp takes libm's exp at the midpoint with the two-ulp guard and a Taylor
+bound of the radius.
 
 Infinities may appear as endpoints only through overflow; operations then
 saturate (NaN candidates are replaced by the conservative infinite bound).
@@ -303,33 +315,12 @@ def _div_bounds(alo, ahi, blo, bhi):
     return _adn(lo), _aup(hi)
 
 
-def dot_seq(alo, ahi, blo, bhi, start=None):
-    """Interval dot product over the last axis of two endpoint arrays: the
-    products as one elementwise call, then summed in index order after
-    `start` (the first product when None), exactly as the scalar loop
-    `start + a[0]*b[0] + a[1]*b[1] + ...` rounds.  One pair of vectors
-    gives an `Interval`; stacked vectors give an `IArray` of their dot
-    products, summed column by column in the same order."""
+def dot_seq(alo, ahi, blo, bhi, start=None) -> Interval:
+    """Interval dot product of two endpoint vectors: the products as one
+    elementwise call, then summed in index order after `start` (the first
+    product when None), exactly as the scalar loop `start + a[0]*b[0] +
+    a[1]*b[1] + ...` rounds."""
     plo, phi_ = _mul_bounds(alo, ahi, blo, bhi)
-    if plo.ndim > 1:
-        # both endpoints as one array, the upper ones negated: rounding
-        # -a + -b down is rounding a + b up, negated, so one TwoSum per
-        # column serves both as _sum_bounds rounds them
-        p = np.stack([plo, -phi_])
-        if start is None:
-            acc, first = p[..., 0], 1
-        else:
-            acc = np.stack(np.broadcast_arrays(start.lo, -start.hi, plo[..., 0])[:2])
-            first = 0
-        with np.errstate(invalid="ignore", over="ignore"):
-            for j in range(first, p.shape[-1]):
-                b = p[..., j]
-                s = acc + b
-                bs = s - acc
-                err = (acc - (s - bs)) + (b - bs)
-                acc = np.where(err >= 0.0, s, _adn(s))
-        # 0.0 - x keeps a zero upper endpoint +0.0, as x + (-x) rounds it
-        return IArray._of(acc[0], 0.0 - acc[1])
     if start is None:
         lo, hi, plo, phi_ = float(plo[0]), float(phi_[0]), plo[1:], phi_[1:]
     else:
@@ -345,8 +336,7 @@ class IArray:
     and leading axes stack independent vectors or matrices.  Entry i of
     every elementwise result equals the scalar `Interval` operation on
     entry i bit for bit (TwoSum sums, outward-stepped products and
-    quotients, libm exp per endpoint with the two-ulp guard), so one
-    generic formula serves a single point (`Interval`) and a stack.
+    quotients).  Stacks that run a whole formula take `MidRad` instead.
     The constructor rejects NaN and inverted endpoints; results of the
     arithmetic are valid by construction and skip that check.  NaN
     candidates saturate to [-inf, inf]."""
@@ -448,17 +438,6 @@ class IArray:
         blo, bhi = self._ends(other)
         return IArray._of(*_div_bounds(self.lo, self.hi, blo, bhi))
 
-    def exp(self) -> "IArray":
-        """libm's exp of each endpoint with the two-ulp guard of
-        `_exp_dn`/`_exp_up`, the guard applied to the whole array."""
-        x = np.stack([self.lo, self.hi])
-        # math.exp overflows from _EXP_OVERFLOW on, where the guard saturates
-        e = np.array([math.exp(v) for v in np.minimum(x, _EXP_FINITE).ravel().tolist()])
-        elo, ehi = e.reshape(x.shape)
-        lo = np.where(x[0] >= _EXP_OVERFLOW, _MAX, np.maximum(0.0, _adn(_adn(elo))))
-        hi = np.where(x[1] >= _EXP_OVERFLOW, _INF, _aup(_aup(ehi)))
-        return IArray._of(np.where(x[0] == 0.0, 1.0, lo), np.where(x[1] == 0.0, 1.0, hi))
-
     def shifted(self, s: ScalarLike) -> "IArray":
         """self - s I on the last two axes, the diagonal rounded as
         `Interval.__sub__` rounds, so diagonal entries that stay exact stay
@@ -482,19 +461,26 @@ def _gamma(k: int) -> tuple[float, float]:
     return g, (Interval(1.0) / (Interval(1.0) - Interval(g))).hi
 
 
-def mid_rad(lo: np.ndarray, hi: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """The split of `float_matmat`: a midpoint m of the endpoints lo, hi
-    and a radius R >= gamma |m| + r, r the radius about m, entrywise.  A
-    point entry (zero difference, which under gradual underflow means
-    lo = hi) has r = 0, and an exact zero has R = 0, where a subnormal R
-    would slow a product with R down.  An entry with an infinite endpoint
-    gets m = 0 and R = inf."""
+def _split(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A midpoint m of the endpoints lo, hi and an upper bound r of the
+    radius about it, entrywise.  A point entry (zero difference, which
+    under gradual underflow means lo = hi) has r = 0; an entry with an
+    infinite endpoint gets m = 0 and r = inf."""
     with np.errstate(invalid="ignore", over="ignore"):
         m = 0.5 * lo + 0.5 * hi
         r = np.maximum(m - lo, hi - m)
         finite = np.isfinite(r)               # False for infinite endpoints
         m = np.where(finite, m, 0.0)
         r = np.where(finite, np.where(r > 0.0, _aup(r), 0.0), _INF)
+    return m, r
+
+
+def mid_rad(lo: np.ndarray, hi: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The split of `float_matmat`: `_split`'s midpoint m and a radius R >=
+    gamma |m| + r, entrywise.  An exact zero has R = 0, where a subnormal
+    R would slow a product with R down."""
+    m, r = _split(lo, hi)
+    with np.errstate(invalid="ignore", over="ignore"):
         R = np.where((m == 0.0) & (r == 0.0), 0.0, _aup(_aup(gamma * np.abs(m)) + r))
     return m, R
 
@@ -537,6 +523,163 @@ def float_matmat(B: np.ndarray, A: IArray) -> IArray:
 
 
 # ---------------------------------------------------------------------------
+# midpoint-radius stacks
+# ---------------------------------------------------------------------------
+
+_U = 2.0 ** -53
+# The underflow term of every `MidRad` radius.  Half a subnormal ulp per
+# product or quotient would do; 2^-600 covers any count of them below
+# 2^470 and is a normal number, so that the radii of exact zeros stay
+# normal: one subnormal column makes numpy's elementwise arithmetic on a
+# (256, 13) stack three times slower.
+_MU = 2.0 ** -600
+
+
+def _rad(r, k: int):
+    """An upper bound of the exact value E of a nonnegative radius from its
+    float evaluation r: sums of nonnegative floats and of their products
+    and quotients, each product or quotient taken of inputs or sums of
+    inputs (so no underflow loss is multiplied up), with at most k
+    roundings on any path from an input to r.  Then r >= (1 - u)^k E - p
+    2^-1075 for p products and quotients, and fl(fl(r (1 + 4(k + 2) u)) +
+    _MU) >= E covers the two roundings of the bound itself."""
+    return r * (1.0 + 4 * (k + 2) * _U) + _MU
+
+
+class MidRad:
+    """A stack of intervals m +- r as a midpoint array and a radius array
+    of one shape (Rump, "Fast and parallel interval arithmetic", BIT 39,
+    1999).  Each operation rounds its midpoint to nearest and bounds every
+    error of it in the radius, in the error model of `_rad`: u |m~| for a
+    sum or difference (which is exact below 2^-1021, where u |m~| would
+    underflow), u |m~| + 2^-1075 for a product or quotient, the radius terms
+    of the exact operation on m +- r, and `_MU`.  The other operand may be
+    a `MidRad` or a float (array), a point.  Operands broadcast, and no
+    entry depends on another but through `dot`'s sum over the last axis,
+    in that entry's own row.  NaN or infinite midpoints and NaN radii
+    (overflow) saturate to [-inf, inf] where endpoints or magnitudes are
+    formed (`to_iarray`, `mag`).  The constructor takes m and r as given:
+    r >= 0, of m's shape, is the caller's to keep."""
+
+    __slots__ = ("m", "r")
+    __array_ufunc__ = None       # numpy operands defer to the reflected operators
+
+    def __init__(self, m, r):
+        self.m, self.r = m, r
+
+    @staticmethod
+    def of(x: "IArray | Interval") -> "MidRad":
+        """The enclosure of x's endpoints (`_split`)."""
+        return MidRad(*_split(np.asarray(x.lo, dtype=float), np.asarray(x.hi, dtype=float)))
+
+    def to_iarray(self) -> IArray:
+        """The endpoints m - r and m + r, each one outward step past its
+        rounding; an entry with a NaN endpoint (overflow) saturates."""
+        with np.errstate(invalid="ignore", over="ignore"):
+            lo, hi = self.m - self.r, self.m + self.r
+        bad = np.isnan(lo) | np.isnan(hi)
+        if bad.any():
+            lo, hi = np.where(bad, -_INF, lo), np.where(bad, _INF, hi)
+        return IArray._of(_adn(lo), _aup(hi))
+
+    @property
+    def mag(self) -> np.ndarray:
+        """Entrywise upper bound of |x|: |m| + r, one outward step past its
+        rounding (NaN saturates to +inf)."""
+        with np.errstate(invalid="ignore", over="ignore"):
+            return _saturate(_aup(np.abs(self.m) + self.r))
+
+    def __getitem__(self, idx) -> "MidRad":
+        return MidRad(self.m[idx], self.r[idx])
+
+    def __neg__(self) -> "MidRad":
+        return MidRad(-self.m, self.r)
+
+    def __add__(self, other) -> "MidRad":
+        with np.errstate(invalid="ignore", over="ignore"):
+            if isinstance(other, MidRad):
+                m = self.m + other.m
+                return MidRad(m, _rad(self.r + other.r + _U * np.abs(m), 2))
+            m = self.m + other
+            return MidRad(m, _rad(self.r + _U * np.abs(m), 2))
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "MidRad":
+        return self + (-other)          # a + (-b) rounds as a - b
+
+    def __mul__(self, other) -> "MidRad":
+        """(ma +- ra)(mb +- rb) lies in ma mb +- (|ma| rb + ra (|mb| + rb))."""
+        with np.errstate(invalid="ignore", over="ignore"):
+            if isinstance(other, MidRad):
+                m = self.m * other.m
+                return MidRad(m, _rad(np.abs(self.m) * other.r
+                                      + self.r * (np.abs(other.m) + other.r)
+                                      + _U * np.abs(m), 4))
+            m = self.m * other
+            return MidRad(m, _rad(self.r * np.abs(other) + _U * np.abs(m), 2))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "MidRad":
+        """For a divisor with 2 rb < |mb|, so d = |mb| - rb >= rb: x / y
+        - q~ for q~ = fl(ma / mb) and q = ma / mb is (x - q y) / y + (q -
+        q~), at most (ra + |q| rb) / d + |q - q~| <= ra / d + |q~| (rb / d)
+        + 2u |q~| + 2^-1074, with fl(|mb| - rb) >= d (1 - u) taken as one
+        more rounding.  Other divisors give [-inf, inf]."""
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            if isinstance(other, MidRad):
+                amb = np.abs(other.m)
+                d = amb - other.r
+                m = self.m / other.m
+                am = np.abs(m)
+                r = _rad(self.r / d + am * _rad(other.r / d, 2) + _EPS * am, 4)
+                ok = 2.0 * other.r < amb         # False at NaN
+                return MidRad(m, r if ok.all() else np.where(ok, r, _INF))
+            m = self.m / other
+            return MidRad(m, _rad(self.r / np.abs(other) + _U * np.abs(m), 2))
+
+    def exp(self) -> "MidRad":
+        """libm's exp at each midpoint, e~, within two ulps (2 eps e~ +
+        2^-1073 near underflow) of exp(m) under the model; then exp(m +- r)
+        lies in e~ +- (exp(m) (e^r - 1) + |exp(m) - e~|) <= (1 + 2 eps) e~
+        (r (1 + r) + 2 eps) + 3 2^-1073, the Taylor remainder e^r - 1 - r <=
+        r^2 for r <= 1 (a product r (1 + r) that underflows loses far less
+        than the 2 eps beside it).  Where r > 1 or m >= _EXP_OVERFLOW, the
+        radius is the guarded upper bound of exp(m + r) itself."""
+        m, r = self.m, self.r
+        # math.exp overflows from _EXP_OVERFLOW on, where the radius saturates
+        e = np.reshape([math.exp(v) for v in np.minimum(m, _EXP_FINITE).ravel().tolist()],
+                       np.shape(m))
+        with np.errstate(invalid="ignore", over="ignore"):
+            # four roundings on a path, and 1 + 2 eps <= (1 - u)^-4 four more
+            rad = _rad(e * (r * (1.0 + r) + 2.0 * _EPS), 8)
+            wide = (r > 1.0) | (m >= _EXP_OVERFLOW)
+            if wide.any():
+                top = np.where(wide, m + r, 0.0).ravel().tolist()
+                rad = np.where(wide, np.reshape([_exp_up(_up(v)) for v in top], np.shape(m)),
+                               rad)
+        return MidRad(e, rad)
+
+    def dot(self, other: "MidRad") -> "MidRad":
+        """Sums over the last axis of the elementwise product, one per row,
+        as `CoralBranchSystem.evaluate` sums q.x (row sums, not a matrix
+        product, so that a row does not depend on the rows stacked with
+        it).  The midpoint is fl(sum_j ma_j mb_j), within gamma_n sum_j
+        |ma_j mb_j| of the exact sum in any summation order (plus half a
+        subnormal ulp a product), and the exact products have radius |ma|
+        rb + ra (|mb| + rb), so r = sum_j |ma_j| (rb_j + gamma_n |mb_j|) +
+        ra_j (|mb_j| + rb_j), with n + 1 roundings on a path."""
+        n = np.shape(self.m)[-1]
+        gamma = _gamma(n)[0]
+        with np.errstate(invalid="ignore", over="ignore"):
+            amb = np.abs(other.m)
+            wa, wb = _rad(other.r + gamma * amb, 2), _rad(amb + other.r, 1)
+            return MidRad((self.m * other.m).sum(axis=-1),
+                          _rad((np.abs(self.m) * wa + self.r * wb).sum(axis=-1), n + 1))
+
+
+# ---------------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------------
 
@@ -570,8 +713,8 @@ def up_sum(arr: np.ndarray, axis=None) -> np.ndarray | float:
     """Upper bound of the exact sum of nonnegative entries."""
     arr = np.asarray(arr, dtype=float)
     n = arr.size if axis is None else arr.shape[axis]
-    s = arr.sum(axis=axis)
-    return s * (1.0 + 2.0 * (n + 1) * _EPS)
+    with np.errstate(over="ignore"):
+        return arr.sum(axis=axis) * (1.0 + 2.0 * (n + 1) * _EPS)
 
 
 def up_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .interval import IArray, Interval, dot_seq, up_mul, up_sum
+from .interval import IArray, Interval, MidRad, dot_seq, up_mul, up_sum
 
 GROWTH_EXPONENT = 2.324       # age-scaling exponent shared by p_k and b_k
 POLYPS_PER_COLONY_SCALE = 1.239
@@ -149,7 +149,7 @@ def _sexp(y):
             return math.exp(y)
         except OverflowError:
             return math.inf
-    if isinstance(y, (Interval, IArray)):
+    if isinstance(y, (Interval, MidRad)):
         return y.exp()
     import mpmath
     return mpmath.exp(y)
@@ -227,6 +227,7 @@ class CoralMap:
         self.ci = derive_interval(self.params)
         self._S = np.array(self.params.S, dtype=float)
         self._q, self._b = IArray.from_scalars(self.ci.q), IArray.from_scalars(self.ci.b)
+        self._q_mr, self._b_mr = MidRad.of(self._q), MidRad.of(self._b)
         qm, bm = self._q.mag, self._b.mag
         self._qq, self._qb_sym = np.outer(qm, qm), np.outer(qm, bm) + np.outer(bm, qm)
 
@@ -258,16 +259,23 @@ class CoralMap:
         """g = phi(P) (b.x) over an interval point or box x, where f_1 =
         lambda*g, with phi..phi^(order) and the gradient of g.
 
-        Elementwise products and sums run in `IArray`; q.x and b.x are
-        summed in k order and phi is evaluated in `Interval` (one x) or
-        `IArray` (stacked x, one jet per row), so every endpoint equals the
-        scalar `Interval` evaluation bit for bit."""
-        P = dot_seq(self._q.lo, self._q.hi, x.lo, x.hi)
-        bx = dot_seq(self._b.lo, self._b.hi, x.lo, x.hi, start=0.0 * P)
+        One x runs in `Interval` scalars, q.x and b.x summed in k order, so
+        every endpoint equals the scalar `Interval` evaluation bit for bit.
+        Stacked x (leading axes, one jet per row) runs in `MidRad`, q.x and
+        b.x as `MidRad.dot` row sums, so a row does not depend on the rows
+        stacked with it."""
+        if x.lo.ndim > 1:
+            X, q, b = MidRad.of(x), self._q_mr, self._b_mr
+            P, bx = X.dot(q), X.dot(b)
+            col = lambda v: v[..., None]
+        else:
+            q, b = self._q, self._b
+            P = dot_seq(q.lo, q.hi, x.lo, x.hi)
+            bx = dot_seq(b.lo, b.hi, x.lo, x.hi, start=0.0 * P)
+            col = lambda v: v
         phis = phi_derivs(P, self.params, order=max(order, 1))
         # dg/dx_j = phi'(P) q_j (b.x) + phi(P) b_j, one row per stacked x
-        col = lambda v: v[..., None] if isinstance(v, IArray) else v
-        g1 = self._q * col(phis[1]) * col(bx) + self._b * col(phis[0])
+        g1 = q * col(phis[1]) * col(bx) + b * col(phis[0])
         return Row1Jet(phis=phis, bx=bx, g=phis[0] * bx, g1=g1)
 
     def jac_x_iv(self, lam: Interval, jet: "Row1Jet") -> IArray:
@@ -300,12 +308,13 @@ class CoralMap:
 @dataclass(frozen=True)
 class Row1Jet:
     """g = phi(P) (b.x) and its first derivatives over an interval point
-    or box; phis reach the order the jet was built for."""
+    or box (`Interval` scalars and an `IArray` g1), or over stacked x
+    (`MidRad` throughout); phis reach the order the jet was built for."""
 
-    phis: tuple          # phi .. phi^(order) at P = q.x (Interval or IArray)
-    bx: Interval         # b.x (IArray for stacked x)
-    g: Interval          # phi(P) (b.x)
-    g1: IArray           # dg/dx_j
+    phis: tuple                # phi .. phi^(order) at P = q.x
+    bx: "Interval | MidRad"    # b.x
+    g: "Interval | MidRad"     # phi(P) (b.x)
+    g1: "IArray | MidRad"      # dg/dx_j
 
     def __getitem__(self, rows) -> "Row1Jet":
         """The jet of the stacked x rows `rows` (a slice keeps them stacked)."""

@@ -19,10 +19,10 @@ from certibif.continuation import (ALPHA_FRAC, BranchBox, _Wave,
 from certibif.errors import (CorrectorFailed, NotInvertibleEvidence, TangentUndefined,
                              ValidationFailed)
 from certibif.interval import IArray, Interval, float_matmat, norm_inf
-from certibif.model import CoralMap, FixedPointReduction
+from certibif.model import CoralMap, FixedPointReduction, phi
 
 from helpers import (eigvals_labels, jac_lam, map_F, mp_branch_F, mp_coeffs, mp_fd_jacobian,
-                     mp_refine_branch_point, scalar_row1, step)
+                     mp_refine_branch_point, step)
 import mpmath as mp
 
 
@@ -340,7 +340,7 @@ def test_validate_segment_coral(coral):
 
 
 @pytest.mark.parametrize("d, refusal", [
-    (1e-13, "2 K rho = 1.96719422968055e-13 >= ell_x = 1e-13"),
+    (1e-13, "2 K rho = 2.538494087003125e-13 >= ell_x = 1e-13"),
     (30.0, "4 K^2 rho L1 = inf >= 1"),
 ], ids=["ell_x", "L1"])
 def test_validate_segment_names_the_refusing_gate(coral, d, refusal):
@@ -800,22 +800,60 @@ def test_stacked_stages_equal_their_single_segment_calls(branch_result,
         assert (box.bounds, pair(box)) == (b1.bounds, pair(b1))
 
 
-def test_stacked_row1_jet_equals_scalar_interval(branch_result, preconditioned_system,
-                                                coral):
-    """The order-2 jet over the Lipschitz boxes of the recorded boxes, as
-    jet_iv builds it, row by row against scalar Interval."""
-    system = preconditioned_system
+def _lipschitz_jet_rows(branch_result, system) -> IArray:
+    """The x enclosures of the order-2 jet as `jet_iv` stacks them for 64
+    recorded boxes: each anchor point, then its Lipschitz box s (.) u +-
+    s ell_x."""
     boxes, t, u, *_ = _recorded(branch_result, system)
+    x = IArray.point(u) * system.s
     rad = system.s * np.array([b.bounds.ell_x for b in boxes])[:, None]
-    x_box = IArray.around(system.s * u, rad)
-    jet = coral.row1_jet(x_box, order=2)
-    for i in range(len(boxes)):
-        phis, bx, g, g1 = scalar_row1(coral, IArray(x_box.lo[i], x_box.hi[i]).to_scalars())
-        assert all((p.lo[i], p.hi[i]) == (q.lo, q.hi) for p, q in zip(jet.phis, phis))
-        assert (bx.lo, bx.hi, g.lo, g.hi) == (jet.bx.lo[i], jet.bx.hi[i],
-                                              jet.g.lo[i], jet.g.hi[i])
-        assert np.array_equal(jet.g1.lo[i], [gj.lo for gj in g1])
-        assert np.array_equal(jet.g1.hi[i], [gj.hi for gj in g1])
+    box = IArray.around(system.s * u, rad)
+    return IArray(np.concatenate([x.lo, box.lo]), np.concatenate([x.hi, box.hi]))
+
+
+def test_stacked_row1_jet_rows_equal_their_one_row_calls(branch_result,
+                                                        preconditioned_system, coral):
+    """The stacked order-2 jet over 64 recorded anchor points and their
+    Lipschitz boxes: every row -- phis, b.x, g and g1, midpoint and radius
+    -- has the bits of its own one-row stacked call."""
+    x = _lipschitz_jet_rows(branch_result, preconditioned_system)
+    jet = coral.row1_jet(x, order=2)
+    parts = lambda j: list(j.phis) + [j.bx, j.g, j.g1]
+    for i in range(len(x.lo)):
+        one = coral.row1_jet(IArray(x.lo[i:i + 1], x.hi[i:i + 1]), order=2)
+        for p, q in zip(parts(jet), parts(one)):
+            assert np.array_equal(p.m[i], q.m[0]) and np.array_equal(p.r[i], q.r[0]), i
+
+
+def test_stacked_row1_jet_contains_high_precision_values(branch_result,
+                                                        preconditioned_system, coral):
+    """At corners and interior points of 16 of the recorded Lipschitz boxes,
+    and at both corners of their anchors' point rows (s (.) u rounded
+    outward), the 50-digit phi, phi', phi'' (mpmath's numerical
+    differentiation), b.x, g and dg/dx lie inside the stacked jet's
+    enclosures, the jet taken over all 64 anchors and boxes stacked."""
+    x = _lipschitz_jet_rows(branch_result, preconditioned_system)
+    n = len(x.lo) // 2
+    jet = coral.row1_jet(x, order=2)
+    ends = [p.to_iarray() for p in jet.phis] + [jet.bx.to_iarray(), jet.g.to_iarray()]
+    g1 = jet.g1.to_iarray()
+    rng = np.random.default_rng(24)
+    inside = lambda lo, hi, v: mp.mpf(float(lo)) <= v <= mp.mpf(float(hi))
+    with mp.workdps(50):
+        c = mp_coeffs(coral)
+        for i in list(range(0, n, 4)) + list(range(n, 2 * n, 4)):
+            lo, hi = x.lo[i], x.hi[i]
+            points = [lo, hi, np.where(rng.random(coral.d) < 0.5, lo, hi),
+                      lo + (hi - lo) * rng.uniform(0.0, 1.0, coral.d)] if i >= n else [lo, hi]
+            for pt in points:
+                xs = [mp.mpf(float(v)) for v in np.clip(pt, lo, hi)]
+                P = mp.fsum(qk * xk for qk, xk in zip(c.q, xs))
+                bx = mp.fsum(bk * xk for bk, xk in zip(c.b, xs))
+                ds = [mp.diff(lambda y: phi(y, coral.params), P, k) for k in range(3)]
+                for e, want in zip(ends, ds + [bx, ds[0] * bx]):
+                    assert inside(e.lo[i], e.hi[i], want), i
+                for j in range(coral.d):
+                    assert inside(g1.lo[i, j], g1.hi[i, j], ds[1] * c.q[j] * bx + ds[0] * c.b[j])
 
 
 def _scalar_extended_constants(M, mu, v):

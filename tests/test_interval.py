@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from certibif.errors import DomainError
 from certibif.cift import neumann_rho
-from certibif.interval import IArray, Interval, float_matmat, norm_inf, up_dot, up_mul, up_sum
+from certibif.interval import (_EXP_OVERFLOW, IArray, Interval, MidRad, float_matmat, norm_inf,
+                               up_dot, up_mul, up_sum)
 
 from helpers import contains
 
@@ -232,7 +233,6 @@ def test_iarray_equals_scalar_interval_entrywise(data):
     _assert_entrywise(-a, shape, lambda i: -ia(i))
     _assert_entrywise(a + s, shape, lambda i: ia(i) + s)
     _assert_entrywise(a * s, shape, lambda i: ia(i) * s)
-    _assert_entrywise(a.exp(), shape, lambda i: ia(i).exp())
     _assert_entrywise(a * ib((0,) * len(shape)), shape, lambda i: ia(i) * ib((0,) * len(shape)))
     # a divisor containing 0 gives [-inf, inf] where Interval raises
     _assert_entrywise(a / b, shape, lambda i: Interval(-math.inf, math.inf)
@@ -483,6 +483,180 @@ def test_iarray_overflow_saturates_as_interval_silently():
             _assert_entrywise(g, (4,), want[op])
         s = IArray.point([1.5e308]) + IArray.point([1.5e308])
     assert (s.lo[0], s.hi[0]) == (sys.float_info.max, math.inf)
+
+
+def test_up_sum_overflow_gives_inf_silently():
+    """A sum of finite bounds that overflows is +inf, with no numpy
+    "overflow encountered in reduce" warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert up_sum(np.array([1.5e308, 1.5e308])) == math.inf
+        got = up_sum(np.array([[1.7e308, 1e308], [1.0, 2.0]]), axis=-1)
+        assert got[0] == math.inf and 3.0 <= got[1] < math.inf
+
+
+# ---------------------------------------------------------------------------
+# midpoint-radius stacks against the exact hull of each operation
+# ---------------------------------------------------------------------------
+
+_TINY = 2.0 ** -1074
+
+
+def _mr_cases(rng, n):
+    """Midpoints and radii that reach every branch of the error model:
+    exact zeros, zero radii, subnormal, normal and huge midpoints, radii
+    from zero to wider than the midpoint."""
+    scale = rng.choice([0.0, _TINY, 1e-310, 1e-200, 1e-8, 1.0, 1e6, 1e150, 1e300], n)
+    m = rng.choice([-1.0, 1.0], n) * scale * rng.uniform(1.0, 7.0, n)
+    m = np.where(scale == _TINY, rng.integers(-5, 6, n) * _TINY, m)
+    rel = rng.choice([0.0, 0.0, 1e-17, 1e-9, 0.3, 2.0], n)
+    r = np.abs(m) * rel
+    r = np.where(rng.random(n) < 0.1, rng.choice([_TINY, 1e-300, 1e-5], n), r)
+    return m, r
+
+
+def _assert_encloses(got: MidRad, lo: list, hi: list) -> None:
+    """got's real set m +- r contains each exact hull [lo_i, hi_i]
+    (Fractions); a non-finite entry must saturate in `to_iarray`."""
+    ends = got.to_iarray()
+    for i, (l, h) in enumerate(zip(lo, hi)):
+        m, r = float(got.m[i]), float(got.r[i])
+        if math.isfinite(m) and math.isfinite(r):
+            assert Fraction(m) - Fraction(r) <= l and h <= Fraction(m) + Fraction(r), i
+        else:
+            assert math.isnan(m) or math.isnan(r) or math.isinf(r), i
+            assert ends.lo[i] == -math.inf and ends.hi[i] == math.inf, i
+
+
+def _corners(op, a, b):
+    vals = [op(x, y) for x in a for y in b]
+    return min(vals), max(vals)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_midrad_ops_contain_the_exact_hull(seed):
+    """+, -, * and / of `MidRad` stacks, and with a float point operand,
+    contain the exact range of the operation over m +- r (Fractions):
+    points whose sums, products and quotients round or underflow, huge
+    midpoints that overflow to a saturated entry, and wide operands.  A
+    divisor with 2 rb >= |mb| gives [-inf, inf].  No numpy warning."""
+    rng = np.random.default_rng(seed)
+    n = 400
+    (ma, ra), (mb, rb) = _mr_cases(rng, n), _mr_cases(rng, n)
+    a, b, c = MidRad(ma, ra), MidRad(mb, rb), mb
+    F = Fraction
+    A = [(F(x) - F(w), F(x) + F(w)) for x, w in zip(ma.tolist(), ra.tolist())]
+    B = [(F(x) - F(w), F(x) + F(w)) for x, w in zip(mb.tolist(), rb.tolist())]
+    C = [(F(x), F(x)) for x in c.tolist()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for got, hulls in [
+                (a + b, [_corners(lambda x, y: x + y, p, q) for p, q in zip(A, B)]),
+                (a - b, [_corners(lambda x, y: x - y, p, q) for p, q in zip(A, B)]),
+                (a * b, [_corners(lambda x, y: x * y, p, q) for p, q in zip(A, B)]),
+                (a + c, [_corners(lambda x, y: x + y, p, q) for p, q in zip(A, C)]),
+                (a - c, [_corners(lambda x, y: x - y, p, q) for p, q in zip(A, C)]),
+                (c * a, [_corners(lambda x, y: x * y, p, q) for p, q in zip(A, C)]),
+                (-a, [(-h, -l) for l, h in A])]:
+            _assert_encloses(got, *zip(*hulls))
+        q = a / b
+        ok = (2.0 * rb < np.abs(mb)).tolist()
+        div = [_corners(lambda x, y: x / y, p, r) if good else (0, 0)
+               for p, r, good in zip(A, B, ok)]
+        _assert_encloses(q[np.array(ok)], *zip(*[h for h, good in zip(div, ok) if good]))
+        assert np.all(q.to_iarray().lo[~np.array(ok)] == -math.inf)
+        nz = np.abs(c) > 0.0
+        div = [_corners(lambda x, y: x / y, p, r) for p, r, good in zip(A, C, nz) if good]
+        _assert_encloses((a / c)[nz], *zip(*div))
+
+
+def test_midrad_point_operations_are_not_exact():
+    """Point operands whose exact sum, product and quotient are not floats,
+    or underflow to zero: the radius covers the midpoint's rounding."""
+    a, b = MidRad(np.array([0.1, 1e-200, 3.0]), np.zeros(3)), MidRad(
+        np.array([0.2, 1e-200, 7.0]), np.zeros(3))
+    F = Fraction
+    for got, want in ((a + b, [F(0.1) + F(0.2), F(2e-200), F(10.0)]),
+                      (a * b, [F(0.1) * F(0.2), F(1e-200) ** 2, F(21.0)]),
+                      (a / b, [F(0.1) / F(0.2), F(1), F(3) / F(7)])):
+        _assert_encloses(got, want, want)
+        assert np.all(got.r > 0.0)
+
+
+def test_midrad_exp_contains_the_exact_hull():
+    """exp of m +- r contains [exp(m - r), exp(m + r)] (2200-bit mpmath,
+    exact on every double): points, narrow and wide radii (r > 1 takes the
+    guarded bound of exp(m + r)), exact zeros, underflowing results and
+    midpoints at and past _EXP_OVERFLOW, which saturate."""
+    m = np.array([0.0, 0.0, 1.0, -0.5, 1e-300, -745.0, -800.0, 700.0, 709.0,
+                  _EXP_OVERFLOW - 1e-9, _EXP_OVERFLOW, 710.0, 3.0, -20.0, 5.0, 700.0, 12.5])
+    r = np.array([0.0, 1e-300, 0.0, 1e-16, 5e-324, 1e-3, 0.0, 0.5, 0.7,
+                  0.0, 0.0, 1e-3, 1.0, 2.5, 30.0, 20.0, 1e-6])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = MidRad(m, r).exp()
+        ends = got.to_iarray()
+    with mp.workprec(2200):
+        for i, (mi, ri) in enumerate(zip(m.tolist(), r.tolist())):
+            lo, hi = mp.exp(mp.mpf(mi) - mp.mpf(ri)), mp.exp(mp.mpf(mi) + mp.mpf(ri))
+            if math.isinf(got.r[i]):
+                assert ends.hi[i] == math.inf and mi + ri > 709.0, i
+                continue
+            c, w = mp.mpf(float(got.m[i])), mp.mpf(float(got.r[i]))
+            assert c - w <= lo and hi <= c + w, i
+    assert got.r[0] > 0.0 and got.r[0] < 1e-15      # exp(0 +- 1e-300): a few ulps
+    assert math.isinf(got.r[list(m).index(_EXP_OVERFLOW)])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_midrad_dot_contains_the_exact_hull(seed):
+    """Row sums of products over the last axis contain the exact range of
+    sum_j x_j y_j over the boxes (whose terms range independently, so
+    the hull is the sum of the terms' hulls): point rows whose rounding
+    the gamma_n term alone covers, wide rows, subnormal products and
+    overflowing sums; each row equals its one-row call bit for bit."""
+    rng = np.random.default_rng(seed)
+    rows, n = 60, 13
+    mx, rx = (v.reshape(rows, n) for v in _mr_cases(rng, rows * n))
+    mx[:10] = rng.uniform(0.1, 1.0, (10, n)) * 10.0 ** rng.integers(-3, 4, (10, n))
+    rx[:10] = 0.0
+    mx[10:12] = 1e-170
+    my, ry = rng.uniform(-3.0, 3.0, n), np.abs(rng.normal(size=n)) * 1e-12
+    my[0], ry[0] = 0.0, 0.0
+    y = MidRad(my, ry)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = MidRad(mx, rx).dot(y)
+        ones = [MidRad(mx[i:i + 1], rx[i:i + 1]).dot(y) for i in range(rows)]
+    F = Fraction
+    lo, hi = [], []
+    for i in range(rows):
+        terms = [_corners(lambda a, b: a * b, (F(m) - F(r), F(m) + F(r)), (F(p) - F(w), F(p) + F(w)))
+                 for m, r, p, w in zip(mx[i].tolist(), rx[i].tolist(), my.tolist(), ry.tolist())]
+        lo.append(sum(t[0] for t in terms))
+        hi.append(sum(t[1] for t in terms))
+        assert (got.m[i], got.r[i]) == (ones[i].m[0], ones[i].r[0]), i
+    _assert_encloses(got, lo, hi)
+
+
+def test_midrad_split_and_endpoints():
+    """`MidRad.of` encloses IArray endpoints (an infinite one gives m = 0, r
+    = inf), and `to_iarray` and `mag` enclose m +- r, saturating NaN."""
+    x = IArray(np.array([1.0, 0.1, -3.0, -np.inf, 5e-324]), np.array([1.0, 0.3, 1e300, 2.0, 5e-324]))
+    mr = MidRad.of(x)
+    F = Fraction
+    for i in range(4):
+        if math.isinf(mr.r[i]):
+            assert mr.m[i] == 0.0 and np.isinf(x.lo[i])
+            continue
+        assert F(mr.m[i]) - F(mr.r[i]) <= F(x.lo[i]) and F(x.hi[i]) <= F(mr.m[i]) + F(mr.r[i])
+    assert mr.r[0] == 0.0
+    a = MidRad(np.array([0.1, np.nan, np.inf, 2.0]), np.array([0.3, 0.0, np.inf, np.nan]))
+    ends, mag = a.to_iarray(), a.mag
+    assert F(ends.lo[0]) <= F(0.1) - F(0.3) and F(0.1) + F(0.3) <= F(ends.hi[0])
+    assert F(mag[0]) >= F(0.1) + F(0.3)
+    assert np.all(ends.lo[1:] == -np.inf) and np.all(ends.hi[1:] == np.inf)
+    assert np.all(mag[1:] == np.inf)
 
 
 def test_scale_and_widened():
