@@ -41,7 +41,8 @@ class CiftBounds:
 
     For parameter-free systems L2 = L3 = L4 = 0.  `ell_x`/`ell_alpha` are
     the box radii over which the Lipschitz constants were certified.  The
-    fields may be arrays, one entry per segment of a stack.
+    fields are nonnegative (`check_deltas` checks) and may be arrays, one
+    entry per segment of a stack.
     """
 
     rho: float
@@ -52,12 +53,6 @@ class CiftBounds:
     L4: float = 0.0
     ell_x: float = 0.0
     ell_alpha: float = 0.0
-
-    def __post_init__(self):
-        for name in ("rho", "K", "L1", "L2", "L3", "L4", "ell_x", "ell_alpha"):
-            v = getattr(self, name)
-            if np.any(v < 0.0) if isinstance(v, np.ndarray) else v < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -343,14 +338,15 @@ def delta_alpha_root(K, rho, L1, L2, L3, L4, ell_x, dir_norm, coupled_cap):
     floor(da) = each ceiling, floor = a*da^2 + bl*da + c0, the first
     constraint of `_ROOT_NAMES` on a tie: arrays of roots and of names,
     one entry per segment."""
-    K2 = 2.0 * K
-    a, bl, c0, s = K2 * L4, K2 * L3, K2 * rho, K2 * L1    # s: 2K(L1 floor + L2 da) <= 1
-    # the search cap dir_norm*da = coupled_cap*(1 - _DU_RESERVE) bounds every root
-    roots = np.stack(np.broadcast_arrays(
-        _smallest_root(a, bl, c0 - ell_x),
-        _smallest_root(s * a, s * bl + K2 * L2, s * c0 - 1.0),
-        _smallest_root(a, bl + dir_norm, c0 - coupled_cap),
-        coupled_cap * (1.0 - _DU_RESERVE) / dir_norm))
+    with np.errstate(invalid="ignore", over="ignore"):      # rho = inf where F overflowed
+        K2 = 2.0 * K
+        a, bl, c0, s = K2 * L4, K2 * L3, K2 * rho, K2 * L1    # s: 2K(L1 floor + L2 da) <= 1
+        # the search cap dir_norm*da = coupled_cap*(1 - _DU_RESERVE) bounds every root
+        roots = np.stack(np.broadcast_arrays(
+            _smallest_root(a, bl, c0 - ell_x),
+            _smallest_root(s * a, s * bl + K2 * L2, s * c0 - 1.0),
+            _smallest_root(a, bl + dir_norm, c0 - coupled_cap),
+            coupled_cap * (1.0 - _DU_RESERVE) / dir_norm))
     k = roots.argmin(axis=0)
     root = np.take_along_axis(roots, k[None], axis=0)[0]
     return root, _ROOT_NAMES[k]
@@ -368,7 +364,11 @@ def check_deltas(b: CiftBounds, dir_norm, coupled_cap,
     Every constraint on delta_alpha is a quadratic whose left side grows
     with it, so feasibility is monotone: a value a margin below the float
     root of `delta_alpha_root` (and below ell_alpha) passes unless the
-    root misjudges the rounding of the rigorous check."""
+    root misjudges the rounding of the rigorous check.  Raises ValueError
+    when a field of b has a negative entry."""
+    for f in fields(b):
+        if np.any(np.asarray(getattr(b, f.name)) < 0.0):
+            raise ValueError(f"{f.name} must be nonnegative")
     p = _Probe.of(b, np.asarray(delta_alpha, dtype=float), dir_norm, coupled_cap)
     ceiling = _dx_ceiling(p)
     ok = (p.gate < 1.0) & (p.delta_min < b.ell_x) & _alpha_feasible(p, ceiling)

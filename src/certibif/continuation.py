@@ -41,7 +41,7 @@ from . import cift
 from .errors import (CorrectorFailed, NotInvertibleEvidence, TangentUndefined,
                      ValidationFailed)
 from .interval import (_EPS, _TINY, IArray, Interval, MidRad, _adn, _aup, _gamma, float_matmat,
-                       mid_rad, norm_inf, up_mul, up_sum)
+                       gamma_rad, mid_rad, up_mul, up_sum)
 from .model import CoralMap, FixedPointReduction, phi_derivs, schur_cohn_inside
 
 
@@ -122,12 +122,12 @@ class CoralBranchSystem:
 
     # -- interval evaluation ------------------------------------------------
 
-    def jet_iv(self, t, u: IArray, t0, u0, d) -> tuple:
-        """Interval F and row 1 of [D_t F | D_u F], an (n, d + 1) `IArray`,
-        at a stack of interval points or boxes, t an `IArray` of shape (n,)
-        and u one of shape (n, d), and (M1..M4) for the mean-value bounds of
-        (D_u F, D_t F) over the boxes |u - u0_i| <= d_i, |t - t0_i| <= d_i,
-        one entry per stacked box (blockwise Lipschitz recipe), from one
+    def jet_iv(self, t: MidRad, u: MidRad, t0, u0, d) -> tuple:
+        """F and row 1 of [D_t F | D_u F], an (n, d + 1) stack, as `MidRad`
+        stacks at a stack of points or boxes, t of shape (n,) and u of
+        shape (n, d), and (M1..M4) for the mean-value bounds of (D_u F,
+        D_t F) over the boxes |u - u0_i| <= d_i, |t - t0_i| <= d_i, one
+        entry per stacked box (blockwise Lipschitz recipe), from one
         order-2 row-1 jet of x = s (.) u and those boxes' x stacked (a jet
         row does not depend on the rows stacked with it).  The other rows
         of [D_t F | D_u F] are `rows`.
@@ -139,23 +139,20 @@ class CoralBranchSystem:
         bounds it in t, and M3 = M2 since d/du_k of D_t F is d/dt of
         (D_u F)_1k = tg_k.  lambda is affine in t, so M4 = 0."""
         t0, u0, d = (np.asarray(a, dtype=float) for a in (t0, u0, d))
-        n, x = len(u.lo), u * self.s
-        rad = _aup(self.s * d[..., None])
-        jet = self.coral.row1_jet(IArray(
-            np.concatenate([x.lo, _adn(_adn(self.s * u0) - rad)]),
-            np.concatenate([x.hi, _aup(_aup(self.s * u0) + rad)])), order=2)
+        n, x = len(u.m), u * self.s
+        cat = lambda *parts, axis=-1: MidRad(np.concatenate([p.m for p in parts], axis=axis),
+                                             np.concatenate([p.r for p in parts], axis=axis))
+        box = MidRad(u0, np.broadcast_to(d[..., None], u0.shape)) * self.s
+        jet = self.coral.row1_jet(cat(x, box, axis=0), order=2)
         at, over = jet[:n], jet[n:]
-        # the jet is a `MidRad` stack: endpoints are formed for F, J1 and the M terms
-        cat = lambda *parts: MidRad(np.concatenate([p.m for p in parts], axis=-1),
-                                    np.concatenate([p.r for p in parts], axis=-1))
-        lam = MidRad.of(t) * self._ct_mr
+        lam = t * self._ct_mr
         # F = f(lambda, x) / s - u; rows 2..d of f are S_k x_k
-        f0, f_rest = lam * at.phis[0] * at.bx, MidRad.of(x)[..., :-1] * self._S
-        F = (cat(f0[..., None], f_rest) / self.s - MidRad.of(u)).to_iarray()
+        f0, f_rest = lam * at.phis[0] * at.bx, x[..., :-1] * self._S
+        F = cat(f0[..., None], f_rest) / self.s - u
         # row 1: (D_t F_1, row 1 of D_x f scaled by s_j / s_0, minus e_1)
         jt = self._ct_mr * at.g / float(self.s[0])
         ju = at.g1 * lam[..., None] * self._ratio0_mr
-        J1 = cat(jt[..., None], ju[..., :1] - 1.0, ju[..., 1:]).to_iarray()
+        J1 = cat(jt[..., None], ju[..., :1] - 1.0, ju[..., 1:])
         # (M1..M4) over the boxes
         lam_mag = (self._ct_mr * MidRad(t0, d)).mag
         g2 = up_mul(up_mul((over.phis[2] * over.bx).mag, self._Sqq)
@@ -278,30 +275,31 @@ class ExtendedSystem:
         A1 (n, d + 1) row 1 of [D_t F | D_u F]: the float inverses B."""
         return self.sys.rows.inverse(np.column_stack([self.mu, self.v]), A1)
 
-    def origin_bounds(self, J1: IArray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def origin_bounds(self, J1: MidRad, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The (P2) bound K >= |DG(0)^-1| and the (P3) drift xi >= |D_t F mu
-        + D_u F v| at each anchor, from the enclosure J1 (n, d + 1) of row 1
-        of [D_t F | D_u F], the system's constant rows and B; raises
+        + D_u F v| at each anchor, from the `MidRad` stack J1 (n, d + 1) of
+        row 1 of [D_t F | D_u F], the system's constant rows and B; raises
         NotInvertibleEvidence, whose `index` names the first anchor that
-        fails, when (P2) does.
+        fails, when (P2) does (as a NaN or infinite entry of J1 makes it).
 
-        DG(0) lies in m +- r with m the rows (mu, v), mid J1 and `rows.mid`.
-        K is `cift.neumann_K` of `cift.neumann_rho_rows`, whose radius row
-        sums take two rows per anchor and `rows.R_rows`.  xi is the max
-        norm of rows 1.. of DG(0) times (mu, v) in the same form: centre
-        plus up((fl(R |(mu, v)|) + (k + 1) 2^-1074) / (1 - gamma_k)) per
-        row, as `float_matmat` bounds an entry.  (P2) passing proves B
-        invertible, so every R there is finite, and so is xi.  Every
-        product is one per anchor, of that anchor's own matrices, so a row
-        does not depend on the rows stacked with it."""
-        rows, (n, k) = self.sys.rows, J1.lo.shape
+        DG(0) lies in m +- R: m the rows (mu, v), J1.m and `rows.mid`, R
+        the `interval.gamma_rad` of J1's m and r and `rows.R`.  K is
+        `cift.neumann_K` of `cift.neumann_rho_rows`, whose radius row sums
+        take two rows per anchor and `rows.R_rows`.  xi is the max norm of
+        rows 1.. of DG(0) times (mu, v) in the same form: centre plus
+        up((fl(R |(mu, v)|) + (k + 1) 2^-1074) / (1 - gamma_k)) per row, as
+        `float_matmat` bounds an entry.  (P2) passing proves B invertible,
+        so every R there is finite, and so is xi.  Every product is one per
+        anchor, of that anchor's own matrices, so a row does not depend on
+        the rows stacked with it."""
+        rows, (n, k) = self.sys.rows, J1.m.shape
         gamma, inv_1mg = _gamma(k)
         X = np.column_stack([self.mu, self.v])
-        m01, R01 = mid_rad(np.stack([X, J1.lo], axis=1), np.stack([X, J1.hi], axis=1), gamma)
         m, R, R_rows = np.empty((n, k, k)), np.empty((n, k - 1, k)), np.empty((n, k))
-        m[:, :2], m[:, 2:] = m01, rows.mid
-        R[:, 0], R[:, 1:] = R01[:, 1], rows.R
-        R_rows[:, :2], R_rows[:, 2:] = up_sum(R01, axis=-1), rows.R_rows
+        m[:, 0], m[:, 1], m[:, 2:] = X, J1.m, rows.mid
+        R[:, 0], R[:, 1:] = gamma_rad(J1.m, J1.r, gamma), rows.R
+        R_rows[:, 0] = up_sum(gamma_rad(X, 0.0, gamma), axis=-1)
+        R_rows[:, 1], R_rows[:, 2:] = up_sum(R[:, 0], axis=-1), rows.R_rows
         K = cift.neumann_K(cift.neumann_rho_rows(B, m, R_rows), B)
         c, Rw = (m[:, 1:] @ X[..., None])[..., 0], (R @ np.abs(X)[..., None])[..., 0]
         rad = _aup(_aup(Rw + (k + 1) * _TINY) * inv_1mg)
@@ -444,11 +442,11 @@ def _take(obj, idx):
 def validate_segment(ext: ExtendedSystem, B: np.ndarray, d, index: int) -> list:
     """Certify the stack of segments of `ext`, B the float inverses of
     their extended Jacobians and d each segment's Lipschitz box radius, or
-    a row of them (rungs).  One `jet_iv` call gives (P1) rho and row 1 of
-    DG(0) at each anchor, from which `ExtendedSystem.origin_bounds` takes
-    the (P2) bound K and the (P3) drift xi, and (M1..M4) over each rung;
-    it raises NotInvertibleEvidence, whose `index` names the first
-    failing segment of the stack, when (P2) fails.  Then segment i --
+    a row of them (rungs).  One `jet_iv` call gives `MidRad` F and row 1
+    of DG(0) at each anchor, and (M1..M4) over each rung; (P1) rho is F's
+    largest magnitude, and `ExtendedSystem.origin_bounds` takes the (P2)
+    bound K and the (P3) drift xi from row 1, raising NotInvertibleEvidence
+    (`index` the first failing segment) when (P2) fails.  Then segment i --
     (P3) plus the delta inequalities -- is checked in one stacked
     `cift.check_deltas` at the delta_alpha planned from its certified
     constants (the float root of `cift.delta_alpha_root`, capped at the
@@ -461,13 +459,13 @@ def validate_segment(ext: ExtendedSystem, B: np.ndarray, d, index: int) -> list:
     n, r = d.shape
     seg = np.repeat(np.arange(n), r)
     d = d.ravel()
-    (F, J1), M = ext.sys.jet_iv(IArray.point(ext.t0), IArray.point(ext.u0),
-                                ext.t0[seg], ext.u0[seg], d)
+    point = lambda a: MidRad(a, np.zeros_like(a))
+    (F, J1), M = ext.sys.jet_iv(point(ext.t0), point(ext.u0), ext.t0[seg], ext.u0[seg], d)
     try:
         K, xi = ext.origin_bounds(J1, B)
     except NotInvertibleEvidence as exc:
         raise NotInvertibleEvidence(f"(P2) failed: {exc}", index=exc.index) from exc
-    rho = norm_inf(F).hi
+    rho = F.mag.max(axis=-1)
     b = derive_extended_constants(rho[seg], xi[seg], K[seg], M, d, ext.mu[seg], ext.v[seg])
     dir_norm = np.maximum(np.abs(ext.mu), np.abs(ext.v).max(axis=-1))
     root, names = cift.delta_alpha_root(b.K, b.rho, b.L1, b.L2, b.L3, b.L4, b.ell_x,

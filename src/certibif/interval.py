@@ -6,7 +6,7 @@ whose shape says which, rounded entry by entry as `Interval` rounds, so
 that the linear algebra used by the validation machinery (residuals,
 preconditioned Jacobians, Neumann bounds) stays cheap in dimensions up to
 ~50.  `MidRad` is a stack in midpoint-radius form, for whole formulas run
-on many rows at once (the branch's row-1 jet).
+on many rows at once (the branch's row-1 jet, through to its bounds).
 
 Rounding model: IEEE basic operations (+, -, *, /, sqrt) are correctly
 rounded to nearest, with gradual underflow, so one ``nextafter`` step past
@@ -476,13 +476,17 @@ def _split(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def mid_rad(lo: np.ndarray, hi: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """The split of `float_matmat`: `_split`'s midpoint m and a radius R >=
-    gamma |m| + r, entrywise.  An exact zero has R = 0, where a subnormal
-    R would slow a product with R down."""
+    """The split of `float_matmat`: `_split`'s midpoint m and `gamma_rad`."""
     m, r = _split(lo, hi)
+    return m, gamma_rad(m, r, gamma)
+
+
+def gamma_rad(m: np.ndarray, r, gamma: float) -> np.ndarray:
+    """R >= gamma |m| + r entrywise, as a product of m +- r with a float
+    matrix needs; an exact zero has R = 0, where a subnormal R would slow
+    the product down, and a NaN or infinite m or r stays non-finite."""
     with np.errstate(invalid="ignore", over="ignore"):
-        R = np.where((m == 0.0) & (r == 0.0), 0.0, _aup(_aup(gamma * np.abs(m)) + r))
-    return m, R
+        return np.where((m == 0.0) & (r == 0.0), 0.0, _aup(_aup(gamma * np.abs(m)) + r))
 
 
 def float_matmat(B: np.ndarray, A: IArray) -> IArray:
@@ -557,9 +561,9 @@ class MidRad:
     a `MidRad` or a float (array), a point.  Operands broadcast, and no
     entry depends on another but through `dot`'s sum over the last axis,
     in that entry's own row.  NaN or infinite midpoints and NaN radii
-    (overflow) saturate to [-inf, inf] where endpoints or magnitudes are
-    formed (`to_iarray`, `mag`).  The constructor takes m and r as given:
-    r >= 0, of m's shape, is the caller's to keep."""
+    (overflow) saturate to +inf in `mag`; a reader of m and r directly
+    (`gamma_rad`) must let them fail.  The constructor takes m and r as
+    given: r >= 0, of m's shape, is the caller's to keep."""
 
     __slots__ = ("m", "r")
     __array_ufunc__ = None       # numpy operands defer to the reflected operators
@@ -571,16 +575,6 @@ class MidRad:
     def of(x: "IArray | Interval") -> "MidRad":
         """The enclosure of x's endpoints (`_split`)."""
         return MidRad(*_split(np.asarray(x.lo, dtype=float), np.asarray(x.hi, dtype=float)))
-
-    def to_iarray(self) -> IArray:
-        """The endpoints m - r and m + r, each one outward step past its
-        rounding; an entry with a NaN endpoint (overflow) saturates."""
-        with np.errstate(invalid="ignore", over="ignore"):
-            lo, hi = self.m - self.r, self.m + self.r
-        bad = np.isnan(lo) | np.isnan(hi)
-        if bad.any():
-            lo, hi = np.where(bad, -_INF, lo), np.where(bad, _INF, hi)
-        return IArray._of(_adn(lo), _aup(hi))
 
     @property
     def mag(self) -> np.ndarray:

@@ -255,18 +255,18 @@ class CoralMap:
         first = lam * phi(P, self.params) * bx
         return [first] + [self.params.S[k] * x[k] for k in range(self.d - 1)]
 
-    def row1_jet(self, x: IArray, order: int = 1) -> "Row1Jet":
+    def row1_jet(self, x: "IArray | MidRad", order: int = 1) -> "Row1Jet":
         """g = phi(P) (b.x) over an interval point or box x, where f_1 =
         lambda*g, with phi..phi^(order) and the gradient of g.
 
-        One x runs in `Interval` scalars, q.x and b.x summed in k order, so
-        every endpoint equals the scalar `Interval` evaluation bit for bit.
-        Stacked x (leading axes, one jet per row) runs in `MidRad`, q.x and
-        b.x as `MidRad.dot` row sums, so a row does not depend on the rows
-        stacked with it."""
-        if x.lo.ndim > 1:
-            X, q, b = MidRad.of(x), self._q_mr, self._b_mr
-            P, bx = X.dot(q), X.dot(b)
+        One x, an `IArray`, runs in `Interval` scalars, q.x and b.x summed
+        in k order, so every endpoint equals the scalar `Interval`
+        evaluation bit for bit.  A `MidRad` stack x (leading axes, one jet
+        per row) runs in `MidRad`, q.x and b.x as `MidRad.dot` row sums, so
+        a row does not depend on the rows stacked with it."""
+        if isinstance(x, MidRad):
+            q, b = self._q_mr, self._b_mr
+            P, bx = x.dot(q), x.dot(b)
             col = lambda v: v[..., None]
         else:
             q, b = self._q, self._b

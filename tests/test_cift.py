@@ -318,6 +318,22 @@ def test_check_deltas_at_the_planned_root_accepts_exactly_the_feasible_bounds():
     assert (da >= (1.0 - 2e-8) * ref)[ok].all()
 
 
+def test_bounds_reject_negative():
+    """`check_deltas`, which every certified box's bounds pass, refuses a
+    negative field: of one segment, and at one entry of a stacked field,
+    whose stack passes once that entry is 0."""
+    with pytest.raises(ValueError, match="^rho must be nonnegative$"):
+        check_deltas(CiftBounds(rho=-1.0, K=1.0, L1=0.0, ell_x=1.0, ell_alpha=1.0),
+                     1.0, 1.0, 0.5)
+    one = np.ones(3)
+    stack = lambda L3: CiftBounds(rho=1e-12 * one, K=one, L1=one, L3=L3, ell_x=1e-3 * one,
+                                  ell_alpha=1e-3 * one)
+    with pytest.raises(ValueError, match="^L3 must be nonnegative$"):
+        check_deltas(stack(np.array([1e-8, -5e-324, 0.0])), one, 1e-3 * one, 1e-5 * one)
+    ok, _ = check_deltas(stack(np.array([1e-8, 0.0, 0.0])), one, 1e-3 * one, 1e-5 * one)
+    assert ok.all()
+
+
 # ---------------------------------------------------------------------------
 # full validation
 # ---------------------------------------------------------------------------
@@ -422,11 +438,6 @@ def test_certificate_json_roundtrip():
     blob = certificate_json(cert)
     assert_json_lossless(cert, blob)
     assert certificate_json(validate_zero(p, np.array([1.41421356]), ell=1e-3)) == blob
-
-
-def test_bounds_reject_negative():
-    with pytest.raises(ValueError):
-        CiftBounds(rho=-1.0, K=1.0, L1=0.0)
 
 
 class ScalarCubic:

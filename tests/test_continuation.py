@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +19,7 @@ from certibif.continuation import (ALPHA_FRAC, BranchBox, _Wave,
                                    validate_segment)
 from certibif.errors import (CorrectorFailed, NotInvertibleEvidence, TangentUndefined,
                              ValidationFailed)
-from certibif.interval import IArray, Interval, float_matmat, norm_inf
+from certibif.interval import IArray, Interval, MidRad, float_matmat
 from certibif.model import CoralMap, FixedPointReduction, phi
 
 from helpers import (eigvals_labels, jac_lam, map_F, mp_branch_F, mp_coeffs, mp_fd_jacobian,
@@ -323,7 +324,13 @@ def _segment(system, t0, u0, decreasing=False) -> tuple:
     return ext, ext.inverse(A1)
 
 
-def _at(system, t: IArray, u: IArray) -> tuple:
+def _point(a) -> MidRad:
+    """The `MidRad` point a (r = 0), as the validator passes its anchors."""
+    a = np.asarray(a, dtype=float)
+    return MidRad(a, np.zeros_like(a))
+
+
+def _at(system, t: MidRad, u: MidRad) -> tuple:
     """`jet_iv`'s F and row 1 of [D_t F | D_u F] at the stacked points or
     boxes t, u, with no Lipschitz box."""
     return system.jet_iv(t, u, np.empty(0), np.empty((0, system.d)), np.empty(0))[0]
@@ -340,7 +347,7 @@ def test_validate_segment_coral(coral):
 
 
 @pytest.mark.parametrize("d, refusal", [
-    (1e-13, "2 K rho = 2.538494087003125e-13 >= ell_x = 1e-13"),
+    (1e-13, "2 K rho = 2.510053813801834e-13 >= ell_x = 1e-13"),
     (30.0, "4 K^2 rho L1 = inf >= 1"),
 ], ids=["ell_x", "L1"])
 def test_validate_segment_names_the_refusing_gate(coral, d, refusal):
@@ -564,13 +571,13 @@ def test_derived_constants_match_direct_cift_on_extended_system(
         # hull of every point reachable within the slanted box
         r_t = da * abs(mu) + du
         r_u = da * np.abs(v) + du
-        t_iv = IArray.around([t0], r_t)
-        u_iv = IArray.around(u0[None], r_u)
+        t_iv = MidRad(np.array([t0]), np.array([r_t]))
+        u_iv = MidRad(u0[None], r_u[None])
         _, J1 = _at(preconditioned_system, t_iv, u_iv)
         # (H3) side: two Jacobian values inside the box differ by at most
         # the entrywise enclosure width, which the derived constants bound
         # through L1 |(sigma,x)| + L2 |alpha|; rows 2.. are constant
-        widths = np.concatenate([np.sum(J1.hi - J1.lo, axis=-1),
+        widths = np.concatenate([np.sum(2.0 * J1.r, axis=-1),
                                  np.sum(ext.sys.rows.iv.hi - ext.sys.rows.iv.lo, axis=-1)])
         width_bound = float(np.max(widths))
         formula_h3 = 2.0 * (box.bounds.L1 * (du + da * float(np.max(np.abs(v))))
@@ -628,13 +635,11 @@ def test_branch_driver_stops_degenerate_without_start_point(coral):
 
 class ToyLinearValidated(ToyLinear):
     """ToyLinear with the stacked interval interface, so segments can be
-    certified: t is an IArray of shape (n,) and u one of (n, 1)."""
+    certified: t is a `MidRad` stack of shape (n,) and u one of (n, 1)."""
 
     def jet_iv(self, t, u, t0, u0, d):
-        r = IArray(u.lo[:, 0], u.hi[:, 0]) - t
-        F = IArray(r.lo[:, None], r.hi[:, None])
-        J1 = IArray.point(np.tile([-1.0, 1.0], (u.lo.shape[0], 1)))   # (D_t F, D_u F)
-        return (F, J1), (np.zeros(len(d)),) * 4
+        J1 = _point(np.tile([-1.0, 1.0], (len(u.m), 1)))   # (D_t F, D_u F)
+        return (u - t[:, None], J1), (np.zeros(len(d)),) * 4
 
 
 def test_validate_segment_exact_linear_zero_set():
@@ -663,6 +668,55 @@ def test_validate_segment_names_the_first_segment_that_fails_p2():
     assert exc.value.index == 1
     (box,) = validate_segment(ext[:1], B[:1], [1e-2], 5)
     assert box.index == 5 and box.delta_alpha > 0.0
+
+
+class ToyNonFinite(ToyLinearValidated):
+    """ToyLinearValidated whose F or J1 (`part`) has one NaN or infinite
+    midpoint or radius (`field`, `value`) at anchor 1 of the stack, as an
+    overflow in the jet would leave it."""
+
+    def __init__(self, part, field, value):
+        self.part, self.field, self.value = part, field, value
+
+    def jet_iv(self, t, u, t0, u0, d):
+        (F, J1), M = super().jet_iv(t, u, t0, u0, d)
+        getattr(F if self.part == "F" else J1, self.field)[1, -1] = self.value
+        return (F, J1), M
+
+
+_NON_FINITE = [("m", math.nan), ("m", math.inf), ("r", math.nan), ("r", math.inf)]
+
+
+@pytest.mark.parametrize("field, value", _NON_FINITE,
+                         ids=[f"{f}-{v}" for f, v in _NON_FINITE])
+def test_non_finite_row_1_fails_p2_at_its_anchor(field, value):
+    """A NaN or infinite midpoint or radius in J1, which reaches (P2) in
+    midpoint-radius form, fails (P2) at its anchor, without a warning."""
+    ext, B = _segment(ToyNonFinite("J1", field, value), 0.3, np.array([0.3]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotInvertibleEvidence, match=r"^\(P2\) failed: ") as exc:
+            validate_segment(ext[[0, 0, 0]], B[[0, 0, 0]], [1e-2] * 3, 5)
+    assert exc.value.index == 1
+
+
+@pytest.mark.parametrize("field, value", _NON_FINITE,
+                         ids=[f"{f}-{v}" for f, v in _NON_FINITE])
+def test_non_finite_residual_gives_infinite_rho(field, value, monkeypatch):
+    """A NaN or infinite midpoint or radius in F gives rho = +inf at its
+    anchor and a refused box there, without a warning; its neighbours
+    validate."""
+    from certibif import continuation as cont
+    seen, derive = [], cont.derive_extended_constants
+    monkeypatch.setattr(cont, "derive_extended_constants",
+                        lambda rho, *rest: seen.append(rho) or derive(rho, *rest))
+    ext, B = _segment(ToyNonFinite("F", field, value), 0.3, np.array([0.3]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = validate_segment(ext[[0, 0, 0]], B[[0, 0, 0]], [1e-2] * 3, 5)
+    assert seen[0][1] == math.inf and np.isfinite(seen[0][[0, 2]]).all()
+    assert [type(b) for b in out] == [BranchBox, ValidationFailed, BranchBox]
+    assert str(out[1]) == "4 K^2 rho L1 = inf >= 1"
 
 
 def _toy_wave(ext, B, first=7) -> _Wave:
@@ -698,14 +752,14 @@ class ToyCubic(ToyLinear):
         return u[..., :1] - t[..., None] + self.KAPPA * u[..., :1] ** 3, A1
 
     def jet_iv(self, t, u, t0, u0, d):
-        x = IArray(u.lo[:, 0], u.hi[:, 0])
+        x = u[:, 0]
         r = x - t + x * x * x * self.KAPPA
         du = x * x * (3.0 * self.KAPPA) + 1.0
-        J1 = IArray(np.stack([-np.ones_like(du.lo), du.lo], -1),
-                    np.stack([-np.ones_like(du.hi), du.hi], -1))
+        J1 = MidRad(np.stack([-np.ones_like(du.m), du.m], -1),
+                    np.stack([np.zeros_like(du.r), du.r], -1))
         M1 = 6.0 * self.KAPPA * (np.abs(u0[:, 0]) + 2.0 * d) * (1.0 + 1e-12)
         zero = np.zeros(len(d))
-        return (IArray(r.lo[:, None], r.hi[:, None]), J1), (M1, zero, zero, zero)
+        return (r[:, None], J1), (M1, zero, zero, zero)
 
 
 def test_validate_halves_a_box_until_it_validates():
@@ -754,10 +808,6 @@ def _recorded(branch_result, system, n=64):
     return boxes, t, u, mu, v, B
 
 
-def _same(x, y):
-    return np.array_equal(x.lo, y.lo) and np.array_equal(x.hi, y.hi)
-
-
 def test_stacked_stages_equal_their_single_segment_calls(branch_result,
                                                          preconditioned_system):
     """On 64 recorded anchors: one `jet_iv` call over the anchor points and
@@ -770,8 +820,7 @@ def test_stacked_stages_equal_their_single_segment_calls(branch_result,
     d = np.array([b.bounds.ell_x for b in boxes])
     rungs = d[:, None] * np.array([0.5, 1.0, 2.0])
     seg = np.repeat(np.arange(len(t)), 3)
-    (F, J1), M = system.jet_iv(IArray.point(t), IArray.point(u), t[seg], u[seg],
-                               rungs.ravel())
+    (F, J1), M = system.jet_iv(_point(t), _point(u), t[seg], u[seg], rungs.ravel())
     none = slice(0, 0)
     ext = ExtendedSystem(system, t, u, mu, v)
     A1 = system.evaluate(t, u)[1]
@@ -779,13 +828,13 @@ def test_stacked_stages_equal_their_single_segment_calls(branch_result,
     stacked = validate_segment(ext, B, d, 0)
     for i, box in enumerate(boxes):
         one = slice(i, i + 1)
-        F1, J1_1 = _at(system, IArray.point(t[one]), IArray.point(u[one]))
+        F1, J1_1 = _at(system, _point(t[one]), _point(u[one]))
         for k in range(3):
-            _, M1 = system.jet_iv(IArray.point(t[none]), IArray.point(u[none]), t[one],
-                                  u[one], rungs[i, k:k + 1])
+            _, M1 = system.jet_iv(_point(t[none]), _point(u[none]), t[one], u[one],
+                                  rungs[i, k:k + 1])
             assert [m[3 * i + k] for m in M] == [m[0] for m in M1]
         e1 = ext[one]
-        assert all(_same(IArray(s.lo[i], s.hi[i]), IArray(s1.lo[0], s1.hi[0]))
+        assert all(np.array_equal(s.m[i], s1.m[0]) and np.array_equal(s.r[i], s1.r[0])
                    for s, s1 in [(F, F1), (J1, J1_1)])
         assert np.array_equal(e1.inverse(A1[one])[0], B[i])
         assert [K[i], xi[i]] == [x[0] for x in e1.origin_bounds(J1_1, B[one])]
@@ -800,15 +849,15 @@ def test_stacked_stages_equal_their_single_segment_calls(branch_result,
         assert (box.bounds, pair(box)) == (b1.bounds, pair(b1))
 
 
-def _lipschitz_jet_rows(branch_result, system) -> IArray:
+def _lipschitz_jet_rows(branch_result, system) -> MidRad:
     """The x enclosures of the order-2 jet as `jet_iv` stacks them for 64
-    recorded boxes: each anchor point, then its Lipschitz box s (.) u +-
-    s ell_x."""
+    recorded boxes: each anchor point, then its Lipschitz box s (.) (u +-
+    ell_x)."""
     boxes, t, u, *_ = _recorded(branch_result, system)
-    x = IArray.point(u) * system.s
-    rad = system.s * np.array([b.bounds.ell_x for b in boxes])[:, None]
-    box = IArray.around(system.s * u, rad)
-    return IArray(np.concatenate([x.lo, box.lo]), np.concatenate([x.hi, box.hi]))
+    x = _point(u) * system.s
+    ell = np.array([b.bounds.ell_x for b in boxes])
+    box = MidRad(u, np.broadcast_to(ell[:, None], u.shape)) * system.s
+    return MidRad(np.concatenate([x.m, box.m]), np.concatenate([x.r, box.r]))
 
 
 def test_stacked_row1_jet_rows_equal_their_one_row_calls(branch_result,
@@ -819,8 +868,8 @@ def test_stacked_row1_jet_rows_equal_their_one_row_calls(branch_result,
     x = _lipschitz_jet_rows(branch_result, preconditioned_system)
     jet = coral.row1_jet(x, order=2)
     parts = lambda j: list(j.phis) + [j.bx, j.g, j.g1]
-    for i in range(len(x.lo)):
-        one = coral.row1_jet(IArray(x.lo[i:i + 1], x.hi[i:i + 1]), order=2)
+    for i in range(len(x.m)):
+        one = coral.row1_jet(x[i:i + 1], order=2)
         for p, q in zip(parts(jet), parts(one)):
             assert np.array_equal(p.m[i], q.m[0]) and np.array_equal(p.r[i], q.r[0]), i
 
@@ -828,21 +877,24 @@ def test_stacked_row1_jet_rows_equal_their_one_row_calls(branch_result,
 def test_stacked_row1_jet_contains_high_precision_values(branch_result,
                                                         preconditioned_system, coral):
     """At corners and interior points of 16 of the recorded Lipschitz boxes,
-    and at both corners of their anchors' point rows (s (.) u rounded
-    outward), the 50-digit phi, phi', phi'' (mpmath's numerical
-    differentiation), b.x, g and dg/dx lie inside the stacked jet's
-    enclosures, the jet taken over all 64 anchors and boxes stacked."""
+    and at both corners of their anchors' point rows (s (.) u and the
+    radius of its rounding), each corner the float next to m -+ r toward m,
+    the 50-digit phi, phi', phi'' (mpmath's numerical differentiation),
+    b.x, g and dg/dx lie inside the stacked jet's m +- r, taken exactly,
+    the jet taken over all 64 anchors and boxes stacked."""
     x = _lipschitz_jet_rows(branch_result, preconditioned_system)
-    n = len(x.lo) // 2
+    n = len(x.m) // 2
     jet = coral.row1_jet(x, order=2)
-    ends = [p.to_iarray() for p in jet.phis] + [jet.bx.to_iarray(), jet.g.to_iarray()]
-    g1 = jet.g1.to_iarray()
     rng = np.random.default_rng(24)
-    inside = lambda lo, hi, v: mp.mpf(float(lo)) <= v <= mp.mpf(float(hi))
+    inside = lambda e, at, v: (mp.fsub(float(e.m[at]), float(e.r[at]), exact=True) <= v
+                               <= mp.fadd(float(e.m[at]), float(e.r[at]), exact=True))
     with mp.workdps(50):
         c = mp_coeffs(coral)
         for i in list(range(0, n, 4)) + list(range(n, 2 * n, 4)):
-            lo, hi = x.lo[i], x.hi[i]
+            m = x.m[i]
+            lo, hi = np.nextafter(m - x.r[i], m), np.nextafter(m + x.r[i], m)
+            assert all(inside(x, (i, j), mp.mpf(float(e[j])))
+                       for e in (lo, hi) for j in range(coral.d)), i
             points = [lo, hi, np.where(rng.random(coral.d) < 0.5, lo, hi),
                       lo + (hi - lo) * rng.uniform(0.0, 1.0, coral.d)] if i >= n else [lo, hi]
             for pt in points:
@@ -850,10 +902,10 @@ def test_stacked_row1_jet_contains_high_precision_values(branch_result,
                 P = mp.fsum(qk * xk for qk, xk in zip(c.q, xs))
                 bx = mp.fsum(bk * xk for bk, xk in zip(c.b, xs))
                 ds = [mp.diff(lambda y: phi(y, coral.params), P, k) for k in range(3)]
-                for e, want in zip(ends, ds + [bx, ds[0] * bx]):
-                    assert inside(e.lo[i], e.hi[i], want), i
+                for e, want in zip(list(jet.phis) + [jet.bx, jet.g], ds + [bx, ds[0] * bx]):
+                    assert inside(e, i, want), i
                 for j in range(coral.d):
-                    assert inside(g1.lo[i, j], g1.hi[i, j], ds[1] * c.q[j] * bx + ds[0] * c.b[j])
+                    assert inside(jet.g1, (i, j), ds[1] * c.q[j] * bx + ds[0] * c.b[j])
 
 
 def _scalar_extended_constants(M, mu, v):
@@ -1161,7 +1213,7 @@ def test_validator_takes_one_row1_jet_per_wave(coral, monkeypatch):
     jet, rows = CoralMap.row1_jet, []
 
     def counted(self, x, order=1):
-        rows.append((len(x.lo), order))
+        rows.append((len(x.m), order))
         return jet(self, x, order)
 
     system, t0, u0 = branch_start(coral, 300.0)
@@ -1248,9 +1300,10 @@ def test_extended_jacobian_block_structure(branch_result, preconditioned_system)
     boxes, t, u, mu, v, _ = _recorded(branch_result, system)
     A1 = system.evaluate(t, u)[1]
     assert A1.shape == (len(t), system.d + 1)
-    _, J1 = _at(system, IArray.point(t), IArray.point(u))
-    for rows, iv in ((A1, J1), (system.rows.float, system.rows.iv)):
-        assert np.all(iv.lo <= rows + 1e-12) and np.all(iv.hi >= rows - 1e-12)
+    _, J1 = _at(system, _point(t), _point(u))
+    assert np.all(np.abs(A1 - J1.m) <= J1.r + 1e-12)
+    rows, iv = system.rows.float, system.rows.iv
+    assert np.all(iv.lo <= rows + 1e-12) and np.all(iv.hi >= rows - 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -1310,7 +1363,7 @@ def test_origin_bounds_high_precision(branch_result, preconditioned_system, cora
     and both norms at 50 digits."""
     system = preconditioned_system
     boxes, t, u, mu, v, B = _recorded(branch_result, system, n=16)
-    _, J1 = _at(system, IArray.point(t), IArray.point(u))
+    _, J1 = _at(system, _point(t), _point(u))
     K, xi = ExtendedSystem(system, t, u, mu, v).origin_bounds(J1, B)
     F = mp_branch_F(system, mp_coeffs(coral))
     for i in range(len(t)):
@@ -1338,13 +1391,13 @@ def test_K_covers_every_vertex_of_a_wide_row_1(branch_result, preconditioned_sys
     and without them K would fall below the vertices'."""
     system = preconditioned_system
     boxes, t, u, mu, v, B = _recorded(branch_result, system, n=8)
-    _, J1 = _at(system, IArray.point(t), IArray.point(u))
-    wide = J1.widened(1e-3 * J1.mag)
+    _, J1 = _at(system, _point(t), _point(u))
+    wide = MidRad(J1.m, J1.r + 1e-3 * J1.mag)
     K, _ = ExtendedSystem(system, t, u, mu, v).origin_bounds(wide, B)
     k = system.d + 1
     signs = (np.arange(2 ** k)[:, None] >> np.arange(k)) & 1
     for i in range(len(t)):
-        vertices = np.where(signs, wide.hi[i], wide.lo[i])
+        vertices = np.where(signs, wide.m[i] + wide.r[i], wide.m[i] - wide.r[i])
         J = _extended_jacobians(system, np.full(len(signs), mu[i]), v[i], vertices,
                                 system.rows.mid)
         norms = np.abs(np.linalg.inv(J)).sum(axis=-1).max(axis=-1)
@@ -1373,7 +1426,7 @@ def test_K_covers_the_rounding_of_the_centre_product(mu, v, a, b):
     from fractions import Fraction
     ext = ExtendedSystem(ToyLinear(), [0.0], [[0.0]], [mu], [[v]])
     J1 = np.array([[a, b]])
-    K, _ = ext.origin_bounds(IArray.point(J1), ext.inverse(J1))
+    K, _ = ext.origin_bounds(_point(J1), ext.inverse(J1))
     m00, m01, m10, m11 = (Fraction(x) for x in (mu, v, a, b))
     det = m00 * m11 - m01 * m10
     exact = max(abs(m11) + abs(m01), abs(m10) + abs(m00)) / abs(det)
