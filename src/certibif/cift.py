@@ -37,22 +37,21 @@ from .interval import (_EPS, _TINY, IArray, Interval, _aup, _gamma, _sum_bounds,
 
 @dataclass(frozen=True)
 class CiftBounds:
-    """Rigorous upper bounds for the theorem hypotheses (H1)-(H4).
-
-    For parameter-free systems L2 = L3 = L4 = 0.  `ell_x`/`ell_alpha` are
-    the box radii over which the Lipschitz constants were certified.  The
-    fields are nonnegative (`check_deltas` checks) and may be arrays, one
-    entry per segment of a stack.
+    """Rigorous upper bounds for the theorem hypotheses (H1)-(H4) of a
+    segment along a direction (mu, v) of unit max norm, so that the radii
+    couple as delta_alpha + delta_x <= ell_x, the box radius over which
+    the Lipschitz constants were certified.  The fields are nonnegative
+    (`check_deltas` checks) and may be arrays, one entry per segment of a
+    stack.
     """
 
     rho: float
     K: float
     L1: float
-    L2: float = 0.0
-    L3: float = 0.0
-    L4: float = 0.0
-    ell_x: float = 0.0
-    ell_alpha: float = 0.0
+    L2: float
+    L3: float
+    L4: float
+    ell_x: float
 
 
 @dataclass(frozen=True)
@@ -240,46 +239,46 @@ def accuracy_gates(K: float, rho: float, L1: float, ell: float,
 # the checks of its segments one by one bit for bit.
 # ---------------------------------------------------------------------------
 
-# The fraction of the coupling budget dir_norm*delta_alpha + delta_x <=
-# coupled_cap withheld from delta_alpha, so that the uniqueness tube never
-# degenerates (linking needs room in it).
+# The fraction of the coupling budget delta_alpha + delta_x <= ell_x
+# withheld from delta_alpha, so that the uniqueness tube never degenerates
+# (linking needs room in it).
 _DU_RESERVE = 0.1
+# A planned delta_alpha sits this fraction below the float root of the
+# bounds, so that the check, which rounds them apart from the root,
+# accepts it; the step gives up 1e-8 of its length for that.
+_PLAN_MARGIN = 1e-8
 
 
 @dataclass(frozen=True)
 class _Probe:
-    """Bounds b at delta_alpha values da under the coupling dir_norm*da +
-    dx <= cap, with the enclosures of 2K L1 and of the da terms built once
-    and shared by the accuracy gates, the floor, the ceiling and every
-    pair check."""
+    """Bounds b at delta_alpha values da, with the enclosures of 2K L1 and
+    of the da terms built once and shared by the accuracy gates, the
+    floor, the ceiling and every pair check."""
 
     b: CiftBounds
     da: np.ndarray
-    dir_norm: np.ndarray
-    cap: np.ndarray
     L1: IArray              # 2K L1
     L2da: IArray            # 2K L2 da
-    drift: IArray           # dir_norm da
     floor: np.ndarray       # upper bound of 2K(rho + L3 da + L4 da^2), the least delta_x
     gate: np.ndarray        # upper bound of 4 K^2 rho L1
     delta_min: np.ndarray   # upper bound of 2K rho, the accuracy radius
 
     @staticmethod
-    def of(b: CiftBounds, da, dir_norm, cap) -> "_Probe":
+    def of(b: CiftBounds, da) -> "_Probe":
         I = IArray.point
         L1, a = I(b.L1), I(da)
         gate, K2, K2rho = _accuracy(I(b.K), I(b.rho), L1)
         floor = (K2rho + K2 * I(b.L3) * a + K2 * I(b.L4) * a * a).hi
-        return _Probe(b, da, dir_norm, cap, K2 * L1, K2 * I(b.L2) * a,
-                      I(dir_norm) * a, floor, gate.hi, K2rho.hi)
+        return _Probe(b, da, K2 * L1, K2 * I(b.L2) * a, floor, gate.hi, K2rho.hi)
 
 
 def _pair_feasible(p: _Probe, dx):
-    """Rigorous check of the two theorem inequalities plus box constraints."""
+    """Rigorous check of the two theorem inequalities and the coupling
+    da + dx <= ell_x, which bounds each radius by the box radius."""
     dx_iv = IArray.point(dx)
-    return ((0.0 < p.da) & (p.da <= p.b.ell_alpha) & (0.0 < dx) & (dx <= p.b.ell_x)
+    return ((0.0 < p.da) & (0.0 < dx)
             & ((p.L1 * dx_iv + p.L2da).hi <= 1.0) & (p.floor <= dx)
-            & ((p.drift + dx_iv).hi <= p.cap))
+            & ((IArray.point(p.da) + dx_iv).hi <= p.b.ell_x))
 
 
 def _dx_ceiling(p: _Probe):
@@ -287,18 +286,16 @@ def _dx_ceiling(p: _Probe):
     I = IArray.point
     num = I(1.0) - p.L2da
     with_l1 = np.asarray(p.b.L1) > 0.0
-    cap = np.minimum(p.b.ell_x, np.where(with_l1, (num / p.L1).lo, math.inf))
-    cap = np.minimum(cap, (I(p.cap) - p.drift).lo)
+    cap = np.minimum(np.where(with_l1, (num / p.L1).lo, math.inf), (I(p.b.ell_x) - I(p.da)).lo)
     return np.where(with_l1 & (num.lo <= 0.0), 0.0, cap)
 
 
-def _alpha_feasible(p: _Probe, ceiling=None):
+def _alpha_feasible(p: _Probe, ceiling):
     """Rigorous: some delta_x completes the probe's delta_alpha to a
-    feasible pair, and dir_norm*da stays within the cap less its reserve.
-    Monotone in da: the floor rises with it and every ceiling falls.
-    `ceiling` is _dx_ceiling(p) when the caller has it."""
-    ceiling = _dx_ceiling(p) if ceiling is None else ceiling
-    return ((np.multiply(p.dir_norm, p.da) <= np.multiply(p.cap, 1.0 - _DU_RESERVE))
+    feasible pair, and da stays within ell_x less its reserve, given the
+    ceiling _dx_ceiling(p).  Monotone in da: the floor rises with it and
+    every ceiling falls."""
+    return ((p.da <= p.b.ell_x * (1.0 - _DU_RESERVE))
             & (p.floor <= ceiling) & _pair_feasible(p, np.maximum(p.floor, 1e-300)))
 
 
@@ -328,48 +325,44 @@ def _smallest_root(a, b, c):
     return np.where(c >= 0.0, 0.0, root)
 
 
-_ROOT_NAMES = np.array(["ell-x", "L1-coupling", "coupled-cap", "search-cap"], dtype=object)
+_ROOT_NAMES = np.array(["L1-coupling", "coupled-cap", "search-cap"], dtype=object)
 
 
-def delta_alpha_root(K, rho, L1, L2, L3, L4, ell_x, dir_norm, coupled_cap):
-    """Float estimate of the largest delta_alpha that `check_deltas`
-    accepts on bounds with these fields and the same coupling, ell_alpha
-    aside, and the constraint that sets it: the smallest float root of
-    floor(da) = each ceiling, floor = a*da^2 + bl*da + c0, the first
-    constraint of `_ROOT_NAMES` on a tie: arrays of roots and of names,
-    one entry per segment."""
+def delta_alpha_root(b: CiftBounds):
+    """The planned delta_alpha of bounds b, _PLAN_MARGIN below a float
+    estimate of the largest one `check_deltas` accepts, and the constraint
+    that sets it: the smallest float root of floor(da) = each ceiling,
+    floor = a*da^2 + bl*da + c0, the first constraint of `_ROOT_NAMES` on
+    a tie: arrays of planned values and of names, one entry per segment."""
     with np.errstate(invalid="ignore", over="ignore"):      # rho = inf where F overflowed
-        K2 = 2.0 * K
-        a, bl, c0, s = K2 * L4, K2 * L3, K2 * rho, K2 * L1    # s: 2K(L1 floor + L2 da) <= 1
-        # the search cap dir_norm*da = coupled_cap*(1 - _DU_RESERVE) bounds every root
+        K2 = 2.0 * b.K
+        a, bl, c0, s = K2 * b.L4, K2 * b.L3, K2 * b.rho, K2 * b.L1  # s: 2K(L1 floor + L2 da) <= 1
+        # the search cap da = ell_x (1 - _DU_RESERVE) bounds every root
         roots = np.stack(np.broadcast_arrays(
-            _smallest_root(a, bl, c0 - ell_x),
-            _smallest_root(s * a, s * bl + K2 * L2, s * c0 - 1.0),
-            _smallest_root(a, bl + dir_norm, c0 - coupled_cap),
-            coupled_cap * (1.0 - _DU_RESERVE) / dir_norm))
+            _smallest_root(s * a, s * bl + K2 * b.L2, s * c0 - 1.0),
+            _smallest_root(a, bl + 1.0, c0 - b.ell_x),
+            b.ell_x * (1.0 - _DU_RESERVE)))
     k = roots.argmin(axis=0)
     root = np.take_along_axis(roots, k[None], axis=0)[0]
-    return root, _ROOT_NAMES[k]
+    return root * (1.0 - _PLAN_MARGIN), _ROOT_NAMES[k]
 
 
-def check_deltas(b: CiftBounds, dir_norm, coupled_cap,
-                 delta_alpha) -> tuple[np.ndarray, DeltaPair]:
+def check_deltas(b: CiftBounds, delta_alpha) -> tuple[np.ndarray, DeltaPair]:
     """The delta_alpha check of the theorem for a stack of segments: b
     holds one entry per segment, and the result says which segments pass
     the accuracy gates and the delta inequalities at their delta_alpha > 0,
     with the largest certified delta_x and the accuracy radius of each.
 
-    dir_norm*delta_alpha + delta_x <= coupled_cap couples the radii, and a
-    _DU_RESERVE fraction of that budget is withheld from delta_alpha.
-    Every constraint on delta_alpha is a quadratic whose left side grows
-    with it, so feasibility is monotone: a value a margin below the float
-    root of `delta_alpha_root` (and below ell_alpha) passes unless the
-    root misjudges the rounding of the rigorous check.  Raises ValueError
-    when a field of b has a negative entry."""
+    delta_alpha + delta_x <= ell_x couples the radii, and a _DU_RESERVE
+    fraction of that budget is withheld from delta_alpha.  Every
+    constraint on delta_alpha is a quadratic whose left side grows with
+    it, so feasibility is monotone: the value `delta_alpha_root` plans
+    passes unless the root misjudges the rounding of the rigorous check.
+    Raises ValueError when a field of b has a negative entry."""
     for f in fields(b):
         if np.any(np.asarray(getattr(b, f.name)) < 0.0):
             raise ValueError(f"{f.name} must be nonnegative")
-    p = _Probe.of(b, np.asarray(delta_alpha, dtype=float), dir_norm, coupled_cap)
+    p = _Probe.of(b, np.asarray(delta_alpha, dtype=float))
     ceiling = _dx_ceiling(p)
     ok = (p.gate < 1.0) & (p.delta_min < b.ell_x) & _alpha_feasible(p, ceiling)
     dx, pair_ok = _largest_dx(p, ceiling)

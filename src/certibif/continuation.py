@@ -399,7 +399,7 @@ def derive_extended_constants(rho, xi, K, M: tuple, d, mu, v: np.ndarray) -> cif
     L1 = (M13 + M24).hi
     L2 = (M13 * vn + M24 * am).hi
     L4 = ((M1 * vn + M2 * am) * vn + (M3 * vn + M4 * am) * am).hi
-    return cift.CiftBounds(rho=rho, K=K, L1=L1, L2=L2, L3=xi, L4=L4, ell_x=d, ell_alpha=d)
+    return cift.CiftBounds(rho=rho, K=K, L1=L1, L2=L2, L3=xi, L4=L4, ell_x=d)
 
 
 def _rows(obj) -> list:
@@ -412,7 +412,7 @@ def _rows(obj) -> list:
 class BranchBox:
     """One validated slanted box along the branch.  `bounds` holds its
     (P1)-(P3) data: rho, K, the drift xi as L3 and the Lipschitz box
-    radius d as ell_x = ell_alpha; M is (M1..M4) over that box.
+    radius d as ell_x; M is (M1..M4) over that box.
     `validate_segment` builds it; the driver fills the fields after M as
     the step goes."""
 
@@ -442,19 +442,23 @@ def _take(obj, idx):
 def validate_segment(ext: ExtendedSystem, B: np.ndarray, d, index: int) -> list:
     """Certify the stack of segments of `ext`, B the float inverses of
     their extended Jacobians and d each segment's Lipschitz box radius, or
-    a row of them (rungs).  One `jet_iv` call gives `MidRad` F and row 1
-    of DG(0) at each anchor, and (M1..M4) over each rung; (P1) rho is F's
+    a row of them (rungs).  Each direction (mu, v) has max norm 1, as
+    `tangent_estimate` makes it; a row whose direction has not raises
+    ValueError.  One `jet_iv` call gives `MidRad` F and row 1 of DG(0) at
+    each anchor, and (M1..M4) over each rung; (P1) rho is F's
     largest magnitude, and `ExtendedSystem.origin_bounds` takes the (P2)
     bound K and the (P3) drift xi from row 1, raising NotInvertibleEvidence
     (`index` the first failing segment) when (P2) fails.  Then segment i --
     (P3) plus the delta inequalities -- is checked in one stacked
-    `cift.check_deltas` at the delta_alpha planned from its certified
-    constants (the float root of `cift.delta_alpha_root`, capped at the
-    box's alpha radius, _PLAN_MARGIN below); `bound_by` records the
-    constraint whose root set it.  Of its rungs the segment takes the one
-    with the largest delta_alpha.  One entry per segment: its BranchBox
+    `cift.check_deltas` at the delta_alpha `cift.delta_alpha_root` plans
+    from its certified constants; `bound_by` records the constraint whose
+    root set it.  Of its rungs the segment takes the one with the largest
+    delta_alpha.  One entry per segment: its BranchBox
     (index `index` + i), or the ValidationFailed that names the broken
     part."""
+    bad = np.flatnonzero(np.maximum(np.abs(ext.mu), np.abs(ext.v).max(axis=-1)) != 1.0)
+    if bad.size:
+        raise ValueError(f"direction (mu, v) of row {bad[0]} does not have max norm 1")
     d = np.asarray(d, dtype=float).reshape(len(ext.t0), -1)
     n, r = d.shape
     seg = np.repeat(np.arange(n), r)
@@ -467,14 +471,10 @@ def validate_segment(ext: ExtendedSystem, B: np.ndarray, d, index: int) -> list:
         raise NotInvertibleEvidence(f"(P2) failed: {exc}", index=exc.index) from exc
     rho = F.mag.max(axis=-1)
     b = derive_extended_constants(rho[seg], xi[seg], K[seg], M, d, ext.mu[seg], ext.v[seg])
-    dir_norm = np.maximum(np.abs(ext.mu), np.abs(ext.v).max(axis=-1))
-    root, names = cift.delta_alpha_root(b.K, b.rho, b.L1, b.L2, b.L3, b.L4, b.ell_x,
-                                        dir_norm[seg], coupled_cap=b.ell_x)
-    # the roots ignore ell_alpha, which the check does not
-    planned = _planned(np.minimum(root, b.ell_alpha))
+    planned, names = cift.delta_alpha_root(b)
     pick = np.arange(n) * r + planned.reshape(n, r).argmax(axis=1)
     bounds = _take(b, pick)
-    ok, pairs = cift.check_deltas(bounds, dir_norm, bounds.ell_x, planned[pick])
+    ok, pairs = cift.check_deltas(bounds, planned[pick])
     Ms = zip(*(m[pick].tolist() for m in M))
     out = []
     for i, (b, Mi, p, name, good) in enumerate(zip(_rows(bounds), Ms, _rows(pairs),
@@ -501,8 +501,9 @@ def check_link(tau: np.ndarray, delta_alpha, delta_u, alpha, corr_norm, next_del
                slack, residual) -> np.ndarray:
     """Theorem linking inequalities for a stack of links: the accuracy
     ball of box k+1 must lie in the uniqueness tube of box k, whose
-    direction dir = (mu, v) is tau[k] and whose radii are delta_alpha[k]
-    and delta_u[k].  One bool per link.
+    direction dir = (mu, v) is tau[k], of max norm 1 (as `validate_segment`
+    requires), and whose radii are delta_alpha[k] and delta_u[k].  One bool
+    per link.
 
     The step out of box k's float anchor a along dir was alpha[k], and
     the next float anchor is, exactly, a + alpha dir + c + g: c the
@@ -515,16 +516,16 @@ def check_link(tau: np.ndarray, delta_alpha, delta_u, alpha, corr_norm, next_del
     / <dir, dir> and w = c + g + e - D dir, so <dir, w> = 0: w is a zero of
     box k's G(alpha + D, .), whose zeros lie on that hyperplane (G's first
     row).  |D| <= (residual + |dir|_1 (slack + delta_min')) / |dir|_2^2 and
-    |w| <= corr_norm + slack + delta_min' + |D| |dir|_inf, so |alpha| + |D|
-    < delta_alpha and that bound on |w| < delta_u make it the CIFT's unique
-    zero on box k's tube.  Every term rounds up (|dir|_2^2 down)."""
+    |w| <= corr_norm + slack + delta_min' + |D| (|dir|_inf = 1), so |alpha|
+    + |D| < delta_alpha and that bound on |w| < delta_u make it the CIFT's
+    unique zero on box k's tube.  Every term rounds up (|dir|_2^2 down)."""
     I = IArray.point
     norm1 = up_sum(np.abs(tau), axis=-1)
     norm2sq = float_matmat(tau[:, None, :], I(tau[:, :, None])).lo[:, 0, 0]
     e = I(slack) + I(next_delta_min)
     D = (I(residual) + I(norm1) * e) / I(norm2sq)
     lhs1 = (I(np.abs(alpha)) + D).hi
-    lhs2 = (I(corr_norm) + e + D * I(np.abs(tau).max(axis=-1))).hi
+    lhs2 = (I(corr_norm) + e + D).hi
     return (lhs1 < delta_alpha) & (lhs2 < delta_u)
 
 
@@ -616,10 +617,6 @@ _BOX_MIN = 1e-11
 _LADDER = _BOX_START * 2.0 ** np.arange(
     np.ceil(np.log2(_BOX_MIN / _BOX_START)), np.floor(np.log2(_BOX_CAP / _BOX_START)) + 1)
 _CORRECTOR_TOL = 1e-14
-# A planned delta_alpha sits this fraction below the float root of the
-# certified constants, so that the check, which rounds them apart from the
-# root, accepts it; the step gives up 1e-8 of its length for that.
-_PLAN_MARGIN = 1e-8
 # Wave lengths: a wave places _CHUNK_MIN anchors and doubles after each
 # wave accepted whole, up to _CHUNK_MAX; after a cut it places as many as
 # the cut wave accepted, at least _CHUNK_MIN, and after a wave that could
@@ -637,11 +634,6 @@ _TREND_WINDOW = 16
 _TREND_CLIP = (0.9, 1.0)
 # Accepted boxes get their stability labels in stacks of this many.
 _LABEL_STACK = 128
-
-
-def _planned(root):
-    """The planned delta_alpha for a float root: _PLAN_MARGIN below it."""
-    return root * (1.0 - _PLAN_MARGIN)
 
 
 @dataclass

@@ -7,7 +7,6 @@ from certibif.cift import (CiftBounds, accuracy_gates, certificate_json, check_d
                            delta_alpha_root, lipschitz_from_tensor, lipschitz_L1,
                            neumann_K, neumann_rho, preconditioner_hash, residual_bound,
                            validate_zero)
-from certibif.continuation import _planned
 from certibif.errors import NotInvertibleEvidence, ValidationFailed
 from certibif.interval import IArray, Interval, float_matmat, up_sum
 
@@ -192,23 +191,31 @@ def test_lipschitz_monotone_in_box_radius(coral):
 # ---------------------------------------------------------------------------
 
 
-def _check_at_root(b, dir_norm, cap):
-    """check_deltas at the delta_alpha a replan plans from certified
-    bounds: the float root clamped to ell_alpha, less the plan margin.
-    Returns (accepted, pair, the constraint that set the root)."""
-    root, name = delta_alpha_root(b.K, b.rho, b.L1, b.L2, b.L3, b.L4, b.ell_x,
-                                  dir_norm, cap)
-    ok, pair = check_deltas(b, dir_norm, cap, _planned(min(root, b.ell_alpha)))
+def _bounds(rho, K, L1, ell_x, L2=0.0, L3=0.0, L4=0.0):
+    """CiftBounds with the parameter terms L2..L4 zero unless given."""
+    return CiftBounds(rho=rho, K=K, L1=L1, L2=L2, L3=L3, L4=L4, ell_x=ell_x)
+
+
+def _check_at_root(b):
+    """check_deltas at the delta_alpha `delta_alpha_root` plans from
+    certified bounds.  Returns (accepted, pair, the constraint that set
+    the root)."""
+    da, name = delta_alpha_root(b)
+    ok, pair = check_deltas(b, da)
     return bool(ok), pair, name
 
 
-def _bisect_delta_alpha(b, dir_norm, cap):
-    """Reference: the largest delta_alpha in [0, ell_alpha] that
+def _bisect_delta_alpha(b):
+    """Reference: the largest delta_alpha in [0, ell_x] that
     _alpha_feasible accepts, found by 80 bisection steps on the whole stack
     at once; 0 where no positive value passes."""
-    from certibif.cift import _alpha_feasible, _Probe
-    feasible = lambda da: _alpha_feasible(_Probe.of(b, da, dir_norm, cap))
-    top = np.asarray(b.ell_alpha, dtype=float)
+    from certibif.cift import _alpha_feasible, _dx_ceiling, _Probe
+
+    def feasible(da):
+        p = _Probe.of(b, da)
+        return _alpha_feasible(p, _dx_ceiling(p))
+
+    top = np.asarray(b.ell_x, dtype=float)
     lo, hi = np.zeros_like(top), top
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -217,27 +224,29 @@ def _bisect_delta_alpha(b, dir_norm, cap):
     return np.where(feasible(top), top, lo)
 
 
-def test_solve_deltas_saddle_node_table_values():
+def test_check_deltas_saddle_node_table_values():
     # fold-certificate scale: K = 1, rho = 1.653e-12, L1 = 1.245e6, and no
     # parameter terms, so delta_x reaches 1/(2 K L1) at any small delta_alpha
-    b = CiftBounds(rho=1.653e-12, K=1.0, L1=1.245e6, ell_x=1e-6, ell_alpha=1e-12)
-    ok, pair, _ = _check_at_root(b, 1.0, 1e-6)
+    b = _bounds(rho=1.653e-12, K=1.0, L1=1.245e6, ell_x=1e-6)
+    ok, pair, _ = _check_at_root(b)
     assert ok
     assert abs(pair.delta_min - 3.306e-12) <= 1e-15
+    assert pair.delta_alpha + pair.delta_x <= b.ell_x
+    ok, pair = check_deltas(b, 1e-12)
+    assert ok
     assert abs(pair.delta_x - 4.0160642570281125e-07) <= 1e-12
 
 
-def test_solve_deltas_infeasible_gate():
-    b = CiftBounds(rho=1.0, K=1.0, L1=1.0, ell_x=1.0, ell_alpha=1.0)
+def test_check_deltas_infeasible_gate():
+    b = _bounds(rho=1.0, K=1.0, L1=1.0, ell_x=1.0)
     for da in (1e-12, 1e-6, 1e-3):
-        ok, _ = check_deltas(b, 1.0, 1.0, da)     # 4 K^2 rho L1 = 4 >= 1
+        ok, _ = check_deltas(b, da)     # 4 K^2 rho L1 = 4 >= 1
         assert not ok
 
 
-def test_solve_deltas_with_parameter_terms():
-    b = CiftBounds(rho=1e-10, K=2.0, L1=10.0, L2=5.0, L3=1e-8, L4=3.0,
-                   ell_x=1e-2, ell_alpha=1e-2)
-    ok, pair, _ = _check_at_root(b, 1.0, 1e-2)
+def test_check_deltas_with_parameter_terms():
+    b = _bounds(rho=1e-10, K=2.0, L1=10.0, L2=5.0, L3=1e-8, L4=3.0, ell_x=1e-2)
+    ok, pair, _ = _check_at_root(b)
     assert ok and pair.delta_alpha > 0.0
     # rigorous feasibility of the returned pair
     K2 = 2 * b.K
@@ -246,20 +255,17 @@ def test_solve_deltas_with_parameter_terms():
             + K2 * b.L4 * pair.delta_alpha ** 2) <= pair.delta_x * (1 + 1e-12)
 
 
-def test_solve_deltas_coupled_cap():
-    b = CiftBounds(rho=1e-12, K=1.0, L1=1.0, L2=0.0, L3=0.0, L4=0.0,
-                   ell_x=1.0, ell_alpha=1.0)
-    ok, pair, name = _check_at_root(b, 1.0, 1e-3)
+def test_check_deltas_coupled_cap():
+    b = _bounds(rho=1e-12, K=1.0, L1=1.0, ell_x=1e-3)
+    ok, pair, name = _check_at_root(b)
     assert ok and name == "search-cap"
     assert pair.delta_alpha + pair.delta_x <= 1e-3 * (1 + 1e-12)
     assert pair.delta_alpha >= 0.4e-3
 
 
-def test_solve_deltas_shrinks_with_larger_rho():
-    small = _check_at_root(CiftBounds(rho=1e-12, K=1.0, L1=1e3, ell_x=1e-3,
-                                      ell_alpha=1e-3), 1.0, 1e-3)
-    large = _check_at_root(CiftBounds(rho=1e-8, K=1.0, L1=1e3, ell_x=1e-3,
-                                      ell_alpha=1e-3), 1.0, 1e-3)
+def test_check_deltas_shrinks_with_larger_rho():
+    small = _check_at_root(_bounds(rho=1e-12, K=1.0, L1=1e3, ell_x=1e-3))
+    large = _check_at_root(_bounds(rho=1e-8, K=1.0, L1=1e3, ell_x=1e-3))
     assert small[0] and large[0]
     assert small[1].delta_min < large[1].delta_min
 
@@ -271,19 +277,17 @@ def test_solve_deltas_steps_dx_back_no_further_than_the_floor():
     it.  The step back stops at the floor, which the alpha check has
     already certified, instead of stepping past it and giving up."""
     from certibif.cift import _dx_ceiling, _pair_feasible, _Probe
-    b = CiftBounds(rho=5.995204332975845e-15, K=6.739970907978892,
-                   L1=58.32574483346063, L2=34.601015575504604,
-                   L3=4.0291271289160886e-14, L4=20.355909077067825,
-                   ell_x=0.0256, ell_alpha=0.0256)
-    da = float(_bisect_delta_alpha(b, 1.0, 0.0256))
-    ok, pair = check_deltas(b, 1.0, 0.0256, da)
-    p = _Probe.of(b, da, 1.0, 0.0256)
+    b = _bounds(rho=5.995204332975845e-15, K=6.739970907978892,
+                L1=58.32574483346063, L2=34.601015575504604,
+                L3=4.0291271289160886e-14, L4=20.355909077067825, ell_x=0.0256)
+    da = float(_bisect_delta_alpha(b))
+    ok, pair = check_deltas(b, da)
+    p = _Probe.of(b, da)
     assert ok and pair.delta_alpha == da
     assert not _pair_feasible(p, _dx_ceiling(p))
     assert _pair_feasible(p, pair.delta_x)
     assert pair.delta_x == p.floor
-    assert delta_alpha_root(b.K, b.rho, b.L1, b.L2, b.L3, b.L4, b.ell_x,
-                            1.0, 0.0256)[1] == "L1-coupling"
+    assert delta_alpha_root(b)[1] == "L1-coupling"
 
 
 def _log_uniform(rng, lo, hi, n):
@@ -291,9 +295,8 @@ def _log_uniform(rng, lo, hi, n):
 
 
 def test_check_deltas_at_the_planned_root_accepts_exactly_the_feasible_bounds():
-    """On 4,000 random bounds (L1 = 0 among them; the radii, the cap and
-    dir_norm drawn independently), the stacked check at the root-planned
-    delta_alpha accepts exactly the bounds for which the reference
+    """On 4,000 random bounds (L1 = 0 among them), the stacked check at the
+    planned delta_alpha accepts exactly the bounds for which the reference
     bisection finds a feasible delta_alpha > 0, gives a pair that passes
     the rigorous pair check, and loses at most 2e-8 of the reference."""
     from certibif.cift import _pair_feasible, _Probe
@@ -303,17 +306,13 @@ def test_check_deltas_at_the_planned_root_accepts_exactly_the_feasible_bounds():
     b = CiftBounds(rho=_log_uniform(rng, 1e-16, 1e-8, n), K=rng.uniform(1.0, 50.0, n),
                    L1=np.where(with_l1, _log_uniform(rng, 1e-2, 1e7, n), 0.0),
                    L2=_log_uniform(rng, 1e-6, 1e3, n), L3=_log_uniform(rng, 1e-16, 1e2, n),
-                   L4=_log_uniform(rng, 1e-6, 1e3, n), ell_x=_log_uniform(rng, 1e-8, 1e-2, n),
-                   ell_alpha=_log_uniform(rng, 1e-10, 1e-2, n))
-    dir_norm = rng.uniform(0.01, 10.0, n)
-    cap = _log_uniform(rng, 1e-8, 1e-1, n)
-    root, _ = delta_alpha_root(b.K, b.rho, b.L1, b.L2, b.L3, b.L4, b.ell_x, dir_norm, cap)
-    da = _planned(np.minimum(root, b.ell_alpha))
-    ok, pair = check_deltas(b, dir_norm, cap, da)
-    ref = _bisect_delta_alpha(b, dir_norm, cap)
+                   L4=_log_uniform(rng, 1e-6, 1e3, n), ell_x=_log_uniform(rng, 1e-8, 1e-2, n))
+    da, _ = delta_alpha_root(b)
+    ok, pair = check_deltas(b, da)
+    ref = _bisect_delta_alpha(b)
     assert 0 < ok.sum() < n and (ok & ~with_l1).any()
     np.testing.assert_array_equal(ok, ref > 0.0)
-    assert _pair_feasible(_Probe.of(b, da, dir_norm, cap), pair.delta_x)[ok].all()
+    assert _pair_feasible(_Probe.of(b, da), pair.delta_x)[ok].all()
     assert (pair.delta_min <= pair.delta_x)[ok].all()
     assert (da >= (1.0 - 2e-8) * ref)[ok].all()
 
@@ -323,14 +322,12 @@ def test_bounds_reject_negative():
     negative field: of one segment, and at one entry of a stacked field,
     whose stack passes once that entry is 0."""
     with pytest.raises(ValueError, match="^rho must be nonnegative$"):
-        check_deltas(CiftBounds(rho=-1.0, K=1.0, L1=0.0, ell_x=1.0, ell_alpha=1.0),
-                     1.0, 1.0, 0.5)
+        check_deltas(_bounds(rho=-1.0, K=1.0, L1=0.0, ell_x=1.0), 0.5)
     one = np.ones(3)
-    stack = lambda L3: CiftBounds(rho=1e-12 * one, K=one, L1=one, L3=L3, ell_x=1e-3 * one,
-                                  ell_alpha=1e-3 * one)
+    stack = lambda L3: _bounds(rho=1e-12 * one, K=one, L1=one, L3=L3, ell_x=1e-3 * one)
     with pytest.raises(ValueError, match="^L3 must be nonnegative$"):
-        check_deltas(stack(np.array([1e-8, -5e-324, 0.0])), one, 1e-3 * one, 1e-5 * one)
-    ok, _ = check_deltas(stack(np.array([1e-8, 0.0, 0.0])), one, 1e-3 * one, 1e-5 * one)
+        check_deltas(stack(np.array([1e-8, -5e-324, 0.0])), 1e-5 * one)
+    ok, _ = check_deltas(stack(np.array([1e-8, 0.0, 0.0])), 1e-5 * one)
     assert ok.all()
 
 
@@ -384,10 +381,10 @@ def test_accuracy_gates_equal_the_stacked_probe():
     from certibif.cift import _Probe
     rng = np.random.default_rng(5)
     n = 500
-    b = CiftBounds(rho=_log_uniform(rng, 1e-16, 1e-2, n), K=rng.uniform(1.0, 50.0, n),
-                   L1=_log_uniform(rng, 1e-2, 1e9, n), ell_x=1e-6, ell_alpha=1e-6)
+    b = _bounds(rho=_log_uniform(rng, 1e-16, 1e-2, n), K=rng.uniform(1.0, 50.0, n),
+                L1=_log_uniform(rng, 1e-2, 1e9, n), ell_x=1e-6)
     ell = _log_uniform(rng, 1e-12, 1e-4, n)
-    p = _Probe.of(b, np.full(n, 1e-9), 1.0, 1.0)
+    p = _Probe.of(b, np.full(n, 1e-9))
     fails = 0
     for i in range(n):
         d, refusal = accuracy_gates(b.K[i], b.rho[i], b.L1[i], float(ell[i]))

@@ -13,7 +13,7 @@ import numpy as np
 
 import helpers
 from certibif import continuation as cont
-from certibif.cift import certificate_json
+from certibif.cift import _ROOT_NAMES, certificate_json
 from certibif.cli import (BranchPoints, build_parser, emit_bifurcation_diagram,
                           emit_branch_csv, emit_certificate_chain, main)
 
@@ -365,8 +365,7 @@ def test_branch_chain_traces_each_box(tmp_path):
     chain = json.loads((tmp_path / "branch_certificates.json").read_text())
     assert chain["waves"] >= 1 and chain["replans"] >= 0 and chain["boxes_discarded"] >= 0
     for box in chain["boxes"]:
-        assert box["bound_by"] in ("planned", "L1-coupling", "coupled-cap",
-                                   "search-cap", "ell-x")
+        assert box["bound_by"] in _ROOT_NAMES.tolist()
         vals = {k: float(box[k]) for k in ("d", "M1", "M2", "M3", "M4", "xi", "L2", "L4")}
         assert all(v >= 0.0 for v in vals.values())
         # the trace determines the certified constants (M4 = 0 on this map)

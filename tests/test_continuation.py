@@ -190,15 +190,11 @@ def test_derived_constants_L3_is_xi():
     assert _constants(1.0, np.array([0.0]), xi=0.125).L3 == 0.125
 
 
-def _dir_norm(b) -> float:
-    """The max norm of a box's direction (mu, v)."""
-    return max(abs(b.mu), float(np.abs(b.v).max()))
-
-
 def _box(**kw):
     base = dict(index=0, t=0.0, u=np.zeros(1), mu=1.0, v=np.zeros(1),
                 delta_alpha=1e-3, delta_u=1e-5, delta_min=1e-12,
-                bounds=CiftBounds(rho=0.0, K=1.0, L1=1.0, ell_x=1.0), M=(0.0,) * 4)
+                bounds=CiftBounds(rho=0.0, K=1.0, L1=1.0, L2=0.0, L3=0.0, L4=0.0, ell_x=1.0),
+                M=(0.0,) * 4)
     base.update(kw)
     return BranchBox(**base)
 
@@ -228,14 +224,14 @@ def test_check_link_bounds_the_projection_of_the_next_ball():
     lies at alpha + <dir, e>/<dir, dir> along the box's direction, up to
     |dir|_1/|dir|_2^2 delta_min' = 2.37 delta_min' past alpha for dir = (1,
     0.211, ..., 0.211).  An exact point of the ball that leaves the box's
-    segment is refused, though |alpha| + delta_min'/|dir|_inf < delta_alpha
-    holds."""
+    segment is refused, though |alpha| + delta_min' < delta_alpha holds
+    (|dir|_inf = 1)."""
     from fractions import Fraction
     v = np.full(13, 0.211)
     b = _box(mu=1.0, v=v, delta_alpha=1e-3, delta_u=1e-5)
     dmin = 1e-6
     alpha = b.delta_alpha - 2.0 * dmin
-    assert alpha + dmin / _dir_norm(b) < b.delta_alpha
+    assert alpha + dmin < b.delta_alpha
     direction = [Fraction(1.0)] + [Fraction(float(c)) for c in v]
     e = [Fraction(dmin)] * 14                       # a corner of the ball
     shift = sum(c * ec for c, ec in zip(direction, e)) / sum(c * c for c in direction)
@@ -343,7 +339,7 @@ def test_validate_segment_coral(coral):
     assert box.delta_min <= 1e-12
     assert box.delta_min < box.delta_u
     # coupled box constraint holds rigorously
-    assert box.delta_alpha * _dir_norm(box) + box.delta_u <= 1e-4 * (1 + 1e-12)
+    assert box.delta_alpha + box.delta_u <= 1e-4 * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("d, refusal", [
@@ -358,6 +354,23 @@ def test_validate_segment_names_the_refusing_gate(coral, d, refusal):
     (got,) = validate_segment(*_segment(system, t0, u0, decreasing=True), [d], 0)
     assert isinstance(got, ValidationFailed)
     assert str(got) == refusal
+
+
+@pytest.mark.parametrize("scale", [2.0, 0.5])
+def test_validate_segment_requires_unit_directions(coral, scale):
+    """A direction (mu, v) whose max norm is not 1 is refused with a
+    ValueError naming its row: in a stack of one, and at row 2 of a stack
+    of three whose other rows are the unit tangent."""
+    system, t0, u0 = branch_start(coral, 300.0)
+    ext, B = _segment(system, t0, u0, decreasing=True)
+    scaled = ExtendedSystem(system, ext.t0, ext.u0, scale * ext.mu, scale * ext.v)
+    with pytest.raises(ValueError, match=r"\bof row 0\b"):
+        validate_segment(scaled, B, [1e-4], 0)
+    rows = [0, 0, 0]
+    stack = ExtendedSystem(system, ext.t0[rows], ext.u0[rows], ext.mu[rows], ext.v[rows].copy())
+    stack.mu[2], stack.v[2] = scale * stack.mu[2], scale * stack.v[2]
+    with pytest.raises(ValueError, match=r"\bof row 2\b"):
+        validate_segment(stack, B[rows], [1e-4] * 3, 0)
 
 
 def test_classify_stability_trivial_branch(coral):
@@ -455,13 +468,13 @@ def test_branch_run_links_and_orientation(branch_result):
 
 def test_branch_link_headroom(branch_result):
     """Each step takes at most ALPHA_FRAC of the certified segment.  The
-    link's alpha part, |alpha_k| + delta_min_{k+1}/|dir_k| < delta_alpha_k,
+    link's alpha part, |alpha_k| + delta_min_{k+1} < delta_alpha_k,
     keeps 1 - ALPHA_FRAC of the segment for a term 1e4 times smaller, and
     its z part uses a tenth of delta_u at most."""
     boxes = branch_result.boxes
     assert all(b.alpha_step <= ALPHA_FRAC * b.delta_alpha for b in boxes[:-1])
     pairs = list(zip(boxes[:-1], boxes[1:]))
-    alpha_part = max(n.delta_min / (_dir_norm(b) * b.delta_alpha) for b, n in pairs)
+    alpha_part = max(n.delta_min / b.delta_alpha for b, n in pairs)
     assert alpha_part <= 1e-6          # 1e4 times below 1 - ALPHA_FRAC
     assert all(b.corr_norm + n.delta_min <= 0.1 * b.delta_u for b, n in pairs)
 
@@ -522,7 +535,7 @@ def test_lipschitz_M_bounds_jacobian_changes_high_precision(
         for idx in picks:
             b = boxes[idx]
             M1, M2, M3, M4 = b.M
-            ru, rt = b.bounds.ell_x * (1.0 - 2.0 ** -20), b.bounds.ell_alpha * (1.0 - 2.0 ** -20)
+            ru, rt = (b.bounds.ell_x * (1.0 - 2.0 ** -20),) * 2
             pairs = [((b.t - rt, b.u), (b.t + rt, b.u))]
             for w in (np.ones(d), rng.choice([-1.0, 1.0], d)):
                 pairs.append(((b.t, b.u - ru * w), (b.t, b.u + ru * w)))
@@ -649,8 +662,8 @@ def test_validate_segment_exact_linear_zero_set():
     box = validate_segment(*_segment(sys_, 0.3, np.array([0.3])), [1e-2], 0)[0]
     assert box.bounds.rho <= 1e-15 and box.bounds.L3 <= 1e-12
     assert box.bounds.L1 <= 1e-300 and box.bounds.L4 <= 1e-300
-    # delta_alpha * dir_norm + delta_u saturates the coupling cap
-    used = box.delta_alpha * _dir_norm(box) + box.delta_u
+    # delta_alpha + delta_u saturates the coupling cap
+    used = box.delta_alpha + box.delta_u
     assert used >= 0.99e-2
     assert box.delta_min <= 1e-14
 
@@ -1160,6 +1173,19 @@ def test_bordered_tangent_matches_svd_tangent(branch_result, preconditioned_syst
             ts = -ts
         assert float(tprev @ tb) > 0.0
         assert np.max(np.abs(tb - ts)) <= 1e-12, k
+
+
+def test_bordered_tangent_has_unit_max_norm(branch_result, preconditioned_system):
+    """The bordered path of `tangent_estimate`, which gives every direction
+    after the start box, returns max(|mu|, |v|_inf) == 1 exactly at the
+    recorded seed-0 anchors, each bordered by the tangent of the box
+    before it: the precondition `validate_segment` checks."""
+    system, chain = preconditioned_system, branch_result.boxes
+    boxes, t, u, *_ = _recorded(branch_result, system)
+    before = [chain[max(b.index - 1, 0)] for b in boxes]
+    prev = np.array([np.append(b.mu, b.v) for b in before])
+    mu, v = tangent_estimate(system.rows, system.evaluate(t, u)[1], prev)
+    assert np.maximum(np.abs(mu), np.abs(v).max(axis=-1)).tolist() == [1.0] * len(boxes)
 
 
 def test_bordered_tangent_singular_border():
