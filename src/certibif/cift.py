@@ -31,8 +31,8 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from .errors import NotInvertibleEvidence, ValidationFailed
-from .interval import (_EPS, _TINY, IArray, Interval, _aup, _gamma, _sum_bounds,
-                       float_matmat, norm_inf, up_mul, up_sum)
+from .interval import (_EPS, _TINY, IArray, Interval, _aup, _gamma, _sum_bounds, add_hi,
+                       div_hi, float_matmat, mul_hi, norm_inf, up_mul, up_sum)
 
 
 @dataclass(frozen=True)
@@ -179,10 +179,9 @@ def neumann_K(rho1, B: np.ndarray):
     """Neumann-series bound K >= |A^{-1}| = |B| / (1 - rho1), given a
     verified |I - B A| <= rho1 < 1 from `neumann_rho` or
     `neumann_rho_rows`, one entry per matrix of the stack (0-d for a single
-    matrix)."""
+    matrix), rounded up over 1 - rho1 rounded down."""
     rho2 = up_sum(np.abs(B), axis=-1).max(axis=-1)
-    I = IArray.point
-    return (I(rho2) / (I(1.0) - I(rho1))).hi
+    return div_hi(rho2, 0.0 - add_hi(-1.0, rho1))
 
 
 def lipschitz_from_tensor(T: np.ndarray, absB: np.ndarray) -> float:
@@ -210,11 +209,10 @@ def lipschitz_L1(problem, z0: np.ndarray, ell: float, absB: np.ndarray) -> float
 
 
 def _accuracy(K, rho, L1):
-    """Enclosures of 4 K^2 rho L1, of 2K and of the accuracy radius 2K rho,
-    from point enclosures of K, rho and L1: `Interval`s, or `IArray`s for
-    stacks, which round the same bit for bit."""
-    K2 = 2.0 * K
-    return 4.0 * K * K * rho * L1, K2, K2 * rho
+    """Upper bounds of 4 K^2 rho L1, of 2K and of the accuracy radius 2K rho
+    (floats, or arrays for stacks), each product stepped up."""
+    K2 = mul_hi(2.0, K)
+    return mul_hi(mul_hi(mul_hi(mul_hi(4.0, K), K), rho), L1), K2, mul_hi(K2, rho)
 
 
 def accuracy_gates(K: float, rho: float, L1: float, ell: float,
@@ -222,8 +220,7 @@ def accuracy_gates(K: float, rho: float, L1: float, ell: float,
     """The accuracy radius 2 K rho and, when (K, rho, L1) fail an accuracy
     gate over a box of radius ell, that gate's inequality as a message
     (None when both 4 K^2 rho L1 < 1 and 2 K rho < ell hold)."""
-    gate, _, dmin = _accuracy(Interval(K), Interval(rho), Interval(L1))
-    gate, dmin = gate.hi, dmin.hi
+    gate, _, dmin = _accuracy(K, rho, L1)
     if not gate < 1.0:
         return float(dmin), f"4 K^2 rho L1 = {float(gate)} >= 1"
     if not dmin < ell:
@@ -235,8 +232,9 @@ def accuracy_gates(K: float, rho: float, L1: float, ell: float,
 # delta inequalities
 #
 # Every helper takes one segment (floats) or a stack (arrays, one entry per
-# segment) through the same IArray arithmetic, so a stacked check equals
-# the checks of its segments one by one bit for bit.
+# segment) through the same endpoint helpers (`interval.add_hi`, `mul_hi`,
+# `div_hi`), which round entry by entry, so a stacked check equals the
+# checks of its segments one by one bit for bit.
 # ---------------------------------------------------------------------------
 
 # The fraction of the coupling budget delta_alpha + delta_x <= ell_x
@@ -251,43 +249,43 @@ _PLAN_MARGIN = 1e-8
 
 @dataclass(frozen=True)
 class _Probe:
-    """Bounds b at delta_alpha values da, with the enclosures of 2K L1 and
-    of the da terms built once and shared by the accuracy gates, the
-    floor, the ceiling and every pair check."""
+    """Bounds b at delta_alpha values da, with the bounds of 2K L1 and of
+    the da terms rounded once and shared by the accuracy gates, the floor,
+    the ceiling and every pair check."""
 
     b: CiftBounds
     da: np.ndarray
-    L1: IArray              # 2K L1
-    L2da: IArray            # 2K L2 da
+    L1: np.ndarray          # upper bound of 2K L1
+    L2da: np.ndarray        # upper bound of 2K L2 da
     floor: np.ndarray       # upper bound of 2K(rho + L3 da + L4 da^2), the least delta_x
     gate: np.ndarray        # upper bound of 4 K^2 rho L1
     delta_min: np.ndarray   # upper bound of 2K rho, the accuracy radius
 
     @staticmethod
     def of(b: CiftBounds, da) -> "_Probe":
-        I = IArray.point
-        L1, a = I(b.L1), I(da)
-        gate, K2, K2rho = _accuracy(I(b.K), I(b.rho), L1)
-        floor = (K2rho + K2 * I(b.L3) * a + K2 * I(b.L4) * a * a).hi
-        return _Probe(b, da, K2 * L1, K2 * I(b.L2) * a, floor, gate.hi, K2rho.hi)
+        gate, K2, dmin = _accuracy(b.K, b.rho, b.L1)
+        floor = add_hi(add_hi(dmin, mul_hi(mul_hi(K2, b.L3), da)),
+                       mul_hi(mul_hi(mul_hi(K2, b.L4), da), da))
+        return _Probe(b, da, mul_hi(K2, b.L1), mul_hi(mul_hi(K2, b.L2), da), floor, gate, dmin)
 
 
 def _pair_feasible(p: _Probe, dx):
     """Rigorous check of the two theorem inequalities and the coupling
     da + dx <= ell_x, which bounds each radius by the box radius."""
-    dx_iv = IArray.point(dx)
     return ((0.0 < p.da) & (0.0 < dx)
-            & ((p.L1 * dx_iv + p.L2da).hi <= 1.0) & (p.floor <= dx)
-            & ((IArray.point(p.da) + dx_iv).hi <= p.b.ell_x))
+            & (add_hi(mul_hi(p.L1, dx), p.L2da) <= 1.0) & (p.floor <= dx)
+            & (add_hi(p.da, dx) <= p.b.ell_x))
 
 
 def _dx_ceiling(p: _Probe):
-    """Lower bound of the largest admissible delta_x at the probe's delta_alpha."""
-    I = IArray.point
-    num = I(1.0) - p.L2da
+    """Lower bound of the largest admissible delta_x at the probe's delta_alpha,
+    min((1 - 2K L2 da) / 2K L1, ell_x - da); -inf where 2K L1 may be 0."""
+    neg_num = add_hi(-1.0, p.L2da)      # minus the lower end of 1 - 2K L2 da
+    neg_den = mul_hi(mul_hi(-2.0, p.b.K), p.b.L1)       # minus the lower end of 2K L1
     with_l1 = np.asarray(p.b.L1) > 0.0
-    cap = np.minimum(np.where(with_l1, (num / p.L1).lo, math.inf), (I(p.b.ell_x) - I(p.da)).lo)
-    return np.where(with_l1 & (num.lo <= 0.0), 0.0, cap)
+    quot = np.where(neg_den < 0.0, 0.0 - div_hi(neg_num, p.L1), -math.inf)
+    cap = np.minimum(np.where(with_l1, quot, math.inf), 0.0 - add_hi(-p.b.ell_x, p.da))
+    return np.where(with_l1 & (neg_num >= 0.0), 0.0, cap)
 
 
 def _alpha_feasible(p: _Probe, ceiling):
@@ -404,7 +402,7 @@ def validate_zero(problem, z0: np.ndarray, ell: float = 1e-6) -> Certificate:
     if refusal:
         raise ValidationFailed(refusal)
     if L1 > 0.0:
-        d2 = min(ell, (Interval(1.0) / (Interval(2.0) * Interval(K) * Interval(L1))).lo)
+        d2 = min(ell, float(0.0 - div_hi(-1.0, mul_hi(mul_hi(2.0, K), L1))))
     else:
         d2 = ell
     return Certificate(

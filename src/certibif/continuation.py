@@ -40,8 +40,8 @@ import numpy as np
 from . import cift
 from .errors import (CorrectorFailed, NotInvertibleEvidence, TangentUndefined,
                      ValidationFailed)
-from .interval import (_EPS, _TINY, IArray, Interval, MidRad, _adn, _aup, _gamma, float_matmat,
-                       gamma_rad, mid_rad, up_mul, up_sum)
+from .interval import (_EPS, _TINY, IArray, Interval, MidRad, _adn, _aup, _gamma, add_hi,
+                       div_hi, float_matmat, gamma_rad, mid_rad, mul_hi, up_mul, up_sum)
 from .model import CoralMap, FixedPointReduction, phi_derivs, schur_cohn_inside
 
 
@@ -392,13 +392,13 @@ def derive_extended_constants(rho, xi, K, M: tuple, d, mu, v: np.ndarray) -> cif
     L1 = M1+M2+M3+M4 (sharp when |sigma| = |x|; the smaller constant
     max(M1+M3, M2+M4) would only be valid for the sum norm).
     """
-    I = IArray.point
-    vn, am = I(np.abs(v).max(axis=-1)), I(np.abs(mu))
-    M1, M2, M3, M4 = (I(m) for m in M)
-    M13, M24 = M1 + M3, M2 + M4
-    L1 = (M13 + M24).hi
-    L2 = (M13 * vn + M24 * am).hi
-    L4 = ((M1 * vn + M2 * am) * vn + (M3 * vn + M4 * am) * am).hi
+    vn, am = np.abs(v).max(axis=-1), np.abs(mu)
+    M1, M2, M3, M4 = M
+    M13, M24 = add_hi(M1, M3), add_hi(M2, M4)
+    L1 = add_hi(M13, M24)
+    L2 = add_hi(mul_hi(M13, vn), mul_hi(M24, am))
+    L4 = add_hi(mul_hi(add_hi(mul_hi(M1, vn), mul_hi(M2, am)), vn),
+                mul_hi(add_hi(mul_hi(M3, vn), mul_hi(M4, am)), am))
     return cift.CiftBounds(rho=rho, K=K, L1=L1, L2=L2, L3=xi, L4=L4, ell_x=d)
 
 
@@ -519,23 +519,23 @@ def check_link(tau: np.ndarray, delta_alpha, delta_u, alpha, corr_norm, next_del
     |w| <= corr_norm + slack + delta_min' + |D| (|dir|_inf = 1), so |alpha|
     + |D| < delta_alpha and that bound on |w| < delta_u make it the CIFT's
     unique zero on box k's tube.  Every term rounds up (|dir|_2^2 down)."""
-    I = IArray.point
     norm1 = up_sum(np.abs(tau), axis=-1)
-    norm2sq = float_matmat(tau[:, None, :], I(tau[:, :, None])).lo[:, 0, 0]
-    e = I(slack) + I(next_delta_min)
-    D = (I(residual) + I(norm1) * e) / I(norm2sq)
-    lhs1 = (I(np.abs(alpha)) + D).hi
-    lhs2 = (I(corr_norm) + e + D).hi
+    norm2sq = float_matmat(tau[:, None, :], IArray.point(tau[:, :, None])).lo[:, 0, 0]
+    e = add_hi(slack, next_delta_min)
+    D = div_hi(add_hi(residual, mul_hi(norm1, e)), norm2sq)
+    lhs1 = add_hi(np.abs(alpha), D)
+    lhs2 = add_hi(add_hi(corr_norm, e), D)
     return (lhs1 < delta_alpha) & (lhs2 < delta_u)
 
 
 def _anchor_rounding_gap(prev, alpha, tau, corr, new):
     """Upper bound of |new - (prev + alpha tau + corr)|_inf for points
-    (t, u) with t as component 0, ((prev + alpha tau) + corr) - new in
-    `IArray` arithmetic; (n, d + 1) points give one bound per step."""
-    I = IArray.point
+    (t, u) with t as component 0: the magnitude of the interval ((prev +
+    alpha tau) + corr) - new, its upper end at s = 1 and its lower end
+    negated at s = -1; (n, d + 1) points give one bound per step."""
     a = np.asarray(alpha, dtype=float)[..., None]
-    return (I(prev) + I(tau) * a + I(corr) - I(new)).mag.max(axis=-1)
+    return np.maximum(*(np.abs(add_hi(add_hi(add_hi(s * prev, mul_hi(s * tau, a)), s * corr),
+                                      -s * new)) for s in (1.0, -1.0))).max(axis=-1)
 
 
 # |gamma| at or below this, on coefficients scaled to max |a| = 1, leaves a

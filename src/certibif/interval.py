@@ -24,6 +24,13 @@ Neumann bound), the radius enters through them alone: sum_j (|B| R)_ij =
 (|B| rowsum R)_i, one product bounded as one entry is, with the row's
 underflow terms added up (`cift.neumann_rho_rows`).
 
+A monotone formula of operands of known sign (nonnegative bounds summed,
+multiplied, divided by positive ones) takes the upper end of its interval
+evaluation from its operands' upper ends, one rounding step per operation
+(`add_hi`, `mul_hi`, `div_hi`, bit for bit as `Interval` and `IArray`).
+By the symmetry of rounding a lower end is 0.0 - add_hi(-a, -b) or 0.0 -
+mul_hi(-a, b), +0.0 at zero as in every `Interval` and `IArray` sum.
+
 `MidRad` takes the same model operation by operation (Rump, "Fast and
 parallel interval arithmetic", BIT 39, 1999): the midpoint is rounded to
 nearest, and the radius adds to the exact operation's radius one a-priori
@@ -99,12 +106,12 @@ def _aup(x: np.ndarray) -> np.ndarray:
 
 
 def _sum_dn(a: float, b: float) -> float:
-    """Largest float <= a + b (TwoSum keeps exact sums exact)."""
+    """Largest float <= a + b, bit for bit 0.0 - _sum_up(-a, -b) (TwoSum)."""
     s = a + b
     bb = s - a
     err = (a - (s - bb)) + (b - bb)
     if err >= 0.0:  # NaN err (inf inputs) falls through to the safe branch
-        return s
+        return s + 0.0          # an exact zero is +0.0
     return math.nextafter(s, -_INF)
 
 
@@ -270,6 +277,30 @@ class Interval:
 # ---------------------------------------------------------------------------
 
 
+def add_hi(a, b):
+    """Upper end of the interval sum of points a + b (floats or arrays):
+    fl(a + b), one step up unless TwoSum finds it exact or above (or NaN)."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        s = np.add(a, b)
+        bb = s - a
+        err = (a - (s - bb)) + (b - bb)
+        return np.where(err <= 0.0, s, _aup(s))
+
+
+def mul_hi(a, b):
+    """Upper end of the interval product of points a * b: one step up from
+    fl(a b); 0 * inf saturates to +inf."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return _saturate(_aup(np.multiply(a, b)))
+
+
+def div_hi(a, b):
+    """Upper end of the interval quotient of points a / b for b > 0: one
+    step up from fl(a / b); b <= 0 or NaN, and inf / inf, give +inf."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        return _saturate(np.where(b > 0.0, _aup(np.divide(a, b)), _INF))
+
+
 def _mul_bounds(alo, ahi, blo, bhi):
     """Endpoint bounds of the elementwise interval product (broadcasting);
     an overflowing product saturates, as in `Interval.__mul__`."""
@@ -289,30 +320,9 @@ def _mul_bounds(alo, ahi, blo, bhi):
 
 
 def _sum_bounds(alo, ahi, blo, bhi):
-    """Endpoint bounds of the elementwise interval sum, rounded as
-    `Interval.__add__` rounds (TwoSum: exact sums stay exact); an
-    overflowing sum saturates as it does there."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        s, t = alo + blo, ahi + bhi
-        bs, bt = s - alo, t - ahi
-        err_lo = (alo - (s - bs)) + (blo - bs)
-        err_hi = (ahi - (t - bt)) + (bhi - bt)
-    # a NaN error (infinite inputs) takes the outward step, as in _sum_dn
-    return np.where(err_lo >= 0.0, s, _adn(s)), np.where(err_hi <= 0.0, t, _aup(t))
-
-
-def _div_bounds(alo, ahi, blo, bhi):
-    """Endpoint bounds of the elementwise interval quotient (broadcasting),
-    rounded as `Interval.__truediv__` rounds; a divisor containing 0 gives
-    [-inf, inf] where `Interval` raises."""
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        p1, p2, p3, p4 = alo / blo, alo / bhi, ahi / blo, ahi / bhi
-    lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
-    hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-    bad = (blo <= 0.0) & (bhi >= 0.0)
-    if np.any(bad):
-        lo, hi = np.where(bad, -_INF, lo), np.where(bad, _INF, hi)
-    return _adn(lo), _aup(hi)
+    """Endpoint bounds of the elementwise interval sum, two `add_hi` calls
+    rounded as `Interval.__add__` rounds."""
+    return 0.0 - add_hi(np.negative(alo), np.negative(blo)), add_hi(ahi, bhi)
 
 
 def dot_seq(alo, ahi, blo, bhi, start=None) -> Interval:
@@ -335,7 +345,7 @@ class IArray:
     carries the meaning.  The last axis is a vector, the last two a matrix,
     and leading axes stack independent vectors or matrices.  Entry i of
     every elementwise result equals the scalar `Interval` operation on
-    entry i bit for bit (TwoSum sums, outward-stepped products and
+    entry i bit for bit (TwoSum sums, outward-stepped products; no
     quotients).  Stacks that run a whole formula take `MidRad` instead.
     The constructor rejects NaN and inverted endpoints; results of the
     arithmetic are valid by construction and skip that check.  NaN
@@ -424,19 +434,11 @@ class IArray:
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "IArray":
-        blo, bhi = self._ends(other)
-        return IArray._of(*_sum_bounds(self.lo, self.hi, np.negative(bhi), np.negative(blo)))
-
     def __mul__(self, other) -> "IArray":
         blo, bhi = self._ends(other)
         return IArray._of(*_mul_bounds(self.lo, self.hi, blo, bhi))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "IArray":
-        blo, bhi = self._ends(other)
-        return IArray._of(*_div_bounds(self.lo, self.hi, blo, bhi))
 
     def shifted(self, s: ScalarLike) -> "IArray":
         """self - s I on the last two axes, the diagonal rounded as

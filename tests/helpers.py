@@ -4,13 +4,14 @@ evaluations, used as independent oracles for the soundness checks: a
 certificate claims a true zero within delta_accuracy of the anchor, and a
 50+ digit Newton refinement must land inside that ball.  Also the plain
 forms of optimised stages, which must give the same results: the stability
-labels from LAPACK eigenvalues, and the branch emitters that format box by
-box.
+labels from LAPACK eigenvalues, the branch emitters that format box by
+box, and the bounds on rows of floats as scalar `Interval` evaluations.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -217,6 +218,92 @@ def lipschitz_reference(T: np.ndarray, absB: np.ndarray) -> float:
     factor m."""
     inner = up_dot(absB, T).max(axis=1)
     return float(np.max(up_mul(float(T.shape[0]), up_sum(inner, axis=1))))
+
+
+# ---------------------------------------------------------------------------
+# scalar Interval references of the bounds on rows of floats: each formula
+# as the two-sided interval evaluation whose end the stacked float code
+# (`interval.add_hi`, `mul_hi`, `div_hi`) must give bit for bit
+# ---------------------------------------------------------------------------
+
+
+def special_stack(rng, n: int, lo: float = -300.0, hi: float = 300.0, inf: bool = True):
+    """n nonnegative floats, log-uniform over [10^lo, 10^hi], about one in
+    eight each an exact zero, a subnormal, a float near the largest one,
+    and (with `inf`) +inf."""
+    x = 10.0 ** rng.uniform(lo, hi, n)
+    kind = rng.integers(0, 8, n)
+    x[kind == 0] = 0.0
+    x[kind == 1] = rng.integers(1, 2 ** 40, int((kind == 1).sum())) * 5e-324
+    x[kind == 2] = 1.7976931348623157e308 * rng.uniform(0.5, 1.0, int((kind == 2).sum()))
+    if inf:
+        x[kind == 3] = math.inf
+    return x
+
+
+def extended_constants_reference(M, mu: float, v) -> tuple[float, float, float]:
+    """L1, L2 and L4 of `continuation.derive_extended_constants` for one
+    segment."""
+    I = Interval
+    M1, M2, M3, M4 = (I(m) for m in M)
+    vn, am = I(float(np.max(np.abs(v)))), I(abs(mu))
+    L1 = ((M1 + M3) + (M2 + M4)).hi
+    L2 = ((M1 + M3) * vn + (M2 + M4) * am).hi
+    L4 = ((M1 * vn + M2 * am) * vn + (M3 * vn + M4 * am) * am).hi
+    return L1, L2, L4
+
+
+def probe_reference(K, rho, L1, L2, L3, L4, da) -> tuple[float, ...]:
+    """`cift._Probe.of` for one segment: the upper ends of the gate 4 K^2
+    rho L1, the floor 2K rho + 2K L3 da + 2K L4 da^2, delta_min = 2K rho,
+    2K L1 and 2K L2 da."""
+    I = Interval
+    K2 = 2.0 * I(K)
+    K2rho = K2 * I(rho)
+    gate = 4.0 * I(K) * I(K) * I(rho) * I(L1)
+    floor = K2rho + K2 * I(L3) * da + K2 * I(L4) * da * da
+    return gate.hi, floor.hi, K2rho.hi, (K2 * I(L1)).hi, (K2 * I(L2) * da).hi
+
+
+def dx_ceiling_reference(K, L1, L2, da, ell_x) -> float:
+    """`cift._dx_ceiling` for one segment: the lower end of min((1 - 2K L2
+    da) / 2K L1, ell_x - da); 0 where L1 > 0 and the numerator's lower end
+    is <= 0, -inf where the divisor's is (an interval division by a divisor
+    containing 0)."""
+    I = Interval
+    K2 = 2.0 * I(K)
+    num = I(1.0) - K2 * I(L2) * da
+    if L1 > 0.0 and num.lo <= 0.0:
+        return 0.0
+    den = K2 * I(L1)
+    quot = math.inf if L1 == 0.0 else -math.inf if den.lo <= 0.0 else (num / den).lo
+    return min(quot, (I(ell_x) - I(da)).lo)
+
+
+def link_sides_reference(norm1, norm2sq, alpha, corr_norm, slack, next_delta_min,
+                         residual) -> tuple[float, float]:
+    """The two left sides of `continuation.check_link` for one link, from
+    |dir|_1 and the lower bound of |dir|_2^2: |alpha| + D and corr_norm +
+    slack + delta_min' + D, D = (residual + |dir|_1 (slack + delta_min')) /
+    |dir|_2^2."""
+    I = Interval
+    e = I(slack) + I(next_delta_min)
+    D = (I(residual) + I(norm1) * e) / I(norm2sq)
+    return (I(abs(alpha)) + D).hi, (I(corr_norm) + e + D).hi
+
+
+def rounding_gap_reference(prev, alpha, tau, corr, new) -> float:
+    """`continuation._anchor_rounding_gap` of one step: the largest
+    magnitude of ((prev + alpha tau) + corr) - new over the components."""
+    a = Interval(alpha)
+    return max((Interval(p) + a * Interval(d) + Interval(c) - Interval(w)).mag
+               for p, d, c, w in zip(prev.tolist(), tau.tolist(), corr.tolist(), new.tolist()))
+
+
+def neumann_K_reference(rho1, rho2) -> float:
+    """`cift.neumann_K` of one matrix from rho1 and the row-sum bound rho2
+    of |B|: the upper end of rho2 / (1 - rho1)."""
+    return (Interval(rho2) / (Interval(1.0) - Interval(rho1))).hi
 
 
 def emit_branch_csv(path: Path, system, result) -> None:

@@ -10,7 +10,8 @@ from certibif.cift import (CiftBounds, accuracy_gates, certificate_json, check_d
 from certibif.errors import NotInvertibleEvidence, ValidationFailed
 from certibif.interval import IArray, Interval, float_matmat, up_sum
 
-from helpers import assert_json_lossless, lipschitz_reference
+from helpers import (assert_json_lossless, dx_ceiling_reference, lipschitz_reference,
+                     neumann_K_reference, probe_reference, special_stack)
 
 
 class ScalarSquare:
@@ -59,7 +60,7 @@ class AffineMap:
 
     def value_iv(self, z: IArray) -> IArray:
         from certibif.interval import float_matmat
-        return float_matmat(self.A, z) - self.b
+        return float_matmat(self.A, z) + (-self.b)     # rounds as a difference
 
     def jac_iv(self, z: IArray) -> IArray:
         return IArray.point(self.A)
@@ -84,35 +85,52 @@ def test_residual_bound_scalar():
     assert abs(rho - abs(1.41421356 ** 2 - 2.0)) < 1e-15
 
 
-def _inverse_bound(A, B):
+def _neumann_K(A, B):
     """K >= |A^{-1}| for every A in the enclosure, from a preconditioner B."""
     return neumann_K(neumann_rho(A, B), B)
 
 
-def test_inverse_bound_identity():
-    K = _inverse_bound(IArray.point(np.eye(4)), np.eye(4))
+def test_neumann_K_identity():
+    K = _neumann_K(IArray.point(np.eye(4)), np.eye(4))
     assert 1.0 <= K <= 1.0 + 1e-12
 
 
-def test_inverse_bound_diagonal():
+def test_neumann_K_diagonal():
     A = IArray.point(np.diag([2.0, 4.0]))
-    K = _inverse_bound(A, np.diag([0.5, 0.25]))
+    K = _neumann_K(A, np.diag([0.5, 0.25]))
     assert abs(K - 0.5) <= 1e-12
 
 
-def test_inverse_bound_random_within_five_percent():
+def test_neumann_K_random_within_five_percent():
     rng = np.random.default_rng(1)
     A = rng.normal(size=(42, 42)) + 42 * np.eye(42)   # well conditioned
     B = np.linalg.inv(A)
-    K = _inverse_bound(IArray.point(A), B)
+    K = _neumann_K(IArray.point(A), B)
     true_norm = np.linalg.norm(np.linalg.inv(A), np.inf)
     assert true_norm <= K <= 1.05 * true_norm
 
 
-def test_inverse_bound_detects_singularity():
+def test_neumann_K_detects_singularity():
     A = IArray.point(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(NotInvertibleEvidence):
-        _inverse_bound(A, np.eye(2))
+        _neumann_K(A, np.eye(2))
+
+
+def test_neumann_K_equals_scalar_interval_rows():
+    """A stack of 1x1 preconditioners whose row-sum bounds hold zeros,
+    subnormals, huge values and infinities, against rho1 in [0, 1) with 0,
+    subnormals and floats next to 1: each K equals the upper end of the
+    scalar Interval quotient rho2 / (1 - rho1) bit for bit."""
+    rng = np.random.default_rng(53)
+    n = 600
+    B = (rng.choice([-1.0, 1.0], n) * special_stack(rng, n))[:, None, None]
+    rho1 = rng.uniform(0.0, 1.0, n)
+    rho1[:6] = [0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0 ** -53, 1.0 - 2.0 ** -52]
+    K = neumann_K(rho1, B)
+    rho2 = up_sum(np.abs(B), axis=-1).max(axis=-1)
+    assert [k.hex() for k in K.tolist()] == \
+        [neumann_K_reference(float(r1), float(r2)).hex() for r1, r2 in zip(rho1, rho2)]
+    assert np.isinf(K).any() and (K == 5e-324).any()
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +288,7 @@ def test_check_deltas_shrinks_with_larger_rho():
     assert small[1].delta_min < large[1].delta_min
 
 
-def test_solve_deltas_steps_dx_back_no_further_than_the_floor():
+def test_check_deltas_steps_dx_back_no_further_than_the_floor():
     """A box of the seed-0 branch where the L1 coupling binds: at the
     largest feasible delta_alpha the dx ceiling sits an ulp above the floor
     and fails the pair check, which rounds 2K(L1 dx + L2 da) <= 1 apart from
@@ -288,6 +306,28 @@ def test_solve_deltas_steps_dx_back_no_further_than_the_floor():
     assert _pair_feasible(p, pair.delta_x)
     assert pair.delta_x == p.floor
     assert delta_alpha_root(b)[1] == "L1-coupling"
+
+
+def test_probe_and_dx_ceiling_equal_scalar_interval_rows():
+    """The probe's gate, floor, delta_min, 2K L1 and 2K L2 da and the dx
+    ceiling of 1,000 segments whose bounds hold zeros, subnormals, huge
+    values and infinities (delta_alpha and ell_x finite) equal the scalar
+    Interval evaluation row by row, bit for bit."""
+    from certibif.cift import _dx_ceiling, _Probe
+    rng = np.random.default_rng(59)
+    n = 1000
+    K, rho, L1, L2, L3, L4 = (special_stack(rng, n) for _ in range(6))
+    da, ell_x = special_stack(rng, n, inf=False), special_stack(rng, n, inf=False)
+    ell_x[:50] = da[:50]                  # ell_x - da exactly 0
+    p = _Probe.of(_bounds(rho=rho, K=K, L1=L1, ell_x=ell_x, L2=L2, L3=L3, L4=L4), da)
+    ceiling = _dx_ceiling(p)
+    got = np.column_stack([p.gate, p.floor, p.delta_min, p.L1, p.L2da, ceiling])
+    for k in range(n):
+        row = (K[k], rho[k], L1[k], L2[k], L3[k], L4[k], da[k])
+        want = probe_reference(*row) + (
+            dx_ceiling_reference(K[k], L1[k], L2[k], da[k], ell_x[k]),)
+        assert [g.hex() for g in got[k].tolist()] == [w.hex() for w in want], k
+    assert (ceiling == -math.inf).any() and (ceiling == 0.0).any() and (ceiling > 0.0).any()
 
 
 def _log_uniform(rng, lo, hi, n):
@@ -372,7 +412,7 @@ def test_validate_K_is_the_neumann_bound_of_BJ_itself():
     assert rho1 > 0.0
     assert cert.K == (Interval(up_sum(I[0])) / (Interval(1.0) - Interval(rho1))).hi
     assert 1 / (1 - Fraction(rho1)) <= Fraction(cert.K) <= (1 + Fraction(2) ** -46) / (1 - Fraction(rho1))
-    assert cert.K < float(_inverse_bound(float_matmat(B, J), I))
+    assert cert.K < float(_neumann_K(float_matmat(B, J), I))
 
 
 def test_accuracy_gates_equal_the_stacked_probe():

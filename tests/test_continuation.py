@@ -19,11 +19,12 @@ from certibif.continuation import (ALPHA_FRAC, BranchBox, _Wave,
                                    validate_segment)
 from certibif.errors import (CorrectorFailed, NotInvertibleEvidence, TangentUndefined,
                              ValidationFailed)
-from certibif.interval import IArray, Interval, MidRad, float_matmat
+from certibif.interval import IArray, Interval, MidRad, float_matmat, up_sum
 from certibif.model import CoralMap, FixedPointReduction, phi
 
-from helpers import (eigvals_labels, jac_lam, map_F, mp_branch_F, mp_coeffs, mp_fd_jacobian,
-                     mp_refine_branch_point, step)
+from helpers import (eigvals_labels, extended_constants_reference, jac_lam,
+                     link_sides_reference, map_F, mp_branch_F, mp_coeffs, mp_fd_jacobian,
+                     mp_refine_branch_point, rounding_gap_reference, special_stack, step)
 import mpmath as mp
 
 
@@ -613,14 +614,6 @@ def test_raw_branch_runs_without_a_corrector_override(raw_branch_result):
     assert len(raw_branch_result.boxes) == 20 and raw_branch_result.all_linked()
 
 
-def _scalar_rounding_gap(prev, alpha, tau, corr, new):
-    """The scalar Interval loop the endpoint-array _anchor_rounding_gap
-    must reproduce."""
-    a = Interval(alpha)
-    return max((Interval(p) + a * Interval(d) + Interval(c) - Interval(w)).mag
-               for p, d, c, w in zip(prev.tolist(), tau.tolist(), corr.tolist(), new.tolist()))
-
-
 def test_anchor_rounding_gap_equals_scalar_interval_loop():
     rng = np.random.default_rng(31)
     for trial in range(300):
@@ -636,7 +629,61 @@ def test_anchor_rounding_gap_equals_scalar_interval_loop():
         t_next, u_next = t + alpha * mu + sigma, u + alpha * v + x
         args = (np.append(t, u), float(alpha), np.append(mu, v), np.append(sigma, x),
                 np.append(t_next, u_next))
-        assert _anchor_rounding_gap(*args) == _scalar_rounding_gap(*args)
+        assert _anchor_rounding_gap(*args) == rounding_gap_reference(*args)
+
+
+def test_anchor_rounding_gaps_equal_scalar_interval_rows_at_special_values():
+    """A stack of 600 steps whose points hold zeros of both signs,
+    subnormals, floats near the largest (sums that overflow) and infinite
+    corrections: each row's gap equals the scalar Interval loop bit for
+    bit."""
+    rng = np.random.default_rng(41)
+    n, d = 600, 14
+    signs = lambda: rng.choice([-1.0, 1.0], (n, d))
+    prev, tau, new = (signs() * special_stack(rng, n * d, inf=False).reshape(n, d)
+                      for _ in range(3))
+    corr = signs() * special_stack(rng, n * d, lo=-320.0, hi=0.0).reshape(n, d)
+    finite = np.isfinite(corr)        # an infinite correction meets finite terms only
+    for a in (prev, tau, new):
+        a[~finite] = np.minimum(np.abs(a[~finite]), 1.0)
+    prev[rng.random((n, d)) < 0.05] = -0.0
+    for a in (prev, tau, corr, new):      # all-zero steps
+        a[:10] = rng.choice([-0.0, 0.0], (10, d))
+    alpha = np.where(rng.random(n) < 0.1, 0.0, rng.choice([-1.0, 1.0], n)
+                     * special_stack(rng, n, inf=False))
+    gap = _anchor_rounding_gap(prev, alpha, tau, corr, new)
+    want = [rounding_gap_reference(prev[k], float(alpha[k]), tau[k], corr[k], new[k])
+            for k in range(n)]
+    assert [g.hex() for g in gap.tolist()] == [w.hex() for w in want]
+    # alpha tau steps outward even where it is an exact zero
+    assert np.isinf(gap).any() and (gap[:10] == 5e-324).all()
+
+
+def test_link_sides_equal_scalar_interval_rows():
+    """Each link's two left sides equal the scalar Interval evaluation bit
+    for bit, on 600 links whose bounds hold zeros, subnormals, huge values
+    and infinities: with the other side's radius +inf, check_link refuses
+    the radius equal to the reference side and accepts the next float."""
+    rng = np.random.default_rng(43)
+    n, d = 600, 14
+    tau = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-300, 0, (n, 1))
+    tau /= np.abs(tau).max(axis=1, keepdims=True)
+    norm1 = up_sum(np.abs(tau), axis=-1)
+    norm2sq = float_matmat(tau[:, None, :], IArray.point(tau[:, :, None])).lo[:, 0, 0]
+    alpha = rng.choice([-1.0, 1.0], n) * special_stack(rng, n)
+    corr_norm, slack, dmin, residual = (special_stack(rng, n) for _ in range(4))
+    args = (alpha, corr_norm, slack, dmin, residual)
+    sides = np.array([link_sides_reference(norm1[k], norm2sq[k], *(float(c[k]) for c in args))
+                      for k in range(n)])
+    inf = np.full(n, math.inf)
+    for j in range(2):
+        ref, live = sides[:, j], np.isfinite(sides).all(axis=1)
+        assert 0 < live.sum() < n
+        radii = lambda r: (r, inf) if j == 0 else (inf, r)
+        at = check_link(tau, *radii(ref), alpha, corr_norm, dmin, slack, residual)
+        above = check_link(tau, *radii(np.nextafter(ref, math.inf)), alpha, corr_norm, dmin,
+                           slack, residual)
+        assert not at.any() and (above == live).all()
 
 
 def test_branch_driver_stops_degenerate_without_start_point(coral):
@@ -921,21 +968,28 @@ def test_stacked_row1_jet_contains_high_precision_values(branch_result,
                     assert inside(jet.g1, (i, j), ds[1] * c.q[j] * bx + ds[0] * c.b[j])
 
 
-def _scalar_extended_constants(M, mu, v):
-    """derive_extended_constants for one segment in scalar Interval."""
-    I = Interval
-    M1, M2, M3, M4 = (I(m) for m in M)
-    vn, am = I(float(np.max(np.abs(v)))), I(abs(mu))
-    L1 = ((M1 + M3) + (M2 + M4)).hi
-    L2 = ((M1 + M3) * vn + (M2 + M4) * am).hi
-    L4 = ((M1 * vn + M2 * am) * vn + (M3 * vn + M4 * am) * am).hi
-    return L1, L2, L4
-
-
 def test_extended_constants_equal_scalar_interval(branch_result):
     for b in branch_result.boxes:
         assert (b.bounds.L1, b.bounds.L2, b.bounds.L4) == \
-            _scalar_extended_constants(b.M, b.mu, b.v)
+            extended_constants_reference(b.M, b.mu, b.v)
+
+
+def test_extended_constants_equal_scalar_interval_rows_at_special_values():
+    """L1, L2 and L4 of a stack of 800 segments whose M1..M4 and
+    directions hold zeros, subnormals, huge values and infinities equal
+    the scalar Interval evaluation row by row, bit for bit."""
+    rng = np.random.default_rng(47)
+    n, d = 800, 13
+    M = tuple(special_stack(rng, n) for _ in range(4))
+    mu = rng.choice([-1.0, 1.0], n) * special_stack(rng, n, inf=False)
+    v = rng.choice([-1.0, 1.0], (n, d)) * special_stack(rng, n * d, inf=False).reshape(n, d)
+    v[rng.random(n) < 0.1] = 0.0
+    b = derive_extended_constants(np.zeros(n), np.zeros(n), np.ones(n), M, np.ones(n), mu, v)
+    got = np.column_stack([b.L1, b.L2, b.L4])
+    for k in range(n):
+        want = extended_constants_reference([m[k] for m in M], float(mu[k]), v[k])
+        assert [g.hex() for g in got[k].tolist()] == [w.hex() for w in want], k
+    assert np.isinf(got).any() and np.isfinite(got).any()
 
 
 def _replayed_run(coral, monkeypatch, max_steps, correct=newton_correct):
@@ -1014,7 +1068,7 @@ def test_stacked_links_and_rounding_gaps(coral, monkeypatch):
     steps = [(z[k], alpha[k], tau[k], corr[k], z[k + 1]) for k in picks]
     cols = [np.array(c) for c in zip(*steps)]
     gap = _anchor_rounding_gap(*cols)
-    assert list(gap) == [_scalar_rounding_gap(*st) for st in steps]
+    assert list(gap) == [rounding_gap_reference(*st) for st in steps]
     _, a, tk, ck, _ = cols
     residual = float_matmat(tk[:, None, :], IArray.point(ck[:, :, None])).mag[:, 0, 0]
     links = (tk, np.array([prev[k].delta_alpha for k in picks]),

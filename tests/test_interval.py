@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from certibif.errors import DomainError
 from certibif.cift import neumann_rho
-from certibif.interval import (_EXP_OVERFLOW, IArray, Interval, MidRad, float_matmat, norm_inf,
-                               up_dot, up_mul, up_sum)
+from certibif.interval import (_EXP_OVERFLOW, IArray, Interval, MidRad, add_hi, div_hi,
+                               float_matmat, mul_hi, norm_inf, up_dot, up_mul, up_sum)
 
 from helpers import contains
 
@@ -207,6 +207,28 @@ def _assert_entrywise(got: IArray, shape, expect) -> None:
         assert (got.lo[idx].hex(), got.hi[idx].hex()) == _bits(expect(idx)), idx
 
 
+def _assert_helpers_entrywise(x: np.ndarray, y: np.ndarray) -> None:
+    """On points x and y, the endpoint helpers give the ends of the scalar
+    Interval sum, difference, product and quotient entry by entry, bit for
+    bit: the upper end directly, the lower end as 0.0 minus the helper on
+    negated operands.  A quotient by y <= 0, where Interval raises or
+    divides by a negative, is +inf."""
+    ends = {"+": (add_hi(x, y), 0.0 - add_hi(-x, -y)),
+            "-": (add_hi(x, -y), 0.0 - add_hi(-x, y)),
+            "*": (mul_hi(x, y), 0.0 - mul_hi(-x, y)),
+            "/": (div_hi(x, y), 0.0 - div_hi(-x, y))}
+    for idx in np.ndindex(*np.shape(x)):
+        ix, iy = Interval(x[idx]), Interval(y[idx])
+        want = {"+": lambda: ix + iy, "-": lambda: ix - iy, "*": lambda: ix * iy,
+                "/": lambda: ix / iy}
+        for op, (hi, lo) in ends.items():
+            got = (float(lo[idx]).hex(), float(hi[idx]).hex())
+            if op == "/" and not y[idx] > 0.0:
+                assert hi[idx] == math.inf and lo[idx] == -math.inf, (op, idx)
+            else:
+                assert got == _bits(want[op]()), (op, idx)
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_iarray_equals_scalar_interval_entrywise(data):
@@ -228,18 +250,24 @@ def test_iarray_equals_scalar_interval_entrywise(data):
     ia = lambda idx: Interval(a.lo[idx], a.hi[idx])
     ib = lambda idx: Interval(b.lo[idx], b.hi[idx])
     _assert_entrywise(a + b, shape, lambda i: ia(i) + ib(i))
-    _assert_entrywise(a - b, shape, lambda i: ia(i) - ib(i))
     _assert_entrywise(a * b, shape, lambda i: ia(i) * ib(i))
     _assert_entrywise(-a, shape, lambda i: -ia(i))
     _assert_entrywise(a + s, shape, lambda i: ia(i) + s)
     _assert_entrywise(a * s, shape, lambda i: ia(i) * s)
     _assert_entrywise(a * ib((0,) * len(shape)), shape, lambda i: ia(i) * ib((0,) * len(shape)))
-    # a divisor containing 0 gives [-inf, inf] where Interval raises
-    _assert_entrywise(a / b, shape, lambda i: Interval(-math.inf, math.inf)
-                      if ib(i).contains_zero() else ia(i) / ib(i))
+    _assert_helpers_entrywise(a.lo, b.lo)
+    _assert_helpers_entrywise(a.hi, b.hi)
+    # for nonnegative operands the upper end of each interval operation is
+    # the helper on upper ends (on the divisor's lower end for a quotient)
+    for i in np.ndindex(*shape):
+        ja, jb = (Interval(abs(x.lo[i]), abs(x.lo[i]) + (x.hi[i] - x.lo[i])) for x in (a, b))
+        assert float(add_hi(ja.hi, jb.hi)).hex() == (ja + jb).hi.hex()
+        assert float(mul_hi(ja.hi, jb.hi)).hex() == (ja * jb).hi.hex()
+        if jb.lo > 0.0:
+            assert float(div_hi(ja.hi, jb.lo)).hex() == (ja / jb).hi.hex()
     if exact:
         assert np.array_equal((a + b).lo, (a + b).hi)
-        assert np.array_equal((a - b).lo, (a - b).hi)
+        assert np.array_equal(add_hi(a.lo, -b.lo), 0.0 - add_hi(-a.lo, b.lo))
     # indexing: a full index gives the Interval, a partial one an IArray
     for idx in np.ndindex(*shape):
         assert isinstance(a[idx], Interval) and _bits(a[idx]) == _bits(ia(idx))
@@ -420,6 +448,78 @@ def test_float_matvec_and_matmat_contain_exact():
         assert Fraction(out_m.lo[i, 2]) <= sm <= Fraction(out_m.hi[i, 2])
 
 
+_MAXF = sys.float_info.max
+# zeros, subnormals, the least normal, ordinary values and huge ones
+_EDGE = [0.0, -0.0, 5e-324, -5e-324, 3e-310, 2.0 ** -1022, 0.1, 1.0, 3.0, -7.5, 1e300,
+         1.7e308, -1.7e308, _MAXF]
+
+
+def _float_floor_ceil(q: Fraction) -> tuple[float, float]:
+    """The largest float <= q and the smallest float >= q (+-inf past the
+    largest float)."""
+    if q > _MAXF:
+        return _MAXF, math.inf
+    if q < -_MAXF:
+        return -math.inf, -_MAXF
+    f = float(q)          # correctly rounded
+    return (f if Fraction(f) <= q else math.nextafter(f, -math.inf),
+            f if Fraction(f) >= q else math.nextafter(f, math.inf))
+
+
+def test_endpoint_helpers_against_the_exact_hull():
+    """Each helper against the exact value in Fractions and against the
+    scalar Interval operation, at zeros of both signs, subnormals, huge and
+    infinite operands, on scalars and on arrays of 1,024 entries and more
+    (which take the bit-pattern step).  A sum's
+    ends are the floats next to the exact sum (TwoSum: an exact sum is a
+    point); a product's and a quotient's are one step outside the
+    rounded value, so the exact value lies strictly inside, within two
+    ulps.  0 * inf gives [-inf, inf], and a divisor <= 0 +inf."""
+    x, y = (np.tile(np.repeat(_EDGE, len(_EDGE)), 6), np.tile(np.tile(_EDGE, len(_EDGE)), 6))
+    assert x.size >= 1024
+    _assert_helpers_entrywise(x[:len(_EDGE) ** 2], y[:len(_EDGE) ** 2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ends = {"+": (0.0 - add_hi(-x, -y), add_hi(x, y)),
+                "*": (0.0 - mul_hi(-x, y), mul_hi(x, y)),
+                "/": (0.0 - div_hi(-x, y), div_hi(x, y))}
+    for k in range(len(_EDGE) ** 2):
+        a, b = float(x[k]), float(y[k])
+        for op, (lo, hi) in ends.items():
+            got = (float(lo[k]), float(hi[k]))
+            scalar = {"+": (0.0 - add_hi(-a, -b), add_hi(a, b)),
+                      "*": (0.0 - mul_hi(-a, b), mul_hi(a, b)),
+                      "/": (0.0 - div_hi(-a, b), div_hi(a, b))}[op]
+            assert tuple(map(float, scalar)) == got, (op, a, b)
+            assert not (got[0] == 0.0 and math.copysign(1.0, got[0]) < 0.0), (op, a, b)
+            if op == "/" and not b > 0.0:
+                assert got == (-math.inf, math.inf), (op, a, b)
+                continue
+            exact = {"+": Fraction(a) + Fraction(b), "*": Fraction(a) * Fraction(b),
+                     "/": Fraction(a) / Fraction(b) if b else None}[op]
+            floor, ceil = _float_floor_ceil(exact)
+            if op == "+":
+                assert got == (floor, ceil), (op, a, b)
+            else:
+                assert got[0] == -math.inf or Fraction(got[0]) < exact, (op, a, b)
+                assert got[1] == math.inf or exact < Fraction(got[1]), (op, a, b)
+                assert math.nextafter(floor, -math.inf) <= got[0], (op, a, b)
+                assert got[1] <= math.nextafter(ceil, math.inf), (op, a, b)
+    inf = math.inf
+    table = [(add_hi(inf, 1.0), 0.0 - add_hi(-inf, -1.0), inf, _MAXF),
+             (mul_hi(0.0, inf), 0.0 - mul_hi(-0.0, inf), inf, -inf),
+             (mul_hi(inf, 2.0), 0.0 - mul_hi(-inf, 2.0), inf, _MAXF),
+             (div_hi(inf, inf), 0.0 - div_hi(-inf, inf), inf, -inf),
+             (div_hi(1.0, inf), 0.0 - div_hi(-1.0, inf), 5e-324, -5e-324),
+             (div_hi(inf, 2.0), 0.0 - div_hi(-inf, 2.0), inf, _MAXF),
+             (div_hi(1.0, 0.0), 0.0 - div_hi(-1.0, 0.0), inf, -inf),
+             (div_hi(-1.0, -0.0), 0.0 - div_hi(1.0, -0.0), inf, -inf),
+             (div_hi(1.0, -2.0), 0.0 - div_hi(-1.0, -2.0), inf, -inf),
+             (div_hi(1.0, math.nan), 0.0 - div_hi(-1.0, math.nan), inf, -inf)]
+    for hi, lo, want_hi, want_lo in table:
+        assert (float(hi), float(lo)) == (want_hi, want_lo)
+
+
 def test_up_helpers_dominate():
     rng = np.random.default_rng(10)
     a = np.abs(rng.normal(size=300))
@@ -465,22 +565,27 @@ def test_up_helpers_saturate_infinite_bounds_silently():
 
 
 def test_iarray_overflow_saturates_as_interval_silently():
-    """Sums, differences and products that overflow saturate entry by
-    entry exactly as the scalar Interval operations do, with no numpy
-    overflow warning."""
-    a = IArray(np.array([1.5e308, -1.5e308, 1e200, 1.7e308]),
-               np.array([1.5e308, 1.6e308, 1e200, 1.7e308]))
-    b = IArray(np.array([1.5e308, 1.5e308, -1e200, 0.0]),
-               np.array([1.6e308, 1.5e308, 1e200, 1e10]))
+    """Sums and products that overflow saturate entry by entry exactly as
+    the scalar Interval operations do, and so do the endpoint helpers'
+    sums, differences, products and quotients of the endpoints (a sum one
+    step below overflow too), with no numpy overflow warning."""
+    big = sys.float_info.max
+    a = IArray(np.array([1.5e308, -1.5e308, 1e200, 1.7e308, big]),
+               np.array([1.5e308, 1.6e308, 1e200, 1.7e308, big]))
+    b = IArray(np.array([1.5e308, 1.5e308, -1e200, 0.0, 1e290]),
+               np.array([1.6e308, 1.5e308, 1e200, 1e10, 1e290]))
     ia = lambda i: Interval(a.lo[i], a.hi[i])
     ib = lambda i: Interval(b.lo[i], b.hi[i])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = {"+": a + b, "-": a - b, "*": a * b}
-        want = {"+": lambda i: ia(i) + ib(i), "-": lambda i: ia(i) - ib(i),
-                "*": lambda i: ia(i) * ib(i)}
+        got = {"+": a + b, "*": a * b}
+        want = {"+": lambda i: ia(i) + ib(i), "*": lambda i: ia(i) * ib(i)}
         for op, g in got.items():
-            _assert_entrywise(g, (4,), want[op])
+            _assert_entrywise(g, (5,), want[op])
+        _assert_helpers_entrywise(a.lo, b.lo)
+        _assert_helpers_entrywise(a.hi, b.hi)
+        _assert_helpers_entrywise(a.hi, 1e-300 * b.hi)
+        assert add_hi(big, 1e290) == math.inf and 0.0 - add_hi(-big, -1e290) == big
         s = IArray.point([1.5e308]) + IArray.point([1.5e308])
     assert (s.lo[0], s.hi[0]) == (sys.float_info.max, math.inf)
 
