@@ -28,7 +28,8 @@ import numpy as np
 from . import cift
 from .errors import (CertificationFailed, ConditionInconclusive, DomainError,
                      SpectrumInconclusive, ValidationFailed)
-from .interval import IArray, Interval, dot_seq, up_dot, up_mul, _dn, _dn2, _up, _up2
+from .interval import (Interval, _dn, _dn2, _sum_bounds, _up, _up2, around, up_dot,
+                       up_mul)
 from .model import (CoralMap, FixedPointReduction, Row1Jet, _bisect, phi_derivs,
                     polyp_density, row1_d2, row1_d3, schur_cohn_inside)
 
@@ -144,8 +145,11 @@ def _quantity(name: str):
 
 
 def _put(lo: np.ndarray, hi: np.ndarray, index, v) -> None:
-    """Store an Interval or IArray at lo/hi[index]."""
-    lo[index], hi[index] = v.lo, v.hi
+    """Store an Interval, or a list of them, at lo/hi[index]."""
+    if isinstance(v, Interval):
+        lo[index], hi[index] = v.lo, v.hi
+    else:
+        lo[index], hi[index] = [e.lo for e in v], [e.hi for e in v]
 
 
 def _qb(coeffs, v) -> tuple:
@@ -156,12 +160,11 @@ def _qb(coeffs, v) -> tuple:
     return qv, bv
 
 
-def _d2_row(coral: CoralMap, lam: Interval, phis, bx: Interval, y) -> IArray:
+def _d2_row(coral: CoralMap, lam: Interval, phis, bx: Interval, y) -> list:
     """lam * D^2 g[y, e_k] for k = 1..d: row 1 of the x-derivative of
     D_x f y, in O(d) from q.y and b.y."""
     qy, by = _qb(coral.ci, y)
-    return IArray.from_scalars(lam * row1_d2(phis, bx, qy, by, qk, bk)
-                               for qk, bk in zip(coral.ci.q, coral.ci.b))
+    return [lam * row1_d2(phis, bx, qy, by, qk, bk) for qk, bk in zip(coral.ci.q, coral.ci.b)]
 
 
 def _row1_jvp(coral: CoralMap, lam, x, coeffs, *vecs) -> list:
@@ -174,9 +177,9 @@ def _row1_jvp(coral: CoralMap, lam, x, coeffs, *vecs) -> list:
     return [sum((gj * vj for gj, vj in zip(g1, v)), 0.0 * lam) * lam for v in vecs]
 
 
-def _g1_dot(jet: Row1Jet, y: IArray) -> Interval:
+def _g1_dot(jet: Row1Jet, y: list[Interval]) -> Interval:
     """Dg[y] = sum_j g1_j y_j over the jet's box, summed in j order."""
-    return dot_seq(jet.g1.lo, jet.g1.hi, y.lo, y.hi, start=Interval(0.0))
+    return sum((gj * yj for gj, yj in zip(jet.g1, y)), Interval(0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +212,7 @@ class _PointSystem:
         self.d = coral.d
 
     def split(self, z) -> tuple:
-        """The variables of z (array, scalar list or IArray) in slot order."""
+        """The variables of z (array or scalar list) in slot order."""
         return tuple(z[s] for s in self.slots)
 
     def join(self, *parts) -> np.ndarray:
@@ -224,8 +227,8 @@ class _PointSystem:
     def value(self, z: np.ndarray) -> np.ndarray:
         return np.array(self.value_scalars(np.asarray(z, dtype=float), self.coral.cf))
 
-    def value_iv(self, z: IArray) -> IArray:
-        return IArray.from_scalars(self.value_scalars(z.to_scalars(), self.coral.ci))
+    def value_iv(self, z: list[Interval]) -> list[Interval]:
+        return self.value_scalars(z, self.coral.ci)
 
     def value_scalars(self, z: list, coeffs) -> list:
         """Generic-scalar evaluation (drives interval and mpmath paths):
@@ -262,27 +265,35 @@ class _PointSystem:
         self._own_jac(J, parts)
         return J
 
-    def jac_iv(self, z: IArray) -> IArray:
-        parts, Z = self.split(z.to_scalars()), self.split(z)
+    def jac_iv(self, z: list[Interval]) -> tuple[np.ndarray, np.ndarray]:
+        parts = self.split(z)
         d, lam = self.d, parts[self._lam]
-        jet = self.coral.row1_jet(Z[self._x], order=2)
+        jet = self.coral.row1_jet(parts[self._x], order=2)
         phis, bx = jet.phis, jet.bx
-        A = self.coral.jac_x_iv(lam, jet)
+        Alo, Ahi = self.coral.jac_x_iv(lam, jet)
+        i = np.arange(d)
+
+        def shifted(c: Interval) -> tuple:
+            """D_x f - cI, the diagonal rounded as `Interval.__sub__` rounds."""
+            lo, hi = Alo.copy(), Ahi.copy()
+            lo[i, i], hi[i, i] = _sum_bounds(lo[i, i], hi[i, i], -c.hi, -c.lo)
+            return lo, hi
+
         c = self._shift(parts)
-        AmI = A.shifted(1.0)
-        AmC = AmI if c is None else A.shifted(c)
+        AmI = shifted(Interval(1.0))
+        AmC = AmI if c is None else shifted(c)
         lo, hi = np.zeros((self.dim, self.dim)), np.zeros((self.dim, self.dim))
         sx, sl = self.slots[self._x], self.slots[self._lam]
-        _put(lo, hi, (np.s_[:d], sx), AmI)
+        lo[:d, sx], hi[:d, sx] = AmI
         _put(lo, hi, (0, sl), phis[0] * bx)
-        for i, k in enumerate(self._eig, 1):
-            _put(lo, hi, (i * d, sx), _d2_row(self.coral, lam, phis, bx, parts[k]))
-            _put(lo, hi, (i * d, sl), _g1_dot(jet, Z[k]))
-            _put(lo, hi, (np.s_[i * d:(i + 1) * d], self.slots[k]), AmC)
-        self._own_jac_iv(lo, hi, parts, Z)
-        return IArray(lo, hi)
+        for j, k in enumerate(self._eig, 1):
+            _put(lo, hi, (j * d, sx), _d2_row(self.coral, lam, phis, bx, parts[k]))
+            _put(lo, hi, (j * d, sl), _g1_dot(jet, parts[k]))
+            lo[j * d:(j + 1) * d, self.slots[k]], hi[j * d:(j + 1) * d, self.slots[k]] = AmC
+        self._own_jac_iv(lo, hi, parts)
+        return lo, hi
 
-    def hessian_sup(self, box: IArray) -> np.ndarray:
+    def hessian_sup(self, box: list[Interval]) -> np.ndarray:
         parts, m = self.split(box), self.dim
         rb = self.coral.row1_bounds(parts[self._lam], parts[self._x])
         T = np.zeros((m, m, m))
@@ -291,7 +302,7 @@ class _PointSystem:
         T[0, sx, sx] = lg2
         T[0, sl, sx] = T[0, sx, sl] = rb.g1
         for i, k in enumerate(self._eig, 1):
-            r, sy, ymag = i * self.d, self.slots[k], parts[k].mag
+            r, sy, ymag = i * self.d, self.slots[k], np.array([v.mag for v in parts[k]])
             T[r, sx, sx] = up_mul(rb.lam_mag, rb.g3_contracted(ymag))
             T[r, sl, sx] = T[r, sx, sl] = up_mul(up_dot(ymag, rb.g2), 1.0)
             T[r, sy, sx] = lg2          # d2/dy_j dx_k = lam*g2[j,k]
@@ -347,22 +358,22 @@ class NsSystem(_PointSystem):
         J[3 * d + 1, sw] = 2 * w
         J[3 * d + 2, su] = 2 * u
 
-    def _own_jac_iv(self, lo: np.ndarray, hi: np.ndarray, parts, Z) -> None:
+    def _own_jac_iv(self, lo: np.ndarray, hi: np.ndarray, parts) -> None:
         d = self.d
-        *_, a, b = parts
-        _, _, W, U, _, _ = Z
+        *_, w, u, a, b = parts
         _, _, sw, su, sa, sb = self.slots
         r2, r3, i = slice(d, 2 * d), slice(2 * d, 3 * d), np.arange(d)
+        neg_w, neg_u = [-e for e in w], [-e for e in u]
         _put(lo, hi, (d + i, su.start + i), b)
-        _put(lo, hi, (r2, sa), -W)
-        _put(lo, hi, (r2, sb), U)
+        _put(lo, hi, (r2, sa), neg_w)
+        _put(lo, hi, (r2, sb), u)
         _put(lo, hi, (2 * d + i, sw.start + i), -b)
-        _put(lo, hi, (r3, sa), -U)
-        _put(lo, hi, (r3, sb), -W)
+        _put(lo, hi, (r3, sa), neg_u)
+        _put(lo, hi, (r3, sb), neg_w)
         _put(lo, hi, (3 * d, sa), 2.0 * a)
         _put(lo, hi, (3 * d, sb), 2.0 * b)
-        _put(lo, hi, (3 * d + 1, sw), W * 2.0)
-        _put(lo, hi, (3 * d + 2, su), U * 2.0)
+        _put(lo, hi, (3 * d + 1, sw), [e * 2.0 for e in w])
+        _put(lo, hi, (3 * d + 2, su), [e * 2.0 for e in u])
 
     def _own_hessian(self, T: np.ndarray) -> None:
         d = self.d
@@ -409,8 +420,8 @@ class SnSystem(_PointSystem):
     def _own_jac(self, J: np.ndarray, parts) -> None:
         J[2 * self.d, self.slots[1]] = 2 * parts[1]
 
-    def _own_jac_iv(self, lo: np.ndarray, hi: np.ndarray, parts, Z) -> None:
-        _put(lo, hi, (2 * self.d, self.slots[1]), Z[1] * 2.0)
+    def _own_jac_iv(self, lo: np.ndarray, hi: np.ndarray, parts) -> None:
+        _put(lo, hi, (2 * self.d, self.slots[1]), [e * 2.0 for e in parts[1]])
 
     def _own_hessian(self, T: np.ndarray) -> None:
         vc = self.slots[1].start + np.arange(self.d)
@@ -644,18 +655,18 @@ class NsBoxData:
     r: list[CI]          # r = conj(p), normalized so that <p, q> = r^t q = 1
 
 
-def ns_box_data(coral: CoralMap, box: IArray, A1: list, jet: Row1Jet) -> NsBoxData:
+def ns_box_data(coral: CoralMap, box: list[Interval], A1: list, jet: Row1Jet) -> NsBoxData:
     """The NS condition data over a certified box, given the order-3 row-1
     jet of its x part and row 1 of D_x f built from it; r is the left
     eigenvector of D_x f for e^{i theta0} = a + ib (`leslie_left`)."""
-    _, lam, w, u, a, b = NsSystem(coral).split(box.to_scalars())
+    _, lam, w, u, a, b = NsSystem(coral).split(box)
     q = [CI(ui, -wi) for ui, wi in zip(u, w)]
     with _quantity("r^t A = e^{i theta0} r^t"):
         r = leslie_left([CI(aj) for aj in A1], coral.params.S, CI(a, b))
     with _quantity("<p, q>"):
         z = sum((ri * qi for ri, qi in zip(r, q)), CI(0.0))
         r = [ri / z for ri in r]
-    return NsBoxData(lam=lam, a=a, b=b, A1=A1, g1=jet.g1.to_scalars(),
+    return NsBoxData(lam=lam, a=a, b=b, A1=A1, g1=jet.g1,
                      phis=jet.phis, bx=jet.bx, q=q, r=r)
 
 
@@ -668,7 +679,7 @@ def ns_condition_c_pair(coral: CoralMap, data: NsBoxData) -> tuple[Interval, Int
     # x0'(lambda) = -(A - I)^{-1} D_lambda f = (I - A)^{-1} (phi b.x) e_1
     with _quantity("x0'(lambda)"):
         x0p = leslie_resolvent(data.A1, coral.params.S, data.phis[0] * data.bx)
-    chain = _d2_row(coral, data.lam, data.phis, data.bx, x0p).to_scalars()
+    chain = _d2_row(coral, data.lam, data.phis, data.bx, x0p)
     pref = CI(data.a, -data.b) * data.r[0]
 
     def contract(row: list[Interval]) -> Interval:
@@ -679,7 +690,7 @@ def ns_condition_c_pair(coral: CoralMap, data: NsBoxData) -> tuple[Interval, Int
     return total, explicit
 
 
-def ns_condition_d(coral: CoralMap, box: IArray) -> tuple[Interval, dict[str, bool]]:
+def ns_condition_d(coral: CoralMap, box: list[Interval]) -> tuple[Interval, dict[str, bool]]:
     """Resonance exclusion: theta0 avoids the k-th roots of unity, k <= 4.
 
     Returns the enclosure of theta0 in degrees plus per-angle verdicts
@@ -727,14 +738,14 @@ def certify_ns(coral: CoralMap, anchor: np.ndarray | None = None,
     (a, b), verified spectrum count, and interval conditions (c), (d), (e)."""
     ns = NsSystem(coral)
 
-    def orientation(box: IArray) -> None:
+    def orientation(box: list[Interval]) -> None:
         *_, a_iv, b_iv = ns.split(box)
         if not b_iv.lo > 0.0:
             raise CertificationFailed("stage orientation: sin(theta0) not verified positive")
         if 1.0 not in a_iv.sqr() + b_iv.sqr():
             raise CertificationFailed("stage orientation: a^2 + b^2 enclosure misses 1")
 
-    def conditions(box: IArray, A1: list, jet: Row1Jet) -> tuple[dict, dict]:
+    def conditions(box: list[Interval], A1: list, jet: Row1Jet) -> tuple[dict, dict]:
         data = ns_box_data(coral, box, A1, jet)
         cond_c, cond_c_explicit = ns_condition_c_pair(coral, data)
         theta, angle_checks = ns_condition_d(coral, box)
@@ -763,7 +774,7 @@ def certify_ns(coral: CoralMap, anchor: np.ndarray | None = None,
 # ---------------------------------------------------------------------------
 
 
-def sn_conditions(coral: CoralMap, box: IArray, A1: list,
+def sn_conditions(coral: CoralMap, box: list[Interval], A1: list,
                   jet: Row1Jet) -> tuple[Interval, Interval]:
     """(c) p^t D_lambda f and (d) p^t B(q, q) over the certified box, with
     q = v and p normalized so that p^t q = 1; `jet` is the order-2 row-1
@@ -775,7 +786,7 @@ def sn_conditions(coral: CoralMap, box: IArray, A1: list,
     The certified kernel vector fixes an arbitrary sign; the returned
     values use the orientation that makes (c) negative (only the product
     (c)*(d) is orientation invariant)."""
-    _, v, lam = SnSystem(coral).split(box.to_scalars())
+    _, v, lam = SnSystem(coral).split(box)
     phis, bx = jet.phis, jet.bx
     r = leslie_left(A1, coral.params.S)
     with _quantity("p^t q"):
@@ -795,7 +806,7 @@ def certify_sn(coral: CoralMap, anchor: np.ndarray | None = None,
     """Saddle-node certification: CIFT zero of H_sn, simple-eigenvalue-1
     verification, and interval conditions (c), (d)."""
 
-    def conditions(box: IArray, A1: list, jet: Row1Jet) -> tuple[dict, dict]:
+    def conditions(box: list[Interval], A1: list, jet: Row1Jet) -> tuple[dict, dict]:
         cond_c, cond_d = sn_conditions(coral, box, A1, jet)
         if cond_c.contains_zero():
             raise CertificationFailed(f"stage condition (c): interval {cond_c} contains 0")
@@ -832,13 +843,13 @@ def _certify(system: "NsSystem | SnSystem", anchor: np.ndarray, ell: float,
     except (ValidationFailed, DomainError) as exc:
         raise CertificationFailed(f"stage cift: {exc}") from exc
     anchor = np.asarray(anchor, float)
-    box = IArray.around(anchor, base.delta_accuracy)
+    box = around(anchor, base.delta_accuracy)
     if orientation is not None:
         orientation(box)
 
     x_box, lam_iv = system.x_lam(box)
     jet = coral.row1_jet(x_box, order=system.jet_order)
-    A1 = (jet.g1 * lam_iv).to_scalars()
+    A1 = [g * lam_iv for g in jet.g1]
     try:
         inside = verified_spectrum_inside_disk(A1, coral.ci.a,
                                                system._shift(system.split(box)))
@@ -865,8 +876,8 @@ def _certify(system: "NsSystem | SnSystem", anchor: np.ndarray, ell: float,
     return BifCertificate(
         kind=system.kind,
         anchor=tuple(float(v) for v in anchor),
-        enclosure_lo=tuple(float(v) for v in box.lo),
-        enclosure_hi=tuple(float(v) for v in box.hi),
+        enclosure_lo=tuple(v.lo for v in box),
+        enclosure_hi=tuple(v.hi for v in box),
         delta_accuracy=base.delta_accuracy,
         delta_uniqueness=base.delta_uniqueness,
         conditions=conds,

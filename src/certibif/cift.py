@@ -6,8 +6,9 @@ A *zero problem* is any object with
     dim            -- ambient dimension m
     value(z)       -- float residual, shape (m,)
     jac(z)         -- float Jacobian, shape (m, m)
-    value_iv(ziv)  -- interval residual (1-D IArray in and out)
-    jac_iv(ziv)    -- interval Jacobian (2-D IArray)
+    value_iv(ziv)  -- interval residual (a list of m Intervals in and out)
+    jac_iv(ziv)    -- interval Jacobian at a list of m Intervals, as the
+                      endpoint arrays (lo, hi), each of shape (m, m)
     hessian_sup(box) -- nonnegative float array T of shape (m, m, m), +inf
                         allowed, T[i, k, j] >= sup_box |d2 H_i / dz_k dz_j|
     name           -- short identifier for certificates
@@ -31,8 +32,8 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from .errors import NotInvertibleEvidence, ValidationFailed
-from .interval import (_EPS, _TINY, IArray, Interval, _aup, _gamma, _sum_bounds, add_hi,
-                       div_hi, float_matmat, mul_hi, norm_inf, up_mul, up_sum)
+from .interval import (_EPS, _TINY, Interval, _aup, _gamma, _sum_bounds, add_hi, around,
+                       div_hi, float_matmat, mid_rad, mul_hi, up_mul, up_sum)
 
 
 @dataclass(frozen=True)
@@ -118,8 +119,9 @@ def preconditioner_hash(B: np.ndarray) -> str:
 
 def residual_bound(problem, z0: np.ndarray, B: np.ndarray) -> float:
     """Upper bound of |B H(z0)|_inf."""
-    r = problem.value_iv(IArray.point(np.asarray(z0, dtype=float)))
-    return norm_inf(float_matmat(B, r)).hi
+    r = problem.value_iv([Interval(v) for v in np.asarray(z0, dtype=float).tolist()])
+    lo, hi = float_matmat(B, [v.lo for v in r], [v.hi for v in r])
+    return float(np.maximum(np.abs(lo), np.abs(hi)).max())
 
 
 def _below_one(rho1):
@@ -135,21 +137,14 @@ def _below_one(rho1):
     return rho1
 
 
-def neumann_rho(A: IArray, B: np.ndarray):
-    """Upper bound rho1 of |I - B A| for every A in the enclosure, verified
-    < 1 in interval arithmetic (so A and B are invertible); otherwise
-    raises NotInvertibleEvidence.  The bound is the largest row sum of
-    |BA - I|, whose diagonal shift rounds as TwoSum does, so entries whose
-    difference is exact stay exact.  Stacked A and B give one bound per
-    matrix."""
-    return _below_one(up_sum(float_matmat(B, A).shifted(1.0).mag, axis=-1).max(axis=-1))
-
-
 def neumann_rho_rows(B: np.ndarray, m: np.ndarray, R_rows: np.ndarray):
-    """`neumann_rho` for a stack of enclosures in midpoint-radius form: m
-    (n, k, k) the midpoints and R_rows (n, k) upper bounds of the row sums
-    of a radius R >= gamma_k |m| + r (`interval.mid_rad`), so that a row
-    of A that is the same for every matrix of the stack costs one
+    """Upper bound rho1 of |I - B A| for every A in an enclosure, verified
+    < 1 (so A and B are invertible); otherwise raises
+    NotInvertibleEvidence.  The enclosure is in midpoint-radius form: m
+    (k, k) the midpoints and R_rows (k,) upper bounds of the row sums of a
+    radius R >= gamma_k |m| + r (`interval.mid_rad`).  Leading axes stack
+    independent enclosures and preconditioners, one bound each, so that a
+    row of A that is the same for every matrix of the stack costs one
     precomputed number.
 
     Row-sum error model.  B A lies in c +- (|B| R + underflow) with c =
@@ -177,9 +172,9 @@ def neumann_rho_rows(B: np.ndarray, m: np.ndarray, R_rows: np.ndarray):
 
 def neumann_K(rho1, B: np.ndarray):
     """Neumann-series bound K >= |A^{-1}| = |B| / (1 - rho1), given a
-    verified |I - B A| <= rho1 < 1 from `neumann_rho` or
-    `neumann_rho_rows`, one entry per matrix of the stack (0-d for a single
-    matrix), rounded up over 1 - rho1 rounded down."""
+    verified |I - B A| <= rho1 < 1 from `neumann_rho_rows`, one entry per
+    matrix of the stack (0-d for a single matrix), rounded up over 1 -
+    rho1 rounded down."""
     rho2 = up_sum(np.abs(B), axis=-1).max(axis=-1)
     return div_hi(rho2, 0.0 - add_hi(-1.0, rho1))
 
@@ -204,8 +199,7 @@ def lipschitz_from_tensor(T: np.ndarray, absB: np.ndarray) -> float:
 
 def lipschitz_L1(problem, z0: np.ndarray, ell: float, absB: np.ndarray) -> float:
     """Lipschitz bound for B DH over z0 +- ell, given |B|."""
-    box = IArray.around(np.asarray(z0, dtype=float), ell)
-    return lipschitz_from_tensor(problem.hessian_sup(box), absB)
+    return lipschitz_from_tensor(problem.hessian_sup(around(z0, ell)), absB)
 
 
 def _accuracy(K, rho, L1):
@@ -362,7 +356,7 @@ def check_deltas(b: CiftBounds, delta_alpha) -> tuple[np.ndarray, DeltaPair]:
             raise ValueError(f"{f.name} must be nonnegative")
     p = _Probe.of(b, np.asarray(delta_alpha, dtype=float))
     ceiling = _dx_ceiling(p)
-    ok = (p.gate < 1.0) & (p.delta_min < b.ell_x) & _alpha_feasible(p, ceiling)
+    ok = (p.gate < 1.0) & _alpha_feasible(p, ceiling)
     dx, pair_ok = _largest_dx(p, ceiling)
     return ok & pair_ok, DeltaPair(delta_alpha=p.da, delta_x=dx, delta_min=p.delta_min)
 
@@ -388,13 +382,14 @@ def validate_zero(problem, z0: np.ndarray, ell: float = 1e-6) -> Certificate:
 
     L1 = lipschitz_L1(problem, z0, ell, np.abs(B))
     rho = residual_bound(problem, z0, B)
-    J = problem.jac_iv(IArray.point(z0))
-    bad = int(np.count_nonzero(~(np.isfinite(J.lo) & np.isfinite(J.hi))))
+    lo, hi = problem.jac_iv([Interval(v) for v in z0.tolist()])
+    bad = int(np.count_nonzero(~(np.isfinite(lo) & np.isfinite(hi))))
     if bad:
         raise ValidationFailed(f"(H2) failed: anchor Jacobian enclosure has {bad} "
                                f"non-finite entries")
+    m, R = mid_rad(lo, hi, _gamma(problem.dim)[0])
     try:
-        K = float(neumann_K(neumann_rho(J, B), np.eye(problem.dim)))
+        K = float(neumann_K(neumann_rho_rows(B, m, up_sum(R, axis=-1)), np.eye(problem.dim)))
     except NotInvertibleEvidence as exc:
         raise ValidationFailed(f"(H2) failed: {exc}") from exc
 

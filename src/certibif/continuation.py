@@ -40,7 +40,7 @@ import numpy as np
 from . import cift
 from .errors import (CorrectorFailed, NotInvertibleEvidence, TangentUndefined,
                      ValidationFailed)
-from .interval import (_EPS, _TINY, IArray, Interval, MidRad, _adn, _aup, _gamma, add_hi,
+from .interval import (_EPS, _TINY, Interval, MidRad, _adn, _aup, _gamma, add_hi,
                        div_hi, float_matmat, gamma_rad, mid_rad, mul_hi, up_mul, up_sum)
 from .model import CoralMap, FixedPointReduction, phi_derivs, schur_cohn_inside
 
@@ -63,7 +63,7 @@ class CoralBranchSystem:
         # the constant entries of D_u F: s_j/s_0 scales row 1, and the
         # subdiagonal is S_k s_k/s_{k+1}
         r0 = s / s[0]
-        self._ratio0_mr = MidRad.of(IArray(_adn(r0), _aup(r0)))
+        self._ratio0_mr = MidRad.of((_adn(r0), _aup(r0)))
         # the M bounds' scalings of row 1's gradient and Hessian
         self._ratio0 = r0
         self._Sqq, self._Sqb = coral.hessian_weights(up_mul(np.outer(s, s) / s[0], 1.0))
@@ -71,14 +71,13 @@ class CoralBranchSystem:
         r1 = s[:-1] / s[1:]
         k = np.arange(self.d - 1)
         # rows 2..d of [D_t F | D_u F]: the subdiagonal S_k s_k/s_{k+1} and -1
-        # on the diagonal, as floats and enclosed
+        # on the diagonal, as floats and enclosed (S >= 0)
         rows = np.zeros((self.d - 1, self.d + 1))
         rows[k, k + 1] = S * s[:-1] / s[1:]
-        sub = IArray(_adn(r1), _aup(r1)) * S
         lo, hi = np.zeros((self.d - 1, self.d + 1)), np.zeros((self.d - 1, self.d + 1))
-        lo[k, k + 1], hi[k, k + 1] = sub.lo, sub.hi
+        lo[k, k + 1], hi[k, k + 1] = _adn(_adn(r1) * S), _aup(_aup(r1) * S)
         rows[k, k + 2] = lo[k, k + 2] = hi[k, k + 2] = -1.0
-        self.rows = ConstantRows(rows, IArray(lo, hi))
+        self.rows = ConstantRows(rows, lo, hi)
         self._S = S
         self._ct_iv = Interval.point(self.rscale) / coral.ci.ba   # dlambda/dt
         self._ct_mr = MidRad.of(self._ct_iv)
@@ -167,15 +166,15 @@ class ConstantRows:
     which are the same at every anchor of a branch system: its rows of
     [D_t F | D_u F] below the first (for the coral system [0 | S_k s_k /
     s_(k+1) subdiagonal - I]).  `float` holds them in floats; `mid` and
-    `R` split their enclosure `iv` as `interval.mid_rad` does for a
-    product of d + 1 terms, and `R_rows` bounds the row sums of R.
+    `R` split their enclosure lo <= rows <= hi as `interval.mid_rad` does
+    for a product of d + 1 terms, and `R_rows` bounds the row sums of R.
     `P_inv` is the float inverse of P' = [e_0; e_1; float], taken once
     (lower bidiagonal for the coral system)."""
 
-    def __init__(self, rows: np.ndarray, iv: IArray):
-        self.float, self.iv = rows, iv
+    def __init__(self, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        self.float = rows
         k = rows.shape[-1]
-        self.mid, self.R = mid_rad(iv.lo, iv.hi, _gamma(k)[0])
+        self.mid, self.R = mid_rad(lo, hi, _gamma(k)[0])
         self.R_rows = up_sum(self.R, axis=-1)
         P = np.eye(k)
         P[2:] = rows
@@ -520,7 +519,7 @@ def check_link(tau: np.ndarray, delta_alpha, delta_u, alpha, corr_norm, next_del
     + |D| < delta_alpha and that bound on |w| < delta_u make it the CIFT's
     unique zero on box k's tube.  Every term rounds up (|dir|_2^2 down)."""
     norm1 = up_sum(np.abs(tau), axis=-1)
-    norm2sq = float_matmat(tau[:, None, :], IArray.point(tau[:, :, None])).lo[:, 0, 0]
+    norm2sq = float_matmat(tau[:, None, :], tau[:, :, None], tau[:, :, None])[0][:, 0, 0]
     e = add_hi(slack, next_delta_min)
     D = div_hi(add_hi(residual, mul_hi(norm1, e)), norm2sq)
     lhs1 = add_hi(np.abs(alpha), D)
@@ -719,7 +718,8 @@ def _links(tip: BranchBox, wave: _Wave, boxes: list[BranchBox]) -> tuple:
     alpha = (tau * dz).sum(axis=1) / (tau * tau).sum(axis=1)
     corr = dz - alpha[:, None] * tau
     gap = _anchor_rounding_gap(z[:-1], alpha, tau, corr, z[1:])
-    residual = float_matmat(tau[:, None, :], IArray.point(corr[:, :, None])).mag[:, 0, 0]
+    lo, hi = float_matmat(tau[:, None, :], corr[:, :, None], corr[:, :, None])
+    residual = np.maximum(np.abs(lo), np.abs(hi))[:, 0, 0]
     corr_norm = np.abs(corr).max(axis=1)
     prev = [tip] + boxes[:-1]
     return alpha, corr_norm, check_link(

@@ -1,12 +1,11 @@
-"""Outward-rounded interval arithmetic on scalars and arrays.
+"""Outward-rounded interval arithmetic: scalars and midpoint-radius stacks.
 
-`Interval` is an inf-sup pair of floats.  `IArray` is one array type for
-vectors, matrices and stacks of either: a pair of numpy endpoint arrays
-whose shape says which, rounded entry by entry as `Interval` rounds, so
-that the linear algebra used by the validation machinery (residuals,
-preconditioned Jacobians, Neumann bounds) stays cheap in dimensions up to
-~50.  `MidRad` is a stack in midpoint-radius form, for whole formulas run
-on many rows at once (the branch's row-1 jet, through to its bounds).
+Two types: `Interval`, an inf-sup pair of floats, for one point or box (a
+vector is a list of them, as `around` gives it), and `MidRad`, a stack in
+midpoint-radius form, for whole formulas run on many rows at once (the
+branch's row-1 jet, through to its bounds).  Matrices of endpoints are
+plain numpy arrays: `float_matmat(B, lo, hi)` takes the enclosure lo <= A
+<= hi and returns the endpoint arrays of B A.
 
 Rounding model: IEEE basic operations (+, -, *, /, sqrt) are correctly
 rounded to nearest, with gradual underflow, so one ``nextafter`` step past
@@ -27,9 +26,9 @@ underflow terms added up (`cift.neumann_rho_rows`).
 A monotone formula of operands of known sign (nonnegative bounds summed,
 multiplied, divided by positive ones) takes the upper end of its interval
 evaluation from its operands' upper ends, one rounding step per operation
-(`add_hi`, `mul_hi`, `div_hi`, bit for bit as `Interval` and `IArray`).
-By the symmetry of rounding a lower end is 0.0 - add_hi(-a, -b) or 0.0 -
-mul_hi(-a, b), +0.0 at zero as in every `Interval` and `IArray` sum.
+(`add_hi`, `mul_hi`, `div_hi`, bit for bit as `Interval`).  By the
+symmetry of rounding a lower end is 0.0 - add_hi(-a, -b) or 0.0 -
+mul_hi(-a, b), +0.0 at zero as in every `Interval` sum.
 
 `MidRad` takes the same model operation by operation (Rump, "Fast and
 parallel interval arithmetic", BIT 39, 1999): the midpoint is rounded to
@@ -50,7 +49,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 
@@ -272,8 +271,14 @@ class Interval:
         return Interval(max(0.0, _dn(m * m)), _up(self.mag * self.mag))
 
 
+def around(x, rad: float) -> list[Interval]:
+    """The box x +- rad about a float vector x, one Interval an entry,
+    each end one step outside its rounding."""
+    return [Interval(_dn(v - rad), _up(v + rad)) for v in np.asarray(x, dtype=float).tolist()]
+
+
 # ---------------------------------------------------------------------------
-# numpy-backed interval arrays
+# endpoint arrays
 # ---------------------------------------------------------------------------
 
 
@@ -301,157 +306,10 @@ def div_hi(a, b):
         return _saturate(np.where(b > 0.0, _aup(np.divide(a, b)), _INF))
 
 
-def _mul_bounds(alo, ahi, blo, bhi):
-    """Endpoint bounds of the elementwise interval product (broadcasting);
-    an overflowing product saturates, as in `Interval.__mul__`."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        if blo is bhi:           # a point factor: two candidates, as four would give
-            p1, p3 = alo * blo, ahi * blo
-            lo, hi = np.minimum(p1, p3), np.maximum(p1, p3)
-        else:
-            p1, p2, p3, p4 = alo * blo, alo * bhi, ahi * blo, ahi * bhi
-            lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
-            hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-    bad = np.isnan(lo)  # 0 * inf overflow pathology (NaN propagates): saturate
-    if bad.any():
-        lo = np.where(bad, -_INF, lo)
-        hi = np.where(bad, _INF, hi)
-    return _adn(lo), _aup(hi)
-
-
 def _sum_bounds(alo, ahi, blo, bhi):
     """Endpoint bounds of the elementwise interval sum, two `add_hi` calls
     rounded as `Interval.__add__` rounds."""
     return 0.0 - add_hi(np.negative(alo), np.negative(blo)), add_hi(ahi, bhi)
-
-
-def dot_seq(alo, ahi, blo, bhi, start=None) -> Interval:
-    """Interval dot product of two endpoint vectors: the products as one
-    elementwise call, then summed in index order after `start` (the first
-    product when None), exactly as the scalar loop `start + a[0]*b[0] +
-    a[1]*b[1] + ...` rounds."""
-    plo, phi_ = _mul_bounds(alo, ahi, blo, bhi)
-    if start is None:
-        lo, hi, plo, phi_ = float(plo[0]), float(phi_[0]), plo[1:], phi_[1:]
-    else:
-        lo, hi = start.lo, start.hi
-    for pl, ph in zip(plo.tolist(), phi_.tolist()):
-        lo, hi = _sum_dn(lo, pl), _sum_up(hi, ph)
-    return Interval(lo, hi)
-
-
-class IArray:
-    """An array of intervals as a pair of endpoint arrays; the shape
-    carries the meaning.  The last axis is a vector, the last two a matrix,
-    and leading axes stack independent vectors or matrices.  Entry i of
-    every elementwise result equals the scalar `Interval` operation on
-    entry i bit for bit (TwoSum sums, outward-stepped products; no
-    quotients).  Stacks that run a whole formula take `MidRad` instead.
-    The constructor rejects NaN and inverted endpoints; results of the
-    arithmetic are valid by construction and skip that check.  NaN
-    candidates saturate to [-inf, inf]."""
-
-    __slots__ = ("lo", "hi")
-    __array_ufunc__ = None       # numpy operands defer to the reflected operators
-
-    def __init__(self, lo, hi):
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        if lo.shape != hi.shape:
-            raise DomainError("endpoint shape mismatch")
-        if not (lo <= hi).all():         # also False at NaN endpoints
-            raise DomainError("invalid endpoints")
-        self.lo = lo
-        self.hi = hi
-
-    @staticmethod
-    def _of(lo, hi) -> "IArray":
-        """The IArray of endpoints that are valid by construction."""
-        x = object.__new__(IArray)
-        x.lo = np.asarray(lo, dtype=float)
-        x.hi = np.asarray(hi, dtype=float)
-        return x
-
-    @staticmethod
-    def point(x) -> "IArray":
-        """x as a point array; lo and hi are one array, so copy it before
-        writing endpoints in place."""
-        x = np.asarray(x, dtype=float)
-        return IArray(x, x)
-
-    @staticmethod
-    def around(x, rad) -> "IArray":
-        return IArray.point(x).widened(rad)
-
-    @staticmethod
-    def from_scalars(vals: Iterable[Interval]) -> "IArray":
-        vals = list(vals)
-        return IArray._of([v.lo for v in vals], [v.hi for v in vals])
-
-    def to_scalars(self) -> list[Interval]:
-        return [Interval(l, h) for l, h in zip(self.lo.tolist(), self.hi.tolist())]
-
-    @staticmethod
-    def _ends(x):
-        if isinstance(x, (IArray, Interval)):
-            return x.lo, x.hi
-        return x, x
-
-    def __getitem__(self, idx) -> "Interval | IArray":
-        """numpy indexing; a single entry is an `Interval`."""
-        lo, hi = self.lo[idx], self.hi[idx]
-        if np.ndim(lo) == 0:
-            return Interval(lo, hi)
-        return IArray._of(lo, hi)
-
-    def __repr__(self) -> str:
-        return f"IArray(lo={self.lo!r}, hi={self.hi!r})"
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.lo.shape
-
-    @property
-    def mid(self) -> np.ndarray:
-        return 0.5 * (self.lo + self.hi)
-
-    @property
-    def mag(self) -> np.ndarray:
-        """Entrywise upper bound of |x| (exact)."""
-        return np.maximum(np.abs(self.lo), np.abs(self.hi))
-
-    @property
-    def T(self) -> "IArray":
-        """The last two axes swapped."""
-        return IArray._of(np.swapaxes(self.lo, -1, -2), np.swapaxes(self.hi, -1, -2))
-
-    def __neg__(self) -> "IArray":
-        return IArray._of(-self.hi, -self.lo)
-
-    def __add__(self, other) -> "IArray":
-        blo, bhi = self._ends(other)
-        return IArray._of(*_sum_bounds(self.lo, self.hi, blo, bhi))
-
-    __radd__ = __add__
-
-    def __mul__(self, other) -> "IArray":
-        blo, bhi = self._ends(other)
-        return IArray._of(*_mul_bounds(self.lo, self.hi, blo, bhi))
-
-    __rmul__ = __mul__
-
-    def shifted(self, s: ScalarLike) -> "IArray":
-        """self - s I on the last two axes, the diagonal rounded as
-        `Interval.__sub__` rounds, so diagonal entries that stay exact stay
-        points."""
-        slo, shi = self._ends(s)
-        lo, hi = self.lo.copy(), self.hi.copy()
-        i = np.arange(self.shape[-1])
-        lo[..., i, i], hi[..., i, i] = _sum_bounds(lo[..., i, i], hi[..., i, i], -shi, -slo)
-        return IArray._of(lo, hi)
-
-    def widened(self, rad) -> "IArray":
-        return IArray(_adn(self.lo - rad), _aup(self.hi + rad))
 
 
 @functools.lru_cache(maxsize=64)
@@ -491,11 +349,10 @@ def gamma_rad(m: np.ndarray, r, gamma: float) -> np.ndarray:
         return np.where((m == 0.0) & (r == 0.0), 0.0, _aup(_aup(gamma * np.abs(m)) + r))
 
 
-def float_matmat(B: np.ndarray, A: IArray) -> IArray:
-    """Rigorous product of a float matrix with the interval matrix in A's
-    last two axes; a 1-D A is one column and gives a 1-D result, as in
-    `np.matmul`.  A @ B for interval A and float B is
-    float_matmat(B.T, A.T).T.
+def float_matmat(B: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rigorous product of a float matrix with the interval matrix lo <= A
+    <= hi in the endpoints' last two axes, as endpoint arrays; 1-D
+    endpoints are one column and give 1-D results, as in `np.matmul`.
 
     Midpoint-radius form: A lies in m +- r, so B A lies in B m +- |B| r.
     The centre C = fl(B m) and the radius product fl(|B| R) are single
@@ -507,14 +364,10 @@ def float_matmat(B: np.ndarray, A: IArray) -> IArray:
     overflows or whose radius is infinite or NaN (0 * inf) saturate to
     [-inf, inf].  Leading axes of B and A stack independent products (one
     batched BLAS call); the bound holds for each slice."""
-    vec = A.lo.ndim == 1
-    alo, ahi = (A.lo[:, None], A.hi[:, None]) if vec else (A.lo, A.hi)
     B = np.asarray(B, dtype=float)
     k = B.shape[-1]
-    if k != alo.shape[-2]:
-        raise DomainError("shape mismatch")
     gamma, inv_1mg = _gamma(k)
-    m, R = mid_rad(alo, ahi, gamma)
+    m, R = mid_rad(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), gamma)
     with np.errstate(invalid="ignore", over="ignore"):
         c = B @ m
         rad = _aup(_aup(np.abs(B) @ R + (k + 1) * _TINY) * inv_1mg)
@@ -523,9 +376,7 @@ def float_matmat(B: np.ndarray, A: IArray) -> IArray:
     bad = ~np.isfinite(top)    # an infinite radius saturates anyway
     if bad.any():
         lo, hi = np.where(bad, -_INF, lo), np.where(bad, _INF, hi)
-    if vec:
-        return IArray._of(lo[:, 0], hi[:, 0])
-    return IArray._of(lo, hi)
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -574,9 +425,11 @@ class MidRad:
         self.m, self.r = m, r
 
     @staticmethod
-    def of(x: "IArray | Interval") -> "MidRad":
-        """The enclosure of x's endpoints (`_split`)."""
-        return MidRad(*_split(np.asarray(x.lo, dtype=float), np.asarray(x.hi, dtype=float)))
+    def of(x: "Interval | tuple") -> "MidRad":
+        """The enclosure of an Interval or of a pair of endpoint arrays
+        (`_split`)."""
+        lo, hi = (x.lo, x.hi) if isinstance(x, Interval) else x
+        return MidRad(*_split(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)))
 
     @property
     def mag(self) -> np.ndarray:
@@ -673,23 +526,6 @@ class MidRad:
             wa, wb = _rad(other.r + gamma * amb, 2), _rad(amb + other.r, 1)
             return MidRad((self.m * other.m).sum(axis=-1),
                           _rad((np.abs(self.m) * wa + self.r * wb).sum(axis=-1), n + 1))
-
-
-# ---------------------------------------------------------------------------
-# norms
-# ---------------------------------------------------------------------------
-
-
-def norm_inf(x: IArray) -> "Interval | IArray":
-    """Max norm over the last axis: an `Interval` for one vector, the
-    `IArray` of the norms for a stack.  The upper endpoint dominates the
-    norm of every point of the enclosure; the lower is a lower bound."""
-    lo = np.where((x.lo <= 0.0) & (x.hi >= 0.0), 0.0,
-                  np.minimum(np.abs(x.lo), np.abs(x.hi))).max(axis=-1)
-    hi = x.mag.max(axis=-1)
-    if x.lo.ndim > 1:
-        return IArray._of(lo, hi)
-    return Interval(float(lo), float(hi))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .interval import IArray, Interval, MidRad, dot_seq, up_mul, up_sum
+from .interval import Interval, MidRad, up_mul, up_sum
 
 GROWTH_EXPONENT = 2.324       # age-scaling exponent shared by p_k and b_k
 POLYPS_PER_COLONY_SCALE = 1.239
@@ -226,9 +226,9 @@ class CoralMap:
         self.cf = derive_float(self.params)
         self.ci = derive_interval(self.params)
         self._S = np.array(self.params.S, dtype=float)
-        self._q, self._b = IArray.from_scalars(self.ci.q), IArray.from_scalars(self.ci.b)
-        self._q_mr, self._b_mr = MidRad.of(self._q), MidRad.of(self._b)
-        qm, bm = self._q.mag, self._b.mag
+        self._q_mr, self._b_mr = (MidRad.of(([v.lo for v in c], [v.hi for v in c]))
+                                  for c in (self.ci.q, self.ci.b))
+        qm, bm = self._qm, self._bm = [np.array([v.mag for v in c]) for c in (self.ci.q, self.ci.b)]
         self._qq, self._qb_sym = np.outer(qm, qm), np.outer(qm, bm) + np.outer(bm, qm)
 
     @property
@@ -255,37 +255,36 @@ class CoralMap:
         first = lam * phi(P, self.params) * bx
         return [first] + [self.params.S[k] * x[k] for k in range(self.d - 1)]
 
-    def row1_jet(self, x: "IArray | MidRad", order: int = 1) -> "Row1Jet":
+    def row1_jet(self, x: "list[Interval] | MidRad", order: int = 1) -> "Row1Jet":
         """g = phi(P) (b.x) over an interval point or box x, where f_1 =
         lambda*g, with phi..phi^(order) and the gradient of g.
 
-        One x, an `IArray`, runs in `Interval` scalars, q.x and b.x summed
-        in k order, so every endpoint equals the scalar `Interval`
-        evaluation bit for bit.  A `MidRad` stack x (leading axes, one jet
-        per row) runs in `MidRad`, q.x and b.x as `MidRad.dot` row sums, so
-        a row does not depend on the rows stacked with it."""
+        One x, a list of `Interval`s, runs in `Interval` scalars, q.x and
+        b.x summed in k order as `step_scalars` sums them.  A `MidRad` stack
+        x (leading axes, one jet per row) runs in `MidRad`, q.x and b.x as
+        `MidRad.dot` row sums, so a row does not depend on the rows stacked
+        with it."""
         if isinstance(x, MidRad):
             q, b = self._q_mr, self._b_mr
             P, bx = x.dot(q), x.dot(b)
-            col = lambda v: v[..., None]
+            phis = phi_derivs(P, self.params, order=max(order, 1))
+            # dg/dx_j = phi'(P) q_j (b.x) + phi(P) b_j, one row per stacked x
+            g1 = q * phis[1][..., None] * bx[..., None] + b * phis[0][..., None]
         else:
-            q, b = self._q, self._b
-            P = dot_seq(q.lo, q.hi, x.lo, x.hi)
-            bx = dot_seq(b.lo, b.hi, x.lo, x.hi, start=0.0 * P)
-            col = lambda v: v
-        phis = phi_derivs(P, self.params, order=max(order, 1))
-        # dg/dx_j = phi'(P) q_j (b.x) + phi(P) b_j, one row per stacked x
-        g1 = q * col(phis[1]) * col(bx) + b * col(phis[0])
+            P = polyp_density(x, self.ci)
+            bx = sum((bk * xk for bk, xk in zip(self.ci.b, x)), 0.0 * P)
+            phis = phi_derivs(P, self.params, order=max(order, 1))
+            g1 = [qk * phis[1] * bx + bk * phis[0] for qk, bk in zip(self.ci.q, self.ci.b)]
         return Row1Jet(phis=phis, bx=bx, g=phis[0] * bx, g1=g1)
 
-    def jac_x_iv(self, lam: Interval, jet: "Row1Jet") -> IArray:
-        """D_x f from the row-1 jet of the same x."""
+    def jac_x_iv(self, lam: Interval, jet: "Row1Jet") -> tuple[np.ndarray, np.ndarray]:
+        """D_x f from the row-1 jet of the same x, as endpoint arrays."""
         lo, hi = np.zeros((self.d, self.d)), np.zeros((self.d, self.d))
-        row = jet.g1 * lam
-        lo[0], hi[0] = row.lo, row.hi
+        row = [g * lam for g in jet.g1]
+        lo[0], hi[0] = [v.lo for v in row], [v.hi for v in row]
         k = np.arange(self.d - 1)
         lo[k + 1, k] = hi[k + 1, k] = self._S
-        return IArray(lo, hi)
+        return lo, hi
 
     # -- rigorous second/third-order bounds over a box --------------------
 
@@ -296,25 +295,25 @@ class CoralMap:
         return (float(up_sum(up_mul(w, self._qq))),
                 float(up_sum(up_mul(w, self._qb_sym))))
 
-    def row1_bounds(self, lam: Interval, x_box: IArray) -> "Row1Bounds":
+    def row1_bounds(self, lam: Interval, x_box: list[Interval]) -> "Row1Bounds":
         """Sup-magnitude data for mean-value Lipschitz estimates on a box."""
         jet = self.row1_jet(x_box, order=3)
         ph1, ph2, ph3 = jet.phis[1:]
         g2m = up_mul(up_mul((ph2 * jet.bx).mag, self._qq) + up_mul(ph1.mag, self._qb_sym), 1.0)
-        return Row1Bounds(lam_mag=lam.mag, g1=jet.g1.mag, g2=g2m, a3=(ph3 * jet.bx).mag,
-                          b3=ph2.mag, q=self._q.mag, b=self._b.mag)
+        return Row1Bounds(lam_mag=lam.mag, g1=np.array([v.mag for v in jet.g1]), g2=g2m,
+                          a3=(ph3 * jet.bx).mag, b3=ph2.mag, q=self._qm, b=self._bm)
 
 
 @dataclass(frozen=True)
 class Row1Jet:
     """g = phi(P) (b.x) and its first derivatives over an interval point
-    or box (`Interval` scalars and an `IArray` g1), or over stacked x
+    or box (`Interval` scalars, g1 a list of them), or over stacked x
     (`MidRad` throughout); phis reach the order the jet was built for."""
 
     phis: tuple                # phi .. phi^(order) at P = q.x
     bx: "Interval | MidRad"    # b.x
     g: "Interval | MidRad"     # phi(P) (b.x)
-    g1: "IArray | MidRad"      # dg/dx_j
+    g1: "list[Interval] | MidRad"      # dg/dx_j
 
     def __getitem__(self, rows) -> "Row1Jet":
         """The jet of the stacked x rows `rows` (a slice keeps them stacked)."""

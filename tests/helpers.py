@@ -23,11 +23,11 @@ from certibif.interval import Interval, up_dot, up_mul, up_sum
 from certibif.model import CoralMap, derive_generic, phi, phi_derivs
 
 
-def contains(iv, x) -> bool:
-    """Every entry of the float array x lies in the same entry of the
-    interval array iv."""
-    x = np.asarray(x, dtype=float)
-    return bool(np.all(iv.lo <= x) and np.all(x <= iv.hi))
+def contains(iv: list, x) -> bool:
+    """Every entry of the float vector x lies in the same entry of the
+    list of Intervals iv."""
+    x = np.asarray(x, dtype=float).tolist()
+    return len(iv) == len(x) and all(v.lo <= xi <= v.hi for v, xi in zip(iv, x))
 
 
 def assert_json_lossless(cert, blob: str) -> None:
@@ -190,7 +190,7 @@ def mp_refine_branch_point(system, coeffs, box, alpha, dps: int = 50):
 
 def scalar_row1(coral, x: list):
     """phi..phi''', b.x, g and dg/dx over a box in scalar Interval
-    arithmetic, in the k order the endpoint-array jet promises."""
+    arithmetic, in the k order the one-x jet promises."""
     ci = coral.ci
     P = ci.q[0] * x[0]
     for qk, xk in zip(ci.q[1:], x[1:]):

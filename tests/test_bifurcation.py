@@ -19,7 +19,7 @@ from certibif.bifurcation import (CI, NsSystem, SnSystem, _qb,
                                   verified_spectrum_inside_disk)
 from certibif.cift import certificate_json
 from certibif.errors import DomainError, SpectrumInconclusive
-from certibif.interval import IArray, Interval
+from certibif.interval import Interval, around
 from certibif.model import (CoralMap, CoralParams, FixedPointReduction, phi_derivs,
                             row1_d2)
 
@@ -115,7 +115,7 @@ def test_hns_value_on_synthetic_eigen_data():
 def test_hns_interval_value_contains_float(coral):
     ns = NsSystem(coral)
     z = find_ns_anchor(coral)
-    enc = ns.value_iv(IArray.around(z, 1e-9))
+    enc = ns.value_iv(around(z, 1e-9))
     assert contains(enc, ns.value(z))
 
 
@@ -123,11 +123,12 @@ def _assert_jac_iv_contains_mp_jacobian(coral, system, z, rad=1e-9, corners=4):
     """At the centre and at corners of the radius-`rad` box around z, the
     50-digit finite-difference Jacobian of value_scalars lies inside
     jac_iv(box) to within 1e-20 * max(1, |J|)."""
-    box = IArray.around(z, rad)
-    Jiv = system.jac_iv(box)
+    box = around(z, rad)
+    Jlo, Jhi = system.jac_iv(box)
+    lo, hi = np.array([v.lo for v in box]), np.array([v.hi for v in box])
     rng = np.random.default_rng(system.dim)
-    points = [z, box.lo, box.hi] + [np.where(rng.random(system.dim) < 0.5, box.lo, box.hi)
-                                    for _ in range(corners - 2)]
+    points = [z, lo, hi] + [np.where(rng.random(system.dim) < 0.5, lo, hi)
+                            for _ in range(corners - 2)]
     with mp.workdps(50):
         coeffs = mp_coeffs(coral)
 
@@ -139,7 +140,7 @@ def _assert_jac_iv_contains_mp_jacobian(coral, system, z, rad=1e-9, corners=4):
             for i in range(system.dim):
                 for j in range(system.dim):
                     tol = mp.mpf(1e-20) * max(1, abs(J[i, j]))
-                    assert Jiv.lo[i, j] - tol <= J[i, j] <= Jiv.hi[i, j] + tol, (i, j)
+                    assert Jlo[i, j] - tol <= J[i, j] <= Jhi[i, j] + tol, (i, j)
 
 
 def test_hns_jacobian_matches_finite_differences(coral):
@@ -178,7 +179,7 @@ def test_hessian_sup_dominates_finite_differences(coral, system_cls, find_anchor
     system = system_cls(coral)
     z = find_anchor(coral)
     m = system.dim
-    T = system.hessian_sup(IArray.around(z, 1e-6))
+    T = system.hessian_sup(around(z, 1e-6))
     rng = np.random.default_rng(5)
     for _ in range(12):
         k, j = rng.integers(0, m, size=2)
@@ -206,7 +207,7 @@ def test_lipschitz_from_tensor_equals_the_entrywise_bound_at_the_certificates(
     before the max over k, bit for bit, and is the certificate's L1."""
     from certibif.cift import lipschitz_from_tensor
     system, cert, B = _seed0_system(coral, kind, sn_cert, ns_cert)
-    T = system.hessian_sup(IArray.around(np.array(cert.anchor), 1e-6))
+    T = system.hessian_sup(around(cert.anchor, 1e-6))
     ref = lipschitz_reference(T, np.abs(B))
     L1 = lipschitz_from_tensor(T, np.abs(B))
     assert np.float64(L1).view(np.int64) == np.float64(ref).view(np.int64)
@@ -421,7 +422,7 @@ def _spectrum_args(coral, system, box) -> tuple:
     """Row 1 of D_x f over the box, the survival products and the shift,
     as `_certify` passes them."""
     x_box, lam_iv = system.x_lam(box)
-    A1 = (coral.row1_jet(x_box, order=system.jet_order).g1 * lam_iv).to_scalars()
+    A1 = [g * lam_iv for g in coral.row1_jet(x_box, order=system.jet_order).g1]
     return A1, coral.ci.a, system._shift(system.split(box))
 
 
@@ -585,11 +586,11 @@ def _ns_data(coral, box):
     ns = NsSystem(coral)
     x_box, lam_iv = ns.x_lam(box)
     jet = coral.row1_jet(x_box, order=ns.jet_order)
-    return ns_box_data(coral, box, (jet.g1 * lam_iv).to_scalars(), jet)
+    return ns_box_data(coral, box, [g * lam_iv for g in jet.g1], jet)
 
 
 def test_ns_condition_c_matches_oracle(coral, ns_cert, ns_float_oracle):
-    box = IArray(np.array(ns_cert.enclosure_lo), np.array(ns_cert.enclosure_hi))
+    box = _box(ns_cert)
     total, expl = ns_condition_c_pair(coral, _ns_data(coral, box))
     assert ns_float_oracle["c_total"] in total
     assert ns_float_oracle["c_expl"] in expl
@@ -620,7 +621,7 @@ def test_ns_condition_c_total_equals_branch_eigen_slope(coral, ns_float_oracle):
 
 
 def test_ns_condition_d_excludes_resonances(coral, ns_cert):
-    box = IArray(np.array(ns_cert.enclosure_lo), np.array(ns_cert.enclosure_hi))
+    box = _box(ns_cert)
     theta, checks = ns_condition_d(coral, box)
     assert all(checks.values())
     assert abs(theta.mid - 46.85) < 0.01
@@ -628,7 +629,7 @@ def test_ns_condition_d_excludes_resonances(coral, ns_cert):
 
 
 def test_ns_condition_e_matches_oracle_and_sign(coral, ns_cert, ns_float_oracle):
-    box = IArray(np.array(ns_cert.enclosure_lo), np.array(ns_cert.enclosure_hi))
+    box = _box(ns_cert)
     val = ns_condition_e(coral, _ns_data(coral, box))
     assert ns_float_oracle["e"] in val
     assert val.hi < 0.0    # supercritical: stable invariant circles observed
@@ -665,7 +666,7 @@ def test_ns_condition_invariance_under_eigvec_phase(coral, ns_cert):
     x0, lam0, w0, u0, a0, b0 = ns.split(np.array(ns_cert.anchor))
     # the (w, u) -> (-w, -u) symmetry gives another exact zero
     z2 = ns.join(x0, lam0, -w0, -u0, a0, b0)
-    box2 = IArray.around(z2, ns_cert.delta_accuracy)
+    box2 = around(z2, ns_cert.delta_accuracy)
     data2 = _ns_data(coral, box2)
     total2, expl2 = ns_condition_c_pair(coral, data2)
     e2 = ns_condition_e(coral, data2)
@@ -712,8 +713,7 @@ def test_sn_conditions_product_orientation_invariant(coral, sn_cert):
 
 def test_sn_left_vector_duality(coral, sn_cert):
     """p^t (A - I) encloses zero componentwise and p^t q = 1."""
-    box = IArray(np.array(sn_cert.enclosure_lo), np.array(sn_cert.enclosure_hi))
-    x, v, lam = SnSystem(coral).split(box.mid)
+    x, v, lam = SnSystem(coral).split(np.array([e.mid for e in _box(sn_cert)]))
     A = coral.jac_x(float(lam), x)
     ev, vecs = np.linalg.eig(A.T - np.eye(13))
     k = int(np.argmin(np.abs(ev)))
@@ -864,10 +864,9 @@ def test_split_join_anchor_roundtrip(coral, sn_cert, ns_cert):
     assert (len(x), lam, len(w), len(u)) == (13, zn[13], 13, 13)
     assert abs(math.degrees(math.atan2(b, a)) - 46.85) < 0.01
     # an interval box splits into the same slots
-    box = IArray(np.array(ns_cert.enclosure_lo), np.array(ns_cert.enclosure_hi))
+    box = _box(ns_cert)
     x_box, lam_box, *_, b_box = ns.split(box)
-    assert np.array_equal(x_box.lo, box.lo[:13]) and lam_box.hi == box.hi[13]
-    assert b_box.lo == box.lo[41]
+    assert x_box == box[:13] and lam_box is box[13] and b_box is box[41]
 
 
 def test_certificate_constants_at_table_scale(sn_cert, ns_cert):
@@ -884,15 +883,16 @@ def test_certificate_constants_at_table_scale(sn_cert, ns_cert):
     assert 4.097e6 <= ns_cert.summary["L1"] <= 4.097e8   # x10 of 4.097e7
 
 
-def _left_residual(A_iv: IArray, r: list, mu) -> list:
-    """r^t A - mu r^t over the dense enclosure A_iv, column by column, for
-    Interval or CI entries r and eigenvalue mu."""
-    d = A_iv.shape[0]
+def _left_residual(A_iv: tuple, r: list, mu) -> list:
+    """r^t A - mu r^t over the dense enclosure A_iv = (lo, hi), column by
+    column, for Interval or CI entries r and eigenvalue mu."""
+    lo, hi = A_iv
+    d = lo.shape[0]
     cols = []
     for j in range(d):
-        col = r[0] * A_iv[0, j]
+        col = r[0] * Interval(lo[0, j], hi[0, j])
         for i in range(1, d):
-            col = col + r[i] * A_iv[i, j]
+            col = col + r[i] * Interval(lo[i, j], hi[i, j])
         cols.append(col - mu * r[j])
     return cols
 
@@ -912,13 +912,11 @@ def test_sn_left_vector_duality_rigorous(coral, sn_cert):
     """The left eigenvector from the Leslie recursion, normalized to
     p^t v = 1, satisfies p^t (A - I) = 0 over the certified box: every
     column's interval residual encloses 0, and p^t v encloses 1."""
-    box = IArray(np.array(sn_cert.enclosure_lo), np.array(sn_cert.enclosure_hi))
-    sn = SnSystem(coral)
-    x_box, v_box, lam_iv = sn.split(box)
+    x_box, v_box, lam_iv = SnSystem(coral).split(_box(sn_cert))
     A_iv = coral.jac_x_iv(lam_iv, coral.row1_jet(x_box))
-    p = _normalized(leslie_left(A_iv[0].to_scalars(), coral.params.S), v_box.to_scalars())
+    p = _normalized(leslie_left(_row(A_iv, 0), coral.params.S), v_box)
     assert all(_holds_zero(c) for c in _left_residual(A_iv, p, Interval(1.0)))
-    assert 1.0 in sum((pi * vi for pi, vi in zip(p, v_box.to_scalars())), Interval(0.0))
+    assert 1.0 in sum((pi * vi for pi, vi in zip(p, v_box)), Interval(0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -926,8 +924,13 @@ def test_sn_left_vector_duality_rigorous(coral, sn_cert):
 # ---------------------------------------------------------------------------
 
 
-def _box(cert) -> IArray:
-    return IArray(np.array(cert.enclosure_lo), np.array(cert.enclosure_hi))
+def _box(cert) -> list[Interval]:
+    return [Interval(lo, hi) for lo, hi in zip(cert.enclosure_lo, cert.enclosure_hi)]
+
+
+def _row(A_iv: tuple, i: int) -> list[Interval]:
+    """Row i of the enclosure A_iv = (lo, hi) as Intervals."""
+    return [Interval(lo, hi) for lo, hi in zip(A_iv[0][i].tolist(), A_iv[1][i].tolist())]
 
 
 @pytest.fixture(scope="module")
@@ -1006,7 +1009,7 @@ def _box_data(coral, system, box):
     x_box, lam_iv = system.x_lam(box)
     jet = coral.row1_jet(x_box, order=system.jet_order)
     A_iv = coral.jac_x_iv(lam_iv, jet)
-    return jet, A_iv, A_iv[0].to_scalars()
+    return jet, A_iv, _row(A_iv, 0)
 
 
 _CASES = ("sn", "ns", "sn-perturbed", "ns-perturbed")
@@ -1022,9 +1025,9 @@ def test_leslie_left_eigenvector_holds_50_digit_value(leslie_cases, name):
     S = coral.params.S
     if isinstance(system, SnSystem):
         r = leslie_left(A1, S)
-        p = _normalized(r, system.split(box.to_scalars())[1])
+        p = _normalized(r, system.split(box)[1])
     else:
-        *_, a, b = system.split(box.to_scalars())
+        *_, a, b = system.split(box)
         r = leslie_left([CI(aj) for aj in A1], S, CI(a, b))
         p = ns_box_data(coral, box, A1, jet).r
     with mp.workdps(50):
@@ -1064,10 +1067,10 @@ def test_leslie_left_residual_encloses_zero(leslie_cases, name):
     S = coral.params.S
     if isinstance(system, SnSystem):
         r, mu = leslie_left(A1, S), Interval(1.0)
-        p = _normalized(r, system.split(box.to_scalars())[1])
+        p = _normalized(r, system.split(box)[1])
         assert all(_holds_zero(c) for c in _left_residual(A_iv, p, mu))
     else:
-        *_, a, b = system.split(box.to_scalars())
+        *_, a, b = system.split(box)
         mu = CI(a, b)
         r = leslie_left([CI(aj) for aj in A1], S, mu)
     assert all(_holds_zero(c) for c in _left_residual(A_iv, r, mu))
@@ -1118,7 +1121,7 @@ def test_a_divisor_holding_zero_fails_the_conditions_stage_by_name(coral, sn_cer
     the quantity (here x0'(lambda), over a row 1 wide enough to hold the
     eigenvalue 1), and `_certify` reports it as the conditions stage."""
     from certibif.errors import CertificationFailed, ConditionInconclusive
-    box = IArray(np.array(ns_cert.enclosure_lo), np.array(ns_cert.enclosure_hi))
+    box = _box(ns_cert)
     data = _ns_data(coral, box)
     wide = replace(data, A1=[Interval(-1e3, 1e3)] + data.A1[1:])
     with pytest.raises(ConditionInconclusive,

@@ -1,14 +1,15 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from certibif.cift import (CiftBounds, accuracy_gates, certificate_json, check_deltas,
                            delta_alpha_root, lipschitz_from_tensor, lipschitz_L1,
-                           neumann_K, neumann_rho, preconditioner_hash, residual_bound,
+                           neumann_K, neumann_rho_rows, preconditioner_hash, residual_bound,
                            validate_zero)
 from certibif.errors import NotInvertibleEvidence, ValidationFailed
-from certibif.interval import IArray, Interval, float_matmat, up_sum
+from certibif.interval import Interval, _gamma, float_matmat, mid_rad, up_sum
 
 from helpers import (assert_json_lossless, dx_ceiling_reference, lipschitz_reference,
                      neumann_K_reference, probe_reference, special_stack)
@@ -29,16 +30,15 @@ class ScalarSquare:
     def jac(self, z):
         return np.array([[2.0 * z[0]]])
 
-    def value_iv(self, z: IArray) -> IArray:
+    def value_iv(self, z: list) -> list:
         x = z[0]
-        return IArray.from_scalars([x * x - self.c])
+        return [x * x - self.c]
 
-    def jac_iv(self, z: IArray) -> IArray:
-        x = z[0]
-        two_x = 2.0 * x
-        return IArray(np.array([[two_x.lo]]), np.array([[two_x.hi]]))
+    def jac_iv(self, z: list) -> tuple:
+        two_x = 2.0 * z[0]
+        return np.array([[two_x.lo]]), np.array([[two_x.hi]])
 
-    def hessian_sup(self, box: IArray) -> np.ndarray:
+    def hessian_sup(self, box: list) -> np.ndarray:
         return np.full((1, 1, 1), 2.0)
 
 
@@ -58,12 +58,12 @@ class AffineMap:
     def jac(self, z):
         return self.A.copy()
 
-    def value_iv(self, z: IArray) -> IArray:
-        from certibif.interval import float_matmat
-        return float_matmat(self.A, z) + (-self.b)     # rounds as a difference
+    def value_iv(self, z: list) -> list:
+        lo, hi = float_matmat(self.A, [v.lo for v in z], [v.hi for v in z])
+        return [Interval(l, h) - bk for l, h, bk in zip(lo.tolist(), hi.tolist(), self.b.tolist())]
 
-    def jac_iv(self, z: IArray) -> IArray:
-        return IArray.point(self.A)
+    def jac_iv(self, z: list) -> tuple:
+        return self.A, self.A
 
     def hessian_sup(self, box):
         return np.zeros((self.dim,) * 3)
@@ -85,19 +85,26 @@ def test_residual_bound_scalar():
     assert abs(rho - abs(1.41421356 ** 2 - 2.0)) < 1e-15
 
 
-def _neumann_K(A, B):
+def _rho1(lo, hi, B):
+    """rho1 >= |I - B A| for every A in lo <= A <= hi, on the row path
+    that `validate_zero` takes."""
+    m, R = mid_rad(lo, hi, _gamma(np.shape(lo)[-1])[0])
+    return neumann_rho_rows(B, m, up_sum(R, axis=-1))
+
+
+def _neumann_K(lo, hi, B):
     """K >= |A^{-1}| for every A in the enclosure, from a preconditioner B."""
-    return neumann_K(neumann_rho(A, B), B)
+    return neumann_K(_rho1(lo, hi, B), B)
 
 
 def test_neumann_K_identity():
-    K = _neumann_K(IArray.point(np.eye(4)), np.eye(4))
+    K = _neumann_K(np.eye(4), np.eye(4), np.eye(4))
     assert 1.0 <= K <= 1.0 + 1e-12
 
 
 def test_neumann_K_diagonal():
-    A = IArray.point(np.diag([2.0, 4.0]))
-    K = _neumann_K(A, np.diag([0.5, 0.25]))
+    A = np.diag([2.0, 4.0])
+    K = _neumann_K(A, A, np.diag([0.5, 0.25]))
     assert abs(K - 0.5) <= 1e-12
 
 
@@ -105,15 +112,57 @@ def test_neumann_K_random_within_five_percent():
     rng = np.random.default_rng(1)
     A = rng.normal(size=(42, 42)) + 42 * np.eye(42)   # well conditioned
     B = np.linalg.inv(A)
-    K = _neumann_K(IArray.point(A), B)
+    K = _neumann_K(A, A, B)
     true_norm = np.linalg.norm(np.linalg.inv(A), np.inf)
     assert true_norm <= K <= 1.05 * true_norm
 
 
 def test_neumann_K_detects_singularity():
-    A = IArray.point(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    A = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(NotInvertibleEvidence):
-        _neumann_K(A, np.eye(2))
+        _neumann_K(A, A, np.eye(2))
+
+
+def _exact_max_rowsum(B: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Fraction:
+    """The exact largest row sum of the entrywise hull of |I - B A| over lo
+    <= A <= hi.  Entry (i, j) of B A ranges over [sum_k min(B_ik lo_kj,
+    B_ik hi_kj), sum_k max(...)], its terms independent, so |I - B A|_ij
+    is at most the larger distance of those ends from I_ij.  Integers
+    scaled by 2^2148 hold every product of two doubles exactly."""
+    S = 2 ** 1074
+    scaled = lambda M: [[int(Fraction(x) * S) for x in row] for row in M.tolist()]
+    Bs, L, H = scaled(B), scaled(lo.T), scaled(hi.T)
+    best = 0
+    for i, Bi in enumerate(Bs):
+        total = 0
+        for j in range(len(Bs)):
+            elo = ehi = 0
+            for b, l, h in zip(Bi, L[j], H[j]):
+                p, q = sorted((b * l, b * h))
+                elo, ehi = elo + p, ehi + q
+            one = S * S if i == j else 0
+            total += max(abs(one - elo), abs(one - ehi))
+        best = max(best, total)
+    return Fraction(best, S * S)
+
+
+@pytest.mark.parametrize("kind", ["sn", "ns"])
+def test_neumann_rho_rows_dominates_the_exact_rowsum_at_the_certificates(
+        coral, sn_cert, ns_cert, kind):
+    """At the seed-0 SN (27x27) and NS (42x42) anchors, with the point
+    Jacobian enclosure widened by a relative radius, rho1 from the row path
+    of `validate_zero` is at least the exact largest row sum of the hull of
+    |I - B A| (Fractions), and within 5% of it."""
+    from certibif.bifurcation import NsSystem, SnSystem
+    system, cert = (SnSystem(coral), sn_cert) if kind == "sn" else (NsSystem(coral), ns_cert)
+    z0 = np.array(cert.anchor)
+    B = np.linalg.inv(system.jac(z0))
+    lo, hi = system.jac_iv([Interval(v) for v in z0.tolist()])
+    for rel in (1e-13, 1e-10):
+        rad = rel * (np.maximum(np.abs(lo), np.abs(hi)) + 1e-3)
+        wlo, whi = lo - rad, hi + rad
+        rho1, exact = Fraction(float(_rho1(wlo, whi, B))), _exact_max_rowsum(B, wlo, whi)
+        assert exact <= rho1 <= Fraction(105, 100) * exact, rel
 
 
 def test_neumann_K_equals_scalar_interval_rows():
@@ -338,8 +387,11 @@ def test_check_deltas_at_the_planned_root_accepts_exactly_the_feasible_bounds():
     """On 4,000 random bounds (L1 = 0 among them), the stacked check at the
     planned delta_alpha accepts exactly the bounds for which the reference
     bisection finds a feasible delta_alpha > 0, gives a pair that passes
-    the rigorous pair check, and loses at most 2e-8 of the reference."""
-    from certibif.cift import _pair_feasible, _Probe
+    the rigorous pair check, and loses at most 2e-8 of the reference.
+    Every bound whose accuracy radius 2K rho reaches ell_x also fails
+    _alpha_feasible at the planned delta_alpha and at 0.5 and 1e-3 times
+    it, so check_deltas needs no gate of its own on it."""
+    from certibif.cift import _alpha_feasible, _dx_ceiling, _pair_feasible, _Probe
     rng = np.random.default_rng(17)
     n = 4000
     with_l1 = rng.random(n) < 0.9
@@ -355,6 +407,11 @@ def test_check_deltas_at_the_planned_root_accepts_exactly_the_feasible_bounds():
     assert _pair_feasible(_Probe.of(b, da), pair.delta_x)[ok].all()
     assert (pair.delta_min <= pair.delta_x)[ok].all()
     assert (da >= (1.0 - 2e-8) * ref)[ok].all()
+    wide = ~(_Probe.of(b, da).delta_min < b.ell_x)
+    assert wide.sum() > 50
+    for scale in (1.0, 0.5, 1e-3):
+        p = _Probe.of(b, scale * da)
+        assert not _alpha_feasible(p, _dx_ceiling(p))[wide].any(), scale
 
 
 def test_bounds_reject_negative():
@@ -402,17 +459,16 @@ def test_validate_K_is_the_neumann_bound_of_BJ_itself():
     """K bounds |(B J)^{-1}| from rho1 >= |I - B J| alone: 1 / (1 - rho1)
     rounded up (with the row sum of |I| bounded as `up_sum` bounds it), and
     here below K from B J preconditioned a second time by I."""
-    from fractions import Fraction
     A = np.array([[3.0, 1.0, 0.2], [1.0, 4.0, 1.0], [0.1, 1.0, 5.0]])
     m = AffineMap(A, A @ np.array([1.0, 2.0, 3.0]))
     z0 = np.array([1.0, 2.0, 3.0])
     cert = validate_zero(m, z0, ell=1e-3)
-    B, J, I = np.linalg.inv(A), IArray.point(A), np.eye(3)
-    rho1 = float(neumann_rho(J, B))
+    B, I = np.linalg.inv(A), np.eye(3)
+    rho1 = float(_rho1(A, A, B))
     assert rho1 > 0.0
     assert cert.K == (Interval(up_sum(I[0])) / (Interval(1.0) - Interval(rho1))).hi
     assert 1 / (1 - Fraction(rho1)) <= Fraction(cert.K) <= (1 + Fraction(2) ** -46) / (1 - Fraction(rho1))
-    assert cert.K < float(_neumann_K(float_matmat(B, J), I))
+    assert cert.K < float(_neumann_K(*float_matmat(B, A, A), I))
 
 
 def test_accuracy_gates_equal_the_stacked_probe():
@@ -444,9 +500,9 @@ def test_validate_names_non_finite_anchor_jacobian():
     # says how many there are instead of reporting |I - BA| = inf
     class Unbounded(AffineMap):
         def jac_iv(self, z):
-            J = IArray(self.A.copy(), self.A.copy())
-            J.lo[0, 1], J.hi[0, :] = -np.inf, np.inf
-            return J
+            lo, hi = self.A.copy(), self.A.copy()
+            lo[0, 1], hi[0, :] = -np.inf, np.inf
+            return lo, hi
 
     m = Unbounded(np.eye(3), np.ones(3))
     with pytest.raises(ValidationFailed, match=r"^\(H2\) failed: anchor Jacobian "
@@ -493,16 +549,16 @@ class ScalarCubic:
 
     def value_iv(self, z):
         x = z[0]
-        return IArray.from_scalars([((x - 6.0) * x + 11.0) * x - 6.0])
+        return [((x - 6.0) * x + 11.0) * x - 6.0]
 
     def jac_iv(self, z):
         x = z[0]
         e = (3.0 * x - 12.0) * x + 11.0
-        return IArray(np.array([[e.lo]]), np.array([[e.hi]]))
+        return np.array([[e.lo]]), np.array([[e.hi]])
 
     def hessian_sup(self, box):
         # |H''(x)| = |6x - 12| <= 6 * max(|lo - 2|, |hi - 2|)
-        m = 6.0 * max(abs(box.lo[0] - 2.0), abs(box.hi[0] - 2.0)) * (1 + 1e-12)
+        m = 6.0 * max(abs(box[0].lo - 2.0), abs(box[0].hi - 2.0)) * (1 + 1e-12)
         return np.full((1, 1, 1), m)
 
 

@@ -19,7 +19,7 @@ from certibif.continuation import (ALPHA_FRAC, BranchBox, _Wave,
                                    validate_segment)
 from certibif.errors import (CorrectorFailed, NotInvertibleEvidence, TangentUndefined,
                              ValidationFailed)
-from certibif.interval import IArray, Interval, MidRad, float_matmat, up_sum
+from certibif.interval import Interval, MidRad, float_matmat, up_sum
 from certibif.model import CoralMap, FixedPointReduction, phi
 
 from helpers import (eigvals_labels, extended_constants_reference, jac_lam,
@@ -33,7 +33,7 @@ _TOL = 1e-13
 
 
 # the constant rows of a one-dimensional branch system: none
-_NO_ROWS = ConstantRows(np.zeros((0, 2)), IArray.point(np.zeros((0, 2))))
+_NO_ROWS = ConstantRows(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 2)))
 
 
 class ToyLinear:
@@ -90,7 +90,7 @@ def test_tangent_undefined_on_rank_deficiency():
         """Row 1 vanishes and the constant row is (0, 0, -1): rank 1."""
         d = 2
         row = np.array([[0.0, 0.0, -1.0]])
-        rows = ConstantRows(row, IArray.point(row))
+        rows = ConstantRows(row, row, row)
 
         def evaluate(self, t, u):
             return np.zeros((1, 2)), np.zeros((1, 3))
@@ -592,7 +592,7 @@ def test_derived_constants_match_direct_cift_on_extended_system(
         # the entrywise enclosure width, which the derived constants bound
         # through L1 |(sigma,x)| + L2 |alpha|; rows 2.. are constant
         widths = np.concatenate([np.sum(2.0 * J1.r, axis=-1),
-                                 np.sum(ext.sys.rows.iv.hi - ext.sys.rows.iv.lo, axis=-1)])
+                                 np.sum(2.0 * ext.sys.rows.R, axis=-1)])
         width_bound = float(np.max(widths))
         formula_h3 = 2.0 * (box.bounds.L1 * (du + da * float(np.max(np.abs(v))))
                             + box.bounds.L2 * da)
@@ -669,7 +669,7 @@ def test_link_sides_equal_scalar_interval_rows():
     tau = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-300, 0, (n, 1))
     tau /= np.abs(tau).max(axis=1, keepdims=True)
     norm1 = up_sum(np.abs(tau), axis=-1)
-    norm2sq = float_matmat(tau[:, None, :], IArray.point(tau[:, :, None])).lo[:, 0, 0]
+    norm2sq = float_matmat(tau[:, None, :], tau[:, :, None], tau[:, :, None])[0][:, 0, 0]
     alpha = rng.choice([-1.0, 1.0], n) * special_stack(rng, n)
     corr_norm, slack, dmin, residual = (special_stack(rng, n) for _ in range(4))
     args = (alpha, corr_norm, slack, dmin, residual)
@@ -1070,7 +1070,8 @@ def test_stacked_links_and_rounding_gaps(coral, monkeypatch):
     gap = _anchor_rounding_gap(*cols)
     assert list(gap) == [rounding_gap_reference(*st) for st in steps]
     _, a, tk, ck, _ = cols
-    residual = float_matmat(tk[:, None, :], IArray.point(ck[:, :, None])).mag[:, 0, 0]
+    lo, hi = float_matmat(tk[:, None, :], ck[:, :, None], ck[:, :, None])
+    residual = np.maximum(np.abs(lo), np.abs(hi))[:, 0, 0]
     links = (tk, np.array([prev[k].delta_alpha for k in picks]),
              np.array([prev[k].delta_u for k in picks]), a, np.abs(ck).max(axis=1),
              np.array([nxt[k].delta_min for k in picks]), gap, residual)
@@ -1382,8 +1383,8 @@ def test_extended_jacobian_block_structure(branch_result, preconditioned_system)
     assert A1.shape == (len(t), system.d + 1)
     _, J1 = _at(system, _point(t), _point(u))
     assert np.all(np.abs(A1 - J1.m) <= J1.r + 1e-12)
-    rows, iv = system.rows.float, system.rows.iv
-    assert np.all(iv.lo <= rows + 1e-12) and np.all(iv.hi >= rows - 1e-12)
+    rows = system.rows
+    assert np.all(np.abs(rows.float - rows.mid) <= rows.R + 1e-12)
 
 
 # ---------------------------------------------------------------------------

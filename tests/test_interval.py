@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certibif.errors import DomainError
-from certibif.cift import neumann_rho
-from certibif.interval import (_EXP_OVERFLOW, IArray, Interval, MidRad, add_hi, div_hi,
-                               float_matmat, mul_hi, norm_inf, up_dot, up_mul, up_sum)
+from certibif.cift import neumann_rho_rows
+from certibif.interval import (_EXP_OVERFLOW, Interval, MidRad, _gamma, add_hi, around,
+                               div_hi, float_matmat, mid_rad, mul_hi, up_dot, up_mul, up_sum)
 
 from helpers import contains
 
@@ -107,23 +107,21 @@ def test_sqrt_and_sqr():
     assert s.lo == 0.0 and s.hi >= 9.0
 
 
-def test_norm_inf_vector_point():
-    v = IArray.point([1.0, -2.0])
-    n = norm_inf(v)
-    assert n.lo == 2.0 == n.hi
-
-
 def test_neumann_rho_rowsum():
     # I - BA is the all-ones matrix times 0.25: row sum 0.5
-    A = IArray.point(np.eye(2) - 0.25 * np.ones((2, 2)))
-    rho = neumann_rho(A, np.eye(2))
+    A = np.eye(2) - 0.25 * np.ones((2, 2))
+    m, R = mid_rad(A, A, _gamma(2)[0])
+    rho = neumann_rho_rows(np.eye(2), m, up_sum(R, axis=-1))
     assert 0.5 <= rho <= 0.5 * (1 + 1e-14)
 
 
-def test_norm_inf_symmetric_interval():
-    v = IArray(np.array([-1.0]), np.array([1.0]))
-    n = norm_inf(v)
-    assert n.hi >= 1.0 and n.lo <= 1.0
+def test_interval_rejects_nan_and_inverted_endpoints():
+    Interval(0.0, 1.0)
+    for lo, hi in ((math.nan, 1.0), (0.0, math.nan), (2.0, 1.0)):
+        with pytest.raises(DomainError):
+            Interval(lo, hi)
+    with pytest.raises(DomainError):
+        Interval(math.nan)
 
 
 def test_overflow_saturation_mul():
@@ -193,18 +191,8 @@ def test_add_outward_when_inexact():
 # interval arrays against the scalar type
 # ---------------------------------------------------------------------------
 
-_SHAPES = [(), (4,), (3, 3), (2, 3, 3)]   # a scalar, a vector, a matrix, a stack
-
-
 def _bits(iv) -> tuple[str, str]:
     return float(iv.lo).hex(), float(iv.hi).hex()
-
-
-def _assert_entrywise(got: IArray, shape, expect) -> None:
-    """got has `shape`, and entry idx of got equals expect(idx) bit for bit."""
-    assert got.shape == shape
-    for idx in np.ndindex(*shape):
-        assert (got.lo[idx].hex(), got.hi[idx].hex()) == _bits(expect(idx)), idx
 
 
 def _assert_helpers_entrywise(x: np.ndarray, y: np.ndarray) -> None:
@@ -231,54 +219,39 @@ def _assert_helpers_entrywise(x: np.ndarray, y: np.ndarray) -> None:
 
 @given(st.data())
 @settings(max_examples=150, deadline=None)
-def test_iarray_equals_scalar_interval_entrywise(data):
-    shape = data.draw(st.sampled_from(_SHAPES[1:]))
+def test_endpoint_helpers_equal_scalar_interval_entrywise(data):
+    """On random endpoint arrays, the helpers give the scalar Interval
+    ends entry by entry (`_assert_helpers_entrywise`), and for nonnegative
+    operands the upper end of each interval operation is the helper on
+    upper ends (on the divisor's lower end for a quotient).  Multiples of
+    1/8 below 2^18 have float sums, which stay points."""
+    shape = data.draw(st.sampled_from([(4,), (3, 3), (2, 3, 3)]))
     exact = data.draw(st.booleans())
-    if exact:    # multiples of 1/8 below 2^18: every sum is a float, so stays a point
+    if exact:
         elem = st.integers(-2 ** 20, 2 ** 20).map(lambda k: k / 8.0)
         width = st.just(0.0)
     else:
         elem, width = finite, st.floats(0, 10)
     n = math.prod(shape)
 
-    def draw_array() -> IArray:
+    def draw_ends() -> tuple[np.ndarray, np.ndarray]:
         lo = np.array(data.draw(st.lists(elem, min_size=n, max_size=n))).reshape(shape)
         w = np.array(data.draw(st.lists(width, min_size=n, max_size=n))).reshape(shape)
-        return IArray(lo, lo + w)
+        return lo, lo + w
 
-    a, b, s = draw_array(), draw_array(), data.draw(elem)
-    ia = lambda idx: Interval(a.lo[idx], a.hi[idx])
-    ib = lambda idx: Interval(b.lo[idx], b.hi[idx])
-    _assert_entrywise(a + b, shape, lambda i: ia(i) + ib(i))
-    _assert_entrywise(a * b, shape, lambda i: ia(i) * ib(i))
-    _assert_entrywise(-a, shape, lambda i: -ia(i))
-    _assert_entrywise(a + s, shape, lambda i: ia(i) + s)
-    _assert_entrywise(a * s, shape, lambda i: ia(i) * s)
-    _assert_entrywise(a * ib((0,) * len(shape)), shape, lambda i: ia(i) * ib((0,) * len(shape)))
-    _assert_helpers_entrywise(a.lo, b.lo)
-    _assert_helpers_entrywise(a.hi, b.hi)
-    # for nonnegative operands the upper end of each interval operation is
-    # the helper on upper ends (on the divisor's lower end for a quotient)
+    (alo, ahi), (blo, bhi) = draw_ends(), draw_ends()
+    _assert_helpers_entrywise(alo, blo)
+    _assert_helpers_entrywise(ahi, bhi)
     for i in np.ndindex(*shape):
-        ja, jb = (Interval(abs(x.lo[i]), abs(x.lo[i]) + (x.hi[i] - x.lo[i])) for x in (a, b))
+        ja, jb = (Interval(abs(lo[i]), abs(lo[i]) + (hi[i] - lo[i]))
+                  for lo, hi in ((alo, ahi), (blo, bhi)))
         assert float(add_hi(ja.hi, jb.hi)).hex() == (ja + jb).hi.hex()
         assert float(mul_hi(ja.hi, jb.hi)).hex() == (ja * jb).hi.hex()
         if jb.lo > 0.0:
             assert float(div_hi(ja.hi, jb.lo)).hex() == (ja / jb).hi.hex()
     if exact:
-        assert np.array_equal((a + b).lo, (a + b).hi)
-        assert np.array_equal(add_hi(a.lo, -b.lo), 0.0 - add_hi(-a.lo, b.lo))
-    # indexing: a full index gives the Interval, a partial one an IArray
-    for idx in np.ndindex(*shape):
-        assert isinstance(a[idx], Interval) and _bits(a[idx]) == _bits(ia(idx))
-    assert isinstance(a[0], IArray) if len(shape) > 1 else isinstance(a[0], Interval)
-    if len(shape) > 1:
-        flip = lambda i: i[:-2] + (i[-1], i[-2])
-        _assert_entrywise(a.T, shape, lambda i: ia(flip(i)))
-        _assert_entrywise(a.shifted(s), shape,
-                          lambda i: ia(i) - s if i[-1] == i[-2] else ia(i))
-        _assert_entrywise(a.shifted(ib((0,) * len(shape))), shape,
-                          lambda i: ia(i) - ib((0,) * len(shape)) if i[-1] == i[-2] else ia(i))
+        assert np.array_equal(add_hi(alo, blo), 0.0 - add_hi(-alo, -blo))
+        assert np.array_equal(add_hi(alo, -blo), 0.0 - add_hi(-alo, blo))
 
 
 def test_outward_steps_of_large_arrays_equal_nextafter():
@@ -296,20 +269,6 @@ def test_outward_steps_of_large_arrays_equal_nextafter():
             for step, to in ((_aup, math.inf), (_adn, -math.inf)):
                 got, want = step(arr), np.nextafter(arr, to)
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
-@pytest.mark.parametrize("shape", _SHAPES)
-def test_iarray_rejects_nan_and_inverted_endpoints(shape):
-    lo, hi = np.zeros(shape), np.ones(shape)
-    IArray(lo, hi)
-    first = (0,) * len(shape)
-    for bad_lo, bad_hi in ((math.nan, 1.0), (0.0, math.nan), (2.0, 1.0)):
-        blo, bhi = lo.copy(), hi.copy()
-        blo[first], bhi[first] = bad_lo, bad_hi
-        with pytest.raises(DomainError):
-            IArray(blo, bhi)
-    with pytest.raises(DomainError):
-        IArray.point(np.full(shape, math.nan))
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +335,11 @@ def test_float_matmat_contains_exact_hull(n):
     for name, (B, M) in cases.items():
         for rel in (0.0, 1e-15, 1e-6):
             rad = rel * np.abs(M) * rng.uniform(0.0, 1.0, M.shape)
-            A = IArray(M - rad, M + rad) if rel else IArray.point(M)
-            C = float_matmat(B, A)
-            assert _exact_hull_contained(B, A.lo, A.hi, C.lo, C.hi), (name, rel)
-            v = float_matmat(B, IArray(A.lo[:, 0], A.hi[:, 0]))
-            assert _exact_hull_contained(B, A.lo[:, :1], A.hi[:, :1],
-                                         v.lo[:, None], v.hi[:, None]), (name, rel)
+            alo, ahi = M - rad, M + rad
+            assert _exact_hull_contained(B, alo, ahi, *float_matmat(B, alo, ahi)), (name, rel)
+            vlo, vhi = float_matmat(B, alo[:, 0], ahi[:, 0])
+            assert _exact_hull_contained(B, alo[:, :1], ahi[:, :1],
+                                         vlo[:, None], vhi[:, None]), (name, rel)
     # infinite endpoints, some met by exact zeros of B (0 * inf)
     B, M = rng.normal(size=(n, n)), rng.normal(size=(n, r))
     lo, hi = M - 1e-9, M + 1e-9
@@ -390,9 +348,9 @@ def test_float_matmat_contains_exact_hull(n):
     lo[3 % n, 2], hi[3 % n, 2] = -np.inf, np.inf
     B[0, [1, 2, 3 % n]] = 0.0
     B[n - 1, :] = 0.0
-    C = float_matmat(B, IArray(lo, hi))
-    assert not np.isnan(C.lo).any() and not np.isnan(C.hi).any()
-    assert _exact_hull_contained(B, lo, hi, C.lo, C.hi)
+    clo, chi = float_matmat(B, lo, hi)
+    assert not np.isnan(clo).any() and not np.isnan(chi).any()
+    assert _exact_hull_contained(B, lo, hi, clo, chi)
     # the (P2) matrix's pattern: rows 0 and 1, the subdiagonal and the
     # diagonal, mostly exact zeros, with entries one ulp wide.  Columns 2
     # and 3 hold one entry each, [-2^-1074, 0] and [0, 2^-1074], whose
@@ -410,9 +368,8 @@ def test_float_matmat_contains_exact_hull(n):
         lo[:, j] = hi[:, j] = 0.0
         lo[j + 1, j], hi[j + 1, j] = ends
     B = rng.normal(size=(n, n)) * 1e12
-    C = float_matmat(B, IArray(lo, hi))
     assert np.mean(lo == hi) > 0.5 and np.count_nonzero(lo == 0.0) > n * n / 2
-    assert _exact_hull_contained(B, lo, hi, C.lo, C.hi)
+    assert _exact_hull_contained(B, lo, hi, *float_matmat(B, lo, hi))
 
 
 def test_matmat_contains_float_product():
@@ -421,13 +378,13 @@ def test_matmat_contains_float_product():
     B = rng.normal(size=(6, 6))
     exact = A @ B
     # interval times float is the transpose of float times interval
-    for C in (float_matmat(A, IArray.point(B)), float_matmat(B.T, IArray.point(A).T).T):
-        assert np.all(C.lo <= exact + 1e-12) and np.all(C.hi >= exact - 1e-12)
+    for lo, hi in (float_matmat(A, B, B), (e.T for e in float_matmat(B.T, A.T, A.T))):
+        assert np.all(lo <= exact + 1e-12) and np.all(hi >= exact - 1e-12)
         # rigorous containment of the exact real product via Fractions on a few entries
         for i in (0, 3):
             for j in (1, 5):
                 s = sum(Fraction(A[i, k]) * Fraction(B[k, j]) for k in range(6))
-                assert Fraction(C.lo[i, j]) <= s <= Fraction(C.hi[i, j])
+                assert Fraction(lo[i, j]) <= s <= Fraction(hi[i, j])
 
 
 def test_float_matvec_and_matmat_contain_exact():
@@ -435,17 +392,17 @@ def test_float_matvec_and_matmat_contain_exact():
     B = rng.normal(size=(5, 5))
     A = rng.normal(size=(5, 5))
     x = rng.normal(size=5)
-    out_v = float_matmat(B, IArray.point(x))
-    out_m = float_matmat(B, IArray.point(A))
+    vlo, vhi = float_matmat(B, x, x)
+    mlo, mhi = float_matmat(B, A, A)
     # a vector is one column
-    col = float_matmat(B, IArray.point(x[:, None]))
-    assert isinstance(out_v, IArray) and out_v.shape == (5,)
-    assert np.array_equal(out_v.lo, col.lo[:, 0]) and np.array_equal(out_v.hi, col.hi[:, 0])
+    clo, chi = float_matmat(B, x[:, None], x[:, None])
+    assert vlo.shape == vhi.shape == (5,)
+    assert np.array_equal(vlo, clo[:, 0]) and np.array_equal(vhi, chi[:, 0])
     for i in range(5):
         sv = sum(Fraction(B[i, k]) * Fraction(x[k]) for k in range(5))
-        assert Fraction(out_v.lo[i]) <= sv <= Fraction(out_v.hi[i])
+        assert Fraction(vlo[i]) <= sv <= Fraction(vhi[i])
         sm = sum(Fraction(B[i, k]) * Fraction(A[k, 2]) for k in range(5))
-        assert Fraction(out_m.lo[i, 2]) <= sm <= Fraction(out_m.hi[i, 2])
+        assert Fraction(mlo[i, 2]) <= sm <= Fraction(mhi[i, 2])
 
 
 _MAXF = sys.float_info.max
@@ -562,32 +519,6 @@ def test_up_helpers_saturate_infinite_bounds_silently():
         assert up_dot(np.array([[np.inf]]), np.array([[0.0]]))[0, 0] == np.inf
         got = up_dot(np.array([[np.inf, 1.0], [1.0, 1.0]]), np.array([[0.0], [2.0]]))
         assert got[0, 0] == np.inf and 2.0 <= got[1, 0] < np.inf
-
-
-def test_iarray_overflow_saturates_as_interval_silently():
-    """Sums and products that overflow saturate entry by entry exactly as
-    the scalar Interval operations do, and so do the endpoint helpers'
-    sums, differences, products and quotients of the endpoints (a sum one
-    step below overflow too), with no numpy overflow warning."""
-    big = sys.float_info.max
-    a = IArray(np.array([1.5e308, -1.5e308, 1e200, 1.7e308, big]),
-               np.array([1.5e308, 1.6e308, 1e200, 1.7e308, big]))
-    b = IArray(np.array([1.5e308, 1.5e308, -1e200, 0.0, 1e290]),
-               np.array([1.6e308, 1.5e308, 1e200, 1e10, 1e290]))
-    ia = lambda i: Interval(a.lo[i], a.hi[i])
-    ib = lambda i: Interval(b.lo[i], b.hi[i])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = {"+": a + b, "*": a * b}
-        want = {"+": lambda i: ia(i) + ib(i), "*": lambda i: ia(i) * ib(i)}
-        for op, g in got.items():
-            _assert_entrywise(g, (5,), want[op])
-        _assert_helpers_entrywise(a.lo, b.lo)
-        _assert_helpers_entrywise(a.hi, b.hi)
-        _assert_helpers_entrywise(a.hi, 1e-300 * b.hi)
-        assert add_hi(big, 1e290) == math.inf and 0.0 - add_hi(-big, -1e290) == big
-        s = IArray.point([1.5e308]) + IArray.point([1.5e308])
-    assert (s.lo[0], s.hi[0]) == (sys.float_info.max, math.inf)
 
 
 def test_up_sum_overflow_gives_inf_silently():
@@ -744,17 +675,20 @@ def test_midrad_dot_contains_the_exact_hull(seed):
 
 
 def test_midrad_split_and_endpoints():
-    """`MidRad.of` encloses IArray endpoints (an infinite one gives m = 0, r
-    = inf), and `mag` bounds |m +- r|, saturating NaN."""
-    x = IArray(np.array([1.0, 0.1, -3.0, -np.inf, 5e-324]), np.array([1.0, 0.3, 1e300, 2.0, 5e-324]))
-    mr = MidRad.of(x)
+    """`MidRad.of` encloses a pair of endpoint arrays (an infinite endpoint
+    gives m = 0, r = inf) and an Interval, and `mag` bounds |m +- r|,
+    saturating NaN."""
+    lo, hi = np.array([1.0, 0.1, -3.0, -np.inf, 5e-324]), np.array([1.0, 0.3, 1e300, 2.0, 5e-324])
+    mr = MidRad.of((lo, hi))
     F = Fraction
     for i in range(4):
         if math.isinf(mr.r[i]):
-            assert mr.m[i] == 0.0 and np.isinf(x.lo[i])
+            assert mr.m[i] == 0.0 and np.isinf(lo[i])
             continue
-        assert F(mr.m[i]) - F(mr.r[i]) <= F(x.lo[i]) and F(x.hi[i]) <= F(mr.m[i]) + F(mr.r[i])
+        assert F(mr.m[i]) - F(mr.r[i]) <= F(lo[i]) and F(hi[i]) <= F(mr.m[i]) + F(mr.r[i])
     assert mr.r[0] == 0.0
+    one = MidRad.of(Interval(0.1, 0.3))
+    assert (float(one.m), float(one.r)) == (float(mr.m[1]), float(mr.r[1]))
     a = MidRad(np.array([0.1, np.nan, np.inf, 2.0]), np.array([0.3, 0.0, np.inf, np.nan]))
     mag = a.mag
     assert F(mag[0]) >= F(0.1) + F(0.3)
@@ -762,10 +696,11 @@ def test_midrad_split_and_endpoints():
 
 
 def test_scale_and_widened():
-    v = IArray.point([1.0, -1.0]) * Interval(2.0, 3.0)
+    v = [x * Interval(2.0, 3.0) for x in around([1.0, -1.0], 0.0)]
     assert contains(v, np.array([2.5, -2.5]))
-    w = IArray.point([0.0]).widened(0.5)
-    assert w.lo[0] <= -0.5 and w.hi[0] >= 0.5
+    w = around([0.0, 1.0], 0.5)
+    assert w[0].lo <= -0.5 and w[0].hi >= 0.5
+    assert (w[1].lo, w[1].hi) == (math.nextafter(0.5, 0.0), math.nextafter(1.5, 2.0))
 
 
 def test_containment_under_concurrent_use():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from certibif.continuation import CoralBranchSystem
 from certibif.errors import ValidationFailed
-from certibif.interval import IArray, Interval
+from certibif.interval import Interval, around
 from certibif.model import (CoralMap, CoralParams, FixedPointReduction,
                             derive_generic, phi, phi_derivs, row1_d2, row1_d3)
 
@@ -346,9 +346,8 @@ def test_lambda_R_conversion(coral):
 def test_interval_step_contains_float_samples(coral):
     rng = np.random.default_rng(12)
     lam0, x0 = 2.0, 700.0 * coral.cf.a
-    lam_iv = IArray.around([lam0], 1e-8)[0]
-    box = IArray.around(x0, 1e-6)
-    enc = IArray.from_scalars(coral.step_scalars(lam_iv, box.to_scalars(), coral.ci))
+    lam_iv = around([lam0], 1e-8)[0]
+    enc = coral.step_scalars(lam_iv, around(x0, 1e-6), coral.ci)
     for _ in range(25):
         lam = lam0 + rng.uniform(-1e-8, 1e-8)
         x = x0 + rng.uniform(-1e-6, 1e-6, 13)
@@ -357,31 +356,32 @@ def test_interval_step_contains_float_samples(coral):
 
 def test_interval_jacobian_contains_float(coral):
     lam0, x0 = 2.0, 700.0 * coral.cf.a
-    J_iv = coral.jac_x_iv(Interval.point(lam0), coral.row1_jet(IArray.point(x0)))
+    lo, hi = coral.jac_x_iv(Interval.point(lam0), coral.row1_jet([Interval(v) for v in x0]))
     J = coral.jac_x(lam0, x0)
-    assert np.all(J_iv.lo <= J + 1e-12) and np.all(J_iv.hi >= J - 1e-12)
+    assert np.all(lo <= J + 1e-12) and np.all(hi >= J - 1e-12)
 
 
 def _row1_boxes(coral, rng, count):
     """Boxes around jittered branch-like states, from points (radius 0)
-    to relative radius 1e-4."""
+    to relative radius 1e-4, as lists of Intervals."""
     for i in range(count):
         c = rng.uniform(50.0, 3000.0) * coral.cf.a * rng.uniform(0.8, 1.2, coral.d)
         rel = 0.0 if i % 4 == 0 else 10.0 ** rng.uniform(-15.0, -4.0)
-        yield c, IArray.around(c, rel * c) if rel else IArray.point(c)
+        yield c, ([Interval(math.nextafter(v - r, -math.inf), math.nextafter(v + r, math.inf))
+                   for v, r in zip(c.tolist(), (rel * c).tolist())] if rel
+                  else [Interval(v) for v in c.tolist()])
 
 
 def test_row1_jet_equals_scalar_interval_evaluation(coral):
     bits = lambda iv: (iv.lo, iv.hi)
     for _, box in _row1_boxes(coral, np.random.default_rng(21), 24):
-        phis, bx, g, g1 = scalar_row1(coral, box.to_scalars())
+        phis, bx, g, g1 = scalar_row1(coral, box)
         for order in (1, 2, 3):
             jet = coral.row1_jet(box, order=order)
             assert len(jet.phis) == order + 1
             assert [bits(p) for p in jet.phis] == [bits(p) for p in phis[:order + 1]]
             assert bits(jet.bx) == bits(bx) and bits(jet.g) == bits(g)
-            assert np.array_equal(jet.g1.lo, [gj.lo for gj in g1])
-            assert np.array_equal(jet.g1.hi, [gj.hi for gj in g1])
+            assert [bits(gj) for gj in jet.g1] == [bits(gj) for gj in g1]
 
 
 def test_row1_jet_contains_high_precision_values(coral):
@@ -393,10 +393,10 @@ def test_row1_jet_contains_high_precision_values(coral):
     with mp.workdps(50):
         c = mp_coeffs(coral)
         for centre, box in _row1_boxes(coral, rng, 12):
-            corners = [box.lo, box.hi] + [np.where(rng.random(coral.d) < 0.5, box.lo, box.hi)
-                                          for _ in range(2)]
-            interior = [np.clip(centre + (box.hi - box.lo) * rng.uniform(-0.5, 0.5, coral.d),
-                                box.lo, box.hi) for _ in range(2)]
+            lo, hi = np.array([v.lo for v in box]), np.array([v.hi for v in box])
+            corners = [lo, hi] + [np.where(rng.random(coral.d) < 0.5, lo, hi) for _ in range(2)]
+            interior = [np.clip(centre + (hi - lo) * rng.uniform(-0.5, 0.5, coral.d), lo, hi)
+                        for _ in range(2)]
             for order in (1, 2, 3):
                 jet = coral.row1_jet(box, order=order)
                 for pt in corners + interior:
@@ -411,7 +411,7 @@ def test_row1_jet_contains_high_precision_values(coral):
                     assert inside(jet.g.lo, jet.g.hi, ds[0] * bx)
                     for j in range(coral.d):
                         gj = ds[1] * c.q[j] * bx + ds[0] * c.b[j]
-                        assert inside(jet.g1.lo[j], jet.g1.hi[j], gj), (order, j)
+                        assert inside(jet.g1[j].lo, jet.g1[j].hi, gj), (order, j)
 
 
 def _exact_hull(*factors):
@@ -423,7 +423,7 @@ def _exact_hull(*factors):
 
 
 def test_row1_jet_stages_enclose_the_exact_hull_of_their_inputs(coral):
-    """Each endpoint-array stage of the jet -- b.x, g = phi (b.x) and
+    """Each stage of the one-x jet -- b.x, g = phi (b.x) and
     g1_j = phi' q_j (b.x) + phi b_j -- encloses the exact range of its
     expression over its interval inputs (the coefficient enclosures, the
     box and the jet's own phi, phi' and b.x), so no outward step is
@@ -433,8 +433,7 @@ def test_row1_jet_stages_enclose_the_exact_hull_of_their_inputs(coral):
     with mp.workdps(60):
         for _, box in _row1_boxes(coral, np.random.default_rng(23), 24):
             jet = coral.row1_jet(box)
-            xs = box.to_scalars()
-            hulls = [_exact_hull(bk, xk) for bk, xk in zip(ci.b, xs)]
+            hulls = [_exact_hull(bk, xk) for bk, xk in zip(ci.b, box)]
             assert mp.mpf(jet.bx.lo) <= mp.fsum(h[0] for h in hulls)
             assert mp.fsum(h[1] for h in hulls) <= mp.mpf(jet.bx.hi)
             lo, hi = _exact_hull(jet.phis[0], jet.bx)
@@ -442,8 +441,8 @@ def test_row1_jet_stages_enclose_the_exact_hull_of_their_inputs(coral):
             for j in range(coral.d):
                 t = _exact_hull(jet.phis[1], ci.q[j], jet.bx)
                 u = _exact_hull(jet.phis[0], ci.b[j])
-                assert mp.mpf(float(jet.g1.lo[j])) <= t[0] + u[0], j
-                assert t[1] + u[1] <= mp.mpf(float(jet.g1.hi[j])), j
+                assert mp.mpf(jet.g1[j].lo) <= t[0] + u[0], j
+                assert t[1] + u[1] <= mp.mpf(jet.g1[j].hi), j
 
 
 def test_mp_coefficients_match_float(coral):
