@@ -28,8 +28,7 @@ import numpy as np
 from . import cift
 from .errors import (CertificationFailed, ConditionInconclusive, DomainError,
                      SpectrumInconclusive, ValidationFailed)
-from .interval import (Interval, _dn, _dn2, _sum_bounds, _up, _up2, around, up_dot,
-                       up_mul)
+from .interval import Interval, _dn, _dn2, _up, _up2, around, up_dot, up_mul
 from .model import (CoralMap, FixedPointReduction, Row1Jet, _bisect, phi_derivs,
                     polyp_density, row1_d2, row1_d3, schur_cohn_inside)
 
@@ -160,9 +159,9 @@ def _qb(coeffs, v) -> tuple:
     return qv, bv
 
 
-def _d2_row(coral: CoralMap, lam: Interval, phis, bx: Interval, y) -> list:
+def _d2_row(coral: CoralMap, lam: Interval | float, phis, bx: Interval, y) -> list:
     """lam * D^2 g[y, e_k] for k = 1..d: row 1 of the x-derivative of
-    D_x f y, in O(d) from q.y and b.y."""
+    D_x f y, in O(d) from q.y and b.y (y of Interval or float entries)."""
     qy, by = _qb(coral.ci, y)
     return [lam * row1_d2(phis, bx, qy, by, qk, bk) for qk, bk in zip(coral.ci.q, coral.ci.b)]
 
@@ -177,8 +176,9 @@ def _row1_jvp(coral: CoralMap, lam, x, coeffs, *vecs) -> list:
     return [sum((gj * vj for gj, vj in zip(g1, v)), 0.0 * lam) * lam for v in vecs]
 
 
-def _g1_dot(jet: Row1Jet, y: list[Interval]) -> Interval:
-    """Dg[y] = sum_j g1_j y_j over the jet's box, summed in j order."""
+def _g1_dot(jet: Row1Jet, y: list) -> Interval:
+    """Dg[y] = sum_j g1_j y_j over the jet's box (y of Interval or float
+    entries), summed in j order."""
     return sum((gj * yj for gj, yj in zip(jet.g1, y)), Interval(0.0))
 
 
@@ -199,8 +199,8 @@ class _PointSystem:
     for c = 1: the block of the fixed-point rows, built once).  The
     subclass finishes the eigen rows with its own terms (`_rows` in the
     residual, where it also subtracts c y so that each row keeps its
-    evaluation order; `_own_jac`, `_own_jac_iv` and `_own_hessian` in the
-    derivatives) and appends its normalization rows."""
+    evaluation order; `_own_jac` and `_own_hessian` in the derivatives)
+    and appends its normalization rows."""
 
     slots: tuple
     _x: int                  # slot of x
@@ -265,32 +265,28 @@ class _PointSystem:
         self._own_jac(J, parts)
         return J
 
-    def jac_iv(self, z: list[Interval]) -> tuple[np.ndarray, np.ndarray]:
-        parts = self.split(z)
-        d, lam = self.d, parts[self._lam]
+    def jac_iv(self, z0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """An enclosure of DH(z0) at the float point z0, as endpoint arrays:
+        `jac(z0)` with the rows that carry row 1 of D_x f (row 0 and the
+        first row of each eigen block) enclosed from one order-2 row-1 jet.
+        Only row 1 of the map is nonlinear, so every other entry of `jac`
+        is exact: the survival rates S_k, -1 and -c (-a for NS) on the
+        diagonals, and the subclass's terms, entries of z0 (+-b, +-w, +-u)
+        or their doublings (2a, 2b, 2w, 2u, 2v), which no rounding moves."""
+        z0 = np.asarray(z0, dtype=float)
+        lo = self.jac(z0)
+        hi = lo.copy()
+        parts = self.split(z0.tolist())
+        d, lam, c = self.d, parts[self._lam], self._shift(parts)
         jet = self.coral.row1_jet(parts[self._x], order=2)
-        phis, bx = jet.phis, jet.bx
-        Alo, Ahi = self.coral.jac_x_iv(lam, jet)
-        i = np.arange(d)
-
-        def shifted(c: Interval) -> tuple:
-            """D_x f - cI, the diagonal rounded as `Interval.__sub__` rounds."""
-            lo, hi = Alo.copy(), Ahi.copy()
-            lo[i, i], hi[i, i] = _sum_bounds(lo[i, i], hi[i, i], -c.hi, -c.lo)
-            return lo, hi
-
-        c = self._shift(parts)
-        AmI = shifted(Interval(1.0))
-        AmC = AmI if c is None else shifted(c)
-        lo, hi = np.zeros((self.dim, self.dim)), np.zeros((self.dim, self.dim))
+        row = [g * lam for g in jet.g1]          # row 1 of D_x f
         sx, sl = self.slots[self._x], self.slots[self._lam]
-        lo[:d, sx], hi[:d, sx] = AmI
-        _put(lo, hi, (0, sl), phis[0] * bx)
+        _put(lo, hi, (0, sx), [row[0] - 1.0] + row[1:])
+        _put(lo, hi, (0, sl), jet.g)
         for j, k in enumerate(self._eig, 1):
-            _put(lo, hi, (j * d, sx), _d2_row(self.coral, lam, phis, bx, parts[k]))
+            _put(lo, hi, (j * d, sx), _d2_row(self.coral, lam, jet.phis, jet.bx, parts[k]))
             _put(lo, hi, (j * d, sl), _g1_dot(jet, parts[k]))
-            lo[j * d:(j + 1) * d, self.slots[k]], hi[j * d:(j + 1) * d, self.slots[k]] = AmC
-        self._own_jac_iv(lo, hi, parts)
+            _put(lo, hi, (j * d, self.slots[k]), [row[0] - (1.0 if c is None else c)] + row[1:])
         return lo, hi
 
     def hessian_sup(self, box: list[Interval]) -> np.ndarray:
@@ -358,23 +354,6 @@ class NsSystem(_PointSystem):
         J[3 * d + 1, sw] = 2 * w
         J[3 * d + 2, su] = 2 * u
 
-    def _own_jac_iv(self, lo: np.ndarray, hi: np.ndarray, parts) -> None:
-        d = self.d
-        *_, w, u, a, b = parts
-        _, _, sw, su, sa, sb = self.slots
-        r2, r3, i = slice(d, 2 * d), slice(2 * d, 3 * d), np.arange(d)
-        neg_w, neg_u = [-e for e in w], [-e for e in u]
-        _put(lo, hi, (d + i, su.start + i), b)
-        _put(lo, hi, (r2, sa), neg_w)
-        _put(lo, hi, (r2, sb), u)
-        _put(lo, hi, (2 * d + i, sw.start + i), -b)
-        _put(lo, hi, (r3, sa), neg_u)
-        _put(lo, hi, (r3, sb), neg_w)
-        _put(lo, hi, (3 * d, sa), 2.0 * a)
-        _put(lo, hi, (3 * d, sb), 2.0 * b)
-        _put(lo, hi, (3 * d + 1, sw), [e * 2.0 for e in w])
-        _put(lo, hi, (3 * d + 2, su), [e * 2.0 for e in u])
-
     def _own_hessian(self, T: np.ndarray) -> None:
         d = self.d
         _, _, sw, su, sa, sb = self.slots
@@ -419,9 +398,6 @@ class SnSystem(_PointSystem):
 
     def _own_jac(self, J: np.ndarray, parts) -> None:
         J[2 * self.d, self.slots[1]] = 2 * parts[1]
-
-    def _own_jac_iv(self, lo: np.ndarray, hi: np.ndarray, parts) -> None:
-        _put(lo, hi, (2 * self.d, self.slots[1]), [e * 2.0 for e in parts[1]])
 
     def _own_hessian(self, T: np.ndarray) -> None:
         vc = self.slots[1].start + np.arange(self.d)

@@ -7,7 +7,7 @@ A *zero problem* is any object with
     value(z)       -- float residual, shape (m,)
     jac(z)         -- float Jacobian, shape (m, m)
     value_iv(ziv)  -- interval residual (a list of m Intervals in and out)
-    jac_iv(ziv)    -- interval Jacobian at a list of m Intervals, as the
+    jac_iv(z)      -- interval Jacobian at the float point z, as the
                       endpoint arrays (lo, hi), each of shape (m, m)
     hessian_sup(box) -- nonnegative float array T of shape (m, m, m), +inf
                         allowed, T[i, k, j] >= sup_box |d2 H_i / dz_k dz_j|
@@ -382,7 +382,7 @@ def validate_zero(problem, z0: np.ndarray, ell: float = 1e-6) -> Certificate:
 
     L1 = lipschitz_L1(problem, z0, ell, np.abs(B))
     rho = residual_bound(problem, z0, B)
-    lo, hi = problem.jac_iv([Interval(v) for v in z0.tolist()])
+    lo, hi = problem.jac_iv(z0)
     bad = int(np.count_nonzero(~(np.isfinite(lo) & np.isfinite(hi))))
     if bad:
         raise ValidationFailed(f"(H2) failed: anchor Jacobian enclosure has {bad} "

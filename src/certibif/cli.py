@@ -81,7 +81,8 @@ def cmd_simulate(args) -> int:
         rng = np.random.default_rng(args.seed)
         x0 = rng.uniform(0.0, 1.0, coral.d) * dynamics.density_matched_state(coral, 1500.0)
     else:
-        x0 = np.loadtxt(args.x0, delimiter=",")
+        x0 = _checked(np.loadtxt(args.x0, delimiter=","), f"initial state in {args.x0}",
+                      coral.d, f"the map has d = {coral.d} age classes")
     with np.errstate(over="ignore"):      # iterate reports a non-finite state
         x0 = args.x0_scale * x0
     orb = dynamics.iterate(coral, lam, x0, n=args.years, skip=args.skip)
@@ -273,14 +274,21 @@ def _load_anchor(path: str, system) -> np.ndarray:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"anchor file {path} holds neither a list of numbers nor an "
                          f"object with one under \"anchor\" ({exc})") from exc
-    bad = np.flatnonzero(~np.isfinite(anchor))
+    return _checked(anchor, f"anchor in {path}", system.dim,
+                    f"the {system.name} system needs {system.dim}")
+
+
+def _checked(v: np.ndarray, what: str, n: int, need: str) -> np.ndarray:
+    """v when it is one row of n finite numbers; otherwise a ValueError
+    naming `what`, with the first entry that is not finite or else v's
+    entry count and `need`."""
+    bad = np.flatnonzero(~np.isfinite(v))
     if bad.size:
-        raise ValueError(f"anchor in {path}: entry {int(bad[0])} is "
-                         f"{float(anchor[bad[0]])!r}, not a finite number")
-    if len(anchor) != system.dim:
-        raise ValueError(f"anchor in {path} has {len(anchor)} entries; the "
-                         f"{system.name} system needs {system.dim}")
-    return anchor
+        raise ValueError(f"{what}: entry {int(bad[0])} is {float(v.flat[bad[0]])!r}, "
+                         f"not a finite number")
+    if v.shape != (n,):
+        raise ValueError(f"{what} has {v.size} entries; {need}")
+    return v
 
 
 def cmd_transcritical(args) -> int:

@@ -250,11 +250,6 @@ class Interval:
     def exp(self) -> "Interval":
         return Interval(_exp_dn(self.lo), _exp_up(self.hi))
 
-    def sqrt(self) -> "Interval":
-        if self.lo < 0.0:
-            raise DomainError(f"sqrt of interval with negative part: {self}")
-        return Interval(max(0.0, _dn(math.sqrt(self.lo))), _up(math.sqrt(self.hi)))
-
     def pow(self, r: float) -> "Interval":
         """x**r for real r >= 0; requires lo >= 0 unless r = 0 (only
         nonnegative bases and exponents occur in the coral coefficients)."""

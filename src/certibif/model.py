@@ -64,13 +64,18 @@ class CoralParams:
     def from_config(path: str | Path) -> "CoralParams":
         """Load parameters from a key=value text file (see README)."""
         fields: dict[str, object] = {}
-        for raw in Path(path).read_text().splitlines():
+        seen: dict[str, int] = {}
+        for number, raw in enumerate(Path(path).read_text().splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise ValueError(f"bad config line: {raw!r}")
             key, val = (s.strip() for s in line.split("=", 1))
+            if key in seen:
+                raise ValueError(f"config key {key!r} set twice in {path}, on lines "
+                                 f"{seen[key]} and {number}")
+            seen[key] = number
             if key == "d":
                 fields["d"] = int(val)
             elif key in ("S", "F"):
@@ -255,15 +260,15 @@ class CoralMap:
         first = lam * phi(P, self.params) * bx
         return [first] + [self.params.S[k] * x[k] for k in range(self.d - 1)]
 
-    def row1_jet(self, x: "list[Interval] | MidRad", order: int = 1) -> "Row1Jet":
+    def row1_jet(self, x: "list | MidRad", order: int = 1) -> "Row1Jet":
         """g = phi(P) (b.x) over an interval point or box x, where f_1 =
         lambda*g, with phi..phi^(order) and the gradient of g.
 
-        One x, a list of `Interval`s, runs in `Interval` scalars, q.x and
-        b.x summed in k order as `step_scalars` sums them.  A `MidRad` stack
-        x (leading axes, one jet per row) runs in `MidRad`, q.x and b.x as
-        `MidRad.dot` row sums, so a row does not depend on the rows stacked
-        with it."""
+        One x, a list of `Interval`s or of floats (a point), runs in
+        `Interval` scalars, q.x and b.x summed in k order as `step_scalars`
+        sums them.  A `MidRad` stack x (leading axes, one jet per row) runs
+        in `MidRad`, q.x and b.x as `MidRad.dot` row sums, so a row does not
+        depend on the rows stacked with it."""
         if isinstance(x, MidRad):
             q, b = self._q_mr, self._b_mr
             P, bx = x.dot(q), x.dot(b)
@@ -276,15 +281,6 @@ class CoralMap:
             phis = phi_derivs(P, self.params, order=max(order, 1))
             g1 = [qk * phis[1] * bx + bk * phis[0] for qk, bk in zip(self.ci.q, self.ci.b)]
         return Row1Jet(phis=phis, bx=bx, g=phis[0] * bx, g1=g1)
-
-    def jac_x_iv(self, lam: Interval, jet: "Row1Jet") -> tuple[np.ndarray, np.ndarray]:
-        """D_x f from the row-1 jet of the same x, as endpoint arrays."""
-        lo, hi = np.zeros((self.d, self.d)), np.zeros((self.d, self.d))
-        row = [g * lam for g in jet.g1]
-        lo[0], hi[0] = [v.lo for v in row], [v.hi for v in row]
-        k = np.arange(self.d - 1)
-        lo[k + 1, k] = hi[k + 1, k] = self._S
-        return lo, hi
 
     # -- rigorous second/third-order bounds over a box --------------------
 

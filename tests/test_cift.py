@@ -34,8 +34,8 @@ class ScalarSquare:
         x = z[0]
         return [x * x - self.c]
 
-    def jac_iv(self, z: list) -> tuple:
-        two_x = 2.0 * z[0]
+    def jac_iv(self, z) -> tuple:
+        two_x = 2.0 * Interval(z[0])
         return np.array([[two_x.lo]]), np.array([[two_x.hi]])
 
     def hessian_sup(self, box: list) -> np.ndarray:
@@ -62,7 +62,7 @@ class AffineMap:
         lo, hi = float_matmat(self.A, [v.lo for v in z], [v.hi for v in z])
         return [Interval(l, h) - bk for l, h, bk in zip(lo.tolist(), hi.tolist(), self.b.tolist())]
 
-    def jac_iv(self, z: list) -> tuple:
+    def jac_iv(self, z) -> tuple:
         return self.A, self.A
 
     def hessian_sup(self, box):
@@ -157,7 +157,7 @@ def test_neumann_rho_rows_dominates_the_exact_rowsum_at_the_certificates(
     system, cert = (SnSystem(coral), sn_cert) if kind == "sn" else (NsSystem(coral), ns_cert)
     z0 = np.array(cert.anchor)
     B = np.linalg.inv(system.jac(z0))
-    lo, hi = system.jac_iv([Interval(v) for v in z0.tolist()])
+    lo, hi = system.jac_iv(z0)
     for rel in (1e-13, 1e-10):
         rad = rel * (np.maximum(np.abs(lo), np.abs(hi)) + 1e-3)
         wlo, whi = lo - rad, hi + rad
@@ -552,7 +552,7 @@ class ScalarCubic:
         return [((x - 6.0) * x + 11.0) * x - 6.0]
 
     def jac_iv(self, z):
-        x = z[0]
+        x = Interval(z[0])
         e = (3.0 * x - 12.0) * x + 11.0
         return np.array([[e.lo]]), np.array([[e.hi]])
 

@@ -350,6 +350,18 @@ def test_config_file_flows_through(tmp_path, capsys, coral):
     assert rc == 0
 
 
+def test_config_key_set_twice_is_usage_error(tmp_path, capsys):
+    """A key given twice exits 2 naming it and both lines, rather than
+    taking the second value."""
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text("c2 = 1.3e7\n# the same key again\nc2 = 2e7\n")
+    rc = main(["--config", str(cfg), "--out", str(tmp_path), "transcritical"])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"error: config key 'c2' set twice in {cfg}, "
+                                       f"on lines 1 and 3\n")
+    assert not (tmp_path / "transcritical.json").exists()
+
+
 def test_branch_refuses_a_target_past_the_transcritical_point(tmp_path, capsys):
     # the branch meets x = 0 at R* = c2/c1 = 72.22..., so R = 73 is never reached
     rc = main(["--out", str(tmp_path), "branch", "--to-R", "73"])
@@ -423,6 +435,23 @@ def test_simulate_x0_from_csv_and_fixed(tmp_path, coral):
     last = [float(v) for v in lines[-1].split(",")]
     # starting on the fixed point: the trajectory stays there
     assert abs(first[-1] - last[-1]) <= 1e-6 * abs(first[-1])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1.0,2.0,3.0", " has 3 entries; the map has d = 13 age classes"),
+    ("\n".join([",".join(["1.0"] * 13)] * 2), " has 26 entries; the map has d = 13 age classes"),
+    (",".join(["1.0"] * 5 + ["nan"] + ["1.0"] * 7), ": entry 5 is nan, not a finite number"),
+], ids=["short", "two-rows", "nan"])
+def test_simulate_x0_file_not_one_finite_state_is_usage_error(tmp_path, capsys, text, message):
+    """An --x0 file that is not one row of d finite numbers exits 2 with a
+    message naming the file, before any year is run."""
+    path = tmp_path / "x0.csv"
+    path.write_text(text + "\n")
+    rc = main(["--out", str(tmp_path), "simulate", "--R", "100", "--x0", str(path),
+               "--years", "5"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: initial state in {path}{message}\n"
+    assert not (tmp_path / "simulate.csv").exists()
 
 
 def test_simulate_fixed_x0_without_nontrivial_fixed_point_fails(tmp_path, capsys):

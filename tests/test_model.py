@@ -355,10 +355,14 @@ def test_interval_step_contains_float_samples(coral):
 
 
 def test_interval_jacobian_contains_float(coral):
+    """Row 1 of D_x f from the row-1 jet at a point holds the float
+    Jacobian's row 1, and the float rows below are the Leslie form: the
+    survival rates on the subdiagonal, zeros elsewhere."""
     lam0, x0 = 2.0, 700.0 * coral.cf.a
-    lo, hi = coral.jac_x_iv(Interval.point(lam0), coral.row1_jet([Interval(v) for v in x0]))
+    row = [g * lam0 for g in coral.row1_jet(x0.tolist()).g1]
     J = coral.jac_x(lam0, x0)
-    assert np.all(lo <= J + 1e-12) and np.all(hi >= J - 1e-12)
+    assert all(v.lo <= Jj + 1e-12 and v.hi >= Jj - 1e-12 for v, Jj in zip(row, J[0].tolist()))
+    assert np.array_equal(J[1:], np.diag(coral.params.S, -1)[1:])
 
 
 def _row1_boxes(coral, rng, count):
