@@ -249,7 +249,8 @@ class _PointSystem:
         bx = float(cf.b @ x)
         phis = phi_derivs(float(cf.q @ x), self.coral.params, order=2)
         g1 = phis[1] * cf.q * bx + phis[0] * cf.b
-        A = self.coral.jac_x(lam, x)
+        A = np.diag(np.asarray(self.coral.params.S, dtype=float), -1)
+        A[0] = lam * g1            # D_x f: row 1 from g1, the survival rates below
         c = self._shift(parts)
         AmI = A - np.eye(d)
         AmC = AmI if c is None else A - c * np.eye(d)
@@ -265,18 +266,17 @@ class _PointSystem:
         self._own_jac(J, parts)
         return J
 
-    def jac_iv(self, z0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """An enclosure of DH(z0) at the float point z0, as endpoint arrays:
-        `jac(z0)` with the rows that carry row 1 of D_x f (row 0 and the
-        first row of each eigen block) enclosed from one order-2 row-1 jet.
-        Only row 1 of the map is nonlinear, so every other entry of `jac`
-        is exact: the survival rates S_k, -1 and -c (-a for NS) on the
-        diagonals, and the subclass's terms, entries of z0 (+-b, +-w, +-u)
-        or their doublings (2a, 2b, 2w, 2u, 2v), which no rounding moves."""
-        z0 = np.asarray(z0, dtype=float)
-        lo = self.jac(z0)
-        hi = lo.copy()
-        parts = self.split(z0.tolist())
+    def jac_iv(self, z0: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """An enclosure of DH(z0) at the float point z0, as endpoint arrays,
+        from J = `jac(z0)`: J with the rows that carry row 1 of D_x f (row 0
+        and the first row of each eigen block) enclosed from one order-2
+        row-1 jet.  Only row 1 of the map is nonlinear, so every other entry
+        of `jac` is exact: the survival rates S_k, -1 and -c (-a for NS) on
+        the diagonals, and the subclass's terms, entries of z0 (+-b, +-w,
+        +-u) or their doublings (2a, 2b, 2w, 2u, 2v), which no rounding
+        moves."""
+        lo, hi = J.copy(), J.copy()
+        parts = self.split(np.asarray(z0, dtype=float).tolist())
         d, lam, c = self.d, parts[self._lam], self._shift(parts)
         jet = self.coral.row1_jet(parts[self._x], order=2)
         row = [g * lam for g in jet.g1]          # row 1 of D_x f

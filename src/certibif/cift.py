@@ -7,8 +7,9 @@ A *zero problem* is any object with
     value(z)       -- float residual, shape (m,)
     jac(z)         -- float Jacobian, shape (m, m)
     value_iv(ziv)  -- interval residual (a list of m Intervals in and out)
-    jac_iv(z)      -- interval Jacobian at the float point z, as the
-                      endpoint arrays (lo, hi), each of shape (m, m)
+    jac_iv(z, J)   -- interval Jacobian at the float point z, given J =
+                      jac(z), as the endpoint arrays (lo, hi), each of
+                      shape (m, m)
     hessian_sup(box) -- nonnegative float array T of shape (m, m, m), +inf
                         allowed, T[i, k, j] >= sup_box |d2 H_i / dz_k dz_j|
     name           -- short identifier for certificates
@@ -375,14 +376,15 @@ def validate_zero(problem, z0: np.ndarray, ell: float = 1e-6) -> Certificate:
     Raises ValidationFailed with the violated hypothesis otherwise.
     """
     z0 = np.asarray(z0, dtype=float)
+    J = problem.jac(z0)
     try:
-        B = np.linalg.inv(problem.jac(z0))
+        B = np.linalg.inv(J)
     except np.linalg.LinAlgError as exc:
         raise ValidationFailed(f"anchor Jacobian not invertible: {exc}") from exc
 
     L1 = lipschitz_L1(problem, z0, ell, np.abs(B))
     rho = residual_bound(problem, z0, B)
-    lo, hi = problem.jac_iv(z0)
+    lo, hi = problem.jac_iv(z0, J)
     bad = int(np.count_nonzero(~(np.isfinite(lo) & np.isfinite(hi))))
     if bad:
         raise ValidationFailed(f"(H2) failed: anchor Jacobian enclosure has {bad} "

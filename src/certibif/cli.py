@@ -16,6 +16,7 @@ import argparse
 import itertools
 import json
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -81,8 +82,11 @@ def cmd_simulate(args) -> int:
         rng = np.random.default_rng(args.seed)
         x0 = rng.uniform(0.0, 1.0, coral.d) * dynamics.density_matched_state(coral, 1500.0)
     else:
-        x0 = _checked(np.loadtxt(args.x0, delimiter=","), f"initial state in {args.x0}",
-                      coral.d, f"the map has d = {coral.d} age classes")
+        with warnings.catch_warnings():    # an empty file is reported as 0 entries
+            warnings.simplefilter("ignore", UserWarning)
+            x0 = np.loadtxt(args.x0, delimiter=",")
+        x0 = _checked(x0, f"initial state in {args.x0}", coral.d,
+                      f"the map has d = {coral.d} age classes")
     with np.errstate(over="ignore"):      # iterate reports a non-finite state
         x0 = args.x0_scale * x0
     orb = dynamics.iterate(coral, lam, x0, n=args.years, skip=args.skip)
@@ -104,18 +108,23 @@ def cmd_diagram(args) -> int:
               for x1 in np.linspace(args.P_max / red.cP, 1e-6, args.points)]
     points = [(R, x1) for R, x1 in points if not R > args.R_max]
     Rs = np.linspace(max(args.R_min, 1e-3), args.R_max, args.points)
-    zero = np.zeros(coral.d)
-    # one stacked call labels each branch
-    labels = lambda Js: cont.classify_stability(np.stack(Js)) if Js else []
-    nontrivial = labels([coral.jac_x(R / coral.cf.ba, red.full_point(float(x1)))
-                         for R, x1 in points])
-    trivial = labels([coral.jac_x(R / coral.cf.ba, zero) for R in Rs])
+    nontrivial = _labels(coral, np.array([R for R, _ in points]),
+                         np.array([red.full_point(float(x1)) for _, x1 in points]))
     rows = ([[R, red.cP * x1, label, "nontrivial"] for (R, x1), label in zip(points, nontrivial)]
-            + [[R, 0.0, label, "trivial"] for R, label in zip(Rs, trivial)])
+            + [[R, 0.0, label, "trivial"] for R, label in zip(Rs, _labels(coral, Rs))])
     path = out / "diagram.csv"
     _write_csv(path, ["R", "P", "stability", "branch"], rows)
     print(f"wrote {path} ({len(rows)} points)")
     return 0
+
+
+def _labels(coral: CoralMap, R: np.ndarray, x: np.ndarray | None = None) -> list[str]:
+    """The stability labels of the map's fixed points x (n, d) at R (n,),
+    by default those of the trivial branch x = 0, from one `evaluate` stack
+    of the raw branch system."""
+    raw = cont.CoralBranchSystem(coral)
+    x = np.zeros((len(R), coral.d)) if x is None else x.reshape(len(R), coral.d)
+    return cont.stability_labels(raw, raw.evaluate(R, x)[1])
 
 
 @dataclass
@@ -156,18 +165,14 @@ def emit_bifurcation_diagram(path: Path, system: cont.CoralBranchSystem,
                              result: cont.BranchResult, pts: BranchPoints) -> None:
     """Diagram rows (R, P, stability, delta_u) combining the validated
     nontrivial branch with the analytically known trivial branch P = 0,
-    whose stability labels come from one stacked eigenvalue call."""
-    coral = system.coral
+    whose stability labels come from one `_labels` stack."""
     lo = min(pts.R) if pts.R else 1.0
     hi = max(pts.R) if pts.R else 300.0
     Rs = np.linspace(max(lo - 5.0, 1e-3), hi, _TRIVIAL_POINTS)
-    zero = np.zeros(coral.d)
-    labels = cont.classify_stability(np.stack([coral.jac_x(lam, zero)
-                                               for lam in Rs / coral.cf.ba]))
     lines = itertools.chain(
         (f"{R},{P},{b.stability},{du},nontrivial"
          for b, (R, P, _, du, _) in zip(result.boxes, pts.text)),
-        (f"{R!r},0.0,{label},,trivial" for R, label in zip(Rs.tolist(), labels)))
+        (f"{R!r},0.0,{label},,trivial" for R, label in zip(Rs.tolist(), _labels(system.coral, Rs))))
     _write_lines(path, ["R", "P", "stability", "delta_u", "branch"], lines)
 
 

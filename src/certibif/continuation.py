@@ -17,9 +17,9 @@ tangent (the tip is the last certified box), the first step _WAVE_SPACING
 ALPHA_FRAC delta_alpha and each later one r times the one before, r the
 trend of delta_alpha, corrected in one stacked chord solve (whose last
 evaluation gives each anchor's row 1 of [D_t F | D_u F], which with the
-system's `ConstantRows` gives its tangent, float inverse B and stability
-label) and certified as one stack by one `validate_segment` call: one
-order-2 row-1 jet over the anchors and their Lipschitz boxes stacked
+system's `ConstantRows` gives its tangent and float inverse B) and
+certified as one stack by one `validate_segment` call: one order-2 row-1
+jet over the anchors and their Lipschitz boxes stacked
 (`CoralBranchSystem.jet_iv`) gives the interval data of the whole wave,
 and each box takes the delta_alpha of its certified constants.  Every
 `ExtendedSystem` is such a stack, one anchor per row; a wave's chord
@@ -542,49 +542,60 @@ def _anchor_rounding_gap(prev, alpha, tau, corr, new):
 _SCHUR_COHN_TOL = 1e-9
 
 
-def _leslie_outside_counts(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For a stack (n, d, d) of Leslie matrices (a dense first row, the
-    subdiagonal, zeros elsewhere): the number of roots outside the unit
-    circle of det(zI - J) = z^d - sum_j J[0,j] (J[1,0]...J[j,j-1]) z^(d-1-j),
+def _leslie_outside_counts(row1: np.ndarray, sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For a stack of Leslie matrices J, given as their first rows row1 (n,
+    d) and subdiagonals sub (n, d - 1): the number of roots outside the unit
+    circle of det(zI - J) = z^d - sum_j row1_j (sub_0...sub_(j-1)) z^(d-1-j),
     counted by the Schur-Cohn recursion, and the mask of rows whose count
-    is ambiguous (a root near the circle, a degenerate step, a non-finite
-    entry or a matrix that is not Leslie).
+    is ambiguous (a root near the circle, a degenerate step or a non-finite
+    entry).
 
     The recursion takes p of formal degree k (coefficients a_0..a_k,
     ascending) to T p with c_i = a_0 a_i - a_k a_(k-i), i < k, and gamma_k
     = c_0; `schur_cohn_inside` turns the signs into the count."""
-    n, d = J.shape[0], J.shape[-1]
-    off = np.ones((d, d), dtype=bool)
-    off[0] = False
-    off[np.arange(1, d), np.arange(d - 1)] = False
+    n, d = row1.shape
     gamma = np.empty((n, d))
     # a zero or non-finite row gives gamma = 0 or NaN, which marks it ambiguous
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        sub = np.ones((n, d))
-        np.cumprod(J[:, np.arange(1, d), np.arange(d - 1)], axis=1, out=sub[:, 1:])
-        a = np.empty((n, d + 1))
-        a[:, :d] = -(J[:, 0] * sub)[:, ::-1]
-        a[:, d] = 1.0
+        a = np.ones((n, d + 1))
+        np.cumprod(sub, axis=1, out=a[:, 1:d])      # sub_0...sub_(j-1) at j
+        a[:, :d] = -(row1 * a[:, :d])[:, ::-1]
         for k in range(d, 0, -1):
             a /= np.abs(a).max(axis=1, keepdims=True)
             a = a[:, :1] * a[:, :k] - a[:, k:k + 1] * a[:, k:0:-1]
             gamma[:, k - 1] = a[:, 0]
-    ambiguous = (J[:, off] != 0.0).any(axis=1) | ~(np.abs(gamma) > _SCHUR_COHN_TOL).all(axis=1)
+    ambiguous = ~(np.abs(gamma) > _SCHUR_COHN_TOL).all(axis=1)
     return d - schur_cohn_inside(gamma < 0.0), ambiguous
 
 
-def classify_stability(jac_x: np.ndarray) -> list[str]:
-    """Non-rigorous: count eigenvalues of D_x f outside the unit circle,
-    for a stack (n, d, d) of matrices: the list of their n labels.
+def classify_stability(row1: np.ndarray, sub: np.ndarray) -> list[str]:
+    """Non-rigorous: count the eigenvalues outside the unit circle of each
+    Leslie matrix of a stack, given as its first row, row1 (n, d), and its
+    subdiagonal of survival rates, sub (d - 1,) or (n, d - 1): the list of
+    the n labels.
 
-    D_x f is a Leslie matrix, so the count comes from the Schur-Cohn
-    recursion on its characteristic polynomial; rows whose count is
-    ambiguous take `np.linalg.eigvals`, whose count it equals elsewhere."""
-    J = np.asarray(jac_x, dtype=float)
-    idx, ambiguous = _leslie_outside_counts(J)
+    The count comes from the Schur-Cohn recursion on the characteristic
+    polynomial; only the rows whose count is ambiguous are built as d x d
+    matrices, for `np.linalg.eigvals`, whose count it equals elsewhere."""
+    n, d = row1.shape
+    sub = np.broadcast_to(sub, (n, d - 1))
+    idx, ambiguous = _leslie_outside_counts(row1, sub)
     if ambiguous.any():
-        idx[ambiguous] = (np.abs(np.linalg.eigvals(J[ambiguous])) > 1.0).sum(axis=-1)
+        J = np.zeros((int(ambiguous.sum()), d, d))
+        J[:, 0], J[:, np.arange(1, d), np.arange(d - 1)] = row1[ambiguous], sub[ambiguous]
+        idx[ambiguous] = (np.abs(np.linalg.eigvals(J)) > 1.0).sum(axis=-1)
     return ["stable" if i == 0 else f"unstable({i})" for i in idx.tolist()]
+
+
+def stability_labels(system: CoralBranchSystem, A1: np.ndarray) -> list[str]:
+    """The stability labels of D_u f, the Jacobian of u -> f(lambda, s (.)
+    u) / s, at a stack of points, from A1 (n, d + 1), their rows 1 of [D_t F
+    | D_u F] as `evaluate` gives them.  D_u f = diag(1/s) D_x f diag(s) has
+    D_x f's eigenvalues and is a Leslie matrix too: its first row is A1[:,
+    1:] + e_1 and its subdiagonal that of `rows.float`."""
+    row1 = A1[:, 1:].copy()
+    row1[:, 0] += 1.0
+    return classify_stability(row1, np.diagonal(system.rows.float, offset=1))
 
 
 # ---------------------------------------------------------------------------
@@ -631,27 +642,23 @@ _CHUNK_MAX = 64
 _WAVE_SPACING = 0.92
 _TREND_WINDOW = 16
 _TREND_CLIP = (0.9, 1.0)
-# Accepted boxes get their stability labels in stacks of this many.
-_LABEL_STACK = 128
 
 
 @dataclass
 class _Wave:
     """Float anchors certified as one stack: points and tangents in `ext`,
-    B, A1 (row 1 of [D_t F | D_u F], which with the system's constant rows
-    gives the stability label) and the last fold seen up to each."""
+    B and the last fold seen up to each."""
 
     first: int                    # index of anchor 0 along the branch
     ext: ExtendedSystem
     B: np.ndarray
-    A1: np.ndarray
     folds: list
 
     def __len__(self) -> int:
         return len(self.folds)
 
     def take(self, n: int) -> _Wave:
-        return _Wave(self.first, self.ext[:n], self.B[:n], self.A1[:n], self.folds[:n])
+        return _Wave(self.first, self.ext[:n], self.B[:n], self.folds[:n])
 
 
 def _wave(system, first: int, t: np.ndarray, u: np.ndarray, A1: np.ndarray,
@@ -672,7 +679,7 @@ def _wave(system, first: int, t: np.ndarray, u: np.ndarray, A1: np.ndarray,
     folds = [fold_index] * len(mu)
     for k in flip.tolist():
         folds[k:] = [first + k] * (len(mu) - k)
-    return _Wave(first, ext, B, A1, folds)
+    return _Wave(first, ext, B, folds)
 
 
 def _trend(boxes: list[BranchBox]) -> float:
@@ -758,63 +765,49 @@ def continue_branch(system: CoralBranchSystem, t0: float, u0: np.ndarray,
     Terminates on reaching to_R after the fold, on validation failure after
     the adaptive box has shrunk to its floor, on a link that fails at a
     wave's first anchor, on a one-anchor wave that cannot be placed, or
-    after max_steps boxes."""
-    res, unlabelled = BranchResult(), []      # accepted boxes with their A1
+    after max_steps boxes.  On return every box gets its stability label
+    from one `stability_labels` call on one `evaluate` stack of the boxes'
+    points."""
+    res = BranchResult()
     t0, u0 = np.array([t0], dtype=float), np.array([u0], dtype=float)
     tip, m = None, _CHUNK_MIN
-    try:
-        while len(res.boxes) < max_steps:
-            n = min(m, max_steps - len(res.boxes))
-            try:
-                wave = (_wave(system, 0, t0, u0, system.evaluate(t0, u0)[1], None, None)
-                        if tip is None else
-                        _place(system, tip, n, _trend(res.boxes), res.fold_index))
-            except tuple(_PLACE_ERRORS) as exc:
-                if tip is None or n == 1:
-                    res.stop_reason = f"{_PLACE_ERRORS[type(exc)]}: {exc}"
-                    return res
-                res.replans, m = res.replans + 1, 1
-                continue
-            res.waves += 1
-            cut = _accept(system, wave, tip, to_R, res, unlabelled)
-            if res.stop_reason:
-                return res
-            tip = res.boxes[-1]
-            if len(unlabelled) >= _LABEL_STACK:
-                _label(system.rows, unlabelled)
-            if cut is None:
-                m = min(2 * m, _CHUNK_MAX)
-            else:
-                res.replans += 1
-                res.boxes_discarded += len(wave) - cut
-                m = max(cut, _CHUNK_MIN)
+    while len(res.boxes) < max_steps:
+        n = min(m, max_steps - len(res.boxes))
+        try:
+            wave = (_wave(system, 0, t0, u0, system.evaluate(t0, u0)[1], None, None)
+                    if tip is None else
+                    _place(system, tip, n, _trend(res.boxes), res.fold_index))
+        except tuple(_PLACE_ERRORS) as exc:
+            if tip is None or n == 1:
+                res.stop_reason = f"{_PLACE_ERRORS[type(exc)]}: {exc}"
+                break
+            res.replans, m = res.replans + 1, 1
+            continue
+        res.waves += 1
+        cut = _accept(system, wave, tip, to_R, res)
+        if res.stop_reason:
+            break
+        tip = res.boxes[-1]
+        if cut is None:
+            m = min(2 * m, _CHUNK_MAX)
+        else:
+            res.replans += 1
+            res.boxes_discarded += len(wave) - cut
+            m = max(cut, _CHUNK_MIN)
+    else:
         res.stop_reason = "max-steps"
-        return res
-    finally:
-        _label(system.rows, unlabelled)
-
-
-def _label(rows: ConstantRows, unlabelled: list) -> None:
-    """Give each (box, A1) pair its stability label, all in one stacked
-    call, and empty the list.  The label counts the eigenvalues of D_u f =
-    [A1[1:]; rows.float[:, 1:]] + I, the Jacobian of u -> f(lambda, s (.)
-    u) / s: D_u f = diag(1/s) D_x f diag(s), which has D_x f's eigenvalues
-    and is a Leslie matrix too."""
-    if unlabelled:
-        A1 = np.stack([a for _, a in unlabelled])
-        J = np.empty((len(A1),) + (rows.float.shape[0] + 1,) * 2)
-        J[:, 0], J[:, 1:] = A1[:, 1:], rows.float[:, 1:]
-        labels = classify_stability(J + np.eye(J.shape[-1]))
-        for (box, _), label in zip(unlabelled, labels):
+    if res.boxes:
+        t, u = np.array([b.t for b in res.boxes]), np.array([b.u for b in res.boxes])
+        for box, label in zip(res.boxes, stability_labels(system, system.evaluate(t, u)[1])):
             box.stability = label
-        unlabelled.clear()
+    return res
 
 
-def _accept(system, wave: _Wave, tip: BranchBox | None, to_R: float, res: BranchResult,
-            unlabelled: list) -> int | None:
+def _accept(system, wave: _Wave, tip: BranchBox | None, to_R: float,
+            res: BranchResult) -> int | None:
     """Certify a wave placed after `tip` and append to `res` the boxes that
-    validate, step and link, and to `unlabelled` each with its A1; set
-    `res.stop_reason` when the branch ends with them.  Returns the index
+    validate, step and link; set `res.stop_reason` when the branch ends
+    with them.  Returns the index
     of the anchor at which the wave was cut, or None."""
     # the branch ends at the first anchor past the fold at or above to_R
     R = system.R_of_t(wave.ext.t0)
@@ -839,7 +832,6 @@ def _accept(system, wave: _Wave, tip: BranchBox | None, to_R: float, res: Branch
                 res.stop_reason = "link-failed"
                 return None
             box.linked_to_previous = True
-        unlabelled.append((box, wave.A1[k]))
         res.boxes.append(box)
         res.fold_index = wave.folds[k]
         tip = box

@@ -203,9 +203,23 @@ def scalar_row1(coral, x: list):
     return phis, bx, phis[0] * bx, g1
 
 
+def leslie_matrices(row1: np.ndarray, sub) -> np.ndarray:
+    """The dense (n, d, d) Leslie matrices of the first rows row1 (n, d) and
+    the subdiagonal sub (d - 1,) or (n, d - 1)."""
+    n, d = np.shape(row1)
+    J = np.zeros((n, d, d))
+    J[:, 0], J[:, np.arange(1, d), np.arange(d - 1)] = row1, sub
+    return J
+
+
+def leslie_pair(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first rows, subdiagonals) of a stack (n, d, d) of Leslie matrices."""
+    return J[:, 0], np.diagonal(J, offset=-1, axis1=1, axis2=2)
+
+
 def eigvals_labels(jac_x: np.ndarray):
-    """`continuation.classify_stability` by LAPACK: count the eigenvalues
-    of each D_x f outside the unit circle."""
+    """`continuation.classify_stability` by LAPACK on the dense matrices:
+    count the eigenvalues of each D_x f outside the unit circle."""
     ev = np.linalg.eigvals(jac_x)
     idx = (np.abs(ev) > 1.0).sum(axis=-1)
     label = lambda i: "stable" if i == 0 else f"unstable({i})"

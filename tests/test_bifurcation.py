@@ -23,8 +23,8 @@ from certibif.interval import Interval, around
 from certibif.model import (CoralMap, CoralParams, FixedPointReduction, phi_derivs,
                             row1_d2)
 
-from helpers import (assert_json_lossless, contains, lipschitz_reference, mp_coeffs,
-                     mp_fd_jacobian, mp_system_refine, step)
+from helpers import (assert_json_lossless, contains, eigvals_labels, leslie_matrices,
+                     lipschitz_reference, mp_coeffs, mp_fd_jacobian, mp_system_refine, step)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +135,7 @@ def _assert_jac_iv_contains_mp_jacobian(coral, system, z, perturbed=2):
             return mp.matrix(system.value_scalars(list(zz), coeffs))
 
         for pt in points:
-            Jlo, Jhi = system.jac_iv(pt)
+            Jlo, Jhi = system.jac_iv(pt, system.jac(pt))
             J = mp_fd_jacobian(val, mp.matrix([mp.mpf(float(v)) for v in pt]))
             for i in range(system.dim):
                 for j in range(system.dim):
@@ -492,22 +492,22 @@ def _random_real_polynomials(rng, count: int):
 def test_schur_cohn_count_matches_numpy_roots():
     """On 1,000 seeded random real polynomials q of degree <= 12 with no
     root within 0.05 of the circle, the float recursion of the branch
-    labels (on the Leslie matrix with unit survival rates) counts the
-    roots outside as numpy.roots does.  The interval kernel, on (z - 1) q
+    labels (on the Leslie pair with unit survival rates) counts the roots
+    outside as numpy.roots does, and labels as LAPACK does on the dense
+    Leslie matrix.  The interval kernel, on (z - 1) q
     in point intervals, certifies every q with all roots inside; for every
     other q it fails, with numpy.roots' count wherever its gammas are
     decided, which is at least 95% of them (a Schur-Cohn step can cancel
     to within its enclosure's width when the roots straddle the circle)."""
-    from certibif.continuation import _leslie_outside_counts
+    from certibif.continuation import _leslie_outside_counts, classify_stability
     polys = _random_real_polynomials(np.random.default_rng(20261020), 1000)
     counted = stable = 0
     for c, outside in polys:
         n = len(c) - 1
-        J = np.zeros((1, n, n))
-        J[0, 0] = -c[1:]
-        J[0, np.arange(1, n), np.arange(n - 1)] = 1.0
-        counts, ambiguous = _leslie_outside_counts(J)
+        row1, sub = -c[None, 1:], np.ones((1, n - 1))
+        counts, ambiguous = _leslie_outside_counts(row1, sub)
         assert not ambiguous[0] and counts[0] == outside, (c, outside)
+        assert classify_stability(row1, sub) == eigvals_labels(leslie_matrices(row1, sub)), c
         q = [Interval(float(v)) for v in c]
         times_z_minus_1 = [q[0]] + [qj - qi for qj, qi in zip(q[1:], q)] + [-q[-1]]
         A1, a = [-v for v in times_z_minus_1[1:]], [Interval(1.0)] * (n + 1)

@@ -34,7 +34,7 @@ class ScalarSquare:
         x = z[0]
         return [x * x - self.c]
 
-    def jac_iv(self, z) -> tuple:
+    def jac_iv(self, z, J) -> tuple:
         two_x = 2.0 * Interval(z[0])
         return np.array([[two_x.lo]]), np.array([[two_x.hi]])
 
@@ -62,7 +62,7 @@ class AffineMap:
         lo, hi = float_matmat(self.A, [v.lo for v in z], [v.hi for v in z])
         return [Interval(l, h) - bk for l, h, bk in zip(lo.tolist(), hi.tolist(), self.b.tolist())]
 
-    def jac_iv(self, z) -> tuple:
+    def jac_iv(self, z, J) -> tuple:
         return self.A, self.A
 
     def hessian_sup(self, box):
@@ -156,8 +156,9 @@ def test_neumann_rho_rows_dominates_the_exact_rowsum_at_the_certificates(
     from certibif.bifurcation import NsSystem, SnSystem
     system, cert = (SnSystem(coral), sn_cert) if kind == "sn" else (NsSystem(coral), ns_cert)
     z0 = np.array(cert.anchor)
-    B = np.linalg.inv(system.jac(z0))
-    lo, hi = system.jac_iv(z0)
+    J = system.jac(z0)
+    B = np.linalg.inv(J)
+    lo, hi = system.jac_iv(z0, J)
     for rel in (1e-13, 1e-10):
         rad = rel * (np.maximum(np.abs(lo), np.abs(hi)) + 1e-3)
         wlo, whi = lo - rad, hi + rad
@@ -499,8 +500,8 @@ def test_validate_names_non_finite_anchor_jacobian():
     # an enclosure with unbounded entries proves nothing, and the failure
     # says how many there are instead of reporting |I - BA| = inf
     class Unbounded(AffineMap):
-        def jac_iv(self, z):
-            lo, hi = self.A.copy(), self.A.copy()
+        def jac_iv(self, z, J):
+            lo, hi = J.copy(), J.copy()
             lo[0, 1], hi[0, :] = -np.inf, np.inf
             return lo, hi
 
@@ -551,7 +552,7 @@ class ScalarCubic:
         x = z[0]
         return [((x - 6.0) * x + 11.0) * x - 6.0]
 
-    def jac_iv(self, z):
+    def jac_iv(self, z, J):
         x = Interval(z[0])
         e = (3.0 * x - 12.0) * x + 11.0
         return np.array([[e.lo]]), np.array([[e.hi]])

@@ -12,6 +12,7 @@ import pytest
 import numpy as np
 
 import helpers
+from certibif import cli
 from certibif import continuation as cont
 from certibif.cift import _ROOT_NAMES, certificate_json
 from certibif.cli import (BranchPoints, build_parser, emit_bifurcation_diagram,
@@ -441,10 +442,14 @@ def test_simulate_x0_from_csv_and_fixed(tmp_path, coral):
     ("1.0,2.0,3.0", " has 3 entries; the map has d = 13 age classes"),
     ("\n".join([",".join(["1.0"] * 13)] * 2), " has 26 entries; the map has d = 13 age classes"),
     (",".join(["1.0"] * 5 + ["nan"] + ["1.0"] * 7), ": entry 5 is nan, not a finite number"),
-], ids=["short", "two-rows", "nan"])
+    ("", " has 0 entries; the map has d = 13 age classes"),
+], ids=["short", "two-rows", "nan", "empty"])
+@pytest.mark.filterwarnings("error")
 def test_simulate_x0_file_not_one_finite_state_is_usage_error(tmp_path, capsys, text, message):
     """An --x0 file that is not one row of d finite numbers exits 2 with a
-    message naming the file, before any year is run."""
+    message naming the file, before any year is run; stderr holds that
+    message alone, and no warning is raised (as numpy's loadtxt does on an
+    empty file)."""
     path = tmp_path / "x0.csv"
     path.write_text(text + "\n")
     rc = main(["--out", str(tmp_path), "simulate", "--R", "100", "--x0", str(path),
@@ -486,11 +491,13 @@ def test_branch_emitters_write_the_reference_bytes(tmp_path, coral, branch_resul
 
 def test_stacked_trivial_labels_equal_single_calls(coral, branch_result,
                                                    preconditioned_system):
-    """The diagram's 400 trivial-branch labels from one stacked eigenvalue
-    call equal the labels of one call per matrix, on both sides of R*."""
+    """The diagram's 400 trivial-branch labels from one `evaluate` stack
+    equal the labels of one point at a time, on both sides of R*, and
+    LAPACK's on the dense D_x f there."""
     Rs = [preconditioned_system.R_of_t(b.t) for b in branch_result.boxes]
-    lams = np.linspace(min(Rs) - 5.0, max(Rs), 400) / coral.cf.ba
-    Js = np.stack([coral.jac_x(lam, np.zeros(coral.d)) for lam in lams])
-    labels = cont.classify_stability(Js)
-    assert labels == [cont.classify_stability(J[None])[0] for J in Js]
+    Rs = np.linspace(min(Rs) - 5.0, max(Rs), 400)
+    labels = cli._labels(coral, Rs)
+    assert labels == [cli._labels(coral, Rs[i:i + 1])[0] for i in range(len(Rs))]
+    assert labels == helpers.eigvals_labels(
+        np.stack([coral.jac_x(R / coral.cf.ba, np.zeros(coral.d)) for R in Rs]))
     assert {"stable", "unstable(1)"} <= set(labels)

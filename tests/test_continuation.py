@@ -15,15 +15,15 @@ from certibif.continuation import (ALPHA_FRAC, BranchBox, _Wave,
                                    check_link, classify_stability,
                                    continue_branch,
                                    derive_extended_constants, newton_correct,
-                                   nontrivial_fixed_point, tangent_estimate,
-                                   validate_segment)
+                                   nontrivial_fixed_point, stability_labels,
+                                   tangent_estimate, validate_segment)
 from certibif.errors import (CorrectorFailed, NotInvertibleEvidence, TangentUndefined,
                              ValidationFailed)
 from certibif.interval import Interval, MidRad, float_matmat, up_sum
 from certibif.model import CoralMap, FixedPointReduction, phi
 
-from helpers import (eigvals_labels, extended_constants_reference, jac_lam,
-                     link_sides_reference, map_F, mp_branch_F, mp_coeffs, mp_fd_jacobian,
+from helpers import (eigvals_labels, extended_constants_reference, jac_lam, leslie_matrices,
+                     leslie_pair, link_sides_reference, map_F, mp_branch_F, mp_coeffs, mp_fd_jacobian,
                      mp_refine_branch_point, rounding_gap_reference, special_stack, step)
 import mpmath as mp
 
@@ -276,7 +276,7 @@ def test_links_count_the_rounding_gap_of_the_stored_anchor():
     nxt = prev + 770.4 * tau
     tip = _box(t=prev[0], u=prev[1:], mu=tau[0], v=tau[1:], delta_alpha=1e4, delta_u=1e-14)
     wave = _Wave(1, ExtendedSystem(None, nxt[:1], nxt[None, 1:], tau[:1], tau[None, 1:]),
-                 None, None, [None])
+                 None, [None])
     alpha, corr_norm, ok = _links(tip, wave, [_box(delta_min=1e-30)])
     assert corr_norm.tolist() == [0.0]
     r = [Fraction(z1) - Fraction(z0) - Fraction(alpha[0]) * Fraction(d)
@@ -374,86 +374,101 @@ def test_validate_segment_requires_unit_directions(coral, scale):
         validate_segment(stack, B[rows], [1e-4] * 3, 0)
 
 
-def test_classify_stability_trivial_branch(coral):
-    lam_low = 50.0 / coral.cf.ba      # R = 50 < 72.22
-    lam_high = 100.0 / coral.cf.ba    # R = 100 > 72.22
-    Js = np.stack([coral.jac_x(lam, np.zeros(13)) for lam in (lam_low, lam_high)])
-    assert classify_stability(Js) == ["stable", "unstable(1)"]
+def _labelled_pairs(system, A, monkeypatch) -> tuple:
+    """The Leslie pairs (row 1, subdiagonal) of D_u f that `stability_labels`
+    hands to `classify_stability` for the stack A of `evaluate`'s rows 1,
+    and the labels it returns."""
+    from certibif import continuation as cont
+    pairs = []
+    with monkeypatch.context() as m:
+        m.setattr(cont, "classify_stability",
+                  lambda row1, sub: pairs.append((row1, sub)) or classify_stability(row1, sub))
+        labels = stability_labels(system, A)
+    return pairs[0], labels
+
+
+def _rows1_at(system, boxes) -> np.ndarray:
+    """`evaluate`'s rows 1 at the boxes' points, as one stack."""
+    return system.evaluate(np.array([b.t for b in boxes]), np.stack([b.u for b in boxes]))[1]
+
+
+def test_classify_stability_trivial_branch(coral, monkeypatch):
+    """Below R* = 72.22 the trivial branch is stable, above it it is not;
+    the raw system's D_u f there is D_x f, a Leslie matrix with first row
+    lambda phi(0) b and the survival rates S below."""
+    raw = CoralBranchSystem(coral)
+    (row1, sub), labels = _labelled_pairs(
+        raw, raw.evaluate(np.array([50.0, 100.0]), np.zeros((2, 13)))[1], monkeypatch)
+    assert labels == ["stable", "unstable(1)"]
+    assert sub.tolist() == list(coral.params.S)
+    assert labels == eigvals_labels(leslie_matrices(row1, sub))
+    assert classify_stability(*leslie_pair(np.stack(
+        [coral.jac_x(R / coral.cf.ba, np.zeros(13)) for R in (50.0, 100.0)]))) == labels
 
 
 def test_classify_stability_past_ns(coral):
     red = FixedPointReduction(coral)
     lam = 200.0 / coral.cf.ba
     x = red.full_point(max(red.solve(lam)))
-    assert classify_stability(coral.jac_x(lam, x)[None])[0].startswith("unstable")
-
-
-def _scaled_stacks(system, boxes, monkeypatch) -> np.ndarray:
-    """The stack of D_u f = diag(1/s) D_x f diag(s) that `_label` hands to
-    `classify_stability` for these boxes, from `evaluate`'s row 1 at each."""
-    from certibif import continuation as cont
-    A1 = system.evaluate(np.array([b.t for b in boxes]), np.stack([b.u for b in boxes]))[1]
-    stacks = []
-    with monkeypatch.context() as m:
-        m.setattr(cont, "classify_stability", lambda J: stacks.append(J) or [""] * len(J))
-        cont._label(system.rows, [(SimpleNamespace(), a) for a in A1])
-    return stacks[0]
+    row1, sub = leslie_pair(coral.jac_x(lam, x)[None])
+    label = classify_stability(row1, sub)
+    assert label[0].startswith("unstable") and label == eigvals_labels(leslie_matrices(row1, sub))
 
 
 def test_schur_cohn_labels_equal_lapack_labels(coral, branch_result, preconditioned_system,
                                                raw_branch_result, monkeypatch):
-    """The Schur-Cohn counts give LAPACK's labels, with no row left to the
-    eigenvalue fallback, on the seed-0 branch, the twenty raw-system boxes,
-    the scaled D_u f stacks that `_label` builds on both, 400 trivial
-    points on each side of R* and a nontrivial diagram sample."""
+    """The Schur-Cohn counts on Leslie pairs give LAPACK's labels on the
+    dense matrices, with no row left to the eigenvalue fallback: D_x f on
+    the seed-0 branch and the twenty raw-system boxes, the scaled D_u f
+    pairs that `stability_labels` builds on both, and the raw system's
+    pairs (as `diagram` labels them) at 400 trivial points on each side of
+    R* and on a nontrivial diagram sample."""
     raw = CoralBranchSystem(coral)
     R_star = transcritical_analysis(coral).R_star
     red = FixedPointReduction(coral)
-    zero = np.zeros(coral.d)
-    stacks = {
-        "branch": [coral.jac_x(preconditioned_system.lam_of_t(b.t),
-                               preconditioned_system.s * b.u)
-                   for b in branch_result.boxes],
-        "raw branch": [coral.jac_x(raw.lam_of_t(b.t), raw.s * b.u)
-                       for b in raw_branch_result.boxes],
-        "branch D_u f": _scaled_stacks(preconditioned_system, branch_result.boxes, monkeypatch),
-        "raw branch D_u f": _scaled_stacks(raw, raw_branch_result.boxes, monkeypatch),
-        "trivial below R*": [coral.jac_x(R / coral.cf.ba, zero)
-                             for R in np.linspace(1e-3, R_star.lo, 400, endpoint=False)],
-        "trivial above R*": [coral.jac_x(R / coral.cf.ba, zero)
-                             for R in np.linspace(R_star.hi, 300.0, 401)[1:]],
-        "nontrivial": [coral.jac_x(red.branch_lambda(x1), red.full_point(x1))
-                       for x1 in np.linspace(3500.0 / red.cP, 1e-6, 400).tolist()],
+    zero = np.zeros((400, coral.d))
+    x1s = np.linspace(3500.0 / red.cP, 1e-6, 400).tolist()
+    dense = lambda system, boxes: leslie_pair(np.stack(
+        [coral.jac_x(system.lam_of_t(b.t), system.s * b.u) for b in boxes]))
+    label_pair = lambda system, A: _labelled_pairs(system, A, monkeypatch)[0]
+    pairs = {
+        "branch": dense(preconditioned_system, branch_result.boxes),
+        "raw branch": dense(raw, raw_branch_result.boxes),
+        "branch D_u f": label_pair(preconditioned_system,
+                                   _rows1_at(preconditioned_system, branch_result.boxes)),
+        "raw branch D_u f": label_pair(raw, _rows1_at(raw, raw_branch_result.boxes)),
+        "trivial below R*": label_pair(raw, raw.evaluate(
+            np.linspace(1e-3, R_star.lo, 400, endpoint=False), zero)[1]),
+        "trivial above R*": label_pair(raw, raw.evaluate(
+            np.linspace(R_star.hi, 300.0, 401)[1:], zero)[1]),
+        "nontrivial": label_pair(raw, raw.evaluate(
+            np.array([red.branch_R(x1) for x1 in x1s]),
+            np.stack([red.full_point(x1) for x1 in x1s]))[1]),
     }
     seen = set()
-    for name, Js in stacks.items():
-        Js = np.stack(Js)
-        assert not _leslie_outside_counts(Js)[1].any(), name
-        labels = classify_stability(Js)
-        assert labels == eigvals_labels(Js), name
+    for name, (row1, sub) in pairs.items():
+        sub = np.broadcast_to(sub, (len(row1), coral.d - 1))
+        assert not _leslie_outside_counts(row1, sub)[1].any(), name
+        labels = classify_stability(row1, sub)
+        assert labels == eigvals_labels(leslie_matrices(row1, sub)), name
         seen.update(labels)
     assert {"stable", "unstable(1)", "unstable(2)"} <= seen
 
 
 def test_labels_at_the_certified_anchors_take_the_lapack_fallback(coral, sn_cert, ns_cert):
     """At the SN and NS anchors an eigenvalue lies within rounding of the
-    unit circle: the Schur-Cohn count is ambiguous there, and the label is
-    LAPACK's, alone and in a stack."""
+    unit circle: the Schur-Cohn count of the Leslie pair is ambiguous
+    there, and the label is LAPACK's on the dense matrix, alone and in a
+    stack."""
     for system, cert in ((SnSystem(coral), sn_cert), (NsSystem(coral), ns_cert)):
         x, lam = system.x_lam(np.array(cert.anchor))
         J = coral.jac_x(lam, x)
         assert np.min(np.abs(np.abs(np.linalg.eigvals(J)) - 1.0)) < 1e-12
-        assert _leslie_outside_counts(J[None])[1].tolist() == [True]
-        assert classify_stability(J[None]) == [eigvals_labels(J)]
+        assert _leslie_outside_counts(*leslie_pair(J[None]))[1].tolist() == [True]
+        assert classify_stability(*leslie_pair(J[None])) == [eigvals_labels(J)]
         Js = np.stack([coral.jac_x(lam, np.zeros(coral.d)), J])
-        assert _leslie_outside_counts(Js)[1].tolist() == [False, True]
-        assert classify_stability(Js) == eigvals_labels(Js)
-
-
-def test_labels_of_matrices_that_are_not_leslie_come_from_lapack():
-    Js = np.random.default_rng(0).normal(size=(20, 13, 13))
-    assert _leslie_outside_counts(Js)[1].all()
-    assert classify_stability(Js) == eigvals_labels(Js)
+        assert _leslie_outside_counts(*leslie_pair(Js))[1].tolist() == [False, True]
+        assert classify_stability(*leslie_pair(Js)) == eigvals_labels(Js)
 
 
 def test_branch_run_links_and_orientation(branch_result):
@@ -781,8 +796,7 @@ def test_non_finite_residual_gives_infinite_rho(field, value, monkeypatch):
 
 def _toy_wave(ext, B, first=7) -> _Wave:
     """The wave of the stacked segments (ext, B), with no fold."""
-    A1 = ext.sys.evaluate(ext.t0, ext.u0)[1]
-    return _Wave(first, ext, B, A1, [None] * len(ext.t0))
+    return _Wave(first, ext, B, [None] * len(ext.t0))
 
 
 def test_validate_keeps_the_boxes_before_a_p2_failure():
@@ -1082,11 +1096,34 @@ def test_stacked_links_and_rounding_gaps(coral, monkeypatch):
 
 def test_stacked_stability_labels_equal_per_matrix_labels(branch_result,
                                                           preconditioned_system, coral):
+    """The labels of the seed-0 branch's D_x f pairs as one stack equal
+    those of each pair alone, LAPACK's on the dense matrices, and the
+    boxes' own labels."""
     system = preconditioned_system
-    Jx = np.stack([coral.jac_x(system.lam_of_t(b.t), system.s * b.u) for b in branch_result.boxes])
-    labels = classify_stability(Jx)
-    assert labels == [classify_stability(J[None])[0] for J in Jx]
+    row1, sub = leslie_pair(np.stack([coral.jac_x(system.lam_of_t(b.t), system.s * b.u)
+                                      for b in branch_result.boxes]))
+    labels = classify_stability(row1, sub)
+    assert labels == [classify_stability(r[None], s)[0] for r, s in zip(row1, sub)]
+    assert labels == eigvals_labels(leslie_matrices(row1, sub))
     assert labels == [b.stability for b in branch_result.boxes]
+
+
+def test_continue_branch_labels_every_box_in_one_call(coral, monkeypatch):
+    """A 300-box seed-0 run over several waves, through the NS point, makes
+    one `classify_stability` call, on all its boxes, when it returns; each
+    box's label equals the label of its own `evaluate` row alone."""
+    from certibif import continuation as cont
+    calls = []
+    monkeypatch.setattr(cont, "classify_stability",
+                        lambda row1, sub: calls.append(len(row1)) or classify_stability(row1, sub))
+    system, t0, u0 = branch_start(coral, 300.0)
+    res = continue_branch(system, t0, u0, to_R=72.0, max_steps=300)
+    assert len(res.boxes) == 300 and res.waves > 1
+    assert calls == [300]
+    A1 = _rows1_at(system, res.boxes)
+    labels = [b.stability for b in res.boxes]
+    assert labels == [stability_labels(system, A1[i:i + 1])[0] for i in range(len(A1))]
+    assert {"unstable(2)", "stable"} <= set(labels)
 
 
 def test_forced_misprediction_replans_and_still_links(coral, monkeypatch):
@@ -1253,17 +1290,18 @@ def test_bordered_tangent_singular_border():
 def test_planner_evaluates_each_point_once(coral, monkeypatch):
     """200 seed-0 boxes: the system is evaluated once at the start and
     otherwise only by the corrector, each chord iteration of a wave taking
-    its m rows as one stacked call; the corrector's last evaluation is the
-    anchors' own (tangent, B and stability label), and a wave of up to 64
-    anchors converges within 11 chord steps."""
+    its m rows as one stacked call, and once more at the 200 boxes, as one
+    stack, for their stability labels; the corrector's last evaluation is
+    the anchors' own (tangent and B), and a wave of up to 64 anchors
+    converges within 11 chord steps."""
     from certibif import continuation as cont
-    rows = {"evaluate": 0}
+    rows = []
     calls = []
     evaluate, value, correct = (CoralBranchSystem.evaluate, ExtendedSystem.value,
                                 cont.newton_correct)
 
     def counted_evaluate(self, t, u):
-        rows["evaluate"] += int(np.size(t))
+        rows.append(int(np.size(t)))
         return evaluate(self, t, u)
 
     def counted_value(self, alpha, z):
@@ -1282,7 +1320,8 @@ def test_planner_evaluates_each_point_once(coral, monkeypatch):
     assert res.stop_reason == "max-steps" and len(res.boxes) == 200 and res.all_linked()
     assert any(m > 1 for m, _ in calls)
     assert all(set(iters) == {m} and 2 <= len(iters) <= 12 for m, iters in calls)
-    assert rows["evaluate"] == 1 + sum(m * len(iters) for m, iters in calls)
+    assert rows[-1] == 200
+    assert sum(rows[:-1]) == 1 + sum(m * len(iters) for m, iters in calls)
 
 
 def test_validator_takes_one_row1_jet_per_wave(coral, monkeypatch):
