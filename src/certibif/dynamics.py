@@ -54,32 +54,49 @@ def density_matched_state(coral: CoralMap, P: float) -> np.ndarray:
 _HISTORY_BLOCK = 32   # a transient runs in blocks of at least this many d rows
 
 
-def _recruitment(params: CoralParams, lam2: np.ndarray, P: np.ndarray, bx: np.ndarray):
-    """The recruits lam2 * phi(P, params) * bx of P, bx and lam2 (2, m),
-    as a function that writes them into its argument `out` (2, m).
+def _recruitment(params: CoralParams, lam2: np.ndarray):
+    """(Q, recruit): the buffer Q (6, 2, m) and a function that writes the
+    recruits lam2 * phi(P, params) * bx into its argument `out` (2, m),
+    where lam2 is (2, m) and Q holds -alpha, -beta, P, P, P and bx.  The
+    caller fills Q[2:] (P three times, then bx) before each call.
 
     A float twin of `model.phi`, kept so that an orbit round makes no
-    generic call: it applies phi's operands in phi's order, so its bits
-    are phi's, but both exponentials are one `exp` of a (2, 2, m) buffer
-    and both constant products one multiply.  It reads P and bx when
-    called, so the caller refills them between calls."""
-    neg = np.array([-params.alpha, -params.beta])[:, None, None]
-    c = np.array([params.c1, params.c2])[:, None, None]
-    E = np.empty((2,) + P.shape)
-    E0, E1 = E                      # c1 e^{-alpha P} and c2 e^{-beta P}
-    D = np.empty(P.shape)
+    generic call: it applies phi's operations in phi's order, so its bits
+    are phi's.  Its seven calls all take operands of their output's shape,
+    since a call that broadcasts a constant costs about twice a same-shape
+    one at orbit batch sizes: one multiply Q[0:3] * Q[2:5] gives -alpha P,
+    -beta P and P P, one `exp` both exponentials, and one multiply by a
+    filled (2, 2, m) array applies c1 and c2."""
+    m = lam2.shape[1]
+    Q = np.empty((6, 2, m))
+    Q[0], Q[1] = -params.alpha, -params.beta
+    c = np.empty((2, 2, m))
+    c[0], c[1] = params.c1, params.c2
+    T = np.empty((3, 2, m))
+    E, E0, E1, D = T[:2], T[0], T[1], T[2]   # E0, E1: c1 e^{-alpha P}, c2 e^{-beta P}
+    neg, P3, bx = Q[0:3], Q[2:5], Q[5]
     multiply, exp, add, divide = np.multiply, np.exp, np.add, np.divide
 
     def recruit(out: np.ndarray) -> None:
-        multiply(neg, P, out=E)
-        exp(E, out=E)
-        multiply(c, E, out=E)
-        multiply(P, P, out=D)
-        add(D, E1, out=D)
-        divide(E0, D, out=D)
-        multiply(lam2, D, out=D)
-        multiply(D, bx, out=out)
-    return recruit
+        multiply(neg, P3, T)
+        exp(E, E)
+        multiply(c, E, E)
+        add(D, E1, D)
+        divide(E0, D, D)
+        multiply(lam2, D, D)
+        multiply(D, bx, out)
+    return Q, recruit
+
+
+def _weights(coral: CoralMap) -> np.ndarray:
+    """The (8, d) weights of history rows t-d+1 .. t that give, in the
+    order of `_recruitment`'s Q[2:], q.x at t and t+1 three times, then
+    b.x at t and t+1; x_1(t+1) would meet q_1 a_1 = b_1 a_1 = 0."""
+    cf = coral.cf
+    qa, ba = cf.q * cf.a, cf.b * cf.a
+    W = np.zeros((4, coral.d))
+    W[0], W[1, 1:], W[2], W[3, 1:] = qa[::-1], qa[:0:-1], ba[::-1], ba[:0:-1]
+    return W[[0, 1, 0, 1, 0, 1, 2, 3]]
 
 
 def iterate(coral: CoralMap, lam, x0: np.ndarray, n: int, skip: int = 0,
@@ -96,15 +113,15 @@ def iterate(coral: CoralMap, lam, x0: np.ndarray, n: int, skip: int = 0,
     first d - 1 iterates, x_j(t) = a_j x_1(t - j + 1) with a the survival
     profile, so q.x and b.x are weighted sums of the last d recruitments.
     Recruitment reads neither x_1 nor x_2 (q_1 = b_1 = b_2 = 0), so one
-    (4, d) @ (d, m) product of reversed q*a and b*a weights with the last d
-    rows of history gives q.x and b.x at iterates t and t+1, and one fused
-    evaluation of lam * phi(q.x) * b.x (`_recruitment`: eight numpy calls
-    into buffers allocated once, with phi's bits) gives x_1(t+1) and
-    x_1(t+2).  Components 2..d of x0 enter q.x and b.x as an initial term
-    over the first d - 1 iterates, computed by chained survival shifts of
-    x0 (never by dividing by a, which may hold zeros).  Components 2..keep
-    are filled after the loop by the chained shifts x_{j+1}(t) = S_j
-    x_j(t-1) over the whole range.
+    (8, d) @ (d, m) product of reversed q*a and b*a weights with the last
+    d rows of history writes q.x at iterates t and t+1 three times and b.x
+    once into `_recruitment`'s buffer, and its fused evaluation of
+    lam * phi(q.x) * b.x (seven numpy calls, none broadcasting, with phi's
+    bits) gives x_1(t+1) and x_1(t+2).  Components 2..d of x0 enter q.x
+    and b.x as an initial term over the first d - 1 iterates, computed by
+    chained survival shifts of x0 (never by dividing by a, which may hold
+    zeros).  Components 2..keep are filled after the loop by the chained
+    shifts x_{j+1}(t) = S_j x_j(t-1) over the whole range.
 
     The history lives in the first plane of the output buffer.  A
     transient longer than the buffer runs in blocks, each carrying its
@@ -114,27 +131,26 @@ def iterate(coral: CoralMap, lam, x0: np.ndarray, n: int, skip: int = 0,
         raise ValueError("n and skip must be nonnegative")
     d = coral.d
     k = d if keep is None else keep
+    if not 1 <= k <= d:
+        raise ValueError(f"keep must be in 1..{d}, got {keep}")
     lam_a = np.asarray(lam, dtype=float)
     x0_a = np.asarray(x0, dtype=float)
+    if x0_a.ndim == 0 or x0_a.shape[-1] != d:
+        raise ValueError(f"x0 must end in an axis of d = {d} age classes, got shape {x0_a.shape}")
     batched = lam_a.ndim > 0 or x0_a.ndim > 1
     m = np.broadcast_shapes(lam_a.shape, x0_a.shape[:-1], (1,))[0]
     lam_v = np.broadcast_to(lam_a, (m,))
     X0 = np.broadcast_to(x0_a, (m, d)).T
     cf, params = coral.cf, coral.params
     S = np.array(params.S, dtype=float)
-    # weights of history rows t-d+1 .. t: rows 0, 1 give q.x at t, t+1 and
-    # rows 2, 3 give b.x; x_1(t+1) would meet q_1 a_1 = b_1 a_1 = 0
-    qa, ba = cf.q * cf.a, cf.b * cf.a
-    W = np.zeros((4, d))
-    W[0], W[1, 1:], W[2], W[3, 1:] = qa[::-1], qa[:0:-1], ba[::-1], ba[:0:-1]
     total = skip + n
     last = total + total % 2        # a round from odd total - 1 also makes total + 1
     final = skip - skip % 2         # the last block starts at or just before skip
     rows = max(n, _HISTORY_BLOCK * d) + d + 3
     lam2 = np.tile(lam_v, (2, 1))   # same shape as phi's output: no broadcast per round
-    Pb = np.empty((4, m))
-    recruit = _recruitment(params, lam2, Pb[:2], Pb[2:])
-    dot = W.dot
+    Q, recruit = _recruitment(params, lam2)
+    Pb = Q[2:].reshape(8, m)        # the product's rows, a view of Q
+    dot = _weights(coral).dot
     buf = np.empty((k, rows, m))
     H = buf[0]                      # H[r] is x_1(base + r)
     base, t = -d, 0                 # x_1 is known up to time t
@@ -143,13 +159,13 @@ def iterate(coral: CoralMap, lam, x0: np.ndarray, n: int, skip: int = 0,
     # ... but x0's older classes: init[i] is what they add to the product of
     # the round from t = 2i (q.x, b.x at t and t + 1); by t = d - 1 they
     # have all aged out
-    init = np.zeros((d // 2, 4, m))
+    init = np.zeros((d // 2, 8, m))
     qb = np.stack([cf.q, cf.b])
     y = X0.copy()
     y[0] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(d - 1):
-            init[s // 2, [s % 2, 2 + s % 2]] = qb @ y
+            init[s // 2, s % 2::2] = (qb @ y)[[0, 0, 0, 1]]
             y[1:] = S[:, None] * y[:-1]
         while True:
             r_init = 2 * len(init) - base
@@ -158,7 +174,7 @@ def iterate(coral: CoralMap, lam, x0: np.ndarray, n: int, skip: int = 0,
             # time it holds, and never past `final`
             stop = total if done else min(final, base + rows - 1 - (base + rows - 1) % 2)
             for r in range(t - base, stop - base, 2):
-                dot(H[r - d + 1:r + 1], out=Pb)
+                dot(H[r - d + 1:r + 1], Pb)
                 if r < r_init:
                     Pb += init[(r + base) // 2]
                 recruit(H[r + 1:r + 3])
@@ -232,13 +248,14 @@ class _RotationSums:
         self.net = self.pos = self.neg = 0.0
         self.wsum = np.zeros(4)
 
-    def add(self, inc: np.ndarray, w: np.ndarray, w8: np.ndarray) -> None:
+    def add(self, inc: np.ndarray, w: np.ndarray, w8: np.ndarray, w_sums: tuple) -> None:
         """One block's increments, with the block's bump weights w for all
-        increments and w8 for those among the first 0.8 of them."""
+        increments and w8 for those among the first 0.8 of them, and their
+        sums (w.sum(), w8.sum())."""
         self.net += inc.sum()
         self.pos += inc[inc > 0.0].sum()
         self.neg -= inc[inc < 0.0].sum()
-        self.wsum += (w @ inc, w.sum(), w8 @ inc[:len(w8)], w8.sum())
+        self.wsum += (w @ inc, w_sums[0], w8 @ inc[:len(w8)], w_sums[1])
 
     def result(self, iterates_used: int) -> RotationResult:
         if self.hit:
@@ -305,11 +322,12 @@ def rotation_and_profile(xy: np.ndarray, center: tuple[float, float] = (2500.0, 
 
     The angles are taken in blocks of 8,192 points, so the analysis memory
     does not grow with n.  Blocks are the outer loop and orbits the inner:
-    a block's bump weights depend only on its positions and n, so they are
-    computed once for all orbits, and only one orbit's block arrays are
-    alive at a time.  An orbit must wind consistently about the center;
-    one that hits it or whose angle increments change sign persistently
-    raises RotationUndefined, whose `orbit` is the first such orbit.
+    a block's bump weights depend only on its positions and n, so they
+    and their sums are computed once for all orbits, and only one orbit's
+    block arrays are alive at a time.  An orbit must wind consistently
+    about the center; one that hits it or whose angle increments change
+    sign persistently raises RotationUndefined, whose `orbit` is the first
+    such orbit.
     """
     orbits = xy[:, None] if xy.ndim == 2 else xy
     n, m = orbits.shape[:2]
@@ -320,12 +338,13 @@ def rotation_and_profile(xy: np.ndarray, center: tuple[float, float] = (2500.0, 
         i = np.arange(start + 1.0, start + 1.0 + min(_BLOCK, incs - start))
         w = _bump_weights(i, incs)
         w8 = _bump_weights(i[:max(0, min(len(i), incs8 - start))], incs8)
+        w_sums = (w.sum(), w8.sum())
         for j, (rot, prof) in enumerate(zip(rots, profs)):
             angles = None if rot.hit else _angles(orbits[start:start + _BLOCK + 1, j], center)
             if angles is None:
                 rot.hit = True
                 continue
-            rot.add(angles[1], w, w8)
+            rot.add(angles[1], w, w8, w_sums)
             prof.add(*angles)
     pairs = [(rot.result(n), prof.result()) for rot, prof in zip(rots, profs)]
     return pairs[0] if xy.ndim == 2 else pairs

@@ -1,5 +1,6 @@
 """Reference evaluations for the tests: the float map one state at a time
-(step, map_F, jac_lam), and high-precision (mpmath) twins of the map
+(step, map_F, jac_lam) and its orbits in plain renewal form
+(renewal_orbit), and high-precision (mpmath) twins of the map
 evaluations, used as independent oracles for the soundness checks: a
 certificate claims a true zero within delta_accuracy of the anchor, and a
 50+ digit Newton refinement must land inside that ball.  Also the plain
@@ -82,6 +83,43 @@ def jac_lam(coral: CoralMap, lam: float, x: np.ndarray) -> np.ndarray:
     out = np.zeros(coral.d)
     out[0] = phi(P, coral.params) * float(coral.cf.b @ x)
     return out
+
+
+def renewal_orbit(coral: CoralMap, lams: np.ndarray, x0s: np.ndarray, n: int,
+                  skip: int) -> np.ndarray:
+    """Iterates skip+1 .. skip+n (n, m, d) of the m orbits from the states
+    x0s (m, d) with the lams (m,), in the renewal form of
+    `dynamics.iterate` but without its blocks, buffers and fused kernel:
+    rounds of two iterates, each taking q.x and b.x at t and t+1 from one
+    (4, d) product of reversed q*a and b*a weights with the last d
+    recruitments (plus what x0's older classes, aged by chained survival
+    shifts, add over the first d - 1 iterates), and the recruits from
+    lam * phi(P) * b.x; then x_{j+1}(t) = S_j x_j(t-1)."""
+    d, cf = coral.d, coral.cf
+    S = np.array(coral.params.S, dtype=float)
+    qa, ba = cf.q * cf.a, cf.b * cf.a
+    W = np.zeros((4, d))
+    W[0], W[1, 1:], W[2], W[3, 1:] = qa[::-1], qa[:0:-1], ba[::-1], ba[:0:-1]
+    qb = np.stack([cf.q, cf.b])
+    older = np.zeros((d // 2, 4, len(lams)))
+    y = x0s.T.copy()
+    y[0] = 0.0
+    for s in range(d - 1):
+        older[s // 2, [s % 2, 2 + s % 2]] = qb @ y
+        y[1:] = S[:, None] * y[:-1]
+    H = np.zeros((skip + n + d + 2, len(lams)))    # H[d + t] is x_1(t)
+    H[d] = x0s[:, 0]
+    for t in range(0, skip + n, 2):
+        Pb = W.dot(H[t + 1:t + d + 1])
+        if t // 2 < len(older):
+            Pb += older[t // 2]
+        H[t + d + 1:t + d + 3] = lams * phi(Pb[:2], coral.params) * Pb[2:]
+    X = np.empty((skip + n + 1, len(lams), d))
+    X[0] = x0s
+    X[1:, :, 0] = H[d + 1:skip + n + d + 1]
+    for t in range(1, skip + n + 1):
+        X[t, :, 1:] = S * X[t - 1, :, :-1]
+    return X[skip + 1:]
 
 
 def mp_coeffs(coral: CoralMap):

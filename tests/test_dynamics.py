@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certibif.dynamics import (_HISTORY_BLOCK, _recruitment, density_matched_state,
-                               farey_min_denominator, iterate, polyp_density_series,
-                               rotation_and_profile)
+from certibif.dynamics import (_HISTORY_BLOCK, _recruitment, _weights,
+                               density_matched_state, farey_min_denominator, iterate,
+                               polyp_density_series, rotation_and_profile)
 from certibif.errors import OrbitDiverged, RotationUndefined
 from certibif.model import CoralMap, CoralParams, phi
-from helpers import step
+from helpers import renewal_orbit, step
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -202,9 +202,57 @@ def test_recruitment_kernel_equals_phi_bit_for_bit(params):
     lam = np.hstack([lam, np.tile(rng.uniform(0.0, 10.0, 200), (2, 1))])
     want = lam * phi(P, params) * bx
     assert np.any((want != 0.0) & (np.abs(want) < np.finfo(float).tiny))
+    Q, recruit = _recruitment(params, lam)
     out = np.empty_like(P)
-    _recruitment(params, lam, P, bx)(out)
-    assert out.tobytes() == want.tobytes()
+    # the buffer refilled between calls, as each orbit round refills it
+    for P, bx in ((P, bx), (P[::-1], bx[::-1])):
+        Q[2:5], Q[5] = P, bx
+        recruit(out)
+        assert out.tobytes() == (lam * phi(P, params) * bx).tobytes()
+
+
+def test_weight_product_copies_equal_the_four_row_product_bit_for_bit(coral):
+    # iterate's recruits are phi's bits only if the (8, d) product's three
+    # q.x copies, and its b.x rows, equal the (4, d) product's rows
+    d = coral.d
+    W8 = _weights(coral)
+    W4 = W8[[0, 1, 6, 7]]
+    rng = np.random.default_rng(4)
+    for m in (1, 2, 3, 5, 10, 17):
+        # nonnegative histories whose rows span many binades
+        H = rng.uniform(0.0, 1e4, (3 * d, m)) * rng.uniform(0.0, 1.0, (3 * d, 1)) ** 6
+        P8 = np.empty((8, m))
+        for r in range(d - 1, 3 * d):
+            W8.dot(H[r - d + 1:r + 1], P8)
+            P4 = W4.dot(H[r - d + 1:r + 1])
+            for i in range(3):
+                assert P8[2 * i:2 * i + 2].tobytes() == P4[:2].tobytes()
+            assert P8[6:].tobytes() == P4[2:].tobytes()
+
+
+@pytest.mark.parametrize("R", [(160.0, 180.0, 200.0), (180.0,)], ids=["batch", "single"])
+def test_iterate_equals_the_renewal_reference_byte_for_byte(coral, R):
+    # a transient longer than one history block, so that it runs in blocks,
+    # and an odd skip, so that the last round starts before it
+    skip, n = 2 * _HISTORY_BLOCK * coral.d + 1, 300
+    lams = np.array(R) / coral.cf.ba
+    if len(R) == 1:
+        x0 = 1.5 * density_matched_state(coral, 1500.0)
+        got = iterate(coral, float(lams[0]), x0, n=n, skip=skip).points
+        want = renewal_orbit(coral, lams, x0[None], n, skip)[:, 0]
+    else:
+        x0 = _off_profile(coral, 5)
+        got = iterate(coral, lams, x0, n=n, skip=skip).points
+        want = renewal_orbit(coral, lams, x0, n, skip)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("keep, x0, name", [(0, 13, "keep"), (14, 13, "keep"), (None, 5, "x0")],
+                         ids=["keep-0", "keep-14", "x0-5-entries"])
+def test_iterate_rejects_a_keep_or_x0_that_does_not_fit_d(coral, keep, x0, name):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        iterate(coral, 1.0, np.ones(x0), n=5, keep=keep)
 
 
 def test_batched_analysis_matches_single_orbits_bit_for_bit(coral):
